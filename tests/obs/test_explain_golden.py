@@ -1,0 +1,141 @@
+"""Characterisation golden for plain EXPLAIN and the repository's plan hash.
+
+``golden/explain_grid.json`` pins, for the 41-statement differential grid
+plus the indexed/optimizer statements of ``test_explain_optimizer.py`` and
+``tests/sqlstore/test_indexes.py``, the full plain-``EXPLAIN`` rowset
+(every column) and the ``plan_hash`` the workload repository stamps on the
+executed statement — with statistics on and with ``statistics=False``.
+
+A planner refactor must leave the file byte-identical: a changed plan hash
+would surface as a spurious plan-change event in a persisted
+``workload_repository.json``.  Regenerate (only when a plan is *meant* to
+change) with ``PYTHONPATH=src:. python tests/obs/test_explain_golden.py``.
+"""
+
+import json
+import os
+
+import repro
+
+from tests.differential.test_stream_vs_materialize import (
+    STATEMENTS,
+    TINY_BATCH,
+    _load,
+)
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden",
+                      "explain_grid.json")
+
+# tests/obs/test_explain_optimizer.py: seek-vs-scan and build-side decisions.
+OPTIMIZER_SETUP = [
+    "CREATE INDEX ix_opt_age ON Customers (age)",
+    "CREATE TABLE Big (k INT, payload TEXT)",
+    "CREATE TABLE Small (k INT, tag TEXT)",
+    "INSERT INTO Big VALUES " + ", ".join(
+        f"({i % 10}, 'p{i:03d}')" for i in range(200)),
+    "INSERT INTO Small VALUES " + ", ".join(
+        f"({i}, 't{i}')" for i in range(10)),
+]
+OPTIMIZER_STATEMENTS = [
+    "SELECT * FROM Customers WHERE age = 25",
+    "SELECT * FROM Customers WHERE age > 0",
+    "SELECT s.tag, b.payload FROM Small AS s JOIN Big AS b ON s.k = b.k",
+    "SELECT b.payload, s.tag FROM Big AS b JOIN Small AS s ON b.k = s.k",
+]
+
+# tests/sqlstore/test_indexes.py: point/range/IN seeks, indexed join build.
+INDEX_SETUP = [
+    "CREATE TABLE People (id INT, age INT, city TEXT)",
+    "INSERT INTO People VALUES (1, 25, 'Oslo'), (2, 62, 'Rome'), "
+    "(3, 41, 'Oslo'), (4, 70, 'Pisa'), (5, 33, 'Rome')",
+    "CREATE INDEX IX_AGE ON People (age)",
+    "CREATE INDEX IX_CITY ON People (city)",
+    "CREATE TABLE POrders (cid INT, total INT)",
+    "INSERT INTO POrders VALUES (1, 10), (3, 20), (3, 30)",
+    "CREATE INDEX IX_OCID ON POrders (cid)",
+]
+INDEX_STATEMENTS = [
+    "SELECT * FROM People WHERE age = 41",
+    "SELECT * FROM People WHERE age >= 41",
+    "SELECT id FROM People WHERE age > 40 ORDER BY id",
+    "SELECT id FROM People WHERE city IN ('Oslo', 'Pisa') ORDER BY id",
+    "SELECT p.id, o.total FROM People AS p JOIN POrders AS o "
+    "ON p.id = o.cid ORDER BY p.id, o.total",
+]
+
+# The two joins whose plan text and executed path disagreed before the
+# engine planned once (plus the reversed spelling and a LEFT JOIN).
+TRUTH_SETUP = [
+    "CREATE TABLE A (x INT, y INT, k INT)",
+    "CREATE TABLE B (id INT, v TEXT)",
+    "INSERT INTO A VALUES (1, 1, 10), (2, 3, 20), (4, 4, 30), (5, 5, 99)",
+    "INSERT INTO B VALUES (10, 'ten'), (20, 'twenty'), (30, 'thirty'), "
+    "(30, 'thirty again')",
+    "CREATE INDEX ib ON B (id)",
+]
+TRUTH_STATEMENTS = [
+    "SELECT * FROM A JOIN B ON A.x = A.y AND A.k = B.id",
+    "SELECT * FROM A JOIN B ON A.x = A.y",
+    "SELECT * FROM A JOIN B ON B.id = A.k",
+    "SELECT * FROM A LEFT JOIN B ON A.x = A.y AND A.k = B.id",
+]
+
+# (case, loads the grid tables first, extra setup, statements)
+CASES = [
+    ("grid", True, [], STATEMENTS),
+    ("optimizer", True, OPTIMIZER_SETUP, OPTIMIZER_STATEMENTS),
+    ("indexes", False, INDEX_SETUP, INDEX_STATEMENTS),
+    ("truth", False, TRUTH_SETUP, TRUTH_STATEMENTS),
+]
+
+
+def case_connection(case: str, statistics: bool = True):
+    """A fresh provider holding one case's tables (its own connection, so
+    the optimizer case's indexes never leak into the un-indexed grid)."""
+    _, grid, setup, _ = next(entry for entry in CASES if entry[0] == case)
+    conn = repro.connect(batch_size=TINY_BATCH, caseset_cache_capacity=0,
+                         statistics=statistics)
+    if grid:
+        _load(conn)
+    for statement in setup:
+        conn.execute(statement)
+    return conn
+
+
+def capture() -> dict:
+    document = {}
+    for label, statistics in (("stats_on", True), ("stats_off", False)):
+        section = document[label] = {}
+        for case, _, _, statements in CASES:
+            entries = section[case] = {}
+            conn = case_connection(case, statistics)
+            try:
+                for statement in statements:
+                    plan = conn.execute(f"EXPLAIN {statement}")
+                    conn.execute(statement)
+                    record = conn.provider.tracer.last()
+                    entries[statement] = {
+                        "columns": [c.name for c in plan.columns],
+                        "rows": [list(row) for row in plan.rows],
+                        "plan_hash": record.plan_hash,
+                    }
+            finally:
+                conn.close()
+    return document
+
+
+def render(document: dict) -> str:
+    return json.dumps(document, indent=1, sort_keys=True) + "\n"
+
+
+def test_explain_grid_matches_golden():
+    with open(GOLDEN, encoding="utf-8") as handle:
+        expected = handle.read()
+    assert render(capture()) == expected
+
+
+if __name__ == "__main__":
+    os.makedirs(os.path.dirname(GOLDEN), exist_ok=True)
+    with open(GOLDEN, "w", encoding="utf-8") as handle:
+        handle.write(render(capture()))
+    print(f"wrote {GOLDEN}")
