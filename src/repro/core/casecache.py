@@ -136,3 +136,21 @@ def definition_fingerprint(definition) -> Tuple:
                           (column.qualifier_of or "").upper() if getattr(
                               column, "qualifier_of", None) else None))
     return tuple(parts)
+
+
+def train_key(model, statement, data_version: int) -> Tuple:
+    """Cache key of the bound training caseset of one ``INSERT INTO
+    <model>`` — looked up by the executor, probed by EXPLAIN's preview."""
+    return ("train", model.name.upper(),
+            definition_fingerprint(model.definition),
+            repr(statement.source), repr(statement.bindings), data_version)
+
+
+def prediction_key(model, join, pushed, data_version: int) -> Tuple:
+    """Cache key of a PREDICTION JOIN's bound source (``pushed``: the
+    source-only WHERE conjuncts filtered below binding) — looked up by the
+    executor, probed by EXPLAIN's preview."""
+    return ("prediction", model.name.upper(),
+            definition_fingerprint(model.definition),
+            repr(join.source), bool(join.natural), repr(join.condition),
+            tuple(repr(conjunct) for conjunct in pushed), data_version)

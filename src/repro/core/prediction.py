@@ -16,16 +16,13 @@ modeled as a 'prediction join' between D and M."  Execution:
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from itertools import chain
+from typing import Any, List, Optional, Tuple
 
 from repro.errors import BindError, PredictionError
 from repro.lang import ast_nodes as ast
 from repro.obs import trace as obs_trace
-from repro.shaping.shape import (
-    execute_shape_stream,
-    flatten_rowset,
-    flatten_stream,
-)
+from repro.shaping.shape import flatten_rowset, flatten_stream, plan_shape
 from repro.sqlstore.expressions import EvalContext, evaluate
 from repro.sqlstore.rowset import Rowset, RowsetColumn, RowStream
 from repro.sqlstore.types import TABLE, infer_type
@@ -35,7 +32,7 @@ from repro.core.bindings import (
     case_mapper,
     pair_mapper,
 )
-from repro.core.casecache import definition_fingerprint
+from repro.core.casecache import prediction_key
 from repro.core.functions import PREDICTION_FUNCTIONS, PredictionScope
 
 
@@ -124,28 +121,33 @@ def _source_alias(source: ast.TableRef) -> Optional[str]:
         f"unsupported PREDICTION JOIN source {type(source).__name__}")
 
 
+def plan_prediction_source(provider, source: ast.TableRef):
+    """Plan the right-hand side of PREDICTION JOIN — the node EXPLAIN shows
+    under the join, whose ``run(batch_size)`` opens it as a row stream."""
+    database = provider.database
+    if isinstance(source, ast.ShapeSource):
+        return plan_shape(source.shape, database)
+    if isinstance(source, ast.SubquerySource):
+        return database.plan_select(source.select)
+    node = database.plan_table_ref(source)
+    open_relation = node.run
+
+    def run(batch_size):
+        relation = open_relation(batch_size)
+        columns = [column for _, column in relation.columns]
+        return RowStream(columns, relation.batches(batch_size))
+    node.run = run
+    return node
+
+
 def resolve_prediction_source_stream(provider, source: ast.TableRef,
                                      batch_size: Optional[int] = None) \
         -> Tuple[RowStream, Optional[str]]:
     """Evaluate the right-hand side of PREDICTION JOIN as a row stream."""
-    database = provider.database
-    batch_size = batch_size or getattr(database, "batch_size", 1024)
     alias = _source_alias(source)
-    if isinstance(source, ast.ShapeSource):
-        return execute_shape_stream(source.shape, database, batch_size), alias
-    if isinstance(source, ast.SubquerySource):
-        return database.execute_select_stream(source.select,
-                                              batch_size), alias
-    relation = database.resolve_table_ref(source, batch_size)
-    columns = [column for _, column in relation.columns]
-    return RowStream(columns, relation.batches(batch_size)), alias
-
-
-def resolve_prediction_source(provider, source: ast.TableRef) \
-        -> Tuple[Rowset, Optional[str]]:
-    """Evaluate the right-hand side of PREDICTION JOIN into a rowset."""
-    stream, alias = resolve_prediction_source_stream(provider, source)
-    return stream.materialize(), alias
+    stream = plan_prediction_source(provider, source).run(
+        batch_size or provider.database.batch_size)
+    return stream, alias
 
 
 def split_on_condition(model_name: str, alias: Optional[str],
@@ -266,11 +268,7 @@ def _prediction_case_batches(provider, statement: ast.SelectStatement,
     cache = getattr(provider, "caseset_cache", None)
     key = None
     if cache is not None and cache.enabled:
-        key = ("prediction", model.name.upper(),
-               definition_fingerprint(model.definition),
-               repr(join.source), bool(join.natural), repr(join.condition),
-               tuple(repr(conjunct) for conjunct in pushed),
-               database.data_version)
+        key = prediction_key(model, join, pushed, database.data_version)
         hit = cache.get(key)
         if hit is not None:
             columns, rows, cases = hit
@@ -418,17 +416,8 @@ def plan_prediction(provider, statement: ast.SelectStatement):
                     span_name="predict", rows_counter="rows_out",
                     detail=", ".join(details))
 
-    if isinstance(join.source, ast.ShapeSource):
-        from repro.shaping.shape import plan_shape
-        source = plan_shape(join.source.shape, database,
-                            getattr(provider, "plan_external_source", None))
-    elif isinstance(join.source, ast.SubquerySource):
-        source = database.plan_select(
-            join.source.select,
-            getattr(provider, "plan_external_source", None))
-    else:
-        source = database.plan_table_ref(
-            join.source, getattr(provider, "plan_external_source", None))
+    source = plan_prediction_source(provider, join.source)
+    source.estimate()
 
     if parallelism == "parallel":
         node.cache = "bypassed (parallel path)"
@@ -441,12 +430,7 @@ def plan_prediction(provider, statement: ast.SelectStatement):
         if cache is None or not cache.enabled:
             node.cache = "disabled"
         else:
-            key = ("prediction", model.name.upper(),
-                   definition_fingerprint(model.definition),
-                   repr(join.source), bool(join.natural),
-                   repr(join.condition),
-                   tuple(repr(conjunct) for conjunct in pushed),
-                   database.data_version)
+            key = prediction_key(model, join, pushed, database.data_version)
             node.cache = ("hit expected" if cache.contains(key)
                           else "miss expected")
         stage = node.add(PlanNode("bind cases", target=model.name,
@@ -578,18 +562,13 @@ def execute_prediction_stream(provider, statement: ast.SelectStatement,
                                for row in sample_rows))
             columns = _column_metadata(expanded, sample_rows,
                                        lambda entry: entry)
-            result = RowStream(columns, _chain_batches(head, produced))
+            result = RowStream(columns, chain(head, produced))
             if statement.flattened:
                 result = flatten_stream(result)
             return result
     except BaseException:
         lease.release()
         raise
-
-
-def _chain_batches(head, tail):
-    yield from head
-    yield from tail
 
 
 def _execute_prediction_select(provider,
@@ -694,12 +673,7 @@ class _Reversed:
 
 def _source_context(source_columns: List[RowsetColumn],
                     alias: Optional[str]) -> EvalContext:
-    mapping: Dict[Tuple[str, ...], int] = {}
-    for index, column in enumerate(source_columns):
-        mapping.setdefault((column.name.upper(),), index)
-        if alias:
-            mapping.setdefault((alias.upper(), column.name.upper()), index)
-    return EvalContext(mapping)
+    return EvalContext.from_names([c.name for c in source_columns], alias)
 
 
 def _expand_select_list(statement, model, source_columns,

@@ -3,7 +3,7 @@
 :class:`Provider` owns the relational engine and the mining-model catalog
 and dispatches every statement — the "analysis server" box of the paper's
 Figure 1, layered on the relational engine through the engine's
-``external_resolver`` hook.  :class:`Connection` is the thin session facade
+``external_source`` hook.  :class:`Connection` is the thin session facade
 (`connect()` creates one) that applications use, playing the role of an
 OLE DB session issuing command strings.
 
@@ -15,6 +15,7 @@ back to base tables, so the same statement forms work on both.
 from __future__ import annotations
 
 import re
+from contextlib import contextmanager
 from typing import Any, Dict, List, Optional
 
 from repro.errors import BindError, CatalogError, Error, ParseError
@@ -23,18 +24,21 @@ from repro.lang.parser import parse_statement
 from repro.obs import MetricsRegistry, Tracer, WorkloadRegistry
 from repro.obs import trace as obs_trace
 from repro.obs import workload as obs_workload
-from repro.obs.repository import WorkloadRepository
-from repro.shaping.shape import (
-    execute_shape_stream,
-    flatten_rowset,
-    flatten_stream,
+from repro.obs.explain import (
+    PlanNode,
+    build_plan,
+    explain_rowset,
+    plan_train_source,
+    reconcile_plan,
 )
-from repro.sqlstore.engine import Database, SourceRelation
+from repro.obs.repository import WorkloadRepository
+from repro.shaping.shape import plan_shape
+from repro.sqlstore.engine import Database, SourceRelation, as_from_source
 from repro.sqlstore.rowset import DEFAULT_BATCH_SIZE, Rowset, RowStream
 from repro.store.durable import is_mutating_statement
 from repro.exec.pool import WorkerPool
 from repro.core.bindings import iter_mapped_cases
-from repro.core.casecache import CasesetCache, definition_fingerprint
+from repro.core.casecache import CasesetCache, train_key
 from repro.core.columns import compile_model_definition
 from repro.core.model import MiningModel
 from repro.core.prediction import (
@@ -160,7 +164,7 @@ class Provider:
                  telemetry_path: Optional[str] = None,
                  statistics: bool = True,
                  repository: bool = True):
-        self.database = Database(external_resolver=self._resolve_external,
+        self.database = Database(external_source=self.plan_external_source,
                                  batch_size=batch_size,
                                  statistics=statistics)
         self.models: Dict[str, MiningModel] = {}
@@ -304,6 +308,18 @@ class Provider:
         first = stripped.split(None, 1)[0].upper() if stripped else ""
         if first == "TRACE":
             return self.execute_ast(parse_statement(command))
+        with self._admitted(command) as (statement, plan):
+            return self._execute_statement(statement, command, plan)
+
+    @contextmanager
+    def _admitted(self, command: str):
+        """One statement's admission, shared by :meth:`execute` and
+        :meth:`execute_stream`: open its tracer record and workload
+        registration, parse and classify it, plan a plain query once, and
+        hand that tree to the workload repository (skeleton, hash,
+        estimate).  Yields ``(statement, plan)`` for the caller to run.  A
+        statement that fails to plan is still fingerprinted, so its error
+        counts against its aggregates."""
         previous = obs_trace.activate(self.tracer)
         try:
             with self.tracer.statement(command) as record:
@@ -320,19 +336,37 @@ class Provider:
                     record.kind = _statement_kind(statement, self)
                     if active is not None:
                         active.kind = record.kind
-                    self.repository.annotate(record, self, statement,
-                                             command)
-                    return self._execute_statement(statement, command)
+                    plan = None
+                    try:
+                        plan = self._plan_query(statement)
+                    except BindError as exc:
+                        _attach_statement(exc, command)
+                        raise
+                    finally:
+                        self.repository.annotate(record, self, statement,
+                                                 command, plan)
+                    yield statement, plan
                 finally:
                     obs_workload.deactivate(prior)
         finally:
             obs_trace.deactivate(previous)
 
-    def _execute_statement(self, statement: ast.Statement,
-                           command: str) -> Any:
+    def _plan_query(self, statement: ast.Statement) -> Optional[PlanNode]:
+        """The runnable plan tree of a plain SELECT/UNION; None for every
+        other statement (PREDICTION JOIN and training still plan beside
+        their executors)."""
+        if isinstance(statement, ast.UnionStatement) or (
+                isinstance(statement, ast.SelectStatement) and
+                not isinstance(statement.from_clause, ast.PredictionJoin)):
+            return build_plan(self, statement)
+        return None
+
+    def _execute_statement(self, statement: ast.Statement, command: str,
+                           plan: Optional[PlanNode] = None) -> Any:
         """Journal-aware execution shared by :meth:`execute` and EXPLAIN
         ANALYZE (which journals the *inner* statement's text, so crash
-        replay re-runs the mutation rather than the EXPLAIN wrapper)."""
+        replay re-runs the mutation rather than the EXPLAIN wrapper).
+        ``plan`` is the already-built tree of a plain SELECT/UNION."""
         journaled = (self.store is not None and
                      is_mutating_statement(statement))
         if journaled:
@@ -354,7 +388,7 @@ class Provider:
                 self.store.record_statement(self, statement, command)
             return result
         try:
-            result = self.execute_ast(statement)
+            result = self.execute_ast(statement, plan)
         except BindError as exc:
             _attach_statement(exc, command)
             raise
@@ -365,7 +399,11 @@ class Provider:
             self.storage.commit(self.database)
         return result
 
-    def execute_ast(self, statement: ast.Statement) -> Any:
+    def execute_ast(self, statement: ast.Statement,
+                    plan: Optional[PlanNode] = None) -> Any:
+        """Execute one parsed statement.  ``plan`` is the runnable tree of
+        a plain SELECT/UNION when the caller already built it (planned here
+        otherwise; FLATTENED is a node of that tree)."""
         if isinstance(statement, ast.TraceStatement):
             return self._execute_trace(statement)
         if isinstance(statement, ast.CancelStatement):
@@ -412,8 +450,13 @@ class Provider:
             return self._export_model(statement)
         if isinstance(statement, ast.ImportModelStatement):
             return self._import_model(statement)
-        if isinstance(statement, ast.SelectStatement):
-            return self._execute_select(statement)
+        if isinstance(statement, (ast.SelectStatement, ast.UnionStatement)):
+            plan = plan or self._plan_query(statement)
+            if plan is None:
+                obs_workload.set_phase("predict")
+                return execute_prediction_select(self, statement)
+            obs_workload.set_phase("scan")
+            return plan.run(self.database.batch_size).materialize()
         return self.database.execute_ast(statement)
 
     # -- observability ------------------------------------------------------------
@@ -424,13 +467,13 @@ class Provider:
         Plain EXPLAIN is pure — the planner pass reads catalog statistics
         only, so no data-path span is opened and no state is mutated.
         ANALYZE executes the wrapped statement with span capture forced on
-        and reconciles the captured span tree back onto the plan.
+        and reconciles the captured span tree back onto the plan.  Estimates
+        are filled before execution, so a mutating inner statement is
+        estimated against the data it started from.
         """
-        from repro.obs.explain import build_plan, explain_rowset, \
-            reconcile_plan
-
         inner = statement.statement
         plan = build_plan(self, inner)
+        plan.estimate()
         if not statement.analyze:
             return explain_rowset(plan, analyzed=False)
 
@@ -443,7 +486,9 @@ class Provider:
         previous = obs_trace.activate(self.tracer)
         span = self.tracer.start_span("explain.execute")
         try:
-            result = self._execute_statement(inner, command)
+            # A plain SELECT/UNION executes the very tree rendered below.
+            result = self._execute_statement(
+                inner, command, plan if plan.run is not None else None)
         finally:
             self.tracer._finish_span(span)
             self.tracer.enabled = was_enabled
@@ -455,22 +500,41 @@ class Provider:
         reconcile_plan(plan, span, rows)
         return explain_rowset(plan, analyzed=True)
 
-    def plan_external_source(self, ref: ast.TableRef):
-        """The engine's EXPLAIN hook, mirroring :meth:`_resolve_external`."""
-        from repro.obs.explain import PlanNode
+    def plan_external_source(self, ref: ast.TableRef) -> Optional[PlanNode]:
+        """The engine's one hook: plan a FROM source only the mining layer
+        knows — SHAPE, ``$SYSTEM.*``, ``<model>.CONTENT/.CASES/.PMML`` — as
+        a node that describes it for EXPLAIN and whose ``run`` opens it as
+        a :class:`SourceRelation`.  None hands ``ref`` back to the engine.
+        """
         if isinstance(ref, ast.ShapeSource):
-            from repro.shaping.shape import plan_shape
-            return plan_shape(ref.shape, self.database,
-                              self.plan_external_source)
+            return as_from_source(plan_shape(ref.shape, self.database),
+                                  ref.alias)
         if isinstance(ref, ast.SystemRowsetRef):
-            return PlanNode("system rowset",
-                            target=f"$SYSTEM.{ref.rowset.upper()}",
-                            strategy="materialized snapshot")
+            return PlanNode(
+                "system rowset", target=f"$SYSTEM.{ref.rowset.upper()}",
+                strategy="materialized snapshot",
+                run=lambda _: SourceRelation.from_rowset(
+                    system_rowset(self, ref.rowset),
+                    ref.alias or ref.rowset))
         if isinstance(ref, ast.ModelContentRef):
             model = self.model(ref.model)
-            est = model.case_count if ref.facet == "CASES" else None
-            return PlanNode(f"model {ref.facet.lower()}", target=model.name,
-                            strategy="materialized", est_rows=est)
+
+            def facet(_) -> SourceRelation:
+                if ref.facet == "CONTENT":
+                    rowset = model_content_rowset(model)
+                elif ref.facet == "PMML":
+                    from repro.pmml.writer import pmml_rowset
+                    rowset = pmml_rowset(model)
+                elif ref.facet == "CASES":
+                    rowset = self._model_cases_rowset(model)
+                else:  # pragma: no cover - parser restricts facets
+                    raise BindError(f"unknown model facet {ref.facet!r}")
+                return SourceRelation.from_rowset(rowset,
+                                                  ref.alias or ref.model)
+            return PlanNode(
+                f"model {ref.facet.lower()}", target=model.name,
+                strategy="materialized", run=facet,
+                est_rows=model.case_count if ref.facet == "CASES" else None)
         if isinstance(ref, ast.NamedTable) and self.has_model(ref.name):
             raise Error(
                 f"{ref.name!r} is a mining model; query its content with "
@@ -596,10 +660,7 @@ class Provider:
         cache = self.caseset_cache
         key = None
         if cache.enabled:
-            key = ("train", model.name.upper(),
-                   definition_fingerprint(model.definition),
-                   repr(statement.source), repr(statement.bindings),
-                   self.database.data_version)
+            key = train_key(model, statement, self.database.data_version)
             cached = cache.get(key)
             if cached is not None:
                 obs_trace.add("cache_hit", 1)
@@ -607,13 +668,8 @@ class Provider:
                 return cached
             obs_trace.add("cache_miss", 1)
             obs_workload.note_cache(hit=False)
-        if isinstance(statement.source, ast.ShapeExpr):
-            stream = execute_shape_stream(statement.source, self.database)
-        elif isinstance(statement.source, ast.SelectStatement):
-            stream = self.database.execute_select_stream(statement.source)
-        else:
-            raise Error("INSERT INTO a model requires a SHAPE or SELECT "
-                        "source")
+        stream = plan_train_source(self, statement.source).run(
+            self.database.batch_size)
         cases = []
         for batch in iter_mapped_cases(model.definition, stream,
                                        statement.bindings):
@@ -642,27 +698,6 @@ class Provider:
 
     # -- SELECT ---------------------------------------------------------------------
 
-    def _execute_select(self, statement: ast.SelectStatement) -> Rowset:
-        if isinstance(statement.from_clause, ast.PredictionJoin):
-            obs_workload.set_phase("predict")
-            return execute_prediction_select(self, statement)
-        obs_workload.set_phase("scan")
-        result = self.database.execute_select(statement)
-        if statement.flattened:
-            result = flatten_rowset(result)
-        return result
-
-    def _execute_select_stream(self, statement: ast.SelectStatement,
-                               batch_size: Optional[int] = None) -> RowStream:
-        if isinstance(statement.from_clause, ast.PredictionJoin):
-            obs_workload.set_phase("predict")
-            return execute_prediction_stream(self, statement, batch_size)
-        obs_workload.set_phase("scan")
-        result = self.database.execute_select_stream(statement, batch_size)
-        if statement.flattened:
-            result = flatten_stream(result)
-        return result
-
     def execute_stream(self, command: str,
                        batch_size: Optional[int] = None) -> RowStream:
         """Execute a SELECT (plain or PREDICTION JOIN) as a row stream.
@@ -671,74 +706,25 @@ class Provider:
         (GROUP BY, ORDER BY, DISTINCT) still materialize internally, but
         pipelined shapes are produced batch by batch.
         """
-        previous = obs_trace.activate(self.tracer)
-        try:
-            with self.tracer.statement(command) as record:
-                record.session = obs_workload.session_id()
-                active = self.workload.register(record.statement_id, command)
-                prior = obs_workload.activate(active)
-                try:
-                    obs_workload.set_phase("parse")
-                    try:
-                        statement = parse_statement(command)
-                    except ParseError as exc:
-                        _attach_statement(exc, command)
-                        raise
-                    record.kind = _statement_kind(statement, self)
-                    if active is not None:
-                        active.kind = record.kind
-                    self.repository.annotate(record, self, statement,
-                                             command)
-                    try:
-                        if isinstance(statement, ast.UnionStatement):
-                            return self.database.execute_union_stream(
-                                statement, batch_size)
-                        if isinstance(statement, ast.SelectStatement):
-                            return self._execute_select_stream(statement,
-                                                               batch_size)
-                    except BindError as exc:
-                        _attach_statement(exc, command)
-                        raise
-                    raise Error(
-                        "execute_stream supports SELECT statements only; "
-                        "use execute() for DDL/DML")
-                finally:
-                    obs_workload.deactivate(prior)
-        finally:
-            obs_trace.deactivate(previous)
-
-    def _resolve_external(self, ref: ast.TableRef) -> Optional[SourceRelation]:
-        """The engine's hook: models, SHAPE, $SYSTEM, <model>.CONTENT."""
-        if isinstance(ref, ast.ShapeSource):
-            stream = execute_shape_stream(ref.shape, self.database)
-            return SourceRelation.from_stream(stream, ref.alias)
-        if isinstance(ref, ast.SystemRowsetRef):
-            rowset = system_rowset(self, ref.rowset)
-            return SourceRelation.from_rowset(rowset, ref.alias or ref.rowset)
-        if isinstance(ref, ast.ModelContentRef):
-            model = self.model(ref.model)
-            if ref.facet == "CONTENT":
-                rowset = model_content_rowset(model)
-            elif ref.facet == "PMML":
-                from repro.pmml.writer import pmml_rowset
-                rowset = pmml_rowset(model)
-            elif ref.facet == "CASES":
-                rowset = self._model_cases_rowset(model)
-            else:  # pragma: no cover - parser restricts facets
-                raise BindError(f"unknown model facet {ref.facet!r}")
-            return SourceRelation.from_rowset(rowset, ref.alias or ref.model)
-        if isinstance(ref, ast.NamedTable) and self.has_model(ref.name):
+        with self._admitted(command) as (statement, plan):
+            try:
+                if plan is not None:
+                    obs_workload.set_phase("scan")
+                    return plan.run(batch_size or self.database.batch_size)
+                if isinstance(statement, ast.SelectStatement):
+                    obs_workload.set_phase("predict")
+                    return execute_prediction_stream(self, statement,
+                                                     batch_size)
+            except BindError as exc:
+                _attach_statement(exc, command)
+                raise
             raise Error(
-                f"{ref.name!r} is a mining model; query its content with "
-                f"SELECT * FROM [{ref.name}].CONTENT or predict with "
-                f"PREDICTION JOIN (section 3.3)")
-        return None
+                "execute_stream supports SELECT statements only; "
+                "use execute() for DDL/DML")
 
     def _model_cases_rowset(self, model: MiningModel) -> Rowset:
         """``<model>.CASES``: drill through to the accumulated caseset."""
         model.require_trained()
-        from repro.sqlstore.rowset import RowsetColumn
-        from repro.sqlstore.types import TEXT
         records = []
         for case in model.training_cases:
             record = {name: value for name, value in case.scalars.items()}

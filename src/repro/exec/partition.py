@@ -124,7 +124,8 @@ def source_rows_estimate(provider, statement) -> Optional[int]:
     if not getattr(database, "stats_enabled", False):
         return None
     try:
-        return database._estimate_ref_rows(statement.from_clause.source)
+        return database.plan_table_ref(
+            statement.from_clause.source).estimate()
     except Exception:
         return None
 

@@ -12,18 +12,20 @@ forced on and annotates each plan operator with actuals reconciled from
 the captured span tree: rows, batches, wall-clock milliseconds, cache
 hits, and pool tasks, estimated-vs-actual side by side in one rowset.
 
-The plan tree itself is produced by plan-description hooks that live next
-to the executors they mirror (:meth:`Database.plan_select`,
-:func:`repro.shaping.shape.plan_shape`, the parallelism previews in
-:mod:`repro.exec.partition`, :func:`repro.core.prediction.plan_prediction`)
-so strategy decisions cannot drift from the real ones.  This module owns
-only the :class:`PlanNode` vocabulary, the statement-level dispatch, the
-span reconciliation, and the rowset rendering.
+For a plain SELECT/UNION (and every SHAPE) the tree EXPLAIN renders *is*
+the executor: :meth:`Database.plan_select`, :meth:`Database.plan_union` and
+:func:`repro.shaping.shape.plan_shape` take every strategy decision once and
+hang ``run`` on the node, so ``EXPLAIN ANALYZE`` executes the tree it then
+renders.  Training and PREDICTION JOIN still describe themselves beside
+their executors (:func:`_plan_train`, :func:`repro.core.prediction.
+plan_prediction`, the parallelism previews in :mod:`repro.exec.partition`).
+This module owns the :class:`PlanNode` vocabulary, the statement-level
+dispatch, the span reconciliation, and the rowset rendering.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import Error
 from repro.lang import ast_nodes as ast
@@ -44,12 +46,24 @@ class PlanNode:
     * ``match="parent"`` — read ``rows_counter`` off the nearest matched
       ancestor's own span (e.g. a scan's ``rows_scanned`` lives on the
       enclosing ``engine.select`` span).
+
+    Engine, SHAPE and mining-provider source nodes are also the executor:
+    ``run(batch_size)`` opens the operator its strategy text names — a
+    :class:`RowStream` from a select/union/shape/flatten root, a
+    ``SourceRelation`` from a FROM source.  Planning only reads the
+    catalog; scanning, spans and usage counters start at ``run``.
+    ``columns`` lists a FROM source's ``(qualifier, name)`` pairs when they
+    are known without reading data (None for mining-provider leaves), so a
+    join above it can bind its keys at plan time.  ``estimator`` fills the
+    display-only fields (``est_rows``, ``cost``) from the already-estimated
+    children; :meth:`estimate` runs it on demand, so a statement whose plan
+    nobody looks at never pays for estimates.
     """
 
     __slots__ = ("operator", "target", "strategy", "est_rows", "cost",
                  "detail", "children", "span_name", "rows_counter", "match",
                  "cache", "actual_rows", "actual_batches", "wall_ms",
-                 "pool_tasks", "cache_actual")
+                 "pool_tasks", "cache_actual", "run", "columns", "estimator")
 
     def __init__(self, operator: str, target: Optional[str] = None,
                  strategy: Optional[str] = None,
@@ -59,7 +73,8 @@ class PlanNode:
                  rows_counter: Optional[str] = None,
                  match: str = "one",
                  cache: Optional[str] = None,
-                 cost: Optional[float] = None):
+                 cost: Optional[float] = None,
+                 run: Optional[Callable] = None):
         self.operator = operator
         self.target = target
         self.strategy = strategy
@@ -80,6 +95,18 @@ class PlanNode:
         self.wall_ms: Optional[float] = None
         self.pool_tasks: Optional[int] = None
         self.cache_actual: Optional[str] = None
+        self.run = run
+        self.columns: Optional[List[Tuple[Optional[str], str]]] = None
+        self.estimator: Optional[Callable[["PlanNode"], None]] = None
+
+    def estimate(self) -> Optional[int]:
+        """Fill ``est_rows``/``cost`` bottom-up (once); returns ``est_rows``."""
+        for child in self.children:
+            child.estimate()
+        if self.estimator is not None:
+            estimator, self.estimator = self.estimator, None
+            estimator(self)
+        return self.est_rows
 
     def add(self, child: "PlanNode") -> "PlanNode":
         self.children.append(child)
@@ -103,24 +130,29 @@ def build_plan(provider, statement: ast.Statement) -> PlanNode:
     """Describe ``statement``'s execution plan without running it.
 
     Reads catalog and statistics only: no table is scanned, no model is
-    trained or mutated, no span besides the parser's is opened.
+    trained or mutated, no span besides the parser's is opened.  The tree
+    of a plain SELECT/UNION carries ``run``: the provider executes it
+    instead of planning the statement a second time.
     """
     database = provider.database
-    external = provider.plan_external_source
     if isinstance(statement, ast.SelectStatement):
         if isinstance(statement.from_clause, ast.PredictionJoin):
             from repro.core.prediction import plan_prediction
             node = plan_prediction(provider, statement)
         else:
-            node = database.plan_select(statement, external)
+            node = database.plan_select(statement)
         if statement.flattened:
-            flat = PlanNode("flatten", strategy="streamed",
-                            est_rows=node.est_rows, span_name=None)
+            from repro.shaping.shape import flatten_stream
+            flat = PlanNode("flatten", strategy="streamed")
             flat.add(node)
+            flat.estimator = _copy_child_rows
+            if node.run is not None:
+                flat.run = lambda batch_size: flatten_stream(
+                    node.run(batch_size))
             return flat
         return node
     if isinstance(statement, ast.UnionStatement):
-        return database.plan_union(statement, external)
+        return database.plan_union(statement)
     if isinstance(statement, ast.InsertModelStatement):
         return _plan_train(provider, statement)
     if isinstance(statement, ast.InsertValuesStatement):
@@ -136,7 +168,7 @@ def build_plan(provider, statement: ast.Statement) -> PlanNode:
         node = PlanNode("create view", target=statement.name,
                         strategy="catalog only (definition stored)",
                         est_rows=0)
-        node.add(provider.database.plan_select(statement.select, external))
+        node.add(database.plan_select(statement.select))
         return node
     if isinstance(statement, ast.DeleteModelStatement):
         return _plan_model_reset(provider, statement.name,
@@ -188,6 +220,10 @@ def build_plan(provider, statement: ast.Statement) -> PlanNode:
         f"EXPLAIN does not support {type(statement).__name__}")
 
 
+def _copy_child_rows(node: PlanNode) -> None:
+    node.est_rows = node.children[0].est_rows
+
+
 def _table_size(database, name: str) -> Optional[int]:
     table = database.tables.get(name.upper())
     return len(table) if table is not None else None
@@ -201,7 +237,7 @@ def _plan_model_reset(provider, name: str, operator: str) -> PlanNode:
 
 def _plan_train(provider, statement: ast.InsertModelStatement) -> PlanNode:
     from repro.exec.partition import training_parallelism_preview
-    from repro.core.casecache import definition_fingerprint
+    from repro.core.casecache import train_key
 
     model = provider.model(statement.model)
     maxdop = statement.maxdop
@@ -214,10 +250,7 @@ def _plan_train(provider, statement: ast.InsertModelStatement) -> PlanNode:
     cache = provider.caseset_cache
     cache_note = "disabled"
     if cache is not None and cache.enabled:
-        key = ("train", model.name.upper(),
-               definition_fingerprint(model.definition),
-               repr(statement.source), repr(statement.bindings),
-               provider.database.data_version)
+        key = train_key(model, statement, provider.database.data_version)
         cache_note = "hit expected" if cache.contains(key) \
             else "miss expected"
 
@@ -238,21 +271,19 @@ def _plan_train(provider, statement: ast.InsertModelStatement) -> PlanNode:
     bind = node.add(PlanNode("bind cases", target=model.name,
                              span_name="bind", rows_counter="cases_bound",
                              match="all"))
-    source = _plan_train_source(provider, statement.source)
-    bind.add(source)
-    node.est_rows = source.est_rows
-    bind.est_rows = source.est_rows
+    source = bind.add(plan_train_source(provider, statement.source))
+    node.est_rows = bind.est_rows = source.estimate()
     return node
 
 
-def _plan_train_source(provider, source) -> PlanNode:
+def plan_train_source(provider, source) -> PlanNode:
+    """The runnable plan of an ``INSERT INTO <model>`` source — what
+    EXPLAIN shows under ``bind cases`` and what training opens."""
     if isinstance(source, ast.ShapeExpr):
         from repro.shaping.shape import plan_shape
-        return plan_shape(source, provider.database,
-                          provider.plan_external_source)
+        return plan_shape(source, provider.database)
     if isinstance(source, ast.SelectStatement):
-        return provider.database.plan_select(source,
-                                             provider.plan_external_source)
+        return provider.database.plan_select(source)
     raise Error("INSERT INTO a model requires a SHAPE or SELECT source")
 
 
@@ -269,10 +300,8 @@ def _plan_insert(provider, statement: ast.InsertValuesStatement) -> PlanNode:
     node = PlanNode("insert", target=statement.table,
                     strategy="row append")
     if statement.select is not None:
-        child = provider.database.plan_select(
-            statement.select, provider.plan_external_source)
-        node.add(child)
-        node.est_rows = child.est_rows
+        child = node.add(provider.database.plan_select(statement.select))
+        node.est_rows = child.estimate()
     else:
         node.est_rows = len(statement.rows)
     return node

@@ -397,14 +397,17 @@ class WorkloadRepository:
 
     # -- attribution (statement thread, after parse, before execution) ---------
 
-    def annotate(self, record, provider, statement, command: str) -> None:
+    def annotate(self, record, provider, statement, command: str,
+                 plan=None) -> None:
         """Stamp fingerprint and plan attribution onto a statement record.
 
         Called by the dispatcher once the statement is parsed; the stamped
         ``record.fingerprint`` / ``record.plan_hash`` / ``record.
         plan_est_rows`` are folded into the aggregates at retirement by
-        :meth:`observe`.  Never raises into the statement: a statement
-        that cannot be normalized or planned simply goes unattributed.
+        :meth:`observe`.  ``plan`` is the tree the dispatcher is about to
+        execute (plain SELECT/UNION); without one the statement is planned
+        here.  Never raises into the statement: a statement that cannot be
+        normalized or planned simply goes unattributed.
         """
         if not self.enabled or record.root is None:
             return
@@ -416,7 +419,7 @@ class WorkloadRepository:
                                   ast.CancelStatement)):
             return  # control verbs have no data-path plan
         plan_hash, skeleton, est_rows = self._plan_for(provider, statement,
-                                                       command)
+                                                       command, plan)
         if plan_hash is None:
             return
         self._record_plan(fingerprint, plan_hash, skeleton)
@@ -452,13 +455,14 @@ class WorkloadRepository:
                 entry.kind = kind
         return fingerprint
 
-    def _plan_for(self, provider, statement, command: str) -> tuple:
+    def _plan_for(self, provider, statement, command: str, plan) -> tuple:
         """The statement's (plan_hash, skeleton, est_rows), memoized.
 
         The memo key folds in ``data_version`` (monotonic over catalog DDL
         and every row mutation — CREATE/DROP INDEX bump it) and the
         planner's statistics gate, so a changed plan is always re-captured
-        while a hot statement against unchanged data costs one dict hit.
+        while a hot statement against unchanged data costs one dict hit —
+        only a miss fills the tree's estimates.
         """
         key = (command, provider.database.data_version,
                provider.database.stats_enabled)
@@ -468,10 +472,11 @@ class WorkloadRepository:
                 self._plan_cache.move_to_end(key)
                 return cached
         try:
-            from repro.obs.explain import build_plan
-            plan = build_plan(provider, statement)
+            if plan is None:
+                from repro.obs.explain import build_plan
+                plan = build_plan(provider, statement)
             skeleton = plan_skeleton(plan)
-            est = plan.est_rows
+            est = plan.estimate()
             cached = (skeleton_hash(skeleton), skeleton,
                       None if est is None else float(est))
         except Exception:

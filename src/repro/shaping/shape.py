@@ -30,7 +30,51 @@ def execute_shape(shape: ast.ShapeExpr, database) -> Rowset:
 
 def execute_shape_stream(shape: ast.ShapeExpr, database,
                          batch_size: Optional[int] = None) -> RowStream:
-    """Evaluate a SHAPE expression as a stream of nested-case batches.
+    """Evaluate a SHAPE expression as a stream of nested-case batches:
+    plan it, then open the plan."""
+    return plan_shape(shape, database).run(batch_size or database.batch_size)
+
+
+def plan_shape(shape: ast.ShapeExpr, database):
+    """Plan a SHAPE expression: the node EXPLAIN renders, whose
+    ``run(batch_size)`` opens the shaped :class:`RowStream`.
+
+    The master streams; every APPEND child materializes up front into
+    RELATE-key buckets.  Master and children are themselves planned
+    SELECTs (or nested SHAPEs), so nothing below is decided again at run.
+    """
+    from repro.obs.explain import PlanNode
+
+    def plan_source(source: Union[ast.SelectStatement, ast.ShapeExpr]):
+        if isinstance(source, ast.ShapeExpr):
+            return plan_shape(source, database)
+        return database.plan_select(source)
+
+    node = PlanNode("shape",
+                    strategy=f"master streamed, {len(shape.appends)} "
+                             f"append(s) materialized",
+                    span_name="shape", rows_counter="shape_cases_out")
+    master = node.add(plan_source(shape.master))
+    master.target = master.target or "master"
+    for append in shape.appends:
+        child = node.add(plan_source(append.child))
+        child.operator = f"append [{append.alias}]"
+        child.strategy = (f"{child.strategy}; bucketed on "
+                          f"{append.relate_child}")
+
+    def estimate(node):
+        node.est_rows = master.est_rows
+        node.cost = (master.cost or 0.0) + sum(
+            (child.cost or 0.0) + float(child.est_rows or 0)
+            for child in node.children[1:])
+    node.estimator = estimate
+    node.run = lambda batch_size: _open_shape(shape, node.children,
+                                              batch_size)
+    return node
+
+
+def _open_shape(shape: ast.ShapeExpr, sources, batch_size: int) -> RowStream:
+    """Open a planned SHAPE over its planned master and APPEND children.
 
     Child (APPEND) queries must run to completion up front — every child row
     is hashed into per-RELATE-key buckets — but the *master* side streams:
@@ -40,20 +84,19 @@ def execute_shape_stream(shape: ast.ShapeExpr, database,
     emitted nested rowsets; per-case nested ``Rowset`` wrappers are the only
     per-row allocation and die with their batch.
     """
-    batch_size = batch_size or getattr(database, "batch_size", 1024)
     span = obs_trace.span("shape", appends=len(shape.appends))
     with span:
-        master = _execute_source_stream(shape.master, database, batch_size)
+        master = sources[0].run(batch_size)
         columns = list(master.columns)
         plans = []  # (master_index, buckets, nested_schema)
 
-        for append in shape.appends:
-            child = _execute_source(append.child, database)
+        for append, source in zip(shape.appends, sources[1:]):
+            child = source.run(batch_size).materialize()
             obs_trace.add_to(span, "shape_child_rows", len(child.rows))
-            child_index = _require_column(child, append.relate_child,
+            child_index = _require_column(child.columns, append.relate_child,
                                           "RELATE child")
-            master_index = _require_column_list(columns, append.relate_master,
-                                                "RELATE master")
+            master_index = _require_column(columns, append.relate_master,
+                                           "RELATE master")
             buckets: Dict[object, List[tuple]] = {}
             for child_row in child.rows:
                 buckets.setdefault(
@@ -79,65 +122,8 @@ def execute_shape_stream(shape: ast.ShapeExpr, database,
     return RowStream(columns, produce())
 
 
-def plan_shape(shape: ast.ShapeExpr, database, external_planner=None):
-    """Describe a SHAPE expression's plan for EXPLAIN, without executing it.
-
-    Mirrors :func:`execute_shape_stream`: the master streams, every APPEND
-    child materializes up front into RELATE-key buckets.
-    """
-    from repro.obs.explain import PlanNode
-
-    node = PlanNode("shape",
-                    strategy=f"master streamed, {len(shape.appends)} "
-                             f"append(s) materialized",
-                    span_name="shape", rows_counter="shape_cases_out")
-    master = _plan_source(shape.master, database, external_planner)
-    master.target = master.target or "master"
-    node.add(master)
-    node.est_rows = master.est_rows
-    cost = master.cost or 0.0
-    for append in shape.appends:
-        child = _plan_source(append.child, database, external_planner)
-        child.operator = f"append [{append.alias}]"
-        child.strategy = (f"{child.strategy}; bucketed on "
-                          f"{append.relate_child}")
-        node.add(child)
-        cost += (child.cost or 0.0) + float(child.est_rows or 0)
-    node.cost = cost
-    return node
-
-
-def _plan_source(source: Union[ast.SelectStatement, ast.ShapeExpr],
-                 database, external_planner):
-    if isinstance(source, ast.ShapeExpr):
-        return plan_shape(source, database, external_planner)
-    return database.plan_select(source, external_planner)
-
-
-def _execute_source(source: Union[ast.SelectStatement, ast.ShapeExpr],
-                    database) -> Rowset:
-    if isinstance(source, ast.ShapeExpr):
-        return execute_shape(source, database)
-    return database.execute_select(source)
-
-
-def _execute_source_stream(source: Union[ast.SelectStatement, ast.ShapeExpr],
-                           database, batch_size: int) -> RowStream:
-    if isinstance(source, ast.ShapeExpr):
-        return execute_shape_stream(source, database, batch_size)
-    return database.execute_select_stream(source, batch_size)
-
-
-def _require_column(rowset: Rowset, name: str, what: str) -> int:
-    if not rowset.has_column(name):
-        raise BindError(
-            f"{what} column {name!r} not found "
-            f"(available: {', '.join(rowset.column_names())})")
-    return rowset.index_of(name)
-
-
-def _require_column_list(columns: List[RowsetColumn], name: str,
-                         what: str) -> int:
+def _require_column(columns: List[RowsetColumn], name: str,
+                    what: str) -> int:
     for index, column in enumerate(columns):
         if column.name.upper() == name.upper():
             return index

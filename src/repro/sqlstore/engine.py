@@ -3,19 +3,30 @@
 :class:`Database` executes plain-SQL AST nodes (SELECT with joins, grouping,
 ordering; INSERT/UPDATE/DELETE; CREATE/DROP TABLE/VIEW).  FROM-clause sources
 it does not know about — mining models, SHAPE blocks, ``$SYSTEM`` rowsets,
-``<model>.CONTENT`` — are delegated to an optional ``external_resolver``
+``<model>.CONTENT`` — are delegated to an optional ``external_source``
 callback which the mining provider supplies.  That hook is precisely the
 layering of Figure 1 in the paper: the analysis server (mining layer) sits on
 top of the relational engine and extends its name space.
+
+A SELECT is planned once and then opened: :meth:`Database.plan_select`
+builds the operator tree — taking every strategy decision while reading only
+the catalog, statistics and index maps — and each node's ``run`` executes
+exactly what its strategy text says.  ``EXPLAIN`` renders that tree, the
+workload repository hashes it, ``execute_select_stream`` opens it.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from itertools import chain
+from typing import (
+    Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple)
 
 from repro.errors import BindError, CatalogError, Error, SchemaError
 from repro.lang import ast_nodes as ast
 from repro.lang.parser import parse_statement
+# The module, not its names: repro.obs.explain imports this package's
+# rowset module, so either may be mid-import when the other is reached.
+from repro.obs import explain as obs_explain
 from repro.obs import trace as obs_trace
 from repro.obs import workload as obs_workload
 from repro.sqlstore import values as V
@@ -79,15 +90,15 @@ class SourceRelation:
             raise BindError("relation rows already consumed")
         yield from pending
 
+    def names(self) -> List[Tuple[Optional[str], str]]:
+        """``(qualifier, name)`` per column — what a plan node's
+        ``columns`` holds when known without running the source."""
+        return [(qualifier, column.name)
+                for qualifier, column in self.columns]
+
     def context(self) -> EvalContext:
         """Name-resolution map (qualified + bare) over this relation."""
-        mapping: Dict[Tuple[str, ...], int] = {}
-        for index, (qualifier, column) in enumerate(self.columns):
-            mapping.setdefault((column.name.upper(),), index)
-            if qualifier:
-                mapping.setdefault((qualifier.upper(), column.name.upper()),
-                                   index)
-        return EvalContext(mapping)
+        return EvalContext.from_columns(self.names())
 
     @classmethod
     def from_rowset(cls, rowset: Rowset,
@@ -112,13 +123,15 @@ class Database:
     # the interpreter stack.
     MAX_VIEW_DEPTH = 32
 
-    def __init__(self, external_resolver: Optional[Callable] = None,
+    def __init__(self, external_source: Optional[Callable] = None,
                  batch_size: int = DEFAULT_BATCH_SIZE,
                  statistics: bool = True):
         self.tables: Dict[str, Table] = {}
         self.views: Dict[str, ast.SelectStatement] = {}
-        # external_resolver(table_ref) -> SourceRelation | None
-        self.external_resolver = external_resolver
+        # external_source(table_ref) -> planned source | None: a plan node
+        # describing a FROM source only the mining layer knows, whose
+        # run(batch_size) opens it as a SourceRelation.
+        self.external_source = external_source
         # Streaming pipeline granularity: operators exchange row batches of
         # (at most) this many rows; memory is O(batch_size), not O(rows).
         self.batch_size = max(1, int(batch_size))
@@ -135,9 +148,6 @@ class Database:
         self.store_factory: Optional[Callable] = None
         self.metrics = None
         self._view_depth = 0
-        # Separate depth guard for cardinality estimation, which recurses
-        # through view definitions the same way execution does.
-        self._est_depth = 0
         self._catalog_version = 0
 
     @property
@@ -344,7 +354,7 @@ class Database:
 
         return table.update_where(predicate, updater)
 
-    # -- SELECT ---------------------------------------------------------------
+    # -- SELECT: plan, then open ----------------------------------------------
 
     def execute_union(self, statement: ast.UnionStatement) -> Rowset:
         """Concatenate branch results; plain UNION dedups (SQL semantics)."""
@@ -359,52 +369,7 @@ class Database:
         chain blocking, because each dedup applies to everything
         accumulated so far (left-associative SQL semantics).
         """
-        batch_size = batch_size or self.batch_size
-        if statement.all_rows and all(statement.all_rows):
-            streams = [self.execute_select_stream(branch, batch_size)
-                       for branch in statement.branches]
-            width = len(streams[0].columns)
-            for position, stream in enumerate(streams[1:], start=2):
-                if len(stream.columns) != width:
-                    raise SchemaError(
-                        f"UNION branch {position} has {len(stream.columns)} "
-                        f"columns, expected {width}")
-
-            def produce():
-                for stream in streams:
-                    yield from stream.batches()
-            return RowStream(streams[0].columns, produce())
-        return RowStream.from_rowset(
-            self._execute_union_blocking(statement), batch_size)
-
-    def _execute_union_blocking(self, statement: ast.UnionStatement) -> Rowset:
-        results = [self.execute_select(branch)
-                   for branch in statement.branches]
-        width = len(results[0].columns)
-        for position, result in enumerate(results[1:], start=2):
-            if len(result.columns) != width:
-                raise SchemaError(
-                    f"UNION branch {position} has {len(result.columns)} "
-                    f"columns, expected {width}")
-        def dedup(candidate_rows: List[tuple]) -> List[tuple]:
-            seen = set()
-            unique: List[tuple] = []
-            for row in candidate_rows:
-                key = tuple(V.group_key(v) if not isinstance(v, Rowset)
-                            else id(v) for v in row)
-                if key not in seen:
-                    seen.add(key)
-                    unique.append(row)
-            return unique
-
-        # Left-associative: each plain UNION dedups everything so far,
-        # UNION ALL just concatenates.
-        rows: List[tuple] = list(results[0].rows)
-        for keep_all, result in zip(statement.all_rows, results[1:]):
-            rows.extend(result.rows)
-            if not keep_all:
-                rows = dedup(rows)
-        return Rowset(results[0].columns, rows)
+        return self.plan_union(statement).run(batch_size or self.batch_size)
 
     def execute_select(self, statement: ast.SelectStatement) -> Rowset:
         return self.execute_select_stream(statement).materialize()
@@ -416,42 +381,163 @@ class Database:
         Pipelined operators — scans, joins, WHERE, projection, DISTINCT-free
         TOP — produce output batch by batch, so peak memory for them is
         O(batch_size).  Blocking operators (GROUP BY / aggregates, ORDER BY,
-        DISTINCT) consume the stream and materialise, exactly as before, so
-        their semantics are unchanged.  Name resolution and planning happen
-        eagerly (errors surface at call time); only row production is lazy.
+        DISTINCT) consume the stream and materialise, so their semantics
+        are unchanged.  Planning and opening both happen eagerly (binding
+        errors surface at call time); only row production is lazy.
+        """
+        return self.plan_select(statement).run(batch_size or self.batch_size)
 
-        The ``engine.select`` span covers planning (and, on the blocking
-        path, execution); lazily produced batches pin their counters back
-        onto that span so trace rows stay attributed correctly.
+    def resolve_table_ref(self, ref: ast.TableRef,
+                          batch_size: Optional[int] = None) -> SourceRelation:
+        """Plan and open one FROM source."""
+        return self.plan_table_ref(ref).run(batch_size or self.batch_size)
+
+    def plan_select(self, statement: ast.SelectStatement,
+                    external_source: Optional[Callable] = None):
+        """Plan a SELECT: the tree EXPLAIN renders, the workload repository
+        hashes, and ``run(batch_size)`` executes.
+
+        Every strategy decision — blocking vs. streamed, seek vs. scan,
+        join keys and build side, view expansion — is taken here, once,
+        reading only the catalog, statistics and index key->position maps:
+        no table is scanned, no span opened and no usage counter moved
+        until ``run``.  The second positional argument is accepted from
+        callers that hold the provider's hook; it is the hook this
+        database was constructed with and is not consulted again.
+        """
+        grouped = bool(statement.group_by) or any(
+            contains_aggregate(item.expr) for item in statement.select_list)
+        blockers = []
+        if grouped:
+            blockers.append("group/aggregate")
+        if statement.order_by:
+            blockers.append("order by")
+        if statement.distinct:
+            blockers.append("distinct")
+        blocking = bool(blockers)
+        strategy = (f"materialized ({', '.join(blockers)})" if blocking
+                    else f"streamed (batch {self.batch_size})")
+        node = obs_explain.PlanNode(
+            "select", strategy=strategy, span_name="engine.select",
+            rows_counter="rows_out")
+        details = []
+        if statement.where is not None:
+            details.append("filtered")
+        if statement.top is not None:
+            details.append(f"top {statement.top}")
+        node.detail = ", ".join(details) or None
+        source = expanded = None
+        if statement.from_clause is None:
+            node.strategy = "constant"
+            node.est_rows = 1
+            node.cost = 0.0
+        else:
+            source = node.add(self.plan_table_ref(statement.from_clause,
+                                                  statement.where))
+            expanded = self._expand_select_list(statement, source.columns)
+            if expanded is not None:
+                node.columns = [(None, name) for _, name in expanded]
+
+            def estimate(node):
+                # A seek narrows the scan, not the estimate: selectivity
+                # applies to the whole table either way.
+                source_est = (len(self.table(source.target))
+                              if source.operator == "index seek"
+                              else source.est_rows)
+                node.est_rows = self._estimate_select_rows(
+                    statement, source_est, grouped)
+                examined = (source.est_rows if source.est_rows is not None
+                            else node.est_rows)
+                node.cost = (source.cost or 0.0) + float(examined or 0)
+            node.estimator = estimate
+        node.run = lambda batch_size: self._open_select(
+            statement, source, expanded, grouped, blocking, batch_size)
+        return node
+
+    def _open_select(self, statement: ast.SelectStatement, source, expanded,
+                     grouped: bool, blocking: bool,
+                     batch_size: int) -> RowStream:
+        """Open a planned SELECT over its planned ``source``.
+
+        The ``engine.select`` span covers opening the source (and, on the
+        blocking path, execution); lazily produced batches pin their
+        counters back onto that span so trace rows stay attributed
+        correctly.
         """
         span = obs_trace.span("engine.select")
         with span:
-            return self._build_select_stream(statement, batch_size, span)
-
-    def _build_select_stream(self, statement: ast.SelectStatement,
-                             batch_size: Optional[int], span) -> RowStream:
-        batch_size = batch_size or self.batch_size
-        if statement.from_clause is None:
-            result = self._select_without_from(statement)
+            if source is None:
+                result = self._select_without_from(statement)
+            else:
+                relation = source.run(batch_size)
+                context = relation.context()
+                context.subquery_executor = self.execute_select
+                if expanded is None:
+                    # The source named its columns only by running.
+                    expanded = self._expand_select_list(statement,
+                                                        relation.names())
+                if not blocking:
+                    return self._select_streaming(
+                        statement, relation, context, expanded, batch_size,
+                        span)
+                result = self._execute_select_blocking(
+                    statement, relation, context, expanded, grouped,
+                    batch_size, span)
             obs_trace.add_to(span, "rows_out", len(result.rows))
             return RowStream.from_rowset(result, batch_size)
-        relation = self._seek_relation(statement.from_clause,
-                                       statement.where, batch_size, span)
-        if relation is None:
-            relation = self.resolve_table_ref(statement.from_clause,
-                                              batch_size=batch_size)
-        context = relation.context()
-        context.subquery_executor = self.execute_select
 
-        grouped = bool(statement.group_by) or any(
-            contains_aggregate(item.expr) for item in statement.select_list)
-        if grouped or statement.order_by or statement.distinct:
-            result = self._execute_select_blocking(statement, relation,
-                                                   context, grouped, span)
-            obs_trace.add_to(span, "rows_out", len(result.rows))
-            return RowStream.from_rowset(result, batch_size)
-        return self._select_streaming(statement, relation, context,
-                                      batch_size, span)
+    def plan_union(self, statement: ast.UnionStatement,
+                   external_source: Optional[Callable] = None):
+        """Plan a UNION chain (see :meth:`execute_union_stream`); the
+        second argument is accepted and unused, as in :meth:`plan_select`."""
+        streaming = bool(statement.all_rows) and all(statement.all_rows)
+        node = obs_explain.PlanNode(
+            "union",
+            strategy="streamed (all branches ALL)" if streaming
+            else "materialized (dedup)")
+        for branch in statement.branches:
+            node.add(self.plan_select(branch))
+
+        def estimate(node):
+            ests = [child.est_rows for child in node.children]
+            node.cost = sum((child.cost or 0.0) + float(child.est_rows or 0)
+                            for child in node.children)
+            if all(e is not None for e in ests):
+                # Dedup branches can only thin the output; keep the ALL
+                # total as the (upper-bound) estimate either way.
+                node.est_rows = sum(ests)
+        node.estimator = estimate
+        node.run = lambda batch_size: self._open_union(
+            statement, node.children, streaming, batch_size)
+        return node
+
+    def _open_union(self, statement: ast.UnionStatement, branches,
+                    streaming: bool, batch_size: int) -> RowStream:
+        streams = [branch.run(batch_size) for branch in branches]
+        columns = streams[0].columns
+        for position, stream in enumerate(streams[1:], start=2):
+            if len(stream.columns) != len(columns):
+                raise SchemaError(
+                    f"UNION branch {position} has {len(stream.columns)} "
+                    f"columns, expected {len(columns)}")
+        if streaming:
+            return RowStream(columns, (batch for stream in streams
+                                       for batch in stream.batches()))
+        # Left-associative: each plain UNION dedups everything so far,
+        # UNION ALL just concatenates.
+        rows: List[tuple] = list(streams[0])
+        for keep_all, stream in zip(statement.all_rows, streams[1:]):
+            rows.extend(stream)
+            if not keep_all:
+                seen = set()
+                unique: List[tuple] = []
+                for row in rows:
+                    key = _row_key(row)
+                    if key not in seen:
+                        seen.add(key)
+                        unique.append(row)
+                rows = unique
+        return RowStream.from_rowset(Rowset(columns, rows), batch_size)
 
     def _filtered_batches(self, statement: ast.SelectStatement,
                           relation: SourceRelation, context: EvalContext,
@@ -474,11 +560,20 @@ class Database:
             if batch:
                 yield batch
 
+    @staticmethod
+    def _project(expanded, context: EvalContext,
+                 rows: List[tuple]) -> List[tuple]:
+        out = []
+        for row in rows:
+            row_context = context.with_row(row)
+            out.append(tuple(evaluate(expr, row_context)
+                             for expr, _ in expanded))
+        return out
+
     def _select_streaming(self, statement: ast.SelectStatement,
                           relation: SourceRelation, context: EvalContext,
-                          batch_size: int, span) -> RowStream:
+                          expanded, batch_size: int, span) -> RowStream:
         """The non-blocking pipeline: WHERE -> project -> TOP, per batch."""
-        expanded = self._expand_select_list(statement, relation)
         source = self._filtered_batches(statement, relation, context,
                                         batch_size, span)
         # Column typing needs sample rows; buffer the head of the stream
@@ -498,38 +593,37 @@ class Database:
             remaining = statement.top
             if remaining is not None and remaining <= 0:
                 return
-            for batch in _chain_batches(head, source):
-                out = []
-                for row in batch:
-                    row_context = context.with_row(row)
-                    out.append(tuple(evaluate(expr, row_context)
-                                     for expr, _ in expanded))
-                    if remaining is not None:
-                        remaining -= 1
-                        if remaining == 0:
-                            obs_trace.add_to(span, "rows_out", len(out))
-                            yield out
-                            return
-                if out:
-                    obs_trace.add_to(span, "rows_out", len(out))
-                    yield out
+            for batch in chain(head, source):
+                # Filtered batches are never empty, so neither is ``out``.
+                if remaining is not None:
+                    batch = batch[:remaining]
+                out = self._project(expanded, context, batch)
+                obs_trace.add_to(span, "rows_out", len(out))
+                yield out
+                if remaining is not None:
+                    remaining -= len(out)
+                    if remaining == 0:
+                        return
         return RowStream(output_columns, produce())
 
     def _execute_select_blocking(self, statement: ast.SelectStatement,
                                  relation: SourceRelation,
-                                 context: EvalContext,
-                                 grouped: bool, span) -> Rowset:
+                                 context: EvalContext, expanded,
+                                 grouped: bool, batch_size: int,
+                                 span) -> Rowset:
         """GROUP BY / ORDER BY / DISTINCT path: consume, then materialise."""
         rows = [row
                 for batch in self._filtered_batches(
-                    statement, relation, context, self.batch_size, span)
+                    statement, relation, context, batch_size, span)
                 for row in batch]
         if grouped:
             output_columns, output_rows = self._execute_grouped(
-                statement, relation, context, rows)
+                statement, relation, context, expanded, rows)
         else:
-            output_columns, output_rows = self._execute_projection(
-                statement, relation, context, rows)
+            output_columns = [
+                self._column_meta(expr, name, relation, rows, context)
+                for expr, name in expanded]
+            output_rows = self._project(expanded, context, rows)
 
         if statement.distinct:
             # Dedup output rows while keeping each survivor paired with its
@@ -538,8 +632,7 @@ class Database:
             unique_rows = []
             unique_sources = []
             for position, row in enumerate(output_rows):
-                key = tuple(V.group_key(v) if not isinstance(v, Rowset) else id(v)
-                            for v in row)
+                key = _row_key(row)
                 if key not in seen:
                     seen.add(key)
                     unique_rows.append(row)
@@ -549,9 +642,9 @@ class Database:
             if not grouped:
                 rows = unique_sources
 
-        if statement.order_by:
+        if statement.order_by and not grouped:  # grouped rows sort there
             output_rows = self._order_rows(
-                statement, output_columns, output_rows, context, rows, grouped)
+                statement, output_columns, output_rows, context, rows)
 
         if statement.top is not None:
             output_rows = output_rows[:statement.top]
@@ -572,19 +665,21 @@ class Database:
                 item.alias or f"Expr{position + 1}", infer_type(value)))
         return Rowset(columns, [tuple(values)])
 
-    def _expand_select_list(self, statement: ast.SelectStatement,
-                            relation: SourceRelation):
-        """Expand ``*``/``alias.*`` into concrete (expr, name) pairs."""
+    def _expand_select_list(self, statement: ast.SelectStatement, columns):
+        """Expand ``*``/``alias.*`` into concrete (expr, name) pairs over
+        the source's ``(qualifier, name)`` columns; None when a ``*`` meets
+        a source whose columns are unknown until it runs."""
         expanded: List[Tuple[ast.Expr, str]] = []
         for position, item in enumerate(statement.select_list):
             if isinstance(item.expr, ast.Star):
-                for qualifier, column in relation.columns:
+                if columns is None:
+                    return None
+                for qualifier, name in columns:
                     if item.expr.qualifier is not None and (
                             qualifier or "").upper() != item.expr.qualifier.upper():
                         continue
-                    parts = ((qualifier, column.name) if qualifier
-                             else (column.name,))
-                    expanded.append((ast.ColumnRef(parts=parts), column.name))
+                    parts = (qualifier, name) if qualifier else (name,)
+                    expanded.append((ast.ColumnRef(parts=parts), name))
                 continue
             name = item.alias or self._default_name(item.expr, position)
             expanded.append((item.expr, name))
@@ -618,22 +713,9 @@ class Database:
                 return RowsetColumn(name, infer_type(value))
         return RowsetColumn(name, TEXT)
 
-    def _execute_projection(self, statement, relation, context, rows):
-        expanded = self._expand_select_list(statement, relation)
-        output_columns = [
-            self._column_meta(expr, name, relation, rows, context)
-            for expr, name in expanded]
-        output_rows = []
-        for row in rows:
-            row_context = context.with_row(row)
-            output_rows.append(tuple(
-                evaluate(expr, row_context) for expr, _ in expanded))
-        return output_columns, output_rows
-
     # -- grouping -------------------------------------------------------------
 
-    def _execute_grouped(self, statement, relation, context, rows):
-        expanded = self._expand_select_list(statement, relation)
+    def _execute_grouped(self, statement, relation, context, expanded, rows):
         aggregate_nodes: List[ast.FuncCall] = []
 
         def collect(expr):
@@ -726,15 +808,12 @@ class Database:
                 keys.append(tuple(key))
             directions = [item.ascending for item in statement.order_by]
             output_rows = _multi_key_sort(output_rows, keys, directions)
-            statement = _without_order(statement)
         return output_columns, output_rows
 
     # -- ordering -------------------------------------------------------------
 
     def _order_rows(self, statement, output_columns, output_rows, context,
-                    source_rows, grouped):
-        if grouped:
-            return output_rows  # handled inside _execute_grouped
+                    source_rows):
         names = [c.name.upper() for c in output_columns]
         keys = []
         for out_row, source_row in zip(output_rows, source_rows):
@@ -752,6 +831,10 @@ class Database:
         return _multi_key_sort(output_rows, keys, directions)
 
     # -- cardinality estimation (repro.sqlstore.stats) -------------------------
+    #
+    # Display-only: each plan node's ``estimator`` calls into these when
+    # EXPLAIN renders the tree or the workload repository captures it.  The
+    # one execution-affecting reader is :meth:`_hash_build_side`.
 
     def _stats_resolver(self, ref: ast.TableRef):
         """``resolver(parts) -> (ColumnStats, row_count) | None`` for
@@ -796,49 +879,14 @@ class Database:
             return resolve
         return lambda parts: None
 
-    def _estimate_ref_rows(self, ref: ast.TableRef) -> Optional[int]:
-        """Estimated source cardinality, or None when unknown (external
-        sources).  Exact for base tables; views, subqueries and joins
-        estimate through the selectivity/grouping rules in stats.py."""
-        if self._est_depth >= self.MAX_VIEW_DEPTH:
-            return None
-        if isinstance(ref, ast.NamedTable):
-            key = ref.name.upper()
-            if key in self.views:
-                self._est_depth += 1
-                try:
-                    return self._estimate_select_rows(self.views[key])
-                finally:
-                    self._est_depth -= 1
-            if key in self.tables:
-                return len(self.tables[key])
-            return None
-        if isinstance(ref, ast.SubquerySource):
-            self._est_depth += 1
-            try:
-                return self._estimate_select_rows(ref.select)
-            finally:
-                self._est_depth -= 1
-        if isinstance(ref, ast.Join):
-            return self._estimate_join(ref)[2]
-        return None
-
-    def _estimate_join(self, ref: ast.Join, left_est: Optional[int] = None,
-                       right_est: Optional[int] = None):
-        """``(left_est, right_est, join_est)`` — each None when unknown.
-
-        Callers that already planned the sides (EXPLAIN over external
-        sources) may pass their estimates in; otherwise the sides are
-        estimated here.
-        """
-        if left_est is None:
-            left_est = self._estimate_ref_rows(ref.left)
-        if right_est is None:
-            right_est = self._estimate_ref_rows(ref.right)
+    def _estimate_join(self, ref: ast.Join, left_est: Optional[int],
+                       right_est: Optional[int], equalities,
+                       residual) -> Optional[int]:
+        """Estimated join output rows from the planned sides' estimates
+        (None when either is unknown) and the join's bound equi keys."""
         if ref.kind == "CROSS":
-            return left_est, right_est, stats_mod.estimate_join_rows(
+            return stats_mod.estimate_join_rows(
                 "CROSS", left_est, right_est, False)
-        equalities, residual = _split_equi_condition(ref.condition)
         ndvs = (None, None)
         if equalities:
             ndvs = (self._equi_key_ndv(ref.left, equalities),
@@ -852,7 +900,7 @@ class Database:
                 selectivity *= stats_mod.estimate_selectivity(
                     condition, resolver)
             est = int(round(est * selectivity))
-        return left_est, right_est, est
+        return est
 
     def _equi_key_ndv(self, ref: ast.TableRef, equalities) -> Optional[int]:
         """NDV of one join side's first equi-key column, when its stats
@@ -873,22 +921,16 @@ class Database:
         return None
 
     def _estimate_select_rows(self, statement: ast.SelectStatement,
-                              source_est: Optional[int] = None
-                              ) -> Optional[int]:
-        """Estimated SELECT output rows, or None when the source
-        cardinality is unknown and no override is given."""
-        if statement.from_clause is None:
-            return 1
-        if source_est is None:
-            source_est = self._estimate_ref_rows(statement.from_clause)
+                              source_est: Optional[int],
+                              grouped: bool) -> Optional[int]:
+        """Estimated output rows of a SELECT over a FROM source of
+        ``source_est`` rows (None in, None out)."""
         if source_est is None:
             return None
         resolver = self._stats_resolver(statement.from_clause)
         est = float(source_est)
         if statement.where is not None:
             est *= stats_mod.estimate_selectivity(statement.where, resolver)
-        grouped = bool(statement.group_by) or any(
-            contains_aggregate(item.expr) for item in statement.select_list)
         if grouped:
             ndvs = [self._expr_ndv(expr, resolver)
                     for expr in statement.group_by]
@@ -905,24 +947,15 @@ class Database:
 
     # -- cost-based decisions --------------------------------------------------
 
-    def _cost_estimate_ref(self, ref: ast.TableRef) -> Optional[int]:
-        """Estimate backing execution-affecting decisions.  None unless
-        statistics are enabled, so heuristic planning stays bit-for-bit
-        intact without them (the differential suite's baseline)."""
+    def _hash_build_side(self, left, right) -> str:
+        """``"left"`` when statistics are on and the planned left side's
+        estimate is strictly smaller (both known), else ``"right"`` — the
+        heuristic the differential suite's ``statistics=False`` baseline
+        keeps bit-for-bit."""
         if not self.stats_enabled:
-            return None
-        try:
-            return self._estimate_ref_rows(ref)
-        except Exception:
-            return None
-
-    def _hash_build_side(self, ref: ast.Join) -> str:
-        """``"left"`` when estimates say the left side is strictly smaller
-        (and both are known), else ``"right"`` — the original behaviour.
-        Shared by the executor and the EXPLAIN mirror."""
-        left = self._cost_estimate_ref(ref.left)
-        right = self._cost_estimate_ref(ref.right)
-        if left is None or right is None or left >= right:
+            return "right"
+        left_est, right_est = left.estimate(), right.estimate()
+        if left_est is None or right_est is None or left_est >= right_est:
             return "right"
         return "left"
 
@@ -934,330 +967,209 @@ class Database:
             return True
         return table.store.seek_cost(positions) < table.store.scan_cost()
 
-    # -- FROM resolution ------------------------------------------------------
-
-    # -- EXPLAIN planning ------------------------------------------------------
-
-    def plan_select(self, statement: ast.SelectStatement,
-                    external_planner: Optional[Callable] = None):
-        """Describe the plan of a SELECT without executing it.
-
-        Mirrors the strategy decisions of :meth:`execute_select_stream`
-        (blocking vs. streaming, join algorithm) read-only: no table is
-        scanned, no span opened.  ``external_planner`` plans FROM sources
-        the engine cannot (mining-provider sources), exactly as
-        ``external_resolver`` executes them.
-        """
-        from repro.obs.explain import PlanNode
-
-        grouped = bool(statement.group_by) or any(
-            contains_aggregate(item.expr) for item in statement.select_list)
-        blockers = []
-        if grouped:
-            blockers.append("group/aggregate")
-        if statement.order_by:
-            blockers.append("order by")
-        if statement.distinct:
-            blockers.append("distinct")
-        strategy = (f"materialized ({', '.join(blockers)})" if blockers
-                    else f"streamed (batch {self.batch_size})")
-        node = PlanNode("select", strategy=strategy,
-                        span_name="engine.select", rows_counter="rows_out")
-        details = []
-        if statement.where is not None:
-            details.append("filtered")
-        if statement.top is not None:
-            details.append(f"top {statement.top}")
-        node.detail = ", ".join(details) or None
-        if statement.from_clause is None:
-            node.strategy = "constant"
-            node.est_rows = 1
-            node.cost = 0.0
-            return node
-        child = self._plan_seek(statement.from_clause, statement.where)
-        if child is None:
-            child = self.plan_table_ref(statement.from_clause,
-                                        external_planner)
-        node.add(child)
-        est = self._estimate_select_rows(statement)
-        if est is None and child.est_rows is not None:
-            # External source (mining provider): feed the planned child's
-            # own estimate through the same selectivity/grouping rules.
-            est = self._estimate_select_rows(statement,
-                                             source_est=child.est_rows)
-        node.est_rows = est
-        examined = child.est_rows if child.est_rows is not None else est
-        node.cost = (child.cost or 0.0) + float(examined or 0)
-        return node
-
-    def plan_union(self, statement: ast.UnionStatement,
-                   external_planner: Optional[Callable] = None):
-        """Describe a UNION chain's plan (see :meth:`execute_union_stream`)."""
-        from repro.obs.explain import PlanNode
-
-        streaming = bool(statement.all_rows) and all(statement.all_rows)
-        node = PlanNode(
-            "union",
-            strategy="streamed (all branches ALL)" if streaming
-            else "materialized (dedup)")
-        ests = []
-        cost = 0.0
-        for branch in statement.branches:
-            child = self.plan_select(branch, external_planner)
-            node.add(child)
-            ests.append(child.est_rows)
-            cost += (child.cost or 0.0) + float(child.est_rows or 0)
-        node.cost = cost
-        if all(e is not None for e in ests):
-            total = sum(ests)
-            # Dedup branches can only thin the output; keep the ALL total
-            # as the (upper-bound) estimate either way.
-            node.est_rows = total
-        return node
-
-    def _plan_seek(self, ref: ast.TableRef, where: Optional[ast.Expr]):
-        """EXPLAIN mirror of :meth:`_seek_relation` — read-only (candidate
-        positions are computed for the estimate, but no usage counter
-        moves).  On a paged store the detail also carries the buffer-hit
-        expectation: how many of the pages the seek will touch are
-        resident right now."""
-        from repro.obs.explain import PlanNode
-
-        if where is None:
-            return None
-        table = self._indexed_table(ref)
-        if table is None:
-            return None
-        choice = choose_index(where, table, ref.alias or ref.name)
-        if choice is None:
-            return None
-        if not self._seek_is_beneficial(table, choice.positions):
-            # The executor will fall back to the sequential scan; mirror
-            # that by declining the seek node here too.
-            return None
-        detail = choice.detail
-        expectation = table.store.seek_expectation(choice.positions)
-        if expectation is not None:
-            detail = f"{detail}; {expectation}"
-        node = PlanNode("index seek", target=ref.name,
-                        strategy=f"index {choice.index.name} "
-                                 f"({choice.access})",
-                        detail=detail,
-                        est_rows=len(choice.positions),
-                        match="parent",
-                        rows_counter="rows_scanned")
-        node.cost = float(table.store.seek_cost(choice.positions))
-        return node
-
-    def _plan_join_build_index(self, ref: ast.TableRef, equalities):
-        """Best-effort EXPLAIN mirror of :meth:`_join_build_index`.
-
-        The executor resolves the build column with full two-sided name
-        resolution; here the first equality's column refs are matched
-        against the right-side base table by name (right-side spelling
-        first).  Ambiguous orientations may diverge — that affects the
-        plan text only, never execution.
-        """
-        table = self._indexed_table(ref)
-        if table is None:
-            return None
-        qualifier = (ref.alias or ref.name).upper()
-        a, b = equalities[0]
-        for column_ref in (b, a):
-            parts = column_ref.parts
-            if len(parts) > 1 and parts[0].upper() != qualifier:
-                continue
-            if not table.schema.has_column(parts[-1]):
-                continue
-            index = table.index_on(table.schema.index_of(parts[-1]))
-            if index is not None:
-                return index
-        return None
+    # -- FROM sources -----------------------------------------------------------
 
     def plan_table_ref(self, ref: ast.TableRef,
-                       external_planner: Optional[Callable] = None):
-        """Describe a FROM source's plan (see :meth:`resolve_table_ref`)."""
-        from repro.obs.explain import PlanNode
+                       where: Optional[ast.Expr] = None):
+        """Plan a FROM source; its ``run(batch_size)`` opens a
+        :class:`SourceRelation`.
 
-        if external_planner is not None:
-            planned = external_planner(ref)
+        ``where`` is the enclosing SELECT's predicate (only
+        :meth:`plan_select` passes it): a base table may answer its
+        leftmost sargable conjunct with an index seek.  The full WHERE is
+        still re-applied by the filter stage, so a seek only narrows the
+        scan.
+        """
+        if self.external_source is not None:
+            planned = self.external_source(ref)
             if planned is not None:
                 return planned
         if isinstance(ref, ast.NamedTable):
             key = ref.name.upper()
             if key in self.views:
-                node = PlanNode("view", target=ref.name,
-                                strategy="inline expansion")
-                child = self.plan_select(self.views[key], external_planner)
-                node.add(child)
-                node.est_rows = child.est_rows
-                node.cost = child.cost
-                return node
+                return self._plan_view(ref, self.views[key])
             if key in self.tables:
-                table = self.tables[key]
-                node = PlanNode("table scan", target=ref.name,
-                                strategy=f"sequential "
-                                         f"(batch {self.batch_size})",
-                                est_rows=len(table),
-                                match="parent",
-                                rows_counter="rows_scanned")
-                node.cost = float(table.store.scan_cost())
-                return node
+                return self._plan_base_table(ref, self.tables[key], where)
             raise BindError(f"no table, view, or model named {ref.name!r}")
         if isinstance(ref, ast.SubquerySource):
-            node = self.plan_select(ref.select, external_planner)
+            node = self.plan_select(ref.select)
             node.operator = "subquery"
             node.target = ref.alias
-            return node
+            return as_from_source(node, ref.alias)
         if isinstance(ref, ast.Join):
-            left = self.plan_table_ref(ref.left, external_planner)
-            right = self.plan_table_ref(ref.right, external_planner)
-            left_est, right_est, est = self._estimate_join(
-                ref, left_est=left.est_rows, right_est=right.est_rows)
-            if ref.kind == "CROSS":
-                strategy = "cross product (right side materialized)"
-                work = float((left_est or 0) * (right_est or 0))
-            else:
-                equalities, _ = _split_equi_condition(ref.condition)
-                if equalities:
-                    strategy = "hash join (right side build)"
-                    index = self._plan_join_build_index(ref.right,
-                                                        equalities)
-                    if index is not None:
-                        strategy = (f"hash join (right side index "
-                                    f"{index.name})")
-                    elif self._hash_build_side(ref) == "left":
-                        strategy = "hash join (left side build)"
-                    work = float((left_est or 0) + (right_est or 0)
-                                 + (est or 0))
-                else:
-                    strategy = "nested loop (right side materialized)"
-                    work = float((left_est or 0) * (right_est or 0))
-            node = PlanNode("join", target=ref.kind.lower(),
-                            strategy=strategy, est_rows=est,
-                            span_name="engine.join",
-                            rows_counter="join_rows_out")
-            node.cost = (left.cost or 0.0) + (right.cost or 0.0) + work
-            node.add(left)
-            node.add(right)
-            return node
+            return self._plan_join(ref)
         raise BindError(
             f"FROM source {type(ref).__name__} requires the mining provider")
 
-    def _indexed_table(self, ref: ast.TableRef) -> Optional[Table]:
-        """The base table behind a NamedTable FROM source, if it carries
-        user indexes.  Views expand through SELECT and models never share
-        a key with ``self.tables`` (the provider enforces one namespace),
-        so a plain dict probe is a complete claim check."""
-        if not isinstance(ref, ast.NamedTable):
-            return None
-        key = ref.name.upper()
-        if key in self.views:
-            return None
-        table = self.tables.get(key)
-        if table is None or not table.indexes:
-            return None
-        return table
+    def _plan_view(self, ref: ast.NamedTable, definition):
+        if self._view_depth >= self.MAX_VIEW_DEPTH:
+            raise Error(
+                f"view expansion exceeded depth {self.MAX_VIEW_DEPTH} at "
+                f"{ref.name!r} — is the view recursive?")
+        self._view_depth += 1
+        try:
+            child = self.plan_select(definition)
+        finally:
+            self._view_depth -= 1
+        node = obs_explain.PlanNode(
+            "view", target=ref.name, strategy="inline expansion",
+            run=child.run)
+        node.add(child)
+        node.columns = child.columns
 
-    def _join_build_index(self, ref: ast.TableRef, build_column: int):
-        """``(table, index)`` when an equi-join's right side is a base
-        table with a user index on the build column ordinal, else None.
-        (For a base table the relation's column ordinals are exactly the
-        schema ordinals, so ``build_column`` indexes both.)"""
-        table = self._indexed_table(ref)
-        if table is None:
-            return None
-        index = table.index_on(build_column)
-        if index is None:
-            return None
-        return table, index
+        def estimate(node):
+            node.est_rows, node.cost = child.est_rows, child.cost
+        node.estimator = estimate
+        return as_from_source(node, ref.alias or ref.name)
 
-    def _seek_relation(self, ref: ast.TableRef, where: Optional[ast.Expr],
-                       batch_size: int, span) -> Optional[SourceRelation]:
-        """Answer a filtered base-table scan with an index seek, if legal.
-
-        Candidate positions come from the leftmost sargable AND-conjunct
-        (point, IN, or range — see :func:`choose_index`); the full WHERE
-        clause is still re-applied by the filter stage, so a seek only
-        narrows the scan.  Positions stream in ascending order, keeping
-        output rows byte-identical to the sequential plan.
-        """
-        if where is None:
-            return None
-        table = self._indexed_table(ref)
-        if table is None:
-            return None
+    def _plan_base_table(self, ref: ast.NamedTable, table: Table,
+                         where: Optional[ast.Expr]):
+        """Index seek when the WHERE allows one and it beats the scan by
+        cost, else the sequential scan.  Seek positions stream in
+        ascending order, so either path yields byte-identical rows."""
         qualifier = ref.alias or ref.name
-        choice = choose_index(where, table, qualifier)
-        if choice is None:
-            return None
-        if not self._seek_is_beneficial(table, choice.positions):
-            # Wide seeks (most of the table, or cold pages a scan would
-            # read anyway) cost more than the sequential scan; positions
-            # stream ascending, so either path yields identical rows.
-            return None
-        choice.note_use()
-        if self.metrics is not None:
-            name = ("index.range_seeks" if choice.access == "range"
-                    else "index.seeks")
-            self.metrics.counter(name).inc()
-        obs_trace.add_to(span, "index_seeks", 1)
         columns = [(qualifier, c) for c in table.rowset_columns()]
-        return SourceRelation(
-            columns,
-            batches=table.store.iter_positions(choice.positions, batch_size))
+        store = table.store
+        choice = choose_index(where, table, qualifier)
+        # Wide seeks (most of the table, or cold pages a scan would read
+        # anyway) cost more than the sequential scan.
+        if choice is not None and \
+                self._seek_is_beneficial(table, choice.positions):
+            def seek(batch_size):
+                choice.note_use()
+                if self.metrics is not None:
+                    name = ("index.range_seeks" if choice.access == "range"
+                            else "index.seeks")
+                    self.metrics.counter(name).inc()
+                obs_trace.add("index_seeks", 1)
+                return SourceRelation(columns, batches=store.iter_positions(
+                    choice.positions, batch_size))
 
-    def resolve_table_ref(self, ref: ast.TableRef,
-                          batch_size: Optional[int] = None) -> SourceRelation:
-        batch_size = batch_size or self.batch_size
-        if self.external_resolver is not None:
-            resolved = self.external_resolver(ref)
-            if resolved is not None:
-                return resolved
-        if isinstance(ref, ast.NamedTable):
-            key = ref.name.upper()
-            qualifier = ref.alias or ref.name
-            if key in self.views:
-                if self._view_depth >= self.MAX_VIEW_DEPTH:
-                    raise Error(
-                        f"view expansion exceeded depth "
-                        f"{self.MAX_VIEW_DEPTH} at {ref.name!r} — is the "
-                        f"view recursive?")
-                # Stream construction resolves the view's own FROM clause
-                # eagerly, so (mutual) recursion is still caught here; only
-                # row production is deferred.
-                self._view_depth += 1
-                try:
-                    stream = self.execute_select_stream(self.views[key],
-                                                        batch_size)
-                finally:
-                    self._view_depth -= 1
-                return SourceRelation.from_stream(stream, qualifier)
-            if key in self.tables:
-                table = self.tables[key]
-                columns = [(qualifier, c) for c in table.rowset_columns()]
-                return SourceRelation(
-                    columns, batches=table.iter_batches(batch_size))
-            raise BindError(f"no table, view, or model named {ref.name!r}")
-        if isinstance(ref, ast.SubquerySource):
-            stream = self.execute_select_stream(ref.select, batch_size)
-            return SourceRelation.from_stream(stream, ref.alias)
-        if isinstance(ref, ast.Join):
-            return self._resolve_join(ref, batch_size)
-        raise BindError(
-            f"FROM source {type(ref).__name__} requires the mining provider")
+            def estimate(node):
+                node.cost = float(store.seek_cost(choice.positions))
+                # On a paged store: how many of the pages the seek will
+                # touch are buffer-resident right now.
+                expectation = store.seek_expectation(choice.positions)
+                if expectation is not None:
+                    node.detail = f"{choice.detail}; {expectation}"
+            node = obs_explain.PlanNode(
+                "index seek", target=ref.name,
+                strategy=f"index {choice.index.name} ({choice.access})",
+                detail=choice.detail, est_rows=len(choice.positions),
+                match="parent", rows_counter="rows_scanned", run=seek)
+        else:
+            def estimate(node):
+                node.cost = float(store.scan_cost())
+            node = obs_explain.PlanNode(
+                "table scan", target=ref.name,
+                strategy=f"sequential (batch {self.batch_size})",
+                est_rows=len(table), match="parent",
+                rows_counter="rows_scanned",
+                run=lambda batch_size: SourceRelation(
+                    columns, batches=table.iter_batches(batch_size)))
+        node.estimator = estimate
+        node.columns = [(qualifier, c.name) for _, c in columns]
+        return node
 
-    def _resolve_join(self, ref: ast.Join,
-                      batch_size: int) -> SourceRelation:
-        """Streaming join: materialise the build (right) side, stream the
-        probe (left) side batch by batch.  Output row order matches the old
-        fully-materialised implementation exactly (left-major)."""
+    def _plan_join(self, ref: ast.Join):
+        left = self.plan_table_ref(ref.left)
+        right = self.plan_table_ref(ref.right)
+        node = obs_explain.PlanNode(
+            "join", target=ref.kind.lower(), span_name="engine.join",
+            rows_counter="join_rows_out")
+        node.add(left)
+        node.add(right)
+        method = None
+        if left.columns is not None and right.columns is not None:
+            node.columns = left.columns + right.columns
+        if node.columns is not None or ref.kind == "CROSS":
+            method = self._join_method(ref, left, right,
+                                       left.columns, right.columns)
+            node.strategy = method.strategy
+        else:
+            # A mining-provider leaf names its columns only by running:
+            # _open_join calls the same _join_method once they exist and
+            # restates the strategy with what it then executes.
+            node.strategy = "join method chosen at open " \
+                            "(a side's columns are unknown until it runs)"
+
+        def estimate(node):
+            equalities, residual = (
+                (method.equalities, method.residual) if method is not None
+                else _split_equi_condition(ref.condition))
+            left_est, right_est = left.est_rows, right.est_rows
+            node.est_rows = self._estimate_join(ref, left_est, right_est,
+                                                equalities, residual)
+            if equalities:
+                work = float((left_est or 0) + (right_est or 0)
+                             + (node.est_rows or 0))
+            else:
+                work = float((left_est or 0) * (right_est or 0))
+            node.cost = (left.cost or 0.0) + (right.cost or 0.0) + work
+        node.estimator = estimate
+        node.run = lambda batch_size: self._open_join(node, ref, method,
+                                                      batch_size)
+        return node
+
+    def _join_method(self, ref: ast.Join, left, right, left_names,
+                     right_names) -> "_JoinMethod":
+        """Decide how a join runs, from the two sides' column names: which
+        ON equalities bind as hash keys (the rest stay residual), and what
+        builds the hash.  The one decision both EXPLAIN's strategy text and
+        :meth:`_open_join` read."""
+        if ref.kind == "CROSS":
+            return _JoinMethod("cross product (right side materialized)")
+        equalities, residual = _split_equi_condition(ref.condition)
+        left_context = EvalContext.from_columns(left_names)
+        right_context = EvalContext.from_columns(right_names)
+        pairs, bound = [], []
+        for a, b in equalities:
+            a_index = left_context.resolve_index(a.parts)
+            b_index = right_context.resolve_index(b.parts)
+            if a_index is None or b_index is None:
+                # Sides may be written in either order.
+                a_index = left_context.resolve_index(b.parts)
+                b_index = right_context.resolve_index(a.parts)
+            if a_index is None or b_index is None:
+                residual.append(ast.BinaryOp("=", a, b))
+                continue
+            pairs.append((a_index, b_index))
+            bound.append((a, b))
+        if not pairs:
+            return _JoinMethod("nested loop (right side materialized)",
+                               residual=tuple(residual))
+        # A user index on the first equi column of a base-table right side
+        # already holds the hash buckets the scan would build.  (For a base
+        # table the relation's column ordinals are the schema ordinals.)
+        table = index = None
+        if right.operator == "table scan":
+            table = self.table(right.target)
+            index = table.index_on(pairs[0][1])
+        if index is not None:
+            return _JoinMethod(
+                f"hash join (right side index {index.name})", tuple(pairs),
+                tuple(bound), tuple(residual), build_index=(table, index))
+        side = self._hash_build_side(left, right)
+        return _JoinMethod(f"hash join ({side} side build)", tuple(pairs),
+                           tuple(bound), tuple(residual),
+                           build_left=side == "left")
+
+    def _open_join(self, node, ref: ast.Join, method: "Optional[_JoinMethod]",
+                   batch_size: int) -> SourceRelation:
+        """Streaming join: materialise the build side, stream the probe
+        side batch by batch.  Output row order is left-major whichever side
+        builds."""
+        left_plan, right_plan = node.children
         span = obs_trace.span("engine.join", kind=ref.kind)
         with span:
-            left = self.resolve_table_ref(ref.left, batch_size)
-            right = self.resolve_table_ref(ref.right, batch_size)
+            left = left_plan.run(batch_size)
+            right = right_plan.run(batch_size)
             columns = left.columns + right.columns
             right_width = len(right.columns)
+            if method is None:
+                method = self._join_method(ref, left_plan, right_plan,
+                                           left.names(), right.names())
+                node.strategy = method.strategy
 
             if ref.kind == "CROSS":
                 right_rows = right.rows  # build side
@@ -1272,50 +1184,27 @@ class Database:
                             yield out
                 return SourceRelation(columns, batches=produce_cross())
 
-            equalities, residual = _split_equi_condition(ref.condition)
-            left_context = left.context()
-            right_context = right.context()
-            pairs = []
-            for a, b in equalities:
-                a_index = left_context.resolve_index(a.parts)
-                b_index = right_context.resolve_index(b.parts)
-                if a_index is None or b_index is None:
-                    # Sides may be written in either order.
-                    a_index = left_context.resolve_index(b.parts)
-                    b_index = right_context.resolve_index(a.parts)
-                if a_index is None or b_index is None:
-                    residual.append(ast.BinaryOp("=", a, b))
-                    continue
-                pairs.append((a_index, b_index))
-
-            # Build side: a user index on the first equi column of a
-            # base-table right side already holds the hash buckets the
-            # scan would build — positions per key are in insertion
-            # order, so the bucket lists (and thus output order) are
-            # identical to the scan-built dict.
+            pairs, residual = method.pairs, method.residual
             right_rows: List[tuple] = []
             prebuilt: Optional[Dict[Any, List[tuple]]] = None
-            if pairs:
-                build_source = self._join_build_index(ref.right, pairs[0][1])
-                if build_source is not None:
-                    build_table, build_index = build_source
-                    prebuilt = {
-                        key: build_table.store.fetch_rows(positions)
-                        for key, positions in build_index.hash.items()}
-                    build_index.join_probes += 1
-                    if self.metrics is not None:
-                        self.metrics.counter("index.join_probes").inc()
-                    obs_trace.add_to(span, "join_rows_in", len(build_table))
-            # Cost-based build side: when statistics say the left side is
-            # strictly smaller (and no right-side index already holds the
-            # buckets), build over the left and stream the right.
-            build_left = bool(pairs) and prebuilt is None \
-                and self._hash_build_side(ref) == "left"
-            if prebuilt is None and not build_left:
+            if method.build_index is not None:
+                # Positions per key are in insertion order, so the bucket
+                # lists (and thus output order) are identical to the
+                # scan-built dict.
+                build_table, build_index = method.build_index
+                prebuilt = {
+                    key: build_table.store.fetch_rows(positions)
+                    for key, positions in build_index.hash.items()}
+                build_index.join_probes += 1
+                if self.metrics is not None:
+                    self.metrics.counter("index.join_probes").inc()
+                obs_trace.add_to(span, "join_rows_in", len(build_table))
+            elif not method.build_left:
                 right_rows = right.rows  # build side
                 obs_trace.add_to(span, "join_rows_in", len(right_rows))
 
-            joined_context = SourceRelation(columns, []).context()
+            joined_context = EvalContext.from_columns(
+                left.names() + right.names())
 
         def residual_ok(row):
             return all(
@@ -1416,7 +1305,7 @@ class Database:
                 obs_trace.add_to(span, "join_rows_out", len(out))
                 if out:
                     yield out
-        if build_left:
+        if method.build_left:
             return SourceRelation(columns, batches=produce_left_build())
         return SourceRelation(columns, batches=produce())
 
@@ -1425,10 +1314,38 @@ class Database:
 # helpers
 # ---------------------------------------------------------------------------
 
-def _chain_batches(head: List[List[tuple]], tail) -> Iterable[List[tuple]]:
-    """Replay buffered head batches, then continue with the live iterator."""
-    yield from head
-    yield from tail
+def as_from_source(node, qualifier: Optional[str]):
+    """Turn a plan node whose ``run`` opens a :class:`RowStream` (a planned
+    SELECT or SHAPE) into a FROM source under ``qualifier``."""
+    open_stream = node.run
+    node.run = lambda batch_size: SourceRelation.from_stream(
+        open_stream(batch_size), qualifier)
+    if node.columns is not None:
+        node.columns = [(qualifier, name) for _, name in node.columns]
+    return node
+
+
+class _JoinMethod(NamedTuple):
+    """How one join runs — decided by :meth:`Database._join_method`."""
+
+    strategy: str
+    #: Bound equi keys as (left ordinal, right ordinal); empty means no
+    #: hash (cross product or nested loop over the whole ON condition).
+    pairs: Tuple[Tuple[int, int], ...] = ()
+    #: The ON equalities behind ``pairs`` (for key-NDV estimates).
+    equalities: Tuple[Tuple[ast.ColumnRef, ast.ColumnRef], ...] = ()
+    #: Conjuncts checked per candidate, unbound equalities included.
+    residual: Tuple[ast.Expr, ...] = ()
+    #: ``(table, index)`` when a right-side user index supplies the buckets.
+    build_index: Optional[tuple] = None
+    #: The (estimated-smaller) left side builds and the right side probes.
+    build_left: bool = False
+
+
+def _row_key(row: tuple) -> tuple:
+    """Hashable identity of a row for DISTINCT / UNION dedup."""
+    return tuple(V.group_key(v) if not isinstance(v, Rowset) else id(v)
+                 for v in row)
 
 
 def _children(expr: ast.Expr) -> List[ast.Expr]:
@@ -1526,12 +1443,3 @@ def _multi_key_sort(rows: List[tuple], keys: List[tuple],
         indexed.sort(key=lambda i: keys[i][position],
                      reverse=not directions[position])
     return [rows[i] for i in indexed]
-
-
-def _without_order(statement: ast.SelectStatement) -> ast.SelectStatement:
-    clone = ast.SelectStatement(
-        select_list=statement.select_list, from_clause=statement.from_clause,
-        where=statement.where, group_by=statement.group_by,
-        having=statement.having, order_by=[], distinct=statement.distinct,
-        top=statement.top, flattened=statement.flattened)
-    return clone

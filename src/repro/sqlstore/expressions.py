@@ -42,15 +42,22 @@ class EvalContext:
         return tuple(p.upper() for p in parts)
 
     @classmethod
+    def from_columns(cls, columns) -> "EvalContext":
+        """Build a context over ``(qualifier, name)`` pairs: each column
+        resolves by its bare name and, when qualified, by
+        ``qualifier.name``; the first column of a name wins."""
+        mapping: Dict[Tuple[str, ...], int] = {}
+        for index, (qualifier, name) in enumerate(columns):
+            mapping.setdefault((name.upper(),), index)
+            if qualifier:
+                mapping.setdefault((qualifier.upper(), name.upper()), index)
+        return cls(mapping)
+
+    @classmethod
     def from_names(cls, names: List[str],
                    qualifier: Optional[str] = None) -> "EvalContext":
         """Build a context over a flat list of column names."""
-        columns: Dict[Tuple[str, ...], int] = {}
-        for index, name in enumerate(names):
-            columns.setdefault((name.upper(),), index)
-            if qualifier:
-                columns.setdefault((qualifier.upper(), name.upper()), index)
-        return cls(columns)
+        return cls.from_columns((qualifier, name) for name in names)
 
     def with_row(self, row: tuple) -> "EvalContext":
         context = EvalContext(self.columns, row)
