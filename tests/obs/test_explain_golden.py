@@ -5,6 +5,11 @@ plus the indexed/optimizer statements of ``test_explain_optimizer.py`` and
 ``tests/sqlstore/test_indexes.py``, the full plain-``EXPLAIN`` rowset
 (every column) and the ``plan_hash`` the workload repository stamps on the
 executed statement — with statistics on and with ``statistics=False``.
+The ``mining`` case does the same for model INSERTs and PREDICTION JOINs:
+every service scenario of ``test_parallel_vs_serial.py`` plus the predict
+shapes that pick a different path (pushdown, TOP, blocking clauses,
+FLATTENED, a source under the small-input gate), on a one-worker pool and
+on a four-worker thread pool.
 
 A planner refactor must leave the file byte-identical: a changed plan hash
 would surface as a spurious plan-change event in a persisted
@@ -17,6 +22,7 @@ import os
 
 import repro
 
+from tests.differential import test_parallel_vs_serial as parallel_grid
 from tests.differential.test_stream_vs_materialize import (
     STATEMENTS,
     TINY_BATCH,
@@ -88,6 +94,57 @@ CASES = [
     ("truth", False, TRUTH_SETUP, TRUTH_STATEMENTS),
 ]
 
+# The mining case: (label, connect() keywords) per pool configuration.
+MINING_POOLS = [
+    ("w1", dict(max_workers=1)),
+    ("w4", dict(max_workers=4, pool_mode="thread")),
+]
+MINING_SETUP = [
+    "CREATE TABLE C3 (Id LONG, G TEXT, H TEXT)",
+    "INSERT INTO C3 VALUES (1, 'm', 'hi'), (2, 'f', 'lo'), (3, 'm', 'mid')",
+]
+
+
+def mining_statements(service: str) -> list:
+    """The statements of one service scenario, in execution order: its
+    training INSERT (twice for naive Bayes, whose second INSERT absorbs
+    incrementally), its PREDICTION JOIN, and the variants that change the
+    prediction path."""
+    scenario = parallel_grid.SCENARIOS[service]
+    train, predict = scenario["train"], scenario["predict"]
+    statements = [train]
+    if service == "Repro_Naive_Bayes":
+        statements += [
+            train,
+            predict,
+            predict + " WHERE t.Id > 50",
+            predict.replace("SELECT ", "SELECT TOP 5 ", 1),
+            predict + " ORDER BY t.Id DESC",
+            predict.replace("SELECT ", "SELECT DISTINCT ", 1),
+            predict.replace("(SELECT Id, G, H FROM C)", "C3"),
+        ]
+    elif service == "Repro_Association_Rules":
+        statements += [
+            predict,
+            predict.replace("SELECT ", "SELECT FLATTENED ", 1),
+        ]
+    else:
+        statements.append(predict)
+    return statements
+
+
+def mining_connection(service: str, statistics: bool = True, **pool):
+    """A fresh provider holding the parallel grid's tables and ``service``'s
+    untrained model ``M`` (caseset cache at its default, so the CACHE
+    column is exercised)."""
+    conn = repro.connect(batch_size=TINY_BATCH, statistics=statistics,
+                         **pool)
+    parallel_grid._load(conn)
+    for statement in MINING_SETUP:
+        conn.execute(statement)
+    conn.execute(parallel_grid.SCENARIOS[service]["ddl"])
+    return conn
+
 
 def case_connection(case: str, statistics: bool = True):
     """A fresh provider holding one case's tables (its own connection, so
@@ -102,6 +159,17 @@ def case_connection(case: str, statistics: bool = True):
     return conn
 
 
+def _capture_statement(conn, statement: str) -> dict:
+    plan = conn.execute(f"EXPLAIN {statement}")
+    conn.execute(statement)
+    record = conn.provider.tracer.last()
+    return {
+        "columns": [c.name for c in plan.columns],
+        "rows": [list(row) for row in plan.rows],
+        "plan_hash": record.plan_hash,
+    }
+
+
 def capture() -> dict:
     document = {}
     for label, statistics in (("stats_on", True), ("stats_off", False)):
@@ -111,16 +179,22 @@ def capture() -> dict:
             conn = case_connection(case, statistics)
             try:
                 for statement in statements:
-                    plan = conn.execute(f"EXPLAIN {statement}")
-                    conn.execute(statement)
-                    record = conn.provider.tracer.last()
-                    entries[statement] = {
-                        "columns": [c.name for c in plan.columns],
-                        "rows": [list(row) for row in plan.rows],
-                        "plan_hash": record.plan_hash,
-                    }
+                    entries[statement] = _capture_statement(conn, statement)
             finally:
                 conn.close()
+        mining = section["mining"] = {}
+        for pool_label, pool in MINING_POOLS:
+            for service in sorted(parallel_grid.SCENARIOS):
+                conn = mining_connection(service, statistics, **pool)
+                try:
+                    # A list, not a dict: naive Bayes trains twice with the
+                    # same text and the two plans differ.
+                    mining[f"{pool_label} {service}"] = [
+                        dict(_capture_statement(conn, statement),
+                             statement=statement)
+                        for statement in mining_statements(service)]
+                finally:
+                    conn.close()
     return document
 
 
