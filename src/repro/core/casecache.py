@@ -140,7 +140,7 @@ def definition_fingerprint(definition) -> Tuple:
 
 def train_key(model, statement, data_version: int) -> Tuple:
     """Cache key of the bound training caseset of one ``INSERT INTO
-    <model>`` — looked up by the executor, probed by EXPLAIN's preview."""
+    <model>`` — taken once, when the statement is planned."""
     return ("train", model.name.upper(),
             definition_fingerprint(model.definition),
             repr(statement.source), repr(statement.bindings), data_version)
@@ -148,8 +148,8 @@ def train_key(model, statement, data_version: int) -> Tuple:
 
 def prediction_key(model, join, pushed, data_version: int) -> Tuple:
     """Cache key of a PREDICTION JOIN's bound source (``pushed``: the
-    source-only WHERE conjuncts filtered below binding) — looked up by the
-    executor, probed by EXPLAIN's preview."""
+    source-only WHERE conjuncts filtered below binding) — taken once, when
+    the statement is planned."""
     return ("prediction", model.name.upper(),
             definition_fingerprint(model.definition),
             repr(join.source), bool(join.natural), repr(join.condition),

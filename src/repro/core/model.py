@@ -65,7 +65,14 @@ class MiningModel:
 
     # -- life cycle -----------------------------------------------------------
 
-    def train(self, cases: List[MappedCase], pool=None, dop: int = 1) -> int:
+    @property
+    def can_absorb(self) -> bool:
+        """Whether the next INSERT may be absorbed incrementally rather
+        than refit — provided every new case fits the fitted space."""
+        return (self.is_trained and self.space is not None and
+                self.algorithm.SUPPORTS_INCREMENTAL)
+
+    def train(self, cases: List[MappedCase], partitioned=None) -> int:
         """Consume a caseset (INSERT INTO semantics); returns cases consumed.
 
         Cases accumulate across INSERT statements.  Services that declare
@@ -75,9 +82,12 @@ class MiningModel:
         other services — the algorithm retrains over the full accumulated
         caseset, so a second INSERT acts as a refresh with more data.
 
-        With a worker ``pool`` and ``dop > 1`` the refit may run
-        partitioned (see :mod:`repro.exec.partition`); eligibility gates
-        guarantee the result is identical to the serial refit.
+        ``partitioned`` is the training plan's refit hook
+        (:func:`repro.exec.partition.plan_train`): called with the
+        schema-fitted space when a refit is under way, it returns True if
+        it refit the model over partitions — its eligibility gates
+        guarantee a result identical to the serial refit — and False to
+        leave the refit to the serial path.
         """
         if not cases:
             raise TrainError(
@@ -88,7 +98,7 @@ class MiningModel:
         try:
             if self._absorb_incrementally(cases):
                 return len(cases)
-            self._refit(pool=pool, dop=dop)
+            self._refit(partitioned)
         except BaseException:
             # A failed (or cancelled) refit must not leave this INSERT's
             # cases in the accumulated caseset: the next INSERT would then
@@ -99,8 +109,7 @@ class MiningModel:
         return len(cases)
 
     def _absorb_incrementally(self, cases: List[MappedCase]) -> bool:
-        if not (self.is_trained and self.space is not None and
-                self.algorithm.SUPPORTS_INCREMENTAL):
+        if not self.can_absorb:
             return False
         if not all(self.space.covers(case) for case in cases):
             return False
@@ -110,13 +119,11 @@ class MiningModel:
         self._content_root = None
         return True
 
-    def _refit(self, pool=None, dop: int = 1) -> None:
+    def _refit(self, partitioned=None) -> None:
         space = AttributeSpace(self.definition)
         space.fit_schema(self.training_cases)
-        if pool is not None and dop > 1:
-            from repro.exec.partition import train_partitioned
-            if train_partitioned(self, space, pool, dop):
-                return
+        if partitioned is not None and partitioned(space):
+            return
         observations = space.encode_many(self.training_cases)
         space.marginals_from_observations(observations)
         self.algorithm.train(space, observations)

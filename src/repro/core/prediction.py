@@ -22,11 +22,13 @@ from typing import Any, List, Optional, Tuple
 from repro.errors import BindError, PredictionError
 from repro.lang import ast_nodes as ast
 from repro.obs import trace as obs_trace
-from repro.shaping.shape import flatten_rowset, flatten_stream, plan_shape
+from repro.obs import workload as obs_workload
+from repro.shaping.shape import plan_shape
+from repro.sqlstore.engine import _children, _multi_key_sort, _row_key
 from repro.sqlstore.expressions import EvalContext, evaluate
 from repro.sqlstore.rowset import Rowset, RowsetColumn, RowStream
 from repro.sqlstore.types import TABLE, infer_type
-from repro.sqlstore.values import group_key, sort_key
+from repro.sqlstore.values import sort_key
 from repro.core.bindings import (
     MappedCase,
     case_mapper,
@@ -140,16 +142,6 @@ def plan_prediction_source(provider, source: ast.TableRef):
     return node
 
 
-def resolve_prediction_source_stream(provider, source: ast.TableRef,
-                                     batch_size: Optional[int] = None) \
-        -> Tuple[RowStream, Optional[str]]:
-    """Evaluate the right-hand side of PREDICTION JOIN as a row stream."""
-    alias = _source_alias(source)
-    stream = plan_prediction_source(provider, source).run(
-        batch_size or provider.database.batch_size)
-    return stream, alias
-
-
 def split_on_condition(model_name: str, alias: Optional[str],
                        condition: ast.Expr) \
         -> List[Tuple[Tuple[str, ...], Tuple[str, ...]]]:
@@ -204,13 +196,10 @@ def _source_only_conjuncts(where: Optional[ast.Expr],
     A conjunct qualifies when every column reference is explicitly
     qualified by the source alias and the expression stays within a
     whitelist of row-local node types.  Decidability is judged from the
-    AST alone, so the EXPLAIN mirror and the executor can never diverge.
-    Dropping source rows where such a conjunct is not True is exact:
-    the full WHERE is an AND over the conjuncts, and an AND with a
-    False/NULL operand can never evaluate to True.
+    AST alone, at plan time.  Dropping source rows where such a conjunct
+    is not True is exact: the full WHERE is an AND over the conjuncts, and
+    an AND with a False/NULL operand can never evaluate to True.
     """
-    from repro.sqlstore.engine import _children
-
     if where is None or not alias:
         return []
     conjuncts: List[ast.Expr] = []
@@ -233,119 +222,53 @@ def _source_only_conjuncts(where: Optional[ast.Expr],
     return [conjunct for conjunct in conjuncts if pushable(conjunct)]
 
 
-def _pushdown_conjuncts(provider, statement: ast.SelectStatement,
-                        alias: Optional[str]) -> List[ast.Expr]:
-    """The source predicates this statement will push below case binding.
-    Cost-based planning only — without statistics the original bind-all
-    path is kept (the differential suite's baseline)."""
-    if not getattr(provider.database, "stats_enabled", False):
-        return []
-    return _source_only_conjuncts(statement.where, alias)
+def _surviving_batches(stream: RowStream, pushed: List[ast.Expr],
+                       alias: Optional[str]):
+    """The opened source's row batches, minus the rows a pushed-down
+    conjunct rejects.  Both the serial binder and the pool dispatcher read
+    the source through here, so ``pushed N source predicate(s)`` holds on
+    either path: the full WHERE still runs per case downstream, only the
+    binding work for doomed rows is saved."""
+    if not pushed:
+        return stream.batches()
+    context = _source_context(stream.columns, alias)
 
-
-def _prediction_case_batches(provider, statement: ast.SelectStatement,
-                             batch_size: Optional[int] = None):
-    """Resolve the join source and compile binding; stream (row, case) pairs.
-
-    Returns ``(model, alias, source_columns, batches)`` where ``batches``
-    yields lists of ``(source_row, MappedCase)``.  When the provider's
-    caseset cache is enabled, a hit replays the bound caseset without
-    re-executing the source; a miss accumulates up to ``max_rows`` pairs
-    alongside the stream and caches them on completion, so huge sources
-    keep the O(batch) footprint and are simply never cached.
-    """
-    join: ast.PredictionJoin = statement.from_clause
-    model = provider.model(join.model)
-    model.require_trained()
-    database = provider.database
-    batch_size = batch_size or getattr(database, "batch_size", 1024)
-    alias = _source_alias(join.source)
-
-    # Pin counters onto the enclosing span (the ``predict`` span) so they
-    # stay attributed to it even when batches are consumed after it closes.
-    pin = obs_trace.current_span()
-    pushed = _pushdown_conjuncts(provider, statement, alias)
-    cache = getattr(provider, "caseset_cache", None)
-    key = None
-    if cache is not None and cache.enabled:
-        key = prediction_key(model, join, pushed, database.data_version)
-        hit = cache.get(key)
-        if hit is not None:
-            columns, rows, cases = hit
-            obs_trace.add_to(pin, "cache_hit", 1)
-            obs_trace.add_to(pin, "prediction_cases", len(rows))
-            provider.metrics.histogram("prediction.join_fanout").observe(
-                len(rows))
-
-            def replay():
-                for start in range(0, len(rows), batch_size):
-                    yield list(zip(rows[start:start + batch_size],
-                                   cases[start:start + batch_size]))
-            return model, alias, columns, replay()
-
-    if key is not None:
-        obs_trace.add_to(pin, "cache_miss", 1)
-    stream, alias = resolve_prediction_source_stream(
-        provider, join.source, batch_size)
-    if join.natural or join.condition is None:
-        mapper = case_mapper(model.definition, stream)
-    else:
-        pairs = split_on_condition(model.name, alias, join.condition)
-        mapper = pair_mapper(model.definition, stream, pairs, alias)
-    columns = list(stream.columns)
-    push_context = _source_context(columns, alias) if pushed else None
-
-    def survives_pushdown(row):
-        return all(
-            evaluate(conjunct, push_context.with_row(row)) is True
-            for conjunct in pushed)
-
-    def produce():
-        collected = ([], []) if key is not None else None
-        total = 0
+    def surviving():
         for batch in stream.batches():
-            if pushed:
-                # Filter before binding: the full WHERE is still applied
-                # per case downstream, so output rows are unchanged — only
-                # the binding work for doomed rows is saved.
-                batch = [row for row in batch if survives_pushdown(row)]
-            mapped = [(row, mapper(row)) for row in batch]
-            total += len(mapped)
-            obs_trace.add_to(pin, "cases_bound", len(mapped))
-            if collected is not None:
-                if total <= cache.max_rows:
-                    collected[0].extend(batch)
-                    collected[1].extend(case for _, case in mapped)
-                else:
-                    collected = None  # too large: stop accumulating a copy
-            yield mapped
-        obs_trace.add_to(pin, "prediction_cases", total)
-        provider.metrics.histogram("prediction.join_fanout").observe(total)
-        if collected is not None:
-            cache.put(key, (columns, collected[0], collected[1]), total)
-        elif key is not None:
-            cache.put(key, None, cache.max_rows + 1)  # count the skip
-    return model, alias, columns, produce()
+            batch = [row for row in batch
+                     if all(evaluate(conjunct, context.with_row(row)) is True
+                            for conjunct in pushed)]
+            if batch:
+                yield batch
+    return surviving()
 
 
-def _parallel_plan(provider, statement: ast.SelectStatement,
-                   batch_size: Optional[int] = None):
-    """The parallel PREDICTION JOIN plan, or None to run serially.
+def case_binder(model, columns: List[RowsetColumn], alias: Optional[str],
+                on_pairs):
+    """Compile ``source_row -> MappedCase`` from column metadata alone (the
+    mappers never consult rows), so a pool worker rebuilds the binder from
+    its payload.  ``on_pairs`` is the decomposed ON clause; None binds by
+    column name (NATURAL and positional joins)."""
+    shape = Rowset(columns)
+    if on_pairs is None:
+        return case_mapper(model.definition, shape)
+    return pair_mapper(model.definition, shape, on_pairs, alias)
 
-    Cheap pre-gates live here (no pool, effective dop of 1); the soundness
-    gates (blocking clauses, subqueries, pickling) live in
-    :func:`repro.exec.partition.parallel_prediction_plan`, which records a
-    ``pool.serial_fallbacks.*`` metric when it declines.
-    """
-    pool = getattr(provider, "pool", None)
-    if pool is None:
-        return None
-    if pool.effective_dop(statement.maxdop) <= 1:
-        return None
-    from repro.exec.partition import parallel_prediction_plan
-    return parallel_prediction_plan(provider, statement,
-                                    pool.effective_dop(statement.maxdop),
-                                    batch_size)
+
+def evaluate_cases(model, source_context: EvalContext,
+                   where: Optional[ast.Expr], exprs: List[ast.Expr],
+                   pairs) -> List[tuple]:
+    """The per-case kernel: WHERE, then ``exprs``, over one batch of
+    ``(source_row, MappedCase)`` pairs.  The serial path feeds it pairs
+    from the caseset cache or the binder, a pool worker the pairs it bound
+    from its chunk; nothing else evaluates a prediction expression."""
+    out = []
+    for row, case in pairs:
+        context = PredictionEvalContext(model, source_context, row, case)
+        if where is not None and evaluate(where, context) is not True:
+            continue
+        out.append(tuple(evaluate(expr, context) for expr in exprs))
+    return out
 
 
 class _ReadLease:
@@ -370,305 +293,303 @@ class _ReadLease:
             self._lock.release_read()
 
 
-def _released_when_done(batches, lease: _ReadLease):
-    try:
-        yield from batches
-    finally:
-        lease.release()
-
-
 def plan_prediction(provider, statement: ast.SelectStatement):
-    """Describe a PREDICTION JOIN's plan for EXPLAIN, without executing it.
+    """Plan a PREDICTION JOIN: the tree EXPLAIN prints, the workload
+    repository hashes and ``run(batch_size)`` executes.
 
-    Mirrors the strategy gates of :func:`execute_prediction_stream`
-    read-only: parallel eligibility via the side-effect-free preview,
-    caseset-cache expectation via a non-mutating membership probe.
+    Decided here, once, from the catalog, the pool configuration and the
+    statement alone: the planned source, serial vs parallel (and the
+    ``pool.serial_fallbacks.<reason>`` a serial verdict owes), the
+    source-only conjuncts pushed below binding, the join mode, the
+    caseset-cache key, and blocking vs streamed.  Nothing is scanned,
+    locked or counted until ``run``: the model's read lease, the
+    ``predict`` span, the fallback metric and ``NotTrainedError`` all
+    belong to the run.  ``run`` returns a :class:`RowStream` whose lease
+    is released on exhaustion, error or abandonment; ORDER BY / DISTINCT
+    drain that same stream before sorting (blocking is draining, not a
+    second evaluator).  FLATTENED is the ``flatten`` node
+    :func:`repro.obs.explain.build_plan` puts above this tree.
     """
+    from repro.exec.partition import (
+        parallel_value_batches,
+        prediction_parallelism,
+        prediction_replica,
+    )
     from repro.obs.explain import PlanNode
-    from repro.exec.partition import prediction_parallelism_preview
 
     join: ast.PredictionJoin = statement.from_clause
     model = provider.model(join.model)
     database = provider.database
-    pool = getattr(provider, "pool", None)
-    dop = pool.effective_dop(statement.maxdop) if pool is not None else 1
-    parallelism, reason = prediction_parallelism_preview(
-        provider, statement, dop)
-    blockers = []
-    if statement.order_by:
-        blockers.append("order by")
-    if statement.distinct:
-        blockers.append("distinct")
+    cache = provider.caseset_cache
+    alias = _source_alias(join.source)
+    source = plan_prediction_source(provider, join.source)
+    dop, reason, fallback = prediction_parallelism(provider, statement,
+                                                   source)
+    # Cost-based planning only — without statistics the original bind-all
+    # path is kept (the differential suite's baseline).
+    pushed = (_source_only_conjuncts(statement.where, alias)
+              if database.stats_enabled else [])
+    on_pairs = (None if join.natural or join.condition is None
+                else split_on_condition(model.name, alias, join.condition))
+    key = (prediction_key(model, join, pushed, database.data_version)
+           if dop == 1 and cache.enabled else None)
+
+    blockers = [name for name, present in (("order by", statement.order_by),
+                                           ("distinct", statement.distinct))
+                if present]
     flow = (f"materialized ({', '.join(blockers)})" if blockers
-            else f"streamed (batch {getattr(database, 'batch_size', 1024)})")
+            else f"streamed (batch {database.batch_size})")
     details = ["natural join" if join.natural
-               else ("ON join" if join.condition is not None
+               else ("ON join" if on_pairs is not None
                      else "positional join")]
     if not model.is_trained:
         details.append("model not trained")
-    pushed = _pushdown_conjuncts(provider, statement,
-                                 _source_alias(join.source))
     if pushed:
         details.append(
             f"pushed {len(pushed)} source predicate(s) below binding")
-    node = PlanNode("prediction join", target=model.name,
-                    strategy=f"{flow}; {parallelism} ({reason})",
-                    span_name="predict", rows_counter="rows_out",
-                    detail=", ".join(details))
-
-    source = plan_prediction_source(provider, join.source)
-    source.estimate()
-
-    if parallelism == "parallel":
+    node = PlanNode(
+        "prediction join", target=model.name,
+        strategy=f"{flow}; {'parallel' if dop > 1 else 'serial'} ({reason})",
+        span_name="predict", rows_counter="rows_out",
+        detail=", ".join(details))
+    if dop > 1:
         node.cache = "bypassed (parallel path)"
         stage = node.add(PlanNode("parallel predict", target=model.name,
                                   strategy=f"dop={dop}",
                                   span_name="predict.parallel",
                                   rows_counter="prediction_cases"))
     else:
-        cache = getattr(provider, "caseset_cache", None)
-        if cache is None or not cache.enabled:
+        if key is None:
             node.cache = "disabled"
-        else:
-            key = prediction_key(model, join, pushed, database.data_version)
-            node.cache = ("hit expected" if cache.contains(key)
-                          else "miss expected")
         stage = node.add(PlanNode("bind cases", target=model.name,
-                                  strategy="serial",
-                                  match="parent",
+                                  strategy="serial", match="parent",
                                   rows_counter="cases_bound"))
     stage.add(source)
-    stage.est_rows = source.est_rows
-    stage.cost = float(source.est_rows or 0) + (source.cost or 0.0)
-    est = source.est_rows
-    if est is not None and statement.where is not None:
-        # Estimate WHERE selectivity from the source table's statistics;
-        # conjuncts over predicted values fall back to the default
-        # constant inside estimate_selectivity.
-        from repro.sqlstore import stats as stats_mod
-        resolver = database._stats_resolver(join.source) \
-            if isinstance(join.source, ast.TableRef) else None
-        est = max(0, int(round(est * stats_mod.estimate_selectivity(
-            statement.where, resolver))))
-    if statement.top is not None:
-        est = statement.top if est is None and statement.where is None \
-            else est
-        if est is not None:
-            est = min(est, statement.top)
-    node.est_rows = est
-    node.cost = stage.cost
+
+    def estimate(node) -> None:
+        stage.est_rows = est = source.est_rows
+        node.cost = stage.cost = float(est or 0) + (source.cost or 0.0)
+        if est is not None and statement.where is not None:
+            # Estimate WHERE selectivity from the source table's statistics;
+            # conjuncts over predicted values fall back to the default
+            # constant inside estimate_selectivity.
+            from repro.sqlstore import stats as stats_mod
+            est = max(0, int(round(est * stats_mod.estimate_selectivity(
+                statement.where, database._stats_resolver(join.source)))))
+        if statement.top is not None:
+            est = statement.top if est is None and statement.where is None \
+                else est
+            if est is not None:
+                est = min(est, statement.top)
+        node.est_rows = est
+        if key is not None:
+            # Display-only, like the estimates: a non-mutating probe.
+            node.cache = ("hit expected" if cache.contains(key)
+                          else "miss expected")
+    node.estimator = estimate
+
+    def outputs(columns):
+        """Output names and the expressions evaluated per case: the select
+        list, then one hidden trailing value per ORDER BY key that is not
+        an output column (``order`` holds each key's value position)."""
+        expanded = _expand_select_list(statement, model, columns, alias)
+        names = [name for _, name in expanded]
+        exprs = [expr for expr, _ in expanded]
+        upper = [name.upper() for name in names]
+        order = []
+        for item in statement.order_by:
+            if isinstance(item.expr, ast.ColumnRef) and \
+                    len(item.expr.parts) == 1 and \
+                    item.expr.parts[0].upper() in upper:
+                order.append(upper.index(item.expr.parts[0].upper()))
+            else:
+                order.append(len(exprs))
+                exprs.append(item.expr)
+        return names, exprs, order
+
+    def bound_cases(batch_size: int, pspan):
+        """``(source_columns, batches of (row, case) pairs)`` for the serial
+        path.  A caseset-cache hit replays the bound caseset without
+        opening the source; a miss accumulates up to ``max_rows`` pairs
+        alongside the stream and caches them on completion, so huge
+        sources keep the O(batch) footprint and are simply never cached.
+        Counters are pinned onto the ``predict`` span so they stay
+        attributed to it when batches are consumed after it closes."""
+        fanout = provider.metrics.histogram("prediction.join_fanout")
+        if key is not None:
+            hit = cache.get(key)
+            if hit is not None:
+                columns, rows, cases = hit
+                obs_trace.add_to(pspan, "cache_hit", 1)
+                obs_trace.add_to(pspan, "prediction_cases", len(rows))
+                fanout.observe(len(rows))
+                return columns, (
+                    list(zip(rows[start:start + batch_size],
+                             cases[start:start + batch_size]))
+                    for start in range(0, len(rows), batch_size))
+            obs_trace.add_to(pspan, "cache_miss", 1)
+        stream = source.run(batch_size)
+        columns = list(stream.columns)
+        mapper = case_binder(model, columns, alias, on_pairs)
+
+        def produce():
+            collected = ([], []) if key is not None else None
+            total = 0
+            for batch in _surviving_batches(stream, pushed, alias):
+                mapped = [(row, mapper(row)) for row in batch]
+                total += len(mapped)
+                obs_trace.add_to(pspan, "cases_bound", len(mapped))
+                if collected is not None:
+                    if total <= cache.max_rows:
+                        collected[0].extend(batch)
+                        collected[1].extend(case for _, case in mapped)
+                    else:
+                        collected = None  # too large: stop accumulating a copy
+                yield mapped
+            obs_trace.add_to(pspan, "prediction_cases", total)
+            fanout.observe(total)
+            if collected is not None:
+                cache.put(key, (columns, collected[0], collected[1]), total)
+            elif key is not None:
+                cache.put(key, None, cache.max_rows + 1)  # count the skip
+        return columns, produce()
+
+    def run(batch_size: int) -> RowStream:
+        obs_workload.set_phase("predict")
+        lease = _ReadLease(model.lock)
+        try:
+            with obs_trace.span("predict", model=model.name) as pspan:
+                if fallback is not None:
+                    provider.pool.note_serial_fallback(fallback)
+                model.require_trained()
+                if dop > 1:
+                    # The source opens, and the batches are dispatched,
+                    # inside the span the plan nests them under.
+                    span = obs_trace.span("predict.parallel",
+                                          model=model.name, dop=dop)
+                    with span:
+                        obs_trace.add_to(span, "prediction_workers", dop)
+                        stream = source.run(batch_size)
+                        columns = list(stream.columns)
+                        names, exprs, order = outputs(columns)
+                        values = parallel_value_batches(
+                            provider, dop, span,
+                            (prediction_replica(model), columns, alias,
+                             on_pairs, exprs, statement.where),
+                            _surviving_batches(stream, pushed, alias))
+                else:
+                    columns, pairs = bound_cases(batch_size, pspan)
+                    names, exprs, order = outputs(columns)
+                    context = _source_context(columns, alias)
+                    context.subquery_executor = database.execute_select
+                    values = (evaluate_cases(model, context, statement.where,
+                                             exprs, batch) for batch in pairs)
+                if not blockers:
+                    return _inferred_stream(names, _held(
+                        lease, pspan,
+                        _limited(values, statement.top, pspan)))
+                result = _blocked(statement, names, order,
+                                  [entry
+                                   for batch in _held(lease, pspan, values)
+                                   for entry in batch])
+                obs_trace.add_to(pspan, "rows_out", len(result.rows))
+                return RowStream.from_rowset(result, batch_size)
+        except BaseException:
+            lease.release()
+            raise
+    node.run = run
     return node
+
+
+def _held(lease: _ReadLease, span, batches):
+    """``batches`` under the model's read lease: released — and the
+    ``predict`` span's duration stretched to cover the work — wherever
+    consumption ends (exhaustion, error, abandonment)."""
+    try:
+        yield from batches
+    finally:
+        lease.release()
+        span.extend()
+
+
+def _limited(batches, top: Optional[int], span):
+    """The one TOP limiter: value batches in, at most ``top`` rows out
+    (``rows_out`` counted on ``span``); stops pulling once satisfied."""
+    remaining = top
+    for values in batches:
+        if remaining is not None:
+            values = values[:remaining]
+            remaining -= len(values)
+        if values:
+            obs_trace.add_to(span, "rows_out", len(values))
+            yield values
+        if remaining == 0:
+            return
+
+
+def _inferred_stream(names: List[str], produced) -> RowStream:
+    """A row stream over ``produced`` whose column metadata is inferred
+    from a buffered prefix that grows only until every column has produced
+    a non-NULL sample (the first-non-NULL rule, as over a full result);
+    the prefix is replayed ahead of the live tail."""
+    head: List[List[tuple]] = []
+    sample_rows: List[tuple] = []
+    needed = len(names)
+    while needed:
+        batch = next(produced, None)
+        if batch is None:
+            break
+        head.append(batch)
+        sample_rows.extend(batch)
+        needed = sum(
+            1 for position in range(len(names))
+            if not any(row[position] is not None for row in sample_rows))
+    return RowStream(_column_metadata(names, sample_rows),
+                     chain(head, produced))
+
+
+def _blocked(statement: ast.SelectStatement, names: List[str],
+             order: List[int], entries: List[tuple]) -> Rowset:
+    """DISTINCT, ORDER BY and TOP over the drained value tuples (select
+    list first, hidden ORDER BY keys behind it).  Column types are inferred
+    before any row is dropped."""
+    width = len(names)
+    columns = _column_metadata(names, entries)
+    if statement.distinct:
+        seen = set()
+        unique = []
+        for entry in entries:
+            key = _row_key(entry[:width])
+            if key not in seen:
+                seen.add(key)
+                unique.append(entry)
+        entries = unique
+    if statement.order_by:
+        keys = [tuple(sort_key(entry[position]) for position in order)
+                for entry in entries]
+        entries = _multi_key_sort(
+            entries, keys, [item.ascending for item in statement.order_by])
+    rows = [entry[:width] for entry in entries]
+    if statement.top is not None:
+        rows = rows[:statement.top]
+    return Rowset(columns, rows)
 
 
 def execute_prediction_select(provider,
                               statement: ast.SelectStatement) -> Rowset:
-    join: ast.PredictionJoin = statement.from_clause
-    model = provider.model(join.model)
-    with model.lock.read():
-        with obs_trace.span("predict", model=join.model):
-            plan = _parallel_plan(provider, statement)
-            if plan is not None:
-                expanded, batches = plan
-                rows = [values for batch in batches for values in batch]
-                columns = _column_metadata(expanded, rows,
-                                           lambda entry: entry)
-                result = Rowset(columns, rows)
-                if statement.flattened:
-                    result = flatten_rowset(result)
-            else:
-                result = _execute_prediction_select(provider, statement)
-            obs_trace.add("rows_out", len(result.rows))
-            return result
+    """Blocking PREDICTION JOIN: run the planned tree and drain it."""
+    return execute_prediction_stream(provider, statement).materialize()
 
 
 def execute_prediction_stream(provider, statement: ast.SelectStatement,
                               batch_size: Optional[int] = None) -> RowStream:
-    """Streaming PREDICTION JOIN: memory stays O(batch) for pipelined shapes.
-
-    ORDER BY and DISTINCT are blocking and fall back to the materializing
-    path; WHERE, the select list, TOP (early stop), and FLATTENED all
-    pipeline.  Output column metadata is inferred from a buffered prefix
-    that grows only until every column has produced a non-NULL sample (the
-    same first-non-NULL rule the materializing path applies to the full
-    result).
-    """
-    batch_size = batch_size or getattr(provider.database, "batch_size", 1024)
-    if statement.order_by or statement.distinct:
-        return RowStream.from_rowset(
-            execute_prediction_select(provider, statement), batch_size)
-
-    join: ast.PredictionJoin = statement.from_clause
-    lease = _ReadLease(provider.model(join.model).lock)
-    try:
-        with obs_trace.span("predict", model=join.model,
-                            streaming=True) as pspan:
-            plan = _parallel_plan(provider, statement, batch_size)
-            if plan is not None:
-                expanded, raw_batches = plan
-
-                def value_batches():
-                    for values in raw_batches:
-                        obs_trace.add_to(pspan, "rows_out", len(values))
-                        yield values
-            else:
-                model, alias, source_columns, case_batches = \
-                    _prediction_case_batches(provider, statement, batch_size)
-                source_context = _source_context(source_columns, alias)
-                source_context.subquery_executor = \
-                    provider.database.execute_select
-                expanded = _expand_select_list(statement, model,
-                                               source_columns, alias)
-
-                def value_batches():
-                    remaining = statement.top
-                    for batch in case_batches:
-                        out = []
-                        for row, case in batch:
-                            context = PredictionEvalContext(
-                                model, source_context, row, case)
-                            if statement.where is not None and \
-                                    evaluate(statement.where,
-                                             context) is not True:
-                                continue
-                            out.append(tuple(evaluate(expr, context)
-                                             for expr, _ in expanded))
-                        if remaining is not None:
-                            if len(out) >= remaining:
-                                if out[:remaining]:
-                                    obs_trace.add_to(pspan, "rows_out",
-                                                     remaining)
-                                    yield out[:remaining]
-                                return
-                            remaining -= len(out)
-                        if out:
-                            obs_trace.add_to(pspan, "rows_out", len(out))
-                            yield out
-
-            # Buffer a prefix until every output column has a sample value
-            # (or the stream ends), then replay it ahead of the live tail.
-            produced = _released_when_done(value_batches(), lease)
-            head: List[List[tuple]] = []
-            sample_rows: List[tuple] = []
-            needed = len(expanded)
-            while needed:
-                batch = next(produced, None)
-                if batch is None:
-                    break
-                head.append(batch)
-                sample_rows.extend(batch)
-                needed = sum(
-                    1 for position in range(len(expanded))
-                    if not any(row[position] is not None
-                               for row in sample_rows))
-            columns = _column_metadata(expanded, sample_rows,
-                                       lambda entry: entry)
-            result = RowStream(columns, chain(head, produced))
-            if statement.flattened:
-                result = flatten_stream(result)
-            return result
-    except BaseException:
-        lease.release()
-        raise
-
-
-def _execute_prediction_select(provider,
-                               statement: ast.SelectStatement) -> Rowset:
-    model, alias, source_columns, case_batches = \
-        _prediction_case_batches(provider, statement)
-    source_context = _source_context(source_columns, alias)
-    source_context.subquery_executor = provider.database.execute_select
-    expanded = _expand_select_list(statement, model, source_columns, alias)
-
-    # ORDER BY may sort on expressions over the source row/case, so only
-    # then do we retain (values, row, case) triples; otherwise values-only
-    # entries keep the materialized footprint to the output itself.
-    keep_sources = bool(statement.order_by)
-    values_of = (lambda entry: entry[0]) if keep_sources \
-        else (lambda entry: entry)
-    can_stop_early = statement.top is not None and \
-        not statement.order_by and not statement.distinct
-
-    output_rows: List[tuple] = []
-    for batch in case_batches:
-        for row, case in batch:
-            context = PredictionEvalContext(model, source_context, row, case)
-            if statement.where is not None and \
-                    evaluate(statement.where, context) is not True:
-                continue
-            values = tuple(evaluate(expr, context) for expr, _ in expanded)
-            output_rows.append((values, row, case) if keep_sources
-                               else values)
-        if can_stop_early and len(output_rows) >= statement.top:
-            break
-
-    columns = _column_metadata(expanded, output_rows, values_of)
-
-    if statement.distinct:
-        seen = set()
-        unique = []
-        for entry in output_rows:
-            key = tuple(group_key(v) if not isinstance(v, Rowset) else id(v)
-                        for v in values_of(entry))
-            if key not in seen:
-                seen.add(key)
-                unique.append(entry)
-        output_rows = unique
-
-    if statement.order_by:
-        names = [c.name.upper() for c in columns]
-
-        def order_key(entry):
-            values, row, case = entry
-            context = PredictionEvalContext(model, source_context, row, case)
-            key = []
-            for item in statement.order_by:
-                if isinstance(item.expr, ast.ColumnRef) and \
-                        len(item.expr.parts) == 1 and \
-                        item.expr.parts[0].upper() in names:
-                    value = values[names.index(item.expr.parts[0].upper())]
-                else:
-                    value = evaluate(item.expr, context)
-                key.append(sort_key(value))
-            return tuple(key)
-
-        keys = [order_key(entry) for entry in output_rows]
-        indexed = sorted(range(len(output_rows)),
-                         key=lambda i: _directional(keys[i],
-                                                    statement.order_by))
-        output_rows = [output_rows[i] for i in indexed]
-
-    rows = [values_of(entry) for entry in output_rows]
-    if statement.top is not None:
-        rows = rows[:statement.top]
-    result = Rowset(columns, rows)
-    if statement.flattened:
-        result = flatten_rowset(result)
-    return result
-
-
-def _directional(key: tuple, order_by) -> tuple:
-    adjusted = []
-    for part, item in zip(key, order_by):
-        if item.ascending:
-            adjusted.append(part)
-        else:
-            adjusted.append(_Reversed(part))
-    return tuple(adjusted)
-
-
-class _Reversed:
-    """Inverts comparison for DESC sort keys."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        self.value = value
-
-    def __lt__(self, other):
-        return other.value < self.value
-
-    def __eq__(self, other):
-        return self.value == other.value
+    """Streaming PREDICTION JOIN: memory stays O(batch) for pipelined
+    shapes.  WHERE, the select list, TOP (early stop) and FLATTENED all
+    pipeline; ORDER BY and DISTINCT drain the stream before the first batch
+    is handed out."""
+    from repro.obs.explain import build_plan
+    return build_plan(provider, statement).run(
+        batch_size or provider.database.batch_size)
 
 
 def _source_context(source_columns: List[RowsetColumn],
@@ -710,16 +631,11 @@ def _default_name(expr: ast.Expr, position: int) -> str:
     return f"Expr{position + 1}"
 
 
-def _column_metadata(expanded, output_rows,
-                     values_of) -> List[RowsetColumn]:
+def _column_metadata(names: List[str], rows) -> List[RowsetColumn]:
     columns = []
-    for position, (_, name) in enumerate(expanded):
-        sample = None
-        for entry in output_rows:
-            value = values_of(entry)[position]
-            if value is not None:
-                sample = value
-                break
+    for position, name in enumerate(names):
+        sample = next((row[position] for row in rows
+                       if row[position] is not None), None)
         if isinstance(sample, Rowset):
             columns.append(RowsetColumn(name, TABLE,
                                         nested_columns=list(sample.columns)))

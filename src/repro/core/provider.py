@@ -28,7 +28,6 @@ from repro.obs.explain import (
     PlanNode,
     build_plan,
     explain_rowset,
-    plan_train_source,
     reconcile_plan,
 )
 from repro.obs.repository import WorkloadRepository
@@ -37,14 +36,9 @@ from repro.sqlstore.engine import Database, SourceRelation, as_from_source
 from repro.sqlstore.rowset import DEFAULT_BATCH_SIZE, Rowset, RowStream
 from repro.store.durable import is_mutating_statement
 from repro.exec.pool import WorkerPool
-from repro.core.bindings import iter_mapped_cases
-from repro.core.casecache import CasesetCache, train_key
+from repro.core.casecache import CasesetCache
 from repro.core.columns import compile_model_definition
 from repro.core.model import MiningModel
-from repro.core.prediction import (
-    execute_prediction_select,
-    execute_prediction_stream,
-)
 from repro.core.schema_rowsets import model_content_rowset, system_rowset
 
 
@@ -315,11 +309,12 @@ class Provider:
     def _admitted(self, command: str):
         """One statement's admission, shared by :meth:`execute` and
         :meth:`execute_stream`: open its tracer record and workload
-        registration, parse and classify it, plan a plain query once, and
-        hand that tree to the workload repository (skeleton, hash,
-        estimate).  Yields ``(statement, plan)`` for the caller to run.  A
-        statement that fails to plan is still fingerprinted, so its error
-        counts against its aggregates."""
+        registration, parse and classify it, plan a query or a model
+        INSERT once — outside any model lock — and hand that tree to the
+        workload repository (skeleton, hash, estimate).  Yields
+        ``(statement, plan)`` for the caller to run.  A statement that
+        fails to plan is still fingerprinted, so its error counts against
+        its aggregates."""
         previous = obs_trace.activate(self.tracer)
         try:
             with self.tracer.statement(command) as record:
@@ -352,12 +347,13 @@ class Provider:
             obs_trace.deactivate(previous)
 
     def _plan_query(self, statement: ast.Statement) -> Optional[PlanNode]:
-        """The runnable plan tree of a plain SELECT/UNION; None for every
-        other statement (PREDICTION JOIN and training still plan beside
-        their executors)."""
-        if isinstance(statement, ast.UnionStatement) or (
-                isinstance(statement, ast.SelectStatement) and
-                not isinstance(statement.from_clause, ast.PredictionJoin)):
+        """The runnable plan tree of the four life-cycle statements that
+        have one — SELECT (plain or PREDICTION JOIN), UNION, and INSERT
+        INTO a model in either spelling; None for every other statement."""
+        if isinstance(statement, (ast.SelectStatement, ast.UnionStatement,
+                                  ast.InsertModelStatement)) or (
+                isinstance(statement, ast.InsertValuesStatement) and
+                self.has_model(statement.table)):
             return build_plan(self, statement)
         return None
 
@@ -366,7 +362,7 @@ class Provider:
         """Journal-aware execution shared by :meth:`execute` and EXPLAIN
         ANALYZE (which journals the *inner* statement's text, so crash
         replay re-runs the mutation rather than the EXPLAIN wrapper).
-        ``plan`` is the already-built tree of a plain SELECT/UNION."""
+        ``plan`` is the statement's already-built tree, if it has one."""
         journaled = (self.store is not None and
                      is_mutating_statement(statement))
         if journaled:
@@ -377,7 +373,7 @@ class Provider:
             # mutations so journal order equals apply order.
             with self.store.mutation_lock:
                 try:
-                    result = self.execute_ast(statement)
+                    result = self.execute_ast(statement, plan)
                 except BindError as exc:
                     _attach_statement(exc, command)
                     raise
@@ -402,8 +398,8 @@ class Provider:
     def execute_ast(self, statement: ast.Statement,
                     plan: Optional[PlanNode] = None) -> Any:
         """Execute one parsed statement.  ``plan`` is the runnable tree of
-        a plain SELECT/UNION when the caller already built it (planned here
-        otherwise; FLATTENED is a node of that tree)."""
+        a query or model INSERT when the caller already built it (planned
+        here otherwise; FLATTENED is a node of that tree)."""
         if isinstance(statement, ast.TraceStatement):
             return self._execute_trace(statement)
         if isinstance(statement, ast.CancelStatement):
@@ -412,10 +408,6 @@ class Provider:
             return self._execute_explain(statement)
         if isinstance(statement, ast.CreateMiningModelStatement):
             return self._create_mining_model(statement)
-        if isinstance(statement, ast.InsertModelStatement):
-            return self._insert_model(statement)
-        if isinstance(statement, ast.InsertValuesStatement):
-            return self._insert_dispatch(statement)
         if isinstance(statement, ast.DeleteModelStatement):
             model = self.model(statement.name)
             with model.lock.write():
@@ -450,14 +442,15 @@ class Provider:
             return self._export_model(statement)
         if isinstance(statement, ast.ImportModelStatement):
             return self._import_model(statement)
-        if isinstance(statement, (ast.SelectStatement, ast.UnionStatement)):
-            plan = plan or self._plan_query(statement)
-            if plan is None:
-                obs_workload.set_phase("predict")
-                return execute_prediction_select(self, statement)
-            obs_workload.set_phase("scan")
-            return plan.run(self.database.batch_size).materialize()
-        return self.database.execute_ast(statement)
+        plan = plan or self._plan_query(statement)
+        if plan is None:
+            return self.database.execute_ast(statement)
+        # A query tree opens a row stream (a PREDICTION JOIN moves on to
+        # its own phase); a training tree returns the cases it consumed.
+        obs_workload.set_phase("scan")
+        result = plan.run(self.database.batch_size)
+        return result.materialize() if isinstance(result, RowStream) \
+            else result
 
     # -- observability ------------------------------------------------------------
 
@@ -486,7 +479,7 @@ class Provider:
         previous = obs_trace.activate(self.tracer)
         span = self.tracer.start_span("explain.execute")
         try:
-            # A plain SELECT/UNION executes the very tree rendered below.
+            # A query or model INSERT executes the very tree rendered below.
             result = self._execute_statement(
                 inner, command, plan if plan.run is not None else None)
         finally:
@@ -631,71 +624,6 @@ class Provider:
         self.models[key] = MiningModel(definition)
         return 0
 
-    def _insert_model(self, statement: ast.InsertModelStatement) -> int:
-        model = self.model(statement.model)
-        cases = self._bind_training_cases(model, statement)
-        maxdop = statement.maxdop
-        if maxdop is None:
-            maxdop = getattr(statement.source, "maxdop", None)
-        dop = self.pool.effective_dop(maxdop)
-        obs_workload.set_phase("train")
-        with model.lock.write():
-            trained = model.train(cases, pool=self.pool, dop=dop)
-        self.metrics.counter("training.cases_total").inc(len(cases))
-        self.metrics.gauge(f"model.{model.name}.case_count").set(
-            model.case_count)
-        self.metrics.histogram("training.cases_per_insert").observe(
-            len(cases))
-        return trained
-
-    def _bind_training_cases(self, model: MiningModel,
-                             statement: ast.InsertModelStatement) -> list:
-        """Stream the source into bound cases, via the caseset cache.
-
-        The source rowset (SHAPE output included) is consumed batch by
-        batch — only the bound :class:`MappedCase` list accumulates, which
-        the model would retain anyway as its training caseset.
-        """
-        obs_workload.set_phase("bind")
-        cache = self.caseset_cache
-        key = None
-        if cache.enabled:
-            key = train_key(model, statement, self.database.data_version)
-            cached = cache.get(key)
-            if cached is not None:
-                obs_trace.add("cache_hit", 1)
-                obs_workload.note_cache(hit=True)
-                return cached
-            obs_trace.add("cache_miss", 1)
-            obs_workload.note_cache(hit=False)
-        stream = plan_train_source(self, statement.source).run(
-            self.database.batch_size)
-        cases = []
-        for batch in iter_mapped_cases(model.definition, stream,
-                                       statement.bindings):
-            cases.extend(batch)
-            # Cancellation checkpoint per bound batch (row counts are
-            # attributed by the engine's scan loop underneath).
-            obs_workload.checkpoint()
-        if key is not None:
-            cache.put(key, cases, len(cases))
-        return cases
-
-    def _insert_dispatch(self, statement: ast.InsertValuesStatement) -> int:
-        """INSERT whose target may be a base table or a model (paper: a
-        model is 'analogous to a table in SQL')."""
-        if self.has_model(statement.table):
-            if statement.select is None:
-                raise Error(
-                    f"INSERT INTO mining model {statement.table!r} requires "
-                    f"a SELECT or SHAPE source, not VALUES")
-            bindings = [ast.BindingColumn(name)
-                        for name in statement.columns]
-            return self._insert_model(ast.InsertModelStatement(
-                model=statement.table, bindings=bindings,
-                source=statement.select))
-        return self.database.execute_ast(statement)
-
     # -- SELECT ---------------------------------------------------------------------
 
     def execute_stream(self, command: str,
@@ -707,20 +635,17 @@ class Provider:
         pipelined shapes are produced batch by batch.
         """
         with self._admitted(command) as (statement, plan):
+            if not isinstance(statement, (ast.SelectStatement,
+                                          ast.UnionStatement)):
+                raise Error(
+                    "execute_stream supports SELECT statements only; "
+                    "use execute() for DDL/DML")
+            obs_workload.set_phase("scan")
             try:
-                if plan is not None:
-                    obs_workload.set_phase("scan")
-                    return plan.run(batch_size or self.database.batch_size)
-                if isinstance(statement, ast.SelectStatement):
-                    obs_workload.set_phase("predict")
-                    return execute_prediction_stream(self, statement,
-                                                     batch_size)
+                return plan.run(batch_size or self.database.batch_size)
             except BindError as exc:
                 _attach_statement(exc, command)
                 raise
-            raise Error(
-                "execute_stream supports SELECT statements only; "
-                "use execute() for DDL/DML")
 
     def _model_cases_rowset(self, model: MiningModel) -> Rowset:
         """``<model>.CASES``: drill through to the accumulated caseset."""

@@ -1,9 +1,10 @@
-"""Partitioned training and parallel PREDICTION JOIN drivers.
+"""Training and parallel PREDICTION JOIN drivers: the model INSERT plan,
+partitioned refits, and the pool fan-out of a planned prediction join.
 
 Both hot paths follow the same contract: **parallel execution must be
 observationally identical to serial execution** — same model content, same
-prediction rows in the same order — or the statement silently runs serially
-and says so through ``pool.serial_fallbacks.*`` metrics.  The eligibility
+prediction rows in the same order — or the statement runs serially and
+says so through ``pool.serial_fallbacks.*`` metrics.  The eligibility
 gates here are therefore conservative:
 
 * Partitioned training requires the algorithm to declare
@@ -18,6 +19,16 @@ gates here are therefore conservative:
   constants, so a custom unpicklable algorithm degrades to serial instead
   of crashing mid-statement.
 
+Each gate is spelled once.  What the catalog, the pool configuration and
+the statement decide is decided when the statement is planned —
+:func:`prediction_parallelism` for PREDICTION JOIN, :func:`plan_train` for
+a model INSERT — and returned as ``(dop, reason, fallback)``: the strategy
+text EXPLAIN prints and the ``pool.serial_fallbacks.<fallback>`` metric
+the *run* of that plan notes are two readings of one verdict.  What only
+the run can know (a fitted space, the chunk count, picklability) stays in
+:func:`train_partitioned` / :func:`parallel_value_batches`; the plan
+announces it as a candidate.
+
 Worker functions are module-level and pure: they receive everything through
 their payload, return plain data, and never touch the parent's metrics or
 tracer (worker-side spans cannot cross a process boundary; the parent pins
@@ -29,19 +40,20 @@ from __future__ import annotations
 import dataclasses
 import functools
 import pickle
-from typing import Any, List, Optional, Sequence
+from typing import Any, List, Optional, Sequence, Tuple
 
+from repro.errors import Error
 from repro.lang import ast_nodes as ast
 from repro.obs import trace as obs_trace
 from repro.obs import workload as obs_workload
-from repro.sqlstore.expressions import evaluate
-from repro.core.bindings import case_mapper, pair_mapper
+from repro.obs.explain import PlanNode
+from repro.shaping.shape import plan_shape
+from repro.core.bindings import iter_mapped_cases
+from repro.core.casecache import train_key
 from repro.core.prediction import (
-    PredictionEvalContext,
-    _expand_select_list,
     _source_context,
-    resolve_prediction_source_stream,
-    split_on_condition,
+    case_binder,
+    evaluate_cases,
 )
 
 # -- shared helpers ------------------------------------------------------------
@@ -91,69 +103,143 @@ def _contains_subquery(nodes) -> bool:
     return False
 
 
-# -- EXPLAIN previews ----------------------------------------------------------
-#
-# Read-only mirrors of the eligibility gates below, for the EXPLAIN planner.
-# They must never touch pool metrics (no note_serial_fallback) and never
-# require run-time state (a fitted space, the post-INSERT caseset size), so
-# a gate that can only be decided mid-statement reports "candidate".
+# -- training ------------------------------------------------------------------
 
 
-def training_parallelism_preview(model, pool, dop: int):
-    """``(strategy, reason)`` for a training statement, without side effects."""
-    algorithm = model.algorithm
-    if pool is None or pool.mode == "serial":
-        return "serial", "pool mode is serial"
-    if dop < 2:
-        return "serial", "effective dop is 1"
-    if not algorithm.PARALLELIZABLE:
-        return "serial", f"{algorithm.SERVICE_NAME} is not parallelizable"
-    return ("parallel candidate",
-            f"dop={dop}; space and caseset-size checks at run time")
+def _training_parallelism(model, pool, maxdop: Optional[int]) \
+        -> Tuple[int, str, Optional[str]]:
+    """Plan-time half of the partitioned-training gates.
 
-
-def source_rows_estimate(provider, statement) -> Optional[int]:
-    """Estimated PREDICTION JOIN source cardinality for the parallel gate.
-
-    Only statistics-backed estimates count (``stats_enabled``) — without
-    them the original always-parallel behaviour is kept, which is the
-    differential suite's baseline.  Read-only, so the EXPLAIN preview may
-    call it too.
+    ``(dop, reason, fallback)``: ``dop > 1`` makes the refit a candidate
+    for :func:`train_partitioned` (whose own gates need the fitted space
+    and the accumulated caseset); ``fallback`` names the
+    ``pool.serial_fallbacks.*`` metric a refit that stays serial owes.
     """
-    database = provider.database
-    if not getattr(database, "stats_enabled", False):
-        return None
-    try:
-        return database.plan_table_ref(
-            statement.from_clause.source).estimate()
-    except Exception:
-        return None
-
-
-def prediction_parallelism_preview(provider, statement, dop: int):
-    """``(strategy, reason)`` for a PREDICTION JOIN, without side effects."""
-    pool = provider.pool
-    if pool is None or pool.mode == "serial":
-        return "serial", "pool mode is serial"
+    if pool.mode == "serial":
+        return 1, "pool mode is serial", None
+    dop = pool.effective_dop(maxdop)
     if dop < 2:
-        return "serial", "effective dop is 1"
-    if statement.order_by or statement.distinct:
-        return "serial", "blocking clause (ORDER BY / DISTINCT)"
-    roots = [item.expr for item in statement.select_list]
-    if statement.where is not None:
-        roots.append(statement.where)
-    if _contains_subquery(roots):
-        return "serial", "subquery in projection or WHERE"
-    est = source_rows_estimate(provider, statement)
-    if est is not None and est < 2 * dop:
-        return "serial", f"small input (~{est} rows < 2*dop={2 * dop})"
-    reason = f"dop={dop}"
-    if pool.mode == "process":
-        reason += "; pickle check at run time"
-    return "parallel", reason
+        return 1, "effective dop is 1", None
+    algorithm = model.algorithm
+    if not algorithm.PARALLELIZABLE:
+        return (1, f"{algorithm.SERVICE_NAME} is not parallelizable",
+                "algorithm")
+    return dop, f"dop={dop}; space and caseset-size checks at run time", None
 
 
-# -- partitioned training ------------------------------------------------------
+def _refit_node(model, dop: int) -> PlanNode:
+    if dop > 1:
+        return PlanNode("partitioned refit", target=model.name,
+                        strategy=f"dop={dop}", span_name="train.partitioned",
+                        rows_counter="observations")
+    return PlanNode("fit", target=model.algorithm.SERVICE_NAME,
+                    strategy="serial", span_name="algorithm.train",
+                    rows_counter="observations")
+
+
+def plan_train(provider, statement: ast.InsertModelStatement) -> PlanNode:
+    """Plan ``INSERT INTO <model>``: the tree EXPLAIN prints, the workload
+    repository hashes and ``run(batch_size)`` executes.
+
+    Decided here, from the catalog and the pool configuration: the planned
+    source, the effective dop and the plan-time half of the partitioning
+    gates, the caseset-cache key, and whether the model is a candidate for
+    absorbing the cases incrementally (whether every case fits the fitted
+    space is a run-time fact, checked under the write lock).  ``run``
+    binds the cases (a cache hit opens nothing), trains under the model's
+    write lock and returns the number of cases consumed; the first child
+    is replaced by the refit that actually ran when that differs from the
+    announced candidate.
+    """
+    model = provider.model(statement.model)
+    pool = provider.pool
+    cache = provider.caseset_cache
+    maxdop = statement.maxdop
+    if maxdop is None:
+        # An unwrapped SELECT source consumed WITH MAXDOP itself.
+        maxdop = getattr(statement.source, "maxdop", None)
+    dop, reason, fallback = _training_parallelism(model, pool, maxdop)
+    key = (train_key(model, statement, provider.database.data_version)
+           if cache.enabled else None)
+    if isinstance(statement.source, ast.ShapeExpr):
+        source = plan_shape(statement.source, provider.database)
+    elif isinstance(statement.source, ast.SelectStatement):
+        source = provider.database.plan_select(statement.source)
+    else:
+        raise Error("INSERT INTO a model requires a SHAPE or SELECT source")
+
+    strategy = (f"{'parallel candidate' if dop > 1 else 'serial'} "
+                f"({reason})")
+    node = PlanNode("train", target=model.name, strategy=strategy,
+                    detail=f"service {model.algorithm.SERVICE_NAME}, "
+                           f"{model.case_count} case(s) retained",
+                    cache=None if cache.enabled else "disabled")
+    absorb = None
+    if model.can_absorb:
+        node.strategy = f"incremental absorb candidate; else refit {strategy}"
+        absorb = PlanNode("incremental absorb", target=model.name,
+                          strategy="candidate (every case must fit the "
+                                   "fitted space)")
+    node.add(absorb or _refit_node(model, dop))
+    bind = node.add(PlanNode("bind cases", target=model.name,
+                             span_name="bind", rows_counter="cases_bound",
+                             match="all"))
+    bind.add(source)
+
+    def estimate(node) -> None:
+        node.est_rows = bind.est_rows = source.est_rows
+        if key is not None:
+            # Display-only, like the estimates: a non-mutating probe.
+            node.cache = ("hit expected" if cache.contains(key)
+                          else "miss expected")
+    node.estimator = estimate
+
+    def refit(space) -> bool:
+        """The model's refit hook, called under its write lock once the
+        dictionary pass is done: partition if the plan made this refit a
+        candidate and the run-time gates agree."""
+        if fallback is not None:
+            pool.note_serial_fallback(fallback)
+        ran = dop > 1 and train_partitioned(model, space, pool, dop)
+        node.children[0] = _refit_node(model, dop if ran else 1)
+        return ran
+
+    def run(batch_size: int) -> int:
+        obs_workload.set_phase("bind")
+        cases = None
+        if key is not None:
+            cases = cache.get(key)
+            hit = cases is not None
+            # The root has no span of its own for ANALYZE to reconcile the
+            # outcome from, so the run writes it onto the node it is.
+            node.cache_actual = "hit" if hit else "miss"
+            obs_trace.add("cache_hit" if hit else "cache_miss", 1)
+            obs_workload.note_cache(hit=hit)
+        if cases is None:
+            # Only the bound cases accumulate — which the model retains
+            # anyway as its training caseset; the source streams.
+            cases = []
+            for batch in iter_mapped_cases(model.definition,
+                                           source.run(batch_size),
+                                           statement.bindings):
+                cases.extend(batch)
+                # Cancellation checkpoint per bound batch (row counts are
+                # attributed by the engine's scan loop underneath).
+                obs_workload.checkpoint()
+            if key is not None:
+                cache.put(key, cases, len(cases))
+        obs_workload.set_phase("train")
+        with model.lock.write():
+            trained = model.train(cases, refit)
+        if node.children[0] is absorb:  # no refit replaced it: it ran
+            absorb.actual_rows = trained
+        metrics = provider.metrics
+        metrics.counter("training.cases_total").inc(len(cases))
+        metrics.gauge(f"model.{model.name}.case_count").set(model.case_count)
+        metrics.histogram("training.cases_per_insert").observe(len(cases))
+        return trained
+    node.run = run
+    return node
 
 
 def _train_partition(space, algorithm_class, parameters, cases):
@@ -173,16 +259,14 @@ def _train_partition(space, algorithm_class, parameters, cases):
 def train_partitioned(model, space, pool, dop: int) -> bool:
     """Try to refit ``model`` over ``dop`` partitions; True if it ran.
 
-    ``space`` arrives with the dictionary pass done (``fit_schema``) but
-    marginals unfitted; on success the partitions' marginal partials are
+    The run-time half of the gates :func:`plan_train` announced as a
+    candidate.  ``space`` arrives with the dictionary pass done
+    (``fit_schema``) but marginals unfitted; on success the partitions' marginal partials are
     merged in partition order and the merged replica is installed.  On any
     ineligibility the caller's serial refit proceeds with the same fitted
     schema, so no work is wasted.
     """
     algorithm = model.algorithm
-    if not algorithm.PARALLELIZABLE:
-        pool.note_serial_fallback("algorithm")
-        return False
     if not algorithm.can_parallelize(space):
         pool.note_serial_fallback("space")
         return False
@@ -225,35 +309,41 @@ def train_partitioned(model, space, pool, dop: int) -> bool:
 # -- parallel PREDICTION JOIN --------------------------------------------------
 
 
-class _ColumnSource:
-    """Column-metadata shim standing in for a Rowset/RowStream in workers.
+def prediction_parallelism(provider, statement: ast.SelectStatement,
+                           source: PlanNode) -> Tuple[int, str, Optional[str]]:
+    """Serial or parallel, for a PREDICTION JOIN over planned ``source``.
 
-    The case/pair mappers only consult column metadata (names, positions,
-    nested columns), never rows — so this is all a worker needs to rebuild
-    a mapper without shipping the source rowset.
+    ``(dop, reason, fallback)``: ``dop > 1`` means parallel; ``reason`` is
+    the strategy text; ``fallback`` names the ``pool.serial_fallbacks.*``
+    metric the run notes when a pool that could have fanned out stays
+    serial (the two pre-gates — no pool, effective dop of 1 — owe none).
+    Reads the pool configuration, the statement and, for the small-input
+    gate, the planned source's statistics-backed estimate — without
+    statistics the original always-parallel behaviour is kept, which is
+    the differential suite's baseline.
     """
-
-    __slots__ = ("columns", "_by_name")
-
-    def __init__(self, columns):
-        self.columns = columns
-        self._by_name = {column.name.upper(): index
-                         for index, column in enumerate(columns)}
-
-    def column_names(self):
-        return [column.name for column in self.columns]
-
-    def has_column(self, name: str) -> bool:
-        return name.upper() in self._by_name
-
-    def index_of(self, name: str) -> int:
-        try:
-            return self._by_name[name.upper()]
-        except KeyError as exc:
-            from repro.errors import BindError
-            raise BindError(
-                f"no column {name!r} in rowset "
-                f"(columns: {', '.join(self.column_names())})") from exc
+    pool = provider.pool
+    if pool.mode == "serial":
+        return 1, "pool mode is serial", None
+    dop = pool.effective_dop(statement.maxdop)
+    if dop < 2:
+        return 1, "effective dop is 1", None
+    if statement.order_by or statement.distinct:
+        return 1, "blocking clause (ORDER BY / DISTINCT)", "blocking_clause"
+    roots = [item.expr for item in statement.select_list]
+    if statement.where is not None:
+        roots.append(statement.where)
+    if _contains_subquery(roots):
+        return 1, "subquery in projection or WHERE", "subquery"
+    est = source.estimate() if provider.database.stats_enabled else None
+    if est is not None and est < 2 * dop:
+        # Fan-out overhead dominates on tiny sources; run serially.
+        return (1, f"small input (~{est} rows < 2*dop={2 * dop})",
+                "small_input")
+    reason = f"dop={dop}"
+    if pool.mode == "process":
+        reason += "; pickle check at run time"
+    return dop, reason, None
 
 
 def prediction_replica(model):
@@ -271,96 +361,49 @@ def prediction_replica(model):
 
 
 def _predict_chunk(constant, rows):
-    """Worker task: bind + filter + project one chunk of source rows.
+    """Worker task: bind one contiguous chunk of source rows and hand the
+    pairs to the per-case kernel.
 
-    ``constant`` is the statement-wide plan; ``rows`` one contiguous chunk.
-    Returns ``(rows_bound, value_tuples)`` so the parent can keep the
-    serial path's case accounting.
+    ``constant`` is the statement-wide payload.  Returns ``(rows_bound,
+    value_tuples)`` so the parent can keep the serial path's case
+    accounting.
     """
-    model, columns, alias, pairs, expanded, where = constant
-    shim = _ColumnSource(columns)
-    if pairs is None:
-        mapper = case_mapper(model.definition, shim)
-    else:
-        mapper = pair_mapper(model.definition, shim, pairs, alias)
-    source_context = _source_context(columns, alias)
-    out = []
-    for row in rows:
-        case = mapper(row)
-        context = PredictionEvalContext(model, source_context, row, case)
-        if where is not None and evaluate(where, context) is not True:
-            continue
-        out.append(tuple(evaluate(expr, context) for expr, _ in expanded))
-    return len(rows), out
+    model, columns, alias, on_pairs, exprs, where = constant
+    mapper = case_binder(model, columns, alias, on_pairs)
+    return len(rows), evaluate_cases(
+        model, _source_context(columns, alias), where, exprs,
+        [(row, mapper(row)) for row in rows])
 
 
-def parallel_prediction_plan(provider, statement, dop: int,
-                             batch_size: Optional[int] = None):
-    """Plan a parallel PREDICTION JOIN, or None (+ fallback metric).
+def parallel_value_batches(provider, dop: int, span, constant, row_batches):
+    """Fan a planned PREDICTION JOIN out over the pool: lists of output
+    value tuples in exact source order, one per batch of ``row_batches``.
 
-    Returns ``(expanded, batches)`` where ``batches`` lazily yields
-    TOP-limited lists of output value tuples in exact source order —
-    drop-in for the serial paths' value batches (column inference,
-    FLATTENED, and materialization stay with the caller).
+    Called inside the open ``predict.parallel`` ``span``, which is
+    stretched to cover the dispatch when the batches run out.  The one
+    run-time gate: in process mode an unpicklable payload (a custom
+    algorithm, say) runs the same task inline on the caller's thread and
+    notes ``pool.serial_fallbacks.pickle``.
     """
     pool = provider.pool
-    join: ast.PredictionJoin = statement.from_clause
-    if statement.order_by or statement.distinct:
-        pool.note_serial_fallback("blocking_clause")
-        return None
-    roots = [item.expr for item in statement.select_list]
-    if statement.where is not None:
-        roots.append(statement.where)
-    if _contains_subquery(roots):
-        pool.note_serial_fallback("subquery")
-        return None
-    est = source_rows_estimate(provider, statement)
-    if est is not None and est < 2 * dop:
-        # Fan-out overhead dominates on tiny sources; run serially.
-        pool.note_serial_fallback("small_input")
-        return None
-
-    model = provider.model(join.model)
-    model.require_trained()
-    batch_size = batch_size or getattr(provider.database, "batch_size", 1024)
-    stream, alias = resolve_prediction_source_stream(
-        provider, join.source, batch_size)
-    columns = list(stream.columns)
-    expanded = _expand_select_list(statement, model, columns, alias)
-    if join.natural or join.condition is None:
-        pairs = None
-    else:
-        pairs = split_on_condition(model.name, alias, join.condition)
-    constant = (prediction_replica(model), columns, alias, pairs,
-                expanded, statement.where)
     if pool.mode == "process" and not _picklable(constant):
         pool.note_serial_fallback("pickle")
-        return None
-
-    span = obs_trace.span("predict.parallel", model=model.name, dop=dop)
-    with span:
-        obs_trace.add_to(span, "prediction_workers", dop)
-    task = functools.partial(_predict_chunk, constant)
-    pool.note_parallel_statement("predict")
+        dop = 1
+    else:
+        pool.note_parallel_statement("predict")
+    results = pool.map_ordered(functools.partial(_predict_chunk, constant),
+                               row_batches, dop=dop, span=span)
 
     def batches():
-        remaining = statement.top
         total = 0
-        for bound, values in pool.map_ordered(task, stream.batches(),
-                                              dop=dop, span=span):
-            total += bound
-            obs_trace.add_to(span, "cases_bound", bound)
-            if remaining is not None:
-                if len(values) >= remaining:
-                    values = values[:remaining]
-                    remaining = 0
-                else:
-                    remaining -= len(values)
-            if values:
+        try:
+            for bound, values in results:
+                total += bound
+                obs_trace.add_to(span, "cases_bound", bound)
                 yield values
-            if remaining == 0:
-                break
-        obs_trace.add_to(span, "prediction_cases", total)
-        provider.metrics.histogram("prediction.join_fanout").observe(total)
-
-    return expanded, batches()
+            obs_trace.add_to(span, "prediction_cases", total)
+            provider.metrics.histogram("prediction.join_fanout").observe(
+                total)
+        finally:
+            span.extend()
+    return batches()

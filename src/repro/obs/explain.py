@@ -12,15 +12,17 @@ forced on and annotates each plan operator with actuals reconciled from
 the captured span tree: rows, batches, wall-clock milliseconds, cache
 hits, and pool tasks, estimated-vs-actual side by side in one rowset.
 
-For a plain SELECT/UNION (and every SHAPE) the tree EXPLAIN renders *is*
-the executor: :meth:`Database.plan_select`, :meth:`Database.plan_union` and
-:func:`repro.shaping.shape.plan_shape` take every strategy decision once and
-hang ``run`` on the node, so ``EXPLAIN ANALYZE`` executes the tree it then
-renders.  Training and PREDICTION JOIN still describe themselves beside
-their executors (:func:`_plan_train`, :func:`repro.core.prediction.
-plan_prediction`, the parallelism previews in :mod:`repro.exec.partition`).
-This module owns the :class:`PlanNode` vocabulary, the statement-level
-dispatch, the span reconciliation, and the rowset rendering.
+For SELECT/UNION (and every SHAPE), PREDICTION JOIN and ``INSERT INTO
+<model>`` the tree EXPLAIN renders *is* the executor:
+:meth:`Database.plan_select`, :meth:`Database.plan_union`,
+:func:`repro.shaping.shape.plan_shape`,
+:func:`repro.core.prediction.plan_prediction` and
+:func:`repro.exec.partition.plan_train` take every strategy decision once
+and hang ``run`` on the root, so ``EXPLAIN ANALYZE`` executes the tree it
+then renders; what only the run can know is announced as a candidate and
+restated by the run.  This module owns the :class:`PlanNode` vocabulary,
+the statement-level dispatch, the span reconciliation, and the rowset
+rendering.
 """
 
 from __future__ import annotations
@@ -47,11 +49,12 @@ class PlanNode:
       ancestor's own span (e.g. a scan's ``rows_scanned`` lives on the
       enclosing ``engine.select`` span).
 
-    Engine, SHAPE and mining-provider source nodes are also the executor:
-    ``run(batch_size)`` opens the operator its strategy text names — a
-    :class:`RowStream` from a select/union/shape/flatten root, a
-    ``SourceRelation`` from a FROM source.  Planning only reads the
-    catalog; scanning, spans and usage counters start at ``run``.
+    Engine, SHAPE, mining-provider source, PREDICTION JOIN and training
+    nodes are also the executor: ``run(batch_size)`` runs the operator its
+    strategy text names — a :class:`RowStream` from a select/union/shape/
+    prediction-join/flatten root, a ``SourceRelation`` from a FROM source,
+    the number of cases consumed from a ``train`` root.  Planning only reads
+    the catalog; scanning, locks, spans and usage counters start at ``run``.
     ``columns`` lists a FROM source's ``(qualifier, name)`` pairs when they
     are known without reading data (None for mining-provider leaves), so a
     join above it can bind its keys at plan time.  ``estimator`` fills the
@@ -130,9 +133,10 @@ def build_plan(provider, statement: ast.Statement) -> PlanNode:
     """Describe ``statement``'s execution plan without running it.
 
     Reads catalog and statistics only: no table is scanned, no model is
-    trained or mutated, no span besides the parser's is opened.  The tree
-    of a plain SELECT/UNION carries ``run``: the provider executes it
-    instead of planning the statement a second time.
+    trained, mutated or locked, no span besides the parser's is opened, no
+    usage metric moves.  The tree of a SELECT/UNION, a PREDICTION JOIN or
+    a model INSERT carries ``run``: the provider executes it instead of
+    planning the statement a second time.
     """
     database = provider.database
     if isinstance(statement, ast.SelectStatement):
@@ -146,15 +150,18 @@ def build_plan(provider, statement: ast.Statement) -> PlanNode:
             flat = PlanNode("flatten", strategy="streamed")
             flat.add(node)
             flat.estimator = _copy_child_rows
-            if node.run is not None:
-                flat.run = lambda batch_size: flatten_stream(
-                    node.run(batch_size))
+            flat.run = lambda batch_size: flatten_stream(
+                node.run(batch_size))
             return flat
         return node
     if isinstance(statement, ast.UnionStatement):
         return database.plan_union(statement)
+    if isinstance(statement, ast.InsertValuesStatement) and \
+            provider.has_model(statement.table):
+        statement = _as_model_insert(statement)
     if isinstance(statement, ast.InsertModelStatement):
-        return _plan_train(provider, statement)
+        from repro.exec.partition import plan_train
+        return plan_train(provider, statement)
     if isinstance(statement, ast.InsertValuesStatement):
         return _plan_insert(provider, statement)
     if isinstance(statement, ast.CreateMiningModelStatement):
@@ -235,68 +242,21 @@ def _plan_model_reset(provider, name: str, operator: str) -> PlanNode:
                     strategy="reset caseset and content", est_rows=0)
 
 
-def _plan_train(provider, statement: ast.InsertModelStatement) -> PlanNode:
-    from repro.exec.partition import training_parallelism_preview
-    from repro.core.casecache import train_key
-
-    model = provider.model(statement.model)
-    maxdop = statement.maxdop
-    if maxdop is None:
-        maxdop = getattr(statement.source, "maxdop", None)
-    pool = provider.pool
-    dop = pool.effective_dop(maxdop) if pool is not None else 1
-    strategy, reason = training_parallelism_preview(model, pool, dop)
-
-    cache = provider.caseset_cache
-    cache_note = "disabled"
-    if cache is not None and cache.enabled:
-        key = train_key(model, statement, provider.database.data_version)
-        cache_note = "hit expected" if cache.contains(key) \
-            else "miss expected"
-
-    node = PlanNode("train", target=model.name,
-                    strategy=f"{strategy} ({reason})",
-                    detail=f"service {model.algorithm.SERVICE_NAME}, "
-                           f"{model.case_count} case(s) retained",
-                    cache=cache_note)
-    if strategy.startswith("parallel"):
-        node.add(PlanNode("partitioned refit", target=model.name,
-                          strategy=f"dop={dop}",
-                          span_name="train.partitioned",
-                          rows_counter="observations"))
-    else:
-        node.add(PlanNode("fit", target=model.algorithm.SERVICE_NAME,
-                          strategy="serial", span_name="algorithm.train",
-                          rows_counter="observations"))
-    bind = node.add(PlanNode("bind cases", target=model.name,
-                             span_name="bind", rows_counter="cases_bound",
-                             match="all"))
-    source = bind.add(plan_train_source(provider, statement.source))
-    node.est_rows = bind.est_rows = source.estimate()
-    return node
-
-
-def plan_train_source(provider, source) -> PlanNode:
-    """The runnable plan of an ``INSERT INTO <model>`` source — what
-    EXPLAIN shows under ``bind cases`` and what training opens."""
-    if isinstance(source, ast.ShapeExpr):
-        from repro.shaping.shape import plan_shape
-        return plan_shape(source, provider.database)
-    if isinstance(source, ast.SelectStatement):
-        return provider.database.plan_select(source)
-    raise Error("INSERT INTO a model requires a SHAPE or SELECT source")
+def _as_model_insert(
+        statement: ast.InsertValuesStatement) -> ast.InsertModelStatement:
+    """The parser hands ``INSERT INTO t (cols) SELECT …`` back as a table
+    insert; when ``t`` is a model (paper: 'analogous to a table in SQL')
+    it is re-dispatched here — once, for EXPLAIN and execution alike."""
+    if statement.select is None:
+        raise Error(
+            f"INSERT INTO mining model {statement.table!r} requires "
+            f"a SELECT or SHAPE source, not VALUES")
+    bindings = [ast.BindingColumn(name) for name in statement.columns]
+    return ast.InsertModelStatement(
+        model=statement.table, bindings=bindings, source=statement.select)
 
 
 def _plan_insert(provider, statement: ast.InsertValuesStatement) -> PlanNode:
-    if provider.has_model(statement.table):
-        if statement.select is None:
-            raise Error(
-                f"INSERT INTO mining model {statement.table!r} requires "
-                f"a SELECT or SHAPE source, not VALUES")
-        bindings = [ast.BindingColumn(name) for name in statement.columns]
-        return _plan_train(provider, ast.InsertModelStatement(
-            model=statement.table, bindings=bindings,
-            source=statement.select))
     node = PlanNode("insert", target=statement.table,
                     strategy="row append")
     if statement.select is not None:

@@ -62,6 +62,13 @@ class Span:
     def set(self, attribute: str, value: Any) -> None:
         self.attributes[attribute] = value
 
+    def extend(self) -> None:
+        """Stretch this closed span's duration to now.  A lazy producer
+        calls it when its last batch is out, so the span times the work it
+        names and not just its planning (the counterpart of
+        :func:`add_to` for counters)."""
+        self.duration_ms = (time.perf_counter() - self.started) * 1000.0
+
     def walk(self, depth: int = 0) -> Iterator[Tuple["Span", int]]:
         """Yield (span, depth) over this subtree, pre-order."""
         yield self, depth
@@ -103,6 +110,9 @@ class _NullSpan:
         pass
 
     def set(self, attribute: str, value: Any) -> None:
+        pass
+
+    def extend(self) -> None:
         pass
 
     def __enter__(self) -> "_NullSpan":

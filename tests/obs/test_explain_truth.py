@@ -12,10 +12,18 @@ with execution) the strategy text must agree with what execution did:
   of its left side to a column of its right side — judged here against the
   column names of the sides as *executed*, not as planned.
 
+The mining case of the golden gets the same treatment: pushdown text vs
+``cases_bound``, ``parallel`` / ``serial (<reason>)`` vs the pool's
+statement and fallback counters, and — under EXPLAIN ANALYZE on a
+four-worker pool — actuals on every node that ran and on none that did not.
+
 The second half pins "decide once": a first-seen indexed SELECT consults
-``choose_index`` a single time however many observers (workload
-repository, EXPLAIN ANALYZE) look at its plan.
+``choose_index`` a single time, and a first-seen PREDICTION JOIN plans its
+sub-select a single time, however many observers (workload repository,
+EXPLAIN ANALYZE) look at the plan.
 """
+
+import re
 
 import pytest
 
@@ -25,7 +33,14 @@ from repro.lang.parser import parse_statement
 from repro.obs.explain import is_plan_rowset
 from repro.sqlstore import engine as engine_module
 
-from tests.obs.test_explain_golden import CASES, case_connection
+from tests.differential.test_parallel_vs_serial import SCENARIOS
+from tests.obs.test_explain_golden import (
+    CASES,
+    MINING_POOLS,
+    case_connection,
+    mining_connection,
+    mining_statements,
+)
 
 SEEK_COUNTERS = ("index.seeks", "index.range_seeks")
 
@@ -149,6 +164,145 @@ def test_join_over_provider_leaf_names_its_method_once_opened():
         conn.close()
 
 
+# -- the mining case ---------------------------------------------------------
+
+#: ``serial (<reason>)`` -> the ``pool.serial_fallbacks.*`` metric that run
+#: owes; the two pre-gate reasons (no usable pool) owe none.
+FALLBACK_OF_REASON = {
+    "blocking clause": "blocking_clause",
+    "subquery": "subquery",
+    "small input": "small_input",
+    "effective dop is 1": None,
+    "pool mode is serial": None,
+}
+
+
+def _metrics(conn, prefixes):
+    rows = conn.execute(
+        "SELECT METRIC, VALUE FROM $SYSTEM.DM_PROVIDER_METRICS").rows
+    return {name: value for name, value in rows if name.startswith(prefixes)}
+
+
+def _pool_counters(conn):
+    return _metrics(conn, ("pool.parallel_statements",
+                           "pool.serial_fallbacks"))
+
+
+def _moved(before, after):
+    return {name: after[name] - before.get(name, 0.0) for name in after
+            if after[name] != before.get(name, 0.0)}
+
+
+def _source_rows(conn, statement):
+    """The PREDICTION JOIN source's rows (as dicts), from running it."""
+    source = parse_statement(statement).from_clause.source
+    relation = conn.provider.database.resolve_table_ref(source)
+    names = [column.name for _, column in relation.columns]
+    return [dict(zip(names, row)) for batch in relation.batches(1024)
+            for row in batch]
+
+
+@pytest.mark.parametrize("statistics", [True, False],
+                         ids=["stats_on", "stats_off"])
+@pytest.mark.parametrize("pool", [label for label, _ in MINING_POOLS])
+@pytest.mark.parametrize("service", sorted(SCENARIOS))
+def test_mining_strategy_text_matches_execution(service, pool, statistics):
+    conn = mining_connection(service, statistics, **dict(MINING_POOLS)[pool])
+    conn.provider.tracer.enabled = True
+    try:
+        for statement in mining_statements(service):
+            root = next(row for row in _plan_rows(conn, f"EXPLAIN {statement}")
+                        if row["OPERATOR"] in ("train", "prediction join"))
+            # Every binding is a cache miss, so cases_bound counts them all.
+            conn.provider.caseset_cache.clear()
+            before = _pool_counters(conn)
+            conn.execute(statement)
+            bound = conn.provider.tracer.last().totals().get("cases_bound", 0)
+            moved = _moved(before, _pool_counters(conn))
+            if root["OPERATOR"] == "train":
+                continue
+            strategy = root["STRATEGY"].split("; ", 1)[1]
+            if strategy.startswith("parallel"):
+                assert moved == {"pool.parallel_statements": 1.0,
+                                 "pool.parallel_statements.predict": 1.0}
+            else:
+                reason = re.fullmatch(r"serial \((.*)\)", strategy).group(1)
+                fallback = next(metric for prefix, metric
+                                in FALLBACK_OF_REASON.items()
+                                if reason.startswith(prefix))
+                assert moved == ({} if fallback is None else {
+                    "pool.serial_fallbacks": 1.0,
+                    f"pool.serial_fallbacks.{fallback}": 1.0})
+
+            rows = _source_rows(conn, statement)
+            if "source predicate(s) below binding" in (root["DETAIL"] or ""):
+                assert statement.endswith(" WHERE t.Id > 50")
+                assert bound == sum(1 for row in rows if row["Id"] > 50) == 10
+            elif parse_statement(statement).top is None:
+                assert bound == len(rows)
+            else:  # TOP stops pulling early
+                assert 0 < bound <= len(rows)
+    finally:
+        conn.close()
+
+
+@pytest.mark.parametrize("service,variant", [
+    ("Repro_Naive_Bayes", ""),
+    ("Repro_Naive_Bayes", " WHERE t.Id > 50"),
+    ("Repro_Association_Rules", ""),
+])
+def test_analyzed_parallel_prediction_reports_every_node_that_ran(
+        service, variant):
+    conn = mining_connection(service, max_workers=4, pool_mode="thread")
+    try:
+        conn.execute(SCENARIOS[service]["train"])
+        plan = _plan_rows(
+            conn, "EXPLAIN ANALYZE " + SCENARIOS[service]["predict"] + variant)
+        root, stage, source = plan[0], plan[1], plan[2]
+        assert root["OPERATOR"] == "prediction join"
+        assert stage["OPERATOR"] == "parallel predict"
+        assert all(row["ACTUAL_ROWS"] is not None for row in plan), plan
+        # Nesting, not a timing threshold: the source opens inside the
+        # parallel stage, which runs inside the join.
+        assert source["WALL_MS"] <= stage["WALL_MS"] <= root["WALL_MS"]
+        for row in plan:
+            assert (row["POOL_TASKS"] is not None) == \
+                ("dop=" in (row["STRATEGY"] or "")
+                 and row["OPERATOR"] == "parallel predict")
+        assert stage["POOL_TASKS"] >= 1
+    finally:
+        conn.close()
+
+
+@pytest.mark.parametrize("pool", [label for label, _ in MINING_POOLS])
+def test_second_insert_into_an_incremental_service_names_what_runs(pool):
+    """A trained naive-Bayes model absorbs a covered caseset: no refit runs,
+    so none is shown, and the root reports the cache outcome it saw."""
+    conn = mining_connection("Repro_Naive_Bayes", **dict(MINING_POOLS)[pool])
+    train = SCENARIOS["Repro_Naive_Bayes"]["train"]
+    refits = ("fit", "partitioned refit")
+    try:
+        first = _plan_rows(conn, f"EXPLAIN ANALYZE {train}")
+        assert "incremental absorb" not in first[0]["STRATEGY"]
+        assert first[0]["CACHE"] == "miss expected, actual miss"
+        assert [row["ACTUAL_ROWS"] for row in first
+                if row["OPERATOR"] in refits] == [60]
+
+        planned = _plan_rows(conn, f"EXPLAIN {train}")
+        assert planned[0]["STRATEGY"].startswith("incremental absorb")
+        assert not [row for row in planned if row["OPERATOR"] in refits]
+
+        second = _plan_rows(conn, f"EXPLAIN ANALYZE {train}")
+        assert second[0]["CACHE"] == "hit expected, actual hit"
+        assert not [row for row in second if row["OPERATOR"] in refits]
+        absorb = next(row for row in second
+                      if row["OPERATOR"] == "incremental absorb")
+        assert absorb["ACTUAL_ROWS"] == 60
+        assert conn.provider.model("M").case_count == 120
+    finally:
+        conn.close()
+
+
 # -- decide once -------------------------------------------------------------
 
 @pytest.fixture
@@ -215,5 +369,66 @@ def test_repository_off_still_chooses_once(counted_choose_index):
     try:
         conn.execute("SELECT v FROM T WHERE id = 10")
         assert len(counted_choose_index) == 1
+    finally:
+        conn.close()
+
+
+@pytest.fixture
+def counted_plan_select(monkeypatch):
+    calls = []
+    real = engine_module.Database.plan_select
+
+    def counting(self, statement, *args):
+        calls.append(statement)
+        return real(self, statement, *args)
+    monkeypatch.setattr(engine_module.Database, "plan_select", counting)
+    return calls
+
+
+PREDICT = SCENARIOS["Repro_Naive_Bayes"]["predict"]
+
+
+def _trained_connection(**kwargs):
+    conn = mining_connection("Repro_Naive_Bayes", **kwargs)
+    conn.execute(SCENARIOS["Repro_Naive_Bayes"]["train"])
+    return conn
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(),
+    dict(max_workers=4, pool_mode="thread"),
+    dict(repository=False),
+    dict(max_workers=4, pool_mode="thread", repository=False),
+], ids=["defaults", "pool", "no_repository", "pool_no_repository"])
+def test_first_seen_prediction_join_plans_its_source_once(
+        counted_plan_select, kwargs):
+    conn = _trained_connection(**kwargs)
+    try:
+        del counted_plan_select[:]
+        assert len(conn.execute(PREDICT).rows) == 60
+        assert len(counted_plan_select) == 1
+    finally:
+        conn.close()
+
+
+def test_explain_analyze_plans_a_prediction_source_once(counted_plan_select):
+    conn = _trained_connection(max_workers=4, pool_mode="thread")
+    try:
+        del counted_plan_select[:]
+        plan = _plan_rows(conn, f"EXPLAIN ANALYZE {PREDICT}")
+        assert len(counted_plan_select) == 1
+        assert plan[0]["ACTUAL_ROWS"] == 60
+    finally:
+        conn.close()
+
+
+def test_plain_explain_of_a_parallel_prediction_moves_no_metric():
+    conn = _trained_connection(max_workers=4, pool_mode="thread")
+    watched = ("pool.", "caseset_cache.", "prediction.", "index.")
+    try:
+        before = _metrics(conn, watched)
+        plan = _plan_rows(conn, f"EXPLAIN {PREDICT} WHERE t.Id > 50")
+        assert "parallel (dop=4)" in plan[0]["STRATEGY"]
+        assert _metrics(conn, watched) == before
     finally:
         conn.close()
