@@ -9,12 +9,12 @@ and the database's :attr:`data_version`, so a hit is guaranteed fresh: any
 INSERT/UPDATE/DELETE/DDL bumps the version and naturally retires stale
 entries through LRU pressure.
 
-Two knobs bound memory:
+Two bounds on memory:
 
 * ``capacity`` — number of entries (LRU eviction beyond it; 0 disables);
-* ``max_rows`` — casesets larger than this are never cached, so the
-  streaming pipeline keeps its O(batch) footprint on huge sources instead
-  of accumulating a copy it may never reuse.
+* ``max_rows`` (50,000, fixed) — casesets larger than this are never
+  cached, so the streaming pipeline keeps its O(batch) footprint on huge
+  sources instead of accumulating a copy it may never reuse.
 
 Hit/miss/eviction counters are folded into the provider's
 :class:`~repro.obs.metrics.MetricsRegistry` and therefore show up in
@@ -32,10 +32,11 @@ from typing import Any, Hashable, Optional, Tuple
 class CasesetCache:
     """Thread-safe LRU mapping of caseset keys to shaped/bound results."""
 
-    def __init__(self, capacity: int = 8, max_rows: int = 50_000,
-                 metrics=None):
+    #: Casesets above this many rows stream through uncached.
+    max_rows = 50_000
+
+    def __init__(self, capacity: int = 8, metrics=None):
         self.capacity = max(0, int(capacity))
-        self.max_rows = max(0, int(max_rows))
         self._entries: "OrderedDict[Hashable, Tuple[Any, int]]" = OrderedDict()
         self._lock = threading.Lock()
         self._metrics = metrics

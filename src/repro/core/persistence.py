@@ -17,7 +17,7 @@ cleanly in another as long as the formats match (a ``format`` field is
 checked; format 1 snapshots from older builds still load).
 
 Snapshots are written atomically (:func:`repro.store.atomic.atomic_write_text`:
-temp file + fsync + ``os.replace``), so a crash mid-``save_provider`` never
+temp file + fsync + atomic rename), so a crash mid-``save_provider`` never
 destroys the previous good snapshot.  :class:`repro.store.durable.DurableStore`
 uses the same document as its checkpoint format, adding ``last_seq`` for
 journal-replay continuity.
@@ -231,7 +231,7 @@ def load_provider(text: str):
 def save_provider(provider, path: str, faults=None) -> None:
     """Atomically write a provider snapshot to ``path``.
 
-    The write goes through the shared temp-file + fsync + ``os.replace``
+    The write goes through the shared temp-file + fsync + atomic-rename
     helper: interrupting it never destroys an existing snapshot at ``path``.
     """
     atomic_write_text(path, dump_provider(provider), faults=faults,

@@ -15,6 +15,7 @@ back to base tables, so the same statement forms work on both.
 from __future__ import annotations
 
 import re
+import weakref
 from contextlib import contextmanager
 from typing import Any, Dict, List, Optional
 
@@ -99,9 +100,8 @@ class Provider:
     """The provider: relational engine + mining-model catalog + dispatcher.
 
     ``batch_size`` sets the granularity of the streaming pipeline (rows per
-    batch exchanged between operators); ``caseset_cache_capacity`` and
-    ``caseset_cache_max_rows`` tune the LRU cache of bound casesets
-    (capacity 0 disables it, casesets above ``max_rows`` are never cached).
+    batch exchanged between operators); ``caseset_cache_capacity`` sizes
+    the LRU cache of bound casesets (0 disables it).
     ``max_workers`` caps the shared worker pool used by partitioned
     training and parallel PREDICTION JOIN (1 = always serial), and
     ``pool_mode`` picks its transport (``auto``/``serial``/``thread``/
@@ -144,7 +144,6 @@ class Provider:
 
     def __init__(self, batch_size: int = DEFAULT_BATCH_SIZE,
                  caseset_cache_capacity: int = 8,
-                 caseset_cache_max_rows: int = 50_000,
                  max_workers: int = 1,
                  pool_mode: str = "auto",
                  durable_path: Optional[str] = None,
@@ -165,10 +164,8 @@ class Provider:
         self.tracer = Tracer()
         self.metrics = MetricsRegistry()
         self.database.metrics = self.metrics
-        self.caseset_cache = CasesetCache(
-            capacity=caseset_cache_capacity,
-            max_rows=caseset_cache_max_rows,
-            metrics=self.metrics)
+        self.caseset_cache = CasesetCache(capacity=caseset_cache_capacity,
+                                          metrics=self.metrics)
         self.pool = WorkerPool(max_workers=max_workers, mode=pool_mode,
                                metrics=self.metrics)
         self.workload = WorkloadRegistry(metrics=self.metrics)
@@ -295,54 +292,56 @@ class Provider:
         """Parse and execute one command; Rowset for queries, int for DML.
 
         Every statement (except the TRACE verb itself, which controls the
-        tracer) runs inside a :meth:`Tracer.statement` context so the
+        tracer) is one :class:`~repro.obs.trace.StatementRecord`, admitted
+        here and completed when this call returns or raises, so the
         ``$SYSTEM.DM_QUERY_LOG`` ring and provider metrics stay populated.
         """
         stripped = command.lstrip()
         first = stripped.split(None, 1)[0].upper() if stripped else ""
         if first == "TRACE":
             return self.execute_ast(parse_statement(command))
-        with self._admitted(command) as (statement, plan):
-            return self._execute_statement(statement, command, plan)
+        with self._admitted(command) as (statement, plan, record):
+            result = self._execute_statement(statement, command, plan)
+        self.tracer.complete(record)
+        return result
 
     @contextmanager
     def _admitted(self, command: str):
         """One statement's admission, shared by :meth:`execute` and
-        :meth:`execute_stream`: open its tracer record and workload
-        registration, parse and classify it, plan a query or a model
-        INSERT once — outside any model lock — and hand that tree to the
-        workload repository (skeleton, hash, estimate).  Yields
-        ``(statement, plan)`` for the caller to run.  A statement that
-        fails to plan is still fingerprinted, so its error counts against
-        its aggregates."""
-        previous = obs_trace.activate(self.tracer)
+        :meth:`execute_stream`: admit its record (live in the workload
+        registry, active on this thread for the block), parse and classify
+        it, plan a query or a model INSERT once — outside any model lock —
+        and hand that tree to the workload repository (skeleton, hash,
+        estimate).  Yields ``(statement, plan, record)`` for the caller to
+        run.  A failure inside the block completes the record; success
+        leaves completion to the caller, whose statement may outlive the
+        block as a stream.  A statement that fails to plan is still
+        fingerprinted, so its error counts against its aggregates."""
+        record = self.tracer.admit(command,
+                                   session=obs_workload.session_id())
+        self.workload.admit(record)
+        previous = obs_trace.activate(record)
         try:
-            with self.tracer.statement(command) as record:
-                record.session = obs_workload.session_id()
-                active = self.workload.register(record.statement_id, command)
-                prior = obs_workload.activate(active)
-                try:
-                    obs_workload.set_phase("parse")
-                    try:
-                        statement = parse_statement(command)
-                    except ParseError as exc:
-                        _attach_statement(exc, command)
-                        raise
-                    record.kind = _statement_kind(statement, self)
-                    if active is not None:
-                        active.kind = record.kind
-                    plan = None
-                    try:
-                        plan = self._plan_query(statement)
-                    except BindError as exc:
-                        _attach_statement(exc, command)
-                        raise
-                    finally:
-                        self.repository.annotate(record, self, statement,
-                                                 command, plan)
-                    yield statement, plan
-                finally:
-                    obs_workload.deactivate(prior)
+            obs_workload.set_phase("parse")
+            try:
+                statement = parse_statement(command)
+            except ParseError as exc:
+                _attach_statement(exc, command)
+                raise
+            record.kind = _statement_kind(statement, self)
+            plan = None
+            try:
+                plan = self._plan_query(statement)
+            except BindError as exc:
+                _attach_statement(exc, command)
+                raise
+            finally:
+                self.repository.annotate(record, self, statement,
+                                         command, plan)
+            yield statement, plan, record
+        except BaseException as exc:
+            self.tracer.complete(record, exc)
+            raise
         finally:
             obs_trace.deactivate(previous)
 
@@ -460,9 +459,10 @@ class Provider:
         Plain EXPLAIN is pure — the planner pass reads catalog statistics
         only, so no data-path span is opened and no state is mutated.
         ANALYZE executes the wrapped statement with span capture forced on
-        and reconciles the captured span tree back onto the plan.  Estimates
-        are filled before execution, so a mutating inner statement is
-        estimated against the data it started from.
+        for its own record — ``tracer.enabled`` and every other statement
+        are left alone — and reconciles the captured span tree back onto
+        the plan.  Estimates are filled before execution, so a mutating
+        inner statement is estimated against the data it started from.
         """
         inner = statement.statement
         plan = build_plan(self, inner)
@@ -472,19 +472,19 @@ class Provider:
 
         from repro.lang.formatter import format_statement
         command = format_statement(inner)
-        was_enabled = self.tracer.enabled
-        self.tracer.enabled = True
-        # execute() has already activated the tracer on this thread; do it
-        # again defensively so a direct execute_ast() call still captures.
-        previous = obs_trace.activate(self.tracer)
-        span = self.tracer.start_span("explain.execute")
+        # Capture is a fact of this statement's record alone.  With no
+        # active record (recording off, or a direct execute_ast() call) a
+        # scratch record nobody completes holds the spans.
+        record = obs_trace.active_record() or \
+            obs_trace.StatementRecord(0, command)
+        record.capture = True
+        previous = obs_trace.activate(record)
         try:
             # A query or model INSERT executes the very tree rendered below.
-            result = self._execute_statement(
-                inner, command, plan if plan.run is not None else None)
+            with record.start_span("explain.execute") as span:
+                result = self._execute_statement(
+                    inner, command, plan if plan.run is not None else None)
         finally:
-            self.tracer._finish_span(span)
-            self.tracer.enabled = was_enabled
             obs_trace.deactivate(previous)
         if isinstance(result, RowStream):
             result = result.materialize()
@@ -578,8 +578,8 @@ class Provider:
         return export_chrome_trace(self, path)
 
     def _observe_statement(self, record) -> None:
-        """Tracer callback: fold each finished statement into the metrics."""
-        self.workload.observe(record)
+        """The tracer's completion callback, once per statement: fold the
+        record into the repository, the metrics and the sink."""
         self.repository.observe(record)
         metrics = self.metrics
         metrics.counter("statements.total").inc()
@@ -594,17 +594,14 @@ class Provider:
             metrics.counter("statements.cancelled").inc()
         for name, amount in record.totals().items():
             metrics.counter(f"activity.{name}").inc(amount)
-        resources = record.resources
-        if resources is not None:
-            metrics.counter("resource.cpu_ms").inc(resources["cpu_ms"])
-            metrics.counter("resource.pool_cpu_ms").inc(
-                resources["pool_cpu_ms"])
-            metrics.counter("resource.lock_wait_ms").inc(
-                resources["lock_wait_ms"])
+        if record.registry is not None:
+            cpu_ms = record.total_cpu_ms()
+            metrics.counter("resource.cpu_ms").inc(cpu_ms)
+            metrics.counter("resource.pool_cpu_ms").inc(record.pool_cpu_ms)
+            metrics.counter("resource.lock_wait_ms").inc(record.lock_wait_ms)
             metrics.counter("resource.rows_processed").inc(
-                resources["rows_processed"])
-            metrics.histogram("resource.statement_cpu_ms").observe(
-                resources["cpu_ms"])
+                record.rows_processed)
+            metrics.histogram("resource.statement_cpu_ms").observe(cpu_ms)
         if self.slow_sink is not None:
             self.slow_sink.maybe_write(record)
 
@@ -633,8 +630,15 @@ class Provider:
         The returned :class:`RowStream` is single-use; blocking clauses
         (GROUP BY, ORDER BY, DISTINCT) still materialize internally, but
         pipelined shapes are produced batch by batch.
+
+        The statement lives as long as its stream: its record stays in
+        ``$SYSTEM.DM_ACTIVE_STATEMENTS`` (and within reach of ``CANCEL``)
+        until the stream is exhausted, raises, is closed or is dropped,
+        and only then enters ``DM_QUERY_LOG`` — ``ok`` with the counts of
+        what was produced unless producing a batch raised.  A failure to
+        parse, plan or open completes it before this call raises.
         """
-        with self._admitted(command) as (statement, plan):
+        with self._admitted(command) as (statement, plan, record):
             if not isinstance(statement, (ast.SelectStatement,
                                           ast.UnionStatement)):
                 raise Error(
@@ -642,10 +646,37 @@ class Provider:
                     "use execute() for DDL/DML")
             obs_workload.set_phase("scan")
             try:
-                return plan.run(batch_size or self.database.batch_size)
+                stream = plan.run(batch_size or self.database.batch_size)
             except BindError as exc:
                 _attach_statement(exc, command)
                 raise
+        batches = self._produce(record, stream.batches())
+        # A generator that never started runs no ``finally``: a stream
+        # dropped before its first batch completes through this instead.
+        weakref.finalize(batches, self.tracer.complete, record)
+        return RowStream(stream.columns, batches)
+
+    def _produce(self, record, batches):
+        """``batches`` as the life of the statement ``record``: the record
+        is this thread's active one only while a batch is being produced
+        (so a statement the consumer runs between batches is its own), and
+        completes wherever consumption ends."""
+        try:
+            while True:
+                previous = obs_trace.activate(record)
+                try:
+                    batch = next(batches, None)
+                finally:
+                    obs_trace.deactivate(previous)
+                if batch is None:
+                    return
+                yield batch
+        except Exception as exc:
+            self.tracer.complete(record, exc)
+            raise
+        finally:
+            batches.close()  # closed or dropped early: unwind the producers
+            self.tracer.complete(record)
 
     def _model_cases_rowset(self, model: MiningModel) -> Rowset:
         """``<model>.CASES``: drill through to the accumulated caseset."""
@@ -748,10 +779,10 @@ def connect(**kwargs) -> Connection:
     """Open a connection to an OLE DB DM provider.
 
     Keyword arguments (``batch_size``, ``caseset_cache_capacity``,
-    ``caseset_cache_max_rows``, ``max_workers``, ``pool_mode``,
-    ``durable_path``, ``durable_checkpoint_interval``, ``storage_path``,
-    ``buffer_pages``, ``slow_query_ms``, ``telemetry_path``,
-    ``statistics``, ``repository``) are forwarded to :class:`Provider`.
+    ``max_workers``, ``pool_mode``, ``durable_path``,
+    ``durable_checkpoint_interval``, ``storage_path``, ``buffer_pages``,
+    ``slow_query_ms``, ``telemetry_path``, ``statistics``,
+    ``repository``) are forwarded to :class:`Provider`.
     ``repository=False`` disables the workload repository (per-fingerprint
     statement aggregates and plan history; observation-only either way).
     ``statistics=False`` disables table statistics and pins the planner to

@@ -294,9 +294,9 @@ def dm_query_log_rowset(provider) -> Rowset:
             int(totals.get("rows_scanned", 0)),
             int(totals.get("rows_out", 0)),
             cases,
-            record.root.span_count() if record.root is not None else 0,
+            record.root.span_count(),
             record.thread,
-            getattr(record, "session", None),
+            record.session,
         ))
     return Rowset(columns, rows)
 
@@ -315,9 +315,6 @@ def dm_trace_events_rowset(provider) -> Rowset:
     ]
     rows: List[tuple] = []
     for record in provider.tracer.statements():
-        if record.root is None:
-            continue
-
         def visit(span, path):
             span_id = ".".join(str(step) for step in path)
             parent_id = ".".join(str(step) for step in path[:-1]) or None
@@ -418,9 +415,11 @@ def dm_active_statements_rowset(provider) -> Rowset:
 def dm_statement_resources_rowset(provider) -> Rowset:
     """``$SYSTEM.DM_STATEMENT_RESOURCES``: per-statement resource accounting.
 
-    Live statements first (CPU still accumulating), then the finished ring.
-    CPU_MS is statement-thread CPU plus worker CPU shipped back from the
-    pool; LOCK_WAIT_MS is time blocked in RWLock acquires.
+    Live statements first (CPU still accumulating), then the finished
+    ones — the records ``DM_QUERY_LOG`` lists, minus any admitted with the
+    workload layer off.  CPU_MS is producing-thread CPU plus worker CPU
+    shipped back from the pool; LOCK_WAIT_MS is time blocked in RWLock
+    acquires.
     """
     columns = [
         RowsetColumn("STATEMENT_ID", LONG),
@@ -440,7 +439,11 @@ def dm_statement_resources_rowset(provider) -> Rowset:
         RowsetColumn("CACHE_MISSES", LONG),
     ]
     rows = []
-    for statement in provider.workload.resource_records():
+    live = provider.workload.active()
+    # A statement completing between the two snapshots is listed once.
+    finished = [record for record in provider.tracer.statements()
+                if record.registry is not None and record not in live]
+    for statement in live + finished:
         rows.append((
             statement.statement_id,
             " ".join(statement.text.split()),

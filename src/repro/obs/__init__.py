@@ -39,14 +39,9 @@ from repro.obs.repository import (
     q_error,
 )
 from repro.obs.sink import SlowQuerySink, statement_record_dict
-from repro.obs.workload import (
-    ActiveStatement,
-    CancelToken,
-    WorkloadRegistry,
-)
+from repro.obs.workload import CancelToken, WorkloadRegistry
 
 __all__ = [
-    "ActiveStatement",
     "CancelToken",
     "WorkloadRegistry",
     "Span",

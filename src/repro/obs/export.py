@@ -42,6 +42,7 @@ from typing import Dict, Optional
 from urllib.parse import parse_qs, urlparse
 
 from repro.obs.sink import statement_record_dict
+from repro.obs.workload import active_dict, resource_dict
 
 CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
@@ -238,8 +239,8 @@ class _Handler(BaseHTTPRequestHandler):
             self._reply(200, body, "application/json")
             return
         if parsed.path == "/active":
-            body = json.dumps([statement.active_dict()
-                               for statement in provider.workload.active()],
+            body = json.dumps([active_dict(record)
+                               for record in provider.workload.active()],
                               default=str)
             self._reply(200, body, "application/json")
             return
@@ -324,8 +325,6 @@ def chrome_trace_events(provider) -> list:
         return threads[thread_name]
 
     for record in provider.tracer.statements():
-        if record.root is None or record.duration_ms is None:
-            continue
         tid = tid_for(record.thread or "main")
         # Wall-clock anchor for the statement; span offsets are the
         # perf_counter deltas from the root span's start.
@@ -340,8 +339,9 @@ def chrome_trace_events(provider) -> list:
                 args["statement"] = label
                 args["kind"] = record.kind
                 args["status"] = record.status
-                if record.resources is not None:
-                    args["resources"] = record.resources
+                resources = resource_dict(record)
+                if resources is not None:
+                    args["resources"] = resources
             if span.counters:
                 args["counters"] = dict(span.counters)
             if span.attributes:
@@ -371,5 +371,4 @@ def export_chrome_trace(provider, path: str) -> int:
     with open(path, "w", encoding="utf-8") as handle:
         json.dump({"traceEvents": events, "displayTimeUnit": "ms"},
                   handle, default=str)
-    return sum(1 for record in provider.tracer.statements()
-               if record.root is not None and record.duration_ms is not None)
+    return len(provider.tracer.statements())

@@ -518,13 +518,12 @@ class WorkloadRepository:
         """Fold one finished statement record into the aggregates."""
         if not self.enabled:
             return
-        fingerprint = getattr(record, "fingerprint", None)
-        kind = getattr(record, "kind", None) or "UNKNOWN"
+        fingerprint = record.fingerprint
+        kind = record.kind or "UNKNOWN"
         with self._lock:
             self._ensure_loaded()
             if kind in TRIGGER_KINDS and record.status == "ok":
-                self._last_trigger = " ".join(
-                    (getattr(record, "text", "") or "").split())
+                self._last_trigger = " ".join(record.text.split())
             if fingerprint is None:
                 return
             entry = self._entries.get(fingerprint)
@@ -550,19 +549,17 @@ class WorkloadRepository:
             rows_out = totals.get("rows_out")
             entry.rows_returned += int(rows_out or 0)
             entry.buffer_reads += int(totals.get("buffer_reads", 0) or 0)
-            resources = getattr(record, "resources", None)
-            if resources is not None:
-                entry.cpu_ms += float(resources.get("cpu_ms", 0.0) or 0.0)
-                entry.cache_hits += int(resources.get("cache_hits", 0) or 0)
-                entry.cache_misses += int(
-                    resources.get("cache_misses", 0) or 0)
-                entry.pool_tasks += int(resources.get("pool_tasks", 0) or 0)
+            if record.registry is not None:
+                entry.cpu_ms += record.total_cpu_ms()
+                entry.cache_hits += record.cache_hits
+                entry.cache_misses += record.cache_misses
+                entry.pool_tasks += record.pool_tasks
             self._observe_plan(entry, record, duration, rows_out)
             self._dirty = True
 
     def _observe_plan(self, entry: FingerprintEntry, record,
                       duration: Optional[float], rows_out) -> None:
-        plan_hash = getattr(record, "plan_hash", None)
+        plan_hash = record.plan_hash
         if plan_hash is None:
             return
         plan = entry.plans.get(plan_hash)
@@ -572,7 +569,7 @@ class WorkloadRepository:
         plan.last_seen = time.time()
         if duration is not None:
             plan.total_ms += duration
-        error = q_error(getattr(record, "plan_est_rows", None),
+        error = q_error(record.plan_est_rows,
                         None if rows_out is None else float(rows_out))
         if error is not None:
             plan.q_count += 1

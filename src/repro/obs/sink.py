@@ -21,6 +21,8 @@ import os
 import threading
 from typing import Any, Dict, Optional
 
+from repro.obs.workload import resource_dict
+
 DEFAULT_MAX_BYTES = 16 * 1024 * 1024
 DEFAULT_BACKUPS = 3
 
@@ -54,24 +56,20 @@ def statement_record_dict(record) -> Dict[str, Any]:
         "duration_ms": None if record.duration_ms is None
         else round(record.duration_ms, 3),
         "counters": record.totals(),
-        "span_count": record.root.span_count()
-        if record.root is not None else 0,
+        "span_count": record.root.span_count(),
     }
-    session = getattr(record, "session", None)
-    if session is not None:
-        out["session"] = session
+    if record.session is not None:
+        out["session"] = record.session
     # Workload-repository attribution, so log pipelines can join these
     # records against $SYSTEM.DM_STATEMENT_STATS / DM_PLAN_HISTORY.
-    fingerprint = getattr(record, "fingerprint", None)
-    if fingerprint is not None:
-        out["fingerprint"] = fingerprint
-    plan_hash = getattr(record, "plan_hash", None)
-    if plan_hash is not None:
-        out["plan_hash"] = plan_hash
-    resources = getattr(record, "resources", None)
+    if record.fingerprint is not None:
+        out["fingerprint"] = record.fingerprint
+    if record.plan_hash is not None:
+        out["plan_hash"] = record.plan_hash
+    resources = resource_dict(record)
     if resources is not None:
         out["resources"] = resources
-    if record.root is not None and record.root.children:
+    if record.root.children:
         out["spans"] = [_span_dict(child)
                         for child in record.root.children]
     return out

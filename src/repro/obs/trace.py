@@ -1,39 +1,60 @@
-"""Statement tracing: nested spans with counters, in a bounded ring buffer.
+"""Statement records: one object per statement, from admission to completion.
 
 The paper's thesis is that every part of the mining life cycle is driven
 through the SQL command surface; this module applies the same idea to the
-provider's own runtime behaviour.  Each executed statement becomes a
-:class:`StatementRecord` holding a tree of :class:`Span` objects
-(``statement -> parse -> shape/bind -> engine -> algorithm -> predict``),
-each carrying wall-time and named counters (rows scanned, cases bound,
-observations trained, ...).  Records land in a thread-safe, bounded ring
-buffer which the ``$SYSTEM.DM_QUERY_LOG`` and ``$SYSTEM.DM_TRACE_EVENTS``
-schema rowsets expose back through the very surface being traced.
+provider's own runtime behaviour.  Each statement is one
+:class:`StatementRecord` with one lifetime:
+
+* **admission** (:meth:`Tracer.admit`) issues its id — one contiguous id
+  space — and creates the record: text, kind, session, its own span stack
+  under a ``statement`` root span, its ``capture`` flag (seeded from
+  ``tracer.enabled``; ``EXPLAIN ANALYZE`` forces it on for its own record
+  only), and the progress/CPU/lock-wait/cache/pool counters the workload
+  layer (:mod:`repro.obs.workload`) reads and writes;
+* while it **runs** it occupies this thread's one slot (:func:`activate` /
+  :func:`deactivate`), through which every module-level helper here and
+  in :mod:`repro.obs.workload` resolves.  A streamed statement occupies
+  the slot only while a batch is being produced, so whatever its consumer
+  executes between batches has its own record, and statement CPU is the
+  sum of ``thread_time`` deltas over the activations;
+* **completion** (:meth:`Tracer.complete`, idempotent) stamps status,
+  error, duration and CPU, takes the record out of the registry's live
+  map, appends it to the bounded ring and calls ``on_statement`` — once.
+  ``execute()`` completes on return or raise; ``execute_stream()`` when
+  the stream it returned is exhausted, raises, is closed or is dropped.
+
+The ring is what ``$SYSTEM.DM_QUERY_LOG``, ``DM_TRACE_EVENTS`` and the
+finished part of ``DM_STATEMENT_RESOURCES`` project, in completion order.
 
 Cost model (the contract the overhead benchmark asserts):
 
-* ``recording`` off — ``statement()`` yields a shared null record; nothing
-  is allocated, counted, or stored;
-* ``recording`` on, ``enabled`` off (the default) — one root span per
-  statement plus a handful of batched counter adds; child ``span()`` calls
-  return a shared no-op span;
-* ``enabled`` on — the full span tree is captured.
+* ``recording`` off — ``admit()`` returns a shared null record; nothing
+  is allocated, registered, cancellable, counted, or stored;
+* ``recording`` on, capture off (the default) — one record with one root
+  span per statement plus a handful of batched counter adds; child
+  ``span()`` calls return a shared no-op span;
+* capture on — the full span tree is captured.
 
 Instrumented modules never hold a tracer; they call the module-level
-:func:`span` and :func:`add`, which resolve the active tracer from a
-thread-local slot that :meth:`Provider.execute` populates around each
-statement.  With no active tracer both are near-free no-ops, so the
-engine, shaping, and algorithm layers stay usable standalone.
+:func:`span` and :func:`add`.  With no active record both are near-free
+no-ops, so the engine, shaping, and algorithm layers stay usable
+standalone.
 """
 
 from __future__ import annotations
 
+import itertools
 import threading
 import time
 from collections import deque
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
+from repro.errors import CancelledError
+
+#: The one per-statement thread-local: ``.record`` is the statement
+#: active on this thread (None between statements and between the batches
+#: of a stream).
 _local = threading.local()
 
 DEFAULT_RING_SIZE = 256
@@ -43,17 +64,17 @@ class Span:
     """One timed region of statement execution, with counters and children."""
 
     __slots__ = ("name", "attributes", "counters", "children", "started",
-                 "duration_ms", "_tracer")
+                 "duration_ms", "_stack")
 
-    def __init__(self, name: str, attributes: Optional[Dict[str, Any]] = None,
-                 tracer: Optional["Tracer"] = None):
+    def __init__(self, name: str, attributes: Optional[Dict[str, Any]],
+                 stack: List["Span"]):
         self.name = name
         self.attributes: Dict[str, Any] = dict(attributes) if attributes else {}
         self.counters: Dict[str, float] = {}
         self.children: List[Span] = []
         self.started = time.perf_counter()
         self.duration_ms: Optional[float] = None
-        self._tracer = tracer
+        self._stack = stack  # its record's open spans, innermost last
 
     def add(self, counter: str, amount: float = 1) -> None:
         """Increment a named counter on this span."""
@@ -90,8 +111,9 @@ class Span:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        if self._tracer is not None:
-            self._tracer._finish_span(self)
+        self.duration_ms = (time.perf_counter() - self.started) * 1000.0
+        if self._stack[-1] is self:
+            self._stack.pop()
         return False
 
     def __repr__(self) -> str:
@@ -126,82 +148,144 @@ NULL_SPAN = _NullSpan()
 
 
 class StatementRecord:
-    """One executed statement: text, outcome, latency, and its span tree."""
+    """One statement — identity, outcome, span tree, repository attribution
+    and resource accounting — live from admission until completion.
 
-    __slots__ = ("statement_id", "text", "kind", "status", "error",
-                 "started_at", "duration_ms", "root", "thread", "session",
-                 "resources", "fingerprint", "plan_hash", "plan_est_rows")
+    Progress counters are written by the thread producing the statement
+    (pool results are collected there too); snapshot readers on other
+    threads see monotonically advancing plain attributes, which is all the
+    live views need.
+    """
 
-    def __init__(self, statement_id: int, text: str, kind: str = "UNKNOWN"):
+    __slots__ = (
+        "statement_id", "text", "kind", "thread", "session", "started_at",
+        "status", "error", "duration_ms", "root", "capture", "_stack",
+        "fingerprint", "plan_hash", "plan_est_rows",
+        "registry", "token", "phase",
+        "rows_processed", "batches", "peak_batch_rows",
+        "partitions_done", "partitions_total",
+        "pool_tasks", "pool_tasks_in_flight", "pool_cpu_ms",
+        "cpu_ms", "_cpu_mark", "lock_wait_ms", "lock_waits",
+        "cache_hits", "cache_misses",
+    )
+
+    def __init__(self, statement_id: int, text: str, kind: str = "UNKNOWN",
+                 session: Optional[int] = None, capture: bool = False):
         self.statement_id = statement_id
         self.text = text
         self.kind = kind
         self.thread = threading.current_thread().name
-        # Network session id, stamped by the dispatcher when the statement
-        # arrived over the wire; None for embedded statements.
-        self.session: Optional[int] = None
-        self.status: Optional[str] = None
-        self.error: Optional[str] = None
+        # Network session that issued the statement; None when embedded.
+        self.session = session
         self.started_at = time.time()
+        self.status = "running"  # -> ok | error | cancelled at completion
+        self.error: Optional[str] = None
         self.duration_ms: Optional[float] = None
-        self.root: Optional[Span] = None
-        # Resource summary dict stamped by the workload registry at finish
-        # (CPU-ms, lock-wait-ms, rows, partitions, ...); None when the
-        # workload layer is disabled.
-        self.resources: Optional[Dict[str, Any]] = None
+        self._stack: List[Span] = []
+        self.root = Span("statement", None, self._stack)
+        self._stack.append(self.root)
+        self.capture = capture
         # Workload-repository attribution, stamped by the dispatcher after
         # parse: statement fingerprint, captured plan-skeleton hash, and
         # the plan root's estimated cardinality (for q-error at retire).
         self.fingerprint: Optional[str] = None
         self.plan_hash: Optional[str] = None
         self.plan_est_rows: Optional[float] = None
+        # Set by WorkloadRegistry.admit; both stay None for a statement
+        # admitted with the workload layer off, which then carries no
+        # resource accounting and cannot be cancelled.
+        self.registry = None
+        self.token = None
+        self.phase = "queued"  # -> parse | bind | train | predict | scan
+        self.rows_processed = 0
+        self.batches = 0
+        self.peak_batch_rows = 0
+        self.partitions_done = 0
+        self.partitions_total = 0
+        self.pool_tasks = 0
+        self.pool_tasks_in_flight = 0
+        self.pool_cpu_ms = 0.0
+        self.cpu_ms = 0.0  # producing-thread CPU over closed activations
+        self._cpu_mark: Optional[float] = None  # thread_time at activation
+        self.lock_wait_ms = 0.0
+        self.lock_waits = 0
+        self.cache_hits = 0
+        self.cache_misses = 0
+
+    # -- spans ----------------------------------------------------------------
+
+    def start_span(self, name: str,
+                   attributes: Optional[Dict[str, Any]] = None) -> Span:
+        """Open a child of the innermost open span, whatever ``capture``."""
+        span = Span(name, attributes, self._stack)
+        self._stack[-1].children.append(span)
+        self._stack.append(span)
+        return span
 
     def totals(self) -> Dict[str, float]:
-        return self.root.totals() if self.root is not None else {}
+        return self.root.totals()
 
     def spans(self) -> List[Tuple[Span, int]]:
-        return list(self.root.walk()) if self.root is not None else []
+        return list(self.root.walk())
+
+    # -- progress and accounting (producing thread) ---------------------------
+
+    def advance(self, rows: int = 0) -> None:
+        """One batch boundary: record progress, then honor cancellation."""
+        if rows:
+            self.rows_processed += rows
+            if rows > self.peak_batch_rows:
+                self.peak_batch_rows = rows
+        self.batches += 1
+        self.token.check()
+
+    def elapsed_ms(self) -> float:
+        if self.duration_ms is not None:
+            return self.duration_ms
+        return (time.perf_counter() - self.root.started) * 1000.0
+
+    def total_cpu_ms(self) -> float:
+        """Producing-thread CPU plus worker CPU shipped back from the pool;
+        includes the open activation when read from the producing thread."""
+        cpu_ms = self.cpu_ms + self.pool_cpu_ms
+        if self._cpu_mark is not None and \
+                getattr(_local, "record", None) is self:
+            cpu_ms += (time.thread_time() - self._cpu_mark) * 1000.0
+        return cpu_ms
+
+    def _bank_cpu(self) -> None:
+        if self._cpu_mark is not None:
+            self.cpu_ms += (time.thread_time() - self._cpu_mark) * 1000.0
+            self._cpu_mark = None
 
     def __repr__(self) -> str:
         return (f"StatementRecord(#{self.statement_id}, {self.kind}, "
-                f"{self.status}, {self.duration_ms and round(self.duration_ms, 3)} ms)")
+                f"{self.status}, {self.phase}, {self.rows_processed} rows)")
 
 
 class _NullRecord:
-    """Absorbs record mutations when statement recording is off."""
+    """What admission returns when statement recording is off: absorbs the
+    dispatcher's stamps, never occupies the slot, never completes."""
 
-    root = None
     statement_id = 0
-    text = ""
-    thread = ""
-    session = None
-    duration_ms = None
+    root = None
     status = None
-    error = None
-    resources = None
-    fingerprint = None
-    plan_hash = None
-    plan_est_rows = None
 
     def __setattr__(self, name: str, value: Any) -> None:
-        pass  # swallow kind/status assignments from the dispatcher
-
-    def totals(self) -> Dict[str, float]:
-        return {}
-
-    def spans(self) -> list:
-        return []
+        pass  # swallow kind/fingerprint/plan assignments
 
 
 NULL_RECORD = _NullRecord()
 
 
 class Tracer:
-    """Per-provider trace collector: span stack + statement ring buffer.
+    """Per-provider statement log: admission, completion, the ring.
 
     ``recording`` gates the statement log (query log rows, root-span
-    counters, metrics callback); ``enabled`` additionally captures nested
-    span trees.  The ring holds the most recent ``ring_size`` statements.
+    counters, the completion callback); ``enabled`` seeds each admitted
+    record's ``capture`` flag, which additionally captures nested span
+    trees.  The ring holds the most recent ``ring_size`` completed
+    statements, in completion order.
     """
 
     def __init__(self, ring_size: int = DEFAULT_RING_SIZE,
@@ -210,10 +294,9 @@ class Tracer:
         self.recording = True
         self._ring: deque = deque(maxlen=max(1, int(ring_size)))
         self._lock = threading.Lock()
-        self._seq = 0
-        self._stacks = threading.local()
-        # on_statement(record) is invoked after each completed statement;
-        # the provider uses it to fold trace totals into its metrics.
+        self._ids = itertools.count(1)
+        # on_statement(record) is invoked once per completed statement;
+        # the provider fans it out to repository, metrics and sink.
         self.on_statement = None
 
     # -- configuration --------------------------------------------------------
@@ -233,68 +316,59 @@ class Tracer:
 
     # -- statement lifecycle --------------------------------------------------
 
-    def _stack(self) -> List[Span]:
-        stack = getattr(self._stacks, "value", None)
-        if stack is None:
-            stack = []
-            self._stacks.value = stack
-        return stack
-
-    @contextmanager
-    def statement(self, text: str, kind: str = "UNKNOWN"):
-        """Trace one statement; yields its mutable :class:`StatementRecord`."""
+    def admit(self, text: str, kind: str = "UNKNOWN",
+              session: Optional[int] = None):
+        """Issue the next statement id and create its record (the shared
+        null record when ``recording`` is off)."""
         if not self.recording:
-            yield NULL_RECORD
+            return NULL_RECORD
+        return StatementRecord(next(self._ids), text, kind, session,
+                               capture=self.enabled)
+
+    def complete(self, record, exc: Optional[BaseException] = None) -> None:
+        """End ``record``'s life, once however many paths call this: stamp
+        status/error/duration/CPU, leave the live map, join the ring, and
+        call ``on_statement``."""
+        if record.status != "running":
             return
-        with self._lock:
-            self._seq += 1
-            record = StatementRecord(self._seq, text, kind)
-        root = Span("statement", tracer=self)
-        record.root = root
-        stack = self._stack()
-        stack.append(root)
-        try:
-            yield record
-            if record.status is None:
-                record.status = "ok"
-        except Exception as exc:
-            from repro.errors import CancelledError
+        if exc is None:
+            record.status = "ok"
+        else:
             record.status = ("cancelled" if isinstance(exc, CancelledError)
                              else "error")
             record.error = f"{type(exc).__name__}: {exc}"
+        record._bank_cpu()
+        root = record.root
+        root.duration_ms = (time.perf_counter() - root.started) * 1000.0
+        record.duration_ms = root.duration_ms
+        if record.registry is not None:
+            record.registry.retire(record)
+        with self._lock:
+            self._ring.append(record)
+        if self.on_statement is not None:
+            self.on_statement(record)
+
+    @contextmanager
+    def statement(self, text: str, kind: str = "UNKNOWN"):
+        """A statement whose whole life is one block: admitted and active
+        on entry, completed on exit.  Yields its :class:`StatementRecord`."""
+        record = self.admit(text, kind)
+        previous = activate(record)
+        try:
+            yield record
+        except BaseException as exc:
+            self.complete(record, exc)
             raise
         finally:
-            root.duration_ms = (time.perf_counter() - root.started) * 1000.0
-            record.duration_ms = root.duration_ms
-            # Unwind any spans left open by an exception, then the root.
-            while stack and stack[-1] is not root:
-                stack.pop()
-            if stack:
-                stack.pop()
-            with self._lock:
-                self._ring.append(record)
-            if self.on_statement is not None:
-                self.on_statement(record)
+            deactivate(previous)
+        self.complete(record)
 
-    # -- span stack -----------------------------------------------------------
-
-    def start_span(self, name: str, **attributes) -> Span:
-        span = Span(name, attributes, tracer=self)
-        stack = self._stack()
-        if stack:
-            stack[-1].children.append(span)
-        stack.append(span)
-        return span
-
-    def _finish_span(self, span: Span) -> None:
-        span.duration_ms = (time.perf_counter() - span.started) * 1000.0
-        stack = self._stack()
-        if stack and stack[-1] is span:
-            stack.pop()
-
-    def current_span(self) -> Optional[Span]:
-        stack = self._stack()
-        return stack[-1] if stack else None
+    def start_span(self, name: str, **attributes):
+        """Open a span on this thread's active record, whatever its
+        ``capture`` flag (no-op span with no active record)."""
+        record = getattr(_local, "record", None)
+        return NULL_SPAN if record is None \
+            else record.start_span(name, attributes)
 
     # -- ring access ----------------------------------------------------------
 
@@ -313,60 +387,68 @@ class Tracer:
 
 
 # ---------------------------------------------------------------------------
-# Module-level instrumentation API (resolves the thread-active tracer)
+# Module-level instrumentation API (resolves the thread-active record)
 # ---------------------------------------------------------------------------
 
-def activate(tracer: Optional[Tracer]) -> Optional[Tracer]:
-    """Install ``tracer`` as this thread's active tracer; returns the prior."""
-    previous = getattr(_local, "tracer", None)
-    _local.tracer = tracer
+def activate(record):
+    """Make ``record`` this thread's active statement and start its CPU
+    clock; returns the prior occupant for :func:`deactivate`.  The null
+    record empties the slot; re-activating the active record nests."""
+    previous = getattr(_local, "record", None)
+    if record is NULL_RECORD:
+        record = None
+    elif record._cpu_mark is None:
+        record._cpu_mark = time.thread_time()
+    _local.record = record
     return previous
 
 
-def deactivate(previous: Optional[Tracer]) -> None:
-    """Restore the tracer returned by the matching :func:`activate`."""
-    _local.tracer = previous
+def deactivate(previous) -> None:
+    """Undo the matching :func:`activate`: bank the active record's CPU
+    and restore the prior occupant."""
+    record = _local.record
+    if record is not None and record is not previous:
+        record._bank_cpu()
+    _local.record = previous
 
 
-def active_tracer() -> Optional[Tracer]:
-    return getattr(_local, "tracer", None)
+def active_record() -> Optional[StatementRecord]:
+    """This thread's active statement record, or None."""
+    return getattr(_local, "record", None)
 
 
 def span(name: str, **attributes):
-    """Open a child span on the active tracer (no-op span when disabled)."""
-    tracer = getattr(_local, "tracer", None)
-    if tracer is None or not tracer.enabled:
+    """Open a child span on the active record (no-op span unless it
+    captures)."""
+    record = getattr(_local, "record", None)
+    if record is None or not record.capture:
         return NULL_SPAN
-    return tracer.start_span(name, **attributes)
+    return record.start_span(name, attributes)
 
 
 def add(counter: str, amount: float = 1) -> None:
-    """Add to a counter on the innermost open span of the active tracer.
+    """Add to a counter on the innermost open span of the active record.
 
-    With span tracing disabled the innermost span is the statement root, so
+    With span capture off the innermost span is the statement root, so
     counters still roll up into ``$SYSTEM.DM_QUERY_LOG`` row totals.
     """
-    tracer = getattr(_local, "tracer", None)
-    if tracer is None or not tracer.recording:
-        return
-    stack = tracer._stack()
-    if stack:
-        stack[-1].add(counter, amount)
+    record = getattr(_local, "record", None)
+    if record is not None:
+        record._stack[-1].add(counter, amount)
 
 
 def current_span():
-    """The innermost open span of the active tracer, for pinning.
+    """The innermost open span of the active record, for pinning.
 
     Lazy producers call this at plan time and pass the result to
     :func:`add_to`, so counters produced after the enclosing span closes
     still attribute to it.  Returns :data:`NULL_SPAN` when span capture is
     off, which makes :func:`add_to` fall back to :func:`add`.
     """
-    tracer = getattr(_local, "tracer", None)
-    if tracer is None or not tracer.enabled:
+    record = getattr(_local, "record", None)
+    if record is None or not record.capture:
         return NULL_SPAN
-    stack = tracer._stack()
-    return stack[-1] if stack else NULL_SPAN
+    return record._stack[-1]
 
 
 def add_to(span, counter: str, amount: float = 1) -> None:
@@ -376,7 +458,7 @@ def add_to(span, counter: str, amount: float = 1) -> None:
     after it has closed; pinning the counter to the captured span keeps the
     trace attribution right.  When span capture is off the captured span is
     the shared null span, so fall back to :func:`add` and the counter rolls
-    up into whatever statement is live at consumption time.
+    up into the statement active at production time.
     """
     if span is NULL_SPAN:
         add(counter, amount)

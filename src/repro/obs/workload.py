@@ -2,13 +2,17 @@
 
 ``$SYSTEM.DM_QUERY_LOG`` answers "what ran"; this module answers "what is
 running *right now*, how far along is it, what is it costing, and how do I
-stop it".  Three cooperating pieces:
+stop it" — about the same object.  A statement is one
+:class:`~repro.obs.trace.StatementRecord` from admission to completion;
+this module is what reads and writes its workload half:
 
-* :class:`WorkloadRegistry` — one per provider.  Every executing statement
-  registers an :class:`ActiveStatement` keyed by its query-log statement id,
-  so ``$SYSTEM.DM_ACTIVE_STATEMENTS`` and ``CANCEL <id>`` share the id
-  space operators already see in ``DM_QUERY_LOG``.  Finished statements
-  move into a bounded ring that backs ``$SYSTEM.DM_STATEMENT_RESOURCES``.
+* :class:`WorkloadRegistry` — one per provider: the ``statement_id ->
+  record`` map of live statements.  A record enters at admission and
+  leaves at completion (:meth:`Tracer.complete`), so an ``execute_stream``
+  statement stays visible in ``$SYSTEM.DM_ACTIVE_STATEMENTS`` and
+  reachable by ``CANCEL <id>`` until its stream ends.  The finished side
+  of ``$SYSTEM.DM_STATEMENT_RESOURCES`` is the tracer's ring — the same
+  records ``DM_QUERY_LOG`` lists.
 * :class:`CancelToken` — cooperative cancellation.  ``CANCEL <id>`` (or
   :meth:`Connection.cancel`) sets the token; the executing statement
   observes it at its next progress checkpoint — a batch boundary in the
@@ -18,36 +22,32 @@ stop it".  Three cooperating pieces:
   mid-mutation: the mutation either completes or is rolled back by its
   owner, and a cancelled statement is never journaled.
 * Per-statement resource accounting — CPU-ms (``time.thread_time`` deltas
-  on the statement thread plus per-task deltas shipped back from pool
-  workers), lock-wait-ms reported by :class:`repro.exec.locks.RWLock`,
+  over the record's activations plus per-task deltas shipped back from
+  pool workers), lock-wait-ms reported by :class:`repro.exec.locks.RWLock`,
   rows/batches processed, partition progress, and pool tasks in flight.
   Lock waits also aggregate per (lock, mode) into the contention table
   behind ``$SYSTEM.DM_LOCK_WAITS``.
 
-Instrumented modules never hold a registry; like :mod:`repro.obs.trace`
-they call the module-level functions (:func:`checkpoint`, :func:`progress`,
-:func:`set_phase`, :func:`note_lock_wait`, ...), which resolve the active
-statement from a thread-local slot the provider populates around each
-statement.  With no active statement every call is a near-free no-op, so
-the engine and algorithm layers stay usable standalone.
+Instrumented modules never hold a registry; they call the module-level
+functions (:func:`checkpoint`, :func:`set_phase`, :func:`note_lock_wait`,
+...), which resolve the active record from :mod:`repro.obs.trace`'s one
+thread-local slot.  With no active record — or one admitted while the
+registry was disabled — every call is a near-free no-op, so the engine
+and algorithm layers stay usable standalone.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from collections import deque
 from typing import Any, Dict, List, Optional
 
-from repro.errors import CancelledError
+from repro.errors import CancelledError, Error
+from repro.obs.trace import StatementRecord, active_record
 
-_local = threading.local()
-
-#: Finished statements retained for ``$SYSTEM.DM_STATEMENT_RESOURCES``.
-DEFAULT_RESOURCE_RING = 256
-
-#: The execution phases a statement moves through, for DM_ACTIVE_STATEMENTS.
-PHASES = ("queued", "parse", "bind", "train", "predict", "scan")
+#: ``.session`` is the network session bound to this thread — a fact about
+#: the thread, not about any one statement.
+_session = threading.local()
 
 
 class CancelToken:
@@ -78,129 +78,6 @@ class CancelToken:
                 f"({self.reason})")
 
 
-class ActiveStatement:
-    """One executing (or recently finished) statement and its accounting.
-
-    Progress counters are written by the statement's own thread (pool
-    results are collected there too); snapshot readers on other threads see
-    monotonically advancing plain attributes, which is all the live view
-    needs.
-    """
-
-    __slots__ = (
-        "statement_id", "text", "kind", "phase", "thread", "session",
-        "registry",
-        "started_at", "_started_perf", "_cpu_start", "token",
-        "rows_processed", "batches", "peak_batch_rows",
-        "partitions_done", "partitions_total",
-        "pool_tasks", "pool_tasks_in_flight", "pool_cpu_ms",
-        "cpu_ms", "lock_wait_ms", "lock_waits",
-        "cache_hits", "cache_misses",
-        "finished", "status", "duration_ms",
-    )
-
-    def __init__(self, statement_id: int, text: str,
-                 kind: str = "UNKNOWN", registry=None):
-        self.statement_id = statement_id
-        self.text = text
-        self.kind = kind
-        self.phase = "queued"
-        self.thread = threading.current_thread().name
-        # Network sessions run statements on their own session thread; the
-        # server stamps the session id into a thread-local, so statements
-        # registered here inherit their owning session automatically.
-        self.session = session_id()
-        self.registry = registry
-        self.started_at = time.time()
-        self._started_perf = time.perf_counter()
-        self._cpu_start = time.thread_time()
-        self.token = CancelToken(statement_id)
-        self.rows_processed = 0
-        self.batches = 0
-        self.peak_batch_rows = 0
-        self.partitions_done = 0
-        self.partitions_total = 0
-        self.pool_tasks = 0
-        self.pool_tasks_in_flight = 0
-        self.pool_cpu_ms = 0.0
-        self.cpu_ms = 0.0            # statement-thread CPU, stamped at finish
-        self.lock_wait_ms = 0.0
-        self.lock_waits = 0
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self.finished = False
-        self.status = "running"
-        self.duration_ms: Optional[float] = None
-
-    # -- progress (statement thread) ------------------------------------------
-
-    def advance(self, rows: int = 0) -> None:
-        """One batch boundary: record progress, then honor cancellation."""
-        if rows:
-            self.rows_processed += rows
-            if rows > self.peak_batch_rows:
-                self.peak_batch_rows = rows
-        self.batches += 1
-        self.token.check()
-
-    def elapsed_ms(self) -> float:
-        if self.duration_ms is not None:
-            return self.duration_ms
-        return (time.perf_counter() - self._started_perf) * 1000.0
-
-    def total_cpu_ms(self) -> float:
-        """Statement-thread CPU plus worker CPU shipped back from the pool."""
-        if self.finished:
-            return self.cpu_ms + self.pool_cpu_ms
-        return ((time.thread_time() - self._cpu_start) * 1000.0
-                + self.pool_cpu_ms
-                if threading.current_thread().name == self.thread
-                else self.pool_cpu_ms)
-
-    def resource_dict(self) -> Dict[str, Any]:
-        """JSON-ready resource summary (sink records and ``/active``)."""
-        return {
-            "statement_id": self.statement_id,
-            "phase": self.phase,
-            "status": self.status,
-            "cpu_ms": round(self.cpu_ms + self.pool_cpu_ms, 3),
-            "pool_cpu_ms": round(self.pool_cpu_ms, 3),
-            "lock_wait_ms": round(self.lock_wait_ms, 3),
-            "lock_waits": self.lock_waits,
-            "rows_processed": self.rows_processed,
-            "peak_batch_rows": self.peak_batch_rows,
-            "batches": self.batches,
-            "partitions_done": self.partitions_done,
-            "partitions_total": self.partitions_total,
-            "pool_tasks": self.pool_tasks,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-        }
-
-    def active_dict(self) -> Dict[str, Any]:
-        """JSON-ready live view (the ``/active`` HTTP route)."""
-        return {
-            "statement_id": self.statement_id,
-            "statement": " ".join(self.text.split()),
-            "kind": self.kind,
-            "phase": self.phase,
-            "thread": self.thread,
-            "session": self.session,
-            "elapsed_ms": round(self.elapsed_ms(), 3),
-            "rows_processed": self.rows_processed,
-            "batches": self.batches,
-            "partitions_done": self.partitions_done,
-            "partitions_total": self.partitions_total,
-            "pool_tasks_in_flight": self.pool_tasks_in_flight,
-            "lock_wait_ms": round(self.lock_wait_ms, 3),
-            "cancel_requested": self.token.cancelled,
-        }
-
-    def __repr__(self) -> str:
-        return (f"ActiveStatement(#{self.statement_id}, {self.kind}, "
-                f"{self.phase}, {self.rows_processed} rows)")
-
-
 class _LockContention:
     """Aggregated waits for one (lock, mode) pair — a DM_LOCK_WAITS row."""
 
@@ -217,73 +94,41 @@ class _LockContention:
 
 
 class WorkloadRegistry:
-    """Per-provider catalog of executing statements and contention stats.
+    """Per-provider map of live statements, plus lock-contention stats.
 
     ``enabled = False`` turns the whole layer off (used by the accounting
-    overhead benchmark to measure its own cost): nothing registers, so every
-    module-level call short-circuits on the empty thread-local slot.
+    overhead benchmark to measure its own cost): nothing is admitted, so
+    every module-level call short-circuits on the record's empty
+    ``registry`` field.
     """
 
-    def __init__(self, metrics=None, resource_ring: int = DEFAULT_RESOURCE_RING):
+    def __init__(self, metrics=None):
         self.enabled = True
         self.metrics = metrics
         self._lock = threading.Lock()
-        self._active: Dict[int, ActiveStatement] = {}
-        self._finished: deque = deque(maxlen=max(1, int(resource_ring)))
+        self._live: Dict[int, StatementRecord] = {}
         self._contention: Dict[tuple, _LockContention] = {}
 
     # -- statement lifecycle ---------------------------------------------------
 
-    def register(self, statement_id: int, text: str,
-                 kind: str = "UNKNOWN") -> Optional[ActiveStatement]:
-        """Admit one executing statement; None when the layer is off."""
-        if not self.enabled or not statement_id:
-            return None
-        statement = ActiveStatement(statement_id, text, kind, registry=self)
-        with self._lock:
-            self._active[statement_id] = statement
-        return statement
-
-    def finish(self, statement: Optional[ActiveStatement],
-               status: str = "ok",
-               duration_ms: Optional[float] = None) -> None:
-        """Retire a statement into the resource ring, stamping CPU time."""
-        if statement is None:
+    def admit(self, record) -> None:
+        """Make an admitted record live: accounted, visible, cancellable.
+        Nothing happens when the layer is off or for the null record."""
+        if not self.enabled or not record.statement_id:
             return
-        statement.cpu_ms += (time.thread_time() - statement._cpu_start) * 1000.0
-        statement.status = status
-        statement.duration_ms = (duration_ms if duration_ms is not None
-                                 else statement.elapsed_ms())
-        statement.finished = True
+        record.registry = self
+        record.token = CancelToken(record.statement_id)
         with self._lock:
-            self._active.pop(statement.statement_id, None)
-            self._finished.append(statement)
+            self._live[record.statement_id] = record
 
-    def observe(self, record) -> None:
-        """Retire the statement behind a finished trace record.
-
-        Called from the tracer's ``on_statement`` callback (still on the
-        statement's own thread, so the CPU delta is valid).  Stamps the
-        resource summary onto ``record.resources`` so the slow-query sink
-        and ``DM_STATEMENT_RESOURCES`` agree with the query log.
-        """
-        statement_id = getattr(record, "statement_id", 0)
-        if not statement_id:
-            return
+    def retire(self, record) -> None:
+        """Drop a completing record from the live map."""
         with self._lock:
-            statement = self._active.get(statement_id)
-        if statement is None:
-            return
-        self.finish(statement, status=record.status or "ok",
-                    duration_ms=record.duration_ms)
-        try:
-            record.resources = statement.resource_dict()
-        except AttributeError:  # pragma: no cover - null records
-            pass
+            self._live.pop(record.statement_id, None)
 
     def cancel(self, statement_id: int,
                reason: str = "cancelled by operator",
-               session: Optional[int] = None) -> ActiveStatement:
+               session: Optional[int] = None) -> StatementRecord:
         """Request cancellation of an active statement; raises on unknown id.
 
         ``session`` scopes the request: a network session may cancel only
@@ -291,10 +136,9 @@ class WorkloadRegistry:
         caller's session id), while an embedded caller (``session=None``)
         acts as the operator and may cancel anything.
         """
-        from repro.errors import Error
         with self._lock:
-            statement = self._active.get(statement_id)
-            active_ids = sorted(self._active)
+            statement = self._live.get(statement_id)
+            active_ids = sorted(self._live)
         if statement is None:
             raise Error(
                 f"no active statement with id {statement_id} "
@@ -314,18 +158,11 @@ class WorkloadRegistry:
 
     # -- snapshots -------------------------------------------------------------
 
-    def active(self) -> List[ActiveStatement]:
+    def active(self) -> List[StatementRecord]:
         """Live statements, oldest first."""
         with self._lock:
-            return sorted(self._active.values(),
+            return sorted(self._live.values(),
                           key=lambda s: s.statement_id)
-
-    def resource_records(self) -> List[ActiveStatement]:
-        """Active statements then the finished ring, id order within each."""
-        with self._lock:
-            live = sorted(self._active.values(), key=lambda s: s.statement_id)
-            done = list(self._finished)
-        return live + done
 
     def contention(self) -> List[_LockContention]:
         """DM_LOCK_WAITS rows, sorted by (lock, mode)."""
@@ -353,40 +190,80 @@ class WorkloadRegistry:
 
 
 # ---------------------------------------------------------------------------
-# Module-level instrumentation API (resolves the thread-active statement)
+# JSON-ready views of a record
 # ---------------------------------------------------------------------------
 
-def activate(statement: Optional[ActiveStatement]) -> Optional[ActiveStatement]:
-    """Install the statement as this thread's active one; returns the prior."""
-    previous = getattr(_local, "statement", None)
-    _local.statement = statement
-    return previous
+def resource_dict(record) -> Optional[Dict[str, Any]]:
+    """The record's resource summary — the ``resources`` object of the
+    sink, ``/queries`` and the Chrome trace.  None for a statement
+    admitted with the registry disabled."""
+    if record.registry is None:
+        return None
+    return {
+        "statement_id": record.statement_id,
+        "phase": record.phase,
+        "status": record.status,
+        "cpu_ms": round(record.total_cpu_ms(), 3),
+        "pool_cpu_ms": round(record.pool_cpu_ms, 3),
+        "lock_wait_ms": round(record.lock_wait_ms, 3),
+        "lock_waits": record.lock_waits,
+        "rows_processed": record.rows_processed,
+        "peak_batch_rows": record.peak_batch_rows,
+        "batches": record.batches,
+        "partitions_done": record.partitions_done,
+        "partitions_total": record.partitions_total,
+        "pool_tasks": record.pool_tasks,
+        "cache_hits": record.cache_hits,
+        "cache_misses": record.cache_misses,
+    }
 
 
-def deactivate(previous: Optional[ActiveStatement]) -> None:
-    """Restore the statement returned by the matching :func:`activate`."""
-    _local.statement = previous
+def active_dict(record) -> Dict[str, Any]:
+    """A live record's progress (the ``/active`` HTTP route)."""
+    return {
+        "statement_id": record.statement_id,
+        "statement": " ".join(record.text.split()),
+        "kind": record.kind,
+        "phase": record.phase,
+        "thread": record.thread,
+        "session": record.session,
+        "elapsed_ms": round(record.elapsed_ms(), 3),
+        "rows_processed": record.rows_processed,
+        "batches": record.batches,
+        "partitions_done": record.partitions_done,
+        "partitions_total": record.partitions_total,
+        "pool_tasks_in_flight": record.pool_tasks_in_flight,
+        "lock_wait_ms": round(record.lock_wait_ms, 3),
+        "cancel_requested": record.token.cancelled,
+    }
 
 
-def current() -> Optional[ActiveStatement]:
-    """This thread's active statement, or None."""
-    return getattr(_local, "statement", None)
-
+# ---------------------------------------------------------------------------
+# Module-level instrumentation API (resolves the thread-active record)
+# ---------------------------------------------------------------------------
 
 def set_session(session: Optional[int]) -> None:
     """Bind this thread to a network session id (None to unbind).
 
     The DMX server calls this once on each session thread; every statement
-    registered on the thread then carries the session id into
+    admitted on the thread then carries the session id into
     ``DM_ACTIVE_STATEMENTS`` / ``DM_QUERY_LOG`` and is protected by the
     cancel ownership check.
     """
-    _local.session = session
+    _session.session = session
 
 
 def session_id() -> Optional[int]:
     """The network session id bound to this thread, or None (embedded)."""
-    return getattr(_local, "session", None)
+    return getattr(_session, "session", None)
+
+
+def current() -> Optional[StatementRecord]:
+    """This thread's active record if the registry accounts for it."""
+    record = active_record()
+    if record is not None and record.registry is not None:
+        return record
+    return None
 
 
 def checkpoint(rows: int = 0) -> None:
@@ -396,54 +273,52 @@ def checkpoint(rows: int = 0) -> None:
     pool's ordered merge, and the binding pipeline call once per batch.  It
     raises :class:`CancelledError` when the statement's token is set.
     """
-    statement = getattr(_local, "statement", None)
-    if statement is not None:
-        statement.advance(rows)
+    record = current()
+    if record is not None:
+        record.advance(rows)
 
 
 def check() -> None:
     """Honor cancellation without recording progress (entry-point guard)."""
-    statement = getattr(_local, "statement", None)
-    if statement is not None:
-        statement.token.check()
+    record = current()
+    if record is not None:
+        record.token.check()
 
 
 def set_phase(phase: str) -> None:
     """Move the active statement into a new execution phase."""
-    statement = getattr(_local, "statement", None)
-    if statement is not None:
-        statement.phase = phase
+    record = current()
+    if record is not None:
+        record.phase = phase
 
 
 def note_lock_wait(lock: str, mode: str, wait_ms: float) -> None:
     """Report one contended lock acquisition (called by RWLock)."""
-    statement = getattr(_local, "statement", None)
-    if statement is None:
-        return
-    statement.lock_wait_ms += wait_ms
-    statement.lock_waits += 1
-    if statement.registry is not None:
-        statement.registry.record_lock_wait(lock, mode, wait_ms)
+    record = current()
+    if record is not None:
+        record.lock_wait_ms += wait_ms
+        record.lock_waits += 1
+        record.registry.record_lock_wait(lock, mode, wait_ms)
 
 
 def note_cache(hit: bool) -> None:
     """Attribute one caseset-cache lookup to the active statement."""
-    statement = getattr(_local, "statement", None)
-    if statement is not None:
+    record = current()
+    if record is not None:
         if hit:
-            statement.cache_hits += 1
+            record.cache_hits += 1
         else:
-            statement.cache_misses += 1
+            record.cache_misses += 1
 
 
 def set_partitions(total: int) -> None:
-    statement = getattr(_local, "statement", None)
-    if statement is not None:
-        statement.partitions_total = total
-        statement.partitions_done = 0
+    record = current()
+    if record is not None:
+        record.partitions_total = total
+        record.partitions_done = 0
 
 
 def partition_done() -> None:
-    statement = getattr(_local, "statement", None)
-    if statement is not None:
-        statement.partitions_done += 1
+    record = current()
+    if record is not None:
+        record.partitions_done += 1

@@ -222,10 +222,9 @@ def render_trace(record) -> str:
             walk(child, child_prefix, position == len(span.children) - 1)
 
     root = record.root
-    if root is not None:
-        lines.append(_describe_span(root))
-        for position, child in enumerate(root.children):
-            walk(child, "", position == len(root.children) - 1)
+    lines.append(_describe_span(root))
+    for position, child in enumerate(root.children):
+        walk(child, "", position == len(root.children) - 1)
     return "\n".join(lines)
 
 

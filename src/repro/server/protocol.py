@@ -33,9 +33,17 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro import errors as errors_module
 from repro.errors import Error, ParseError, ProtocolError
-from repro.core.persistence import decode_value, encode_value
+from repro.sqlstore.pages import (  # noqa: F401  (the wire's names)
+    decode_cell,
+    decode_column,
+    decode_rows,
+    decode_rowset as rowset_from_wire,
+    encode_cell,
+    encode_column,
+    encode_rows,
+    encode_rowset as rowset_to_wire,
+)
 from repro.sqlstore.rowset import Rowset, RowsetColumn
-from repro.sqlstore.types import type_from_name
 
 #: Protocol revision; the hello handshake rejects mismatches up front.
 PROTOCOL_VERSION = 1
@@ -118,63 +126,15 @@ def recv_frame(sock,
 # Rowset codec
 # ---------------------------------------------------------------------------
 
-def _column_to_wire(column: RowsetColumn) -> Dict[str, Any]:
-    out: Dict[str, Any] = {
-        "name": column.name,
-        "type": None if column.type is None else column.type.name,
-    }
-    if column.nested_columns is not None:
-        out["nested"] = [_column_to_wire(c) for c in column.nested_columns]
-    return out
-
-
-def _column_from_wire(entry: Dict[str, Any]) -> RowsetColumn:
-    nested = entry.get("nested")
-    if nested is not None:
-        return RowsetColumn(entry["name"],
-                            nested_columns=[_column_from_wire(c)
-                                            for c in nested])
-    name = entry.get("type")
-    return RowsetColumn(entry["name"],
-                        None if name is None else type_from_name(name))
-
+# One codec below both layers: a cell, row, column and rowset travel on
+# the wire exactly as they sit in a page (repro.sqlstore.pages).
 
 def columns_to_wire(columns) -> List[Dict[str, Any]]:
-    return [_column_to_wire(column) for column in columns]
+    return [encode_column(column) for column in columns]
 
 
 def columns_from_wire(entries) -> List[RowsetColumn]:
-    return [_column_from_wire(entry) for entry in entries]
-
-
-def encode_cell(value: Any) -> Any:
-    if isinstance(value, Rowset):
-        return {"$rowset": rowset_to_wire(value)}
-    return encode_value(value)
-
-
-def decode_cell(value: Any) -> Any:
-    if isinstance(value, dict) and "$rowset" in value:
-        return rowset_from_wire(value["$rowset"])
-    return decode_value(value)
-
-
-def encode_rows(rows) -> List[List[Any]]:
-    return [[encode_cell(value) for value in row] for row in rows]
-
-
-def decode_rows(rows) -> List[tuple]:
-    return [tuple(decode_cell(value) for value in row) for row in rows]
-
-
-def rowset_to_wire(rowset: Rowset) -> Dict[str, Any]:
-    return {"columns": columns_to_wire(rowset.columns),
-            "rows": encode_rows(rowset.rows)}
-
-
-def rowset_from_wire(entry: Dict[str, Any]) -> Rowset:
-    return Rowset(columns_from_wire(entry["columns"]),
-                  decode_rows(entry["rows"]))
+    return [decode_column(entry) for entry in entries]
 
 
 def rowset_dump(rowset: Rowset) -> str:

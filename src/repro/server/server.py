@@ -7,10 +7,10 @@ serves it to concurrent clients over the frame protocol of
 * **Thread per session.**  Each admitted connection gets its own thread,
   and statements execute *on that thread* through the ordinary embedded
   ``Provider.execute`` / ``execute_stream`` paths.  All of the provider's
-  thread-local machinery — tracer activation, active-statement
-  registration, cancel-token checkpoints, the session DOP cap — therefore
-  works over the wire exactly as it does embedded, which is what lets the
-  wire-vs-embedded differential grid demand byte-identical results.
+  thread-local machinery — the active statement record, cancel-token
+  checkpoints, the session DOP cap — therefore works over the wire
+  exactly as it does embedded, which is what lets the wire-vs-embedded
+  differential grid demand byte-identical results.
 
 * **Handshake-first admission.**  A connection's first frame decides what
   it is: ``hello`` starts a session, ``cancel`` is a short-lived control
@@ -380,9 +380,9 @@ class DmxServer:
     def _session_loop(self, session: Session) -> None:
         """Bind the session's thread-locals and serve frames until EOF.
 
-        Statements execute on this thread, so the provider's tracer,
-        active-statement registry, and pool all see the session exactly as
-        they would an embedded caller thread.
+        Statements execute on this thread, so the provider's statement
+        records, workload registry, and pool all see the session exactly
+        as they would an embedded caller thread.
         """
         obs_workload.set_session(session.session_id)
         set_session_dop_cap(session.max_dop)
@@ -443,9 +443,12 @@ class DmxServer:
     def _handle_execute_stream(self, session: Session, frame: dict) -> None:
         """execute_stream: a columns frame, then batch frames, then end.
 
-        Mid-stream errors (a cancel landing between batches, a lazy bind
-        failure) arrive as an error frame *instead of* the end frame; the
-        client re-raises at that point in its batch iterator, matching
+        The statement stays live — in ``DM_ACTIVE_STATEMENTS``, within
+        reach of ``Connection.cancel`` and of :meth:`close`'s drain —
+        until its last batch is out, and the whole drain runs inside the
+        gate.  Mid-stream errors (a cancel landing between batches, a lazy
+        bind failure) arrive as an error frame *instead of* the end frame;
+        the client re-raises at that point in its batch iterator, matching
         where the embedded stream would have raised.
         """
         text = frame.get("statement", "")
@@ -483,13 +486,14 @@ class DmxServer:
         _close_socket(self._listener)
 
         if not self.gate.wait_idle(DRAIN_TIMEOUT):
-            # Politely ask stragglers to stop at their next checkpoint,
+            # Politely ask stragglers — statements and streams still
+            # sending batches alike — to stop at their next checkpoint,
             # then give them one more drain window.
-            for statement in self.provider.workload.active():
-                if statement.session is not None:
+            for record in self.provider.workload.active():
+                if record.session is not None:
                     with contextlib.suppress(Error):
                         self.provider.workload.cancel(
-                            statement.statement_id,
+                            record.statement_id,
                             reason="server shutting down")
             self.gate.wait_idle(DRAIN_TIMEOUT)
 

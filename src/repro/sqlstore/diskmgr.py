@@ -7,7 +7,7 @@ A crash at any byte offset therefore leaves the previous catalog pointing at
 previous, intact files — shadow paging, the same discipline the durable
 store's snapshot/journal pair uses one layer up.
 
-Each write goes through a temp file + flush + fsync + ``os.replace``, with
+Each write goes through a temp file + flush + fsync + atomic rename, with
 :class:`~repro.store.faults.FaultInjector` consulted at the same stations
 the journal exposes (``page.before_write``, ``page.torn_write``,
 ``page.before_fsync``, ``page.before_replace``), so the crash suite can
@@ -17,12 +17,11 @@ kill the writer mid-page and assert no torn page is ever served.
 from __future__ import annotations
 
 import os
-import tempfile
 from typing import List, Optional
 
 from repro.errors import Error
 from repro.sqlstore.pages import Page, decode_page, encode_page
-from repro.store.atomic import fsync_directory
+from repro.store.atomic import atomic_write_bytes
 
 
 class StorageError(Error):
@@ -68,42 +67,16 @@ class DiskManager:
                    rows: List[tuple]) -> str:
         """Write one page durably; returns the page's file name.
 
-        The write is staged through a temp sibling and atomically renamed,
-        with fault points before the write, after half the bytes (the torn
-        page), before fsync, and before the rename.
+        The write is staged through a temp sibling and atomically renamed
+        (:func:`~repro.store.atomic.atomic_write_bytes`), with fault points
+        before the write, after half the bytes (the torn page), before
+        fsync, and before the rename.
         """
-        data = encode_page(page_id, rows)
-        directory = self.ensure_table_dir(table_id)
         filename = self.page_filename(page_id, version)
-        final = os.path.join(directory, filename)
-        if self.faults is not None:
-            self.faults.hit("page.before_write")
-        fd, temp_path = tempfile.mkstemp(prefix=filename + ".",
-                                         suffix=".tmp", dir=directory)
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                if self.faults is not None:
-                    half = len(data) // 2
-                    handle.write(data[:half])
-                    handle.flush()
-                    self.faults.hit("page.torn_write")
-                    handle.write(data[half:])
-                else:
-                    handle.write(data)
-                handle.flush()
-                if self.faults is not None:
-                    self.faults.hit("page.before_fsync")
-                os.fsync(handle.fileno())
-            if self.faults is not None:
-                self.faults.hit("page.before_replace")
-            os.replace(temp_path, final)
-        except BaseException:
-            try:
-                os.unlink(temp_path)
-            except OSError:
-                pass
-            raise
-        fsync_directory(directory)
+        atomic_write_bytes(
+            os.path.join(self.ensure_table_dir(table_id), filename),
+            encode_page(page_id, rows), faults=self.faults,
+            fault_prefix="page")
         return filename
 
     def read_page(self, table_id: int, filename: str,

@@ -23,8 +23,8 @@ offset  field
 
 Scalar cells reuse the persistence tag scheme (``{"$datetime": iso}`` /
 ``{"$date": iso}`` — the same tags the snapshot format and the wire
-protocol use), and TABLE-typed cells nest as ``{"$rowset": ...}``.  The
-CRC makes a torn or bit-flipped page detectable on read:
+protocol use), and TABLE-typed cells nest as ``{"$rowset": ...}`` — the
+cell codec below is the one the wire protocol imports.  The CRC makes a torn or bit-flipped page detectable on read:
 :func:`decode_page` raises :class:`PageFormatError` rather than ever
 serving half a page.
 """
@@ -73,42 +73,75 @@ def decode_scalar(value: Any) -> Any:
     return value
 
 
-def _encode_cell(value: Any) -> Any:
-    # Local import: Rowset lives above the page layer in the module graph.
+# -- the one cell codec ---------------------------------------------------
+# Page payloads and wire frames (repro.server.protocol imports these under
+# its own names) carry cells, rows, columns and rowsets in one spelling.
+# Rowset lives above the page layer in the module graph: local imports.
+
+def encode_column(column) -> dict:
+    out = {"name": column.name,
+           "type": None if column.type is None else column.type.name}
+    # Written only when present, so flat schemas keep their old bytes.
+    if column.nested_columns is not None:
+        out["nested"] = [encode_column(c) for c in column.nested_columns]
+    return out
+
+
+def decode_column(entry: dict):
+    from repro.sqlstore.rowset import RowsetColumn
+    from repro.sqlstore.types import type_from_name
+    nested = entry.get("nested")
+    if nested is not None:
+        return RowsetColumn(entry["name"],
+                            nested_columns=[decode_column(c) for c in nested])
+    name = entry.get("type")
+    return RowsetColumn(entry["name"],
+                        None if name is None else type_from_name(name))
+
+
+def encode_rows(rows) -> List[List[Any]]:
+    return [[encode_cell(value) for value in row] for row in rows]
+
+
+def decode_rows(rows) -> List[tuple]:
+    return [tuple(decode_cell(value) for value in row) for row in rows]
+
+
+def encode_rowset(rowset) -> dict:
+    return {"columns": [encode_column(c) for c in rowset.columns],
+            "rows": encode_rows(rowset.rows)}
+
+
+def decode_rowset(entry: dict):
+    from repro.sqlstore.rowset import Rowset
+    return Rowset([decode_column(c) for c in entry["columns"]],
+                  decode_rows(entry["rows"]))
+
+
+def encode_cell(value: Any) -> Any:
+    """A cell as JSON-ready data: TABLE cells nest as ``{"$rowset": ...}``,
+    scalars go through :func:`encode_scalar`."""
     from repro.sqlstore.rowset import Rowset
     if isinstance(value, Rowset):
-        return {"$rowset": {
-            "columns": [{"name": c.name,
-                         "type": c.type.name if c.type else None}
-                        for c in value.columns],
-            "rows": [[_encode_cell(v) for v in row] for row in value.rows],
-        }}
+        return {"$rowset": encode_rowset(value)}
     return encode_scalar(value)
 
 
-def _decode_cell(value: Any) -> Any:
+def decode_cell(value: Any) -> Any:
     if isinstance(value, dict) and "$rowset" in value:
-        from repro.sqlstore.rowset import Rowset, RowsetColumn
-        from repro.sqlstore.types import type_from_name
-        entry = value["$rowset"]
-        columns = [RowsetColumn(c["name"],
-                                type_from_name(c["type"]) if c["type"]
-                                else None)
-                   for c in entry["columns"]]
-        rows = [tuple(_decode_cell(v) for v in row) for row in entry["rows"]]
-        return Rowset(columns, rows)
+        return decode_rowset(value["$rowset"])
     return decode_scalar(value)
 
 
 def encode_row(row: Tuple) -> bytes:
     """One row as canonical UTF-8 JSON bytes (deterministic key order)."""
-    return json.dumps([_encode_cell(v) for v in row], sort_keys=True,
+    return json.dumps([encode_cell(v) for v in row], sort_keys=True,
                       ensure_ascii=False,
                       separators=(",", ":")).encode("utf-8")
 
 
 def decode_row(data: bytes) -> Tuple:
-    return tuple(_decode_cell(v) for v in json.loads(data.decode("utf-8")))
+    return tuple(decode_cell(v) for v in json.loads(data.decode("utf-8")))
 
 
 class Page:
@@ -196,5 +229,4 @@ def decode_page(data: bytes, expect_page_id: Optional[int] = None) -> Page:
         raise PageFormatError(
             f"page {page_id} row-count mismatch: header says {row_count}, "
             f"payload holds {len(raw_rows)}")
-    rows = [tuple(_decode_cell(v) for v in row) for row in raw_rows]
-    return Page(page_id, rows, payload_size=payload_len)
+    return Page(page_id, decode_rows(raw_rows), payload_size=payload_len)

@@ -5,7 +5,7 @@ maintain, and refresh" models inside the database.  This package gives the
 provider database-grade durability for that life cycle:
 
 * :mod:`repro.store.atomic` — atomic file replacement (temp file + fsync +
-  ``os.replace``), shared by provider snapshots and PMML export;
+  atomic rename), shared by every durable file the provider writes;
 * :mod:`repro.store.journal` — an append-only, checksummed write-ahead
   statement journal with torn-tail detection;
 * :mod:`repro.store.durable` — :class:`DurableStore`, which coordinates

@@ -3,8 +3,9 @@
 A plain ``open(path, "w")`` truncates the target before the new bytes are
 safely on disk — a crash mid-write destroys the only copy.  This helper is
 the one write path shared by provider snapshots (``save_provider``, the
-durable store's checkpoints) and PMML export: the new content is written to
-a temporary sibling, flushed and fsync'd, and only then swapped in with
+durable store's checkpoints), PMML export, the paged store's catalog and
+page files, and the workload repository: the new content is written to a
+temporary sibling, flushed and fsync'd, and only then swapped in with
 ``os.replace`` (atomic on POSIX and Windows).  A crash at *any* point
 leaves either the complete old file or the complete new file, never a
 truncated hybrid.
@@ -14,7 +15,6 @@ from __future__ import annotations
 
 import os
 import tempfile
-from typing import Optional
 
 
 def fsync_directory(path: str) -> None:
@@ -35,28 +35,39 @@ def fsync_directory(path: str) -> None:
         os.close(fd)
 
 
-def atomic_write_text(path: str, text: str, *, faults=None,
-                      fault_prefix: str = "atomic",
-                      encoding: str = "utf-8") -> None:
-    """Atomically replace ``path`` with ``text``, durably.
+def atomic_write_bytes(path: str, data: bytes, *, faults=None,
+                       fault_prefix: str = "atomic") -> None:
+    """Atomically replace ``path`` with ``data``, durably.
 
     ``faults`` (a :class:`~repro.store.faults.FaultInjector`) is consulted at
-    ``<fault_prefix>.before_write``, ``.before_replace``, and
-    ``.after_replace`` so the crash-safety suite can kill the writer at each
-    stage and assert the previous file survives intact.
+    ``<fault_prefix>.before_write``, ``.torn_write`` (half the bytes written
+    and flushed), ``.before_fsync``, ``.before_replace``, and
+    ``.after_replace`` so the crash-safety suites can kill the writer at
+    each stage and assert the previous file survives intact.
     """
+    def hit(station: str) -> None:
+        if faults is not None:
+            faults.hit(f"{fault_prefix}.{station}")
+
     directory = os.path.dirname(os.path.abspath(path))
-    if faults is not None:
-        faults.hit(f"{fault_prefix}.before_write")
+    hit("before_write")
     fd, temp_path = tempfile.mkstemp(
         prefix=os.path.basename(path) + ".", suffix=".tmp", dir=directory)
     try:
-        with os.fdopen(fd, "w", encoding=encoding) as handle:
-            handle.write(text)
+        with os.fdopen(fd, "wb") as handle:
+            if faults is not None:
+                # Split the write so a crash can leave the classic torn file.
+                half = len(data) // 2
+                handle.write(data[:half])
+                handle.flush()
+                hit("torn_write")
+                handle.write(data[half:])
+            else:
+                handle.write(data)
             handle.flush()
+            hit("before_fsync")
             os.fsync(handle.fileno())
-        if faults is not None:
-            faults.hit(f"{fault_prefix}.before_replace")
+        hit("before_replace")
         os.replace(temp_path, path)
     except BaseException:
         try:
@@ -65,5 +76,12 @@ def atomic_write_text(path: str, text: str, *, faults=None,
             pass
         raise
     fsync_directory(directory)
-    if faults is not None:
-        faults.hit(f"{fault_prefix}.after_replace")
+    hit("after_replace")
+
+
+def atomic_write_text(path: str, text: str, *, faults=None,
+                      fault_prefix: str = "atomic",
+                      encoding: str = "utf-8") -> None:
+    """:func:`atomic_write_bytes` of ``text`` encoded as ``encoding``."""
+    atomic_write_bytes(path, text.encode(encoding), faults=faults,
+                       fault_prefix=fault_prefix)

@@ -14,7 +14,7 @@ Protocol (the invariants the crash-safety suite enforces):
   a crash after it is replayed on recovery.  An acknowledged statement is
   therefore never lost.
 * **checkpoint** — the snapshot is replaced atomically (temp + fsync +
-  ``os.replace``) *before* the journal is truncated.  A crash between the
+  atomic rename) *before* the journal is truncated.  A crash between the
   two leaves journal records whose ``seq`` the new snapshot already covers;
   recovery skips them by sequence number, so replay is exactly-once.
 * **recovery** — load the snapshot (if any), replay journal records with

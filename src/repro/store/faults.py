@@ -7,21 +7,9 @@ simulated process death — the test then abandons the provider object and
 recovers from disk) or an :class:`OSError` (a simulated I/O failure the
 provider must surface without corrupting the on-disk state).
 
-Crash points currently wired in (see the modules that hit them):
-
-========================== ====================================================
-point                      fires
-========================== ====================================================
-``journal.before_write``   before the record's bytes reach the file
-``journal.torn_write``     after *half* the record's bytes are written and
-                           flushed — the classic torn/partial trailing record
-``journal.before_fsync``   record fully written+flushed, not yet fsync'd
-``journal.after_fsync``    record durable, acknowledgement not yet returned
-``snapshot.before_write``  before the temp snapshot file is written
-``snapshot.before_replace`` temp file durable, ``os.replace`` not yet done
-``snapshot.after_replace`` snapshot replaced, journal not yet truncated
-``checkpoint.after_truncate`` checkpoint fully applied, before return
-========================== ====================================================
+Station names are ``<prefix>.<stage>``; the complete table — journal,
+snapshot, checkpoint, page, catalog, export and atomic prefixes, and the
+call that owns each — is in ``docs/internals.md`` §5½ ("Fault stations").
 
 :class:`InjectedCrash` deliberately subclasses ``BaseException`` so no
 ``except Exception`` recovery path in the provider can swallow a simulated

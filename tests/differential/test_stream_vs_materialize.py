@@ -10,6 +10,10 @@ This pins the tentpole invariant of the streaming refactor: batching is an
 execution detail, never an observable one.
 """
 
+import json
+import urllib.request
+from collections import Counter
+
 import pytest
 
 import repro
@@ -177,6 +181,62 @@ def test_stream_api_matches_execute(streaming, statement):
     assert [c.name for c in stream.columns] == \
         [c.name for c in expected.columns]
     assert rows == list(expected.rows)
+
+
+def test_every_view_of_a_statement_agrees(tmp_path):
+    """The whole grid, blocking then streamed, on one provider: the query
+    log, the resources view, the sink line and ``/queries`` are
+    projections of one record per statement, whichever way it ran."""
+    conn = repro.connect(batch_size=TINY_BATCH, caseset_cache_capacity=0,
+                         telemetry_path=str(tmp_path / "slow.jsonl"))
+    try:
+        _load(conn)
+        pairs = []
+        for statement in STATEMENTS:
+            conn.execute(statement)
+            blocking = conn.provider.tracer.last().statement_id
+            for _ in conn.execute_stream(statement).batches():
+                pass
+            pairs.append((blocking, conn.provider.tracer.last().statement_id))
+        last_id = pairs[-1][1]
+
+        def grid(rows, key=lambda row: row[0]):
+            return {key(row): row for row in rows if key(row) <= last_id}
+
+        stats = dict(conn.execute(
+            "SELECT FINGERPRINT, CALLS FROM $SYSTEM.DM_STATEMENT_STATS").rows)
+        log = grid(conn.execute(
+            "SELECT STATEMENT_ID, KIND, STATUS, DURATION_MS, ROWS_SCANNED, "
+            "ROWS_OUT FROM $SYSTEM.DM_QUERY_LOG").rows)
+        resources = grid(conn.execute(
+            "SELECT STATEMENT_ID, KIND, STATUS, DURATION_MS, ROWS_PROCESSED "
+            "FROM $SYSTEM.DM_STATEMENT_RESOURCES").rows)
+        by_id = lambda record: record["statement_id"]  # noqa: E731
+        sink = grid(conn.provider.slow_sink.records(), by_id)
+        server = conn.provider.serve_metrics(port=0)
+        with urllib.request.urlopen(server.url + "/queries?limit=1000",
+                                    timeout=5) as response:
+            queries = grid(json.loads(response.read()), by_id)
+    finally:
+        conn.close()
+
+    assert sorted(log) == sorted(resources) == sorted(sink) == \
+        sorted(queries) == list(range(1, last_id + 1))
+    for statement_id, (_, kind, status, duration, _, rows_out) in log.items():
+        assert resources[statement_id][1:4] == (kind, status, duration)
+        for line in (sink[statement_id], queries[statement_id]):
+            assert (line["kind"], line["status"], line["duration_ms"]) == \
+                (kind, status, duration)
+            assert line["counters"].get("rows_out", 0) == rows_out
+            assert line["resources"]["rows_processed"] == \
+                resources[statement_id][4]
+    for blocking, streamed in pairs:
+        assert log[streamed][2] == log[blocking][2] == "ok"
+        assert log[streamed][4:] == log[blocking][4:]
+    carried = Counter(line["fingerprint"] for line in sink.values())
+    assert set(carried) <= set(stats)
+    for fingerprint, calls in stats.items():  # the stats query itself: 0
+        assert calls == carried[fingerprint]
 
 
 def test_prediction_join_streaming_matches(streaming, materialized):

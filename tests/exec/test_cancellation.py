@@ -329,23 +329,25 @@ class TestEngineCheckpoint:
     def test_scan_loop_honors_a_pre_set_token(self):
         """A cancelled token stops the very next scan batch."""
         from repro.lang.parser import parse_statement
-        from repro.obs import workload as obs_workload
+        from repro.obs import trace as obs_trace
 
         conn = repro.connect(batch_size=8)
         try:
             conn.execute("CREATE TABLE Big (Id LONG)")
             conn.execute("INSERT INTO Big VALUES " +
                          ", ".join(f"({i})" for i in range(64)))
-            statement = obs_workload.ActiveStatement(999, "manual scan",
-                                                     kind="SELECT")
+            statement = obs_trace.StatementRecord(999, "manual scan",
+                                                  kind="SELECT")
+            conn.provider.workload.admit(statement)
             statement.token.cancel("test")
-            previous = obs_workload.activate(statement)
+            previous = obs_trace.activate(statement)
             try:
                 with pytest.raises(CancelledError):
                     conn.provider.database.execute_select(
                         parse_statement("SELECT * FROM Big"))
             finally:
-                obs_workload.deactivate(previous)
+                obs_trace.deactivate(previous)
+                conn.provider.workload.retire(statement)
             # At most one batch was admitted before the check fired.
             assert statement.rows_processed <= 8
         finally:

@@ -10,10 +10,9 @@ from repro.obs.trace import NULL_SPAN, Tracer
 
 @pytest.fixture
 def tracer():
-    t = Tracer(enabled=True)
-    previous = obs_trace.activate(t)
-    yield t
-    obs_trace.deactivate(previous)
+    # Tracer.statement() makes its record the thread's active one, so the
+    # module-level helpers resolve it without further plumbing.
+    return Tracer(enabled=True)
 
 
 class TestSpanNesting:
@@ -126,32 +125,24 @@ class TestRingBuffer:
 class TestDisabledPaths:
     def test_spans_are_noops_when_capture_disabled(self):
         tracer = Tracer(enabled=False)
-        previous = obs_trace.activate(tracer)
-        try:
-            with tracer.statement("x") as record:
-                with obs_trace.span("a") as span:
-                    assert span is NULL_SPAN
-                    obs_trace.add("rows", 4)
-            # Counters still land on the statement root for the log.
-            assert record.totals() == {"rows": 4}
-            assert record.root.children == []
-        finally:
-            obs_trace.deactivate(previous)
+        with tracer.statement("x") as record:
+            with obs_trace.span("a") as span:
+                assert span is NULL_SPAN
+                obs_trace.add("rows", 4)
+        # Counters still land on the statement root for the log.
+        assert record.totals() == {"rows": 4}
+        assert record.root.children == []
 
     def test_recording_off_produces_null_records(self):
         tracer = Tracer()
         tracer.recording = False
-        previous = obs_trace.activate(tracer)
-        try:
-            with tracer.statement("x") as record:
-                record.kind = "SELECT"  # swallowed, not stored
-                obs_trace.add("rows", 1)
-            assert len(tracer) == 0
-        finally:
-            obs_trace.deactivate(previous)
+        with tracer.statement("x") as record:
+            record.kind = "SELECT"  # swallowed, not stored
+            obs_trace.add("rows", 1)
+        assert len(tracer) == 0
 
     def test_module_helpers_are_noops_without_active_tracer(self):
-        assert obs_trace.active_tracer() is None
+        assert obs_trace.active_record() is None
         with obs_trace.span("orphan") as span:
             assert span is NULL_SPAN
         obs_trace.add("rows", 1)  # must not raise
@@ -163,16 +154,12 @@ class TestThreading:
         errors = []
 
         def worker(name):
-            previous = obs_trace.activate(tracer)
-            try:
-                for index in range(20):
-                    with tracer.statement(f"{name} {index}") as record:
-                        with obs_trace.span(name):
-                            obs_trace.add("rows", 1)
-                    if [s.name for s in record.root.children] != [name]:
-                        errors.append(record)
-            finally:
-                obs_trace.deactivate(previous)
+            for index in range(20):
+                with tracer.statement(f"{name} {index}") as record:
+                    with obs_trace.span(name):
+                        obs_trace.add("rows", 1)
+                if [s.name for s in record.root.children] != [name]:
+                    errors.append(record)
 
         threads = [threading.Thread(target=worker, args=(f"t{i}",))
                    for i in range(4)]
@@ -182,3 +169,93 @@ class TestThreading:
             thread.join()
         assert not errors
         assert len(tracer) == 80
+
+
+class TestCaptureIsPerStatement:
+    """EXPLAIN ANALYZE forces span capture on its own record only."""
+
+    ANALYZE = "EXPLAIN ANALYZE SELECT COUNT(*) FROM T WHERE V > 10"
+
+    @pytest.fixture
+    def held(self, monkeypatch):
+        """A connection whose EXPLAIN ANALYZE threads park at the entry of
+        their plan's run() until released: ``hold(name)`` returns the
+        (entered, release) events of the thread called ``name``."""
+        import repro
+        from repro.core import provider as provider_module
+        conn = repro.connect()
+        conn.execute("CREATE TABLE T (Id LONG, V DOUBLE)")
+        conn.execute("INSERT INTO T VALUES " + ", ".join(
+            f"({i}, {i * 0.5})" for i in range(200)))
+        gates = {}
+        build = provider_module.build_plan
+
+        def build_held(provider, statement):
+            plan = build(provider, statement)
+            gate = gates.get(threading.current_thread().name)
+            if gate is not None:
+                run = plan.run
+
+                def run_held(batch_size):
+                    gate[0].set()
+                    assert gate[1].wait(10)
+                    return run(batch_size)
+                plan.run = run_held
+            return plan
+
+        monkeypatch.setattr(provider_module, "build_plan", build_held)
+
+        def hold(name):
+            gates[name] = (threading.Event(), threading.Event())
+            return gates[name]
+
+        yield conn, hold
+        conn.close()
+
+    def _analyze_on(self, conn, name, results):
+        thread = threading.Thread(
+            name=name, target=lambda: results.__setitem__(
+                name, conn.execute(self.ANALYZE)))
+        thread.start()
+        return thread
+
+    def test_a_concurrent_select_captures_nothing(self, held):
+        conn, hold = held
+        entered, release = hold("analyzer")
+        results = {}
+        thread = self._analyze_on(conn, "analyzer", results)
+        try:
+            assert entered.wait(10)
+            conn.execute("SELECT Id FROM T WHERE V > 10")
+        finally:
+            release.set()
+            thread.join(10)
+        assert not thread.is_alive()
+        spans = dict(conn.execute(
+            "SELECT KIND, SPAN_COUNT FROM $SYSTEM.DM_QUERY_LOG "
+            "WHERE KIND <> 'INSERT'").rows)
+        assert spans["SELECT"] == 1
+        assert spans["EXPLAIN_ANALYZE"] > 1
+        assert conn.provider.tracer.enabled is False
+
+    def test_overlapping_analyzes_leave_tracing_off_and_both_profiled(
+            self, held):
+        conn, hold = held
+        first, second = hold("first"), hold("second")
+        results = {}
+        threads = [self._analyze_on(conn, name, results)
+                   for name in ("first", "second")]
+        try:
+            assert first[0].wait(10) and second[0].wait(10)
+            first[1].set()
+            threads[0].join(10)
+        finally:
+            first[1].set()
+            second[1].set()
+            threads[1].join(10)
+        assert not any(thread.is_alive() for thread in threads)
+        assert conn.provider.tracer.enabled is False
+        for name in ("first", "second"):
+            plan = results[name]
+            actual = [row[plan.index_of("ACTUAL_ROWS")] for row in plan.rows]
+            assert actual and None not in actual, (name, plan.rows)

@@ -7,6 +7,7 @@ CPU/lock-wait reconciliation, the Chrome-trace exporter, the ``/active``
 HTTP route, and the telemetry-server lifecycle.
 """
 
+import gc
 import json
 import threading
 import time
@@ -19,7 +20,8 @@ import repro
 from repro.errors import CancelledError, Error
 from repro.obs import workload as obs_workload
 from repro.obs.export import chrome_trace_events
-from repro.obs.workload import ActiveStatement, CancelToken, WorkloadRegistry
+from repro.obs.trace import StatementRecord, Tracer
+from repro.obs.workload import CancelToken, WorkloadRegistry
 
 
 def _get(url):
@@ -57,40 +59,51 @@ class TestCancelToken:
 
 
 class TestWorkloadRegistry:
-    def test_register_finish_moves_to_the_ring(self):
-        registry = WorkloadRegistry()
-        statement = registry.register(1, "SELECT 1", kind="SELECT")
+    @staticmethod
+    def _admitted(registry, statement_id, text="SELECT 1", kind="SELECT"):
+        record = StatementRecord(statement_id, text, kind)
+        registry.admit(record)
+        return record
+
+    def test_admit_complete_moves_to_the_ring(self):
+        registry, tracer = WorkloadRegistry(), Tracer()
+        statement = tracer.admit("SELECT 1", kind="SELECT")
+        registry.admit(statement)
         assert [s.statement_id for s in registry.active()] == [1]
-        registry.finish(statement, status="ok", duration_ms=5.0)
+        assert statement.status == "running"
+        tracer.complete(statement)
         assert registry.active() == []
-        records = registry.resource_records()
+        records = tracer.statements()
         assert len(records) == 1
+        assert records[0] is statement
         assert records[0].status == "ok"
-        assert records[0].duration_ms == 5.0
-        assert records[0].finished
+        assert records[0].duration_ms is not None
+        tracer.complete(statement)  # idempotent
+        assert len(tracer.statements()) == 1
 
     def test_disabled_registry_registers_nothing(self):
         registry = WorkloadRegistry()
         registry.enabled = False
-        assert registry.register(1, "SELECT 1") is None
+        statement = self._admitted(registry, 1)
+        assert statement.registry is None and statement.token is None
         assert registry.active() == []
 
     def test_cancel_unknown_id_names_the_active_set(self):
         registry = WorkloadRegistry()
-        registry.register(3, "SELECT 1")
+        self._admitted(registry, 3)
         with pytest.raises(Error, match="no active statement with id 9"):
             registry.cancel(9)
 
     def test_cancel_latches_the_statements_token(self):
         registry = WorkloadRegistry()
-        statement = registry.register(4, "SELECT 1")
+        statement = self._admitted(registry, 4)
         registry.cancel(4)
         assert statement.token.cancelled
         with pytest.raises(CancelledError):
             statement.token.check()
 
     def test_advance_tracks_rows_batches_and_peak(self):
-        statement = ActiveStatement(1, "scan")
+        statement = self._admitted(WorkloadRegistry(), 1, "scan")
         statement.advance(10)
         statement.advance(30)
         statement.advance(20)
@@ -99,7 +112,7 @@ class TestWorkloadRegistry:
         assert statement.peak_batch_rows == 30
 
     def test_advance_is_a_cancellation_checkpoint(self):
-        statement = ActiveStatement(1, "scan")
+        statement = self._admitted(WorkloadRegistry(), 1, "scan")
         statement.token.cancel()
         with pytest.raises(CancelledError):
             statement.advance(10)
@@ -146,7 +159,7 @@ class TestStatementResourcesRowset:
             _, res_duration, _cpu, lock_wait = resources[statement_id]
             # Same statement, same clock: the two views agree, and a
             # statement cannot wait on locks longer than it existed.
-            assert res_duration == pytest.approx(duration_ms, abs=1.0)
+            assert res_duration == duration_ms
             assert 0.0 <= lock_wait <= duration_ms + 1.0
 
     def test_cache_counters_surface(self, trained):
@@ -292,13 +305,13 @@ class TestActiveRoute:
             started = threading.Event()
 
             def hold():
-                statement = conn.provider.workload.register(
-                    12345, "SELECT sleep", kind="SELECT")
+                statement = StatementRecord(12345, "SELECT sleep",
+                                            kind="SELECT")
+                conn.provider.workload.admit(statement)
                 statement.phase = "scan"
                 started.set()
                 release.wait(5.0)
-                conn.provider.workload.finish(statement, status="ok",
-                                              duration_ms=1.0)
+                conn.provider.workload.retire(statement)
 
             thread = threading.Thread(target=hold)
             thread.start()
@@ -340,3 +353,162 @@ class TestTelemetryServerLifecycle:
         server = conn.provider.serve_metrics(port=0)
         conn.close()
         assert server.closed
+
+
+# -- one record, one lifetime --------------------------------------------------
+
+Q = "SELECT Id, V FROM T WHERE V > 10"
+T_ROWS = 3000
+
+
+@pytest.fixture
+def scanned(conn):
+    """T(Id, V) with V = Id / 2, so ``Q`` keeps all but the first 21 rows."""
+    conn.execute("CREATE TABLE T (Id LONG, V DOUBLE)")
+    conn.execute("INSERT INTO T VALUES " + ", ".join(
+        f"({i}, {i * 0.5})" for i in range(T_ROWS)))
+    return conn
+
+
+def _views(conn, text=Q):
+    """{statement_id: (log row, resources row)} of the finished statements
+    whose text is ``text`` — DM_QUERY_LOG joined to DM_STATEMENT_RESOURCES."""
+    log = conn.execute(
+        "SELECT STATEMENT_ID, STATEMENT, KIND, STATUS, DURATION_MS, "
+        "ROWS_SCANNED, ROWS_OUT FROM $SYSTEM.DM_QUERY_LOG").rows
+    resources = {row[0]: row for row in conn.execute(
+        "SELECT STATEMENT_ID, KIND, STATUS, DURATION_MS, ROWS_PROCESSED, "
+        "BATCHES FROM $SYSTEM.DM_STATEMENT_RESOURCES").rows}
+    return {row[0]: (row, resources.get(row[0]))
+            for row in log if row[1] == text}
+
+
+class TestStreamedStatementLifetime:
+    def test_streamed_and_blocking_records_agree(self, scanned):
+        conn = scanned
+        expected = len(conn.execute(Q).rows)
+        produced_ms, received = 0.0, 0
+        batches = conn.execute_stream(Q, batch_size=100).batches()
+        while True:
+            began = time.perf_counter()
+            batch = next(batches, None)
+            if batch is None:
+                break  # the exhausting pull is not a production
+            produced_ms += (time.perf_counter() - began) * 1000.0
+            received += len(batch)
+        assert received == expected == T_ROWS - 21
+
+        views = _views(conn)  # blocking first: ids are admission order
+        (blocking_log, blocking_res), (stream_log, stream_res) = \
+            [views[statement_id] for statement_id in sorted(views)]
+        assert stream_log[3] == blocking_log[3] == "ok"
+        assert stream_log[5] == blocking_log[5] == T_ROWS   # ROWS_SCANNED
+        assert stream_log[6] == blocking_log[6] == expected  # ROWS_OUT
+        assert stream_res[4] == blocking_res[4] == T_ROWS   # ROWS_PROCESSED
+        # Every production happened inside the statement's lifetime.
+        streamed = [r for r in conn.provider.tracer.statements()
+                    if r.statement_id == stream_log[0]][0]
+        assert streamed.duration_ms >= produced_ms
+
+        stats = conn.execute(
+            "SELECT CALLS, ROWS_RETURNED FROM $SYSTEM.DM_STATEMENT_STATS "
+            f"WHERE FINGERPRINT = '{streamed.fingerprint}'").rows
+        assert stats == [(2, 2 * expected)]
+
+    def test_a_stream_is_visible_and_cancellable_between_batches(
+            self, scanned):
+        conn = scanned
+        cancelled_before = conn.provider.metrics.value(
+            "statements.cancelled") or 0
+        batches = conn.execute_stream(Q, batch_size=100).batches()
+        assert next(batches)
+        active = conn.execute(
+            "SELECT STATEMENT_ID, PHASE, ROWS_PROCESSED FROM "
+            "$SYSTEM.DM_ACTIVE_STATEMENTS WHERE STATEMENT = "
+            f"'{Q}'").rows
+        assert len(active) == 1
+        statement_id, phase, rows_processed = active[0]
+        assert phase == "scan"
+        assert 100 <= rows_processed < T_ROWS
+        assert f"statement {statement_id}" in conn.cancel(statement_id)
+        with pytest.raises(CancelledError):
+            next(batches)
+        assert conn.provider.workload.active() == []
+        log, resources = _views(conn)[statement_id]
+        assert log[3] == resources[2] == "cancelled"
+        assert conn.provider.metrics.value("statements.cancelled") == \
+            cancelled_before + 1
+
+    @pytest.mark.parametrize("ending", ["closed", "dropped",
+                                        "dropped-unstarted"])
+    def test_an_abandoned_stream_retires_exactly_once(self, scanned,
+                                                      ending):
+        conn = scanned
+        retired = []
+        observe = conn.provider.tracer.on_statement
+
+        def counting(record):
+            retired.append(record.statement_id)
+            observe(record)
+
+        conn.provider.tracer.on_statement = counting
+        stream = conn.execute_stream(Q, batch_size=100)
+        (live,) = conn.provider.workload.active()
+        batches = stream.batches()
+        received = 0
+        if ending != "dropped-unstarted":
+            received = len(next(batches))
+        if ending == "closed":
+            batches.close()
+        del stream, batches
+        gc.collect()
+        assert conn.provider.workload.active() == []
+        assert retired == [live.statement_id]
+        log, resources = _views(conn)[live.statement_id]
+        assert log[3] == resources[2] == "ok"
+        assert log[6] == received  # ROWS_OUT: what was produced
+
+    def test_a_statement_between_two_pulls_has_its_own_record(
+            self, scanned):
+        conn = scanned
+        batches = conn.execute_stream(Q, batch_size=100).batches()
+        next(batches)
+        assert conn.execute("SELECT COUNT(*) FROM T").rows == [(T_ROWS,)]
+        (count_log, _), = _views(conn, "SELECT COUNT(*) FROM T").values()
+        assert count_log[5] == T_ROWS  # the inner scan, all of it, only it
+        for _ in batches:
+            pass
+        (stream_log, stream_res), = _views(conn).values()
+        assert stream_log[0] < count_log[0]  # admitted first, retired last
+        assert stream_log[5] == stream_res[4] == T_ROWS
+
+    def test_log_and_resources_list_the_same_statements(self, scanned):
+        from repro.core.schema_rowsets import system_rowset
+        conn = scanned
+
+        def projections():
+            # No statement runs between the two reads: same ring.
+            views = []
+            for name in ("DM_QUERY_LOG", "DM_STATEMENT_RESOURCES"):
+                rowset = system_rowset(conn.provider, name)
+                at = [rowset.index_of(column) for column in (
+                    "STATEMENT_ID", "KIND", "STATUS", "DURATION_MS")]
+                views.append([tuple(row[i] for i in at)
+                              for row in rowset.rows])
+            return views
+
+        conn.provider.tracer.resize_ring(4)
+        for index in range(12):
+            conn.execute(f"SELECT {index} AS n FROM T WHERE Id = 1")
+        log, resources = projections()
+        assert len(log) == 4
+        assert resources == log
+        # ...so a join on STATEMENT_ID keeps every log row (the joining
+        # statement itself is live: in the resources view, not yet logged).
+        joined = conn.execute(
+            "SELECT l.STATEMENT_ID FROM $SYSTEM.DM_QUERY_LOG AS l JOIN "
+            "$SYSTEM.DM_STATEMENT_RESOURCES AS r "
+            "ON l.STATEMENT_ID = r.STATEMENT_ID").rows
+        assert [row[0] for row in joined] == [row[0] for row in log]
+        conn.provider.tracer.clear()
+        assert projections() == [[], []]

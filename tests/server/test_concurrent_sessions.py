@@ -176,6 +176,88 @@ def test_cancel_is_scoped_to_the_owning_session(served):
         unregister_algorithm(SlowIterative)
 
 
+def _session_row(conn, session_id):
+    sessions = conn.execute("SELECT * FROM $SYSTEM.DM_SESSIONS")
+    (row,) = [row for row in sessions.rows
+              if row[sessions.index_of("SESSION_ID")] == session_id]
+    return {column.name: value
+            for column, value in zip(sessions.columns, row)}
+
+
+def test_a_wire_stream_logs_what_the_client_received(served):
+    conn, server = served
+    query = "SELECT pid, age FROM People WHERE pid > 5"
+    with net_connect("127.0.0.1", server.port) as client:
+        before = _session_row(conn, client.session_id)["ROWS_SENT"]
+        received = len(list(client.execute_stream(query, batch_size=9)))
+        assert received == 75
+        # The end frame can beat the server-side completion by a hair.
+        deadline = time.monotonic() + 10
+        while conn.provider.workload.active():
+            assert time.monotonic() < deadline, "stream never completed"
+            time.sleep(0.005)
+        sent = _session_row(conn, client.session_id)["ROWS_SENT"] - before
+    logged = conn.execute(
+        "SELECT ROWS_OUT, STATUS FROM $SYSTEM.DM_QUERY_LOG "
+        f"WHERE SESSION = {client.session_id} AND STATEMENT = '{query}'"
+    ).rows
+    assert logged == [(received, "ok")]
+    assert sent == received
+
+
+def test_a_wire_stream_is_cancellable_mid_stream_by_its_owner(served):
+    """One batch into a wire stream the statement is live, another session
+    may not cancel it, its owner may, and the client's next pull raises."""
+    from repro.sqlstore.rowset import RowStream
+    conn, server = served
+    provider = conn.provider
+    first_batch_out, resume = threading.Event(), threading.Event()
+    open_stream = provider.execute_stream
+
+    def paced(command, batch_size=None):
+        stream = open_stream(command, batch_size)
+
+        def batches():
+            for index, batch in enumerate(stream.batches()):
+                if index == 1:  # between two productions: not active
+                    first_batch_out.set()
+                    assert resume.wait(10)
+                yield batch
+        return RowStream(stream.columns, batches())
+
+    provider.execute_stream = paced
+    cancelled_before = provider.metrics.value("statements.cancelled") or 0
+    try:
+        with net_connect("127.0.0.1", server.port) as owner, \
+                net_connect("127.0.0.1", server.port) as intruder:
+            batches = owner.execute_stream("SELECT pid FROM People",
+                                           batch_size=9).batches()
+            assert len(next(batches)) == 9
+            assert first_batch_out.wait(10)
+            (statement_id, phase), = intruder.execute(
+                "SELECT STATEMENT_ID, PHASE FROM "
+                "$SYSTEM.DM_ACTIVE_STATEMENTS "
+                f"WHERE SESSION = {owner.session_id}").rows
+            assert phase == "scan"
+            with pytest.raises(Error, match="owned by"):
+                intruder.cancel(statement_id)
+            assert f"statement {statement_id}" in owner.cancel(statement_id)
+            resume.set()
+            with pytest.raises(Error, match="cancelled"):
+                for _ in batches:
+                    pass
+            assert owner.ping()  # the session survives its cancelled stream
+    finally:
+        resume.set()
+        del provider.execute_stream
+    assert provider.workload.active() == []
+    assert conn.execute(
+        "SELECT STATUS FROM $SYSTEM.DM_QUERY_LOG "
+        f"WHERE STATEMENT_ID = {statement_id}").rows == [("cancelled",)]
+    assert provider.metrics.value("statements.cancelled") == \
+        cancelled_before + 1
+
+
 def test_admission_rejects_with_typed_error_when_full(served):
     conn, server = served
     small = DmxServer(conn.provider, port=0, max_sessions=1, queue_limit=0)
