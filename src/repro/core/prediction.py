@@ -25,7 +25,11 @@ from repro.obs import trace as obs_trace
 from repro.obs import workload as obs_workload
 from repro.shaping.shape import plan_shape
 from repro.sqlstore.engine import _children, _multi_key_sort, _row_key
-from repro.sqlstore.expressions import EvalContext, evaluate
+from repro.sqlstore.expressions import (
+    EvalContext,
+    compile_filter,
+    evaluate,
+)
 from repro.sqlstore.rowset import Rowset, RowsetColumn, RowStream
 from repro.sqlstore.types import TABLE, infer_type
 from repro.sqlstore.values import sort_key
@@ -232,12 +236,11 @@ def _surviving_batches(stream: RowStream, pushed: List[ast.Expr],
     if not pushed:
         return stream.batches()
     context = _source_context(stream.columns, alias)
+    survives = compile_filter(pushed, context)
 
     def surviving():
         for batch in stream.batches():
-            batch = [row for row in batch
-                     if all(evaluate(conjunct, context.with_row(row)) is True
-                            for conjunct in pushed)]
+            batch = [row for row in batch if survives(row)]
             if batch:
                 yield batch
     return surviving()

@@ -18,6 +18,7 @@ workload repository hashes it, ``execute_select_stream`` opens it.
 from __future__ import annotations
 
 from itertools import chain
+from operator import itemgetter
 from typing import (
     Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple)
 
@@ -32,6 +33,8 @@ from repro.obs import workload as obs_workload
 from repro.sqlstore import values as V
 from repro.sqlstore.expressions import (
     EvalContext,
+    compile_expression,
+    compile_filter,
     contains_aggregate,
     evaluate,
     is_aggregate_call,
@@ -324,11 +327,8 @@ class Database:
                                               statement.table)
         context = relation.context()
         context.subquery_executor = self.execute_select
-
-        def predicate(row):
-            return evaluate(statement.where, context.with_row(row)) is True
-
-        return table.delete_where(predicate)
+        return table.delete_where(
+            compile_filter([statement.where], context))
 
     def _execute_update(self, statement: ast.UpdateStatement) -> int:
         table = self.table(statement.table)
@@ -337,19 +337,18 @@ class Database:
                                               statement.table)
         context = relation.context()
         context.subquery_executor = self.execute_select
-        assignments = [(schema.index_of(name), expr)
-                       for name, expr in statement.assignments]
-
-        def predicate(row):
-            if statement.where is None:
-                return True
-            return evaluate(statement.where, context.with_row(row)) is True
+        assignments = [
+            (schema.index_of(name), compile_expression(expr, context))
+            for name, expr in statement.assignments]
+        # No WHERE is the empty conjunction: every row passes.
+        predicate = compile_filter(
+            [statement.where] if statement.where is not None else [],
+            context)
 
         def updater(row):
             new_row = list(row)
-            row_context = context.with_row(row)
-            for position, expr in assignments:
-                new_row[position] = evaluate(expr, row_context)
+            for position, value in assignments:
+                new_row[position] = value(row)
             return tuple(new_row)
 
         return table.update_where(predicate, updater)
@@ -544,31 +543,29 @@ class Database:
                           batch_size: int, span):
         """Scan + WHERE, batch at a time, counting scanned rows.
 
-        Each batch boundary is also a workload checkpoint: live progress
-        (rows processed) for ``DM_ACTIVE_STATEMENTS``, and the point where
-        a ``CANCEL`` lands mid-scan.
+        The WHERE is bound here, before the first batch is pulled.  Each
+        batch boundary is also a workload checkpoint: live progress (rows
+        processed) for ``DM_ACTIVE_STATEMENTS``, and the point where a
+        ``CANCEL`` lands mid-scan.
         """
-        for batch in relation.batches(batch_size):
-            obs_trace.add_to(span, "rows_scanned", len(batch))
-            obs_trace.add_to(span, "batches", 1)
-            obs_workload.checkpoint(rows=len(batch))
-            if statement.where is not None:
-                batch = [
-                    row for row in batch
-                    if evaluate(statement.where,
-                                context.with_row(row)) is True]
-            if batch:
-                yield batch
+        where = (compile_expression(statement.where, context)
+                 if statement.where is not None else None)
+
+        def filtered():
+            for batch in relation.batches(batch_size):
+                obs_trace.add_to(span, "rows_scanned", len(batch))
+                obs_trace.add_to(span, "batches", 1)
+                obs_workload.checkpoint(rows=len(batch))
+                if where is not None:
+                    batch = [row for row in batch if where(row) is True]
+                if batch:
+                    yield batch
+        return filtered()
 
     @staticmethod
-    def _project(expanded, context: EvalContext,
-                 rows: List[tuple]) -> List[tuple]:
-        out = []
-        for row in rows:
-            row_context = context.with_row(row)
-            out.append(tuple(evaluate(expr, row_context)
-                             for expr, _ in expanded))
-        return out
+    def _project(values, rows: List[tuple]) -> List[tuple]:
+        """Output rows from the select list's compiled ``values``."""
+        return [tuple([value(row) for value in values]) for row in rows]
 
     def _select_streaming(self, statement: ast.SelectStatement,
                           relation: SourceRelation, context: EvalContext,
@@ -576,6 +573,7 @@ class Database:
         """The non-blocking pipeline: WHERE -> project -> TOP, per batch."""
         source = self._filtered_batches(statement, relation, context,
                                         batch_size, span)
+        values = [compile_expression(expr, context) for expr, _ in expanded]
         # Column typing needs sample rows; buffer the head of the stream
         # (same 20-row sample the materialised path uses) and replay it.
         head: List[List[tuple]] = []
@@ -586,8 +584,9 @@ class Database:
             if len(sample_rows) >= 20:
                 break
         output_columns = [
-            self._column_meta(expr, name, relation, sample_rows, context)
-            for expr, name in expanded]
+            self._column_meta(expr, name, relation, sample_rows, context,
+                              value)
+            for (expr, name), value in zip(expanded, values)]
 
         def produce():
             remaining = statement.top
@@ -597,7 +596,7 @@ class Database:
                 # Filtered batches are never empty, so neither is ``out``.
                 if remaining is not None:
                     batch = batch[:remaining]
-                out = self._project(expanded, context, batch)
+                out = self._project(values, batch)
                 obs_trace.add_to(span, "rows_out", len(out))
                 yield out
                 if remaining is not None:
@@ -611,19 +610,22 @@ class Database:
                                  context: EvalContext, expanded,
                                  grouped: bool, batch_size: int,
                                  span) -> Rowset:
-        """GROUP BY / ORDER BY / DISTINCT path: consume, then materialise."""
-        rows = [row
-                for batch in self._filtered_batches(
-                    statement, relation, context, batch_size, span)
-                for row in batch]
+        """GROUP BY / ORDER BY / DISTINCT path: bind every per-row
+        expression, then consume the source and materialise."""
+        batches = self._filtered_batches(statement, relation, context,
+                                         batch_size, span)
         if grouped:
             output_columns, output_rows = self._execute_grouped(
-                statement, relation, context, expanded, rows)
+                statement, relation, context, expanded, batches)
         else:
+            values = [compile_expression(expr, context)
+                      for expr, _ in expanded]
+            order_keys = self._bind_order_by(statement, expanded, context)
+            rows = [row for batch in batches for row in batch]
             output_columns = [
-                self._column_meta(expr, name, relation, rows, context)
-                for expr, name in expanded]
-            output_rows = self._project(expanded, context, rows)
+                self._column_meta(expr, name, relation, rows, context, value)
+                for (expr, name), value in zip(expanded, values)]
+            output_rows = self._project(values, rows)
 
         if statement.distinct:
             # Dedup output rows while keeping each survivor paired with its
@@ -643,8 +645,8 @@ class Database:
                 rows = unique_sources
 
         if statement.order_by and not grouped:  # grouped rows sort there
-            output_rows = self._order_rows(
-                statement, output_columns, output_rows, context, rows)
+            output_rows = self._order_rows(statement, order_keys,
+                                           output_rows, rows)
 
         if statement.top is not None:
             output_rows = output_rows[:statement.top]
@@ -696,8 +698,10 @@ class Database:
     def _column_meta(self, expr: ast.Expr, name: str,
                      relation: SourceRelation,
                      sample_rows: List[tuple],
-                     context: EvalContext) -> RowsetColumn:
-        """Best-effort output column typing (declared type for plain refs)."""
+                     context: EvalContext, value: Callable) -> RowsetColumn:
+        """Best-effort output column typing: the declared type for plain
+        refs, else inferred from ``value`` (``expr`` compiled) over the
+        head of the sample."""
         if isinstance(expr, ast.ColumnRef):
             index = context.resolve_index(expr.parts)
             if index is not None:
@@ -705,17 +709,25 @@ class Database:
                 return RowsetColumn(name, source.type,
                                     nested_columns=source.nested_columns)
         for row in sample_rows[:20]:
-            value = evaluate(expr, context.with_row(row))
-            if isinstance(value, Rowset):
+            sample = value(row)
+            if isinstance(sample, Rowset):
                 return RowsetColumn(name, TABLE,
-                                    nested_columns=list(value.columns))
-            if value is not None:
-                return RowsetColumn(name, infer_type(value))
+                                    nested_columns=list(sample.columns))
+            if sample is not None:
+                return RowsetColumn(name, infer_type(sample))
         return RowsetColumn(name, TEXT)
 
     # -- grouping -------------------------------------------------------------
 
-    def _execute_grouped(self, statement, relation, context, expanded, rows):
+    def _execute_grouped(self, statement, relation, context, expanded,
+                         batches):
+        """GROUP BY / aggregates over the filtered ``batches``.
+
+        What runs per source row — the GROUP BY keys and the aggregates'
+        arguments — is compiled before the first batch is pulled; what runs
+        per group (HAVING, the select list and ORDER BY with the group's
+        aggregates substituted) is interpreted: groups are few.
+        """
         aggregate_nodes: List[ast.FuncCall] = []
 
         def collect(expr):
@@ -733,20 +745,25 @@ class Database:
         for item in statement.order_by:
             collect(item.expr)
 
+        group_keys = [compile_expression(g, context)
+                      for g in statement.group_by]
+        # COUNT(*) / COUNT() count rows and have no argument to bind.
+        arguments = {
+            id(node): compile_expression(node.args[0], context)
+            for node in aggregate_nodes
+            if node.args and not isinstance(node.args[0], ast.Star)}
+
         # Bucket rows by the GROUP BY key (one global bucket if none).
         buckets: Dict[tuple, List[tuple]] = {}
         order: List[tuple] = []
-        for row in rows:
-            row_context = context.with_row(row)
-            if statement.group_by:
-                key = tuple(V.group_key(evaluate(g, row_context))
-                            for g in statement.group_by)
-            else:
-                key = ()
-            if key not in buckets:
-                buckets[key] = []
-                order.append(key)
-            buckets[key].append(row)
+        group_key = V.group_key
+        for batch in batches:
+            for row in batch:
+                key = tuple([group_key(g(row)) for g in group_keys])
+                if key not in buckets:
+                    buckets[key] = []
+                    order.append(key)
+                buckets[key].append(row)
         if not statement.group_by and not buckets:
             buckets[()] = []
             order.append(())
@@ -757,16 +774,13 @@ class Database:
             bucket = buckets[key]
             values: Dict[int, Any] = {}
             for node in aggregate_nodes:
-                count_rows = bool(node.args) and isinstance(
-                    node.args[0], ast.Star) or not node.args
+                argument = arguments.get(id(node))
                 accumulator = make_aggregate(
-                    node.name, count_rows=count_rows, distinct=node.distinct)
+                    node.name, count_rows=argument is None,
+                    distinct=node.distinct)
                 for row in bucket:
-                    if count_rows:
-                        accumulator.add(None)
-                    else:
-                        accumulator.add(
-                            evaluate(node.args[0], context.with_row(row)))
+                    accumulator.add(
+                        None if argument is None else argument(row))
                 values[id(node)] = accumulator.result()
             representative = bucket[0] if bucket else tuple(
                 [None] * len(relation.columns))
@@ -812,21 +826,30 @@ class Database:
 
     # -- ordering -------------------------------------------------------------
 
-    def _order_rows(self, statement, output_columns, output_rows, context,
-                    source_rows):
-        names = [c.name.upper() for c in output_columns]
-        keys = []
-        for out_row, source_row in zip(output_rows, source_rows):
-            key = []
-            for item in statement.order_by:
-                if isinstance(item.expr, ast.ColumnRef) and \
-                        len(item.expr.parts) == 1 and \
-                        item.expr.name.upper() in names:
-                    value = out_row[names.index(item.expr.name.upper())]
-                else:
-                    value = evaluate(item.expr, context.with_row(source_row))
-                key.append(V.sort_key(value))
-            keys.append(tuple(key))
+    @staticmethod
+    def _bind_order_by(statement, expanded, context):
+        """One ``(reads_output, row -> value)`` pair per ORDER BY item: a
+        bare name matching an output column reads the output row, anything
+        else is compiled against the source row."""
+        names = [name.upper() for _, name in expanded]
+        bound = []
+        for item in statement.order_by:
+            expr = item.expr
+            if isinstance(expr, ast.ColumnRef) and len(expr.parts) == 1 \
+                    and expr.name.upper() in names:
+                bound.append((True, itemgetter(
+                    names.index(expr.name.upper()))))
+            else:
+                bound.append((False, compile_expression(expr, context)))
+        return bound
+
+    @staticmethod
+    def _order_rows(statement, order_keys, output_rows, source_rows):
+        sort_key = V.sort_key
+        keys = [
+            tuple([sort_key(value(out_row if reads_output else source_row))
+                   for reads_output, value in order_keys])
+            for out_row, source_row in zip(output_rows, source_rows)]
         directions = [item.ascending for item in statement.order_by]
         return _multi_key_sort(output_rows, keys, directions)
 
@@ -1184,7 +1207,14 @@ class Database:
                             yield out
                 return SourceRelation(columns, batches=produce_cross())
 
-            pairs, residual = method.pairs, method.residual
+            pairs = method.pairs
+            # Bound against the joined row before the build side is read.
+            joined_context = EvalContext.from_columns(
+                left.names() + right.names())
+            residual_ok = compile_filter(method.residual, joined_context)
+            # Without a bound equi pair the whole ON is the loop condition.
+            condition = (compile_expression(ref.condition, joined_context)
+                         if not pairs else None)
             right_rows: List[tuple] = []
             prebuilt: Optional[Dict[Any, List[tuple]]] = None
             if method.build_index is not None:
@@ -1202,14 +1232,6 @@ class Database:
             elif not method.build_left:
                 right_rows = right.rows  # build side
                 obs_trace.add_to(span, "join_rows_in", len(right_rows))
-
-            joined_context = EvalContext.from_columns(
-                left.names() + right.names())
-
-        def residual_ok(row):
-            return all(
-                evaluate(condition, joined_context.with_row(row)) is True
-                for condition in residual)
 
         def produce_left_build():
             # Cost-chosen swap: the (estimated-smaller) left side builds
@@ -1295,9 +1317,7 @@ class Database:
                         matched = False
                         for r in right_rows:
                             candidate = l + r
-                            if evaluate(ref.condition,
-                                        joined_context.with_row(candidate)) \
-                                    is True:
+                            if condition(candidate) is True:
                                 out.append(candidate)
                                 matched = True
                         if ref.kind == "LEFT" and not matched:

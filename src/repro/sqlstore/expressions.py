@@ -1,22 +1,32 @@
 """Expression evaluation for the relational engine.
 
-An :class:`EvalContext` resolves column references against the current row;
-the evaluator walks the AST nodes from :mod:`repro.lang.ast_nodes` using SQL
-three-valued logic from :mod:`repro.sqlstore.values`.
+Two evaluators share one semantics (SQL three-valued logic from
+:mod:`repro.sqlstore.values`):
 
-The mining layer reuses this evaluator for prediction-query projections by
-supplying its own context subclass that also resolves prediction UDFs.
+* :func:`compile_expression` walks an AST from :mod:`repro.lang.ast_nodes`
+  **once**, when an operator opens, and returns a ``row -> value`` closure:
+  column references are bound to ordinals, functions to their handlers and
+  LIKE literals to compiled regexes, so binding errors surface before the
+  first row is read.  Every per-row expression in the engine runs this way.
+* :func:`evaluate` interprets the tree against an :class:`EvalContext`
+  holding the current row.  It is the reference the compiled closures are
+  tested against, the one-shot evaluator (VALUES rows, FROM-less SELECTs,
+  per-group expressions) and — through a context subclass that also
+  resolves prediction UDFs — the evaluator of prediction-query select lists.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 import re
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.errors import BindError, Error
+from repro.errors import BindError, Error, TypeError_
 from repro.lang import ast_nodes as ast
 from repro.sqlstore import values as V
 from repro.sqlstore.functions import SCALAR_FUNCTIONS
+from repro.sqlstore.types import infer_type
 
 
 class EvalContext:
@@ -100,11 +110,9 @@ class EvalContext:
         Subclasses (the prediction layer) override this to add UDFs; the
         base implementation only knows the SQL scalar functions.
         """
-        handler = SCALAR_FUNCTIONS.get(call.name.upper())
-        if handler is None:
-            raise BindError(f"unknown function {call.name!r}")
-        args = [evaluator(a) for a in call.args]
-        return handler(*args)
+        handler = _scalar_handler(call.name)
+        return _call_scalar(call.name, handler,
+                            [evaluator(a) for a in call.args])
 
 
 _AGGREGATE_NAMES = {"COUNT", "SUM", "AVG", "MIN", "MAX", "STDEV", "VAR"}
@@ -144,13 +152,17 @@ def contains_aggregate(expr: ast.Expr) -> bool:
 
 
 def evaluate(expr: ast.Expr, context: EvalContext) -> Any:
-    """Evaluate an expression against one row."""
+    """Evaluate an expression against one row (``context.row``).
+
+    The reference interpreter: :func:`compile_expression` must agree with
+    it on every value and every error.
+    """
     if isinstance(expr, ast.Literal):
         return expr.value
     if isinstance(expr, ast.ColumnRef):
         return context.resolve_column(expr)
     if isinstance(expr, ast.Star):
-        raise Error("'*' is only valid in a select list or COUNT(*)")
+        raise Error(_STAR_MESSAGE)
     if isinstance(expr, ast.FuncCall):
         return context.call_function(
             expr, lambda a: evaluate(a, context))
@@ -159,30 +171,21 @@ def evaluate(expr: ast.Expr, context: EvalContext) -> Any:
     if isinstance(expr, ast.UnaryOp):
         if expr.op == "NOT":
             return V.truth_not(_as_bool(evaluate(expr.operand, context)))
-        value = evaluate(expr.operand, context)
-        return None if value is None else -value
+        return _negate(evaluate(expr.operand, context))
     if isinstance(expr, ast.IsNull):
         result = evaluate(expr.operand, context) is None
         return (not result) if expr.negated else result
     if isinstance(expr, ast.InList):
-        return _evaluate_in(expr, context)
+        return _membership(
+            evaluate(expr.operand, context),
+            (evaluate(item, context) for item in expr.items), expr.negated)
     if isinstance(expr, ast.Between):
-        value = evaluate(expr.operand, context)
-        low = evaluate(expr.low, context)
-        high = evaluate(expr.high, context)
-        c_low = V.sql_compare(value, low)
-        c_high = V.sql_compare(value, high)
-        if c_low is None or c_high is None:
-            return None
-        result = c_low >= 0 and c_high <= 0
-        return (not result) if expr.negated else result
+        return _between(evaluate(expr.operand, context),
+                        evaluate(expr.low, context),
+                        evaluate(expr.high, context), expr.negated)
     if isinstance(expr, ast.Like):
-        value = evaluate(expr.operand, context)
-        pattern = evaluate(expr.pattern, context)
-        if value is None or pattern is None:
-            return None
-        result = like_match(str(value), str(pattern))
-        return (not result) if expr.negated else result
+        return _like(evaluate(expr.operand, context),
+                     evaluate(expr.pattern, context), expr.negated)
     if isinstance(expr, ast.Case):
         for condition, result in expr.whens:
             if _as_bool(evaluate(condition, context)) is True:
@@ -191,47 +194,12 @@ def evaluate(expr: ast.Expr, context: EvalContext) -> Any:
             return evaluate(expr.else_result, context)
         return None
     if isinstance(expr, ast.SubSelect):
-        rowset = context.run_subquery(expr.select)
-        if len(rowset.columns) != 1:
-            raise Error(
-                f"scalar subquery must return one column, got "
-                f"{len(rowset.columns)}")
-        if len(rowset.rows) == 0:
-            return None
-        if len(rowset.rows) > 1:
-            raise Error(
-                f"scalar subquery returned {len(rowset.rows)} rows")
-        return rowset.rows[0][0]
+        return _scalar_subquery_value(context.run_subquery(expr.select))
     if isinstance(expr, ast.InSelect):
-        rowset = context.run_subquery(expr.select)
-        if len(rowset.columns) != 1:
-            raise Error(
-                f"IN (SELECT ...) must return one column, got "
-                f"{len(rowset.columns)}")
-        value = evaluate(expr.operand, context)
-        if value is None:
-            return None
-        saw_null = False
-        for row in rowset.rows:
-            comparison = V.sql_equal(value, row[0])
-            if comparison is True:
-                return False if expr.negated else True
-            if comparison is None:
-                saw_null = True
-        if saw_null:
-            return None
-        return True if expr.negated else False
+        candidates = _subquery_column(context.run_subquery(expr.select))
+        return _membership(evaluate(expr.operand, context), candidates,
+                           expr.negated)
     raise Error(f"cannot evaluate expression node {type(expr).__name__}")
-
-
-def _as_bool(value: Any) -> Optional[bool]:
-    if value is None:
-        return None
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, (int, float)):
-        return value != 0
-    raise Error(f"expected a boolean, got {value!r}")
 
 
 def _evaluate_binary(expr: ast.BinaryOp, context: EvalContext) -> Any:
@@ -259,44 +227,345 @@ def _evaluate_binary(expr: ast.BinaryOp, context: EvalContext) -> Any:
             return None
         return {"<": comparison < 0, "<=": comparison <= 0,
                 ">": comparison > 0, ">=": comparison >= 0}[op]
-    if left is None or right is None:
-        return None
-    if op == "||":
-        return str(left) + str(right)
-    if op == "+":
-        return left + right
-    if op == "-":
-        return left - right
-    if op == "*":
-        return left * right
-    if op == "/":
-        if right == 0:
-            return None  # SQL-ish: division by zero yields NULL here
-        result = left / right
-        return result
+    if op in _ARITHMETIC:
+        return _arithmetic(op, left, right)
     raise Error(f"unknown binary operator {op!r}")
 
 
-def _evaluate_in(expr: ast.InList, context: EvalContext) -> Optional[bool]:
-    value = evaluate(expr.operand, context)
+# ---------------------------------------------------------------------------
+# operator semantics shared by the interpreter and the compiled closures
+# ---------------------------------------------------------------------------
+
+_STAR_MESSAGE = "'*' is only valid in a select list or COUNT(*)"
+
+_ORDERINGS = {"<": operator.lt, "<=": operator.le,
+              ">": operator.gt, ">=": operator.ge}
+
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+               "/": operator.truediv,
+               "||": lambda left, right: str(left) + str(right)}
+
+
+def _as_bool(value: Any) -> Optional[bool]:
+    if value is None:
+        return None
+    if isinstance(value, bool):
+        return value
+    if isinstance(value, (int, float)):
+        return value != 0
+    raise Error(f"expected a boolean, got {value!r}")
+
+
+def _operand_error(what: str, operands, exc: Exception) -> TypeError_:
+    """The typed error for a Python-level failure inside an expression —
+    a raw ``TypeError`` would escape every ``except Error`` boundary (and
+    kill a wire session's thread)."""
+    types = ", ".join("NULL" if value is None else infer_type(value).name
+                      for value in operands)
+    return TypeError_(f"{what} cannot be applied to ({types}): {exc}")
+
+
+def _arithmetic(op: str, left: Any, right: Any) -> Any:
+    """NULL-propagating ``+ - * / ||``; division by zero yields NULL."""
+    if left is None or right is None:
+        return None
+    if op == "/" and right == 0:
+        return None
+    try:
+        return _ARITHMETIC[op](left, right)
+    except (TypeError, ArithmeticError) as exc:
+        raise _operand_error(f"operator {op!r}", (left, right), exc) from exc
+
+
+def _negate(value: Any) -> Any:
+    if value is None:
+        return None
+    try:
+        return -value
+    except TypeError as exc:
+        raise _operand_error("unary '-'", (value,), exc) from exc
+
+
+def _scalar_handler(name: str) -> Callable:
+    handler = SCALAR_FUNCTIONS.get(name.upper())
+    if handler is None:
+        raise BindError(f"unknown function {name!r}")
+    return handler
+
+
+def _call_scalar(name: str, handler: Callable, args: List[Any]) -> Any:
+    try:
+        return handler(*args)
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        raise _operand_error(f"function {name.upper()}", args, exc) from exc
+
+
+def _membership(value: Any, candidates, negated: bool) -> Optional[bool]:
+    """``value [NOT] IN candidates``; candidates are consumed lazily, so
+    nothing past the first match (or behind a NULL operand) is evaluated."""
     if value is None:
         return None
     saw_null = False
-    for item in expr.items:
-        candidate = evaluate(item, context)
+    for candidate in candidates:
         comparison = V.sql_equal(value, candidate)
         if comparison is True:
-            return False if expr.negated else True
+            return not negated
         if comparison is None:
             saw_null = True
     if saw_null:
         return None
-    return True if expr.negated else False
+    return negated
+
+
+def _between(value: Any, low: Any, high: Any,
+             negated: bool) -> Optional[bool]:
+    c_low = V.sql_compare(value, low)
+    c_high = V.sql_compare(value, high)
+    if c_low is None or c_high is None:
+        return None
+    result = c_low >= 0 and c_high <= 0
+    return (not result) if negated else result
+
+
+def _like(value: Any, pattern: Any, negated: bool) -> Optional[bool]:
+    if value is None or pattern is None:
+        return None
+    result = like_match(str(value), str(pattern))
+    return (not result) if negated else result
+
+
+def _scalar_subquery_value(rowset) -> Any:
+    if len(rowset.columns) != 1:
+        raise Error(
+            f"scalar subquery must return one column, got "
+            f"{len(rowset.columns)}")
+    if len(rowset.rows) == 0:
+        return None
+    if len(rowset.rows) > 1:
+        raise Error(
+            f"scalar subquery returned {len(rowset.rows)} rows")
+    return rowset.rows[0][0]
+
+
+def _subquery_column(rowset):
+    if len(rowset.columns) != 1:
+        raise Error(
+            f"IN (SELECT ...) must return one column, got "
+            f"{len(rowset.columns)}")
+    return (row[0] for row in rowset.rows)
+
+
+@functools.lru_cache(maxsize=256)
+def like_regex(pattern: str) -> "re.Pattern":
+    """The compiled regex for a SQL LIKE pattern: ``%`` is any run, ``_``
+    any single character, everything else literal; case-insensitive."""
+    return re.compile(
+        "".join(".*" if ch == "%" else "." if ch == "_" else re.escape(ch)
+                for ch in pattern),
+        flags=re.IGNORECASE)
 
 
 def like_match(value: str, pattern: str) -> bool:
     """SQL LIKE with ``%`` (any run) and ``_`` (single char), case-insensitive."""
-    regex = "".join(
-        ".*" if ch == "%" else "." if ch == "_" else re.escape(ch)
-        for ch in pattern)
-    return re.fullmatch(regex, value, flags=re.IGNORECASE) is not None
+    return like_regex(pattern).fullmatch(value) is not None
+
+
+# ---------------------------------------------------------------------------
+# compile: bind once, evaluate many
+# ---------------------------------------------------------------------------
+
+def compile_expression(expr: ast.Expr,
+                       context: EvalContext) -> Callable[[tuple], Any]:
+    """Compile ``expr`` into a ``row -> value`` closure over ``context``.
+
+    The tree is walked once: every column reference is resolved to its
+    ordinal and every function to its handler *now*, so ``cannot resolve
+    column`` / ``unknown function`` are raised before a row is read — even
+    on an empty input or behind a short-circuit — and evaluating a row
+    allocates no context and looks up no name.  Values and run-time errors
+    are those of :func:`evaluate`.  Subqueries stay lazy: they run through
+    ``context.run_subquery`` (and its per-statement cache) when a row first
+    needs them.
+    """
+    compiler = _COMPILERS.get(type(expr))
+    if compiler is None:
+        raise Error(f"cannot evaluate expression node {type(expr).__name__}")
+    return compiler(expr, context)
+
+
+def compile_filter(conjuncts: List[ast.Expr],
+                   context: EvalContext) -> Callable[[tuple], bool]:
+    """Compile ``conjuncts`` into one ``row -> bool``: whether every one of
+    them is True for the row (False and NULL both reject it)."""
+    compiled = [compile_expression(conjunct, context)
+                for conjunct in conjuncts]
+
+    def passes(row):
+        for holds in compiled:
+            if holds(row) is not True:
+                return False
+        return True
+    return passes
+
+
+def _compile_literal(expr: ast.Literal, context: EvalContext):
+    value = expr.value
+    return lambda row: value
+
+
+def _compile_column(expr: ast.ColumnRef, context: EvalContext):
+    index = context.resolve_index(expr.parts)
+    if index is None:
+        raise BindError(f"cannot resolve column {'.'.join(expr.parts)!r}")
+    return operator.itemgetter(index)
+
+
+def _compile_star(expr: ast.Star, context: EvalContext):
+    raise Error(_STAR_MESSAGE)
+
+
+def _compile_call(expr: ast.FuncCall, context: EvalContext):
+    name = expr.name
+    handler = _scalar_handler(name)
+    args = [compile_expression(arg, context) for arg in expr.args]
+    return lambda row: _call_scalar(name, handler, [arg(row) for arg in args])
+
+
+def _compile_binary(expr: ast.BinaryOp, context: EvalContext):
+    op = expr.op
+    left = compile_expression(expr.left, context)
+    right = compile_expression(expr.right, context)
+    as_bool = _as_bool
+    if op == "AND":
+        truth_and = V.truth_and
+
+        def conjunction(row):
+            value = as_bool(left(row))
+            if value is False:  # short circuit
+                return False
+            return truth_and(value, as_bool(right(row)))
+        return conjunction
+    if op == "OR":
+        truth_or = V.truth_or
+
+        def disjunction(row):
+            value = as_bool(left(row))
+            if value is True:
+                return True
+            return truth_or(value, as_bool(right(row)))
+        return disjunction
+    if op == "=":
+        sql_equal = V.sql_equal
+        return lambda row: sql_equal(left(row), right(row))
+    if op == "<>":
+        sql_equal = V.sql_equal
+
+        def unequal(row):
+            result = sql_equal(left(row), right(row))
+            return None if result is None else not result
+        return unequal
+    if op in _ORDERINGS:
+        sql_compare, holds = V.sql_compare, _ORDERINGS[op]
+
+        def ordering(row):
+            comparison = sql_compare(left(row), right(row))
+            return None if comparison is None else holds(comparison, 0)
+        return ordering
+    if op in _ARITHMETIC:
+        return lambda row: _arithmetic(op, left(row), right(row))
+    raise Error(f"unknown binary operator {op!r}")
+
+
+def _compile_unary(expr: ast.UnaryOp, context: EvalContext):
+    operand = compile_expression(expr.operand, context)
+    if expr.op == "NOT":
+        return lambda row: V.truth_not(_as_bool(operand(row)))
+    return lambda row: _negate(operand(row))
+
+
+def _compile_is_null(expr: ast.IsNull, context: EvalContext):
+    operand = compile_expression(expr.operand, context)
+    if expr.negated:
+        return lambda row: operand(row) is not None
+    return lambda row: operand(row) is None
+
+
+def _compile_in_list(expr: ast.InList, context: EvalContext):
+    operand = compile_expression(expr.operand, context)
+    items = [compile_expression(item, context) for item in expr.items]
+    negated = expr.negated
+    return lambda row: _membership(
+        operand(row), (item(row) for item in items), negated)
+
+
+def _compile_between(expr: ast.Between, context: EvalContext):
+    operand = compile_expression(expr.operand, context)
+    low = compile_expression(expr.low, context)
+    high = compile_expression(expr.high, context)
+    negated = expr.negated
+    return lambda row: _between(operand(row), low(row), high(row), negated)
+
+
+def _compile_like(expr: ast.Like, context: EvalContext):
+    operand = compile_expression(expr.operand, context)
+    negated = expr.negated
+    pattern = expr.pattern
+    if isinstance(pattern, ast.Literal) and pattern.value is not None:
+        # The usual case: the regex is fixed when the operator opens.
+        fullmatch = like_regex(str(pattern.value)).fullmatch
+
+        def like_literal(row):
+            value = operand(row)
+            if value is None:
+                return None
+            return (fullmatch(str(value)) is not None) != negated
+        return like_literal
+    pattern = compile_expression(pattern, context)
+    return lambda row: _like(operand(row), pattern(row), negated)
+
+
+def _compile_case(expr: ast.Case, context: EvalContext):
+    whens = [(compile_expression(condition, context),
+              compile_expression(result, context))
+             for condition, result in expr.whens]
+    otherwise = (compile_expression(expr.else_result, context)
+                 if expr.else_result is not None else None)
+
+    def case(row):
+        for condition, result in whens:
+            if _as_bool(condition(row)) is True:
+                return result(row)
+        return otherwise(row) if otherwise is not None else None
+    return case
+
+
+def _compile_subselect(expr: ast.SubSelect, context: EvalContext):
+    select = expr.select
+    return lambda row: _scalar_subquery_value(context.run_subquery(select))
+
+
+def _compile_in_select(expr: ast.InSelect, context: EvalContext):
+    operand = compile_expression(expr.operand, context)
+    select, negated = expr.select, expr.negated
+
+    def in_select(row):
+        candidates = _subquery_column(context.run_subquery(select))
+        return _membership(operand(row), candidates, negated)
+    return in_select
+
+
+_COMPILERS = {
+    ast.Literal: _compile_literal,
+    ast.ColumnRef: _compile_column,
+    ast.Star: _compile_star,
+    ast.FuncCall: _compile_call,
+    ast.BinaryOp: _compile_binary,
+    ast.UnaryOp: _compile_unary,
+    ast.IsNull: _compile_is_null,
+    ast.InList: _compile_in_list,
+    ast.Between: _compile_between,
+    ast.Like: _compile_like,
+    ast.Case: _compile_case,
+    ast.SubSelect: _compile_subselect,
+    ast.InSelect: _compile_in_select,
+}

@@ -1,9 +1,18 @@
 """Shared fixtures: fresh providers, the paper's warehouse, trained models."""
 
 import pytest
+from hypothesis import settings
 
 import repro
 from repro.datagen import WarehouseConfig, load_warehouse
+
+# Hypothesis profiles (``--hypothesis-profile=NAME``).  A test that pins its
+# own ``@settings(max_examples=…)`` keeps it under either profile; a test
+# that leaves the budget open (tests/differential/
+# test_compiled_vs_interpreted.py) runs small in tier-1 and deep in its CI
+# step.
+settings.register_profile("default", max_examples=100)
+settings.register_profile("deep", max_examples=2000, deadline=None)
 
 AGE_PREDICTION_DDL = """
 CREATE MINING MODEL [Age Prediction] (
