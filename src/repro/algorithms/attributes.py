@@ -155,12 +155,18 @@ class AttributeSpace:
         self.marginals: List[Any] = []  # CategoricalDistribution | GaussianStats
         self.relations: Dict[Tuple[str, str], Dict[Any, Any]] = {}
         self._by_name: Dict[str, Attribute] = {}
+        # The encoder's slot plan: derived from ``attributes``, built on
+        # first use, dropped when an attribute is added, never pickled.
+        self._slots = None
         maximum_states = definition.parameters.get("MAXIMUM_STATES",
                                                    DEFAULT_MAXIMUM_STATES)
         maximum_items = definition.parameters.get("MAXIMUM_ITEMS",
                                                   DEFAULT_MAXIMUM_ITEMS)
         self.maximum_states = int(maximum_states)
         self.maximum_items = int(maximum_items)
+
+    def __getstate__(self):
+        return dict(self.__dict__, _slots=None)
 
     # -- fitting --------------------------------------------------------------
 
@@ -299,7 +305,6 @@ class AttributeSpace:
                         is_output=table.predict and value_column.predict,
                         table=table, key_value=item,
                         value_column=value_column))
-            setattr(table, "_fitted_key_column", key_column)
 
         if not self.attributes:
             raise TrainError(
@@ -347,6 +352,7 @@ class AttributeSpace:
     def _add(self, attribute: Attribute) -> None:
         self.attributes.append(attribute)
         self._by_name[attribute.name.upper()] = attribute
+        self._slots = None
 
     # -- lookup ---------------------------------------------------------------
 
@@ -413,74 +419,116 @@ class AttributeSpace:
 
     # -- encoding -------------------------------------------------------------
 
-    def encode(self, case: MappedCase) -> Observation:
-        values: List[Optional[float]] = [None] * len(self.attributes)
-        confidences: Dict[int, float] = {}
-        case_key = None
-        key_column = self.definition.case_key()
-        if key_column is not None:
-            case_key = case.scalars.get(key_column.name.upper())
+    def _slot_plan(self):
+        """Everything :meth:`encode` needs that is fixed once the space is
+        fitted, so a case costs O(its scalars + its nested rows):
 
-        nested_index: Dict[str, Dict[Any, Dict[str, Any]]] = {}
+        ``template``   the value vector of an empty case (0.0 under every
+                       existence attribute, None elsewhere);
+        ``scalars``    ``(index, NAME, encode, existence_only)`` per scalar
+                       attribute;
+        ``tables``     ``(TABLE, KEY, items)`` per nested table the space
+                       drew attributes from, ``items`` mapping a normalised
+                       item to ``(existence indices, (value index, COLUMN)
+                       pairs)`` — tables without attributes are never read;
+        ``sequences``  ``(TABLE, TIME, STATE)`` per sequence table;
+        ``key_name``   the case key's NAME, or None.
+        """
+        plan = self._slots
+        if plan is not None:
+            return plan
+        template: List[Optional[float]] = [None] * len(self.attributes)
+        scalars = []
+        items_by_table: Dict[str, Dict[Any, Tuple[list, list]]] = {}
+        for attribute in self.attributes:
+            if attribute.table is None:
+                column = attribute.column
+                scalars.append((attribute.index, column.name.upper(),
+                                attribute.encode,
+                                column.model_existence_only))
+                continue
+            slot = items_by_table.setdefault(
+                attribute.table.name.upper(), {}).setdefault(
+                _norm(attribute.key_value), ([], []))
+            if attribute.is_existence:
+                template[attribute.index] = 0.0
+                slot[0].append(attribute.index)
+            else:
+                slot[1].append((attribute.index,
+                                attribute.value_column.name.upper()))
+        tables = []
+        sequences = []
         for table in self.definition.nested_tables():
             table_key = table.name.upper()
-            key_name = table.key_column().name.upper()
-            rows = {}
-            for row in case.tables.get(table_key, []):
-                item = row.get(key_name)
-                if item is not None:
-                    rows[_norm(item)] = row
-            nested_index[table_key] = rows
-
-        for attribute in self.attributes:
-            if attribute.table is not None:
-                table_key = attribute.table.name.upper()
-                row = nested_index[table_key].get(_norm(attribute.key_value))
-                if attribute.is_existence:
-                    values[attribute.index] = 1.0 if row is not None else 0.0
-                    if row is not None:
-                        qualifier = row.get("__QUALIFIERS__", {})
-                        key_name = attribute.table.key_column().name.upper()
-                        probability = qualifier.get(key_name, {}).get(
-                            "PROBABILITY")
-                        if probability is not None:
-                            confidences[attribute.index] = float(probability)
-                elif row is not None:
-                    value = row.get(attribute.value_column.name.upper())
-                    if value is not None:
-                        values[attribute.index] = float(value)
-                continue
-            column = attribute.column
-            raw = case.scalars.get(column.name.upper())
-            if column.model_existence_only:
-                values[attribute.index] = attribute.encode(raw is not None)
-            else:
-                values[attribute.index] = attribute.encode(raw)
-            qualifiers = case.qualifiers.get(column.name.upper(), {})
-            probability = qualifiers.get("PROBABILITY")
-            if probability is not None:
-                confidences[attribute.index] = float(probability)
-
-        sequences: Dict[str, List[Any]] = {}
-        for table in self.definition.nested_tables():
+            if table_key in items_by_table:
+                tables.append((table_key, table.key_column().name.upper(),
+                               items_by_table[table_key]))
             time_column = next(
                 (c for c in table.nested_columns
                  if c.sequence_time or
                  c.attribute_type is AttributeType.SEQUENCE_TIME), None)
-            if time_column is None:
-                continue
-            state_column = self.sequence_state_column(table)
-            rows = case.tables.get(table.name.upper(), [])
-            ordered = sorted(
-                (row for row in rows
-                 if row.get(time_column.name.upper()) is not None),
-                key=lambda row: row[time_column.name.upper()])
-            sequences[table.name.upper()] = [
-                row.get(state_column.name.upper()) for row in ordered]
+            if time_column is not None:
+                sequences.append(
+                    (table_key, time_column.name.upper(),
+                     self.sequence_state_column(table).name.upper()))
+        key_column = self.definition.case_key()
+        plan = self._slots = (
+            template, scalars, tables, sequences,
+            key_column.name.upper() if key_column is not None else None)
+        return plan
 
-        return Observation(values, weight=case.weight(),
-                           confidences=confidences, case_key=case_key,
-                           sequences=sequences)
+    def encode(self, case: MappedCase) -> Observation:
+        template, scalars, tables, sequence_tables, key_name = \
+            self._slot_plan()
+        values = template[:]
+        confidences: Dict[int, float] = {}
+        case_scalars = case.scalars
+        case_qualifiers = case.qualifiers
+
+        for index, name, encode, existence_only in scalars:
+            raw = case_scalars.get(name)
+            values[index] = encode(raw is not None) if existence_only \
+                else encode(raw)
+            if case_qualifiers:
+                probability = case_qualifiers.get(name, {}).get("PROBABILITY")
+                if probability is not None:
+                    confidences[index] = float(probability)
+
+        for table_key, item_name, items in tables:
+            for row in case.tables.get(table_key, ()):
+                item = row.get(item_name)
+                if item is None:
+                    continue
+                slot = items.get(_norm(item))
+                if slot is None:
+                    continue
+                # A later row of the same item replaces an earlier one whole.
+                existence, value_slots = slot
+                qualifiers = row.get("__QUALIFIERS__")
+                probability = qualifiers.get(item_name, {}).get(
+                    "PROBABILITY") if qualifiers else None
+                for index in existence:
+                    values[index] = 1.0
+                    if probability is not None:
+                        confidences[index] = float(probability)
+                    else:
+                        confidences.pop(index, None)
+                for index, name in value_slots:
+                    value = row.get(name)
+                    values[index] = None if value is None else float(value)
+
+        sequences: Dict[str, List[Any]] = {}
+        for table_key, time_name, state_name in sequence_tables:
+            ordered = sorted(
+                (row for row in case.tables.get(table_key, ())
+                 if row.get(time_name) is not None),
+                key=lambda row: row[time_name])
+            sequences[table_key] = [row.get(state_name) for row in ordered]
+
+        return Observation(
+            values, weight=case.weight(), confidences=confidences,
+            case_key=case_scalars.get(key_name) if key_name else None,
+            sequences=sequences)
 
     @staticmethod
     def sequence_state_column(table: ModelColumn) -> ModelColumn:

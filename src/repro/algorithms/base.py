@@ -12,7 +12,7 @@ which the prediction UDFs (Predict, PredictProbability, PredictHistogram,
 from __future__ import annotations
 
 import abc
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterable, List, Optional
 
 from repro.errors import CapabilityError, NotTrainedError, SchemaError
 from repro.obs import trace as obs_trace
@@ -62,11 +62,14 @@ class AttributePrediction:
     @classmethod
     def from_categorical(cls, attribute: Attribute,
                          distribution: CategoricalDistribution,
-                         decode: bool = True) -> "AttributePrediction":
-        """Build from a weighted value distribution over internal codes."""
+                         labels: Optional[Dict[Any, Any]] = None) \
+            -> "AttributePrediction":
+        """Build from a weighted value distribution over internal codes;
+        ``labels`` is the codes' decoded form where the caller keeps it."""
         histogram = []
         for internal, weight in distribution.sorted_items():
-            value = attribute.decode(internal) if decode else internal
+            value = labels[internal] if labels is not None \
+                else attribute.decode(internal)
             probability = weight / distribution.total if distribution.total \
                 else 0.0
             histogram.append(PredictionBucket(value, probability, weight))
@@ -142,6 +145,11 @@ class MiningAlgorithm(abc.ABC):
     PARALLELIZABLE: bool = False
     SUPPORTED_PARAMETERS: Dict[str, Any] = {}
 
+    #: Prediction tables: whatever a service precomputes from its trained
+    #: state so that scoring a case is lookups and adds (see
+    #: :meth:`prediction_tables`).  Derived, never authoritative.
+    _tables: Any = None
+
     def __init__(self, parameters: Optional[Dict[str, Any]] = None):
         parameters = dict(parameters or {})
         # Shared, space-level parameters are accepted by every service.
@@ -167,6 +175,7 @@ class MiningAlgorithm(abc.ABC):
               observations: List[Observation]) -> None:
         """Consume the caseset (INSERT INTO semantics, section 3.3)."""
         self.space = space
+        self.drop_tables()
         obs_workload.check()
         with obs_trace.span("algorithm.train", service=self.SERVICE_NAME):
             obs_trace.add("observations", len(observations))
@@ -226,6 +235,36 @@ class MiningAlgorithm(abc.ABC):
         """DELETE FROM semantics: drop learned content, keep the definition."""
         self.space = None
         self.trained = False
+        self.drop_tables()
+
+    # -- derived prediction state ---------------------------------------------
+
+    def prediction_tables(self) -> Any:
+        """The service's prediction tables, built from the trained state on
+        first use and kept until that state changes.
+
+        They belong to the trained model, not to a statement (a singleton
+        PREDICTION JOIN must not pay for them), so everything that changes
+        trained state calls :meth:`drop_tables`: ``train`` and ``reset``
+        here, a service's own ``partial_train`` / ``merge``, and the PMML
+        state loader.  They are not pickled — a worker process rebuilds
+        them from the state it received.  Concurrent readers may build them
+        twice; both builds are equal and either may win.
+        """
+        tables = self._tables
+        if tables is None:
+            tables = self._tables = self._build_tables()
+        return tables
+
+    def _build_tables(self) -> Any:
+        """Services that score from tables build them here."""
+        return None
+
+    def drop_tables(self) -> None:
+        self._tables = None
+
+    def __getstate__(self):
+        return dict(self.__dict__, _tables=None)
 
     def require_trained(self) -> None:
         if not self.trained:
@@ -241,6 +280,16 @@ class MiningAlgorithm(abc.ABC):
     @abc.abstractmethod
     def predict(self, observation: Observation) -> CasePrediction:
         """Predict all output attributes for one encoded case."""
+
+    def predict_many(self, observations: Iterable[Observation]) \
+            -> Iterable[CasePrediction]:
+        """Predict encoded cases, in order: the entry the prediction join
+        scores through.  The default predicts each case as it is asked
+        for; a service overrides it when cases can share work that
+        :meth:`predict` repeats.  Either way the results must equal
+        ``[predict(o) for o in observations]`` exactly.
+        """
+        return map(self.predict, observations)
 
     @abc.abstractmethod
     def content_nodes(self) -> ContentNode:

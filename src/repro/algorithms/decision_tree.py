@@ -284,23 +284,49 @@ class DecisionTreeAlgorithm(MiningAlgorithm):
 
     # -- prediction -----------------------------------------------------------
 
+    def _build_tables(self):
+        """``(targets, shared)``: every output attribute with its tree, and
+        ``node -> the prediction of a case that ends in it``, filled as
+        nodes are reached — every case routed whole to one node shares
+        that node's prediction."""
+        return ([(target, self.trees.get(target.index))
+                 for target in self.space.outputs()], {})
+
     def predict(self, observation: Observation) -> CasePrediction:
         self.require_trained()
         result = CasePrediction()
-        for target in self.space.outputs():
-            tree = self.trees.get(target.index)
+        values = observation.values
+        targets, shared = self.prediction_tables()
+        for target, tree in targets:
             if tree is None:
                 result.set(self.marginal_prediction(target))
                 continue
-            if target.is_categorical:
-                merged = CategoricalDistribution()
-                self._collect_categorical(tree, observation, 1.0, merged)
-                result.set(AttributePrediction.from_categorical(target,
-                                                                merged))
+            node = tree
+            while node.children:
+                value = values[node.split_attribute.index]
+                if value is None:
+                    node = None  # routed fractionally, from the root
+                    break
+                if node.threshold is not None:
+                    node = node.children[0 if value <= node.threshold else 1]
+                    continue
+                for child, child_value in zip(node.children,
+                                              node.child_values):
+                    if child_value == value:
+                        node = child
+                        break
+                else:
+                    # Unseen category: this node's own distribution.
+                    break
+            if node is None:
+                prediction = self._mixture(
+                    target, self._walk(tree, observation, 1.0))
             else:
-                stats = _WeightedMoments()
-                self._collect_gaussian(tree, observation, 1.0, stats)
-                result.set(stats.to_prediction(target))
+                prediction = shared.get(node)
+                if prediction is None:
+                    prediction = shared[node] = self._mixture(
+                        target, [(node, 1.0)])
+            result.set(prediction)
         return result
 
     def _walk(self, node: _TreeNode, observation: Observation,
@@ -333,19 +359,25 @@ class DecisionTreeAlgorithm(MiningAlgorithm):
         # Unseen category: fall back to this node's own distribution.
         yield node, weight
 
-    def _collect_categorical(self, tree, observation, weight, merged):
-        for leaf, share in self._walk(tree, observation, weight):
-            if leaf.distribution is None or leaf.distribution.total <= 0:
-                continue
-            for value, count in leaf.distribution.counts.items():
-                merged.add(value, share * count / leaf.distribution.total)
-
-    def _collect_gaussian(self, tree, observation, weight, stats):
-        for leaf, share in self._walk(tree, observation, weight):
+    @staticmethod
+    def _mixture(target: Attribute, leaves) -> AttributePrediction:
+        """The prediction from ``(node, share)`` pairs: the share-weighted
+        mixture of the nodes' distributions (or Gaussians)."""
+        if target.is_categorical:
+            merged = CategoricalDistribution()
+            for leaf, share in leaves:
+                if leaf.distribution is None or leaf.distribution.total <= 0:
+                    continue
+                for value, count in leaf.distribution.counts.items():
+                    merged.add(value, share * count / leaf.distribution.total)
+            return AttributePrediction.from_categorical(target, merged)
+        stats = _WeightedMoments()
+        for leaf, share in leaves:
             if leaf.stats is None or leaf.stats.sum_weight <= 0:
                 continue
             stats.add(leaf.stats.mean, leaf.stats.variance,
                       leaf.stats.sum_weight, share)
+        return stats.to_prediction(target)
 
     # -- content --------------------------------------------------------------
 

@@ -111,6 +111,7 @@ class NaiveBayesAlgorithm(MiningAlgorithm):
         """Fold new observations into the counts (exactly equivalent to a
         full retrain over the union, because every statistic is a sum)."""
         self.require_trained()
+        self.drop_tables()
         for target_index, model in self.models.items():
             for observation in observations:
                 state = observation.values[target_index]
@@ -163,6 +164,7 @@ class NaiveBayesAlgorithm(MiningAlgorithm):
         the whole caseset would.
         """
         self.require_trained()
+        self.drop_tables()
         for replica in others:
             for target_index, model in self.models.items():
                 other = replica.models[target_index]
@@ -180,45 +182,91 @@ class NaiveBayesAlgorithm(MiningAlgorithm):
                     else:
                         mine.merge(stats)
 
-    def predict(self, observation: Observation) -> CasePrediction:
-        self.require_trained()
-        result = CasePrediction()
+    def _log_conditionals(self, model: _TargetModel, attribute: Attribute,
+                          states: List[float], value: float) -> List[float]:
+        """``log P(attribute = value | state)`` per target state, Laplace
+        smoothed and floored at 1e-12."""
         smoothing = float(self.param("SMOOTHING"))
+        cardinality = max(attribute.cardinality, 1)
+        logs = []
+        for state in states:
+            conditional = model.categorical.get((attribute.index, state))
+            if conditional is None:
+                conditional = CategoricalDistribution()
+            logs.append(math.log(max(conditional.probability(
+                value, smoothing=smoothing, cardinality=cardinality), 1e-12)))
+        return logs
+
+    def _build_tables(self):
+        """Per target: its states, their display labels and log priors
+        and, per input in scoring order, either the log conditionals of
+        every category code (``{code: [log P(code | state) per state]}``)
+        or, for a continuous input, the usable per-state Gaussians — so
+        :meth:`predict` adds the terms the formula defines, in the order it
+        defines them, without recomputing any that depend on the model
+        alone."""
+        tables = []
         for target in self.space.outputs():
             model = self.models[target.index]
             states = list(model.prior.counts)
+            log_prior = [math.log(max(model.prior.probability(state), 1e-12))
+                         for state in states]
+            inputs = []
+            for attribute in self._inputs[target.index]:
+                if attribute.is_categorical:
+                    inputs.append((attribute, {
+                        code: self._log_conditionals(model, attribute,
+                                                     states, code)
+                        for code in range(attribute.cardinality)}, None))
+                else:
+                    gaussians = [model.gaussian.get((attribute.index, state))
+                                 for state in states]
+                    inputs.append((attribute, None, [
+                        stats if stats is not None and stats.sum_weight > 0
+                        else None for stats in gaussians]))
+            labels = {state: target.decode(state) for state in states}
+            tables.append((target, model, states, labels, log_prior, inputs))
+        return tables
+
+    def predict(self, observation: Observation) -> CasePrediction:
+        self.require_trained()
+        result = CasePrediction()
+        values = observation.values
+        for target, model, states, labels, log_prior, inputs in \
+                self.prediction_tables():
             if not states:
                 result.set(self.marginal_prediction(target))
                 continue
+            terms = []  # per known input, in input order: one term per state
+            for attribute, logs, gaussians in inputs:
+                value = values[attribute.index]
+                if value is None:
+                    continue
+                if gaussians is not None:
+                    terms.append([
+                        None if stats is None
+                        else math.log(max(stats.pdf(value), 1e-300))
+                        for stats in gaussians])
+                    continue
+                row = logs.get(value)
+                if row is None:  # a code outside the fitted categories
+                    row = self._log_conditionals(model, attribute, states,
+                                                 value)
+                terms.append(row)
             log_scores = []
-            for state in states:
-                score = math.log(max(model.prior.probability(state), 1e-12))
-                for attribute in self._inputs[target.index]:
-                    value = observation.values[attribute.index]
-                    if value is None:
-                        continue
-                    key = (attribute.index, state)
-                    if attribute.is_categorical:
-                        conditional = model.categorical.get(key)
-                        if conditional is None:
-                            conditional = CategoricalDistribution()
-                        p = conditional.probability(
-                            value, smoothing=smoothing,
-                            cardinality=max(attribute.cardinality, 1))
-                        score += math.log(max(p, 1e-12))
-                    else:
-                        stats = model.gaussian.get(key)
-                        if stats is None or stats.sum_weight <= 0:
-                            continue
-                        score += math.log(max(stats.pdf(value), 1e-300))
+            for position, score in enumerate(log_prior):
+                for row in terms:
+                    term = row[position]
+                    if term is not None:
+                        score += term
                 log_scores.append(score)
             normaliser = log_sum_exp(log_scores)
             posterior = CategoricalDistribution()
             for state, score in zip(states, log_scores):
                 posterior.add(state, math.exp(score - normaliser) *
                               model.prior.total)
-            result.set(AttributePrediction.from_categorical(target,
-                                                            posterior))
+            result.set(AttributePrediction.from_categorical(
+                target, posterior, labels))
         return result
 
     def content_nodes(self) -> ContentNode:

@@ -151,8 +151,8 @@ class ExternalMiningPipeline:
         attribute = model.space.for_column(target_column)
         rows = 0
         with open(predictions_path, "w") as handle:
-            for case in cases:
-                prediction = model.predict_case(case).get(attribute)
+            for case, predicted in zip(cases, model.predict_cases(cases)):
+                prediction = predicted.get(attribute)
                 value = prediction.value if prediction is not None else None
                 handle.write(f"{case.scalars['CUSTOMER ID']},{value}\n")
                 rows += 1

@@ -90,7 +90,8 @@ def case_mapper(definition: ModelDefinition, source,
         plan = _positional_plan(definition, bindings, source)
     else:
         plan = _name_plan(definition, source)
-    return lambda row: _map_row(row, plan)
+    scalars, tables = _compile_plan(plan)
+    return lambda row: _map_row(row, scalars, tables)
 
 
 def iter_mapped_cases(definition: ModelDefinition, stream,
@@ -227,49 +228,57 @@ def _name_plan(definition: ModelDefinition, rowset: Rowset):
     return plan
 
 
-def _map_row(row: tuple, plan) -> MappedCase:
-    case = MappedCase()
+def _compile_plan(plan):
+    """Resolve a plan's model columns to what the per-row loop needs — the
+    upper-cased key each value is stored under, its coercer (None: store
+    as is) and, for a qualifier column, the qualifier kind — so mapping a
+    row upper-cases no name and inspects no column."""
+    def slot(source_index, column):
+        if column.role is ContentRole.QUALIFIER:
+            return (source_index, column.qualifier_of.upper(), None,
+                    column.qualifier)
+        coerce = column.data_type.coerce if column.data_type is not None \
+            else None
+        return source_index, column.name.upper(), coerce, None
+
+    scalars, tables = [], []
     for source_index, target in plan:
         if target[0] == "scalar":
-            column = target[1]
-            value = row[source_index]
-            _store_scalar(case, column, value)
+            scalars.append(slot(source_index, target[1]))
         else:
-            column, nested_plan = target[1], target[2]
-            nested = row[source_index]
-            rows_out: List[Dict[str, Any]] = []
-            if isinstance(nested, Rowset):
-                for nested_row in nested.rows:
-                    row_dict: Dict[str, Any] = {}
-                    for nested_index, nested_target in nested_plan:
-                        nested_column = nested_target[1]
-                        value = nested_row[nested_index]
-                        if nested_column.role is ContentRole.QUALIFIER:
-                            target_key = nested_column.qualifier_of.upper()
-                            row_dict.setdefault(
-                                "__QUALIFIERS__", {}).setdefault(
-                                target_key, {})[
-                                nested_column.qualifier] = value
-                        else:
-                            row_dict[nested_column.name.upper()] = \
-                                _coerce(nested_column, value)
-                    rows_out.append(row_dict)
-            case.tables[column.name.upper()] = rows_out
+            tables.append((source_index, target[1].name.upper(),
+                           [slot(nested_index, nested_target[1])
+                            for nested_index, nested_target in target[2]]))
+    return scalars, tables
+
+
+def _map_row(row: tuple, scalars, tables) -> MappedCase:
+    case = MappedCase()
+    for source_index, key, coerce, qualifier in scalars:
+        value = row[source_index]
+        if qualifier is not None:
+            case.qualifiers.setdefault(key, {})[qualifier] = value
+        else:
+            case.scalars[key] = value if value is None or coerce is None \
+                else coerce(value)
+    for source_index, table_key, nested_slots in tables:
+        nested = row[source_index]
+        rows_out: List[Dict[str, Any]] = []
+        if isinstance(nested, Rowset):
+            for nested_row in nested.rows:
+                row_dict: Dict[str, Any] = {}
+                for nested_index, key, coerce, qualifier in nested_slots:
+                    value = nested_row[nested_index]
+                    if qualifier is not None:
+                        row_dict.setdefault("__QUALIFIERS__", {}).setdefault(
+                            key, {})[qualifier] = value
+                    else:
+                        row_dict[key] = value \
+                            if value is None or coerce is None \
+                            else coerce(value)
+                rows_out.append(row_dict)
+        case.tables[table_key] = rows_out
     return case
-
-
-def _store_scalar(case: MappedCase, column: ModelColumn, value: Any) -> None:
-    if column.role is ContentRole.QUALIFIER:
-        case.qualifiers.setdefault(
-            column.qualifier_of.upper(), {})[column.qualifier] = value
-    else:
-        case.scalars[column.name.upper()] = _coerce(column, value)
-
-
-def _coerce(column: ModelColumn, value: Any) -> Any:
-    if value is None or column.data_type is None:
-        return value
-    return column.data_type.coerce(value)
 
 
 # ---------------------------------------------------------------------------
@@ -299,9 +308,10 @@ def pair_mapper(definition: ModelDefinition, source,
     only (a :class:`Rowset` or row stream).
     """
     rowset = source
-    scalar_map: List[Tuple[int, ModelColumn]] = []
-    nested_map: Dict[str, List[Tuple[int, ModelColumn]]] = {}
-    nested_source: Dict[str, int] = {}
+    # The plan shape the other two modes compile: scalars in ON-clause
+    # order, then one ``[source_index, table target]`` per joined table.
+    plan: list = []
+    nested: Dict[str, list] = {}
 
     for model_path, source_path in pairs:
         if len(model_path) == 1:
@@ -310,8 +320,8 @@ def pair_mapper(definition: ModelDefinition, source,
                 raise BindError(
                     f"model {definition.name!r} has no scalar column "
                     f"{model_path[0]!r}")
-            source_index = _resolve_source_scalar(rowset, source_path)
-            scalar_map.append((source_index, column))
+            plan.append((_resolve_source_scalar(rowset, source_path),
+                         ("scalar", column)))
         elif len(model_path) == 2:
             table = definition.find(model_path[0])
             if table is None or not table.is_table:
@@ -340,38 +350,17 @@ def pair_mapper(definition: ModelDefinition, source,
                 raise BindError(
                     f"nested source table {source_path[0]!r} has no column "
                     f"{source_path[1]!r}")
-            key = table.name.upper()
-            nested_source[key] = source_table_index
-            nested_map.setdefault(key, []).append((inner_index, nested_column))
+            entry = nested.setdefault(table.name.upper(),
+                                      [None, ("table", table, [])])
+            entry[0] = source_table_index
+            entry[1][2].append((inner_index, ("scalar", nested_column)))
         else:
             raise BindError(
                 f"unsupported model path {'.'.join(model_path)!r} in ON "
                 f"clause")
 
-    def mapper(row: tuple) -> MappedCase:
-        case = MappedCase()
-        for source_index, column in scalar_map:
-            _store_scalar(case, column, row[source_index])
-        for key, mappings in nested_map.items():
-            nested = row[nested_source[key]]
-            rows_out = []
-            if isinstance(nested, Rowset):
-                for nested_row in nested.rows:
-                    row_dict = {}
-                    for inner_index, nested_column in mappings:
-                        if nested_column.role is ContentRole.QUALIFIER:
-                            row_dict.setdefault("__QUALIFIERS__", {}) \
-                                .setdefault(
-                                    nested_column.qualifier_of.upper(), {})[
-                                    nested_column.qualifier] = \
-                                nested_row[inner_index]
-                        else:
-                            row_dict[nested_column.name.upper()] = _coerce(
-                                nested_column, nested_row[inner_index])
-                    rows_out.append(row_dict)
-            case.tables[key] = rows_out
-        return case
-    return mapper
+    scalars, tables = _compile_plan(plan + list(nested.values()))
+    return lambda row: _map_row(row, scalars, tables)
 
 
 def _resolve_source_scalar(rowset: Rowset, path: Tuple[str, ...]) -> int:

@@ -5,38 +5,55 @@ columns ... Some UDFs are scalar-valued, such as probability, or support.
 Others have tables as values, such as histogram and hence return nested
 tables when invoked."
 
-Each function here receives the active :class:`PredictionScope` (model, the
-current mapped case, and its lazily-computed :class:`CasePrediction`) plus
-the raw argument AST, because most arguments name *attributes* rather than
-values (``PredictProbability([Age])``).
+Every entry of :data:`PREDICTION_FUNCTIONS` is a *binder*: called once per
+statement with the active :class:`PredictionScope` and the raw argument AST
+(most arguments name *attributes* rather than values —
+``PredictProbability([Age])``), it resolves attributes, nested tables and
+plain arguments there and then, and returns the closure the prediction
+join applies to every case.  A closure receives an *entry*, ``(source_row,
+CasePrediction)``; an unknown attribute, a non-discretized RangeMin
+argument or a wrong argument count is an error of the statement, raised
+before any case is read.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional
+import functools
+import operator
+from typing import Any, Callable, List, Optional
 
 from repro.errors import BindError, PredictionError
 from repro.lang import ast_nodes as ast
 from repro.sqlstore.rowset import Rowset, RowsetColumn
 from repro.sqlstore.types import DOUBLE, LONG, TEXT
-from repro.algorithms.attributes import Attribute
+from repro.algorithms.attributes import Attribute, AttributeSpace
 from repro.algorithms.base import AttributePrediction, PredictionBucket
+
+_CASE_PREDICTION = operator.itemgetter(1)
+
+_COLUMN_ARGUMENT = ("prediction functions take a model column reference, "
+                    "e.g. PredictProbability([Age])")
+
+
+def _column_argument(args: List[ast.Expr]) -> ast.Expr:
+    if not args:
+        raise PredictionError(_COLUMN_ARGUMENT)
+    return args[0]
 
 
 class PredictionScope:
-    """Everything a UDF may consult for the current case."""
+    """Everything a UDF may consult while it is bound."""
 
-    def __init__(self, model, case, evaluator):
+    def __init__(self, model, compile: Callable[[ast.Expr], Callable]):
         self.model = model
-        self.case = case
-        self._prediction = None
-        self.evaluate = evaluator  # evaluates plain (non-attribute) args
+        self.compile = compile  # binds a plain (non-attribute) argument
+        self.reads_prediction = False
 
-    @property
-    def prediction(self):
-        if self._prediction is None:
-            self._prediction = self.model.predict_case(self.case)
-        return self._prediction
+    def case_prediction(self) -> Callable[[tuple], Any]:
+        """The ``entry -> CasePrediction`` reader.  Taking it is what tells
+        the join that the statement has to score its cases at all."""
+        self.reads_prediction = True
+        return _CASE_PREDICTION
 
     # -- argument resolution ----------------------------------------------------
 
@@ -48,9 +65,7 @@ class PredictionScope:
     def target_attribute(self, arg: ast.Expr) -> Attribute:
         """Resolve a UDF argument naming a scalar model attribute."""
         if not isinstance(arg, ast.ColumnRef):
-            raise PredictionError(
-                "prediction functions take a model column reference, e.g. "
-                "PredictProbability([Age])")
+            raise PredictionError(_COLUMN_ARGUMENT)
         parts = self.strip_model_qualifier(arg.parts)
         name = ".".join(parts) if len(parts) > 1 else parts[0]
         attribute = self.model.space.by_name(name)
@@ -73,13 +88,23 @@ class PredictionScope:
             return column.name
         return None
 
-    def attribute_prediction(self, arg: ast.Expr) -> AttributePrediction:
-        attribute = self.target_attribute(arg)
-        prediction = self.prediction.get(attribute)
-        if prediction is None:
-            # Not an output of this algorithm: fall back to the marginals.
-            prediction = self.model.algorithm.marginal_prediction(attribute)
-        return prediction
+    def attribute_reader(self, attribute: Attribute) \
+            -> Callable[[tuple], AttributePrediction]:
+        """``entry -> AttributePrediction`` for one attribute; where the
+        algorithm does not output it, the training marginals stand in."""
+        case_prediction = self.case_prediction()
+        algorithm = self.model.algorithm
+        marginal = functools.cache(
+            lambda: algorithm.marginal_prediction(attribute))
+
+        def read(entry):
+            prediction = case_prediction(entry).get(attribute)
+            return prediction if prediction is not None else marginal()
+        return read
+
+    def attribute_prediction(self, arg: ast.Expr) \
+            -> Callable[[tuple], AttributePrediction]:
+        return self.attribute_reader(self.target_attribute(arg))
 
 
 # ---------------------------------------------------------------------------
@@ -104,186 +129,218 @@ def histogram_rowset(name: str, buckets: List[PredictionBucket]) -> Rowset:
     return Rowset(columns, rows)
 
 
-def cluster_histogram_rowset(scope: PredictionScope) -> Rowset:
+def _bind_cluster_histogram(scope: PredictionScope):
     columns = [
         RowsetColumn("$CLUSTER", LONG),
         RowsetColumn("$PROBABILITY", DOUBLE),
         RowsetColumn("$SUPPORT", DOUBLE),
     ]
-    probabilities = scope.prediction.cluster_probabilities
+    case_prediction = scope.case_prediction()
     total = scope.model.space.total_weight
-    rows = sorted(
-        ((cluster + 1, float(p), float(p) * total)
-         for cluster, p in enumerate(probabilities)),
-        key=lambda row: -row[1])
-    return Rowset(columns, rows)
+
+    def histogram(entry):
+        rows = sorted(
+            ((cluster + 1, float(p), float(p) * total)
+             for cluster, p in enumerate(
+                 case_prediction(entry).cluster_probabilities)),
+            key=lambda row: -row[1])
+        return Rowset(columns, rows)
+    return histogram
 
 
 # ---------------------------------------------------------------------------
 # The functions
 # ---------------------------------------------------------------------------
 
-def fn_predict(scope: PredictionScope, args: List[ast.Expr]) -> Any:
+def bind_predict(scope: PredictionScope, args: List[ast.Expr]):
     """Predict(<column>): best estimate; for TABLE columns, the
     recommendation rowset (association/sequence models)."""
     if not args:
         raise PredictionError("Predict() requires a column argument")
-    table = scope.target_table(args[0])
-    if table is not None:
-        return fn_predict_association(scope, args)
-    return scope.attribute_prediction(args[0]).value
+    if scope.target_table(args[0]) is not None:
+        return bind_predict_association(scope, args)
+    read = scope.attribute_prediction(_column_argument(args))
+    return lambda entry: read(entry).value
 
 
-def fn_predict_probability(scope: PredictionScope,
-                           args: List[ast.Expr]) -> Optional[float]:
-    """PredictProbability(col[, value]): probability of the predicted (or a
-    specific) value."""
-    prediction = scope.attribute_prediction(args[0])
-    if len(args) == 1:
-        return prediction.probability
-    target = scope.evaluate(args[1])
-    for bucket in prediction.histogram:
-        if _value_equal(bucket.value, target):
-            return bucket.probability
-    return 0.0
+def _bind_statistic(statistic: str):
+    """PredictProbability / PredictSupport (col[, value]): the statistic of
+    the predicted (or of a specific) value."""
+    pick = operator.attrgetter(statistic)
+
+    def bind(scope: PredictionScope, args: List[ast.Expr]):
+        read = scope.attribute_prediction(_column_argument(args))
+        if len(args) == 1:
+            return lambda entry: pick(read(entry))
+        target_of = scope.compile(args[1])
+
+        def of_value(entry) -> Optional[float]:
+            prediction = read(entry)
+            target = target_of(entry)
+            for bucket in prediction.histogram:
+                if _value_equal(bucket.value, target):
+                    return pick(bucket)
+            return 0.0
+        return of_value
+    return bind
 
 
-def fn_predict_support(scope: PredictionScope,
-                       args: List[ast.Expr]) -> Optional[float]:
-    prediction = scope.attribute_prediction(args[0])
-    if len(args) == 1:
-        return prediction.support
-    target = scope.evaluate(args[1])
-    for bucket in prediction.histogram:
-        if _value_equal(bucket.value, target):
-            return bucket.support
-    return 0.0
+def bind_predict_variance(scope: PredictionScope, args: List[ast.Expr]):
+    read = scope.attribute_prediction(_column_argument(args))
+    return lambda entry: read(entry).variance
 
 
-def fn_predict_variance(scope: PredictionScope,
-                        args: List[ast.Expr]) -> Optional[float]:
-    return scope.attribute_prediction(args[0]).variance
+def bind_predict_stdev(scope: PredictionScope, args: List[ast.Expr]):
+    read = scope.attribute_prediction(_column_argument(args))
+
+    def stdev(entry) -> Optional[float]:
+        variance = read(entry).variance
+        return variance ** 0.5 if variance is not None else None
+    return stdev
 
 
-def fn_predict_stdev(scope: PredictionScope,
-                     args: List[ast.Expr]) -> Optional[float]:
-    variance = scope.attribute_prediction(args[0]).variance
-    return variance ** 0.5 if variance is not None else None
-
-
-def fn_predict_histogram(scope: PredictionScope,
-                         args: List[ast.Expr]) -> Rowset:
+def bind_predict_histogram(scope: PredictionScope, args: List[ast.Expr]):
     """PredictHistogram(col) or PredictHistogram(Cluster())."""
     if args and isinstance(args[0], ast.FuncCall) and \
             args[0].name.upper() == "CLUSTER":
-        return cluster_histogram_rowset(scope)
+        return _bind_cluster_histogram(scope)
     table = scope.target_table(args[0]) if args else None
     if table is not None:
-        buckets = scope.prediction.recommendations.get(table.upper(), [])
-        return histogram_rowset(_table_key_name(scope, table), buckets)
-    prediction = scope.attribute_prediction(args[0])
-    return histogram_rowset(prediction.attribute.name, prediction.histogram)
+        case_prediction = scope.case_prediction()
+        key, header = table.upper(), _table_key_name(scope.model, table)
+        return lambda entry: histogram_rowset(
+            header, case_prediction(entry).recommendations.get(key, []))
+    attribute = scope.target_attribute(_column_argument(args))
+    read = scope.attribute_reader(attribute)
+    return lambda entry: histogram_rowset(attribute.name,
+                                          read(entry).histogram)
 
 
-def fn_predict_association(scope: PredictionScope,
-                           args: List[ast.Expr]) -> Rowset:
+def bind_predict_association(scope: PredictionScope, args: List[ast.Expr]):
     """PredictAssociation(table[, n]): top-n recommended nested-table items."""
-    if not args:
-        raise PredictionError(
-            "PredictAssociation requires a nested TABLE column argument")
-    table = scope.target_table(args[0])
+    table = scope.target_table(args[0]) if args else None
     if table is None:
         raise PredictionError(
             "PredictAssociation requires a nested TABLE column argument")
-    buckets = scope.prediction.recommendations.get(table.upper())
-    if buckets is None:
-        # Models without explicit recommendations: rank existence attributes
-        # by predicted membership probability.
-        buckets = []
-        for attribute in scope.model.space.existence_attributes(table):
-            prediction = scope.prediction.get(attribute)
-            if prediction is None:
-                continue
-            probability = 0.0
-            for bucket in prediction.histogram:
-                if bucket.value is True:
-                    probability = bucket.probability
-            buckets.append(PredictionBucket(attribute.key_value, probability,
-                                            prediction.support))
-        buckets.sort(key=lambda b: (-b.probability, str(b.value)))
-    limit = None
-    if len(args) > 1:
-        limit = int(scope.evaluate(args[1]))
-    if limit is not None:
-        buckets = buckets[:limit]
-    return histogram_rowset(_table_key_name(scope, table), buckets)
+    case_prediction = scope.case_prediction()
+    key, header = table.upper(), _table_key_name(scope.model, table)
+    existence = scope.model.space.existence_attributes(table)
+    limit_of = scope.compile(args[1]) if len(args) > 1 else None
+
+    def association(entry) -> Rowset:
+        prediction = case_prediction(entry)
+        buckets = prediction.recommendations.get(key)
+        if buckets is None:
+            # Models without explicit recommendations: rank existence
+            # attributes by predicted membership probability.
+            buckets = []
+            for attribute in existence:
+                member = prediction.get(attribute)
+                if member is None:
+                    continue
+                probability = 0.0
+                for bucket in member.histogram:
+                    if bucket.value is True:
+                        probability = bucket.probability
+                buckets.append(PredictionBucket(
+                    attribute.key_value, probability, member.support))
+            buckets.sort(key=lambda b: (-b.probability, str(b.value)))
+        if limit_of is not None:
+            buckets = buckets[:int(limit_of(entry))]
+        return histogram_rowset(header, buckets)
+    return association
 
 
-def fn_cluster(scope: PredictionScope, args: List[ast.Expr]) -> Optional[int]:
+def bind_cluster(scope: PredictionScope, args: List[ast.Expr]):
     """Cluster(): the 1-based id of the most probable cluster."""
-    cluster = scope.prediction.cluster_id
-    if cluster is None:
-        raise PredictionError(
-            f"model {scope.model.name!r} ({scope.model.algorithm.SERVICE_NAME}) "
-            f"is not a clustering model")
+    case_prediction = scope.case_prediction()
+    model = scope.model
+
+    def cluster(entry) -> int:
+        cluster_id = case_prediction(entry).cluster_id
+        if cluster_id is None:
+            raise PredictionError(
+                f"model {model.name!r} ({model.algorithm.SERVICE_NAME}) "
+                f"is not a clustering model")
+        return cluster_id
     return cluster
 
 
-def fn_cluster_probability(scope: PredictionScope,
-                           args: List[ast.Expr]) -> float:
-    probabilities = scope.prediction.cluster_probabilities
-    if not probabilities:
-        raise PredictionError(
-            f"model {scope.model.name!r} is not a clustering model")
-    if args:
-        cluster = int(scope.evaluate(args[0]))
-        if not 1 <= cluster <= len(probabilities):
+def _bind_cluster_argument(scope: PredictionScope, args: List[ast.Expr]):
+    """The optional cluster-id argument of ClusterProbability /
+    ClusterDistance: ``(entry, cluster count) -> 0-based cluster``, or
+    None when the call names no cluster."""
+    if not args:
+        return None
+    cluster_of = scope.compile(args[0])
+
+    def chosen(entry, count: int) -> int:
+        cluster = int(cluster_of(entry))
+        if not 1 <= cluster <= count:
             raise PredictionError(
-                f"cluster id {cluster} out of range 1..{len(probabilities)}")
-        return probabilities[cluster - 1]
-    return max(probabilities)
+                f"cluster id {cluster} out of range 1..{count}")
+        return cluster - 1
+    return chosen
 
 
-def fn_cluster_distance(scope: PredictionScope,
-                        args: List[ast.Expr]) -> float:
-    distances = scope.prediction.cluster_distances
-    if not distances:
-        # EM models: use 1 - probability as a distance surrogate.
-        return 1.0 - fn_cluster_probability(scope, args)
-    if args:
-        cluster = int(scope.evaluate(args[0]))
-        return distances[cluster - 1]
-    return distances[scope.prediction.cluster_id - 1]
+def bind_cluster_probability(scope: PredictionScope, args: List[ast.Expr]):
+    case_prediction = scope.case_prediction()
+    chosen = _bind_cluster_argument(scope, args)
+    name = scope.model.name
+
+    def probability(entry) -> float:
+        probabilities = case_prediction(entry).cluster_probabilities
+        if not probabilities:
+            raise PredictionError(
+                f"model {name!r} is not a clustering model")
+        if chosen is None:
+            return max(probabilities)
+        return probabilities[chosen(entry, len(probabilities))]
+    return probability
 
 
-def _range_bucket(scope: PredictionScope, args: List[ast.Expr]):
-    attribute = scope.target_attribute(args[0])
-    if attribute.discretizer is None:
-        raise PredictionError(
-            f"RangeMin/Mid/Max require a DISCRETIZED column; "
-            f"{attribute.name!r} is not discretized")
-    predicted = scope.attribute_prediction(args[0]).value
-    for bucket in range(attribute.discretizer.bucket_count):
-        if attribute.discretizer.label(bucket) == predicted:
-            return attribute.discretizer, bucket
-    raise PredictionError(
-        f"predicted value {predicted!r} is not a bucket of "
-        f"{attribute.name!r}")
+def bind_cluster_distance(scope: PredictionScope, args: List[ast.Expr]):
+    case_prediction = scope.case_prediction()
+    probability = bind_cluster_probability(scope, args)
+    chosen = _bind_cluster_argument(scope, args)
+
+    def distance(entry) -> float:
+        prediction = case_prediction(entry)
+        distances = prediction.cluster_distances
+        if not distances:
+            # EM models: use 1 - probability as a distance surrogate.
+            return 1.0 - probability(entry)
+        if chosen is not None:
+            return distances[chosen(entry, len(distances))]
+        return distances[prediction.cluster_id - 1]
+    return distance
 
 
-def fn_range_min(scope: PredictionScope, args: List[ast.Expr]) -> float:
-    discretizer, bucket = _range_bucket(scope, args)
-    return discretizer.range_of(bucket)[0]
+def _bind_range(edge: Callable):
+    """RangeMin / RangeMid / RangeMax (col): ``edge(discretizer, bucket)``
+    of the predicted bucket of a DISCRETIZED column."""
+    def bind(scope: PredictionScope, args: List[ast.Expr]):
+        attribute = scope.target_attribute(_column_argument(args))
+        discretizer = attribute.discretizer
+        if discretizer is None:
+            raise PredictionError(
+                f"RangeMin/Mid/Max require a DISCRETIZED column; "
+                f"{attribute.name!r} is not discretized")
+        read = scope.attribute_reader(attribute)
+        buckets: dict = {}
+        for bucket in range(discretizer.bucket_count):
+            buckets.setdefault(discretizer.label(bucket), bucket)
 
-
-def fn_range_mid(scope: PredictionScope, args: List[ast.Expr]) -> float:
-    discretizer, bucket = _range_bucket(scope, args)
-    return discretizer.midpoint_of(bucket)
-
-
-def fn_range_max(scope: PredictionScope, args: List[ast.Expr]) -> float:
-    discretizer, bucket = _range_bucket(scope, args)
-    return discretizer.range_of(bucket)[1]
+        def of_predicted(entry) -> float:
+            predicted = read(entry).value
+            bucket = buckets.get(predicted)
+            if bucket is None:
+                raise PredictionError(
+                    f"predicted value {predicted!r} is not a bucket of "
+                    f"{attribute.name!r}")
+            return edge(discretizer, bucket)
+        return of_predicted
+    return bind
 
 
 # ---------------------------------------------------------------------------
@@ -300,88 +357,72 @@ def _rank_column_index(rowset: Rowset, arg: ast.Expr) -> int:
         "e.g. TopCount(PredictHistogram([Age]), [$PROBABILITY], 3)")
 
 
-def _table_argument(scope: PredictionScope, arg: ast.Expr) -> Rowset:
-    value = scope.evaluate(arg)
-    if not isinstance(value, Rowset):
-        raise PredictionError(
-            "the first argument of TopCount/TopSum/TopPercent must be "
-            "table-valued (e.g. PredictHistogram(...))")
-    return value
-
-
-def fn_top_count(scope: PredictionScope, args: List[ast.Expr]) -> Rowset:
-    """TopCount(table, rank_column, n): n rows with the largest rank."""
-    if len(args) != 3:
-        raise PredictionError("TopCount(table, rank_column, n)")
-    rowset = _table_argument(scope, args[0])
-    rank = _rank_column_index(rowset, args[1])
-    count = int(scope.evaluate(args[2]))
-    rows = sorted(rowset.rows,
+def _ranked(rowset: Rowset, rank: int) -> List[tuple]:
+    return sorted(rowset.rows,
                   key=lambda row: -(row[rank] if row[rank] is not None
                                     else float("-inf")))
-    return Rowset(rowset.columns, rows[:count])
 
 
-def fn_top_sum(scope: PredictionScope, args: List[ast.Expr]) -> Rowset:
-    """TopSum(table, rank_column, threshold): smallest prefix of rank-sorted
-    rows whose rank values sum to at least the threshold."""
-    if len(args) != 3:
-        raise PredictionError("TopSum(table, rank_column, threshold)")
-    rowset = _table_argument(scope, args[0])
-    rank = _rank_column_index(rowset, args[1])
-    threshold = float(scope.evaluate(args[2]))
-    rows = sorted(rowset.rows,
-                  key=lambda row: -(row[rank] if row[rank] is not None
-                                    else float("-inf")))
+def _top_count(rowset: Rowset, rank: int, count) -> List[tuple]:
+    """n rows with the largest rank."""
+    return _ranked(rowset, rank)[:int(count)]
+
+
+def _top_sum(rowset: Rowset, rank: int, threshold) -> List[tuple]:
+    """Smallest prefix of rank-sorted rows whose rank values sum to at
+    least the threshold."""
+    threshold = float(threshold)
     output = []
     accumulated = 0.0
-    for row in rows:
+    for row in _ranked(rowset, rank):
         output.append(row)
         accumulated += row[rank] or 0.0
         if accumulated >= threshold:
             break
-    return Rowset(rowset.columns, output)
+    return output
 
 
-def fn_top_percent(scope: PredictionScope, args: List[ast.Expr]) -> Rowset:
-    """TopPercent(table, rank_column, percent): prefix covering percent% of
-    the rank column's total."""
-    if len(args) != 3:
-        raise PredictionError("TopPercent(table, rank_column, percent)")
-    rowset = _table_argument(scope, args[0])
-    rank = _rank_column_index(rowset, args[1])
-    percent = float(scope.evaluate(args[2]))
+def _top_percent(rowset: Rowset, rank: int, percent) -> List[tuple]:
+    """Prefix covering percent% of the rank column's total."""
+    percent = float(percent)
     total = sum(row[rank] or 0.0 for row in rowset.rows)
-    return fn_top_sum_impl(rowset, rank, total * percent / 100.0)
+    return _top_sum(rowset, rank, total * percent / 100.0)
 
 
-def fn_top_sum_impl(rowset: Rowset, rank: int, threshold: float) -> Rowset:
-    rows = sorted(rowset.rows,
-                  key=lambda row: -(row[rank] if row[rank] is not None
-                                    else float("-inf")))
-    output = []
-    accumulated = 0.0
-    for row in rows:
-        output.append(row)
-        accumulated += row[rank] or 0.0
-        if accumulated >= threshold:
-            break
-    return Rowset(rowset.columns, output)
+def _bind_top(usage: str, select: Callable):
+    """``select(table, rank, amount)`` over a table-valued first argument,
+    a rank column named by the second and an amount given by the third."""
+    def bind(scope: PredictionScope, args: List[ast.Expr]):
+        if len(args) != 3:
+            raise PredictionError(usage)
+        table_of = scope.compile(args[0])
+        amount_of = scope.compile(args[2])
+
+        def top(entry) -> Rowset:
+            rowset = table_of(entry)
+            if not isinstance(rowset, Rowset):
+                raise PredictionError(
+                    "the first argument of TopCount/TopSum/TopPercent must "
+                    "be table-valued (e.g. PredictHistogram(...))")
+            rank = _rank_column_index(rowset, args[1])
+            return Rowset(rowset.columns,
+                          select(rowset, rank, amount_of(entry)))
+        return top
+    return bind
 
 
-def _table_key_name(scope: PredictionScope, table: str) -> str:
+def _table_key_name(model, table: str) -> str:
     """Column header for a nested recommendation histogram.
 
     For market-basket tables the recommended values are key values; for
     SEQUENCE_TIME tables they are states of the sequence state column.
     """
-    column = scope.model.definition.find(table)
+    column = model.definition.find(table)
     if column is None:
         return table
     has_time = any(getattr(c, "sequence_time", False)
                    for c in column.nested_columns or [])
     if has_time:
-        from repro.algorithms.attributes import AttributeSpace
         return AttributeSpace.sequence_state_column(column).name
     key = column.key_column()
     return key.name if key is not None else table
@@ -397,21 +438,23 @@ def _value_equal(a: Any, b: Any) -> bool:
     return a == b
 
 
+#: name -> binder ``(scope, argument ASTs) -> (entry -> value)``.
 PREDICTION_FUNCTIONS = {
-    "PREDICT": fn_predict,
-    "PREDICTPROBABILITY": fn_predict_probability,
-    "PREDICTSUPPORT": fn_predict_support,
-    "PREDICTVARIANCE": fn_predict_variance,
-    "PREDICTSTDEV": fn_predict_stdev,
-    "PREDICTHISTOGRAM": fn_predict_histogram,
-    "PREDICTASSOCIATION": fn_predict_association,
-    "CLUSTER": fn_cluster,
-    "CLUSTERPROBABILITY": fn_cluster_probability,
-    "CLUSTERDISTANCE": fn_cluster_distance,
-    "RANGEMIN": fn_range_min,
-    "RANGEMID": fn_range_mid,
-    "RANGEMAX": fn_range_max,
-    "TOPCOUNT": fn_top_count,
-    "TOPSUM": fn_top_sum,
-    "TOPPERCENT": fn_top_percent,
+    "PREDICT": bind_predict,
+    "PREDICTPROBABILITY": _bind_statistic("probability"),
+    "PREDICTSUPPORT": _bind_statistic("support"),
+    "PREDICTVARIANCE": bind_predict_variance,
+    "PREDICTSTDEV": bind_predict_stdev,
+    "PREDICTHISTOGRAM": bind_predict_histogram,
+    "PREDICTASSOCIATION": bind_predict_association,
+    "CLUSTER": bind_cluster,
+    "CLUSTERPROBABILITY": bind_cluster_probability,
+    "CLUSTERDISTANCE": bind_cluster_distance,
+    "RANGEMIN": _bind_range(lambda d, bucket: d.range_of(bucket)[0]),
+    "RANGEMID": _bind_range(lambda d, bucket: d.midpoint_of(bucket)),
+    "RANGEMAX": _bind_range(lambda d, bucket: d.range_of(bucket)[1]),
+    "TOPCOUNT": _bind_top("TopCount(table, rank_column, n)", _top_count),
+    "TOPSUM": _bind_top("TopSum(table, rank_column, threshold)", _top_sum),
+    "TOPPERCENT": _bind_top("TopPercent(table, rank_column, percent)",
+                            _top_percent),
 }

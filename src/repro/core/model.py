@@ -14,13 +14,13 @@ neglected by prior work.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Iterable, List, Optional
 
 from repro.errors import NotTrainedError, TrainError
 from repro.core.bindings import MappedCase
 from repro.core.columns import ModelDefinition
 from repro.core.content import ContentNode
-from repro.algorithms.attributes import AttributeSpace, Observation
+from repro.algorithms.attributes import AttributeSpace
 from repro.algorithms.base import CasePrediction, MiningAlgorithm
 from repro.algorithms.registry import create_algorithm
 from repro.exec.locks import RWLock
@@ -156,16 +156,13 @@ class MiningModel:
 
     # -- prediction -----------------------------------------------------------
 
-    def encode(self, case: MappedCase) -> Observation:
+    def predict_cases(self, cases: Iterable[MappedCase]) \
+            -> Iterable[CasePrediction]:
+        """Encode and score bound cases, in order — the one prediction
+        entry, behind the prediction join and the external pipeline.
+        Lazy: a case is encoded and scored when its prediction is taken."""
         self.require_trained()
-        return self.space.encode(case)
-
-    def predict_case(self, case: MappedCase) -> CasePrediction:
-        self.require_trained()
-        return self.algorithm.predict(self.space.encode(case))
-
-    def predict_cases(self, cases: List[MappedCase]) -> List[CasePrediction]:
-        return [self.predict_case(case) for case in cases]
+        return self.algorithm.predict_many(map(self.space.encode, cases))
 
     # -- content --------------------------------------------------------------
 

@@ -3,21 +3,24 @@
 "The basic operation of obtaining prediction on a dataset D using a DMM M is
 modeled as a 'prediction join' between D and M."  Execution:
 
-1. evaluate the source (a SHAPE block, sub-select, or table) into a rowset;
-2. bind each source row to a :class:`MappedCase` — by the ON clause's
-   equalities, or by column name for NATURAL PREDICTION JOIN;
-3. evaluate the select list per case: model-qualified column references
-   yield predicted values ("look up predicted values ... using the attribute
-   values of a case as a key for the join"), prediction UDFs run against the
-   case's :class:`CasePrediction`, and source-qualified references come from
-   the source row;
-4. apply WHERE / ORDER BY / TOP / DISTINCT, and FLATTENED if requested.
+1. open the source (a SHAPE block, sub-select, or table) as a row stream;
+2. with its columns known and no row read yet, bind once: the source-row
+   -> :class:`MappedCase` mapper (by the ON clause's equalities, or by
+   column name for NATURAL PREDICTION JOIN) and, through
+   :func:`compile_cases`, WHERE and the select list — model-qualified
+   column references read predicted values ("look up predicted values ...
+   using the attribute values of a case as a key for the join"),
+   prediction UDFs read the case's :class:`CasePrediction`,
+   source-qualified references read the source row;
+3. per batch: filter, encode and score the surviving cases together, apply
+   the bound closures;
+4. apply ORDER BY / TOP / DISTINCT, and FLATTENED if requested.
 """
 
 from __future__ import annotations
 
-from itertools import chain
-from typing import Any, List, Optional, Tuple
+from itertools import chain, repeat
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.errors import BindError, PredictionError
 from repro.lang import ast_nodes as ast
@@ -27,93 +30,95 @@ from repro.shaping.shape import plan_shape
 from repro.sqlstore.engine import _children, _multi_key_sort, _row_key
 from repro.sqlstore.expressions import (
     EvalContext,
+    compile_expression,
     compile_filter,
-    evaluate,
 )
 from repro.sqlstore.rowset import Rowset, RowsetColumn, RowStream
 from repro.sqlstore.types import TABLE, infer_type
 from repro.sqlstore.values import sort_key
-from repro.core.bindings import (
-    MappedCase,
-    case_mapper,
-    pair_mapper,
-)
+from repro.core.bindings import case_mapper, pair_mapper
 from repro.core.casecache import prediction_key
-from repro.core.functions import PREDICTION_FUNCTIONS, PredictionScope
+from repro.core.functions import (
+    PREDICTION_FUNCTIONS,
+    PredictionScope,
+    bind_predict_association,
+)
 
 
 class PredictionEvalContext(EvalContext):
-    """Expression context inside a prediction query.
+    """The binder of a prediction query's expressions.
 
-    Resolution order for column references:
+    :func:`~repro.sqlstore.expressions.compile_expression` over this
+    context yields closures over an *entry* — ``(source_row,
+    CasePrediction)`` — rather than over a bare row.  Resolution order for
+    column references:
 
-    1. ``<model>.<column>`` (or ``<model>.<table>.<column>``) — predicted
-       value of a model column;
+    1. ``<model>.<column>`` — predicted value of a model column;
     2. ``<alias>.<column>`` / bare names — the source row;
     3. bare names matching a model PREDICT column — predicted value.
+
+    Function calls resolve to prediction UDFs first, SQL scalar functions
+    second.  ``scope.reads_prediction`` says, once an expression is bound,
+    whether it reads the case's prediction at all.
     """
 
-    def __init__(self, model, source_context: EvalContext,
-                 source_row: tuple, case: MappedCase):
-        super().__init__(source_context.columns, source_row)
+    def __init__(self, model, source_context: EvalContext):
+        super().__init__(source_context.columns)
         self.subquery_executor = source_context.subquery_executor
         self._subquery_cache = source_context._subquery_cache
         self.model = model
         self.scope = PredictionScope(
-            model, case, evaluator=lambda e: evaluate(e, self))
+            model, lambda expr: compile_expression(expr, self))
 
-    def resolve_column(self, ref: ast.ColumnRef) -> Any:
+    def bind_column(self, ref: ast.ColumnRef) -> Callable[[tuple], Any]:
         parts = ref.parts
-        if parts[0].upper() == self.model.name.upper():
+        model = self.model
+        if parts[0].upper() == model.name.upper():
             if len(parts) == 1:
+                outputs = model.definition.output_columns()
                 raise BindError(
-                    f"select a column of model {self.model.name!r}, e.g. "
-                    f"[{self.model.name}].[{self._first_output_name()}]")
+                    f"select a column of model {model.name!r}, e.g. "
+                    f"[{model.name}]."
+                    f"[{outputs[0].name if outputs else '<column>'}]")
             return self._predicted_value(tuple(parts[1:]))
         index = self.resolve_index(parts)
         if index is not None:
-            return self.row[index]
+            return lambda entry: entry[0][index]
         if len(parts) == 1:
-            column = self.model.definition.find(parts[0])
+            column = model.definition.find(parts[0])
             if column is not None and not column.is_table:
                 return self._predicted_value((parts[0],))
         raise BindError(
             f"cannot resolve column {'.'.join(parts)!r} in prediction query")
 
-    def _first_output_name(self) -> str:
-        outputs = self.model.definition.output_columns()
-        return outputs[0].name if outputs else "<column>"
+    def _predicted_value(self, parts: Tuple[str, ...]) \
+            -> Callable[[tuple], Any]:
+        model = self.model
+        if len(parts) != 1:
+            raise BindError(
+                f"unsupported model column path "
+                f"{'.'.join((model.name,) + parts)!r} in a select list; "
+                f"use prediction functions for nested results")
+        column = model.definition.find(parts[0])
+        if column is None:
+            raise BindError(
+                f"model {model.name!r} has no column {parts[0]!r}")
+        if column.is_table:
+            return bind_predict_association(
+                self.scope, [ast.ColumnRef(parts=(column.name,))])
+        attribute = model.space.for_column(column.name)
+        if attribute is None:
+            raise BindError(
+                f"column {parts[0]!r} is not part of the trained "
+                f"attribute space")
+        read = self.scope.attribute_reader(attribute)
+        return lambda entry: read(entry).value
 
-    def _predicted_value(self, parts: Tuple[str, ...]) -> Any:
-        if len(parts) == 1:
-            column = self.model.definition.find(parts[0])
-            if column is None:
-                raise BindError(
-                    f"model {self.model.name!r} has no column {parts[0]!r}")
-            if column.is_table:
-                from repro.core.functions import fn_predict_association
-                return fn_predict_association(
-                    self.scope, [ast.ColumnRef(parts=(column.name,))])
-            attribute = self.model.space.for_column(column.name)
-            if attribute is None:
-                raise BindError(
-                    f"column {parts[0]!r} is not part of the trained "
-                    f"attribute space")
-            prediction = self.scope.prediction.get(attribute)
-            if prediction is None:
-                prediction = self.model.algorithm.marginal_prediction(
-                    attribute)
-            return prediction.value
-        raise BindError(
-            f"unsupported model column path "
-            f"{'.'.join((self.model.name,) + parts)!r} in a select list; "
-            f"use prediction functions for nested results")
-
-    def call_function(self, call: ast.FuncCall, evaluator) -> Any:
-        handler = PREDICTION_FUNCTIONS.get(call.name.upper())
-        if handler is not None:
-            return handler(self.scope, call.args)
-        return super().call_function(call, evaluator)
+    def bind_function(self, call: ast.FuncCall) -> Callable[[tuple], Any]:
+        binder = PREDICTION_FUNCTIONS.get(call.name.upper())
+        if binder is not None:
+            return binder(self.scope, call.args)
+        return super().bind_function(call)
 
 
 def _source_alias(source: ast.TableRef) -> Optional[str]:
@@ -258,20 +263,51 @@ def case_binder(model, columns: List[RowsetColumn], alias: Optional[str],
     return pair_mapper(model.definition, shape, on_pairs, alias)
 
 
+def compile_cases(model, source_context: EvalContext,
+                  where: Optional[ast.Expr], exprs: List[ast.Expr]) \
+        -> Callable[[list], List[tuple]]:
+    """Bind WHERE and ``exprs`` against ``model`` and the source's columns,
+    once, and return the per-batch kernel: ``(source_row, MappedCase)``
+    pairs in, one value tuple per surviving case out.
+
+    Binding needs column metadata only, so an unknown model column or
+    function is a :class:`BindError` here — before a row is read, whatever
+    the source holds.  The kernel filters, scores the batch through one
+    ``predict_cases`` call if (and only if) some bound expression reads a
+    prediction — before the filter when WHERE itself does, after it
+    otherwise — and applies the closures.  Scoring is lazy: a case's
+    observation and prediction exist only while its entry is evaluated,
+    so a batch never holds one of each per case for the collector to
+    trace.
+    """
+    context = PredictionEvalContext(model, source_context)
+    scope = context.scope
+    passes = None if where is None else compile_expression(where, context)
+    filter_predicts = scope.reads_prediction
+    values = [compile_expression(expr, context) for expr in exprs]
+    predicts = scope.reads_prediction
+
+    def kernel(pairs) -> List[tuple]:
+        if passes is not None and not filter_predicts:
+            pairs = [pair for pair in pairs
+                     if passes((pair[0], None)) is True]
+        predictions = (model.predict_cases(case for _, case in pairs)
+                       if predicts else repeat(None))
+        entries = zip((row for row, _ in pairs), predictions)
+        if filter_predicts:
+            entries = (entry for entry in entries if passes(entry) is True)
+        return [tuple([value(entry) for value in values])
+                for entry in entries]
+    return kernel
+
+
 def evaluate_cases(model, source_context: EvalContext,
                    where: Optional[ast.Expr], exprs: List[ast.Expr],
                    pairs) -> List[tuple]:
-    """The per-case kernel: WHERE, then ``exprs``, over one batch of
-    ``(source_row, MappedCase)`` pairs.  The serial path feeds it pairs
-    from the caseset cache or the binder, a pool worker the pairs it bound
-    from its chunk; nothing else evaluates a prediction expression."""
-    out = []
-    for row, case in pairs:
-        context = PredictionEvalContext(model, source_context, row, case)
-        if where is not None and evaluate(where, context) is not True:
-            continue
-        out.append(tuple(evaluate(expr, context) for expr in exprs))
-    return out
+    """Bind and apply in one call — what a pool worker, which receives
+    ASTs, does per chunk.  The serial path binds once per statement
+    (:func:`compile_cases`) and applies the kernel per batch."""
+    return compile_cases(model, source_context, where, exprs)(pairs)
 
 
 class _ReadLease:
@@ -310,7 +346,9 @@ def plan_prediction(provider, statement: ast.SelectStatement):
     belong to the run.  ``run`` returns a :class:`RowStream` whose lease
     is released on exhaustion, error or abandonment; ORDER BY / DISTINCT
     drain that same stream before sorting (blocking is draining, not a
-    second evaluator).  FLATTENED is the ``flatten`` node
+    second evaluator).  Expressions are bound in ``run`` too, once the
+    source's columns are known and before a row is read.  FLATTENED is
+    the ``flatten`` node
     :func:`repro.obs.explain.build_plan` puts above this tree.
     """
     from repro.exec.partition import (
@@ -475,6 +513,10 @@ def plan_prediction(provider, statement: ast.SelectStatement):
                         stream = source.run(batch_size)
                         columns = list(stream.columns)
                         names, exprs, order = outputs(columns)
+                        # Workers bind per chunk; binding here too raises
+                        # a BindError at open, as the serial path does.
+                        compile_cases(model, _source_context(columns, alias),
+                                      statement.where, exprs)
                         values = parallel_value_batches(
                             provider, dop, span,
                             (prediction_replica(model), columns, alias,
@@ -485,8 +527,9 @@ def plan_prediction(provider, statement: ast.SelectStatement):
                     names, exprs, order = outputs(columns)
                     context = _source_context(columns, alias)
                     context.subquery_executor = database.execute_select
-                    values = (evaluate_cases(model, context, statement.where,
-                                             exprs, batch) for batch in pairs)
+                    kernel = compile_cases(model, context, statement.where,
+                                           exprs)
+                    values = (kernel(batch) for batch in pairs)
                 if not blockers:
                     return _inferred_stream(names, _held(
                         lease, pspan,
@@ -534,20 +577,21 @@ def _inferred_stream(names: List[str], produced) -> RowStream:
     """A row stream over ``produced`` whose column metadata is inferred
     from a buffered prefix that grows only until every column has produced
     a non-NULL sample (the first-non-NULL rule, as over a full result);
-    the prefix is replayed ahead of the live tail."""
+    the prefix is replayed ahead of the live tail.  Each batch is looked
+    at once, and only in the columns still waiting for a sample."""
     head: List[List[tuple]] = []
-    sample_rows: List[tuple] = []
-    needed = len(names)
-    while needed:
+    samples: List[Any] = [None] * len(names)
+    waiting = list(range(len(names)))
+    while waiting:
         batch = next(produced, None)
         if batch is None:
             break
         head.append(batch)
-        sample_rows.extend(batch)
-        needed = sum(
-            1 for position in range(len(names))
-            if not any(row[position] is not None for row in sample_rows))
-    return RowStream(_column_metadata(names, sample_rows),
+        for position in waiting:
+            samples[position] = _first_non_null(batch, position)
+        waiting = [position for position in waiting
+                   if samples[position] is None]
+    return RowStream(_column_metadata(names, samples),
                      chain(head, produced))
 
 
@@ -557,7 +601,9 @@ def _blocked(statement: ast.SelectStatement, names: List[str],
     list first, hidden ORDER BY keys behind it).  Column types are inferred
     before any row is dropped."""
     width = len(names)
-    columns = _column_metadata(names, entries)
+    columns = _column_metadata(
+        names, [_first_non_null(entries, position)
+                for position in range(width)])
     if statement.distinct:
         seen = set()
         unique = []
@@ -634,11 +680,16 @@ def _default_name(expr: ast.Expr, position: int) -> str:
     return f"Expr{position + 1}"
 
 
-def _column_metadata(names: List[str], rows) -> List[RowsetColumn]:
+def _first_non_null(rows, position: int) -> Any:
+    return next((row[position] for row in rows
+                 if row[position] is not None), None)
+
+
+def _column_metadata(names: List[str],
+                     samples: List[Any]) -> List[RowsetColumn]:
+    """Column metadata from each column's first non-NULL value."""
     columns = []
-    for position, name in enumerate(names):
-        sample = next((row[position] for row in rows
-                       if row[position] is not None), None)
+    for name, sample in zip(names, samples):
         if isinstance(sample, Rowset):
             columns.append(RowsetColumn(name, TABLE,
                                         nested_columns=list(sample.columns)))

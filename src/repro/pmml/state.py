@@ -167,6 +167,7 @@ def algorithm_state_from_json(algorithm, space: AttributeSpace,
                     f"{algorithm.SERVICE_NAME!r}")
     algorithm.space = space
     handler(algorithm, space, state)
+    algorithm.drop_tables()
     algorithm.trained = True
 
 

@@ -10,9 +10,15 @@ Two evaluators share one semantics (SQL three-valued logic from
   first row is read.  Every per-row expression in the engine runs this way.
 * :func:`evaluate` interprets the tree against an :class:`EvalContext`
   holding the current row.  It is the reference the compiled closures are
-  tested against, the one-shot evaluator (VALUES rows, FROM-less SELECTs,
-  per-group expressions) and — through a context subclass that also
-  resolves prediction UDFs — the evaluator of prediction-query select lists.
+  tested against and the one-shot evaluator (VALUES rows, FROM-less
+  SELECTs, per-group expressions).
+
+A context decides what a column reference and a function call *mean*:
+:meth:`EvalContext.bind_column` / :meth:`EvalContext.bind_function` for the
+compiler, ``resolve_column`` / ``call_function`` for the interpreter.  The
+prediction join's context overrides the first pair, so a PREDICTION JOIN's
+WHERE and select list — model columns and prediction UDFs included —
+compile through the same walk.
 """
 
 from __future__ import annotations
@@ -105,14 +111,28 @@ class EvalContext:
         return self.row[index]
 
     def call_function(self, call: ast.FuncCall, evaluator) -> Any:
-        """Evaluate a non-aggregate function call.
-
-        Subclasses (the prediction layer) override this to add UDFs; the
-        base implementation only knows the SQL scalar functions.
-        """
+        """Evaluate a non-aggregate function call (the interpreter's
+        hook; the base implementation knows the SQL scalar functions)."""
         handler = _scalar_handler(call.name)
         return _call_scalar(call.name, handler,
                             [evaluator(a) for a in call.args])
+
+    # -- compile-time hooks: called once per reference, never per row ----------
+
+    def bind_column(self, ref: ast.ColumnRef) -> Callable[[tuple], Any]:
+        """The ``row -> value`` reader of a column reference."""
+        index = self.resolve_index(ref.parts)
+        if index is None:
+            raise BindError(f"cannot resolve column {'.'.join(ref.parts)!r}")
+        return operator.itemgetter(index)
+
+    def bind_function(self, call: ast.FuncCall) -> Callable[[tuple], Any]:
+        """The ``row -> value`` closure of a non-aggregate function call."""
+        name = call.name
+        handler = _scalar_handler(name)
+        args = [compile_expression(arg, self) for arg in call.args]
+        return lambda row: _call_scalar(name, handler,
+                                        [arg(row) for arg in args])
 
 
 _AGGREGATE_NAMES = {"COUNT", "SUM", "AVG", "MIN", "MAX", "STDEV", "VAR"}
@@ -413,22 +433,8 @@ def _compile_literal(expr: ast.Literal, context: EvalContext):
     return lambda row: value
 
 
-def _compile_column(expr: ast.ColumnRef, context: EvalContext):
-    index = context.resolve_index(expr.parts)
-    if index is None:
-        raise BindError(f"cannot resolve column {'.'.join(expr.parts)!r}")
-    return operator.itemgetter(index)
-
-
 def _compile_star(expr: ast.Star, context: EvalContext):
     raise Error(_STAR_MESSAGE)
-
-
-def _compile_call(expr: ast.FuncCall, context: EvalContext):
-    name = expr.name
-    handler = _scalar_handler(name)
-    args = [compile_expression(arg, context) for arg in expr.args]
-    return lambda row: _call_scalar(name, handler, [arg(row) for arg in args])
 
 
 def _compile_binary(expr: ast.BinaryOp, context: EvalContext):
@@ -556,9 +562,9 @@ def _compile_in_select(expr: ast.InSelect, context: EvalContext):
 
 _COMPILERS = {
     ast.Literal: _compile_literal,
-    ast.ColumnRef: _compile_column,
+    ast.ColumnRef: lambda expr, context: context.bind_column(expr),
     ast.Star: _compile_star,
-    ast.FuncCall: _compile_call,
+    ast.FuncCall: lambda expr, context: context.bind_function(expr),
     ast.BinaryOp: _compile_binary,
     ast.UnaryOp: _compile_unary,
     ast.IsNull: _compile_is_null,

@@ -9,8 +9,8 @@ from repro.datagen import WarehouseConfig, load_warehouse
 # Hypothesis profiles (``--hypothesis-profile=NAME``).  A test that pins its
 # own ``@settings(max_examples=…)`` keeps it under either profile; a test
 # that leaves the budget open (tests/differential/
-# test_compiled_vs_interpreted.py) runs small in tier-1 and deep in its CI
-# step.
+# test_compiled_vs_interpreted.py, test_prediction_kernel.py,
+# test_scoring_tables.py) runs small in tier-1 and deep in its CI step.
 settings.register_profile("default", max_examples=100)
 settings.register_profile("deep", max_examples=2000, deadline=None)
 

@@ -221,3 +221,47 @@ class TestFlattened:
         assert "h.Age" in rowset.column_names()
         assert len(rowset) >= 1
         assert not any(isinstance(v, Rowset) for v in rowset.rows[0])
+
+
+class TestStreamedColumnInference:
+    """Column metadata of a streamed join comes from a buffered prefix that
+    grows until every column has shown a non-NULL value."""
+
+    def test_all_null_column_over_many_batches(self, trained):
+        trained.execute("CREATE TABLE N (Id LONG, Gender TEXT, Note TEXT)")
+        trained.execute("INSERT INTO N VALUES " + ", ".join(
+            f"({i}, 'Male', NULL)" for i in range(1, 201)))
+        statement = ("SELECT t.Id, t.Note, [AgeM].[Age] FROM [AgeM] "
+                     "NATURAL PREDICTION JOIN "
+                     "(SELECT Id, Gender, Note FROM N) AS t")
+        whole = trained.execute(statement)
+        stream = trained.execute_stream(statement, batch_size=3)
+        assert [(c.name, c.type) for c in stream.columns] == \
+            [(c.name, c.type) for c in whole.columns]
+        batches = list(stream.batches())
+        assert len(batches) == 67
+        assert [row for batch in batches for row in batch] == whole.rows
+
+    def test_each_batch_is_sampled_once(self):
+        """The prefix used to be rescanned, whole, for every new batch
+        while a column stayed all-NULL: quadratic in the batch count."""
+        from repro.core.prediction import _inferred_stream
+
+        reads = []
+
+        class Row(tuple):
+            def __getitem__(self, position):
+                reads.append(position)
+                return tuple.__getitem__(self, position)
+
+        batches = [[Row((number, None, None)) for number in range(start,
+                                                                  start + 4)]
+                   for start in range(0, 1200, 4)]
+        batches[-1][-1] = Row((1199, None, "late"))
+        stream = _inferred_stream(["a", "b", "c"], iter(batches))
+        assert [c.type.name for c in stream.columns] == \
+            ["LONG", "TEXT", "TEXT"]
+        # Column a: the first row.  Columns b and c: every row, once (c
+        # twice where it is tested and then taken).
+        assert len(reads) <= 2 * 1200 + 4
+        assert list(stream.batches()) == batches
