@@ -22,6 +22,7 @@ from typing import Any, Dict, List, Optional
 from repro.errors import BindError, CatalogError, Error, ParseError
 from repro.lang import ast_nodes as ast
 from repro.lang.parser import parse_statement
+from repro.lang.templates import TemplateCache
 from repro.obs import MetricsRegistry, Tracer, WorkloadRegistry
 from repro.obs import trace as obs_trace
 from repro.obs import workload as obs_workload
@@ -169,6 +170,7 @@ class Provider:
         self.pool = WorkerPool(max_workers=max_workers, mode=pool_mode,
                                metrics=self.metrics)
         self.workload = WorkloadRegistry(metrics=self.metrics)
+        self.templates = TemplateCache(metrics=self.metrics)
         repo_path = None
         if durable_path is not None:
             import os
@@ -309,11 +311,15 @@ class Provider:
     def _admitted(self, command: str):
         """One statement's admission, shared by :meth:`execute` and
         :meth:`execute_stream`: admit its record (live in the workload
-        registry, active on this thread for the block), parse and classify
-        it, plan a query or a model INSERT once — outside any model lock —
-        and hand that tree to the workload repository (skeleton, hash,
-        estimate).  Yields ``(statement, plan, record)`` for the caller to
-        run.  A failure inside the block completes the record; success
+        registry, active on this thread for the block), parse it — through
+        the statement-template cache, which runs the parser only on a
+        shape it has not seen — and classify it, plan a query or a model
+        INSERT once — outside any model lock — and hand that tree, with
+        the shape's fingerprint, to the workload repository (skeleton,
+        hash, estimate).  Yields ``(statement, plan, record)`` for the
+        caller to run — a statement made from a template shares nodes with
+        others of its shape, so the tree is read-only from here on.  A
+        failure inside the block completes the record; success
         leaves completion to the caller, whose statement may outlive the
         block as a stream.  A statement that fails to plan is still
         fingerprinted, so its error counts against its aggregates."""
@@ -324,7 +330,7 @@ class Provider:
         try:
             obs_workload.set_phase("parse")
             try:
-                statement = parse_statement(command)
+                statement, shape = self.templates.parse(command)
             except ParseError as exc:
                 _attach_statement(exc, command)
                 raise
@@ -337,7 +343,7 @@ class Provider:
                 raise
             finally:
                 self.repository.annotate(record, self, statement,
-                                         command, plan)
+                                         command, shape, plan)
             yield statement, plan, record
         except BaseException as exc:
             self.tracer.complete(record, exc)

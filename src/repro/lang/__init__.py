@@ -7,12 +7,11 @@ example statements from section 3 parse verbatim, including its ``%`` line
 comments.
 """
 
-from repro.lang.lexer import Lexer, Token, TokenKind, tokenize
+from repro.lang.lexer import Token, TokenKind, tokenize
 from repro.lang.parser import Parser, parse_statement, parse_expression
 from repro.lang.formatter import format_statement, format_expression
 
 __all__ = [
-    "Lexer",
     "Token",
     "TokenKind",
     "tokenize",

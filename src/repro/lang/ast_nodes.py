@@ -1,7 +1,9 @@
 """AST node definitions for the SQL core and the DMX extensions.
 
-All nodes are frozen-ish dataclasses (mutable for parser convenience but
-treated as immutable downstream).  Expression nodes are shared between the two
+All nodes are frozen-ish dataclasses: mutable for parser convenience, but
+read-only once parsed — the statement-template cache
+(:mod:`repro.lang.templates`) hands the same node objects to every statement
+of one shape, on every session.  Expression nodes are shared between the two
 dialects; statement nodes split into plain-SQL statements (executed by
 ``repro.sqlstore.engine``) and DMX statements (executed by
 ``repro.core.provider``).

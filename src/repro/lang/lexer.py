@@ -9,12 +9,23 @@ names when bracketed.
 
 Comment forms: ``--`` and ``//`` and ``%`` to end of line (the paper annotates
 its examples with ``%``), and ``/* ... */`` blocks.
+
+The text is scanned once, by one compiled pattern (:class:`Scan`): each match
+is one token plus the trivia after it.  A scan can be read two ways —
+:meth:`Scan.tokens` builds the :class:`Token` list the parser walks, and
+:meth:`Scan.shape` gives the statement's *shape* (every token but the values
+of its NUMBER/STRING literals) and those values, without building a token,
+which is all the statement-template cache needs to recognise a statement it
+has parsed before (:mod:`repro.lang.templates`).
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Iterator, List, Optional
+import re
+from bisect import bisect_left
+from operator import add
+from typing import List, Optional, Tuple
 
 from repro.errors import ParseError
 
@@ -28,10 +39,44 @@ class TokenKind(enum.Enum):
     EOF = "EOF"
 
 
-# Multi-character symbols first so maximal munch works.
-_SYMBOLS = ("<>", "!=", "<=", ">=", "||",
-            "(", ")", "{", "}", ",", ".", ";", "=", "<", ">", "+", "-",
-            "*", "/", "$")
+_SYMBOLS = frozenset((
+    "<>", "!=", "<=", ">=", "||",
+    "(", ")", "{", "}", ",", ".", ";", "=", "<", ">", "+", "-",
+    "*", "/", "$"))
+
+# Whitespace and comments.  A `/*` with no `*/` is not trivia: it is left
+# for the token alternatives, none of which takes it, so it ends the scan.
+_TRIVIA = (r"[ \t\r\n]*"
+           r"(?:(?:(?:--|//|%)[^\n]*|/\*.*?\*/)[ \t\r\n]*)*")
+
+_LEADING = re.compile(_TRIVIA, re.DOTALL)
+
+# One token, then the trivia after it.  Groups: (1) a symbol, bare or
+# bracketed identifier exactly as spelled, (2) a number, (3) a string with
+# its quotes, (4) the trivia.  A closing `]`/quote is one not followed by
+# its double, so `[a]]` and `'it''` are unterminated, as the doubled-
+# delimiter escape demands.  Text no alternative takes (a stray character,
+# an unterminated string / [identifier / comment) is swallowed whole by
+# `.+`: the first lexical error is the only one reported, and nothing
+# after it can make the scan slow.  The last row is always end-of-text.
+_MASTER = re.compile(
+    r"(?:("
+    r"[(){},;=+\-*$]|\.(?!\d)|<[>=]?|>=?|!=|\|\||/(?!\*)"
+    r"|[A-Za-z_@][\w@#]*"
+    r"|\[(?:[^\]]|\]\])*\](?!\])"
+    # A word that starts outside ASCII; \w is wider than str.isalpha(),
+    # which Scan.tokens() applies to the first character.
+    r"|(?![\x00-\x7f])[^\W\d][\w@#]*"
+    r")|("
+    r"(?:\d+(?:\.\d+)?|\.\d+)(?:[eE][+-]?\d+)?"
+    r")|("
+    r"'[^']*(?:''[^']*)*'(?!')|\"[^\"]*(?:\"\"[^\"]*)*\"(?!\")"
+    r")|\Z|.+)(" + _TRIVIA + ")",
+    re.DOTALL)
+
+_NEWLINE = re.compile("\n")
+
+_NO_TOKEN = ("", "", "")
 
 
 class Token:
@@ -61,152 +106,107 @@ class Token:
         return f"Token({self.kind.name}, {self.value!r}, {self.line}:{self.column})"
 
 
-class Lexer:
-    """Single-pass tokenizer with position tracking."""
+def _literal(raw: str):
+    """The value of a NUMBER or STRING literal from its source spelling."""
+    quote = raw[0]
+    if quote == "'" or quote == '"':
+        return raw[1:-1].replace(quote + quote, quote)
+    return int(raw) if raw.isdecimal() else float(raw)
+
+
+class Scan:
+    """One pass of the master pattern over a command text."""
+
+    __slots__ = ("text", "start", "rows")
 
     def __init__(self, text: str):
         self.text = text
-        self.pos = 0
-        self.line = 1
-        self.column = 1
+        self.start = _LEADING.match(text).end()
+        self.rows = _MASTER.findall(text, self.start)
 
-    def _peek(self, offset: int = 0) -> str:
-        index = self.pos + offset
-        return self.text[index] if index < len(self.text) else ""
+    def shape(self) -> Optional[Tuple[tuple, list]]:
+        """``(key, values)``: the token stream with its NUMBER/STRING
+        values taken out, and those values in source order.
 
-    def _advance(self, count: int = 1) -> None:
-        for _ in range(count):
-            if self.pos < len(self.text):
-                if self.text[self.pos] == "\n":
-                    self.line += 1
-                    self.column = 1
-                else:
-                    self.column += 1
-                self.pos += 1
+        Two texts have equal keys exactly when their token streams agree
+        on everything but literal values — kind of every token, spelling
+        of every identifier, bare or bracketed.  None when the text has a
+        stray character or an unterminated construct (:meth:`tokens` says
+        which); other lexical errors surface there too.
+        """
+        rows = self.rows
+        if len(rows) > 1 and rows[-2][:3] == _NO_TOKEN:
+            return None
+        spelled, numbers, strings, _ = zip(*rows)
+        # A literal's slot is an empty spelling; the mask tells its kind.
+        key = (spelled, tuple(map(bool, strings)))
+        values = [_literal(raw)
+                  for raw in filter(None, map(add, numbers, strings))]
+        return key, values
 
-    def _error(self, message: str) -> ParseError:
-        return ParseError(message, self.line, self.column)
-
-    def _skip_trivia(self) -> None:
-        while self.pos < len(self.text):
-            ch = self._peek()
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "%" or (ch == "-" and self._peek(1) == "-") or \
-                    (ch == "/" and self._peek(1) == "/"):
-                while self.pos < len(self.text) and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                self._advance(2)
-                while self.pos < len(self.text):
-                    if self._peek() == "*" and self._peek(1) == "/":
-                        self._advance(2)
-                        break
-                    self._advance()
-                else:
-                    raise self._error("unterminated /* comment")
+    def tokens(self) -> List[Token]:
+        """Every token, ending with a single EOF token."""
+        text = self.text
+        breaks = [m.start() for m in _NEWLINE.finditer(text)] \
+            if "\n" in text else None
+        IDENT, BRACKET = TokenKind.IDENT, TokenKind.BRACKET_IDENT
+        NUMBER, STRING = TokenKind.NUMBER, TokenKind.STRING
+        SYMBOL = TokenKind.SYMBOL
+        symbols = _SYMBOLS
+        tokens: List[Token] = []
+        append = tokens.append
+        pos = self.start
+        line, row = 1, 0
+        for spelled, number, string, trivia in self.rows:
+            if breaks is None:
+                column = pos + 1
             else:
-                return
-
-    def next_token(self) -> Token:
-        self._skip_trivia()
-        line, column = self.line, self.column
-        if self.pos >= len(self.text):
-            return Token(TokenKind.EOF, "", line, column)
-        ch = self._peek()
-
-        if ch == "[":
-            return self._bracket_ident(line, column)
-        if ch in "'\"":
-            return self._string(ch, line, column)
-        if ch.isdigit() or (ch == "." and self._peek(1).isdigit()):
-            return self._number(line, column)
-        if ch.isalpha() or ch == "_" or ch == "@":
-            return self._ident(line, column)
-        for symbol in _SYMBOLS:
-            if self.text.startswith(symbol, self.pos):
-                self._advance(len(symbol))
-                return Token(TokenKind.SYMBOL, symbol, line, column)
-        raise self._error(f"unexpected character {ch!r}")
-
-    def _bracket_ident(self, line: int, column: int) -> Token:
-        self._advance()  # consume [
-        parts: List[str] = []
-        while True:
-            if self.pos >= len(self.text):
-                raise self._error("unterminated [identifier")
-            ch = self._peek()
-            if ch == "]":
-                if self._peek(1) == "]":  # escaped ]] inside identifier
-                    parts.append("]")
-                    self._advance(2)
-                    continue
-                self._advance()
-                break
-            parts.append(ch)
-            self._advance()
-        name = "".join(parts)
-        if not name.strip():
-            raise ParseError("empty [identifier]", line, column)
-        return Token(TokenKind.BRACKET_IDENT, name, line, column)
-
-    def _string(self, quote: str, line: int, column: int) -> Token:
-        self._advance()
-        parts: List[str] = []
-        while True:
-            if self.pos >= len(self.text):
-                raise self._error("unterminated string literal")
-            ch = self._peek()
-            if ch == quote:
-                if self._peek(1) == quote:  # doubled quote escape
-                    parts.append(quote)
-                    self._advance(2)
-                    continue
-                self._advance()
-                break
-            parts.append(ch)
-            self._advance()
-        return Token(TokenKind.STRING, "".join(parts), line, column)
-
-    def _number(self, line: int, column: int) -> Token:
-        start = self.pos
-        seen_dot = False
-        seen_exp = False
-        while self.pos < len(self.text):
-            ch = self._peek()
-            if ch.isdigit():
-                self._advance()
-            elif ch == "." and not seen_dot and not seen_exp and \
-                    self._peek(1).isdigit():
-                seen_dot = True
-                self._advance()
-            elif ch in "eE" and not seen_exp and (
-                    self._peek(1).isdigit() or
-                    (self._peek(1) in "+-" and self._peek(2).isdigit())):
-                seen_exp = True
-                self._advance(2 if self._peek(1) in "+-" else 1)
+                row = bisect_left(breaks, pos, row)
+                line = row + 1
+                column = pos - breaks[row - 1] if row else pos + 1
+            if spelled:
+                if spelled in symbols:
+                    append(Token(SYMBOL, spelled, line, column))
+                elif spelled[0] == "[":
+                    name = spelled[1:-1].replace("]]", "]")
+                    if not name.strip():
+                        raise ParseError("empty [identifier]", line, column)
+                    append(Token(BRACKET, name, line, column))
+                elif spelled[0] > "\x7f" and not spelled[0].isalpha():
+                    break  # \w but not a letter (½, ²): a stray character
+                else:
+                    append(Token(IDENT, spelled, line, column))
+            elif number:
+                append(Token(NUMBER, _literal(number), line, column))
+            elif string:
+                append(Token(STRING, _literal(string), line, column))
             else:
-                break
-        text = self.text[start:self.pos]
-        value = float(text) if (seen_dot or seen_exp) else int(text)
-        return Token(TokenKind.NUMBER, value, line, column)
+                break  # end of text, or text no alternative took
+            pos += len(spelled) + len(number) + len(string) + len(trivia)
+        if pos < len(text):
+            raise self._error(pos, line, column, breaks)
+        append(Token(TokenKind.EOF, "", line, column))
+        return tokens
 
-    def _ident(self, line: int, column: int) -> Token:
-        start = self.pos
-        while self.pos < len(self.text) and (
-                self._peek().isalnum() or self._peek() in "_@#"):
-            self._advance()
-        return Token(TokenKind.IDENT, self.text[start:self.pos], line, column)
-
-    def tokens(self) -> Iterator[Token]:
-        """Yield every token, ending with a single EOF token."""
-        while True:
-            token = self.next_token()
-            yield token
-            if token.kind is TokenKind.EOF:
-                return
+    def _error(self, pos: int, line: int, column: int,
+               breaks: Optional[List[int]]) -> ParseError:
+        """The error of the text no token alternative took at ``pos``."""
+        text = self.text
+        char = text[pos]
+        if char == "[":
+            message = "unterminated [identifier"
+        elif char == "'" or char == '"':
+            message = "unterminated string literal"
+        elif text.startswith("/*", pos):
+            message = "unterminated /* comment"
+        else:
+            return ParseError(f"unexpected character {char!r}", line, column)
+        # An unterminated construct is discovered at the end of the text.
+        if not breaks:
+            return ParseError(message, 1, len(text) + 1)
+        return ParseError(message, len(breaks) + 1, len(text) - breaks[-1])
 
 
 def tokenize(text: str) -> List[Token]:
     """Tokenize ``text`` fully (EOF token included)."""
-    return list(Lexer(text).tokens())
+    return Scan(text).tokens()

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+from typing import Tuple
 
 from repro.lang import ast_nodes as ast
 from repro.lang.formatter import format_statement
@@ -80,9 +81,15 @@ def normalize_statement(statement: ast.Statement) -> str:
     return format_statement(_normalize_node(statement))
 
 
+def statement_shape(statement: ast.Statement) -> Tuple[str, str]:
+    """``(normalized text, fingerprint)`` of a parsed statement."""
+    normalized = normalize_statement(statement)
+    return normalized, fingerprint_text(normalized)
+
+
 def statement_fingerprint(statement: ast.Statement) -> str:
     """Short stable hash of the normalized statement text."""
-    return fingerprint_text(normalize_statement(statement))
+    return statement_shape(statement)[1]
 
 
 def fingerprint_text(normalized: str) -> str:

@@ -12,11 +12,11 @@ Operator precedence, loosest to tightest::
 
 from __future__ import annotations
 
-from typing import List, Optional, Union
+from typing import List, Optional, Tuple, Union
 
 from repro.errors import ParseError
 from repro.lang import ast_nodes as ast
-from repro.lang.lexer import Lexer, Token, TokenKind
+from repro.lang.lexer import Token, TokenKind, tokenize
 from repro.obs import trace as obs_trace
 
 # Keywords that terminate an expression or clause; a bare identifier in an
@@ -38,11 +38,15 @@ MAX_NESTING = 64
 class Parser:
     """One-statement-at-a-time parser over a token list."""
 
-    def __init__(self, text: str):
+    def __init__(self, text: str, tokens: Optional[List[Token]] = None):
         self.text = text
-        self.tokens: List[Token] = list(Lexer(text).tokens())
+        self.tokens: List[Token] = tokenize(text) if tokens is None \
+            else tokens
         self.pos = 0
         self.depth = 0
+        # (token index, node) of every Literal built from a NUMBER or STRING
+        # token — what the template cache substitutes on a later hit.
+        self.literals: List[Tuple[int, ast.Literal]] = []
 
     def _enter(self) -> None:
         self.depth += 1
@@ -632,12 +636,11 @@ class Parser:
 
     def _parse_primary(self) -> ast.Expr:
         token = self.peek()
-        if token.kind is TokenKind.NUMBER:
+        if token.kind is TokenKind.NUMBER or token.kind is TokenKind.STRING:
+            literal = ast.Literal(token.value)
+            self.literals.append((self.pos, literal))
             self.advance()
-            return ast.Literal(token.value)
-        if token.kind is TokenKind.STRING:
-            self.advance()
-            return ast.Literal(token.value)
+            return literal
         if token.is_keyword("NULL"):
             self.advance()
             return ast.Literal(None)

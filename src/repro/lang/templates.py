@@ -1,0 +1,219 @@
+"""Statement templates: parse a statement shape once.
+
+Applications re-issue the same command text with different constants — a
+point SELECT per key, a singleton PREDICTION JOIN per case, a VALUES list
+per batch.  Such statements have the same *shape* (:meth:`Scan.shape`: the
+token stream with its NUMBER/STRING values taken out), and every statement of
+one shape parses to the same tree but for the :class:`~repro.lang.ast_nodes.
+Literal` nodes those values land in.  A :class:`TemplateCache` keeps, per
+shape, that tree and the way to rebuild it around new values:
+
+* a **miss** parses the tokens the scan already produced; the parser reports
+  which token each ``Literal`` it built came from;
+* the shape gets a :class:`Template` only if *every* NUMBER/STRING token
+  became exactly one ``Literal`` found in the final tree.  Where the grammar
+  consumes a literal as anything else — ``TOP n``, ``MAXDOP n``,
+  ``DISCRETIZED(…, 3)``, algorithm parameters, ``CANCEL id``, EXPORT/IMPORT
+  paths — the shape is remembered as *unparameterizable* and parsed in full
+  every time;
+* a **hit** copies only the *spine* — the nodes on a path from the root to
+  a substituted literal — and shares every other node with the template.
+
+A template holds syntax only, nothing from the catalog, so no DDL or data
+change can invalidate it.  What it shares is shared between statements that
+may be executing at the same moment: **the tree a statement executes is
+read-only** (the engine, prediction, shaping and EXPLAIN layers keep their
+per-execution state in maps of their own, never on the nodes).
+
+The normalized text and fingerprint of a shape
+(:func:`repro.lang.normalizer.statement_shape`) do not depend on the values
+either, so the template computes them once, on first request.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import threading
+from collections import OrderedDict
+from functools import partial
+from typing import Any, Callable, Dict, List, Optional, Tuple
+
+from repro.lang import ast_nodes as ast
+from repro.lang.lexer import Scan, Token, TokenKind
+from repro.lang.normalizer import statement_shape
+from repro.lang.parser import Parser
+from repro.obs import trace as obs_trace
+
+#: Shapes remembered per provider (least recently used evicted).  A
+#: constant, not an option: a template is a few times the size of its text.
+TEMPLATE_CACHE_LIMIT = 256
+
+_ABSENT = object()
+
+#: ``template`` attribute of the parse span -> the counter it increments.
+_COUNTERS = {"hit": "lang.template_hits",
+             "miss": "lang.template_misses",
+             "none": "lang.template_unparameterizable"}
+
+Builder = Callable[[list], Any]
+Shape = Callable[[], Tuple[str, str]]
+
+
+class Template:
+    """The parsed statement of one shape and how to re-make it."""
+
+    __slots__ = ("statement", "_build", "_shape")
+
+    def __init__(self, statement: ast.Statement, build: Optional[Builder]):
+        self.statement = statement
+        self._build = build  # None: the shape has no literal to substitute
+        self._shape: Optional[Tuple[str, str]] = None
+
+    def instantiate(self, values: list) -> ast.Statement:
+        """The statement of this shape whose literals are ``values``."""
+        if self._build is None:
+            return self.statement
+        return self._build(values)
+
+    def shape(self) -> Tuple[str, str]:
+        """``(normalized text, fingerprint)``, computed once."""
+        if self._shape is None:
+            self._shape = statement_shape(self.statement)
+        return self._shape
+
+
+def _clone(node):
+    """A shallow copy of a dataclass node."""
+    new = object.__new__(type(node))
+    new.__dict__.update(node.__dict__)
+    return new
+
+
+def _compile(node, slot_of: Dict[int, int],
+             found: List[int]) -> Optional[Builder]:
+    """The builder of ``node``'s copy around a vector of literal values, or
+    None when no slot literal lies beneath it (the node is then shared)."""
+    if type(node) is ast.Literal:
+        slot = slot_of.get(id(node))
+        if slot is None:
+            return None  # NULL / TRUE / FALSE: spelled by the shape itself
+        found.append(slot)
+        return lambda values: ast.Literal(values[slot])
+    if isinstance(node, (list, tuple)):
+        parts = [(index, build) for index, item in enumerate(node)
+                 if (build := _compile(item, slot_of, found)) is not None]
+        if not parts:
+            return None
+        as_tuple = isinstance(node, tuple)
+
+        def rebuild_sequence(values):
+            items = list(node)
+            for index, build in parts:
+                items[index] = build(values)
+            return tuple(items) if as_tuple else items
+        return rebuild_sequence
+    if dataclasses.is_dataclass(node):
+        fields = [(field.name, build) for field in dataclasses.fields(node)
+                  if (build := _compile(getattr(node, field.name), slot_of,
+                                        found)) is not None]
+        if not fields:
+            return None
+
+        def rebuild_node(values):
+            new = _clone(node)
+            for name, build in fields:
+                setattr(new, name, build(values))
+            return new
+        return rebuild_node
+    return None
+
+
+def make_template(statement: ast.Statement, tokens: List[Token],
+                  literals: List[Tuple[int, ast.Literal]]
+                  ) -> Optional[Template]:
+    """The template of a freshly parsed statement, or None when some
+    NUMBER/STRING token did not become exactly one Literal of the tree.
+
+    ``literals`` is the parser's record, in token order, of the
+    ``(token index, node)`` of each Literal it built from such a token.
+    """
+    value_tokens = [index for index, token in enumerate(tokens)
+                    if token.kind is TokenKind.NUMBER
+                    or token.kind is TokenKind.STRING]
+    if [index for index, _ in literals] != value_tokens:
+        return None
+    slot_of = {id(node): slot for slot, (_, node) in enumerate(literals)}
+    found: List[int] = []
+    build = _compile(statement, slot_of, found)
+    if sorted(found) != list(range(len(literals))):
+        return None  # a literal the parser built was dropped or repeated
+    return Template(statement, build)
+
+
+class TemplateCache:
+    """A bounded LRU of statement shapes, safe to share between sessions."""
+
+    def __init__(self, metrics=None):
+        self.metrics = metrics
+        self._lock = threading.Lock()
+        # shape key -> Template; None marks an unparameterizable shape
+        self._entries: "OrderedDict[tuple, Optional[Template]]" = \
+            OrderedDict()
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._entries)
+
+    def parse(self, text: str) -> Tuple[ast.Statement, Shape]:
+        """Parse one statement; returns it with the callable that gives
+        its ``(normalized text, fingerprint)``.
+
+        Runs under a ``parse`` span with the ``tokens`` counter and a
+        ``template`` attribute: ``hit`` (made from a template), ``miss``
+        (parsed in full, template kept) or ``none`` (parsed in full, the
+        shape cannot be templated).
+        """
+        with obs_trace.span("parse") as span:
+            scan = Scan(text)
+            shaped = scan.shape()  # None: scan.tokens() raises the reason
+            key = None
+            outcome = "miss"
+            if shaped is not None:
+                key, values = shaped
+                with self._lock:
+                    template = self._entries.get(key, _ABSENT)
+                    if template is not _ABSENT:
+                        self._entries.move_to_end(key)
+                if template is None:
+                    outcome = "none"
+                elif template is not _ABSENT:
+                    obs_trace.add("tokens", len(scan.rows))
+                    self._count(span, "hit")
+                    return template.instantiate(values), template.shape
+            try:
+                tokens = scan.tokens()
+                parser = Parser(text, tokens)
+                statement = parser.parse_statement()
+                obs_trace.add("tokens", len(tokens))
+                if outcome == "miss":
+                    template = make_template(statement, tokens,
+                                             parser.literals)
+                    self._remember(key, template)
+                    if template is not None:
+                        return statement, template.shape
+                    outcome = "none"
+                return statement, partial(statement_shape, statement)
+            finally:
+                self._count(span, outcome)
+
+    def _remember(self, key: tuple, entry: Optional[Template]) -> None:
+        with self._lock:
+            self._entries[key] = entry
+            self._entries.move_to_end(key)
+            while len(self._entries) > TEMPLATE_CACHE_LIMIT:
+                self._entries.popitem(last=False)
+
+    def _count(self, span, outcome: str) -> None:
+        span.set("template", outcome)
+        if self.metrics is not None:
+            self.metrics.counter(_COUNTERS[outcome]).inc()

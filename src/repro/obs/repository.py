@@ -44,7 +44,7 @@ from collections import OrderedDict, deque
 from typing import Any, Dict, List, Optional
 
 from repro.lang import ast_nodes as ast
-from repro.lang.normalizer import fingerprint_text, normalize_statement
+from repro.lang.normalizer import fingerprint_text
 
 FORMAT_VERSION = 1
 
@@ -59,9 +59,6 @@ DEFAULT_CHANGE_LIMIT = 256
 
 #: Distinct fingerprints retained (least-recently-observed evicted).
 DEFAULT_MAX_FINGERPRINTS = 512
-
-#: Raw-text -> fingerprint memo entries (hot statements re-fingerprint free).
-_TEXT_CACHE_LIMIT = 1024
 
 #: (text, data_version, stats_enabled) -> plan memo entries; a hot
 #: statement against unchanged data re-captures its plan for one dict hit.
@@ -389,8 +386,6 @@ class WorkloadRepository:
         self._last_trigger: Optional[str] = None
         self._loaded = path is None
         self._dirty = False
-        # raw statement text -> (fingerprint, normalized) memo, bounded.
-        self._text_cache: "OrderedDict[str, tuple]" = OrderedDict()
         # (text, data_version, stats_enabled) -> (hash, skeleton, est_rows)
         # plan memo; None hash marks a statement with no EXPLAIN-able plan.
         self._plan_cache: "OrderedDict[tuple, tuple]" = OrderedDict()
@@ -398,20 +393,23 @@ class WorkloadRepository:
     # -- attribution (statement thread, after parse, before execution) ---------
 
     def annotate(self, record, provider, statement, command: str,
-                 plan=None) -> None:
+                 shape, plan=None) -> None:
         """Stamp fingerprint and plan attribution onto a statement record.
 
         Called by the dispatcher once the statement is parsed; the stamped
         ``record.fingerprint`` / ``record.plan_hash`` / ``record.
         plan_est_rows`` are folded into the aggregates at retirement by
-        :meth:`observe`.  ``plan`` is the tree the dispatcher is about to
-        execute (plain SELECT/UNION); without one the statement is planned
-        here.  Never raises into the statement: a statement that cannot be
-        normalized or planned simply goes unattributed.
+        :meth:`observe`.  ``shape`` is the callable that gives the
+        statement's ``(normalized text, fingerprint)``; the one the
+        statement-template cache hands out computes them once per statement
+        shape, not once per text.  ``plan`` is the tree the dispatcher is
+        about to execute (plain SELECT/UNION); without one the statement is
+        planned here.  Never raises into the statement: a statement that
+        cannot be normalized or planned simply goes unattributed.
         """
         if not self.enabled or record.root is None:
             return
-        fingerprint = self._fingerprint(command, statement, record.kind)
+        fingerprint = self._fingerprint(command, shape, record.kind)
         if fingerprint is None:
             return
         record.fingerprint = fingerprint
@@ -426,29 +424,18 @@ class WorkloadRepository:
         record.plan_hash = plan_hash
         record.plan_est_rows = est_rows
 
-    def _fingerprint(self, text: str, statement,
+    def _fingerprint(self, text: str, shape,
                      kind: Optional[str]) -> Optional[str]:
-        """Fingerprint a parsed statement, ensuring its entry exists.
+        """The statement's fingerprint, ensuring its entry exists.
 
-        Memoized by raw text so hot statements pay one dict lookup.
         Returns None (and records nothing) when the statement cannot be
         normalized — fingerprinting must never fail the statement.
         """
+        try:
+            normalized, fingerprint = shape()
+        except Exception:
+            return None
         with self._lock:
-            cached = self._text_cache.get(text)
-            if cached is not None:
-                self._text_cache.move_to_end(text)
-        if cached is None:
-            try:
-                normalized = normalize_statement(statement)
-            except Exception:
-                return None
-            cached = (fingerprint_text(normalized), normalized)
-        fingerprint, normalized = cached
-        with self._lock:
-            self._text_cache[text] = cached
-            while len(self._text_cache) > _TEXT_CACHE_LIMIT:
-                self._text_cache.popitem(last=False)
             self._ensure_loaded()
             entry = self._touch_entry(fingerprint, normalized, text)
             if kind:

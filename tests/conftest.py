@@ -10,7 +10,9 @@ from repro.datagen import WarehouseConfig, load_warehouse
 # own ``@settings(max_examples=…)`` keeps it under either profile; a test
 # that leaves the budget open (tests/differential/
 # test_compiled_vs_interpreted.py, test_prediction_kernel.py,
-# test_scoring_tables.py) runs small in tier-1 and deep in its CI step.
+# test_scoring_tables.py, tests/lang/test_lexer_differential.py,
+# test_template_differential.py) runs small in tier-1 and deep in its CI
+# step.
 settings.register_profile("default", max_examples=100)
 settings.register_profile("deep", max_examples=2000, deadline=None)
 

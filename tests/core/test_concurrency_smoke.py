@@ -226,3 +226,48 @@ def test_concurrent_reads_of_one_stream_source(conn):
         thread.join()
     assert all(result == results[0] for result in results)
     assert len(results[0]) == SEED_ROWS
+
+
+def test_two_threads_share_one_template_and_keep_their_own_answers(conn):
+    """Two threads execute one statement shape 2,000 times each with
+    different literals: every statement is made from the shape's one
+    template, and each thread must read back exactly its own constants."""
+    import sys
+
+    rounds = 2000
+    conn.execute("CREATE TABLE Keyed (k INT, owner TEXT)")
+    conn.execute("INSERT INTO Keyed VALUES " + ", ".join(
+        f"({k}, '{'even' if k % 2 == 0 else 'odd'}')" for k in range(200)))
+    conn.execute("CREATE INDEX ix_keyed ON Keyed (k)")
+    point = ("SELECT k, owner, {tag} AS tag FROM Keyed "
+             "WHERE k = {k} AND owner IN ('{owner}', 'nobody')")
+    conn.execute(point.format(tag="'w'", k=0, owner="even"))  # the template
+    wrong = []
+
+    def worker(parity):
+        owner = "even" if parity == 0 else "odd"
+        try:
+            for step in range(rounds):
+                k = (2 * step + parity) % 200
+                rows = conn.execute(point.format(
+                    tag=f"'{owner}{step}'", k=k, owner=owner)).rows
+                if rows != [(k, owner, f"{owner}{step}")]:
+                    wrong.append((owner, step, rows))
+        except Exception as exc:  # pragma: no cover - failure path
+            wrong.append((owner, exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        threads = [threading.Thread(target=worker, args=(parity,))
+                   for parity in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+    assert conn.provider.metrics.value("lang.template_hits") == 2 * rounds
+    assert len(conn.provider.templates) == 4  # DDL, INSERT, index, the shape

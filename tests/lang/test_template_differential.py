@@ -1,0 +1,301 @@
+"""Differential: a statement made from a cached template vs a fresh parse.
+
+``TemplateCache.parse`` answers a statement whose *shape* it has seen by
+copying the template's spine around the new literal values.  Whatever the
+text, the tree it returns must ``==`` (dataclass equality, so deeply) the
+tree ``parse_statement`` builds from scratch, its ``(normalized,
+fingerprint)`` must be the normalizer's, and a text that does not parse must
+fail with the same error — on the miss that makes the template, on every
+hit after it, and for shapes that cannot be templated at all.
+
+Because a template holds syntax and nothing from the catalog, no DDL, index
+or statistics change can make it stale: the last tests run same-shape
+statements around schema changes on a caching and a never-caching provider
+and compare every answer, and hold the LRU to its bound.
+"""
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import repro
+from repro.errors import Error
+from repro.lang.formatter import format_statement
+from repro.lang.lexer import Scan
+from repro.lang.normalizer import statement_shape
+from repro.lang.parser import parse_statement
+from repro.lang import templates
+from repro.lang.templates import TEMPLATE_CACHE_LIMIT, TemplateCache
+from repro.obs import MetricsRegistry
+
+from tests.property.test_parser_roundtrip import (
+    create_model_statements,
+    select_statements,
+)
+
+
+def _in_list(length):
+    return "SELECT a FROM t WHERE b IN (" + ", ".join(["{}"] * length) + ")"
+
+
+def _values(rows, width):
+    row = "(" + ", ".join(["{}"] * width) + ")"
+    return "INSERT INTO t VALUES " + ", ".join([row] * rows)
+
+
+# (statement text with one {} per literal, whether its shape is templated
+# when every {} is a plain constant).
+SHAPES = [
+    ("SELECT * FROM t WHERE id = {}", True),
+    ("SELECT {}", True),
+    ("SELECT {}, {} AS two", True),
+    ("SELECT a, {} AS k FROM t WHERE b BETWEEN {} AND {} AND c LIKE {}",
+     True),
+    ("SELECT CASE WHEN a > {} THEN {} WHEN a IS NULL THEN NULL ELSE {} END "
+     "AS c FROM t", True),
+    ("SELECT a FROM t WHERE NOT (b = {}) AND c IS NOT NULL AND -{} < d "
+     "OR e = TRUE", True),
+    ("SELECT f({}, {}, a) FROM t GROUP BY a HAVING COUNT(*) > {} "
+     "ORDER BY a + {} DESC", True),
+    ("SELECT a FROM t WHERE b IN (SELECT b FROM u WHERE c = {}) "
+     "AND d > (SELECT MAX(d) FROM u WHERE e <> {})", True),
+    ("SELECT x.a FROM (SELECT a FROM t WHERE b = {}) AS x WHERE x.a < {}",
+     True),
+    ("SELECT * FROM SHAPE {{SELECT a FROM t WHERE b = {}}} APPEND "
+     "({{SELECT c, d FROM u WHERE d > {}}} RELATE a TO c) AS n", True),
+    ("SELECT a FROM t WHERE b = {} UNION ALL SELECT a FROM u WHERE c = {}",
+     True),
+    ("EXPLAIN SELECT a FROM t WHERE b = {}", True),
+    ("EXPLAIN ANALYZE SELECT a FROM t WHERE b = {} AND c = {}", True),
+    ("UPDATE t SET a = {}, b = a + {} WHERE c = {}", True),
+    ("DELETE FROM t WHERE a = {} OR b = -{}", True),
+    ("INSERT INTO t (a, b) SELECT a, {} FROM u WHERE c = {}", True),
+    ("CREATE VIEW v AS SELECT a FROM t WHERE b > {}", True),
+    ("SELECT [m].[x] FROM [m] NATURAL PREDICTION JOIN "
+     "(SELECT {} AS g, {} AS [h c]) AS t", True),
+    ("SELECT Predict(x), PredictProbability(x, {}) FROM m PREDICTION JOIN "
+     "(SELECT {} AS g) AS t ON m.g = t.g WHERE t.g = {}", True),
+    ("SELECT a FROM t WHERE b = {} ;", True),
+    ("SELECT a -- note {}\nFROM t /* and {} */ WHERE b = {}", True),
+    (_in_list(1), True), (_in_list(2), True), (_in_list(7), True),
+    (_values(1, 3), True), (_values(2, 3), True), (_values(100, 4), True),
+    # A literal the grammar consumes as something other than a Literal.
+    ("SELECT TOP {} a FROM t WHERE b = {}", False),
+    ("SELECT a FROM t WHERE b = {} WITH MAXDOP {}", False),
+    ("INSERT INTO m (a, b) SELECT a, b FROM t WHERE c = {} WITH MAXDOP {}",
+     False),
+    ("CANCEL {}", False),
+    ("EXPORT MINING MODEL m TO {}", False),
+    ("IMPORT MINING MODEL FROM {} AS m2", False),
+    ("CREATE MINING MODEL m (id LONG KEY, a DOUBLE DISCRETIZED(EQUAL_COUNT, "
+     "{}) PREDICT) USING Repro_Decision_Trees", False),
+    ("CREATE MINING MODEL m (id LONG KEY, a TEXT DISCRETE PREDICT) "
+     "USING Repro_Decision_Trees(MINIMUM_SUPPORT = {})", False),
+]
+
+numbers = st.one_of(
+    st.integers(min_value=0, max_value=10 ** 12).map(str),
+    st.floats(min_value=0, allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["0", "007", "1e5", "1E-3", ".5", "2.50", "١٢"]))
+strings = st.one_of(
+    st.text(alphabet="ab'\"[]{}-%/* \n?é", max_size=8).map(
+        lambda s: "'" + s.replace("'", "''") + "'"),
+    st.text(alphabet="ab'\" ", max_size=5).map(
+        lambda s: '"' + s.replace('"', '""') + '"'))
+# What a statement author may write in a literal position; a sign is its
+# own token, and NULL/TRUE/FALSE are identifiers the shape spells out.
+KINDS = {
+    "number": numbers,
+    "negative": numbers.map(lambda text: "-" + text),
+    "string": strings,
+    "keyword": st.sampled_from(["NULL", "TRUE", "FALSE", "null"]),
+}
+
+
+def outcome(parse, text):
+    try:
+        return parse(text)
+    except Error as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_as_fresh(cache, text):
+    """``cache.parse(text)`` is indistinguishable from a fresh parse."""
+    fresh = outcome(parse_statement, text)
+    cached = outcome(cache.parse, text)
+    if isinstance(fresh, tuple):
+        assert cached == fresh
+        return
+    statement, shape = cached
+    assert statement == fresh
+    assert shape() == statement_shape(fresh)
+
+
+# One cache for the whole module: examples meet each other's templates.
+CACHE = TemplateCache()
+
+
+@given(st.data())
+def test_template_with_new_literals_equals_fresh_parse(data):
+    text, _ = data.draw(st.sampled_from(SHAPES))
+    slots = text.replace("{{", "").replace("}}", "").count("{}")
+    kinds = data.draw(st.lists(st.sampled_from(sorted(KINDS)),
+                               min_size=slots, max_size=slots))
+    # Two statements of one shape: the second meets the first's template.
+    for _ in range(2):
+        literals = [data.draw(KINDS[kind]) for kind in kinds]
+        assert_same_as_fresh(CACHE, text.format(*literals))
+
+
+def with_new_literals(text, data):
+    """``text`` with every NUMBER/STRING literal redrawn, kind kept."""
+    scan = Scan(text)
+    parts = [text[:scan.start]]
+    for spelled, number, string, trivia in scan.rows:
+        if number:
+            spelled = data.draw(numbers)
+        elif string:
+            spelled = data.draw(strings)
+        parts += [spelled, trivia]
+    return "".join(parts)
+
+
+@given(st.one_of(select_statements(), create_model_statements()), st.data())
+def test_round_trip_generator_statements_through_the_cache(statement, data):
+    """Every statement of tests/property's round-trip generator, then the
+    same statement with other constants."""
+    text = format_statement(statement)
+    assert_same_as_fresh(CACHE, text)
+    assert_same_as_fresh(CACHE, text)
+    assert_same_as_fresh(CACHE, with_new_literals(text, data))
+
+
+@pytest.mark.parametrize("text, templated", SHAPES,
+                         ids=[text[:48] for text, _ in SHAPES])
+def test_which_shapes_are_templated(text, templated):
+    metrics = MetricsRegistry()
+    cache = TemplateCache(metrics=metrics)
+    slots = text.replace("{{", "").replace("}}", "").count("{}")
+    # Plain constants the grammar accepts there: a path is a string.
+    quote = "'" if text.startswith(("EXPORT", "IMPORT")) else ""
+    first, again = (
+        text.format(*[f"{quote}{base + slot}{quote}"
+                      for slot in range(slots)]) for base in (1, 101))
+    for statement in (first, again, again):
+        assert_same_as_fresh(cache, statement)
+    hits = metrics.value("lang.template_hits")
+    misses = metrics.value("lang.template_misses")
+    unparameterizable = metrics.value("lang.template_unparameterizable")
+    if templated:
+        assert (hits, misses, unparameterizable) == (2, 1, 0)
+    else:
+        assert (hits, misses, unparameterizable) == (0, 0, 3)
+    assert len(cache) == 1
+
+
+def test_a_template_is_never_written_by_its_instances():
+    cache = TemplateCache()
+    text = "SELECT a, 'x' FROM t WHERE b IN (1, 2) AND c = NULL"
+    master, _ = cache.parse(text)
+    copy, _ = cache.parse("SELECT a, 'y' FROM t WHERE b IN (3, 4) AND c = NULL")
+    assert master == parse_statement(text)
+    assert copy is not master and copy.where is not master.where
+    # Off the spine everything is shared, the NULL literal included.
+    assert copy.from_clause is master.from_clause
+    assert copy.select_list[0] is master.select_list[0]
+    assert copy.where.right.right is master.where.right.right
+    # A shape without literals is its template.
+    assert cache.parse("SELECT a FROM t")[0] is cache.parse("SELECT a FROM t")[0]
+
+
+# -- no invalidation: templates hold syntax only ----------------------------------
+
+SCHEMA_CHURN = [
+    "CREATE TABLE T (id INT, v TEXT)",
+    "INSERT INTO T VALUES (1, 'one'), (2, 'two'), (3, 'three')",
+    "SELECT * FROM T WHERE id = 1",
+    "SELECT v FROM T WHERE id = 2",
+    "SELECT COUNT(*) FROM T WHERE id IN (SELECT id FROM T WHERE id > 1)",
+    "DROP TABLE T",
+    "SELECT * FROM T WHERE id = 1",
+    # Same names, another schema: id is TEXT now and v is gone.
+    "CREATE TABLE T (w INT, id TEXT, z INT)",
+    "INSERT INTO T VALUES (10, '1', 100), (20, '2', 200), (30, '2', 300)",
+    "SELECT * FROM T WHERE id = 1",
+    "SELECT * FROM T WHERE id = '2'",
+    "SELECT v FROM T WHERE id = 2",
+    "SELECT COUNT(*) FROM T WHERE id IN (SELECT id FROM T WHERE id > 1)",
+    "SELECT * FROM T WHERE w = 10",
+    "EXPLAIN SELECT * FROM T WHERE w = 10",
+    "CREATE INDEX ix_w ON T (w)",
+    "SELECT * FROM T WHERE w = 20",
+    "EXPLAIN SELECT * FROM T WHERE w = 20",
+    "INSERT INTO T VALUES (40, '4', 400), (50, '5', 500), (60, '6', 600)",
+    "UPDATE STATISTICS T",
+    "SELECT * FROM T WHERE w = 40",
+    "EXPLAIN SELECT * FROM T WHERE w = 40",
+    "DROP INDEX ix_w ON T",
+    "EXPLAIN SELECT * FROM T WHERE w = 50",
+    "SELECT * FROM T WHERE w = 50",
+    "CREATE MINING MODEL M (w LONG KEY, id TEXT DISCRETE PREDICT, "
+    "z LONG CONTINUOUS) USING Repro_Naive_Bayes",
+    "INSERT INTO M (w, id, z) SELECT w, id, z FROM T",
+    "SELECT M.id FROM M NATURAL PREDICTION JOIN (SELECT 100 AS z) AS t",
+    "SELECT M.id FROM M NATURAL PREDICTION JOIN (SELECT 600 AS z) AS t",
+    "DROP MINING MODEL M",
+    "SELECT M.id FROM M NATURAL PREDICTION JOIN (SELECT 100 AS z) AS t",
+    # Same model name, other columns: z is the target now.
+    "CREATE MINING MODEL M (w LONG KEY, id TEXT DISCRETE, "
+    "z LONG DISCRETE PREDICT) USING Repro_Naive_Bayes",
+    "INSERT INTO M (w, id, z) SELECT w, id, z FROM T",
+    "SELECT M.id FROM M NATURAL PREDICTION JOIN (SELECT 100 AS z) AS t",
+    "SELECT M.z FROM M NATURAL PREDICTION JOIN (SELECT '2' AS id) AS t",
+    "SELECT M.z FROM M NATURAL PREDICTION JOIN (SELECT '6' AS id) AS t",
+]
+
+
+def _answer(conn, statement):
+    try:
+        result = conn.execute(statement)
+    except Error as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(result, int):
+        return result
+    return [c.name for c in result.columns], [tuple(r) for r in result.rows]
+
+
+def test_schema_changes_need_no_invalidation(monkeypatch):
+    caching = repro.connect()
+    never = repro.connect()
+    try:
+        for statement in SCHEMA_CHURN:
+            expected = _answer(caching, statement)
+            with monkeypatch.context() as patch:  # a cache of nothing
+                patch.setattr(templates, "TEMPLATE_CACHE_LIMIT", 0)
+                assert _answer(never, statement) == expected, statement
+        assert len(never.provider.templates) == 0
+        assert caching.provider.metrics.value("lang.template_hits") >= 10
+        assert never.provider.metrics.value("lang.template_hits") == 0
+    finally:
+        caching.close()
+        never.close()
+
+
+# -- the bound --------------------------------------------------------------------
+
+def test_cache_is_bounded_and_an_evicted_shape_parses_again():
+    metrics = MetricsRegistry()
+    cache = TemplateCache(metrics=metrics)
+    first = "SELECT c0 FROM t WHERE id = 0"
+    assert_same_as_fresh(cache, first)
+    for shape in range(1, 10 * TEMPLATE_CACHE_LIMIT):
+        cache.parse(f"SELECT c{shape} FROM t WHERE id = {shape}")
+        assert len(cache) <= TEMPLATE_CACHE_LIMIT
+    assert len(cache) == TEMPLATE_CACHE_LIMIT
+    assert metrics.value("lang.template_hits") == 0
+    # The first shape is long gone: a miss again, and right again.
+    assert_same_as_fresh(cache, "SELECT c0 FROM t WHERE id = 5")
+    assert metrics.value("lang.template_hits") == 0
+    assert_same_as_fresh(cache, "SELECT c0 FROM t WHERE id = 6")
+    assert metrics.value("lang.template_hits") == 1
+    assert len(cache) == TEMPLATE_CACHE_LIMIT
