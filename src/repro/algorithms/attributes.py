@@ -19,7 +19,9 @@ a case.  ``AttributeSpace`` compiles a model's column tree into a flat list of
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.errors import TrainError
 from repro.core.bindings import MappedCase
@@ -30,7 +32,11 @@ from repro.core.columns import (
     ModelDefinition,
 )
 from repro.algorithms.discretization import Discretizer, fit_discretizer
-from repro.algorithms.statistics import CategoricalDistribution, GaussianStats
+from repro.algorithms.statistics import (
+    CategoricalDistribution,
+    GaussianStats,
+    sequential_sum,
+)
 
 CATEGORICAL = "categorical"
 CONTINUOUS = "continuous"
@@ -83,6 +89,13 @@ class Attribute:
         if self.is_categorical:
             return self._category_index.get(_norm(value))
         return float(value)
+
+    def state_key(self, code: int) -> Any:
+        """Category ``code`` as :meth:`AttributeSpace.encode` spells it in
+        an observation — ``0.0`` / ``1.0`` under an existence attribute,
+        the ``int`` code elsewhere — which is how trained statistics key
+        their counts (PMML state writes the keys out)."""
+        return float(code) if self.is_existence else code
 
     def decode(self, internal: Optional[float]) -> Any:
         """Internal representation -> display value."""
@@ -144,6 +157,72 @@ class Observation:
         return self.weight * self.confidences.get(index, 1.0)
 
 
+class CaseMatrix:
+    """One encoded caseset as arrays: what a refit counts from.
+
+    ``values``       ``float64``, cases x attributes, in case order; NaN is
+                     a missing value, a category is its code;
+    ``weights``      the case weights;
+    ``confidences``  ``{attribute index: column}`` for the attributes some
+                     case carries a PROBABILITY for (1.0 where it does not).
+
+    Derived from the observations and owned by nobody's trained state:
+    marginals and the algorithm read it during one refit and keep only
+    what they counted.
+    """
+
+    __slots__ = ("values", "weights", "confidences")
+
+    def __init__(self, observations: Sequence[Observation], width: int):
+        count = len(observations)
+        self.values = np.array([o.values for o in observations],
+                               dtype=np.float64).reshape(count, width)
+        self.weights = np.array([o.weight for o in observations],
+                                dtype=np.float64)
+        self.confidences: Dict[int, np.ndarray] = {}
+        for row, observation in enumerate(observations):
+            for index, confidence in observation.confidences.items():
+                column = self.confidences.get(index)
+                if column is None:
+                    column = self.confidences[index] = np.ones(count)
+                column[row] = confidence
+
+    @classmethod
+    def of(cls, observations: Sequence[Observation],
+           width: int) -> "CaseMatrix":
+        """The matrix of ``observations``: :meth:`AttributeSpace.
+        encode_many`'s list has it built on first use and then shares it,
+        any other sequence gets a fresh one."""
+        if not isinstance(observations, EncodedCases):
+            return cls(observations, width)
+        if observations.matrix is None:
+            observations.matrix = cls(observations, width)
+        return observations.matrix
+
+    def effective_weights(self, index: int) -> np.ndarray:
+        """Per case, ``Observation.effective_weight(index)``."""
+        confidence = self.confidences.get(index)
+        if confidence is None:
+            return self.weights
+        return self.weights * confidence
+
+    def known(self, index: int):
+        """``(rows, values)`` of the cases that have attribute ``index``,
+        in case order."""
+        column = self.values[:, index]
+        rows = np.flatnonzero(~np.isnan(column))
+        return rows, column[rows]
+
+
+class EncodedCases(list):
+    """The observation list :meth:`AttributeSpace.encode_many` returns: a
+    plain list that also owns its lazily built :class:`CaseMatrix`
+    (:meth:`CaseMatrix.of`), so the marginals and the algorithm of one
+    refit share one build.  Treat it as immutable once the matrix exists."""
+
+    matrix: Optional[CaseMatrix] = None
+
+
 class AttributeSpace:
     """Fitted attribute dictionary + encoder for one mining model."""
 
@@ -188,6 +267,9 @@ class AttributeSpace:
                 f"model {self.definition.name!r}: the training caseset is "
                 f"empty")
         self.case_count = len(cases)
+        # A second fit starts over rather than on top of the first.
+        self.attributes, self._by_name, self._slots = [], {}, None
+        self.relations, self.total_weight = {}, 0.0
         scalar_columns = [
             c for c in self.definition.scalar_attributes()]
         observed: Dict[str, CategoricalDistribution] = {}
@@ -323,20 +405,23 @@ class AttributeSpace:
 
     def partial_marginals(self, observations) -> List[Any]:
         """Per-attribute marginal statistics of one observation partition."""
-        partials: List[Any] = []
-        for attribute in self.attributes:
-            if attribute.is_categorical:
-                partials.append(CategoricalDistribution())
-            else:
-                partials.append(GaussianStats())
-        for observation in observations:
-            for attribute, marginal in zip(self.attributes, partials):
-                value = observation.values[attribute.index]
-                if value is None:
-                    continue
-                weight = observation.effective_weight(attribute.index)
-                marginal.add(value, weight)
+        partials = [CategoricalDistribution() if attribute.is_categorical
+                    else GaussianStats() for attribute in self.attributes]
+        self._count_marginals(partials, observations)
         return partials
+
+    def _count_marginals(self, marginals, observations) -> None:
+        """``marginal.add(value, effective weight)`` per case and
+        attribute, in case order: one count per categorical column."""
+        matrix = CaseMatrix.of(observations, len(self.attributes))
+        for attribute, marginal in zip(self.attributes, marginals):
+            rows, values = matrix.known(attribute.index)
+            weights = matrix.effective_weights(attribute.index)[rows]
+            if attribute.is_categorical:
+                marginal.add_codes(values.astype(np.intp), weights,
+                                   attribute.state_key)
+            else:
+                marginal.add_many(values.tolist(), weights.tolist())
 
     def merge_marginal_partials(self, partial_lists) -> None:
         """Install marginals by merging partition partials in order."""
@@ -409,13 +494,9 @@ class AttributeSpace:
                case_count: int) -> None:
         """Update marginals/counters for incrementally-absorbed cases."""
         self.case_count += case_count
-        for observation in observations:
-            self.total_weight += observation.weight
-            for attribute, marginal in zip(self.attributes, self.marginals):
-                value = observation.values[attribute.index]
-                if value is not None:
-                    marginal.add(
-                        value, observation.effective_weight(attribute.index))
+        matrix = CaseMatrix.of(observations, len(self.attributes))
+        self.total_weight = sequential_sum(matrix.weights, self.total_weight)
+        self._count_marginals(self.marginals, observations)
 
     # -- encoding -------------------------------------------------------------
 
@@ -544,4 +625,4 @@ class AttributeSpace:
         return table.key_column()
 
     def encode_many(self, cases: Iterable[MappedCase]) -> List[Observation]:
-        return [self.encode(case) for case in cases]
+        return EncodedCases(map(self.encode, cases))

@@ -173,13 +173,23 @@ class MiningAlgorithm(abc.ABC):
 
     def train(self, space: AttributeSpace,
               observations: List[Observation]) -> None:
-        """Consume the caseset (INSERT INTO semantics, section 3.3)."""
-        self.space = space
-        self.drop_tables()
+        """Consume the caseset (INSERT INTO semantics, section 3.3).
+
+        A refit that fails or is cancelled leaves the previous space and
+        its prediction tables in place; a service keeps its side of that
+        by installing its trained state only once ``_train`` has it all.
+        """
         obs_workload.check()
-        with obs_trace.span("algorithm.train", service=self.SERVICE_NAME):
-            obs_trace.add("observations", len(observations))
-            self._train(space, observations)
+        previous = self.space
+        self.space = space     # services read it while they train
+        try:
+            with obs_trace.span("algorithm.train", service=self.SERVICE_NAME):
+                obs_trace.add("observations", len(observations))
+                self._train(space, observations)
+        except BaseException:
+            self.space = previous
+            raise
+        self.drop_tables()
         self.trained = True
 
     def partial_train(self, observations: List[Observation]) -> None:

@@ -20,7 +20,12 @@ from typing import List, Optional
 import numpy as np
 
 from repro.errors import TrainError
-from repro.algorithms.attributes import Attribute, AttributeSpace, Observation
+from repro.algorithms.attributes import (
+    Attribute,
+    AttributeSpace,
+    CaseMatrix,
+    Observation,
+)
 from repro.algorithms.base import (
     AttributePrediction,
     CasePrediction,
@@ -75,22 +80,16 @@ class EMClusteringAlgorithm(MiningAlgorithm):
 
     # -- encoding to matrices ---------------------------------------------------
 
-    def _matrices(self, observations: List[Observation]):
-        n = len(observations)
-        x = np.full((n, len(self._continuous)), np.nan)
-        codes = np.full((n, len(self._categorical)), -1, dtype=np.int64)
-        case_weights = np.ones(n)
-        for row, observation in enumerate(observations):
-            case_weights[row] = observation.weight
-            for position, attribute in enumerate(self._continuous):
-                value = observation.values[attribute.index]
-                if value is not None:
-                    x[row, position] = value
-            for position, attribute in enumerate(self._categorical):
-                value = observation.values[attribute.index]
-                if value is not None:
-                    codes[row, position] = int(value)
-        return x, codes, case_weights
+    def _matrices(self, values: np.ndarray):
+        """``(x, codes)`` from a cases x attributes value array
+        (:class:`CaseMatrix` ``values``): the continuous columns (NaN =
+        missing) and the categorical ones as integer codes (-1 = missing),
+        both in row-major layout so every sum adds in the order it always
+        has."""
+        x = values.take([a.index for a in self._continuous], axis=1)
+        codes = values.take([a.index for a in self._categorical], axis=1)
+        codes = np.where(np.isnan(codes), -1, codes).astype(np.int64)
+        return x, codes
 
     # -- training ---------------------------------------------------------------
 
@@ -104,7 +103,9 @@ class EMClusteringAlgorithm(MiningAlgorithm):
             raise TrainError("CLUSTER_COUNT must be >= 1")
         k = min(k, len(observations))
         self.cluster_count = k
-        x, codes, case_weights = self._matrices(observations)
+        matrix = CaseMatrix.of(observations, len(space.attributes))
+        x, codes = self._matrices(matrix.values)
+        case_weights = matrix.weights
         n = len(observations)
         rng = np.random.RandomState(int(self.param("CLUSTER_SEED")))
 
@@ -228,16 +229,8 @@ class EMClusteringAlgorithm(MiningAlgorithm):
     # -- prediction ---------------------------------------------------------------
 
     def _posterior(self, observation: Observation) -> np.ndarray:
-        x = np.full((1, len(self._continuous)), np.nan)
-        codes = np.full((1, len(self._categorical)), -1, dtype=np.int64)
-        for position, attribute in enumerate(self._continuous):
-            value = observation.values[attribute.index]
-            if value is not None:
-                x[0, position] = value
-        for position, attribute in enumerate(self._categorical):
-            value = observation.values[attribute.index]
-            if value is not None:
-                codes[0, position] = int(value)
+        x, codes = self._matrices(
+            np.array([observation.values], dtype=np.float64))
         log_density = self._log_density(x, codes)[0]
         log_density -= log_density.max()
         posterior = np.exp(log_density)

@@ -14,7 +14,12 @@ from typing import List, Optional
 import numpy as np
 
 from repro.errors import TrainError
-from repro.algorithms.attributes import Attribute, AttributeSpace, Observation
+from repro.algorithms.attributes import (
+    Attribute,
+    AttributeSpace,
+    CaseMatrix,
+    Observation,
+)
 from repro.algorithms.base import (
     AttributePrediction,
     CasePrediction,
@@ -50,8 +55,9 @@ class KMeansAlgorithm(MiningAlgorithm):
         self.cluster_count = 0
         self.centroids: Optional[np.ndarray] = None
         self.cluster_support: Optional[np.ndarray] = None
-        self._plan = []            # (attribute, offset, width)
-        self._feature_count = 0
+        self._feature_column: Optional[np.ndarray] = None   # _build_plan
+        self._feature_code: Optional[np.ndarray] = None
+        self._feature_width: Optional[np.ndarray] = None
         self._scale_mean: Optional[np.ndarray] = None
         self._scale_std: Optional[np.ndarray] = None
         self._per_cluster_stats = []  # per cluster: {attr_index: dist/stats}
@@ -59,27 +65,33 @@ class KMeansAlgorithm(MiningAlgorithm):
     # -- embedding ----------------------------------------------------------------
 
     def _build_plan(self, space: AttributeSpace) -> None:
-        self._plan = []
-        offset = 0
+        """Per feature of the embedding: the attribute it reads, and for a
+        one-hot feature the code it stands for and how many codes its
+        attribute was fitted with (NaN for a continuous feature)."""
+        columns, codes, widths = [], [], []
         for attribute in space.attributes:
-            width = max(attribute.cardinality, 1) if attribute.is_categorical \
-                else 1
-            self._plan.append((attribute, offset, width))
-            offset += width
-        self._feature_count = offset
+            if attribute.is_categorical:
+                width = max(attribute.cardinality, 1)
+                codes.extend(range(width))
+                widths.extend([width] * width)
+            else:
+                width = 1
+                codes.append(np.nan)
+                widths.append(np.nan)
+            columns.extend([attribute.index] * width)
+        self._feature_column = np.array(columns, dtype=np.intp)
+        self._feature_code = np.array(codes, dtype=np.float64)
+        self._feature_width = np.array(widths, dtype=np.float64)
 
-    def _embed(self, observations: List[Observation]) -> np.ndarray:
-        matrix = np.full((len(observations), self._feature_count), np.nan)
-        for row, observation in enumerate(observations):
-            for attribute, offset, width in self._plan:
-                value = observation.values[attribute.index]
-                if attribute.is_categorical:
-                    if value is not None and 0 <= int(value) < width:
-                        matrix[row, offset:offset + width] = 0.0
-                        matrix[row, offset + int(value)] = 1.0
-                elif value is not None:
-                    matrix[row, offset] = value
-        return matrix
+    def _embed(self, values: np.ndarray) -> np.ndarray:
+        """The feature matrix of a cases x attributes value array
+        (:class:`CaseMatrix` ``values``): a continuous value as it is,
+        a category one-hot, NaN where the value is missing or its code was
+        not fitted."""
+        values = values.take(self._feature_column, axis=1)   # row-major
+        fitted = (values >= 0) & (values < self._feature_width)
+        one_hot = np.where(fitted, values == self._feature_code, np.nan)
+        return np.where(np.isnan(self._feature_code), values, one_hot)
 
     # -- training -------------------------------------------------------------------
 
@@ -91,8 +103,9 @@ class KMeansAlgorithm(MiningAlgorithm):
         k = min(k, len(observations))
         self.cluster_count = k
         self._build_plan(space)
-        matrix = self._embed(observations)
-        case_weights = np.array([o.weight for o in observations])
+        cases = CaseMatrix.of(observations, len(space.attributes))
+        matrix = self._embed(cases.values)
+        case_weights = cases.weights
 
         # Impute missing with column means, then z-score.
         column_means = np.nanmean(np.where(np.isnan(matrix), np.nan, matrix),
@@ -151,7 +164,8 @@ class KMeansAlgorithm(MiningAlgorithm):
     # -- prediction -------------------------------------------------------------------
 
     def _assign(self, observation: Observation):
-        matrix = self._embed([observation])[0]
+        matrix = self._embed(
+            np.array([observation.values], dtype=np.float64))[0]
         matrix = np.where(np.isnan(matrix), self._scale_mean, matrix)
         scaled = (matrix - self._scale_mean) / self._scale_std
         distances = ((self.centroids - scaled) ** 2).sum(axis=1)

@@ -20,15 +20,30 @@ COMPLEXITY_PENALTY charged per additional child.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-from repro.algorithms.attributes import Attribute, AttributeSpace, Observation
+import numpy as np
+
+from repro.obs import workload as obs_workload
+from repro.algorithms.attributes import (
+    Attribute,
+    AttributeSpace,
+    CaseMatrix,
+    Observation,
+)
 from repro.algorithms.base import (
     AttributePrediction,
     CasePrediction,
     MiningAlgorithm,
 )
-from repro.algorithms.statistics import CategoricalDistribution, GaussianStats
+from repro.algorithms.statistics import (
+    CategoricalDistribution,
+    GaussianStats,
+    entropy_bits,
+    first_seen,
+    gini_impurity,
+    sequential_sum,
+)
 from repro.core.content import (
     NODE_DISTRIBUTION,
     NODE_INTERIOR,
@@ -88,17 +103,21 @@ class DecisionTreeAlgorithm(MiningAlgorithm):
 
     def _train(self, space: AttributeSpace,
                observations: List[Observation]) -> None:
-        self.trees = {}
-        outputs = space.outputs() or []
-        for target in outputs:
+        matrix = CaseMatrix.of(observations, len(space.attributes))
+        children = _ChildNumbers(space, matrix)
+        # Growth can be cancelled at any node: the trees a refit replaces
+        # stay until every target's tree has finished.
+        trees: Dict[int, _TreeNode] = {}
+        for target in space.outputs():
             inputs = [a for a in space.inputs()
                       if a.index != target.index and
                       not self._same_nested_item(a, target)]
-            weighted = [(o, o.effective_weight(target.index))
-                        for o in observations
-                        if o.values[target.index] is not None]
-            self.trees[target.index] = self._grow(
-                target, inputs, weighted, depth=0, condition="All")
+            rows, _ = matrix.known(target.index)
+            weights = matrix.effective_weights(target.index)[rows]
+            trees[target.index] = _Growth(
+                self, matrix, children, target).grow(
+                inputs, rows, weights, depth=0, condition="All")
+        self.trees = trees
 
     @staticmethod
     def _same_nested_item(a: Attribute, b: Attribute) -> bool:
@@ -106,181 +125,6 @@ class DecisionTreeAlgorithm(MiningAlgorithm):
         each other (they are two facets of the same nested row)."""
         return (a.table is not None and b.table is not None and
                 a.table is b.table and a.key_value == b.key_value)
-
-    def _grow(self, target: Attribute, inputs: List[Attribute],
-              weighted: List[Tuple[Observation, float]], depth: int,
-              condition: str) -> _TreeNode:
-        node = _TreeNode(sum(w for _, w in weighted), depth, condition)
-        self._summarise(node, target, weighted)
-
-        if depth >= int(self.param("MAXIMUM_DEPTH")):
-            return node
-        if node.support < 2 * float(self.param("MINIMUM_SUPPORT")):
-            return node
-        if target.is_categorical and node.distribution is not None and \
-                len(node.distribution) <= 1:
-            return node
-
-        best = self._best_split(target, inputs, weighted, node)
-        if best is None:
-            return node
-        attribute, threshold, partitions, labels = best
-        node.split_attribute = attribute
-        node.threshold = threshold
-        remaining = [a for a in inputs if a.index != attribute.index] \
-            if attribute.is_categorical else inputs
-        for partition, label, child_value in zip(
-                partitions, labels, _child_values(attribute, threshold,
-                                                  partitions)):
-            child = self._grow(target, remaining, partition, depth + 1, label)
-            node.children.append(child)
-            node.child_values.append(child_value)
-        return node
-
-    def _summarise(self, node: _TreeNode, target: Attribute,
-                   weighted: List[Tuple[Observation, float]]) -> None:
-        if target.is_categorical:
-            distribution = CategoricalDistribution()
-            for observation, weight in weighted:
-                distribution.add(observation.values[target.index], weight)
-            node.distribution = distribution
-        else:
-            stats = GaussianStats()
-            for observation, weight in weighted:
-                stats.add(observation.values[target.index], weight)
-            node.stats = stats
-
-    def _impurity(self, target: Attribute,
-                  weighted: List[Tuple[Observation, float]]) -> float:
-        if target.is_categorical:
-            distribution = CategoricalDistribution()
-            for observation, weight in weighted:
-                distribution.add(observation.values[target.index], weight)
-            if self.param("SCORE_METHOD").upper() == "GINI":
-                return distribution.gini()
-            return distribution.entropy()
-        stats = GaussianStats()
-        for observation, weight in weighted:
-            stats.add(observation.values[target.index], weight)
-        return stats.variance
-
-    def _best_split(self, target: Attribute, inputs: List[Attribute],
-                    weighted: List[Tuple[Observation, float]],
-                    node: _TreeNode):
-        total = node.support
-        if total <= 0:
-            return None
-        parent_impurity = self._impurity(target, weighted)
-        minimum_support = float(self.param("MINIMUM_SUPPORT"))
-        penalty = float(self.param("COMPLEXITY_PENALTY"))
-        best_gain = 0.0
-        best = None
-
-        for attribute in inputs:
-            if attribute.is_categorical:
-                result = self._categorical_split(attribute, target, weighted,
-                                                 minimum_support)
-            else:
-                result = self._continuous_split(attribute, target, weighted,
-                                                minimum_support)
-            if result is None:
-                continue
-            threshold, partitions, labels = result
-            known = sum(sum(w for _, w in p) for p in partitions)
-            if known <= 0:
-                continue
-            child_impurity = sum(
-                (sum(w for _, w in p) / known) *
-                self._impurity(target, p)
-                for p in partitions)
-            gain = (parent_impurity - child_impurity) * (known / total)
-            gain -= penalty * (len(partitions) - 1) / max(total, 1.0)
-            if gain > best_gain + 1e-12:
-                best_gain = gain
-                best = (attribute, threshold,
-                        self._route_missing(attribute, weighted, partitions),
-                        labels)
-        return best
-
-    def _categorical_split(self, attribute, target, weighted,
-                           minimum_support):
-        buckets: Dict[float, List[Tuple[Observation, float]]] = {}
-        for observation, weight in weighted:
-            value = observation.values[attribute.index]
-            if value is None:
-                continue
-            buckets.setdefault(value, []).append((observation, weight))
-        if len(buckets) < 2:
-            return None
-        values = sorted(buckets)
-        partitions = [buckets[v] for v in values]
-        if sum(1 for p in partitions
-               if sum(w for _, w in p) >= minimum_support) < 2:
-            return None
-        labels = [f"{attribute.name} = {attribute.decode(v)!r}"
-                  for v in values]
-        return None, partitions, labels
-
-    def _continuous_split(self, attribute, target, weighted,
-                          minimum_support):
-        known = [(observation.values[attribute.index], observation, weight)
-                 for observation, weight in weighted
-                 if observation.values[attribute.index] is not None]
-        if len(known) < 2:
-            return None
-        known.sort(key=lambda item: item[0])
-        distinct = sorted({value for value, _, _ in known})
-        if len(distinct) < 2:
-            return None
-        if len(distinct) > _MAX_THRESHOLD_CANDIDATES:
-            step = len(distinct) / _MAX_THRESHOLD_CANDIDATES
-            candidates = [distinct[int(i * step)]
-                          for i in range(1, _MAX_THRESHOLD_CANDIDATES)]
-        else:
-            candidates = [(distinct[i] + distinct[i + 1]) / 2.0
-                          for i in range(len(distinct) - 1)]
-
-        best_threshold = None
-        best_impurity = None
-        for threshold in candidates:
-            low = [(o, w) for v, o, w in known if v <= threshold]
-            high = [(o, w) for v, o, w in known if v > threshold]
-            low_weight = sum(w for _, w in low)
-            high_weight = sum(w for _, w in high)
-            if low_weight < minimum_support or high_weight < minimum_support:
-                continue
-            total = low_weight + high_weight
-            impurity = (low_weight / total * self._impurity(target, low) +
-                        high_weight / total * self._impurity(target, high))
-            if best_impurity is None or impurity < best_impurity - 1e-12:
-                best_impurity = impurity
-                best_threshold = threshold
-        if best_threshold is None:
-            return None
-        low = [(o, w) for v, o, w in known if v <= best_threshold]
-        high = [(o, w) for v, o, w in known if v > best_threshold]
-        labels = [f"{attribute.name} <= {best_threshold:g}",
-                  f"{attribute.name} > {best_threshold:g}"]
-        return best_threshold, [low, high], labels
-
-    def _route_missing(self, attribute, weighted, partitions):
-        """Distribute missing-valued observations across children
-        proportionally to child weights."""
-        missing = [(o, w) for o, w in weighted
-                   if o.values[attribute.index] is None]
-        if not missing:
-            return partitions
-        child_weights = [sum(w for _, w in p) for p in partitions]
-        total = sum(child_weights)
-        if total <= 0:
-            return partitions
-        routed = [list(p) for p in partitions]
-        for observation, weight in missing:
-            for child, child_weight in zip(routed, child_weights):
-                share = weight * child_weight / total
-                if share > 0:
-                    child.append((observation, share))
-        return routed
 
     # -- prediction -----------------------------------------------------------
 
@@ -448,22 +292,297 @@ class _WeightedMoments:
                                    variance, [bucket])
 
 
-def _child_values(attribute: Attribute, threshold: Optional[float],
-                  partitions) -> List[Optional[float]]:
-    """Internal split values aligned with partitions."""
-    if threshold is not None:
-        return [None, None]  # binary continuous split uses the threshold
-    # Categorical: recover each partition's shared category code.
-    values = []
-    for partition in partitions:
-        code = None
-        for observation, _ in partition:
-            value = observation.values[attribute.index]
-            if value is not None:
-                code = value
-                break
-        values.append(code)
-    return values
+class _ChildNumbers:
+    """The candidate children of every categorical split, numbered once
+    per refit: a child is (categorical attribute, code), the children of
+    one attribute are adjacent — attribute ``column[index]``'s span
+    starts at ``bases[column]`` — and ``numbers`` holds, per case and
+    such attribute, the child the case falls in (-1: value missing)."""
+
+    def __init__(self, space: AttributeSpace, matrix: CaseMatrix):
+        categorical = [a for a in space.attributes if a.is_categorical]
+        bases = np.cumsum([0] + [max(a.cardinality, 1) for a in categorical])
+        codes = matrix.values[:, [a.index for a in categorical]]
+        self.numbers = np.where(np.isnan(codes), -1,
+                                codes + bases[:-1]).astype(np.intp)
+        self.bases = bases.tolist()
+        self.column = {a.index: column
+                       for column, a in enumerate(categorical)}
+
+
+class _Growth:
+    """Growing one target's tree from the case matrix.
+
+    A node's population is ``(rows, weights)``: row numbers into the matrix
+    in the order the per-case trainer would hold its ``(observation,
+    weight)`` pairs (case order; value order below a threshold split;
+    fractionally routed cases appended), and their weights in this node.
+    Every statistic is accumulated in that order, so the grown tree equals
+    the per-case trainer's bit for bit
+    (``tests/algorithms/reference_trainers.py``): class counts and weight
+    totals are ``bincount`` sums, which add in array order (one contingency
+    table per node covers every categorical input's candidate split),
+    impurities read each child's counts in its first-seen order of
+    classes, and Welford statistics are fed value by value.
+    """
+
+    def __init__(self, algorithm: DecisionTreeAlgorithm, matrix: CaseMatrix,
+                 children: "_ChildNumbers", target: Attribute):
+        self.matrix = matrix
+        self.children = children
+        self.target = target
+        self.maximum_depth = int(algorithm.param("MAXIMUM_DEPTH"))
+        self.minimum_support = float(algorithm.param("MINIMUM_SUPPORT"))
+        self.penalty = float(algorithm.param("COMPLEXITY_PENALTY"))
+        self.gini = algorithm.param("SCORE_METHOD").upper() == "GINI"
+        column = matrix.values[:, target.index]
+        # Rows without a target value never enter a population.
+        if target.is_categorical:
+            self.classes = np.nan_to_num(column).astype(np.intp)
+            self.class_count = int(self.classes.max(initial=0)) + 1
+        else:
+            self.classes = column
+
+    def grow(self, inputs: List[Attribute], rows: np.ndarray,
+             weights: np.ndarray, depth: int, condition: str) -> _TreeNode:
+        obs_workload.checkpoint()
+        node = _TreeNode(sequential_sum(weights), depth, condition)
+        if self.target.is_categorical:
+            node.distribution = CategoricalDistribution()
+            node.distribution.add_codes(self.classes[rows], weights,
+                                        self.target.state_key)
+        else:
+            node.stats = GaussianStats()
+            node.stats.add_many(self.classes[rows].tolist(),
+                                weights.tolist())
+
+        if depth >= self.maximum_depth:
+            return node
+        if node.support < 2 * self.minimum_support:
+            return node
+        if node.distribution is not None and len(node.distribution) <= 1:
+            return node
+
+        best = self._best_split(node, inputs, rows, weights)
+        if best is None:
+            return node
+        attribute, threshold, values, parts = best
+        node.split_attribute = attribute
+        node.threshold = threshold
+        if threshold is None:
+            remaining = [a for a in inputs if a.index != attribute.index]
+            labels = [f"{attribute.name} = {attribute.decode(value)!r}"
+                      for value in values]
+            node.child_values = [attribute.state_key(value)
+                                 for value in values]
+        else:
+            remaining = inputs
+            labels = [f"{attribute.name} <= {threshold:g}",
+                      f"{attribute.name} > {threshold:g}"]
+            node.child_values = [None, None]  # the threshold decides
+        node.children = [
+            self.grow(remaining, child_rows, child_weights, depth + 1, label)
+            for (child_rows, child_weights), label in zip(parts, labels)]
+        return node
+
+    # -- impurity -------------------------------------------------------------
+
+    def _group_impurities(self, groups: np.ndarray, rows: np.ndarray,
+                          weights: np.ndarray) -> Dict[int, float]:
+        """Target impurity of the groups a population is split into
+        (``groups``: a group number per row), each accumulated in
+        population order; a group no positive weight reaches is absent."""
+        classes = self.classes[rows]
+        if not self.target.is_categorical:
+            statistics: Dict[int, GaussianStats] = {}
+            for group, value, weight in zip(
+                    groups.tolist(), classes.tolist(), weights.tolist()):
+                statistic = statistics.get(group)
+                if statistic is None:
+                    statistic = statistics[group] = GaussianStats()
+                statistic.add(value, weight)
+            return {group: statistic.variance
+                    for group, statistic in statistics.items()}
+        positive = weights > 0
+        if not positive.all():
+            groups, classes, weights = \
+                groups[positive], classes[positive], weights[positive]
+        if not len(groups):
+            return {}
+        # The contingency table, read in each group's first-seen order of
+        # classes: the order a distribution filled case by case iterates.
+        cells = groups * self.class_count + classes
+        size = (int(groups.max()) + 1) * self.class_count
+        order = first_seen(cells, size)
+        counts: Dict[int, List[float]] = {}
+        for group, count in zip(
+                (order // self.class_count).tolist(),
+                np.bincount(cells, weights, minlength=size)[order].tolist()):
+            counts.setdefault(group, []).append(count)
+        totals = np.bincount(groups, weights).tolist()
+        impurity = gini_impurity if self.gini else entropy_bits
+        return {group: impurity(group_counts, totals[group])
+                for group, group_counts in counts.items()}
+
+    # -- split search ---------------------------------------------------------
+
+    def _best_split(self, node: _TreeNode, inputs: List[Attribute],
+                    rows: np.ndarray, weights: np.ndarray):
+        """``(attribute, threshold, child codes, child populations)`` of
+        the split with the largest penalised gain, or None."""
+        total = node.support
+        if total <= 0:
+            return None
+        if node.stats is not None:
+            parent_impurity = node.stats.variance
+        elif self.gini:
+            parent_impurity = node.distribution.gini()
+        else:
+            parent_impurity = node.distribution.entropy()
+        categorical = self._categorical_splits(
+            [a for a in inputs if a.is_categorical], rows, weights)
+        best_gain = 0.0
+        best = None
+        for attribute in inputs:
+            if attribute.is_categorical:
+                split = categorical.get(attribute.index)
+            else:
+                split = self._continuous_split(attribute, rows, weights)
+            if split is None:
+                continue
+            threshold, values, child_weights, impurities = split
+            known = 0.0
+            for weight in child_weights:
+                known += weight
+            if known <= 0:
+                continue
+            child_impurity = 0.0
+            for weight, impurity in zip(child_weights, impurities):
+                child_impurity += (weight / known) * impurity
+            gain = (parent_impurity - child_impurity) * (known / total)
+            gain -= self.penalty * (len(values) - 1) / max(total, 1.0)
+            if gain > best_gain + 1e-12:
+                best_gain = gain
+                best = (attribute, threshold, values, child_weights)
+        if best is None:
+            return None
+        attribute, threshold, values, child_weights = best
+        return (attribute, threshold, values,
+                self._partition(attribute, threshold, values, child_weights,
+                                rows, weights))
+
+    def _categorical_splits(self, attributes: List[Attribute],
+                            rows: np.ndarray, weights: np.ndarray):
+        """Every categorical input's multiway split of one population,
+        from one contingency table: ``{attribute index: (None, child
+        codes, child weights, child impurities)}`` for the inputs that
+        split it at all."""
+        if not attributes:
+            return {}
+        bases = self.children.bases
+        columns = [self.children.column[a.index] for a in attributes]
+        children = self.children.numbers[rows[:, None], columns]
+        known = children >= 0
+        row_of = known.nonzero()[0]     # population order, row-major
+        children = children[known]
+        size = bases[-1]
+        members = np.bincount(children, minlength=size).tolist()
+        child_weights = np.bincount(children, weights[row_of],
+                                    minlength=size).tolist()
+        impurities = self._group_impurities(children, rows[row_of],
+                                            weights[row_of])
+        splits = {}
+        for attribute, column in zip(attributes, columns):
+            span = range(bases[column], bases[column + 1])
+            present = [child for child in span if members[child]]
+            if len(present) < 2:
+                continue
+            supported = 0
+            for child in present:
+                if child_weights[child] >= self.minimum_support:
+                    supported += 1
+            if supported < 2:
+                continue
+            splits[attribute.index] = (
+                None, [child - span.start for child in present],
+                [child_weights[child] for child in present],
+                [impurities.get(child, 0.0) for child in present])
+        return splits
+
+    def _continuous_split(self, attribute: Attribute, rows: np.ndarray,
+                          weights: np.ndarray):
+        """The best binary threshold split of one population on a
+        continuous input: ``(threshold, [None, None], child weights, child
+        impurities)``, or None.  Candidates are judged, as the children
+        are later filled, in value order."""
+        column = self.matrix.values[rows, attribute.index]
+        known = np.flatnonzero(~np.isnan(column))
+        if len(known) < 2:
+            return None
+        known = known[np.argsort(column[known], kind="stable")]
+        values = column[known]
+        distinct = np.unique(values).tolist()
+        if len(distinct) < 2:
+            return None
+        if len(distinct) > _MAX_THRESHOLD_CANDIDATES:
+            step = len(distinct) / _MAX_THRESHOLD_CANDIDATES
+            candidates = [distinct[int(i * step)]
+                          for i in range(1, _MAX_THRESHOLD_CANDIDATES)]
+        else:
+            candidates = [(distinct[i] + distinct[i + 1]) / 2.0
+                          for i in range(len(distinct) - 1)]
+
+        rows, weights = rows[known], weights[known]
+        best = None
+        best_impurity = None
+        for threshold in candidates:
+            side = (values > threshold).astype(np.intp)
+            low_weight, high_weight = np.bincount(
+                side, weights, minlength=2).tolist()
+            if low_weight < self.minimum_support or \
+                    high_weight < self.minimum_support:
+                continue
+            impurities = self._group_impurities(side, rows, weights)
+            total = low_weight + high_weight
+            low, high = impurities.get(0, 0.0), impurities.get(1, 0.0)
+            impurity = low_weight / total * low + high_weight / total * high
+            if best_impurity is None or impurity < best_impurity - 1e-12:
+                best_impurity = impurity
+                best = (threshold, [None, None], [low_weight, high_weight],
+                        [low, high])
+        return best
+
+    def _partition(self, attribute: Attribute, threshold: Optional[float],
+                   values: List[int], child_weights: List[float],
+                   rows: np.ndarray, weights: np.ndarray):
+        """The child populations of the chosen split; cases missing the
+        split attribute go down every child, each with the share of its
+        weight the child's weight earns (appended in population order)."""
+        column = self.matrix.values[rows, attribute.index]
+        missing = np.isnan(column)
+        missing_rows, missing_weights = rows[missing], weights[missing]
+        if threshold is None:
+            masks = [column == value for value in values]
+        else:
+            known = np.flatnonzero(~missing)
+            known = known[np.argsort(column[known], kind="stable")]
+            rows, weights, column = rows[known], weights[known], column[known]
+            masks = [column <= threshold, column > threshold]
+        total = 0.0
+        for weight in child_weights:
+            total += weight
+        parts = []
+        for mask, child_weight in zip(masks, child_weights):
+            part_rows, part_weights = rows[mask], weights[mask]
+            if total > 0 and len(missing_rows):
+                shares = missing_weights * child_weight / total
+                routed = shares > 0
+                part_rows = np.concatenate(
+                    (part_rows, missing_rows[routed]))
+                part_weights = np.concatenate(
+                    (part_weights, shares[routed]))
+            parts.append((part_rows, part_weights))
+        return parts
 
 
 def _distribution_rows(node: _TreeNode, target: Attribute):

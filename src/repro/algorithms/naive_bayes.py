@@ -17,8 +17,15 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Tuple
 
+import numpy as np
+
 from repro.errors import CapabilityError
-from repro.algorithms.attributes import Attribute, AttributeSpace, Observation
+from repro.algorithms.attributes import (
+    Attribute,
+    AttributeSpace,
+    CaseMatrix,
+    Observation,
+)
 from repro.algorithms.base import (
     AttributePrediction,
     CasePrediction,
@@ -27,6 +34,8 @@ from repro.algorithms.base import (
 from repro.algorithms.statistics import (
     CategoricalDistribution,
     GaussianStats,
+    count_into,
+    first_seen,
     log_sum_exp,
 )
 from repro.core.content import (
@@ -85,51 +94,65 @@ class NaiveBayesAlgorithm(MiningAlgorithm):
         self.models = {}
         self._inputs = {}
         for target in space.outputs():
-            inputs = [a for a in space.inputs() if a.index != target.index]
-            self._inputs[target.index] = inputs
-            model = _TargetModel()
-            for observation in observations:
-                state = observation.values[target.index]
-                if state is None:
-                    continue
-                weight = observation.effective_weight(target.index)
-                model.prior.add(state, weight)
-                for attribute in inputs:
-                    value = observation.values[attribute.index]
-                    if value is None:
-                        continue
-                    key = (attribute.index, state)
-                    if attribute.is_categorical:
-                        model.categorical.setdefault(
-                            key, CategoricalDistribution()).add(value, weight)
-                    else:
-                        model.gaussian.setdefault(
-                            key, GaussianStats()).add(value, weight)
-            self.models[target.index] = model
+            self._inputs[target.index] = [
+                a for a in space.inputs() if a.index != target.index]
+            self.models[target.index] = _TargetModel()
+        self._count(space, observations)
 
     def partial_train(self, observations: List[Observation]) -> None:
         """Fold new observations into the counts (exactly equivalent to a
         full retrain over the union, because every statistic is a sum)."""
         self.require_trained()
         self.drop_tables()
+        self._count(self.space, observations)
+
+    def _count(self, space: AttributeSpace,
+               observations: List[Observation]) -> None:
+        """Add the observations to every target's statistics.  What a pass
+        over the cases (outer) and the inputs (inner) would leave: the
+        conditionals appear in the order that pass first meets their
+        ``(input, state)``, every count is summed in case order, and an
+        already-filled model continues from its counts."""
+        matrix = CaseMatrix.of(observations, len(space.attributes))
         for target_index, model in self.models.items():
-            for observation in observations:
-                state = observation.values[target_index]
-                if state is None:
-                    continue
-                weight = observation.effective_weight(target_index)
-                model.prior.add(state, weight)
-                for attribute in self._inputs[target_index]:
-                    value = observation.values[attribute.index]
-                    if value is None:
-                        continue
-                    key = (attribute.index, state)
-                    if attribute.is_categorical:
-                        model.categorical.setdefault(
-                            key, CategoricalDistribution()).add(value, weight)
-                    else:
-                        model.gaussian.setdefault(
-                            key, GaussianStats()).add(value, weight)
+            target = space.attributes[target_index]
+            inputs = self._inputs[target_index]
+            rows, states = matrix.known(target_index)
+            states = states.astype(np.intp)
+            weights = matrix.effective_weights(target_index)[rows]
+            model.prior.add_codes(states, weights, target.state_key)
+            if not inputs or not len(rows):
+                continue
+            values = matrix.values[rows[:, None],
+                                   [a.index for a in inputs]]
+            known = ~np.isnan(values)
+            row_of, input_of = np.nonzero(known)  # case order, row-major
+            values = values[known]
+            weights = weights[row_of]
+            width = int(states.max()) + 1
+            groups = input_of * width + states[row_of]  # (input, state)
+            distributions, gaussians = {}, {}
+            for group in first_seen(groups, len(inputs) * width).tolist():
+                position, state = divmod(group, width)
+                attribute = inputs[position]
+                key = (attribute.index, target.state_key(state))
+                if attribute.is_categorical:
+                    distributions[group] = model.categorical.setdefault(
+                        key, CategoricalDistribution())
+                else:
+                    gaussians[group] = model.gaussian.setdefault(
+                        key, GaussianStats())
+            categorical = np.array(
+                [a.is_categorical for a in inputs])[input_of]
+            count_into(
+                distributions, groups[categorical],
+                values[categorical].astype(np.intp), weights[categorical],
+                lambda group, code: inputs[group // width].state_key(code))
+            continuous = ~categorical
+            for group, value, weight in zip(
+                    groups[continuous].tolist(), values[continuous].tolist(),
+                    weights[continuous].tolist()):
+                gaussians[group].add(value, weight)
 
     def can_parallelize(self, space: AttributeSpace) -> bool:
         """Partition only when the merged model is bit-identical to serial.

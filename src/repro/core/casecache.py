@@ -7,7 +7,9 @@ This cache keys the *bound* result — (source rows, mapped cases) — on the
 statement's source AST, the binding mode, the model-definition fingerprint,
 and the database's :attr:`data_version`, so a hit is guaranteed fresh: any
 INSERT/UPDATE/DELETE/DDL bumps the version and naturally retires stale
-entries through LRU pressure.
+entries through LRU pressure.  Every key also names its model (second
+element), and dropping the model discards its entries at once
+(:meth:`CasesetCache.discard_model`).
 
 Two bounds on memory:
 
@@ -16,7 +18,7 @@ Two bounds on memory:
   cached, so the streaming pipeline keeps its O(batch) footprint on huge
   sources instead of accumulating a copy it may never reuse.
 
-Hit/miss/eviction counters are folded into the provider's
+Hit/miss/eviction/purge counters are folded into the provider's
 :class:`~repro.obs.metrics.MetricsRegistry` and therefore show up in
 ``SELECT * FROM $SYSTEM.DM_PROVIDER_METRICS`` like every other provider
 statistic.
@@ -93,6 +95,20 @@ class CasesetCache:
             self._gauge_entries()
         return True
 
+    def discard_model(self, name: str) -> None:
+        """Drop every entry keyed to model ``name`` (DROP MINING MODEL):
+        nothing can hit them short of re-creating the same name and
+        definition, and until LRU pressure they would keep thousands of
+        bound cases alive for the collector to trace."""
+        name = name.upper()
+        with self._lock:
+            doomed = [key for key in self._entries if key[1] == name]
+            for key in doomed:
+                del self._entries[key]
+            if doomed:
+                self._count("purged", len(doomed))
+                self._gauge_entries()
+
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
@@ -107,7 +123,8 @@ class CasesetCache:
         if self._metrics is None:
             return {}
         out = {}
-        for name in ("hits", "misses", "evictions", "skipped_too_large"):
+        for name in ("hits", "misses", "evictions", "purged",
+                     "skipped_too_large"):
             metric = self._metrics.get(f"caseset_cache.{name}")
             out[name] = metric.value if metric is not None else 0.0
         return out
@@ -116,11 +133,12 @@ class CasesetCache:
 def definition_fingerprint(definition) -> Tuple:
     """A hashable, structural identity for a model definition.
 
-    Cache entries hold cases keyed by *model column names*, so two models
-    whose definitions map sources identically may share entries; a model
-    dropped and re-created with different columns must not.  The
-    fingerprint captures exactly what binding depends on: column names,
-    table-ness, nested column names, and qualifier wiring.
+    Cache entries hold cases keyed by *model column names* and every key
+    carries the model's name, so entries are never shared between models;
+    the fingerprint is what keeps a model dropped and re-created under its
+    old name with different columns from hitting the old entries.  It
+    captures exactly what binding depends on: column names, table-ness,
+    nested column names, and qualifier wiring.
     """
     parts = []
     for column in definition.columns:

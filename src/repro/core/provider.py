@@ -288,6 +288,12 @@ class Provider:
     def list_models(self) -> List[MiningModel]:
         return [self.models[key] for key in sorted(self.models)]
 
+    def _drop_model(self, key: str) -> None:
+        """DROP: the catalog entry and the bound casesets cached under the
+        model's name, which nothing can hit once it is gone."""
+        del self.models[key]
+        self.caseset_cache.discard_model(key)
+
     # -- dispatch ----------------------------------------------------------------
 
     def execute(self, command: str) -> Any:
@@ -433,14 +439,14 @@ class Provider:
         if isinstance(statement, ast.DropMiningModelStatement):
             key = statement.name.upper()
             if key in self.models:
-                del self.models[key]
+                self._drop_model(key)
             elif not statement.if_exists:
                 raise CatalogError(
                     f"no mining model named {statement.name!r}")
             return 0
         if isinstance(statement, ast.DropTableStatement):
             if self.has_model(statement.name):
-                del self.models[statement.name.upper()]
+                self._drop_model(statement.name.upper())
                 return 0
             return self.database.execute_ast(statement)
         if isinstance(statement, ast.ExportModelStatement):

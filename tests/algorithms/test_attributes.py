@@ -67,6 +67,22 @@ class TestFitting:
         # KEY columns never become attributes
         assert "Id" not in names
 
+    def test_fitting_twice_starts_over(self, basket_space):
+        space, cases = basket_space
+        once = ([a.name for a in space.attributes], space.total_weight,
+                space.case_count, dict(space.relations),
+                [vars(m) for m in space.marginals])
+        space.encode(cases[0])          # builds the slot plan
+        space.fit(cases)
+        assert ([a.name for a in space.attributes], space.total_weight,
+                space.case_count, dict(space.relations),
+                [vars(m) for m in space.marginals]) == once
+        assert space.total_weight == 3.0
+        assert [a.index for a in space.attributes] == \
+            list(range(len(space.attributes)))
+        space.fit_schema(cases[:2])     # and another caseset replaces it
+        assert space.total_weight == 2.0 and space.case_count == 2
+
     def test_flags(self, basket_space):
         space, _ = basket_space
         age = space.by_name("Age")

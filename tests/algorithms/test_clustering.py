@@ -6,7 +6,7 @@ import pytest
 from repro.lang.parser import parse_statement
 from repro.core.bindings import MappedCase
 from repro.core.columns import compile_model_definition
-from repro.algorithms.attributes import AttributeSpace
+from repro.algorithms.attributes import AttributeSpace, CaseMatrix
 from repro.algorithms.clustering_em import EMClusteringAlgorithm
 from repro.algorithms.clustering_kmeans import KMeansAlgorithm
 
@@ -131,6 +131,58 @@ class TestKMeansSpecifics:
         assert len(prediction.cluster_distances) == 2
         own = prediction.cluster_distances[prediction.cluster_id - 1]
         assert own == min(prediction.cluster_distances)
+
+
+class TestMatrices:
+    """Both services select their columns from the shared case matrix: the
+    numbers a loop over each observation's values fills in, row-major (a
+    column-major array sums in another order and moves the trained state
+    in its last bits)."""
+
+    @staticmethod
+    def values_of(space, cases):
+        cases = cases[:6] + [case(k=900, X=1.5), case(k=901, Color="red")]
+        observations = space.encode_many(cases)
+        matrix = CaseMatrix.of(observations, len(space.attributes))
+        return observations, matrix.values
+
+    def test_em_columns(self):
+        space, algorithm, cases = build(
+            EMClusteringAlgorithm, {"CLUSTER_COUNT": 2, "CLUSTER_SEED": 5})
+        observations, values = self.values_of(space, cases)
+        x, codes = algorithm._matrices(values)
+        assert x.flags["C_CONTIGUOUS"] and codes.flags["C_CONTIGUOUS"]
+        for row, observation in enumerate(observations):
+            for position, attribute in enumerate(algorithm._continuous):
+                value = observation.values[attribute.index]
+                assert (np.isnan(x[row, position]) if value is None
+                        else x[row, position] == value)
+            for position, attribute in enumerate(algorithm._categorical):
+                value = observation.values[attribute.index]
+                assert codes[row, position] == (-1 if value is None
+                                                else int(value))
+
+    def test_kmeans_embedding(self):
+        space, algorithm, cases = build(
+            KMeansAlgorithm, {"CLUSTER_COUNT": 2, "CLUSTER_SEED": 5})
+        _, values = self.values_of(space, cases)
+        values[0, space.by_name("Color").index] = 99.0   # a code not fitted
+        embedded = algorithm._embed(values)
+        assert embedded.flags["C_CONTIGUOUS"]
+        for row in range(len(values)):
+            expected = []
+            for attribute in space.attributes:
+                value = values[row, attribute.index]
+                if not attribute.is_categorical:
+                    expected.append(value)
+                    continue
+                width = max(attribute.cardinality, 1)
+                if 0 <= value < width:
+                    expected.extend(float(code == value)
+                                    for code in range(width))
+                else:
+                    expected.extend([np.nan] * width)
+            np.testing.assert_array_equal(embedded[row], expected)
 
 
 class TestContent:

@@ -101,6 +101,13 @@ class TestClassification:
         prediction = algorithm.predict(observation).get(label)
         assert prediction.value in ("hot", "cold")
 
+    def test_no_observations_grow_an_empty_root(self):
+        space, algorithm = build(CLASS_DDL, classification_cases())
+        algorithm.train(space, [])
+        tree = algorithm.tree_for("Label")
+        assert tree.is_leaf and tree.support == 0.0
+        assert len(tree.distribution) == 0
+
 
 REGRESSION_DDL = """
 CREATE MINING MODEL m (k LONG KEY, Group_ TEXT DISCRETE,

@@ -130,6 +130,70 @@ class TestResetAndDrop:
         with pytest.raises(BindError):
             conn_with_data.model("M")
 
+    @pytest.mark.parametrize("drop", ["DROP MINING MODEL [M]",
+                                      "DROP TABLE [M]"])
+    def test_drop_frees_the_cached_casesets(self, conn_with_data, drop):
+        """A dropped model's bound casesets leave the cache with it — by
+        reference count, not at the next LRU eviction or collection — while
+        another model's entries and a DELETE FROM leave the cache alone."""
+        import gc
+        import sys
+        conn = conn_with_data
+        cache = conn.provider.caseset_cache
+        score = ("SELECT t.Id, [{0}].[Age] FROM [{0}] NATURAL PREDICTION "
+                 "JOIN (SELECT Id, Gender FROM T) AS t")
+        for name in ("M", "Other"):
+            conn.execute(DDL.replace("[M]", f"[{name}]"))
+            conn.execute(f"INSERT INTO [{name}] SELECT Id, Gender, Age "
+                         f"FROM T")
+            conn.execute(score.format(name))
+        owners = [key[1] for key in cache._entries]
+        assert sorted(owners) == ["M", "M", "OTHER", "OTHER"]
+        conn.execute("DELETE FROM [M]")
+        assert len(cache) == 4          # a re-INSERT can still hit them
+        key = next(k for k in cache._entries
+                   if k[:2] == ("prediction", "M"))
+        case = cache._entries[key][0][2][0]
+        del key
+        gc.disable()
+        try:
+            conn.execute(drop)
+            # Only this test's variable (and getrefcount's argument) left.
+            assert sys.getrefcount(case) == 2
+        finally:
+            gc.enable()
+        assert [key[1] for key in cache._entries] == ["OTHER", "OTHER"]
+        metrics = dict(conn.execute(
+            "SELECT METRIC, VALUE FROM $SYSTEM.DM_PROVIDER_METRICS "
+            "WHERE METRIC LIKE 'caseset_cache.%'").rows)
+        assert metrics["caseset_cache.purged"] == 2.0
+        assert metrics["caseset_cache.entries"] == 2.0
+        assert cache.stats()["purged"] == 2.0
+
+    def test_discarded_entries_die_without_a_collection(self):
+        import gc
+        import weakref
+        from repro.core.casecache import CasesetCache
+
+        class Case:
+            pass
+        cache = CasesetCache(capacity=4)
+        case = Case()
+        cache.put(("train", "M", "fingerprint", "source"), [case], 1)
+        cache.put(("prediction", "M", "fingerprint", "source"), [case], 1)
+        cache.put(("train", "MM", "fingerprint", "source"), [Case()], 1)
+        ref = weakref.ref(case)
+        del case
+        gc.disable()
+        try:
+            cache.discard_model("m")
+            assert ref() is None
+        finally:
+            gc.enable()
+        assert len(cache) == 1
+        cache.discard_model("m")
+        assert len(cache) == 1
+
     def test_drop_missing(self, conn_with_data):
         with pytest.raises(CatalogError):
             conn_with_data.execute("DROP MINING MODEL ghost")

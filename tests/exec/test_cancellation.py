@@ -352,3 +352,85 @@ class TestEngineCheckpoint:
             assert statement.rows_processed <= 8
         finally:
             conn.close()
+
+    @staticmethod
+    def _tree_model(conn):
+        """Table T (40 rows, Y = A and B) and an untrained tree model M."""
+        conn.execute("CREATE TABLE T (Id LONG, A TEXT, B TEXT, Y TEXT)")
+        conn.execute("INSERT INTO T VALUES " + ", ".join(
+            f"({i}, '{'ab'[i % 2]}', '{'cd'[i // 2 % 2]}', "
+            f"'{'yn'[(i % 2) & (i // 2 % 2)]}')" for i in range(40)))
+        conn.execute(
+            "CREATE MINING MODEL M (Id LONG KEY, A TEXT DISCRETE, "
+            "B TEXT DISCRETE, Y TEXT DISCRETE PREDICT) "
+            "USING Repro_Decision_Trees(MINIMUM_SUPPORT = 2, "
+            "COMPLEXITY_PENALTY = 0)")
+
+    def test_tree_growth_stops_at_the_next_node(self, monkeypatch):
+        """A CANCEL that lands while a tree grows stops it at the next node,
+        not after the whole tree."""
+        from repro.algorithms import decision_tree
+        from repro.obs import workload as obs_workload
+
+        searched = []
+        search = decision_tree._Growth._best_split
+
+        def cancel_then_search(self, node, *population):
+            searched.append(node)
+            obs_workload.current().token.cancel("test")
+            return search(self, node, *population)
+
+        monkeypatch.setattr(decision_tree._Growth, "_best_split",
+                            cancel_then_search)
+        conn = repro.connect()
+        try:
+            self._tree_model(conn)
+            with pytest.raises(CancelledError):
+                conn.execute("INSERT INTO M SELECT Id, A, B, Y FROM T")
+            assert len(searched) == 1       # the root split, then stop
+            assert not conn.model("M").is_trained
+            monkeypatch.undo()
+            conn.execute("INSERT INTO M SELECT Id, A, B, Y FROM T")
+            assert conn.model("M").algorithm.tree_for("Y").children
+        finally:
+            conn.close()
+
+    def test_a_cancelled_refit_keeps_the_trained_tree(self, monkeypatch):
+        """A CANCEL that lands while a trained tree model refits leaves the
+        old trees, their space and their predictions in place."""
+        from repro.algorithms import decision_tree
+        from repro.obs import workload as obs_workload
+
+        conn = repro.connect()
+        try:
+            self._tree_model(conn)
+            conn.execute("INSERT INTO M SELECT Id, A, B, Y FROM T")
+            model = conn.model("M")
+            predict = ("SELECT t.Id, M.Y, PredictProbability(M.Y) FROM M "
+                       "NATURAL PREDICTION JOIN (SELECT Id, A, B FROM T) "
+                       "AS t")
+            content = "SELECT * FROM M.CONTENT"
+            before = (conn.execute(predict).rows,
+                      conn.execute(content).to_dicts())
+            tree, space = model.algorithm.tree_for("Y"), model.algorithm.space
+            assert {row[1] for row in before[0]} == {"y", "n"}
+
+            search = decision_tree._Growth._best_split
+
+            def cancel_then_search(self, node, *population):
+                obs_workload.current().token.cancel("test")
+                return search(self, node, *population)
+
+            monkeypatch.setattr(decision_tree._Growth, "_best_split",
+                                cancel_then_search)
+            with pytest.raises(CancelledError):
+                conn.execute("INSERT INTO M SELECT Id, A, B, Y FROM T "
+                             "WHERE Id < 7")
+            monkeypatch.undo()
+            assert model.is_trained and model.case_count == 40
+            assert model.algorithm.tree_for("Y") is tree
+            assert model.algorithm.space is space is model.space
+            assert (conn.execute(predict).rows,
+                    conn.execute(content).to_dicts()) == before
+        finally:
+            conn.close()
