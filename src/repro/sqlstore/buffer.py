@@ -39,7 +39,6 @@ class BufferPool:
                  metrics=None):
         self.budget = max(1, int(budget_pages))
         self.flusher = flusher
-        self.metrics = metrics
         self._pages: "OrderedDict[int, Page]" = OrderedDict()
         self._lock = threading.RLock()
         self.hits = 0
@@ -47,16 +46,23 @@ class BufferPool:
         self.evictions = 0
         self.flushes = 0
         self.pin_overflow = 0
+        # Resolved once: the registry lookup is not paid on every fetch.
+        self._counters = None if metrics is None else {
+            name: metrics.counter(f"buffer.{name}")
+            for name in ("hits", "misses", "evictions", "flushes",
+                         "pin_overflow")}
+        self._occupancy = None if metrics is None \
+            else metrics.gauge("buffer.pages_resident")
 
     # -- metrics --------------------------------------------------------------
 
-    def _count(self, name: str, amount: int = 1) -> None:
-        if self.metrics is not None:
-            self.metrics.counter(name).inc(amount)
+    def _count(self, name: str) -> None:
+        if self._counters is not None:
+            self._counters[name].inc()
 
     def _note_occupancy(self) -> None:
-        if self.metrics is not None:
-            self.metrics.gauge("buffer.pages_resident").set(len(self._pages))
+        if self._occupancy is not None:
+            self._occupancy.set(len(self._pages))
 
     # -- core operations ------------------------------------------------------
 
@@ -72,10 +78,10 @@ class BufferPool:
             if page is not None:
                 self._pages.move_to_end(uid)
                 self.hits += 1
-                self._count("buffer.hits")
+                self._count("hits")
             else:
                 self.misses += 1
-                self._count("buffer.misses")
+                self._count("misses")
                 # Per-statement attribution: the miss is a real page read,
                 # rolled up into DM_STATEMENT_STATS buffer_reads.
                 obs_trace.add("buffer_reads", 1)
@@ -114,20 +120,20 @@ class BufferPool:
                 # Everything resident is pinned: allow the overflow rather
                 # than deadlock; the next unpin brings us back to budget.
                 self.pin_overflow += 1
-                self._count("buffer.pin_overflow")
+                self._count("pin_overflow")
                 return
             victim = self._pages.pop(victim_uid)
             if victim.dirty:
                 self._flush(victim)
             self.evictions += 1
-            self._count("buffer.evictions")
+            self._count("evictions")
 
     def _flush(self, page: Page) -> None:
         if self.flusher is not None:
             self.flusher(page)
         page.dirty = False
         self.flushes += 1
-        self._count("buffer.flushes")
+        self._count("flushes")
 
     # -- pinning --------------------------------------------------------------
 
@@ -139,8 +145,10 @@ class BufferPool:
         with self._lock:
             if page.pins > 0:
                 page.pins -= 1
-            self._evict_to_budget()
-            self._note_occupancy()
+            if len(self._pages) > self.budget:
+                # A pin overflow ends at the unpin that makes a victim.
+                self._evict_to_budget()
+                self._note_occupancy()
 
     # -- maintenance ----------------------------------------------------------
 
@@ -165,6 +173,11 @@ class BufferPool:
         """Snapshot of resident (uid, page) pairs, LRU-first."""
         with self._lock:
             return list(self._pages.items())
+
+    def resident_count(self, uids) -> int:
+        """How many of these (distinct) page uids are resident right now."""
+        with self._lock:
+            return len(self._pages.keys() & uids)
 
     def __len__(self) -> int:
         with self._lock:

@@ -1220,10 +1220,15 @@ class Database:
             if method.build_index is not None:
                 # Positions per key are in insertion order, so the bucket
                 # lists (and thus output order) are identical to the
-                # scan-built dict.
+                # scan-built dict.  One sequential read fills them all: a
+                # paged build side loads each page once, in page order.  A
+                # row appended after that read is invisible, as to a scan.
                 build_table, build_index = method.build_index
+                build_rows = build_table.store.snapshot()
+                limit = len(build_rows)
                 prebuilt = {
-                    key: build_table.store.fetch_rows(positions)
+                    key: [build_rows[position] for position in positions
+                          if position < limit]
                     for key, positions in build_index.hash.items()}
                 build_index.join_probes += 1
                 if self.metrics is not None:

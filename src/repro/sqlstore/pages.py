@@ -24,9 +24,12 @@ offset  field
 Scalar cells reuse the persistence tag scheme (``{"$datetime": iso}`` /
 ``{"$date": iso}`` — the same tags the snapshot format and the wire
 protocol use), and TABLE-typed cells nest as ``{"$rowset": ...}`` — the
-cell codec below is the one the wire protocol imports.  The CRC makes a torn or bit-flipped page detectable on read:
-:func:`decode_page` raises :class:`PageFormatError` rather than ever
-serving half a page.
+cell codec below is the one the wire protocol imports.  A page payload is
+parsed and written by the :mod:`json` C scanner and encoder with
+:func:`decode_cell` / :func:`encode_cell` as their hooks, so only the tagged
+cells ever reach Python.  The CRC makes a torn or bit-flipped page
+detectable on read: :func:`decode_page` raises :class:`PageFormatError`
+rather than ever serving half a page.
 """
 
 from __future__ import annotations
@@ -133,15 +136,32 @@ def decode_cell(value: Any) -> Any:
     return decode_scalar(value)
 
 
+def _encode_default(value: Any) -> Any:
+    """The encoder's ``default``: it is handed only what JSON cannot spell,
+    so a value :func:`encode_cell` leaves untagged is an unsupported cell."""
+    cell = encode_cell(value)
+    if cell is value:
+        raise TypeError(f"Object of type {type(value).__name__} "
+                        f"is not JSON serializable")
+    return cell
+
+
+# One encoder and one decoder per process.  The decoder's object_hook sees
+# every JSON object innermost first, which is decode_cell's contract: a
+# nested rowset's cells are already values when its ``$rowset`` arrives, and
+# decoding a value again returns it unchanged.
+_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False,
+                            separators=(",", ":"), default=_encode_default)
+_DECODER = json.JSONDecoder(object_hook=decode_cell)
+
+
 def encode_row(row: Tuple) -> bytes:
     """One row as canonical UTF-8 JSON bytes (deterministic key order)."""
-    return json.dumps([encode_cell(v) for v in row], sort_keys=True,
-                      ensure_ascii=False,
-                      separators=(",", ":")).encode("utf-8")
+    return _ENCODER.encode(row).encode("utf-8")
 
 
 def decode_row(data: bytes) -> Tuple:
-    return tuple(decode_cell(v) for v in json.loads(data.decode("utf-8")))
+    return tuple(_DECODER.decode(data.decode("utf-8")))
 
 
 class Page:
@@ -221,12 +241,16 @@ def decode_page(data: bytes, expect_page_id: Optional[int] = None) -> Page:
             f"page id mismatch: expected {expect_page_id}, file says "
             f"{page_id}")
     try:
-        raw_rows = json.loads(payload.decode("utf-8"))
-    except (ValueError, UnicodeDecodeError) as exc:
+        raw_rows = _DECODER.decode(payload.decode("utf-8"))
+    except (ValueError, TypeError, KeyError) as exc:
+        # Bad UTF-8, bad JSON, or a tag whose content is not what it names.
         raise PageFormatError(
-            f"page {page_id} payload is not valid JSON: {exc}") from exc
+            f"page {page_id} payload does not decode: {exc!r}") from exc
+    if type(raw_rows) is not list or set(map(type, raw_rows)) - {list}:
+        raise PageFormatError(
+            f"page {page_id} payload is not an array of row arrays")
     if len(raw_rows) != row_count:
         raise PageFormatError(
             f"page {page_id} row-count mismatch: header says {row_count}, "
             f"payload holds {len(raw_rows)}")
-    return Page(page_id, decode_rows(raw_rows), payload_size=payload_len)
+    return Page(page_id, list(map(tuple, raw_rows)), payload_size=payload_len)

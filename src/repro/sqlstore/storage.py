@@ -10,7 +10,7 @@ Two interchangeable row stores implement the same small contract
 * :class:`PagedRowStore` — rows packed into fixed-budget pages, cached by
   the shared :class:`~repro.sqlstore.buffer.BufferPool` and spilled to
   versioned files by the :class:`~repro.sqlstore.diskmgr.DiskManager`.
-  Scans snapshot ``(handle, row_count)`` pairs, so the same
+  Scans snapshot the page list and the row total, so the same
   pre-mutation-stability contract holds: appends beyond the snapshot are
   invisible, and replaced pages stay readable from their retired files
   (deleted only at open/close, never at commit).
@@ -30,7 +30,9 @@ authoritative, restart-surviving database.
 from __future__ import annotations
 
 import os
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from bisect import bisect_left, bisect_right
+from typing import Any, Dict, Iterable, Iterator, List, NamedTuple, \
+    Optional, Tuple
 
 from repro.sqlstore.buffer import DEFAULT_BUFFER_PAGES, BufferPool
 from repro.sqlstore.catalog import DiskCatalog
@@ -123,20 +125,60 @@ class PageHandle:
         self.current_file = current_file
 
 
+class _Snapshot(NamedTuple):
+    """What a reader holds of a :class:`PagedRowStore`: its handle and start
+    lists as they were, how many pages of them it may read, and the row
+    total at that moment.  The lists only ever grow at the end or are
+    swapped for fresh ones, and only the last page's row count can grow, so
+    these four values stay a consistent view without copying a page list."""
+
+    handles: List[PageHandle]
+    starts: List[int]
+    pages: int
+    total: int
+
+    def end(self, index: int) -> int:
+        """One past the last position of page ``index``."""
+        return self.starts[index + 1] if index + 1 < self.pages \
+            else self.total
+
+    def runs(self, positions: List[int]) -> Iterator[Tuple[int, int, int]]:
+        """Split ascending ``positions`` into ``(page index, lo, hi)`` runs:
+        ``positions[lo:hi]`` all live on that page.  Positions at or past
+        the row total end the walk."""
+        stop = bisect_left(positions, self.total)
+        lo = 0
+        while lo < stop:
+            index = bisect_right(self.starts, positions[lo], 0,
+                                 self.pages) - 1
+            hi = bisect_left(positions, self.end(index), lo, stop)
+            yield index, lo, hi
+            lo = hi
+
+
 class PagedRowStore:
-    """Rows packed into pages, resident only while the pool caches them."""
+    """Rows packed into pages, resident only while the pool caches them.
+
+    ``starts[i]`` is the position of page ``i``'s first row, so a position
+    finds its page by bisection; ``_new_page`` extends it beside
+    ``handles`` and ``_retire_handles`` swaps both for fresh lists.
+    """
 
     def __init__(self, manager: "StorageManager", table_id: int,
                  next_page_id: int = 0, next_version: int = 1,
-                 handles: Optional[List[PageHandle]] = None,
-                 row_total: int = 0):
+                 handles: Optional[List[PageHandle]] = None):
         self.manager = manager
         self.table_id = table_id
         self.handles: List[PageHandle] = handles if handles is not None \
             else []
+        self.starts: List[int] = []
+        total = 0
+        for handle in self.handles:
+            self.starts.append(total)
+            total += handle.row_count
         self._next_page_id = next_page_id
         self._next_version = next_version
-        self._rows = row_total
+        self._rows = total
         self._lock = manager.pool.lock
 
     # -- page access ----------------------------------------------------------
@@ -183,7 +225,6 @@ class PagedRowStore:
                 finally:
                     self.manager.pool.unpin(page)
             self._new_page([row], [len(data)])
-            self._rows += 1
 
     def _new_page(self, rows: List[Tuple], sizes: List[int]) -> None:
         page = Page(self._next_page_id)
@@ -193,7 +234,9 @@ class PagedRowStore:
         handle = PageHandle(self.manager.new_uid(), self.table_id,
                             page.page_id, row_count=len(rows))
         page.handle = handle
+        self.starts.append(self._rows)
         self.handles.append(handle)
+        self._rows += len(rows)
         self.manager.pool.put(handle.uid, page)
 
     def replace_all(self, rows: Iterable[Tuple]) -> None:
@@ -203,7 +246,6 @@ class PagedRowStore:
             sizes: List[int] = []
             budget = self.manager.page_bytes
             payload = 2
-            total = 0
             for row in rows:
                 data = encode_row(row)
                 grown = payload + len(data) + (1 if pending else 0)
@@ -214,10 +256,8 @@ class PagedRowStore:
                 pending.append(row)
                 sizes.append(len(data))
                 payload = grown
-                total += 1
             if pending:
                 self._new_page(pending, sizes)
-            self._rows = total
 
     def truncate(self) -> None:
         self.replace_all([])
@@ -225,7 +265,6 @@ class PagedRowStore:
     def dispose(self) -> None:
         with self._lock:
             self._retire_handles()
-            self._rows = 0
             self.manager.forget_store(self.table_id)
 
     def _retire_handles(self) -> None:
@@ -243,7 +282,11 @@ class PagedRowStore:
                 self.manager.flush_page(page)
                 page.dirty = False
             pool.discard(handle.uid)
+        # Fresh lists, never cleared in place: scans opened earlier keep
+        # reading the retired ones.
         self.handles = []
+        self.starts = []
+        self._rows = 0
 
     # -- reads ----------------------------------------------------------------
 
@@ -259,13 +302,11 @@ class PagedRowStore:
 
     def row_at(self, position: int) -> Tuple:
         with self._lock:
-            base = 0
-            for handle in self.handles:
-                if position < base + handle.row_count:
-                    page = self._page(handle)
-                    return page.rows[position - base]
-                base += handle.row_count
-        raise IndexError(position)
+            if not 0 <= position < self._rows:
+                raise IndexError(position)
+            index = bisect_right(self.starts, position) - 1
+            page = self._page(self.handles[index])
+            return page.rows[position - self.starts[index]]
 
     def fetch_rows(self, positions: List[int]) -> List[Tuple]:
         out: List[Tuple] = []
@@ -273,63 +314,40 @@ class PagedRowStore:
             out.extend(batch)
         return out
 
+    def _scan_snapshot(self) -> _Snapshot:
+        with self._lock:
+            return _Snapshot(self.handles, self.starts, len(self.handles),
+                             self._rows)
+
+    def _needed_pages(self, positions: List[int]) -> List[int]:
+        """UIDs of the pages holding the given (ascending) positions."""
+        snapshot = self._scan_snapshot()
+        return [snapshot.handles[index].uid
+                for index, _, _ in snapshot.runs(positions)]
+
+    def _page_cost(self, uids: List[int]) -> float:
+        hot = self.manager.pool.resident_count(uids)
+        return hot * RESIDENT_PAGE_COST + (len(uids) - hot)
+
     def seek_expectation(self, positions: List[int]) -> Optional[str]:
         """EXPLAIN detail: of the pages this seek will touch, how many are
         buffer-resident right now (the plan's buffer-hit expectation)."""
         with self._lock:
-            needed = set()
-            base = 0
-            cursor = 0
-            for position in positions:
-                while cursor < len(self.handles) and \
-                        position >= base + self.handles[cursor].row_count:
-                    base += self.handles[cursor].row_count
-                    cursor += 1
-                if cursor >= len(self.handles):
-                    break
-                needed.add(self.handles[cursor].uid)
-            resident = {uid for uid, _ in self.manager.pool.resident()}
-            hot = len(needed & resident)
+            needed = self._needed_pages(positions)
+            hot = self.manager.pool.resident_count(needed)
             return f"{hot}/{len(needed)} pages buffered"
-
-    def _needed_pages(self, positions: List[int]) -> set:
-        """UIDs of the pages holding the given (ascending) positions."""
-        needed = set()
-        base = 0
-        cursor = 0
-        for position in positions:
-            while cursor < len(self.handles) and \
-                    position >= base + self.handles[cursor].row_count:
-                base += self.handles[cursor].row_count
-                cursor += 1
-            if cursor >= len(self.handles):
-                break
-            needed.add(self.handles[cursor].uid)
-        return needed
-
-    def _page_cost(self, uids: Iterable[int], resident: set) -> float:
-        return sum(RESIDENT_PAGE_COST if uid in resident else 1.0
-                   for uid in uids)
 
     def seek_cost(self, positions: List[int]) -> float:
         """Optimizer cost of fetching these positions: pages touched,
         buffer-resident pages discounted (no disk read needed)."""
         with self._lock:
-            needed = self._needed_pages(positions)
-            resident = {uid for uid, _ in self.manager.pool.resident()}
-            return self._page_cost(needed, resident)
+            return self._page_cost(self._needed_pages(positions))
 
     def scan_cost(self) -> float:
         """Optimizer cost of the full sequential scan, page-weighted the
         same way as :meth:`seek_cost`."""
         with self._lock:
-            resident = {uid for uid, _ in self.manager.pool.resident()}
-            return self._page_cost(
-                (handle.uid for handle in self.handles), resident)
-
-    def _scan_snapshot(self) -> List[Tuple[PageHandle, int]]:
-        with self._lock:
-            return [(handle, handle.row_count) for handle in self.handles]
+            return self._page_cost([handle.uid for handle in self.handles])
 
     def iter_batches(self, batch_size: int) -> Iterable[List[Tuple]]:
         """Scan in exact ``batch_size`` chunks (mirrors the list store).
@@ -345,19 +363,20 @@ class PagedRowStore:
             pending: List[Tuple] = []
             current: Optional[Page] = None
             try:
-                for handle, count in snapshot:
+                for index in range(snapshot.pages):
+                    count = snapshot.end(index) - snapshot.starts[index]
                     if count == 0:
                         continue
-                    page = self._page(handle, pin=True)
+                    page = self._page(snapshot.handles[index], pin=True)
                     if current is not None:
                         pool.unpin(current)
                     current = page
                     rows = page.rows
-                    index = 0
-                    while index < count:
-                        take = min(batch_size - len(pending), count - index)
-                        pending.extend(rows[index:index + take])
-                        index += take
+                    cursor = 0
+                    while cursor < count:
+                        take = min(batch_size - len(pending), count - cursor)
+                        pending.extend(rows[cursor:cursor + take])
+                        cursor += take
                         if len(pending) == batch_size:
                             yield pending
                             pending = []
@@ -377,28 +396,22 @@ class PagedRowStore:
         def produce():
             pending: List[Tuple] = []
             current: Optional[Page] = None
-            cursor = 0  # index into snapshot
-            base = 0    # first position of snapshot[cursor]
-            rows: List[Tuple] = []
             try:
-                for position in positions:
-                    while cursor < len(snapshot) and \
-                            position >= base + snapshot[cursor][1]:
-                        base += snapshot[cursor][1]
-                        cursor += 1
-                        rows = []
-                    if cursor >= len(snapshot):
-                        break
-                    if not rows:
-                        page = self._page(snapshot[cursor][0], pin=True)
-                        if current is not None:
-                            pool.unpin(current)
-                        current = page
-                        rows = page.rows
-                    pending.append(rows[position - base])
-                    if len(pending) == batch_size:
-                        yield pending
-                        pending = []
+                for index, lo, hi in snapshot.runs(positions):
+                    page = self._page(snapshot.handles[index], pin=True)
+                    if current is not None:
+                        pool.unpin(current)
+                    current = page
+                    rows = page.rows
+                    base = snapshot.starts[index]
+                    while lo < hi:
+                        take = min(batch_size - len(pending), hi - lo)
+                        pending.extend(
+                            [rows[p - base] for p in positions[lo:lo + take]])
+                        lo += take
+                        if len(pending) == batch_size:
+                            yield pending
+                            pending = []
                 if pending:
                     yield pending
             finally:
@@ -465,7 +478,6 @@ class StorageManager:
 
     def _restore_store(self, entry: dict) -> PagedRowStore:
         handles = []
-        total = 0
         max_page = -1
         max_version = 0
         for page in entry["pages"]:
@@ -474,12 +486,10 @@ class StorageManager:
                                 row_count=page["rows"],
                                 current_file=page["file"])
             handles.append(handle)
-            total += page["rows"]
             max_page = max(max_page, page["id"])
             max_version = max(max_version, page["version"])
         return PagedRowStore(self, entry["id"], next_page_id=max_page + 1,
-                             next_version=max_version + 1, handles=handles,
-                             row_total=total)
+                             next_version=max_version + 1, handles=handles)
 
     # -- flush / commit (shadow paging) ---------------------------------------
 

@@ -11,8 +11,9 @@ from repro.datagen import WarehouseConfig, load_warehouse
 # that leaves the budget open (tests/differential/
 # test_compiled_vs_interpreted.py, test_prediction_kernel.py,
 # test_scoring_tables.py, tests/lang/test_lexer_differential.py,
-# test_template_differential.py) runs small in tier-1 and deep in its CI
-# step.
+# test_template_differential.py, tests/sqlstore/
+# test_page_codec_differential.py, test_paged_positions.py) runs small in
+# tier-1 and deep in its CI step.
 settings.register_profile("default", max_examples=100)
 settings.register_profile("deep", max_examples=2000, deadline=None)
 

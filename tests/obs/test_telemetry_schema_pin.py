@@ -287,13 +287,14 @@ def test_pool_metric_family_is_pinned(conn):
 
 
 # The storage metric names the paged-store subsystem promises to
-# operators.  (buffer.pin_overflow exists too, but only materializes when
-# every frame is pinned at once — asserted in the buffer-pool unit suite.)
+# operators.  (The pool resolves its counters at construction, so
+# buffer.pin_overflow is published — at 0 — before any frame is pinned.)
 BUFFER_METRIC_FAMILY = [
     "buffer.hits",
     "buffer.misses",
     "buffer.evictions",
     "buffer.flushes",
+    "buffer.pin_overflow",
     "buffer.commits",
     "buffer.pages_resident",
     "index.seeks",

@@ -2,6 +2,7 @@
 
 import datetime
 import json
+import zlib
 
 import pytest
 
@@ -143,6 +144,24 @@ def test_row_count_mismatch_is_rejected():
     payload = b"[" + b",".join(encode_row(r) for r in rows) + b"]"
     header = HEADER.pack(PAGE_MAGIC, 0, 3, len(payload),
                          __import__("zlib").crc32(payload) & 0xFFFFFFFF)
+    with pytest.raises(PageFormatError):
+        decode_page(header + payload)
+
+
+@pytest.mark.parametrize("payload, row_count", [
+    (b'{"a":1}', 1),    # used to be served as rows == [("a",)]
+    (b"[1,2]", 2),      # used to escape as a bare TypeError
+    (b"7", 1),          # likewise
+    (b'[[1],{"a":1}]', 2),
+    (b'[[{"$date":"not a date"}]]', 1),
+    (b'[[{"$datetime":5}]]', 1),
+])
+def test_well_checksummed_page_of_the_wrong_shape_is_rejected(payload,
+                                                              row_count):
+    """The CRC only says the bytes are the ones written; a payload that is
+    not an array of ``row_count`` arrays fails typed all the same."""
+    header = HEADER.pack(PAGE_MAGIC, 0, row_count, len(payload),
+                         zlib.crc32(payload) & 0xFFFFFFFF)
     with pytest.raises(PageFormatError):
         decode_page(header + payload)
 

@@ -4,7 +4,9 @@ import os
 
 import pytest
 
+import repro
 from repro.lang.parser import parse_statement
+from repro.server.protocol import rowset_dump
 from repro.sqlstore.engine import Database
 from repro.sqlstore.schema import ColumnSchema, TableSchema
 from repro.sqlstore.storage import ListRowStore, StorageManager
@@ -257,3 +259,52 @@ def test_seek_expectation_counts_buffered_pages(tmp_path):
     assert int(total) == len(store.handles)
     assert int(hot) <= 2
     assert ListRowStore([(1,)]).seek_expectation([0]) is None
+
+
+# -- a join's index side is one sequential read --------------------------------
+
+def _join_pair(tmp_path):
+    """A memory and a paged provider holding the same two tables: NULL and
+    duplicate join keys on both sides, left rows without a match, and an
+    index on the build (right) side's join column."""
+    memory = repro.connect(statistics=False)
+    paged = repro.connect(statistics=False, storage_path=str(tmp_path),
+                          buffer_pages=2, storage_page_bytes=PAGE_BYTES)
+    keys = [None if i % 11 == 0 else i % 40 for i in range(120)]
+    for conn in (memory, paged):
+        conn.execute("CREATE TABLE L (id INT, k INT)")
+        conn.execute("CREATE TABLE R (k INT, name TEXT)")
+        conn.execute("INSERT INTO L VALUES " + ", ".join(
+            f"({i}, {'NULL' if i % 7 == 0 else i % 50})"
+            for i in range(60)))
+        conn.execute("INSERT INTO R VALUES " + ", ".join(
+            f"({'NULL' if k is None else k}, 'name-{i:04d}-{'x' * 20}')"
+            for i, k in enumerate(keys)))
+        conn.execute("CREATE INDEX IX_R_K ON R (k)")
+    return memory, paged
+
+
+@pytest.mark.parametrize("kind", ["INNER", "LEFT"])
+def test_index_built_join_reads_each_page_once(tmp_path, kind):
+    memory, paged = _join_pair(tmp_path)
+    try:
+        statement = (f"SELECT l.id, l.k, r.name FROM L AS l {kind} JOIN R "
+                     f"AS r ON l.k = r.k")
+        plan = "\n".join(str(row) for row in
+                         paged.execute("EXPLAIN " + statement).rows)
+        assert "right side index IX_R_K" in plan
+        tables = paged.database.tables
+        pages = sum(len(tables[name].store.handles) for name in ("L", "R"))
+        assert len(tables["R"].store.handles) > 10
+        pool = paged.provider.storage.pool
+        probes = tables["R"].indexes["IX_R_K"].join_probes
+        fetches = pool.hits + pool.misses
+        result = paged.execute(statement)
+        # One fetch per page of either side (not one per distinct key).
+        assert pool.hits + pool.misses - fetches <= pages + 2
+        assert tables["R"].indexes["IX_R_K"].join_probes == probes + 1
+        assert rowset_dump(result) == rowset_dump(memory.execute(statement))
+        assert len(result.rows) > 60     # duplicates matched, NULLs not
+    finally:
+        memory.close()
+        paged.close()
