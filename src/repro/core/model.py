@@ -14,7 +14,7 @@ neglected by prior work.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from repro.errors import NotTrainedError, TrainError
 from repro.core.bindings import MappedCase
@@ -36,7 +36,9 @@ class MiningModel:
         self.space: Optional[AttributeSpace] = None
         self.training_cases: List[MappedCase] = []
         self.insert_count = 0       # number of INSERT INTO statements consumed
-        self._content_root: Optional[ContentNode] = None
+        # What :meth:`derived` has built from the trained state and the
+        # caseset: the content graph, the snapshot entry.  Not pickled.
+        self._derived: Dict[str, Any] = {}
         # Concurrency: predictions/content reads share, training/reset/DROP
         # are exclusive.  Not pickled — recreated on unpickle.  The name
         # keys the DM_LOCK_WAITS contention table.
@@ -45,10 +47,12 @@ class MiningModel:
     def __getstate__(self):
         state = dict(self.__dict__)
         state.pop("lock", None)
+        state.pop("_derived", None)
         return state
 
     def __setstate__(self, state):
         self.__dict__.update(state)
+        self._derived = {}
         self.lock = RWLock(name=f"model:{self.definition.name.upper()}")
 
     @property
@@ -96,9 +100,8 @@ class MiningModel:
         self.training_cases.extend(cases)
         self.insert_count += 1
         try:
-            if self._absorb_incrementally(cases):
-                return len(cases)
-            self._refit(partitioned)
+            if not self._absorb_incrementally(cases):
+                self._refit(partitioned)
         except BaseException:
             # A failed (or cancelled) refit must not leave this INSERT's
             # cases in the accumulated caseset: the next INSERT would then
@@ -106,6 +109,10 @@ class MiningModel:
             del self.training_cases[before:]
             self.insert_count -= 1
             raise
+        finally:
+            # Absorbed, refit (serially or over partitions) or rolled back:
+            # whatever was derived before or during this call is stale.
+            self._invalidate_derived()
         return len(cases)
 
     def _absorb_incrementally(self, cases: List[MappedCase]) -> bool:
@@ -116,7 +123,6 @@ class MiningModel:
         observations = self.space.encode_many(cases)
         self.algorithm.partial_train(observations)
         self.space.absorb(observations, len(cases))
-        self._content_root = None
         return True
 
     def _refit(self, partitioned=None) -> None:
@@ -128,7 +134,6 @@ class MiningModel:
         space.marginals_from_observations(observations)
         self.algorithm.train(space, observations)
         self.space = space
-        self._content_root = None
 
     def adopt_cases(self, cases: List[MappedCase]) -> None:
         """Install a restored caseset without retraining (snapshot restore).
@@ -139,13 +144,14 @@ class MiningModel:
         never died.
         """
         self.training_cases = list(cases)
+        self._invalidate_derived()
 
     def reset(self) -> None:
         """DELETE FROM semantics: drop content, keep the definition."""
         self.training_cases = []
         self.insert_count = 0
         self.space = None
-        self._content_root = None
+        self._invalidate_derived()
         self.algorithm.reset()
 
     def require_trained(self) -> None:
@@ -169,9 +175,29 @@ class MiningModel:
     def content_root(self) -> ContentNode:
         """The (cached) content graph of section 3.3."""
         self.require_trained()
-        if self._content_root is None:
-            self._content_root = self.algorithm.content_nodes()
-        return self._content_root
+        return self.derived("content_root", self.algorithm.content_nodes)
+
+    # -- derived state --------------------------------------------------------
+
+    def derived(self, key: str, build: Callable[[], Any]) -> Any:
+        """``build()``, remembered until the model next changes.
+
+        For values that are a function of the trained state and the
+        accumulated caseset.  The holder is taken before ``build`` runs, so
+        a value built while the model was changing lands in a holder
+        :meth:`_invalidate_derived` has already replaced and is never
+        served.
+        """
+        holder = self._derived
+        try:
+            return holder[key]
+        except KeyError:
+            value = holder[key] = build()
+            return value
+
+    def _invalidate_derived(self) -> None:
+        """Follows every write to the trained state or the caseset."""
+        self._derived = {}
 
     def __repr__(self) -> str:
         state = f"trained on {self.case_count} cases" if self.is_trained \

@@ -14,7 +14,16 @@ training caseset, so a post-restore INSERT INTO still refreshes over the
 full history).  ``load_provider`` rebuilds everything through the public
 construction paths, so a snapshot from one process version restores
 cleanly in another as long as the formats match (a ``format`` field is
-checked; format 1 snapshots from older builds still load).
+checked; format 1 and 2 snapshots from older builds still load).
+
+:func:`dump_provider` assembles the document from text fragments — a small
+head, one fragment per table, the views, one per model — and keeps the two
+expensive kinds between dumps: a memory table's rows on the table, labelled
+with the ``version`` it had (reused when equal, extended by the new tail
+when the table was only appended to), and a trained model's entry as
+derived state of the model.  A dump therefore costs what changed since the
+last one; the bytes are those ``json.dumps`` of the whole tree would give
+(``tests/core/reference_snapshot.py`` is that encoder, kept as the oracle).
 
 Snapshots are written atomically (:func:`repro.store.atomic.atomic_write_text`:
 temp file + fsync + atomic rename), so a crash mid-``save_provider`` never
@@ -26,13 +35,14 @@ journal-replay continuity.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List
+from typing import Any, Dict
 
 from repro.errors import Error, NotTrainedError
 from repro.lang.formatter import format_statement
 from repro.lang.parser import parse_statement
 from repro.sqlstore.engine import Database
 from repro.sqlstore.schema import ColumnSchema, TableSchema
+from repro.sqlstore.storage import ListRowStore
 from repro.sqlstore.types import type_from_name
 from repro.store.atomic import atomic_write_text
 
@@ -56,16 +66,21 @@ encode_value = _encode_value
 decode_value = _decode_value
 
 
-def _encode_case(case) -> Dict[str, Any]:
-    return {
-        "scalars": {name: _encode_value(value)
-                    for name, value in case.scalars.items()},
-        "tables": {name: [{key: _encode_value(v) for key, v in row.items()}
-                          for row in rows]
-                   for name, rows in case.tables.items()},
-        "qualifiers": {name: dict(kinds)
-                       for name, kinds in case.qualifiers.items()},
-    }
+def _tag(value: Any) -> Any:
+    """The fragment encoder's ``default``: handed only what JSON cannot
+    spell, which is a temporal scalar to tag or an unsupported cell."""
+    tagged = _encode_value(value)
+    if tagged is value:
+        raise TypeError(f"Object of type {type(value).__name__} "
+                        f"is not JSON serializable")
+    return tagged
+
+
+# Every fragment is spelled by this one encoder — ``json.dumps``'s defaults
+# (``", "`` / ``": "``, ASCII escapes, insertion key order), which are the
+# bytes of format 3 — so fragments concatenate into exactly the document
+# one ``json.dumps`` of the whole tree would give.
+_text = json.JSONEncoder(default=_tag).encode
 
 
 def _decode_case(entry: Dict[str, Any]):
@@ -81,61 +96,116 @@ def _decode_case(entry: Dict[str, Any]):
     return case
 
 
+def _rows_text(table, encoded) -> str:
+    """A table's rows as the inside of a JSON array, encoding only the rows
+    its cached fragment (``Table.snapshot_rows``) does not already hold.
+
+    ``encoded`` counts the rows that did go through the encoder.
+    """
+    if not isinstance(table.store, ListRowStore):
+        # Paged rows are deliberately not resident; their text would be.
+        rows = table.rows
+        encoded.inc(len(rows))
+        return _text(rows)[1:-1]
+    # The version before the rows: a mutation landing in between leaves the
+    # label older than the text, which the next dump re-encodes — a label
+    # can be too old, never too new.
+    version = table.version
+    rows = table.rows
+    total = len(rows)
+    text, start = "", 0
+    cached = table.snapshot_rows
+    if cached is not None:
+        cached_version, cached_total, cached_text = cached
+        if cached_version == version:
+            return cached_text
+        if version - cached_version == total - cached_total:
+            # insert adds one to the version and one row; delete, update
+            # and truncate add one to the version and no row: the two
+            # differences are equal only after nothing but inserts.
+            text, start = cached_text, cached_total
+    tail = _text(rows[start:total])[1:-1]
+    encoded.inc(total - start)
+    text = f"{text}, {tail}" if text else tail
+    table.snapshot_rows = (version, total, text)
+    return text
+
+
+def _table_text(table, rows_encoded) -> str:
+    head = _text({
+        "name": table.schema.name,
+        "columns": [
+            {"name": column.name, "type": column.type.name,
+             "nullable": column.nullable,
+             "primary_key": column.primary_key}
+            for column in table.schema.columns]})
+    text = f'{head[:-1]}, "rows": [{_rows_text(table, rows_encoded)}]'
+    # CREATE/DROP INDEX and UPDATE STATISTICS do not move table.version:
+    # everything but the rows is spelled afresh by every dump.
+    tail: Dict[str, Any] = {}
+    if table.indexes:
+        tail["indexes"] = [
+            {"name": index.name, "column": index.column_name}
+            for index in table.indexes.values()]
+    if table.stats is not None:
+        # Flag only — statistics content re-derives deterministically
+        # from the restored rows (restore_into inserts row by row, so
+        # the incremental path rebuilds them as a side effect).
+        tail["statistics"] = True
+    if tail:
+        text += ", " + _text(tail)[1:-1]
+    return text + "}"
+
+
+def _model_text(model, cases_encoded) -> str:
+    from repro.pmml.writer import definition_to_ddl, to_pmml
+
+    if not model.is_trained:
+        return _text({"trained": False,
+                      "ddl": definition_to_ddl(model.definition)})
+
+    def entry() -> str:
+        cases = model.training_cases
+        cases_encoded.inc(len(cases))
+        return _text({
+            "trained": True,
+            "pmml": to_pmml(model),
+            "insert_count": model.insert_count,
+            "cases": [{"scalars": case.scalars, "tables": case.tables,
+                       "qualifiers": case.qualifiers} for case in cases],
+        })
+    # PMML, insert count and caseset change only when the model is
+    # retrained, reset or handed a caseset: derived state.
+    return model.derived("snapshot_entry", entry)
+
+
 def dump_provider(provider, last_seq: int = 0) -> str:
     """Serialise a provider (tables + views + models) to a JSON string.
 
     ``last_seq`` is the durable store's journal high-water mark covered by
-    this snapshot; plain API snapshots leave it 0.
+    this snapshot; plain API snapshots leave it 0.  The document is
+    assembled from one text fragment per table and per model; a fragment
+    whose owner has not changed since the last dump is reused as it is
+    (``store.snapshot_rows_encoded`` / ``store.snapshot_cases_encoded``
+    count what was encoded anew).
     """
-    from repro.pmml.writer import to_pmml
-
-    tables: List[dict] = []
-    for key in sorted(provider.database.tables):
-        table = provider.database.tables[key]
-        tables.append({
-            "name": table.schema.name,
-            "columns": [
-                {"name": column.name, "type": column.type.name,
-                 "nullable": column.nullable,
-                 "primary_key": column.primary_key}
-                for column in table.schema.columns],
-            "rows": [[_encode_value(v) for v in row]
-                     for row in table.rows],
-        })
-        if table.indexes:
-            tables[-1]["indexes"] = [
-                {"name": index.name, "column": index.column_name}
-                for index in table.indexes.values()]
-        if table.stats is not None:
-            # Flag only — statistics content re-derives deterministically
-            # from the restored rows (restore_into inserts row by row, so
-            # the incremental path rebuilds them as a side effect).
-            tables[-1]["statistics"] = True
-    views = {key: format_statement(select)
-             for key, select in sorted(provider.database.views.items())}
-    models = []
-    for model in provider.list_models():
-        if model.is_trained:
-            models.append({
-                "trained": True,
-                "pmml": to_pmml(model),
-                "insert_count": model.insert_count,
-                "cases": [_encode_case(case)
-                          for case in model.training_cases],
-            })
-        else:
-            from repro.pmml.writer import definition_to_ddl
-            models.append({"trained": False,
-                           "ddl": definition_to_ddl(model.definition)})
-    return json.dumps({
+    database = provider.database
+    rows_encoded = provider.metrics.counter("store.snapshot_rows_encoded")
+    cases_encoded = provider.metrics.counter("store.snapshot_cases_encoded")
+    tables = ", ".join(_table_text(database.tables[key], rows_encoded)
+                       for key in sorted(database.tables))
+    views = _text({key: format_statement(select)
+                   for key, select in sorted(database.views.items())})
+    models = ", ".join(_model_text(model, cases_encoded)
+                       for model in provider.list_models())
+    head = _text({
         "format": FORMAT_VERSION,
         "kind": "repro-provider-snapshot",
         "last_seq": last_seq,
-        "data_version": provider.database.data_version,
-        "tables": tables,
-        "views": views,
-        "models": models,
+        "data_version": database.data_version,
     })
+    return (f'{head[:-1]}, "tables": [{tables}], "views": {views}, '
+            f'"models": [{models}]}}')
 
 
 def _parse_snapshot(text: str) -> Dict[str, Any]:
@@ -164,7 +234,6 @@ def restore_into(provider, text: str) -> int:
     snapshot referencing a missing table fails at load time naming the
     view, instead of exploding at first query.
     """
-    from repro.pmml.reader import read_pmml
     from repro.core.columns import compile_model_definition
     from repro.core.model import MiningModel
 
@@ -193,6 +262,9 @@ def restore_into(provider, text: str) -> int:
         view_statements[key] = statement
     for entry in snapshot["models"]:
         if entry["trained"]:
+            # Imported where a model needs it, as _model_text imports the
+            # writer: a catalog without models never loads the PMML package.
+            from repro.pmml.reader import read_pmml
             model = read_pmml(entry["pmml"])
             if "insert_count" in entry:
                 model.insert_count = entry["insert_count"]

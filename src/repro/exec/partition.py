@@ -299,9 +299,9 @@ def train_partitioned(model, space, pool, dop: int) -> bool:
         merged.space = space
         obs_trace.add_to(span, "training_partitions", len(chunks))
         obs_trace.add_to(span, "observations", len(model.training_cases))
+    # MiningModel.train, the only way here, drops the derived state.
     model.algorithm = merged
     model.space = space
-    model._content_root = None
     pool.note_parallel_statement("train")
     return True
 
@@ -350,13 +350,12 @@ def prediction_replica(model):
     """A lightweight view of the model for shipping to workers.
 
     Shares the (read-only) algorithm and space but drops the training
-    caseset and cached content, so a process-mode task does not pickle the
-    entire caseset per chunk.
+    caseset, so a process-mode task does not pickle the entire caseset per
+    chunk; a copy, like a pickle, carries no derived state.
     """
     import copy
     clone = copy.copy(model)
     clone.training_cases = []
-    clone._content_root = None
     return clone
 
 

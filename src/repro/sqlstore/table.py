@@ -40,6 +40,10 @@ class Table:
         # these across the catalog so cached shapes can never serve stale
         # rows after a mutation.
         self.version = 0
+        # The rows as snapshot text, owned by repro.core.persistence:
+        # (version, row count, text) as of its last dump of this table.
+        # Every mutation moves `version`, so nothing has to drop it.
+        self.snapshot_rows: Optional[Tuple[int, int, str]] = None
         # Named user indexes (CREATE INDEX), keyed by upper-cased name,
         # insertion-ordered — the engine picks the first index on a column.
         self.indexes: Dict[str, TableIndex] = {}

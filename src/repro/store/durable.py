@@ -2,7 +2,7 @@
 
 One :class:`DurableStore` lives under a directory and owns two files::
 
-    <path>/snapshot.json   last checkpoint (provider snapshot, format 2,
+    <path>/snapshot.json   last checkpoint (provider snapshot, format 3,
                            carrying the journal high-water mark `last_seq`)
     <path>/journal.dmj     statements acknowledged since that checkpoint
 
@@ -25,17 +25,26 @@ Protocol (the invariants the crash-safety suite enforces):
   mutated, disk not) flips the store to *broken*: further mutations are
   refused until the path is reopened, so the memory/disk divergence cannot
   widen.  Reads keep working.
+* **failed checkpoints** — an I/O error while checkpointing flips the store
+  to *broken* too.  An explicit ``checkpoint()`` raises; the automatic one
+  a statement happens to trigger does not fail that statement, whose
+  journal record was fsync'd before the checkpoint began — a client told
+  it failed would retry it into a duplicate.  ``store.checkpoint_failures``
+  counts both, and the next mutation is refused.
 
 Everything is observable: ``store.journal_appends``, ``store.checkpoints``,
-``store.recovered_statements``, and ``store.torn_records_skipped`` counters
-land in the provider's metrics registry and surface through
-``SELECT * FROM $SYSTEM.DM_PROVIDER_METRICS``.
+``store.checkpoint_failures``, ``store.recovered_statements`` and
+``store.torn_records_skipped`` counters and a ``store.checkpoint_ms``
+histogram land in the provider's metrics registry and surface through
+``SELECT * FROM $SYSTEM.DM_PROVIDER_METRICS``; what a checkpoint had to
+encode is counted by :func:`repro.core.persistence.dump_provider`.
 """
 
 from __future__ import annotations
 
 import os
 import threading
+import time
 from typing import Any, Dict, Optional
 
 from repro.errors import Error
@@ -157,7 +166,9 @@ class DurableStore:
 
         Called by the provider *after* the in-memory mutation succeeded and
         *before* returning to the caller.  Raises (without acknowledging)
-        if the record cannot be made durable.
+        if the record cannot be made durable — and only then: once the
+        record is fsync'd the statement is acknowledged whatever becomes of
+        the auto-checkpoint it may trigger.
         """
         record: Dict[str, Any] = {
             "seq": self.last_seq + 1,
@@ -189,7 +200,12 @@ class DurableStore:
             due = (self.checkpoint_interval and
                    self._pending >= self.checkpoint_interval)
         if due:
-            self.checkpoint(provider)
+            try:
+                self.checkpoint(provider)
+            except Error:
+                # Counted, and the store is read-only from here on; the
+                # statement itself is durable in the journal.
+                pass
 
     def checkpoint(self, provider) -> None:
         """Snapshot the provider atomically, then truncate the journal."""
@@ -197,6 +213,7 @@ class DurableStore:
 
         with self.mutation_lock, self._lock:
             self.ensure_healthy()
+            started = time.perf_counter()
             text = dump_provider(provider, last_seq=self.last_seq)
             try:
                 atomic_write_text(self.snapshot_path, text,
@@ -205,6 +222,7 @@ class DurableStore:
                 self._writer.reset()
             except OSError as exc:
                 self.broken = True
+                self._count("checkpoint_failures")
                 raise Error(
                     f"checkpoint failed ({exc}); the store is now "
                     f"read-only until reopened") from exc
@@ -212,6 +230,9 @@ class DurableStore:
                 self.faults.hit("checkpoint.after_truncate")
             self._pending = 0
             self._count("checkpoints")
+            if self.metrics is not None:
+                self.metrics.histogram("store.checkpoint_ms").observe(
+                    (time.perf_counter() - started) * 1000)
 
     def close(self) -> None:
         if self._writer is not None:

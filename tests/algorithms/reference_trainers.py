@@ -349,7 +349,7 @@ def reference_model_train(model: MiningModel, cases) -> None:
     from plain observation lists."""
     model.training_cases.extend(cases)
     model.insert_count += 1
-    model._content_root = None
+    model._invalidate_derived()
     algorithm = model.algorithm
     if model.can_absorb and all(model.space.covers(c) for c in cases):
         observations = [model.space.encode(case) for case in cases]

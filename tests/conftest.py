@@ -10,7 +10,8 @@ from repro.datagen import WarehouseConfig, load_warehouse
 # own ``@settings(max_examples=…)`` keeps it under either profile; a test
 # that leaves the budget open (tests/differential/
 # test_compiled_vs_interpreted.py, test_prediction_kernel.py,
-# test_scoring_tables.py, tests/lang/test_lexer_differential.py,
+# test_scoring_tables.py, test_snapshot_fragments.py,
+# tests/lang/test_lexer_differential.py,
 # test_template_differential.py, tests/sqlstore/
 # test_page_codec_differential.py, test_paged_positions.py) runs small in
 # tier-1 and deep in its CI step.

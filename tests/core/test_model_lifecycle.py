@@ -215,3 +215,89 @@ class TestResetAndDrop:
         conn_with_data.execute(DDL)
         with pytest.raises(Error, match="CONTENT"):
             conn_with_data.execute("SELECT * FROM [M]")
+
+
+class TestDerivedStateLifetime:
+    """The content graph and the snapshot entry are derived state: built on
+    demand, dropped by every change to the trained state or the caseset,
+    carried by no pickle and no copy."""
+
+    TRAIN = "INSERT INTO [M] SELECT Id, Gender, Age FROM T WHERE Id {}"
+
+    @pytest.fixture
+    def trained(self, conn_with_data):
+        conn_with_data.execute(DDL)
+        conn_with_data.execute(self.TRAIN.format("<= 20"))
+        return conn_with_data
+
+    @staticmethod
+    def dump_agrees(conn):
+        from repro.core.persistence import dump_provider
+        from tests.core.reference_snapshot import reference_dump_provider
+        text = dump_provider(conn.provider)
+        assert text == reference_dump_provider(conn.provider)
+        return text
+
+    def test_a_pickle_and_a_replica_carry_none(self, trained):
+        import pickle
+        from repro.exec.partition import prediction_replica
+        model = trained.model("M")
+        before = pickle.dumps(model)
+        self.dump_agrees(trained)
+        assert set(model._derived) == {"content_root", "snapshot_entry"}
+        after = pickle.dumps(model)
+        assert len(after) <= len(before)
+        assert pickle.loads(after)._derived == {}
+        replica = prediction_replica(model)
+        assert replica._derived == {} and replica.training_cases == []
+        assert model._derived       # the original keeps its own
+
+    def test_the_entry_is_reused_until_the_model_changes(self, trained):
+        metrics = trained.provider.metrics
+        self.dump_agrees(trained)
+        encoded = metrics.value("store.snapshot_cases_encoded")
+        assert encoded == 20
+        self.dump_agrees(trained)
+        trained.execute("SELECT * FROM [M].CONTENT")
+        self.dump_agrees(trained)
+        assert metrics.value("store.snapshot_cases_encoded") == encoded
+
+    def test_never_served_across_reset_or_adopt_cases(self, trained):
+        model = trained.model("M")
+        first = self.dump_agrees(trained)
+        model.adopt_cases(model.training_cases[:5])
+        adopted = self.dump_agrees(trained)
+        assert adopted != first
+        model.reset()
+        assert self.dump_agrees(trained) not in (first, adopted)
+
+    def test_never_served_across_drop_and_create(self, trained):
+        first = self.dump_agrees(trained)
+        trained.execute("DROP MINING MODEL [M]")
+        trained.execute(DDL)
+        trained.execute(self.TRAIN.format("> 20"))
+        assert self.dump_agrees(trained) != first
+
+    @pytest.mark.parametrize("failure", [RuntimeError, KeyboardInterrupt])
+    def test_never_served_across_a_refit_that_rolled_back(
+            self, trained, monkeypatch, failure):
+        """A dump taken while a refit is under way builds its entry from
+        this INSERT's cases beside the old content; when the refit fails (or
+        is cancelled) and the cases are rolled back, that entry must go
+        with them."""
+        from repro.core.persistence import dump_provider
+        from tests.core.reference_snapshot import reference_dump_provider
+        model = trained.model("M")
+        first = reference_dump_provider(trained.provider)
+        seen = []
+
+        def train(space, observations):
+            seen.append(dump_provider(trained.provider))
+            raise failure("mid-refit")
+        monkeypatch.setattr(model.algorithm, "train", train)
+        with pytest.raises(failure):
+            trained.execute(self.TRAIN.format("> 20"))
+        monkeypatch.undo()
+        assert model.case_count == 20 and model.insert_count == 1
+        assert seen and seen[0] != first
+        assert self.dump_agrees(trained) == first

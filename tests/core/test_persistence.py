@@ -12,6 +12,12 @@ from repro.core.persistence import (
     open_provider,
     save_provider,
 )
+from repro.sqlstore.schema import ColumnSchema, TableSchema
+from repro.sqlstore.storage import ListRowStore
+from repro.sqlstore.table import Table
+from repro.sqlstore.types import LONG
+
+from tests.core.reference_snapshot import reference_dump_provider
 
 
 @pytest.fixture
@@ -190,3 +196,65 @@ class TestErrors:
         with pytest.raises(Error, match="format"):
             load_provider('{"kind": "repro-provider-snapshot", '
                           '"format": 99}')
+
+
+class _GrowsWhenRead(ListRowStore):
+    """A row store that, the first time its rows are read, lets one row in
+    through ``Table.insert`` — a writer landing between a dump's read of
+    ``table.version`` and its read of the rows, without a thread.  The
+    reader gets the live list (the new row included) or, like a paged
+    store's materialised snapshot, a copy from before the insert."""
+
+    __slots__ = ("table", "armed", "copy")
+
+    def snapshot(self):
+        rows = self.rows
+        if self.armed:
+            self.armed = False
+            if self.copy:
+                rows = list(rows)
+            self.table.insert((99,))
+        return rows
+
+
+class TestRowFragments:
+    """``dump_provider`` keeps each memory table's rows as text on the table
+    and labels it with the version it read *before* the rows."""
+
+    @pytest.mark.parametrize("copy, then_encoded",
+                             [(False, 4), (True, 1)],
+                             ids=["live-list", "copy-before-insert"])
+    def test_a_table_that_grows_during_a_dump_is_never_served_stale(
+            self, conn, copy, then_encoded):
+        store = _GrowsWhenRead()
+        table = Table(TableSchema("T", [ColumnSchema("Id", LONG)]),
+                      store=store)
+        store.table, store.armed, store.copy = table, False, copy
+        conn.database.tables["T"] = table
+        table.insert_many([(1,), (2,), (3,)])
+        encoded = conn.provider.metrics.counter(
+            "store.snapshot_rows_encoded")
+
+        store.armed = True
+        during = dump_provider(conn.provider)
+        assert ("[99]" in during) == (not copy)
+        # The label is the version from before the insert: one too old.
+        assert table.snapshot_rows[0] == table.version - 1 == 3
+        assert encoded.value == (3 if copy else 4)
+
+        # Too old costs an encode — the whole table, or the one new row
+        # when the text really is from before the insert — never a stale row.
+        after = dump_provider(conn.provider)
+        assert after == reference_dump_provider(conn.provider)
+        assert '"rows": [[1], [2], [3], [99]]' in after
+        assert encoded.value == (3 if copy else 4) + then_encoded
+        assert dump_provider(conn.provider) == after
+        assert encoded.value == (3 if copy else 4) + then_encoded
+
+    def test_a_restored_provider_starts_without_fragments(self, populated):
+        restored = restore(populated)
+        assert restored.database.table("T").snapshot_rows is None
+        assert dump_provider(restored.provider) == \
+            dump_provider(populated.provider)
+        assert restored.provider.metrics.value(
+            "store.snapshot_rows_encoded") == 40

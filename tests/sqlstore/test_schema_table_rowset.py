@@ -98,6 +98,36 @@ class TestTable:
         table.truncate()
         assert len(table) == 0
 
+    def test_version_and_row_count_rise_together_only_on_insert(self):
+        """What the snapshot's append rule rests on: an insert adds one to
+        ``version`` and one row; every other mutation that does anything
+        adds one to ``version`` and no row — so the two have risen by the
+        same amount exactly when nothing but inserts happened."""
+        table = Table(customer_schema())
+
+        def moved(mutate):
+            before = (table.version, len(table))
+            mutate()
+            return (table.version - before[0], len(table) - before[1])
+
+        assert moved(lambda: table.insert((1, "Male", 35.0))) == (1, 1)
+        assert moved(lambda: table.insert_many(
+            [(2, "Female", 28.0), (3, "Male", 41.0)])) == (2, 2)
+        with pytest.raises(SchemaError):
+            moved(lambda: table.insert((3, "Male", 1.0)))   # duplicate key
+        assert (table.version, len(table)) == (3, 3)
+        keep = lambda row: (row[0], row[1], row[2] + 1)
+        assert moved(lambda: table.update_where(
+            lambda row: row[0] == 1, keep)) == (1, 0)
+        assert moved(lambda: table.update_where(
+            lambda row: False, keep)) == (0, 0)
+        assert moved(lambda: table.delete_where(
+            lambda row: row[0] == 2)) == (1, -1)
+        assert moved(lambda: table.delete_where(
+            lambda row: False)) == (0, 0)
+        assert moved(table.truncate) == (1, -2)
+        assert moved(table.truncate) == (1, 0)    # of an empty table too
+
     def test_to_rowset(self):
         table = Table(customer_schema())
         table.insert((1, "Male", 35.0))

@@ -157,6 +157,53 @@ class TestFailureModes:
             .single_value() == 6
         recovered.close()
 
+    def test_failed_auto_checkpoint_does_not_fail_its_statement(
+            self, tmp_path):
+        """The statement that triggers an auto-checkpoint was fsync'd to
+        the journal before the checkpoint began: reporting it as failed
+        would make a retrying client insert it twice."""
+        faults = FaultInjector()
+        conn = open_store(tmp_path, durable_faults=faults,
+                          durable_checkpoint_interval=3)
+        conn.execute("CREATE TABLE T (Id LONG)")
+        conn.execute("INSERT INTO T VALUES (1)")
+        faults.arm("snapshot.before_fsync", exc=OSError("disk full"))
+        assert conn.execute("INSERT INTO T VALUES (2)") == 1
+        metrics = conn.provider.metrics
+        assert metrics.value("store.checkpoint_failures") == 1
+        assert metrics.value("store.checkpoints") == 0
+        with pytest.raises(Error, match="read-only"):
+            conn.execute("INSERT INTO T VALUES (3)")
+        assert conn.execute("SELECT * FROM T").rows == [(1,), (2,)]
+        conn.close()
+        recovered = open_store(tmp_path)
+        assert recovered.execute("SELECT * FROM T").rows == [(1,), (2,)]
+        recovered.close()
+
+    def test_failed_explicit_checkpoint_raises(self, tmp_path):
+        faults = FaultInjector()
+        conn = populate(open_store(tmp_path, durable_faults=faults))
+        faults.arm("snapshot.before_fsync", exc=OSError("disk full"))
+        with pytest.raises(Error, match="checkpoint failed"):
+            conn.provider.checkpoint()
+        assert conn.provider.metrics.value("store.checkpoint_failures") == 1
+        with pytest.raises(Error, match="read-only"):
+            conn.execute("INSERT INTO T VALUES (7,'m',33.0)")
+        conn.close()
+
+    def test_crash_in_auto_checkpoint_still_propagates(self, tmp_path):
+        from repro.store.faults import InjectedCrash
+        faults = FaultInjector()
+        conn = open_store(tmp_path, durable_faults=faults,
+                          durable_checkpoint_interval=2)
+        conn.execute("CREATE TABLE T (Id LONG)")
+        faults.arm("snapshot.before_fsync")
+        with pytest.raises(InjectedCrash):
+            conn.execute("INSERT INTO T VALUES (1)")
+        recovered = open_store(tmp_path)
+        assert recovered.execute("SELECT * FROM T").rows == [(1,)]
+        recovered.close()
+
     def test_unacknowledged_statement_not_replayed(self, tmp_path):
         faults = FaultInjector()
         conn = open_store(tmp_path, durable_faults=faults)
