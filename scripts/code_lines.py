@@ -2,12 +2,19 @@
 """Count physical and code lines of Python sources, reproducibly.
 
 usage: python scripts/code_lines.py [paths...]      (default: src/repro)
+       python scripts/code_lines.py --ratchet       (CI runs exactly this)
 
 A *code* line carries at least one token that is not a comment, a line
 break or indentation, and lies outside every docstring — so blank lines,
 comment-only lines and docstrings count as physical lines only.  Each
 path is a ``.py`` file or a directory walked recursively; the table lists
 every file and ends with the total.  Standard library only.
+
+``--ratchet`` (run from the repository root, as CI does) counts
+``src/repro`` and compares its code-line total with the one integer in
+``scripts/code_lines_baseline.txt``: above it -> exit 1, so growth of
+``src/`` is a reviewed one-number edit; below it -> exit 0 with a nudge to
+commit the lower number, so a shrink is locked in.
 """
 
 import ast
@@ -15,6 +22,9 @@ import io
 import os
 import sys
 import tokenize
+
+BASELINE_FILE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                             "code_lines_baseline.txt")
 
 _LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
            tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
@@ -57,16 +67,31 @@ def python_files(paths):
 
 
 def main(argv):
+    ratchet = argv == ["--ratchet"]
     rows = []
-    for path in python_files(argv or ["src/repro"]):
+    for path in python_files(["src/repro"] if ratchet or not argv else argv):
         with open(path, encoding="utf-8") as handle:
             rows.append((path,) + count(handle.read()))
     width = max([len(path) for path, _, _ in rows] + [len("total")])
     print(f"{'file':<{width}}  {'physical':>8}  {'code':>6}")
     for path, physical, code in rows:
         print(f"{path:<{width}}  {physical:>8}  {code:>6}")
-    print(f"{'total':<{width}}  {sum(r[1] for r in rows):>8}  "
-          f"{sum(r[2] for r in rows):>6}")
+    total = sum(r[2] for r in rows)
+    print(f"{'total':<{width}}  {sum(r[1] for r in rows):>8}  {total:>6}")
+    if ratchet:
+        with open(BASELINE_FILE, encoding="utf-8") as handle:
+            baseline = int(handle.read().strip())
+        print(f"code lines: {total} (committed ceiling: {baseline})")
+        if total > baseline:
+            print(f"FAIL: src/repro grew {total - baseline} code line(s) "
+                  f"past the ratchet; delete as many, or raise "
+                  f"scripts/code_lines_baseline.txt in the same change and "
+                  f"say in CHANGES.md what the lines buy", file=sys.stderr)
+            return 1
+        if total < baseline:
+            print(f"note: {baseline - total} line(s) under the ceiling — "
+                  f"lower scripts/code_lines_baseline.txt to {total} to "
+                  f"lock the shrink in")
     return 0
 
 

@@ -319,7 +319,7 @@ class _Growth:
     fractionally routed cases appended), and their weights in this node.
     Every statistic is accumulated in that order, so the grown tree equals
     the per-case trainer's bit for bit
-    (``tests/algorithms/reference_trainers.py``): class counts and weight
+    (``tests/reference/reference_trainers.py``): class counts and weight
     totals are ``bincount`` sums, which add in array order (one contingency
     table per node covers every categorical input's candidate split),
     impurities read each child's counts in its first-seen order of

@@ -23,7 +23,8 @@ with the ``version`` it had (reused when equal, extended by the new tail
 when the table was only appended to), and a trained model's entry as
 derived state of the model.  A dump therefore costs what changed since the
 last one; the bytes are those ``json.dumps`` of the whole tree would give
-(``tests/core/reference_snapshot.py`` is that encoder, kept as the oracle).
+(``tests/reference/reference_snapshot.py`` is that encoder, kept as the
+oracle).
 
 Snapshots are written atomically (:func:`repro.store.atomic.atomic_write_text`:
 temp file + fsync + atomic rename), so a crash mid-``save_provider`` never

@@ -19,6 +19,7 @@ modeled as a 'prediction join' between D and M."  Execution:
 
 from __future__ import annotations
 
+import weakref
 from itertools import chain, repeat
 from typing import Any, Callable, List, Optional, Tuple
 
@@ -27,7 +28,7 @@ from repro.lang import ast_nodes as ast
 from repro.obs import trace as obs_trace
 from repro.obs import workload as obs_workload
 from repro.shaping.shape import plan_shape
-from repro.sqlstore.engine import _children, _multi_key_sort, _row_key
+from repro.sqlstore.engine import _multi_key_sort, _row_key
 from repro.sqlstore.expressions import (
     EvalContext,
     compile_expression,
@@ -67,8 +68,13 @@ class PredictionEvalContext(EvalContext):
         self.subquery_executor = source_context.subquery_executor
         self._subquery_cache = source_context._subquery_cache
         self.model = model
+        # The scope binds plain arguments back through this context; held
+        # strongly the pair would be a cycle pinning the database (through
+        # ``subquery_executor``) until a gen-2 collection.  Binders compile
+        # while the context binds them, never later.
+        binder = weakref.ref(self)
         self.scope = PredictionScope(
-            model, lambda expr: compile_expression(expr, self))
+            model, lambda expr: compile_expression(expr, binder()))
 
     def bind_column(self, ref: ast.ColumnRef) -> Callable[[tuple], Any]:
         parts = ref.parts
@@ -141,13 +147,13 @@ def plan_prediction_source(provider, source: ast.TableRef):
     if isinstance(source, ast.SubquerySource):
         return database.plan_select(source.select)
     node = database.plan_table_ref(source)
-    open_relation = node.run
+    open_relation = node.open
 
-    def run(batch_size):
-        relation = open_relation(batch_size)
+    def open_stream(node, batch_size):
+        relation = open_relation(node, batch_size)
         columns = [column for _, column in relation.columns]
         return RowStream(columns, relation.batches(batch_size))
-    node.run = run
+    node.open = open_stream
     return node
 
 
@@ -162,32 +168,25 @@ def split_on_condition(model_name: str, alias: Optional[str],
             return tuple(parts[1:])
         return tuple(parts)
 
-    def walk(expr: ast.Expr) -> None:
-        if isinstance(expr, ast.BinaryOp) and expr.op == "AND":
-            walk(expr.left)
-            walk(expr.right)
-            return
-        if isinstance(expr, ast.BinaryOp) and expr.op == "=" and \
-                isinstance(expr.left, ast.ColumnRef) and \
-                isinstance(expr.right, ast.ColumnRef):
-            left, right = expr.left.parts, expr.right.parts
-            left_is_model = left[0].upper() == model_name.upper()
-            right_is_model = right[0].upper() == model_name.upper()
-            if left_is_model == right_is_model:
-                raise PredictionError(
-                    f"each ON equality must relate a model column to a "
-                    f"source column; got "
-                    f"{'.'.join(left)} = {'.'.join(right)}")
-            model_parts = left if left_is_model else right
-            source_parts = right if left_is_model else left
-            pairs.append((strip(model_parts, model_name),
-                          strip(source_parts, alias)))
-            return
-        raise PredictionError(
-            "the ON clause of PREDICTION JOIN must be a conjunction of "
-            "column equalities")
-
-    walk(condition)
+    for expr in ast.conjuncts(condition):
+        if not (isinstance(expr, ast.BinaryOp) and expr.op == "=" and
+                isinstance(expr.left, ast.ColumnRef) and
+                isinstance(expr.right, ast.ColumnRef)):
+            raise PredictionError(
+                "the ON clause of PREDICTION JOIN must be a conjunction of "
+                "column equalities")
+        left, right = expr.left.parts, expr.right.parts
+        left_is_model = left[0].upper() == model_name.upper()
+        right_is_model = right[0].upper() == model_name.upper()
+        if left_is_model == right_is_model:
+            raise PredictionError(
+                f"each ON equality must relate a model column to a "
+                f"source column; got "
+                f"{'.'.join(left)} = {'.'.join(right)}")
+        model_parts = left if left_is_model else right
+        source_parts = right if left_is_model else left
+        pairs.append((strip(model_parts, model_name),
+                      strip(source_parts, alias)))
     return pairs
 
 
@@ -209,17 +208,8 @@ def _source_only_conjuncts(where: Optional[ast.Expr],
     is not True is exact: the full WHERE is an AND over the conjuncts, and
     an AND with a False/NULL operand can never evaluate to True.
     """
-    if where is None or not alias:
+    if not alias:
         return []
-    conjuncts: List[ast.Expr] = []
-
-    def split(expr: ast.Expr) -> None:
-        if isinstance(expr, ast.BinaryOp) and expr.op == "AND":
-            split(expr.left)
-            split(expr.right)
-        else:
-            conjuncts.append(expr)
-    split(where)
 
     def pushable(expr: ast.Expr) -> bool:
         if isinstance(expr, ast.ColumnRef):
@@ -227,8 +217,9 @@ def _source_only_conjuncts(where: Optional[ast.Expr],
                 expr.parts[0].upper() == alias.upper()
         if not isinstance(expr, _PUSHABLE_NODES):
             return False
-        return all(pushable(child) for child in _children(expr))
-    return [conjunct for conjunct in conjuncts if pushable(conjunct)]
+        return all(pushable(child) for child in ast.children(expr))
+    return [conjunct for conjunct in ast.conjuncts(where)
+            if pushable(conjunct)]
 
 
 def _surviving_batches(stream: RowStream, pushed: List[ast.Expr],
@@ -495,7 +486,7 @@ def plan_prediction(provider, statement: ast.SelectStatement):
                 cache.put(key, None, cache.max_rows + 1)  # count the skip
         return columns, produce()
 
-    def run(batch_size: int) -> RowStream:
+    def run(_, batch_size: int) -> RowStream:
         obs_workload.set_phase("predict")
         lease = _ReadLease(model.lock)
         try:
@@ -543,7 +534,7 @@ def plan_prediction(provider, statement: ast.SelectStatement):
         except BaseException:
             lease.release()
             raise
-    node.run = run
+    node.open = run
     return node
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 import weakref
 from contextlib import contextmanager
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.errors import BindError, CatalogError, Error, ParseError
 from repro.lang import ast_nodes as ast
@@ -97,6 +97,20 @@ def _statement_kind(statement: ast.Statement, provider=None) -> str:
     return re.sub(r"(?<=[a-z])(?=[A-Z])", "_", name).upper()
 
 
+def _weak_hook(method: Callable) -> Callable:
+    """``method`` as a hook that does not keep its object alive.  The
+    provider owns the database and the tracer it hands its hooks to; held
+    strongly they would close two reference cycles, and a closed
+    connection's tables would wait for a gen-2 collection.  After the
+    provider is gone the hook answers None — "not mine" to the engine."""
+    ref = weakref.WeakMethod(method)
+
+    def hook(*args):
+        target = ref()
+        return None if target is None else target(*args)
+    return hook
+
+
 class Provider:
     """The provider: relational engine + mining-model catalog + dispatcher.
 
@@ -158,9 +172,9 @@ class Provider:
                  telemetry_path: Optional[str] = None,
                  statistics: bool = True,
                  repository: bool = True):
-        self.database = Database(external_source=self.plan_external_source,
-                                 batch_size=batch_size,
-                                 statistics=statistics)
+        self.database = Database(
+            external_source=_weak_hook(self.plan_external_source),
+            batch_size=batch_size, statistics=statistics)
         self.models: Dict[str, MiningModel] = {}
         self.tracer = Tracer()
         self.metrics = MetricsRegistry()
@@ -178,7 +192,7 @@ class Provider:
         self.repository = WorkloadRepository(path=repo_path,
                                              metrics=self.metrics)
         self.repository.enabled = bool(repository)
-        self.tracer.on_statement = self._observe_statement
+        self.tracer.on_statement = _weak_hook(self._observe_statement)
         self.slow_sink = None
         if telemetry_path is not None:
             from repro.obs.sink import SlowQuerySink
@@ -495,7 +509,7 @@ class Provider:
             # A query or model INSERT executes the very tree rendered below.
             with record.start_span("explain.execute") as span:
                 result = self._execute_statement(
-                    inner, command, plan if plan.run is not None else None)
+                    inner, command, plan if plan.open is not None else None)
         finally:
             obs_trace.deactivate(previous)
         if isinstance(result, RowStream):
@@ -518,13 +532,13 @@ class Provider:
             return PlanNode(
                 "system rowset", target=f"$SYSTEM.{ref.rowset.upper()}",
                 strategy="materialized snapshot",
-                run=lambda _: SourceRelation.from_rowset(
+                open=lambda *_: SourceRelation.from_rowset(
                     system_rowset(self, ref.rowset),
                     ref.alias or ref.rowset))
         if isinstance(ref, ast.ModelContentRef):
             model = self.model(ref.model)
 
-            def facet(_) -> SourceRelation:
+            def facet(*_) -> SourceRelation:
                 if ref.facet == "CONTENT":
                     rowset = model_content_rowset(model)
                 elif ref.facet == "PMML":
@@ -538,7 +552,7 @@ class Provider:
                                                   ref.alias or ref.model)
             return PlanNode(
                 f"model {ref.facet.lower()}", target=model.name,
-                strategy="materialized", run=facet,
+                strategy="materialized", open=facet,
                 est_rows=model.case_count if ref.facet == "CASES" else None)
         if isinstance(ref, ast.NamedTable) and self.has_model(ref.name):
             raise Error(

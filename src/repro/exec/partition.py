@@ -194,17 +194,17 @@ def plan_train(provider, statement: ast.InsertModelStatement) -> PlanNode:
                           else "miss expected")
     node.estimator = estimate
 
-    def refit(space) -> bool:
-        """The model's refit hook, called under its write lock once the
-        dictionary pass is done: partition if the plan made this refit a
-        candidate and the run-time gates agree."""
-        if fallback is not None:
-            pool.note_serial_fallback(fallback)
-        ran = dop > 1 and train_partitioned(model, space, pool, dop)
-        node.children[0] = _refit_node(model, dop if ran else 1)
-        return ran
+    def run(node, batch_size: int) -> int:
+        def refit(space) -> bool:
+            """The model's refit hook, called under its write lock once the
+            dictionary pass is done: partition if the plan made this refit
+            a candidate and the run-time gates agree."""
+            if fallback is not None:
+                pool.note_serial_fallback(fallback)
+            ran = dop > 1 and train_partitioned(model, space, pool, dop)
+            node.children[0] = _refit_node(model, dop if ran else 1)
+            return ran
 
-    def run(batch_size: int) -> int:
         obs_workload.set_phase("bind")
         cases = None
         if key is not None:
@@ -238,7 +238,7 @@ def plan_train(provider, statement: ast.InsertModelStatement) -> PlanNode:
         metrics.gauge(f"model.{model.name}.case_count").set(model.case_count)
         metrics.histogram("training.cases_per_insert").observe(len(cases))
         return trained
-    node.run = run
+    node.open = run
     return node
 
 

@@ -132,6 +132,44 @@ class SubSelect(Expr):
     select: "SelectStatement" = None
 
 
+def children(expr: Expr) -> List[Expr]:
+    """The direct sub-expressions of ``expr``, in evaluation order — the one
+    enumeration every tree walk reads.  A subquery's SELECT is a statement,
+    not a child: walks stay inside the expression they were given."""
+    if isinstance(expr, BinaryOp):
+        return [expr.left, expr.right]
+    if isinstance(expr, (UnaryOp, IsNull, InSelect)):
+        return [expr.operand]
+    if isinstance(expr, FuncCall):
+        return list(expr.args)
+    if isinstance(expr, InList):
+        return [expr.operand, *expr.items]
+    if isinstance(expr, Between):
+        return [expr.operand, expr.low, expr.high]
+    if isinstance(expr, Like):
+        return [expr.operand, expr.pattern]
+    if isinstance(expr, Case):
+        found = [part for when in expr.whens for part in when]
+        if expr.else_result is not None:
+            found.append(expr.else_result)
+        return found
+    return []
+
+
+def conjuncts(expr: Optional[Expr]) -> List[Expr]:
+    """The operands of a top-level AND tree, left to right: ``[expr]`` when
+    it is not an AND, ``[]`` for an absent predicate."""
+    found: List[Expr] = []
+    pending = [expr]
+    while pending:
+        node = pending.pop()
+        if isinstance(node, BinaryOp) and node.op == "AND":
+            pending += [node.right, node.left]
+        elif node is not None:
+            found.append(node)
+    return found
+
+
 # ---------------------------------------------------------------------------
 # Table references (FROM clause sources)
 # ---------------------------------------------------------------------------

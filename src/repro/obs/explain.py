@@ -55,6 +55,9 @@ class PlanNode:
     prediction-join/flatten root, a ``SourceRelation`` from a FROM source,
     the number of cases consumed from a ``train`` root.  Planning only reads
     the catalog; scanning, locks, spans and usage counters start at ``run``.
+    What runs is ``open(node, batch_size)``: an opener is handed its node
+    rather than closing over it, so a plan tree is no reference cycle and
+    everything it holds is freed with the last reference to its root.
     ``columns`` lists a FROM source's ``(qualifier, name)`` pairs when they
     are known without reading data (None for mining-provider leaves), so a
     join above it can bind its keys at plan time.  ``estimator`` fills the
@@ -66,7 +69,7 @@ class PlanNode:
     __slots__ = ("operator", "target", "strategy", "est_rows", "cost",
                  "detail", "children", "span_name", "rows_counter", "match",
                  "cache", "actual_rows", "actual_batches", "wall_ms",
-                 "pool_tasks", "cache_actual", "run", "columns", "estimator")
+                 "pool_tasks", "cache_actual", "open", "columns", "estimator")
 
     def __init__(self, operator: str, target: Optional[str] = None,
                  strategy: Optional[str] = None,
@@ -77,7 +80,7 @@ class PlanNode:
                  match: str = "one",
                  cache: Optional[str] = None,
                  cost: Optional[float] = None,
-                 run: Optional[Callable] = None):
+                 open: Optional[Callable] = None):
         self.operator = operator
         self.target = target
         self.strategy = strategy
@@ -98,7 +101,7 @@ class PlanNode:
         self.wall_ms: Optional[float] = None
         self.pool_tasks: Optional[int] = None
         self.cache_actual: Optional[str] = None
-        self.run = run
+        self.open = open
         self.columns: Optional[List[Tuple[Optional[str], str]]] = None
         self.estimator: Optional[Callable[["PlanNode"], None]] = None
 
@@ -110,6 +113,10 @@ class PlanNode:
             estimator, self.estimator = self.estimator, None
             estimator(self)
         return self.est_rows
+
+    def run(self, batch_size: int):
+        """Run this operator (see the class docstring)."""
+        return self.open(self, batch_size)
 
     def add(self, child: "PlanNode") -> "PlanNode":
         self.children.append(child)
@@ -150,7 +157,7 @@ def build_plan(provider, statement: ast.Statement) -> PlanNode:
             flat = PlanNode("flatten", strategy="streamed")
             flat.add(node)
             flat.estimator = _copy_child_rows
-            flat.run = lambda batch_size: flatten_stream(
+            flat.open = lambda _, batch_size: flatten_stream(
                 node.run(batch_size))
             return flat
         return node

@@ -68,8 +68,8 @@ def plan_shape(shape: ast.ShapeExpr, database):
             (child.cost or 0.0) + float(child.est_rows or 0)
             for child in node.children[1:])
     node.estimator = estimate
-    node.run = lambda batch_size: _open_shape(shape, node.children,
-                                              batch_size)
+    node.open = lambda node, batch_size: _open_shape(shape, node.children,
+                                                     batch_size)
     return node
 
 

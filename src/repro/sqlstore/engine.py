@@ -36,7 +36,6 @@ from repro.sqlstore.expressions import (
     compile_expression,
     compile_filter,
     contains_aggregate,
-    evaluate,
     is_aggregate_call,
 )
 from repro.sqlstore.functions import make_aggregate
@@ -310,9 +309,9 @@ class Database:
                 table.insert(widen(list(row)))
                 count += 1
             return count
-        empty_context = EvalContext({}, ())
+        context = self._constant_context()
         for value_row in statement.rows:
-            values = [evaluate(e, empty_context) for e in value_row]
+            values = [_constant(e, context) for e in value_row]
             table.insert(widen(values))
             count += 1
         return count
@@ -449,7 +448,7 @@ class Database:
                             else node.est_rows)
                 node.cost = (source.cost or 0.0) + float(examined or 0)
             node.estimator = estimate
-        node.run = lambda batch_size: self._open_select(
+        node.open = lambda _, batch_size: self._open_select(
             statement, source, expanded, grouped, blocking, batch_size)
         return node
 
@@ -506,7 +505,7 @@ class Database:
                 # total as the (upper-bound) estimate either way.
                 node.est_rows = sum(ests)
         node.estimator = estimate
-        node.run = lambda batch_size: self._open_union(
+        node.open = lambda node, batch_size: self._open_union(
             statement, node.children, streaming, batch_size)
         return node
 
@@ -653,15 +652,22 @@ class Database:
 
         return Rowset(output_columns, output_rows)
 
-    def _select_without_from(self, statement: ast.SelectStatement) -> Rowset:
-        context = EvalContext({}, ())
+    def _constant_context(self) -> EvalContext:
+        """What binds an expression that has no row to read (a VALUES
+        cell, a FROM-less select item): no column resolves, subqueries
+        run."""
+        context = EvalContext({})
         context.subquery_executor = self.execute_select
+        return context
+
+    def _select_without_from(self, statement: ast.SelectStatement) -> Rowset:
+        context = self._constant_context()
         columns: List[RowsetColumn] = []
         values: List[Any] = []
         for position, item in enumerate(statement.select_list):
             if isinstance(item.expr, ast.Star):
                 raise BindError("SELECT * requires a FROM clause")
-            value = evaluate(item.expr, context)
+            value = _constant(item.expr, context)
             values.append(value)
             columns.append(RowsetColumn(
                 item.alias or f"Expr{position + 1}", infer_type(value)))
@@ -723,78 +729,72 @@ class Database:
                          batches):
         """GROUP BY / aggregates over the filtered ``batches``.
 
-        What runs per source row — the GROUP BY keys and the aggregates'
-        arguments — is compiled before the first batch is pulled; what runs
-        per group (HAVING, the select list and ORDER BY with the group's
-        aggregates substituted) is interpreted: groups are few.
+        Everything is bound before the first batch is pulled: what runs
+        per source row (the GROUP BY keys, the aggregates' arguments)
+        against ``context``, what runs per group (HAVING, the select list,
+        ORDER BY) against a :class:`_GroupContext`.
         """
         aggregate_nodes: List[ast.FuncCall] = []
 
         def collect(expr):
-            if expr is None:
-                return
             if is_aggregate_call(expr):
                 aggregate_nodes.append(expr)
                 return
-            for child in _children(expr):
+            for child in ast.children(expr):
                 collect(child)
 
         for expr, _ in expanded:
             collect(expr)
-        collect(statement.having)
+        if statement.having is not None:
+            collect(statement.having)
         for item in statement.order_by:
             collect(item.expr)
 
         group_keys = [compile_expression(g, context)
                       for g in statement.group_by]
         # COUNT(*) / COUNT() count rows and have no argument to bind.
-        arguments = {
-            id(node): compile_expression(node.args[0], context)
-            for node in aggregate_nodes
-            if node.args and not isinstance(node.args[0], ast.Star)}
+        arguments = [
+            compile_expression(node.args[0], context)
+            if node.args and not isinstance(node.args[0], ast.Star) else None
+            for node in aggregate_nodes]
+        group_context = _GroupContext(context, aggregate_nodes)
+        having = (compile_expression(statement.having, group_context)
+                  if statement.having is not None else None)
+        outputs = [compile_expression(expr, group_context)
+                   for expr, _ in expanded]
+        order_keys = self._bind_order_by(statement, expanded, group_context,
+                                         bare_only=False)
 
         # Bucket rows by the GROUP BY key (one global bucket if none).
         buckets: Dict[tuple, List[tuple]] = {}
-        order: List[tuple] = []
         group_key = V.group_key
         for batch in batches:
             for row in batch:
                 key = tuple([group_key(g(row)) for g in group_keys])
                 if key not in buckets:
                     buckets[key] = []
-                    order.append(key)
                 buckets[key].append(row)
         if not statement.group_by and not buckets:
             buckets[()] = []
-            order.append(())
 
         output_rows = []
-        representative_rows = []
-        for key in order:
-            bucket = buckets[key]
-            values: Dict[int, Any] = {}
-            for node in aggregate_nodes:
-                argument = arguments.get(id(node))
+        groups = []
+        for bucket in buckets.values():
+            values = []
+            for node, argument in zip(aggregate_nodes, arguments):
                 accumulator = make_aggregate(
                     node.name, count_rows=argument is None,
                     distinct=node.distinct)
                 for row in bucket:
                     accumulator.add(
                         None if argument is None else argument(row))
-                values[id(node)] = accumulator.result()
-            representative = bucket[0] if bucket else tuple(
-                [None] * len(relation.columns))
-            row_context = context.with_row(representative)
-
-            if statement.having is not None:
-                having_value = evaluate(
-                    _substitute(statement.having, values), row_context)
-                if having_value is not True:
-                    continue
-            output_rows.append(tuple(
-                evaluate(_substitute(expr, values), row_context)
-                for expr, _ in expanded))
-            representative_rows.append((representative, values))
+                values.append(accumulator.result())
+            group = (bucket[0] if bucket
+                     else tuple([None] * len(relation.columns)), values)
+            if having is not None and having(group) is not True:
+                continue
+            output_rows.append(tuple([output(group) for output in outputs]))
+            groups.append(group)
 
         output_columns = []
         for position, (expr, name) in enumerate(expanded):
@@ -802,41 +802,25 @@ class Database:
                 (row[position] for row in output_rows if row[position] is not None),
                 None)
             output_columns.append(RowsetColumn(name, infer_type(sample)))
-
-        # ORDER BY for grouped queries: resolve against output columns or
-        # re-evaluate with the bucket's aggregates substituted.
         if statement.order_by:
-            keys = []
-            names = [c.name.upper() for c in output_columns]
-            for out_row, (representative, values) in zip(
-                    output_rows, representative_rows):
-                key = []
-                for item in statement.order_by:
-                    if isinstance(item.expr, ast.ColumnRef) and \
-                            item.expr.name.upper() in names:
-                        value = out_row[names.index(item.expr.name.upper())]
-                    else:
-                        value = evaluate(_substitute(item.expr, values),
-                                         context.with_row(representative))
-                    key.append(V.sort_key(value))
-                keys.append(tuple(key))
-            directions = [item.ascending for item in statement.order_by]
-            output_rows = _multi_key_sort(output_rows, keys, directions)
+            output_rows = self._order_rows(statement, order_keys,
+                                           output_rows, groups)
         return output_columns, output_rows
 
     # -- ordering -------------------------------------------------------------
 
     @staticmethod
-    def _bind_order_by(statement, expanded, context):
+    def _bind_order_by(statement, expanded, context, bare_only=True):
         """One ``(reads_output, row -> value)`` pair per ORDER BY item: a
-        bare name matching an output column reads the output row, anything
-        else is compiled against the source row."""
+        name matching an output column (a bare one only, unless the SELECT
+        is grouped) reads the output row, anything else is compiled against
+        the source row — for a grouped SELECT, the group."""
         names = [name.upper() for _, name in expanded]
         bound = []
         for item in statement.order_by:
             expr = item.expr
-            if isinstance(expr, ast.ColumnRef) and len(expr.parts) == 1 \
-                    and expr.name.upper() in names:
+            if isinstance(expr, ast.ColumnRef) and expr.name.upper() in names \
+                    and (len(expr.parts) == 1 or not bare_only):
                 bound.append((True, itemgetter(
                     names.index(expr.name.upper()))))
             else:
@@ -1036,7 +1020,7 @@ class Database:
             self._view_depth -= 1
         node = obs_explain.PlanNode(
             "view", target=ref.name, strategy="inline expansion",
-            run=child.run)
+            open=lambda _, batch_size: child.run(batch_size))
         node.add(child)
         node.columns = child.columns
 
@@ -1058,7 +1042,7 @@ class Database:
         # anyway) cost more than the sequential scan.
         if choice is not None and \
                 self._seek_is_beneficial(table, choice.positions):
-            def seek(batch_size):
+            def seek(_, batch_size):
                 choice.note_use()
                 if self.metrics is not None:
                     name = ("index.range_seeks" if choice.access == "range"
@@ -1079,7 +1063,7 @@ class Database:
                 "index seek", target=ref.name,
                 strategy=f"index {choice.index.name} ({choice.access})",
                 detail=choice.detail, est_rows=len(choice.positions),
-                match="parent", rows_counter="rows_scanned", run=seek)
+                match="parent", rows_counter="rows_scanned", open=seek)
         else:
             def estimate(node):
                 node.cost = float(store.scan_cost())
@@ -1088,7 +1072,7 @@ class Database:
                 strategy=f"sequential (batch {self.batch_size})",
                 est_rows=len(table), match="parent",
                 rows_counter="rows_scanned",
-                run=lambda batch_size: SourceRelation(
+                open=lambda _, batch_size: SourceRelation(
                     columns, batches=table.iter_batches(batch_size)))
         node.estimator = estimate
         node.columns = [(qualifier, c.name) for _, c in columns]
@@ -1130,8 +1114,8 @@ class Database:
                 work = float((left_est or 0) * (right_est or 0))
             node.cost = (left.cost or 0.0) + (right.cost or 0.0) + work
         node.estimator = estimate
-        node.run = lambda batch_size: self._open_join(node, ref, method,
-                                                      batch_size)
+        node.open = lambda node, batch_size: self._open_join(
+            node, ref, method, batch_size)
         return node
 
     def _join_method(self, ref: ast.Join, left, right, left_names,
@@ -1342,9 +1326,9 @@ class Database:
 def as_from_source(node, qualifier: Optional[str]):
     """Turn a plan node whose ``run`` opens a :class:`RowStream` (a planned
     SELECT or SHAPE) into a FROM source under ``qualifier``."""
-    open_stream = node.run
-    node.run = lambda batch_size: SourceRelation.from_stream(
-        open_stream(batch_size), qualifier)
+    open_stream = node.open
+    node.open = lambda node, batch_size: SourceRelation.from_stream(
+        open_stream(node, batch_size), qualifier)
     if node.columns is not None:
         node.columns = [(qualifier, name) for _, name in node.columns]
     return node
@@ -1367,95 +1351,58 @@ class _JoinMethod(NamedTuple):
     build_left: bool = False
 
 
+class _GroupContext(EvalContext):
+    """The binder of what a grouped SELECT evaluates per group — HAVING,
+    the select list, ORDER BY.  Compiled over it, an expression is a
+    closure over a *group*, ``(representative_row, aggregate_values)``: an
+    aggregate call (by node identity) reads its slot of the values, a
+    column reference reads the representative row."""
+
+    def __init__(self, context: EvalContext,
+                 aggregate_nodes: List[ast.FuncCall]):
+        super().__init__(context.columns)
+        self.subquery_executor = context.subquery_executor
+        self._subquery_cache = context._subquery_cache
+        self.slots = {id(node): slot
+                      for slot, node in enumerate(aggregate_nodes)}
+
+    def bind_column(self, ref: ast.ColumnRef) -> Callable[[tuple], Any]:
+        read = super().bind_column(ref)
+        return lambda group: read(group[0])
+
+    def bind_function(self, call: ast.FuncCall) -> Callable[[tuple], Any]:
+        slot = self.slots.get(id(call))
+        if slot is None:
+            return super().bind_function(call)
+        return lambda group: group[1][slot]
+
+
 def _row_key(row: tuple) -> tuple:
     """Hashable identity of a row for DISTINCT / UNION dedup."""
     return tuple(V.group_key(v) if not isinstance(v, Rowset) else id(v)
                  for v in row)
 
 
-def _children(expr: ast.Expr) -> List[ast.Expr]:
-    if isinstance(expr, ast.BinaryOp):
-        return [expr.left, expr.right]
-    if isinstance(expr, ast.UnaryOp):
-        return [expr.operand]
-    if isinstance(expr, ast.FuncCall):
-        return list(expr.args)
-    if isinstance(expr, ast.IsNull):
-        return [expr.operand]
-    if isinstance(expr, ast.InList):
-        return [expr.operand] + list(expr.items)
-    if isinstance(expr, ast.InSelect):
-        return [expr.operand]
-    if isinstance(expr, ast.Between):
-        return [expr.operand, expr.low, expr.high]
-    if isinstance(expr, ast.Like):
-        return [expr.operand, expr.pattern]
-    if isinstance(expr, ast.Case):
-        children = []
-        for condition, result in expr.whens:
-            children += [condition, result]
-        if expr.else_result is not None:
-            children.append(expr.else_result)
-        return children
-    return []
-
-
-def _substitute(expr: ast.Expr, values: Dict[int, Any]) -> ast.Expr:
-    """Replace aggregate calls (by node identity) with computed literals."""
-    if expr is None:
-        return expr
-    if id(expr) in values:
-        return ast.Literal(values[id(expr)])
-    if isinstance(expr, ast.BinaryOp):
-        return ast.BinaryOp(expr.op, _substitute(expr.left, values),
-                            _substitute(expr.right, values))
-    if isinstance(expr, ast.UnaryOp):
-        return ast.UnaryOp(expr.op, _substitute(expr.operand, values))
-    if isinstance(expr, ast.FuncCall):
-        return ast.FuncCall(expr.name,
-                            [_substitute(a, values) for a in expr.args],
-                            expr.distinct)
-    if isinstance(expr, ast.IsNull):
-        return ast.IsNull(_substitute(expr.operand, values), expr.negated)
-    if isinstance(expr, ast.InList):
-        return ast.InList(_substitute(expr.operand, values),
-                          [_substitute(i, values) for i in expr.items],
-                          expr.negated)
-    if isinstance(expr, ast.Between):
-        return ast.Between(_substitute(expr.operand, values),
-                           _substitute(expr.low, values),
-                           _substitute(expr.high, values), expr.negated)
-    if isinstance(expr, ast.Like):
-        return ast.Like(_substitute(expr.operand, values),
-                        _substitute(expr.pattern, values), expr.negated)
-    if isinstance(expr, ast.Case):
-        return ast.Case(
-            [(_substitute(c, values), _substitute(r, values))
-             for c, r in expr.whens],
-            _substitute(expr.else_result, values)
-            if expr.else_result is not None else None)
-    return expr
+def _constant(expr: ast.Expr, context: EvalContext) -> Any:
+    """The value of an expression evaluated once, with no row to read: a
+    literal — nearly every VALUES cell — is read directly, anything else
+    compiles and runs."""
+    if type(expr) is ast.Literal:
+        return expr.value
+    return compile_expression(expr, context)(())
 
 
 def _split_equi_condition(condition: Optional[ast.Expr]):
     """Split an AND tree into column=column pairs and residual predicates."""
     equalities: List[Tuple[ast.ColumnRef, ast.ColumnRef]] = []
     residual: List[ast.Expr] = []
-
-    def walk(expr):
-        if isinstance(expr, ast.BinaryOp) and expr.op == "AND":
-            walk(expr.left)
-            walk(expr.right)
-            return
+    for expr in ast.conjuncts(condition):
         if isinstance(expr, ast.BinaryOp) and expr.op == "=" and \
                 isinstance(expr.left, ast.ColumnRef) and \
                 isinstance(expr.right, ast.ColumnRef):
             equalities.append((expr.left, expr.right))
-            return
-        residual.append(expr)
-
-    if condition is not None:
-        walk(condition)
+        else:
+            residual.append(expr)
     return equalities, residual
 
 

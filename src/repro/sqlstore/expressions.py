@@ -1,24 +1,19 @@
 """Expression evaluation for the relational engine.
 
-Two evaluators share one semantics (SQL three-valued logic from
-:mod:`repro.sqlstore.values`):
+One evaluator, one semantics (SQL three-valued logic from
+:mod:`repro.sqlstore.values`): :func:`compile_expression` walks an AST from
+:mod:`repro.lang.ast_nodes` **once**, when an operator opens, and returns a
+``row -> value`` closure — column references are bound to ordinals,
+functions to their handlers and LIKE literals to compiled regexes, so
+binding errors surface before the first row is read.  :func:`evaluate` is
+its one-shot spelling: compile, then call on ``context.row``.
 
-* :func:`compile_expression` walks an AST from :mod:`repro.lang.ast_nodes`
-  **once**, when an operator opens, and returns a ``row -> value`` closure:
-  column references are bound to ordinals, functions to their handlers and
-  LIKE literals to compiled regexes, so binding errors surface before the
-  first row is read.  Every per-row expression in the engine runs this way.
-* :func:`evaluate` interprets the tree against an :class:`EvalContext`
-  holding the current row.  It is the reference the compiled closures are
-  tested against and the one-shot evaluator (VALUES rows, FROM-less
-  SELECTs, per-group expressions).
-
-A context decides what a column reference and a function call *mean*:
-:meth:`EvalContext.bind_column` / :meth:`EvalContext.bind_function` for the
-compiler, ``resolve_column`` / ``call_function`` for the interpreter.  The
-prediction join's context overrides the first pair, so a PREDICTION JOIN's
-WHERE and select list — model columns and prediction UDFs included —
-compile through the same walk.
+A context decides what a column reference and a function call *mean*
+through two compile-time hooks, :meth:`EvalContext.bind_column` and
+:meth:`EvalContext.bind_function`.  The prediction join's context overrides
+them, so a PREDICTION JOIN's WHERE and select list — model columns and
+prediction UDFs included — compile through the same walk; so does the
+engine's group context, for what a grouped SELECT evaluates per group.
 """
 
 from __future__ import annotations
@@ -103,20 +98,6 @@ class EvalContext:
                 return self.columns[key]
         return None
 
-    def resolve_column(self, ref: ast.ColumnRef) -> Any:
-        index = self.resolve_index(ref.parts)
-        if index is None:
-            raise BindError(
-                f"cannot resolve column {'.'.join(ref.parts)!r}")
-        return self.row[index]
-
-    def call_function(self, call: ast.FuncCall, evaluator) -> Any:
-        """Evaluate a non-aggregate function call (the interpreter's
-        hook; the base implementation knows the SQL scalar functions)."""
-        handler = _scalar_handler(call.name)
-        return _call_scalar(call.name, handler,
-                            [evaluator(a) for a in call.args])
-
     # -- compile-time hooks: called once per reference, never per row ----------
 
     def bind_column(self, ref: ast.ColumnRef) -> Callable[[tuple], Any]:
@@ -144,116 +125,18 @@ def is_aggregate_call(expr: ast.Expr) -> bool:
 
 def contains_aggregate(expr: ast.Expr) -> bool:
     """True if the expression tree contains an aggregate function call."""
-    if expr is None:
-        return False
-    if is_aggregate_call(expr):
-        return True
-    children: List[ast.Expr] = []
-    if isinstance(expr, ast.BinaryOp):
-        children = [expr.left, expr.right]
-    elif isinstance(expr, ast.UnaryOp):
-        children = [expr.operand]
-    elif isinstance(expr, ast.FuncCall):
-        children = expr.args
-    elif isinstance(expr, (ast.IsNull, ast.Like, ast.Between, ast.InList)):
-        children = [expr.operand]
-        if isinstance(expr, ast.Between):
-            children += [expr.low, expr.high]
-        elif isinstance(expr, ast.Like):
-            children.append(expr.pattern)
-        elif isinstance(expr, ast.InList):
-            children += expr.items
-    elif isinstance(expr, ast.Case):
-        for condition, result in expr.whens:
-            children += [condition, result]
-        if expr.else_result is not None:
-            children.append(expr.else_result)
-    return any(contains_aggregate(c) for c in children if c is not None)
+    return is_aggregate_call(expr) or any(
+        map(contains_aggregate, ast.children(expr)))
 
 
 def evaluate(expr: ast.Expr, context: EvalContext) -> Any:
-    """Evaluate an expression against one row (``context.row``).
-
-    The reference interpreter: :func:`compile_expression` must agree with
-    it on every value and every error.
-    """
-    if isinstance(expr, ast.Literal):
-        return expr.value
-    if isinstance(expr, ast.ColumnRef):
-        return context.resolve_column(expr)
-    if isinstance(expr, ast.Star):
-        raise Error(_STAR_MESSAGE)
-    if isinstance(expr, ast.FuncCall):
-        return context.call_function(
-            expr, lambda a: evaluate(a, context))
-    if isinstance(expr, ast.BinaryOp):
-        return _evaluate_binary(expr, context)
-    if isinstance(expr, ast.UnaryOp):
-        if expr.op == "NOT":
-            return V.truth_not(_as_bool(evaluate(expr.operand, context)))
-        return _negate(evaluate(expr.operand, context))
-    if isinstance(expr, ast.IsNull):
-        result = evaluate(expr.operand, context) is None
-        return (not result) if expr.negated else result
-    if isinstance(expr, ast.InList):
-        return _membership(
-            evaluate(expr.operand, context),
-            (evaluate(item, context) for item in expr.items), expr.negated)
-    if isinstance(expr, ast.Between):
-        return _between(evaluate(expr.operand, context),
-                        evaluate(expr.low, context),
-                        evaluate(expr.high, context), expr.negated)
-    if isinstance(expr, ast.Like):
-        return _like(evaluate(expr.operand, context),
-                     evaluate(expr.pattern, context), expr.negated)
-    if isinstance(expr, ast.Case):
-        for condition, result in expr.whens:
-            if _as_bool(evaluate(condition, context)) is True:
-                return evaluate(result, context)
-        if expr.else_result is not None:
-            return evaluate(expr.else_result, context)
-        return None
-    if isinstance(expr, ast.SubSelect):
-        return _scalar_subquery_value(context.run_subquery(expr.select))
-    if isinstance(expr, ast.InSelect):
-        candidates = _subquery_column(context.run_subquery(expr.select))
-        return _membership(evaluate(expr.operand, context), candidates,
-                           expr.negated)
-    raise Error(f"cannot evaluate expression node {type(expr).__name__}")
-
-
-def _evaluate_binary(expr: ast.BinaryOp, context: EvalContext) -> Any:
-    op = expr.op
-    if op == "AND":
-        left = _as_bool(evaluate(expr.left, context))
-        if left is False:  # short circuit
-            return False
-        return V.truth_and(left, _as_bool(evaluate(expr.right, context)))
-    if op == "OR":
-        left = _as_bool(evaluate(expr.left, context))
-        if left is True:
-            return True
-        return V.truth_or(left, _as_bool(evaluate(expr.right, context)))
-    left = evaluate(expr.left, context)
-    right = evaluate(expr.right, context)
-    if op == "=":
-        return V.sql_equal(left, right)
-    if op == "<>":
-        result = V.sql_equal(left, right)
-        return None if result is None else not result
-    if op in ("<", "<=", ">", ">="):
-        comparison = V.sql_compare(left, right)
-        if comparison is None:
-            return None
-        return {"<": comparison < 0, "<=": comparison <= 0,
-                ">": comparison > 0, ">=": comparison >= 0}[op]
-    if op in _ARITHMETIC:
-        return _arithmetic(op, left, right)
-    raise Error(f"unknown binary operator {op!r}")
+    """The one-shot spelling: compile ``expr`` and call it on
+    ``context.row``.  Anything evaluated more than once compiles once."""
+    return compile_expression(expr, context)(context.row)
 
 
 # ---------------------------------------------------------------------------
-# operator semantics shared by the interpreter and the compiled closures
+# operator semantics
 # ---------------------------------------------------------------------------
 
 _STAR_MESSAGE = "'*' is only valid in a select list or COUNT(*)"
@@ -402,10 +285,9 @@ def compile_expression(expr: ast.Expr,
     ordinal and every function to its handler *now*, so ``cannot resolve
     column`` / ``unknown function`` are raised before a row is read — even
     on an empty input or behind a short-circuit — and evaluating a row
-    allocates no context and looks up no name.  Values and run-time errors
-    are those of :func:`evaluate`.  Subqueries stay lazy: they run through
-    ``context.run_subquery`` (and its per-statement cache) when a row first
-    needs them.
+    allocates no context and looks up no name.  Subqueries stay lazy: they
+    run through ``context.run_subquery`` (and its per-statement cache) when
+    a row first needs them.
     """
     compiler = _COMPILERS.get(type(expr))
     if compiler is None:

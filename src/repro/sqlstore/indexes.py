@@ -182,21 +182,6 @@ class IndexChoice:
             self.index.seeks += 1
 
 
-def _conjuncts(expr: Optional[ast.Expr]) -> List[ast.Expr]:
-    """Flatten a top-level AND tree into its conjunct list."""
-    out: List[ast.Expr] = []
-
-    def walk(node):
-        if isinstance(node, ast.BinaryOp) and node.op == "AND":
-            walk(node.left)
-            walk(node.right)
-        elif node is not None:
-            out.append(node)
-
-    walk(expr)
-    return out
-
-
 def _column_of(expr: ast.Expr, table, qualifier: str) -> Optional[int]:
     """Resolve a ColumnRef to this table's column ordinal, else None."""
     if not isinstance(expr, ast.ColumnRef):
@@ -232,7 +217,7 @@ def choose_index(where: Optional[ast.Expr], table,
     """
     if where is None or not getattr(table, "indexes", None):
         return None
-    for conjunct in _conjuncts(where):
+    for conjunct in ast.conjuncts(where):
         choice = _try_conjunct(conjunct, table, qualifier)
         if choice is not None:
             return choice

@@ -233,7 +233,7 @@ class TestDerivedStateLifetime:
     @staticmethod
     def dump_agrees(conn):
         from repro.core.persistence import dump_provider
-        from tests.core.reference_snapshot import reference_dump_provider
+        from tests.reference.reference_snapshot import reference_dump_provider
         text = dump_provider(conn.provider)
         assert text == reference_dump_provider(conn.provider)
         return text
@@ -286,7 +286,7 @@ class TestDerivedStateLifetime:
         is cancelled) and the cases are rolled back, that entry must go
         with them."""
         from repro.core.persistence import dump_provider
-        from tests.core.reference_snapshot import reference_dump_provider
+        from tests.reference.reference_snapshot import reference_dump_provider
         model = trained.model("M")
         first = reference_dump_provider(trained.provider)
         seen = []

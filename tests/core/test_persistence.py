@@ -17,7 +17,7 @@ from repro.sqlstore.storage import ListRowStore
 from repro.sqlstore.table import Table
 from repro.sqlstore.types import LONG
 
-from tests.core.reference_snapshot import reference_dump_provider
+from tests.reference.reference_snapshot import reference_dump_provider
 
 
 @pytest.fixture

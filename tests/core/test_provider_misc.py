@@ -1,6 +1,9 @@
 """Provider-level behaviours not covered elsewhere: scripts, facets,
 connection semantics, dispatch corners."""
 
+import gc
+import weakref
+
 import pytest
 
 import repro
@@ -14,6 +17,59 @@ class TestConnection:
             conn.execute("SELECT 1")
         with pytest.raises(Error):
             conn.execute("SELECT 1")
+
+    def test_closing_frees_tables_and_provider_by_reference_count(self):
+        """No statement kind leaves a reference cycle through the database
+        behind: executed plan trees are handed their node (``PlanNode.
+        open``) rather than closing over it, and the provider's two hooks
+        are held weakly.  So a closed connection's memory is returned at
+        ``del``, not whenever a gen-2 collection next runs."""
+        gc.disable()
+        try:
+            conn = repro.connect()
+            conn.execute_script("""
+                CREATE TABLE T (a LONG, b TEXT);
+                CREATE TABLE U (a LONG, b TEXT);
+                INSERT INTO T VALUES (1, 'x'), (2, 'y'), (3, 'x');
+                INSERT INTO U VALUES (1, 'p'), (2, 'q');
+                CREATE VIEW V AS SELECT a, b FROM T WHERE a > 1;
+                CREATE MINING MODEL M (a LONG KEY, b TEXT DISCRETE PREDICT)
+                    USING Microsoft_Decision_Trees;
+                SELECT a FROM T WHERE a IN (SELECT a FROM U);
+                SELECT T.a, U.b FROM T INNER JOIN U ON T.a = U.a;
+                SELECT T.a FROM T LEFT JOIN V ON T.a = V.a AND V.b <> 'q';
+                SELECT a FROM T UNION SELECT a FROM U;
+                SELECT a FROM T UNION ALL SELECT a FROM V;
+                SELECT b, COUNT(*) FROM T GROUP BY b HAVING COUNT(*) > 0
+                    ORDER BY b;
+                SELECT * FROM (SHAPE {SELECT a, b FROM T ORDER BY a}
+                    APPEND ({SELECT a, b FROM U ORDER BY a}
+                            RELATE a TO a) AS N) AS s;
+                INSERT INTO M (a, b) SELECT a, b FROM T;
+                INSERT INTO M (a, b) SELECT a, b FROM U;
+                SELECT t.a, M.b, PredictProbability(b) FROM M
+                    NATURAL PREDICTION JOIN (SELECT a, b FROM T) AS t
+                    WHERE t.a IN (SELECT a FROM U);
+                SELECT M.b FROM M NATURAL PREDICTION JOIN
+                    (SELECT 4 AS a, 'x' AS b) AS t;
+                SELECT * FROM M.CONTENT;
+                SELECT * FROM $SYSTEM.DM_QUERY_LOG;
+                EXPLAIN ANALYZE SELECT T.a FROM T INNER JOIN U ON T.a = U.a;
+                EXPLAIN ANALYZE INSERT INTO M (a, b) SELECT a, b FROM T
+            """)
+            stream = conn.execute_stream("SELECT a FROM T", batch_size=1)
+            assert next(stream.batches()) == [(1,)]
+            del stream
+            table = weakref.ref(conn.database.table("T"))
+            database = weakref.ref(conn.database)
+            provider = weakref.ref(conn.provider)
+            conn.close()
+            del conn
+            assert table() is None
+            assert database() is None
+            assert provider() is None
+        finally:
+            gc.enable()
 
     def test_execute_script_returns_each_result(self, conn):
         results = conn.execute_script("""

@@ -1,21 +1,31 @@
 """Differential harness: compiled closures vs the reference interpreter.
 
-``compile_expression(e, ctx)(row)`` must equal ``evaluate(e,
-ctx.with_row(row))`` — the same value of the same type, or the same error
-class with the same message — for
+The interpreter left ``src/`` when the compiler became the only evaluator;
+it is ``tests/reference/reference_evaluator.py`` (``evaluate`` in
+``repro.sqlstore.expressions`` is the compiler's one-shot spelling now, so
+comparing against *it* would compare the compiler with itself).
 
-(i)  every WHERE / select-list / GROUP BY / ORDER BY / ON expression (and
-     every aggregate argument) of the fixed statement grid, over the rows
-     the grid's own FROM clauses produce, and
-(ii) expression trees drawn by hypothesis over a four-column row of mixed
-     ``None/bool/int/float/str/date`` values.
+``compile_expression(e, ctx)(row)`` must equal ``reference_evaluate(e,
+reference_context(ctx, row))`` — the same value of the same type, or the
+same error class with the same message — for
+
+(i)   every WHERE / select-list / GROUP BY / ORDER BY / ON expression (and
+      every aggregate argument) of the fixed statement grid, over the rows
+      the grid's own FROM clauses produce,
+(ii)  expression trees drawn by hypothesis over a four-column row of mixed
+      ``None/bool/int/float/str/date`` values, and
+(iii) what a grouped SELECT evaluates per group — HAVING, the select list,
+      ORDER BY: the engine binds them once over a group context, the
+      oracle rewrites the tree per group with the aggregates substituted
+      (``reference_substitute``) and interprets it.  A fixed grid of
+      grouped statements and hypothesis-drawn post-aggregate trees.
 
 The one sanctioned difference is *when* names bind: the compiler raises
 ``BindError`` once, up front; the interpreter raises it on every row that
 reaches the node.
 
-The example budget of (ii) comes from the hypothesis profile
-(``tests/conftest.py``): 100 in tier-1, 2,000 under
+The example budgets of (ii) and (iii) come from the hypothesis profile
+(``tests/conftest.py``): 25 in tier-1, 2,000 under
 ``--hypothesis-profile=deep``.
 """
 
@@ -26,17 +36,23 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import BindError, Error
 from repro.lang import ast_nodes as ast
-from repro.lang.parser import parse_statement
-from repro.sqlstore.engine import Database, _children
+from repro.lang.parser import parse_expression, parse_statement
+from repro.sqlstore import values as V
+from repro.sqlstore.engine import Database, _multi_key_sort
 from repro.sqlstore.expressions import (
     EvalContext,
     compile_expression,
     contains_aggregate,
-    evaluate,
     is_aggregate_call,
 )
+from repro.sqlstore.functions import make_aggregate
 
 from tests.differential.test_stream_vs_materialize import STATEMENTS, _load
+from tests.reference.reference_evaluator import (
+    reference_context,
+    reference_evaluate,
+    reference_substitute,
+)
 
 JOIN_SIDE_ROWS = 45     # ON expressions see a 45 x 45 corner of the product
 
@@ -53,8 +69,10 @@ def outcome(thunk):
 
 
 def assert_paths_agree(expr, context, rows):
-    interpreted = [outcome(lambda: evaluate(expr, context.with_row(row)))
-                   for row in rows]
+    interpreted = [
+        outcome(lambda: reference_evaluate(expr,
+                                           reference_context(context, row)))
+        for row in rows]
     try:
         compiled = compile_expression(expr, context)
     except BindError as exc:
@@ -123,7 +141,7 @@ def _per_row_expressions(select):
                 yield from (arg for arg in node.args
                             if not isinstance(arg, ast.Star))
             elif contains_aggregate(node):
-                pending += _children(node)
+                pending += ast.children(node)
 
 
 @pytest.mark.parametrize("statement", STATEMENTS)
@@ -243,3 +261,257 @@ def test_generated_expressions_agree(subquery_db, expr, rows):
     context = EvalContext.from_names(COLUMNS, "t")
     context.subquery_executor = subquery_db.execute_select
     assert_paths_agree(expr, context, rows)
+
+
+# -- (iii) per-group expressions ----------------------------------------------------
+
+def statement_outcome(thunk):
+    """What a grouped SELECT produced: its rows (each cell with its type),
+    or the provider error it raised."""
+    try:
+        rows = thunk()
+    except Error as exc:
+        return ("raised", type(exc).__name__, str(exc))
+    return ("rows", [tuple((type(cell).__name__, cell) for cell in row)
+                     for row in rows])
+
+
+def reference_grouped_rows(database, select):
+    """The rows of a grouped SELECT, every expression interpreted — the
+    per-group half of ``Database._execute_grouped`` as it stood before it
+    bound HAVING, the select list and ORDER BY once over a group context:
+    a copy of each tree per group with the group's aggregate values
+    substituted as literals (``reference_substitute``), interpreted against
+    the group's first row.  Aggregation itself (``make_aggregate``), group
+    keys and the sort are the engine's own: they are not what is compared.
+    """
+    relation = database.resolve_table_ref(select.from_clause)
+    context = relation.context()
+    context.subquery_executor = database.execute_select
+
+    def interpret(expr, row):
+        return reference_evaluate(expr, reference_context(context, row))
+
+    rows = [row for row in relation.rows
+            if select.where is None or interpret(select.where, row) is True]
+    expanded = database._expand_select_list(select, relation.names())
+    roots = [expr for expr, _ in expanded] + [select.having] + \
+        [item.expr for item in select.order_by]
+    aggregate_nodes = []
+    pending = [root for root in reversed(roots) if root is not None]
+    while pending:
+        node = pending.pop()
+        if is_aggregate_call(node):
+            aggregate_nodes.append(node)
+        else:
+            pending += reversed(ast.children(node))
+
+    buckets = {}
+    for row in rows:
+        key = tuple(V.group_key(interpret(g, row)) for g in select.group_by)
+        buckets.setdefault(key, []).append(row)
+    if not select.group_by and not buckets:
+        buckets[()] = []
+
+    names = [name.upper() for _, name in expanded]
+    output_rows, keys = [], []
+    for bucket in buckets.values():
+        values = {}
+        for node in aggregate_nodes:
+            counts_rows = not node.args or isinstance(node.args[0], ast.Star)
+            accumulator = make_aggregate(node.name, count_rows=counts_rows,
+                                         distinct=node.distinct)
+            for row in bucket:
+                accumulator.add(None if counts_rows
+                                else interpret(node.args[0], row))
+            values[id(node)] = accumulator.result()
+        representative = bucket[0] if bucket else \
+            tuple([None] * len(relation.columns))
+
+        def per_group(expr, values=values, representative=representative):
+            return interpret(reference_substitute(expr, values),
+                             representative)
+
+        if select.having is not None and \
+                per_group(select.having) is not True:
+            continue
+        out_row = tuple(per_group(expr) for expr, _ in expanded)
+        output_rows.append(out_row)
+        keys.append((out_row, per_group))
+    if select.order_by:
+        sort_keys = [
+            tuple(V.sort_key(
+                out_row[names.index(item.expr.name.upper())]
+                if isinstance(item.expr, ast.ColumnRef)
+                and item.expr.name.upper() in names
+                else per_group(item.expr))
+                for item in select.order_by)
+            for out_row, per_group in keys]
+        output_rows = _multi_key_sort(
+            output_rows, sort_keys,
+            [item.ascending for item in select.order_by])
+    return output_rows
+
+
+def assert_grouped_paths_agree(database, select):
+    interpreted = statement_outcome(
+        lambda: reference_grouped_rows(database, select))
+    compiled = statement_outcome(
+        lambda: database.execute_select(select).rows)
+    assert compiled == interpreted
+
+
+@pytest.fixture(scope="module")
+def grouped_db():
+    database = Database()
+    database.execute("CREATE TABLE T (g INT, k TEXT, a INT, b DOUBLE, "
+                     "c TEXT)")
+    database.execute(
+        "INSERT INTO T VALUES "
+        "(1, 'x', 5, 1.5, 'apple'), (1, 'y', NULL, 2.5, 'avocado'), "
+        "(1, 'x', 7, NULL, NULL), (2, 'x', 3, 0.5, 'banana'), "
+        "(2, 'y', 3, 4.0, 'Banana'), (NULL, 'x', 9, 9.5, 'cherry'), "
+        "(NULL, NULL, NULL, NULL, NULL), (3, 'z', 0, -1.0, 'date')")
+    database.execute("CREATE TABLE E (g INT, k TEXT, a INT, b DOUBLE, "
+                     "c TEXT)")
+    database.execute("CREATE TABLE S (v INT)")
+    database.execute("INSERT INTO S VALUES (1), (2), (NULL), (3)")
+    database.execute("CREATE TABLE Nothing (v INT)")
+    return database
+
+
+GROUPED_STATEMENTS = [
+    # aggregates beside the group key; HAVING; ORDER BY by name / by tree
+    "SELECT g, COUNT(*) AS n FROM T GROUP BY g",
+    "SELECT g, COUNT(*) AS n FROM T GROUP BY g HAVING COUNT(*) > 1",
+    "SELECT g, SUM(a) AS s, AVG(b) AS m FROM T GROUP BY g "
+    "HAVING SUM(a) IS NOT NULL ORDER BY s DESC",
+    "SELECT g, k, COUNT(a) FROM T GROUP BY g, k ORDER BY g, k",
+    "SELECT g AS grp, COUNT(*) AS n FROM T GROUP BY g ORDER BY n DESC, grp",
+    "SELECT T.g, COUNT(*) AS n FROM T GROUP BY T.g ORDER BY T.g DESC",
+    "SELECT g, COUNT(*) FROM T WHERE a IS NOT NULL GROUP BY g "
+    "ORDER BY COUNT(*) DESC, g",
+    "SELECT g, ROUND(AVG(b), 1) AS m, COALESCE(SUM(a), 0) + 1 AS s FROM T "
+    "GROUP BY g ORDER BY COALESCE(SUM(a), 0) DESC, g",
+    "SELECT g, MAX(a) - MIN(a) AS spread FROM T GROUP BY g "
+    "HAVING MAX(a) - MIN(a) BETWEEN 0 AND 10 ORDER BY spread",
+    # non-aggregated columns read the group's first row
+    "SELECT g, c, COUNT(*) FROM T GROUP BY g",
+    "SELECT g, UPPER(k) || '-' || c AS tag FROM T GROUP BY g ORDER BY tag",
+    "SELECT * FROM T GROUP BY g HAVING COUNT(*) >= 2",
+    # CASE, scalar functions, LIKE, IN lists over aggregates
+    "SELECT CASE WHEN COUNT(*) > 2 THEN 'many' WHEN g IS NULL THEN 'null' "
+    "ELSE UPPER(MIN(c)) END AS label FROM T GROUP BY g",
+    "SELECT g, MIN(c) AS first FROM T GROUP BY g "
+    "HAVING MIN(c) LIKE 'a%' OR g IS NULL",
+    "SELECT g, COUNT(*) IN (1, 3) AS odd, IIF(SUM(a) > 5, 'hi', 'lo') "
+    "FROM T GROUP BY g",
+    "SELECT g, NOT (COUNT(a) = COUNT(*)) AS has_null, -SUM(a) AS neg "
+    "FROM T GROUP BY g",
+    # scalar and IN subqueries, aggregates on either side of them
+    "SELECT g FROM T GROUP BY g HAVING COUNT(*) IN (SELECT v FROM S)",
+    "SELECT g FROM T GROUP BY g "
+    "HAVING COUNT(*) NOT IN (SELECT v FROM S WHERE v IS NOT NULL)",
+    "SELECT g, COUNT(*) NOT IN (SELECT v FROM S) AS x FROM T GROUP BY g",
+    "SELECT COUNT(*) IN (SELECT 8) AS x FROM T",
+    "SELECT g, SUM(a) > (SELECT MAX(v) FROM S) AS big FROM T GROUP BY g",
+    "SELECT g, (SELECT COUNT(*) FROM S) + COUNT(*) AS n FROM T GROUP BY g "
+    "ORDER BY (SELECT MIN(v) FROM S) - COUNT(*), g",
+    "SELECT g FROM T GROUP BY g HAVING g IN (SELECT v FROM Nothing)",
+    # the empty-input global group, and no group at all
+    "SELECT COUNT(*), SUM(a), MIN(c), MAX(b), AVG(a) FROM E",
+    "SELECT COUNT(*) AS n, g, UPPER(c) FROM E",
+    "SELECT COUNT(*) FROM E HAVING COUNT(*) = 0",
+    "SELECT COUNT(*) FROM E HAVING COUNT(*) > 0",
+    "SELECT g, COUNT(*) FROM E GROUP BY g ORDER BY COUNT(*)",
+    "SELECT COUNT(*) FROM T WHERE g = 99",
+    # DISTINCT aggregates, NULL groups and NULL keys
+    "SELECT g, COUNT(DISTINCT k) AS d, COUNT(k) AS n FROM T GROUP BY g "
+    "ORDER BY d, g",
+    "SELECT COUNT(DISTINCT g), COUNT(DISTINCT a) + 0 FROM T",
+    "SELECT k, g, COUNT(*) FROM T GROUP BY k, g HAVING k IS NULL OR g IS NULL",
+    "SELECT a + 0 AS a0, COUNT(*) FROM T GROUP BY a + 0 ORDER BY a0 DESC",
+    # values and errors alike: NULL from division by zero, a type error,
+    # a wrong arity, a two-column scalar subquery, a non-boolean HAVING
+    "SELECT g, COUNT(*) / (COUNT(*) - 2) AS q FROM T GROUP BY g",
+    "SELECT g, MIN(c) + 1 AS bad FROM T GROUP BY g",
+    "SELECT g, LEN(MIN(c), 2) FROM T GROUP BY g",
+    "SELECT g, (SELECT v, v FROM S) FROM T GROUP BY g",
+    "SELECT g FROM T GROUP BY g HAVING SUM(a)",
+    "SELECT g FROM T GROUP BY g HAVING MIN(c)",
+    "SELECT g FROM T GROUP BY g ORDER BY MIN(c) + 1",
+]
+
+
+@pytest.mark.parametrize("statement", GROUPED_STATEMENTS)
+def test_grouped_grid_agrees(grouped_db, statement):
+    assert_grouped_paths_agree(grouped_db, parse_statement(statement))
+
+
+def test_grouped_grid_is_not_vacuous(grouped_db):
+    produced = [statement_outcome(
+        lambda: grouped_db.execute_select(parse_statement(statement)).rows)
+        for statement in GROUPED_STATEMENTS]
+    raised = [outcome for outcome in produced if outcome[0] == "raised"]
+    assert 4 <= len(raised) <= 8
+    assert sum(len(outcome[1]) for outcome in produced
+               if outcome[0] == "rows") > 80
+
+
+AGGREGATES = ["COUNT(*)", "COUNT(a)", "COUNT(DISTINCT k)", "SUM(a)",
+              "SUM(a + 1)", "AVG(b)", "MIN(c)", "MAX(a)", "MIN(b)",
+              "STDEV(b)"]
+
+GROUP_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3),
+    st.sampled_from([-1.5, 0.0, 2.5]),
+    st.sampled_from(["", "a", "A", "a%", "1"]))
+
+GROUP_ROWS = st.tuples(
+    st.one_of(st.none(), st.integers(1, 3)),                   # g
+    st.one_of(st.none(), st.sampled_from(["x", "y"])),         # k
+    st.one_of(st.none(), st.integers(-3, 3)),                  # a
+    st.one_of(st.none(), st.sampled_from([-1.5, 0.0, 2.5])),   # b
+    st.one_of(st.none(), st.sampled_from(["", "a", "A", "ab"])))  # c
+
+
+@st.composite
+def post_aggregate_trees(draw):
+    """One to three trees (select item, then maybe HAVING, maybe ORDER BY)
+    over a shared pool of 1-3 aggregate calls, the group key, the first
+    row's ``c``, literals and scalar subqueries.  The aggregate nodes are
+    parsed per draw and shared by identity between the trees, as one
+    parsed statement shares nothing but may repeat a spelling."""
+    pool = [parse_expression(text) for text in draw(
+        st.lists(st.sampled_from(AGGREGATES), min_size=1, max_size=3))]
+    leaves = st.one_of(
+        st.sampled_from(pool), st.sampled_from(pool),
+        st.builds(ast.Literal, GROUP_VALUES),
+        st.sampled_from([ast.ColumnRef(("g",)), ast.ColumnRef(("T", "c"))]),
+        st.builds(ast.SubSelect, st.sampled_from(SUBQUERIES)))
+    trees = _extend(st.recursive(leaves, _extend, max_leaves=5)).filter(
+        contains_aggregate)
+    return draw(trees), draw(st.one_of(st.none(), trees)), \
+        draw(st.one_of(st.none(), trees))
+
+
+@settings(deadline=None)
+@given(trees=post_aggregate_trees(),
+       rows=st.lists(GROUP_ROWS, max_size=10), grouped=st.booleans())
+def test_generated_post_aggregate_trees_agree(grouped_db, trees, rows,
+                                              grouped):
+    table = grouped_db.table("E")
+    try:
+        for row in rows:
+            table.insert(list(row))
+        output, having, order = trees
+        select = parse_statement(
+            "SELECT g, 0 AS x FROM E GROUP BY g" if grouped
+            else "SELECT 0 AS x FROM E")
+        select.select_list[-1].expr = output
+        select.having = having
+        if order is not None:
+            select.order_by = [ast.OrderItem(order, ascending=False)]
+        assert_grouped_paths_agree(grouped_db, select)
+    finally:
+        table.truncate()

@@ -3,7 +3,7 @@ interpreter it replaced.
 
 ``compile_cases(model, ctx, where, exprs)(pairs)`` — WHERE and the select
 list bound once, the batch scored through ``predict_cases`` — must equal
-``tests/core/prediction_oracle.evaluate_cases`` — a fresh context per case,
+``tests/reference/prediction_oracle.evaluate_cases`` — a fresh context per case,
 every name resolved again, the case scored on first use — value for value
 (``==`` on every float, nested rowsets included), or fail with the same
 provider error, over
@@ -21,7 +21,7 @@ The one sanctioned difference is *when* names bind: the kernel raises a
 the interpreter raises it on the first case that reaches the node.
 
 The example budget comes from the hypothesis profile (``tests/conftest.py``):
-50 per service in tier-1, 1,000 under ``--hypothesis-profile=deep``.
+12 per service in tier-1, 1,000 under ``--hypothesis-profile=deep``.
 """
 
 import re
@@ -44,7 +44,7 @@ from repro.lang import ast_nodes as ast
 from repro.lang.parser import parse_statement
 from repro.sqlstore.rowset import Rowset
 
-from tests.core import prediction_oracle as oracle
+from tests.reference import prediction_oracle as oracle
 from tests.differential.test_parallel_vs_serial import SCENARIOS, _load
 
 #: Rows added to the sources *after* training: a missing input, categories

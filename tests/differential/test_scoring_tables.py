@@ -4,7 +4,7 @@ they replaced, and the life cycle of the tables themselves.
 (ii)  ``predict_many(obs) == [predict(o) for o in obs]`` for all eight
       registered services, and the table-driven ``predict`` of naive Bayes
       and the decision tree equals the test-side transcription of the old
-      formula (``tests/algorithms/reference_scorers.py``) — over missing
+      formula (``tests/reference/reference_scorers.py``) — over missing
       inputs, unseen categories, codes outside the fitted range,
       PROBABILITY / SUPPORT qualifiers, continuous inputs and targets;
 (iii) ``AttributeSpace.encode`` off its slot plan equals the transcription
@@ -20,7 +20,7 @@ they replaced, and the life cycle of the tables themselves.
 
 Equality is exact everywhere: ``==`` on value, probability, support,
 variance and the whole histogram.  The hypothesis budget comes from the
-profile (100 in tier-1, 2,000 under ``--hypothesis-profile=deep``; the two
+profile (25 in tier-1, 2,000 under ``--hypothesis-profile=deep``; the two
 scorers share it).
 """
 
@@ -44,7 +44,7 @@ from repro.pmml.state import (
     algorithm_state_to_json,
 )
 
-from tests.algorithms.reference_scorers import (
+from tests.reference.reference_scorers import (
     reference_decision_tree_predict,
     reference_encode,
     reference_naive_bayes_predict,

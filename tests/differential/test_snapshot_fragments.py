@@ -2,7 +2,7 @@
 
 ``core.persistence.dump_provider`` concatenates one cached text fragment per
 table and per trained model, re-encoding only what its owner changed since
-the last dump.  ``tests/core/reference_snapshot.reference_dump_provider`` is
+the last dump.  ``tests/reference/reference_snapshot.reference_dump_provider`` is
 the encoder it replaced — nested lists, one ``json.dumps`` — and remembers
 nothing.  After *every* statement of a sequence the two must be string-equal,
 whichever of the three ways a table's rows were produced (fragment reused,
@@ -21,7 +21,7 @@ from repro.core.persistence import dump_provider
 from repro.sqlstore.schema import ColumnSchema, TableSchema
 from repro.sqlstore.types import DATE, DOUBLE, LONG, TEXT
 
-from tests.core.reference_snapshot import reference_dump_provider
+from tests.reference.reference_snapshot import reference_dump_provider
 from tests.differential.test_stream_vs_materialize import STATEMENTS, _load
 
 ROWS = "store.snapshot_rows_encoded"

@@ -1,5 +1,5 @@
 """Differential harness: training from the case matrix vs the per-observation
-trainers it replaced (``tests/algorithms/reference_trainers.py``).
+trainers it replaced (``tests/reference/reference_trainers.py``).
 
 (i)   a model trained through ``MiningModel.train`` — one INSERT, or a
       second one that is absorbed (naive Bayes) or refits — equals the
@@ -19,7 +19,7 @@ trainers it replaced (``tests/algorithms/reference_trainers.py``).
       every interpreter, builtin ``sum`` or not.
 
 Equality is exact everywhere.  The hypothesis budget comes from the profile
-(100 in tier-1, 2,000 under ``--hypothesis-profile=deep``).
+(25 in tier-1, 2,000 under ``--hypothesis-profile=deep``).
 """
 
 import pytest
@@ -37,7 +37,7 @@ from repro.exec.partition import _train_partition, contiguous_chunks
 from repro.pmml.state import algorithm_state_to_json
 from repro.pmml.writer import to_pmml
 
-from tests.algorithms.reference_trainers import (
+from tests.reference.reference_trainers import (
     reference_model_train,
     reference_naive_bayes_train,
     reference_partial_marginals,

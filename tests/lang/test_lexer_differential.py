@@ -1,7 +1,7 @@
 """Differential: the compiled scanner vs the character-loop oracle.
 
 ``repro.lang.lexer.tokenize`` walks one compiled pattern;
-``tests/lang/reference_lexer.py`` is the ``_peek``/``_advance`` loop it
+``tests/reference/reference_lexer.py`` is the ``_peek``/``_advance`` loop it
 replaced.  On any text the two must agree token for token — kind, value,
 value type, line, column — or fail with the same ``ParseError``: message,
 line and column.  The generated text mixes every comment form, the
@@ -23,7 +23,7 @@ from repro.errors import ParseError
 from repro.lang.lexer import Scan, TokenKind, tokenize
 from repro.server import DmxServer
 
-from tests.lang.reference_lexer import reference_tokenize
+from tests.reference.reference_lexer import reference_tokenize
 
 FRAGMENTS = [
     # trivia

@@ -194,13 +194,13 @@ class TestCaptureIsPerStatement:
             plan = build(provider, statement)
             gate = gates.get(threading.current_thread().name)
             if gate is not None:
-                run = plan.run
+                opener = plan.open
 
-                def run_held(batch_size):
+                def open_held(node, batch_size):
                     gate[0].set()
                     assert gate[1].wait(10)
-                    return run(batch_size)
-                plan.run = run_held
+                    return opener(node, batch_size)
+                plan.open = open_held
             return plan
 
         monkeypatch.setattr(provider_module, "build_plan", build_held)

@@ -5,7 +5,8 @@ list were compiled once per statement
 (:func:`repro.core.prediction.compile_cases`): a fresh
 :class:`PredictionEvalContext` per case, every model column, attribute and
 function argument resolved again for every case through
-:func:`repro.sqlstore.expressions.evaluate`, and the case scored on first
+the interpreter's ``evaluate`` (``tests/reference/reference_evaluator.py``
+since PR 21), and the case scored on first
 use.  It is kept, unoptimised, as the reference the compiled kernel is
 tested against; nothing under ``src/`` imports it.
 """
@@ -19,9 +20,10 @@ from repro.algorithms.base import AttributePrediction, PredictionBucket
 from repro.core.bindings import MappedCase
 from repro.errors import BindError, PredictionError
 from repro.lang import ast_nodes as ast
-from repro.sqlstore.expressions import EvalContext, evaluate
 from repro.sqlstore.rowset import Rowset, RowsetColumn
 from repro.sqlstore.types import DOUBLE, LONG, TEXT
+
+from tests.reference.reference_evaluator import EvalContext, evaluate
 
 
 class PredictionScope:

@@ -77,6 +77,20 @@ class TestSelectBasics:
         rowset = db.execute("SELECT 1 + 1 AS two, 'x' AS s")
         assert rowset.rows == [(2, "x")]
 
+    def test_select_without_from_runs_subqueries(self, db):
+        rowset = db.execute(
+            "SELECT (SELECT MAX(Age) FROM Customers) AS oldest, "
+            "2 IN (SELECT CustID FROM Sales) AS sold, -(1 + 1) AS n")
+        assert rowset.rows == [(52.0, True, -2)]
+        assert rowset.column_names() == ["oldest", "sold", "n"]
+
+    def test_select_star_without_from(self, db):
+        with pytest.raises(BindError,
+                           match=r"SELECT \* requires a FROM clause"):
+            db.execute("SELECT *")
+        with pytest.raises(BindError, match="cannot resolve column 'x'"):
+            db.execute("SELECT x, *")  # item by item, left to right
+
     def test_qualified_star(self, db):
         rowset = db.execute(
             "SELECT c.* FROM Customers c JOIN Sales s "
@@ -192,6 +206,58 @@ class TestGrouping:
             "SELECT SUM(Quantity) / COUNT(*) AS mean FROM Sales")
         assert rowset.single_value() == pytest.approx(13.0 / 5)
 
+    def test_aggregate_under_in_select_makes_the_query_grouped(self, db):
+        # Was ``BindError: unknown function 'COUNT'``: the walk that looks
+        # for aggregates forgot the operand of IN (SELECT ...).
+        rowset = db.execute("SELECT COUNT(*) IN (SELECT 5) AS x FROM Sales")
+        assert rowset.rows == [(True,)]
+        rowset = db.execute(
+            "SELECT COUNT(*) NOT IN (SELECT 5) AS x FROM Sales")
+        assert rowset.rows == [(False,)]
+
+    def test_having_aggregate_in_select_filters_groups(self, db):
+        rowset = db.execute(
+            "SELECT CustID FROM Sales GROUP BY CustID "
+            "HAVING COUNT(*) IN (SELECT 2) ORDER BY CustID")
+        assert rowset.rows == [(1,), (4,)]
+        rowset = db.execute(
+            "SELECT CustID FROM Sales GROUP BY CustID "
+            "ORDER BY COUNT(*) IN (SELECT 2), CustID")
+        assert rowset.rows == [(2,), (1,), (4,)]
+
+    @pytest.mark.parametrize("statement, message", [
+        ("SELECT CustID FROM {t} GROUP BY CustID HAVING Nope > 1",
+         "cannot resolve column 'Nope'"),
+        ("SELECT CustID FROM {t} GROUP BY CustID HAVING NOSUCH(CustID) = 1",
+         "unknown function 'NOSUCH'"),
+        ("SELECT CustID, Nope FROM {t} GROUP BY CustID",
+         "cannot resolve column 'Nope'"),
+        ("SELECT COUNT(*), NOSUCH(COUNT(*)) FROM {t}",
+         "unknown function 'NOSUCH'"),
+        ("SELECT CustID FROM {t} GROUP BY CustID ORDER BY Nope",
+         "cannot resolve column 'Nope'"),
+        ("SELECT CustID FROM {t} GROUP BY CustID ORDER BY NOSUCH(COUNT(*))",
+         "unknown function 'NOSUCH'"),
+        ("SELECT CustID FROM {t} GROUP BY CustID "
+         "HAVING FALSE AND Nope > 1", "cannot resolve column 'Nope'"),
+    ])
+    @pytest.mark.parametrize("table", ["Sales", "Nothing"])
+    def test_grouped_clauses_bind_at_open(self, db, statement, message,
+                                          table):
+        """HAVING, a grouped select item and a grouped ORDER BY bind before
+        a row is read — on an empty table and behind a short-circuit too,
+        the rule every other clause has followed since it compiled."""
+        db.execute("CREATE TABLE Nothing (CustID LONG, Quantity DOUBLE)")
+        with pytest.raises(BindError, match=message):
+            db.execute(statement.format(t=table))
+
+    def test_non_aggregated_column_reads_the_groups_first_row(self, db):
+        rowset = db.execute(
+            "SELECT CustID, Product, UPPER(Product) || '!' AS loud "
+            "FROM Sales GROUP BY CustID ORDER BY CustID")
+        assert rowset.rows == [(1, "TV", "TV!"), (2, "Ham", "HAM!"),
+                               (4, "Wine", "WINE!")]
+
 
 class TestDml:
     def test_update(self, db):
@@ -225,6 +291,20 @@ class TestDml:
     def test_insert_arity_mismatch(self, db):
         with pytest.raises(SchemaError):
             db.execute("INSERT INTO Sales (CustID) VALUES (9, 'Gum')")
+
+    def test_insert_values_cells_are_expressions(self, db):
+        count = db.execute(
+            "INSERT INTO Sales VALUES (1 + 1, UPPER('a'), -5), "
+            "((SELECT MAX(CustID) FROM Sales), 'b' || 'c', (SELECT 2))")
+        assert count == 2
+        rowset = db.execute("SELECT * FROM Sales WHERE Quantity IN (-5, 2) "
+                            "AND Product <> 'Ham'")
+        assert rowset.rows == [(2, "A", -5.0), (4, "bc", 2.0)]
+
+    def test_insert_values_cell_cannot_read_a_column(self, db):
+        with pytest.raises(BindError, match="cannot resolve column 'CustID'"):
+            db.execute("INSERT INTO Sales VALUES (CustID, 'x', 1)")
+        assert db.execute("SELECT COUNT(*) FROM Sales").single_value() == 5
 
 
 class TestCatalog:

@@ -17,10 +17,16 @@ from repro.sqlstore.expressions import (
     like_regex,
 )
 
+from tests.reference.reference_evaluator import (
+    reference_context,
+    reference_evaluate,
+)
+
 
 def interpreted(text, names=(), row=(), qualifier=None):
     context = EvalContext.from_names(list(names), qualifier)
-    return evaluate(parse_expression(text), context.with_row(tuple(row)))
+    return reference_evaluate(parse_expression(text),
+                              reference_context(context, tuple(row)))
 
 
 def compiled(text, names=(), row=(), qualifier=None):
@@ -183,6 +189,12 @@ class TestBindTime:
         with pytest.raises(Error, match="only valid in a select list"):
             compile_expression(parse_expression("LEN(*)"), context)
 
+    def test_evaluate_is_the_one_shot_spelling_of_the_compiler(self):
+        context = EvalContext.from_names(["a"]).with_row((3,))
+        assert evaluate(parse_expression("a * 2"), context) == 6
+        # One evaluator: the one-shot binds up front like any other.
+        with pytest.raises(BindError, match="cannot resolve column 'bogus'"):
+            evaluate(parse_expression("FALSE AND bogus = 1"), context)
 
     def test_closures_form_no_reference_cycle(self):
         # Freed by refcount the moment the operator drops them: nothing
@@ -273,5 +285,16 @@ class TestAggregateDetection:
         assert contains_aggregate(
             parse_expression("CASE WHEN MAX(x) > 1 THEN 1 END"))
 
+    def test_detects_an_aggregate_under_in_select(self):
+        assert contains_aggregate(
+            parse_expression("COUNT(*) IN (SELECT 3)"))
+        assert contains_aggregate(
+            parse_expression("NOT (1 + MAX(x)) NOT IN (SELECT 3)"))
+
     def test_plain_expressions(self):
         assert not contains_aggregate(parse_expression("UPPER(x) || 'a'"))
+        # A subquery's own aggregates belong to the subquery.
+        assert not contains_aggregate(
+            parse_expression("x IN (SELECT MAX(v) FROM S)"))
+        assert not contains_aggregate(
+            parse_expression("(SELECT COUNT(*) FROM S)"))

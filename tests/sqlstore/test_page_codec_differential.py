@@ -4,7 +4,8 @@
 JSON cannot spell, and ``decode_page`` is one ``JSONDecoder`` call whose
 ``object_hook`` untags them as the scanner meets them.  The spelling they
 replaced — ``json.dumps([encode_cell(v) for v in row], …)`` and
-``decode_rows(json.loads(payload))`` — is kept here as the oracle: the
+``decode_rows(json.loads(payload))`` — is kept as the oracle
+(``tests/reference/reference_page_codec.py``): the
 bytes must be equal and the values must come back equal *and* of equal
 type, for every cell kind a table or a shaped caseset can hold.
 """
@@ -20,12 +21,13 @@ from repro.sqlstore.pages import (
     HEADER,
     decode_page,
     decode_rows,
-    encode_cell,
     encode_page,
     encode_row,
 )
 from repro.sqlstore.rowset import Rowset, RowsetColumn
 from repro.sqlstore.types import DATE, DOUBLE, LONG, TEXT
+
+from tests.reference.reference_page_codec import reference_encode_row
 
 ZONES = st.sampled_from([
     None, datetime.timezone.utc,
@@ -76,13 +78,6 @@ cells = st.one_of(scalars, rowsets())
 rows = st.lists(cells, max_size=6).map(tuple)
 
 
-def oracle_encode_row(row) -> bytes:
-    """The parent commit's ``encode_row``, verbatim."""
-    return json.dumps([encode_cell(v) for v in row], sort_keys=True,
-                      ensure_ascii=False,
-                      separators=(",", ":")).encode("utf-8")
-
-
 def shape(value):
     """A value with its type made comparable: ``nan``, ``-0.0``, ``date`` vs
     ``datetime``, offsets and nested column types all tell apart."""
@@ -104,8 +99,8 @@ def column_shape(column):
 
 @given(rows)
 def test_encode_row_is_byte_equal_to_the_per_cell_spelling(row):
-    assert encode_row(row) == oracle_encode_row(row)
-    assert encode_row(list(row)) == oracle_encode_row(row)
+    assert encode_row(row) == reference_encode_row(row)
+    assert encode_row(list(row)) == reference_encode_row(row)
 
 
 @given(st.lists(rows, max_size=6),
