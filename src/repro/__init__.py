@@ -47,7 +47,7 @@ from repro.errors import (
 )
 from repro.sqlstore.rowset import Rowset, RowsetColumn
 from repro.sqlstore.engine import Database
-from repro.shaping import Case, Caseset, execute_shape, flatten_rowset
+from repro.shaping import execute_shape, flatten_rowset
 from repro.core.provider import Connection, Provider, connect
 from repro.core.model import MiningModel
 from repro.core.persistence import (
@@ -73,8 +73,6 @@ __all__ = [
     "Database",
     "Rowset",
     "RowsetColumn",
-    "Case",
-    "Caseset",
     "execute_shape",
     "flatten_rowset",
     "MiningAlgorithm",

@@ -19,7 +19,8 @@ a case.  ``AttributeSpace`` compiles a model's column tree into a flat list of
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from collections.abc import Sequence
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -158,7 +159,8 @@ class Observation:
 
 
 class CaseMatrix:
-    """One encoded caseset as arrays: what a refit counts from.
+    """One encoded caseset as arrays: what a refit counts from and a batch
+    is scored from.
 
     ``values``       ``float64``, cases x attributes, in case order; NaN is
                      a missing value, a category is its code;
@@ -166,38 +168,41 @@ class CaseMatrix:
     ``confidences``  ``{attribute index: column}`` for the attributes some
                      case carries a PROBABILITY for (1.0 where it does not).
 
-    Derived from the observations and owned by nobody's trained state:
-    marginals and the algorithm read it during one refit and keep only
-    what they counted.
+    :meth:`AttributeSpace.encode_many` fills one straight from the mapped
+    cases; :meth:`of` derives one from observations that came from
+    elsewhere.  Owned by nobody's trained state: marginals, training and
+    scoring read it during one statement and keep only what they computed.
     """
 
     __slots__ = ("values", "weights", "confidences")
 
-    def __init__(self, observations: Sequence[Observation], width: int):
-        count = len(observations)
-        self.values = np.array([o.values for o in observations],
-                               dtype=np.float64).reshape(count, width)
-        self.weights = np.array([o.weight for o in observations],
-                                dtype=np.float64)
-        self.confidences: Dict[int, np.ndarray] = {}
-        for row, observation in enumerate(observations):
-            for index, confidence in observation.confidences.items():
-                column = self.confidences.get(index)
-                if column is None:
-                    column = self.confidences[index] = np.ones(count)
-                column[row] = confidence
+    def __init__(self, values: np.ndarray, weights: np.ndarray,
+                 confidences: Dict[int, np.ndarray]):
+        self.values = values
+        self.weights = weights
+        self.confidences = confidences
 
     @classmethod
     def of(cls, observations: Sequence[Observation],
            width: int) -> "CaseMatrix":
-        """The matrix of ``observations``: :meth:`AttributeSpace.
-        encode_many`'s list has it built on first use and then shares it,
-        any other sequence gets a fresh one."""
-        if not isinstance(observations, EncodedCases):
-            return cls(observations, width)
-        if observations.matrix is None:
-            observations.matrix = cls(observations, width)
-        return observations.matrix
+        """The matrix of ``observations``: the one :meth:`AttributeSpace.
+        encode_many` built with them, or, for any other sequence, a fresh
+        one read off the observations case by case."""
+        if isinstance(observations, EncodedCases):
+            return observations.matrix
+        count = len(observations)
+        confidences: Dict[int, np.ndarray] = {}
+        for row, observation in enumerate(observations):
+            for index, confidence in observation.confidences.items():
+                column = confidences.get(index)
+                if column is None:
+                    column = confidences[index] = np.ones(count)
+                column[row] = confidence
+        return cls(
+            np.array([o.values for o in observations],
+                     dtype=np.float64).reshape(count, width),
+            np.array([o.weight for o in observations], dtype=np.float64),
+            confidences)
 
     def effective_weights(self, index: int) -> np.ndarray:
         """Per case, ``Observation.effective_weight(index)``."""
@@ -214,13 +219,39 @@ class CaseMatrix:
         return rows, column[rows]
 
 
-class EncodedCases(list):
-    """The observation list :meth:`AttributeSpace.encode_many` returns: a
-    plain list that also owns its lazily built :class:`CaseMatrix`
-    (:meth:`CaseMatrix.of`), so the marginals and the algorithm of one
-    refit share one build.  Treat it as immutable once the matrix exists."""
+class EncodedCases(Sequence):
+    """What :meth:`AttributeSpace.encode_many` returns: the batch's
+    :class:`CaseMatrix`, built straight from the mapped cases, and — as a
+    read-only sequence — their :class:`Observation`s, which exist only
+    once something asks for them: iterating (or slicing) derives the whole
+    list through the per-case :meth:`AttributeSpace.encode` and keeps it,
+    ``cases[i]`` before that encodes case ``i`` alone.  Marginals, naive
+    Bayes and the decision tree read ``matrix`` and never ask."""
 
-    matrix: Optional[CaseMatrix] = None
+    __slots__ = ("matrix", "_space", "_cases", "_observations")
+
+    def __init__(self, space: "AttributeSpace", cases: List[MappedCase],
+                 matrix: CaseMatrix):
+        self.matrix = matrix
+        self._space = space
+        self._cases = cases
+        self._observations: Optional[List[Observation]] = None
+
+    def __len__(self) -> int:
+        return len(self._cases)
+
+    def _derived(self) -> List[Observation]:
+        if self._observations is None:
+            self._observations = list(map(self._space.encode, self._cases))
+        return self._observations
+
+    def __iter__(self):
+        return iter(self._derived())
+
+    def __getitem__(self, index):
+        if self._observations is None and isinstance(index, int):
+            return self._space.encode(self._cases[index])
+        return self._derived()[index]
 
 
 class AttributeSpace:
@@ -624,5 +655,79 @@ class AttributeSpace:
                 return column
         return table.key_column()
 
-    def encode_many(self, cases: Iterable[MappedCase]) -> List[Observation]:
-        return EncodedCases(map(self.encode, cases))
+    def encode_many(self, cases: Iterable[MappedCase]) -> EncodedCases:
+        """Encode a batch: its :class:`CaseMatrix` now, column by column
+        off the slot plan, its observations when asked for (see
+        :class:`EncodedCases`).  The matrix is the one
+        ``CaseMatrix.of(list(map(self.encode, cases)), width)`` gives,
+        at one :meth:`Attribute.encode` per distinct scalar value and one
+        ``_norm`` per distinct nested item rather than one per cell."""
+        cases = cases if isinstance(cases, list) else list(cases)
+        template, scalars, tables, _, _ = self._slot_plan()
+        count, width = len(cases), len(template)
+        values = np.tile(np.array(template, dtype=np.float64),  # None: NaN
+                         (count, 1))
+        weights = np.ones(count)
+        confident: Dict[int, Dict[int, float]] = {}  # index -> {row: p}
+        qualified = [(row, case) for row, case in enumerate(cases)
+                     if case.qualifiers]
+        for row, case in qualified:
+            weights[row] = case.weight()
+
+        for index, name, encode, existence_only in scalars:
+            raws = [case.scalars.get(name) for case in cases]
+            if existence_only:
+                raws = [raw is not None for raw in raws]
+            if self.attributes[index].is_categorical:
+                codes = {raw: encode(raw) for raw in set(raws)}
+                values[:, index] = list(map(codes.__getitem__, raws))
+            else:  # a float is not memoised by hash: -0.0 is not 0.0
+                values[:, index] = [None if raw is None else float(raw)
+                                    for raw in raws]
+            for row, case in qualified:
+                probability = case.qualifiers.get(name, {}).get("PROBABILITY")
+                if probability is not None:
+                    confident.setdefault(index, {})[row] = float(probability)
+
+        cells: Dict[int, Optional[float]] = {}  # flat position -> value
+        for table_key, item_name, items in tables:
+            slots: Dict[Any, Any] = {}  # raw item -> its slot, or None
+            for row, case in enumerate(cases):
+                base = row * width
+                for nested in case.tables.get(table_key, ()):
+                    item = nested.get(item_name)
+                    if item is None:
+                        continue
+                    try:
+                        slot = slots[item]
+                    except KeyError:
+                        slot = slots[item] = items.get(_norm(item))
+                    if slot is None:
+                        continue
+                    # A later row of the same item replaces an earlier one
+                    # whole: a dict keeps the last write per position.
+                    existence, value_slots = slot
+                    qualifiers = nested.get("__QUALIFIERS__")
+                    probability = qualifiers.get(item_name, {}).get(
+                        "PROBABILITY") if qualifiers else None
+                    for index in existence:
+                        cells[base + index] = 1.0
+                        if probability is not None:
+                            confident.setdefault(index, {})[row] = \
+                                float(probability)
+                        elif index in confident:
+                            confident[index].pop(row, None)
+                    for index, name in value_slots:
+                        value = nested.get(name)
+                        cells[base + index] = None if value is None \
+                            else float(value)
+        if cells:
+            values.put(list(cells), list(cells.values()))
+
+        confidences = {}
+        for index, by_row in confident.items():
+            if by_row:
+                column = confidences[index] = np.ones(count)
+                column[list(by_row)] = list(by_row.values())
+        return EncodedCases(self, cases,
+                            CaseMatrix(values, weights, confidences))

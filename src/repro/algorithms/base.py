@@ -12,7 +12,7 @@ which the prediction UDFs (Predict, PredictProbability, PredictHistogram,
 from __future__ import annotations
 
 import abc
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 from repro.errors import CapabilityError, NotTrainedError, SchemaError
 from repro.obs import trace as obs_trace
@@ -291,12 +291,17 @@ class MiningAlgorithm(abc.ABC):
     def predict(self, observation: Observation) -> CasePrediction:
         """Predict all output attributes for one encoded case."""
 
-    def predict_many(self, observations: Iterable[Observation]) \
+    def predict_many(self, observations: Sequence[Observation]) \
             -> Iterable[CasePrediction]:
-        """Predict encoded cases, in order: the entry the prediction join
-        scores through.  The default predicts each case as it is asked
-        for; a service overrides it when cases can share work that
-        :meth:`predict` repeats.  Either way the results must equal
+        """Predict a batch of encoded cases, in order: the entry the
+        prediction join scores every batch of two or more through
+        (:meth:`MiningModel.predict_cases` hands it what
+        :meth:`AttributeSpace.encode_many` returned, so
+        :meth:`CaseMatrix.of` finds the batch's matrix already built).
+        The default predicts each observation as it is asked for; a
+        tabular service overrides it to do its look-ups and adds once per
+        batch, over the matrix.  Either way the result is a lazy iterable
+        — a prediction object is built as it is taken — and must equal
         ``[predict(o) for o in observations]`` exactly.
         """
         return map(self.predict, observations)

@@ -166,12 +166,74 @@ class DecisionTreeAlgorithm(MiningAlgorithm):
                 prediction = self._mixture(
                     target, self._walk(tree, observation, 1.0))
             else:
-                prediction = shared.get(node)
-                if prediction is None:
-                    prediction = shared[node] = self._mixture(
-                        target, [(node, 1.0)])
+                prediction = self._whole(shared, target, node)
             result.set(prediction)
         return result
+
+    def _whole(self, shared, target: Attribute,
+               node: _TreeNode) -> AttributePrediction:
+        """The prediction every case that ends whole in ``node`` shares."""
+        prediction = shared.get(node)
+        if prediction is None:
+            prediction = shared[node] = self._mixture(target, [(node, 1.0)])
+        return prediction
+
+    def predict_many(self, observations):
+        """:meth:`predict` over a batch, from its :class:`CaseMatrix`: the
+        batch's rows are routed down each target's tree as index sets (a
+        threshold or category mask per node reached), and all the cases
+        that end whole in the same node of every tree share one
+        :class:`CasePrediction` — a batch allocates per leaf, not per
+        case.  A case missing a split value somewhere is scored by
+        :meth:`predict` (the fractional walk); so is every case while some
+        target has no tree (or there is no target to key a batch by)."""
+        self.require_trained()
+        targets, shared = self.prediction_tables()
+        if not targets or any(tree is None for _, tree in targets):
+            return map(self.predict, observations)
+        return self._route_batch(targets, shared, observations)
+
+    def _route_batch(self, targets, shared, observations):
+        values = CaseMatrix.of(observations, len(self.space.attributes)).values
+        ends: List[_TreeNode] = []   # the nodes cases ended in, numbered
+        numbers = []                 # per target and case: its end, or -1
+        for _, tree in targets:
+            ended = np.full(len(values), -1)
+            reached = [(tree, np.arange(len(values)))]
+            while reached:
+                node, rows = reached.pop()
+                if not len(rows):
+                    continue
+                if node.children:
+                    column = values[rows, node.split_attribute.index]
+                    known = ~np.isnan(column)   # the others stay at -1
+                    rows, column = rows[known], column[known]
+                    if node.threshold is not None:
+                        low = column <= node.threshold
+                        reached += [(node.children[0], rows[low]),
+                                    (node.children[1], rows[~low])]
+                        continue
+                    for child, value in zip(node.children, node.child_values):
+                        equal = column == value
+                        reached.append((child, rows[equal]))
+                        rows, column = rows[~equal], column[~equal]
+                    # What is left holds a category no child has: it ends
+                    # here, with this node's own distribution.
+                if len(rows):
+                    ended[rows] = len(ends)
+                    ends.append(node)
+            numbers.append(ended.tolist())
+        whole = {}   # end numbers, one per target -> the shared prediction
+        for row, key in enumerate(zip(*numbers)):
+            if -1 in key:
+                yield self.predict(observations[row])
+                continue
+            result = whole.get(key)
+            if result is None:
+                result = whole[key] = CasePrediction()
+                for (target, _), number in zip(targets, key):
+                    result.set(self._whole(shared, target, ends[number]))
+            yield result
 
     def _walk(self, node: _TreeNode, observation: Observation,
               weight: float):

@@ -222,12 +222,14 @@ class NaiveBayesAlgorithm(MiningAlgorithm):
 
     def _build_tables(self):
         """Per target: its states, their display labels and log priors
-        and, per input in scoring order, either the log conditionals of
-        every category code (``{code: [log P(code | state) per state]}``)
-        or, for a continuous input, the usable per-state Gaussians — so
-        :meth:`predict` adds the terms the formula defines, in the order it
-        defines them, without recomputing any that depend on the model
-        alone."""
+        and, per input in scoring order, the log conditionals of every
+        category code — as ``{code: [log P(code | state) per state]}`` for
+        :meth:`predict` and as one ``(cardinality + 1) x states`` array for
+        :meth:`predict_many`, whose extra last row is the zeros a missing
+        value adds — or, for a continuous input, the usable per-state
+        Gaussians.  Both scorers add the terms the formula defines, in the
+        order it defines them, without recomputing any that depend on the
+        model alone."""
         tables = []
         for target in self.space.outputs():
             model = self.models[target.index]
@@ -237,16 +239,17 @@ class NaiveBayesAlgorithm(MiningAlgorithm):
             inputs = []
             for attribute in self._inputs[target.index]:
                 if attribute.is_categorical:
-                    inputs.append((attribute, {
-                        code: self._log_conditionals(model, attribute,
-                                                     states, code)
-                        for code in range(attribute.cardinality)}, None))
+                    logs = {code: self._log_conditionals(model, attribute,
+                                                         states, code)
+                            for code in range(attribute.cardinality)}
+                    inputs.append((attribute, logs, None, np.array(
+                        list(logs.values()) + [[0.0] * len(states)])))
                 else:
                     gaussians = [model.gaussian.get((attribute.index, state))
                                  for state in states]
                     inputs.append((attribute, None, [
                         stats if stats is not None and stats.sum_weight > 0
-                        else None for stats in gaussians]))
+                        else None for stats in gaussians], None))
             labels = {state: target.decode(state) for state in states}
             tables.append((target, model, states, labels, log_prior, inputs))
         return tables
@@ -261,7 +264,7 @@ class NaiveBayesAlgorithm(MiningAlgorithm):
                 result.set(self.marginal_prediction(target))
                 continue
             terms = []  # per known input, in input order: one term per state
-            for attribute, logs, gaussians in inputs:
+            for attribute, logs, gaussians, _ in inputs:
                 value = values[attribute.index]
                 if value is None:
                     continue
@@ -283,14 +286,66 @@ class NaiveBayesAlgorithm(MiningAlgorithm):
                     if term is not None:
                         score += term
                 log_scores.append(score)
-            normaliser = log_sum_exp(log_scores)
-            posterior = CategoricalDistribution()
-            for state, score in zip(states, log_scores):
-                posterior.add(state, math.exp(score - normaliser) *
-                              model.prior.total)
-            result.set(AttributePrediction.from_categorical(
-                target, posterior, labels))
+            result.set(self._posterior(target, model, states, labels,
+                                       log_scores))
         return result
+
+    @staticmethod
+    def _posterior(target, model, states, labels,
+                   log_scores: List[float]) -> AttributePrediction:
+        """The prediction from one case's unnormalised log scores."""
+        normaliser = log_sum_exp(log_scores)
+        posterior = CategoricalDistribution()
+        for state, score in zip(states, log_scores):
+            posterior.add(state, math.exp(score - normaliser) *
+                          model.prior.total)
+        return AttributePrediction.from_categorical(target, posterior, labels)
+
+    def predict_many(self, observations):
+        """:meth:`predict` over a batch, from its :class:`CaseMatrix`: per
+        target the log scores of every case at once — the prior, then each
+        categorical input's table rows gathered by the code column and
+        added input by input, so a case's sum is the float the per-case
+        loop reaches (a missing value adds an exact 0.0).  Only look-ups
+        and adds are array work: ``exp`` / ``log`` stay on ``math`` (numpy's
+        are not bit-identical to libm's), once per case as its prediction
+        is taken.  A case with a known continuous input or a code outside
+        the fitted categories is scored by :meth:`predict`; so is every
+        case while some target has no states."""
+        self.require_trained()
+        tables = self.prediction_tables()
+        if not all(states for _, _, states, _, _, _ in tables):
+            return map(self.predict, observations)
+        return self._score_batch(tables, observations)
+
+    def _score_batch(self, tables, observations):
+        values = CaseMatrix.of(observations, len(self.space.attributes)).values
+        tabular = np.ones(len(values), dtype=bool)
+        scored = []
+        for _, _, _, _, log_prior, inputs in tables:
+            scores = np.tile(np.array(log_prior), (len(values), 1))
+            for attribute, _, _, table in inputs:
+                codes = values[:, attribute.index]
+                missing = np.isnan(codes)
+                if table is None:
+                    tabular &= missing
+                    continue
+                zeros = len(table) - 1   # the row a missing value reads
+                fitted = (codes >= 0) & (codes < zeros) & \
+                    (codes == np.floor(codes))
+                tabular &= fitted | missing
+                scores += table[np.where(fitted, codes, zeros).astype(np.intp)]
+            scored.append(scores.tolist())
+        for row, whole in enumerate(tabular.tolist()):
+            if not whole:
+                yield self.predict(observations[row])
+                continue
+            result = CasePrediction()
+            for (target, model, states, labels, _, _), scores in \
+                    zip(tables, scored):
+                result.set(self._posterior(target, model, states, labels,
+                                           scores[row]))
+            yield result
 
     def content_nodes(self) -> ContentNode:
         self.require_trained()

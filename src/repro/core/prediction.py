@@ -266,10 +266,11 @@ def compile_cases(model, source_context: EvalContext,
     the source holds.  The kernel filters, scores the batch through one
     ``predict_cases`` call if (and only if) some bound expression reads a
     prediction — before the filter when WHERE itself does, after it
-    otherwise — and applies the closures.  Scoring is lazy: a case's
-    observation and prediction exist only while its entry is evaluated,
-    so a batch never holds one of each per case for the collector to
-    trace.
+    otherwise — and applies the closures.  The batch's case list goes to
+    ``predict_cases`` whole, so encoding and the tabular services' scoring
+    are array work done once per batch; what stays lazy is the prediction
+    object, built as its entry is evaluated, so a batch never holds one
+    per case for the collector to trace.
     """
     context = PredictionEvalContext(model, source_context)
     scope = context.scope
@@ -282,7 +283,7 @@ def compile_cases(model, source_context: EvalContext,
         if passes is not None and not filter_predicts:
             pairs = [pair for pair in pairs
                      if passes((pair[0], None)) is True]
-        predictions = (model.predict_cases(case for _, case in pairs)
+        predictions = (model.predict_cases([case for _, case in pairs])
                        if predicts else repeat(None))
         entries = zip((row for row, _ in pairs), predictions)
         if filter_predicts:

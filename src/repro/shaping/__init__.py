@@ -3,11 +3,9 @@
 The paper (section 3.1) uses Microsoft's Data Shaping Service to build
 *casesets*: one row per entity with nested TABLE columns for one-to-many
 facts.  ``execute_shape`` evaluates a parsed SHAPE expression against the
-relational engine and returns the hierarchical rowset; ``Caseset`` offers a
-convenient case-at-a-time view over any such rowset.
+relational engine and returns the hierarchical rowset.
 """
 
 from repro.shaping.shape import execute_shape, flatten_rowset
-from repro.shaping.caseset import Case, Caseset
 
-__all__ = ["execute_shape", "flatten_rowset", "Case", "Caseset"]
+__all__ = ["execute_shape", "flatten_rowset"]

@@ -81,14 +81,16 @@ def _open_shape(shape: ast.ShapeExpr, sources, batch_size: int) -> RowStream:
     nested rowsets are attached batch by batch, so a consumer that processes
     cases incrementally (training, PREDICTION JOIN) never holds the whole
     shaped caseset.  Bucket lists are shared between the hash table and the
-    emitted nested rowsets; per-case nested ``Rowset`` wrappers are the only
-    per-row allocation and die with their batch.
+    emitted nested rowsets (:meth:`Rowset.over`: two master rows with one
+    RELATE key read the same list, and every cell of an arm the arm's
+    columns); per-case nested ``Rowset`` wrappers are the only per-row
+    allocation and die with their batch.
     """
     span = obs_trace.span("shape", appends=len(shape.appends))
     with span:
         master = sources[0].run(batch_size)
         columns = list(master.columns)
-        plans = []  # (master_index, buckets, nested_schema)
+        plans = []  # (master_index, buckets, the arm's empty cell)
 
         for append, source in zip(shape.appends, sources[1:]):
             child = source.run(batch_size).materialize()
@@ -101,10 +103,10 @@ def _open_shape(shape: ast.ShapeExpr, sources, batch_size: int) -> RowStream:
             for child_row in child.rows:
                 buckets.setdefault(
                     group_key(child_row[child_index]), []).append(child_row)
-            nested_schema = list(child.columns)
-            plans.append((master_index, buckets, nested_schema))
+            empty = Rowset(child.columns)
+            plans.append((master_index, buckets, empty))
             columns.append(
-                RowsetColumn(append.alias, nested_columns=nested_schema))
+                RowsetColumn(append.alias, nested_columns=empty.columns))
 
     def produce():
         for batch in master.batches():
@@ -112,10 +114,10 @@ def _open_shape(shape: ast.ShapeExpr, sources, batch_size: int) -> RowStream:
             out = []
             for row in batch:
                 shaped = list(row)
-                for master_index, buckets, nested_schema in plans:
+                for master_index, buckets, empty in plans:
                     key = group_key(shaped[master_index])
                     shaped.append(
-                        Rowset(nested_schema, buckets.get(key, [])))
+                        Rowset.over(empty, buckets.get(key, empty.rows)))
                 out.append(tuple(shaped))
             obs_trace.add_to(span, "shape_cases_out", len(out))
             yield out

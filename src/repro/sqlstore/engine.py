@@ -17,8 +17,9 @@ workload repository hashes it, ``execute_select_stream`` opens it.
 
 from __future__ import annotations
 
+import datetime
 from itertools import chain
-from operator import itemgetter
+from operator import eq, gt, itemgetter, lt
 from typing import (
     Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple)
 
@@ -484,10 +485,8 @@ class Database:
             obs_trace.add_to(span, "rows_out", len(result.rows))
             return RowStream.from_rowset(result, batch_size)
 
-    def plan_union(self, statement: ast.UnionStatement,
-                   external_source: Optional[Callable] = None):
-        """Plan a UNION chain (see :meth:`execute_union_stream`); the
-        second argument is accepted and unused, as in :meth:`plan_select`."""
+    def plan_union(self, statement: ast.UnionStatement):
+        """Plan a UNION chain (see :meth:`execute_union_stream`)."""
         streaming = bool(statement.all_rows) and all(statement.all_rows)
         node = obs_explain.PlanNode(
             "union",
@@ -829,12 +828,17 @@ class Database:
 
     @staticmethod
     def _order_rows(statement, order_keys, output_rows, source_rows):
-        sort_key = V.sort_key
-        keys = [
-            tuple([sort_key(value(out_row if reads_output else source_row))
-                   for reads_output, value in order_keys])
-            for out_row, source_row in zip(output_rows, source_rows)]
+        """``output_rows`` in ORDER BY order.  Rows that already stand in
+        it — an insertion-ordered scan under a SHAPE source's ORDER BY —
+        are returned as they are: a stable sort of ordered input is the
+        identity."""
+        columns = [[value(row) for row in
+                    (output_rows if reads_output else source_rows)]
+                   for reads_output, value in order_keys]
         directions = [item.ascending for item in statement.order_by]
+        if _already_ordered(columns, directions):
+            return output_rows
+        keys = list(zip(*[map(V.sort_key, column) for column in columns]))
         return _multi_key_sort(output_rows, keys, directions)
 
     # -- cardinality estimation (repro.sqlstore.stats) -------------------------
@@ -1404,6 +1408,54 @@ def _split_equi_condition(condition: Optional[ast.Expr]):
         else:
             residual.append(expr)
     return equalities, residual
+
+
+#: Up to here every int is its own float, so native int order is
+#: ``sort_key`` order exactly (beyond it distinct ints share a key).
+_EXACT_INT = 2 ** 53
+
+
+def _already_ordered(columns: List[list], directions: List[bool]) -> bool:
+    """Whether rows whose ORDER BY values are ``columns`` (one list per
+    key) already stand where :func:`_multi_key_sort` would put them.
+
+    Adjacent rows are compared on the raw values — the first key over
+    every pair, each later key over the pairs the keys before it left
+    tied — and the first pair out of order ends the test, which is where
+    an unsorted input ends it.  NULL and mixed type classes raise
+    ``TypeError`` and NaN differs from itself; all of them, and every
+    column :func:`_orders_natively` does not vouch for, go to the sort."""
+    tied = range(len(columns[0]) - 1)   # i: rows i and i + 1 still tie
+    try:
+        for values, ascending in zip(columns, directions):
+            before = lt if ascending else gt
+            pairs, tied = tied, []
+            for i in pairs:
+                if not before(values[i], values[i + 1]):
+                    if values[i] != values[i + 1]:
+                        return False
+                    tied.append(i)
+            if not tied:
+                break
+    except TypeError:
+        return False
+    return all(map(_orders_natively, columns))
+
+
+def _orders_natively(values: list) -> bool:
+    """Whether native ``<`` / ``==`` on ``values`` agree with their
+    ``sort_key``s, ties included: one type class whose key is the value
+    (``str``, ``date`` by ordinal, ``float`` without a NaN — one in a key
+    no tie consults would still steer the sort's pass over that key) or
+    ``int`` / ``bool`` small enough to be their own floats.  A
+    ``datetime`` is keyed by its day alone, so it is not among them."""
+    kinds = set(map(type, values))
+    if kinds <= {int, bool}:
+        return not kinds or (-_EXACT_INT <= min(values)
+                             and max(values) <= _EXACT_INT)
+    if kinds == {float}:
+        return all(map(eq, values, values))
+    return len(kinds) == 1 and kinds <= {str, datetime.date}
 
 
 def _multi_key_sort(rows: List[tuple], keys: List[tuple],

@@ -41,6 +41,11 @@ class Rowset:
 
     Rows are tuples aligned with ``columns``.  Cells in TABLE-typed columns
     hold nested ``Rowset`` instances (or None).
+
+    The constructor copies what it is given; :meth:`over` does not — a
+    rowset built by it shares its column list, name index and row list with
+    others (every nested cell of one SHAPE arm, the arm's RELATE buckets),
+    so its ``columns`` and ``rows`` are read-only.
     """
 
     def __init__(self, columns: Sequence[RowsetColumn],
@@ -53,6 +58,16 @@ class Rowset:
             self._by_name.setdefault(column.name.upper(), index)
 
     # -- construction helpers -------------------------------------------------
+
+    @classmethod
+    def over(cls, schema: "Rowset", rows: List[Tuple]) -> "Rowset":
+        """``rows`` (tuples already) under ``schema``'s columns, adopting
+        the column list, the name index and the row list as they are."""
+        rowset = cls.__new__(cls)
+        rowset.columns = schema.columns
+        rowset.rows = rows
+        rowset._by_name = schema._by_name
+        return rowset
 
     @classmethod
     def from_dicts(cls, records: Sequence[dict],

@@ -6,11 +6,16 @@ they replaced, and the life cycle of the tables themselves.
       and the decision tree equals the test-side transcription of the old
       formula (``tests/reference/reference_scorers.py``) — over missing
       inputs, unseen categories, codes outside the fitted range,
-      PROBABILITY / SUPPORT qualifiers, continuous inputs and targets;
+      PROBABILITY / SUPPORT qualifiers, continuous inputs and targets, all
+      mixed in one batch, so the array path and each of its per-case
+      fallbacks run side by side (one fixed batch counts them);
 (iii) ``AttributeSpace.encode`` off its slot plan equals the transcription
       of the old attribute-by-attribute encoder — duplicate and
       case-variant nested keys, per-item value columns, nested qualifiers,
-      existence-only columns, sequence tables;
+      existence-only columns, sequence tables — and ``encode_many``'s
+      batch-built ``CaseMatrix`` equals the one read off those per-case
+      observations, at batch sizes 0, 1, 2 and many, with the lazily
+      derived observations equal to the per-case ones;
 (iv)  tables never outlive the state they were built from: an absorbed
       second INSERT, ``DELETE FROM`` + retrain, a refit, a PMML state load
       into a used algorithm — each scores like a model that never scored
@@ -28,11 +33,16 @@ import functools
 import multiprocessing
 import pickle
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import repro
-from repro.algorithms.attributes import AttributeSpace, Observation
+from repro.algorithms.attributes import (
+    AttributeSpace,
+    CaseMatrix,
+    Observation,
+)
 from repro.algorithms.registry import create_algorithm
 from repro.core.bindings import MappedCase
 from repro.core.columns import compile_model_definition
@@ -190,6 +200,18 @@ def definition_of(ddl, service="Repro_Decision_Trees"):
 
 # -- (iii) encode by slot ----------------------------------------------------------------
 
+def assert_same_matrix(built, expected):
+    """Equal cell for cell: NaN where NaN, and -0.0 is not 0.0."""
+    assert built.values.shape == expected.values.shape
+    assert np.array_equal(built.values, expected.values, equal_nan=True)
+    assert np.array_equal(np.signbit(built.values),
+                          np.signbit(expected.values))
+    assert np.array_equal(built.weights, expected.weights)
+    assert sorted(built.confidences) == sorted(expected.confidences)
+    for index, column in expected.confidences.items():
+        assert np.array_equal(built.confidences[index], column)
+
+
 @settings(deadline=None)
 @given(training=casesets, probes=st.lists(mapped_cases(), max_size=3))
 def test_slot_encode_equals_reference_encode(training, probes):
@@ -201,8 +223,14 @@ def test_slot_encode_equals_reference_encode(training, probes):
                 for case in cases]
     assert [observation_dump(space.encode(case))
             for case in cases] == expected
-    assert [observation_dump(o)
-            for o in space.encode_many(cases)] == expected
+    width = len(space.attributes)
+    for size in (0, 1, 2, len(cases)):
+        batch = space.encode_many(cases[:size])
+        assert_same_matrix(batch.matrix, CaseMatrix.of(
+            [space.encode(case) for case in cases[:size]], width))
+        assert CaseMatrix.of(batch, width) is batch.matrix
+        assert batch._observations is None and len(batch) == size
+        assert [observation_dump(o) for o in batch] == expected[:size]
     # The plan is derived state: a pickled space carries none and
     # rebuilds an equal one.
     assert space._slots is not None
@@ -238,7 +266,8 @@ def test_table_scoring_equals_reference_formula(service, training, probes,
         space, algorithm, observations = train(service, [first] + rest)
     except Error:
         assume(False)   # e.g. a target with no training value
-    observations = observations + space.encode_many(probes)
+    cases = [first] + rest + probes
+    observations = list(observations) + list(space.encode_many(probes))
     # Hand-made observations: codes no fitted category maps to.
     for position, value in stray:
         values = list(observations[0].values)
@@ -252,8 +281,70 @@ def test_table_scoring_equals_reference_formula(service, training, probes,
     for _ in range(2):
         assert [prediction_dump(algorithm.predict(observation))
                 for observation in observations] == expected
+    # A plain list: its matrix is read off the observations.
     assert [prediction_dump(p) for p in
             algorithm.predict_many(observations)] == expected
+    # An encoded batch: its own matrix; a fallback encodes its case alone.
+    batch = space.encode_many(cases)
+    assert [prediction_dump(p) for p in
+            algorithm.predict_many(batch)] == expected[:len(cases)]
+    assert batch._observations is None
+
+
+def _fixed_case(id_, g, t=None, x=None, hp=None):
+    case = MappedCase()
+    case.scalars.update(ID=id_, G=g, H="m", T=t, X=x, D=1.5, E=None)
+    if hp is not None:
+        case.qualifiers["H"] = {"PROBABILITY": hp}
+    case.tables["B"] = [{"P": "tv"}]
+    return case
+
+
+@pytest.mark.parametrize("service", sorted(REFERENCE))
+def test_a_mixed_batch_takes_the_array_path_and_every_fallback(service):
+    """One batch holding whole cases, a missing split value, a category no
+    child has, a code outside the fitted range, a known continuous input
+    and a PROBABILITY-carrying case: which of them ``predict_many`` hands
+    to ``predict`` is counted, and every entry equals per-case scoring."""
+    space, algorithm, _ = train(service, [
+        _fixed_case(i, *(("m", "yes", 1.5) if i % 2 else ("f", "no", 7.25)))
+        for i in range(8)])
+    g = space.by_name("G").index
+    if service == "Repro_Decision_Trees":   # both trees split on G alone
+        for target in ("T", "X"):
+            root = algorithm.tree_for(target)
+            assert root.split_attribute.index == g
+            assert all(child.is_leaf for child in root.children)
+    batch = list(space.encode_many([
+        _fixed_case(20, "m"), _fixed_case(21, "M"),      # one leaf
+        _fixed_case(22, None),                            # G missing
+        _fixed_case(23, "f", x=7.25),                     # X known
+        _fixed_case(24, "m", hp=0.5)]))                   # PROBABILITY
+    for code in (99, 2.5):                                # no such category
+        values = list(batch[0].values)
+        values[g] = code
+        batch.append(Observation(values))
+    expected = [prediction_dump(algorithm.predict(o)) for o in batch]
+
+    per_case, predict = [], algorithm.predict
+    algorithm.predict = lambda o: per_case.append(o) or predict(o)
+    predictions = list(algorithm.predict_many(batch))
+    del algorithm.predict
+    assert [prediction_dump(p) for p in predictions] == expected
+    fell_back = [row for row, o in enumerate(batch)
+                 if any(o is seen for seen in per_case)]
+    if service == "Repro_Decision_Trees":
+        # Only the missing split value walks fractionally; the strays end
+        # whole in the root.  Cases of one leaf share one prediction.
+        assert fell_back == [2]
+        assert predictions[0] is predictions[1] is predictions[4]
+        assert predictions[5] is predictions[6]
+        assert predictions[0] is not predictions[3]
+    else:
+        # A missing input only drops its term; the Gaussian term and the
+        # unfitted codes are the per-case formula's.
+        assert fell_back == [3, 5, 6]
+        assert predictions[0] is not predictions[1]
 
 
 # -- (iv) invalidation -----------------------------------------------------------------------

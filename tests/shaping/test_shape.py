@@ -1,10 +1,11 @@
-"""The Data Shaping Service: SHAPE execution, casesets, flattening."""
+"""The Data Shaping Service: SHAPE execution, nested cells, flattening."""
 
 import pytest
 
 from repro.errors import BindError
 from repro.lang.parser import Parser
-from repro.shaping import Caseset, execute_shape, flatten_rowset
+from repro.server.protocol import rowset_dump
+from repro.shaping import execute_shape, flatten_rowset
 from repro.sqlstore import Database
 from repro.sqlstore.rowset import Rowset
 
@@ -97,6 +98,48 @@ class TestShapeExecution:
         assert len(rowset) == 2
 
 
+class TestNestedCellsShareTheirBuckets:
+    """``_open_shape`` builds its cells with ``Rowset.over``: nothing is
+    copied per case, and a cell still reads like one built the copying
+    way."""
+
+    SHAPE = ("SHAPE {SELECT cid, Product FROM Sales} "
+             "APPEND ({SELECT cid, Product, Quantity FROM Sales} "
+             "RELATE cid TO cid) AS Same, "
+             "({SELECT cid, Car FROM Cars} RELATE cid TO cid) AS Cars")
+
+    def test_one_relate_key_one_row_list(self, db):
+        rowset = execute_shape(shape_of(self.SHAPE), db)
+        tv, beer, ham = rowset.rows       # master cid: 1, 1, 2
+        assert tv[2].rows is beer[2].rows and tv[3].rows is beer[3].rows
+        assert tv[2] is not beer[2]       # DISTINCT keys a cell by identity
+        assert tv[2].rows is not ham[2].rows
+        assert tv[2].columns is ham[2].columns is \
+            rowset.columns[2].nested_columns
+        assert ham[3].rows == []          # a miss: the arm's empty cell
+
+    def test_an_adopted_cell_equals_a_copied_one(self, db):
+        rowset = execute_shape(shape_of(self.SHAPE), db)
+        for row in rowset.rows:
+            for cell in row[2:]:
+                copied = Rowset(cell.columns, cell.rows)
+                assert cell.columns == copied.columns
+                assert cell.rows == copied.rows and len(cell) == len(copied)
+                for name in cell.column_names():
+                    assert cell.index_of(name.lower()) == \
+                        copied.index_of(name.lower())
+                    assert cell.has_column(name.upper())
+                assert cell.to_dicts() == copied.to_dicts()
+                assert rowset_dump(cell) == rowset_dump(copied)
+        rebuilt = Rowset(rowset.columns, [
+            row[:2] + tuple(Rowset(cell.columns, cell.rows)
+                            for cell in row[2:])
+            for row in rowset.rows])
+        assert rowset_dump(rowset) == rowset_dump(rebuilt)
+        assert rowset_dump(flatten_rowset(rowset)) == \
+            rowset_dump(flatten_rowset(rebuilt))
+
+
 class TestFlatten:
     def test_flatten_cross_products_nested_tables(self, db):
         rowset = execute_shape(shape_of(
@@ -124,39 +167,3 @@ class TestFlatten:
         rowset = db.execute("SELECT id FROM Customers")
         flat = flatten_rowset(rowset)
         assert flat.rows == rowset.rows
-
-
-class TestCaseset:
-    def test_iterates_cases(self, db):
-        rowset = execute_shape(shape_of(
-            "SHAPE {SELECT id, Gender FROM Customers ORDER BY id} "
-            "APPEND ({SELECT cid, Product, Quantity FROM Sales} "
-            "RELATE id TO cid) AS Purchases"), db)
-        cases = list(Caseset(rowset))
-        assert len(cases) == 3
-        first = cases[0]
-        assert first.get("Gender") == "Male"
-        assert first["id"] == 1
-        assert [r["Product"] for r in first.nested("Purchases")] == \
-            ["TV", "Beer"]
-        assert first.nested("Missing Table") == []
-
-    def test_case_lookup_is_case_insensitive(self, db):
-        rowset = db.execute("SELECT id, Gender FROM Customers")
-        case = next(iter(Caseset(rowset)))
-        assert case.get("GENDER") == case.get("gender")
-
-    def test_missing_scalar_raises_on_getitem(self, db):
-        rowset = db.execute("SELECT id FROM Customers")
-        case = next(iter(Caseset(rowset)))
-        with pytest.raises(BindError):
-            case["nope"]
-
-    def test_column_lists(self, db):
-        rowset = execute_shape(shape_of(
-            "SHAPE {SELECT id FROM Customers} APPEND ({SELECT cid FROM "
-            "Sales} RELATE id TO cid) AS P"), db)
-        caseset = Caseset(rowset)
-        assert caseset.scalar_columns() == ["id"]
-        assert caseset.table_columns() == ["P"]
-        assert caseset.column_for_table("p").name == "P"

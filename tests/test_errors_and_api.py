@@ -60,13 +60,6 @@ class TestPublicApi:
         names = {cls.SERVICE_NAME for cls in repro.algorithm_services()}
         assert "Repro_Decision_Trees" in names
 
-    def test_caseset_helpers_exported(self, conn):
-        conn.execute("CREATE TABLE T (a LONG)")
-        conn.execute("INSERT INTO T VALUES (1)")
-        rowset = conn.execute("SELECT * FROM T")
-        cases = list(repro.Caseset(rowset))
-        assert cases[0].get("a") == 1
-
     def test_flatten_rowset_exported(self, conn):
         conn.execute("CREATE TABLE T (a LONG)")
         conn.execute("INSERT INTO T VALUES (1)")
