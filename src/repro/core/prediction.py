@@ -332,7 +332,9 @@ def plan_prediction(provider, statement: ast.SelectStatement):
     statement alone: the planned source, serial vs parallel (and the
     ``pool.serial_fallbacks.<reason>`` a serial verdict owes), the
     source-only conjuncts pushed below binding, the join mode, the
-    caseset-cache key, and blocking vs streamed.  Nothing is scanned,
+    caseset-cache key — none for a constant (FROM-less) source, which is
+    bound afresh and neither probes nor fills the cache — and blocking vs
+    streamed.  Nothing is scanned,
     locked or counted until ``run``: the model's read lease, the
     ``predict`` span, the fallback metric and ``NotTrainedError`` all
     belong to the run.  ``run`` returns a :class:`RowStream` whose lease
@@ -364,8 +366,12 @@ def plan_prediction(provider, statement: ast.SelectStatement):
               if database.stats_enabled else [])
     on_pairs = (None if join.natural or join.condition is None
                 else split_on_condition(model.name, alias, join.condition))
+    # A FROM-less SELECT is one literal row no later statement replays:
+    # binding it costs less than keying it, so it never meets the cache.
+    constant = isinstance(join.source, ast.SubquerySource) and \
+        join.source.select.from_clause is None
     key = (prediction_key(model, join, pushed, database.data_version)
-           if dop == 1 and cache.enabled else None)
+           if dop == 1 and cache.enabled and not constant else None)
 
     blockers = [name for name, present in (("order by", statement.order_by),
                                            ("distinct", statement.distinct))
@@ -392,7 +398,9 @@ def plan_prediction(provider, statement: ast.SelectStatement):
                                   span_name="predict.parallel",
                                   rows_counter="prediction_cases"))
     else:
-        if key is None:
+        if constant:
+            node.cache = "bypassed (constant source)"
+        elif key is None:
             node.cache = "disabled"
         stage = node.add(PlanNode("bind cases", target=model.name,
                                   strategy="serial", match="parent",

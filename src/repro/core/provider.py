@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import re
 import weakref
-from contextlib import contextmanager
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.errors import BindError, CatalogError, Error, ParseError
@@ -193,6 +192,22 @@ class Provider:
                                              metrics=self.metrics)
         self.repository.enabled = bool(repository)
         self.tracer.on_statement = _weak_hook(self._observe_statement)
+        # The handles _observe_statement writes through (a registry reset
+        # zeroes metrics in place, so they stay the live ones): the fixed
+        # names now, a statement kind's pair and an ``activity.*`` counter
+        # when one first comes up.
+        metrics = self.metrics
+        self._statement_metrics = (
+            metrics.counter("statements.total"),
+            metrics.histogram("statements.latency_ms"))
+        self._resource_metrics = (
+            metrics.counter("resource.cpu_ms"),
+            metrics.counter("resource.pool_cpu_ms"),
+            metrics.counter("resource.lock_wait_ms"),
+            metrics.counter("resource.rows_processed"),
+            metrics.histogram("resource.statement_cpu_ms"))
+        self._kind_metrics: Dict[str, tuple] = {}
+        self._activity_counters: Dict[str, Any] = {}
         self.slow_sink = None
         if telemetry_path is not None:
             from repro.obs.sink import SlowQuerySink
@@ -322,27 +337,27 @@ class Provider:
         first = stripped.split(None, 1)[0].upper() if stripped else ""
         if first == "TRACE":
             return self.execute_ast(parse_statement(command))
-        with self._admitted(command) as (statement, plan, record):
-            result = self._execute_statement(statement, command, plan)
+        record, result = self._admitted(
+            command, lambda statement, plan: self._execute_statement(
+                statement, command, plan))
         self.tracer.complete(record)
         return result
 
-    @contextmanager
-    def _admitted(self, command: str):
+    def _admitted(self, command: str, run: Callable):
         """One statement's admission, shared by :meth:`execute` and
         :meth:`execute_stream`: admit its record (live in the workload
-        registry, active on this thread for the block), parse it — through
-        the statement-template cache, which runs the parser only on a
-        shape it has not seen — and classify it, plan a query or a model
-        INSERT once — outside any model lock — and hand that tree, with
-        the shape's fingerprint, to the workload repository (skeleton,
-        hash, estimate).  Yields ``(statement, plan, record)`` for the
-        caller to run — a statement made from a template shares nodes with
-        others of its shape, so the tree is read-only from here on.  A
-        failure inside the block completes the record; success
-        leaves completion to the caller, whose statement may outlive the
-        block as a stream.  A statement that fails to plan is still
-        fingerprinted, so its error counts against its aggregates."""
+        registry, active on this thread until this returns), parse it —
+        through the statement-template cache, which runs the parser only
+        on a shape it has not seen — and classify it, plan a query or a
+        model INSERT once — outside any model lock — and hand that tree,
+        with the shape's fingerprint, to the workload repository (skeleton,
+        hash, estimate).  Then ``run(statement, plan)`` — a statement made
+        from a template shares nodes with others of its shape, so the tree
+        is read-only from here on — and return ``(record, its result)``.
+        A failure anywhere completes the record; success leaves completion
+        to the caller, whose statement may outlive this call as a stream.
+        A statement that fails to plan is still fingerprinted, so its
+        error counts against its aggregates."""
         record = self.tracer.admit(command,
                                    session=obs_workload.session_id())
         self.workload.admit(record)
@@ -364,7 +379,7 @@ class Provider:
             finally:
                 self.repository.annotate(record, self, statement,
                                          command, shape, plan)
-            yield statement, plan, record
+            return record, run(statement, plan)
         except BaseException as exc:
             self.tracer.complete(record, exc)
             raise
@@ -605,29 +620,42 @@ class Provider:
 
     def _observe_statement(self, record) -> None:
         """The tracer's completion callback, once per statement: fold the
-        record into the repository, the metrics and the sink."""
-        self.repository.observe(record)
+        record into the repository, the metrics and the sink.  The span
+        tree is walked once, for both folds, and every metric is written
+        through a handle resolved once — at construction, or the first time
+        a statement kind or an ``activity.*`` name came up."""
+        totals = record.totals()
+        self.repository.observe(record, totals)
         metrics = self.metrics
-        metrics.counter("statements.total").inc()
         kind = (record.kind or "UNKNOWN").lower()
-        metrics.counter(f"statements.{kind}.count").inc()
-        metrics.histogram("statements.latency_ms").observe(record.duration_ms)
-        metrics.histogram(f"statements.{kind}.latency_ms").observe(
-            record.duration_ms)
+        by_kind = self._kind_metrics.get(kind)
+        if by_kind is None:
+            by_kind = self._kind_metrics[kind] = (
+                metrics.counter(f"statements.{kind}.count"),
+                metrics.histogram(f"statements.{kind}.latency_ms"))
+        for counter, latency in (self._statement_metrics, by_kind):
+            counter.inc()
+            latency.observe(record.duration_ms)
         if record.status == "error":
             metrics.counter("statements.errors").inc()
         elif record.status == "cancelled":
             metrics.counter("statements.cancelled").inc()
-        for name, amount in record.totals().items():
-            metrics.counter(f"activity.{name}").inc(amount)
+        activity = self._activity_counters
+        for name, amount in totals.items():
+            counter = activity.get(name)
+            if counter is None:
+                counter = activity[name] = metrics.counter(
+                    f"activity.{name}")
+            counter.inc(amount)
         if record.registry is not None:
+            cpu, pool_cpu, lock_wait, rows, statement_cpu = \
+                self._resource_metrics
             cpu_ms = record.total_cpu_ms()
-            metrics.counter("resource.cpu_ms").inc(cpu_ms)
-            metrics.counter("resource.pool_cpu_ms").inc(record.pool_cpu_ms)
-            metrics.counter("resource.lock_wait_ms").inc(record.lock_wait_ms)
-            metrics.counter("resource.rows_processed").inc(
-                record.rows_processed)
-            metrics.histogram("resource.statement_cpu_ms").observe(cpu_ms)
+            cpu.inc(cpu_ms)
+            pool_cpu.inc(record.pool_cpu_ms)
+            lock_wait.inc(record.lock_wait_ms)
+            rows.inc(record.rows_processed)
+            statement_cpu.observe(cpu_ms)
         if self.slow_sink is not None:
             self.slow_sink.maybe_write(record)
 
@@ -664,7 +692,7 @@ class Provider:
         what was produced unless producing a batch raised.  A failure to
         parse, plan or open completes it before this call raises.
         """
-        with self._admitted(command) as (statement, plan, record):
+        def open_stream(statement, plan) -> RowStream:
             if not isinstance(statement, (ast.SelectStatement,
                                           ast.UnionStatement)):
                 raise Error(
@@ -672,10 +700,11 @@ class Provider:
                     "use execute() for DDL/DML")
             obs_workload.set_phase("scan")
             try:
-                stream = plan.run(batch_size or self.database.batch_size)
+                return plan.run(batch_size or self.database.batch_size)
             except BindError as exc:
                 _attach_statement(exc, command)
                 raise
+        record, stream = self._admitted(command, open_stream)
         batches = self._produce(record, stream.batches())
         # A generator that never started runs no ``finally``: a stream
         # dropped before its first batch completes through this instead.

@@ -36,6 +36,10 @@ class Counter:
         with self._lock:
             self.value += amount
 
+    def reset(self) -> None:
+        with self._lock:
+            self.value = 0.0
+
     def row(self) -> Dict[str, Any]:
         return {"name": self.name, "kind": self.KIND, "value": self.value}
 
@@ -54,6 +58,9 @@ class Gauge:
     def set(self, value: float) -> None:
         with self._lock:
             self.value = value
+
+    def reset(self) -> None:
+        self.set(None)
 
     def row(self) -> Dict[str, Any]:
         return {"name": self.name, "kind": self.KIND, "value": self.value}
@@ -86,6 +93,13 @@ class Histogram:
             self.min = value if self.min is None else min(self.min, value)
             self.max = value if self.max is None else max(self.max, value)
             self._recent.append(value)
+
+    def reset(self) -> None:
+        with self._lock:
+            self.count = 0
+            self.total = 0.0
+            self.min = self.max = None
+            self._recent.clear()
 
     def percentile(self, fraction: float) -> Optional[float]:
         """Nearest-rank percentile over the recent window (0 < fraction <= 1)."""
@@ -122,7 +136,10 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Named metric catalog with get-or-create accessors and snapshots."""
+    """Named metric catalog with get-or-create accessors and snapshots.
+
+    A metric, once created, is the object behind its name for the life of
+    the registry: callers on a hot path resolve it once and keep it."""
 
     def __init__(self):
         self._metrics: Dict[str, Any] = {}
@@ -162,8 +179,13 @@ class MetricsRegistry:
         return metric.value
 
     def reset(self) -> None:
+        """Return every metric to its just-created state, in place: a
+        handle somebody holds (the buffer pool's, the provider's, a
+        server's) stays the registered metric, so what it counts after the
+        reset is read back under the same name.  Names stay listed."""
         with self._lock:
-            self._metrics.clear()
+            for metric in self._metrics.values():
+                metric.reset()
 
     def snapshot(self) -> List[Dict[str, Any]]:
         """One dict per metric, sorted by name (the DM_PROVIDER_METRICS rows)."""

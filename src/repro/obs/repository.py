@@ -60,10 +60,6 @@ DEFAULT_CHANGE_LIMIT = 256
 #: Distinct fingerprints retained (least-recently-observed evicted).
 DEFAULT_MAX_FINGERPRINTS = 512
 
-#: (text, data_version, stats_enabled) -> plan memo entries; a hot
-#: statement against unchanged data re-captures its plan for one dict hit.
-_PLAN_CACHE_LIMIT = 512
-
 #: Statement kinds whose completion can change later plans — remembered as
 #: the ``TRIGGER_STATEMENT`` of the next plan-change event.
 TRIGGER_KINDS = frozenset({
@@ -386,9 +382,6 @@ class WorkloadRepository:
         self._last_trigger: Optional[str] = None
         self._loaded = path is None
         self._dirty = False
-        # (text, data_version, stats_enabled) -> (hash, skeleton, est_rows)
-        # plan memo; None hash marks a statement with no EXPLAIN-able plan.
-        self._plan_cache: "OrderedDict[tuple, tuple]" = OrderedDict()
 
     # -- attribution (statement thread, after parse, before execution) ---------
 
@@ -403,92 +396,52 @@ class WorkloadRepository:
         statement's ``(normalized text, fingerprint)``; the one the
         statement-template cache hands out computes them once per statement
         shape, not once per text.  ``plan`` is the tree the dispatcher is
-        about to execute (plain SELECT/UNION); without one the statement is
-        planned here.  Never raises into the statement: a statement that
+        about to execute, and the skeleton, its hash and the estimate are
+        read straight off it — so what is recorded is the plan that runs,
+        whatever catalog, data or model state chose it; a statement the
+        dispatcher does not plan (DDL, table DML) is planned here for its
+        description.  Never raises into the statement: a statement that
         cannot be normalized or planned simply goes unattributed.
         """
         if not self.enabled or record.root is None:
             return
-        fingerprint = self._fingerprint(command, shape, record.kind)
-        if fingerprint is None:
-            return
-        record.fingerprint = fingerprint
-        if isinstance(statement, (ast.ExplainStatement, ast.TraceStatement,
-                                  ast.CancelStatement)):
-            return  # control verbs have no data-path plan
-        plan_hash, skeleton, est_rows = self._plan_for(provider, statement,
-                                                       command, plan)
-        if plan_hash is None:
-            return
-        self._record_plan(fingerprint, plan_hash, skeleton)
-        record.plan_hash = plan_hash
-        record.plan_est_rows = est_rows
-
-    def _fingerprint(self, text: str, shape,
-                     kind: Optional[str]) -> Optional[str]:
-        """The statement's fingerprint, ensuring its entry exists.
-
-        Returns None (and records nothing) when the statement cannot be
-        normalized — fingerprinting must never fail the statement.
-        """
         try:
             normalized, fingerprint = shape()
         except Exception:
-            return None
+            return  # fingerprinting must never fail the statement
+        plan_hash = None
+        if not isinstance(statement, (ast.ExplainStatement,
+                                      ast.TraceStatement,
+                                      ast.CancelStatement)):
+            # (Control verbs have no data-path plan.)
+            try:
+                if plan is None:
+                    from repro.obs.explain import build_plan
+                    plan = build_plan(provider, statement)
+                skeleton = plan_skeleton(plan)
+                est_rows = plan.estimate()
+                plan_hash = skeleton_hash(skeleton)
+            except Exception:
+                pass  # cannot be planned: it fails on its own, unattributed
         with self._lock:
             self._ensure_loaded()
-            entry = self._touch_entry(fingerprint, normalized, text)
-            if kind:
-                entry.kind = kind
-        return fingerprint
-
-    def _plan_for(self, provider, statement, command: str, plan) -> tuple:
-        """The statement's (plan_hash, skeleton, est_rows), memoized.
-
-        The memo key folds in ``data_version`` (monotonic over catalog DDL
-        and every row mutation — CREATE/DROP INDEX bump it) and the
-        planner's statistics gate, so a changed plan is always re-captured
-        while a hot statement against unchanged data costs one dict hit —
-        only a miss fills the tree's estimates.
-        """
-        key = (command, provider.database.data_version,
-               provider.database.stats_enabled)
-        with self._lock:
-            cached = self._plan_cache.get(key)
-            if cached is not None:
-                self._plan_cache.move_to_end(key)
-                return cached
-        try:
-            if plan is None:
-                from repro.obs.explain import build_plan
-                plan = build_plan(provider, statement)
-            skeleton = plan_skeleton(plan)
-            est = plan.estimate()
-            cached = (skeleton_hash(skeleton), skeleton,
-                      None if est is None else float(est))
-        except Exception:
-            cached = (None, None, None)  # not EXPLAIN-able; cache that too
-        with self._lock:
-            self._plan_cache[key] = cached
-            while len(self._plan_cache) > _PLAN_CACHE_LIMIT:
-                self._plan_cache.popitem(last=False)
-        return cached
-
-    def _record_plan(self, fingerprint: str, plan_hash: str,
-                     skeleton: str) -> None:
-        """Ensure a :class:`PlanEntry` exists; counts happen at retirement."""
-        with self._lock:
-            self._ensure_loaded()
-            entry = self._entries.get(fingerprint)
-            if entry is None:
-                return
-            plan_entry = entry.plans.get(plan_hash)
-            if plan_entry is None:
-                entry.plans[plan_hash] = PlanEntry(plan_hash, skeleton)
-                self._evict_plans(entry)
-            else:
-                entry.plans.move_to_end(plan_hash)
-            self._dirty = True
+            entry = self._touch_entry(fingerprint, normalized, command)
+            if record.kind:
+                entry.kind = record.kind
+            if plan_hash is not None:
+                # Counts happen at retirement; here the plan only joins
+                # the fingerprint's history.
+                if plan_hash in entry.plans:
+                    entry.plans.move_to_end(plan_hash)
+                else:
+                    entry.plans[plan_hash] = PlanEntry(plan_hash, skeleton)
+                    self._evict_plans(entry)
+                self._dirty = True
+        record.fingerprint = fingerprint
+        if plan_hash is not None:
+            record.plan_hash = plan_hash
+            record.plan_est_rows = (None if est_rows is None
+                                    else float(est_rows))
 
     def _evict_plans(self, entry: FingerprintEntry) -> None:
         while len(entry.plans) > self.plan_history:
@@ -501,8 +454,10 @@ class WorkloadRepository:
 
     # -- retirement (tracer callback, statement thread) ------------------------
 
-    def observe(self, record) -> None:
-        """Fold one finished statement record into the aggregates."""
+    def observe(self, record, totals: Optional[Dict[str, float]] = None) \
+            -> None:
+        """Fold one finished statement record into the aggregates.
+        ``totals`` is ``record.totals()`` when the caller already has it."""
         if not self.enabled:
             return
         fingerprint = record.fingerprint
@@ -532,7 +487,8 @@ class WorkloadRepository:
                 entry.max_ms = (duration if entry.max_ms is None
                                 else max(entry.max_ms, duration))
                 entry.sketch.observe(duration)
-            totals = record.totals()
+            if totals is None:
+                totals = record.totals()
             rows_out = totals.get("rows_out")
             entry.rows_returned += int(rows_out or 0)
             entry.buffer_reads += int(totals.get("buffer_reads", 0) or 0)

@@ -161,6 +161,10 @@ class DmxServer:
         self.closed = False
         self.gate = _StatementGate()
         self.metrics = provider.metrics
+        # The per-frame counters, resolved once.
+        self._bytes_in = self.metrics.counter("server.bytes_in")
+        self._bytes_out = self.metrics.counter("server.bytes_out")
+        self._statements = self.metrics.counter("server.statements")
         # Unexpected (non-Error) exceptions from connection threads land
         # here; the fuzz suite asserts this stays empty — a malformed
         # client must never crash a server thread.
@@ -301,7 +305,7 @@ class DmxServer:
             if hello is None:  # connected and left without a word
                 _close_socket(sock)
                 return
-            self.metrics.counter("server.bytes_in").inc(nbytes)
+            self._bytes_in.inc(nbytes)
             op = hello.get("op")
             if op == "cancel":
                 self._handle_cancel(sock, hello)
@@ -375,7 +379,7 @@ class DmxServer:
     def _send(self, session: Session, message: dict) -> None:
         nbytes = protocol.send_frame(session.sock, message)
         session.bytes_out += nbytes
-        self.metrics.counter("server.bytes_out").inc(nbytes)
+        self._bytes_out.inc(nbytes)
 
     def _session_loop(self, session: Session) -> None:
         """Bind the session's thread-locals and serve frames until EOF.
@@ -400,7 +404,7 @@ class DmxServer:
                 if frame is None:
                     return  # clean EOF at a frame boundary
                 session.bytes_in += nbytes
-                self.metrics.counter("server.bytes_in").inc(nbytes)
+                self._bytes_in.inc(nbytes)
                 op = frame.get("op")
                 if op == "goodbye":
                     self._send(session, {"ok": True})
@@ -423,7 +427,7 @@ class DmxServer:
     def _note_statement(self, session: Session, text: str) -> None:
         session.statements += 1
         session.last_statement = _condense(text)
-        self.metrics.counter("server.statements").inc()
+        self._statements.inc()
 
     def _handle_execute(self, session: Session, frame: dict) -> None:
         text = frame.get("statement", "")

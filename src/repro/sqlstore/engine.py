@@ -18,7 +18,7 @@ workload repository hashes it, ``execute_select_stream`` opens it.
 from __future__ import annotations
 
 import datetime
-from itertools import chain
+from itertools import chain, repeat
 from operator import eq, gt, itemgetter, lt
 from typing import (
     Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple)
@@ -435,7 +435,7 @@ class Database:
                                                   statement.where))
             expanded = self._expand_select_list(statement, source.columns)
             if expanded is not None:
-                node.columns = [(None, name) for _, name in expanded]
+                node.columns = [(None, name) for _, name, _ in expanded]
 
             def estimate(node):
                 # A seek narrows the scan, not the estimate: selectivity
@@ -561,17 +561,84 @@ class Database:
         return filtered()
 
     @staticmethod
-    def _project(values, rows: List[tuple]) -> List[tuple]:
-        """Output rows from the select list's compiled ``values``."""
-        return [tuple([value(row) for value in values]) for row in rows]
+    def _source_positions(expanded, context: EvalContext) \
+            -> List[Optional[int]]:
+        """Per select-list item, the source position a plain column
+        reference reads; None for any other item (and for a reference
+        that does not resolve — compiling it raises the ``BindError``).
+
+        A ``*`` column names the position it was expanded from — held
+        against the context's map with one probe, because where two
+        columns share a ``(qualifier, name)`` the first wins by name and
+        the later one must keep reading the earlier position.  That case,
+        and every reference the statement spelled out, resolves by name.
+        """
+        by_name = context.columns
+        positions = []
+        for expr, _, position in expanded:
+            if type(expr) is not ast.ColumnRef:
+                position = None
+            elif position is None or by_name.get(
+                    tuple(map(str.upper, expr.parts))) != position:
+                position = context.resolve_index(expr.parts)
+            positions.append(position)
+        return positions
+
+    def _bind_select_list(self, expanded, relation: SourceRelation,
+                          context: EvalContext):
+        """Bind the select list, once: ``(project, describe)`` —
+        ``project(rows)`` gives the output rows of a batch,
+        ``describe(sample_rows)`` the output columns.
+
+        One routine, chosen by what the list *is*.  A list of plain
+        columns (:meth:`_source_positions`) binds by position: a row is
+        projected by one C-level ``itemgetter`` call, or the batch is
+        handed on untouched when the positions are the source's own order.
+        Any other list compiles each item to a closure.  Either way an
+        item that names a source column is described by that column, and
+        only what no source column declares is inferred from
+        ``sample_rows``.
+        """
+        positions = self._source_positions(expanded, context)
+        values = repeat(None)
+        if None in positions:
+            values = [compile_expression(expr, context)
+                      for expr, _, _ in expanded]
+
+            def project(rows):
+                return [tuple([value(row) for value in values])
+                        for row in rows]
+        elif positions == list(range(len(relation.columns))):
+            def project(rows):
+                return rows
+        elif len(positions) == 1:
+            position, = positions  # itemgetter of one gives no tuple
+
+            def project(rows):
+                return [(row[position],) for row in rows]
+        else:
+            pick = itemgetter(*positions)
+
+            def project(rows):
+                return list(map(pick, rows))
+
+        def describe(sample_rows):
+            return [self._column_meta(name, relation, position, sample_rows,
+                                      value)
+                    for (_, name, _), position, value
+                    in zip(expanded, positions, values)]
+        return project, describe
 
     def _select_streaming(self, statement: ast.SelectStatement,
                           relation: SourceRelation, context: EvalContext,
                           expanded, batch_size: int, span) -> RowStream:
-        """The non-blocking pipeline: WHERE -> project -> TOP, per batch."""
+        """The non-blocking pipeline: WHERE -> project -> TOP, per batch.
+        WHERE and the select list (:meth:`_bind_select_list`) are bound
+        before a row is read."""
         source = self._filtered_batches(statement, relation, context,
                                         batch_size, span)
-        values = [compile_expression(expr, context) for expr, _ in expanded]
+        project, describe = self._bind_select_list(expanded, relation,
+                                                   context)
         # Column typing needs sample rows; buffer the head of the stream
         # (same 20-row sample the materialised path uses) and replay it.
         head: List[List[tuple]] = []
@@ -581,10 +648,7 @@ class Database:
             sample_rows.extend(batch)
             if len(sample_rows) >= 20:
                 break
-        output_columns = [
-            self._column_meta(expr, name, relation, sample_rows, context,
-                              value)
-            for (expr, name), value in zip(expanded, values)]
+        output_columns = describe(sample_rows)
 
         def produce():
             remaining = statement.top
@@ -594,7 +658,7 @@ class Database:
                 # Filtered batches are never empty, so neither is ``out``.
                 if remaining is not None:
                     batch = batch[:remaining]
-                out = self._project(values, batch)
+                out = project(batch)
                 obs_trace.add_to(span, "rows_out", len(out))
                 yield out
                 if remaining is not None:
@@ -616,14 +680,12 @@ class Database:
             output_columns, output_rows = self._execute_grouped(
                 statement, relation, context, expanded, batches)
         else:
-            values = [compile_expression(expr, context)
-                      for expr, _ in expanded]
+            project, describe = self._bind_select_list(expanded, relation,
+                                                       context)
             order_keys = self._bind_order_by(statement, expanded, context)
             rows = [row for batch in batches for row in batch]
-            output_columns = [
-                self._column_meta(expr, name, relation, rows, context, value)
-                for (expr, name), value in zip(expanded, values)]
-            output_rows = self._project(values, rows)
+            output_columns = describe(rows)
+            output_rows = project(rows)
 
         if statement.distinct:
             # Dedup output rows while keeping each survivor paired with its
@@ -673,23 +735,27 @@ class Database:
         return Rowset(columns, [tuple(values)])
 
     def _expand_select_list(self, statement: ast.SelectStatement, columns):
-        """Expand ``*``/``alias.*`` into concrete (expr, name) pairs over
-        the source's ``(qualifier, name)`` columns; None when a ``*`` meets
-        a source whose columns are unknown until it runs."""
-        expanded: List[Tuple[ast.Expr, str]] = []
-        for position, item in enumerate(statement.select_list):
+        """Expand ``*``/``alias.*`` into concrete ``(expr, name,
+        position)`` items over the source's ``(qualifier, name)`` columns:
+        ``position`` is the source position a ``*`` column was expanded
+        from, None for an item the statement spelled out.  None when a
+        ``*`` meets a source whose columns are unknown until it runs."""
+        expanded: List[Tuple[ast.Expr, str, Optional[int]]] = []
+        for ordinal, item in enumerate(statement.select_list):
             if isinstance(item.expr, ast.Star):
                 if columns is None:
                     return None
-                for qualifier, name in columns:
-                    if item.expr.qualifier is not None and (
-                            qualifier or "").upper() != item.expr.qualifier.upper():
+                star = item.expr.qualifier
+                for position, (qualifier, name) in enumerate(columns):
+                    if star is not None and \
+                            (qualifier or "").upper() != star.upper():
                         continue
                     parts = (qualifier, name) if qualifier else (name,)
-                    expanded.append((ast.ColumnRef(parts=parts), name))
+                    expanded.append(
+                        (ast.ColumnRef(parts=parts), name, position))
                 continue
-            name = item.alias or self._default_name(item.expr, position)
-            expanded.append((item.expr, name))
+            name = item.alias or self._default_name(item.expr, ordinal)
+            expanded.append((item.expr, name, None))
         return expanded
 
     @staticmethod
@@ -700,19 +766,18 @@ class Database:
             return expr.name
         return f"Expr{position + 1}"
 
-    def _column_meta(self, expr: ast.Expr, name: str,
-                     relation: SourceRelation,
-                     sample_rows: List[tuple],
-                     context: EvalContext, value: Callable) -> RowsetColumn:
-        """Best-effort output column typing: the declared type for plain
-        refs, else inferred from ``value`` (``expr`` compiled) over the
+    @staticmethod
+    def _column_meta(name: str, relation: SourceRelation,
+                     position: Optional[int], sample_rows: List[tuple],
+                     value: Optional[Callable]) -> RowsetColumn:
+        """Output column typing: the declared type (and nested columns) of
+        the source column at ``position`` when the item names one, else
+        best effort — inferred from ``value`` (the item compiled) over the
         head of the sample."""
-        if isinstance(expr, ast.ColumnRef):
-            index = context.resolve_index(expr.parts)
-            if index is not None:
-                source = relation.columns[index][1]
-                return RowsetColumn(name, source.type,
-                                    nested_columns=source.nested_columns)
+        if position is not None:
+            source = relation.columns[position][1]
+            return RowsetColumn(name, source.type,
+                                nested_columns=source.nested_columns)
         for row in sample_rows[:20]:
             sample = value(row)
             if isinstance(sample, Rowset):
@@ -742,7 +807,7 @@ class Database:
             for child in ast.children(expr):
                 collect(child)
 
-        for expr, _ in expanded:
+        for expr, _, _ in expanded:
             collect(expr)
         if statement.having is not None:
             collect(statement.having)
@@ -760,7 +825,7 @@ class Database:
         having = (compile_expression(statement.having, group_context)
                   if statement.having is not None else None)
         outputs = [compile_expression(expr, group_context)
-                   for expr, _ in expanded]
+                   for expr, _, _ in expanded]
         order_keys = self._bind_order_by(statement, expanded, group_context,
                                          bare_only=False)
 
@@ -796,7 +861,7 @@ class Database:
             groups.append(group)
 
         output_columns = []
-        for position, (expr, name) in enumerate(expanded):
+        for position, (_, name, _) in enumerate(expanded):
             sample = next(
                 (row[position] for row in output_rows if row[position] is not None),
                 None)
@@ -814,7 +879,7 @@ class Database:
         name matching an output column (a bare one only, unless the SELECT
         is grouped) reads the output row, anything else is compiled against
         the source row — for a grouped SELECT, the group."""
-        names = [name.upper() for _, name in expanded]
+        names = [name.upper() for _, name, _ in expanded]
         bound = []
         for item in statement.order_by:
             expr = item.expr

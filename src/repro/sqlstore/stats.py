@@ -116,10 +116,6 @@ class ColumnStats:
     # -- derived statistics ----------------------------------------------------
 
     @property
-    def non_null_count(self) -> int:
-        return sum(entry[1] for entry in self.counter.values())
-
-    @property
     def ndv(self) -> int:
         return len(self.counter)
 
@@ -175,8 +171,7 @@ class ColumnStats:
         """
         if row_count <= 0 or bound is None:
             return 0.0
-        total = self.non_null_count
-        if total == 0:
+        if not self.counter:  # no non-NULL value (entries leave at zero)
             return 0.0
         matching = 0.0
         for lo, hi, rows, _ in self.histogram:

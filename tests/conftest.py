@@ -14,7 +14,7 @@ from repro.datagen import WarehouseConfig, load_warehouse
 # test_training_from_counts.py, tests/lang/test_lexer_differential.py,
 # test_template_differential.py, tests/sqlstore/
 # test_page_codec_differential.py, test_paged_positions.py,
-# test_ordered_input_differential.py — each compares
+# test_ordered_input_differential.py, test_position_binding.py — each compares
 # ``src/`` with its oracle under tests/reference/) runs small in tier-1,
 # which only has to notice that a path broke, and deep in its CI step,
 # which is where these modules find bugs.

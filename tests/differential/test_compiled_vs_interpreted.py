@@ -294,7 +294,8 @@ def reference_grouped_rows(database, select):
 
     rows = [row for row in relation.rows
             if select.where is None or interpret(select.where, row) is True]
-    expanded = database._expand_select_list(select, relation.names())
+    expanded = [(expr, name) for expr, name, _ in
+                database._expand_select_list(select, relation.names())]
     roots = [expr for expr, _ in expanded] + [select.having] + \
         [item.expr for item in select.order_by]
     aggregate_nodes = []

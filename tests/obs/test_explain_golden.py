@@ -208,6 +208,36 @@ def test_explain_grid_matches_golden():
     assert render(capture()) == expected
 
 
+def _entries(node):
+    """Every ``{columns, rows, plan_hash}`` entry of the golden document."""
+    if isinstance(node, dict) and "plan_hash" in node:
+        yield node
+    else:
+        for child in (node.values() if isinstance(node, dict) else node):
+            yield from _entries(child)
+
+
+def test_recorded_hash_is_the_hash_of_the_explained_tree():
+    """What the golden's cells cannot say one by one: the ``plan_hash``
+    stamped on every executed statement of the grid is the hash of the
+    skeleton (operator | target | strategy, indented by depth) of the very
+    tree plain EXPLAIN printed just before it ran."""
+    from repro.obs.repository import skeleton_hash
+    with open(GOLDEN, encoding="utf-8") as handle:
+        entries = list(_entries(json.load(handle)))
+    assert len(entries) > 150
+    for entry in entries:
+        at = entry["columns"].index
+        skeleton = "\n".join(
+            "  " * row[at("DEPTH")] + " | ".join(
+                str(row[at(cell)])
+                for cell in ("OPERATOR", "TARGET", "STRATEGY")
+                if row[at(cell)])
+            for row in entry["rows"])
+        assert entry["plan_hash"] == skeleton_hash(skeleton), \
+            entry.get("statement", entry["rows"][0])
+
+
 if __name__ == "__main__":
     os.makedirs(os.path.dirname(GOLDEN), exist_ok=True)
     with open(GOLDEN, "w", encoding="utf-8") as handle:

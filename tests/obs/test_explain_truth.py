@@ -274,6 +274,50 @@ def test_analyzed_parallel_prediction_reports_every_node_that_ran(
         conn.close()
 
 
+def test_a_constant_source_never_meets_the_caseset_cache():
+    """A FROM-less source is one literal row nothing replays: EXPLAIN says
+    the cache is bypassed and the run neither probes nor fills it — while
+    the same model joined to a table still misses, fills, then hits."""
+    conn = mining_connection("Repro_Decision_Trees")
+    singleton = ("SELECT Predict(Buys) FROM M NATURAL PREDICTION JOIN "
+                 "(SELECT 'm' AS G, 'hi' AS H) AS t")
+    batch = SCENARIOS["Repro_Decision_Trees"]["predict"]
+    cache = conn.provider.caseset_cache
+
+    def moved(statement):
+        before = cache.stats()
+        conn.execute(statement)
+        return {name: value - before[name]
+                for name, value in cache.stats().items()
+                if value != before[name]}
+    try:
+        conn.execute(SCENARIOS["Repro_Decision_Trees"]["train"])
+        entries = len(cache)
+        for _ in range(2):
+            root = _plan_rows(conn, f"EXPLAIN {singleton}")[0]
+            assert root["CACHE"] == "bypassed (constant source)"
+            assert moved(singleton) == {}
+        analyzed = _plan_rows(conn, f"EXPLAIN ANALYZE {singleton}")[0]
+        assert analyzed["CACHE"] == "bypassed (constant source)"
+        assert len(cache) == entries
+        record = conn.provider.tracer.last()
+        assert (record.cache_hits, record.cache_misses) == (0, 0)
+
+        assert _plan_rows(conn, f"EXPLAIN {batch}")[0]["CACHE"] == \
+            "miss expected"
+        assert moved(batch) == {"misses": 1.0}
+        assert _plan_rows(conn, f"EXPLAIN {batch}")[0]["CACHE"] == \
+            "hit expected"
+        assert moved(batch) == {"hits": 1.0}
+        # ...and is still there after more singletons than the cache has
+        # entries: one-row casesets used to evict it.
+        for number in range(cache.capacity + 2):
+            conn.execute(singleton.replace("'hi'", f"'h{number}'"))
+        assert moved(batch) == {"hits": 1.0}
+    finally:
+        conn.close()
+
+
 @pytest.mark.parametrize("pool", [label for label, _ in MINING_POOLS])
 def test_second_insert_into_an_incremental_service_names_what_runs(pool):
     """A trained naive-Bayes model absorbs a covered caseset: no refit runs,

@@ -33,11 +33,37 @@ class TestRegistry:
             ["alpha", "mid", "zeta"]
 
     def test_reset_clears_everything(self):
+        """No value survives a reset: every metric reads as just created
+        (the names stay listed)."""
         registry = MetricsRegistry()
         registry.counter("x").inc()
+        registry.gauge("g").set(3)
+        for value in (1.0, 5.0):
+            registry.histogram("h").observe(value)
         registry.reset()
-        assert len(registry) == 0
-        assert "x" not in registry
+        fresh = MetricsRegistry()
+        fresh.counter("x"), fresh.gauge("g"), fresh.histogram("h")
+        assert registry.snapshot() == fresh.snapshot()
+        assert registry.value("x") == 0.0
+
+    def test_a_held_handle_survives_reset(self):
+        """What a holder counts after a reset is read back by name."""
+        registry = MetricsRegistry()
+        counter = registry.counter("x")
+        gauge = registry.gauge("g")
+        histogram = registry.histogram("h")
+        counter.inc(7)
+        histogram.observe(9.0)
+        registry.reset()
+        counter.inc(2)
+        gauge.set(4)
+        histogram.observe(1.5)
+        assert registry.counter("x") is counter
+        assert registry.value("x") == 2
+        assert registry.value("g") == 4
+        row = registry.get("h").row()
+        assert (row["count"], row["value"], row["min"], row["max"],
+                row["p50"]) == (1, 1.5, 1.5, 1.5, 1.5)
 
 
 class TestHistogram:

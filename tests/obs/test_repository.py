@@ -269,6 +269,35 @@ def test_plan_change_events_end_to_end():
         conn.close()
 
 
+def test_retraining_under_the_same_text_is_a_plan_change():
+    """The recorded plan is the one that ran, whatever state chose it: the
+    second ``INSERT INTO <model>`` of one text, against an unchanged
+    warehouse, runs the incremental absorb tree — model state, which no
+    statement text or data version shows — and is recorded as that."""
+    conn = repro.connect()
+    try:
+        _load_t(conn)
+        conn.execute("CREATE MINING MODEL M (id LONG KEY, val TEXT DISCRETE "
+                     "PREDICT) USING Repro_Naive_Bayes")
+        train = "INSERT INTO M (id, val) SELECT id, val FROM T"
+        hashes, printed = [], []
+        for _ in range(2):
+            printed.append(conn.execute(f"EXPLAIN {train}").rows)
+            conn.execute(train)
+            hashes.append(conn.provider.tracer.last().plan_hash)
+        assert printed[0] != printed[1]  # fit, then absorb
+        assert hashes[0] != hashes[1]
+        changes = [c for c in conn.provider.repository.plan_changes()
+                   if c["fingerprint"] == _fingerprint(train)]
+        assert [(c["old_plan_hash"], c["new_plan_hash"])
+                for c in changes] == [tuple(hashes)]
+        stats = _stats_row(conn, _fingerprint(train))
+        assert (stats["calls"], stats["plans"], stats["plan_hash"]) == \
+            (2, 2, hashes[1])
+    finally:
+        conn.close()
+
+
 def test_rowsets_are_queryable_and_joinable():
     conn = repro.connect()
     try:

@@ -328,6 +328,58 @@ def test_storage_metric_family_is_pinned(tmp_path):
         f"storage metrics vanished from DM_PROVIDER_METRICS: {missing}")
 
 
+def test_reset_leaves_every_holder_counting(tmp_path):
+    """``provider.metrics.reset()`` zeroes in place: the buffer pool, the
+    provider's completion path and a DMX server all hold the metrics they
+    write, and what they count after a reset must be readable by name —
+    through ``DM_PROVIDER_METRICS`` and ``/metrics`` alike."""
+    from repro.client import connect as net_connect
+    from repro.obs.export import render_prometheus
+    from repro.server import DmxServer
+
+    connection = repro.connect(storage_path=str(tmp_path / "store"),
+                               buffer_pages=2, storage_page_bytes=256)
+    scan = "SELECT COUNT(*) FROM S"
+
+    def published():
+        return {row[0]: row[1] for row in connection.execute(
+            "SELECT METRIC, VALUE FROM $SYSTEM.DM_PROVIDER_METRICS").rows}
+    try:
+        connection.execute("CREATE TABLE S (id INT, v TEXT)")
+        connection.execute("INSERT INTO S VALUES " + ", ".join(
+            f"({i}, 'value-{i:04d}-xxxxxxxxxx')" for i in range(40)))
+        with DmxServer(connection.provider, port=0) as server, \
+                net_connect("127.0.0.1", server.port) as wire:
+            wire.execute(scan)
+            before = published()
+            assert before["buffer.hits"] + before["buffer.misses"] > 0
+            assert before["server.statements"] == 1
+
+            connection.provider.metrics.reset()
+            stale = [row for row in connection.provider.metrics.snapshot()
+                     if row.get("value") or row.get("count")]
+            assert stale == []
+
+            wire.execute(scan)
+            connection.execute(scan)
+            after = published()
+            exposition = render_prometheus(connection.provider.metrics)
+        assert server.thread_errors == []
+    finally:
+        connection.close()
+    assert after["buffer.hits"] + after["buffer.misses"] > 0
+    assert after["buffer.misses"] <= before["buffer.misses"] * 2
+    assert after["statements.select.count"] == 2
+    assert after["statements.total"] == 2
+    assert after["activity.rows_scanned"] == 80
+    assert after["resource.rows_processed"] == 80
+    assert after["server.statements"] == 1
+    assert after["server.bytes_in"] > 0 and after["server.bytes_out"] > 0
+    for series in ("repro_buffer_misses", "repro_statements_total 3",
+                   "repro_server_statements 1"):
+        assert series in exposition, series
+
+
 def test_pool_metrics_carry_sane_values(conn):
     rows = conn.execute("SELECT METRIC, KIND, VALUE FROM "
                         "$SYSTEM.DM_PROVIDER_METRICS").rows
