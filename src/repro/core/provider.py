@@ -431,7 +431,7 @@ class Provider:
         if self.storage is not None and not self.storage.ephemeral and \
                 is_mutating_statement(statement):
             # Paged-store durability: shadow-page commit (flush dirty,
-            # swap the catalog root) before the mutation is acknowledged.
+            # move the catalog root) before the mutation is acknowledged.
             self.storage.commit(self.database)
         return result
 

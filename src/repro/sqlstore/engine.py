@@ -303,19 +303,15 @@ class Database:
                 row[position] = value
             return row
 
-        count = 0
         if statement.select is not None:
-            result = self.execute_select(statement.select)
-            for row in result.rows:
-                table.insert(widen(list(row)))
-                count += 1
-            return count
-        context = self._constant_context()
-        for value_row in statement.rows:
-            values = [_constant(e, context) for e in value_row]
-            table.insert(widen(values))
-            count += 1
-        return count
+            source = self.execute_select(statement.select).rows
+        else:
+            context = self._constant_context()
+            source = ([_constant(e, context) for e in value_row]
+                      for value_row in statement.rows)
+        # Lazily: a row's cells are evaluated, widened and checked before the
+        # next row's, so the first bad row in statement order is the error.
+        return table.insert_many(widen(list(row)) for row in source)
 
     def _execute_delete(self, statement: ast.DeleteStatement) -> int:
         table = self.table(statement.table)

@@ -169,21 +169,24 @@ class Page:
 
     ``rows`` is append-only while the page is live (DELETE/UPDATE build
     replacement pages instead of mutating), so concurrent readers can slice
-    a stable prefix without locking.  ``payload_size`` tracks the encoded
-    byte size incrementally so admission checks never re-encode the page.
+    a stable prefix without locking.  ``chunks`` holds the same rows as
+    encoded bytes — ``b",".join(chunks)`` is the payload between its
+    brackets — kept from where they were last in hand (the append that
+    encoded a row for the admission check, the file a reload read), so a
+    flush joins bytes and re-encodes nothing; ``payload_size`` is their
+    length with the brackets, tracked incrementally.
     """
 
-    __slots__ = ("page_id", "rows", "payload_size", "dirty", "pins",
-                 "handle")
+    __slots__ = ("page_id", "rows", "chunks", "payload_size", "dirty",
+                 "pins", "handle")
 
     def __init__(self, page_id: int, rows: Optional[List[Tuple]] = None,
-                 payload_size: Optional[int] = None):
+                 chunks: Optional[List[bytes]] = None):
         self.page_id = page_id
         self.rows: List[Tuple] = rows if rows is not None else []
-        if payload_size is None:
-            sizes = [len(encode_row(r)) for r in self.rows]
-            payload_size = 2 + sum(sizes) + max(0, len(sizes) - 1)
-        self.payload_size = payload_size
+        self.chunks: List[bytes] = chunks if chunks is not None \
+            else [encode_row(row) for row in self.rows]
+        self.payload_size = len(b",".join(self.chunks)) + 2
         self.dirty = False
         self.pins = 0
         self.handle = None  # set by the storage layer
@@ -194,10 +197,20 @@ class Page:
             return True
         return self.payload_size + row_bytes + 1 <= budget
 
-    def append(self, row: Tuple, row_bytes: int) -> None:
-        self.payload_size += row_bytes + (1 if self.rows else 0)
+    def append(self, row: Tuple, data: bytes) -> None:
+        """Add ``row``, whose :func:`encode_row` bytes are ``data``."""
+        self.payload_size += len(data) + (1 if self.rows else 0)
         self.rows.append(row)
+        self.chunks.append(data)
         self.dirty = True
+
+    def image(self) -> bytes:
+        """The page's file bytes — ``encode_page(page_id, rows)`` exactly.
+        The joined payload replaces the chunks it came from, so the next
+        flush of a page that kept growing joins two pieces, not every row."""
+        body = b",".join(self.chunks)
+        self.chunks = [body] if self.rows else []
+        return _frame(self.page_id, len(self.rows), b"[" + body + b"]")
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -208,12 +221,15 @@ class Page:
                 f"{flags}, pins={self.pins})")
 
 
+def _frame(page_id: int, row_count: int, payload: bytes) -> bytes:
+    return HEADER.pack(PAGE_MAGIC, page_id, row_count, len(payload),
+                       zlib.crc32(payload) & 0xFFFFFFFF) + payload
+
+
 def encode_page(page_id: int, rows: List[Tuple]) -> bytes:
     """Serialise rows into the deterministic page byte layout."""
-    payload = b"[" + b",".join(encode_row(r) for r in rows) + b"]"
-    header = HEADER.pack(PAGE_MAGIC, page_id, len(rows), len(payload),
-                         zlib.crc32(payload) & 0xFFFFFFFF)
-    return header + payload
+    return _frame(page_id, len(rows),
+                  b"[" + b",".join(encode_row(r) for r in rows) + b"]")
 
 
 def decode_page(data: bytes, expect_page_id: Optional[int] = None) -> Page:
@@ -253,4 +269,9 @@ def decode_page(data: bytes, expect_page_id: Optional[int] = None) -> Page:
         raise PageFormatError(
             f"page {page_id} row-count mismatch: header says {row_count}, "
             f"payload holds {len(raw_rows)}")
-    return Page(page_id, list(map(tuple, raw_rows)), payload_size=payload_len)
+    # The payload between its brackets is the rows' bytes; a foreign writer's
+    # surrounding whitespace would not be, so those rows re-encode instead.
+    chunks = None
+    if payload[:1] == b"[" and payload[-1:] == b"]":
+        chunks = [payload[1:-1]] if raw_rows else []
+    return Page(page_id, list(map(tuple, raw_rows)), chunks=chunks)

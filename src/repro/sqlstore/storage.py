@@ -1,8 +1,8 @@
 """Row storage behind :class:`~repro.sqlstore.table.Table`: list or paged.
 
 Two interchangeable row stores implement the same small contract
-(``append`` / ``replace_all`` / ``iter_batches`` / ``iter_positions`` /
-``row_at`` / ``snapshot``):
+(``append`` / ``extend`` / ``replace_all`` / ``iter_batches`` /
+``iter_positions`` / ``row_at`` / ``snapshot``):
 
 * :class:`ListRowStore` — the original in-memory list.  The default, and
   the behavioural reference: DELETE/UPDATE swap in a fresh list so scans
@@ -17,8 +17,10 @@ Two interchangeable row stores implement the same small contract
 
 :class:`StorageManager` owns the shared pool, the disk layout, and the
 commit protocol — shadow paging: flush dirty pages to *new* versioned
-files, then atomically swap ``catalog.json`` to reference them.  A crash
-at any byte offset leaves the old catalog pointing at old, intact files.
+files, sync the directories that gained them, then move the root
+(:mod:`repro.sqlstore.catalog`) to reference them — by one appended record
+when only page lists moved, by replacing the base otherwise.  A crash at
+any byte offset leaves the old root pointing at old, intact files.
 
 With a durable journal attached (``connect(durable_path=...,
 storage_path=...)``) the manager runs *ephemeral*: journal replay is the
@@ -30,14 +32,17 @@ authoritative, restart-surviving database.
 from __future__ import annotations
 
 import os
+import threading
+import time
 from bisect import bisect_left, bisect_right
 from typing import Any, Dict, Iterable, Iterator, List, NamedTuple, \
-    Optional, Tuple
+    Optional, Sequence, Tuple
 
 from repro.sqlstore.buffer import DEFAULT_BUFFER_PAGES, BufferPool
 from repro.sqlstore.catalog import DiskCatalog
 from repro.sqlstore.diskmgr import DiskManager, StorageError
 from repro.sqlstore.pages import DEFAULT_PAGE_BYTES, Page, encode_row
+from repro.store.atomic import fsync_directory
 
 # Cost discount for a buffer-resident page relative to a cold one: CPU work
 # to walk the rows without the disk read.
@@ -54,6 +59,9 @@ class ListRowStore:
 
     def append(self, row: Tuple) -> None:
         self.rows.append(row)
+
+    def extend(self, rows: Sequence[Tuple]) -> None:
+        self.rows.extend(rows)
 
     def replace_all(self, rows: Iterable[Tuple]) -> None:
         # A fresh list, never in-place: scans holding the old list keep
@@ -160,8 +168,10 @@ class PagedRowStore:
     """Rows packed into pages, resident only while the pool caches them.
 
     ``starts[i]`` is the position of page ``i``'s first row, so a position
-    finds its page by bisection; ``_new_page`` extends it beside
-    ``handles`` and ``_retire_handles`` swaps both for fresh lists.
+    finds its page by bisection; ``_admit`` extends it beside ``handles``
+    and ``_retire_handles`` swaps both for fresh lists.  ``_changed_from``
+    is the lowest index in ``handles`` whose catalog entry (file, version,
+    row count) may differ from the last commit's — what the commit writes.
     """
 
     def __init__(self, manager: "StorageManager", table_id: int,
@@ -179,6 +189,7 @@ class PagedRowStore:
         self._next_page_id = next_page_id
         self._next_version = next_version
         self._rows = total
+        self._changed_from: Optional[int] = None
         self._lock = manager.pool.lock
 
     # -- page access ----------------------------------------------------------
@@ -203,10 +214,27 @@ class PagedRowStore:
 
     # -- mutation -------------------------------------------------------------
 
+    def _touch(self, index: int) -> None:
+        if self._changed_from is None or index < self._changed_from:
+            self._changed_from = index
+
+    def take_changed(self) -> Optional[int]:
+        """The lowest page index touched since the last call, or None; the
+        commit (under the pool lock, after its flush) records the page list
+        from there."""
+        first, self._changed_from = self._changed_from, None
+        return first
+
     def append(self, row: Tuple) -> None:
-        data = encode_row(row)
+        self.extend((row,))
+
+    def extend(self, rows: Sequence[Tuple]) -> None:
+        """Append a statement's rows: one lock section, the tail page
+        fetched and pinned once, the overflow packed into fresh pages."""
+        chunks = [encode_row(row) for row in rows]
         with self._lock:
-            if self.handles:
+            taken = 0
+            if self.handles and rows:
                 last = self.handles[-1]
                 # Pinned: on a miss, admission runs eviction, and with every
                 # other frame pinned by concurrent scans the freshly loaded
@@ -217,47 +245,48 @@ class PagedRowStore:
                 # concurrent scans silently skipping the phantom rows.
                 page = self._page(last, pin=True)
                 try:
-                    if page.has_room(len(data), self.manager.page_bytes):
-                        page.append(row, len(data))
-                        last.row_count += 1
-                        self._rows += 1
-                        return
+                    budget = self.manager.page_bytes
+                    while taken < len(rows) and \
+                            page.has_room(len(chunks[taken]), budget):
+                        page.append(rows[taken], chunks[taken])
+                        taken += 1
+                    if taken:
+                        last.row_count += taken
+                        self._rows += taken
+                        self._touch(len(self.handles) - 1)
                 finally:
                     self.manager.pool.unpin(page)
-            self._new_page([row], [len(data)])
+            self._pack(zip(rows[taken:], chunks[taken:]))
 
-    def _new_page(self, rows: List[Tuple], sizes: List[int]) -> None:
-        page = Page(self._next_page_id)
-        self._next_page_id += 1
-        for row, size in zip(rows, sizes):
-            page.append(row, size)
+    def _pack(self, encoded: Iterable[Tuple[Tuple, bytes]]) -> None:
+        """Fill fresh pages with ``(row, its bytes)`` pairs under the
+        admission rule."""
+        budget = self.manager.page_bytes
+        page = None
+        for row, data in encoded:
+            if page is None or not page.has_room(len(data), budget):
+                if page is not None:
+                    self._admit(page)
+                page = Page(self._next_page_id)
+                self._next_page_id += 1
+            page.append(row, data)
+        if page is not None:
+            self._admit(page)
+
+    def _admit(self, page: Page) -> None:
         handle = PageHandle(self.manager.new_uid(), self.table_id,
-                            page.page_id, row_count=len(rows))
+                            page.page_id, row_count=len(page.rows))
         page.handle = handle
+        self._touch(len(self.handles))
         self.starts.append(self._rows)
         self.handles.append(handle)
-        self._rows += len(rows)
+        self._rows += len(page.rows)
         self.manager.pool.put(handle.uid, page)
 
     def replace_all(self, rows: Iterable[Tuple]) -> None:
         with self._lock:
             self._retire_handles()
-            pending: List[Tuple] = []
-            sizes: List[int] = []
-            budget = self.manager.page_bytes
-            payload = 2
-            for row in rows:
-                data = encode_row(row)
-                grown = payload + len(data) + (1 if pending else 0)
-                if pending and grown > budget:
-                    self._new_page(pending, sizes)
-                    pending, sizes, payload = [], [], 2
-                    grown = payload + len(data)
-                pending.append(row)
-                sizes.append(len(data))
-                payload = grown
-            if pending:
-                self._new_page(pending, sizes)
+            self._pack((row, encode_row(row)) for row in rows)
 
     def truncate(self) -> None:
         self.replace_all([])
@@ -287,6 +316,7 @@ class PagedRowStore:
         self.handles = []
         self.starts = []
         self._rows = 0
+        self._changed_from = 0
 
     # -- reads ----------------------------------------------------------------
 
@@ -440,12 +470,24 @@ class StorageManager:
                                    faults=faults)
         self.pool = BufferPool(buffer_pages, flusher=self.flush_page,
                                metrics=metrics)
-        self.metrics = metrics
+        # Resolved once, like the pool's: published (at 0) from connect.
+        self._commits = self._commit_ms = self._rewrites = None
+        if metrics is not None:
+            self._commits = metrics.counter("buffer.commits")
+            self._commit_ms = metrics.histogram("buffer.commit_ms")
+            self._rewrites = metrics.counter("buffer.catalog_rewrites")
         self.next_table_id = 1
         self.commit_seq = 0
         self._uid = 0
         self._stores: Dict[int, PagedRowStore] = {}
         self._restore_entries: Dict[str, dict] = {}
+        # One commit at a time, flush to root record: the root moves in
+        # commit_seq order, so no acknowledged commit is overwritten by an
+        # older one.  Taken before the pool lock, never inside it.
+        self._commit_lock = threading.Lock()
+        # What the root on disk says of everything but page lists, versions
+        # and counters; None until this process has written a base.
+        self._committed_shape: Optional[dict] = None
         if ephemeral:
             # Journal replay is authoritative: whatever a previous process
             # spilled here is dead weight.
@@ -500,39 +542,84 @@ class StorageManager:
         version = store.bump_version() if store is not None \
             else handle.version + 1
         filename = self.disk.write_page(handle.table_id, handle.page_id,
-                                        version, list(page.rows))
+                                        version, page.image())
         handle.version = version
         handle.current_file = filename
 
-    def commit(self, database) -> None:
-        """Make the current logical state durable: flush, then swap root."""
-        with self.pool.lock:
-            self.pool.flush_dirty()
-            self.commit_seq += 1
-            document = self._document(database)
-        self.catalog.save(document)
-        if self.metrics is not None:
-            self.metrics.counter("buffer.commits").inc()
+    def commit(self, database, rewrite: bool = False) -> Optional[dict]:
+        """Make the current logical state durable before it is acknowledged:
+        flush dirty pages, sync the directories that gained files, then move
+        the root — each step durable before the next begins.
 
-    def _document(self, database) -> dict:
+        The root moves by one appended record when nothing but page lists,
+        versions and counters differ from what it says and the log is still
+        shorter than the base; otherwise (or when ``rewrite`` asks) the base
+        is replaced, and the document written is returned.
+        """
+        started = time.perf_counter()
+        with self._commit_lock:
+            with self.pool.lock:
+                self.pool.flush_dirty()
+                seq = self.commit_seq + 1
+                shape = self._shape(database)
+                rewrite = rewrite or shape != self._committed_shape or \
+                    self.catalog.outgrown
+                # Until the root is durable the shape on disk counts as
+                # unknown: a failure from here on makes the next commit
+                # rewrite the base whole.
+                self._committed_shape = None
+                changed = [(key, table, table.store.take_changed())
+                           for key, table in database.tables.items()]
+                if rewrite:
+                    document = self._document(database, shape, seq)
+                else:
+                    document = None
+                    record = {
+                        "commit_seq": seq,
+                        "data_version": database.data_version,
+                        "tables": {
+                            key: {"version": table.version, "from": first,
+                                  "pages": self._page_entries(
+                                      table.store.handles[first:])}
+                            for key, table, first in changed
+                            if first is not None}}
+                directories = self.disk.take_unsynced()
+            # Readers fetch pages again from here on; the commit lock alone
+            # orders what is left.
+            try:
+                for directory in sorted(directories):
+                    fsync_directory(directory)
+            except BaseException:
+                self.disk.restore_unsynced(directories)
+                raise
+            if document is None:
+                self.catalog.append(record)
+            else:
+                self.catalog.save(document)
+            self._committed_shape = shape
+            self.commit_seq = seq
+        if self._commits is not None:
+            self._commits.inc()
+            if document is not None:
+                self._rewrites.inc()
+            self._commit_ms.observe((time.perf_counter() - started) * 1e3)
+        return document
+
+    def _shape(self, database) -> dict:
+        """The catalog without what every append moves: page lists, table
+        versions and the two counters."""
         from repro.lang.formatter import format_statement
 
         tables = {}
         for key in sorted(database.tables):
             table = database.tables[key]
-            store = table.store
             tables[key] = {
-                "id": store.table_id,
+                "id": table.store.table_id,
                 "name": table.schema.name,
-                "version": table.version,
                 "columns": [
                     {"name": c.name, "type": c.type.name,
                      "nullable": c.nullable, "primary_key": c.primary_key}
                     for c in table.schema.columns],
-                "pages": [
-                    {"id": h.page_id, "version": h.version,
-                     "rows": h.row_count, "file": h.current_file}
-                    for h in store.handles],
                 "indexes": [
                     {"name": index.name, "column": index.column_name}
                     for index in table.indexes.values()],
@@ -542,13 +629,23 @@ class StorageManager:
             }
         views = {key: format_statement(select)
                  for key, select in sorted(database.views.items())}
-        return {
-            "next_table_id": self.next_table_id,
-            "commit_seq": self.commit_seq,
-            "data_version": database.data_version,
-            "tables": tables,
-            "views": views,
-        }
+        return {"next_table_id": self.next_table_id, "tables": tables,
+                "views": views}
+
+    @staticmethod
+    def _page_entries(handles: List[PageHandle]) -> List[dict]:
+        return [{"id": h.page_id, "version": h.version, "rows": h.row_count,
+                 "file": h.current_file} for h in handles]
+
+    def _document(self, database, shape: dict, seq: int) -> dict:
+        tables = {}
+        for key, entry in shape["tables"].items():
+            table = database.tables[key]
+            tables[key] = dict(
+                entry, version=table.version,
+                pages=self._page_entries(table.store.handles))
+        return dict(shape, tables=tables, commit_seq=seq,
+                    data_version=database.data_version)
 
     @staticmethod
     def _referenced(document: dict) -> Dict[int, set]:
@@ -606,8 +703,10 @@ class StorageManager:
             self.catalog.remove()
             self.disk.sweep({})
             return
-        self.commit(database)
-        self.disk.sweep(self._referenced(self._document(database)))
+        # A clean close folds the log into the base.
+        document = self.commit(database, rewrite=True)
+        self.disk.sweep(self._referenced(document))
+        self.catalog.close()
 
     # -- introspection ($SYSTEM.DM_BUFFER_POOL) --------------------------------
 

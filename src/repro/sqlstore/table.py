@@ -77,46 +77,59 @@ class Table:
 
     def insert(self, values: Iterable[Any]) -> None:
         """Insert one row, coercing each value to its column type."""
-        row = tuple(values)
-        if len(row) != len(self.schema):
-            raise SchemaError(
-                f"table {self.name!r} expects {len(self.schema)} values, "
-                f"got {len(row)}")
-        coerced = []
-        for value, column in zip(row, self.schema.columns):
-            value = column.type.coerce(value)
-            if value is None and not column.nullable:
-                raise TypeError_(
-                    f"column {column.name!r} of table {self.name!r} "
-                    f"is NOT NULL")
-            coerced.append(value)
-        row = tuple(coerced)
-        if self.stats is not None and self.stats_stale:
-            self.rebuild_statistics()    # before the append: exact baseline
-        pk = self.schema.primary_key_index()
-        position = len(self.store)
-        if pk is not None:
-            key = group_key(row[pk])
-            if key in self._pk_index:
-                raise SchemaError(
-                    f"duplicate primary key {row[pk]!r} in table {self.name!r}")
-            self._pk_index[key] = position
-        self.store.append(row)
-        self.version += 1
-        for column_index, index in self._secondary.items():
-            index.setdefault(group_key(row[column_index]), []).append(position)
-        for index in self.indexes.values():
-            index.note_insert(row, position)
-        if self.stats is not None:
-            self.stats.note_insert(row)
+        self.insert_many((values,))
 
     def insert_many(self, rows: Iterable[Iterable[Any]]) -> int:
-        """Insert many rows; returns the count inserted."""
-        count = 0
-        for row in rows:
-            self.insert(row)
-            count += 1
-        return count
+        """Insert many rows, all or none; returns the count inserted.
+
+        Every row is checked — arity, coercion, NOT NULL, PRIMARY KEY
+        against the table and against the rows before it in the batch —
+        before the first one is stored, so a statement that fails leaves
+        the table as it found it.
+        """
+        columns = self.schema.columns
+        pk = self.schema.primary_key_index()
+        batch: List[Tuple] = []
+        keys: Dict[Any, int] = {}
+        base = len(self.store)
+        for values in rows:
+            row = tuple(values)
+            if len(row) != len(columns):
+                raise SchemaError(
+                    f"table {self.name!r} expects {len(columns)} values, "
+                    f"got {len(row)}")
+            coerced = []
+            for value, column in zip(row, columns):
+                value = column.type.coerce(value)
+                if value is None and not column.nullable:
+                    raise TypeError_(
+                        f"column {column.name!r} of table {self.name!r} "
+                        f"is NOT NULL")
+                coerced.append(value)
+            row = tuple(coerced)
+            if pk is not None:
+                key = group_key(row[pk])
+                if key in self._pk_index or key in keys:
+                    raise SchemaError(
+                        f"duplicate primary key {row[pk]!r} in table "
+                        f"{self.name!r}")
+                keys[key] = base + len(batch)
+            batch.append(row)
+        if self.stats is not None and self.stats_stale:
+            self.rebuild_statistics()    # before the append: exact baseline
+        self.store.extend(batch)
+        self.version += len(batch)
+        if pk is not None:
+            self._pk_index.update(keys)
+        for position, row in enumerate(batch, base):
+            for column_index, index in self._secondary.items():
+                index.setdefault(group_key(row[column_index]),
+                                 []).append(position)
+            for index in self.indexes.values():
+                index.note_insert(row, position)
+            if self.stats is not None:
+                self.stats.note_insert(row)
+        return len(batch)
 
     def delete_where(self, predicate) -> int:
         """Delete rows where ``predicate(row)`` is truthy; returns the count."""

@@ -3,8 +3,9 @@
 A plain ``open(path, "w")`` truncates the target before the new bytes are
 safely on disk — a crash mid-write destroys the only copy.  This helper is
 the one write path shared by provider snapshots (``save_provider``, the
-durable store's checkpoints), PMML export, the paged store's catalog and
-page files, and the workload repository: the new content is written to a
+durable store's checkpoints), PMML export, the paged store's catalog base
+and the workload repository — every file that is *replaced* (a page file
+never is: :mod:`repro.sqlstore.diskmgr`): the new content is written to a
 temporary sibling, flushed and fsync'd, and only then swapped in with
 ``os.replace`` (atomic on POSIX and Windows).  A crash at *any* point
 leaves either the complete old file or the complete new file, never a

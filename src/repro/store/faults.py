@@ -8,8 +8,8 @@ recovers from disk) or an :class:`OSError` (a simulated I/O failure the
 provider must surface without corrupting the on-disk state).
 
 Station names are ``<prefix>.<stage>``; the complete table — journal,
-snapshot, checkpoint, page, catalog, export and atomic prefixes, and the
-call that owns each — is in ``docs/internals.md`` §5½ ("Fault stations").
+snapshot, checkpoint, page, catalog, catalog_log, export and atomic
+prefixes, and the call that owns each — is in ``docs/internals.md`` §5½ ("Fault stations").
 
 :class:`InjectedCrash` deliberately subclasses ``BaseException`` so no
 ``except Exception`` recovery path in the provider can swallow a simulated

@@ -32,6 +32,7 @@ import zlib
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import Error
+from repro.store.atomic import fsync_directory
 
 MAGIC = b"DMJ1"
 
@@ -112,25 +113,34 @@ class JournalWriter:
 
     ``truncate_at`` (from :func:`read_journal`'s ``valid_end_offset``) chops
     a torn tail left by a previous crash before the first new append.
-    ``faults`` threads the crash-point harness through the append path.
+    ``faults`` threads the crash-point harness through the append path, at
+    stations named ``<fault_prefix>.<stage>`` — the statement journal's are
+    ``journal.*``, the paged store's catalog log's ``catalog_log.*``.
     """
 
     def __init__(self, path: str, truncate_at: Optional[int] = None,
-                 faults=None):
+                 faults=None, fault_prefix: str = "journal"):
         self.path = path
         self.faults = faults
-        size = os.path.getsize(path) if os.path.exists(path) else 0
+        self.fault_prefix = fault_prefix
+        created = not os.path.exists(path)
+        size = 0 if created else os.path.getsize(path)
         self._handle = open(path, "ab")
+        if created:
+            # A record is only as durable as the file's directory entry.
+            fsync_directory(os.path.dirname(os.path.abspath(path)))
         if truncate_at is not None and size != truncate_at:
             self._handle.truncate(truncate_at)
             os.fsync(self._handle.fileno())
 
-    def append(self, record: Dict[str, Any]) -> None:
-        """Durably append one record: write + flush + fsync, then return."""
+    def append(self, record: Dict[str, Any]) -> int:
+        """Durably append one record: write + flush + fsync, then return
+        the number of bytes it occupies."""
         line = encode_record(record)
         faults = self.faults
+        prefix = self.fault_prefix
         if faults is not None:
-            exc = faults.check("journal.torn_write")
+            exc = faults.check(f"{prefix}.torn_write")
             if exc is not None:
                 # Simulated torn write: persist only half the record's
                 # bytes, then die.  Recovery must skip this tail.
@@ -138,14 +148,15 @@ class JournalWriter:
                 self._handle.flush()
                 os.fsync(self._handle.fileno())
                 raise exc
-            faults.hit("journal.before_write")
+            faults.hit(f"{prefix}.before_write")
         self._handle.write(line)
         self._handle.flush()
         if faults is not None:
-            faults.hit("journal.before_fsync")
+            faults.hit(f"{prefix}.before_fsync")
         os.fsync(self._handle.fileno())
         if faults is not None:
-            faults.hit("journal.after_fsync")
+            faults.hit(f"{prefix}.after_fsync")
+        return len(line)
 
     def reset(self) -> None:
         """Truncate the journal to empty (checkpoint took ownership)."""

@@ -287,8 +287,9 @@ def test_pool_metric_family_is_pinned(conn):
 
 
 # The storage metric names the paged-store subsystem promises to
-# operators.  (The pool resolves its counters at construction, so
-# buffer.pin_overflow is published — at 0 — before any frame is pinned.)
+# operators.  (The pool and the storage manager resolve theirs at
+# construction, so buffer.pin_overflow and the commit trio are published —
+# at 0 — before any frame is pinned or any statement committed.)
 BUFFER_METRIC_FAMILY = [
     "buffer.hits",
     "buffer.misses",
@@ -296,6 +297,8 @@ BUFFER_METRIC_FAMILY = [
     "buffer.flushes",
     "buffer.pin_overflow",
     "buffer.commits",
+    "buffer.commit_ms",
+    "buffer.catalog_rewrites",
     "buffer.pages_resident",
     "index.seeks",
     "index.range_seeks",
@@ -326,6 +329,29 @@ def test_storage_metric_family_is_pinned(tmp_path):
                if name not in published]
     assert not missing, (
         f"storage metrics vanished from DM_PROVIDER_METRICS: {missing}")
+
+
+def test_commit_metrics_are_published_before_the_first_commit(tmp_path):
+    connection = repro.connect(storage_path=str(tmp_path / "store"))
+    try:
+        def published():
+            return {row[0]: (row[1], row[2]) for row in connection.execute(
+                "SELECT METRIC, KIND, VALUE FROM "
+                "$SYSTEM.DM_PROVIDER_METRICS WHERE METRIC LIKE 'buffer.c%'"
+            ).rows}
+        assert published() == {"buffer.commits": ("counter", 0.0),
+                               "buffer.commit_ms": ("histogram", 0.0),
+                               "buffer.catalog_rewrites": ("counter", 0.0)}
+        connection.execute("CREATE TABLE S (id INT)")       # rewrites the base
+        connection.execute("INSERT INTO S VALUES (1)")      # appends
+        connection.execute("INSERT INTO S VALUES (2)")
+        after = published()
+        assert after["buffer.commits"] == ("counter", 3.0)
+        assert after["buffer.catalog_rewrites"] == ("counter", 1.0)
+        assert connection.provider.metrics.histogram(
+            "buffer.commit_ms").count == 3
+    finally:
+        connection.close()
 
 
 def test_reset_leaves_every_holder_counting(tmp_path):

@@ -1,0 +1,199 @@
+"""A multi-row INSERT that fails leaves nothing behind.
+
+``INSERT INTO T VALUES (1,'a'),(2,'b'),(1,'dup'),(3,'c')`` used to raise
+with rows 1 and 2 already stored: on a durable provider the statement is
+not journaled, so the live table and the recovered one disagreed, and on
+the paged store the orphan rows rode along with the next statement's commit.
+``Table.insert_many`` now checks every row before it stores the first —
+on the memory store, the paged store, a durable provider and over the wire,
+for VALUES and for INSERT … SELECT, with every failure kind's error text as
+it was.
+"""
+
+import shutil
+
+import pytest
+
+import repro
+from repro.core.persistence import dump_provider
+from repro.errors import Error, SchemaError, TypeError_
+from repro.sqlstore.schema import ColumnSchema, TableSchema
+from repro.sqlstore.storage import ListRowStore, StorageManager
+from repro.sqlstore.table import Table
+from repro.sqlstore.types import LONG, TEXT
+
+CREATE = "CREATE TABLE T (id INT PRIMARY KEY, name TEXT NOT NULL)"
+SEED = "INSERT INTO T VALUES (10, 'ten'), (11, 'eleven')"
+
+# (statement, error type, the error text as the single-row path words it)
+FAILURES = [
+    ("INSERT INTO T VALUES (1,'a'),(2,'b'),(1,'dup'),(3,'c')",
+     SchemaError, "duplicate primary key 1 in table 'T'"),
+    ("INSERT INTO T VALUES (1,'a'),(2,'b'),(10,'in the table'),(3,'c')",
+     SchemaError, "duplicate primary key 10 in table 'T'"),
+    ("INSERT INTO T VALUES (1,'a'),(2,NULL),(3,'c')",
+     TypeError_, "column 'name' of table 'T' is NOT NULL"),
+    ("INSERT INTO T VALUES (1,'a'),('two','b'),(3,'c')",
+     TypeError_, "cannot coerce 'two' to LONG"),
+    ("INSERT INTO T VALUES (1,'a'),(2,'b',3),(3,'c')",
+     SchemaError, "INSERT expects 2 values, got 3"),
+    ("INSERT INTO T SELECT id - 9, name FROM T",
+     SchemaError, "duplicate primary key 1 in table 'T'"),
+]
+IDS = ["pk-in-batch", "pk-in-table", "not-null", "coercion", "arity",
+       "insert-select"]
+
+
+def _setup(conn):
+    conn.execute(CREATE)
+    conn.execute(SEED)
+
+
+def _rows(conn):
+    return sorted(conn.execute("SELECT id, name FROM T").rows)
+
+
+@pytest.fixture(params=["memory", "paged"])
+def conn(request, tmp_path):
+    kwargs = {} if request.param == "memory" else {
+        "storage_path": str(tmp_path / "store"), "buffer_pages": 2,
+        "storage_page_bytes": 64}
+    connection = repro.connect(**kwargs)
+    _setup(connection)
+    yield connection
+    connection.close()
+
+
+@pytest.mark.parametrize("statement, error, text", FAILURES, ids=IDS)
+def test_a_failed_insert_changes_nothing(conn, statement, error, text):
+    if statement.startswith("INSERT INTO T SELECT"):
+        # The select yields ids 1 and 2; with 1 stored its first row fails.
+        conn.execute("INSERT INTO T VALUES (1, 'one')")
+    before = _rows(conn)
+    version = conn.database.table("T").version
+    with pytest.raises(error) as raised:
+        conn.execute(statement)
+    assert text in str(raised.value)
+    assert _rows(conn) == before
+    assert conn.database.table("T").version == version
+    # The table still takes rows, the failed statement's keys included.
+    conn.execute("INSERT INTO T VALUES (2, 'b'), (3, 'c')")
+    assert _rows(conn) == sorted(before + [(2, "b"), (3, "c")])
+    assert conn.database.table("T").lookup_pk(3) == (3, "c")
+
+
+def test_the_first_bad_row_in_statement_order_is_the_error(conn):
+    """Row 2 repeats a key, row 3 has a NULL: checked row by row, as the
+    single-row path met them."""
+    with pytest.raises(SchemaError, match="duplicate primary key 1"):
+        conn.execute("INSERT INTO T VALUES (1,'a'),(1,'dup'),(3,NULL)")
+    with pytest.raises(TypeError_, match="NOT NULL"):
+        conn.execute("INSERT INTO T VALUES (1,'a'),(3,NULL),(1,'dup')")
+
+
+def test_paged_orphans_do_not_ride_the_next_commit(tmp_path):
+    path = str(tmp_path / "store")
+    conn = repro.connect(storage_path=path, buffer_pages=2,
+                         storage_page_bytes=64)
+    _setup(conn)
+    with pytest.raises(Error):
+        conn.execute(FAILURES[0][0])
+    conn.execute("INSERT INTO T VALUES (20, 'twenty')")
+    expected = _rows(conn)
+    copy = str(tmp_path / "copy")
+    shutil.copytree(path, copy)
+    conn.close()
+    reopened = repro.connect(storage_path=copy, buffer_pages=2,
+                             storage_page_bytes=64)
+    try:
+        assert _rows(reopened) == expected == \
+            [(10, "ten"), (11, "eleven"), (20, "twenty")]
+    finally:
+        reopened.close()
+
+
+@pytest.mark.parametrize("statement, error, text", FAILURES[:5], ids=IDS[:5])
+def test_durable_live_state_equals_recovered_state(tmp_path, statement,
+                                                   error, text):
+    path = str(tmp_path / "durable")
+    conn = repro.connect(durable_path=path)
+    _setup(conn)
+    with pytest.raises(error):
+        conn.execute(statement)
+    live = dump_provider(conn.provider)
+    copy = str(tmp_path / "copy")
+    shutil.copytree(path, copy)               # the crash: no clean close
+    conn.close()
+    recovered = repro.connect(durable_path=copy)
+    try:
+        assert dump_provider(recovered.provider) == live
+        assert _rows(recovered) == [(10, "ten"), (11, "eleven")]
+    finally:
+        recovered.close()
+
+
+def test_over_the_wire(tmp_path):
+    from repro.client import connect as net_connect
+    from repro.server import DmxServer
+
+    connection = repro.connect(storage_path=str(tmp_path / "store"))
+    try:
+        _setup(connection)
+        with DmxServer(connection.provider, port=0) as server, \
+                net_connect("127.0.0.1", server.port) as wire:
+            for statement, _, text in FAILURES[:5]:
+                with pytest.raises(Error) as raised:
+                    wire.execute(statement)
+                assert text in str(raised.value)
+                assert sorted(wire.execute(
+                    "SELECT id, name FROM T").rows) == \
+                    [(10, "ten"), (11, "eleven")]
+            assert wire.execute(
+                "INSERT INTO T VALUES (1,'a'),(2,'b')") == 2
+        assert server.thread_errors == []
+    finally:
+        connection.close()
+
+
+# -- the row stores' batch append ------------------------------------------------
+
+def _schema():
+    return TableSchema("T", [ColumnSchema("id", LONG),
+                             ColumnSchema("name", TEXT)])
+
+
+def test_extend_packs_like_append(tmp_path):
+    """One ``extend`` of n rows and n ``append`` calls leave the same pages;
+    the batch fetches the tail page once, not once per row."""
+    rows = [(i, f"row-{i:04d}-" + "x" * (i % 17)) for i in range(90)]
+    layouts = []
+    for name, batched in (("one", False), ("many", True)):
+        manager = StorageManager(str(tmp_path / name), buffer_pages=2,
+                                 page_bytes=256)
+        store = manager.make_store(_schema())
+        store.extend(rows[:7])
+        fetches = manager.pool.hits + manager.pool.misses
+        if batched:
+            store.extend(rows[7:])
+            assert manager.pool.hits + manager.pool.misses == fetches + 1
+        else:
+            for row in rows[7:]:
+                store.append(row)
+        assert store.snapshot() == rows and len(store) == len(rows)
+        layouts.append([handle.row_count for handle in store.handles])
+        store.extend([])
+        assert len(store) == len(rows)
+    assert layouts[0] == layouts[1] and len(layouts[0]) > 5
+
+
+def test_insert_is_insert_many_of_one():
+    table = Table(_schema())
+    table.insert([1, "a"])
+    assert table.insert_many([[2, "b"], (3, "c")]) == 2
+    assert table.insert_many([]) == 0
+    assert table.rows == [(1, "a"), (2, "b"), (3, "c")]
+    assert table.version == 3
+    assert isinstance(table.store, ListRowStore)
+    with pytest.raises(SchemaError, match="expects 2 values, got 1"):
+        table.insert_many([[4, "d"], [5]])
+    assert len(table) == 3

@@ -75,7 +75,7 @@ def test_page_payload_size_tracks_encoding_exactly():
     rows = [(1, "aa"), (2, "bbbb"), (3, None)]
     page = Page(0)
     for row in rows:
-        page.append(row, len(encode_row(row)))
+        page.append(row, encode_row(row))
     payload = b"[" + b",".join(encode_row(r) for r in rows) + b"]"
     assert page.payload_size == len(payload)
     assert Page(0, list(rows)).payload_size == len(payload)
@@ -85,7 +85,7 @@ def test_has_room_respects_budget():
     page = Page(0)
     row = (1, "x" * 40)
     size = len(encode_row(row))
-    page.append(row, size)
+    page.append(row, encode_row(row))
     budget = page.payload_size + size  # one byte short of a second row
     assert not page.has_room(size, budget)
     assert page.has_room(size, budget + 1)
@@ -100,7 +100,7 @@ def test_oversized_row_gets_its_own_page():
 def test_append_marks_dirty():
     page = Page(0)
     assert not page.dirty
-    page.append((1,), len(encode_row((1,))))
+    page.append((1,), encode_row((1,)))
     assert page.dirty
 
 

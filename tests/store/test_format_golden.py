@@ -1,4 +1,4 @@
-"""Golden pins of the snapshot + journal on-disk format.
+"""Golden pins of the snapshot + journal + paged-catalog on-disk formats.
 
 These literals ARE the compatibility contract: if one of these tests fails,
 the change broke the ability of a new build to recover state written by an
@@ -114,3 +114,53 @@ def test_format_1_snapshot_still_loads():
 
 def test_format_version_is_three():
     assert FORMAT_VERSION == 3
+
+
+# -- the paged store's root: catalog format 2 ----------------------------------
+
+# The base a paged provider writes for GOLDEN_STATEMENTS[0] (every DDL
+# rewrites it) and the record GOLDEN_STATEMENTS[1] appends to catalog.log —
+# the statement journal's framing around "replace G1's page list from
+# index 0".
+GOLDEN_CATALOG_BASE = (
+    '{"commit_seq": 1, "data_version": 1, "format": 2, '
+    '"kind": "repro-paged-catalog", "next_table_id": 2, "tables": {"G1": '
+    '{"columns": [{"name": "Id", "nullable": true, "primary_key": false, '
+    '"type": "LONG"}], "id": 1, "indexes": [], "name": "G1", "pages": [], '
+    '"statistics": true, "version": 0}}, "views": {}}'
+)
+GOLDEN_CATALOG_RECORD = (
+    b'DMJ1 a2385c90 {"commit_seq":2,"data_version":3,"tables":{"G1":'
+    b'{"from":0,"pages":[{"file":"p0_v1.pg","id":0,"rows":2,"version":1}],'
+    b'"version":2}}}\n'
+)
+
+
+def test_paged_catalog_base_and_record_pinned(tmp_path):
+    path = tmp_path / "paged"
+    conn = repro.connect(storage_path=str(path))
+    try:
+        for statement in GOLDEN_STATEMENTS:
+            conn.execute(statement)
+        assert (path / "catalog.json").read_text() == GOLDEN_CATALOG_BASE
+        assert (path / "catalog.log").read_bytes() == GOLDEN_CATALOG_RECORD
+    finally:
+        conn.close()
+
+
+def test_pinned_paged_catalog_bytes_replay(tmp_path):
+    """Forward compatibility: a fresh provider opens the pinned base + log
+    (with the page file the record names) to the two rows."""
+    from repro.sqlstore.pages import encode_page
+    path = tmp_path / "paged"
+    (path / "pages" / "t1").mkdir(parents=True)
+    (path / "catalog.json").write_text(GOLDEN_CATALOG_BASE)
+    (path / "catalog.log").write_bytes(GOLDEN_CATALOG_RECORD)
+    (path / "pages" / "t1" / "p0_v1.pg").write_bytes(
+        encode_page(0, [(1,), (2,)]))
+    conn = repro.connect(storage_path=str(path))
+    try:
+        assert conn.execute("SELECT Id FROM G1").rows == [(1,), (2,)]
+        assert conn.provider.storage.commit_seq == 2
+    finally:
+        conn.close()
