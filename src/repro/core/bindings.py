@@ -22,7 +22,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import BindError, SchemaError
 from repro.lang import ast_nodes as ast
-from repro.obs import trace as obs_trace
 from repro.core.columns import ContentRole, ModelColumn, ModelDefinition
 from repro.sqlstore.rowset import Rowset
 
@@ -70,11 +69,8 @@ Binding = Union[ast.BindingColumn, ast.BindingSkip, ast.BindingTable]
 def map_rowset(definition: ModelDefinition, rowset: Rowset,
                bindings: Optional[Sequence[Binding]] = None) -> List[MappedCase]:
     """Map a source rowset to cases, positionally if bindings are given."""
-    with obs_trace.span("bind", model=definition.name):
-        mapper = case_mapper(definition, rowset, bindings)
-        cases = [mapper(row) for row in rowset.rows]
-        obs_trace.add("cases_bound", len(cases))
-        return cases
+    mapper = case_mapper(definition, rowset, bindings)
+    return [mapper(row) for row in rowset.rows]
 
 
 def case_mapper(definition: ModelDefinition, source,
@@ -96,23 +92,12 @@ def case_mapper(definition: ModelDefinition, source,
 
 def iter_mapped_cases(definition: ModelDefinition, stream,
                       bindings: Optional[Sequence[Binding]] = None):
-    """Lazily map a row stream (or rowset) to cases, batch by batch.
-
-    The ``bind`` span covers plan compilation; batches bound later pin
-    their counters back onto it.
-    """
-    span = obs_trace.span("bind", model=definition.name)
-    with span:
-        mapper = case_mapper(definition, stream, bindings)
-        source = stream.batches() if hasattr(stream, "batches") \
-            else [stream.rows]
-
-    def produce():
-        for batch in source:
-            cases = [mapper(row) for row in batch]
-            obs_trace.add_to(span, "cases_bound", len(cases))
-            yield cases
-    return produce()
+    """Lazily map a row stream (or rowset) to cases, batch by batch; the
+    mapper is compiled before the first batch is pulled."""
+    mapper = case_mapper(definition, stream, bindings)
+    source = stream.batches() if hasattr(stream, "batches") \
+        else [stream.rows]
+    return ([mapper(row) for row in batch] for batch in source)
 
 
 # A plan is a list of (source_index, target) where target is either
@@ -291,9 +276,7 @@ def map_rowset_with_pairs(
         source_alias: Optional[str]) -> List[MappedCase]:
     """Map cases using explicit (model_path, source_path) equalities."""
     mapper = pair_mapper(definition, rowset, pairs, source_alias)
-    cases = [mapper(row) for row in rowset.rows]
-    obs_trace.add("cases_bound", len(cases))
-    return cases
+    return [mapper(row) for row in rowset.rows]
 
 
 def pair_mapper(definition: ModelDefinition, source,

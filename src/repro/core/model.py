@@ -76,7 +76,7 @@ class MiningModel:
         return (self.is_trained and self.space is not None and
                 self.algorithm.SUPPORTS_INCREMENTAL)
 
-    def train(self, cases: List[MappedCase], partitioned=None) -> int:
+    def train(self, cases: List[MappedCase], consume=None) -> int:
         """Consume a caseset (INSERT INTO semantics); returns cases consumed.
 
         Cases accumulate across INSERT statements.  Services that declare
@@ -86,12 +86,9 @@ class MiningModel:
         other services — the algorithm retrains over the full accumulated
         caseset, so a second INSERT acts as a refresh with more data.
 
-        ``partitioned`` is the training plan's refit hook
-        (:func:`repro.exec.partition.plan_train`): called with the
-        schema-fitted space when a refit is under way, it returns True if
-        it refit the model over partitions — its eligibility gates
-        guarantee a result identical to the serial refit — and False to
-        leave the refit to the serial path.
+        ``consume(cases)`` is what absorbs or refits once the cases are
+        appended — :meth:`consume` by default, the training plan's steps
+        when a plan runs (:func:`repro.exec.partition.plan_train`).
         """
         if not cases:
             raise TrainError(
@@ -100,8 +97,7 @@ class MiningModel:
         self.training_cases.extend(cases)
         self.insert_count += 1
         try:
-            if not self._absorb_incrementally(cases):
-                self._refit(partitioned)
+            (consume or self.consume)(cases)
         except BaseException:
             # A failed (or cancelled) refit must not leave this INSERT's
             # cases in the accumulated caseset: the next INSERT would then
@@ -115,25 +111,39 @@ class MiningModel:
             self._invalidate_derived()
         return len(cases)
 
-    def _absorb_incrementally(self, cases: List[MappedCase]) -> bool:
+    def consume(self, cases: List[MappedCase]) -> None:
+        """Absorb the appended ``cases`` if they fit, else refit serially."""
+        if not self.absorb(cases):
+            self.refit(self.fit_schema())
+
+    def absorb(self, cases: List[MappedCase]) -> int:
+        """Fold ``cases`` into the trained model incrementally; the number
+        absorbed, 0 when the service or the fitted space does not allow
+        it (nothing changed then)."""
         if not self.can_absorb:
-            return False
+            return 0
         if not all(self.space.covers(case) for case in cases):
-            return False
+            return 0
         observations = self.space.encode_many(cases)
         self.algorithm.partial_train(observations)
         self.space.absorb(observations, len(cases))
-        return True
+        return len(cases)
 
-    def _refit(self, partitioned=None) -> None:
+    def fit_schema(self) -> AttributeSpace:
+        """A fresh space with the dictionary pass over the whole caseset
+        done and its marginals still unfitted — what a refit starts from."""
         space = AttributeSpace(self.definition)
         space.fit_schema(self.training_cases)
-        if partitioned is not None and partitioned(space):
-            return
+        return space
+
+    def refit(self, space: AttributeSpace) -> int:
+        """Train the algorithm afresh over the whole caseset in the
+        schema-fitted ``space``; returns the cases trained on."""
         observations = space.encode_many(self.training_cases)
         space.marginals_from_observations(observations)
         self.algorithm.train(space, observations)
         self.space = space
+        return len(self.training_cases)
 
     def adopt_cases(self, cases: List[MappedCase]) -> None:
         """Install a restored caseset without retraining (snapshot restore).

@@ -25,7 +25,6 @@ from typing import Any, Callable, List, Optional, Tuple
 
 from repro.errors import BindError, PredictionError
 from repro.lang import ast_nodes as ast
-from repro.obs import trace as obs_trace
 from repro.obs import workload as obs_workload
 from repro.shaping.shape import plan_shape
 from repro.sqlstore.engine import _multi_key_sort, _row_key
@@ -334,15 +333,16 @@ def plan_prediction(provider, statement: ast.SelectStatement):
     source-only conjuncts pushed below binding, the join mode, the
     caseset-cache key — none for a constant (FROM-less) source, which is
     bound afresh and neither probes nor fills the cache — and blocking vs
-    streamed.  Nothing is scanned,
-    locked or counted until ``run``: the model's read lease, the
-    ``predict`` span, the fallback metric and ``NotTrainedError`` all
-    belong to the run.  ``run`` returns a :class:`RowStream` whose lease
-    is released on exhaustion, error or abandonment; ORDER BY / DISTINCT
-    drain that same stream before sorting (blocking is draining, not a
-    second evaluator).  Expressions are bound in ``run`` too, once the
-    source's columns are known and before a row is read.  FLATTENED is
-    the ``flatten`` node
+    streamed.  Nothing is scanned, locked or counted until ``run``: the
+    model's read lease, the cache lookup, the fallback metric and
+    ``NotTrainedError`` all belong to the run.  ``run`` takes the bound
+    caseset from the cache or runs its stage — ``bind cases`` (serial) or
+    ``parallel predict`` — over the source, and returns a
+    :class:`RowStream` whose lease is released on exhaustion, error or
+    abandonment; ORDER BY / DISTINCT drain that same stream before sorting
+    (blocking is draining, not a second evaluator).  Expressions are bound
+    in ``run`` too, once the source's columns are known and before a row
+    is read.  FLATTENED is the ``flatten`` node
     :func:`repro.obs.explain.build_plan` puts above this tree.
     """
     from repro.exec.partition import (
@@ -389,22 +389,18 @@ def plan_prediction(provider, statement: ast.SelectStatement):
     node = PlanNode(
         "prediction join", target=model.name,
         strategy=f"{flow}; {'parallel' if dop > 1 else 'serial'} ({reason})",
-        span_name="predict", rows_counter="rows_out",
         detail=", ".join(details))
     if dop > 1:
         node.cache = "bypassed (parallel path)"
         stage = node.add(PlanNode("parallel predict", target=model.name,
-                                  strategy=f"dop={dop}",
-                                  span_name="predict.parallel",
-                                  rows_counter="prediction_cases"))
+                                  strategy=f"dop={dop}"))
     else:
         if constant:
             node.cache = "bypassed (constant source)"
         elif key is None:
             node.cache = "disabled"
         stage = node.add(PlanNode("bind cases", target=model.name,
-                                  strategy="serial", match="parent",
-                                  rows_counter="cases_bound"))
+                                  strategy="serial"))
     stage.add(source)
 
     def estimate(node) -> None:
@@ -448,27 +444,12 @@ def plan_prediction(provider, statement: ast.SelectStatement):
                 exprs.append(item.expr)
         return names, exprs, order
 
-    def bound_cases(batch_size: int, pspan):
-        """``(source_columns, batches of (row, case) pairs)`` for the serial
-        path.  A caseset-cache hit replays the bound caseset without
-        opening the source; a miss accumulates up to ``max_rows`` pairs
-        alongside the stream and caches them on completion, so huge
-        sources keep the O(batch) footprint and are simply never cached.
-        Counters are pinned onto the ``predict`` span so they stay
-        attributed to it when batches are consumed after it closes."""
-        fanout = provider.metrics.histogram("prediction.join_fanout")
-        if key is not None:
-            hit = cache.get(key)
-            if hit is not None:
-                columns, rows, cases = hit
-                obs_trace.add_to(pspan, "cache_hit", 1)
-                obs_trace.add_to(pspan, "prediction_cases", len(rows))
-                fanout.observe(len(rows))
-                return columns, (
-                    list(zip(rows[start:start + batch_size],
-                             cases[start:start + batch_size]))
-                    for start in range(0, len(rows), batch_size))
-            obs_trace.add_to(pspan, "cache_miss", 1)
+    def bind_cases(_, batch_size: int) -> RowStream:
+        """The serial stage: the source's rows paired with their bound
+        cases, a batch of pairs per source batch.  Keyed, it accumulates up
+        to ``max_rows`` pairs alongside the stream and caches them on
+        completion, so huge sources keep the O(batch) footprint and are
+        simply never cached."""
         stream = source.run(batch_size)
         columns = list(stream.columns)
         mapper = case_binder(model, columns, alias, on_pairs)
@@ -479,7 +460,6 @@ def plan_prediction(provider, statement: ast.SelectStatement):
             for batch in _surviving_batches(stream, pushed, alias):
                 mapped = [(row, mapper(row)) for row in batch]
                 total += len(mapped)
-                obs_trace.add_to(pspan, "cases_bound", len(mapped))
                 if collected is not None:
                     if total <= cache.max_rows:
                         collected[0].extend(batch)
@@ -487,59 +467,71 @@ def plan_prediction(provider, statement: ast.SelectStatement):
                     else:
                         collected = None  # too large: stop accumulating a copy
                 yield mapped
-            obs_trace.add_to(pspan, "prediction_cases", total)
-            fanout.observe(total)
+            provider.metrics.histogram("prediction.join_fanout").observe(total)
             if collected is not None:
                 cache.put(key, (columns, collected[0], collected[1]), total)
             elif key is not None:
                 cache.put(key, None, cache.max_rows + 1)  # count the skip
-        return columns, produce()
+        return RowStream(columns, produce())
+
+    def parallel_predict(_, batch_size: int) -> RowStream:
+        """The parallel stage: a list per source batch, which a pool worker
+        bound, scored and evaluated, with an entry per case — its output
+        values, or None where WHERE rejected it."""
+        stream = source.run(batch_size)
+        columns = list(stream.columns)
+        exprs = outputs(columns)[1]
+        # Workers bind per chunk; binding here too raises a BindError at
+        # open, as the serial path does.
+        compile_cases(model, _source_context(columns, alias),
+                      statement.where, exprs)
+        return RowStream(columns, parallel_value_batches(
+            provider, dop,
+            (prediction_replica(model), columns, alias, on_pairs, exprs,
+             statement.where),
+            _surviving_batches(stream, pushed, alias)))
+
+
+    stage.open = parallel_predict if dop > 1 else bind_cases
 
     def run(_, batch_size: int) -> RowStream:
         obs_workload.set_phase("predict")
         lease = _ReadLease(model.lock)
         try:
-            with obs_trace.span("predict", model=model.name) as pspan:
-                if fallback is not None:
-                    provider.pool.note_serial_fallback(fallback)
-                model.require_trained()
-                if dop > 1:
-                    # The source opens, and the batches are dispatched,
-                    # inside the span the plan nests them under.
-                    span = obs_trace.span("predict.parallel",
-                                          model=model.name, dop=dop)
-                    with span:
-                        obs_trace.add_to(span, "prediction_workers", dop)
-                        stream = source.run(batch_size)
-                        columns = list(stream.columns)
-                        names, exprs, order = outputs(columns)
-                        # Workers bind per chunk; binding here too raises
-                        # a BindError at open, as the serial path does.
-                        compile_cases(model, _source_context(columns, alias),
-                                      statement.where, exprs)
-                        values = parallel_value_batches(
-                            provider, dop, span,
-                            (prediction_replica(model), columns, alias,
-                             on_pairs, exprs, statement.where),
-                            _surviving_batches(stream, pushed, alias))
-                else:
-                    columns, pairs = bound_cases(batch_size, pspan)
-                    names, exprs, order = outputs(columns)
-                    context = _source_context(columns, alias)
-                    context.subquery_executor = database.execute_select
-                    kernel = compile_cases(model, context, statement.where,
-                                           exprs)
-                    values = (kernel(batch) for batch in pairs)
-                if not blockers:
-                    return _inferred_stream(names, _held(
-                        lease, pspan,
-                        _limited(values, statement.top, pspan)))
-                result = _blocked(statement, names, order,
-                                  [entry
-                                   for batch in _held(lease, pspan, values)
-                                   for entry in batch])
-                obs_trace.add_to(pspan, "rows_out", len(result.rows))
-                return RowStream.from_rowset(result, batch_size)
+            if fallback is not None:
+                provider.pool.note_serial_fallback(fallback)
+            model.require_trained()
+            hit = None
+            if key is not None:
+                hit = cache.get(key)
+                obs_workload.note_cache(hit=hit is not None)
+            if hit is None:
+                stream = stage.run(batch_size)
+                columns, batches = stream.columns, stream.batches()
+            else:
+                # A hit replays the bound caseset; the stage never runs.
+                columns, rows, cases = hit
+                provider.metrics.histogram(
+                    "prediction.join_fanout").observe(len(rows))
+                batches = (list(zip(rows[start:start + batch_size],
+                                    cases[start:start + batch_size]))
+                           for start in range(0, len(rows), batch_size))
+            names, exprs, order = outputs(columns)
+            if dop > 1:
+                values = ([entry for entry in batch if entry is not None]
+                          for batch in batches)
+            else:
+                context = _source_context(columns, alias)
+                context.subquery_executor = database.execute_select
+                kernel = compile_cases(model, context, statement.where, exprs)
+                values = (kernel(batch) for batch in batches)
+            if not blockers:
+                return _inferred_stream(names, _held(
+                    lease, _limited(values, statement.top)))
+            result = _blocked(statement, names, order,
+                              [entry for batch in _held(lease, values)
+                               for entry in batch])
+            return RowStream.from_rowset(result, batch_size)
         except BaseException:
             lease.release()
             raise
@@ -547,27 +539,24 @@ def plan_prediction(provider, statement: ast.SelectStatement):
     return node
 
 
-def _held(lease: _ReadLease, span, batches):
-    """``batches`` under the model's read lease: released — and the
-    ``predict`` span's duration stretched to cover the work — wherever
+def _held(lease: _ReadLease, batches):
+    """``batches`` under the model's read lease, released wherever
     consumption ends (exhaustion, error, abandonment)."""
     try:
         yield from batches
     finally:
         lease.release()
-        span.extend()
 
 
-def _limited(batches, top: Optional[int], span):
-    """The one TOP limiter: value batches in, at most ``top`` rows out
-    (``rows_out`` counted on ``span``); stops pulling once satisfied."""
+def _limited(batches, top: Optional[int]):
+    """The one TOP limiter: value batches in, at most ``top`` rows out;
+    stops pulling once satisfied."""
     remaining = top
     for values in batches:
         if remaining is not None:
             values = values[:remaining]
             remaining -= len(values)
         if values:
-            obs_trace.add_to(span, "rows_out", len(values))
             yield values
         if remaining == 0:
             return

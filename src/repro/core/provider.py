@@ -25,12 +25,7 @@ from repro.lang.templates import TemplateCache
 from repro.obs import MetricsRegistry, Tracer, WorkloadRegistry
 from repro.obs import trace as obs_trace
 from repro.obs import workload as obs_workload
-from repro.obs.explain import (
-    PlanNode,
-    build_plan,
-    explain_rowset,
-    reconcile_plan,
-)
+from repro.obs.explain import PlanNode, build_plan, explain_rowset
 from repro.obs.repository import WorkloadRepository
 from repro.shaping.shape import plan_shape
 from repro.sqlstore.engine import Database, SourceRelation, as_from_source
@@ -499,40 +494,38 @@ class Provider:
 
         Plain EXPLAIN is pure — the planner pass reads catalog statistics
         only, so no data-path span is opened and no state is mutated.
-        ANALYZE executes the wrapped statement with span capture forced on
-        for its own record — ``tracer.enabled`` and every other statement
-        are left alone — and reconciles the captured span tree back onto
-        the plan.  Estimates are filled before execution, so a mutating
-        inner statement is estimated against the data it started from.
+        ANALYZE executes the wrapped statement on this statement's record
+        and renders the tree with the actuals its nodes took as they ran.
+        A query or model INSERT executes the very tree rendered; a plan
+        that only describes its statement (DDL, table DML) has its root
+        run the statement whole.  Estimates are filled before execution,
+        so a mutating inner statement is estimated against the data it
+        started from.
         """
         inner = statement.statement
         plan = build_plan(self, inner)
         plan.estimate()
         if not statement.analyze:
-            return explain_rowset(plan, analyzed=False)
+            return explain_rowset(plan)
 
         from repro.lang.formatter import format_statement
         command = format_statement(inner)
-        # Capture is a fact of this statement's record alone.  With no
-        # active record (recording off, or a direct execute_ast() call) a
-        # scratch record nobody completes holds the spans.
+        runs = plan.open is not None
+        if not runs:
+            plan.open = lambda *_: self._execute_statement(inner, command)
+        # With no active record (recording off, or a direct execute_ast()
+        # call) a scratch record nobody completes takes the actuals.
         record = obs_trace.active_record() or \
             obs_trace.StatementRecord(0, command)
-        record.capture = True
         previous = obs_trace.activate(record)
         try:
-            # A query or model INSERT executes the very tree rendered below.
-            with record.start_span("explain.execute") as span:
-                result = self._execute_statement(
-                    inner, command, plan if plan.open is not None else None)
+            result = (self._execute_statement(inner, command, plan) if runs
+                      else plan.run(self.database.batch_size))
+            if isinstance(result, RowStream):
+                result.materialize()
         finally:
             obs_trace.deactivate(previous)
-        if isinstance(result, RowStream):
-            result = result.materialize()
-        rows = len(result.rows) if isinstance(result, Rowset) else (
-            result if isinstance(result, int) else None)
-        reconcile_plan(plan, span, rows)
-        return explain_rowset(plan, analyzed=True)
+        return explain_rowset(plan, record)
 
     def plan_external_source(self, ref: ast.TableRef) -> Optional[PlanNode]:
         """The engine's one hook: plan a FROM source only the mining layer

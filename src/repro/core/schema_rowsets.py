@@ -279,8 +279,6 @@ def dm_query_log_rowset(provider) -> Rowset:
     rows = []
     for record in provider.tracer.statements():
         totals = record.totals()
-        cases = int(totals.get("cases_bound", 0) or
-                    totals.get("cases_shaped", 0))
         rows.append((
             record.statement_id,
             " ".join(record.text.split()),
@@ -293,7 +291,7 @@ def dm_query_log_rowset(provider) -> Rowset:
             else round(record.duration_ms, 3),
             int(totals.get("rows_scanned", 0)),
             int(totals.get("rows_out", 0)),
-            cases,
+            int(totals.get("cases_bound", 0)),
             record.root.span_count(),
             record.thread,
             record.session,

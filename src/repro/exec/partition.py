@@ -31,8 +31,8 @@ announces it as a candidate.
 
 Worker functions are module-level and pure: they receive everything through
 their payload, return plain data, and never touch the parent's metrics or
-tracer (worker-side spans cannot cross a process boundary; the parent pins
-per-task counters onto its own captured span instead).
+tracer (worker-side spans cannot cross a process boundary; the plan node
+that fanned out counts what came back instead).
 """
 
 from __future__ import annotations
@@ -44,10 +44,10 @@ from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.errors import Error
 from repro.lang import ast_nodes as ast
-from repro.obs import trace as obs_trace
 from repro.obs import workload as obs_workload
 from repro.obs.explain import PlanNode
 from repro.shaping.shape import plan_shape
+from repro.sqlstore.rowset import RowStream
 from repro.core.bindings import iter_mapped_cases
 from repro.core.casecache import train_key
 from repro.core.prediction import (
@@ -127,14 +127,17 @@ def _training_parallelism(model, pool, maxdop: Optional[int]) \
     return dop, f"dop={dop}; space and caseset-size checks at run time", None
 
 
-def _refit_node(model, dop: int) -> PlanNode:
+def _refit_node(model, pool, dop: int) -> PlanNode:
+    """The refit step: ``run(space)`` trains over the whole caseset in the
+    schema-fitted space and returns the cases trained on — 0 from a
+    partitioned refit whose run-time gates declined."""
     if dop > 1:
-        return PlanNode("partitioned refit", target=model.name,
-                        strategy=f"dop={dop}", span_name="train.partitioned",
-                        rows_counter="observations")
+        return PlanNode(
+            "partitioned refit", target=model.name, strategy=f"dop={dop}",
+            open=lambda _, space: train_partitioned(model, space, pool, dop))
     return PlanNode("fit", target=model.algorithm.SERVICE_NAME,
-                    strategy="serial", span_name="algorithm.train",
-                    rows_counter="observations")
+                    strategy="serial",
+                    open=lambda _, space: model.refit(space))
 
 
 def plan_train(provider, statement: ast.InsertModelStatement) -> PlanNode:
@@ -146,10 +149,12 @@ def plan_train(provider, statement: ast.InsertModelStatement) -> PlanNode:
     gates, the caseset-cache key, and whether the model is a candidate for
     absorbing the cases incrementally (whether every case fits the fitted
     space is a run-time fact, checked under the write lock).  ``run``
-    binds the cases (a cache hit opens nothing), trains under the model's
-    write lock and returns the number of cases consumed; the first child
-    is replaced by the refit that actually ran when that differs from the
-    announced candidate.
+    takes the bound cases from the cache or runs ``bind cases``, then,
+    under the model's write lock, runs the training steps — absorb, else
+    the refit, else (a partitioned refit declined) the serial fit — until
+    one consumes the cases, and returns their number; the first child
+    becomes the step that did when that differs from the announced
+    candidate.
     """
     model = provider.model(statement.model)
     pool = provider.pool
@@ -179,11 +184,17 @@ def plan_train(provider, statement: ast.InsertModelStatement) -> PlanNode:
         node.strategy = f"incremental absorb candidate; else refit {strategy}"
         absorb = PlanNode("incremental absorb", target=model.name,
                           strategy="candidate (every case must fit the "
-                                   "fitted space)")
-    node.add(absorb or _refit_node(model, dop))
+                                   "fitted space)",
+                          open=lambda _, cases: model.absorb(cases))
+    node.add(absorb or _refit_node(model, pool, dop))
+
+    def bind_cases(_, batch_size: int) -> RowStream:
+        """The source's rows mapped to cases, a batch of cases per batch."""
+        stream = source.run(batch_size)
+        return RowStream(stream.columns, iter_mapped_cases(
+            model.definition, stream, statement.bindings))
     bind = node.add(PlanNode("bind cases", target=model.name,
-                             span_name="bind", rows_counter="cases_bound",
-                             match="all"))
+                             open=bind_cases))
     bind.add(source)
 
     def estimate(node) -> None:
@@ -195,44 +206,39 @@ def plan_train(provider, statement: ast.InsertModelStatement) -> PlanNode:
     node.estimator = estimate
 
     def run(node, batch_size: int) -> int:
-        def refit(space) -> bool:
-            """The model's refit hook, called under its write lock once the
-            dictionary pass is done: partition if the plan made this refit
-            a candidate and the run-time gates agree."""
+        def consume(cases) -> None:
+            """The model's consume hook, under its write lock: the steps in
+            turn until one consumes ``cases``, the tree keeping that one."""
+            if absorb is not None:
+                if absorb.run(cases):
+                    return
+                node.children[0] = _refit_node(model, pool, dop)
+            space = model.fit_schema()
             if fallback is not None:
                 pool.note_serial_fallback(fallback)
-            ran = dop > 1 and train_partitioned(model, space, pool, dop)
-            node.children[0] = _refit_node(model, dop if ran else 1)
-            return ran
+            if not node.children[0].run(space):
+                node.children[0] = _refit_node(model, pool, 1)
+                node.children[0].run(space)
 
         obs_workload.set_phase("bind")
         cases = None
         if key is not None:
             cases = cache.get(key)
-            hit = cases is not None
-            # The root has no span of its own for ANALYZE to reconcile the
-            # outcome from, so the run writes it onto the node it is.
-            node.cache_actual = "hit" if hit else "miss"
-            obs_trace.add("cache_hit" if hit else "cache_miss", 1)
-            obs_workload.note_cache(hit=hit)
+            obs_workload.note_cache(hit=cases is not None)
         if cases is None:
             # Only the bound cases accumulate — which the model retains
             # anyway as its training caseset; the source streams.
             cases = []
-            for batch in iter_mapped_cases(model.definition,
-                                           source.run(batch_size),
-                                           statement.bindings):
+            for batch in bind.run(batch_size).batches():
                 cases.extend(batch)
                 # Cancellation checkpoint per bound batch (row counts are
-                # attributed by the engine's scan loop underneath).
+                # the scan loop's, underneath).
                 obs_workload.checkpoint()
             if key is not None:
                 cache.put(key, cases, len(cases))
         obs_workload.set_phase("train")
         with model.lock.write():
-            trained = model.train(cases, refit)
-        if node.children[0] is absorb:  # no refit replaced it: it ran
-            absorb.actual_rows = trained
+            trained = model.train(cases, consume)
         metrics = provider.metrics
         metrics.counter("training.cases_total").inc(len(cases))
         metrics.gauge(f"model.{model.name}.case_count").set(model.case_count)
@@ -256,54 +262,49 @@ def _train_partition(space, algorithm_class, parameters, cases):
     return replica, partials
 
 
-def train_partitioned(model, space, pool, dop: int) -> bool:
-    """Try to refit ``model`` over ``dop`` partitions; True if it ran.
+def train_partitioned(model, space, pool, dop: int) -> int:
+    """Try to refit ``model`` over ``dop`` partitions; the cases trained
+    on, 0 if it did not run.
 
     The run-time half of the gates :func:`plan_train` announced as a
     candidate.  ``space`` arrives with the dictionary pass done
-    (``fit_schema``) but marginals unfitted; on success the partitions' marginal partials are
-    merged in partition order and the merged replica is installed.  On any
-    ineligibility the caller's serial refit proceeds with the same fitted
-    schema, so no work is wasted.
+    (``fit_schema``) but marginals unfitted; on success the partitions'
+    marginal partials are merged in partition order and the merged replica
+    is installed.  On any ineligibility the caller's serial refit proceeds
+    with the same fitted schema, so no work is wasted.
     """
     algorithm = model.algorithm
     if not algorithm.can_parallelize(space):
         pool.note_serial_fallback("space")
-        return False
+        return 0
     chunks = contiguous_chunks(model.training_cases, dop)
     if len(chunks) < 2:
         pool.note_serial_fallback("caseset_size")
-        return False
+        return 0
     parameters = dict(algorithm.parameters)
     if pool.mode == "process" and not _picklable(
             space, type(algorithm), parameters, chunks[0][:1]):
         pool.note_serial_fallback("pickle")
-        return False
+        return 0
 
-    span = obs_trace.span("train.partitioned",
-                          service=algorithm.SERVICE_NAME,
-                          partitions=len(chunks), dop=dop)
-    with span:
-        task = functools.partial(_train_partition, space, type(algorithm),
-                                 parameters)
-        # Collect incrementally (not run_all) so DM_ACTIVE_STATEMENTS shows
-        # partitions_done advancing and a CANCEL lands between partitions.
-        obs_workload.set_partitions(len(chunks))
-        results = []
-        for result in pool.map_ordered(task, chunks, dop=dop, span=span):
-            results.append(result)
-            obs_workload.partition_done()
-        space.merge_marginal_partials([partials for _, partials in results])
-        merged = results[0][0]
-        merged.merge([replica for replica, _ in results[1:]])
-        merged.space = space
-        obs_trace.add_to(span, "training_partitions", len(chunks))
-        obs_trace.add_to(span, "observations", len(model.training_cases))
+    task = functools.partial(_train_partition, space, type(algorithm),
+                             parameters)
+    # Collect incrementally (not run_all) so DM_ACTIVE_STATEMENTS shows
+    # partitions_done advancing and a CANCEL lands between partitions.
+    obs_workload.set_partitions(len(chunks))
+    results = []
+    for result in pool.map_ordered(task, chunks, dop=dop):
+        results.append(result)
+        obs_workload.partition_done()
+    space.merge_marginal_partials([partials for _, partials in results])
+    merged = results[0][0]
+    merged.merge([replica for replica, _ in results[1:]])
+    merged.space = space
     # MiningModel.train, the only way here, drops the derived state.
     model.algorithm = merged
     model.space = space
     pool.note_parallel_statement("train")
-    return True
+    return len(model.training_cases)
 
 
 # -- parallel PREDICTION JOIN --------------------------------------------------
@@ -364,8 +365,8 @@ def _predict_chunk(constant, rows):
     pairs to the per-case kernel.
 
     ``constant`` is the statement-wide payload.  Returns ``(rows_bound,
-    value_tuples)`` so the parent can keep the serial path's case
-    accounting.
+    value_tuples)``: the parent accounts for every case bound, as the
+    serial path does.
     """
     model, columns, alias, on_pairs, exprs, where = constant
     mapper = case_binder(model, columns, alias, on_pairs)
@@ -374,15 +375,15 @@ def _predict_chunk(constant, rows):
         [(row, mapper(row)) for row in rows])
 
 
-def parallel_value_batches(provider, dop: int, span, constant, row_batches):
-    """Fan a planned PREDICTION JOIN out over the pool: lists of output
-    value tuples in exact source order, one per batch of ``row_batches``.
+def parallel_value_batches(provider, dop: int, constant, row_batches):
+    """Fan a planned PREDICTION JOIN out over the pool: one list per batch
+    of ``row_batches`` with an entry per case bound — the output value
+    tuples in exact source order, then a None for each case WHERE
+    rejected.
 
-    Called inside the open ``predict.parallel`` ``span``, which is
-    stretched to cover the dispatch when the batches run out.  The one
-    run-time gate: in process mode an unpicklable payload (a custom
-    algorithm, say) runs the same task inline on the caller's thread and
-    notes ``pool.serial_fallbacks.pickle``.
+    The one run-time gate: in process mode an unpicklable payload (a
+    custom algorithm, say) runs the same task inline on the caller's
+    thread and notes ``pool.serial_fallbacks.pickle``.
     """
     pool = provider.pool
     if pool.mode == "process" and not _picklable(constant):
@@ -391,18 +392,13 @@ def parallel_value_batches(provider, dop: int, span, constant, row_batches):
     else:
         pool.note_parallel_statement("predict")
     results = pool.map_ordered(functools.partial(_predict_chunk, constant),
-                               row_batches, dop=dop, span=span)
+                               row_batches, dop=dop)
 
     def batches():
         total = 0
-        try:
-            for bound, values in results:
-                total += bound
-                obs_trace.add_to(span, "cases_bound", bound)
-                yield values
-            obs_trace.add_to(span, "prediction_cases", total)
-            provider.metrics.histogram("prediction.join_fanout").observe(
-                total)
-        finally:
-            span.extend()
+        for bound, values in results:
+            total += bound
+            values += [None] * (bound - len(values))
+            yield values
+        provider.metrics.histogram("prediction.join_fanout").observe(total)
     return batches()

@@ -18,10 +18,10 @@ pays nothing.  Three transports:
 and ``thread`` elsewhere.
 
 Observability: the pool owns the ``pool.*`` metrics surfaced through
-``$SYSTEM.DM_PROVIDER_METRICS`` and pins per-task counters onto the
-caller's captured span via :func:`repro.obs.trace.add_to`, because results
-may be consumed lazily after the planning span has closed (and, in process
-mode, worker-side spans cannot cross the process boundary at all).
+``$SYSTEM.DM_PROVIDER_METRICS`` and counts each task onto the statement
+that submitted it — pinned when :meth:`WorkerPool.map_ordered` starts,
+because results may be collected lazily, and worker threads and processes
+have no statement of their own.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from typing import Any, Callable, Iterable, Iterator, Optional
 from repro.errors import Error
 from repro.obs import trace as obs_trace
 from repro.obs import workload as obs_workload
-from repro.obs.trace import NULL_SPAN
 
 MODES = ("auto", "serial", "thread", "process")
 
@@ -191,7 +190,6 @@ class WorkerPool:
     def map_ordered(self, func: Callable[[Any], Any],
                     payloads: Iterable[Any],
                     dop: Optional[int] = None,
-                    span=NULL_SPAN,
                     window_factor: int = 2) -> Iterator[Any]:
         """Apply ``func`` to each payload, yielding results in submission
         order — the order-preserving merge primitive shared by partitioned
@@ -203,8 +201,8 @@ class WorkerPool:
         order, exactly where the serial loop would have raised them.
         """
         dop = self.effective_dop(dop)
-        # Pin the active statement at entry, like the span: results may be
-        # collected lazily, and worker threads/processes have no thread-local
+        # Pin the active statement at entry: results may be collected
+        # lazily, and worker threads/processes have no thread-local
         # statement of their own.
         stmt = obs_workload.current()
         if dop <= 1:
@@ -237,7 +235,6 @@ class WorkerPool:
             self._counter("pool.tasks_completed")
             if self.metrics is not None:
                 self.metrics.histogram("pool.task_ms").observe(elapsed_ms)
-            obs_trace.add_to(span, "pool_tasks", 1)
             if stmt is not None:
                 cpu_seconds, result = result
                 stmt.pool_tasks_in_flight -= 1
@@ -274,6 +271,6 @@ class WorkerPool:
                     self._counter("pool.tasks_abandoned")
 
     def run_all(self, func: Callable[[Any], Any], payloads,
-                dop: Optional[int] = None, span=NULL_SPAN) -> list:
+                dop: Optional[int] = None) -> list:
         """Eager :meth:`map_ordered`: all results, in submission order."""
-        return list(self.map_ordered(func, payloads, dop=dop, span=span))
+        return list(self.map_ordered(func, payloads, dop=dop))

@@ -505,9 +505,9 @@ class ExplainStatement(Statement):
 
     Plain EXPLAIN runs only the planner pass (no data-path work) and
     returns the operator tree as a rowset with strategy and row estimates;
-    EXPLAIN ANALYZE also executes the wrapped statement with span capture
-    forced on and annotates each operator with actuals reconciled from the
-    span tree.  EXPLAIN and TRACE cannot themselves be wrapped.
+    EXPLAIN ANALYZE also executes the wrapped statement and shows each
+    operator's actuals, taken by the operator as it ran.  EXPLAIN and
+    TRACE cannot themselves be wrapped.
     """
     statement: Optional[Statement] = None
     analyze: bool = False

@@ -29,7 +29,6 @@ from repro.obs.explain import (
     build_plan,
     explain_rowset,
     is_plan_rowset,
-    reconcile_plan,
 )
 from repro.obs.export import TelemetryServer, render_prometheus
 from repro.obs.repository import (
@@ -56,7 +55,6 @@ __all__ = [
     "build_plan",
     "explain_rowset",
     "is_plan_rowset",
-    "reconcile_plan",
     "TelemetryServer",
     "render_prometheus",
     "SlowQuerySink",

@@ -7,10 +7,9 @@ data path — and returns the operator tree as a rowset: operator, target,
 chosen strategy (streamed vs. materialized, parallel vs. serial with the
 worker count, caseset-cache hit expectation), and estimated row counts.
 
-``EXPLAIN ANALYZE`` additionally executes the statement with span capture
-forced on and annotates each plan operator with actuals reconciled from
-the captured span tree: rows, batches, wall-clock milliseconds, cache
-hits, and pool tasks, estimated-vs-actual side by side in one rowset.
+``EXPLAIN ANALYZE`` additionally executes the statement and shows, beside
+each operator's estimates, what it did: rows, batches, wall-clock
+milliseconds, the cache outcome and pool tasks, in one rowset.
 
 For SELECT/UNION (and every SHAPE), PREDICTION JOIN and ``INSERT INTO
 <model>`` the tree EXPLAIN renders *is* the executor:
@@ -20,43 +19,46 @@ For SELECT/UNION (and every SHAPE), PREDICTION JOIN and ``INSERT INTO
 :func:`repro.exec.partition.plan_train` take every strategy decision once
 and hang ``run`` on the root, so ``EXPLAIN ANALYZE`` executes the tree it
 then renders; what only the run can know is announced as a candidate and
-restated by the run.  This module owns the :class:`PlanNode` vocabulary,
-the statement-level dispatch, the span reconciliation, and the rowset
+restated by the run.  Each node takes its own actuals as it runs
+(:meth:`PlanNode.run`), so the tree carries its counts and ANALYZE reads
+them off the nodes it renders.  This module owns the :class:`PlanNode`
+vocabulary, the statement-level dispatch, the actuals and the rowset
 rendering.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from time import perf_counter
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import Error
 from repro.lang import ast_nodes as ast
+from repro.obs import trace as obs_trace
 from repro.sqlstore.rowset import Rowset, RowsetColumn
 from repro.sqlstore.types import DOUBLE, LONG, TEXT
 
+#: The operators that bind source rows to cases (CASES, ``cases_bound``),
+#: and those whose work is pool tasks (POOL_TASKS).
+BIND_OPERATORS = ("bind cases", "parallel predict")
+POOL_OPERATORS = ("parallel predict", "partitioned refit")
+
 
 class PlanNode:
-    """One operator of a statement plan, with estimates and (later) actuals.
-
-    ``span_name``/``match`` steer reconciliation against the captured span
-    tree of an ANALYZE run:
-
-    * ``match="one"`` — claim the first unclaimed span of that name; the
-      node's children then reconcile inside that span's subtree;
-    * ``match="all"`` — aggregate every in-scope span of that name
-      (e.g. per-batch ``bind`` spans);
-    * ``match="parent"`` — read ``rows_counter`` off the nearest matched
-      ancestor's own span (e.g. a scan's ``rows_scanned`` lives on the
-      enclosing ``engine.select`` span).
+    """One operator of a statement plan: what it is, its estimates, and the
+    opener that runs it.
 
     Engine, SHAPE, mining-provider source, PREDICTION JOIN and training
-    nodes are also the executor: ``run(batch_size)`` runs the operator its
+    nodes are also the executor: ``run(arg)`` runs the operator its
     strategy text names — a :class:`RowStream` from a select/union/shape/
-    prediction-join/flatten root, a ``SourceRelation`` from a FROM source,
-    the number of cases consumed from a ``train`` root.  Planning only reads
-    the catalog; scanning, locks, spans and usage counters start at ``run``.
-    What runs is ``open(node, batch_size)``: an opener is handed its node
-    rather than closing over it, so a plan tree is no reference cycle and
+    prediction-join/flatten root or a ``bind cases`` / ``parallel predict``
+    stage, a ``SourceRelation`` from a FROM source, a count from a
+    ``train`` root and from the training steps under it.  ``arg`` is the
+    batch size, except for a training step, which is handed what it
+    consumes: the bound cases (``incremental absorb``) or the schema-fitted
+    space (``fit``, ``partitioned refit``).  Planning only reads the
+    catalog; scanning, locks, spans and usage counters start at ``run``.
+    What runs is ``open(node, arg)``: an opener is handed its node rather
+    than closing over it, so a plan tree is no reference cycle and
     everything it holds is freed with the last reference to its root.
     ``columns`` lists a FROM source's ``(qualifier, name)`` pairs when they
     are known without reading data (None for mining-provider leaves), so a
@@ -67,17 +69,13 @@ class PlanNode:
     """
 
     __slots__ = ("operator", "target", "strategy", "est_rows", "cost",
-                 "detail", "children", "span_name", "rows_counter", "match",
-                 "cache", "actual_rows", "actual_batches", "wall_ms",
-                 "pool_tasks", "cache_actual", "open", "columns", "estimator")
+                 "detail", "children", "cache", "open", "columns",
+                 "estimator")
 
     def __init__(self, operator: str, target: Optional[str] = None,
                  strategy: Optional[str] = None,
                  est_rows: Optional[int] = None,
                  detail: Optional[str] = None,
-                 span_name: Optional[str] = None,
-                 rows_counter: Optional[str] = None,
-                 match: str = "one",
                  cache: Optional[str] = None,
                  cost: Optional[float] = None,
                  open: Optional[Callable] = None):
@@ -91,16 +89,8 @@ class PlanNode:
         self.cost = cost
         self.detail = detail
         self.children: List[PlanNode] = []
-        self.span_name = span_name
-        self.rows_counter = rows_counter
-        self.match = match
+        # The caseset-cache expectation (ANALYZE appends the outcome).
         self.cache = cache
-        # Actuals, filled by reconcile_plan after an ANALYZE run.
-        self.actual_rows: Optional[int] = None
-        self.actual_batches: Optional[int] = None
-        self.wall_ms: Optional[float] = None
-        self.pool_tasks: Optional[int] = None
-        self.cache_actual: Optional[str] = None
         self.open = open
         self.columns: Optional[List[Tuple[Optional[str], str]]] = None
         self.estimator: Optional[Callable[["PlanNode"], None]] = None
@@ -114,9 +104,46 @@ class PlanNode:
             estimator(self)
         return self.est_rows
 
-    def run(self, batch_size: int):
-        """Run this operator (see the class docstring)."""
-        return self.open(self, batch_size)
+    def run(self, arg):
+        """Run this operator (see the class docstring) — the one place a
+        plan's actuals are taken.
+
+        On the active statement's record the node gets a cell
+        (:class:`Actuals`): the opener is timed; a count it returns is
+        the node's rows; a stream or relation it returns is handed on with
+        every batch, as it is pulled, timed and counted (per batch, never
+        per row) — so a node's time includes its children's, which run
+        inside its opener and its pulls.  Under span capture the node is
+        one span, named by its operator.  With no active statement the
+        opener just runs."""
+        record = obs_trace.active_record()
+        if record is None:
+            return self.open(self, arg)
+        cells = record.actuals
+        if cells is None:
+            cells = record.actuals = PlanActuals()
+        cell = cells.get(self)
+        if cell is None:
+            cell = cells[self] = Actuals()
+        span = None
+        if record.capture:
+            span = cell.span = record.start_span(
+                self.operator, None if self.target is None
+                else {"target": self.target})
+        started = perf_counter()
+        try:
+            result = self.open(self, arg)
+        finally:
+            cell.wall_ms += (perf_counter() - started) * 1000.0
+            if span is not None:
+                span.__exit__(None, None, None)
+        if type(result) is not int:
+            cell.batches = cell.batches or 0
+            return result.pipe(cell.counted)
+        cell.rows += result
+        if span is not None:
+            cell.seal()
+        return result
 
     def add(self, child: "PlanNode") -> "PlanNode":
         self.children.append(child)
@@ -130,6 +157,64 @@ class PlanNode:
     def __repr__(self) -> str:
         return (f"PlanNode({self.operator!r}, target={self.target!r}, "
                 f"est={self.est_rows}, {len(self.children)} children)")
+
+
+class Actuals:
+    """What one plan node did in one statement: the rows it produced (the
+    cases, for a node that returns a count), the batches they came in
+    (None for a count), and the milliseconds spent in its opener and in
+    pulling its batches.  Under span capture it holds the node's span."""
+
+    __slots__ = ("rows", "batches", "wall_ms", "span")
+
+    def __init__(self):
+        self.rows = 0
+        self.batches: Optional[int] = None
+        self.wall_ms = 0.0
+        self.span = None
+
+    def counted(self, batches, clock=perf_counter):
+        """``batches``, each pull timed and each batch counted."""
+        started = clock()
+        try:
+            for batch in batches:
+                self.wall_ms += (clock() - started) * 1000.0
+                self.rows += len(batch)
+                self.batches += 1
+                yield batch
+                started = clock()
+            self.wall_ms += (clock() - started) * 1000.0
+        finally:
+            if self.span is not None:
+                self.seal()
+
+    def seal(self) -> None:
+        """Stamp the node's span with what the node did."""
+        span = self.span
+        span.duration_ms = self.wall_ms
+        span.attributes["rows"] = self.rows
+        if self.batches is not None:
+            span.attributes["batches"] = self.batches
+
+
+class PlanActuals(dict):
+    """A statement's :class:`Actuals`, keyed by plan node in the order the
+    nodes started — ``StatementRecord.actuals`` from the first node's run
+    until completion folds its :meth:`totals` into the record."""
+
+    def totals(self) -> Dict[str, int]:
+        """The statement's row counters: ``rows_out``, the rows of the
+        first node that ran (the plan's root); ``rows_scanned``, those of
+        every leaf that streamed (a training step returns a count, and
+        scans nothing); ``cases_bound``, those of the bind stages."""
+        scanned = cases = 0
+        for node, cell in self.items():
+            if node.operator in BIND_OPERATORS:
+                cases += cell.rows
+            elif not node.children and cell.batches is not None:
+                scanned += cell.rows
+        return {"rows_out": next(iter(self.values())).rows,
+                "rows_scanned": scanned, "cases_bound": cases}
 
 
 # ---------------------------------------------------------------------------
@@ -275,81 +360,6 @@ def _plan_insert(provider, statement: ast.InsertValuesStatement) -> PlanNode:
 
 
 # ---------------------------------------------------------------------------
-# Reconciliation (EXPLAIN ANALYZE)
-# ---------------------------------------------------------------------------
-
-def reconcile_plan(plan: PlanNode, root_span,
-                   result_rows: Optional[int] = None) -> None:
-    """Annotate ``plan`` with actuals from an executed span tree.
-
-    ``root_span`` is the span that wrapped the ANALYZE execution; spans
-    are claimed in plan pre-order so nested operators of the same name
-    (sub-selects, views, union branches) pair up positionally.  The root
-    operator's actual row count is then pinned to the statement's real
-    result (``result_rows``), which is the invariant the differential
-    suite asserts against direct execution.
-    """
-    all_spans = [s for s, _ in root_span.walk()]
-    claimed: set = set()
-
-    def annotate(node: PlanNode, totals: Dict[str, float],
-                 wall_ms: Optional[float]) -> None:
-        node.wall_ms = wall_ms
-        if node.rows_counter is not None and node.rows_counter in totals:
-            node.actual_rows = int(totals[node.rows_counter])
-        if "batches" in totals:
-            node.actual_batches = int(totals["batches"])
-        if "pool_tasks" in totals:
-            node.pool_tasks = int(totals["pool_tasks"])
-        if totals.get("cache_hit"):
-            node.cache_actual = "hit"
-        elif totals.get("cache_miss"):
-            node.cache_actual = "miss"
-
-    def visit(node: PlanNode, scope: List[Any], context_span) -> None:
-        child_scope, context = scope, context_span
-        matched = None
-        if node.span_name is not None and node.match == "one":
-            matched = next(
-                (s for s in scope
-                 if s.name == node.span_name and id(s) not in claimed),
-                None)
-            if matched is not None:
-                claimed.add(id(matched))
-                # Own counters only: a nested select's rows_out must not
-                # roll up into its parent select's actuals.
-                annotate(node, dict(matched.counters), matched.duration_ms)
-                child_scope = [s for s, _ in matched.walk()]
-                context = matched
-        elif node.span_name is not None and node.match == "all":
-            group = [s for s in scope if s.name == node.span_name]
-            if group:
-                totals: Dict[str, float] = {}
-                wall = 0.0
-                for s in group:
-                    for name, amount in s.counters.items():
-                        totals[name] = totals.get(name, 0) + amount
-                    wall += s.duration_ms or 0.0
-                annotate(node, totals, round(wall, 6))
-        elif node.match == "parent" and context_span is not None and \
-                node.rows_counter is not None:
-            value = context_span.counters.get(node.rows_counter)
-            if value is not None:
-                node.actual_rows = int(value)
-        for child in node.children:
-            visit(child, child_scope, context)
-        if matched is not None:
-            # Seal the claimed subtree so later siblings cannot reach in.
-            claimed.update(id(s) for s, _ in matched.walk())
-
-    visit(plan, all_spans, root_span)
-    if result_rows is not None:
-        plan.actual_rows = result_rows
-    if plan.wall_ms is None:
-        plan.wall_ms = root_span.duration_ms
-
-
-# ---------------------------------------------------------------------------
 # Rowset rendering
 # ---------------------------------------------------------------------------
 
@@ -372,43 +382,41 @@ PLAN_COLUMNS = [
 ]
 
 
-def explain_rowset(plan: PlanNode, analyzed: bool) -> Rowset:
-    """Flatten a plan tree into the EXPLAIN rowset (pre-order)."""
+def explain_rowset(plan: PlanNode, record=None) -> Rowset:
+    """Flatten a plan tree into the EXPLAIN rowset (pre-order).
+
+    With ``record`` — the statement that ran ``plan`` under EXPLAIN
+    ANALYZE — every node that ran shows its :class:`Actuals`; one that did
+    not run shows none.  The statement's caseset-cache outcome is appended
+    to the first node that ran with a cache expectation, its pool tasks
+    shown on the node that fanned out."""
     from repro.obs.repository import q_error
+    cells = {} if record is None else record.actuals or {}
+    outcome = None
+    if record is not None and (record.cache_hits or record.cache_misses):
+        outcome = "hit" if record.cache_hits else "miss"
     rows: List[tuple] = []
-    ids: Dict[int, int] = {}
-    parents: Dict[int, Optional[int]] = {}
     stack = [(plan, 0, None)]
-    order: List[tuple] = []
     while stack:
         node, depth, parent_id = stack.pop()
-        op_id = len(ids) + 1
-        ids[id(node)] = op_id
-        parents[op_id] = parent_id
-        order.append((node, depth, op_id, parent_id))
+        op_id = len(rows) + 1
         for child in reversed(node.children):
             stack.append((child, depth + 1, op_id))
-    for node, depth, op_id, parent_id in order:
-        cache = node.cache
-        if analyzed and node.cache_actual is not None:
-            cache = (f"{cache}, actual {node.cache_actual}"
-                     if cache else node.cache_actual)
-        q_err = None
-        if analyzed:
-            q_err = q_error(node.est_rows, node.actual_rows)
+        cell = cells.get(node)
+        cache, actuals, pool_tasks = node.cache, (None,) * 4, None
+        if cell is not None:
+            if outcome is not None and cache is not None:
+                cache, outcome = f"{cache}, actual {outcome}", None
+            q_err = q_error(node.est_rows, cell.rows)
+            actuals = (cell.rows, None if q_err is None else round(q_err, 3),
+                       cell.batches, round(cell.wall_ms, 3))
+            if node.operator in POOL_OPERATORS:
+                pool_tasks = record.pool_tasks
         rows.append((
             op_id, parent_id, depth, node.operator, node.target,
             node.strategy, node.est_rows,
             None if node.cost is None else round(node.cost, 3),
-            node.actual_rows if analyzed else None,
-            None if q_err is None else round(q_err, 3),
-            node.actual_batches if analyzed else None,
-            None if not analyzed or node.wall_ms is None
-            else round(node.wall_ms, 3),
-            cache,
-            node.pool_tasks if analyzed else None,
-            node.detail,
-        ))
+            *actuals, cache, pool_tasks, node.detail))
     return Rowset(list(PLAN_COLUMNS), rows)
 
 

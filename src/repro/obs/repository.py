@@ -169,7 +169,7 @@ class PlanEntry:
         self.last_seen = self.first_seen
         self.executions = 0
         self.total_ms = 0.0
-        # est-vs-actual q-error aggregates, reconciled from root actuals.
+        # est-vs-actual q-error aggregates: root estimate vs rows returned.
         self.q_count = 0
         self.q_sum = 0.0
         self.q_max: Optional[float] = None

@@ -8,9 +8,11 @@ provider's own runtime behaviour.  Each statement is one
 * **admission** (:meth:`Tracer.admit`) issues its id — one contiguous id
   space — and creates the record: text, kind, session, its own span stack
   under a ``statement`` root span, its ``capture`` flag (seeded from
-  ``tracer.enabled``; ``EXPLAIN ANALYZE`` forces it on for its own record
-  only), and the progress/CPU/lock-wait/cache/pool counters the workload
-  layer (:mod:`repro.obs.workload`) reads and writes;
+  ``tracer.enabled``), and the progress/CPU/lock-wait/cache/pool counters
+  the workload layer (:mod:`repro.obs.workload`) reads and writes;
+* every plan node it **runs** keeps its actuals in a cell of the record's
+  ``actuals`` (:meth:`repro.obs.explain.PlanNode.run`, the one place they
+  are taken) — what ``EXPLAIN ANALYZE`` renders;
 * while it **runs** it occupies this thread's one slot (:func:`activate` /
   :func:`deactivate`), through which every module-level helper here and
   in :mod:`repro.obs.workload` resolves.  A streamed statement occupies
@@ -18,8 +20,10 @@ provider's own runtime behaviour.  Each statement is one
   executes between batches has its own record, and statement CPU is the
   sum of ``thread_time`` deltas over the activations;
 * **completion** (:meth:`Tracer.complete`, idempotent) stamps status,
-  error, duration and CPU, takes the record out of the registry's live
-  map, appends it to the bounded ring and calls ``on_statement`` — once.
+  error, duration and CPU, folds the plan's row counters (``rows_out``,
+  ``rows_scanned``, ``cases_bound``) out of the cells into the root span,
+  takes the record out of the registry's live map, appends it to the
+  bounded ring and calls ``on_statement`` — once.
   ``execute()`` completes on return or raise; ``execute_stream()`` when
   the stream it returned is exhausted, raises, is closed or is dropped.
 
@@ -31,9 +35,10 @@ Cost model (the contract the overhead benchmark asserts):
 * ``recording`` off — ``admit()`` returns a shared null record; nothing
   is allocated, registered, cancellable, counted, or stored;
 * ``recording`` on, capture off (the default) — one record with one root
-  span per statement plus a handful of batched counter adds; child
-  ``span()`` calls return a shared no-op span;
-* capture on — the full span tree is captured.
+  span per statement, one cell per plan node run and a handful of
+  batched counter adds; child ``span()`` calls return a shared no-op span;
+* capture on — the full span tree is captured, one span per plan node
+  run among them.
 
 Instrumented modules never hold a tracer; they call the module-level
 :func:`span` and :func:`add`.  With no active record both are near-free
@@ -83,13 +88,6 @@ class Span:
     def set(self, attribute: str, value: Any) -> None:
         self.attributes[attribute] = value
 
-    def extend(self) -> None:
-        """Stretch this closed span's duration to now.  A lazy producer
-        calls it when its last batch is out, so the span times the work it
-        names and not just its planning (the counterpart of
-        :func:`add_to` for counters)."""
-        self.duration_ms = (time.perf_counter() - self.started) * 1000.0
-
     def walk(self, depth: int = 0) -> Iterator[Tuple["Span", int]]:
         """Yield (span, depth) over this subtree, pre-order."""
         yield self, depth
@@ -134,9 +132,6 @@ class _NullSpan:
     def set(self, attribute: str, value: Any) -> None:
         pass
 
-    def extend(self) -> None:
-        pass
-
     def __enter__(self) -> "_NullSpan":
         return self
 
@@ -160,7 +155,7 @@ class StatementRecord:
     __slots__ = (
         "statement_id", "text", "kind", "thread", "session", "started_at",
         "status", "error", "duration_ms", "root", "capture", "_stack",
-        "fingerprint", "plan_hash", "plan_est_rows",
+        "actuals", "fingerprint", "plan_hash", "plan_est_rows",
         "registry", "token", "phase",
         "rows_processed", "batches", "peak_batch_rows",
         "partitions_done", "partitions_total",
@@ -185,6 +180,10 @@ class StatementRecord:
         self.root = Span("statement", None, self._stack)
         self._stack.append(self.root)
         self.capture = capture
+        # The cells of the plan nodes this statement ran, keyed by node in
+        # the order they started (repro.obs.explain.PlanActuals): None
+        # until the first node runs, and again once completion folded them.
+        self.actuals = None
         # Workload-repository attribution, stamped by the dispatcher after
         # parse: statement fingerprint, captured plan-skeleton hash, and
         # the plan root's estimated cardinality (for q-error at retire).
@@ -338,6 +337,11 @@ class Tracer:
                              else "error")
             record.error = f"{type(exc).__name__}: {exc}"
         record._bank_cpu()
+        if record.actuals is not None:
+            # The plan's row counters join the root span's; the cells, and
+            # the plan nodes they are keyed by, are not kept in the ring.
+            record.root.counters.update(record.actuals.totals())
+            record.actuals = None
         root = record.root
         root.duration_ms = (time.perf_counter() - root.started) * 1000.0
         record.duration_ms = root.duration_ms
@@ -435,32 +439,3 @@ def add(counter: str, amount: float = 1) -> None:
     record = getattr(_local, "record", None)
     if record is not None:
         record._stack[-1].add(counter, amount)
-
-
-def current_span():
-    """The innermost open span of the active record, for pinning.
-
-    Lazy producers call this at plan time and pass the result to
-    :func:`add_to`, so counters produced after the enclosing span closes
-    still attribute to it.  Returns :data:`NULL_SPAN` when span capture is
-    off, which makes :func:`add_to` fall back to :func:`add`.
-    """
-    record = getattr(_local, "record", None)
-    if record is None or not record.capture:
-        return NULL_SPAN
-    return record._stack[-1]
-
-
-def add_to(span, counter: str, amount: float = 1) -> None:
-    """Add to a counter on a captured span; used by lazy producers.
-
-    Streaming operators capture their span at plan time and produce rows
-    after it has closed; pinning the counter to the captured span keeps the
-    trace attribution right.  When span capture is off the captured span is
-    the shared null span, so fall back to :func:`add` and the counter rolls
-    up into the statement active at production time.
-    """
-    if span is NULL_SPAN:
-        add(counter, amount)
-    else:
-        span.add(counter, amount)

@@ -18,7 +18,6 @@ from typing import Dict, List, Optional, Union
 
 from repro.errors import BindError
 from repro.lang import ast_nodes as ast
-from repro.obs import trace as obs_trace
 from repro.sqlstore.rowset import Rowset, RowsetColumn, RowStream
 from repro.sqlstore.values import group_key
 
@@ -52,8 +51,7 @@ def plan_shape(shape: ast.ShapeExpr, database):
 
     node = PlanNode("shape",
                     strategy=f"master streamed, {len(shape.appends)} "
-                             f"append(s) materialized",
-                    span_name="shape", rows_counter="shape_cases_out")
+                             f"append(s) materialized")
     master = node.add(plan_source(shape.master))
     master.target = master.target or "master"
     for append in shape.appends:
@@ -86,31 +84,27 @@ def _open_shape(shape: ast.ShapeExpr, sources, batch_size: int) -> RowStream:
     columns); per-case nested ``Rowset`` wrappers are the only per-row
     allocation and die with their batch.
     """
-    span = obs_trace.span("shape", appends=len(shape.appends))
-    with span:
-        master = sources[0].run(batch_size)
-        columns = list(master.columns)
-        plans = []  # (master_index, buckets, the arm's empty cell)
+    master = sources[0].run(batch_size)
+    columns = list(master.columns)
+    plans = []  # (master_index, buckets, the arm's empty cell)
 
-        for append, source in zip(shape.appends, sources[1:]):
-            child = source.run(batch_size).materialize()
-            obs_trace.add_to(span, "shape_child_rows", len(child.rows))
-            child_index = _require_column(child.columns, append.relate_child,
-                                          "RELATE child")
-            master_index = _require_column(columns, append.relate_master,
-                                           "RELATE master")
-            buckets: Dict[object, List[tuple]] = {}
-            for child_row in child.rows:
-                buckets.setdefault(
-                    group_key(child_row[child_index]), []).append(child_row)
-            empty = Rowset(child.columns)
-            plans.append((master_index, buckets, empty))
-            columns.append(
-                RowsetColumn(append.alias, nested_columns=empty.columns))
+    for append, source in zip(shape.appends, sources[1:]):
+        child = source.run(batch_size).materialize()
+        child_index = _require_column(child.columns, append.relate_child,
+                                      "RELATE child")
+        master_index = _require_column(columns, append.relate_master,
+                                       "RELATE master")
+        buckets: Dict[object, List[tuple]] = {}
+        for child_row in child.rows:
+            buckets.setdefault(
+                group_key(child_row[child_index]), []).append(child_row)
+        empty = Rowset(child.columns)
+        plans.append((master_index, buckets, empty))
+        columns.append(
+            RowsetColumn(append.alias, nested_columns=empty.columns))
 
     def produce():
         for batch in master.batches():
-            obs_trace.add_to(span, "shape_master_rows", len(batch))
             out = []
             for row in batch:
                 shaped = list(row)
@@ -119,7 +113,6 @@ def _open_shape(shape: ast.ShapeExpr, sources, batch_size: int) -> RowStream:
                     shaped.append(
                         Rowset.over(empty, buckets.get(key, empty.rows)))
                 out.append(tuple(shaped))
-            obs_trace.add_to(span, "shape_cases_out", len(out))
             yield out
     return RowStream(columns, produce())
 

@@ -82,16 +82,27 @@ class SourceRelation:
 
     def batches(self, batch_size: int = DEFAULT_BATCH_SIZE) \
             -> Iterable[List[tuple]]:
-        """Yield row batches; streams when pending, re-slices when not."""
-        if self._rows is not None:
-            rows = self._rows
-            for start in range(0, len(rows), batch_size):
-                yield rows[start:start + batch_size]
-            return
+        """The row batches: the pending ones, handed over, or the rows
+        re-sliced."""
+        rows = self._rows
+        if rows is not None:
+            return (rows[start:start + batch_size]
+                    for start in range(0, len(rows), batch_size))
         pending, self._batches = self._batches, None
         if pending is None:
             raise BindError("relation rows already consumed")
-        yield from pending
+        return iter(pending)
+
+    def pipe(self, stage) -> "SourceRelation":
+        """Pass the rows through ``stage`` (a generator over the batch
+        iterator) as they are read — how a plan node counts what it
+        produces; materialised rows go through as the one batch they
+        are.  Returns this relation."""
+        rows = self._rows
+        pending = iter(self._batches if rows is None
+                       else (rows,) if rows else ())
+        self._rows, self._batches = None, stage(pending)
+        return self
 
     def names(self) -> List[Tuple[Optional[str], str]]:
         """``(qualifier, name)`` per column — what a plan node's
@@ -412,9 +423,7 @@ class Database:
         blocking = bool(blockers)
         strategy = (f"materialized ({', '.join(blockers)})" if blocking
                     else f"streamed (batch {self.batch_size})")
-        node = obs_explain.PlanNode(
-            "select", strategy=strategy, span_name="engine.select",
-            rows_counter="rows_out")
+        node = obs_explain.PlanNode("select", strategy=strategy)
         details = []
         if statement.where is not None:
             details.append("filtered")
@@ -452,34 +461,24 @@ class Database:
     def _open_select(self, statement: ast.SelectStatement, source, expanded,
                      grouped: bool, blocking: bool,
                      batch_size: int) -> RowStream:
-        """Open a planned SELECT over its planned ``source``.
-
-        The ``engine.select`` span covers opening the source (and, on the
-        blocking path, execution); lazily produced batches pin their
-        counters back onto that span so trace rows stay attributed
-        correctly.
-        """
-        span = obs_trace.span("engine.select")
-        with span:
-            if source is None:
-                result = self._select_without_from(statement)
-            else:
-                relation = source.run(batch_size)
-                context = relation.context()
-                context.subquery_executor = self.execute_select
-                if expanded is None:
-                    # The source named its columns only by running.
-                    expanded = self._expand_select_list(statement,
-                                                        relation.names())
-                if not blocking:
-                    return self._select_streaming(
-                        statement, relation, context, expanded, batch_size,
-                        span)
-                result = self._execute_select_blocking(
-                    statement, relation, context, expanded, grouped,
-                    batch_size, span)
-            obs_trace.add_to(span, "rows_out", len(result.rows))
-            return RowStream.from_rowset(result, batch_size)
+        """Open a planned SELECT over its planned ``source``: the
+        pipeline, or (blocking) the whole result."""
+        if source is None:
+            result = self._select_without_from(statement)
+        else:
+            relation = source.run(batch_size)
+            context = relation.context()
+            context.subquery_executor = self.execute_select
+            if expanded is None:
+                # The source named its columns only by running.
+                expanded = self._expand_select_list(statement,
+                                                    relation.names())
+            if not blocking:
+                return self._select_streaming(
+                    statement, relation, context, expanded, batch_size)
+            result = self._execute_select_blocking(
+                statement, relation, context, expanded, grouped, batch_size)
+        return RowStream.from_rowset(result, batch_size)
 
     def plan_union(self, statement: ast.UnionStatement):
         """Plan a UNION chain (see :meth:`execute_union_stream`)."""
@@ -534,8 +533,8 @@ class Database:
 
     def _filtered_batches(self, statement: ast.SelectStatement,
                           relation: SourceRelation, context: EvalContext,
-                          batch_size: int, span):
-        """Scan + WHERE, batch at a time, counting scanned rows.
+                          batch_size: int):
+        """Scan + WHERE, batch at a time.
 
         The WHERE is bound here, before the first batch is pulled.  Each
         batch boundary is also a workload checkpoint: live progress (rows
@@ -547,8 +546,6 @@ class Database:
 
         def filtered():
             for batch in relation.batches(batch_size):
-                obs_trace.add_to(span, "rows_scanned", len(batch))
-                obs_trace.add_to(span, "batches", 1)
                 obs_workload.checkpoint(rows=len(batch))
                 if where is not None:
                     batch = [row for row in batch if where(row) is True]
@@ -627,12 +624,12 @@ class Database:
 
     def _select_streaming(self, statement: ast.SelectStatement,
                           relation: SourceRelation, context: EvalContext,
-                          expanded, batch_size: int, span) -> RowStream:
+                          expanded, batch_size: int) -> RowStream:
         """The non-blocking pipeline: WHERE -> project -> TOP, per batch.
         WHERE and the select list (:meth:`_bind_select_list`) are bound
         before a row is read."""
         source = self._filtered_batches(statement, relation, context,
-                                        batch_size, span)
+                                        batch_size)
         project, describe = self._bind_select_list(expanded, relation,
                                                    context)
         # Column typing needs sample rows; buffer the head of the stream
@@ -655,7 +652,6 @@ class Database:
                 if remaining is not None:
                     batch = batch[:remaining]
                 out = project(batch)
-                obs_trace.add_to(span, "rows_out", len(out))
                 yield out
                 if remaining is not None:
                     remaining -= len(out)
@@ -666,12 +662,11 @@ class Database:
     def _execute_select_blocking(self, statement: ast.SelectStatement,
                                  relation: SourceRelation,
                                  context: EvalContext, expanded,
-                                 grouped: bool, batch_size: int,
-                                 span) -> Rowset:
+                                 grouped: bool, batch_size: int) -> Rowset:
         """GROUP BY / ORDER BY / DISTINCT path: bind every per-row
         expression, then consume the source and materialise."""
         batches = self._filtered_batches(statement, relation, context,
-                                         batch_size, span)
+                                         batch_size)
         if grouped:
             output_columns, output_rows = self._execute_grouped(
                 statement, relation, context, expanded, batches)
@@ -1128,15 +1123,14 @@ class Database:
                 "index seek", target=ref.name,
                 strategy=f"index {choice.index.name} ({choice.access})",
                 detail=choice.detail, est_rows=len(choice.positions),
-                match="parent", rows_counter="rows_scanned", open=seek)
+                open=seek)
         else:
             def estimate(node):
                 node.cost = float(store.scan_cost())
             node = obs_explain.PlanNode(
                 "table scan", target=ref.name,
                 strategy=f"sequential (batch {self.batch_size})",
-                est_rows=len(table), match="parent",
-                rows_counter="rows_scanned",
+                est_rows=len(table),
                 open=lambda _, batch_size: SourceRelation(
                     columns, batches=table.iter_batches(batch_size)))
         node.estimator = estimate
@@ -1146,9 +1140,7 @@ class Database:
     def _plan_join(self, ref: ast.Join):
         left = self.plan_table_ref(ref.left)
         right = self.plan_table_ref(ref.right)
-        node = obs_explain.PlanNode(
-            "join", target=ref.kind.lower(), span_name="engine.join",
-            rows_counter="join_rows_out")
+        node = obs_explain.PlanNode("join", target=ref.kind.lower())
         node.add(left)
         node.add(right)
         method = None
@@ -1213,14 +1205,13 @@ class Database:
         # A user index on the first equi column of a base-table right side
         # already holds the hash buckets the scan would build.  (For a base
         # table the relation's column ordinals are the schema ordinals.)
-        table = index = None
+        index = None
         if right.operator == "table scan":
-            table = self.table(right.target)
-            index = table.index_on(pairs[0][1])
+            index = self.table(right.target).index_on(pairs[0][1])
         if index is not None:
             return _JoinMethod(
                 f"hash join (right side index {index.name})", tuple(pairs),
-                tuple(bound), tuple(residual), build_index=(table, index))
+                tuple(bound), tuple(residual), build_index=index)
         side = self._hash_build_side(left, right)
         return _JoinMethod(f"hash join ({side} side build)", tuple(pairs),
                            tuple(bound), tuple(residual),
@@ -1232,60 +1223,54 @@ class Database:
         side batch by batch.  Output row order is left-major whichever side
         builds."""
         left_plan, right_plan = node.children
-        span = obs_trace.span("engine.join", kind=ref.kind)
-        with span:
-            left = left_plan.run(batch_size)
-            right = right_plan.run(batch_size)
-            columns = left.columns + right.columns
-            right_width = len(right.columns)
-            if method is None:
-                method = self._join_method(ref, left_plan, right_plan,
-                                           left.names(), right.names())
-                node.strategy = method.strategy
+        left = left_plan.run(batch_size)
+        right = right_plan.run(batch_size)
+        columns = left.columns + right.columns
+        right_width = len(right.columns)
+        if method is None:
+            method = self._join_method(ref, left_plan, right_plan,
+                                       left.names(), right.names())
+            node.strategy = method.strategy
 
-            if ref.kind == "CROSS":
-                right_rows = right.rows  # build side
-                obs_trace.add_to(span, "join_rows_in", len(right_rows))
+        if ref.kind == "CROSS":
+            right_rows = right.rows  # build side
 
-                def produce_cross():
-                    for batch in left.batches(batch_size):
-                        obs_trace.add_to(span, "join_rows_in", len(batch))
-                        out = [l + r for l in batch for r in right_rows]
-                        obs_trace.add_to(span, "join_rows_out", len(out))
-                        if out:
-                            yield out
-                return SourceRelation(columns, batches=produce_cross())
+            def produce_cross():
+                for batch in left.batches(batch_size):
+                    out = [l + r for l in batch for r in right_rows]
+                    if out:
+                        yield out
+            return SourceRelation(columns, batches=produce_cross())
 
-            pairs = method.pairs
-            # Bound against the joined row before the build side is read.
-            joined_context = EvalContext.from_columns(
-                left.names() + right.names())
-            residual_ok = compile_filter(method.residual, joined_context)
-            # Without a bound equi pair the whole ON is the loop condition.
-            condition = (compile_expression(ref.condition, joined_context)
-                         if not pairs else None)
-            right_rows: List[tuple] = []
-            prebuilt: Optional[Dict[Any, List[tuple]]] = None
-            if method.build_index is not None:
-                # Positions per key are in insertion order, so the bucket
-                # lists (and thus output order) are identical to the
-                # scan-built dict.  One sequential read fills them all: a
-                # paged build side loads each page once, in page order.  A
-                # row appended after that read is invisible, as to a scan.
-                build_table, build_index = method.build_index
-                build_rows = build_table.store.snapshot()
-                limit = len(build_rows)
-                prebuilt = {
-                    key: [build_rows[position] for position in positions
-                          if position < limit]
-                    for key, positions in build_index.hash.items()}
-                build_index.join_probes += 1
-                if self.metrics is not None:
-                    self.metrics.counter("index.join_probes").inc()
-                obs_trace.add_to(span, "join_rows_in", len(build_table))
-            elif not method.build_left:
-                right_rows = right.rows  # build side
-                obs_trace.add_to(span, "join_rows_in", len(right_rows))
+        pairs = method.pairs
+        # Bound against the joined row before the build side is read.
+        joined_context = EvalContext.from_columns(
+            left.names() + right.names())
+        residual_ok = compile_filter(method.residual, joined_context)
+        # Without a bound equi pair the whole ON is the loop condition.
+        condition = (compile_expression(ref.condition, joined_context)
+                     if not pairs else None)
+        right_rows: List[tuple] = []
+        prebuilt: Optional[Dict[Any, List[tuple]]] = None
+        if method.build_index is not None:
+            # Positions per key are in insertion order, so the bucket
+            # lists (and thus output order) are identical to the
+            # scan-built dict.  One sequential read — the right side's
+            # scan — fills them all: a paged build side loads each page
+            # once, in page order.  A row appended after that read is
+            # invisible, as to a scan.
+            build_index = method.build_index
+            build_rows = right.rows
+            limit = len(build_rows)
+            prebuilt = {
+                key: [build_rows[position] for position in positions
+                      if position < limit]
+                for key, positions in build_index.hash.items()}
+            build_index.join_probes += 1
+            if self.metrics is not None:
+                self.metrics.counter("index.join_probes").inc()
+        elif not method.build_left:
+            right_rows = right.rows  # build side
 
         def produce_left_build():
             # Cost-chosen swap: the (estimated-smaller) left side builds
@@ -1299,7 +1284,6 @@ class Database:
             boundaries: List[int] = []
             build: Dict[Any, List[int]] = {}
             for batch in left.batches(batch_size):
-                obs_trace.add_to(span, "join_rows_in", len(batch))
                 boundaries.append(len(batch))
                 for l in batch:
                     position = len(left_flat)
@@ -1308,9 +1292,7 @@ class Database:
                         build.setdefault(
                             V.group_key(l[first_left]), []).append(position)
             matches: List[List[tuple]] = [[] for _ in left_flat]
-            probed = 0
             for right_batch in right.batches(batch_size):
-                probed += len(right_batch)
                 for r in right_batch:
                     if r[first_right] is None:
                         continue
@@ -1321,7 +1303,6 @@ class Database:
                                for a, b in pairs[1:]):
                             if residual_ok(l + r):
                                 matches[position].append(r)
-            obs_trace.add_to(span, "join_rows_in", probed)
             cursor = 0
             for size in boundaries:
                 out = []
@@ -1332,7 +1313,6 @@ class Database:
                     if ref.kind == "LEFT" and not matches[position]:
                         out.append(l + tuple([None] * right_width))
                 cursor += size
-                obs_trace.add_to(span, "join_rows_out", len(out))
                 if out:
                     yield out
 
@@ -1350,7 +1330,6 @@ class Database:
                         build.setdefault(
                             V.group_key(r[first_right]), []).append(r)
             for batch in left.batches(batch_size):
-                obs_trace.add_to(span, "join_rows_in", len(batch))
                 out = []
                 if pairs:
                     first_left = pairs[0][0]
@@ -1376,7 +1355,6 @@ class Database:
                                 matched = True
                         if ref.kind == "LEFT" and not matched:
                             out.append(l + tuple([None] * right_width))
-                obs_trace.add_to(span, "join_rows_out", len(out))
                 if out:
                     yield out
         if method.build_left:
@@ -1410,8 +1388,8 @@ class _JoinMethod(NamedTuple):
     equalities: Tuple[Tuple[ast.ColumnRef, ast.ColumnRef], ...] = ()
     #: Conjuncts checked per candidate, unbound equalities included.
     residual: Tuple[ast.Expr, ...] = ()
-    #: ``(table, index)`` when a right-side user index supplies the buckets.
-    build_index: Optional[tuple] = None
+    #: The right-side user index that supplies the buckets, if one does.
+    build_index: Optional[Any] = None
     #: The (estimated-smaller) left side builds and the right side probes.
     build_left: bool = False
 

@@ -241,17 +241,23 @@ class RowStream:
                 yield batch
         return cls(columns, produce())
 
+    def pipe(self, stage) -> "RowStream":
+        """Pass the batches through ``stage`` (a generator over the batch
+        iterator) as they are pulled — how a plan node counts what it
+        produces; returns this stream."""
+        self._batches = stage(self._batches)
+        return self
+
     # -- consumption ----------------------------------------------------------
 
     def batches(self) -> Iterator[List[Tuple]]:
-        """Yield row batches; consumes the stream."""
+        """The row batches, as one iterator; consumes the stream."""
         if self._consumed:
             raise BindError(
                 "row stream already consumed (streams are single-use; "
                 "materialize() first if you need to read twice)")
         self._consumed = True
-        for batch in self._batches:
-            yield batch
+        return self._batches
 
     def __iter__(self) -> Iterator[Tuple]:
         for batch in self.batches():

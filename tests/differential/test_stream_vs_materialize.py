@@ -239,20 +239,74 @@ def test_every_view_of_a_statement_agrees(tmp_path):
         assert calls == carried[fingerprint]
 
 
+SPEND_RISK_DDL = ("CREATE MINING MODEL SpendRisk (cid LONG KEY, "
+                  "age LONG CONTINUOUS, city TEXT DISCRETE PREDICT) "
+                  "USING Microsoft_Decision_Trees")
+SPEND_RISK_TRAIN = ("INSERT INTO SpendRisk (cid, age, city) "
+                    "SELECT cid, age, city FROM Customers "
+                    "WHERE city IS NOT NULL")
+SPEND_RISK_PREDICT = ("SELECT t.cid, SpendRisk.city FROM SpendRisk "
+                      "NATURAL PREDICTION JOIN "
+                      "(SELECT cid, age FROM Customers) AS t")
+
+
 def test_prediction_join_streaming_matches(streaming, materialized):
     """PREDICTION JOIN over both providers produces identical rows."""
-    ddl = ("CREATE MINING MODEL SpendRisk (cid LONG KEY, "
-           "age LONG CONTINUOUS, city TEXT DISCRETE PREDICT) "
-           "USING Microsoft_Decision_Trees")
-    train = "INSERT INTO SpendRisk (cid, age, city) " \
-            "SELECT cid, age, city FROM Customers WHERE city IS NOT NULL"
-    query = ("SELECT t.cid, SpendRisk.city FROM SpendRisk "
-             "NATURAL PREDICTION JOIN "
-             "(SELECT cid, age FROM Customers) AS t")
     for conn in (streaming, materialized):
         if not conn.provider.has_model("SpendRisk"):
-            conn.execute(ddl)
-            conn.execute(train)
-    left = _canonical(streaming.execute(query))
-    right = _canonical(materialized.execute(query))
+            conn.execute(SPEND_RISK_DDL)
+            conn.execute(SPEND_RISK_TRAIN)
+    left = _canonical(streaming.execute(SPEND_RISK_PREDICT))
+    right = _canonical(materialized.execute(SPEND_RISK_PREDICT))
     assert left == right
+
+
+#: The grid — the derived tables and the ``IN (SELECT …)`` among it — plus
+#: a derived table over a whole table and PREDICTION JOINs: streamed,
+#: TOP-limited, filtered and ordered.
+ROWS_OUT_STATEMENTS = STATEMENTS + [
+    "SELECT * FROM (SELECT * FROM Customers) AS s",
+    SPEND_RISK_PREDICT,
+    SPEND_RISK_PREDICT.replace("SELECT ", "SELECT TOP 7 ", 1),
+    SPEND_RISK_PREDICT + " WHERE t.age > 40 ORDER BY t.cid DESC",
+]
+
+
+@pytest.mark.parametrize("transport", ["embedded", "wire"])
+def test_rows_out_is_the_rows_returned(transport):
+    """``DM_QUERY_LOG.ROWS_OUT`` of every SELECT, UNION and PREDICTION
+    JOIN — and the repository's ``ROWS_RETURNED``, summed per fingerprint —
+    is the rows the statement returned: its plan root's, never a nested
+    select's or a prediction source's as well."""
+    from repro.client import connect as net_connect
+    from repro.server import DmxServer
+
+    conn = _make(TINY_BATCH)
+    conn.execute(SPEND_RISK_DDL)
+    conn.execute(SPEND_RISK_TRAIN)
+    tracer = conn.provider.tracer
+    returned, by_fingerprint = {}, Counter()
+
+    def run(execute):
+        for statement in ROWS_OUT_STATEMENTS:
+            rows = len(execute(statement).rows)
+            record = tracer.last()
+            returned[record.statement_id] = rows
+            by_fingerprint[record.fingerprint] += rows
+    try:
+        if transport == "wire":
+            with DmxServer(conn.provider, port=0) as server, \
+                    net_connect("127.0.0.1", server.port) as wire:
+                run(wire.execute)
+            assert server.thread_errors == []
+        else:
+            run(conn.execute)
+        log = dict(conn.execute(
+            "SELECT STATEMENT_ID, ROWS_OUT FROM $SYSTEM.DM_QUERY_LOG").rows)
+        stats = dict(conn.execute(
+            "SELECT FINGERPRINT, ROWS_RETURNED "
+            "FROM $SYSTEM.DM_STATEMENT_STATS").rows)
+    finally:
+        conn.close()
+    assert {key: log[key] for key in returned} == returned
+    assert {key: stats[key] for key in by_fingerprint} == by_fingerprint

@@ -1,4 +1,4 @@
-"""EXPLAIN / EXPLAIN ANALYZE: plan shapes, purity, and reconciliation."""
+"""EXPLAIN / EXPLAIN ANALYZE: plan shapes, purity, and actuals."""
 
 import pytest
 
@@ -121,10 +121,9 @@ class TestPlainExplainPurity:
         loaded.execute(f"EXPLAIN {TRAIN}")
         record = loaded.provider.tracer.last()
         assert record.kind == "EXPLAIN"
+        # A plan node that ran would be a span named by its operator.
         names = {span.name for span, _ in record.spans()}
-        assert not names & {"engine.select", "engine.join", "shape",
-                            "algorithm.train", "train.partitioned",
-                            "predict", "bind"}
+        assert names == {"statement", "parse"}
 
     def test_explain_delete_keeps_rows(self, loaded):
         loaded.execute("EXPLAIN DELETE FROM People")

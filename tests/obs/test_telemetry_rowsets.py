@@ -57,8 +57,9 @@ class TestQueryLog:
         predict = [r for r in _log_rows(traced_conn)
                    if r["KIND"] == "PREDICT"][0]
         assert predict["CASES"] == 5
-        # rows_out sums the predict span and its source scan.
-        assert predict["ROWS_OUT"] >= 5
+        # The rows the plan's root returned, not its source's as well.
+        assert predict["ROWS_OUT"] == 5
+        assert predict["ROWS_SCANNED"] == 5
 
     def test_counters_populate_without_trace_on(self, conn):
         for statement in SETUP:
@@ -115,16 +116,19 @@ class TestTraceEvents:
                 for row in rowset.rows]
         by_span = {}
         for row in rows:
-            by_span.setdefault(row["SPAN"], []).append(row["COUNTERS"])
+            by_span.setdefault(row["SPAN"], []).extend(
+                (row["COUNTERS"], row["ATTRIBUTES"]))
 
         def counters_of(span):
             return " ".join(c for c in by_span.get(span, []) if c)
 
         assert "tokens=" in counters_of("parse")
-        assert "rows_scanned=" in counters_of("engine.select")
-        assert "cases_bound=" in counters_of("bind")
+        # A plan node's span is named by its operator and carries its rows.
+        assert "rows=5" in counters_of("table scan")
+        assert "rows=5" in counters_of("bind cases")
+        assert "rows=5" in counters_of("fit")
         assert "observations=" in counters_of("algorithm.train")
-        assert "prediction_cases=" in counters_of("predict")
+        assert "rows=5" in counters_of("prediction join")
 
     def test_span_ids_encode_nesting(self, traced_conn):
         rowset = traced_conn.execute(
@@ -188,8 +192,9 @@ class TestTraceVerb:
         report = traced_conn.execute("TRACE LAST")
         assert "PREDICT [ok]" in report
         assert "parse" in report
-        assert "predict" in report
-        assert "prediction_cases=5" in report
+        assert "prediction join" in report
+        assert "bind cases" in report
+        assert "rows=5" in report
 
     def test_last_with_empty_ring(self, conn):
         assert "no traced statement in the ring" in \
@@ -288,6 +293,6 @@ class TestCliTrace:
             cwd=os.path.dirname(os.path.dirname(
                 os.path.dirname(os.path.abspath(__file__)))))
         assert result.returncode == 0, result.stderr
-        assert "engine.select" in result.stdout
-        assert "rows_scanned=2" in result.stdout
+        assert "table scan" in result.stdout
+        assert "rows=2" in result.stdout
         assert "tracing is ON" in result.stdout

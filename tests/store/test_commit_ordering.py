@@ -126,7 +126,11 @@ def test_commits_from_many_threads_append_in_sequence(tmp_path):
     records, torn, _ = read_journal(os.path.join(copy, "catalog.log"))
     sequence = [record["commit_seq"] for record in records]
     assert torn == 0
-    assert sequence == list(range(sequence[0], sequence[0] + len(sequence)))
+    # The log holds the commits since the base was last rewritten: none
+    # when the last commit was the one whose log outgrew the base.
+    if sequence:
+        assert sequence == list(range(sequence[0],
+                                      sequence[0] + len(sequence)))
     assert conn.provider.storage.commit_seq == 1 + writers * each
     conn.close()
     reopened = repro.connect(storage_path=copy, buffer_pages=2,
