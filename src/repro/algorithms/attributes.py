@@ -20,12 +20,13 @@ a case.  ``AttributeSpace`` compiles a model's column tree into a flat list of
 from __future__ import annotations
 
 from collections.abc import Sequence
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from itertools import chain
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import TrainError
-from repro.core.bindings import MappedCase
+from repro.core.bindings import CaseBatch, MappedCase, case_batches
 from repro.core.columns import (
     AttributeType,
     ContentRole,
@@ -204,6 +205,23 @@ class CaseMatrix:
             np.array([o.weight for o in observations], dtype=np.float64),
             confidences)
 
+    @classmethod
+    def concat(cls, matrices: List["CaseMatrix"]) -> "CaseMatrix":
+        """The matrix of the parts' cases, in order (one part at least)."""
+        return cls(
+            np.concatenate([matrix.values for matrix in matrices]),
+            np.concatenate([matrix.weights for matrix in matrices]),
+            {index: np.concatenate([matrix.confidences.get(
+                index, np.ones(len(matrix.weights))) for matrix in matrices])
+             for index in dict.fromkeys(chain.from_iterable(
+                 matrix.confidences for matrix in matrices))})
+
+    def take(self, rows: List[int]) -> "CaseMatrix":
+        """The matrix of the cases at ``rows`` (a confidence column stays,
+        if all 1.0, where none of them carries a PROBABILITY)."""
+        return CaseMatrix(self.values[rows], self.weights[rows], {
+            index: column[rows] for index, column in self.confidences.items()})
+
     def effective_weights(self, index: int) -> np.ndarray:
         """Per case, ``Observation.effective_weight(index)``."""
         confidence = self.confidences.get(index)
@@ -283,7 +301,7 @@ class AttributeSpace:
     def fit(self, cases: List[MappedCase]) -> None:
         """Build the attribute dictionary and marginals from training cases."""
         self.fit_schema(cases)
-        self._fit_marginals(cases)
+        self.marginals = self.partial_marginals(self.encode_many(cases))
 
     def fit_schema(self, cases: List[MappedCase]) -> None:
         """The dictionary pass only: attributes, relations, discretizers.
@@ -423,9 +441,6 @@ class AttributeSpace:
             raise TrainError(
                 f"model {self.definition.name!r} has no attributes to mine "
                 f"(every column is a KEY or qualifier)")
-
-    def _fit_marginals(self, cases: List[MappedCase]) -> None:
-        self.marginals = self.partial_marginals(self.encode_many(cases))
 
     def marginals_from_observations(
             self, observations: List[Observation]) -> None:
@@ -655,27 +670,52 @@ class AttributeSpace:
                 return column
         return table.key_column()
 
-    def encode_many(self, cases: Iterable[MappedCase]) -> EncodedCases:
-        """Encode a batch: its :class:`CaseMatrix` now, column by column
-        off the slot plan, its observations when asked for (see
-        :class:`EncodedCases`).  The matrix is the one
-        ``CaseMatrix.of(list(map(self.encode, cases)), width)`` gives,
-        at one :meth:`Attribute.encode` per distinct scalar value and one
+    def encode_many(self, cases: Sequence[MappedCase]) -> EncodedCases:
+        """Encode a batch: its :class:`CaseMatrix` now, its observations
+        when asked for (see :class:`EncodedCases`).  The matrix is the one
+        ``CaseMatrix.of(list(map(self.encode, cases)), width)`` gives.  A
+        :class:`CaseBatch` — and a run of views of one, as the rows they
+        cover — is encoded column by column off the slot plan
+        (:meth:`_matrix`); a run of standalone cases case by case."""
+        if not isinstance(cases, (list, tuple, CaseBatch)):
+            cases = list(cases)
+        width = len(self.attributes)
+        matrices = [
+            CaseMatrix.of(list(map(self.encode, run)), width) if batch is None
+            else self._matrix(batch) if run is None
+            else self._matrix(batch).take(run)
+            for batch, run in case_batches(cases)] or \
+            [CaseMatrix.of([], width)]
+        return EncodedCases(self, cases, matrices[0] if len(matrices) == 1
+                            else CaseMatrix.concat(matrices))
+
+    def _matrix(self, batch: CaseBatch) -> CaseMatrix:
+        """A batch's matrix from its columns, at one
+        :meth:`Attribute.encode` per distinct scalar value and one
         ``_norm`` per distinct nested item rather than one per cell."""
-        cases = cases if isinstance(cases, list) else list(cases)
         template, scalars, tables, _, _ = self._slot_plan()
-        count, width = len(cases), len(template)
+        count, width = len(batch), len(template)
         values = np.tile(np.array(template, dtype=np.float64),  # None: NaN
                          (count, 1))
-        weights = np.ones(count)
-        confident: Dict[int, Dict[int, float]] = {}  # index -> {row: p}
-        qualified = [(row, case) for row, case in enumerate(cases)
-                     if case.qualifiers]
-        for row, case in qualified:
-            weights[row] = case.weight()
+        columns, qualifiers, supports = {}, {}, [None] * count
+        for key, kind, column in batch.columns:   # a later key replaces
+            if kind is None:
+                columns[key] = column
+            else:
+                qualifiers.setdefault(key, {})[kind] = column
+        for kinds in qualifiers.values():   # MappedCase.weight, per case
+            if "SUPPORT" in kinds:
+                supports = [float(value) if weight is None and
+                            value is not None else weight
+                            for weight, value in zip(supports,
+                                                     kinds["SUPPORT"])]
+        weights = np.array([1.0 if weight is None else weight
+                            for weight in supports])
+        confidences: Dict[int, np.ndarray] = {}
+        absent = [None] * count
 
         for index, name, encode, existence_only in scalars:
-            raws = [case.scalars.get(name) for case in cases]
+            raws = columns.get(name, absent)
             if existence_only:
                 raws = [raw is not None for raw in raws]
             if self.attributes[index].is_categorical:
@@ -684,50 +724,47 @@ class AttributeSpace:
             else:  # a float is not memoised by hash: -0.0 is not 0.0
                 values[:, index] = [None if raw is None else float(raw)
                                     for raw in raws]
-            for row, case in qualified:
-                probability = case.qualifiers.get(name, {}).get("PROBABILITY")
-                if probability is not None:
-                    confident.setdefault(index, {})[row] = float(probability)
+            probabilities = qualifiers.get(name, {}).get("PROBABILITY")
+            if probabilities is not None and \
+                    probabilities.count(None) < count:
+                confidences[index] = np.array(
+                    [1.0 if probability is None else float(probability)
+                     for probability in probabilities])
 
         cells: Dict[int, Optional[float]] = {}  # flat position -> value
+        nested = {table: (offsets, {key: column for key, kind, column in
+                                    table_columns if kind is None})
+                  for table, offsets, table_columns in batch.nested}
         for table_key, item_name, items in tables:
-            slots: Dict[Any, Any] = {}  # raw item -> its slot, or None
-            for row, case in enumerate(cases):
-                base = row * width
-                for nested in case.tables.get(table_key, ()):
-                    item = nested.get(item_name)
-                    if item is None:
-                        continue
-                    try:
-                        slot = slots[item]
-                    except KeyError:
-                        slot = slots[item] = items.get(_norm(item))
-                    if slot is None:
-                        continue
-                    # A later row of the same item replaces an earlier one
-                    # whole: a dict keeps the last write per position.
-                    existence, value_slots = slot
-                    qualifiers = nested.get("__QUALIFIERS__")
-                    probability = qualifiers.get(item_name, {}).get(
-                        "PROBABILITY") if qualifiers else None
-                    for index in existence:
-                        cells[base + index] = 1.0
-                        if probability is not None:
-                            confident.setdefault(index, {})[row] = \
-                                float(probability)
-                        elif index in confident:
-                            confident[index].pop(row, None)
-                    for index, name in value_slots:
-                        value = nested.get(name)
-                        cells[base + index] = None if value is None \
-                            else float(value)
+            offsets, columns = nested.get(table_key, (None, {}))
+            items_of = columns.get(item_name)
+            if items_of is None:
+                continue
+            slot_of = {item: None if item is None else items.get(_norm(item))
+                       for item in set(items_of)}
+            case_of = np.repeat(np.arange(count), np.diff(offsets))
+            # Existence is 1.0 however often an item recurs.
+            existence = list(map({item: slot[0] if slot else ()
+                                  for item, slot in slot_of.items()}
+                                 .__getitem__, items_of))
+            values[np.repeat(case_of, list(map(len, existence))),
+                   np.fromiter(chain.from_iterable(existence), np.intp)] = 1.0
+            if not any(slot[1] for slot in slot_of.values() if slot):
+                continue
+            # A later row of the same item replaces its per-item values
+            # whole: a dict keeps the last write per position.  (A nested
+            # KEY takes no qualifier, so no confidence comes from here.)
+            for position, (row, item) in enumerate(zip(case_of.tolist(),
+                                                       items_of)):
+                slot = slot_of[item]
+                if slot is None:
+                    continue
+                for index, name in slot[1]:
+                    column = columns.get(name)
+                    value = None if column is None else column[position]
+                    cells[row * width + index] = None if value is None \
+                        else float(value)
         if cells:
             values.put(list(cells), list(cells.values()))
 
-        confidences = {}
-        for index, by_row in confident.items():
-            if by_row:
-                column = confidences[index] = np.ones(count)
-                column[list(by_row)] = list(by_row.values())
-        return EncodedCases(self, cases,
-                            CaseMatrix(values, weights, confidences))
+        return CaseMatrix(values, weights, confidences)

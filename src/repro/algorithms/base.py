@@ -12,6 +12,7 @@ which the prediction UDFs (Predict, PredictProbability, PredictHistogram,
 from __future__ import annotations
 
 import abc
+import operator
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 from repro.errors import CapabilityError, NotTrainedError, SchemaError
@@ -94,6 +95,18 @@ class AttributePrediction:
                 f"{self.value!r}, p={self.probability})")
 
 
+class PredictedValue(tuple):
+    """An attribute's predicted value alone, ``(attribute, value)``: what a
+    service may hand a statement that reads nothing else of that
+    attribute's prediction (see ``reads`` in
+    :meth:`MiningAlgorithm.predict_many`).  Built and read without a
+    Python-level call."""
+
+    __slots__ = ()
+    attribute = property(operator.itemgetter(0))
+    value = property(operator.itemgetter(1))
+
+
 class CasePrediction:
     """Predictions for every output attribute of one case."""
 
@@ -111,9 +124,6 @@ class CasePrediction:
 
     def get(self, attribute: Attribute) -> Optional[AttributePrediction]:
         return self._by_index.get(attribute.index)
-
-    def attributes(self) -> List[int]:
-        return list(self._by_index)
 
     def __iter__(self):
         return iter(self._by_index.values())
@@ -291,7 +301,8 @@ class MiningAlgorithm(abc.ABC):
     def predict(self, observation: Observation) -> CasePrediction:
         """Predict all output attributes for one encoded case."""
 
-    def predict_many(self, observations: Sequence[Observation]) \
+    def predict_many(self, observations: Sequence[Observation],
+                     reads: Optional[Dict[int, bool]] = None) \
             -> Iterable[CasePrediction]:
         """Predict a batch of encoded cases, in order: the entry the
         prediction join scores every batch of two or more through
@@ -302,7 +313,12 @@ class MiningAlgorithm(abc.ABC):
         tabular service overrides it to do its look-ups and adds once per
         batch, over the matrix.  Either way the result is a lazy iterable
         — a prediction object is built as it is taken — and must equal
-        ``[predict(o) for o in observations]`` exactly.
+        ``[predict(o) for o in observations]`` exactly in what is read.
+
+        ``reads`` says what that is: None, everything; otherwise ``{output
+        attribute index: whole}`` — a service may leave out an attribute
+        the mapping does not name, and hand a :class:`PredictedValue` for
+        one whose ``whole`` is false.
         """
         return map(self.predict, observations)
 

@@ -178,7 +178,7 @@ class DecisionTreeAlgorithm(MiningAlgorithm):
             prediction = shared[node] = self._mixture(target, [(node, 1.0)])
         return prediction
 
-    def predict_many(self, observations):
+    def predict_many(self, observations, reads=None):
         """:meth:`predict` over a batch, from its :class:`CaseMatrix`: the
         batch's rows are routed down each target's tree as index sets (a
         threshold or category mask per node reached), and all the cases

@@ -15,6 +15,7 @@ capability limits.
 from __future__ import annotations
 
 import math
+from itertools import repeat
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -30,6 +31,7 @@ from repro.algorithms.base import (
     AttributePrediction,
     CasePrediction,
     MiningAlgorithm,
+    PredictedValue,
 )
 from repro.algorithms.statistics import (
     CategoricalDistribution,
@@ -301,28 +303,33 @@ class NaiveBayesAlgorithm(MiningAlgorithm):
                           model.prior.total)
         return AttributePrediction.from_categorical(target, posterior, labels)
 
-    def predict_many(self, observations):
+    def predict_many(self, observations, reads=None):
         """:meth:`predict` over a batch, from its :class:`CaseMatrix`: per
         target the log scores of every case at once — the prior, then each
         categorical input's table rows gathered by the code column and
         added input by input, so a case's sum is the float the per-case
         loop reaches (a missing value adds an exact 0.0).  Only look-ups
         and adds are array work: ``exp`` / ``log`` stay on ``math`` (numpy's
-        are not bit-identical to libm's), once per case as its prediction
-        is taken.  A case with a known continuous input or a code outside
-        the fitted categories is scored by :meth:`predict`; so is every
-        case while some target has no states."""
+        are not bit-identical to libm's).  A target ``reads`` leaves out is
+        not scored; one whose value alone is read gets a
+        :class:`PredictedValue` (:meth:`_predicted_values`); every other
+        gets its posterior, once per case as its prediction is taken.  A
+        case with a known continuous input or a code outside the fitted
+        categories is scored by :meth:`predict`; so is every case while
+        some target has no states."""
         self.require_trained()
         tables = self.prediction_tables()
         if not all(states for _, _, states, _, _, _ in tables):
             return map(self.predict, observations)
-        return self._score_batch(tables, observations)
+        if reads is not None:
+            tables = [table for table in tables if table[0].index in reads]
+        return self._score_batch(tables, observations, reads)
 
-    def _score_batch(self, tables, observations):
+    def _score_batch(self, tables, observations, reads):
         values = CaseMatrix.of(observations, len(self.space.attributes)).values
         tabular = np.ones(len(values), dtype=bool)
         scored = []
-        for _, _, _, _, log_prior, inputs in tables:
+        for target, model, states, labels, log_prior, inputs in tables:
             scores = np.tile(np.array(log_prior), (len(values), 1))
             for attribute, _, _, table in inputs:
                 codes = values[:, attribute.index]
@@ -335,17 +342,49 @@ class NaiveBayesAlgorithm(MiningAlgorithm):
                     (codes == np.floor(codes))
                 tabular &= fitted | missing
                 scores += table[np.where(fitted, codes, zeros).astype(np.intp)]
-            scored.append(scores.tolist())
-        for row, whole in enumerate(tabular.tolist()):
-            if not whole:
+            whole = reads is None or reads[target.index]
+            scored.append((target, model, states, labels, whole,
+                           scores.tolist() if whole else
+                           self._predicted_values(target, model, states,
+                                                  labels, scores)))
+        for row, scores_whole in enumerate(tabular.tolist()):
+            if not scores_whole:
                 yield self.predict(observations[row])
                 continue
             result = CasePrediction()
-            for (target, model, states, labels, _, _), scores in \
-                    zip(tables, scored):
+            for target, model, states, labels, whole, scores in scored:
                 result.set(self._posterior(target, model, states, labels,
-                                           scores[row]))
+                                           scores[row]) if whole
+                           else PredictedValue((target, scores[row])))
             yield result
+
+    @classmethod
+    def _predicted_values(cls, target, model, states, labels,
+                          scores: np.ndarray) -> list:
+        """Per case (a row of log ``scores``), the ``.value`` of
+        :meth:`_posterior`'s prediction without building it: the state of
+        the heaviest posterior weight ``exp(score - normaliser) * total``,
+        the first bucket :meth:`AttributePrediction.from_categorical`
+        sorts out.  The floats are :meth:`_posterior`'s, computed column
+        by column — the normaliser as :func:`log_sum_exp` forms it, every
+        ``exp`` / ``log`` on ``math``, each row added by ``sum``.  A row
+        whose heaviest weight is tied, not positive or NaN is left to
+        :meth:`_posterior` (ties go by ``_tiebreak`` there)."""
+        peaks = scores.max(axis=1)
+        sums = map(sum, map(map, repeat(math.exp),
+                            (scores - peaks[:, None]).tolist()))
+        normalisers = peaks + np.array(list(map(math.log, sums)))
+        weights = np.array(list(map(math.exp, (
+            scores - normalisers[:, None]).ravel().tolist()))).reshape(
+            scores.shape) * model.prior.total
+        heaviest = weights.max(axis=1)
+        values = list(map(labels.__getitem__, map(
+            states.__getitem__, weights.argmax(axis=1).tolist())))
+        for row in np.flatnonzero(~(heaviest > 0) | (
+                (weights == heaviest[:, None]).sum(axis=1) > 1)).tolist():
+            values[row] = cls._posterior(target, model, states, labels,
+                                         scores[row].tolist()).value
+        return values
 
     def content_nodes(self) -> ContentNode:
         self.require_trained()

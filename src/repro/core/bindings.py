@@ -11,19 +11,25 @@ Three binding modes feed cases into a model, mirroring the paper's usage:
 * **by pairs** — the ON clause of PREDICTION JOIN supplies explicit
   ``model path = source path`` equalities.
 
-The output of every mode is a list of :class:`MappedCase`: values keyed by
-*model* column names, with qualifier columns (PROBABILITY OF, SUPPORT OF,
-...) folded into per-attribute qualifier dicts.
+Every mode compiles to one plan, applied to a batch of source rows column
+by column: the result is a :class:`CaseBatch` — a list per bound column,
+values keyed by *model* column names, nested tables as offsets into their
+concatenated rows — whose elements are :class:`MappedCase` views.
 """
 
 from __future__ import annotations
 
+import datetime
+from itertools import accumulate, chain, groupby
+from operator import attrgetter, itemgetter
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import BindError, SchemaError
 from repro.lang import ast_nodes as ast
 from repro.core.columns import ContentRole, ModelColumn, ModelDefinition
+from repro.shaping.shape import ShapedBatch
 from repro.sqlstore.rowset import Rowset
+from repro.sqlstore.types import BOOLEAN, DATE, DOUBLE, LONG, TEXT
 
 
 class MappedCase:
@@ -34,18 +40,32 @@ class MappedCase:
     (each keyed by upper-cased nested column names).
     ``qualifiers`` maps upper-cased attribute names to ``{kind: value}``
     dicts, e.g. ``{"AGE": {"PROBABILITY": 1.0}}``.
+
+    ``MappedCase()`` is a standalone case with empty dicts to fill.
+    ``MappedCase(batch, row)`` is a view of case ``row`` of a
+    :class:`CaseBatch`: it builds its three dicts, once, when one is first
+    read (persistence, EXPORT, ``covers``, ``fit_schema``, the singleton
+    path); encoding reads the batch's columns instead.  A view's dicts are
+    derived — edit a standalone case — and a view pickles or copies as a
+    standalone case.
     """
 
-    __slots__ = ("scalars", "tables", "qualifiers")
+    __slots__ = ("scalars", "tables", "qualifiers", "batch", "row")
 
-    def __init__(self):
-        self.scalars: Dict[str, Any] = {}
-        self.tables: Dict[str, List[Dict[str, Any]]] = {}
-        self.qualifiers: Dict[str, Dict[str, Any]] = {}
+    def __init__(self, batch: Optional["CaseBatch"] = None, row: int = 0):
+        self.batch, self.row = batch, row
+        if batch is None:
+            self.scalars, self.tables, self.qualifiers = {}, {}, {}
 
-    def qualifier(self, attribute: str, kind: str,
-                  default: Any = None) -> Any:
-        return self.qualifiers.get(attribute.upper(), {}).get(kind, default)
+    def __getattr__(self, name: str):
+        # Reached only for an unset slot: a view's dicts, not yet built.
+        if name not in ("scalars", "tables", "qualifiers"):
+            raise AttributeError(name)
+        self.batch.fill(self)
+        return object.__getattribute__(self, name)
+
+    def __reduce__(self):
+        return _standalone, (self.scalars, self.tables, self.qualifiers)
 
     def weight(self) -> float:
         """Case replication factor: the SUPPORT qualifier of any attribute.
@@ -63,41 +83,96 @@ class MappedCase:
         return f"MappedCase({self.scalars}, tables={list(self.tables)})"
 
 
+def _standalone(scalars, tables, qualifiers) -> MappedCase:
+    case = MappedCase()
+    case.scalars, case.tables, case.qualifiers = scalars, tables, qualifiers
+    return case
+
+
+class CaseBatch:
+    """A batch of bound cases, column by column — what ``bind cases``
+    yields for TRAIN and PREDICTION JOIN, what the caseset cache keeps and
+    what :meth:`AttributeSpace.encode_many` reads.
+
+    ``columns``  ``(KEY, qualifier kind or None, values)`` per bound
+                 scalar, in binding order: one value per case, coerced to
+                 the model column's type (a qualifier's as it came);
+    ``nested``   ``(TABLE, offsets, columns)`` per bound nested table: its
+                 bound columns (as above) over the cases' nested rows
+                 concatenated in case order — case ``i``'s rows are
+                 ``offsets[i]:offsets[i + 1]``;
+    ``source``   the source rows the cases were bound from, or None.
+
+    As a sequence the batch is one :class:`MappedCase` view per case.
+    """
+
+    __slots__ = ("columns", "nested", "source", "_count")
+
+    def __init__(self, count: int, columns: list, nested: list,
+                 source=None):
+        self._count, self.columns, self.nested, self.source = \
+            count, columns, nested, source
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __iter__(self):
+        return map(MappedCase, [self] * self._count, range(self._count))
+
+    def __getitem__(self, row: int) -> MappedCase:
+        return MappedCase(self, range(self._count)[row])
+
+    def fill(self, case: MappedCase) -> None:
+        """Build view ``case``'s dicts, as binding its row alone would."""
+        row = case.row
+        case.scalars, case.tables, case.qualifiers = {}, {}, {}
+        for key, kind, values in self.columns:
+            if kind is None:
+                case.scalars[key] = values[row]
+            else:
+                case.qualifiers.setdefault(key, {})[kind] = values[row]
+        for table, offsets, columns in self.nested:
+            rows = case.tables[table] = []
+            for position in range(offsets[row], offsets[row + 1]):
+                nested: Dict[str, Any] = {}
+                for key, kind, values in columns:
+                    if kind is None:
+                        nested[key] = values[position]
+                    else:
+                        nested.setdefault("__QUALIFIERS__", {}).setdefault(
+                            key, {})[kind] = values[position]
+                rows.append(nested)
+
+
+def case_batches(cases: Sequence[MappedCase]) -> list:
+    """``cases`` as consecutive runs, in order: ``(batch, rows)`` for a run
+    of views of one :class:`CaseBatch` (``rows`` None: the whole batch),
+    ``(None, cases)`` for a run of standalone cases."""
+    return [(cases, None)] if isinstance(cases, CaseBatch) else [
+        (batch, list(run) if batch is None else [case.row for case in run])
+        for batch, run in groupby(cases, attrgetter("batch"))]
+
+
 Binding = Union[ast.BindingColumn, ast.BindingSkip, ast.BindingTable]
 
 
 def map_rowset(definition: ModelDefinition, rowset: Rowset,
                bindings: Optional[Sequence[Binding]] = None) -> List[MappedCase]:
     """Map a source rowset to cases, positionally if bindings are given."""
-    mapper = case_mapper(definition, rowset, bindings)
-    return [mapper(row) for row in rowset.rows]
+    return list(case_binder(definition, rowset, bindings)(rowset.rows))
 
 
-def case_mapper(definition: ModelDefinition, source,
+def case_binder(definition: ModelDefinition, source,
                 bindings: Optional[Sequence[Binding]] = None):
-    """Compile a ``row -> MappedCase`` function for a source's columns.
+    """Compile a ``rows -> CaseBatch`` binder for a source's columns.
 
     ``source`` is anything with rowset column metadata (a :class:`Rowset`
-    or a :class:`~repro.sqlstore.rowset.RowStream`).  The returned mapper
-    carries no reference to the source rows, so the streaming pipeline can
-    apply it batch by batch and let each batch die.
+    or a :class:`~repro.sqlstore.rowset.RowStream`).  The binder carries
+    no reference to the source rows, so the streaming pipeline can apply
+    it batch by batch and let each batch die.
     """
-    if bindings:
-        plan = _positional_plan(definition, bindings, source)
-    else:
-        plan = _name_plan(definition, source)
-    scalars, tables = _compile_plan(plan)
-    return lambda row: _map_row(row, scalars, tables)
-
-
-def iter_mapped_cases(definition: ModelDefinition, stream,
-                      bindings: Optional[Sequence[Binding]] = None):
-    """Lazily map a row stream (or rowset) to cases, batch by batch; the
-    mapper is compiled before the first batch is pulled."""
-    mapper = case_mapper(definition, stream, bindings)
-    source = stream.batches() if hasattr(stream, "batches") \
-        else [stream.rows]
-    return ([mapper(row) for row in batch] for batch in source)
+    return _binder(_positional_plan(definition, bindings, source)
+                   if bindings else _name_plan(definition, source))
 
 
 # A plan is a list of (source_index, target) where target is either
@@ -151,15 +226,10 @@ def _positional_nested_plan(table_column: ModelColumn,
     when possible, falling back to position among the unbound columns.
     """
     plan = []
-    used = set()
-    available = list(range(len(nested_columns)))
+    unused = list(range(len(nested_columns)))
     for binding in bindings:
         if isinstance(binding, ast.BindingSkip):
-            # Skip the next unused source column.
-            for candidate in available:
-                if candidate not in used:
-                    used.add(candidate)
-                    break
+            del unused[:1]  # Skip the next unused source column.
             continue
         if isinstance(binding, ast.BindingTable):
             raise SchemaError(
@@ -169,24 +239,16 @@ def _positional_nested_plan(table_column: ModelColumn,
             raise BindError(
                 f"nested table {table_column.name!r} has no column "
                 f"{binding.name!r}")
-        # Prefer a same-named source column; otherwise next unused.
-        source_index = None
-        for candidate in available:
-            if candidate not in used and \
-                    nested_columns[candidate].name.upper() == \
-                    binding.name.upper():
-                source_index = candidate
-                break
-        if source_index is None:
-            for candidate in available:
-                if candidate not in used:
-                    source_index = candidate
-                    break
-        if source_index is None:
+        if not unused:
             raise SchemaError(
                 f"not enough source columns for nested table "
                 f"{table_column.name!r}")
-        used.add(source_index)
+        # Prefer a same-named source column; otherwise next unused.
+        source_index = next(
+            (candidate for candidate in unused
+             if nested_columns[candidate].name.upper() ==
+             binding.name.upper()), unused[0])
+        unused.remove(source_index)
         plan.append((source_index, ("scalar", column)))
     return plan
 
@@ -213,82 +275,96 @@ def _name_plan(definition: ModelDefinition, rowset: Rowset):
     return plan
 
 
-def _compile_plan(plan):
-    """Resolve a plan's model columns to what the per-row loop needs — the
-    upper-cased key each value is stored under, its coercer (None: store
-    as is) and, for a qualifier column, the qualifier kind — so mapping a
-    row upper-cases no name and inspects no column."""
-    def slot(source_index, column):
-        if column.role is ContentRole.QUALIFIER:
-            return (source_index, column.qualifier_of.upper(), None,
-                    column.qualifier)
-        coerce = column.data_type.coerce if column.data_type is not None \
-            else None
-        return source_index, column.name.upper(), coerce, None
-
-    scalars, tables = [], []
-    for source_index, target in plan:
-        if target[0] == "scalar":
-            scalars.append(slot(source_index, target[1]))
-        else:
-            tables.append((source_index, target[1].name.upper(),
-                           [slot(nested_index, nested_target[1])
-                            for nested_index, nested_target in target[2]]))
-    return scalars, tables
+#: The Python type whose values each SQL type's ``coerce`` returns as is.
+_NATIVE = {LONG: int, DOUBLE: float, TEXT: str, BOOLEAN: bool,
+           DATE: datetime.date}
 
 
-def _map_row(row: tuple, scalars, tables) -> MappedCase:
-    case = MappedCase()
-    for source_index, key, coerce, qualifier in scalars:
-        value = row[source_index]
-        if qualifier is not None:
-            case.qualifiers.setdefault(key, {})[qualifier] = value
-        else:
-            case.scalars[key] = value if value is None or coerce is None \
-                else coerce(value)
-    for source_index, table_key, nested_slots in tables:
-        nested = row[source_index]
-        rows_out: List[Dict[str, Any]] = []
-        if isinstance(nested, Rowset):
-            for nested_row in nested.rows:
-                row_dict: Dict[str, Any] = {}
-                for nested_index, key, coerce, qualifier in nested_slots:
-                    value = nested_row[nested_index]
-                    if qualifier is not None:
-                        row_dict.setdefault("__QUALIFIERS__", {}).setdefault(
-                            key, {})[qualifier] = value
-                    else:
-                        row_dict[key] = value \
-                            if value is None or coerce is None \
-                            else coerce(value)
-                rows_out.append(row_dict)
-        case.tables[table_key] = rows_out
-    return case
+def _binder(plan):
+    """The ``rows -> CaseBatch`` binder of a plan: one column per slot,
+    read off the batch's rows (a shaped batch's master rows and child
+    spans) and coerced column-wise.  Keys are upper-cased and columns
+    inspected here, once."""
+    scalars = [_slot(index, target[1]) for index, target in plan
+               if target[0] == "scalar"]
+    tables = [(index, target[1].name.upper(),
+               [_slot(nested, column) for nested, (_, column) in target[2]])
+              for index, target in plan if target[0] == "table"]
+    width = max([index + 1 for index, target in plan
+                 if target[0] == "scalar"], default=0)
+
+    def bind(rows) -> CaseBatch:
+        flat = rows.master if isinstance(rows, ShapedBatch) and \
+            width <= rows.width else rows
+        nested = []
+        for index, table_key, slots in tables:
+            children, counts = _nested_rows(rows, index)
+            nested.append((table_key, list(accumulate(counts, initial=0)),
+                           _bound(slots, children)))
+        return CaseBatch(len(rows), _bound(scalars, flat), nested, rows)
+    return bind
+
+
+def _slot(source_index: int, column: ModelColumn) -> tuple:
+    """A source ordinal's reader, the key its values are stored under, the
+    qualifier kind (None: a value) and the coercion — None (store as is)
+    or the types ``coerce`` returns unchanged, and ``coerce``."""
+    if column.role is ContentRole.QUALIFIER:
+        return (itemgetter(source_index), column.qualifier_of.upper(),
+                column.qualifier, None)
+    data_type = column.data_type
+    return (itemgetter(source_index), column.name.upper(), None,
+            None if data_type is None else
+            ({_NATIVE.get(data_type), type(None)}, data_type.coerce))
+
+
+def _bound(slots, rows) -> list:
+    """The slots' columns over ``rows``.  A column holding only its type's
+    own values and NULLs is kept as read; otherwise each other value is
+    coerced once per distinct ``(type, value)`` — a float once per cell,
+    as ``str`` tells ``-0.0`` from ``0.0``."""
+    columns = []
+    for read, key, kind, coercion in slots:
+        values = list(map(read, rows))
+        if coercion is not None and \
+                not coercion[0].issuperset(map(type, values)):
+            native, coerce = coercion
+            once = {typed: coerce(typed[1]) for typed in set(zip(
+                map(type, values), values)) if typed[0] not in native
+                and typed[0] is not float}
+            values = [value if type(value) in native
+                      else coerce(value) if type(value) is float
+                      else once[type(value), value] for value in values]
+        columns.append((key, kind, values))
+    return columns
+
+
+def _nested_rows(rows, index: int):
+    """``(rows, counts)`` of the nested column ``index`` of a batch: the
+    nested rows of every case concatenated in case order, and how many
+    each case has (none where the cell holds no rowset)."""
+    if isinstance(rows, ShapedBatch) and index >= rows.width:
+        return rows.children(index)
+    cells = [cell.rows if isinstance(cell, Rowset) else ()
+             for cell in map(itemgetter(index), rows)]
+    return list(chain.from_iterable(cells)), list(map(len, cells))
 
 
 # ---------------------------------------------------------------------------
 # ON-clause pair mapping for PREDICTION JOIN
 # ---------------------------------------------------------------------------
 
-def map_rowset_with_pairs(
-        definition: ModelDefinition, rowset: Rowset,
-        pairs: List[Tuple[Tuple[str, ...], Tuple[str, ...]]],
-        source_alias: Optional[str]) -> List[MappedCase]:
-    """Map cases using explicit (model_path, source_path) equalities."""
-    mapper = pair_mapper(definition, rowset, pairs, source_alias)
-    return [mapper(row) for row in rowset.rows]
-
-
-def pair_mapper(definition: ModelDefinition, source,
+def pair_binder(definition: ModelDefinition, source,
                 pairs: List[Tuple[Tuple[str, ...], Tuple[str, ...]]],
                 source_alias: Optional[str]):
-    """Compile a ``row -> MappedCase`` mapper from ON-clause equalities.
+    """Compile a ``rows -> CaseBatch`` binder from ON-clause equalities.
 
     ``model_path`` is ``(column,)`` or ``(table, column)`` after stripping
     the model name; ``source_path`` likewise after stripping the source
     alias.  Nested paths require the source column of the same table name
-    to exist in the shaped source.  ``source`` supplies column metadata
-    only (a :class:`Rowset` or row stream).
+    to exist in the shaped source, and every column of one model nested
+    table must be joined to the same source nested table.  ``source``
+    supplies column metadata only (a :class:`Rowset` or row stream).
     """
     rowset = source
     # The plan shape the other two modes compile: scalars in ON-clause
@@ -333,17 +409,22 @@ def pair_mapper(definition: ModelDefinition, source,
                 raise BindError(
                     f"nested source table {source_path[0]!r} has no column "
                     f"{source_path[1]!r}")
-            entry = nested.setdefault(table.name.upper(),
-                                      [None, ("table", table, [])])
-            entry[0] = source_table_index
+            entry = nested.setdefault(
+                table.name.upper(),
+                [source_table_index, ("table", table, [])])
+            if entry[0] != source_table_index:
+                raise BindError(
+                    f"model nested table {table.name!r} is joined to two "
+                    f"source nested tables "
+                    f"({rowset.columns[entry[0]].name!r} and "
+                    f"{source_table.name!r}); join it to one")
             entry[1][2].append((inner_index, ("scalar", nested_column)))
         else:
             raise BindError(
                 f"unsupported model path {'.'.join(model_path)!r} in ON "
                 f"clause")
 
-    scalars, tables = _compile_plan(plan + list(nested.values()))
-    return lambda row: _map_row(row, scalars, tables)
+    return _binder(plan + list(nested.values()))
 
 
 def _resolve_source_scalar(rowset: Rowset, path: Tuple[str, ...]) -> int:

@@ -2,8 +2,9 @@
 
 Shaping and binding dominate the cost of the populate/predict pipeline:
 a PREDICTION JOIN over the same SHAPE as the previous one re-executes the
-master and child queries, re-hashes the child rows, and re-binds every case.
-This cache keys the *bound* result — (source rows, mapped cases) — on the
+master and child queries, regroups the child rows, and re-binds every case.
+This cache keys the *bound* result — a PREDICTION JOIN's case batches with
+their source batches, a TRAIN's cases — in one form each, on the
 statement's source AST, the binding mode, the model-definition fingerprint,
 and the database's :attr:`data_version`, so a hit is guaranteed fresh: any
 INSERT/UPDATE/DELETE/DDL bumps the version and naturally retires stale
@@ -140,21 +141,13 @@ def definition_fingerprint(definition) -> Tuple:
     captures exactly what binding depends on: column names, table-ness,
     nested column names, and qualifier wiring.
     """
-    parts = []
-    for column in definition.columns:
-        if column.is_table:
-            nested = tuple(
-                (c.name.upper(), getattr(c, "qualifier", None),
-                 (c.qualifier_of or "").upper() if getattr(
-                     c, "qualifier_of", None) else None)
-                for c in column.nested_columns)
-            parts.append((column.name.upper(), "TABLE", nested))
-        else:
-            parts.append((column.name.upper(), "SCALAR",
-                          getattr(column, "qualifier", None),
-                          (column.qualifier_of or "").upper() if getattr(
-                              column, "qualifier_of", None) else None))
-    return tuple(parts)
+    def wiring(column) -> Tuple:
+        return (column.name.upper(), column.qualifier,
+                column.qualifier_of.upper() if column.qualifier_of else None)
+    return tuple(
+        (column.name.upper(), "TABLE",
+         tuple(map(wiring, column.nested_columns))) if column.is_table
+        else (*wiring(column), "SCALAR") for column in definition.columns)
 
 
 def train_key(model, statement, data_version: int) -> Tuple:

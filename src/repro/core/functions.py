@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 import operator
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.errors import BindError, PredictionError
 from repro.lang import ast_nodes as ast
@@ -42,17 +42,25 @@ def _column_argument(args: List[ast.Expr]) -> ast.Expr:
 
 
 class PredictionScope:
-    """Everything a UDF may consult while it is bound."""
+    """Everything a UDF may consult while it is bound.
+
+    What the bound closures read of a case's prediction accumulates in
+    ``reads`` — ``{attribute index: True}`` for an attribute's whole
+    prediction, ``False`` for its predicted value alone — and becomes
+    None (read anything) once a closure takes the case prediction itself.
+    """
 
     def __init__(self, model, compile: Callable[[ast.Expr], Callable]):
         self.model = model
         self.compile = compile  # binds a plain (non-attribute) argument
         self.reads_prediction = False
+        self.reads: Optional[Dict[int, bool]] = {}
 
     def case_prediction(self) -> Callable[[tuple], Any]:
         """The ``entry -> CasePrediction`` reader.  Taking it is what tells
         the join that the statement has to score its cases at all."""
         self.reads_prediction = True
+        self.reads = None
         return _CASE_PREDICTION
 
     # -- argument resolution ----------------------------------------------------
@@ -88,19 +96,28 @@ class PredictionScope:
             return column.name
         return None
 
-    def attribute_reader(self, attribute: Attribute) \
+    def attribute_reader(self, attribute: Attribute, whole: bool = True) \
             -> Callable[[tuple], AttributePrediction]:
         """``entry -> AttributePrediction`` for one attribute; where the
-        algorithm does not output it, the training marginals stand in."""
-        case_prediction = self.case_prediction()
+        algorithm does not output it, the training marginals stand in.
+        With ``whole`` false the reader promises to read ``.value`` only."""
+        self.reads_prediction = True
+        if self.reads is not None:
+            self.reads[attribute.index] = \
+                whole or self.reads.get(attribute.index, False)
         algorithm = self.model.algorithm
         marginal = functools.cache(
             lambda: algorithm.marginal_prediction(attribute))
 
         def read(entry):
-            prediction = case_prediction(entry).get(attribute)
+            prediction = entry[1].get(attribute)
             return prediction if prediction is not None else marginal()
         return read
+
+    def value_reader(self, attribute: Attribute) -> Callable[[tuple], Any]:
+        """``entry -> predicted value`` of one attribute."""
+        read = self.attribute_reader(attribute, whole=False)
+        return lambda entry: read(entry).value
 
     def attribute_prediction(self, arg: ast.Expr) \
             -> Callable[[tuple], AttributePrediction]:
@@ -159,8 +176,7 @@ def bind_predict(scope: PredictionScope, args: List[ast.Expr]):
         raise PredictionError("Predict() requires a column argument")
     if scope.target_table(args[0]) is not None:
         return bind_predict_association(scope, args)
-    read = scope.attribute_prediction(_column_argument(args))
-    return lambda entry: read(entry).value
+    return scope.value_reader(scope.target_attribute(_column_argument(args)))
 
 
 def _bind_statistic(statistic: str):
@@ -326,13 +342,13 @@ def _bind_range(edge: Callable):
             raise PredictionError(
                 f"RangeMin/Mid/Max require a DISCRETIZED column; "
                 f"{attribute.name!r} is not discretized")
-        read = scope.attribute_reader(attribute)
+        read = scope.value_reader(attribute)
         buckets: dict = {}
         for bucket in range(discretizer.bucket_count):
             buckets.setdefault(discretizer.label(bucket), bucket)
 
         def of_predicted(entry) -> float:
-            predicted = read(entry).value
+            predicted = read(entry)
             bucket = buckets.get(predicted)
             if bucket is None:
                 raise PredictionError(

@@ -172,21 +172,23 @@ class MiningModel:
 
     # -- prediction -----------------------------------------------------------
 
-    def predict_cases(self, cases: Sequence[MappedCase]) \
+    def predict_cases(self, cases: Sequence[MappedCase],
+                      reads: Optional[Dict[int, bool]] = None) \
             -> Iterable[CasePrediction]:
         """Encode and score a batch of bound cases, in order — the one
         prediction entry, behind the prediction join and the external
         pipeline.  The batch is encoded as one matrix
         (:meth:`AttributeSpace.encode_many`) and handed to the service's
-        ``predict_many`` whole; a prediction object is built when it is
-        taken.  A batch of one — the singleton PREDICTION JOIN — is the
-        per-case ``encode`` + ``predict``: 9.3 us against 40 us through
-        the arrays (naive Bayes, two inputs), and the two are equal by
-        ``predict_many``'s contract."""
+        ``predict_many`` whole, with ``reads`` (see there); a prediction
+        object is built when it is taken.  A batch of one — the singleton
+        PREDICTION JOIN — is the per-case ``encode`` + ``predict``: 9.3 us
+        against 40 us through the arrays (naive Bayes, two inputs), and
+        the two are equal by ``predict_many``'s contract."""
         self.require_trained()
         if len(cases) == 1:
             return map(self.algorithm.predict, map(self.space.encode, cases))
-        return self.algorithm.predict_many(self.space.encode_many(cases))
+        return self.algorithm.predict_many(self.space.encode_many(cases),
+                                           reads=reads)
 
     # -- content --------------------------------------------------------------
 

@@ -4,8 +4,8 @@
 modeled as a 'prediction join' between D and M."  Execution:
 
 1. open the source (a SHAPE block, sub-select, or table) as a row stream;
-2. with its columns known and no row read yet, bind once: the source-row
-   -> :class:`MappedCase` mapper (by the ON clause's equalities, or by
+2. with its columns known and no row read yet, bind once: the source-rows
+   -> :class:`CaseBatch` binder (by the ON clause's equalities, or by
    column name for NATURAL PREDICTION JOIN) and, through
    :func:`compile_cases`, WHERE and the select list — model-qualified
    column references read predicted values ("look up predicted values ...
@@ -26,7 +26,7 @@ from typing import Any, Callable, List, Optional, Tuple
 from repro.errors import BindError, PredictionError
 from repro.lang import ast_nodes as ast
 from repro.obs import workload as obs_workload
-from repro.shaping.shape import plan_shape
+from repro.shaping.shape import ShapedBatch, plan_shape
 from repro.sqlstore.engine import _multi_key_sort, _row_key
 from repro.sqlstore.expressions import (
     EvalContext,
@@ -36,7 +36,8 @@ from repro.sqlstore.expressions import (
 from repro.sqlstore.rowset import Rowset, RowsetColumn, RowStream
 from repro.sqlstore.types import TABLE, infer_type
 from repro.sqlstore.values import sort_key
-from repro.core.bindings import case_mapper, pair_mapper
+from repro.core.bindings import CaseBatch, case_binder as _case_binder, \
+    pair_binder
 from repro.core.casecache import prediction_key
 from repro.core.functions import (
     PREDICTION_FUNCTIONS,
@@ -59,7 +60,8 @@ class PredictionEvalContext(EvalContext):
 
     Function calls resolve to prediction UDFs first, SQL scalar functions
     second.  ``scope.reads_prediction`` says, once an expression is bound,
-    whether it reads the case's prediction at all.
+    whether it reads the case's prediction at all, ``scope.reads`` how
+    much of it; ``source_width`` how many leading source columns it reads.
     """
 
     def __init__(self, model, source_context: EvalContext):
@@ -67,6 +69,7 @@ class PredictionEvalContext(EvalContext):
         self.subquery_executor = source_context.subquery_executor
         self._subquery_cache = source_context._subquery_cache
         self.model = model
+        self.source_width = 0
         # The scope binds plain arguments back through this context; held
         # strongly the pair would be a cycle pinning the database (through
         # ``subquery_executor``) until a gen-2 collection.  Binders compile
@@ -88,6 +91,7 @@ class PredictionEvalContext(EvalContext):
             return self._predicted_value(tuple(parts[1:]))
         index = self.resolve_index(parts)
         if index is not None:
+            self.source_width = max(self.source_width, index + 1)
             return lambda entry: entry[0][index]
         if len(parts) == 1:
             column = model.definition.find(parts[0])
@@ -116,8 +120,7 @@ class PredictionEvalContext(EvalContext):
             raise BindError(
                 f"column {parts[0]!r} is not part of the trained "
                 f"attribute space")
-        read = self.scope.attribute_reader(attribute)
-        return lambda entry: read(entry).value
+        return self.scope.value_reader(attribute)
 
     def bind_function(self, call: ast.FuncCall) -> Callable[[tuple], Any]:
         binder = PREDICTION_FUNCTIONS.get(call.name.upper())
@@ -243,33 +246,35 @@ def _surviving_batches(stream: RowStream, pushed: List[ast.Expr],
 
 def case_binder(model, columns: List[RowsetColumn], alias: Optional[str],
                 on_pairs):
-    """Compile ``source_row -> MappedCase`` from column metadata alone (the
-    mappers never consult rows), so a pool worker rebuilds the binder from
-    its payload.  ``on_pairs`` is the decomposed ON clause; None binds by
-    column name (NATURAL and positional joins)."""
+    """Compile ``source rows -> CaseBatch`` from column metadata alone
+    (binders never consult rows), so a pool worker rebuilds the binder
+    from its payload.  ``on_pairs`` is the decomposed ON clause; None binds
+    by column name (NATURAL and positional joins)."""
     shape = Rowset(columns)
     if on_pairs is None:
-        return case_mapper(model.definition, shape)
-    return pair_mapper(model.definition, shape, on_pairs, alias)
+        return _case_binder(model.definition, shape)
+    return pair_binder(model.definition, shape, on_pairs, alias)
 
 
 def compile_cases(model, source_context: EvalContext,
                   where: Optional[ast.Expr], exprs: List[ast.Expr]) \
-        -> Callable[[list], List[tuple]]:
+        -> Callable[[CaseBatch], List[tuple]]:
     """Bind WHERE and ``exprs`` against ``model`` and the source's columns,
-    once, and return the per-batch kernel: ``(source_row, MappedCase)``
-    pairs in, one value tuple per surviving case out.
+    once, and return the per-batch kernel: a :class:`CaseBatch` (with its
+    source rows) in, one value tuple per surviving case out.
 
     Binding needs column metadata only, so an unknown model column or
     function is a :class:`BindError` here — before a row is read, whatever
     the source holds.  The kernel filters, scores the batch through one
     ``predict_cases`` call if (and only if) some bound expression reads a
     prediction — before the filter when WHERE itself does, after it
-    otherwise — and applies the closures.  The batch's case list goes to
-    ``predict_cases`` whole, so encoding and the tabular services' scoring
-    are array work done once per batch; what stays lazy is the prediction
+    otherwise — and applies the closures.  The batch goes to
+    ``predict_cases`` whole, told which predictions the closures read
+    (``scope.reads``), so encoding and the tabular services' scoring are
+    array work done once per batch; what stays lazy is the prediction
     object, built as its entry is evaluated, so a batch never holds one
-    per case for the collector to trace.
+    per case for the collector to trace.  A shaped source hands the
+    closures its master rows unless they read a nested column.
     """
     context = PredictionEvalContext(model, source_context)
     scope = context.scope
@@ -277,28 +282,26 @@ def compile_cases(model, source_context: EvalContext,
     filter_predicts = scope.reads_prediction
     values = [compile_expression(expr, context) for expr in exprs]
     predicts = scope.reads_prediction
+    reads, width = scope.reads, context.source_width
 
-    def kernel(pairs) -> List[tuple]:
+    def kernel(cases: CaseBatch) -> List[tuple]:
+        rows = cases.source
+        if isinstance(rows, ShapedBatch):
+            rows = rows.master if width <= rows.width else rows.rows()
         if passes is not None and not filter_predicts:
-            pairs = [pair for pair in pairs
-                     if passes((pair[0], None)) is True]
-        predictions = (model.predict_cases([case for _, case in pairs])
+            kept = [position for position, row in enumerate(rows)
+                    if passes((row, None)) is True]
+            if len(kept) < len(rows):
+                rows = list(map(rows.__getitem__, kept))
+                cases = list(map(cases.__getitem__, kept))
+        predictions = (model.predict_cases(cases, reads)
                        if predicts else repeat(None))
-        entries = zip((row for row, _ in pairs), predictions)
+        entries = zip(rows, predictions)
         if filter_predicts:
             entries = (entry for entry in entries if passes(entry) is True)
         return [tuple([value(entry) for value in values])
                 for entry in entries]
     return kernel
-
-
-def evaluate_cases(model, source_context: EvalContext,
-                   where: Optional[ast.Expr], exprs: List[ast.Expr],
-                   pairs) -> List[tuple]:
-    """Bind and apply in one call — what a pool worker, which receives
-    ASTs, does per chunk.  The serial path binds once per statement
-    (:func:`compile_cases`) and applies the kernel per batch."""
-    return compile_cases(model, source_context, where, exprs)(pairs)
 
 
 class _ReadLease:
@@ -445,31 +448,29 @@ def plan_prediction(provider, statement: ast.SelectStatement):
         return names, exprs, order
 
     def bind_cases(_, batch_size: int) -> RowStream:
-        """The serial stage: the source's rows paired with their bound
-        cases, a batch of pairs per source batch.  Keyed, it accumulates up
-        to ``max_rows`` pairs alongside the stream and caches them on
-        completion, so huge sources keep the O(batch) footprint and are
-        simply never cached."""
+        """The serial stage: a :class:`CaseBatch` per source batch, its
+        source rows attached.  Keyed, it keeps the batches (the one cached
+        form) up to ``max_rows`` cases and caches them on completion, so
+        huge sources keep the O(batch) footprint and are simply never
+        cached."""
         stream = source.run(batch_size)
         columns = list(stream.columns)
-        mapper = case_binder(model, columns, alias, on_pairs)
+        bind = case_binder(model, columns, alias, on_pairs)
 
         def produce():
-            collected = ([], []) if key is not None else None
+            collected = [] if key is not None else None
             total = 0
-            for batch in _surviving_batches(stream, pushed, alias):
-                mapped = [(row, mapper(row)) for row in batch]
-                total += len(mapped)
+            for batch in map(bind, _surviving_batches(stream, pushed, alias)):
+                total += len(batch)
                 if collected is not None:
                     if total <= cache.max_rows:
-                        collected[0].extend(batch)
-                        collected[1].extend(case for _, case in mapped)
+                        collected.append(batch)
                     else:
                         collected = None  # too large: stop accumulating a copy
-                yield mapped
+                yield batch
             provider.metrics.histogram("prediction.join_fanout").observe(total)
             if collected is not None:
-                cache.put(key, (columns, collected[0], collected[1]), total)
+                cache.put(key, (columns, collected, total), total)
             elif key is not None:
                 cache.put(key, None, cache.max_rows + 1)  # count the skip
         return RowStream(columns, produce())
@@ -509,13 +510,11 @@ def plan_prediction(provider, statement: ast.SelectStatement):
                 stream = stage.run(batch_size)
                 columns, batches = stream.columns, stream.batches()
             else:
-                # A hit replays the bound caseset; the stage never runs.
-                columns, rows, cases = hit
+                # A hit replays the bound batches; the stage never runs.
+                columns, cached, total = hit
                 provider.metrics.histogram(
-                    "prediction.join_fanout").observe(len(rows))
-                batches = (list(zip(rows[start:start + batch_size],
-                                    cases[start:start + batch_size]))
-                           for start in range(0, len(rows), batch_size))
+                    "prediction.join_fanout").observe(total)
+                batches = iter(cached)
             names, exprs, order = outputs(columns)
             if dop > 1:
                 values = ([entry for entry in batch if entry is not None]
@@ -527,7 +526,7 @@ def plan_prediction(provider, statement: ast.SelectStatement):
                 values = (kernel(batch) for batch in batches)
             if not blockers:
                 return _inferred_stream(names, _held(
-                    lease, _limited(values, statement.top)))
+                    lease, _limited(values, statement.top, batch_size)))
             result = _blocked(statement, names, order,
                               [entry for batch in _held(lease, values)
                                for entry in batch])
@@ -548,16 +547,18 @@ def _held(lease: _ReadLease, batches):
         lease.release()
 
 
-def _limited(batches, top: Optional[int]):
-    """The one TOP limiter: value batches in, at most ``top`` rows out;
-    stops pulling once satisfied."""
+def _limited(batches, top: Optional[int], batch_size: int):
+    """The one TOP limiter: value batches in, at most ``top`` rows out, in
+    batches of at most ``batch_size`` (a replayed cache entry holds the
+    batches of the statement that filled it); stops pulling once
+    satisfied."""
     remaining = top
     for values in batches:
         if remaining is not None:
             values = values[:remaining]
             remaining -= len(values)
-        if values:
-            yield values
+        for start in range(0, len(values), batch_size):
+            yield values[start:start + batch_size]
         if remaining == 0:
             return
 

@@ -37,7 +37,6 @@ that fanned out counts what came back instead).
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import pickle
 from typing import Any, List, Optional, Sequence, Tuple
@@ -48,12 +47,12 @@ from repro.obs import workload as obs_workload
 from repro.obs.explain import PlanNode
 from repro.shaping.shape import plan_shape
 from repro.sqlstore.rowset import RowStream
-from repro.core.bindings import iter_mapped_cases
+from repro.core import bindings
 from repro.core.casecache import train_key
 from repro.core.prediction import (
     _source_context,
     case_binder,
-    evaluate_cases,
+    compile_cases,
 )
 
 # -- shared helpers ------------------------------------------------------------
@@ -80,27 +79,9 @@ def _picklable(*objects) -> bool:
         return False
 
 
-def _walk_expr_nodes(node):
-    """Yield every AST dataclass reachable from ``node`` (depth-first)."""
-    stack = [node]
-    while stack:
-        current = stack.pop()
-        if isinstance(current, (list, tuple)):
-            stack.extend(current)
-            continue
-        if not dataclasses.is_dataclass(current):
-            continue
-        yield current
-        for field in dataclasses.fields(current):
-            stack.append(getattr(current, field.name))
-
-
 def _contains_subquery(nodes) -> bool:
-    for root in nodes:
-        for node in _walk_expr_nodes(root):
-            if isinstance(node, (ast.SubSelect, ast.InSelect)):
-                return True
-    return False
+    return any(isinstance(node, (ast.SubSelect, ast.InSelect)) or
+               _contains_subquery(ast.children(node)) for node in nodes)
 
 
 # -- training ------------------------------------------------------------------
@@ -189,10 +170,13 @@ def plan_train(provider, statement: ast.InsertModelStatement) -> PlanNode:
     node.add(absorb or _refit_node(model, pool, dop))
 
     def bind_cases(_, batch_size: int) -> RowStream:
-        """The source's rows mapped to cases, a batch of cases per batch."""
+        """The source's rows bound to cases, a :class:`CaseBatch` per
+        batch; the binder is compiled before the first batch is pulled."""
         stream = source.run(batch_size)
-        return RowStream(stream.columns, iter_mapped_cases(
-            model.definition, stream, statement.bindings))
+        return RowStream(stream.columns, map(
+            bindings.case_binder(model.definition, stream,
+                                 statement.bindings),
+            stream.batches()))
     bind = node.add(PlanNode("bind cases", target=model.name,
                              open=bind_cases))
     bind.add(source)
@@ -230,6 +214,8 @@ def plan_train(provider, statement: ast.InsertModelStatement) -> PlanNode:
             # anyway as its training caseset; the source streams.
             cases = []
             for batch in bind.run(batch_size).batches():
+                # The model keeps its cases, not the rows they came from.
+                batch.source = None
                 cases.extend(batch)
                 # Cancellation checkpoint per bound batch (row counts are
                 # the scan loop's, underneath).
@@ -362,17 +348,16 @@ def prediction_replica(model):
 
 def _predict_chunk(constant, rows):
     """Worker task: bind one contiguous chunk of source rows and hand the
-    pairs to the per-case kernel.
+    bound batch to the kernel.
 
     ``constant`` is the statement-wide payload.  Returns ``(rows_bound,
     value_tuples)``: the parent accounts for every case bound, as the
     serial path does.
     """
     model, columns, alias, on_pairs, exprs, where = constant
-    mapper = case_binder(model, columns, alias, on_pairs)
-    return len(rows), evaluate_cases(
-        model, _source_context(columns, alias), where, exprs,
-        [(row, mapper(row)) for row in rows])
+    return len(rows), compile_cases(
+        model, _source_context(columns, alias), where, exprs)(
+        case_binder(model, columns, alias, on_pairs)(rows))
 
 
 def parallel_value_batches(provider, dop: int, constant, row_batches):

@@ -9,17 +9,23 @@ Semantics follow the MDAC Data Shaping Service the paper relies on:
 * arms and SHAPEs nest arbitrarily.
 
 Shaping is *logical* (paper, section 3.1): storage stays flat; nesting is
-materialised only here, on the way into training or prediction.
+materialised only here, on the way into training or prediction — and even
+here only as offsets: a :class:`ShapedBatch` holds master rows and, per
+arm, spans of one grouped child-row list, the way OLE DB's hierarchical
+rowsets hand out child rows by chapter.  Nested :class:`Rowset` cells are
+built only for a consumer that asks for row tuples.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Union
+from itertools import chain, compress, count, starmap
+from operator import itemgetter, ne
+from typing import List, Optional, Tuple, Union
 
 from repro.errors import BindError
 from repro.lang import ast_nodes as ast
 from repro.sqlstore.rowset import Rowset, RowsetColumn, RowStream
-from repro.sqlstore.values import group_key
+from repro.sqlstore.values import group_keys
 
 
 def execute_shape(shape: ast.ShapeExpr, database) -> Rowset:
@@ -38,8 +44,8 @@ def plan_shape(shape: ast.ShapeExpr, database):
     """Plan a SHAPE expression: the node EXPLAIN renders, whose
     ``run(batch_size)`` opens the shaped :class:`RowStream`.
 
-    The master streams; every APPEND child materializes up front into
-    RELATE-key buckets.  Master and children are themselves planned
+    The master streams; every APPEND child materializes up front, grouped
+    by RELATE key.  Master and children are themselves planned
     SELECTs (or nested SHAPEs), so nothing below is decided again at run.
     """
     from repro.obs.explain import PlanNode
@@ -71,50 +77,130 @@ def plan_shape(shape: ast.ShapeExpr, database):
     return node
 
 
+class ShapedArm:
+    """One APPEND arm, grouped once per statement: its child rows with
+    every RELATE-key group contiguous (first-seen group order, row order
+    within a group), each group's ``(start, end)`` by :func:`group_key`,
+    and the arm's empty cell, whose columns every nested cell shares."""
+
+    __slots__ = ("schema", "rows", "spans")
+
+    def __init__(self, columns: List[RowsetColumn], rows: List[tuple],
+                 relate_index: int):
+        self.schema = Rowset(columns)
+        self.rows, self.spans = _grouped(
+            rows, group_keys(list(map(itemgetter(relate_index), rows))))
+
+    def spans_of(self, values: list) -> List[Tuple[int, int]]:
+        """The span of the children of each RELATE-master value; (0, 0)
+        where no child row relates to it."""
+        return list(map(self.spans.get, group_keys(values),
+                        [(0, 0)] * len(values)))
+
+
+def _grouped(rows: list, keys: list):
+    """``(rows, spans)``: ``rows`` with equal keys contiguous and each
+    key's span.  Child rows that already arrive in key order are found so
+    in one pass and kept as they are; otherwise they are regrouped by a
+    stable sort on each key's first appearance."""
+    starts = [0, *compress(count(1), map(ne, keys, keys[1:]))] \
+        if keys else []
+    firsts = list(map(keys.__getitem__, starts))
+    if len(set(firsts)) < len(firsts):      # a key recurs: not in key order
+        rank = dict(zip(dict.fromkeys(keys), count()))
+        order = sorted(range(len(keys)),
+                       key=list(map(rank.__getitem__, keys)).__getitem__)
+        return _grouped(list(map(rows.__getitem__, order)),
+                        list(map(keys.__getitem__, order)))
+    return rows, dict(zip(firsts, zip(starts, starts[1:] + [len(rows)])))
+
+
+class ShapedBatch:
+    """One batch of a SHAPE's cases, as offsets: the master rows (``width``
+    columns each) and, per APPEND arm, the :class:`ShapedArm` and every
+    master row's span of its grouped child rows.
+
+    As a sequence it is the shaped row tuples — the master row followed by
+    one nested :class:`Rowset` per arm, what :func:`execute_shape` returns
+    — built each time they are asked for (wire encoding, FLATTENED, a
+    projection of a nested column) and never kept, so a cached batch holds
+    offsets only.  Within one build, master rows with one RELATE key share
+    one child-row list (:meth:`Rowset.over`).  Binding reads the offsets
+    (:meth:`children`) and builds no cell; a pickled batch travels as the
+    row tuples.
+    """
+
+    __slots__ = ("master", "width", "arms")
+
+    def __init__(self, master: list, width: int,
+                 arms: List[Tuple[ShapedArm, list]]):
+        self.master, self.width, self.arms = master, width, arms
+
+    def __len__(self) -> int:
+        return len(self.master)
+
+    @staticmethod
+    def _cells(arm: ShapedArm, spans) -> list:
+        lists = {span: arm.rows[span[0]:span[1]] for span in set(spans)}
+        return [Rowset.over(arm.schema, lists[span]) for span in spans]
+
+    def rows(self) -> List[tuple]:
+        """The shaped row tuples, built afresh."""
+        cells = [self._cells(arm, spans) for arm, spans in self.arms]
+        return list(map(tuple.__add__, self.master, zip(*cells))) \
+            if cells else list(self.master)
+
+    def __iter__(self):
+        return iter(self.rows())
+
+    def __getitem__(self, index):
+        return self.rows()[index]
+
+    def __reduce__(self):
+        return list, (self.rows(),)
+
+    def children(self, index: int):
+        """``(rows, counts)`` of nested column ``index``: the child rows of
+        every case, concatenated in case order, and how many each has."""
+        arm, spans = self.arms[index - self.width]
+        return (list(map(arm.rows.__getitem__,
+                         chain.from_iterable(starmap(range, spans)))),
+                [end - start for start, end in spans])
+
+
 def _open_shape(shape: ast.ShapeExpr, sources, batch_size: int) -> RowStream:
     """Open a planned SHAPE over its planned master and APPEND children.
 
-    Child (APPEND) queries must run to completion up front — every child row
-    is hashed into per-RELATE-key buckets — but the *master* side streams:
-    nested rowsets are attached batch by batch, so a consumer that processes
-    cases incrementally (training, PREDICTION JOIN) never holds the whole
-    shaped caseset.  Bucket lists are shared between the hash table and the
-    emitted nested rowsets (:meth:`Rowset.over`: two master rows with one
-    RELATE key read the same list, and every cell of an arm the arm's
-    columns); per-case nested ``Rowset`` wrappers are the only per-row
-    allocation and die with their batch.
+    Child (APPEND) queries must run to completion up front — each is
+    grouped by RELATE key once (:class:`ShapedArm`) — but the *master* side
+    streams: each master batch becomes a :class:`ShapedBatch` whose spans
+    are looked up by key, so a consumer that processes cases incrementally
+    (training, PREDICTION JOIN) never holds the whole shaped caseset, and
+    no nested object is built unless a consumer asks for row tuples.
     """
     master = sources[0].run(batch_size)
     columns = list(master.columns)
-    plans = []  # (master_index, buckets, the arm's empty cell)
+    width = len(columns)
+    arms = []  # (master_index, arm)
 
     for append, source in zip(shape.appends, sources[1:]):
-        child = source.run(batch_size).materialize()
+        child = source.run(batch_size)
         child_index = _require_column(child.columns, append.relate_child,
                                       "RELATE child")
         master_index = _require_column(columns, append.relate_master,
                                        "RELATE master")
-        buckets: Dict[object, List[tuple]] = {}
-        for child_row in child.rows:
-            buckets.setdefault(
-                group_key(child_row[child_index]), []).append(child_row)
-        empty = Rowset(child.columns)
-        plans.append((master_index, buckets, empty))
+        arm = ShapedArm(child.columns,
+                        list(chain.from_iterable(child.batches())),
+                        child_index)
+        arms.append((master_index, arm))
         columns.append(
-            RowsetColumn(append.alias, nested_columns=empty.columns))
+            RowsetColumn(append.alias, nested_columns=arm.schema.columns))
 
-    def produce():
-        for batch in master.batches():
-            out = []
-            for row in batch:
-                shaped = list(row)
-                for master_index, buckets, empty in plans:
-                    key = group_key(shaped[master_index])
-                    shaped.append(
-                        Rowset.over(empty, buckets.get(key, empty.rows)))
-                out.append(tuple(shaped))
-            yield out
-    return RowStream(columns, produce())
+    def shaped(batch: list) -> ShapedBatch:
+        return ShapedBatch(batch, width, [
+            (arm, arm.spans_of(list(map(itemgetter(index), batch))))
+            for index, arm in arms])
+    return RowStream(columns, map(shaped, master.batches()))
 
 
 def _require_column(columns: List[RowsetColumn], name: str,
@@ -169,14 +255,7 @@ def flatten_rowset(rowset: Rowset) -> Rowset:
     that table's columns (so no case silently disappears).  Nested column
     names are prefixed with the table column's name to stay unambiguous.
     """
-    flat_columns, plans = _flatten_plan(rowset.columns)
-    flat_rows: List[tuple] = []
-    for row in rowset.rows:
-        flat_rows.extend(_flatten_row(row, plans))
-    result = Rowset(flat_columns, flat_rows)
-    if any(c.nested_columns is not None for c in flat_columns):
-        return flatten_rowset(result)  # handle nested-within-nested
-    return result
+    return flatten_stream(RowStream.from_rowset(rowset)).materialize()
 
 
 def flatten_stream(stream: RowStream) -> RowStream:

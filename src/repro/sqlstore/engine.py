@@ -18,8 +18,8 @@ workload repository hashes it, ``execute_select_stream`` opens it.
 from __future__ import annotations
 
 import datetime
-from itertools import chain, repeat
-from operator import eq, gt, itemgetter, lt
+from itertools import chain, compress, repeat
+from operator import eq, gt, itemgetter
 from typing import (
     Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple)
 
@@ -888,8 +888,8 @@ class Database:
         it — an insertion-ordered scan under a SHAPE source's ORDER BY —
         are returned as they are: a stable sort of ordered input is the
         identity."""
-        columns = [[value(row) for row in
-                    (output_rows if reads_output else source_rows)]
+        columns = [list(map(value, output_rows if reads_output
+                            else source_rows))
                    for reads_output, value in order_keys]
         directions = [item.ascending for item in statement.order_by]
         if _already_ordered(columns, directions):
@@ -1458,22 +1458,25 @@ def _already_ordered(columns: List[list], directions: List[bool]) -> bool:
     """Whether rows whose ORDER BY values are ``columns`` (one list per
     key) already stand where :func:`_multi_key_sort` would put them.
 
-    Adjacent rows are compared on the raw values — the first key over
-    every pair, each later key over the pairs the keys before it left
-    tied — and the first pair out of order ends the test, which is where
-    an unsorted input ends it.  NULL and mixed type classes raise
-    ``TypeError`` and NaN differs from itself; all of them, and every
-    column :func:`_orders_natively` does not vouch for, go to the sort."""
+    Adjacent rows are compared on the raw values, a key's pairs in one
+    ``map`` — the first key over every pair, each later key over the pairs
+    the keys before it left equal — and the first pair out of order ends
+    the test, which is where an unsorted input ends it.  NULL and mixed
+    type classes raise ``TypeError``; they, a NaN (which orders against
+    nothing) and every column :func:`_orders_natively` does not vouch for
+    go to the sort."""
     tied = range(len(columns[0]) - 1)   # i: rows i and i + 1 still tie
     try:
         for values, ascending in zip(columns, directions):
-            before = lt if ascending else gt
-            pairs, tied = tied, []
-            for i in pairs:
-                if not before(values[i], values[i + 1]):
-                    if values[i] != values[i + 1]:
-                        return False
-                    tied.append(i)
+            if isinstance(tied, range):     # every pair: the key's neighbours
+                left, right = values[:-1], values[1:]
+            else:
+                left = list(map(values.__getitem__, tied))
+                right = list(map(values.__getitem__, map((1).__add__, tied)))
+            if any(map(gt, left, right) if ascending
+                   else map(gt, right, left)):
+                return False
+            tied = list(compress(tied, map(eq, left, right)))
             if not tied:
                 break
     except TypeError:

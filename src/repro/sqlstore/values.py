@@ -92,6 +92,23 @@ def group_key(value: Any):
     return ("s", str(value))
 
 
+def group_keys(values: list) -> list:
+    """One key per value, two keys equal exactly where their
+    :func:`group_key`\\ s are: a number's (not a bool's) float, a string
+    itself, ``group_key``'s own tuple for NULL, a bool or a date, and any
+    other value's ``str``.  A column of numbers alone or of strings alone
+    costs no call per value."""
+    types = set(map(type, values))
+    if types <= {int, float}:
+        return list(map(float, values))
+    return list(values) if types == {str} else list(map(_bare_key, values))
+
+
+def _bare_key(value: Any):
+    key = group_key(value)
+    return key[1] if key[0] in ("n", "s") else key
+
+
 def truth_and(a: Optional[bool], b: Optional[bool]) -> Optional[bool]:
     """Three-valued AND."""
     if a is False or b is False:

@@ -8,7 +8,7 @@ from repro.datagen import WarehouseConfig, load_warehouse
 
 # Hypothesis profiles (``--hypothesis-profile=NAME``).  A test that pins its
 # own ``@settings(max_examples=…)`` keeps it under either profile; a test
-# that leaves the budget open (tests/differential/
+# that leaves the budget open (tests/differential/test_columnar_cases.py,
 # test_compiled_vs_interpreted.py, test_prediction_kernel.py,
 # test_scoring_tables.py, test_snapshot_fragments.py,
 # test_training_from_counts.py, tests/lang/test_lexer_differential.py,

@@ -5,7 +5,7 @@ import pytest
 from repro.errors import BindError, SchemaError
 from repro.lang import ast_nodes as ast
 from repro.lang.parser import parse_statement
-from repro.core.bindings import map_rowset, map_rowset_with_pairs
+from repro.core.bindings import map_rowset, pair_binder
 from repro.core.columns import compile_model_definition
 from repro.sqlstore.rowset import Rowset, RowsetColumn
 from repro.sqlstore.types import DOUBLE, LONG, TEXT
@@ -29,6 +29,11 @@ def nested(rows):
     return Rowset([RowsetColumn("CustID", LONG),
                    RowsetColumn("Product", TEXT),
                    RowsetColumn("Quantity", DOUBLE)], rows)
+
+
+def map_rowset_with_pairs(definition, rowset, pairs, source_alias):
+    return list(pair_binder(definition, rowset, pairs,
+                            source_alias)(rowset.rows))
 
 
 def source_rowset():
@@ -55,7 +60,7 @@ class TestByNameBinding:
         first = cases[0]
         assert first.scalars["CUSTOMER ID"] == 1
         assert first.scalars["AGE"] == 35.0
-        assert first.qualifier("Age", "PROBABILITY") == 0.9
+        assert first.qualifiers["AGE"]["PROBABILITY"] == 0.9
         assert [r["PRODUCT"] for r in first.tables["PURCHASES"]] == \
             ["TV", "Beer"]
 

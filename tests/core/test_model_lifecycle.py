@@ -153,13 +153,13 @@ class TestResetAndDrop:
         assert len(cache) == 4          # a re-INSERT can still hit them
         key = next(k for k in cache._entries
                    if k[:2] == ("prediction", "M"))
-        case = cache._entries[key][0][2][0]
+        batch = cache._entries[key][0][1][0]    # a cached CaseBatch
         del key
         gc.disable()
         try:
             conn.execute(drop)
             # Only this test's variable (and getrefcount's argument) left.
-            assert sys.getrefcount(case) == 2
+            assert sys.getrefcount(batch) == 2
         finally:
             gc.enable()
         assert [key[1] for key in cache._entries] == ["OTHER", "OTHER"]

@@ -265,3 +265,57 @@ class TestStreamedColumnInference:
         # twice where it is tested and then taken).
         assert len(reads) <= 2 * 1200 + 4
         assert list(stream.batches()) == batches
+
+
+class TestOnClauseNestedTables:
+    """Every column of one model nested table must be joined to the same
+    source nested table.  Joining ``P.name`` to ``PA`` and to ``PB`` once
+    read ``PB``'s rows at ``PA.name``'s position and answered without an
+    error (Female/Male/Female where ``PA`` alone gives Male/Female/Male);
+    it is a BindError of the statement, embedded and over the wire."""
+
+    SETUP = [
+        "CREATE TABLE C (Id LONG, Gender TEXT)",
+        "INSERT INTO C VALUES (1, 'Male'), (2, 'Female'), (3, 'Male')",
+        "CREATE TABLE PA (cid LONG, name TEXT)",
+        "INSERT INTO PA VALUES (1, 'tv'), (2, 'wine'), (3, 'tv')",
+        "CREATE TABLE PB (cid LONG, other TEXT)",
+        "INSERT INTO PB VALUES (1, 'wine'), (2, 'tv'), (3, 'wine')",
+        "CREATE MINING MODEL mm (Id LONG KEY, Gender TEXT DISCRETE "
+        "PREDICT, P TABLE(name TEXT KEY)) USING Repro_Naive_Bayes",
+        "INSERT INTO mm (Id, Gender, P(name)) SHAPE {SELECT Id, Gender "
+        "FROM C ORDER BY Id} APPEND ({SELECT cid, name FROM PA ORDER BY "
+        "cid} RELATE Id TO cid) AS P",
+    ]
+    SCORE = ("SELECT t.Id, mm.Gender FROM mm PREDICTION JOIN "
+             "(SHAPE {SELECT Id FROM C ORDER BY Id} "
+             "APPEND ({SELECT cid, name FROM PA ORDER BY cid} "
+             "RELATE Id TO cid) AS PA, "
+             "({SELECT cid, other FROM PB ORDER BY cid} "
+             "RELATE Id TO cid) AS PB) AS t ON {on} ORDER BY t.Id")
+
+    @pytest.mark.parametrize("transport", ["embedded", "wire"])
+    def test_one_model_table_joined_to_two_source_tables(self, conn,
+                                                         transport):
+        from repro.client import connect as net_connect
+        from repro.server import DmxServer
+
+        for statement in self.SETUP:
+            conn.execute(statement)
+
+        def check(execute):
+            assert execute(self.SCORE.replace(
+                "{on}", "mm.P.name = t.PA.name")).rows == \
+                [(1, "Male"), (2, "Female"), (3, "Male")]
+            with pytest.raises(BindError, match="two source nested tables"):
+                execute(self.SCORE.replace(
+                    "{on}",
+                    "mm.P.name = t.PA.name AND mm.P.name = t.PB.other"))
+
+        if transport == "wire":
+            with DmxServer(conn.provider, port=0) as server, \
+                    net_connect("127.0.0.1", server.port) as wire:
+                check(wire.execute)
+            assert server.thread_errors == []
+        else:
+            check(conn.execute)

@@ -1,8 +1,9 @@
 """Differential harness: the compiled prediction kernel vs the per-case
 interpreter it replaced.
 
-``compile_cases(model, ctx, where, exprs)(pairs)`` — WHERE and the select
-list bound once, the batch scored through ``predict_cases`` — must equal
+``compile_cases(model, ctx, where, exprs)(cases)`` — WHERE and the select
+list bound once, the bound batch scored through ``predict_cases`` — must
+equal
 ``tests/reference/prediction_oracle.evaluate_cases`` — a fresh context per case,
 every name resolved again, the case scored on first use — value for value
 (``==`` on every float, nested rowsets included), or fail with the same
@@ -79,7 +80,8 @@ def outcome(thunk):
 
 class Harness:
     """One trained model, and per join mode the source context plus the
-    ``(source_row, MappedCase)`` pairs the join would feed the kernel."""
+    bound batch the join would feed the kernel (and, for the interpreter,
+    its ``(source_row, MappedCase)`` pairs)."""
 
     def __init__(self, service):
         scenario = SCENARIOS[service]
@@ -106,10 +108,12 @@ class Harness:
         modes = {"positional": None}
         if join.condition is not None:
             modes["on"] = split_on_condition("M", self.alias, join.condition)
-        self.pairs = {}
+        self.batches, self.pairs = {}, {}
         for mode, on_pairs in modes.items():
-            mapper = case_binder(self.model, columns, self.alias, on_pairs)
-            self.pairs[mode] = [(row, mapper(row)) for row in rows]
+            cases = case_binder(self.model, columns, self.alias,
+                                on_pairs)(rows)
+            self.batches[mode] = cases
+            self.pairs[mode] = list(zip(rows, cases))
 
         definition = self.model.definition
         space = self.model.space
@@ -151,7 +155,8 @@ def assert_kernels_agree(harness, where, exprs):
             # failed the same way on the first case that got there.
             assert expected == ("raised", type(exc).__name__, str(exc)), mode
             continue
-        assert outcome(lambda: kernel(pairs)) == expected, mode
+        assert outcome(lambda: kernel(harness.batches[mode])) == expected, \
+            mode
 
 
 # -- generated select lists and filters ---------------------------------------------

@@ -30,6 +30,7 @@ scorers share it).
 """
 
 import functools
+import math
 import multiprocessing
 import pickle
 
@@ -465,3 +466,126 @@ def test_process_mode_prediction_equals_serial_after_scoring(service):
         assert parallel == serial
     finally:
         conn.close()
+
+
+# -- (vi) naive Bayes builds what the statement reads ------------------------------------
+
+def _nudged(score, ulps):
+    """``score`` moved ``ulps`` representable floats (down when negative)."""
+    for _ in range(abs(ulps)):
+        score = math.nextafter(score, -math.inf if ulps < 0 else math.inf)
+    return score
+
+
+@st.composite
+def log_score_rows(draw, width):
+    """A case's log scores: around a peak, some tied exactly, some a few
+    ulps off (equal once ``exp`` rounds them, or not), some so far below
+    that their weight underflows to 0."""
+    peak = draw(st.sampled_from([0.0, -1.5, -27.631021115928547, -700.0]))
+    return [draw(st.one_of(
+        st.just(peak),
+        st.integers(-3, 3).map(lambda ulps: _nudged(peak, ulps)),
+        st.sampled_from([peak - 1e-12, peak - 0.5, peak - 800.0,
+                         peak - 1e5]))) for _ in range(width)]
+
+
+@settings(deadline=None)
+@given(data=st.data(), states=st.one_of(
+    st.lists(st.sampled_from([0, 1, 2, 3, 10, 11, 20]), min_size=1,
+             max_size=5, unique=True),
+    st.lists(st.sampled_from([0.0, 1.0]), min_size=1, unique=True)),
+    total=st.sampled_from([0.0, 5e-324, 1e-300, 1.0, 7.5, 2000.0]))
+def test_a_predicted_value_is_its_posteriors_value(data, states, total):
+    """``_predicted_values`` picks from each row of log scores the value
+    ``_posterior``'s whole prediction carries — the heaviest positive
+    ``exp(score - normaliser) * total``, ties to the smallest
+    ``_tiebreak`` (``"10"`` before ``"2"``), None when every weight
+    underflows — bit for bit."""
+    from types import SimpleNamespace
+    from repro.algorithms.attributes import Attribute
+    from repro.algorithms.naive_bayes import NaiveBayesAlgorithm
+
+    labels = {state: f"s{state!r}" for state in states}
+    rows = data.draw(st.lists(log_score_rows(len(states)), min_size=1,
+                              max_size=6))
+    target = Attribute(0, "T", "categorical", False, True)
+    model = SimpleNamespace(prior=SimpleNamespace(total=total))
+    assert NaiveBayesAlgorithm._predicted_values(
+        target, model, states, labels, np.array(rows)) == [
+        NaiveBayesAlgorithm._posterior(target, model, states, labels,
+                                       row).value for row in rows]
+
+
+LAZY_DDL = ("CREATE MINING MODEL nb (Id LONG KEY, T TEXT DISCRETE PREDICT, "
+            "{inputs}) USING Repro_Naive_Bayes(SMOOTHING = 0)")
+LAZY_INPUTS = 30
+
+#: Reads of a prediction's value alone, and reads of the whole of it.
+VALUE_READS = ["nb.T", "[nb].[T]", "Predict(T)", "Predict([nb].[T])"]
+WHOLE_READS = ["PredictProbability(T)", "PredictSupport(T)",
+               "PredictProbability(T, 'u')", "PredictHistogram(T)",
+               "TopCount(PredictHistogram(T), [$PROBABILITY], 2)"]
+
+
+@pytest.fixture(scope="module")
+def lazy_conn():
+    """A naive-Bayes model without smoothing: ``x`` and ``y`` cases differ
+    in every input, so a case of one scores the other ~830 below (its
+    weight underflows to 0); ``u`` and ``v`` cases are alike, so a case of
+    theirs ties them exactly."""
+    conn = repro.connect()
+    names = [f"A{i}" for i in range(LAZY_INPUTS)]
+    conn.execute("CREATE TABLE S (Id LONG, T TEXT, "
+                 + ", ".join(f"{name} TEXT" for name in names) + ")")
+    patterns = {"x": ["p"] * LAZY_INPUTS, "y": ["q"] * LAZY_INPUTS,
+                "u": ["r", "s"] * (LAZY_INPUTS // 2),
+                "v": ["r", "s"] * (LAZY_INPUTS // 2)}
+    rows, ident = [], 0
+    for target, copies in (("x", 3), ("y", 3), ("u", 2), ("v", 2)):
+        for _ in range(copies):
+            ident += 1
+            rows.append(f"({ident}, '{target}', " + ", ".join(
+                f"'{value}'" for value in patterns[target]) + ")")
+    # Cases nobody trained on: mixed patterns and all-missing inputs.
+    for pattern in (["p", "q"] * (LAZY_INPUTS // 2), ["s"] * LAZY_INPUTS):
+        ident += 1
+        rows.append(f"({ident}, NULL, " + ", ".join(
+            f"'{value}'" for value in pattern) + ")")
+    ident += 1
+    rows.append(f"({ident}, NULL, " + ", ".join(["NULL"] * LAZY_INPUTS)
+                + ")")
+    conn.execute("INSERT INTO S VALUES " + ", ".join(rows))
+    conn.execute(LAZY_DDL.format(inputs=", ".join(
+        f"{name} TEXT DISCRETE" for name in names)))
+    conn.execute("INSERT INTO nb SELECT * FROM S WHERE T IS NOT NULL")
+    yield conn
+    conn.close()
+
+
+@pytest.mark.parametrize("whole", WHOLE_READS)
+@pytest.mark.parametrize("value", VALUE_READS)
+def test_value_reads_equal_whole_reads(lazy_conn, value, whole):
+    """A statement that reads only the predicted value gets a
+    ``PredictedValue`` per case; beside a read of the whole prediction it
+    gets the posterior.  The values are bit-identical at the
+    ``rowset_dump`` level, over exact ties and underflowed states."""
+    from repro.server.protocol import rowset_dump
+    from repro.sqlstore.rowset import Rowset
+
+    algorithm = lazy_conn.provider.model("nb").algorithm
+    seen, predict_many = [], algorithm.predict_many
+    algorithm.predict_many = lambda observations, reads=None: \
+        seen.append(reads) or predict_many(observations, reads)
+    source = "NATURAL PREDICTION JOIN (SELECT * FROM S) AS t ORDER BY t.Id"
+    try:
+        lazy = lazy_conn.execute(f"SELECT t.Id, {value} FROM nb {source}")
+        eager = lazy_conn.execute(
+            f"SELECT t.Id, {value}, {whole} FROM nb {source}")
+    finally:
+        del algorithm.predict_many
+    target = lazy_conn.provider.model("nb").space.by_name("T").index
+    assert seen == [{target: False}, {target: True}]
+    assert rowset_dump(lazy) == rowset_dump(Rowset(
+        eager.columns[:2], [row[:2] for row in eager.rows]))
+    assert {row[1] for row in lazy.rows} == {"x", "y", "u"}

@@ -1,4 +1,4 @@
-"""A call budget for the two short statements the benchmark issues most.
+"""A call budget for the statements the benchmark issues most.
 
 Wall time on a shared box cannot gate the thirty-odd microseconds an
 envelope layer costs; the number of Python-level calls a statement makes
@@ -6,15 +6,20 @@ can, because it repeats exactly.  ``sys.setprofile`` counts ``call``
 events — function entries and generator resumptions — over 100 of the
 benchmark's own point SELECTs and 100 of its singleton predictions
 (``benchmarks/e2e/statements.py``), embedded, at ``connect()`` defaults,
-after five warm-ups.  The ceilings sit about 5 % above what the statements
-cost when they were set (241 and 322 on CPython 3.11; 3.12 inlines
-comprehensions and counts fewer): a layer that starts resolving a name per
-column, looking a metric up per counter or wrapping the statement in one
-more generator shows up here as a failed assertion, not as noise.  This is
-a regression guard, not a performance claim.
+after five warm-ups, and per case over the life cycle's cold ``NATURAL
+PREDICTION JOIN`` of 2,000 customers, once per service.  The ceilings sit
+about 5 % above what the statements cost when they were set (241 and 322
+for the short statements, 8.6 and 9.5 per case for the tree and naive
+Bayes joins, on CPython 3.11; 3.12 inlines comprehensions and counts
+fewer): a layer that starts resolving a name per column, looking a metric
+up per counter, wrapping the statement in one more generator or building
+one more object per case shows up here as a failed assertion, not as
+noise.  This is a regression guard, not a performance claim.
 """
 
 import sys
+
+import pytest
 
 import repro
 from repro.datagen import WarehouseConfig, load_warehouse
@@ -28,6 +33,10 @@ WARM_UPS, MEASURED = 5, 100
 
 POINT_SELECT_CEILING = 253
 SINGLETON_PREDICTION_CEILING = 338
+
+LIFECYCLE_CUSTOMERS = 2000
+#: Call events per case of the cold batch join, by service tag.
+COLD_JOIN_CEILING = {"dt": 9.0, "nb": 10.0}
 
 
 def _texts(rounds, kind):
@@ -81,3 +90,33 @@ def test_short_statements_stay_inside_their_call_budget():
         conn.close()
     assert point <= POINT_SELECT_CEILING, point
     assert singleton <= SINGLETON_PREDICTION_CEILING, singleton
+
+
+@pytest.mark.parametrize("tag", sorted(COLD_JOIN_CEILING))
+def test_the_cold_batch_join_stays_inside_its_call_budget(tag):
+    statements = benchmark_statements()
+    algorithm = dict(statements.LIFECYCLE_ALGORITHMS)[tag]
+    conn = repro.connect()
+    try:
+        load_warehouse(conn.database, WarehouseConfig(
+            customers=LIFECYCLE_CUSTOMERS, seed=7))
+        conn.execute(statements.CREATE_MODEL.format(name="M",
+                                                    algorithm=algorithm))
+        conn.execute(statements.TRAIN_MODEL.format(name="M"))
+        calls = 0
+
+        def count(frame, event, arg):
+            nonlocal calls
+            if event == "call":
+                calls += 1
+        previous = sys.getprofile()
+        sys.setprofile(count)
+        try:   # a fresh model: the caseset cache has nothing to replay
+            cases = len(conn.execute(
+                statements.SCORE_MODEL.format(name="M")).rows)
+        finally:
+            sys.setprofile(previous)
+    finally:
+        conn.close()
+    assert cases == LIFECYCLE_CUSTOMERS
+    assert calls / cases <= COLD_JOIN_CEILING[tag], calls / cases
