@@ -25,9 +25,8 @@ import tempfile
 
 import pytest
 
-from repro.baseline import run_external_pipeline, run_in_provider_pipeline
-
 from _helpers import make_warehouse
+from external_pipeline import run_external_pipeline, run_in_provider_pipeline
 
 SCALES = [500, 2000, 5000]
 

@@ -18,7 +18,7 @@ import tempfile
 import pytest
 
 from _helpers import AGE_MODEL_DDL, AGE_MODEL_TRAIN, make_warehouse
-from repro.baseline import ExternalMiningPipeline
+from external_pipeline import ExternalMiningPipeline
 
 SCALES = [250, 1000, 4000]
 

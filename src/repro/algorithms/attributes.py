@@ -19,14 +19,21 @@ a case.  ``AttributeSpace`` compiles a model's column tree into a flat list of
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Sequence
-from itertools import chain
+from itertools import chain, compress
+from operator import itemgetter
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import TrainError
-from repro.core.bindings import CaseBatch, MappedCase, case_batches
+from repro.core.bindings import (
+    CaseBatch,
+    MappedCase,
+    case_batches,
+    column_runs,
+)
 from repro.core.columns import (
     AttributeType,
     ContentRole,
@@ -130,6 +137,34 @@ def _norm(value: Any) -> Any:
     if isinstance(value, (int, float)):
         return float(value)
     return value
+
+
+def _tally(distribution: CategoricalDistribution, values: list,
+           weights: np.ndarray) -> None:
+    """``distribution.add(value, weight)`` for each pair of the parallel
+    ``values`` and ``weights`` whose value is not None, in order, as one
+    ``bincount``.  Bit for bit what the loop leaves: each key spelled and
+    placed where it was first added (``1``, ``1.0`` and ``True`` are one
+    key), its weights added in order after the count it already had, and
+    a pair of weight <= 0 never seen."""
+    unseen = weights <= 0
+    if unseen.any():
+        values = list(compress(values, (~unseen).tolist()))
+        weights = weights[~unseen]
+    counts = distribution.counts
+    index = {value: code for code, value in
+             enumerate(dict.fromkeys(chain(counts, values)))}
+    codes = np.fromiter(map(index.__getitem__, values), np.intp, len(values))
+    if None in index:
+        kept = codes != index[None]
+        codes, weights = codes[kept], weights[kept]
+    sums = np.bincount(
+        np.concatenate((np.arange(len(counts), dtype=np.intp), codes)),
+        np.concatenate((list(counts.values()), weights)),
+        minlength=len(index)).tolist()
+    distribution.counts = {value: total for value, total in zip(index, sums)
+                           if value is not None}
+    distribution.total = sequential_sum(weights, distribution.total)
 
 
 class Observation:
@@ -303,13 +338,20 @@ class AttributeSpace:
         self.fit_schema(cases)
         self.marginals = self.partial_marginals(self.encode_many(cases))
 
-    def fit_schema(self, cases: List[MappedCase]) -> None:
+    def fit_schema(self, cases: Sequence[MappedCase]) -> None:
         """The dictionary pass only: attributes, relations, discretizers.
 
         After this the space can :meth:`encode` cases, but marginals are
         unfitted — partitioned training computes them per partition with
         :meth:`partial_marginals` and folds them back in order through
         :meth:`merge_marginal_partials`.
+
+        The pass reads columns, never a case's dicts: per run of the
+        caseset (:func:`~repro.core.bindings.column_runs`) one
+        :func:`_tally` per counted column, the discretizers' value lists
+        and the ``RELATED TO`` maps off the nested columns, and the case
+        weights from :meth:`CaseBatch.weights` — what one
+        ``CategoricalDistribution.add`` per case and value left.
         """
         if not cases:
             raise TrainError(
@@ -319,57 +361,72 @@ class AttributeSpace:
         # A second fit starts over rather than on top of the first.
         self.attributes, self._by_name, self._slots = [], {}, None
         self.relations, self.total_weight = {}, 0.0
-        scalar_columns = [
-            c for c in self.definition.scalar_attributes()]
-        observed: Dict[str, CategoricalDistribution] = {}
-        numeric_values: Dict[str, List[float]] = {}
-        for column in scalar_columns:
-            observed[column.name.upper()] = CategoricalDistribution()
-            numeric_values[column.name.upper()] = []
+        scalar_columns = self.definition.scalar_attributes()
+        observed = {column.name.upper(): CategoricalDistribution()
+                    for column in scalar_columns}
+        numeric_values: Dict[str, List[float]] = {
+            column.name.upper(): [] for column in scalar_columns}
+        item_counts = {table.name.upper(): CategoricalDistribution()
+                       for table in self.definition.nested_tables()}
 
-        item_counts: Dict[str, CategoricalDistribution] = {
-            t.name.upper(): CategoricalDistribution()
-            for t in self.definition.nested_tables()}
-        relation_maps: Dict[Tuple[str, str], Dict[Any, Any]] = {}
-
-        for case in cases:
-            weight = case.weight()
-            self.total_weight += weight
+        for batch in column_runs(cases):
+            weights = np.array(batch.weights(), dtype=np.float64)
+            self.total_weight = sequential_sum(weights, self.total_weight)
+            absent = [None] * len(batch)
+            columns = {key: values for key, kind, values in batch.columns
+                       if kind is None}       # a later key replaces
             for column in scalar_columns:
                 key = column.name.upper()
-                value = case.scalars.get(key)
+                values = columns.get(key, absent)
                 if column.model_existence_only:
-                    observed[key].add(value is not None, weight)
-                    continue
-                if value is None:
-                    continue
-                if column.attribute_type in (AttributeType.CONTINUOUS,
-                                             AttributeType.DISCRETIZED):
-                    numeric_values[key].append(float(value))
+                    _tally(observed[key],
+                           [value is not None for value in values], weights)
+                elif column.attribute_type in (AttributeType.CONTINUOUS,
+                                               AttributeType.DISCRETIZED):
+                    numeric_values[key] += [float(value) for value in values
+                                            if value is not None]
                 else:
-                    observed[key].add(value, weight)
-            for table in self.definition.nested_tables():
-                key_column = table.key_column()
-                table_key = table.name.upper()
-                for row in case.tables.get(table_key, []):
-                    item = row.get(key_column.name.upper())
-                    if item is None:
-                        continue
-                    item_counts[table_key].add(item, weight)
-                    for nested in table.nested_columns:
-                        if nested.role is ContentRole.RELATION and \
-                                nested.related_to and \
-                                nested.related_to.upper() == \
-                                key_column.name.upper():
-                            relation_value = row.get(nested.name.upper())
-                            if relation_value is not None:
-                                relation_maps.setdefault(
-                                    (table_key, nested.name.upper()), {})[
-                                    _norm(item)] = relation_value
+                    _tally(observed[key], values, weights)
+            self._fit_items(batch, weights, item_counts)
 
-        self.relations = relation_maps
         self._build_attributes(scalar_columns, observed, numeric_values,
                                item_counts)
+
+    def _fit_items(self, batch: CaseBatch, weights: np.ndarray,
+                   item_counts: Dict[str, CategoricalDistribution]) -> None:
+        """The nested half of :meth:`fit_schema` over one run: item counts
+        (each nested row weighted by its case) and the ``RELATED TO`` maps,
+        whose items keep their first place and take their last value, and
+        which start in the order their first writes came case by case."""
+        nested = {table: (offsets, {key: values for key, kind, values
+                                    in columns if kind is None})
+                  for table, offsets, columns in batch.nested}
+        started = []   # (where the first write came, map key, writes)
+        for number, table in enumerate(self.definition.nested_tables()):
+            table_key = table.name.upper()
+            item_name = table.key_column().name.upper()
+            offsets, columns = nested.get(table_key, (None, {}))
+            items = columns.get(item_name)
+            if items is None:
+                continue
+            _tally(item_counts[table_key], items,
+                   np.repeat(weights, np.diff(offsets)))
+            for place, related in enumerate(table.nested_columns):
+                if related.role is not ContentRole.RELATION or \
+                        (related.related_to or "").upper() != item_name:
+                    continue
+                values = columns.get(related.name.upper(), ())
+                written = [position for position, (item, value)
+                           in enumerate(zip(items, values))
+                           if item is not None and value is not None]
+                if written:
+                    first = written[0]
+                    started.append((
+                        (bisect_right(offsets, first) - 1, number, first,
+                         place), (table_key, related.name.upper()),
+                        [(_norm(items[p]), values[p]) for p in written]))
+        for _, key, writes in sorted(started, key=itemgetter(0)):
+            self.relations.setdefault(key, {}).update(writes)
 
     def _build_attributes(self, scalar_columns, observed, numeric_values,
                           item_counts) -> None:
@@ -505,34 +562,43 @@ class AttributeSpace:
                 if a.is_existence and a.table is not None and
                 a.table.name.upper() == table_name.upper()]
 
-    def covers(self, case: MappedCase) -> bool:
-        """True if the case encodes without losing information.
+    def covers(self, cases: Sequence[MappedCase]) -> bool:
+        """True if every case encodes without losing information.
 
         Used by the incremental-maintenance path: a case with an unseen
         category, an unseen nested item, or a value outside a discretizer's
-        fitted range requires a full refit of the attribute space.
+        fitted range requires a full refit of the attribute space.  Checked
+        column by column (:func:`~repro.core.bindings.column_runs`), once
+        per distinct value or item.
         """
-        for column in self.definition.scalar_attributes():
-            value = case.scalars.get(column.name.upper())
-            if value is None or column.model_existence_only:
-                continue
-            attribute = self.by_name(column.name)
-            if attribute is None:
-                return False
-            if attribute.discretizer is not None:
-                if not (attribute.discretizer.minimum <= float(value) <=
-                        attribute.discretizer.maximum):
+        known = [(table.name.upper(), table.key_column().name.upper(),
+                  {_norm(a.key_value)
+                   for a in self.existence_attributes(table.name)})
+                 for table in self.definition.nested_tables()]
+        for batch in column_runs(cases):
+            columns = {key: values for key, kind, values in batch.columns
+                       if kind is None}
+            for column in self.definition.scalar_attributes():
+                values = set(columns.get(column.name.upper(), ())) - {None}
+                if not values or column.model_existence_only:
+                    continue
+                attribute = self.by_name(column.name)
+                if attribute is None:
                     return False
-            elif attribute.is_categorical and \
-                    attribute.encode(value) is None:
-                return False
-        for table in self.definition.nested_tables():
-            key_name = table.key_column().name.upper()
-            known = {_norm(a.key_value)
-                     for a in self.existence_attributes(table.name)}
-            for row in case.tables.get(table.name.upper(), []):
-                item = row.get(key_name)
-                if item is not None and _norm(item) not in known:
+                discretizer = attribute.discretizer
+                if discretizer is not None:
+                    if not all(discretizer.minimum <= float(value) <=
+                               discretizer.maximum for value in values):
+                        return False
+                elif attribute.is_categorical and \
+                        None in map(attribute.encode, values):
+                    return False
+            nested = {table: {key: values for key, kind, values in columns
+                              if kind is None}
+                      for table, _, columns in batch.nested}
+            for table_key, item_name, items in known:
+                seen = set(nested.get(table_key, {}).get(item_name, ()))
+                if not items.issuperset(map(_norm, seen - {None})):
                     return False
         return True
 
@@ -697,20 +763,13 @@ class AttributeSpace:
         count, width = len(batch), len(template)
         values = np.tile(np.array(template, dtype=np.float64),  # None: NaN
                          (count, 1))
-        columns, qualifiers, supports = {}, {}, [None] * count
+        columns, qualifiers = {}, {}
         for key, kind, column in batch.columns:   # a later key replaces
             if kind is None:
                 columns[key] = column
             else:
                 qualifiers.setdefault(key, {})[kind] = column
-        for kinds in qualifiers.values():   # MappedCase.weight, per case
-            if "SUPPORT" in kinds:
-                supports = [float(value) if weight is None and
-                            value is not None else weight
-                            for weight, value in zip(supports,
-                                                     kinds["SUPPORT"])]
-        weights = np.array([1.0 if weight is None else weight
-                            for weight in supports])
+        weights = np.array(batch.weights(), dtype=np.float64)
         confidences: Dict[int, np.ndarray] = {}
         absent = [None] * count
 

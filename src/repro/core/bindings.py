@@ -44,10 +44,9 @@ class MappedCase:
     ``MappedCase()`` is a standalone case with empty dicts to fill.
     ``MappedCase(batch, row)`` is a view of case ``row`` of a
     :class:`CaseBatch`: it builds its three dicts, once, when one is first
-    read (persistence, EXPORT, ``covers``, ``fit_schema``, the singleton
-    path); encoding reads the batch's columns instead.  A view's dicts are
-    derived — edit a standalone case — and a view pickles or copies as a
-    standalone case.
+    read (persistence, EXPORT, the singleton path); training and encoding
+    read the batch's columns instead.  A view's dicts are derived — edit a
+    standalone case — and a view pickles or copies as a standalone case.
     """
 
     __slots__ = ("scalars", "tables", "qualifiers", "batch", "row")
@@ -72,8 +71,11 @@ class MappedCase:
 
         The paper defines SUPPORT as "a weight (case replication factor) to
         be associated with the value"; we take the case weight to be the
-        first SUPPORT qualifier present, defaulting to 1.0.
+        first SUPPORT qualifier present, defaulting to 1.0.  A view's is
+        its batch's (:meth:`CaseBatch.weights`).
         """
+        if self.batch is not None:
+            return self.batch.weights()[self.row]
         for kinds in self.qualifiers.values():
             if "SUPPORT" in kinds and kinds["SUPPORT"] is not None:
                 return float(kinds["SUPPORT"])
@@ -106,12 +108,66 @@ class CaseBatch:
     As a sequence the batch is one :class:`MappedCase` view per case.
     """
 
-    __slots__ = ("columns", "nested", "source", "_count")
+    __slots__ = ("columns", "nested", "source", "_count", "_weights")
 
     def __init__(self, count: int, columns: list, nested: list,
-                 source=None):
+                 source=None, weights: Optional[List[float]] = None):
         self._count, self.columns, self.nested, self.source = \
             count, columns, nested, source
+        self._weights = weights
+
+    @classmethod
+    def of(cls, cases: Sequence[MappedCase]) -> "CaseBatch":
+        """A run of standalone cases packed into value columns — one per
+        key any of them has, None where a case lacks it — whose weights
+        are each case's own :meth:`MappedCase.weight` (a hand-built case's
+        qualifiers need not come in one order).  Qualifiers are not
+        packed: the passes over columns read none but the weights."""
+        nested = []
+        for table in dict.fromkeys(chain.from_iterable(
+                case.tables for case in cases)):
+            rows = [case.tables.get(table, ()) for case in cases]
+            nested.append((table, list(accumulate(map(len, rows), initial=0)),
+                           _packed(list(chain.from_iterable(rows)))))
+        return cls(len(cases), _packed([case.scalars for case in cases]),
+                   nested, weights=[case.weight() for case in cases])
+
+    def take(self, rows: List[int]) -> "CaseBatch":
+        """The batch of the cases at ``rows``, in that order."""
+        if rows == list(range(self._count)):
+            return self
+        nested = []
+        for table, offsets, columns in self.nested:
+            spans = [range(offsets[row], offsets[row + 1]) for row in rows]
+            flat = list(chain.from_iterable(spans))
+            nested.append((table, list(accumulate(map(len, spans), initial=0)),
+                           [(key, kind, [values[p] for p in flat])
+                            for key, kind, values in columns]))
+        weights = self.weights()
+        return CaseBatch(len(rows), [
+            (key, kind, [values[row] for row in rows])
+            for key, kind, values in self.columns], nested,
+            weights=[weights[row] for row in rows])
+
+    def weights(self) -> List[float]:
+        """Per case, its weight — the first non-NULL SUPPORT in qualifier
+        order, else 1.0, as :meth:`MappedCase.weight` defines it; worked
+        out once, column by column."""
+        if self._weights is None:
+            kinds: Dict[str, Dict[str, list]] = {}
+            for key, kind, values in self.columns:  # a later key replaces
+                if kind is not None:
+                    kinds.setdefault(key, {})[kind] = values
+            supports: list = [None] * self._count
+            for by_kind in kinds.values():
+                column = by_kind.get("SUPPORT")
+                if column is not None:
+                    supports = [
+                        float(value) if weight is None and value is not None
+                        else weight for weight, value in zip(supports, column)]
+            self._weights = [1.0 if weight is None else weight
+                             for weight in supports]
+        return self._weights
 
     def __len__(self) -> int:
         return self._count
@@ -151,6 +207,25 @@ def case_batches(cases: Sequence[MappedCase]) -> list:
     return [(cases, None)] if isinstance(cases, CaseBatch) else [
         (batch, list(run) if batch is None else [case.row for case in run])
         for batch, run in groupby(cases, attrgetter("batch"))]
+
+
+def column_runs(cases: Sequence[MappedCase]) -> List[CaseBatch]:
+    """``cases`` as consecutive batches, in order: a run of views as the
+    rows of their batch it covers, a run of standalone cases packed
+    (:meth:`CaseBatch.of`) — what a pass over columns reads."""
+    return [CaseBatch.of(run) if batch is None
+            else batch if run is None else batch.take(run)
+            for batch, run in case_batches(cases)]
+
+
+def _packed(records: List[dict]) -> list:
+    """The ``(KEY, None, values)`` columns of value dicts: one per key any
+    of them has (a nested row's qualifiers aside), first seen first, None
+    where a dict lacks it."""
+    keys = dict.fromkeys(chain.from_iterable(records))
+    keys.pop("__QUALIFIERS__", None)
+    return [(key, None, [record.get(key) for record in records])
+            for key in keys]
 
 
 Binding = Union[ast.BindingColumn, ast.BindingSkip, ast.BindingTable]

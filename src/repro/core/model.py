@@ -120,9 +120,7 @@ class MiningModel:
         """Fold ``cases`` into the trained model incrementally; the number
         absorbed, 0 when the service or the fitted space does not allow
         it (nothing changed then)."""
-        if not self.can_absorb:
-            return 0
-        if not all(self.space.covers(case) for case in cases):
+        if not self.can_absorb or not self.space.covers(cases):
             return 0
         observations = self.space.encode_many(cases)
         self.algorithm.partial_train(observations)

@@ -108,6 +108,13 @@ def _training_parallelism(model, pool, maxdop: Optional[int]) \
     return dop, f"dop={dop}; space and caseset-size checks at run time", None
 
 
+def _schema_node(model) -> PlanNode:
+    """The dictionary pass ahead of a refit: ``run(None)`` returns a fresh
+    space fitted to the whole caseset's columns, marginals unfitted."""
+    return PlanNode("fit schema", target=model.name, strategy="columnar",
+                    open=lambda _, __: model.fit_schema())
+
+
 def _refit_node(model, pool, dop: int) -> PlanNode:
     """The refit step: ``run(space)`` trains over the whole caseset in the
     schema-fitted space and returns the cases trained on — 0 from a
@@ -132,10 +139,10 @@ def plan_train(provider, statement: ast.InsertModelStatement) -> PlanNode:
     space is a run-time fact, checked under the write lock).  ``run``
     takes the bound cases from the cache or runs ``bind cases``, then,
     under the model's write lock, runs the training steps — absorb, else
-    the refit, else (a partitioned refit declined) the serial fit — until
-    one consumes the cases, and returns their number; the first child
-    becomes the step that did when that differs from the announced
-    candidate.
+    ``fit schema`` and the refit, else (a partitioned refit declined) the
+    serial fit — until one consumes the cases, and returns their number;
+    the children ahead of ``bind cases`` become the steps that ran when
+    those differ from the announced candidate.
     """
     model = provider.model(statement.model)
     pool = provider.pool
@@ -163,11 +170,12 @@ def plan_train(provider, statement: ast.InsertModelStatement) -> PlanNode:
     absorb = None
     if model.can_absorb:
         node.strategy = f"incremental absorb candidate; else refit {strategy}"
-        absorb = PlanNode("incremental absorb", target=model.name,
-                          strategy="candidate (every case must fit the "
-                                   "fitted space)",
-                          open=lambda _, cases: model.absorb(cases))
-    node.add(absorb or _refit_node(model, pool, dop))
+        absorb = node.add(PlanNode(
+            "incremental absorb", target=model.name,
+            strategy="candidate (every case must fit the fitted space)",
+            open=lambda _, cases: model.absorb(cases)))
+    else:
+        node.children += [_schema_node(model), _refit_node(model, pool, dop)]
 
     def bind_cases(_, batch_size: int) -> RowStream:
         """The source's rows bound to cases, a :class:`CaseBatch` per
@@ -192,17 +200,20 @@ def plan_train(provider, statement: ast.InsertModelStatement) -> PlanNode:
     def run(node, batch_size: int) -> int:
         def consume(cases) -> None:
             """The model's consume hook, under its write lock: the steps in
-            turn until one consumes ``cases``, the tree keeping that one."""
+            turn until one consumes ``cases``, the tree keeping the ones
+            that did — ``incremental absorb``, else ``fit schema`` and the
+            refit."""
             if absorb is not None:
                 if absorb.run(cases):
                     return
-                node.children[0] = _refit_node(model, pool, dop)
-            space = model.fit_schema()
+                node.children[0:1] = [_schema_node(model),
+                                      _refit_node(model, pool, dop)]
+            space = node.children[0].run(None)
             if fallback is not None:
                 pool.note_serial_fallback(fallback)
-            if not node.children[0].run(space):
-                node.children[0] = _refit_node(model, pool, 1)
-                node.children[0].run(space)
+            if not node.children[1].run(space):
+                node.children[1] = _refit_node(model, pool, 1)
+                node.children[1].run(space)
 
         obs_workload.set_phase("bind")
         cases = None

@@ -52,14 +52,16 @@ class PlanNode:
     strategy text names — a :class:`RowStream` from a select/union/shape/
     prediction-join/flatten root or a ``bind cases`` / ``parallel predict``
     stage, a ``SourceRelation`` from a FROM source, a count from a
-    ``train`` root and from the training steps under it.  ``arg`` is the
-    batch size, except for a training step, which is handed what it
-    consumes: the bound cases (``incremental absorb``) or the schema-fitted
-    space (``fit``, ``partitioned refit``).  Planning only reads the
-    catalog; scanning, locks, spans and usage counters start at ``run``.
-    What runs is ``open(node, arg)``: an opener is handed its node rather
-    than closing over it, so a plan tree is no reference cycle and
-    everything it holds is freed with the last reference to its root.
+    ``train`` root and from the training steps under it but ``fit
+    schema``, which returns the space it fitted.  ``arg`` is the batch
+    size, except for a training step, which is handed what it consumes:
+    the bound cases (``incremental absorb``), nothing (``fit schema``) or
+    the schema-fitted space (``fit``, ``partitioned refit``).  Planning
+    only reads the catalog; scanning, locks, spans and usage counters
+    start at ``run``.  What runs is ``open(node, arg)``: an opener is
+    handed its node rather than closing over it, so a plan tree is no
+    reference cycle and everything it holds is freed with the last
+    reference to its root.
     ``columns`` lists a FROM source's ``(qualifier, name)`` pairs when they
     are known without reading data (None for mining-provider leaves), so a
     join above it can bind its keys at plan time.  ``estimator`` fills the
@@ -110,9 +112,10 @@ class PlanNode:
 
         On the active statement's record the node gets a cell
         (:class:`Actuals`): the opener is timed; a count it returns is
-        the node's rows; a stream or relation it returns is handed on with
-        every batch, as it is pulled, timed and counted (per batch, never
-        per row) — so a node's time includes its children's, which run
+        the node's rows, and so is the ``case_count`` of a space it
+        returns; a stream or relation it returns is handed on with every
+        batch, as it is pulled, timed and counted (per batch, never per
+        row) — so a node's time includes its children's, which run
         inside its opener and its pulls.  Under span capture the node is
         one span, named by its operator.  With no active statement the
         opener just runs."""
@@ -137,10 +140,13 @@ class PlanNode:
             cell.wall_ms += (perf_counter() - started) * 1000.0
             if span is not None:
                 span.__exit__(None, None, None)
-        if type(result) is not int:
+        if type(result) is int:
+            cell.rows += result
+        elif hasattr(result, "pipe"):
             cell.batches = cell.batches or 0
             return result.pipe(cell.counted)
-        cell.rows += result
+        else:   # the space ``fit schema`` fitted
+            cell.rows += result.case_count
         if span is not None:
             cell.seal()
         return result

@@ -10,8 +10,9 @@ from repro.datagen import WarehouseConfig, load_warehouse
 # own ``@settings(max_examples=…)`` keeps it under either profile; a test
 # that leaves the budget open (tests/differential/test_columnar_cases.py,
 # test_compiled_vs_interpreted.py, test_prediction_kernel.py,
-# test_scoring_tables.py, test_snapshot_fragments.py,
-# test_training_from_counts.py, tests/lang/test_lexer_differential.py,
+# test_schema_from_columns.py, test_scoring_tables.py,
+# test_snapshot_fragments.py, test_training_from_counts.py,
+# tests/lang/test_lexer_differential.py,
 # test_template_differential.py, tests/sqlstore/
 # test_page_codec_differential.py, test_paged_positions.py,
 # test_ordered_input_differential.py, test_position_binding.py — each compares

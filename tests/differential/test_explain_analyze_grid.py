@@ -37,8 +37,10 @@ from tests.obs.test_explain_golden import (
 #: The actual columns, all NULL on a node that did not run.
 ACTUALS = ("ACTUAL_ROWS", "Q_ERROR", "ACTUAL_BATCHES", "WALL_MS",
            "POOL_TASKS")
-#: Operators that return a count — what they consumed — not batches.
-COUNTED = {"train", "fit", "partitioned refit", "incremental absorb"}
+#: Operators that return a count — what they consumed — not batches (``fit
+#: schema`` a space, counted by the cases it read).
+COUNTED = {"train", "fit schema", "fit", "partitioned refit",
+           "incremental absorb"}
 #: The grid's tables (``_load``) and their sizes.
 TABLE_ROWS = {"Customers": 60, "Orders": 180, "Stores": 4}
 

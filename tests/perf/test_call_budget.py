@@ -6,22 +6,28 @@ can, because it repeats exactly.  ``sys.setprofile`` counts ``call``
 events — function entries and generator resumptions — over 100 of the
 benchmark's own point SELECTs and 100 of its singleton predictions
 (``benchmarks/e2e/statements.py``), embedded, at ``connect()`` defaults,
-after five warm-ups, and per case over the life cycle's cold ``NATURAL
-PREDICTION JOIN`` of 2,000 customers, once per service.  The ceilings sit
-about 5 % above what the statements cost when they were set (241 and 322
-for the short statements, 8.6 and 9.5 per case for the tree and naive
-Bayes joins, on CPython 3.11; 3.12 inlines comprehensions and counts
-fewer): a layer that starts resolving a name per column, looking a metric
-up per counter, wrapping the statement in one more generator or building
-one more object per case shows up here as a failed assertion, not as
-noise.  This is a regression guard, not a performance claim.
+after five warm-ups, and per case over the life cycle's TRAIN and cold
+``NATURAL PREDICTION JOIN`` of 2,000 customers, once per service.  The
+ceilings sit about 5 % above what the statements cost when they were set
+(241 and 322 for the short statements; per case 14.7 and 4.7 for the tree
+and naive Bayes TRAIN, 8.6 and 9.5 for their joins, on CPython 3.11; 3.12
+inlines comprehensions and counts fewer): a layer that starts resolving a
+name per column, looking a metric up per counter, wrapping the statement
+in one more generator or building one more object per case shows up here
+as a failed assertion, not as noise.  This is a regression guard, not a
+performance claim.
+
+Training reads columns up to the fit, so neither a refit nor an absorb
+of the life cycle's models builds a case's dicts (``CaseBatch.fill``).
 """
 
 import sys
+from contextlib import contextmanager
 
 import pytest
 
 import repro
+from repro.core.bindings import CaseBatch
 from repro.datagen import WarehouseConfig, load_warehouse
 
 from tests.sqlstore.test_ordered_input_differential import (
@@ -35,8 +41,43 @@ POINT_SELECT_CEILING = 253
 SINGLETON_PREDICTION_CEILING = 338
 
 LIFECYCLE_CUSTOMERS = 2000
+#: Call events per case of the first TRAIN, by service tag.
+TRAIN_CEILING = {"dt": 15.4, "nb": 4.9}
 #: Call events per case of the cold batch join, by service tag.
 COLD_JOIN_CEILING = {"dt": 9.0, "nb": 10.0}
+
+
+@contextmanager
+def _call_events():
+    """``[n]``: the call events while the block runs."""
+    counted = [0]
+
+    def count(frame, event, arg):
+        if event == "call":
+            counted[0] += 1
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        yield counted
+    finally:
+        sys.setprofile(previous)
+
+
+@contextmanager
+def _life_cycle_model(tag):
+    """A connection holding the life cycle's warehouse and an untrained
+    model ``M`` of the service ``tag`` names, and the statement list."""
+    statements = benchmark_statements()
+    algorithm = dict(statements.LIFECYCLE_ALGORITHMS)[tag]
+    conn = repro.connect()
+    try:
+        load_warehouse(conn.database, WarehouseConfig(
+            customers=LIFECYCLE_CUSTOMERS, seed=7))
+        conn.execute(statements.CREATE_MODEL.format(name="M",
+                                                    algorithm=algorithm))
+        yield conn, statements
+    finally:
+        conn.close()
 
 
 def _texts(rounds, kind):
@@ -92,31 +133,47 @@ def test_short_statements_stay_inside_their_call_budget():
     assert singleton <= SINGLETON_PREDICTION_CEILING, singleton
 
 
+@pytest.mark.parametrize("tag", sorted(TRAIN_CEILING))
+def test_the_life_cycle_train_stays_inside_its_call_budget(tag):
+    with _life_cycle_model(tag) as (conn, statements):
+        with _call_events() as calls:
+            conn.execute(statements.TRAIN_MODEL.format(name="M"))
+        cases = conn.provider.model("M").case_count
+    assert cases == LIFECYCLE_CUSTOMERS
+    assert calls[0] / cases <= TRAIN_CEILING[tag], calls[0] / cases
+
+
+@pytest.mark.parametrize("tag", sorted(TRAIN_CEILING))
+def test_refit_and_absorb_build_no_case_dicts(tag, monkeypatch):
+    """The first TRAIN refits; the second refits the tree and absorbs into
+    naive Bayes — and none of the three opens a view's dicts."""
+    fills = []
+    fill = CaseBatch.fill
+    monkeypatch.setattr(CaseBatch, "fill", lambda batch, case: (
+        fills.append(case.row), fill(batch, case)))
+    with _life_cycle_model(tag) as (conn, statements):
+        train = statements.TRAIN_MODEL.format(name="M")
+        conn.execute(train)
+        plan = conn.execute(f"EXPLAIN ANALYZE {train}")
+        names = [column.name for column in plan.columns]
+        rows = [dict(zip(names, values)) for values in plan.rows]
+        ran = {row["OPERATOR"] for row in rows
+               if row["ACTUAL_ROWS"] is not None}
+        cases = conn.provider.model("M").case_count
+    steps = {"incremental absorb", "fit schema", "fit"} & ran
+    assert steps == ({"incremental absorb"} if tag == "nb"
+                     else {"fit schema", "fit"})
+    assert cases == 2 * LIFECYCLE_CUSTOMERS
+    assert fills == []
+
+
 @pytest.mark.parametrize("tag", sorted(COLD_JOIN_CEILING))
 def test_the_cold_batch_join_stays_inside_its_call_budget(tag):
-    statements = benchmark_statements()
-    algorithm = dict(statements.LIFECYCLE_ALGORITHMS)[tag]
-    conn = repro.connect()
-    try:
-        load_warehouse(conn.database, WarehouseConfig(
-            customers=LIFECYCLE_CUSTOMERS, seed=7))
-        conn.execute(statements.CREATE_MODEL.format(name="M",
-                                                    algorithm=algorithm))
+    with _life_cycle_model(tag) as (conn, statements):
         conn.execute(statements.TRAIN_MODEL.format(name="M"))
-        calls = 0
-
-        def count(frame, event, arg):
-            nonlocal calls
-            if event == "call":
-                calls += 1
-        previous = sys.getprofile()
-        sys.setprofile(count)
-        try:   # a fresh model: the caseset cache has nothing to replay
+        # A fresh model: the caseset cache has nothing to replay.
+        with _call_events() as calls:
             cases = len(conn.execute(
                 statements.SCORE_MODEL.format(name="M")).rows)
-        finally:
-            sys.setprofile(previous)
-    finally:
-        conn.close()
     assert cases == LIFECYCLE_CUSTOMERS
-    assert calls / cases <= COLD_JOIN_CEILING[tag], calls / cases
+    assert calls[0] / cases <= COLD_JOIN_CEILING[tag], calls[0] / cases

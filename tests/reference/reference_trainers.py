@@ -11,6 +11,11 @@ builtin ``sum`` is compensated from CPython 3.12 on and these are the
 oracle on every interpreter CI runs.  The differential tests require the
 shipped code to equal these exactly (``==`` on every float, dict item order
 included); nothing under ``src/`` imports this module.
+
+``reference_fit_schema`` and ``reference_covers`` are the per-case
+dictionary pass and absorb gate as they were before both read
+``CaseBatch`` columns: each case's ``scalars`` / ``tables`` dicts, one
+``CategoricalDistribution.add`` per case and value.
 """
 
 from __future__ import annotations
@@ -21,7 +26,10 @@ from repro.algorithms.attributes import (
     Attribute,
     AttributeSpace,
     Observation,
+    _norm,
 )
+from repro.core.bindings import MappedCase
+from repro.core.columns import AttributeType, ContentRole
 from repro.algorithms.decision_tree import (
     _MAX_THRESHOLD_CANDIDATES,
     DecisionTreeAlgorithm,
@@ -30,6 +38,7 @@ from repro.algorithms.decision_tree import (
 from repro.algorithms.naive_bayes import NaiveBayesAlgorithm, _TargetModel
 from repro.algorithms.statistics import CategoricalDistribution, GaussianStats
 from repro.core.model import MiningModel
+from repro.errors import TrainError
 
 Weighted = List[Tuple[Observation, float]]
 
@@ -42,6 +51,108 @@ def total_weight(weighted: Weighted) -> float:
 
 
 # -- the attribute space --------------------------------------------------------------
+
+def reference_fit_schema(self: AttributeSpace,
+                         cases: List[MappedCase]) -> None:
+    """The dictionary pass only: attributes, relations, discretizers.
+
+    After this the space can :meth:`encode` cases, but marginals are
+    unfitted — partitioned training computes them per partition with
+    :meth:`partial_marginals` and folds them back in order through
+    :meth:`merge_marginal_partials`.
+    """
+    if not cases:
+        raise TrainError(
+            f"model {self.definition.name!r}: the training caseset is "
+            f"empty")
+    self.case_count = len(cases)
+    # A second fit starts over rather than on top of the first.
+    self.attributes, self._by_name, self._slots = [], {}, None
+    self.relations, self.total_weight = {}, 0.0
+    scalar_columns = [
+        c for c in self.definition.scalar_attributes()]
+    observed: Dict[str, CategoricalDistribution] = {}
+    numeric_values: Dict[str, List[float]] = {}
+    for column in scalar_columns:
+        observed[column.name.upper()] = CategoricalDistribution()
+        numeric_values[column.name.upper()] = []
+
+    item_counts: Dict[str, CategoricalDistribution] = {
+        t.name.upper(): CategoricalDistribution()
+        for t in self.definition.nested_tables()}
+    relation_maps: Dict[Tuple[str, str], Dict[Any, Any]] = {}
+
+    for case in cases:
+        weight = case.weight()
+        self.total_weight += weight
+        for column in scalar_columns:
+            key = column.name.upper()
+            value = case.scalars.get(key)
+            if column.model_existence_only:
+                observed[key].add(value is not None, weight)
+                continue
+            if value is None:
+                continue
+            if column.attribute_type in (AttributeType.CONTINUOUS,
+                                         AttributeType.DISCRETIZED):
+                numeric_values[key].append(float(value))
+            else:
+                observed[key].add(value, weight)
+        for table in self.definition.nested_tables():
+            key_column = table.key_column()
+            table_key = table.name.upper()
+            for row in case.tables.get(table_key, []):
+                item = row.get(key_column.name.upper())
+                if item is None:
+                    continue
+                item_counts[table_key].add(item, weight)
+                for nested in table.nested_columns:
+                    if nested.role is ContentRole.RELATION and \
+                            nested.related_to and \
+                            nested.related_to.upper() == \
+                            key_column.name.upper():
+                        relation_value = row.get(nested.name.upper())
+                        if relation_value is not None:
+                            relation_maps.setdefault(
+                                (table_key, nested.name.upper()), {})[
+                                _norm(item)] = relation_value
+
+    self.relations = relation_maps
+    self._build_attributes(scalar_columns, observed, numeric_values,
+                           item_counts)
+
+
+def reference_covers(self: AttributeSpace, case: MappedCase) -> bool:
+    """True if the case encodes without losing information.
+
+    Used by the incremental-maintenance path: a case with an unseen
+    category, an unseen nested item, or a value outside a discretizer's
+    fitted range requires a full refit of the attribute space.
+    """
+    for column in self.definition.scalar_attributes():
+        value = case.scalars.get(column.name.upper())
+        if value is None or column.model_existence_only:
+            continue
+        attribute = self.by_name(column.name)
+        if attribute is None:
+            return False
+        if attribute.discretizer is not None:
+            if not (attribute.discretizer.minimum <= float(value) <=
+                    attribute.discretizer.maximum):
+                return False
+        elif attribute.is_categorical and \
+                attribute.encode(value) is None:
+            return False
+    for table in self.definition.nested_tables():
+        key_name = table.key_column().name.upper()
+        known = {_norm(a.key_value)
+                 for a in self.existence_attributes(table.name)}
+        for row in case.tables.get(table.name.upper(), []):
+            item = row.get(key_name)
+            if item is not None and _norm(item) not in known:
+                return False
+    return True
+
 
 def reference_partial_marginals(self: AttributeSpace,
                                 observations) -> List[Any]:
@@ -351,7 +462,10 @@ def reference_model_train(model: MiningModel, cases) -> None:
     model.insert_count += 1
     model._invalidate_derived()
     algorithm = model.algorithm
-    if model.can_absorb and all(model.space.covers(c) for c in cases):
+    # The gate is the per-case one above since ``covers`` became a batch
+    # check over columns.
+    if model.can_absorb and all(reference_covers(model.space, c)
+                                for c in cases):
         observations = [model.space.encode(case) for case in cases]
         reference_naive_bayes_partial_train(algorithm, observations)
         reference_absorb(model.space, observations, len(cases))

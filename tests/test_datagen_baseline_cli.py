@@ -6,7 +6,10 @@ import os
 import pytest
 
 import repro
-from repro.baseline import run_external_pipeline, run_in_provider_pipeline
+from benchmarks.external_pipeline import (
+    run_external_pipeline,
+    run_in_provider_pipeline,
+)
 from repro.cli import main as cli_main, run_command, run_meta
 from repro.core.provider import split_statements
 from repro.datagen import (
