@@ -71,6 +71,33 @@ class AssociationRulesAlgorithm(MiningAlgorithm):
         self.case_total = 0.0
         self._table_name: Optional[str] = None
 
+    # -- persistence ------------------------------------------------------------
+
+    def state(self) -> dict:
+        name = {a.index: a.name for a in self.items}
+        return {
+            "table": self._table_name,
+            "case_total": self.case_total,
+            "items": [a.name for a in self.items],
+            "itemsets": [[sorted(name[i] for i in itemset), support]
+                         for itemset, support in self.itemsets.items()],
+            "rules": [[sorted(name[i] for i in rule.left), name[rule.right],
+                       rule.support, rule.confidence, rule.lift]
+                      for rule in self.rules],
+        }
+
+    def load_state(self, space: AttributeSpace, state: dict) -> None:
+        self._table_name = state["table"]
+        self.case_total = state["case_total"]
+        self.items = [space.by_name(n) for n in state["items"]]
+        index = {a.name: a.index for a in self.items}
+        self.itemsets = {frozenset(index[n] for n in names): support
+                         for names, support in state["itemsets"]}
+        self.rules = [
+            AssociationRule(frozenset(index[n] for n in left), index[right],
+                            support, confidence, lift)
+            for left, right, support, confidence, lift in state["rules"]]
+
     # -- training -------------------------------------------------------------
 
     def _train(self, space: AttributeSpace,

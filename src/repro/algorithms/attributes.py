@@ -45,6 +45,7 @@ from repro.algorithms.statistics import (
     CategoricalDistribution,
     GaussianStats,
     sequential_sum,
+    stat_from_json,
 )
 
 CATEGORICAL = "categorical"
@@ -103,7 +104,7 @@ class Attribute:
         """Category ``code`` as :meth:`AttributeSpace.encode` spells it in
         an observation — ``0.0`` / ``1.0`` under an existence attribute,
         the ``int`` code elsewhere — which is how trained statistics key
-        their counts (PMML state writes the keys out)."""
+        their counts (a service's ``state()`` writes the keys out)."""
         return float(code) if self.is_existence else code
 
     def decode(self, internal: Optional[float]) -> Any:
@@ -541,6 +542,67 @@ class AttributeSpace:
         self.attributes.append(attribute)
         self._by_name[attribute.name.upper()] = attribute
         self._slots = None
+
+    # -- persistence ----------------------------------------------------------
+
+    def to_json(self) -> dict:
+        """The fitted space as JSON-able data; columns go by name."""
+        return {
+            "case_count": self.case_count,
+            "total_weight": self.total_weight,
+            "maximum_states": self.maximum_states,
+            "maximum_items": self.maximum_items,
+            "relations": [[table, column, list(mapping.items())]
+                          for (table, column), mapping in
+                          self.relations.items()],
+            "attributes": [{
+                "name": a.name,
+                "kind": a.kind,
+                "is_input": a.is_input,
+                "is_output": a.is_output,
+                "column": a.column.name if a.column else None,
+                "table": a.table.name if a.table else None,
+                "key_value": a.key_value,
+                "value_column": (a.value_column.name
+                                 if a.value_column else None),
+                "categories": a.categories,
+                "is_existence": a.is_existence,
+                "discretizer": (a.discretizer.to_json()
+                                if a.discretizer is not None else None),
+            } for a in self.attributes],
+            "marginals": [m.to_json() for m in self.marginals],
+        }
+
+    @classmethod
+    def from_json(cls, definition: ModelDefinition,
+                  state: dict) -> "AttributeSpace":
+        """The space :meth:`to_json` spelled, over ``definition``."""
+        space = cls(definition)
+        space.case_count = state["case_count"]
+        space.total_weight = state["total_weight"]
+        space.maximum_states = state["maximum_states"]
+        space.maximum_items = state["maximum_items"]
+        space.relations = {
+            (table, column): dict(mapping)
+            for table, column, mapping in state["relations"]}
+        for entry in state["attributes"]:
+            column = definition.find(entry["column"]) \
+                if entry["column"] else None
+            table = definition.find(entry["table"]) if entry["table"] else None
+            value_column = None
+            if table is not None and entry["value_column"]:
+                value_column = table.find_nested(entry["value_column"])
+            discretizer = Discretizer.from_json(entry["discretizer"]) \
+                if entry["discretizer"] else None
+            space._add(Attribute(
+                len(space.attributes), entry["name"], entry["kind"],
+                is_input=entry["is_input"], is_output=entry["is_output"],
+                column=column, table=table, key_value=entry["key_value"],
+                value_column=value_column,
+                categories=list(entry["categories"]),
+                discretizer=discretizer, is_existence=entry["is_existence"]))
+        space.marginals = [stat_from_json(m) for m in state["marginals"]]
+        return space
 
     # -- lookup ---------------------------------------------------------------
 

@@ -129,14 +129,23 @@ class CasePrediction:
         return iter(self._by_index.values())
 
 
+def _not_persisted(service) -> CapabilityError:
+    return CapabilityError(
+        f"{service.SERVICE_NAME} does not persist its trained state (it "
+        f"implements no state() / load_state()), so its models cannot be "
+        f"checkpointed, saved or exported")
+
+
 class MiningAlgorithm(abc.ABC):
     """Base class for pluggable mining services.
 
     Subclasses declare a ``SERVICE_NAME`` (the canonical USING name),
     optional ``ALIASES``, capability flags, and ``SUPPORTED_PARAMETERS``
-    (name -> default).  The provider validates USING-clause parameters
-    against that declaration, which is how the paper's "schema rowsets
-    describe the capabilities and limitations of the provider" surfaces.
+    (name -> default), and implement :meth:`state` / :meth:`load_state`
+    to be checkpointed, saved and exported.  The provider validates
+    USING-clause parameters against that declaration, which is how the
+    paper's "schema rowsets describe the capabilities and limitations of
+    the provider" surfaces.
     """
 
     SERVICE_NAME: str = ""
@@ -266,8 +275,8 @@ class MiningAlgorithm(abc.ABC):
         They belong to the trained model, not to a statement (a singleton
         PREDICTION JOIN must not pay for them), so everything that changes
         trained state calls :meth:`drop_tables`: ``train`` and ``reset``
-        here, a service's own ``partial_train`` / ``merge``, and the PMML
-        state loader.  They are not pickled — a worker process rebuilds
+        here, a service's own ``partial_train`` / ``merge``, and
+        :meth:`restore`.  They are not pickled — a worker process rebuilds
         them from the state it received.  Concurrent readers may build them
         twice; both builds are equal and either may win.
         """
@@ -285,6 +294,36 @@ class MiningAlgorithm(abc.ABC):
 
     def __getstate__(self):
         return dict(self.__dict__, _tables=None)
+
+    # -- persistence ----------------------------------------------------------
+
+    def state(self) -> Dict[str, Any]:
+        """The trained state as canonical JSON-able data: what EXPORT,
+        ``save_provider`` and a durable checkpoint write, and what
+        :meth:`load_state` takes back.  A service persists when it
+        overrides this pair (``register_algorithm`` refuses one without
+        the other); the default refuses."""
+        raise _not_persisted(type(self))
+
+    def load_state(self, space: AttributeSpace,
+                   state: Dict[str, Any]) -> None:
+        """Install what :meth:`state` returned, over the restored
+        ``space`` (already on ``self.space``).  Derived state is dropped
+        and ``trained`` set by :meth:`restore`, the caller."""
+        raise _not_persisted(type(self))
+
+    def restore(self, space: AttributeSpace, state: Dict[str, Any]) -> None:
+        """Make this untrained service the one :meth:`state` described."""
+        self.space = space
+        self.load_state(space, state)
+        self.drop_tables()
+        self.trained = True
+
+    @classmethod
+    def require_persistence(cls) -> None:
+        """Raise unless the service can save and restore its state."""
+        if cls.state is MiningAlgorithm.state:
+            raise _not_persisted(cls)
 
     def require_trained(self) -> None:
         if not self.trained:

@@ -78,6 +78,39 @@ class EMClusteringAlgorithm(MiningAlgorithm):
         self._categorical: List[Attribute] = []
         self.log_likelihood_trace: List[float] = []
 
+    # -- persistence --------------------------------------------------------------
+
+    def state(self) -> dict:
+        return {
+            "cluster_count": self.cluster_count,
+            "weights": self.weights.tolist(),
+            "cluster_support": self.cluster_support.tolist(),
+            "means": self.means.tolist() if self.means is not None else None,
+            "variances": self.variances.tolist()
+            if self.variances is not None else None,
+            "categorical": {str(position): probabilities.tolist()
+                            for position, probabilities in
+                            self.categorical.items()},
+            "continuous_names": [a.name for a in self._continuous],
+            "categorical_names": [a.name for a in self._categorical],
+        }
+
+    def load_state(self, space: AttributeSpace, state: dict) -> None:
+        self.cluster_count = state["cluster_count"]
+        self.weights = np.array(state["weights"])
+        self.cluster_support = np.array(state["cluster_support"])
+        self.means = np.array(state["means"]) \
+            if state["means"] is not None else None
+        self.variances = np.array(state["variances"]) \
+            if state["variances"] is not None else None
+        self.categorical = {int(position): np.array(probabilities)
+                            for position, probabilities in
+                            state["categorical"].items()}
+        self._continuous = [space.by_name(n)
+                            for n in state["continuous_names"]]
+        self._categorical = [space.by_name(n)
+                             for n in state["categorical_names"]]
+
     # -- encoding to matrices ---------------------------------------------------
 
     def _matrices(self, values: np.ndarray):

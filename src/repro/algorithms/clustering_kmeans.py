@@ -26,7 +26,11 @@ from repro.algorithms.base import (
     MiningAlgorithm,
     PredictionBucket,
 )
-from repro.algorithms.statistics import CategoricalDistribution, GaussianStats
+from repro.algorithms.statistics import (
+    CategoricalDistribution,
+    GaussianStats,
+    stat_from_json,
+)
 from repro.core.content import (
     NODE_CLUSTER,
     NODE_MODEL,
@@ -61,6 +65,31 @@ class KMeansAlgorithm(MiningAlgorithm):
         self._scale_mean: Optional[np.ndarray] = None
         self._scale_std: Optional[np.ndarray] = None
         self._per_cluster_stats = []  # per cluster: {attr_index: dist/stats}
+
+    # -- persistence ----------------------------------------------------------------
+
+    def state(self) -> dict:
+        return {
+            "cluster_count": self.cluster_count,
+            "centroids": self.centroids.tolist(),
+            "cluster_support": self.cluster_support.tolist(),
+            "scale_mean": self._scale_mean.tolist(),
+            "scale_std": self._scale_std.tolist(),
+            "per_cluster": [{str(index): stat.to_json()
+                             for index, stat in stats.items()}
+                            for stats in self._per_cluster_stats],
+        }
+
+    def load_state(self, space: AttributeSpace, state: dict) -> None:
+        self.cluster_count = state["cluster_count"]
+        self.centroids = np.array(state["centroids"])
+        self.cluster_support = np.array(state["cluster_support"])
+        self._scale_mean = np.array(state["scale_mean"])
+        self._scale_std = np.array(state["scale_std"])
+        self._build_plan(space)
+        self._per_cluster_stats = [{int(index): stat_from_json(stat)
+                                    for index, stat in stats.items()}
+                                   for stats in state["per_cluster"]]
 
     # -- embedding ----------------------------------------------------------------
 

@@ -77,6 +77,37 @@ class _TreeNode:
     def is_leaf(self) -> bool:
         return not self.children
 
+    def to_json(self) -> dict:
+        return {
+            "support": self.support,
+            "depth": self.depth,
+            "condition": self.condition,
+            "threshold": self.threshold,
+            "split": self.split_attribute.name
+            if self.split_attribute else None,
+            "child_values": self.child_values,
+            "children": [child.to_json() for child in self.children],
+            "distribution": self.distribution.to_json()
+            if self.distribution is not None else None,
+            "stats": self.stats.to_json() if self.stats is not None else None,
+        }
+
+    @classmethod
+    def from_json(cls, state: dict, space: AttributeSpace) -> "_TreeNode":
+        node = cls(state["support"], state["depth"], state["condition"])
+        node.threshold = state["threshold"]
+        if state["split"]:
+            node.split_attribute = space.by_name(state["split"])
+        node.child_values = state["child_values"]
+        node.children = [cls.from_json(child, space)
+                         for child in state["children"]]
+        if state["distribution"] is not None:
+            node.distribution = CategoricalDistribution.from_json(
+                state["distribution"])
+        if state["stats"] is not None:
+            node.stats = GaussianStats.from_json(state["stats"])
+        return node
+
 
 class DecisionTreeAlgorithm(MiningAlgorithm):
     """Greedy decision/regression trees with fractional missing-value routing."""
@@ -118,6 +149,15 @@ class DecisionTreeAlgorithm(MiningAlgorithm):
                 self, matrix, children, target).grow(
                 inputs, rows, weights, depth=0, condition="All")
         self.trees = trees
+
+    def state(self) -> dict:
+        return {"trees": [[self.space.attributes[index].name, tree.to_json()]
+                          for index, tree in sorted(self.trees.items())]}
+
+    def load_state(self, space: AttributeSpace, state: dict) -> None:
+        self.trees = {space.by_name(name).index: _TreeNode.from_json(tree,
+                                                                     space)
+                      for name, tree in state["trees"]}
 
     @staticmethod
     def _same_nested_item(a: Attribute, b: Attribute) -> bool:

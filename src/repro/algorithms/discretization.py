@@ -62,6 +62,16 @@ class Discretizer:
     def bucket_count(self) -> int:
         return len(self.edges) + 1
 
+    def to_json(self) -> dict:
+        return {"method": self.method, "buckets": self.buckets,
+                "edges": self.edges, "min": self.minimum,
+                "max": self.maximum}
+
+    @classmethod
+    def from_json(cls, state: dict) -> "Discretizer":
+        return cls(state["method"], state["buckets"], list(state["edges"]),
+                   state["min"], state["max"])
+
 
 def fit_discretizer(values: Sequence[float], method: Optional[str] = None,
                     buckets: Optional[int] = None) -> Discretizer:

@@ -61,6 +61,29 @@ class LinearRegressionAlgorithm(MiningAlgorithm):
         self._plans: Dict[int, List] = {}   # target -> (attr, offset, width)
         self._feature_means: Dict[int, np.ndarray] = {}
 
+    # -- persistence ------------------------------------------------------------
+
+    def state(self) -> dict:
+        return {"models": [{
+            "target": self.space.attributes[target].name,
+            "coefficients": model.coefficients.tolist(),
+            "residual_variance": model.residual_variance,
+            "support": model.support,
+            "r_squared": model.r_squared,
+            "feature_means": self._feature_means[target].tolist(),
+        } for target, model in sorted(self.models.items())]}
+
+    def load_state(self, space: AttributeSpace, state: dict) -> None:
+        self.models, self._plans, self._feature_means = {}, {}, {}
+        for entry in state["models"]:
+            target = space.by_name(entry["target"])
+            self.models[target.index] = _RegressionModel(
+                np.array(entry["coefficients"]), entry["residual_variance"],
+                entry["support"], entry["r_squared"])
+            self._plans[target.index] = self._plan_for(space, target)
+            self._feature_means[target.index] = \
+                np.array(entry["feature_means"])
+
     # -- design matrix ----------------------------------------------------------
 
     def _plan_for(self, space: AttributeSpace,

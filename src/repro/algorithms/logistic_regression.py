@@ -65,6 +65,26 @@ class LogisticRegressionAlgorithm(MiningAlgorithm):
         self.models: Dict[int, _LogisticModel] = {}
         self._plans: Dict[int, List] = {}
 
+    # -- persistence ------------------------------------------------------------
+
+    def state(self) -> dict:
+        return {"models": [{
+            "target": self.space.attributes[target].name,
+            "weights": model.weights.tolist(),
+            "feature_means": model.feature_means.tolist(),
+            "support": model.support,
+            "log_loss": model.log_loss,
+        } for target, model in sorted(self.models.items())]}
+
+    def load_state(self, space: AttributeSpace, state: dict) -> None:
+        self.models, self._plans = {}, {}
+        for entry in state["models"]:
+            target = space.by_name(entry["target"])
+            self.models[target.index] = _LogisticModel(
+                np.array(entry["weights"]), np.array(entry["feature_means"]),
+                entry["support"], entry["log_loss"])
+            self._plans[target.index] = self._plan_for(space, target)
+
     # -- design matrix (shared shape with the linear service) ----------------
 
     def _plan_for(self, space: AttributeSpace, target: Attribute) -> List:

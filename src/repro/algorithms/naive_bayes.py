@@ -101,6 +101,34 @@ class NaiveBayesAlgorithm(MiningAlgorithm):
             self.models[target.index] = _TargetModel()
         self._count(space, observations)
 
+    def state(self) -> dict:
+        name = [a.name for a in self.space.attributes]
+        return {"models": [{
+            "target": name[target],
+            "prior": model.prior.to_json(),
+            "categorical": [[name[index], value, distribution.to_json()]
+                            for (index, value), distribution in
+                            model.categorical.items()],
+            "gaussian": [[name[index], value, stats.to_json()]
+                         for (index, value), stats in model.gaussian.items()],
+        } for target, model in sorted(self.models.items())]}
+
+    def load_state(self, space: AttributeSpace, state: dict) -> None:
+        self.models = {}
+        self._inputs = {}
+        for entry in state["models"]:
+            target = space.by_name(entry["target"])
+            model = self.models[target.index] = _TargetModel()
+            model.prior = CategoricalDistribution.from_json(entry["prior"])
+            for name, value, distribution in entry["categorical"]:
+                model.categorical[(space.by_name(name).index, value)] = \
+                    CategoricalDistribution.from_json(distribution)
+            for name, value, stats in entry["gaussian"]:
+                model.gaussian[(space.by_name(name).index, value)] = \
+                    GaussianStats.from_json(stats)
+            self._inputs[target.index] = [
+                a for a in space.inputs() if a.index != target.index]
+
     def partial_train(self, observations: List[Observation]) -> None:
         """Fold new observations into the counts (exactly equivalent to a
         full retrain over the union, because every statistic is a sum)."""

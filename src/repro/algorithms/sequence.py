@@ -61,6 +61,29 @@ class SequenceClusteringAlgorithm(MiningAlgorithm):
         self.cluster_support: Optional[np.ndarray] = None
         self._table_name: Optional[str] = None
 
+    # -- persistence ------------------------------------------------------------
+
+    def state(self) -> dict:
+        return {
+            "table": self._table_name,
+            "states": self.states,
+            "cluster_count": self.cluster_count,
+            "mixture": self.mixture.tolist(),
+            "initial": self.initial.tolist(),
+            "transition": self.transition.tolist(),
+            "cluster_support": self.cluster_support.tolist(),
+        }
+
+    def load_state(self, space: AttributeSpace, state: dict) -> None:
+        self._table_name = state["table"]
+        self.states = state["states"]
+        self._state_index = {s: i for i, s in enumerate(self.states)}
+        self.cluster_count = state["cluster_count"]
+        self.mixture = np.array(state["mixture"])
+        self.initial = np.array(state["initial"])
+        self.transition = np.array(state["transition"])
+        self.cluster_support = np.array(state["cluster_support"])
+
     # -- training -------------------------------------------------------------
 
     def _encode_sequences(self, observations: List[Observation]):

@@ -78,6 +78,20 @@ class CategoricalDistribution:
         clone.total = self.total
         return clone
 
+    def to_json(self) -> dict:
+        return {"type": "categorical",
+                "counts": [[value, weight]
+                           for value, weight in self.counts.items()],
+                "total": self.total}
+
+    @classmethod
+    def from_json(cls, state: dict) -> "CategoricalDistribution":
+        distribution = cls()
+        distribution.counts = {value: weight
+                               for value, weight in state["counts"]}
+        distribution.total = state["total"]
+        return distribution
+
 
 def entropy_bits(weights: Iterable[float], total: float) -> float:
     """Shannon entropy, in bits, of weights that add up to ``total``; the
@@ -182,13 +196,29 @@ class GaussianStats:
             self.maximum = other.maximum
 
     def copy(self) -> "GaussianStats":
-        clone = GaussianStats()
-        clone.sum_weight = self.sum_weight
-        clone.mean = self.mean
-        clone._m2 = self._m2
-        clone.minimum = self.minimum
-        clone.maximum = self.maximum
-        return clone
+        return GaussianStats.from_json(self.to_json())
+
+    def to_json(self) -> dict:
+        return {"type": "gaussian", "sum_weight": self.sum_weight,
+                "mean": self.mean, "m2": self._m2,
+                "min": self.minimum, "max": self.maximum}
+
+    @classmethod
+    def from_json(cls, state: dict) -> "GaussianStats":
+        stats = cls()
+        stats.sum_weight = state["sum_weight"]
+        stats.mean = state["mean"]
+        stats._m2 = state["m2"]
+        stats.minimum = state["min"]
+        stats.maximum = state["max"]
+        return stats
+
+
+def stat_from_json(state: dict):
+    """The statistic a ``to_json`` of either kind spelled."""
+    if state["type"] == "categorical":
+        return CategoricalDistribution.from_json(state)
+    return GaussianStats.from_json(state)
 
 
 def sequential_sum(weights: np.ndarray, start: float = 0.0) -> float:

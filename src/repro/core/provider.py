@@ -32,6 +32,7 @@ from repro.sqlstore.engine import Database, SourceRelation, as_from_source
 from repro.sqlstore.rowset import DEFAULT_BATCH_SIZE, Rowset, RowStream
 from repro.store.durable import is_mutating_statement
 from repro.exec.pool import WorkerPool
+from repro.algorithms.registry import resolve_algorithm
 from repro.core.casecache import CasesetCache
 from repro.core.columns import compile_model_definition
 from repro.core.model import MiningModel
@@ -408,6 +409,13 @@ class Provider:
             # mutations so journal order equals apply order.
             with self.store.mutation_lock:
                 try:
+                    if isinstance(statement,
+                                  ast.CreateMiningModelStatement):
+                        # A model the next checkpoint could not write is
+                        # refused before it exists.  Replay calls
+                        # execute_ast, so an old journal still recovers.
+                        resolve_algorithm(
+                            statement.algorithm).require_persistence()
                     result = self.execute_ast(statement, plan)
                 except BindError as exc:
                     _attach_statement(exc, command)

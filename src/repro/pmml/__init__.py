@@ -9,8 +9,10 @@ persistence format."
 a DataDictionary / MiningSchema derived from the model definition, a
 model-family-specific body (TreeModel, NaiveBayesModel, ClusteringModel,
 RegressionModel, AssociationModel, SequenceModel), and an ``Extension``
-block carrying the complete provider state so that ``reader.read_pmml``
-round-trips the model losslessly — the "model sharing" the paper wants.
+block carrying the complete provider state — the attribute space's
+``to_json`` and the mining service's own ``state()`` — so that
+``reader.read_pmml`` round-trips the model losslessly, for a plug-in
+service as for a built-in: the "model sharing" the paper wants.
 """
 
 from repro.pmml.writer import to_pmml, write_pmml_file

@@ -10,7 +10,7 @@ from repro.lang.parser import parse_statement
 from repro.lang import ast_nodes as ast
 from repro.core.columns import compile_model_definition
 from repro.core.model import MiningModel
-from repro.pmml.state import algorithm_state_from_json, space_from_json
+from repro.algorithms.attributes import AttributeSpace
 
 
 def read_pmml(text: str) -> MiningModel:
@@ -43,8 +43,10 @@ def read_pmml(text: str) -> MiningModel:
         raise Error("embedded DDL is not a CREATE MINING MODEL statement")
     definition = compile_model_definition(statement)
     model = MiningModel(definition)
-    space = space_from_json(definition, state["space"])
-    algorithm_state_from_json(model.algorithm, space, state["algorithm"])
+    space = AttributeSpace.from_json(definition, state["space"])
+    model.algorithm.restore(space, {
+        key: value for key, value in state["algorithm"].items()
+        if key != "service"})
     model.space = space
     model.insert_count = state.get("insert_count", 0)
     return model

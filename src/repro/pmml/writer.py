@@ -20,7 +20,6 @@ from repro.lang import ast_nodes as ast
 from repro.lang.formatter import format_statement
 from repro.sqlstore.rowset import Rowset, RowsetColumn
 from repro.sqlstore.types import TEXT
-from repro.pmml.state import algorithm_state_to_json, space_to_json
 
 PMML_VERSION = "1.0-repro"
 
@@ -106,8 +105,9 @@ def to_pmml(model) -> str:
     content = model.content_root()
     state = {
         "ddl": definition_to_ddl(model.definition),
-        "space": space_to_json(model.space),
-        "algorithm": algorithm_state_to_json(model.algorithm),
+        "space": model.space.to_json(),
+        "algorithm": {"service": model.algorithm.SERVICE_NAME,
+                      **model.algorithm.state()},
         "insert_count": model.insert_count,
         "case_count": model.case_count,
     }

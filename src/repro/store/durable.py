@@ -25,12 +25,17 @@ Protocol (the invariants the crash-safety suite enforces):
   mutated, disk not) flips the store to *broken*: further mutations are
   refused until the path is reopened, so the memory/disk divergence cannot
   widen.  Reads keep working.
-* **failed checkpoints** — an I/O error while checkpointing flips the store
-  to *broken* too.  An explicit ``checkpoint()`` raises; the automatic one
-  a statement happens to trigger does not fail that statement, whose
-  journal record was fsync'd before the checkpoint began — a client told
-  it failed would retry it into a duplicate.  ``store.checkpoint_failures``
-  counts both, and the next mutation is refused.
+* **failed checkpoints** — an I/O error while writing the snapshot or
+  truncating the journal flips the store to *broken* too, and the next
+  mutation is refused.  A failure before any byte is written — the
+  snapshot could not be encoded, e.g. a mining service whose ``state()``
+  raises — leaves disk as consistent as it was, so the store stays
+  writable and the journal simply keeps growing.  An explicit
+  ``checkpoint()`` raises either way; the automatic one a statement
+  happens to trigger does not fail that statement, whose journal record
+  was fsync'd before the checkpoint began — a client told it failed would
+  retry it into a duplicate.  ``store.checkpoint_failures`` counts every
+  one.
 
 Everything is observable: ``store.journal_appends``, ``store.checkpoints``,
 ``store.checkpoint_failures``, ``store.recovered_statements`` and
@@ -203,8 +208,9 @@ class DurableStore:
             try:
                 self.checkpoint(provider)
             except Error:
-                # Counted, and the store is read-only from here on; the
-                # statement itself is durable in the journal.
+                # Counted (and, after a write failure, the store is
+                # read-only from here on); the statement itself is
+                # durable in the journal.
                 pass
 
     def checkpoint(self, provider) -> None:
@@ -214,7 +220,15 @@ class DurableStore:
         with self.mutation_lock, self._lock:
             self.ensure_healthy()
             started = time.perf_counter()
-            text = dump_provider(provider, last_seq=self.last_seq)
+            try:
+                text = dump_provider(provider, last_seq=self.last_seq)
+            except Exception as exc:
+                # Nothing is written yet: disk stays consistent and the
+                # store writable.
+                self._count("checkpoint_failures")
+                if isinstance(exc, Error):
+                    raise
+                raise Error(f"checkpoint failed ({exc!r})") from exc
             try:
                 atomic_write_text(self.snapshot_path, text,
                                   faults=self.faults,

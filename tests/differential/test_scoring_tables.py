@@ -50,10 +50,6 @@ from repro.core.columns import compile_model_definition
 from repro.errors import Error
 from repro.exec.partition import prediction_replica
 from repro.lang.parser import parse_statement
-from repro.pmml.state import (
-    algorithm_state_from_json,
-    algorithm_state_to_json,
-)
 
 from tests.reference.reference_scorers import (
     reference_decision_tree_predict,
@@ -416,8 +412,7 @@ def test_state_load_drops_the_tables_of_a_used_algorithm(service):
     algorithm = used.provider.model("M").algorithm
     donor = other.provider.model("M")
     assert algorithm._tables is not None
-    algorithm_state_from_json(algorithm, donor.space,
-                              algorithm_state_to_json(donor.algorithm))
+    algorithm.restore(donor.space, donor.algorithm.state())
     assert algorithm._tables is None
     observations = donor.space.encode_many(donor.training_cases)
     assert [prediction_dump(algorithm.predict(o)) for o in observations] \

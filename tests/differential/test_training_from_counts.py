@@ -34,7 +34,6 @@ from repro.core.model import MiningModel
 from repro.core.schema_rowsets import model_content_rowset
 from repro.errors import Error
 from repro.exec.partition import _train_partition, contiguous_chunks
-from repro.pmml.state import algorithm_state_to_json
 from repro.pmml.writer import to_pmml
 
 from tests.reference.reference_trainers import (
@@ -199,8 +198,7 @@ def test_partial_train_equals_retrain_over_the_union(first, second):
     absorbed.partial_train(tail)
     retrained = create_algorithm(definition.algorithm, definition.parameters)
     retrained.train(space, list(head) + list(tail))
-    assert algorithm_state_to_json(absorbed) == \
-        algorithm_state_to_json(retrained)
+    assert absorbed.state() == retrained.state()
 
     space.marginals_from_observations(head)
     space.total_weight = 0.0
@@ -240,7 +238,7 @@ def test_partitioned_naive_bayes_equals_serial(cases, parts):
     merged = results[0][0]
     merged.merge([replica for replica, _ in results[1:]])
     space.merge_marginal_partials([partials for _, partials in results])
-    partitioned = (algorithm_state_to_json(merged),
+    partitioned = (merged.state(),
                    [distribution_dump(m) for m in space.marginals])
 
     observations = [space.encode(case) for case in cases]
@@ -251,8 +249,8 @@ def test_partitioned_naive_bayes_equals_serial(cases, parts):
     reference_naive_bayes_train(reference, space, observations)
     expected = [distribution_dump(m) for m in
                 reference_partial_marginals(space, observations)]
-    assert partitioned == (algorithm_state_to_json(serial), expected)
-    assert partitioned[0] == algorithm_state_to_json(reference)
+    assert partitioned == (serial.state(), expected)
+    assert partitioned[0] == reference.state()
 
 
 def test_two_workers_train_the_reference_model():

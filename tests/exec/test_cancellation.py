@@ -42,6 +42,14 @@ class SlowIterative(MiningAlgorithm):
     def content_nodes(self):
         return ContentNode("0", NODE_MODEL, "slow")
 
+    # Nothing is learned, so there is nothing to persist; the pair lets a
+    # durable provider create its models.
+    def state(self):
+        return {}
+
+    def load_state(self, space, state):
+        pass
+
 
 class SlowParallel(MiningAlgorithm):
     """Parallelizable slow service: partition workers sleep, so CANCEL lands

@@ -5,6 +5,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 import repro
+from repro.algorithms import algorithm_services
 from repro.errors import CatalogError, Error
 from repro.pmml import read_pmml, to_pmml
 from repro.pmml.writer import definition_to_ddl
@@ -47,7 +48,30 @@ MODEL_DDLS = {
         "CREATE MINING MODEL [M] (Id LONG KEY, G TEXT DISCRETE, "
         "Age DOUBLE CONTINUOUS PREDICT, B TABLE(P TEXT KEY)) "
         "USING Repro_Linear_Regression"),
+    "Repro_Logistic_Regression": (
+        "CREATE MINING MODEL [M] (Id LONG KEY, G TEXT DISCRETE PREDICT, "
+        "Age DOUBLE CONTINUOUS, B TABLE(P TEXT KEY)) "
+        "USING Repro_Logistic_Regression"),
+    "Repro_Sequence_Clustering": (
+        "CREATE MINING MODEL [M] (Id LONG KEY, "
+        "Clicks TABLE(Step LONG KEY SEQUENCE_TIME, Page TEXT DISCRETE)) "
+        "USING Repro_Sequence_Clustering(CLUSTER_COUNT = 2)"),
 }
+
+# Sequence clustering reads click streams, not the customer warehouse.
+SEQUENCE_SETUP = [
+    "CREATE TABLE E (Id LONG, Step LONG, Page TEXT)",
+    "INSERT INTO E VALUES " + ", ".join(
+        f"({i}, {step}, '{page}')" for i in range(30)
+        for step, page in enumerate(
+            ["A", "B", "C"] if i % 2 else ["X", "Y", "X"])),
+]
+
+CLICKS = """
+SHAPE {SELECT DISTINCT Id FROM E ORDER BY Id}
+APPEND ({SELECT Id AS EID, Step, Page FROM E ORDER BY Id}
+        RELATE Id TO EID) AS Clicks
+"""
 
 TRAIN = """
 INSERT INTO [M] SHAPE {SELECT Id, G, Age FROM C ORDER BY Id}
@@ -67,15 +91,31 @@ SELECT [M].* FROM [M] NATURAL PREDICTION JOIN
 """
 
 
+TRAINS = {
+    "Repro_Association_Rules": TRAIN_BASKET_ONLY,
+    "Repro_Sequence_Clustering": "INSERT INTO [M] (Id, Clicks(Step, Page))"
+                                 + CLICKS,
+}
+
+PREDICTS = {
+    "Repro_Sequence_Clustering": "SELECT t.Id, Cluster(), "
+    "ClusterProbability() FROM [M] NATURAL PREDICTION JOIN (" + CLICKS
+    + ") AS t",
+}
+
+
+def setup_statements(service):
+    if service == "Repro_Sequence_Clustering":
+        return SEQUENCE_SETUP
+    return WAREHOUSE_SETUP
+
+
 def trained_connection(service):
     conn = repro.connect()
-    for statement in WAREHOUSE_SETUP:
+    for statement in setup_statements(service):
         conn.execute(statement)
     conn.execute(MODEL_DDLS[service])
-    if service == "Repro_Association_Rules":
-        conn.execute(TRAIN_BASKET_ONLY)
-    else:
-        conn.execute(TRAIN)
+    conn.execute(TRAINS.get(service, TRAIN))
     return conn
 
 
@@ -105,51 +145,25 @@ class TestDocumentStructure:
             [c.name for c in conn.model("M").definition.columns]
 
 
-@pytest.mark.parametrize("service", sorted(MODEL_DDLS))
+@pytest.mark.parametrize(
+    "service", [cls.SERVICE_NAME for cls in algorithm_services()])
 def test_round_trip_preserves_predictions(service):
     conn = trained_connection(service)
-    before = conn.execute(PREDICT)
-    document = to_pmml(conn.model("M"))
+    predict = PREDICTS.get(service, PREDICT)
+    before = conn.execute(predict)
+    original = conn.model("M")
+    restored = read_pmml(to_pmml(original))
 
     conn2 = repro.connect()
-    for statement in WAREHOUSE_SETUP:
+    for statement in setup_statements(service):
         conn2.execute(statement)
-    model = read_pmml(document)
-    conn2.provider.models[model.name.upper()] = model
-    after = conn2.execute(PREDICT)
+    conn2.provider.models[restored.name.upper()] = restored
+    after = conn2.execute(predict)
 
+    # JSON floats round-trip, so the restored model is equal, not close.
+    assert restored.algorithm.state() == original.algorithm.state()
     assert before.column_names() == after.column_names()
-    for row_before, row_after in zip(before.rows, after.rows):
-        for a, b in zip(row_before, row_after):
-            if isinstance(a, float):
-                assert a == pytest.approx(b)
-            else:
-                assert a == b
-
-
-def test_sequence_model_round_trip():
-    conn = repro.connect()
-    conn.execute("CREATE TABLE E (Id LONG, Step LONG, Page TEXT)")
-    rows = []
-    for i in range(30):
-        pages = ["A", "B", "C"] if i % 2 else ["X", "Y", "X"]
-        for step, page in enumerate(pages):
-            rows.append(f"({i}, {step}, '{page}')")
-    conn.execute("INSERT INTO E VALUES " + ", ".join(rows))
-    conn.execute("CREATE MINING MODEL SeqM (Id LONG KEY, "
-                 "Clicks TABLE(Step LONG KEY SEQUENCE_TIME, "
-                 "Page TEXT DISCRETE)) "
-                 "USING Repro_Sequence_Clustering(CLUSTER_COUNT = 2)")
-    conn.execute("INSERT INTO SeqM (Id, Clicks(Step, Page)) "
-                 "SHAPE {SELECT DISTINCT Id FROM E ORDER BY Id} "
-                 "APPEND ({SELECT Id AS EID, Step, Page FROM E "
-                 "ORDER BY Id} RELATE Id TO EID) AS Clicks")
-    model = conn.model("SeqM")
-    restored = read_pmml(to_pmml(model))
-    assert restored.algorithm.states == model.algorithm.states
-    import numpy as np
-    assert np.allclose(restored.algorithm.transition,
-                       model.algorithm.transition)
+    assert before.rows == after.rows
 
 
 class TestExportImportStatements:
