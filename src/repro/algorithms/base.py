@@ -12,8 +12,9 @@ which the prediction UDFs (Predict, PredictProbability, PredictHistogram,
 from __future__ import annotations
 
 import abc
-import operator
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+import functools
+from itertools import compress
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.errors import CapabilityError, NotTrainedError, SchemaError
 from repro.obs import trace as obs_trace
@@ -93,18 +94,6 @@ class AttributePrediction:
     def __repr__(self) -> str:
         return (f"AttributePrediction({self.attribute.name!r}, "
                 f"{self.value!r}, p={self.probability})")
-
-
-class PredictedValue(tuple):
-    """An attribute's predicted value alone, ``(attribute, value)``: what a
-    service may hand a statement that reads nothing else of that
-    attribute's prediction (see ``reads`` in
-    :meth:`MiningAlgorithm.predict_many`).  Built and read without a
-    Python-level call."""
-
-    __slots__ = ()
-    attribute = property(operator.itemgetter(0))
-    value = property(operator.itemgetter(1))
 
 
 class CasePrediction:
@@ -341,12 +330,12 @@ class MiningAlgorithm(abc.ABC):
         """Predict all output attributes for one encoded case."""
 
     def predict_many(self, observations: Sequence[Observation],
-                     reads: Optional[Dict[int, bool]] = None) \
+                     reads: Optional[Set[int]] = None) \
             -> Iterable[CasePrediction]:
         """Predict a batch of encoded cases, in order: the entry the
-        prediction join scores every batch of two or more through
-        (:meth:`MiningModel.predict_cases` hands it what
-        :meth:`AttributeSpace.encode_many` returned, so
+        prediction join scores every batch of two or more through when it
+        reads more than predicted values (:meth:`MiningModel.predict_cases`
+        hands it what :meth:`AttributeSpace.encode_many` returned, so
         :meth:`CaseMatrix.of` finds the batch's matrix already built).
         The default predicts each observation as it is asked for; a
         tabular service overrides it to do its look-ups and adds once per
@@ -354,12 +343,46 @@ class MiningAlgorithm(abc.ABC):
         — a prediction object is built as it is taken — and must equal
         ``[predict(o) for o in observations]`` exactly in what is read.
 
-        ``reads`` says what that is: None, everything; otherwise ``{output
-        attribute index: whole}`` — a service may leave out an attribute
-        the mapping does not name, and hand a :class:`PredictedValue` for
-        one whose ``whole`` is false.
+        ``reads`` says what that is: None, everything; otherwise the set of
+        output attribute indices read — a service may leave out any other.
         """
         return map(self.predict, observations)
+
+    def predict_values(self, observations: Sequence[Observation],
+                       attributes: Sequence[Attribute]) -> List[list]:
+        """Per attribute, the column of the cases' predicted ``.value`` —
+        the training marginals' where the service has no prediction for
+        it: what a batch that reads nothing else of its predictions asks
+        for.  The default reads them off :meth:`predict_many`; a tabular
+        service overrides it to build no prediction object at all, and
+        must equal the default exactly."""
+        return self.value_columns(
+            list(self.predict_many(observations,
+                                   {a.index for a in attributes})),
+            attributes)
+
+    def value_columns(self, predictions: Sequence[CasePrediction],
+                      attributes: Sequence[Attribute]) -> List[list]:
+        """Per attribute, the ``.value`` of its prediction in each of
+        ``predictions``, the training marginals' where one has none."""
+        marginal = functools.cache(self.marginal_prediction)
+        return [[(prediction.get(attribute) or marginal(attribute)).value
+                 for prediction in predictions] for attribute in attributes]
+
+    def _completed(self, observations, attributes: Sequence[Attribute],
+                   computed: Dict[int, list], redo) -> List[list]:
+        """What a tabular :meth:`predict_values` returns: per attribute its
+        column in ``computed`` (by index), else the marginals' value for
+        every case — and, for every case ``redo`` marks, the values
+        :meth:`predict` gives it."""
+        columns = [computed[a.index] if a.index in computed else
+                   [self.marginal_prediction(a).value] * len(redo)
+                   for a in attributes]
+        for row in compress(range(len(redo)), redo.tolist()):
+            for column, (value,) in zip(columns, self.value_columns(
+                    [self.predict(observations[row])], attributes)):
+                column[row] = value
+        return columns
 
     @abc.abstractmethod
     def content_nodes(self) -> ContentNode:

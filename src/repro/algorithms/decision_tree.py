@@ -20,6 +20,7 @@ COMPLEXITY_PENALTY charged per additional child.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -169,19 +170,22 @@ class DecisionTreeAlgorithm(MiningAlgorithm):
     # -- prediction -----------------------------------------------------------
 
     def _build_tables(self):
-        """``(targets, shared)``: every output attribute with its tree, and
+        """``(targets, shared)``: every output attribute with its tree and
+        the tree's :class:`_FlatTree` (None for both when it has none), and
         ``node -> the prediction of a case that ends in it``, filled as
         nodes are reached — every case routed whole to one node shares
         that node's prediction."""
-        return ([(target, self.trees.get(target.index))
-                 for target in self.space.outputs()], {})
+        trees = [(target, self.trees.get(target.index))
+                 for target in self.space.outputs()]
+        return [(target, tree, tree and _FlatTree(tree))
+                for target, tree in trees], {}
 
     def predict(self, observation: Observation) -> CasePrediction:
         self.require_trained()
         result = CasePrediction()
         values = observation.values
         targets, shared = self.prediction_tables()
-        for target, tree in targets:
+        for target, tree, _ in targets:
             if tree is None:
                 result.set(self.marginal_prediction(target))
                 continue
@@ -220,60 +224,54 @@ class DecisionTreeAlgorithm(MiningAlgorithm):
 
     def predict_many(self, observations, reads=None):
         """:meth:`predict` over a batch, from its :class:`CaseMatrix`: the
-        batch's rows are routed down each target's tree as index sets (a
-        threshold or category mask per node reached), and all the cases
-        that end whole in the same node of every tree share one
-        :class:`CasePrediction` — a batch allocates per leaf, not per
-        case.  A case missing a split value somewhere is scored by
+        batch is routed down each target's tree (:meth:`_FlatTree.route`),
+        and all the cases that end whole in the same node of every tree
+        share one :class:`CasePrediction` — a batch allocates per leaf, not
+        per case.  A case missing a split value somewhere is scored by
         :meth:`predict` (the fractional walk); so is every case while some
         target has no tree (or there is no target to key a batch by)."""
         self.require_trained()
         targets, shared = self.prediction_tables()
-        if not targets or any(tree is None for _, tree in targets):
-            return map(self.predict, observations)
-        return self._route_batch(targets, shared, observations)
-
-    def _route_batch(self, targets, shared, observations):
+        if not targets or any(tree is None for _, tree, _ in targets):
+            yield from map(self.predict, observations)
+            return
         values = CaseMatrix.of(observations, len(self.space.attributes)).values
-        ends: List[_TreeNode] = []   # the nodes cases ended in, numbered
-        numbers = []                 # per target and case: its end, or -1
-        for _, tree in targets:
-            ended = np.full(len(values), -1)
-            reached = [(tree, np.arange(len(values)))]
-            while reached:
-                node, rows = reached.pop()
-                if not len(rows):
-                    continue
-                if node.children:
-                    column = values[rows, node.split_attribute.index]
-                    known = ~np.isnan(column)   # the others stay at -1
-                    rows, column = rows[known], column[known]
-                    if node.threshold is not None:
-                        low = column <= node.threshold
-                        reached += [(node.children[0], rows[low]),
-                                    (node.children[1], rows[~low])]
-                        continue
-                    for child, value in zip(node.children, node.child_values):
-                        equal = column == value
-                        reached.append((child, rows[equal]))
-                        rows, column = rows[~equal], column[~equal]
-                    # What is left holds a category no child has: it ends
-                    # here, with this node's own distribution.
-                if len(rows):
-                    ended[rows] = len(ends)
-                    ends.append(node)
-            numbers.append(ended.tolist())
+        ends = [flat.route(values).tolist() for _, _, flat in targets]
         whole = {}   # end numbers, one per target -> the shared prediction
-        for row, key in enumerate(zip(*numbers)):
+        for row, key in enumerate(zip(*ends)):
             if -1 in key:
                 yield self.predict(observations[row])
                 continue
             result = whole.get(key)
             if result is None:
                 result = whole[key] = CasePrediction()
-                for (target, _), number in zip(targets, key):
-                    result.set(self._whole(shared, target, ends[number]))
+                for (target, _, flat), number in zip(targets, key):
+                    result.set(self._whole(shared, target,
+                                           flat.nodes[number]))
             yield result
+
+    def predict_values(self, observations, attributes):
+        """:meth:`predict`'s value of each attribute over a batch without
+        a prediction object: a target with a tree is routed
+        (:meth:`_FlatTree.route`) and each node a case ends in gives its
+        value once; any other attribute has the marginals' value.  A case
+        missing a split value is taken from :meth:`predict`."""
+        self.require_trained()
+        targets, shared = self.prediction_tables()
+        wanted = {attribute.index for attribute in attributes}
+        values = CaseMatrix.of(observations, len(self.space.attributes)).values
+        walked, columns = np.zeros(len(values), dtype=bool), {}
+        for target, _, flat in targets:
+            if flat is None or target.index not in wanted:
+                continue
+            ends = flat.route(values)
+            walked |= ends < 0
+            ends = ends.tolist()
+            ended = {number: self._whole(shared, target,
+                                         flat.nodes[number]).value
+                     for number in set(ends) - {-1}}
+            columns[target.index] = list(map(ended.get, ends))
+        return self._completed(observations, attributes, columns, walked)
 
     def _walk(self, node: _TreeNode, observation: Observation,
               weight: float):
@@ -365,6 +363,69 @@ class DecisionTreeAlgorithm(MiningAlgorithm):
         if attribute is None:
             return None
         return self.trees.get(attribute.index)
+
+
+class _FlatTree:
+    """A grown tree as arrays, for routing a batch: the nodes numbered
+    level by level, and per node its split attribute (-1 at a leaf), its
+    threshold (NaN at a categorical split), its first child's number
+    (children are numbered consecutively) and, for a categorical split,
+    its span of ``children``: the child number per category code, the
+    node's own number for a code no child has."""
+
+    __slots__ = ("nodes", "split", "threshold", "first", "base", "size",
+                 "children")
+
+    def __init__(self, tree: _TreeNode):
+        self.nodes = nodes = [tree]
+        for node in nodes:   # grows as it is walked: level by level
+            nodes += node.children
+        self.split = np.array([node.split_attribute.index if node.children
+                               else -1 for node in nodes], dtype=np.intp)
+        self.threshold = np.array([np.nan if node.threshold is None
+                                   else node.threshold for node in nodes])
+        self.first = np.cumsum([1] + [len(node.children)
+                                      for node in nodes[:-1]])
+        spans = []
+        for number, (node, first) in enumerate(zip(nodes,
+                                                   self.first.tolist())):
+            codes = [] if node.threshold is not None else \
+                list(map(int, node.child_values))
+            spans.append([number] * (max(codes, default=-1) + 1))
+            for position, code in enumerate(codes):
+                spans[-1][code] = first + position
+        self.size = np.array(list(map(len, spans)), dtype=np.intp)
+        self.base = np.cumsum([0] + self.size.tolist())[:-1]
+        self.children = np.array(list(chain.from_iterable(spans)) + [0],
+                                 dtype=np.intp)
+
+    def route(self, values: np.ndarray) -> np.ndarray:
+        """Per case (a row of the encoded ``values``), the number of the
+        node it ends in whole, or -1 where a split value it reaches is
+        missing.  One set of array operations per depth: every case still
+        descending reads its node's split column, goes below or above a
+        threshold, or looks its code up in the node's span of
+        ``children``; a code outside it, or no integer, ends the case in
+        that node."""
+        ends = np.zeros(len(values), dtype=np.intp)
+        rows = np.arange(len(values))
+        while len(rows):
+            at = ends[rows]
+            inner = self.split[at] >= 0
+            rows, at = rows[inner], at[inner]
+            value = values[rows, self.split[at]]
+            threshold = self.threshold[at]
+            coded = (value >= 0) & (value < self.size[at]) & \
+                (value == np.floor(value))
+            looked = self.children[self.base[at] + np.where(
+                coded, value, 0).astype(np.intp)]
+            child = np.where(np.isnan(threshold),
+                             np.where(coded, looked, at),
+                             self.first[at] + (value > threshold))
+            child[np.isnan(value)] = -1
+            ends[rows] = child
+            rows = rows[child > at]   # a child's number exceeds its parent's
+        return ends
 
 
 class _WeightedMoments:

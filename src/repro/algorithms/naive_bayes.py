@@ -15,7 +15,6 @@ capability limits.
 from __future__ import annotations
 
 import math
-from itertools import repeat
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -31,7 +30,6 @@ from repro.algorithms.base import (
     AttributePrediction,
     CasePrediction,
     MiningAlgorithm,
-    PredictedValue,
 )
 from repro.algorithms.statistics import (
     CategoricalDistribution,
@@ -47,6 +45,12 @@ from repro.core.content import (
     ContentNode,
     DistributionRow,
 )
+
+#: A predicted value is a row's arg-max state when its top log score beats
+#: the second by more than this, and the prior total per state exceeds
+#: ``_SAFE_TOTAL`` (see :meth:`NaiveBayesAlgorithm._values_of`).
+_MARGIN = 1e-9
+_SAFE_TOTAL = 1e-300
 
 
 class _TargetModel:
@@ -332,84 +336,97 @@ class NaiveBayesAlgorithm(MiningAlgorithm):
         return AttributePrediction.from_categorical(target, posterior, labels)
 
     def predict_many(self, observations, reads=None):
-        """:meth:`predict` over a batch, from its :class:`CaseMatrix`: per
-        target the log scores of every case at once — the prior, then each
-        categorical input's table rows gathered by the code column and
-        added input by input, so a case's sum is the float the per-case
-        loop reaches (a missing value adds an exact 0.0).  Only look-ups
-        and adds are array work: ``exp`` / ``log`` stay on ``math`` (numpy's
-        are not bit-identical to libm's).  A target ``reads`` leaves out is
-        not scored; one whose value alone is read gets a
-        :class:`PredictedValue` (:meth:`_predicted_values`); every other
-        gets its posterior, once per case as its prediction is taken.  A
-        case with a known continuous input or a code outside the fitted
-        categories is scored by :meth:`predict`; so is every case while
-        some target has no states."""
+        """:meth:`predict` over a batch, from its :class:`CaseMatrix` and
+        :meth:`_log_scores`: a target ``reads`` leaves out is not scored,
+        every other gets its posterior, once per case as its prediction is
+        taken.  A case with a known continuous input or a code outside the
+        fitted categories is scored by :meth:`predict`; so is every case
+        while some target has no states."""
         self.require_trained()
         tables = self.prediction_tables()
         if not all(states for _, _, states, _, _, _ in tables):
-            return map(self.predict, observations)
+            yield from map(self.predict, observations)
+            return
         if reads is not None:
             tables = [table for table in tables if table[0].index in reads]
-        return self._score_batch(tables, observations, reads)
-
-    def _score_batch(self, tables, observations, reads):
-        values = CaseMatrix.of(observations, len(self.space.attributes)).values
-        tabular = np.ones(len(values), dtype=bool)
-        scored = []
-        for target, model, states, labels, log_prior, inputs in tables:
-            scores = np.tile(np.array(log_prior), (len(values), 1))
-            for attribute, _, _, table in inputs:
-                codes = values[:, attribute.index]
-                missing = np.isnan(codes)
-                if table is None:
-                    tabular &= missing
-                    continue
-                zeros = len(table) - 1   # the row a missing value reads
-                fitted = (codes >= 0) & (codes < zeros) & \
-                    (codes == np.floor(codes))
-                tabular &= fitted | missing
-                scores += table[np.where(fitted, codes, zeros).astype(np.intp)]
-            whole = reads is None or reads[target.index]
-            scored.append((target, model, states, labels, whole,
-                           scores.tolist() if whole else
-                           self._predicted_values(target, model, states,
-                                                  labels, scores)))
+        tabular, scores = self._log_scores(tables, observations)
+        scored = [table[:4] + (rows.tolist(),)
+                  for table, rows in zip(tables, scores)]
         for row, scores_whole in enumerate(tabular.tolist()):
             if not scores_whole:
                 yield self.predict(observations[row])
                 continue
             result = CasePrediction()
-            for target, model, states, labels, whole, scores in scored:
+            for target, model, states, labels, rows in scored:
                 result.set(self._posterior(target, model, states, labels,
-                                           scores[row]) if whole
-                           else PredictedValue((target, scores[row])))
+                                           rows[row]))
             yield result
 
+    def predict_values(self, observations, attributes):
+        """:meth:`predict`'s value of each attribute over a batch without
+        a prediction object: a target's column is, per case, the state of
+        the heaviest posterior weight (:meth:`_values_of`), an attribute
+        that is no target's the marginals' value.  A case the tables do
+        not score (see :meth:`predict_many`) is taken from :meth:`predict`;
+        every case while some target has no states."""
+        self.require_trained()
+        tables = {table[0].index: table for table in self.prediction_tables()}
+        if not all(table[2] for table in tables.values()):
+            return super().predict_values(observations, attributes)
+        scored = [tables[a.index] for a in attributes if a.index in tables]
+        tabular, scores = self._log_scores(scored, observations)
+        values = dict(zip([table[0].index for table in scored],
+                          map(self._values_of, scored, scores)))
+        return self._completed(observations, attributes, values, ~tabular)
+
+    def _log_scores(self, tables, observations):
+        """``(tabular, scores)``: whether the tables score each case, and
+        per target its cases x states log scores — the prior, then each
+        categorical input's table rows gathered by the code column and
+        added input by input, so a case's sum is the float the per-case
+        loop reaches (a missing value adds an exact 0.0).  Only look-ups
+        and adds are array work: ``exp`` / ``log`` stay on ``math`` (numpy's
+        are not bit-identical to libm's)."""
+        values = CaseMatrix.of(observations, len(self.space.attributes)).values
+        tabular = np.ones(len(values), dtype=bool)
+        scored = []
+        for target, model, states, labels, log_prior, inputs in tables:
+            scores = np.tile(np.array(log_prior), (len(values), 1))
+            tabular &= np.isnan(values[:, [a.index for a, _, _, table in inputs
+                                           if table is None]]).all(axis=1)
+            categorical = [(a.index, table) for a, _, _, table in inputs
+                           if table is not None]
+            codes = values[:, [index for index, _ in categorical]]
+            # Per input, the row a missing value reads: its zeros.
+            zeros = np.array([len(table) - 1 for _, table in categorical])
+            fitted = (codes >= 0) & (codes < zeros) & (codes == np.floor(codes))
+            tabular &= (fitted | np.isnan(codes)).all(axis=1)
+            for (_, table), rows in zip(categorical, np.where(
+                    fitted, codes, zeros).astype(np.intp).T):
+                scores += table[rows]   # input by input, in scoring order
+            scored.append(scores)
+        return tabular, scored
+
     @classmethod
-    def _predicted_values(cls, target, model, states, labels,
-                          scores: np.ndarray) -> list:
-        """Per case (a row of log ``scores``), the ``.value`` of
-        :meth:`_posterior`'s prediction without building it: the state of
-        the heaviest posterior weight ``exp(score - normaliser) * total``,
-        the first bucket :meth:`AttributePrediction.from_categorical`
-        sorts out.  The floats are :meth:`_posterior`'s, computed column
-        by column — the normaliser as :func:`log_sum_exp` forms it, every
-        ``exp`` / ``log`` on ``math``, each row added by ``sum``.  A row
-        whose heaviest weight is tied, not positive or NaN is left to
-        :meth:`_posterior` (ties go by ``_tiebreak`` there)."""
-        peaks = scores.max(axis=1)
-        sums = map(sum, map(map, repeat(math.exp),
-                            (scores - peaks[:, None]).tolist()))
-        normalisers = peaks + np.array(list(map(math.log, sums)))
-        weights = np.array(list(map(math.exp, (
-            scores - normalisers[:, None]).ravel().tolist()))).reshape(
-            scores.shape) * model.prior.total
-        heaviest = weights.max(axis=1)
-        values = list(map(labels.__getitem__, map(
-            states.__getitem__, weights.argmax(axis=1).tolist())))
-        for row in np.flatnonzero(~(heaviest > 0) | (
-                (weights == heaviest[:, None]).sum(axis=1) > 1)).tolist():
+    def _values_of(cls, table, scores: np.ndarray) -> list:
+        """Per case (a row of log ``scores``), :meth:`_posterior`'s value:
+        the state of the heaviest weight ``exp(score - normaliser) *
+        total``.  Where a row's top score exceeds its second by more than
+        ``_MARGIN`` and ``total`` per state is far from underflow, that is
+        the arg-max state: the two weights' exponents then differ by far
+        more than the rounding of the subtractions, ``exp`` and ``* total``
+        can close, so the weights cannot tie or swap.  Any other row — a
+        tie, a near-tie, a NaN — gets :meth:`_posterior`'s own value (ties
+        go by ``_tiebreak`` there; every weight underflowed: None)."""
+        target, model, states, labels = table[:4]
+        top = np.partition(np.hstack([scores, np.full((len(scores), 1),
+                                                      -np.inf)]), -2, axis=1)
+        sure = (top[:, -1] - top[:, -2] > _MARGIN) & \
+            np.isfinite(top[:, -1]) & \
+            (_SAFE_TOTAL < model.prior.total / len(states) < math.inf)
+        values = list(map([labels[state] for state in states].__getitem__,
+                          scores.argmax(axis=1).tolist()))
+        for row in np.flatnonzero(~sure).tolist():
             values[row] = cls._posterior(target, model, states, labels,
                                          scores[row].tolist()).value
         return values

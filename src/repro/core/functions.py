@@ -11,16 +11,16 @@ statement with the active :class:`PredictionScope` and the raw argument AST
 ``PredictProbability([Age])``), it resolves attributes, nested tables and
 plain arguments there and then, and returns the closure the prediction
 join applies to every case.  A closure receives an *entry*, ``(source_row,
-CasePrediction)``; an unknown attribute, a non-discretized RangeMin
-argument or a wrong argument count is an error of the statement, raised
-before any case is read.
+CasePrediction, the case's value per value column)``; an unknown attribute,
+a non-discretized RangeMin argument or a wrong argument count is an error
+of the statement, raised before any case is read.
 """
 
 from __future__ import annotations
 
 import functools
 import operator
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Set
 
 from repro.errors import BindError, PredictionError
 from repro.lang import ast_nodes as ast
@@ -44,22 +44,27 @@ def _column_argument(args: List[ast.Expr]) -> ast.Expr:
 class PredictionScope:
     """Everything a UDF may consult while it is bound.
 
-    What the bound closures read of a case's prediction accumulates in
-    ``reads`` — ``{attribute index: True}`` for an attribute's whole
-    prediction, ``False`` for its predicted value alone — and becomes
-    None (read anything) once a closure takes the case prediction itself.
+    What the bound closures read of a case's prediction accumulates here:
+    ``values`` lists the attributes whose predicted value alone some
+    closure reads — the batch's value columns, in position order — and
+    ``reads`` the indices of those whose whole prediction one reads; it
+    becomes None (read anything) once a closure takes the case prediction
+    itself.  ``columns`` maps each reader of a plain column to where the
+    batch holds that column whole: ``("value", position)`` among the value
+    columns, or ``("source", ordinal)`` for a source column (the join's
+    context registers those).
     """
 
     def __init__(self, model, compile: Callable[[ast.Expr], Callable]):
         self.model = model
         self.compile = compile  # binds a plain (non-attribute) argument
-        self.reads_prediction = False
-        self.reads: Optional[Dict[int, bool]] = {}
+        self.reads: Optional[Set[int]] = set()
+        self.values: List[Attribute] = []
+        self.columns: Dict[Callable, tuple] = {}
 
     def case_prediction(self) -> Callable[[tuple], Any]:
         """The ``entry -> CasePrediction`` reader.  Taking it is what tells
         the join that the statement has to score its cases at all."""
-        self.reads_prediction = True
         self.reads = None
         return _CASE_PREDICTION
 
@@ -96,15 +101,12 @@ class PredictionScope:
             return column.name
         return None
 
-    def attribute_reader(self, attribute: Attribute, whole: bool = True) \
+    def attribute_reader(self, attribute: Attribute) \
             -> Callable[[tuple], AttributePrediction]:
         """``entry -> AttributePrediction`` for one attribute; where the
-        algorithm does not output it, the training marginals stand in.
-        With ``whole`` false the reader promises to read ``.value`` only."""
-        self.reads_prediction = True
+        algorithm does not output it, the training marginals stand in."""
         if self.reads is not None:
-            self.reads[attribute.index] = \
-                whole or self.reads.get(attribute.index, False)
+            self.reads.add(attribute.index)
         algorithm = self.model.algorithm
         marginal = functools.cache(
             lambda: algorithm.marginal_prediction(attribute))
@@ -115,9 +117,16 @@ class PredictionScope:
         return read
 
     def value_reader(self, attribute: Attribute) -> Callable[[tuple], Any]:
-        """``entry -> predicted value`` of one attribute."""
-        read = self.attribute_reader(attribute, whole=False)
-        return lambda entry: read(entry).value
+        """``entry -> predicted value`` of one attribute: the entry's
+        value of the batch's value column for it."""
+        if attribute not in self.values:
+            self.values.append(attribute)
+        position = self.values.index(attribute)
+
+        def read(entry):
+            return entry[2][position]
+        self.columns[read] = ("value", position)
+        return read
 
     def attribute_prediction(self, arg: ast.Expr) \
             -> Callable[[tuple], AttributePrediction]:

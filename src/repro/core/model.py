@@ -14,13 +14,14 @@ neglected by prior work.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, \
+    Set
 
 from repro.errors import NotTrainedError, TrainError
 from repro.core.bindings import MappedCase
 from repro.core.columns import ModelDefinition
 from repro.core.content import ContentNode
-from repro.algorithms.attributes import AttributeSpace
+from repro.algorithms.attributes import Attribute, AttributeSpace
 from repro.algorithms.base import CasePrediction, MiningAlgorithm
 from repro.algorithms.registry import create_algorithm
 from repro.exec.locks import RWLock
@@ -171,22 +172,37 @@ class MiningModel:
     # -- prediction -----------------------------------------------------------
 
     def predict_cases(self, cases: Sequence[MappedCase],
-                      reads: Optional[Dict[int, bool]] = None) \
+                      reads: Optional[Set[int]] = None) \
             -> Iterable[CasePrediction]:
-        """Encode and score a batch of bound cases, in order — the one
-        prediction entry, behind the prediction join and the external
-        pipeline.  The batch is encoded as one matrix
-        (:meth:`AttributeSpace.encode_many`) and handed to the service's
-        ``predict_many`` whole, with ``reads`` (see there); a prediction
-        object is built when it is taken.  A batch of one — the singleton
-        PREDICTION JOIN — is the per-case ``encode`` + ``predict``: 9.3 us
-        against 40 us through the arrays (naive Bayes, two inputs), and
-        the two are equal by ``predict_many``'s contract."""
+        """Encode and score a batch of bound cases, in order — the
+        prediction entry behind the prediction join (when it reads more
+        than values) and the external pipeline.  The batch is encoded as
+        one matrix (:meth:`AttributeSpace.encode_many`) and handed to the
+        service's ``predict_many`` whole, with ``reads`` (see there); a
+        prediction object is built when it is taken.  A batch of one — the
+        singleton PREDICTION JOIN — is the per-case ``encode`` +
+        ``predict``: 9.3 us against 40 us through the arrays (naive Bayes,
+        two inputs), and the two are equal by ``predict_many``'s
+        contract."""
         self.require_trained()
         if len(cases) == 1:
             return map(self.algorithm.predict, map(self.space.encode, cases))
         return self.algorithm.predict_many(self.space.encode_many(cases),
                                            reads=reads)
+
+    def predict_values(self, cases: Sequence[MappedCase],
+                       attributes: Sequence[Attribute]) -> List[list]:
+        """Encode a batch of bound cases and return, per attribute, the
+        column of their predicted values (the service's
+        ``predict_values``); a batch of one is ``encode`` + ``predict``,
+        as in :meth:`predict_cases`."""
+        self.require_trained()
+        algorithm = self.algorithm
+        if len(cases) == 1:
+            return algorithm.value_columns(
+                [algorithm.predict(self.space.encode(cases[0]))], attributes)
+        return algorithm.predict_values(self.space.encode_many(cases),
+                                        attributes)
 
     # -- content --------------------------------------------------------------
 

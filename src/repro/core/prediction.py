@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import weakref
 from itertools import chain, repeat
+from operator import itemgetter
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.errors import BindError, PredictionError
@@ -51,17 +52,17 @@ class PredictionEvalContext(EvalContext):
 
     :func:`~repro.sqlstore.expressions.compile_expression` over this
     context yields closures over an *entry* — ``(source_row,
-    CasePrediction)`` — rather than over a bare row.  Resolution order for
-    column references:
+    CasePrediction, the case's predicted values)`` — rather than over a
+    bare row.  Resolution order for column references:
 
     1. ``<model>.<column>`` — predicted value of a model column;
     2. ``<alias>.<column>`` / bare names — the source row;
     3. bare names matching a model PREDICT column — predicted value.
 
     Function calls resolve to prediction UDFs first, SQL scalar functions
-    second.  ``scope.reads_prediction`` says, once an expression is bound,
-    whether it reads the case's prediction at all, ``scope.reads`` how
-    much of it; ``source_width`` how many leading source columns it reads.
+    second.  Once an expression is bound, ``scope.values`` and
+    ``scope.reads`` say how much of the case's prediction it reads,
+    ``source_width`` how many leading source columns.
     """
 
     def __init__(self, model, source_context: EvalContext):
@@ -92,7 +93,11 @@ class PredictionEvalContext(EvalContext):
         index = self.resolve_index(parts)
         if index is not None:
             self.source_width = max(self.source_width, index + 1)
-            return lambda entry: entry[0][index]
+
+            def read(entry):
+                return entry[0][index]
+            self.scope.columns[read] = ("source", index)
+            return read
         if len(parts) == 1:
             column = model.definition.find(parts[0])
             if column is not None and not column.is_table:
@@ -265,24 +270,32 @@ def compile_cases(model, source_context: EvalContext,
 
     Binding needs column metadata only, so an unknown model column or
     function is a :class:`BindError` here — before a row is read, whatever
-    the source holds.  The kernel filters, scores the batch through one
-    ``predict_cases`` call if (and only if) some bound expression reads a
-    prediction — before the filter when WHERE itself does, after it
-    otherwise — and applies the closures.  The batch goes to
-    ``predict_cases`` whole, told which predictions the closures read
-    (``scope.reads``), so encoding and the tabular services' scoring are
-    array work done once per batch; what stays lazy is the prediction
-    object, built as its entry is evaluated, so a batch never holds one
-    per case for the collector to trace.  A shaped source hands the
-    closures its master rows unless they read a nested column.
+    the source holds.  The kernel filters — before scoring unless WHERE
+    reads a prediction — and scores the surviving batch once, and only if
+    some bound expression reads a prediction: the predicted values the
+    closures read (``scope.values``) as one value column per attribute
+    (``predict_values``), the predictions read whole (``scope.reads``) as
+    a lazy prediction per case (``predict_cases``; its values are then
+    read off those).  When every output is a plain column — a source
+    column, a model column or ``Predict(col)`` — and WHERE reads no
+    prediction, the batch's rows are the output columns zipped; otherwise
+    each case's entry goes through the closures.  A shaped source hands
+    the closures its master rows unless they read a nested column.
+
+    ``kernel.plain`` holds, per expression, where the batch holds it as a
+    column (``scope.columns``), or None.
     """
     context = PredictionEvalContext(model, source_context)
     scope = context.scope
     passes = None if where is None else compile_expression(where, context)
-    filter_predicts = scope.reads_prediction
+    filter_predicts = scope.reads is None or bool(scope.reads or scope.values)
     values = [compile_expression(expr, context) for expr in exprs]
-    predicts = scope.reads_prediction
-    reads, width = scope.reads, context.source_width
+    width, attributes, reads = context.source_width, scope.values, scope.reads
+    whole = reads is None or bool(reads)
+    if whole and reads is not None:   # the values are read off them too
+        reads = reads | {attribute.index for attribute in attributes}
+    plain = list(map(scope.columns.get, values))
+    columnar = None not in plain and not filter_predicts
 
     def kernel(cases: CaseBatch) -> List[tuple]:
         rows = cases.source
@@ -290,17 +303,29 @@ def compile_cases(model, source_context: EvalContext,
             rows = rows.master if width <= rows.width else rows.rows()
         if passes is not None and not filter_predicts:
             kept = [position for position, row in enumerate(rows)
-                    if passes((row, None)) is True]
+                    if passes((row, None, None)) is True]
             if len(kept) < len(rows):
                 rows = list(map(rows.__getitem__, kept))
                 cases = list(map(cases.__getitem__, kept))
-        predictions = (model.predict_cases(cases, reads)
-                       if predicts else repeat(None))
-        entries = zip(rows, predictions)
+        predictions, columns = repeat(None), []
+        if whole:
+            predictions = model.predict_cases(cases, reads)
+            if attributes:
+                predictions = list(predictions)
+                columns = model.algorithm.value_columns(predictions,
+                                                        attributes)
+        elif attributes:
+            columns = model.predict_values(cases, attributes)
+        if columnar:
+            return list(zip(*[map(itemgetter(at), rows) if kind == "source"
+                              else columns[at] for kind, at in plain]))
+        entries = zip(rows, predictions,
+                      zip(*columns) if columns else repeat(None))
         if filter_predicts:
             entries = (entry for entry in entries if passes(entry) is True)
         return [tuple([value(entry) for value in values])
                 for entry in entries]
+    kernel.plain = plain
     return kernel
 
 
@@ -481,17 +506,11 @@ def plan_prediction(provider, statement: ast.SelectStatement):
         values, or None where WHERE rejected it."""
         stream = source.run(batch_size)
         columns = list(stream.columns)
-        exprs = outputs(columns)[1]
-        # Workers bind per chunk; binding here too raises a BindError at
-        # open, as the serial path does.
-        compile_cases(model, _source_context(columns, alias),
-                      statement.where, exprs)
         return RowStream(columns, parallel_value_batches(
             provider, dop,
-            (prediction_replica(model), columns, alias, on_pairs, exprs,
-             statement.where),
+            (prediction_replica(model), columns, alias, on_pairs,
+             outputs(columns)[1], statement.where),
             _surviving_batches(stream, pushed, alias)))
-
 
     stage.open = parallel_predict if dop > 1 else bind_cases
 
@@ -516,18 +535,22 @@ def plan_prediction(provider, statement: ast.SelectStatement):
                     "prediction.join_fanout").observe(total)
                 batches = iter(cached)
             names, exprs, order = outputs(columns)
+            # Bound on either path, before a row is read or a pool task
+            # runs (pool workers bind their chunks again).
+            context = _source_context(columns, alias)
+            context.subquery_executor = database.execute_select
+            kernel = compile_cases(model, context, statement.where, exprs)
             if dop > 1:
                 values = ([entry for entry in batch if entry is not None]
                           for batch in batches)
             else:
-                context = _source_context(columns, alias)
-                context.subquery_executor = database.execute_select
-                kernel = compile_cases(model, context, statement.where, exprs)
-                values = (kernel(batch) for batch in batches)
+                values = map(kernel, batches)
+            sources = [columns[spec[1]] if spec and spec[0] == "source"
+                       else None for spec in kernel.plain[:len(names)]]
             if not blockers:
-                return _inferred_stream(names, _held(
+                return _inferred_stream(names, sources, _held(
                     lease, _limited(values, statement.top, batch_size)))
-            result = _blocked(statement, names, order,
+            result = _blocked(statement, names, sources, order,
                               [entry for batch in _held(lease, values)
                                for entry in batch])
             return RowStream.from_rowset(result, batch_size)
@@ -563,12 +586,15 @@ def _limited(batches, top: Optional[int], batch_size: int):
             return
 
 
-def _inferred_stream(names: List[str], produced) -> RowStream:
+def _inferred_stream(names: List[str],
+                     sources: List[Optional[RowsetColumn]],
+                     produced) -> RowStream:
     """A row stream over ``produced`` whose column metadata is inferred
     from a buffered prefix that grows only until every column has produced
-    a non-NULL sample (the first-non-NULL rule, as over a full result);
-    the prefix is replayed ahead of the live tail.  Each batch is looked
-    at once, and only in the columns still waiting for a sample."""
+    a non-NULL sample (the first-non-NULL rule, as over a full result; see
+    :func:`_column_metadata` for ``sources``); the prefix is replayed
+    ahead of the live tail.  Each batch is looked at once, and only in the
+    columns still waiting for a sample."""
     head: List[List[tuple]] = []
     samples: List[Any] = [None] * len(names)
     waiting = list(range(len(names)))
@@ -581,19 +607,20 @@ def _inferred_stream(names: List[str], produced) -> RowStream:
             samples[position] = _first_non_null(batch, position)
         waiting = [position for position in waiting
                    if samples[position] is None]
-    return RowStream(_column_metadata(names, samples),
+    return RowStream(_column_metadata(names, samples, sources),
                      chain(head, produced))
 
 
 def _blocked(statement: ast.SelectStatement, names: List[str],
-             order: List[int], entries: List[tuple]) -> Rowset:
+             sources: List[Optional[RowsetColumn]], order: List[int],
+             entries: List[tuple]) -> Rowset:
     """DISTINCT, ORDER BY and TOP over the drained value tuples (select
     list first, hidden ORDER BY keys behind it).  Column types are inferred
     before any row is dropped."""
     width = len(names)
     columns = _column_metadata(
         names, [_first_non_null(entries, position)
-                for position in range(width)])
+                for position in range(width)], sources)
     if statement.distinct:
         seen = set()
         unique = []
@@ -675,12 +702,18 @@ def _first_non_null(rows, position: int) -> Any:
                  if row[position] is not None), None)
 
 
-def _column_metadata(names: List[str],
-                     samples: List[Any]) -> List[RowsetColumn]:
-    """Column metadata from each column's first non-NULL value."""
+def _column_metadata(names: List[str], samples: List[Any],
+                     sources: List[Optional[RowsetColumn]]) \
+        -> List[RowsetColumn]:
+    """Column metadata from each column's first non-NULL value; a column
+    without one that is a plain source column (``sources``) is typed as
+    that column."""
     columns = []
-    for name, sample in zip(names, samples):
-        if isinstance(sample, Rowset):
+    for name, sample, source in zip(names, samples, sources):
+        if sample is None and source is not None:
+            columns.append(RowsetColumn(name, source.type,
+                                        source.nested_columns))
+        elif isinstance(sample, Rowset):
             columns.append(RowsetColumn(name, TABLE,
                                         nested_columns=list(sample.columns)))
         else:

@@ -379,7 +379,8 @@ def parallel_value_batches(provider, dop: int, constant, row_batches):
 
     The one run-time gate: in process mode an unpicklable payload (a
     custom algorithm, say) runs the same task inline on the caller's
-    thread and notes ``pool.serial_fallbacks.pickle``.
+    thread and notes ``pool.serial_fallbacks.pickle``.  Nothing is noted
+    or sent before the first batch is asked for.
     """
     pool = provider.pool
     if pool.mode == "process" and not _picklable(constant):
@@ -387,14 +388,10 @@ def parallel_value_batches(provider, dop: int, constant, row_batches):
         dop = 1
     else:
         pool.note_parallel_statement("predict")
-    results = pool.map_ordered(functools.partial(_predict_chunk, constant),
-                               row_batches, dop=dop)
-
-    def batches():
-        total = 0
-        for bound, values in results:
-            total += bound
-            values += [None] * (bound - len(values))
-            yield values
-        provider.metrics.histogram("prediction.join_fanout").observe(total)
-    return batches()
+    total = 0
+    for bound, values in pool.map_ordered(
+            functools.partial(_predict_chunk, constant), row_batches, dop=dop):
+        total += bound
+        values += [None] * (bound - len(values))
+        yield values
+    provider.metrics.histogram("prediction.join_fanout").observe(total)

@@ -264,11 +264,14 @@ class RowStream:
             yield from batch
 
     def materialize(self) -> Rowset:
-        """Drain the stream into a plain :class:`Rowset`."""
+        """Drain the stream into a plain :class:`Rowset`, which adopts the
+        drained list: every batch producer yields tuples."""
         rows: List[Tuple] = []
         for batch in self.batches():
             rows.extend(batch)
-        return Rowset(self.columns, rows)
+        rowset = Rowset(self.columns)
+        rowset.rows = rows
+        return rowset
 
     # -- metadata (mirrors Rowset so binding plans work on either) ------------
 

@@ -242,6 +242,33 @@ class TestStreamedColumnInference:
         assert len(batches) == 67
         assert [row for batch in batches for row in batch] == whole.rows
 
+    @pytest.mark.parametrize("transport", ["embedded", "stream", "wire"])
+    @pytest.mark.parametrize("suffix", ["", " ORDER BY t.Id"])
+    def test_an_empty_result_types_its_source_columns(self, trained,
+                                                      transport, suffix):
+        """With no row to sample, a plain source column is typed as the
+        source's column (as the plain SELECT of it is); every other
+        output keeps the first-non-NULL rule, which gives TEXT."""
+        from repro.client import connect as net_connect
+        from repro.server import DmxServer
+
+        statement = ("SELECT t.Id, t.Gender AS g, PredictProbability([Age]) "
+                     "AS p, [AgeM].[Age] FROM [AgeM] NATURAL PREDICTION JOIN "
+                     "(SELECT Id, Gender FROM T) AS t WHERE t.Id < 0" + suffix)
+        plain = trained.execute("SELECT Id, Gender FROM T WHERE Id < 0")
+        assert [c.type.name for c in plain.columns] == ["LONG", "TEXT"]
+        if transport == "wire":
+            with DmxServer(trained.provider, port=0) as server, \
+                    net_connect("127.0.0.1", server.port) as wire:
+                columns = wire.execute(statement).columns
+            assert server.thread_errors == []
+        elif transport == "stream":
+            columns = trained.execute_stream(statement).columns
+        else:
+            columns = trained.execute(statement).columns
+        assert [(c.name, c.type.name) for c in columns] == [
+            ("Id", "LONG"), ("g", "TEXT"), ("p", "TEXT"), ("Age", "TEXT")]
+
     def test_each_batch_is_sampled_once(self):
         """The prefix used to be rescanned, whole, for every new batch
         while a column stayed all-NULL: quadratic in the batch count."""
@@ -258,7 +285,8 @@ class TestStreamedColumnInference:
                                                                   start + 4)]
                    for start in range(0, 1200, 4)]
         batches[-1][-1] = Row((1199, None, "late"))
-        stream = _inferred_stream(["a", "b", "c"], iter(batches))
+        stream = _inferred_stream(["a", "b", "c"], [None] * 3,
+                                  iter(batches))
         assert [c.type.name for c in stream.columns] == \
             ["LONG", "TEXT", "TEXT"]
         # Column a: the first row.  Columns b and c: every row, once (c

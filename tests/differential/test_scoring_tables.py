@@ -490,13 +490,14 @@ def log_score_rows(draw, width):
     st.lists(st.sampled_from([0, 1, 2, 3, 10, 11, 20]), min_size=1,
              max_size=5, unique=True),
     st.lists(st.sampled_from([0.0, 1.0]), min_size=1, unique=True)),
-    total=st.sampled_from([0.0, 5e-324, 1e-300, 1.0, 7.5, 2000.0]))
+    total=st.sampled_from([0.0, 5e-324, 1e-300, 1e-290, 1.0, 7.5, 2000.0]))
 def test_a_predicted_value_is_its_posteriors_value(data, states, total):
-    """``_predicted_values`` picks from each row of log scores the value
+    """``_values_of`` picks from each row of log scores the value
     ``_posterior``'s whole prediction carries — the heaviest positive
     ``exp(score - normaliser) * total``, ties to the smallest
     ``_tiebreak`` (``"10"`` before ``"2"``), None when every weight
-    underflows — bit for bit."""
+    underflows — bit for bit: the arg-max state only where the margin
+    makes it that, the posterior itself everywhere else."""
     from types import SimpleNamespace
     from repro.algorithms.attributes import Attribute
     from repro.algorithms.naive_bayes import NaiveBayesAlgorithm
@@ -506,8 +507,8 @@ def test_a_predicted_value_is_its_posteriors_value(data, states, total):
                               max_size=6))
     target = Attribute(0, "T", "categorical", False, True)
     model = SimpleNamespace(prior=SimpleNamespace(total=total))
-    assert NaiveBayesAlgorithm._predicted_values(
-        target, model, states, labels, np.array(rows)) == [
+    assert NaiveBayesAlgorithm._values_of(
+        (target, model, states, labels), np.array(rows)) == [
         NaiveBayesAlgorithm._posterior(target, model, states, labels,
                                        row).value for row in rows]
 
@@ -525,11 +526,17 @@ WHOLE_READS = ["PredictProbability(T)", "PredictSupport(T)",
 
 @pytest.fixture(scope="module")
 def lazy_conn():
-    """A naive-Bayes model without smoothing: ``x`` and ``y`` cases differ
-    in every input, so a case of one scores the other ~830 below (its
-    weight underflows to 0); ``u`` and ``v`` cases are alike, so a case of
-    theirs ties them exactly."""
     conn = repro.connect()
+    load_ties(conn)
+    yield conn
+    conn.close()
+
+
+def load_ties(conn):
+    """Table ``S`` and a naive-Bayes model ``nb`` trained on it without
+    smoothing: ``x`` and ``y`` cases differ in every input, so a case of
+    one scores the other ~830 below (its weight underflows to 0); ``u``
+    and ``v`` cases are alike, so a case of theirs ties them exactly."""
     names = [f"A{i}" for i in range(LAZY_INPUTS)]
     conn.execute("CREATE TABLE S (Id LONG, T TEXT, "
                  + ", ".join(f"{name} TEXT" for name in names) + ")")
@@ -554,33 +561,39 @@ def lazy_conn():
     conn.execute(LAZY_DDL.format(inputs=", ".join(
         f"{name} TEXT DISCRETE" for name in names)))
     conn.execute("INSERT INTO nb SELECT * FROM S WHERE T IS NOT NULL")
-    yield conn
-    conn.close()
 
 
 @pytest.mark.parametrize("whole", WHOLE_READS)
 @pytest.mark.parametrize("value", VALUE_READS)
 def test_value_reads_equal_whole_reads(lazy_conn, value, whole):
-    """A statement that reads only the predicted value gets a
-    ``PredictedValue`` per case; beside a read of the whole prediction it
-    gets the posterior.  The values are bit-identical at the
-    ``rowset_dump`` level, over exact ties and underflowed states."""
+    """A statement that reads only the predicted value asks the service
+    for its value column (``predict_values``) and builds no prediction;
+    beside a read of the whole prediction it gets the posteriors
+    (``predict_many``, told the attributes it reads) and reads the value
+    off them.  The values are bit-identical at the ``rowset_dump`` level,
+    over exact ties and underflowed states."""
     from repro.server.protocol import rowset_dump
     from repro.sqlstore.rowset import Rowset
 
     algorithm = lazy_conn.provider.model("nb").algorithm
-    seen, predict_many = [], algorithm.predict_many
+    seen = []
+    predict_many, predict_values = \
+        algorithm.predict_many, algorithm.predict_values
     algorithm.predict_many = lambda observations, reads=None: \
-        seen.append(reads) or predict_many(observations, reads)
+        seen.append(("predictions", reads)) or predict_many(observations,
+                                                            reads)
+    algorithm.predict_values = lambda observations, attributes: \
+        seen.append(("values", [a.name for a in attributes])) or \
+        predict_values(observations, attributes)
     source = "NATURAL PREDICTION JOIN (SELECT * FROM S) AS t ORDER BY t.Id"
     try:
         lazy = lazy_conn.execute(f"SELECT t.Id, {value} FROM nb {source}")
         eager = lazy_conn.execute(
             f"SELECT t.Id, {value}, {whole} FROM nb {source}")
     finally:
-        del algorithm.predict_many
+        del algorithm.predict_many, algorithm.predict_values
     target = lazy_conn.provider.model("nb").space.by_name("T").index
-    assert seen == [{target: False}, {target: True}]
+    assert seen == [("values", ["T"]), ("predictions", {target})]
     assert rowset_dump(lazy) == rowset_dump(Rowset(
         eager.columns[:2], [row[:2] for row in eager.rows]))
     assert {row[1] for row in lazy.rows} == {"x", "y", "u"}

@@ -157,6 +157,9 @@ assert len(STATEMENTS) >= 30
 
 
 def _canonical(rowset):
+    """Columns and rows of ``rowset``, whose rows must be tuples: a
+    materialized rowset adopts the rows its stream's batches held."""
+    assert all(isinstance(row, tuple) for row in rowset.rows)
     columns = [(c.name, c.type.name if c.type is not None else None)
                for c in rowset.columns]
     rows = [tuple(_canonical(v) if isinstance(v, Rowset) else v
@@ -178,6 +181,7 @@ def test_stream_api_matches_execute(streaming, statement):
     expected = streaming.execute(statement)
     stream = streaming.execute_stream(statement)
     rows = [row for batch in stream.batches() for row in batch]
+    assert all(isinstance(row, tuple) for row in rows)
     assert [c.name for c in stream.columns] == \
         [c.name for c in expected.columns]
     assert rows == list(expected.rows)
@@ -289,7 +293,7 @@ def test_rows_out_is_the_rows_returned(transport):
 
     def run(execute):
         for statement in ROWS_OUT_STATEMENTS:
-            rows = len(execute(statement).rows)
+            rows = len(_canonical(execute(statement))[1])
             record = tracer.last()
             returned[record.statement_id] = rows
             by_fingerprint[record.fingerprint] += rows
