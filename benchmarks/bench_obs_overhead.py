@@ -20,8 +20,9 @@ estimates, so its cost over plain execution is the planner pass, the
 per-node cells and the rendering.  That ratio is reported and
 (generously) bounded too.
 
-The workload-introspection layer (DM_ACTIVE_STATEMENTS, cancellation
-checkpoints, per-statement resource accounting) rides the same hot path:
+The workload-introspection layer (DM_QUERY_LOG's running rows,
+cancellation checkpoints, per-statement resource accounting) rides the
+same hot path:
 a registry entry per statement and a checkpoint per scan batch.  Its
 gate compares a row-heavy streaming scan with the registry on (shipping
 default) against ``provider.workload.enabled = False`` and bounds the

@@ -5,7 +5,9 @@ that fails on purpose), then inspects what the provider recorded about
 itself, all through the same statement surface:
 
 1. ``TRACE ON`` and the per-statement span trees (``TRACE LAST``);
-2. ``$SYSTEM.DM_QUERY_LOG`` — the statement ring, including the error row;
+2. ``$SYSTEM.DM_QUERY_LOG`` — one row per statement, the error row and
+   the running query reading the log included, with what each cost, and
+   joined on ``FINGERPRINT`` to its shape's ``DM_STATEMENT_STATS`` row;
 3. ``$SYSTEM.DM_TRACE_EVENTS`` — the span rows behind the training
    statement, filtered with a WHERE clause like any other rowset;
 4. ``$SYSTEM.DM_PROVIDER_METRICS`` — latency percentiles and totals.
@@ -61,12 +63,21 @@ def main() -> None:
         print(f"\nDeliberate failure recorded: {exc}")
 
     # -- 2. the query log --------------------------------------------------
-    print("\nQuery log (one row per statement, ring-buffered):")
+    print("\nQuery log (one row per statement; the running one reads it):")
     log = conn.execute("""
-        SELECT STATEMENT_ID, KIND, STATUS, DURATION_MS, ROWS_SCANNED, CASES
+        SELECT STATEMENT_ID, KIND, STATUS, DURATION_MS, CPU_MS,
+               ROWS_SCANNED, CASES
         FROM $SYSTEM.DM_QUERY_LOG
     """)
     print(log.pretty())
+    print("\nEach finished statement beside its shape's aggregates:")
+    shapes = conn.execute("""
+        SELECT q.STATEMENT_ID, q.KIND, s.CALLS, s.MEAN_MS
+        FROM $SYSTEM.DM_QUERY_LOG q
+        JOIN $SYSTEM.DM_STATEMENT_STATS s ON q.FINGERPRINT = s.FINGERPRINT
+        WHERE q.STATUS <> 'running'
+    """)
+    print(shapes.pretty())
 
     # -- 3. span rows, filtered like any rowset ---------------------------
     print("\nTrace events of the training statement (KIND = 'TRAIN'):")

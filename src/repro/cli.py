@@ -56,7 +56,7 @@ Meta-commands:
     .checkpoint  snapshot the durable store now (requires --durable)
     .top [N]     the N hottest statement fingerprints (default 10) from
                  the workload repository ($SYSTEM.DM_STATEMENT_STATS)
-    .kill ID     cancel a live statement (ids: $SYSTEM.DM_ACTIVE_STATEMENTS)
+    .kill ID     cancel a running statement (ids: $SYSTEM.DM_QUERY_LOG)
     .tracefile F export the trace ring to F as Chrome-trace JSON (Perfetto)
     .quit        exit
 
@@ -67,7 +67,7 @@ Statement surface (paper section 3):
     SELECT * FROM <model>.CONTENT | <model>.PMML
     SELECT * FROM $SYSTEM.MINING_MODELS | MINING_COLUMNS | MINING_SERVICES
     SELECT * FROM $SYSTEM.DM_QUERY_LOG | DM_TRACE_EVENTS | DM_PROVIDER_METRICS
-    SELECT * FROM $SYSTEM.DM_ACTIVE_STATEMENTS | DM_STATEMENT_RESOURCES
+        (DM_QUERY_LOG: one row per statement, running ones included)
     SELECT * FROM $SYSTEM.DM_LOCK_WAITS
     SELECT * FROM $SYSTEM.DM_STATEMENT_STATS | DM_PLAN_HISTORY | DM_PLAN_CHANGES
     TRACE ON | OFF | LAST | STATUS
@@ -151,8 +151,9 @@ def run_meta(connection, command: str, out=None) -> bool:
     elif word.startswith(".kill"):
         argument = command.strip()[len(".kill"):].strip()
         if not argument or not argument.isdigit():
-            out.write("usage: .kill <statement id>  "
-                      "(ids: SELECT * FROM $SYSTEM.DM_ACTIVE_STATEMENTS)\n")
+            out.write("usage: .kill <statement id>  (ids: SELECT "
+                      "STATEMENT_ID FROM $SYSTEM.DM_QUERY_LOG "
+                      "WHERE STATUS = 'running')\n")
         else:
             try:
                 out.write(connection.cancel(int(argument)) + "\n")

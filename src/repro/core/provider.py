@@ -513,27 +513,32 @@ class Provider:
         inner = statement.statement
         plan = build_plan(self, inner)
         plan.estimate()
-        if not statement.analyze:
-            return explain_rowset(plan)
-
-        from repro.lang.formatter import format_statement
-        command = format_statement(inner)
-        runs = plan.open is not None
-        if not runs:
-            plan.open = lambda *_: self._execute_statement(inner, command)
         # With no active record (recording off, or a direct execute_ast()
         # call) a scratch record nobody completes takes the actuals.
         record = obs_trace.active_record() or \
-            obs_trace.StatementRecord(0, command)
-        previous = obs_trace.activate(record)
-        try:
-            result = (self._execute_statement(inner, command, plan) if runs
-                      else plan.run(self.database.batch_size))
-            if isinstance(result, RowStream):
-                result.materialize()
-        finally:
-            obs_trace.deactivate(previous)
-        return explain_rowset(plan, record)
+            obs_trace.StatementRecord(0, "EXPLAIN")
+        if statement.analyze:
+            from repro.lang.formatter import format_statement
+            command = format_statement(inner)
+            runs = plan.open is not None
+            if not runs:
+                plan.open = lambda *_: self._execute_statement(inner,
+                                                               command)
+            previous = obs_trace.activate(record)
+            try:
+                result = (self._execute_statement(inner, command, plan)
+                          if runs else plan.run(self.database.batch_size))
+                if isinstance(result, RowStream):
+                    result.materialize()
+            finally:
+                obs_trace.deactivate(previous)
+        rowset = explain_rowset(plan, record if statement.analyze else None)
+        # ROWS_OUT is the rows this statement returns; the analyzed
+        # statement's own are its root's ACTUAL_ROWS.
+        totals = record.actuals.totals() if record.actuals else {}
+        record.actuals = None
+        record.root.counters.update(totals, rows_out=len(rowset.rows))
+        return rowset
 
     def plan_external_source(self, ref: ast.TableRef) -> Optional[PlanNode]:
         """The engine's one hook: plan a FROM source only the mining layer
@@ -686,11 +691,11 @@ class Provider:
         (GROUP BY, ORDER BY, DISTINCT) still materialize internally, but
         pipelined shapes are produced batch by batch.
 
-        The statement lives as long as its stream: its record stays in
-        ``$SYSTEM.DM_ACTIVE_STATEMENTS`` (and within reach of ``CANCEL``)
-        until the stream is exhausted, raises, is closed or is dropped,
-        and only then enters ``DM_QUERY_LOG`` — ``ok`` with the counts of
-        what was produced unless producing a batch raised.  A failure to
+        The statement lives as long as its stream: its record stays a
+        ``running`` row of ``$SYSTEM.DM_QUERY_LOG`` (and within reach of
+        ``CANCEL``) until the stream is exhausted, raises, is closed or is
+        dropped, and only then completes — ``ok`` with the counts of what
+        was produced unless producing a batch raised.  A failure to
         parse, plan or open completes it before this call raises.
         """
         def open_stream(statement, plan) -> RowStream:
@@ -794,8 +799,8 @@ class Connection:
         """Request cooperative cancellation of a live statement by id.
 
         Equivalent to executing ``CANCEL <id>`` (the id space is the one in
-        ``$SYSTEM.DM_ACTIVE_STATEMENTS`` / ``DM_QUERY_LOG``); safe to call
-        from another thread while the target is executing.
+        ``$SYSTEM.DM_QUERY_LOG``); safe to call from another thread while
+        the target is executing.
         """
         if self._closed:
             raise Error("connection is closed")

@@ -14,11 +14,13 @@ Queryable as ``SELECT * FROM $SYSTEM.<rowset>``:
 * MINING_MODEL_CONTENT — the content graph of every populated model (also
   reachable per-model as ``SELECT * FROM <model>.CONTENT``);
 * DM_QUERY_LOG, DM_TRACE_EVENTS, DM_PROVIDER_METRICS — the provider's own
-  telemetry (statement log, span trees, metric snapshot), applying the
-  schema-rowset idea to the provider's runtime behaviour;
-* DM_ACTIVE_STATEMENTS, DM_STATEMENT_RESOURCES, DM_LOCK_WAITS — the live
-  workload view (what is running now, what it cost, where locks blocked),
-  backing the ``CANCEL <id>`` verb;
+  telemetry (one row per statement, finished or running, with what it
+  cost; span trees; metric snapshot), applying the schema-rowset idea to
+  the provider's runtime behaviour.  DM_QUERY_LOG's running rows give the
+  ids the ``CANCEL <id>`` verb takes.  DM_ACTIVE_STATEMENTS (its running
+  rows) and DM_STATEMENT_RESOURCES (all of it) are aliases kept for one
+  release;
+* DM_LOCK_WAITS — where locks blocked;
 * DM_SESSIONS — the network sessions connected through the DMX server
   (:mod:`repro.server`): one row per live or recently-closed session with
   its negotiated knobs and traffic accounting;
@@ -34,10 +36,10 @@ Queryable as ``SELECT * FROM $SYSTEM.<rowset>``:
 from __future__ import annotations
 
 import difflib
-from datetime import datetime
 from typing import List, Optional
 
 from repro.errors import BindError
+from repro.obs.workload import STATEMENT_COLUMNS, statements, timestamp
 from repro.sqlstore.rowset import Rowset, RowsetColumn
 from repro.sqlstore.types import BOOLEAN, DOUBLE, LONG, TEXT
 from repro.core.columns import ContentRole, ModelColumn
@@ -259,44 +261,20 @@ def _format_pairs(pairs) -> Optional[str]:
                      for name, value in sorted(pairs.items()))
 
 
-def dm_query_log_rowset(provider) -> Rowset:
-    """``$SYSTEM.DM_QUERY_LOG``: one row per executed statement."""
-    columns = [
-        RowsetColumn("STATEMENT_ID", LONG),
-        RowsetColumn("STATEMENT", TEXT),
-        RowsetColumn("KIND", TEXT),
-        RowsetColumn("STATUS", TEXT),
-        RowsetColumn("ERROR", TEXT),
-        RowsetColumn("STARTED_AT", TEXT),
-        RowsetColumn("DURATION_MS", DOUBLE),
-        RowsetColumn("ROWS_SCANNED", LONG),
-        RowsetColumn("ROWS_OUT", LONG),
-        RowsetColumn("CASES", LONG),
-        RowsetColumn("SPAN_COUNT", LONG),
-        RowsetColumn("THREAD", TEXT),
-        RowsetColumn("SESSION", LONG),
-    ]
-    rows = []
-    for record in provider.tracer.statements():
-        totals = record.totals()
-        rows.append((
-            record.statement_id,
-            " ".join(record.text.split()),
-            record.kind,
-            record.status,
-            record.error,
-            datetime.fromtimestamp(record.started_at).isoformat(
-                timespec="milliseconds"),
-            None if record.duration_ms is None
-            else round(record.duration_ms, 3),
-            int(totals.get("rows_scanned", 0)),
-            int(totals.get("rows_out", 0)),
-            int(totals.get("cases_bound", 0)),
-            record.root.span_count(),
-            record.thread,
-            record.session,
-        ))
-    return Rowset(columns, rows)
+def dm_query_log_rowset(provider, running_only: bool = False) -> Rowset:
+    """``$SYSTEM.DM_QUERY_LOG``: one row per statement, in the columns of
+    :data:`~repro.obs.workload.STATEMENT_COLUMNS` — the finished ring,
+    then the live statements (``STATUS`` ``running``; a statement reading
+    the log sees itself so).  ``running_only`` keeps the live rows: the
+    ``DM_ACTIVE_STATEMENTS`` alias."""
+    records = statements(provider)
+    if running_only:
+        records = [record for record in records
+                   if record.status == "running"]
+    return Rowset([RowsetColumn(name, data_type)
+                   for name, data_type, _ in STATEMENT_COLUMNS],
+                  [tuple(read(record) for _, _, read in STATEMENT_COLUMNS)
+                   for record in records])
 
 
 def dm_trace_events_rowset(provider) -> Rowset:
@@ -363,106 +341,6 @@ def dm_provider_metrics_rowset(provider) -> Rowset:
     return Rowset(columns, rows)
 
 
-def dm_active_statements_rowset(provider) -> Rowset:
-    """``$SYSTEM.DM_ACTIVE_STATEMENTS``: statements executing right now.
-
-    The live counterpart to ``DM_QUERY_LOG`` (same statement-id space):
-    phase, progress, lock waits, and whether a ``CANCEL`` is pending.  A
-    statement querying this rowset sees itself, in phase ``scan``.
-    """
-    columns = [
-        RowsetColumn("STATEMENT_ID", LONG),
-        RowsetColumn("STATEMENT", TEXT),
-        RowsetColumn("KIND", TEXT),
-        RowsetColumn("PHASE", TEXT),
-        RowsetColumn("STARTED_AT", TEXT),
-        RowsetColumn("ELAPSED_MS", DOUBLE),
-        RowsetColumn("ROWS_PROCESSED", LONG),
-        RowsetColumn("BATCHES", LONG),
-        RowsetColumn("PARTITIONS_DONE", LONG),
-        RowsetColumn("PARTITIONS_TOTAL", LONG),
-        RowsetColumn("POOL_TASKS_IN_FLIGHT", LONG),
-        RowsetColumn("LOCK_WAIT_MS", DOUBLE),
-        RowsetColumn("THREAD", TEXT),
-        RowsetColumn("SESSION", LONG),
-        RowsetColumn("CANCEL_REQUESTED", BOOLEAN),
-    ]
-    rows = []
-    for statement in provider.workload.active():
-        rows.append((
-            statement.statement_id,
-            " ".join(statement.text.split()),
-            statement.kind,
-            statement.phase,
-            datetime.fromtimestamp(statement.started_at).isoformat(
-                timespec="milliseconds"),
-            round(statement.elapsed_ms(), 3),
-            statement.rows_processed,
-            statement.batches,
-            statement.partitions_done,
-            statement.partitions_total,
-            statement.pool_tasks_in_flight,
-            round(statement.lock_wait_ms, 3),
-            statement.thread,
-            statement.session,
-            statement.token.cancelled,
-        ))
-    return Rowset(columns, rows)
-
-
-def dm_statement_resources_rowset(provider) -> Rowset:
-    """``$SYSTEM.DM_STATEMENT_RESOURCES``: per-statement resource accounting.
-
-    Live statements first (CPU still accumulating), then the finished
-    ones — the records ``DM_QUERY_LOG`` lists, minus any admitted with the
-    workload layer off.  CPU_MS is producing-thread CPU plus worker CPU
-    shipped back from the pool; LOCK_WAIT_MS is time blocked in RWLock
-    acquires.
-    """
-    columns = [
-        RowsetColumn("STATEMENT_ID", LONG),
-        RowsetColumn("STATEMENT", TEXT),
-        RowsetColumn("KIND", TEXT),
-        RowsetColumn("STATUS", TEXT),
-        RowsetColumn("DURATION_MS", DOUBLE),
-        RowsetColumn("CPU_MS", DOUBLE),
-        RowsetColumn("POOL_CPU_MS", DOUBLE),
-        RowsetColumn("LOCK_WAIT_MS", DOUBLE),
-        RowsetColumn("LOCK_WAITS", LONG),
-        RowsetColumn("ROWS_PROCESSED", LONG),
-        RowsetColumn("PEAK_BATCH_ROWS", LONG),
-        RowsetColumn("BATCHES", LONG),
-        RowsetColumn("POOL_TASKS", LONG),
-        RowsetColumn("CACHE_HITS", LONG),
-        RowsetColumn("CACHE_MISSES", LONG),
-    ]
-    rows = []
-    live = provider.workload.active()
-    # A statement completing between the two snapshots is listed once.
-    finished = [record for record in provider.tracer.statements()
-                if record.registry is not None and record not in live]
-    for statement in live + finished:
-        rows.append((
-            statement.statement_id,
-            " ".join(statement.text.split()),
-            statement.kind,
-            statement.status,
-            None if statement.duration_ms is None
-            else round(statement.duration_ms, 3),
-            round(statement.total_cpu_ms(), 3),
-            round(statement.pool_cpu_ms, 3),
-            round(statement.lock_wait_ms, 3),
-            statement.lock_waits,
-            statement.rows_processed,
-            statement.peak_batch_rows,
-            statement.batches,
-            statement.pool_tasks,
-            statement.cache_hits,
-            statement.cache_misses,
-        ))
-    return Rowset(columns, rows)
-
-
 def dm_lock_waits_rowset(provider) -> Rowset:
     """``$SYSTEM.DM_LOCK_WAITS``: contended-lock aggregate, per (lock, mode).
 
@@ -485,9 +363,7 @@ def dm_lock_waits_rowset(provider) -> Rowset:
             entry.waits,
             round(entry.total_wait_ms, 3),
             round(entry.max_wait_ms, 3),
-            None if entry.last_wait_at is None
-            else datetime.fromtimestamp(entry.last_wait_at).isoformat(
-                timespec="milliseconds"),
+            timestamp(entry.last_wait_at),
         ))
     return Rowset(columns, rows)
 
@@ -520,8 +396,7 @@ def dm_sessions_rowset(provider) -> Rowset:
                 session.session_id,
                 session.remote,
                 session.state,
-                datetime.fromtimestamp(session.connected_at).isoformat(
-                    timespec="milliseconds"),
+                timestamp(session.connected_at),
                 session.statements,
                 session.rows_sent,
                 session.bytes_in,
@@ -632,12 +507,6 @@ def dm_column_statistics_rowset(provider) -> Rowset:
     return Rowset(columns, rows)
 
 
-def _timestamp(value) -> Optional[str]:
-    if value is None:
-        return None
-    return datetime.fromtimestamp(value).isoformat(timespec="milliseconds")
-
-
 def _rounded(value, digits: int = 3):
     return None if value is None else round(value, digits)
 
@@ -688,7 +557,7 @@ def dm_statement_stats_rowset(provider) -> Rowset:
             _rounded(stat["cpu_ms"]), stat["cache_hits"],
             stat["cache_misses"], stat["buffer_reads"], stat["pool_tasks"],
             stat["plans"], stat["plan_hash"],
-            _timestamp(stat["first_at"]), _timestamp(stat["last_at"]),
+            timestamp(stat["first_at"]), timestamp(stat["last_at"]),
         ))
     return Rowset(columns, rows)
 
@@ -717,7 +586,7 @@ def dm_plan_history_rowset(provider) -> Rowset:
     for plan in provider.repository.plan_history_rows():
         rows.append((
             plan["fingerprint"], plan["plan_hash"], plan["active"],
-            _timestamp(plan["first_seen"]), _timestamp(plan["last_seen"]),
+            timestamp(plan["first_seen"]), timestamp(plan["last_seen"]),
             plan["executions"], _rounded(plan["mean_ms"]),
             plan["q_count"], _rounded(plan["mean_q_error"]),
             _rounded(plan["max_q_error"]), plan["skeleton"],
@@ -748,7 +617,7 @@ def dm_plan_changes_rowset(provider) -> Rowset:
     for change in provider.repository.plan_changes():
         rows.append((
             change["change_id"], change["fingerprint"],
-            change["statement"], _timestamp(change["changed_at"]),
+            change["statement"], timestamp(change["changed_at"]),
             change["old_plan_hash"], change["new_plan_hash"],
             change["trigger"], _rounded(change["before_mean_ms"]),
             _rounded(change["after_mean_ms"]),
@@ -766,8 +635,10 @@ SYSTEM_ROWSETS = {
     "DM_QUERY_LOG": dm_query_log_rowset,
     "DM_TRACE_EVENTS": dm_trace_events_rowset,
     "DM_PROVIDER_METRICS": dm_provider_metrics_rowset,
-    "DM_ACTIVE_STATEMENTS": dm_active_statements_rowset,
-    "DM_STATEMENT_RESOURCES": dm_statement_resources_rowset,
+    # The two statement views DM_QUERY_LOG absorbed, kept for one release.
+    "DM_ACTIVE_STATEMENTS": lambda provider: dm_query_log_rowset(
+        provider, running_only=True),
+    "DM_STATEMENT_RESOURCES": dm_query_log_rowset,
     "DM_LOCK_WAITS": dm_lock_waits_rowset,
     "DM_SESSIONS": dm_sessions_rowset,
     "DM_BUFFER_POOL": dm_buffer_pool_rowset,

@@ -286,8 +286,8 @@ def train_partitioned(model, space, pool, dop: int) -> int:
 
     task = functools.partial(_train_partition, space, type(algorithm),
                              parameters)
-    # Collect incrementally (not run_all) so DM_ACTIVE_STATEMENTS shows
-    # partitions_done advancing and a CANCEL lands between partitions.
+    # Collect incrementally (not run_all) so DM_QUERY_LOG shows
+    # PARTITIONS_DONE advancing and a CANCEL lands between partitions.
     obs_workload.set_partitions(len(chunks))
     results = []
     for result in pool.map_ordered(task, chunks, dop=dop):

@@ -491,10 +491,10 @@ class TraceStatement(Statement):
 class CancelStatement(Statement):
     """``CANCEL <statement-id>`` — cooperative cancellation of a live statement.
 
-    The id is the shared statement id visible in both
-    ``$SYSTEM.DM_ACTIVE_STATEMENTS`` and ``$SYSTEM.DM_QUERY_LOG``.  The
-    target unwinds at its next checkpoint (batch, partition, or training
-    iteration boundary) with a ``cancelled`` status in the query log.
+    The id is the ``STATEMENT_ID`` of a ``running`` row of
+    ``$SYSTEM.DM_QUERY_LOG``.  The target unwinds at its next checkpoint
+    (batch, partition, or training iteration boundary) with a
+    ``cancelled`` status in the query log.
     """
     statement_id: int = 0
 

@@ -183,13 +183,14 @@ class Parser:
         return ast.TraceStatement(mode=token.upper)
 
     def parse_cancel(self) -> ast.CancelStatement:
-        """``CANCEL <statement-id>`` — the id from DM_ACTIVE_STATEMENTS."""
+        """``CANCEL <statement-id>`` — the id of a running DM_QUERY_LOG
+        row."""
         self.expect_keyword("CANCEL")
         token = self.peek()
         if token.kind is not TokenKind.NUMBER or \
                 not isinstance(token.value, int) or token.value <= 0:
             raise self.error("expected a positive statement id after CANCEL "
-                             "(see $SYSTEM.DM_ACTIVE_STATEMENTS)")
+                             "(see $SYSTEM.DM_QUERY_LOG)")
         self.advance()
         return ast.CancelStatement(statement_id=token.value)
 

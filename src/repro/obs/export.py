@@ -12,9 +12,11 @@ eviction).  Everything is stdlib-only — no client library.
 * ``GET /metrics``  — the exposition text;
 * ``GET /healthz``  — 200 while the provider can accept writes, 503 once
   the durable store has turned read-only after a durability failure;
-* ``GET /queries``  — the recent ``$SYSTEM.DM_QUERY_LOG`` ring as JSON;
-* ``GET /active``   — the live ``$SYSTEM.DM_ACTIVE_STATEMENTS`` view as
-  JSON (phase, progress, pending cancels);
+* ``GET /queries``  — the last ``limit`` (50) rows of
+  ``$SYSTEM.DM_QUERY_LOG`` as JSON, live statements included: each row's
+  columns under lower-cased names, plus its counters and captured spans;
+* ``GET /active``   — the same for the ``running`` rows only (kept for one
+  release; ``/queries`` lists them too);
 * ``GET /statements`` — the workload repository as JSON: per-fingerprint
   aggregates (``DM_STATEMENT_STATS``) and plan-change events
   (``DM_PLAN_CHANGES``).
@@ -42,7 +44,7 @@ from typing import Dict, Optional
 from urllib.parse import parse_qs, urlparse
 
 from repro.obs.sink import statement_record_dict
-from repro.obs.workload import active_dict, resource_dict
+from repro.obs.workload import statement_dict, statements
 
 CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
@@ -206,6 +208,11 @@ class _Handler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(payload)
 
+    def _statements(self, records) -> None:
+        self._reply(200, json.dumps([statement_record_dict(record)
+                                     for record in records], default=str),
+                    "application/json")
+
     def do_GET(self) -> None:  # noqa: N802 - http.server API
         provider = self.server.provider
         parsed = urlparse(self.path)
@@ -233,16 +240,11 @@ class _Handler(BaseHTTPRequestHandler):
                 limit = int(parse_qs(parsed.query).get("limit", ["50"])[0])
             except (TypeError, ValueError):
                 limit = 50
-            records = provider.tracer.statements()[-max(0, limit):]
-            body = json.dumps([statement_record_dict(record)
-                               for record in records], default=str)
-            self._reply(200, body, "application/json")
+            self._statements(statements(provider)[-max(0, limit):])
             return
         if parsed.path == "/active":
-            body = json.dumps([active_dict(record)
-                               for record in provider.workload.active()],
-                              default=str)
-            self._reply(200, body, "application/json")
+            self._statements([record for record in statements(provider)
+                              if record.status == "running"])
             return
         if parsed.path == "/statements":
             repository = provider.repository
@@ -307,9 +309,10 @@ def chrome_trace_events(provider) -> list:
 
     Each span becomes one complete ("X") event: ``ts``/``dur`` in
     microseconds, ``pid`` fixed, ``tid`` the executing thread.  Span
-    counters, attributes, and the statement's resource summary travel in
-    ``args`` so Perfetto shows them on selection.  Thread names are
-    emitted as metadata ("M") events.
+    counters and attributes travel in ``args``, and the root span's also
+    carry the statement's row (:func:`repro.obs.workload.statement_dict`),
+    so Perfetto shows them on selection.  Thread names are emitted as
+    metadata ("M") events.
     """
     events = []
     threads = {}
@@ -330,18 +333,10 @@ def chrome_trace_events(provider) -> list:
         # perf_counter deltas from the root span's start.
         base_us = record.started_at * 1e6
         root_started = record.root.started
-        label = " ".join(record.text.split())
         for span, _depth in record.root.walk():
             if span.duration_ms is None:
                 continue
-            args = {}
-            if span is record.root:
-                args["statement"] = label
-                args["kind"] = record.kind
-                args["status"] = record.status
-                resources = resource_dict(record)
-                if resources is not None:
-                    args["resources"] = resources
+            args = statement_dict(record) if span is record.root else {}
             if span.counters:
                 args["counters"] = dict(span.counters)
             if span.attributes:

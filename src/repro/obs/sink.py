@@ -15,13 +15,12 @@ conventions so existing tooling picks the files up unchanged.
 
 from __future__ import annotations
 
-import datetime
 import json
 import os
 import threading
 from typing import Any, Dict, Optional
 
-from repro.obs.workload import resource_dict
+from repro.obs.workload import statement_dict
 
 DEFAULT_MAX_BYTES = 16 * 1024 * 1024
 DEFAULT_BACKUPS = 3
@@ -39,36 +38,11 @@ def _span_dict(span) -> Dict[str, Any]:
 
 
 def statement_record_dict(record) -> Dict[str, Any]:
-    """One statement record as a JSON-ready dict (sink and ``/queries``).
-
-    ``spans`` is present only when the record carried a captured span tree
-    (span capture on); the bare statement-log shape stays flat and cheap.
-    """
-    out: Dict[str, Any] = {
-        "statement_id": record.statement_id,
-        "thread": record.thread,
-        "statement": " ".join((record.text or "").split()),
-        "kind": record.kind,
-        "status": record.status,
-        "error": record.error,
-        "started_at": datetime.datetime.fromtimestamp(
-            record.started_at, datetime.timezone.utc).isoformat(),
-        "duration_ms": None if record.duration_ms is None
-        else round(record.duration_ms, 3),
-        "counters": record.totals(),
-        "span_count": record.root.span_count(),
-    }
-    if record.session is not None:
-        out["session"] = record.session
-    # Workload-repository attribution, so log pipelines can join these
-    # records against $SYSTEM.DM_STATEMENT_STATS / DM_PLAN_HISTORY.
-    if record.fingerprint is not None:
-        out["fingerprint"] = record.fingerprint
-    if record.plan_hash is not None:
-        out["plan_hash"] = record.plan_hash
-    resources = resource_dict(record)
-    if resources is not None:
-        out["resources"] = resources
+    """One statement as JSON (sink, ``/queries``, ``/active``): its
+    statement row, its counter totals and, when its span tree was captured
+    (span capture on), the tree."""
+    out = statement_dict(record)
+    out["counters"] = record.totals()
     if record.root.children:
         out["spans"] = [_span_dict(child)
                         for child in record.root.children]

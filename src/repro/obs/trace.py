@@ -22,13 +22,15 @@ provider's own runtime behaviour.  Each statement is one
 * **completion** (:meth:`Tracer.complete`, idempotent) stamps status,
   error, duration and CPU, folds the plan's row counters (``rows_out``,
   ``rows_scanned``, ``cases_bound``) out of the cells into the root span,
-  takes the record out of the registry's live map, appends it to the
-  bounded ring and calls ``on_statement`` — once.
+  appends the record to the bounded ring, takes it out of the registry's
+  live map and calls ``on_statement`` — once.
   ``execute()`` completes on return or raise; ``execute_stream()`` when
   the stream it returned is exhausted, raises, is closed or is dropped.
 
-The ring is what ``$SYSTEM.DM_QUERY_LOG``, ``DM_TRACE_EVENTS`` and the
-finished part of ``DM_STATEMENT_RESOURCES`` project, in completion order.
+``$SYSTEM.DM_QUERY_LOG`` lists the ring, in completion order, and then
+the live statements, one row each in the columns of
+:data:`repro.obs.workload.STATEMENT_COLUMNS`; ``DM_TRACE_EVENTS`` projects
+the ring's span trees.
 
 Cost model (the contract the overhead benchmark asserts):
 
@@ -98,7 +100,9 @@ class Span:
         """Counters aggregated over this span and all descendants."""
         aggregate: Dict[str, float] = {}
         for span, _ in self.walk():
-            for name, amount in span.counters.items():
+            # A copy: a running statement's spans may gain counters while
+            # another thread reads its row.
+            for name, amount in span.counters.copy().items():
                 aggregate[name] = aggregate.get(name, 0) + amount
         return aggregate
 
@@ -326,7 +330,7 @@ class Tracer:
 
     def complete(self, record, exc: Optional[BaseException] = None) -> None:
         """End ``record``'s life, once however many paths call this: stamp
-        status/error/duration/CPU, leave the live map, join the ring, and
+        status/error/duration/CPU, join the ring, leave the live map, and
         call ``on_statement``."""
         if record.status != "running":
             return
@@ -345,10 +349,12 @@ class Tracer:
         root = record.root
         root.duration_ms = (time.perf_counter() - root.started) * 1000.0
         record.duration_ms = root.duration_ms
-        if record.registry is not None:
-            record.registry.retire(record)
+        # Ring first: a reader between the two steps finds the record in
+        # both lists (statement readers list it once), never in neither.
         with self._lock:
             self._ring.append(record)
+        if record.registry is not None:
+            record.registry.retire(record)
         if self.on_statement is not None:
             self.on_statement(record)
 

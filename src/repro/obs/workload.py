@@ -1,18 +1,21 @@
-"""Live workload introspection: active statements, cancellation, resources.
+"""Live workload introspection: statement rows, cancellation, resources.
 
-``$SYSTEM.DM_QUERY_LOG`` answers "what ran"; this module answers "what is
-running *right now*, how far along is it, what is it costing, and how do I
-stop it" — about the same object.  A statement is one
-:class:`~repro.obs.trace.StatementRecord` from admission to completion;
-this module is what reads and writes its workload half:
+A statement is one :class:`~repro.obs.trace.StatementRecord` from
+admission to completion, and ``$SYSTEM.DM_QUERY_LOG`` lists it as one row
+— finished or, with ``STATUS`` ``running``, in flight: what it is, how far
+along it is, what it is costing.  This module holds that row and the
+workload half of the record:
 
+* :data:`STATEMENT_COLUMNS` — the one column list of a statement, each
+  column ``(name, type, read(record))``.  ``DM_QUERY_LOG`` is these
+  columns over :func:`statements`; :func:`statement_dict` is the same
+  values under lower-cased names, which the slow-query sink, the
+  ``/queries`` and ``/active`` routes and the Chrome trace carry.
 * :class:`WorkloadRegistry` — one per provider: the ``statement_id ->
   record`` map of live statements.  A record enters at admission and
-  leaves at completion (:meth:`Tracer.complete`), so an ``execute_stream``
-  statement stays visible in ``$SYSTEM.DM_ACTIVE_STATEMENTS`` and
-  reachable by ``CANCEL <id>`` until its stream ends.  The finished side
-  of ``$SYSTEM.DM_STATEMENT_RESOURCES`` is the tracer's ring — the same
-  records ``DM_QUERY_LOG`` lists.
+  leaves at completion (:meth:`Tracer.complete`, after it joined the
+  ring), so an ``execute_stream`` statement stays a ``running`` row and
+  reachable by ``CANCEL <id>`` until its stream ends.
 * :class:`CancelToken` — cooperative cancellation.  ``CANCEL <id>`` (or
   :meth:`Connection.cancel`) sets the token; the executing statement
   observes it at its next progress checkpoint — a batch boundary in the
@@ -40,10 +43,13 @@ from __future__ import annotations
 
 import threading
 import time
+from datetime import datetime
+from operator import attrgetter
 from typing import Any, Dict, List, Optional
 
 from repro.errors import CancelledError, Error
 from repro.obs.trace import StatementRecord, active_record
+from repro.sqlstore.types import BOOLEAN, DOUBLE, LONG, TEXT
 
 #: ``.session`` is the network session bound to this thread — a fact about
 #: the thread, not about any one statement.
@@ -143,7 +149,8 @@ class WorkloadRegistry:
             raise Error(
                 f"no active statement with id {statement_id} "
                 f"(active: {', '.join(map(str, active_ids)) or 'none'}); "
-                f"see SELECT * FROM $SYSTEM.DM_ACTIVE_STATEMENTS")
+                f"see SELECT * FROM $SYSTEM.DM_QUERY_LOG "
+                f"WHERE STATUS = 'running'")
         if session is not None and statement.session != session:
             owner = (f"session {statement.session}"
                      if statement.session is not None
@@ -190,52 +197,87 @@ class WorkloadRegistry:
 
 
 # ---------------------------------------------------------------------------
-# JSON-ready views of a record
+# One statement, one row: the columns every statement surface reads
 # ---------------------------------------------------------------------------
 
-def resource_dict(record) -> Optional[Dict[str, Any]]:
-    """The record's resource summary — the ``resources`` object of the
-    sink, ``/queries`` and the Chrome trace.  None for a statement
-    admitted with the registry disabled."""
-    if record.registry is None:
+def timestamp(seconds: Optional[float]) -> Optional[str]:
+    """A wall-clock instant as ISO 8601 local time with its UTC offset, to
+    the millisecond: every timestamp column and JSON field spells it so."""
+    if seconds is None:
         return None
-    return {
-        "statement_id": record.statement_id,
-        "phase": record.phase,
-        "status": record.status,
-        "cpu_ms": round(record.total_cpu_ms(), 3),
-        "pool_cpu_ms": round(record.pool_cpu_ms, 3),
-        "lock_wait_ms": round(record.lock_wait_ms, 3),
-        "lock_waits": record.lock_waits,
-        "rows_processed": record.rows_processed,
-        "peak_batch_rows": record.peak_batch_rows,
-        "batches": record.batches,
-        "partitions_done": record.partitions_done,
-        "partitions_total": record.partitions_total,
-        "pool_tasks": record.pool_tasks,
-        "cache_hits": record.cache_hits,
-        "cache_misses": record.cache_misses,
-    }
+    return datetime.fromtimestamp(seconds).astimezone().isoformat(
+        timespec="milliseconds")
 
 
-def active_dict(record) -> Dict[str, Any]:
-    """A live record's progress (the ``/active`` HTTP route)."""
-    return {
-        "statement_id": record.statement_id,
-        "statement": " ".join(record.text.split()),
-        "kind": record.kind,
-        "phase": record.phase,
-        "thread": record.thread,
-        "session": record.session,
-        "elapsed_ms": round(record.elapsed_ms(), 3),
-        "rows_processed": record.rows_processed,
-        "batches": record.batches,
-        "partitions_done": record.partitions_done,
-        "partitions_total": record.partitions_total,
-        "pool_tasks_in_flight": record.pool_tasks_in_flight,
-        "lock_wait_ms": round(record.lock_wait_ms, 3),
-        "cancel_requested": record.token.cancelled,
-    }
+def _counter(name: str):
+    return lambda record: int(record.totals().get(name, 0))
+
+
+def _accounted(read):
+    """A resource column: NULL for a record the workload layer never
+    accounted (admitted while the registry was disabled)."""
+    return lambda record: None if record.registry is None else read(record)
+
+
+#: ``(name, type, read(record))`` of every column of a statement, in
+#: ``$SYSTEM.DM_QUERY_LOG``'s order.  A running statement's DURATION_MS is
+#: the time elapsed so far.
+STATEMENT_COLUMNS = [
+    ("STATEMENT_ID", LONG, attrgetter("statement_id")),
+    ("STATEMENT", TEXT, lambda record: " ".join(record.text.split())),
+    ("KIND", TEXT, attrgetter("kind")),
+    ("STATUS", TEXT, attrgetter("status")),
+    ("ERROR", TEXT, attrgetter("error")),
+    ("STARTED_AT", TEXT, lambda record: timestamp(record.started_at)),
+    ("DURATION_MS", DOUBLE, lambda record: round(record.elapsed_ms(), 3)),
+    ("ROWS_SCANNED", LONG, _counter("rows_scanned")),
+    ("ROWS_OUT", LONG, _counter("rows_out")),
+    ("CASES", LONG, _counter("cases_bound")),
+    ("SPAN_COUNT", LONG, lambda record: record.root.span_count()),
+    ("THREAD", TEXT, attrgetter("thread")),
+    ("SESSION", LONG, attrgetter("session")),
+    ("FINGERPRINT", TEXT, attrgetter("fingerprint")),
+    ("PLAN_HASH", TEXT, attrgetter("plan_hash")),
+    ("PHASE", TEXT, _accounted(attrgetter("phase"))),
+    ("CPU_MS", DOUBLE,
+     _accounted(lambda record: round(record.total_cpu_ms(), 3))),
+    ("POOL_CPU_MS", DOUBLE,
+     _accounted(lambda record: round(record.pool_cpu_ms, 3))),
+    ("LOCK_WAIT_MS", DOUBLE,
+     _accounted(lambda record: round(record.lock_wait_ms, 3))),
+    ("LOCK_WAITS", LONG, _accounted(attrgetter("lock_waits"))),
+    ("ROWS_PROCESSED", LONG, _accounted(attrgetter("rows_processed"))),
+    ("PEAK_BATCH_ROWS", LONG, _accounted(attrgetter("peak_batch_rows"))),
+    ("BATCHES", LONG, _accounted(attrgetter("batches"))),
+    ("PARTITIONS_DONE", LONG, _accounted(attrgetter("partitions_done"))),
+    ("PARTITIONS_TOTAL", LONG, _accounted(attrgetter("partitions_total"))),
+    ("POOL_TASKS", LONG, _accounted(attrgetter("pool_tasks"))),
+    ("POOL_TASKS_IN_FLIGHT", LONG,
+     _accounted(attrgetter("pool_tasks_in_flight"))),
+    ("CACHE_HITS", LONG, _accounted(attrgetter("cache_hits"))),
+    ("CACHE_MISSES", LONG, _accounted(attrgetter("cache_misses"))),
+    ("CANCEL_REQUESTED", BOOLEAN,
+     _accounted(attrgetter("token.cancelled"))),
+]
+
+
+def statement_dict(record) -> Dict[str, Any]:
+    """The record's statement row as JSON: the lower-cased column names."""
+    return {name.lower(): read(record)
+            for name, _, read in STATEMENT_COLUMNS}
+
+
+def statements(provider) -> List[StatementRecord]:
+    """Every statement once: the finished ring, then the live statements.
+
+    The live map is read first.  A completing record joins the ring before
+    it leaves the live map, so one that completes between the two reads is
+    in both, and is listed once, with the live ones.
+    """
+    live = provider.workload.active()
+    ids = {record.statement_id for record in live}
+    return [record for record in provider.tracer.statements()
+            if record.statement_id not in ids] + live
 
 
 # ---------------------------------------------------------------------------
@@ -246,9 +288,8 @@ def set_session(session: Optional[int]) -> None:
     """Bind this thread to a network session id (None to unbind).
 
     The DMX server calls this once on each session thread; every statement
-    admitted on the thread then carries the session id into
-    ``DM_ACTIVE_STATEMENTS`` / ``DM_QUERY_LOG`` and is protected by the
-    cancel ownership check.
+    admitted on the thread then carries the session id into its
+    ``DM_QUERY_LOG`` row and is protected by the cancel ownership check.
     """
     _session.session = session
 

@@ -447,7 +447,7 @@ class DmxServer:
     def _handle_execute_stream(self, session: Session, frame: dict) -> None:
         """execute_stream: a columns frame, then batch frames, then end.
 
-        The statement stays live — in ``DM_ACTIVE_STATEMENTS``, within
+        The statement stays live — ``running`` in ``DM_QUERY_LOG``, within
         reach of ``Connection.cancel`` and of :meth:`close`'s drain —
         until its last batch is out, and the whole drain runs inside the
         gate.  Mid-stream errors (a cancel landing between batches, a lazy

@@ -538,7 +538,7 @@ class Database:
 
         The WHERE is bound here, before the first batch is pulled.  Each
         batch boundary is also a workload checkpoint: live progress (rows
-        processed) for ``DM_ACTIVE_STATEMENTS``, and the point where a
+        processed) for ``DM_QUERY_LOG``, and the point where a
         ``CANCEL`` lands mid-scan.
         """
         where = (compile_expression(statement.where, context)

@@ -188,11 +188,31 @@ def test_stream_api_matches_execute(streaming, statement):
 
 
 def test_every_view_of_a_statement_agrees(tmp_path):
-    """The whole grid, blocking then streamed, on one provider: the query
-    log, the resources view, the sink line and ``/queries`` are
-    projections of one record per statement, whichever way it ran."""
+    """The whole grid, blocking then streamed, on one provider, then a
+    stream held open after its first batch: ``DM_QUERY_LOG``, its
+    ``DM_STATEMENT_RESOURCES`` alias, the sink line and ``/queries`` give
+    one row per statement, with the same values, whichever way it ran and
+    whether it is still running."""
     conn = repro.connect(batch_size=TINY_BATCH, caseset_cache_capacity=0,
                          telemetry_path=str(tmp_path / "slow.jsonl"))
+    server = conn.provider.serve_metrics(port=0)
+
+    def by_id(rows):
+        rows = list(rows)
+        keyed = {row["statement_id"]: row for row in rows}
+        assert len(keyed) == len(rows)  # every statement once
+        return keyed
+
+    def log(name="DM_QUERY_LOG"):
+        rowset = conn.execute(f"SELECT * FROM $SYSTEM.{name}")
+        names = [column.name.lower() for column in rowset.columns]
+        return by_id(dict(zip(names, row)) for row in rowset.rows)
+
+    def queries():
+        with urllib.request.urlopen(server.url + "/queries?limit=1000",
+                                    timeout=5) as response:
+            return by_id(json.loads(response.read()))
+
     try:
         _load(conn)
         pairs = []
@@ -203,44 +223,55 @@ def test_every_view_of_a_statement_agrees(tmp_path):
                 pass
             pairs.append((blocking, conn.provider.tracer.last().statement_id))
         last_id = pairs[-1][1]
-
-        def grid(rows, key=lambda row: row[0]):
-            return {key(row): row for row in rows if key(row) <= last_id}
-
         stats = dict(conn.execute(
             "SELECT FINGERPRINT, CALLS FROM $SYSTEM.DM_STATEMENT_STATS").rows)
-        log = grid(conn.execute(
-            "SELECT STATEMENT_ID, KIND, STATUS, DURATION_MS, ROWS_SCANNED, "
-            "ROWS_OUT FROM $SYSTEM.DM_QUERY_LOG").rows)
-        resources = grid(conn.execute(
-            "SELECT STATEMENT_ID, KIND, STATUS, DURATION_MS, ROWS_PROCESSED "
-            "FROM $SYSTEM.DM_STATEMENT_RESOURCES").rows)
-        by_id = lambda record: record["statement_id"]  # noqa: E731
-        sink = grid(conn.provider.slow_sink.records(), by_id)
-        server = conn.provider.serve_metrics(port=0)
-        with urllib.request.urlopen(server.url + "/queries?limit=1000",
-                                    timeout=5) as response:
-            queries = grid(json.loads(response.read()), by_id)
+        logged, aliased = log(), log("DM_STATEMENT_RESOURCES")
+        sink = by_id(conn.provider.slow_sink.records())
+        served = queries()
+
+        batches = conn.execute_stream("SELECT * FROM Orders").batches()
+        next(batches)
+        (held,) = conn.provider.workload.active()
+        live, live_served = log(), queries()
+        for _ in batches:
+            pass
+        drained = log()
     finally:
         conn.close()
 
-    assert sorted(log) == sorted(resources) == sorted(sink) == \
-        sorted(queries) == list(range(1, last_id + 1))
-    for statement_id, (_, kind, status, duration, _, rows_out) in log.items():
-        assert resources[statement_id][1:4] == (kind, status, duration)
-        for line in (sink[statement_id], queries[statement_id]):
-            assert (line["kind"], line["status"], line["duration_ms"]) == \
-                (kind, status, duration)
-            assert line["counters"].get("rows_out", 0) == rows_out
-            assert line["resources"]["rows_processed"] == \
-                resources[statement_id][4]
+    grid = list(range(1, last_id + 1))
+    for view in (logged, aliased, sink, served):
+        assert [key for key in sorted(view) if key <= last_id] == grid
+    for statement_id in grid:
+        row = logged[statement_id]
+        assert aliased[statement_id] == row
+        for line in (sink[statement_id], served[statement_id]):
+            assert {key: line[key] for key in row} == row
+            assert line["counters"].get("rows_out", 0) == row["rows_out"]
     for blocking, streamed in pairs:
-        assert log[streamed][2] == log[blocking][2] == "ok"
-        assert log[streamed][4:] == log[blocking][4:]
-    carried = Counter(line["fingerprint"] for line in sink.values())
+        assert logged[streamed]["status"] == logged[blocking]["status"] \
+            == "ok"
+        for column in ("rows_scanned", "rows_out"):
+            assert logged[streamed][column] == logged[blocking][column]
+    carried = Counter(sink[key]["fingerprint"] for key in grid)
     assert set(carried) <= set(stats)
     for fingerprint, calls in stats.items():  # the stats query itself: 0
         assert calls == carried[fingerprint]
+
+    # Mid-stream, the held statement is a running row (beside the reader's
+    # own), the same in both views but for its clock; drained, it is one
+    # row, ``ok``.
+    row = live[held.statement_id]
+    assert {key for key, value in live.items()
+            if value["status"] == "running"} == \
+        {held.statement_id, held.statement_id + 1}
+    line = live_served[held.statement_id]
+    assert line["status"] == "running"
+    assert line["duration_ms"] >= row["duration_ms"] > 0
+    assert {key: line[key] for key in row if key != "duration_ms"} == \
+        {key: value for key, value in row.items() if key != "duration_ms"}
+    assert drained[held.statement_id]["status"] == "ok"
+    assert drained[held.statement_id]["rows_out"] == 180
 
 
 SPEND_RISK_DDL = ("CREATE MINING MODEL SpendRisk (cid LONG KEY, "
@@ -314,3 +345,62 @@ def test_rows_out_is_the_rows_returned(transport):
         conn.close()
     assert {key: log[key] for key in returned} == returned
     assert {key: stats[key] for key in by_fingerprint} == by_fingerprint
+
+
+#: One statement of each shape whose result is not a plan root's rows
+#: alone, or comes from outside the engine.
+RECEIVED_STATEMENTS = [
+    "EXPLAIN SELECT * FROM Customers",
+    "EXPLAIN ANALYZE SELECT * FROM Customers",
+    "SELECT * FROM $SYSTEM.MINING_MODELS",
+    "SELECT * FROM SpendRisk.CONTENT",
+    "SELECT * FROM SHAPE {SELECT cid, name FROM Customers ORDER BY cid} "
+    "APPEND ({SELECT cid, product FROM Orders ORDER BY cid} "
+    "RELATE cid TO cid) AS Bought",
+    SPEND_RISK_PREDICT,
+    "SELECT name FROM Customers WHERE age > 40",
+]
+
+
+@pytest.mark.parametrize("transport", ["embedded", "wire"])
+def test_rows_out_is_what_the_client_received(transport):
+    """``DM_QUERY_LOG.ROWS_OUT`` is the rows the client received — for
+    EXPLAIN the plan's rows, not none or the analyzed statement's — and
+    over the wire the session's ``ROWS_SENT`` grows by as many."""
+    from repro.client import connect as net_connect
+    from repro.server import DmxServer
+
+    conn = _make(TINY_BATCH)
+    conn.execute(SPEND_RISK_DDL)
+    conn.execute(SPEND_RISK_TRAIN)
+    tracer = conn.provider.tracer
+    received = {}
+
+    def run(execute, rows_sent=None):
+        for statement in RECEIVED_STATEMENTS:
+            before = rows_sent and rows_sent()
+            rows = len(execute(statement).rows)
+            received[tracer.last().statement_id] = rows
+            if rows_sent:
+                assert rows_sent() - before == rows, statement
+
+    def session_rows_sent():
+        (sent,), = conn.execute(
+            "SELECT ROWS_SENT FROM $SYSTEM.DM_SESSIONS").rows
+        return sent
+
+    try:
+        if transport == "wire":
+            with DmxServer(conn.provider, port=0) as server, \
+                    net_connect("127.0.0.1", server.port) as wire:
+                run(wire.execute, session_rows_sent)
+            assert server.thread_errors == []
+        else:
+            run(conn.execute)
+        log = dict(conn.execute(
+            "SELECT STATEMENT_ID, ROWS_OUT FROM $SYSTEM.DM_QUERY_LOG").rows)
+    finally:
+        conn.close()
+    assert len(received) == len(RECEIVED_STATEMENTS)
+    assert all(received.values())
+    assert {key: log[key] for key in received} == received

@@ -289,7 +289,7 @@ class TestCancelSurface:
         try:
             with pytest.raises(Error, match="no active statement"):
                 conn.execute("CANCEL 12345")
-            with pytest.raises(Error, match="DM_ACTIVE_STATEMENTS"):
+            with pytest.raises(Error, match="DM_QUERY_LOG WHERE STATUS"):
                 conn.cancel(54321)
         finally:
             conn.close()

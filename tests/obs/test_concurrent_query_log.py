@@ -2,10 +2,13 @@
 
 The ring is a bounded deque shared by every executing thread; eviction
 under pressure must never produce a snapshot with duplicated, reordered,
-or torn records.  These tests hammer one provider from many threads while
-a reader snapshots continuously.
+or torn records, and ``DM_QUERY_LOG`` — the ring plus the live statements
+— must list each statement once, however its completion interleaves.
+These tests hammer one provider from many threads while a reader
+snapshots continuously.
 """
 
+import sys
 import threading
 
 import pytest
@@ -79,6 +82,55 @@ class TestConcurrentRing:
         assert len(records) == THREADS * STATEMENTS_PER_THREAD
         ids = [record.statement_id for record in records]
         assert len(set(ids)) == len(ids)
+
+    def test_log_lists_every_statement_once_while_others_complete(
+            self, loaded):
+        """DM_QUERY_LOG is the ring plus the live statements: a snapshot
+        taken while statements complete on other threads lists each of
+        them once, and a statement listed once stays listed (the ring
+        holds them all) — none is lost between the live map and the
+        ring."""
+        from repro.core.schema_rowsets import system_rowset
+        loaded.provider.tracer.resize_ring(
+            THREADS * STATEMENTS_PER_THREAD + 10)
+        errors: list = []
+        stop = threading.Event()
+        snapshots: list = []
+
+        def snapshot():
+            rowset = system_rowset(loaded.provider, "DM_QUERY_LOG")
+            snapshots.append([row[0] for row in rowset.rows])
+
+        def reader():
+            while not stop.is_set():
+                snapshot()
+
+        workers = [threading.Thread(target=_hammer, args=(loaded, errors))
+                   for _ in range(THREADS)]
+        observer = threading.Thread(target=reader)
+        switching = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave completions finely
+        try:
+            observer.start()
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(60.0)
+            stop.set()
+            observer.join(60.0)
+        finally:
+            sys.setswitchinterval(switching)
+        assert not any(thread.is_alive() for thread in workers + [observer])
+        snapshot()  # after every statement completed
+
+        assert not errors
+        assert len(snapshots) > 2
+        listed: set = set()
+        for ids in snapshots:
+            assert len(ids) == len(set(ids))
+            assert listed <= set(ids)
+            listed = set(ids)
+        assert len(listed) == 2 + THREADS * STATEMENTS_PER_THREAD
 
     def test_thread_names_are_recorded(self, loaded):
         loaded.provider.tracer.resize_ring(64)

@@ -8,6 +8,7 @@ substrings, so a malformed rendering fails loudly.
 
 import json
 import re
+from datetime import datetime
 
 import pytest
 
@@ -199,14 +200,25 @@ class TestSlowQuerySink:
         sink = SlowQuerySink(str(tmp_path / "slow.jsonl"))
         assert sink.maybe_write(_record(tracer))
         record = sink.records()[0]
+        # DM_QUERY_LOG's columns, lower-cased, plus the counter totals.
         assert sorted(record) == [
-            "counters", "duration_ms", "error", "kind", "span_count",
-            "started_at", "statement", "statement_id", "status", "thread",
+            "batches", "cache_hits", "cache_misses", "cancel_requested",
+            "cases", "counters", "cpu_ms", "duration_ms", "error",
+            "fingerprint", "kind", "lock_wait_ms", "lock_waits",
+            "partitions_done", "partitions_total", "peak_batch_rows",
+            "phase", "plan_hash", "pool_cpu_ms", "pool_tasks",
+            "pool_tasks_in_flight", "rows_out", "rows_processed",
+            "rows_scanned", "session", "span_count", "started_at",
+            "statement", "statement_id", "status", "thread",
         ]
         assert record["kind"] == "SELECT"
         assert record["status"] == "ok"
         assert record["thread"]
-        assert record["started_at"].endswith("+00:00")
+        # Local time with its UTC offset, to the millisecond.
+        started = datetime.fromisoformat(record["started_at"])
+        assert started.utcoffset() is not None
+        assert re.search(r"T\d\d:\d\d:\d\d\.\d{3}[+-]\d\d:\d\d$",
+                         record["started_at"])
 
     def test_span_tree_included_only_when_captured(self, tmp_path):
         tracer = Tracer()

@@ -316,6 +316,15 @@ def test_rowsets_are_queryable_and_joinable():
         history_hashes = {row[hist_names.index("PLAN_HASH")]
                           for row in history.rows}
         assert hashes <= history_hashes
+        # A query-log row joins its shape's aggregate on FINGERPRINT.
+        joined = conn.execute(
+            "SELECT s.CALLS, q.PLAN_HASH, s.PLAN_HASH "
+            "FROM $SYSTEM.DM_QUERY_LOG AS q JOIN $SYSTEM.DM_STATEMENT_STATS "
+            "AS s ON q.FINGERPRINT = s.FINGERPRINT "
+            f"WHERE q.STATEMENT = '{QUERY}'").rows
+        assert len(joined) == 1
+        calls, logged_hash, active_hash = joined[0]
+        assert calls == 1 and logged_hash == active_hash is not None
     finally:
         conn.close()
 

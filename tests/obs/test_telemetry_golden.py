@@ -16,11 +16,12 @@ through the grid — sixteen runs.  Attribution and completion may get
 cheaper; what they record may not move.  The file is keyed by the axes each
 rowset is *allowed* to depend on, which is a pin of its own: the metrics
 know the transport (``server.*``) and the reset, never the repository or
-span capture; the query log knows the transport (thread, session) and span
-capture (``SPAN_COUNT``); the statement aggregates know nothing but whether
-the repository collects them.  (After a reset the registry keeps its
-names, zeroed, where it used to forget them: there the pin holds every
-non-zero cell and that nothing the file names is missing.)
+span capture; the query log knows the transport (thread, session), span
+capture (``SPAN_COUNT``) and whether the repository attributes statements
+(``FINGERPRINT``, ``PLAN_HASH``); the statement aggregates know nothing
+but whether the repository collects them.  (After a reset the registry
+keeps its names, zeroed, where it used to forget them: there the pin holds
+every non-zero cell and that nothing the file names is missing.)
 
 Regenerate (only when a recorded value is *meant* to change) with
 ``PYTHONPATH=src:. python tests/obs/test_telemetry_golden.py``.
@@ -48,7 +49,8 @@ VARIANTS = list(itertools.product(("embedded", "wire"), (True, False),
                                   (False, True), (False, True)))
 
 CLOCK_COLUMNS = {
-    "DM_QUERY_LOG": {"STARTED_AT", "DURATION_MS"},
+    "DM_QUERY_LOG": {"STARTED_AT", "DURATION_MS", "CPU_MS", "POOL_CPU_MS",
+                     "LOCK_WAIT_MS"},
     "DM_STATEMENT_STATS": {"TOTAL_MS", "MEAN_MS", "MIN_MS", "MAX_MS",
                            "P50_MS", "P95_MS", "P99_MS", "CPU_MS",
                            "FIRST_AT", "LAST_AT"},
@@ -57,8 +59,12 @@ CLOCK_COLUMNS = {
 
 def label(variant) -> str:
     transport, repository, tracing, reset = variant
-    return (f"{transport}, repository {'on' if repository else 'off'}, "
+    return (f"{transport}, {_repository(repository)}, "
             f"{_capture(tracing)}{_reset(reset)}")
+
+
+def _repository(repository) -> str:
+    return f"repository {'on' if repository else 'off'}"
 
 
 def _capture(tracing) -> str:
@@ -74,8 +80,9 @@ def golden_keys(variant) -> dict:
     transport, repository, tracing, reset = variant
     return {
         "metrics": f"{transport}{_reset(reset)}",
-        "query_log": f"{transport}, {_capture(tracing)}",
-        "statement_stats": f"repository {'on' if repository else 'off'}",
+        "query_log": f"{transport}, {_repository(repository)}, "
+                     f"{_capture(tracing)}",
+        "statement_stats": _repository(repository),
     }
 
 
@@ -212,7 +219,8 @@ def test_telemetry_after_the_grid_matches_golden(golden, variant):
 def test_every_statement_completes_exactly_once(golden):
     """The grid, then the four failures: one ``DM_QUERY_LOG`` row each,
     in completion order, with the status it ended in."""
-    header, *rows = golden["query_log"]["embedded, capture off"]
+    header, *rows = golden["query_log"][
+        "embedded, repository on, capture off"]
     statuses = [row[header.index("STATUS")] for row in rows]
     # _load's seven statements, the grid, the failures.
     assert len(rows) == 7 + len(STATEMENTS) + 4

@@ -30,6 +30,23 @@ DM_QUERY_LOG_SCHEMA = [
     ("SPAN_COUNT", "LONG"),
     ("THREAD", "TEXT"),
     ("SESSION", "LONG"),
+    ("FINGERPRINT", "TEXT"),
+    ("PLAN_HASH", "TEXT"),
+    ("PHASE", "TEXT"),
+    ("CPU_MS", "DOUBLE"),
+    ("POOL_CPU_MS", "DOUBLE"),
+    ("LOCK_WAIT_MS", "DOUBLE"),
+    ("LOCK_WAITS", "LONG"),
+    ("ROWS_PROCESSED", "LONG"),
+    ("PEAK_BATCH_ROWS", "LONG"),
+    ("BATCHES", "LONG"),
+    ("PARTITIONS_DONE", "LONG"),
+    ("PARTITIONS_TOTAL", "LONG"),
+    ("POOL_TASKS", "LONG"),
+    ("POOL_TASKS_IN_FLIGHT", "LONG"),
+    ("CACHE_HITS", "LONG"),
+    ("CACHE_MISSES", "LONG"),
+    ("CANCEL_REQUESTED", "BOOLEAN"),
 ]
 
 DM_TRACE_EVENTS_SCHEMA = [
@@ -55,42 +72,6 @@ DM_PROVIDER_METRICS_SCHEMA = [
     ("P50", "DOUBLE"),
     ("P95", "DOUBLE"),
     ("P99", "DOUBLE"),
-]
-
-DM_ACTIVE_STATEMENTS_SCHEMA = [
-    ("STATEMENT_ID", "LONG"),
-    ("STATEMENT", "TEXT"),
-    ("KIND", "TEXT"),
-    ("PHASE", "TEXT"),
-    ("STARTED_AT", "TEXT"),
-    ("ELAPSED_MS", "DOUBLE"),
-    ("ROWS_PROCESSED", "LONG"),
-    ("BATCHES", "LONG"),
-    ("PARTITIONS_DONE", "LONG"),
-    ("PARTITIONS_TOTAL", "LONG"),
-    ("POOL_TASKS_IN_FLIGHT", "LONG"),
-    ("LOCK_WAIT_MS", "DOUBLE"),
-    ("THREAD", "TEXT"),
-    ("SESSION", "LONG"),
-    ("CANCEL_REQUESTED", "BOOLEAN"),
-]
-
-DM_STATEMENT_RESOURCES_SCHEMA = [
-    ("STATEMENT_ID", "LONG"),
-    ("STATEMENT", "TEXT"),
-    ("KIND", "TEXT"),
-    ("STATUS", "TEXT"),
-    ("DURATION_MS", "DOUBLE"),
-    ("CPU_MS", "DOUBLE"),
-    ("POOL_CPU_MS", "DOUBLE"),
-    ("LOCK_WAIT_MS", "DOUBLE"),
-    ("LOCK_WAITS", "LONG"),
-    ("ROWS_PROCESSED", "LONG"),
-    ("PEAK_BATCH_ROWS", "LONG"),
-    ("BATCHES", "LONG"),
-    ("POOL_TASKS", "LONG"),
-    ("CACHE_HITS", "LONG"),
-    ("CACHE_MISSES", "LONG"),
 ]
 
 DM_LOCK_WAITS_SCHEMA = [
@@ -254,8 +235,10 @@ def _schema(conn, rowset_name):
     ("DM_QUERY_LOG", DM_QUERY_LOG_SCHEMA),
     ("DM_TRACE_EVENTS", DM_TRACE_EVENTS_SCHEMA),
     ("DM_PROVIDER_METRICS", DM_PROVIDER_METRICS_SCHEMA),
-    ("DM_ACTIVE_STATEMENTS", DM_ACTIVE_STATEMENTS_SCHEMA),
-    ("DM_STATEMENT_RESOURCES", DM_STATEMENT_RESOURCES_SCHEMA),
+    # Aliases of DM_QUERY_LOG (its running rows; all of it), for one
+    # release.
+    ("DM_ACTIVE_STATEMENTS", DM_QUERY_LOG_SCHEMA),
+    ("DM_STATEMENT_RESOURCES", DM_QUERY_LOG_SCHEMA),
     ("DM_LOCK_WAITS", DM_LOCK_WAITS_SCHEMA),
     ("DM_SESSIONS", DM_SESSIONS_SCHEMA),
     ("DM_BUFFER_POOL", DM_BUFFER_POOL_SCHEMA),

@@ -145,11 +145,12 @@ class TestStatementResourcesRowset:
         assert batches >= 1
 
     def test_resources_reconcile_with_the_query_log(self, trained):
-        # Read the log first: the resources view also lists the statement
-        # executing it (live, duration still None), which the earlier log
-        # snapshot by definition does not contain.
+        # The finished rows only: the statement reading the log is running
+        # in it, and has finished (with its whole duration) by the time
+        # the resources view is read.
         log = trained.execute("SELECT STATEMENT_ID, DURATION_MS FROM "
-                              "$SYSTEM.DM_QUERY_LOG").rows
+                              "$SYSTEM.DM_QUERY_LOG "
+                              "WHERE STATUS <> 'running'").rows
         resources = {row[0]: row for row in trained.execute(
             "SELECT STATEMENT_ID, DURATION_MS, CPU_MS, LOCK_WAIT_MS FROM "
             "$SYSTEM.DM_STATEMENT_RESOURCES").rows}
@@ -184,13 +185,13 @@ class TestStatementResourcesRowset:
             records = conn.provider.slow_sink.records()
             assert records
             select = [r for r in records if r["kind"] == "SELECT"][-1]
-            assert "resources" in select
+            assert {"cpu_ms", "rows_processed"} <= set(select)
             rowset = {row[0]: row for row in conn.execute(
                 "SELECT STATEMENT_ID, CPU_MS, ROWS_PROCESSED FROM "
-                "$SYSTEM.DM_STATEMENT_RESOURCES").rows}
+                "$SYSTEM.DM_QUERY_LOG").rows}
             pinned = rowset[select["statement_id"]]
-            assert select["resources"]["cpu_ms"] == pinned[1]
-            assert select["resources"]["rows_processed"] == pinned[2]
+            assert select["cpu_ms"] == pinned[1]
+            assert select["rows_processed"] == pinned[2]
         finally:
             conn.close()
 
@@ -274,7 +275,7 @@ class TestChromeTraceExport:
         assert any(event["args"]["kind"] == "TRAIN" for event in roots)
         for event in roots:
             assert event["dur"] > 0
-            assert event["args"]["resources"]["cpu_ms"] >= 0.0
+            assert event["args"]["cpu_ms"] >= 0.0
 
     def test_span_offsets_stay_inside_the_statement(self, trained):
         events = chrome_trace_events(trained.provider)
@@ -503,12 +504,38 @@ class TestStreamedStatementLifetime:
         log, resources = projections()
         assert len(log) == 4
         assert resources == log
-        # ...so a join on STATEMENT_ID keeps every log row (the joining
-        # statement itself is live: in the resources view, not yet logged).
+        # ...so a join on STATEMENT_ID keeps every log row, and the joining
+        # statement itself, running in both.
         joined = conn.execute(
-            "SELECT l.STATEMENT_ID FROM $SYSTEM.DM_QUERY_LOG AS l JOIN "
-            "$SYSTEM.DM_STATEMENT_RESOURCES AS r "
+            "SELECT l.STATEMENT_ID, l.STATUS FROM $SYSTEM.DM_QUERY_LOG AS l "
+            "JOIN $SYSTEM.DM_STATEMENT_RESOURCES AS r "
             "ON l.STATEMENT_ID = r.STATEMENT_ID").rows
-        assert [row[0] for row in joined] == [row[0] for row in log]
+        assert joined == [(row[0], row[2]) for row in log] + \
+            [(log[-1][0] + 1, "running")]
         conn.provider.tracer.clear()
         assert projections() == [[], []]
+
+    def test_a_completing_statement_is_listed_while_it_retires(
+            self, scanned, monkeypatch):
+        """Completion puts the record in the ring before it leaves the
+        live map, so a read between the two steps still finds it."""
+        from repro.core.schema_rowsets import system_rowset
+        conn = scanned
+        workload = conn.provider.workload
+        retire = workload.retire
+        seen = []
+
+        def retire_and_read(record):
+            retire(record)
+            for name in ("DM_QUERY_LOG", "DM_STATEMENT_RESOURCES"):
+                seen.append((record.statement_id, [
+                    row[0] for row in system_rowset(conn.provider,
+                                                    name).rows]))
+
+        monkeypatch.setattr(workload, "retire", retire_and_read)
+        conn.execute("INSERT INTO T VALUES (-1, 0.0)")
+        for _ in conn.execute_stream(Q, batch_size=1000).batches():
+            pass
+        assert len(seen) == 4
+        for statement_id, listed in seen:
+            assert listed.count(statement_id) == 1
