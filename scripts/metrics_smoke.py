@@ -3,9 +3,9 @@
 Starts ``python -m repro --metrics-port 0`` (the real CLI path) with its
 stdin held open so the REPL — and with it the telemetry server — stays
 alive, reads the announced endpoint URL, runs a few statements through
-the REPL, then fetches ``/metrics``, ``/healthz``, ``/queries``,
-``/active``, and ``/statements`` over real HTTP.  The exposition is validated with the same strict text-format
-parser the test suite uses.
+the REPL, then fetches ``/metrics``, ``/healthz``, ``/queries`` and
+``/statements`` over real HTTP.  The exposition is validated with the
+same strict text-format parser the test suite uses.
 
 Exit code 0 on success; raises (non-zero exit) on any failure.
 
@@ -85,12 +85,6 @@ def main() -> int:
         records = json.loads(body)
         assert len(records) == 2 and records[-1]["status"] == "ok"
 
-        # /active serves the live view; the REPL is idle between commands,
-        # so the shape (a JSON list) is the contract being smoked.
-        status, body = fetch(url + "/active")
-        assert status == 200, f"/active returned {status}"
-        assert isinstance(json.loads(body), list), "/active is not a list"
-
         # /statements serves the workload repository: the REPL statements
         # above must already have aggregated under their fingerprints.
         status, body = fetch(url + "/statements")
@@ -104,7 +98,7 @@ def main() -> int:
         assert "plan_changes" in workload
 
         print(f"metrics smoke OK: {len(families)} metric families, "
-              f"{total:g} statements recorded, healthz ok, active ok, "
+              f"{total:g} statements recorded, healthz ok, "
               f"{len(stats)} statement fingerprints")
         return 0
     finally:

@@ -337,15 +337,14 @@ class AttributeSpace:
     def fit(self, cases: List[MappedCase]) -> None:
         """Build the attribute dictionary and marginals from training cases."""
         self.fit_schema(cases)
-        self.marginals = self.partial_marginals(self.encode_many(cases))
+        self.marginals_from_observations(self.encode_many(cases))
 
     def fit_schema(self, cases: Sequence[MappedCase]) -> None:
         """The dictionary pass only: attributes, relations, discretizers.
 
         After this the space can :meth:`encode` cases, but marginals are
-        unfitted — partitioned training computes them per partition with
-        :meth:`partial_marginals` and folds them back in order through
-        :meth:`merge_marginal_partials`.
+        unfitted — :meth:`marginals_from_observations` fits them from the
+        encoded caseset.
 
         The pass reads columns, never a case's dicts: per run of the
         caseset (:func:`~repro.core.bindings.column_runs`) one
@@ -502,17 +501,12 @@ class AttributeSpace:
 
     def marginals_from_observations(
             self, observations: List[Observation]) -> None:
-        """Fit marginals from already-encoded observations (the serial
-        single-encode path: encode once, feed both marginals and the
-        algorithm)."""
-        self.marginals = self.partial_marginals(observations)
-
-    def partial_marginals(self, observations) -> List[Any]:
-        """Per-attribute marginal statistics of one observation partition."""
-        partials = [CategoricalDistribution() if attribute.is_categorical
-                    else GaussianStats() for attribute in self.attributes]
-        self._count_marginals(partials, observations)
-        return partials
+        """Fit marginals from already-encoded observations (encode once,
+        feed both marginals and the algorithm)."""
+        marginals = [CategoricalDistribution() if attribute.is_categorical
+                     else GaussianStats() for attribute in self.attributes]
+        self._count_marginals(marginals, observations)
+        self.marginals = marginals
 
     def _count_marginals(self, marginals, observations) -> None:
         """``marginal.add(value, effective weight)`` per case and
@@ -526,17 +520,6 @@ class AttributeSpace:
                                    attribute.state_key)
             else:
                 marginal.add_many(values.tolist(), weights.tolist())
-
-    def merge_marginal_partials(self, partial_lists) -> None:
-        """Install marginals by merging partition partials in order."""
-        merged = None
-        for partials in partial_lists:
-            if merged is None:
-                merged = partials
-                continue
-            for mine, other in zip(merged, partials):
-                mine.merge(other)
-        self.marginals = merged if merged is not None else []
 
     def _add(self, attribute: Attribute) -> None:
         self.attributes.append(attribute)

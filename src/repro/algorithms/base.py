@@ -145,12 +145,6 @@ class MiningAlgorithm(abc.ABC):
     PREDICTS_CONTINUOUS: bool = True
     SUPPORTS_NESTED_TABLES: bool = True
     SUPPORTS_INCREMENTAL: bool = False
-    #: True only when the service implements a *sound* :meth:`merge` — one
-    #: where training per-partition replicas and merging is observationally
-    #: identical to one serial pass.  Services without a sound merge keep
-    #: the default and the provider silently runs their training serially
-    #: (recorded as ``pool.serial_fallbacks.algorithm``).
-    PARALLELIZABLE: bool = False
     SUPPORTED_PARAMETERS: Dict[str, Any] = {}
 
     #: Prediction tables: whatever a service precomputes from its trained
@@ -210,29 +204,6 @@ class MiningAlgorithm(abc.ABC):
         raise CapabilityError(
             f"{self.SERVICE_NAME} does not support incremental "
             f"maintenance; retrain with the full caseset")
-
-    def can_parallelize(self, space: AttributeSpace) -> bool:
-        """May this *particular* space be trained in partitions?
-
-        Called after the dictionary pass, before partitioning.  Subclasses
-        may veto spaces whose statistics do not merge exactly (e.g. naive
-        Bayes refuses continuous attributes because parallel Gaussian
-        merges are not bit-identical to the serial update order).
-        """
-        return self.PARALLELIZABLE
-
-    def merge(self, others: List["MiningAlgorithm"]) -> None:
-        """Fold per-partition replicas (trained on disjoint contiguous
-        partitions of the caseset, in order) into ``self``.
-
-        The contract: after merging, every queryable surface — content
-        rowsets, predictions, statistics — must be identical to a single
-        serial :meth:`train` over the concatenated partitions.  Services
-        that cannot honor that keep ``PARALLELIZABLE = False`` and this
-        default.
-        """
-        raise CapabilityError(
-            f"{self.SERVICE_NAME} does not support partitioned training")
 
     def note_pass(self, **counters: float) -> None:
         """Record one training pass on the active trace.
@@ -411,5 +382,5 @@ class MiningAlgorithm(abc.ABC):
             "PREDICTS_CONTINUOUS": self.PREDICTS_CONTINUOUS,
             "SUPPORTS_NESTED_TABLES": self.SUPPORTS_NESTED_TABLES,
             "SUPPORTS_INCREMENTAL": self.SUPPORTS_INCREMENTAL,
-            "SUPPORTS_PARALLEL_TRAINING": self.PARALLELIZABLE,
+            "SUPPORTS_PARALLEL_TRAINING": False,
         }

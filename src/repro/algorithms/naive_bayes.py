@@ -75,8 +75,6 @@ class NaiveBayesAlgorithm(MiningAlgorithm):
     PREDICTS_CONTINUOUS = False
     SUPPORTS_INCREMENTAL = True  # counts are additive (section 2's
     # "support for incremental model maintenance" capability)
-    PARALLELIZABLE = True  # same additivity makes partition merges sound;
-    # can_parallelize() narrows this to spaces where they are also *exact*
     SUPPORTED_PARAMETERS = {
         "SMOOTHING": 1.0,          # Laplace pseudo-count
         "MINIMUM_DEPENDENCY_PROBABILITY": 0.0,
@@ -187,57 +185,6 @@ class NaiveBayesAlgorithm(MiningAlgorithm):
                     groups[continuous].tolist(), values[continuous].tolist(),
                     weights[continuous].tolist()):
                 gaussians[group].add(value, weight)
-
-    def can_parallelize(self, space: AttributeSpace) -> bool:
-        """Partition only when the merged model is bit-identical to serial.
-
-        Two conditions guarantee that: every attribute is categorical (a
-        partitioned Gaussian merge is algebraically right but not
-        bit-identical to the serial update order), and no qualifier columns
-        (SUPPORT/PROBABILITY weights may be fractional, and summing a
-        partition's subtotal is not the same float as summing case by
-        case).  With both, every statistic is a sum of 1.0s — exact in
-        floats — and dict insertion order equals first-encounter order over
-        the concatenated partitions, so content rowsets match byte for
-        byte.
-        """
-        if any(not attribute.is_categorical for attribute in space.attributes):
-            return False
-        def has_qualifier(columns):
-            from repro.core.columns import ContentRole
-            return any(
-                column.role is ContentRole.QUALIFIER
-                or (column.nested_columns
-                    and has_qualifier(column.nested_columns))
-                for column in columns)
-        return not has_qualifier(space.definition.columns)
-
-    def merge(self, others: List["NaiveBayesAlgorithm"]) -> None:
-        """Fold per-partition replicas, preserving first-encounter order.
-
-        Partitions are contiguous and arrive in caseset order, and dict
-        merges append unseen keys in the other dict's insertion order — so
-        the merged priors/conditionals iterate exactly as a serial scan of
-        the whole caseset would.
-        """
-        self.require_trained()
-        self.drop_tables()
-        for replica in others:
-            for target_index, model in self.models.items():
-                other = replica.models[target_index]
-                model.prior.merge(other.prior)
-                for key, distribution in other.categorical.items():
-                    mine = model.categorical.get(key)
-                    if mine is None:
-                        model.categorical[key] = distribution.copy()
-                    else:
-                        mine.merge(distribution)
-                for key, stats in other.gaussian.items():
-                    mine = model.gaussian.get(key)
-                    if mine is None:
-                        model.gaussian[key] = stats.copy()
-                    else:
-                        mine.merge(stats)
 
     def _log_conditionals(self, model: _TargetModel, attribute: Attribute,
                           states: List[float], value: float) -> List[float]:

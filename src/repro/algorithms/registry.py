@@ -33,17 +33,11 @@ def register_algorithm(cls: Type[MiningAlgorithm],
     """Register a mining service class (usable as a decorator).
 
     Raises :class:`SchemaError` if a name is already taken, unless
-    ``replace=True``, and for a half-declared capability: PARALLELIZABLE
-    without ``merge``, or one of ``state`` / ``load_state`` without the
-    other.
+    ``replace=True``, and for a half-declared capability: one of
+    ``state`` / ``load_state`` without the other.
     """
     if not cls.SERVICE_NAME:
         raise SchemaError(f"{cls.__name__} must define SERVICE_NAME")
-    if cls.PARALLELIZABLE and cls.merge is MiningAlgorithm.merge:
-        raise SchemaError(
-            f"{cls.SERVICE_NAME} declares PARALLELIZABLE but does not "
-            f"override merge(); a service without a sound partition merge "
-            f"must keep PARALLELIZABLE = False")
     if (cls.state is MiningAlgorithm.state) != \
             (cls.load_state is MiningAlgorithm.load_state):
         raise SchemaError(

@@ -34,11 +34,6 @@ class CategoricalDistribution:
         count_into({0: self}, np.zeros(len(codes), dtype=np.intp), codes,
                    weights, lambda group, code: key(code))
 
-    def merge(self, other: "CategoricalDistribution") -> None:
-        for value, weight in other.counts.items():
-            self.counts[value] = self.counts.get(value, 0.0) + weight
-        self.total += other.total
-
     def probability(self, value: Any, smoothing: float = 0.0,
                     cardinality: int = 0) -> float:
         """P(value), optionally Laplace-smoothed over ``cardinality`` states."""
@@ -71,12 +66,6 @@ class CategoricalDistribution:
 
     def __len__(self) -> int:
         return len(self.counts)
-
-    def copy(self) -> "CategoricalDistribution":
-        clone = CategoricalDistribution()
-        clone.counts = dict(self.counts)
-        clone.total = self.total
-        return clone
 
     def to_json(self) -> dict:
         return {"type": "categorical",
@@ -164,39 +153,6 @@ class GaussianStats:
         coefficient = 1.0 / math.sqrt(2.0 * math.pi * variance)
         exponent = -((float(value) - self.mean) ** 2) / (2.0 * variance)
         return coefficient * math.exp(exponent)
-
-    def merge(self, other: "GaussianStats") -> None:
-        """Fold another partition's stats in (Chan et al.'s parallel update).
-
-        Algebraically equivalent to replaying the other partition's
-        observations, but floating-point round-off may differ from the
-        serial order — which is exactly why continuous attributes disable
-        partitioned training when bit-identical output is required.
-        """
-        if other.sum_weight <= 0:
-            return
-        if self.sum_weight <= 0:
-            self.sum_weight = other.sum_weight
-            self.mean = other.mean
-            self._m2 = other._m2
-            self.minimum = other.minimum
-            self.maximum = other.maximum
-            return
-        combined = self.sum_weight + other.sum_weight
-        delta = other.mean - self.mean
-        self._m2 += other._m2 + (delta * delta) * (
-            self.sum_weight * other.sum_weight / combined)
-        self.mean += delta * (other.sum_weight / combined)
-        self.sum_weight = combined
-        if other.minimum is not None and (self.minimum is None
-                                          or other.minimum < self.minimum):
-            self.minimum = other.minimum
-        if other.maximum is not None and (self.maximum is None
-                                          or other.maximum > self.maximum):
-            self.maximum = other.maximum
-
-    def copy(self) -> "GaussianStats":
-        return GaussianStats.from_json(self.to_json())
 
     def to_json(self) -> dict:
         return {"type": "gaussian", "sum_weight": self.sum_weight,

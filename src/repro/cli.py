@@ -244,8 +244,9 @@ def main(argv: Optional[list] = None) -> int:
                              "acknowledged statements survive process death")
     parser.add_argument("--metrics-port", type=int, metavar="N",
                         default=None,
-                        help="serve /metrics, /healthz, /queries, and "
-                             "/active over HTTP on port N (0 = ephemeral)")
+                        help="serve /metrics, /healthz, /queries and "
+                             "/statements over HTTP on port N (0 = "
+                             "ephemeral)")
     parser.add_argument("--serve", type=int, metavar="PORT", default=None,
                         help="serve the provider over the DMX wire protocol "
                              "on PORT (0 = ephemeral; the bound port is "
@@ -262,7 +263,7 @@ def main(argv: Optional[list] = None) -> int:
     if args.metrics_port is not None:
         server = connection.provider.serve_metrics(port=args.metrics_port)
         sys.stdout.write(f"Telemetry endpoint at {server.url} "
-                         f"(/metrics, /healthz, /queries, /active)\n")
+                         f"(/metrics, /healthz, /queries, /statements)\n")
     if args.durable:
         info = connection.provider.recovery_info or {}
         sys.stdout.write(

@@ -107,7 +107,7 @@ class MiningModel:
             self.insert_count -= 1
             raise
         finally:
-            # Absorbed, refit (serially or over partitions) or rolled back:
+            # Absorbed, refit or rolled back:
             # whatever was derived before or during this call is stale.
             self._invalidate_derived()
         return len(cases)

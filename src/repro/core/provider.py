@@ -112,10 +112,11 @@ class Provider:
     ``batch_size`` sets the granularity of the streaming pipeline (rows per
     batch exchanged between operators); ``caseset_cache_capacity`` sizes
     the LRU cache of bound casesets (0 disables it).
-    ``max_workers`` caps the shared worker pool used by partitioned
-    training and parallel PREDICTION JOIN (1 = always serial), and
-    ``pool_mode`` picks its transport (``auto``/``serial``/``thread``/
-    ``process``); a statement's ``WITH MAXDOP n`` can only lower the cap.
+    ``max_workers`` caps the shared worker pool used by the parallel
+    PREDICTION JOIN (1 = always serial), and ``pool_mode`` picks its
+    transport (``auto``/``serial``/``thread``/``process``); a statement's
+    ``WITH MAXDOP n`` can only lower the cap.  A model INSERT trains in
+    one pass on any pool and accepts ``WITH MAXDOP`` without using it.
 
     ``durable_path`` attaches a crash-safe store (:mod:`repro.store`): the
     directory's snapshot + journal are replayed into this provider at
@@ -606,8 +607,8 @@ class Provider:
     def _execute_cancel(self, statement: ast.CancelStatement) -> str:
         """CANCEL <id> — request cooperative cancellation of a live statement.
 
-        Returns immediately; the target unwinds at its next batch,
-        partition, or training-iteration checkpoint and lands in
+        Returns immediately; the target unwinds at its next batch, pool
+        task, or training-iteration checkpoint and lands in
         ``DM_QUERY_LOG`` with status ``cancelled``.  When the CANCEL verb
         itself arrives over the wire, the request is scoped to the issuing
         session — a session can only cancel its own statements.

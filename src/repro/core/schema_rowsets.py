@@ -17,9 +17,7 @@ Queryable as ``SELECT * FROM $SYSTEM.<rowset>``:
   telemetry (one row per statement, finished or running, with what it
   cost; span trees; metric snapshot), applying the schema-rowset idea to
   the provider's runtime behaviour.  DM_QUERY_LOG's running rows give the
-  ids the ``CANCEL <id>`` verb takes.  DM_ACTIVE_STATEMENTS (its running
-  rows) and DM_STATEMENT_RESOURCES (all of it) are aliases kept for one
-  release;
+  ids the ``CANCEL <id>`` verb takes;
 * DM_LOCK_WAITS — where locks blocked;
 * DM_SESSIONS — the network sessions connected through the DMX server
   (:mod:`repro.server`): one row per live or recently-closed session with
@@ -128,7 +126,7 @@ def mining_services_rowset(provider=None) -> Rowset:
                      service.PREDICTS_CONTINUOUS,
                      service.SUPPORTS_NESTED_TABLES,
                      service.SUPPORTS_INCREMENTAL,
-                     service.PARALLELIZABLE,
+                     False,  # no service trains in partitions
                      ", ".join(service.ALIASES)))
     return Rowset(columns, rows)
 
@@ -261,20 +259,15 @@ def _format_pairs(pairs) -> Optional[str]:
                      for name, value in sorted(pairs.items()))
 
 
-def dm_query_log_rowset(provider, running_only: bool = False) -> Rowset:
+def dm_query_log_rowset(provider) -> Rowset:
     """``$SYSTEM.DM_QUERY_LOG``: one row per statement, in the columns of
     :data:`~repro.obs.workload.STATEMENT_COLUMNS` — the finished ring,
     then the live statements (``STATUS`` ``running``; a statement reading
-    the log sees itself so).  ``running_only`` keeps the live rows: the
-    ``DM_ACTIVE_STATEMENTS`` alias."""
-    records = statements(provider)
-    if running_only:
-        records = [record for record in records
-                   if record.status == "running"]
+    the log sees itself so)."""
     return Rowset([RowsetColumn(name, data_type)
                    for name, data_type, _ in STATEMENT_COLUMNS],
                   [tuple(read(record) for _, _, read in STATEMENT_COLUMNS)
-                   for record in records])
+                   for record in statements(provider)])
 
 
 def dm_trace_events_rowset(provider) -> Rowset:
@@ -635,10 +628,6 @@ SYSTEM_ROWSETS = {
     "DM_QUERY_LOG": dm_query_log_rowset,
     "DM_TRACE_EVENTS": dm_trace_events_rowset,
     "DM_PROVIDER_METRICS": dm_provider_metrics_rowset,
-    # The two statement views DM_QUERY_LOG absorbed, kept for one release.
-    "DM_ACTIVE_STATEMENTS": lambda provider: dm_query_log_rowset(
-        provider, running_only=True),
-    "DM_STATEMENT_RESOURCES": dm_query_log_rowset,
     "DM_LOCK_WAITS": dm_lock_waits_rowset,
     "DM_SESSIONS": dm_sessions_rowset,
     "DM_BUFFER_POOL": dm_buffer_pool_rowset,

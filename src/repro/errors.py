@@ -70,8 +70,8 @@ class CancelledError(Error):
     """The statement was cancelled cooperatively (``CANCEL <id>``).
 
     Raised from a cancel-token checkpoint — a batch boundary in the engine,
-    a partition boundary in parallel training, or a training iteration in an
-    iterative algorithm — so execution unwinds at a consistent point.  The
+    a pool task collected, or a training iteration in an iterative
+    algorithm — so execution unwinds at a consistent point.  The
     statement is recorded in ``DM_QUERY_LOG`` with status ``cancelled`` and,
     being an error at the dispatch layer, is never journaled.
     """

@@ -7,9 +7,9 @@ engine-side resources; this package supplies the engine-side parallelism:
   concurrent predictions share a model while training/reset are exclusive;
 * :class:`~repro.exec.pool.WorkerPool` — a shared thread/process worker
   pool with ``pool.*`` metrics and an order-preserving bounded map;
-* :mod:`~repro.exec.partition` — the partitioned-training and parallel
-  PREDICTION JOIN drivers, plus their eligibility gates (soundness first:
-  a statement only parallelizes when the result is provably identical to
+* :mod:`~repro.exec.partition` — the training plan and the parallel
+  PREDICTION JOIN driver, plus its eligibility gates (soundness first:
+  a join only parallelizes when the result is provably identical to
   serial execution, otherwise it falls back and says so in the metrics).
 """
 

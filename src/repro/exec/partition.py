@@ -1,33 +1,28 @@
-"""Training and parallel PREDICTION JOIN drivers: the model INSERT plan,
-partitioned refits, and the pool fan-out of a planned prediction join.
+"""Training and parallel PREDICTION JOIN drivers: the model INSERT plan
+and the pool fan-out of a planned prediction join.
 
-Both hot paths follow the same contract: **parallel execution must be
-observationally identical to serial execution** — same model content, same
+A model INSERT trains in one way for every pool configuration: ``fit
+schema`` then ``fit`` over the whole caseset.  ``WITH MAXDOP`` on it is
+accepted and ignored.
+
+The parallel prediction join follows one contract: **parallel execution
+must be observationally identical to serial execution** — the same
 prediction rows in the same order — or the statement runs serially and
-says so through ``pool.serial_fallbacks.*`` metrics.  The eligibility
-gates here are therefore conservative:
-
-* Partitioned training requires the algorithm to declare
-  ``PARALLELIZABLE = True`` *and* accept the fitted space via
-  ``can_parallelize`` (naive Bayes, for instance, demands an all-categorical
-  space so every merged statistic is an exact integer sum — see
-  ``docs/internals.md`` for the soundness argument).
-* Parallel prediction requires no blocking clause (ORDER BY / DISTINCT run
-  serially) and no subquery in the projection or WHERE (subqueries bind to
-  the parent's database and cannot ship to a worker).
-* In process mode both paths additionally pre-flight ``pickle`` on the task
-  constants, so a custom unpicklable algorithm degrades to serial instead
-  of crashing mid-statement.
+says so through ``pool.serial_fallbacks.*`` metrics.  Its gates are
+therefore conservative: no blocking clause (ORDER BY / DISTINCT run
+serially), no subquery in the projection or WHERE (subqueries bind to
+the parent's database and cannot ship to a worker), and in process mode a
+``pickle`` pre-flight on the task constants, so a custom unpicklable
+algorithm degrades to serial instead of crashing mid-statement.
 
 Each gate is spelled once.  What the catalog, the pool configuration and
-the statement decide is decided when the statement is planned —
-:func:`prediction_parallelism` for PREDICTION JOIN, :func:`plan_train` for
-a model INSERT — and returned as ``(dop, reason, fallback)``: the strategy
-text EXPLAIN prints and the ``pool.serial_fallbacks.<fallback>`` metric
-the *run* of that plan notes are two readings of one verdict.  What only
-the run can know (a fitted space, the chunk count, picklability) stays in
-:func:`train_partitioned` / :func:`parallel_value_batches`; the plan
-announces it as a candidate.
+the statement decide is decided when the statement is planned, by
+:func:`prediction_parallelism`, and returned as ``(dop, reason,
+fallback)``: the strategy text EXPLAIN prints and the
+``pool.serial_fallbacks.<fallback>`` metric the *run* of that plan notes
+are two readings of one verdict.  What only the run can know
+(picklability) stays in :func:`parallel_value_batches`; the plan
+announces it.
 
 Worker functions are module-level and pure: they receive everything through
 their payload, return plain data, and never touch the parent's metrics or
@@ -39,7 +34,7 @@ from __future__ import annotations
 
 import functools
 import pickle
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from repro.errors import Error
 from repro.lang import ast_nodes as ast
@@ -56,18 +51,6 @@ from repro.core.prediction import (
 )
 
 # -- shared helpers ------------------------------------------------------------
-
-
-def contiguous_chunks(items: Sequence[Any], parts: int) -> List[Sequence[Any]]:
-    """Split into at most ``parts`` contiguous runs of near-equal size.
-
-    Contiguity matters: concatenating the chunks reproduces the original
-    order, which is what makes partition merges order-exact.
-    """
-    count = max(1, min(parts, len(items)))
-    size = -(-len(items) // count)  # ceil division
-    return [items[start:start + size]
-            for start in range(0, len(items), size)]
 
 
 def _picklable(*objects) -> bool:
@@ -87,27 +70,6 @@ def _contains_subquery(nodes) -> bool:
 # -- training ------------------------------------------------------------------
 
 
-def _training_parallelism(model, pool, maxdop: Optional[int]) \
-        -> Tuple[int, str, Optional[str]]:
-    """Plan-time half of the partitioned-training gates.
-
-    ``(dop, reason, fallback)``: ``dop > 1`` makes the refit a candidate
-    for :func:`train_partitioned` (whose own gates need the fitted space
-    and the accumulated caseset); ``fallback`` names the
-    ``pool.serial_fallbacks.*`` metric a refit that stays serial owes.
-    """
-    if pool.mode == "serial":
-        return 1, "pool mode is serial", None
-    dop = pool.effective_dop(maxdop)
-    if dop < 2:
-        return 1, "effective dop is 1", None
-    algorithm = model.algorithm
-    if not algorithm.PARALLELIZABLE:
-        return (1, f"{algorithm.SERVICE_NAME} is not parallelizable",
-                "algorithm")
-    return dop, f"dop={dop}; space and caseset-size checks at run time", None
-
-
 def _schema_node(model) -> PlanNode:
     """The dictionary pass ahead of a refit: ``run(None)`` returns a fresh
     space fitted to the whole caseset's columns, marginals unfitted."""
@@ -115,14 +77,9 @@ def _schema_node(model) -> PlanNode:
                     open=lambda _, __: model.fit_schema())
 
 
-def _refit_node(model, pool, dop: int) -> PlanNode:
+def _refit_node(model) -> PlanNode:
     """The refit step: ``run(space)`` trains over the whole caseset in the
-    schema-fitted space and returns the cases trained on — 0 from a
-    partitioned refit whose run-time gates declined."""
-    if dop > 1:
-        return PlanNode(
-            "partitioned refit", target=model.name, strategy=f"dop={dop}",
-            open=lambda _, space: train_partitioned(model, space, pool, dop))
+    schema-fitted space and returns the cases trained on."""
     return PlanNode("fit", target=model.algorithm.SERVICE_NAME,
                     strategy="serial",
                     open=lambda _, space: model.refit(space))
@@ -132,26 +89,19 @@ def plan_train(provider, statement: ast.InsertModelStatement) -> PlanNode:
     """Plan ``INSERT INTO <model>``: the tree EXPLAIN prints, the workload
     repository hashes and ``run(batch_size)`` executes.
 
-    Decided here, from the catalog and the pool configuration: the planned
-    source, the effective dop and the plan-time half of the partitioning
-    gates, the caseset-cache key, and whether the model is a candidate for
-    absorbing the cases incrementally (whether every case fits the fitted
-    space is a run-time fact, checked under the write lock).  ``run``
-    takes the bound cases from the cache or runs ``bind cases``, then,
-    under the model's write lock, runs the training steps — absorb, else
-    ``fit schema`` and the refit, else (a partitioned refit declined) the
-    serial fit — until one consumes the cases, and returns their number;
-    the children ahead of ``bind cases`` become the steps that ran when
-    those differ from the announced candidate.
+    Decided here, from the catalog: the planned source, the caseset-cache
+    key, and whether the model is a candidate for absorbing the cases
+    incrementally (whether every case fits the fitted space is a run-time
+    fact, checked under the write lock).  ``WITH MAXDOP`` is accepted and
+    ignored: every pool configuration trains the same way.  ``run`` takes
+    the bound cases from the cache or runs ``bind cases``, then, under
+    the model's write lock, runs the training steps — absorb, else ``fit
+    schema`` and ``fit`` — until one consumes the cases, and returns their
+    number; the children ahead of ``bind cases`` become the steps that ran
+    when those differ from the announced candidate.
     """
     model = provider.model(statement.model)
-    pool = provider.pool
     cache = provider.caseset_cache
-    maxdop = statement.maxdop
-    if maxdop is None:
-        # An unwrapped SELECT source consumed WITH MAXDOP itself.
-        maxdop = getattr(statement.source, "maxdop", None)
-    dop, reason, fallback = _training_parallelism(model, pool, maxdop)
     key = (train_key(model, statement, provider.database.data_version)
            if cache.enabled else None)
     if isinstance(statement.source, ast.ShapeExpr):
@@ -161,21 +111,19 @@ def plan_train(provider, statement: ast.InsertModelStatement) -> PlanNode:
     else:
         raise Error("INSERT INTO a model requires a SHAPE or SELECT source")
 
-    strategy = (f"{'parallel candidate' if dop > 1 else 'serial'} "
-                f"({reason})")
-    node = PlanNode("train", target=model.name, strategy=strategy,
+    node = PlanNode("train", target=model.name, strategy="serial",
                     detail=f"service {model.algorithm.SERVICE_NAME}, "
                            f"{model.case_count} case(s) retained",
                     cache=None if cache.enabled else "disabled")
     absorb = None
     if model.can_absorb:
-        node.strategy = f"incremental absorb candidate; else refit {strategy}"
+        node.strategy = "incremental absorb candidate; else refit"
         absorb = node.add(PlanNode(
             "incremental absorb", target=model.name,
             strategy="candidate (every case must fit the fitted space)",
             open=lambda _, cases: model.absorb(cases)))
     else:
-        node.children += [_schema_node(model), _refit_node(model, pool, dop)]
+        node.children += [_schema_node(model), _refit_node(model)]
 
     def bind_cases(_, batch_size: int) -> RowStream:
         """The source's rows bound to cases, a :class:`CaseBatch` per
@@ -207,13 +155,8 @@ def plan_train(provider, statement: ast.InsertModelStatement) -> PlanNode:
                 if absorb.run(cases):
                     return
                 node.children[0:1] = [_schema_node(model),
-                                      _refit_node(model, pool, dop)]
-            space = node.children[0].run(None)
-            if fallback is not None:
-                pool.note_serial_fallback(fallback)
-            if not node.children[1].run(space):
-                node.children[1] = _refit_node(model, pool, 1)
-                node.children[1].run(space)
+                                      _refit_node(model)]
+            node.children[1].run(node.children[0].run(None))
 
         obs_workload.set_phase("bind")
         cases = None
@@ -243,65 +186,6 @@ def plan_train(provider, statement: ast.InsertModelStatement) -> PlanNode:
         return trained
     node.open = run
     return node
-
-
-def _train_partition(space, algorithm_class, parameters, cases):
-    """Worker task: encode one contiguous partition and train a replica.
-
-    Returns ``(replica, marginal_partials)``.  Runs without an active
-    tracer (worker threads/processes), so the algorithm's own spans no-op
-    and the result is independent of observability state.
-    """
-    observations = space.encode_many(cases)
-    partials = space.partial_marginals(observations)
-    replica = algorithm_class(dict(parameters))
-    replica.train(space, observations)
-    return replica, partials
-
-
-def train_partitioned(model, space, pool, dop: int) -> int:
-    """Try to refit ``model`` over ``dop`` partitions; the cases trained
-    on, 0 if it did not run.
-
-    The run-time half of the gates :func:`plan_train` announced as a
-    candidate.  ``space`` arrives with the dictionary pass done
-    (``fit_schema``) but marginals unfitted; on success the partitions'
-    marginal partials are merged in partition order and the merged replica
-    is installed.  On any ineligibility the caller's serial refit proceeds
-    with the same fitted schema, so no work is wasted.
-    """
-    algorithm = model.algorithm
-    if not algorithm.can_parallelize(space):
-        pool.note_serial_fallback("space")
-        return 0
-    chunks = contiguous_chunks(model.training_cases, dop)
-    if len(chunks) < 2:
-        pool.note_serial_fallback("caseset_size")
-        return 0
-    parameters = dict(algorithm.parameters)
-    if pool.mode == "process" and not _picklable(
-            space, type(algorithm), parameters, chunks[0][:1]):
-        pool.note_serial_fallback("pickle")
-        return 0
-
-    task = functools.partial(_train_partition, space, type(algorithm),
-                             parameters)
-    # Collect incrementally (not run_all) so DM_QUERY_LOG shows
-    # PARTITIONS_DONE advancing and a CANCEL lands between partitions.
-    obs_workload.set_partitions(len(chunks))
-    results = []
-    for result in pool.map_ordered(task, chunks, dop=dop):
-        results.append(result)
-        obs_workload.partition_done()
-    space.merge_marginal_partials([partials for _, partials in results])
-    merged = results[0][0]
-    merged.merge([replica for replica, _ in results[1:]])
-    merged.space = space
-    # MiningModel.train, the only way here, drops the derived state.
-    model.algorithm = merged
-    model.space = space
-    pool.note_parallel_statement("train")
-    return len(model.training_cases)
 
 
 # -- parallel PREDICTION JOIN --------------------------------------------------

@@ -142,7 +142,7 @@ class WorkerPool:
             self.metrics.counter(name).inc(amount)
 
     def note_parallel_statement(self, kind: str) -> None:
-        """One statement chose the parallel path (training or prediction)."""
+        """One statement chose the parallel path (a prediction join)."""
         self._counter("pool.parallel_statements")
         self._counter(f"pool.parallel_statements.{kind}")
 
@@ -192,8 +192,8 @@ class WorkerPool:
                     dop: Optional[int] = None,
                     window_factor: int = 2) -> Iterator[Any]:
         """Apply ``func`` to each payload, yielding results in submission
-        order — the order-preserving merge primitive shared by partitioned
-        training and parallel PREDICTION JOIN.
+        order — the order-preserving primitive behind the parallel
+        PREDICTION JOIN.
 
         At most ``dop * window_factor`` tasks are in flight, so a lazy
         consumer keeps O(window) memory.  Abandoning the generator cancels

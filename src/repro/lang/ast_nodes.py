@@ -493,7 +493,7 @@ class CancelStatement(Statement):
 
     The id is the ``STATEMENT_ID`` of a ``running`` row of
     ``$SYSTEM.DM_QUERY_LOG``.  The target unwinds at its next checkpoint
-    (batch, partition, or training iteration boundary) with a
+    (batch, pool task, or training iteration boundary) with a
     ``cancelled`` status in the query log.
     """
     statement_id: int = 0

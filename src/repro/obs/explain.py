@@ -40,7 +40,7 @@ from repro.sqlstore.types import DOUBLE, LONG, TEXT
 #: The operators that bind source rows to cases (CASES, ``cases_bound``),
 #: and those whose work is pool tasks (POOL_TASKS).
 BIND_OPERATORS = ("bind cases", "parallel predict")
-POOL_OPERATORS = ("parallel predict", "partitioned refit")
+POOL_OPERATORS = ("parallel predict",)
 
 
 class PlanNode:
@@ -56,7 +56,7 @@ class PlanNode:
     schema``, which returns the space it fitted.  ``arg`` is the batch
     size, except for a training step, which is handed what it consumes:
     the bound cases (``incremental absorb``), nothing (``fit schema``) or
-    the schema-fitted space (``fit``, ``partitioned refit``).  Planning
+    the schema-fitted space (``fit``).  Planning
     only reads the catalog; scanning, locks, spans and usage counters
     start at ``run``.  What runs is ``open(node, arg)``: an opener is
     handed its node rather than closing over it, so a plan tree is no

@@ -15,8 +15,6 @@ eviction).  Everything is stdlib-only — no client library.
 * ``GET /queries``  — the last ``limit`` (50) rows of
   ``$SYSTEM.DM_QUERY_LOG`` as JSON, live statements included: each row's
   columns under lower-cased names, plus its counters and captured spans;
-* ``GET /active``   — the same for the ``running`` rows only (kept for one
-  release; ``/queries`` lists them too);
 * ``GET /statements`` — the workload repository as JSON: per-fingerprint
   aggregates (``DM_STATEMENT_STATS``) and plan-change events
   (``DM_PLAN_CHANGES``).
@@ -241,10 +239,6 @@ class _Handler(BaseHTTPRequestHandler):
             except (TypeError, ValueError):
                 limit = 50
             self._statements(statements(provider)[-max(0, limit):])
-            return
-        if parsed.path == "/active":
-            self._statements([record for record in statements(provider)
-                              if record.status == "running"])
             return
         if parsed.path == "/statements":
             repository = provider.repository

@@ -38,7 +38,7 @@ def _span_dict(span) -> Dict[str, Any]:
 
 
 def statement_record_dict(record) -> Dict[str, Any]:
-    """One statement as JSON (sink, ``/queries``, ``/active``): its
+    """One statement as JSON (sink, ``/queries``): its
     statement row, its counter totals and, when its span tree was captured
     (span capture on), the tree."""
     out = statement_dict(record)

@@ -162,7 +162,6 @@ class StatementRecord:
         "actuals", "fingerprint", "plan_hash", "plan_est_rows",
         "registry", "token", "phase",
         "rows_processed", "batches", "peak_batch_rows",
-        "partitions_done", "partitions_total",
         "pool_tasks", "pool_tasks_in_flight", "pool_cpu_ms",
         "cpu_ms", "_cpu_mark", "lock_wait_ms", "lock_waits",
         "cache_hits", "cache_misses",
@@ -203,8 +202,6 @@ class StatementRecord:
         self.rows_processed = 0
         self.batches = 0
         self.peak_batch_rows = 0
-        self.partitions_done = 0
-        self.partitions_total = 0
         self.pool_tasks = 0
         self.pool_tasks_in_flight = 0
         self.pool_cpu_ms = 0.0

@@ -10,7 +10,7 @@ workload half of the record:
   column ``(name, type, read(record))``.  ``DM_QUERY_LOG`` is these
   columns over :func:`statements`; :func:`statement_dict` is the same
   values under lower-cased names, which the slow-query sink, the
-  ``/queries`` and ``/active`` routes and the Chrome trace carry.
+  ``/queries`` route and the Chrome trace carry.
 * :class:`WorkloadRegistry` — one per provider: the ``statement_id ->
   record`` map of live statements.  A record enters at admission and
   leaves at completion (:meth:`Tracer.complete`, after it joined the
@@ -19,15 +19,14 @@ workload half of the record:
 * :class:`CancelToken` — cooperative cancellation.  ``CANCEL <id>`` (or
   :meth:`Connection.cancel`) sets the token; the executing statement
   observes it at its next progress checkpoint — a batch boundary in the
-  engine, a partition boundary in partitioned training, a training
-  iteration in iterative algorithms — and unwinds with
-  :class:`~repro.errors.CancelledError`.  Nothing is interrupted
-  mid-mutation: the mutation either completes or is rolled back by its
-  owner, and a cancelled statement is never journaled.
+  engine, a pool task collected, a grown node or a training iteration in
+  the algorithms — and unwinds with :class:`~repro.errors.CancelledError`.  Nothing is
+  interrupted mid-mutation: the mutation either completes or is rolled
+  back by its owner, and a cancelled statement is never journaled.
 * Per-statement resource accounting — CPU-ms (``time.thread_time`` deltas
   over the record's activations plus per-task deltas shipped back from
   pool workers), lock-wait-ms reported by :class:`repro.exec.locks.RWLock`,
-  rows/batches processed, partition progress, and pool tasks in flight.
+  rows/batches processed, and pool tasks in flight.
   Lock waits also aggregate per (lock, mode) into the contention table
   behind ``$SYSTEM.DM_LOCK_WAITS``.
 
@@ -57,7 +56,7 @@ _session = threading.local()
 
 
 class CancelToken:
-    """A one-way latch checked cooperatively at batch/partition boundaries."""
+    """A one-way latch checked cooperatively at batch boundaries."""
 
     __slots__ = ("_cancelled", "reason", "statement_id")
 
@@ -249,8 +248,6 @@ STATEMENT_COLUMNS = [
     ("ROWS_PROCESSED", LONG, _accounted(attrgetter("rows_processed"))),
     ("PEAK_BATCH_ROWS", LONG, _accounted(attrgetter("peak_batch_rows"))),
     ("BATCHES", LONG, _accounted(attrgetter("batches"))),
-    ("PARTITIONS_DONE", LONG, _accounted(attrgetter("partitions_done"))),
-    ("PARTITIONS_TOTAL", LONG, _accounted(attrgetter("partitions_total"))),
     ("POOL_TASKS", LONG, _accounted(attrgetter("pool_tasks"))),
     ("POOL_TASKS_IN_FLIGHT", LONG,
      _accounted(attrgetter("pool_tasks_in_flight"))),
@@ -350,16 +347,3 @@ def note_cache(hit: bool) -> None:
             record.cache_hits += 1
         else:
             record.cache_misses += 1
-
-
-def set_partitions(total: int) -> None:
-    record = current()
-    if record is not None:
-        record.partitions_total = total
-        record.partitions_done = 0
-
-
-def partition_done() -> None:
-    record = current()
-    if record is not None:
-        record.partitions_done += 1

@@ -39,8 +39,7 @@ ACTUALS = ("ACTUAL_ROWS", "Q_ERROR", "ACTUAL_BATCHES", "WALL_MS",
            "POOL_TASKS")
 #: Operators that return a count — what they consumed — not batches (``fit
 #: schema`` a space, counted by the cases it read).
-COUNTED = {"train", "fit schema", "fit", "partitioned refit",
-           "incremental absorb"}
+COUNTED = {"train", "fit schema", "fit", "incremental absorb"}
 #: The grid's tables (``_load``) and their sizes.
 TABLE_ROWS = {"Customers": 60, "Orders": 180, "Stores": 4}
 

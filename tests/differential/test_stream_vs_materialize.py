@@ -189,9 +189,8 @@ def test_stream_api_matches_execute(streaming, statement):
 
 def test_every_view_of_a_statement_agrees(tmp_path):
     """The whole grid, blocking then streamed, on one provider, then a
-    stream held open after its first batch: ``DM_QUERY_LOG``, its
-    ``DM_STATEMENT_RESOURCES`` alias, the sink line and ``/queries`` give
-    one row per statement, with the same values, whichever way it ran and
+    stream held open after its first batch: ``DM_QUERY_LOG``, the sink
+    line and ``/queries`` give one row per statement, with the same values, whichever way it ran and
     whether it is still running."""
     conn = repro.connect(batch_size=TINY_BATCH, caseset_cache_capacity=0,
                          telemetry_path=str(tmp_path / "slow.jsonl"))
@@ -203,8 +202,8 @@ def test_every_view_of_a_statement_agrees(tmp_path):
         assert len(keyed) == len(rows)  # every statement once
         return keyed
 
-    def log(name="DM_QUERY_LOG"):
-        rowset = conn.execute(f"SELECT * FROM $SYSTEM.{name}")
+    def log():
+        rowset = conn.execute("SELECT * FROM $SYSTEM.DM_QUERY_LOG")
         names = [column.name.lower() for column in rowset.columns]
         return by_id(dict(zip(names, row)) for row in rowset.rows)
 
@@ -225,7 +224,7 @@ def test_every_view_of_a_statement_agrees(tmp_path):
         last_id = pairs[-1][1]
         stats = dict(conn.execute(
             "SELECT FINGERPRINT, CALLS FROM $SYSTEM.DM_STATEMENT_STATS").rows)
-        logged, aliased = log(), log("DM_STATEMENT_RESOURCES")
+        logged = log()
         sink = by_id(conn.provider.slow_sink.records())
         served = queries()
 
@@ -240,11 +239,10 @@ def test_every_view_of_a_statement_agrees(tmp_path):
         conn.close()
 
     grid = list(range(1, last_id + 1))
-    for view in (logged, aliased, sink, served):
+    for view in (logged, sink, served):
         assert [key for key in sorted(view) if key <= last_id] == grid
     for statement_id in grid:
         row = logged[statement_id]
-        assert aliased[statement_id] == row
         for line in (sink[statement_id], served[statement_id]):
             assert {key: line[key] for key in row} == row
             assert line["counters"].get("rows_out", 0) == row["rows_out"]

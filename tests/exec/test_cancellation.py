@@ -1,10 +1,12 @@
 """Cooperative cancellation: CANCEL lands at checkpoints, state stays clean.
 
-The contract under test (ISSUE 6 acceptance): a long-running TRAIN is
-visible in ``DM_ACTIVE_STATEMENTS`` with advancing progress, ``CANCEL <id>``
-stops it within one batch/partition/iteration boundary, and afterwards the
-provider is consistent — the model is untrained (or unchanged), nothing was
-journaled for the cancelled mutation, and every lock is released.
+The contract under test: a long-running TRAIN is a running row of
+``DM_QUERY_LOG`` with advancing progress, ``CANCEL <id>`` stops it within
+one batch/iteration boundary, and afterwards the provider is consistent —
+the model is untrained (or unchanged), nothing was journaled for the
+cancelled mutation, and every lock is released.  A parallel PREDICTION
+JOIN cancelled while its pool tasks are in flight leaves the pool's task
+ledger balanced.
 """
 
 import threading
@@ -51,23 +53,19 @@ class SlowIterative(MiningAlgorithm):
         pass
 
 
-class SlowParallel(MiningAlgorithm):
-    """Parallelizable slow service: partition workers sleep, so CANCEL lands
-    between partition collections on the statement thread (and, if the pool
-    falls back to serial, between note_pass iterations)."""
+class SlowPredict(MiningAlgorithm):
+    """Trains at once and scores slowly: each case naps, so a parallel
+    PREDICTION JOIN keeps pool tasks in flight while the statement thread
+    collects them — where CANCEL lands.  Module-level, so a process-pool
+    worker unpickles it by reference."""
 
-    SERVICE_NAME = "Test_Slow_Parallel"
-    PARALLELIZABLE = True
+    SERVICE_NAME = "Test_Slow_Predict"
 
     def _train(self, space, observations):
-        for _ in range(30):
-            self.note_pass()
-            time.sleep(0.01)
-
-    def merge(self, others):
         pass
 
     def predict(self, observation):
+        time.sleep(0.005)
         return CasePrediction()
 
     def content_nodes(self):
@@ -83,10 +81,10 @@ def slow_service():
 
 
 @pytest.fixture
-def parallel_service():
-    register_algorithm(SlowParallel)
-    yield SlowParallel
-    unregister_algorithm(SlowParallel)
+def slow_predict_service():
+    register_algorithm(SlowPredict)
+    yield SlowPredict
+    unregister_algorithm(SlowPredict)
 
 
 def _seed(conn, service, rows=40):
@@ -113,16 +111,16 @@ def _train_in_background(conn):
     return thread, outcome
 
 
-def _wait_for_train(provider, timeout=5.0, predicate=None):
-    """Poll the workload registry until the TRAIN statement shows up."""
+def _wait_for_statement(provider, timeout=5.0, predicate=None, kind="TRAIN"):
+    """Poll the workload registry until the ``kind`` statement shows up."""
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
         for statement in provider.workload.active():
-            if statement.kind == "TRAIN" and \
+            if statement.kind == kind and \
                     (predicate is None or predicate(statement)):
                 return statement
         time.sleep(0.002)
-    raise AssertionError("TRAIN statement never became visible")
+    raise AssertionError(f"{kind} statement never became visible")
 
 
 def _assert_write_lock_free(model):
@@ -146,16 +144,17 @@ class TestCancelMidTraining:
         thread, outcome = _train_in_background(conn)
         try:
             assert slow_service.started.wait(5.0)
-            # The statement is live in DM_ACTIVE_STATEMENTS, in the train
+            # The statement is a running row of DM_QUERY_LOG, in the train
             # phase, and its progress counters advance between looks.
             rowset = conn.execute(
                 "SELECT STATEMENT_ID, KIND, PHASE, BATCHES FROM "
-                "$SYSTEM.DM_ACTIVE_STATEMENTS WHERE KIND = 'TRAIN'")
+                "$SYSTEM.DM_QUERY_LOG WHERE KIND = 'TRAIN' "
+                "AND STATUS = 'running'")
             assert len(rowset.rows) == 1
             statement_id, kind, phase, batches = rowset.rows[0]
             assert kind == "TRAIN"
             assert phase == "train"
-            active = _wait_for_train(conn.provider,
+            active = _wait_for_statement(conn.provider,
                                      predicate=lambda s: s.batches > batches)
             assert active.statement_id == statement_id
 
@@ -175,7 +174,7 @@ class TestCancelMidTraining:
         _seed(conn, slow_service)
         thread, outcome = _train_in_background(conn)
         try:
-            active = _wait_for_train(conn.provider,
+            active = _wait_for_statement(conn.provider,
                                      predicate=lambda s: s.phase == "train")
             conn.cancel(active.statement_id)
             thread.join(5.0)
@@ -191,26 +190,21 @@ class TestCancelMidTraining:
             thread.join(5.0)
             conn.close()
 
-    def test_query_log_and_resources_record_cancelled_status(self,
-                                                             slow_service):
+    def test_query_log_records_cancelled_status(self, slow_service):
         conn = repro.connect()
         _seed(conn, slow_service)
         thread, _ = _train_in_background(conn)
         try:
-            active = _wait_for_train(conn.provider,
+            active = _wait_for_statement(conn.provider,
                                      predicate=lambda s: s.phase == "train")
             conn.cancel(active.statement_id)
             thread.join(5.0)
             log = conn.execute(
-                f"SELECT STATUS, ERROR FROM $SYSTEM.DM_QUERY_LOG "
+                f"SELECT STATUS, ERROR, CPU_MS FROM $SYSTEM.DM_QUERY_LOG "
                 f"WHERE STATEMENT_ID = {active.statement_id}")
             assert log.rows[0][0] == "cancelled"
             assert "CancelledError" in log.rows[0][1]
-            resources = conn.execute(
-                f"SELECT STATUS, CPU_MS FROM $SYSTEM.DM_STATEMENT_RESOURCES "
-                f"WHERE STATEMENT_ID = {active.statement_id}")
-            assert resources.rows[0][0] == "cancelled"
-            assert resources.rows[0][1] >= 0.0
+            assert log.rows[0][2] >= 0.0
             cancelled = conn.execute(
                 "SELECT VALUE FROM $SYSTEM.DM_PROVIDER_METRICS "
                 "WHERE METRIC = 'statements.cancelled'")
@@ -227,7 +221,7 @@ class TestCancelMidTraining:
         seq_before = store.last_seq
         thread, outcome = _train_in_background(conn)
         try:
-            active = _wait_for_train(conn.provider,
+            active = _wait_for_statement(conn.provider,
                                      predicate=lambda s: s.phase == "train")
             conn.cancel(active.statement_id)
             thread.join(5.0)
@@ -250,24 +244,35 @@ class TestCancelMidTraining:
             reopened.close()
 
 
-class TestCancelPartitionedTraining:
+class TestCancelParallelPredictionJoin:
     @pytest.mark.parametrize("pool_mode", ["thread", "process"])
-    def test_cancel_between_partitions(self, parallel_service, pool_mode):
-        conn = repro.connect(max_workers=2, pool_mode=pool_mode)
-        _seed(conn, parallel_service, rows=60)
-        thread, outcome = _train_in_background(conn)
+    def test_cancel_with_pool_tasks_in_flight(self, slow_predict_service,
+                                              pool_mode):
+        conn = repro.connect(max_workers=2, pool_mode=pool_mode,
+                             batch_size=10)
+        _seed(conn, slow_predict_service, rows=200)
+        conn.execute("INSERT INTO M (Id, G) SELECT Id, G FROM T")
+        outcome = {}
+
+        def run():
+            try:
+                outcome["result"] = conn.execute(
+                    "SELECT t.Id, M.G FROM M NATURAL PREDICTION JOIN "
+                    "(SELECT Id FROM T) AS t")
+            except BaseException as exc:
+                outcome["error"] = exc
+
+        thread = threading.Thread(target=run, name="scorer")
+        thread.start()
         try:
-            active = _wait_for_train(conn.provider,
-                                     predicate=lambda s: s.phase == "train")
+            active = _wait_for_statement(
+                conn.provider, kind="PREDICT",
+                predicate=lambda s: s.pool_tasks_in_flight > 0)
             conn.cancel(active.statement_id)
             thread.join(10.0)
             assert not thread.is_alive()
             assert isinstance(outcome.get("error"), CancelledError)
-            model = conn.model("M")
-            assert not model.is_trained
-            assert model.case_count == 0
-            assert model.insert_count == 0
-            _assert_write_lock_free(model)
+            _assert_write_lock_free(conn.model("M"))
             # Pool accounting survived the unwind: submitted tasks are all
             # accounted as completed, cancelled, or abandoned.
             values = {metric: value for metric, value in conn.execute(
@@ -277,7 +282,12 @@ class TestCancelPartitionedTraining:
             accounted = (values.get("pool.tasks_completed", 0.0) +
                          values.get("pool.tasks_cancelled", 0.0) +
                          values.get("pool.tasks_abandoned", 0.0))
+            assert submitted > 0
             assert submitted == accounted
+            status = conn.execute(
+                f"SELECT STATUS FROM $SYSTEM.DM_QUERY_LOG "
+                f"WHERE STATEMENT_ID = {active.statement_id}").rows
+            assert status == [("cancelled",)]
         finally:
             thread.join(10.0)
             conn.close()

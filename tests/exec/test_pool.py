@@ -163,11 +163,11 @@ class TestLifeCycle:
     def test_serial_fallback_notes_reason(self):
         metrics = MetricsRegistry()
         pool = WorkerPool(max_workers=4, mode="thread", metrics=metrics)
-        pool.note_serial_fallback("algorithm")
-        pool.note_serial_fallback("algorithm")
+        pool.note_serial_fallback("subquery")
+        pool.note_serial_fallback("subquery")
         pool.note_serial_fallback("pickle")
         assert metrics.value("pool.serial_fallbacks") == 3
-        assert metrics.value("pool.serial_fallbacks.algorithm") == 2
+        assert metrics.value("pool.serial_fallbacks.subquery") == 2
         assert metrics.value("pool.serial_fallbacks.pickle") == 1
 
 

@@ -76,7 +76,7 @@ class TestPlanShapes:
         assert root["TARGET"] == "Risk"
         assert root["CACHE"] in ("miss expected", "hit expected", "disabled")
         operators = [r["OPERATOR"] for r in rows]
-        assert "fit" in operators or "partitioned refit" in operators
+        assert "fit" in operators
         assert "bind cases" in operators
         assert "table scan" in operators
 
@@ -143,8 +143,7 @@ class TestExplainAnalyze:
     def test_analyze_train_trains_and_reports_observations(self, loaded):
         rows = _rows(loaded, f"EXPLAIN ANALYZE {TRAIN}")
         assert loaded.provider.model("Risk").is_trained
-        fit = [r for r in rows
-               if r["OPERATOR"] in ("fit", "partitioned refit")][0]
+        fit = [r for r in rows if r["OPERATOR"] == "fit"][0]
         assert fit["ACTUAL_ROWS"] is not None and fit["ACTUAL_ROWS"] > 0
         bind = [r for r in rows if r["OPERATOR"] == "bind cases"][0]
         assert bind["ACTUAL_ROWS"] == 5

@@ -205,7 +205,7 @@ class TestSlowQuerySink:
             "batches", "cache_hits", "cache_misses", "cancel_requested",
             "cases", "counters", "cpu_ms", "duration_ms", "error",
             "fingerprint", "kind", "lock_wait_ms", "lock_waits",
-            "partitions_done", "partitions_total", "peak_batch_rows",
+            "peak_batch_rows",
             "phase", "plan_hash", "pool_cpu_ms", "pool_tasks",
             "pool_tasks_in_flight", "rows_out", "rows_processed",
             "rows_scanned", "session", "span_count", "started_at",

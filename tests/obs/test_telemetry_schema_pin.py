@@ -40,8 +40,6 @@ DM_QUERY_LOG_SCHEMA = [
     ("ROWS_PROCESSED", "LONG"),
     ("PEAK_BATCH_ROWS", "LONG"),
     ("BATCHES", "LONG"),
-    ("PARTITIONS_DONE", "LONG"),
-    ("PARTITIONS_TOTAL", "LONG"),
     ("POOL_TASKS", "LONG"),
     ("POOL_TASKS_IN_FLIGHT", "LONG"),
     ("CACHE_HITS", "LONG"),
@@ -189,10 +187,7 @@ POOL_METRIC_FAMILY = [
     "pool.max_workers",
     "pool.workers_live",
     "pool.parallel_statements",
-    "pool.parallel_statements.train",
     "pool.parallel_statements.predict",
-    "pool.serial_fallbacks",
-    "pool.serial_fallbacks.algorithm",
     "pool.tasks_submitted",
     "pool.tasks_completed",
     "pool.task_ms",
@@ -203,8 +198,8 @@ POOL_METRIC_FAMILY = [
 def conn():
     connection = repro.connect(max_workers=2, pool_mode="thread")
     # One statement of each flavour so every telemetry rowset has rows and
-    # the pool counters materialize: a parallel train, a fallback train,
-    # and a parallel prediction.
+    # the pool counters materialize: two trains (serial on any pool) and a
+    # parallel prediction.
     connection.execute("CREATE TABLE T (Id LONG, G TEXT, Age DOUBLE, "
                        "Buys TEXT)")
     connection.execute("INSERT INTO T VALUES " + ", ".join(
@@ -235,10 +230,6 @@ def _schema(conn, rowset_name):
     ("DM_QUERY_LOG", DM_QUERY_LOG_SCHEMA),
     ("DM_TRACE_EVENTS", DM_TRACE_EVENTS_SCHEMA),
     ("DM_PROVIDER_METRICS", DM_PROVIDER_METRICS_SCHEMA),
-    # Aliases of DM_QUERY_LOG (its running rows; all of it), for one
-    # release.
-    ("DM_ACTIVE_STATEMENTS", DM_QUERY_LOG_SCHEMA),
-    ("DM_STATEMENT_RESOURCES", DM_QUERY_LOG_SCHEMA),
     ("DM_LOCK_WAITS", DM_LOCK_WAITS_SCHEMA),
     ("DM_SESSIONS", DM_SESSIONS_SCHEMA),
     ("DM_BUFFER_POOL", DM_BUFFER_POOL_SCHEMA),

@@ -3,8 +3,8 @@
 Companion to ``tests/exec/test_cancellation.py`` (which drives the CANCEL
 verb end to end).  Here the focus is the accounting itself: the registry
 and token primitives, the ``$SYSTEM`` rowsets fed by them, per-statement
-CPU/lock-wait reconciliation, the Chrome-trace exporter, the ``/active``
-HTTP route, and the telemetry-server lifecycle.
+CPU/lock-wait reconciliation, the Chrome-trace exporter, and the
+telemetry-server lifecycle.
 """
 
 import gc
@@ -54,8 +54,6 @@ class TestCancelToken:
         obs_workload.checkpoint(rows=10)
         obs_workload.set_phase("train")
         obs_workload.note_cache(hit=True)
-        obs_workload.set_partitions(4)
-        obs_workload.partition_done()
 
 
 class TestWorkloadRegistry:
@@ -136,7 +134,7 @@ class TestStatementResourcesRowset:
     def test_train_reports_nonzero_cpu_and_rows(self, trained):
         rows = trained.execute(
             "SELECT STATUS, CPU_MS, ROWS_PROCESSED, BATCHES FROM "
-            "$SYSTEM.DM_STATEMENT_RESOURCES WHERE KIND = 'TRAIN'").rows
+            "$SYSTEM.DM_QUERY_LOG WHERE KIND = 'TRAIN'").rows
         assert len(rows) == 1
         status, cpu_ms, rows_processed, batches = rows[0]
         assert status == "ok"
@@ -144,23 +142,16 @@ class TestStatementResourcesRowset:
         assert rows_processed >= 200
         assert batches >= 1
 
-    def test_resources_reconcile_with_the_query_log(self, trained):
+    def test_lock_waits_fit_inside_the_duration(self, trained):
         # The finished rows only: the statement reading the log is running
-        # in it, and has finished (with its whole duration) by the time
-        # the resources view is read.
-        log = trained.execute("SELECT STATEMENT_ID, DURATION_MS FROM "
-                              "$SYSTEM.DM_QUERY_LOG "
+        # in it.
+        log = trained.execute("SELECT DURATION_MS, CPU_MS, LOCK_WAIT_MS "
+                              "FROM $SYSTEM.DM_QUERY_LOG "
                               "WHERE STATUS <> 'running'").rows
-        resources = {row[0]: row for row in trained.execute(
-            "SELECT STATEMENT_ID, DURATION_MS, CPU_MS, LOCK_WAIT_MS FROM "
-            "$SYSTEM.DM_STATEMENT_RESOURCES").rows}
-        assert log and resources
-        for statement_id, duration_ms in log:
-            assert statement_id in resources
-            _, res_duration, _cpu, lock_wait = resources[statement_id]
-            # Same statement, same clock: the two views agree, and a
-            # statement cannot wait on locks longer than it existed.
-            assert res_duration == duration_ms
+        assert log
+        for duration_ms, cpu_ms, lock_wait in log:
+            # A statement cannot wait on locks longer than it existed.
+            assert cpu_ms >= 0.0
             assert 0.0 <= lock_wait <= duration_ms + 1.0
 
     def test_cache_counters_surface(self, trained):
@@ -170,7 +161,7 @@ class TestStatementResourcesRowset:
                         "SELECT Id, G, Buys FROM T")
         rows = trained.execute(
             "SELECT CACHE_HITS, CACHE_MISSES FROM "
-            "$SYSTEM.DM_STATEMENT_RESOURCES WHERE KIND = 'TRAIN'").rows
+            "$SYSTEM.DM_QUERY_LOG WHERE KIND = 'TRAIN'").rows
         assert len(rows) == 2
         assert rows[0][1] >= 1  # first train misses
         assert rows[1][0] >= 1  # second train hits
@@ -229,7 +220,7 @@ class TestLockWaits:
 
         resources = trained.execute(
             "SELECT LOCK_WAIT_MS, LOCK_WAITS FROM "
-            "$SYSTEM.DM_STATEMENT_RESOURCES WHERE KIND = 'PREDICT'").rows
+            "$SYSTEM.DM_QUERY_LOG WHERE KIND = 'PREDICT'").rows
         assert resources[-1][0] >= 50.0
         assert resources[-1][1] >= 1
 
@@ -242,20 +233,6 @@ class TestLockWaits:
     def test_uncontended_statements_report_no_waits(self, trained):
         assert trained.execute(
             "SELECT * FROM $SYSTEM.DM_LOCK_WAITS").rows == []
-
-
-class TestActiveStatementsRowset:
-    def test_idle_provider_shows_only_the_observer(self, trained):
-        # The SELECT over DM_ACTIVE_STATEMENTS is itself a live statement,
-        # so the rowset always reflects at least its own execution.
-        rows = trained.execute(
-            "SELECT KIND, PHASE, CANCEL_REQUESTED FROM "
-            "$SYSTEM.DM_ACTIVE_STATEMENTS").rows
-        assert len(rows) == 1
-        kind, phase, cancel_requested = rows[0]
-        assert kind == "SELECT"
-        assert phase == "scan"
-        assert cancel_requested is False
 
 
 # -- exports -------------------------------------------------------------------
@@ -292,43 +269,6 @@ class TestChromeTraceExport:
                        event["ts"] + event["dur"] <=
                        root["ts"] + root["dur"] + 1000.0]
             assert parents, f"span event {event['name']} outside any root"
-
-
-class TestActiveRoute:
-    def test_active_route_serves_the_live_view(self, conn):
-        server = conn.provider.serve_metrics(port=0)
-        try:
-            status, body = _get(server.url + "/active")
-            assert status == 200
-            assert json.loads(body) == []
-
-            release = threading.Event()
-            started = threading.Event()
-
-            def hold():
-                statement = StatementRecord(12345, "SELECT sleep",
-                                            kind="SELECT")
-                conn.provider.workload.admit(statement)
-                statement.phase = "scan"
-                started.set()
-                release.wait(5.0)
-                conn.provider.workload.retire(statement)
-
-            thread = threading.Thread(target=hold)
-            thread.start()
-            try:
-                assert started.wait(5.0)
-                payload = json.loads(_get(server.url + "/active")[1])
-                assert [entry["statement_id"] for entry in payload] == \
-                    [12345]
-                assert payload[0]["phase"] == "scan"
-                assert payload[0]["cancel_requested"] is False
-            finally:
-                release.set()
-                thread.join(5.0)
-            assert json.loads(_get(server.url + "/active")[1]) == []
-        finally:
-            server.close()
 
 
 class TestTelemetryServerLifecycle:
@@ -372,16 +312,13 @@ def scanned(conn):
 
 
 def _views(conn, text=Q):
-    """{statement_id: (log row, resources row)} of the finished statements
-    whose text is ``text`` — DM_QUERY_LOG joined to DM_STATEMENT_RESOURCES."""
+    """{statement_id: DM_QUERY_LOG row} of the statements whose text is
+    ``text``."""
     log = conn.execute(
         "SELECT STATEMENT_ID, STATEMENT, KIND, STATUS, DURATION_MS, "
-        "ROWS_SCANNED, ROWS_OUT FROM $SYSTEM.DM_QUERY_LOG").rows
-    resources = {row[0]: row for row in conn.execute(
-        "SELECT STATEMENT_ID, KIND, STATUS, DURATION_MS, ROWS_PROCESSED, "
-        "BATCHES FROM $SYSTEM.DM_STATEMENT_RESOURCES").rows}
-    return {row[0]: (row, resources.get(row[0]))
-            for row in log if row[1] == text}
+        "ROWS_SCANNED, ROWS_OUT, ROWS_PROCESSED, BATCHES "
+        "FROM $SYSTEM.DM_QUERY_LOG").rows
+    return {row[0]: row for row in log if row[1] == text}
 
 
 class TestStreamedStatementLifetime:
@@ -400,12 +337,12 @@ class TestStreamedStatementLifetime:
         assert received == expected == T_ROWS - 21
 
         views = _views(conn)  # blocking first: ids are admission order
-        (blocking_log, blocking_res), (stream_log, stream_res) = \
-            [views[statement_id] for statement_id in sorted(views)]
+        blocking_log, stream_log = [views[statement_id]
+                                    for statement_id in sorted(views)]
         assert stream_log[3] == blocking_log[3] == "ok"
         assert stream_log[5] == blocking_log[5] == T_ROWS   # ROWS_SCANNED
         assert stream_log[6] == blocking_log[6] == expected  # ROWS_OUT
-        assert stream_res[4] == blocking_res[4] == T_ROWS   # ROWS_PROCESSED
+        assert stream_log[7] == blocking_log[7] == T_ROWS   # ROWS_PROCESSED
         # Every production happened inside the statement's lifetime.
         streamed = [r for r in conn.provider.tracer.statements()
                     if r.statement_id == stream_log[0]][0]
@@ -425,7 +362,7 @@ class TestStreamedStatementLifetime:
         assert next(batches)
         active = conn.execute(
             "SELECT STATEMENT_ID, PHASE, ROWS_PROCESSED FROM "
-            "$SYSTEM.DM_ACTIVE_STATEMENTS WHERE STATEMENT = "
+            "$SYSTEM.DM_QUERY_LOG WHERE STATUS = 'running' AND STATEMENT = "
             f"'{Q}'").rows
         assert len(active) == 1
         statement_id, phase, rows_processed = active[0]
@@ -435,8 +372,7 @@ class TestStreamedStatementLifetime:
         with pytest.raises(CancelledError):
             next(batches)
         assert conn.provider.workload.active() == []
-        log, resources = _views(conn)[statement_id]
-        assert log[3] == resources[2] == "cancelled"
+        assert _views(conn)[statement_id][3] == "cancelled"
         assert conn.provider.metrics.value("statements.cancelled") == \
             cancelled_before + 1
 
@@ -465,8 +401,8 @@ class TestStreamedStatementLifetime:
         gc.collect()
         assert conn.provider.workload.active() == []
         assert retired == [live.statement_id]
-        log, resources = _views(conn)[live.statement_id]
-        assert log[3] == resources[2] == "ok"
+        log = _views(conn)[live.statement_id]
+        assert log[3] == "ok"
         assert log[6] == received  # ROWS_OUT: what was produced
 
     def test_a_statement_between_two_pulls_has_its_own_record(
@@ -475,45 +411,38 @@ class TestStreamedStatementLifetime:
         batches = conn.execute_stream(Q, batch_size=100).batches()
         next(batches)
         assert conn.execute("SELECT COUNT(*) FROM T").rows == [(T_ROWS,)]
-        (count_log, _), = _views(conn, "SELECT COUNT(*) FROM T").values()
+        count_log, = _views(conn, "SELECT COUNT(*) FROM T").values()
         assert count_log[5] == T_ROWS  # the inner scan, all of it, only it
         for _ in batches:
             pass
-        (stream_log, stream_res), = _views(conn).values()
+        stream_log, = _views(conn).values()
         assert stream_log[0] < count_log[0]  # admitted first, retired last
-        assert stream_log[5] == stream_res[4] == T_ROWS
+        assert stream_log[5] == stream_log[7] == T_ROWS
 
-    def test_log_and_resources_list_the_same_statements(self, scanned):
+    def test_the_log_lists_each_statement_once(self, scanned):
         from repro.core.schema_rowsets import system_rowset
         conn = scanned
 
-        def projections():
-            # No statement runs between the two reads: same ring.
-            views = []
-            for name in ("DM_QUERY_LOG", "DM_STATEMENT_RESOURCES"):
-                rowset = system_rowset(conn.provider, name)
-                at = [rowset.index_of(column) for column in (
-                    "STATEMENT_ID", "KIND", "STATUS", "DURATION_MS")]
-                views.append([tuple(row[i] for i in at)
-                              for row in rowset.rows])
-            return views
+        def projection():
+            rowset = system_rowset(conn.provider, "DM_QUERY_LOG")
+            at = [rowset.index_of(column)
+                  for column in ("STATEMENT_ID", "STATUS")]
+            return [tuple(row[i] for i in at) for row in rowset.rows]
 
         conn.provider.tracer.resize_ring(4)
         for index in range(12):
             conn.execute(f"SELECT {index} AS n FROM T WHERE Id = 1")
-        log, resources = projections()
+        log = projection()
         assert len(log) == 4
-        assert resources == log
-        # ...so a join on STATEMENT_ID keeps every log row, and the joining
-        # statement itself, running in both.
+        # A self-join on STATEMENT_ID keeps every ringed row once, and the
+        # joining statement itself, running on both sides.
         joined = conn.execute(
             "SELECT l.STATEMENT_ID, l.STATUS FROM $SYSTEM.DM_QUERY_LOG AS l "
-            "JOIN $SYSTEM.DM_STATEMENT_RESOURCES AS r "
+            "JOIN $SYSTEM.DM_QUERY_LOG AS r "
             "ON l.STATEMENT_ID = r.STATEMENT_ID").rows
-        assert joined == [(row[0], row[2]) for row in log] + \
-            [(log[-1][0] + 1, "running")]
+        assert joined == log + [(log[-1][0] + 1, "running")]
         conn.provider.tracer.clear()
-        assert projections() == [[], []]
+        assert projection() == []
 
     def test_a_completing_statement_is_listed_while_it_retires(
             self, scanned, monkeypatch):
@@ -527,15 +456,14 @@ class TestStreamedStatementLifetime:
 
         def retire_and_read(record):
             retire(record)
-            for name in ("DM_QUERY_LOG", "DM_STATEMENT_RESOURCES"):
-                seen.append((record.statement_id, [
-                    row[0] for row in system_rowset(conn.provider,
-                                                    name).rows]))
+            seen.append((record.statement_id, [
+                row[0] for row in system_rowset(conn.provider,
+                                                "DM_QUERY_LOG").rows]))
 
         monkeypatch.setattr(workload, "retire", retire_and_read)
         conn.execute("INSERT INTO T VALUES (-1, 0.0)")
         for _ in conn.execute_stream(Q, batch_size=1000).batches():
             pass
-        assert len(seen) == 4
+        assert len(seen) == 2
         for statement_id, listed in seen:
             assert listed.count(statement_id) == 1

@@ -57,9 +57,7 @@ def reference_fit_schema(self: AttributeSpace,
     """The dictionary pass only: attributes, relations, discretizers.
 
     After this the space can :meth:`encode` cases, but marginals are
-    unfitted — partitioned training computes them per partition with
-    :meth:`partial_marginals` and folds them back in order through
-    :meth:`merge_marginal_partials`.
+    unfitted.
     """
     if not cases:
         raise TrainError(

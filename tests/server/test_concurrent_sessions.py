@@ -151,13 +151,13 @@ def test_cancel_is_scoped_to_the_owning_session(served):
             actives = {}
             for _ in range(100):
                 rowset = intruder.execute(
-                    "SELECT STATEMENT_ID, SESSION FROM "
-                    "$SYSTEM.DM_ACTIVE_STATEMENTS WHERE KIND = 'TRAIN'")
+                    "SELECT STATEMENT_ID, SESSION FROM $SYSTEM.DM_QUERY_LOG "
+                    "WHERE KIND = 'TRAIN' AND STATUS = 'running'")
                 actives = dict(rowset.rows)
                 if actives:
                     break
                 time.sleep(0.05)
-            assert actives, "TRAIN never showed up in DM_ACTIVE_STATEMENTS"
+            assert actives, "TRAIN never showed up running in DM_QUERY_LOG"
             statement_id = next(iter(actives))
             assert actives[statement_id] == owner.session_id
 
@@ -235,9 +235,9 @@ def test_a_wire_stream_is_cancellable_mid_stream_by_its_owner(served):
             assert len(next(batches)) == 9
             assert first_batch_out.wait(10)
             (statement_id, phase), = intruder.execute(
-                "SELECT STATEMENT_ID, PHASE FROM "
-                "$SYSTEM.DM_ACTIVE_STATEMENTS "
-                f"WHERE SESSION = {owner.session_id}").rows
+                "SELECT STATEMENT_ID, PHASE FROM $SYSTEM.DM_QUERY_LOG "
+                f"WHERE SESSION = {owner.session_id} "
+                "AND STATUS = 'running'").rows
             assert phase == "scan"
             with pytest.raises(Error, match="owned by"):
                 intruder.cancel(statement_id)
