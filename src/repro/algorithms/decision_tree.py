@@ -20,7 +20,8 @@ COMPLEXITY_PENALTY charged per additional child.
 
 from __future__ import annotations
 
-from itertools import chain
+from collections import defaultdict
+from itertools import chain, compress
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -40,10 +41,10 @@ from repro.algorithms.base import (
 from repro.algorithms.statistics import (
     CategoricalDistribution,
     GaussianStats,
+    count_into,
     entropy_bits,
     first_seen,
     gini_impurity,
-    sequential_sum,
 )
 from repro.core.content import (
     NODE_DISTRIBUTION,
@@ -136,8 +137,7 @@ class DecisionTreeAlgorithm(MiningAlgorithm):
     def _train(self, space: AttributeSpace,
                observations: List[Observation]) -> None:
         matrix = CaseMatrix.of(observations, len(space.attributes))
-        children = _ChildNumbers(space, matrix)
-        # Growth can be cancelled at any node: the trees a refit replaces
+        # Growth can be cancelled at any level: the trees a refit replaces
         # stay until every target's tree has finished.
         trees: Dict[int, _TreeNode] = {}
         for target in space.outputs():
@@ -147,8 +147,7 @@ class DecisionTreeAlgorithm(MiningAlgorithm):
             rows, _ = matrix.known(target.index)
             weights = matrix.effective_weights(target.index)[rows]
             trees[target.index] = _Growth(
-                self, matrix, children, target).grow(
-                inputs, rows, weights, depth=0, condition="All")
+                self, matrix, target, inputs).grow(rows, weights)
         self.trees = trees
 
     def state(self) -> dict:
@@ -455,45 +454,29 @@ class _WeightedMoments:
                                    variance, [bucket])
 
 
-class _ChildNumbers:
-    """The candidate children of every categorical split, numbered once
-    per refit: a child is (categorical attribute, code), the children of
-    one attribute are adjacent — attribute ``column[index]``'s span
-    starts at ``bases[column]`` — and ``numbers`` holds, per case and
-    such attribute, the child the case falls in (-1: value missing)."""
-
-    def __init__(self, space: AttributeSpace, matrix: CaseMatrix):
-        categorical = [a for a in space.attributes if a.is_categorical]
-        bases = np.cumsum([0] + [max(a.cardinality, 1) for a in categorical])
-        codes = matrix.values[:, [a.index for a in categorical]]
-        self.numbers = np.where(np.isnan(codes), -1,
-                                codes + bases[:-1]).astype(np.intp)
-        self.bases = bases.tolist()
-        self.column = {a.index: column
-                       for column, a in enumerate(categorical)}
-
-
 class _Growth:
-    """Growing one target's tree from the case matrix.
+    """Growing one target's tree from the case matrix, a level at a time.
 
-    A node's population is ``(rows, weights)``: row numbers into the matrix
-    in the order the per-case trainer would hold its ``(observation,
-    weight)`` pairs (case order; value order below a threshold split;
-    fractionally routed cases appended), and their weights in this node.
-    Every statistic is accumulated in that order, so the grown tree equals
-    the per-case trainer's bit for bit
-    (``tests/reference/reference_trainers.py``): class counts and weight
-    totals are ``bincount`` sums, which add in array order (one contingency
-    table per node covers every categorical input's candidate split),
-    impurities read each child's counts in its first-seen order of
-    classes, and Welford statistics are fed value by value.
+    A level's population is three parallel arrays, node-major: ``rows``
+    (row numbers into the matrix), ``weights`` (the rows' weights in their
+    node) and ``owner`` (the node's place in the level).  Within a node the
+    rows are in the order the per-case trainer would hold its
+    ``(observation, weight)`` pairs (case order; value order below a
+    threshold split; fractionally routed cases appended), and every
+    statistic is accumulated in that order, so the grown tree equals the
+    per-case trainer's bit for bit (``tests/reference/
+    reference_trainers.py``): supports, class counts and child weights are
+    ``bincount`` sums, which add in array order (one contingency table per
+    level covers every node's categorical candidate splits), impurities
+    read each child's counts in its first-seen order of classes, and
+    Welford statistics are fed value by value.  A node still picks its own
+    split (:meth:`_best_split`: scalar gains, in input order) and scores
+    its own continuous candidates (:meth:`_continuous_split`).
     """
 
     def __init__(self, algorithm: DecisionTreeAlgorithm, matrix: CaseMatrix,
-                 children: "_ChildNumbers", target: Attribute):
-        self.matrix = matrix
-        self.children = children
-        self.target = target
+                 target: Attribute, inputs: List[Attribute]):
+        self.matrix, self.target, self.inputs = matrix, target, inputs
         self.maximum_depth = int(algorithm.param("MAXIMUM_DEPTH"))
         self.minimum_support = float(algorithm.param("MINIMUM_SUPPORT"))
         self.penalty = float(algorithm.param("COMPLEXITY_PENALTY"))
@@ -505,105 +488,163 @@ class _Growth:
             self.class_count = int(self.classes.max(initial=0)) + 1
         else:
             self.classes = column
+        # The candidate children of every categorical split: a child is
+        # (input, code), an input's children are adjacent — those of
+        # ``categorical[i]`` start at ``bases[i]`` — and ``numbers`` holds,
+        # per case and input, the child the case falls in; a missing value
+        # falls in its input's slot past ``bases[-1]``, which is counted
+        # and never a candidate.
+        self.categorical = [a for a in inputs if a.is_categorical]
+        bases = np.cumsum([0] + [max(a.cardinality, 1)
+                                 for a in self.categorical])
+        codes = matrix.values[:, [a.index for a in self.categorical]]
+        self.numbers = np.where(
+            np.isnan(codes), bases[-1] + np.arange(len(self.categorical)),
+            codes + bases[:-1]).astype(np.intp)
+        self.bases = bases.tolist()
+        # A split has a cut below each child but the first (_next_level).
+        self.most_cuts = max([1] + (np.diff(bases) - 1).tolist())
 
-    def grow(self, inputs: List[Attribute], rows: np.ndarray,
-             weights: np.ndarray, depth: int, condition: str) -> _TreeNode:
-        obs_workload.checkpoint()
-        node = _TreeNode(sequential_sum(weights), depth, condition)
+    def grow(self, rows: np.ndarray, weights: np.ndarray) -> _TreeNode:
+        """The tree over the population ``(rows, weights)``.  A level is
+        ``[(node, the inputs left to it)]``; a CANCEL stops growth at the
+        next level."""
+        root = _TreeNode(0.0, 0, "All")
+        level = [(root, self.inputs)]
+        owner = np.zeros(len(rows), dtype=np.intp)
+        while level:
+            obs_workload.checkpoint()
+            bounds = np.searchsorted(owner, np.arange(len(level) + 1)).tolist()
+            # astype: an empty population's bincount is int64 zeros.
+            supports = np.bincount(owner, weights, minlength=len(level))
+            for (node, _), support in zip(level,
+                                          supports.astype(float).tolist()):
+                node.support = support
+            self._summarise(level, bounds, owner, rows, weights)
+            searched = [number for number, (node, _) in enumerate(level)
+                        if node.depth < self.maximum_depth and
+                        node.support >= 2 * self.minimum_support and
+                        (node.distribution is None or
+                         len(node.distribution) > 1)]
+            splits = []
+            for number, categorical in zip(searched, self._categorical_splits(
+                    level, searched, owner, rows, weights)):
+                start, end = bounds[number], bounds[number + 1]
+                best = self._best_split(*level[number], rows[start:end],
+                                        weights[start:end], categorical)
+                if best is not None:
+                    splits.append((number, best))
+            level, rows, weights, owner = self._next_level(
+                level, splits, owner, rows, weights)
+        return root
+
+    def _summarise(self, level, bounds, owner, rows, weights) -> None:
+        """Every node's target distribution (one ``count_into`` for the
+        level) or Welford statistics."""
         if self.target.is_categorical:
-            node.distribution = CategoricalDistribution()
-            node.distribution.add_codes(self.classes[rows], weights,
-                                        self.target.state_key)
-        else:
+            distributions = {number: CategoricalDistribution()
+                             for number in range(len(level))}
+            count_into(distributions, owner, self.classes[rows], weights,
+                       lambda _, code: self.target.state_key(code))
+            for (node, _), distribution in zip(level, distributions.values()):
+                node.distribution = distribution
+            return
+        values, shares = self.classes[rows].tolist(), weights.tolist()
+        for (node, _), start, end in zip(level, bounds, bounds[1:]):
             node.stats = GaussianStats()
-            node.stats.add_many(self.classes[rows].tolist(),
-                                weights.tolist())
-
-        if depth >= self.maximum_depth:
-            return node
-        if node.support < 2 * self.minimum_support:
-            return node
-        if node.distribution is not None and len(node.distribution) <= 1:
-            return node
-
-        best = self._best_split(node, inputs, rows, weights)
-        if best is None:
-            return node
-        attribute, threshold, values, parts = best
-        node.split_attribute = attribute
-        node.threshold = threshold
-        if threshold is None:
-            remaining = [a for a in inputs if a.index != attribute.index]
-            labels = [f"{attribute.name} = {attribute.decode(value)!r}"
-                      for value in values]
-            node.child_values = [attribute.state_key(value)
-                                 for value in values]
-        else:
-            remaining = inputs
-            labels = [f"{attribute.name} <= {threshold:g}",
-                      f"{attribute.name} > {threshold:g}"]
-            node.child_values = [None, None]  # the threshold decides
-        node.children = [
-            self.grow(remaining, child_rows, child_weights, depth + 1, label)
-            for (child_rows, child_weights), label in zip(parts, labels)]
-        return node
+            node.stats.add_many(values[start:end], shares[start:end])
 
     # -- impurity -------------------------------------------------------------
 
-    def _group_impurities(self, groups: np.ndarray, rows: np.ndarray,
-                          weights: np.ndarray) -> Dict[int, float]:
-        """Target impurity of the groups a population is split into
-        (``groups``: a group number per row), each accumulated in
-        population order; a group no positive weight reaches is absent."""
-        classes = self.classes[rows]
+    def _group_impurities(self, groups: np.ndarray, classes: np.ndarray,
+                          weights: np.ndarray, totals: List[float]):
+        """``impurity(group)``: the target impurity of one of the groups a
+        population is split into (``groups`` and ``classes``: a group
+        number and a target value per row; ``totals``: each group's
+        weights added in population order), accumulated in population
+        order; 0.0 for a group no positive weight reaches.  Only the
+        groups asked for are scored."""
         if not self.target.is_categorical:
-            statistics: Dict[int, GaussianStats] = {}
+            statistics: Dict[int, GaussianStats] = defaultdict(GaussianStats)
             for group, value, weight in zip(
                     groups.tolist(), classes.tolist(), weights.tolist()):
-                statistic = statistics.get(group)
-                if statistic is None:
-                    statistic = statistics[group] = GaussianStats()
-                statistic.add(value, weight)
-            return {group: statistic.variance
-                    for group, statistic in statistics.items()}
-        positive = weights > 0
+                statistics[group].add(value, weight)
+            return lambda group: statistics[group].variance
+        count, positive = len(totals), weights > 0
         if not positive.all():
             groups, classes, weights = \
                 groups[positive], classes[positive], weights[positive]
-        if not len(groups):
-            return {}
+            totals = np.bincount(groups, weights, minlength=count).tolist()
         # The contingency table, read in each group's first-seen order of
-        # classes: the order a distribution filled case by case iterates.
+        # classes (the order a distribution filled case by case iterates),
+        # a group's cells side by side.
         cells = groups * self.class_count + classes
-        size = (int(groups.max()) + 1) * self.class_count
-        order = first_seen(cells, size)
-        counts: Dict[int, List[float]] = {}
-        for group, count in zip(
-                (order // self.class_count).tolist(),
-                np.bincount(cells, weights, minlength=size)[order].tolist()):
-            counts.setdefault(group, []).append(count)
-        totals = np.bincount(groups, weights).tolist()
+        order = first_seen(cells, count * self.class_count)
+        order = order[np.argsort(order // self.class_count, kind="stable")]
+        counts = np.bincount(cells, weights, minlength=count *
+                             self.class_count)[order].tolist()
+        bounds = np.searchsorted(order // self.class_count,
+                                 np.arange(count + 1)).tolist()
         impurity = gini_impurity if self.gini else entropy_bits
-        return {group: impurity(group_counts, totals[group])
-                for group, group_counts in counts.items()}
+        return lambda group: impurity(
+            counts[bounds[group]:bounds[group + 1]], totals[group])
 
     # -- split search ---------------------------------------------------------
 
+    def _categorical_splits(self, level, searched: List[int],
+                            owner: np.ndarray, rows: np.ndarray,
+                            weights: np.ndarray) -> List[dict]:
+        """Per searched node, every categorical input left to it that
+        splits it at all: ``{attribute index: (None, child codes, child
+        weights, child impurities)}``, all from one contingency table over
+        (node, candidate child, class) cells — one cell per row and input,
+        row-major, so each cell adds in population order."""
+        if not searched or not self.categorical:
+            return [{} for _ in searched]
+        rank = np.full(len(level), -1, dtype=np.intp)
+        rank[searched] = np.arange(len(searched))
+        taken = rank[owner] >= 0
+        rows, weights, rank = rows[taken], weights[taken], rank[owner[taken]]
+        inputs, bases = len(self.categorical), self.bases
+        size = bases[-1] + inputs       # candidate children, missing slots
+        groups = ((rank * size)[:, None] + self.numbers[rows]).ravel()
+        weights = np.repeat(weights, inputs)
+        members = np.bincount(groups, minlength=len(searched) * size)
+        child_weights = np.bincount(groups, weights,
+                                    minlength=len(searched) * size)
+        # A split needs two children of MINIMUM_SUPPORT, of an input left.
+        supported = (members > 0) & (child_weights >= self.minimum_support)
+        supported = np.add.reduceat(supported.reshape(
+            len(searched), size)[:, :bases[-1]].astype(np.intp),
+            bases[:-1], axis=1) >= 2
+        supported &= [list(map(level[number][1].__contains__,
+                               self.categorical)) for number in searched]
+        members, child_weights = members.tolist(), child_weights.tolist()
+        impurity = self._group_impurities(
+            groups, np.repeat(self.classes[rows], inputs), weights,
+            child_weights)
+        splits = [{} for _ in searched]
+        for node, column in np.argwhere(supported).tolist():
+            start, end = (node * size + bases[column],
+                          node * size + bases[column + 1])
+            present = list(compress(range(start, end), members[start:end]))
+            splits[node][self.categorical[column].index] = (
+                None, [child - start for child in present],
+                [child_weights[child] for child in present],
+                list(map(impurity, present)))
+        return splits
+
     def _best_split(self, node: _TreeNode, inputs: List[Attribute],
-                    rows: np.ndarray, weights: np.ndarray):
-        """``(attribute, threshold, child codes, child populations)`` of
-        the split with the largest penalised gain, or None."""
+                    rows: np.ndarray, weights: np.ndarray, categorical: dict):
+        """``(attribute, threshold, child codes, child weights)`` of the
+        split of one node with the largest penalised gain, or None;
+        ``categorical`` is the node's share of the level's table."""
         total = node.support
         if total <= 0:
             return None
-        if node.stats is not None:
-            parent_impurity = node.stats.variance
-        elif self.gini:
-            parent_impurity = node.distribution.gini()
-        else:
-            parent_impurity = node.distribution.entropy()
-        categorical = self._categorical_splits(
-            [a for a in inputs if a.is_categorical], rows, weights)
+        parent_impurity = node.stats.variance if node.stats is not None \
+            else node.distribution.gini() if self.gini \
+            else node.distribution.entropy()
         best_gain = 0.0
         best = None
         for attribute in inputs:
@@ -627,50 +668,7 @@ class _Growth:
             if gain > best_gain + 1e-12:
                 best_gain = gain
                 best = (attribute, threshold, values, child_weights)
-        if best is None:
-            return None
-        attribute, threshold, values, child_weights = best
-        return (attribute, threshold, values,
-                self._partition(attribute, threshold, values, child_weights,
-                                rows, weights))
-
-    def _categorical_splits(self, attributes: List[Attribute],
-                            rows: np.ndarray, weights: np.ndarray):
-        """Every categorical input's multiway split of one population,
-        from one contingency table: ``{attribute index: (None, child
-        codes, child weights, child impurities)}`` for the inputs that
-        split it at all."""
-        if not attributes:
-            return {}
-        bases = self.children.bases
-        columns = [self.children.column[a.index] for a in attributes]
-        children = self.children.numbers[rows[:, None], columns]
-        known = children >= 0
-        row_of = known.nonzero()[0]     # population order, row-major
-        children = children[known]
-        size = bases[-1]
-        members = np.bincount(children, minlength=size).tolist()
-        child_weights = np.bincount(children, weights[row_of],
-                                    minlength=size).tolist()
-        impurities = self._group_impurities(children, rows[row_of],
-                                            weights[row_of])
-        splits = {}
-        for attribute, column in zip(attributes, columns):
-            span = range(bases[column], bases[column + 1])
-            present = [child for child in span if members[child]]
-            if len(present) < 2:
-                continue
-            supported = 0
-            for child in present:
-                if child_weights[child] >= self.minimum_support:
-                    supported += 1
-            if supported < 2:
-                continue
-            splits[attribute.index] = (
-                None, [child - span.start for child in present],
-                [child_weights[child] for child in present],
-                [impurities.get(child, 0.0) for child in present])
-        return splits
+        return best
 
     def _continuous_split(self, attribute: Attribute, rows: np.ndarray,
                           weights: np.ndarray):
@@ -680,8 +678,6 @@ class _Growth:
         are later filled, in value order."""
         column = self.matrix.values[rows, attribute.index]
         known = np.flatnonzero(~np.isnan(column))
-        if len(known) < 2:
-            return None
         known = known[np.argsort(column[known], kind="stable")]
         values = column[known]
         distinct = np.unique(values).tolist()
@@ -695,9 +691,8 @@ class _Growth:
             candidates = [(distinct[i] + distinct[i + 1]) / 2.0
                           for i in range(len(distinct) - 1)]
 
-        rows, weights = rows[known], weights[known]
-        best = None
-        best_impurity = None
+        classes, weights = self.classes[rows[known]], weights[known]
+        best = best_impurity = None
         for threshold in candidates:
             side = (values > threshold).astype(np.intp)
             low_weight, high_weight = np.bincount(
@@ -705,9 +700,10 @@ class _Growth:
             if low_weight < self.minimum_support or \
                     high_weight < self.minimum_support:
                 continue
-            impurities = self._group_impurities(side, rows, weights)
+            impurity = self._group_impurities(
+                side, classes, weights, [low_weight, high_weight])
             total = low_weight + high_weight
-            low, high = impurities.get(0, 0.0), impurities.get(1, 0.0)
+            low, high = impurity(0), impurity(1)
             impurity = low_weight / total * low + high_weight / total * high
             if best_impurity is None or impurity < best_impurity - 1e-12:
                 best_impurity = impurity
@@ -715,37 +711,64 @@ class _Growth:
                         [low, high])
         return best
 
-    def _partition(self, attribute: Attribute, threshold: Optional[float],
-                   values: List[int], child_weights: List[float],
-                   rows: np.ndarray, weights: np.ndarray):
-        """The child populations of the chosen split; cases missing the
-        split attribute go down every child, each with the share of its
-        weight the child's weight earns (appended in population order)."""
-        column = self.matrix.values[rows, attribute.index]
-        missing = np.isnan(column)
-        missing_rows, missing_weights = rows[missing], weights[missing]
-        if threshold is None:
-            masks = [column == value for value in values]
-        else:
-            known = np.flatnonzero(~missing)
-            known = known[np.argsort(column[known], kind="stable")]
-            rows, weights, column = rows[known], weights[known], column[known]
-            masks = [column <= threshold, column > threshold]
-        total = 0.0
-        for weight in child_weights:
-            total += weight
-        parts = []
-        for mask, child_weight in zip(masks, child_weights):
-            part_rows, part_weights = rows[mask], weights[mask]
-            if total > 0 and len(missing_rows):
-                shares = missing_weights * child_weight / total
-                routed = shares > 0
-                part_rows = np.concatenate(
-                    (part_rows, missing_rows[routed]))
-                part_weights = np.concatenate(
-                    (part_weights, shares[routed]))
-            parts.append((part_rows, part_weights))
-        return parts
+    # -- the next level -------------------------------------------------------
+
+    def _next_level(self, level, splits, owner: np.ndarray, rows: np.ndarray,
+                    weights: np.ndarray):
+        """``(level, rows, weights, owner)`` of the split nodes' children.
+        A child holds its parent's rows of its code, or of its side of the
+        threshold in value order, then every row of the parent missing the
+        split value, with the share of its weight the child's weight earns
+        (``weight * child weight / the children's total``, appended in
+        population order) — one stable sort by (child, value) lays it out.
+        A row's child is the number of its node's cuts below its value: the
+        threshold, or halfway below each code after the first."""
+        following, child_weights = [], []
+        count, column = np.zeros((2, len(level)), dtype=np.intp)
+        cuts = np.full((len(level), self.most_cuts), np.inf)
+        for number, (attribute, threshold, values, weights_of) in splits:
+            node, inputs = level[number]
+            node.split_attribute, node.threshold = attribute, threshold
+            if threshold is None:
+                inputs = [a for a in inputs if a is not attribute]
+                labels = [f"{attribute.name} = {attribute.decode(value)!r}"
+                          for value in values]
+                node.child_values = [attribute.state_key(value)
+                                     for value in values]
+                cuts[number, :len(values) - 1] = np.array(values[1:]) - 0.5
+            else:
+                labels = [f"{attribute.name} <= {threshold:g}",
+                          f"{attribute.name} > {threshold:g}"]
+                node.child_values = [None, None]  # the threshold decides
+                cuts[number, 0] = threshold
+            node.children = [_TreeNode(0.0, node.depth + 1, label)
+                             for label in labels]
+            following += [(child, inputs) for child in node.children]
+            count[number], column[number] = len(labels), attribute.index
+            child_weights += weights_of
+        first = np.cumsum(count) - count
+        # The children's total, added left to right (> 0: the split was
+        # chosen for it).
+        total = np.bincount(np.repeat(np.arange(len(level)), count),
+                            child_weights, minlength=len(level))
+        value = self.matrix.values[rows, column[owner]]
+        known = ~np.isnan(value)
+        # A row goes to its child, a row missing the split value to every
+        # child of its node, a row of a node that did not split nowhere.
+        spread = np.where(known, 1, count[owner]) * (count[owner] > 0)
+        entry = np.repeat(np.arange(len(rows)), spread)
+        rows, weights, owner, value, known = (
+            array[entry] for array in (rows, weights, owner, value, known))
+        child = first[owner] + np.where(
+            known, sum(cuts[owner].T < value),
+            np.arange(len(entry)) - np.repeat(np.cumsum(spread) - spread,
+                                              spread))
+        weights = np.where(known, weights, weights * np.array(
+            child_weights)[child] / total[owner])
+        kept = known | (weights > 0)
+        order = np.lexsort((np.where(known, value, np.inf)[kept], child[kept]))
+        return following, rows[kept][order], weights[kept][order], \
+            child[kept][order]
 
 
 def _distribution_rows(node: _TreeNode, target: Attribute):

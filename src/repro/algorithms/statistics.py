@@ -84,10 +84,16 @@ class CategoricalDistribution:
 
 def entropy_bits(weights: Iterable[float], total: float) -> float:
     """Shannon entropy, in bits, of weights that add up to ``total``; the
-    terms are subtracted in the order given."""
+    terms are subtracted in the order given, by a plain loop (a generator
+    would be resumed once per term)."""
     if total <= 0:
         return 0.0
-    return entropy(weight / total for weight in weights)
+    result = 0.0
+    for weight in weights:
+        p = weight / total
+        if p > 0:
+            result -= p * math.log2(p)
+    return result
 
 
 def gini_impurity(weights: Iterable[float], total: float) -> float:
@@ -250,11 +256,7 @@ def count_into(distributions: Mapping[int, CategoricalDistribution],
 
 def entropy(probabilities: Iterable[float]) -> float:
     """Shannon entropy (bits) of a probability vector (zeros ignored)."""
-    result = 0.0
-    for p in probabilities:
-        if p > 0:
-            result -= p * math.log2(p)
-    return result
+    return entropy_bits(probabilities, 1.0)
 
 
 def log_sum_exp(values: List[float]) -> float:

@@ -8,6 +8,10 @@ from repro.core.columns import compile_model_definition
 from repro.core.content import NODE_MODEL, NODE_TREE
 from repro.algorithms.attributes import AttributeSpace
 from repro.algorithms.decision_tree import DecisionTreeAlgorithm
+from repro.core.model import MiningModel
+from repro.pmml.writer import to_pmml
+
+from tests.reference.reference_trainers import reference_model_train
 
 
 def build(ddl, cases, params=None):
@@ -107,6 +111,24 @@ class TestClassification:
         tree = algorithm.tree_for("Label")
         assert tree.is_leaf and tree.support == 0.0
         assert len(tree.distribution) == 0
+
+    def test_a_root_of_zero_weight_has_a_float_support(self):
+        """The only case with a known target has SUPPORT 0: the root's
+        support is the float 0.0 (a ``bincount`` over an empty array gives
+        int64 zeros), in ``state()`` and in the PMML, as the per-case
+        trainer's is."""
+        definition = compile_model_definition(parse_statement(
+            "CREATE MINING MODEL m (Id LONG KEY, G TEXT DISCRETE, "
+            "W DOUBLE SUPPORT OF G, T TEXT DISCRETE PREDICT) "
+            "USING Repro_Decision_Trees(MAXIMUM_DEPTH = 0)"))
+        cases = [case(Id=1, G="m", T="yes"), case(Id=2), case(Id=3)]
+        cases[0].qualifiers["G"] = {"SUPPORT": 0.0}
+        model, reference = MiningModel(definition), MiningModel(definition)
+        model.train(cases)
+        reference_model_train(reference, cases)
+        support = model.algorithm.state()["trees"][0][1]["support"]
+        assert type(support) is float and support == 0.0
+        assert to_pmml(model) == to_pmml(reference)
 
 
 REGRESSION_DDL = """

@@ -55,18 +55,40 @@ COLUMNS = """
 """
 
 
-def ddl(using, **predict):
+#: No continuous input anywhere, the shape of the life cycle's tree (a
+#: discretized target over a discrete column and a nested table's
+#: existence columns): every split is a categorical one.
+CATEGORICAL_COLUMNS = """
+    Id LONG KEY,
+    G TEXT DISCRETE,
+    W DOUBLE SUPPORT OF G,
+    H TEXT DISCRETE,
+    HP DOUBLE PROBABILITY OF H,
+    D DOUBLE DISCRETIZED(EQUAL_COUNT, 3){D},
+    E DOUBLE CONTINUOUS MODEL_EXISTENCE_ONLY,
+    T TEXT DISCRETE{T},
+    TP DOUBLE PROBABILITY OF T,
+    B TABLE(P TEXT KEY){B}
+"""
+
+
+def ddl(using, columns=COLUMNS, **predict):
     marks = {name: " PREDICT" if name in predict else "" for name in "XDTQB"}
-    return (f"CREATE MINING MODEL m ({COLUMNS.format(**marks)}) "
+    return (f"CREATE MINING MODEL m ({columns.format(**marks)}) "
             f"USING {using}")
 
 
-#: Which columns are PREDICT: one shape per kind of target.
+#: Which columns are PREDICT: one shape per kind of target, over the
+#: mixed column list unless the shape names another.
 TREE_TARGETS = {
     "discrete": dict(T=1),
     "continuous": dict(X=1),
     "discretized+discrete": dict(D=1, T=1),
     "nested existence+value": dict(B=1, Q=1),
+    "all-categorical discretized": dict(D=1, columns=CATEGORICAL_COLUMNS),
+    "all-categorical discrete": dict(T=1, columns=CATEGORICAL_COLUMNS),
+    "all-categorical nested existence": dict(B=1,
+                                             columns=CATEGORICAL_COLUMNS),
 }
 BAYES_TARGETS = {
     "discrete": dict(T=1),

@@ -9,7 +9,7 @@ benchmark's own point SELECTs and 100 of its singleton predictions
 after five warm-ups, and per case over the life cycle's TRAIN and cold
 and warm ``NATURAL PREDICTION JOIN`` of 2,000 customers, once per
 service.  The ceilings sit about 5 % above what the statements cost when
-they were set (241 and 322 for the short statements; per case 14.7 and
+they were set (241 and 322 for the short statements; per case 8.2 and
 4.7 for the tree and naive Bayes TRAIN, 2.59 and 1.51 for their cold joins
 and 0.45 and 0.33 for the warm re-score of the cached caseset, on CPython
 3.11; 3.12 inlines comprehensions and counts fewer): a layer that starts
@@ -43,7 +43,7 @@ SINGLETON_PREDICTION_CEILING = 338
 
 LIFECYCLE_CUSTOMERS = 2000
 #: Call events per case of the first TRAIN, by service tag.
-TRAIN_CEILING = {"dt": 15.4, "nb": 4.9}
+TRAIN_CEILING = {"dt": 8.6, "nb": 4.9}
 #: Call events per case of the cold batch join, and of the same statement
 #: re-scoring the cached caseset, by service tag.
 COLD_JOIN_CEILING = {"dt": 2.72, "nb": 1.58}
