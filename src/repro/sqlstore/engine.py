@@ -17,7 +17,7 @@ workload repository hashes it, ``execute_select_stream`` opens it.
 
 from __future__ import annotations
 
-import datetime
+from bisect import bisect_left
 from itertools import chain, compress, repeat
 from operator import eq, gt, itemgetter
 from typing import (
@@ -820,30 +820,28 @@ class Database:
         order_keys = self._bind_order_by(statement, expanded, group_context,
                                          bare_only=False)
 
-        # Bucket rows by the GROUP BY key (one global bucket if none).
-        buckets: Dict[tuple, List[tuple]] = {}
-        group_key = V.group_key
+        # Bucket rows by their GROUP BY keys, built a batch column at a
+        # time (one global bucket if none); then each aggregate is one
+        # call over its bucket's argument column.
+        aggregates = [make_aggregate(node.name, count_rows=argument is None,
+                                     distinct=node.distinct)
+                      for node, argument in zip(aggregate_nodes, arguments)]
+        buckets: Dict[Any, List[tuple]] = {} if group_keys else {(): []}
         for batch in batches:
-            for row in batch:
-                key = tuple([group_key(g(row)) for g in group_keys])
-                if key not in buckets:
-                    buckets[key] = []
-                buckets[key].append(row)
-        if not statement.group_by and not buckets:
-            buckets[()] = []
+            if not group_keys:
+                buckets[()].extend(batch)
+                continue
+            columns = [V.group_keys(list(map(key, batch)))
+                       for key in group_keys]
+            for key, row in zip(zip(*columns), batch):
+                buckets.setdefault(key, []).append(row)
 
         output_rows = []
         groups = []
         for bucket in buckets.values():
-            values = []
-            for node, argument in zip(aggregate_nodes, arguments):
-                accumulator = make_aggregate(
-                    node.name, count_rows=argument is None,
-                    distinct=node.distinct)
-                for row in bucket:
-                    accumulator.add(
-                        None if argument is None else argument(row))
-                values.append(accumulator.result())
+            values = [aggregate(bucket if argument is None
+                                else list(map(argument, bucket)))
+                      for aggregate, argument in zip(aggregates, arguments)]
             group = (bucket[0] if bucket
                      else tuple([None] * len(relation.columns)), values)
             if having is not None and having(group) is not True:
@@ -887,15 +885,18 @@ class Database:
         """``output_rows`` in ORDER BY order.  Rows that already stand in
         it — an insertion-ordered scan under a SHAPE source's ORDER BY —
         are returned as they are: a stable sort of ordered input is the
-        identity."""
+        identity.  Otherwise the sort keys are the raw values where every
+        key column orders natively, their ``sort_key`` tuples where one does
+        not."""
         columns = [list(map(value, output_rows if reads_output
                             else source_rows))
                    for reads_output, value in order_keys]
         directions = [item.ascending for item in statement.order_by]
         if _already_ordered(columns, directions):
             return output_rows
-        keys = list(zip(*[map(V.sort_key, column) for column in columns]))
-        return _multi_key_sort(output_rows, keys, directions)
+        if not all(map(V.orders_natively, columns)):
+            columns = [list(map(V.sort_key, column)) for column in columns]
+        return _multi_key_sort(output_rows, list(zip(*columns)), directions)
 
     # -- cardinality estimation (repro.sqlstore.stats) -------------------------
     #
@@ -1203,12 +1204,14 @@ class Database:
             return _JoinMethod("nested loop (right side materialized)",
                                residual=tuple(residual))
         # A user index on the first equi column of a base-table right side
-        # already holds the hash buckets the scan would build.  (For a base
-        # table the relation's column ordinals are the schema ordinals.)
+        # already holds the hash buckets the scan would build — but for a
+        # DATE column, whose bucket of one day may hold a date and a
+        # datetime that ``=`` tells apart.  (For a base table the
+        # relation's column ordinals are the schema ordinals.)
         index = None
         if right.operator == "table scan":
             index = self.table(right.target).index_on(pairs[0][1])
-        if index is not None:
+        if index is not None and index.type_name != "DATE":
             return _JoinMethod(
                 f"hash join (right side index {index.name})", tuple(pairs),
                 tuple(bound), tuple(residual), build_index=index)
@@ -1243,34 +1246,66 @@ class Database:
             return SourceRelation(columns, batches=produce_cross())
 
         pairs = method.pairs
+        outer = ref.kind == "LEFT"
+        padding = tuple([None] * right_width)
         # Bound against the joined row before the build side is read.
         joined_context = EvalContext.from_columns(
             left.names() + right.names())
         residual_ok = compile_filter(method.residual, joined_context)
-        # Without a bound equi pair the whole ON is the loop condition.
-        condition = (compile_expression(ref.condition, joined_context)
-                     if not pairs else None)
-        right_rows: List[tuple] = []
-        prebuilt: Optional[Dict[Any, List[tuple]]] = None
+        if not pairs:
+            # Without a bound equi pair the whole ON is the loop condition.
+            condition = compile_expression(ref.condition, joined_context)
+            right_rows = right.rows
+
+            def produce_loop():
+                for batch in left.batches(batch_size):
+                    out = []
+                    for l in batch:
+                        matched = False
+                        for r in right_rows:
+                            candidate = l + r
+                            if condition(candidate) is True:
+                                out.append(candidate)
+                                matched = True
+                        if outer and not matched:
+                            out.append(l + padding)
+                    if out:
+                        yield out
+            return SourceRelation(columns, batches=produce_loop())
+
+        # Hash join on the first equi pair, keyed by values.join_keys on
+        # every path; a candidate is checked — the other pairs, then the
+        # residual — only when there is something to check.
+        (first_left, first_right), rest = pairs[0], pairs[1:]
+        check = None
+        if rest or method.residual:
+            def check(l, r):
+                for a, b in rest:
+                    if V.sql_equal(l[a], r[b]) is not True:
+                        return False
+                return residual_ok(l + r)
         if method.build_index is not None:
-            # Positions per key are in insertion order, so the bucket
-            # lists (and thus output order) are identical to the
-            # scan-built dict.  One sequential read — the right side's
-            # scan — fills them all: a paged build side loads each page
-            # once, in page order.  A row appended after that read is
-            # invisible, as to a scan.
+            # Each index bucket holds one key's positions in insertion
+            # order — the rows, in the order a scan-built bucket holds
+            # them, under the join key of its first row.  One sequential
+            # read — the right side's scan — fills them all: a paged build
+            # side loads each page once, in page order.  A row appended
+            # after that read is invisible, as to a scan.
             build_index = method.build_index
             build_rows = right.rows
-            limit = len(build_rows)
-            prebuilt = {
-                key: [build_rows[position] for position in positions
-                      if position < limit]
-                for key, positions in build_index.hash.items()}
+            limit, take = len(build_rows), build_rows.__getitem__
+            buckets = [list(map(take, positions[:bisect_left(positions,
+                                                             limit)]))
+                       for positions in build_index.hash.values()]
+            buckets = [rows for rows in buckets if rows]
+            keys = V.join_keys([rows[0][first_right] for rows in buckets])
+            build = {key: rows for key, rows in zip(keys, buckets)
+                     if key is not None}
             build_index.join_probes += 1
             if self.metrics is not None:
                 self.metrics.counter("index.join_probes").inc()
         elif not method.build_left:
-            right_rows = right.rows  # build side
+            build = _hash_buckets(right.rows, first_right)
 
         def produce_left_build():
             # Cost-chosen swap: the (estimated-smaller) left side builds
@@ -1279,30 +1314,19 @@ class Database:
             # per left position in right-arrival order — exactly the order
             # a right-build bucket would replay them — and rows are emitted
             # left-major over the original left batch boundaries.
-            first_left, first_right = pairs[0]
             left_flat: List[tuple] = []
             boundaries: List[int] = []
-            build: Dict[Any, List[int]] = {}
             for batch in left.batches(batch_size):
                 boundaries.append(len(batch))
-                for l in batch:
-                    position = len(left_flat)
-                    left_flat.append(l)
-                    if l[first_left] is not None:
-                        build.setdefault(
-                            V.group_key(l[first_left]), []).append(position)
+                left_flat.extend(batch)
+            build = _hash_buckets(left_flat, first_left, positions=True)
             matches: List[List[tuple]] = [[] for _ in left_flat]
             for right_batch in right.batches(batch_size):
-                for r in right_batch:
-                    if r[first_right] is None:
-                        continue
-                    for position in build.get(
-                            V.group_key(r[first_right]), ()):
-                        l = left_flat[position]
-                        if all(V.sql_equal(l[a], r[b]) is True
-                               for a, b in pairs[1:]):
-                            if residual_ok(l + r):
-                                matches[position].append(r)
+                keys = V.join_keys([r[first_right] for r in right_batch])
+                for r, key in zip(right_batch, keys):
+                    for position in build.get(key, ()):
+                        if check is None or check(left_flat[position], r):
+                            matches[position].append(r)
             cursor = 0
             for size in boundaries:
                 out = []
@@ -1310,51 +1334,24 @@ class Database:
                     l = left_flat[position]
                     for r in matches[position]:
                         out.append(l + r)
-                    if ref.kind == "LEFT" and not matches[position]:
-                        out.append(l + tuple([None] * right_width))
+                    if outer and not matches[position]:
+                        out.append(l + padding)
                 cursor += size
                 if out:
                     yield out
 
         def produce():
-            build: Optional[Dict[Any, List[tuple]]] = None
-            if pairs:
-                # Hash join on the first equi pair; verify the rest per
-                # candidate.  An index-built dict (prebuilt) short-cuts
-                # the build scan.
-                build = prebuilt
-                if build is None:
-                    build = {}
-                    first_right = pairs[0][1]
-                    for r in right_rows:
-                        build.setdefault(
-                            V.group_key(r[first_right]), []).append(r)
             for batch in left.batches(batch_size):
                 out = []
-                if pairs:
-                    first_left = pairs[0][0]
-                    for l in batch:
-                        matched = False
-                        if l[first_left] is not None:
-                            for r in build.get(V.group_key(l[first_left]), []):
-                                if all(V.sql_equal(l[a], r[b]) is True
-                                       for a, b in pairs[1:]):
-                                    candidate = l + r
-                                    if residual_ok(candidate):
-                                        out.append(candidate)
-                                        matched = True
-                        if ref.kind == "LEFT" and not matched:
-                            out.append(l + tuple([None] * right_width))
-                else:
-                    for l in batch:
-                        matched = False
-                        for r in right_rows:
-                            candidate = l + r
-                            if condition(candidate) is True:
-                                out.append(candidate)
-                                matched = True
-                        if ref.kind == "LEFT" and not matched:
-                            out.append(l + tuple([None] * right_width))
+                keys = V.join_keys([l[first_left] for l in batch])
+                for l, key in zip(batch, keys):
+                    matched = False
+                    for r in build.get(key, ()):
+                        if check is None or check(l, r):
+                            out.append(l + r)
+                            matched = True
+                    if outer and not matched:
+                        out.append(l + padding)
                 if out:
                     yield out
         if method.build_left:
@@ -1420,6 +1417,19 @@ class _GroupContext(EvalContext):
         return lambda group: group[1][slot]
 
 
+def _hash_buckets(rows: List[tuple], column: int,
+                  positions: bool = False) -> Dict[Any, list]:
+    """``rows`` — or, with ``positions``, their indexes — by the join key
+    of ``column`` (:func:`values.join_keys`), each bucket in row order; a
+    NULL key joins nothing and is left out."""
+    buckets: Dict[Any, list] = {}
+    keys = V.join_keys([row[column] for row in rows])
+    for key, item in zip(keys, range(len(rows)) if positions else rows):
+        if key is not None:
+            buckets.setdefault(key, []).append(item)
+    return buckets
+
+
 def _row_key(row: tuple) -> tuple:
     """Hashable identity of a row for DISTINCT / UNION dedup."""
     return tuple(V.group_key(v) if not isinstance(v, Rowset) else id(v)
@@ -1449,11 +1459,6 @@ def _split_equi_condition(condition: Optional[ast.Expr]):
     return equalities, residual
 
 
-#: Up to here every int is its own float, so native int order is
-#: ``sort_key`` order exactly (beyond it distinct ints share a key).
-_EXACT_INT = 2 ** 53
-
-
 def _already_ordered(columns: List[list], directions: List[bool]) -> bool:
     """Whether rows whose ORDER BY values are ``columns`` (one list per
     key) already stand where :func:`_multi_key_sort` would put them.
@@ -1463,8 +1468,8 @@ def _already_ordered(columns: List[list], directions: List[bool]) -> bool:
     the keys before it left equal — and the first pair out of order ends
     the test, which is where an unsorted input ends it.  NULL and mixed
     type classes raise ``TypeError``; they, a NaN (which orders against
-    nothing) and every column :func:`_orders_natively` does not vouch for
-    go to the sort."""
+    nothing) and every column :func:`values.orders_natively` does not
+    vouch for go to the sort."""
     tied = range(len(columns[0]) - 1)   # i: rows i and i + 1 still tie
     try:
         for values, ascending in zip(columns, directions):
@@ -1481,23 +1486,7 @@ def _already_ordered(columns: List[list], directions: List[bool]) -> bool:
                 break
     except TypeError:
         return False
-    return all(map(_orders_natively, columns))
-
-
-def _orders_natively(values: list) -> bool:
-    """Whether native ``<`` / ``==`` on ``values`` agree with their
-    ``sort_key``s, ties included: one type class whose key is the value
-    (``str``, ``date`` by ordinal, ``float`` without a NaN — one in a key
-    no tie consults would still steer the sort's pass over that key) or
-    ``int`` / ``bool`` small enough to be their own floats.  A
-    ``datetime`` is keyed by its day alone, so it is not among them."""
-    kinds = set(map(type, values))
-    if kinds <= {int, bool}:
-        return not kinds or (-_EXACT_INT <= min(values)
-                             and max(values) <= _EXACT_INT)
-    if kinds == {float}:
-        return all(map(eq, values, values))
-    return len(kinds) == 1 and kinds <= {str, datetime.date}
+    return all(map(V.orders_natively, columns))
 
 
 def _multi_key_sort(rows: List[tuple], keys: List[tuple],
@@ -1506,6 +1495,7 @@ def _multi_key_sort(rows: List[tuple], keys: List[tuple],
     indexed = list(range(len(rows)))
     # Sort by the last key first (stable sorts compose right-to-left).
     for position in reversed(range(len(directions))):
-        indexed.sort(key=lambda i: keys[i][position],
+        column = [key[position] for key in keys]
+        indexed.sort(key=column.__getitem__,
                      reverse=not directions[position])
     return [rows[i] for i in indexed]

@@ -141,9 +141,6 @@ def evaluate(expr: ast.Expr, context: EvalContext) -> Any:
 
 _STAR_MESSAGE = "'*' is only valid in a select list or COUNT(*)"
 
-_ORDERINGS = {"<": operator.lt, "<=": operator.le,
-              ">": operator.gt, ">=": operator.ge}
-
 _ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul,
                "/": operator.truediv,
                "||": lambda left, right: str(left) + str(right)}
@@ -321,53 +318,69 @@ def _compile_star(expr: ast.Star, context: EvalContext):
 
 def _compile_binary(expr: ast.BinaryOp, context: EvalContext):
     op = expr.op
-    left = compile_expression(expr.left, context)
-    right = compile_expression(expr.right, context)
-    as_bool = _as_bool
-    if op == "AND":
-        truth_and = V.truth_and
-
-        def conjunction(row):
-            value = as_bool(left(row))
-            if value is False:  # short circuit
-                return False
-            return truth_and(value, as_bool(right(row)))
-        return conjunction
-    if op == "OR":
-        truth_or = V.truth_or
+    if op in ("AND", "OR"):
+        left = _compile_condition(expr.left, context)
+        right = _compile_condition(expr.right, context)
+        if op == "AND":
+            def conjunction(row):
+                value = left(row)
+                if value is False:  # short circuit
+                    return False
+                other = right(row)
+                return other if value is True or other is False else None
+            return conjunction
 
         def disjunction(row):
-            value = as_bool(left(row))
+            value = left(row)
             if value is True:
                 return True
-            return truth_or(value, as_bool(right(row)))
+            other = right(row)
+            return other if value is False or other is True else None
         return disjunction
-    if op == "=":
-        sql_equal = V.sql_equal
-        return lambda row: sql_equal(left(row), right(row))
-    if op == "<>":
-        sql_equal = V.sql_equal
-
-        def unequal(row):
-            result = sql_equal(left(row), right(row))
-            return None if result is None else not result
-        return unequal
-    if op in _ORDERINGS:
-        sql_compare, holds = V.sql_compare, _ORDERINGS[op]
-
-        def ordering(row):
-            comparison = sql_compare(left(row), right(row))
-            return None if comparison is None else holds(comparison, 0)
-        return ordering
+    left = compile_expression(expr.left, context)
+    right = compile_expression(expr.right, context)
+    if op in V.COMPARISONS:
+        # A literal side fixes the comparison's kernel now (mirrored when
+        # the literal is on the left); otherwise both sides are values.
+        if type(expr.right) is ast.Literal:
+            compare, operand = V.comparator(op, expr.right.value), left
+        elif type(expr.left) is ast.Literal:
+            compare = V.comparator(V.MIRRORED[op], expr.left.value)
+            operand = right
+        else:
+            compare = V.sql_comparison(op)
+            return lambda row: compare(left(row), right(row))
+        return lambda row: compare(operand(row))
     if op in _ARITHMETIC:
         return lambda row: _arithmetic(op, left(row), right(row))
     raise Error(f"unknown binary operator {op!r}")
 
 
+_PREDICATES = (ast.IsNull, ast.InList, ast.Between, ast.Like, ast.InSelect)
+
+
+def _compile_condition(expr: ast.Expr, context: EvalContext):
+    """``expr`` compiled to return only True, False or None: a predicate
+    (comparison, AND/OR/NOT, IS NULL, [NOT] IN, BETWEEN, LIKE) as it is,
+    anything else through ``_as_bool``."""
+    compiled = compile_expression(expr, context)
+    if isinstance(expr, _PREDICATES) or \
+            (isinstance(expr, ast.BinaryOp)
+             and (expr.op in V.COMPARISONS or expr.op in ("AND", "OR"))) \
+            or (isinstance(expr, ast.UnaryOp) and expr.op == "NOT"):
+        return compiled
+    return lambda row: _as_bool(compiled(row))
+
+
 def _compile_unary(expr: ast.UnaryOp, context: EvalContext):
-    operand = compile_expression(expr.operand, context)
     if expr.op == "NOT":
-        return lambda row: V.truth_not(_as_bool(operand(row)))
+        condition = _compile_condition(expr.operand, context)
+
+        def negation(row):
+            value = condition(row)
+            return None if value is None else not value
+        return negation
+    operand = compile_expression(expr.operand, context)
     return lambda row: _negate(operand(row))
 
 
@@ -380,17 +393,41 @@ def _compile_is_null(expr: ast.IsNull, context: EvalContext):
 
 def _compile_in_list(expr: ast.InList, context: EvalContext):
     operand = compile_expression(expr.operand, context)
-    items = [compile_expression(item, context) for item in expr.items]
     negated = expr.negated
+    if expr.items and all(type(item) is ast.Literal for item in expr.items):
+        tests = [V.comparator("=", item.value) for item in expr.items]
+
+        def in_literals(row):  # _membership, each equality a kernel
+            value = operand(row)
+            saw_null = False
+            for test in tests:
+                result = test(value)
+                if result is True:
+                    return not negated
+                saw_null = saw_null or result is None
+            return None if saw_null else negated
+        return in_literals
+    items = [compile_expression(item, context) for item in expr.items]
     return lambda row: _membership(
         operand(row), (item(row) for item in items), negated)
 
 
 def _compile_between(expr: ast.Between, context: EvalContext):
     operand = compile_expression(expr.operand, context)
+    negated = expr.negated
+    if type(expr.low) is ast.Literal and type(expr.high) is ast.Literal:
+        above = V.comparator(">=", expr.low.value)
+        below = V.comparator("<=", expr.high.value)
+
+        def between_literals(row):
+            value = operand(row)
+            low_ok, high_ok = above(value), below(value)
+            if low_ok is None or high_ok is None:
+                return None
+            return (low_ok and high_ok) is not negated
+        return between_literals
     low = compile_expression(expr.low, context)
     high = compile_expression(expr.high, context)
-    negated = expr.negated
     return lambda row: _between(operand(row), low(row), high(row), negated)
 
 
@@ -413,7 +450,7 @@ def _compile_like(expr: ast.Like, context: EvalContext):
 
 
 def _compile_case(expr: ast.Case, context: EvalContext):
-    whens = [(compile_expression(condition, context),
+    whens = [(_compile_condition(condition, context),
               compile_expression(result, context))
              for condition, result in expr.whens]
     otherwise = (compile_expression(expr.else_result, context)
@@ -421,7 +458,7 @@ def _compile_case(expr: ast.Case, context: EvalContext):
 
     def case(row):
         for condition, result in whens:
-            if _as_bool(condition(row)) is True:
+            if condition(row) is True:
                 return result(row)
         return otherwise(row) if otherwise is not None else None
     return case

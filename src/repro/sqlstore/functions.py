@@ -1,14 +1,16 @@
 """Built-in SQL scalar and aggregate functions.
 
 Scalar functions are plain Python callables over already-evaluated argument
-values (NULL-propagating unless noted).  Aggregates are small accumulator
-classes instantiated per GROUP BY bucket.
+values (NULL-propagating unless noted).  An aggregate is one function over
+a GROUP BY bucket's column of argument values.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Dict, List, Optional
+import operator
+from functools import reduce
+from typing import Any, Callable, Dict, Optional
 
 from repro.errors import BindError
 
@@ -73,137 +75,58 @@ SCALAR_FUNCTIONS: Dict[str, Callable] = {
 }
 
 
-class Aggregate:
-    """Accumulator interface: feed values, then read ``result``."""
-
-    def add(self, value: Any) -> None:
-        raise NotImplementedError
-
-    def result(self) -> Any:
-        raise NotImplementedError
+def _present(values: list) -> list:
+    return [value for value in values if value is not None]
 
 
-class CountAgg(Aggregate):
-    """COUNT(expr) counts non-NULL values; COUNT(*) counts rows."""
-
-    def __init__(self, count_rows: bool = False, distinct: bool = False):
-        self.count_rows = count_rows
-        self.distinct = distinct
-        self.count = 0
-        self._seen = set()
-
-    def add(self, value: Any) -> None:
-        if self.count_rows:
-            self.count += 1
-            return
-        if value is None:
-            return
-        if self.distinct:
-            if value in self._seen:
-                return
-            self._seen.add(value)
-        self.count += 1
-
-    def result(self) -> int:
-        return self.count
+def _sum(values: list) -> Any:
+    present = _present(values)
+    return reduce(operator.add, present) if present else None
 
 
-class SumAgg(Aggregate):
-    def __init__(self):
-        self.total = None
-
-    def add(self, value: Any) -> None:
-        if value is None:
-            return
-        self.total = value if self.total is None else self.total + value
-
-    def result(self):
-        return self.total
+def _avg(values: list) -> Optional[float]:
+    present = _present(values)
+    if not present:
+        return None
+    return reduce(operator.add, map(float, present), 0.0) / len(present)
 
 
-class AvgAgg(Aggregate):
-    def __init__(self):
-        self.total = 0.0
-        self.count = 0
-
-    def add(self, value: Any) -> None:
-        if value is None:
-            return
-        self.total += float(value)
-        self.count += 1
-
-    def result(self) -> Optional[float]:
-        return self.total / self.count if self.count else None
-
-
-class MinAgg(Aggregate):
-    def __init__(self):
-        self.best = None
-
-    def add(self, value: Any) -> None:
-        if value is None:
-            return
-        if self.best is None or value < self.best:
-            self.best = value
-
-    def result(self):
-        return self.best
+def _variance(values: list, stdev: bool = False) -> Optional[float]:
+    """Sample variance (or its root) by Welford's online algorithm."""
+    count, mean, m2 = 0, 0.0, 0.0
+    for value in _present(values):
+        count += 1
+        delta = float(value) - mean
+        mean += delta / count
+        m2 += delta * (float(value) - mean)
+    if count < 2:
+        return None
+    variance = m2 / (count - 1)
+    return math.sqrt(variance) if stdev else variance
 
 
-class MaxAgg(Aggregate):
-    def __init__(self):
-        self.best = None
-
-    def add(self, value: Any) -> None:
-        if value is None:
-            return
-        if self.best is None or value > self.best:
-            self.best = value
-
-    def result(self):
-        return self.best
-
-
-class VarAgg(Aggregate):
-    """Sample variance via Welford's online algorithm."""
-
-    def __init__(self, stdev: bool = False):
-        self.stdev = stdev
-        self.count = 0
-        self.mean = 0.0
-        self.m2 = 0.0
-
-    def add(self, value: Any) -> None:
-        if value is None:
-            return
-        self.count += 1
-        delta = float(value) - self.mean
-        self.mean += delta / self.count
-        self.m2 += delta * (float(value) - self.mean)
-
-    def result(self) -> Optional[float]:
-        if self.count < 2:
-            return None
-        variance = self.m2 / (self.count - 1)
-        return math.sqrt(variance) if self.stdev else variance
+_AGGREGATES: Dict[str, Callable[[list], Any]] = {
+    "SUM": _sum,
+    "AVG": _avg,
+    "MIN": lambda values: min(_present(values), default=None),
+    "MAX": lambda values: max(_present(values), default=None),
+    "STDEV": lambda values: _variance(values, stdev=True),
+    "VAR": _variance,
+}
 
 
 def make_aggregate(name: str, count_rows: bool = False,
-                   distinct: bool = False) -> Aggregate:
-    """Instantiate a fresh accumulator for one GROUP BY bucket."""
+                   distinct: bool = False) -> Callable[[list], Any]:
+    """The aggregate ``name`` as one call over a GROUP BY bucket's argument
+    column — for ``COUNT(*)`` the bucket's rows — NULLs skipped, the
+    non-NULL values taken in row order (SUM adds left to right)."""
     upper = name.upper()
     if upper == "COUNT":
-        return CountAgg(count_rows=count_rows, distinct=distinct)
-    if upper == "SUM":
-        return SumAgg()
-    if upper == "AVG":
-        return AvgAgg()
-    if upper == "MIN":
-        return MinAgg()
-    if upper == "MAX":
-        return MaxAgg()
-    if upper == "STDEV":
-        return VarAgg(stdev=True)
-    if upper == "VAR":
-        return VarAgg(stdev=False)
-    raise BindError(f"unknown aggregate function {name!r}")
+        if count_rows:
+            return len
+        if distinct:
+            return lambda values: len(set(_present(values)))
+        return lambda values: len(_present(values))
+    if upper not in _AGGREGATES:
+        raise BindError(f"unknown aggregate function {name!r}")
+    return _AGGREGATES[upper]

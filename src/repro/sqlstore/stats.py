@@ -27,6 +27,7 @@ advisory and must never raise out of a planning pass.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.lang import ast_nodes as ast
@@ -173,17 +174,23 @@ class ColumnStats:
             return 0.0
         if not self.counter:  # no non-NULL value (entries leave at zero)
             return 0.0
+        histogram = self.histogram
+        los = [lo for lo, _, _, _ in histogram]
+        his = [hi for _, hi, _, _ in histogram]
+        if not _bisectable(los + his, bound):
+            return _walked_selectivity(histogram, op, bound, row_count)
+        # The buckets stand in native order: bisection finds the run wholly
+        # on the matching side and the run wholly off it; only the buckets
+        # between straddle the bound.  Summed in bucket order, as the walk
+        # sums, so the float is the walk's.
+        side = bisect_left if op in ("<", ">=") else bisect_right
+        first, last = side(his, bound), side(los, bound)
+        below = 1.0 if op in ("<", "<=") else 0.0
         matching = 0.0
-        for lo, hi, rows, _ in self.histogram:
-            try:
-                cmp_lo = V.sql_compare(lo, bound)
-                cmp_hi = V.sql_compare(hi, bound)
-            except Exception:
-                return DEFAULT_RANGE_SELECTIVITY
-            if cmp_lo is None or cmp_hi is None:
-                return DEFAULT_RANGE_SELECTIVITY
-            matching += rows * _bucket_overlap(op, lo, hi, cmp_lo, cmp_hi,
-                                               bound)
+        for position, (lo, hi, rows, _) in enumerate(histogram):
+            matching += rows * (
+                below if position < first else 1.0 - below
+                if position >= last else _straddle(op, lo, hi, bound))
         return _clamp(matching / row_count)
 
     def snapshot(self, row_count: int) -> dict:
@@ -200,6 +207,34 @@ class ColumnStats:
         }
 
 
+def _bisectable(bounds: list, bound: Any) -> bool:
+    """Whether native order on the bucket bounds and ``bound`` is
+    ``sql_compare``'s: the bounds order natively
+    (:func:`values.orders_natively`) and ``bound``, no NaN, is of their
+    class or both are numbers."""
+    classes = {type(bound), type(bounds[0])}
+    return V.orders_natively(bounds) and bound == bound and (
+        len(classes) == 1 or classes <= {int, float, bool})
+
+
+def _walked_selectivity(histogram, op: str, bound: Any,
+                        row_count: int) -> float:
+    """:meth:`ColumnStats.range_selectivity` by ``sql_compare`` against
+    both bounds of every bucket — for bounds that do not order natively."""
+    matching = 0.0
+    for lo, hi, rows, _ in histogram:
+        try:
+            cmp_lo = V.sql_compare(lo, bound)
+            cmp_hi = V.sql_compare(hi, bound)
+        except Exception:
+            return DEFAULT_RANGE_SELECTIVITY
+        if cmp_lo is None or cmp_hi is None:
+            return DEFAULT_RANGE_SELECTIVITY
+        matching += rows * _bucket_overlap(op, lo, hi, cmp_lo, cmp_hi,
+                                           bound)
+    return _clamp(matching / row_count)
+
+
 def _bucket_overlap(op: str, lo, hi, cmp_lo, cmp_hi, bound) -> float:
     """Share of one histogram bucket matching ``value <op> bound``."""
     if op in ("<", "<="):
@@ -212,7 +247,12 @@ def _bucket_overlap(op: str, lo, hi, cmp_lo, cmp_hi, bound) -> float:
             return 1.0
         if cmp_hi < 0 or (cmp_hi == 0 and op == ">"):
             return 0.0
-    # Bound falls inside the bucket: interpolate for numerics, halve else.
+    return _straddle(op, lo, hi, bound)
+
+
+def _straddle(op: str, lo, hi, bound) -> float:
+    """Share of a bucket the bound falls inside: interpolated for
+    numerics, half a bucket else."""
     numeric = all(isinstance(v, (int, float)) and not isinstance(v, bool)
                   for v in (lo, hi, bound))
     if numeric and hi != lo:

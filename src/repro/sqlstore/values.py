@@ -3,15 +3,28 @@
 SQL three-valued logic is implemented with Python's ``None`` standing in for
 both NULL and the UNKNOWN truth value.  The comparison helpers here are the
 single source of truth for every WHERE clause, join predicate, ORDER BY, and
-GROUP BY bucket in the engine.
+GROUP BY bucket in the engine: :func:`comparator` decides once per operator
+where a literal's class lets a native comparison stand in for
+:func:`sql_equal` / :func:`sql_compare`, and sends everything else to them.
 """
 
 from __future__ import annotations
 
 import datetime
-from typing import Any, Optional
+from operator import eq, gt, lt
+from typing import Any, Callable, Optional
 
 NULL = None
+
+#: ``a <op> b`` is ``test(a, b) is not negated`` for two values of one
+#: native class: ``>=`` is ``not a < b`` and ``<=`` is ``not a > b``, which
+#: is what :func:`sql_compare`'s 0 for an unordered (NaN) pair makes them.
+_TESTS = {"=": (eq, False), "<>": (eq, True), "<": (lt, False),
+          ">=": (lt, True), ">": (gt, False), "<=": (gt, True)}
+COMPARISONS = frozenset(_TESTS)
+#: ``literal <op> value`` is ``value <MIRRORED[op]> literal``.
+MIRRORED = {"=": "=", "<>": "<>", "<": ">", ">": "<", "<=": ">=", ">=": "<="}
+_NUMBERS = (int, float)
 
 
 def is_null(value: Any) -> bool:
@@ -45,6 +58,59 @@ def sql_compare(left: Any, right: Any) -> Optional[int]:
     if left > right:
         return 1
     return 0
+
+
+def sql_comparison(op: str) -> Callable[[Any, Any], Optional[bool]]:
+    """SQL ``left <op> right`` for any two values — the generic path:
+    UNKNOWN (None) when either is NULL."""
+    if op == "=":
+        return sql_equal
+    if op == "<>":
+        return _unequal
+    test, negated = _TESTS[op]
+
+    def ordering(left, right):
+        result = sql_compare(left, right)
+        return None if result is None else test(result, 0) is not negated
+    return ordering
+
+
+def _unequal(left: Any, right: Any) -> Optional[bool]:
+    result = sql_equal(left, right)
+    return None if result is None else not result
+
+
+def comparator(op: str, literal: Any) -> Callable[[Any], Optional[bool]]:
+    """``value -> value <op> literal``, the literal's class decided once.
+
+    A non-bool ``int``/``float`` or a ``str`` literal meets a value of its
+    own class with one ``type()`` test and one native comparison (numbers
+    equal by their floats, as :func:`sql_equal` has them).  Every other
+    value — NULL, a bool, a date, another class — and every other literal
+    go to :func:`sql_comparison`, the one source of the semantics.
+    """
+    generic = sql_comparison(op)
+    kind = type(literal)
+    # A number must have a float (sql_equal's key) that is not infinite.
+    classes = ((str,) if kind is str else
+               _NUMBERS if kind in _NUMBERS and abs(literal) < 1e308 else ())
+    test, negated = _TESTS[op]
+    if not classes:
+        return lambda value: generic(value, literal)
+    if test is eq and classes is _NUMBERS:
+        key = float(literal)
+
+        def equal(value):
+            if type(value) in classes:
+                return (float(value) == key) is not negated
+            return generic(value, literal)
+        return equal
+
+    def compare(value):
+        if type(value) in classes:
+            return test(value, literal) is not negated
+        return generic(value, literal)
+    return compare
 
 
 def _normalize_pair(left: Any, right: Any) -> tuple:
@@ -109,26 +175,34 @@ def _bare_key(value: Any):
     return key[1] if key[0] in ("n", "s") else key
 
 
-def truth_and(a: Optional[bool], b: Optional[bool]) -> Optional[bool]:
-    """Three-valued AND."""
-    if a is False or b is False:
-        return False
-    if a is None or b is None:
-        return None
-    return True
+def join_keys(values: list) -> list:
+    """One hash-join key per value: a number's or a bool's float (``TRUE =
+    1`` holds), any other value itself, NULL None — it joins nothing.  Two
+    non-NULL keys are equal exactly where :func:`sql_equal` holds, but for
+    a bool against the text of its own name, which no key can share with
+    its number too."""
+    return [float(value) if type(value) in _KEYED_AS_FLOAT else value
+            for value in values]
 
 
-def truth_or(a: Optional[bool], b: Optional[bool]) -> Optional[bool]:
-    """Three-valued OR."""
-    if a is True or b is True:
-        return True
-    if a is None or b is None:
-        return None
-    return False
+_KEYED_AS_FLOAT = (bool, int, float)
+
+#: Up to here every int is its own float, so native int order is
+#: ``sort_key`` order exactly (beyond it distinct ints share a key).
+_EXACT_INT = 2 ** 53
 
 
-def truth_not(a: Optional[bool]) -> Optional[bool]:
-    """Three-valued NOT."""
-    if a is None:
-        return None
-    return not a
+def orders_natively(values: list) -> bool:
+    """Whether native ``<`` / ``==`` on ``values`` agree with their
+    ``sort_key``s, ties included: one type class whose key is the value
+    (``str``, ``date`` by ordinal, ``float`` without a NaN — one in a key
+    no tie consults would still steer the sort's pass over that key) or
+    ``int`` / ``bool`` small enough to be their own floats.  A
+    ``datetime`` is keyed by its day alone, so it is not among them."""
+    kinds = set(map(type, values))
+    if kinds <= {int, bool}:
+        return not kinds or (-_EXACT_INT <= min(values)
+                             and max(values) <= _EXACT_INT)
+    if kinds == {float}:
+        return all(map(eq, values, values))
+    return len(kinds) == 1 and kinds <= {str, datetime.date}

@@ -13,12 +13,16 @@ same error class with the same message — for
       every aggregate argument) of the fixed statement grid, over the rows
       the grid's own FROM clauses produce,
 (ii)  expression trees drawn by hypothesis over a four-column row of mixed
-      ``None/bool/int/float/str/date`` values, and
+      ``None/bool/int/float/str/date`` values, and predicate trees whose
+      comparisons, BETWEEN and IN lists set a column beside literals (the
+      typed kernels of ``values.comparator``) over edge values, and
 (iii) what a grouped SELECT evaluates per group — HAVING, the select list,
       ORDER BY: the engine binds them once over a group context, the
       oracle rewrites the tree per group with the aggregates substituted
-      (``reference_substitute``) and interprets it.  A fixed grid of
-      grouped statements and hypothesis-drawn post-aggregate trees.
+      (``reference_substitute``) and interprets it, aggregating with the
+      per-row accumulators.  A fixed grid of grouped statements,
+      hypothesis-drawn post-aggregate trees and generated COUNT(*) / SUM
+      buckets.
 
 The one sanctioned difference is *when* names bind: the compiler raises
 ``BindError`` once, up front; the interpreter raises it on every row that
@@ -45,9 +49,9 @@ from repro.sqlstore.expressions import (
     contains_aggregate,
     is_aggregate_call,
 )
-from repro.sqlstore.functions import make_aggregate
 
 from tests.differential.test_stream_vs_materialize import STATEMENTS, _load
+from tests.reference.reference_aggregates import make_aggregate
 from tests.reference.reference_evaluator import (
     reference_context,
     reference_evaluate,
@@ -263,6 +267,74 @@ def test_generated_expressions_agree(subquery_db, expr, rows):
     assert_paths_agree(expr, context, rows)
 
 
+# Comparisons, BETWEEN and IN lists with literal operands compile to typed
+# kernels (``values.comparator``) that decide the literal's class once and
+# send every value of another class down the generic path.  These trees
+# put a column beside a literal on either side of every such operator,
+# under AND / OR / NOT, over values that sit on the kernels' edges: NaN,
+# the infinities, -0.0, ints past 2**53, bools beside 0 and 1, dates,
+# strings that spell numbers, NULL.  (No arithmetic: these values would
+# only test Python's.)
+nan, inf = float("nan"), float("inf")
+
+EDGE_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 2),
+    st.sampled_from([0.0, -0.0, 1.0, 2.5, nan, inf, -inf]),
+    st.sampled_from([2 ** 53, 2 ** 53 + 1, -2 ** 53 - 1, 2 ** 60,
+                     float(2 ** 53)]),
+    st.sampled_from(["", "a", "1", "1.0", "True", "nan", "2001-04-02"]),
+    st.sampled_from([datetime.date(2001, 4, 2), datetime.date(1999, 12, 31)]),
+)
+
+
+def _kernel_leaves():
+    columns, literals = _column_refs(), st.builds(ast.Literal, EDGE_VALUES)
+    flags = st.booleans()
+    return st.one_of(
+        st.builds(ast.BinaryOp, st.sampled_from(COMPARISONS), columns,
+                  literals),
+        st.builds(ast.BinaryOp, st.sampled_from(COMPARISONS), literals,
+                  columns),
+        st.builds(ast.Between, columns, literals, literals, flags),
+        st.builds(ast.InList, columns,
+                  st.lists(literals, min_size=1, max_size=4), flags),
+        columns,    # a bare operand of AND / OR / NOT: through _as_bool
+    )
+
+
+PREDICATES = st.recursive(_kernel_leaves(), lambda children: st.one_of(
+    st.builds(ast.BinaryOp, st.sampled_from(["AND", "OR"]), children,
+              children),
+    st.builds(ast.UnaryOp, st.just("NOT"), children)), max_leaves=4)
+
+
+@settings(deadline=None)
+@given(expr=PREDICATES, rows=st.lists(st.tuples(*[EDGE_VALUES] * 4),
+                                      min_size=4, max_size=12))
+def test_literal_kernels_agree(expr, rows):
+    assert_paths_agree(expr, EvalContext.from_names(COLUMNS, "t"), rows)
+
+
+@pytest.mark.parametrize("text", [
+    "t.a = 9007199254740993", "9007199254740993.0 = t.a", "t.a <> -0.0",
+    "t.a >= 1", "1 <= t.a", "t.a > 'x'", "'x' < t.a", "t.a < '1'",
+    "t.a BETWEEN 0 AND 2", "t.a NOT BETWEEN 'a' AND 'z'",
+    "t.a BETWEEN NULL AND 3", "t.a IN (1, 'True', NULL)",
+    "t.a NOT IN (2.5, 0)", "t.a IN ('1', 'a')",
+])
+def test_literal_kernels_over_the_edges(text):
+    """Every edge value against the fixed kernels (NaN and the other
+    floats are not literals SQL text can spell)."""
+    values = [None, True, False, 0, 1, 2, 2 ** 53 + 1, -2 ** 60, 0.0,
+              -0.0, 1.0, 2.5, nan, inf, -inf, "", "1", "True", "a", "z",
+              datetime.date(2001, 4, 2)]
+    rows = [(value, None, None, None) for value in values]
+    assert_paths_agree(parse_expression(text),
+                       EvalContext.from_names(COLUMNS, "t"), rows)
+
+
 # -- (iii) per-group expressions ----------------------------------------------------
 
 def statement_outcome(thunk):
@@ -272,7 +344,10 @@ def statement_outcome(thunk):
         rows = thunk()
     except Error as exc:
         return ("raised", type(exc).__name__, str(exc))
-    return ("rows", [tuple((type(cell).__name__, cell) for cell in row)
+    # A float by its repr: -0.0 is not 0.0, and one NaN is another.
+    return ("rows", [tuple((type(cell).__name__,
+                            repr(cell) if type(cell) is float else cell)
+                           for cell in row)
                      for row in rows])
 
 
@@ -282,8 +357,9 @@ def reference_grouped_rows(database, select):
     bound HAVING, the select list and ORDER BY once over a group context:
     a copy of each tree per group with the group's aggregate values
     substituted as literals (``reference_substitute``), interpreted against
-    the group's first row.  Aggregation itself (``make_aggregate``), group
-    keys and the sort are the engine's own: they are not what is compared.
+    the group's first row.  Rows are bucketed row by row and aggregated by
+    the per-row accumulators (``reference_aggregates``); group keys and the
+    sort are the engine's own: they are not what is compared.
     """
     relation = database.resolve_table_ref(select.from_clause)
     context = relation.context()
@@ -378,10 +454,24 @@ def grouped_db():
     database.execute("CREATE TABLE S (v INT)")
     database.execute("INSERT INTO S VALUES (1), (2), (NULL), (3)")
     database.execute("CREATE TABLE Nothing (v INT)")
+    # SUM adds a bucket's values left to right, so order and sign matter.
+    database.execute("CREATE TABLE F (g INT, a INT, b DOUBLE)")
+    database.execute(
+        "INSERT INTO F VALUES (1, 3, 1e16), (1, NULL, 1.0), (1, -2, -1e16), "
+        "(1, 4, 1.0), (2, NULL, -0.0), (2, NULL, -0.0), (3, 0, 0.0), "
+        "(3, NULL, -0.0), (4, NULL, NULL), (NULL, 5, 0.1), (NULL, 6, 0.2)")
     return database
 
 
 GROUPED_STATEMENTS = [
+    # COUNT(*) and SUM, one call per bucket: NULLs, -0.0, int beside float
+    "SELECT g, COUNT(*) AS n, SUM(a) AS sa, SUM(b) AS sb FROM F GROUP BY g",
+    "SELECT g, SUM(CASE WHEN a > 0 THEN a ELSE b END) AS s FROM F "
+    "GROUP BY g ORDER BY s DESC",
+    "SELECT COUNT(*), SUM(b), SUM(a + b), SUM(a) FROM F",
+    "SELECT g, COUNT(*), SUM(b) FROM F WHERE a IS NULL GROUP BY g",
+    "SELECT g, COUNT(*) FROM F GROUP BY g HAVING SUM(b) = 0 "
+    "ORDER BY COUNT(*) DESC, g",
     # aggregates beside the group key; HAVING; ORDER BY by name / by tree
     "SELECT g, COUNT(*) AS n FROM T GROUP BY g",
     "SELECT g, COUNT(*) AS n FROM T GROUP BY g HAVING COUNT(*) > 1",
@@ -474,6 +564,31 @@ GROUP_ROWS = st.tuples(
     st.one_of(st.none(), st.integers(-3, 3)),                  # a
     st.one_of(st.none(), st.sampled_from([-1.5, 0.0, 2.5])),   # b
     st.one_of(st.none(), st.sampled_from(["", "a", "A", "ab"])))  # c
+
+
+SUM_ROWS = st.tuples(
+    st.one_of(st.none(), st.integers(1, 3)),                          # g
+    st.one_of(st.none(), st.integers(-3, 3),
+              st.sampled_from([2 ** 53 + 1, -2 ** 53])),              # a
+    st.one_of(st.none(), st.sampled_from(
+        [-0.0, 0.0, 0.1, 0.2, 1.0, 1e16, -1e16, float("inf")])))      # b
+
+
+@settings(deadline=None)
+@given(rows=st.lists(SUM_ROWS, max_size=12), grouped=st.booleans())
+def test_generated_count_and_sum_agree(grouped_db, rows, grouped):
+    grouped_db.execute("CREATE TABLE G (g INT, a INT, b DOUBLE)")
+    try:
+        target = grouped_db.table("G")
+        for row in rows:
+            target.insert(list(row))
+        select = parse_statement(
+            "SELECT COUNT(*), SUM(a), SUM(b), SUM(a + b), "
+            "SUM(CASE WHEN a > 0 THEN a ELSE b END), COUNT(b) FROM G"
+            + (" GROUP BY g" if grouped else ""))
+        assert_grouped_paths_agree(grouped_db, select)
+    finally:
+        grouped_db.execute("DROP TABLE G")
 
 
 @st.composite

@@ -12,11 +12,16 @@ values substituted as literals.  The operator semantics it calls
 (``_arithmetic``, ``_membership``, ...) are the ones the compiled closures
 call: what the differential compares is the walk, the binding and the
 order of evaluation.  Nothing under ``src/`` imports this module.
+
+``truth_and`` / ``truth_or`` / ``truth_not`` are
+``repro.sqlstore.values``'s three-valued connectives as they left
+``src/`` when AND / OR / NOT were compiled to test their operands'
+truth values in place.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict
+from typing import Any, Dict, Optional
 
 from repro.errors import BindError, Error
 from repro.lang import ast_nodes as ast
@@ -36,6 +41,31 @@ from repro.sqlstore.expressions import (
     _subquery_column,
 )
 from repro.sqlstore.expressions import EvalContext as _CompiledContext
+
+
+def truth_and(a: Optional[bool], b: Optional[bool]) -> Optional[bool]:
+    """Three-valued AND."""
+    if a is False or b is False:
+        return False
+    if a is None or b is None:
+        return None
+    return True
+
+
+def truth_or(a: Optional[bool], b: Optional[bool]) -> Optional[bool]:
+    """Three-valued OR."""
+    if a is True or b is True:
+        return True
+    if a is None or b is None:
+        return None
+    return False
+
+
+def truth_not(a: Optional[bool]) -> Optional[bool]:
+    """Three-valued NOT."""
+    if a is None:
+        return None
+    return not a
 
 
 class EvalContext(_CompiledContext):
@@ -82,7 +112,7 @@ def evaluate(expr: ast.Expr, context: EvalContext) -> Any:
         return _evaluate_binary(expr, context)
     if isinstance(expr, ast.UnaryOp):
         if expr.op == "NOT":
-            return V.truth_not(_as_bool(evaluate(expr.operand, context)))
+            return truth_not(_as_bool(evaluate(expr.operand, context)))
         return _negate(evaluate(expr.operand, context))
     if isinstance(expr, ast.IsNull):
         result = evaluate(expr.operand, context) is None
@@ -120,12 +150,12 @@ def _evaluate_binary(expr: ast.BinaryOp, context: EvalContext) -> Any:
         left = _as_bool(evaluate(expr.left, context))
         if left is False:  # short circuit
             return False
-        return V.truth_and(left, _as_bool(evaluate(expr.right, context)))
+        return truth_and(left, _as_bool(evaluate(expr.right, context)))
     if op == "OR":
         left = _as_bool(evaluate(expr.left, context))
         if left is True:
             return True
-        return V.truth_or(left, _as_bool(evaluate(expr.right, context)))
+        return truth_or(left, _as_bool(evaluate(expr.right, context)))
     left = evaluate(expr.left, context)
     right = evaluate(expr.right, context)
     if op == "=":

@@ -8,6 +8,9 @@ from repro.sqlstore.values import (
     sort_key,
     sql_compare,
     sql_equal,
+)
+
+from tests.reference.reference_evaluator import (
     truth_and,
     truth_not,
     truth_or,
