@@ -251,8 +251,8 @@ def restore_into(provider, text: str) -> int:
             # Snapshot came from a statistics-enabled catalog; honour it
             # even if this provider was opened with statistics=False.
             table.rebuild_statistics()
-        for row in entry["rows"]:
-            table.insert([_decode_value(v) for v in row])
+        table.insert_many([_decode_value(v) for v in row]
+                          for row in entry["rows"])
         for index in entry.get("indexes", []):
             table.create_index(index["name"], index["column"])
     # Install every view before validating any: views may reference views.

@@ -1,21 +1,23 @@
 """Secondary indexes: hash (point/join) plus sorted (range) structures.
 
 A user-created index (``CREATE INDEX ix ON T (col)``) maintains two views
-of one column:
+of one column, both keyed by :func:`~repro.sqlstore.values.group_keys`:
 
-* a **hash** map from :func:`~repro.sqlstore.values.group_key` to the row
-  positions holding that key — serving WHERE equality/IN seeks and the
-  build side of hash joins (the join probe hashes with the same
-  ``group_key``, so index-built and scan-built hash tables are identical);
-* a **sorted** run of ``(order key, position)`` pairs — serving range
-  predicates via bisection, for column classes with a total order.
+* a **hash** map from each key to the ascending row positions holding it
+  — serving WHERE equality/IN seeks and the build side of hash joins
+  (each bucket is one key's rows in insertion order, as a scan-built
+  bucket holds them);
+* a **sorted** run of the distinct non-NULL keys — serving range
+  predicates via bisection, for the column classes whose key is their
+  order: a LONG or DOUBLE value's float, a TEXT value itself.  A range
+  seek concatenates the buckets of the keys it bisects to.
 
 Index *selection* must be conservative: the engine re-applies the full
 WHERE to every candidate, so an index may return a superset of the true
 matches but never miss one.  The subtlety is mixed-type comparison
 semantics — ``sql_compare`` falls back to *string* comparison for
 mismatched types (a LONG column against the literal ``'5'`` matches by
-string compare, which a numeric range scan would miss), and ``group_key``
+string compare, which a numeric range scan would miss), and the key
 separates ``bool`` from numbers while ``sql_equal`` normalises them.  So
 :func:`choose_index` only fires when the literal's type class strictly
 matches the column's declared class (str literals on TEXT, non-bool
@@ -30,11 +32,13 @@ suites see byte-identical output with and without the index.
 
 from __future__ import annotations
 
-import bisect
-from typing import Any, Dict, List, Optional, Tuple
+from bisect import bisect_left, bisect_right, insort
+from itertools import chain
+from operator import itemgetter
+from typing import Any, Dict, List, Optional
 
 from repro.lang import ast_nodes as ast
-from repro.sqlstore.values import group_key
+from repro.sqlstore.values import group_keys
 
 # Column classes eligible for the sorted (range) structure.  DATE is
 # excluded: a WHERE literal can never be a date object, so range seeks on
@@ -42,13 +46,6 @@ from repro.sqlstore.values import group_key
 # path resolves by string comparison, which toordinal bisection does not
 # reproduce.
 _RANGE_TYPES = ("LONG", "DOUBLE", "TEXT")
-
-
-def _order_key(type_name: str, value: Any):
-    """Monotonic (w.r.t. ``sql_compare`` within the class) bisection key."""
-    if type_name in ("LONG", "DOUBLE"):
-        return float(value)
-    return value  # TEXT: str compares natively
 
 
 def _literal_matches(type_name: str, value: Any) -> bool:
@@ -65,7 +62,8 @@ def _literal_matches(type_name: str, value: Any) -> bool:
 
 
 class TableIndex:
-    """One named single-column index: hash + (where ordered) sorted runs."""
+    """One named single-column index: hash buckets and, where the column
+    class is ordered, the sorted run of its distinct keys."""
 
     __slots__ = ("name", "column_name", "column_index", "type_name",
                  "hash", "_ordered", "_has_nan",
@@ -78,8 +76,8 @@ class TableIndex:
         self.column_index = column_index
         self.type_name = type_name
         self.hash: Dict[Any, List[int]] = {}
-        # (order_key, position) tuples, sorted; None for non-range classes.
-        self._ordered: Optional[List[Tuple[Any, int]]] = \
+        # The distinct non-NULL keys, sorted; None for non-range classes.
+        self._ordered: Optional[List[Any]] = \
             [] if type_name in _RANGE_TYPES else None
         self._has_nan = False
         self.seeks = 0
@@ -100,27 +98,47 @@ class TableIndex:
 
     # -- maintenance ----------------------------------------------------------
 
-    def note_insert(self, row: Tuple, position: int) -> None:
-        value = row[self.column_index]
-        self.hash.setdefault(group_key(value), []).append(position)
-        if self._ordered is not None and value is not None:
-            if isinstance(value, float) and value != value:
-                # NaN has no place in a total order; range seeks are
-                # disabled for this index (NaN satisfies >=/<= under
-                # sql_compare's three-way fallback, so a bisected slice
-                # could no longer be a superset of the scan's matches).
-                self._has_nan = True
-            else:
-                bisect.insort(self._ordered,
-                              (_order_key(self.type_name, value), position))
+    def extend(self, keys: List[Any], base: int) -> None:
+        """Index one statement's cells of this column, by their
+        :func:`group_keys`, stored at positions ``base``, ``base + 1``, …:
+        a known key costs a bucket append, a new one an insort into the
+        run."""
+        run = self._ordered
+        for key in self._fill(keys, base):
+            insort(run, key)
 
     def rebuild(self, rows) -> None:
+        """Re-derive from ``rows``: one pass fills the buckets, one sort
+        orders the distinct keys."""
         self.hash = {}
-        if self._ordered is not None:
-            self._ordered = []
         self._has_nan = False
-        for position, row in enumerate(rows):
-            self.note_insert(row, position)
+        new = self._fill(group_keys(
+            list(map(itemgetter(self.column_index), rows))), 0)
+        if self._ordered is not None:
+            self._ordered = sorted(new)
+
+    def _fill(self, keys: List[Any], base: int) -> List[Any]:
+        """Append each key's position to its bucket; returns the keys new
+        to the index that belong in the run."""
+        buckets = self.hash
+        new = []
+        for position, key in enumerate(keys, base):
+            bucket = buckets.get(key)
+            if bucket is None:
+                buckets[key] = [position]
+                new.append(key)
+            else:
+                bucket.append(position)
+        if self._ordered is None or not new:
+            return []
+        # NULL's key is a tuple and stays out of the run.  NaN has no place
+        # in a total order: range seeks are disabled for this index (NaN
+        # satisfies >=/<= under sql_compare's three-way fallback, so a
+        # bisected slice could no longer be a superset of the scan's).
+        present = [key for key in new if type(key) is not tuple]
+        ordered = [key for key in present if key == key]
+        self._has_nan |= len(ordered) < len(present)
+        return ordered
 
     # -- seeks ----------------------------------------------------------------
 
@@ -128,38 +146,30 @@ class TableIndex:
         return self._ordered is not None and not self._has_nan
 
     def positions_equal(self, literal: Any) -> List[int]:
-        return list(self.hash.get(group_key(literal), ()))
+        return list(self.hash.get(group_keys((literal,))[0], ()))
 
     def positions_in(self, literals) -> List[int]:
-        positions: List[int] = []
-        seen = set()
-        for literal in literals:
-            key = group_key(literal)
-            if key in seen:
-                continue
-            seen.add(key)
-            positions.extend(self.hash.get(key, ()))
+        buckets = self.hash
+        positions = [position
+                     for key in dict.fromkeys(group_keys(literals))
+                     for position in buckets.get(key, ())]
         positions.sort()
         return positions
 
     def positions_range(self, low: Any = None, high: Any = None) -> List[int]:
-        """Positions with order key in ``[low, high]`` (bounds inclusive).
+        """Positions with key in ``[low, high]`` (bounds inclusive).
 
         Bounds are applied *inclusively* regardless of the predicate's
-        strictness — deliberately conservative: the order key may collapse
+        strictness — deliberately conservative: the key may collapse
         distinct values (it only promises monotonicity), and the full WHERE
         re-filters, so over-inclusion at the boundary is free correctness.
         """
-        ordered = self._ordered or []
-        lo = 0
-        hi = len(ordered)
-        if low is not None:
-            lo = bisect.bisect_left(
-                ordered, (_order_key(self.type_name, low),))
-        if high is not None:
-            hi = bisect.bisect_right(
-                ordered, (_order_key(self.type_name, high), float("inf")))
-        return sorted(position for _, position in ordered[lo:hi])
+        run = self._ordered or []
+        lo = 0 if low is None else bisect_left(run, group_keys((low,))[0])
+        hi = len(run) if high is None else \
+            bisect_right(run, group_keys((high,))[0])
+        return sorted(chain.from_iterable(
+            map(self.hash.__getitem__, run[lo:hi])))
 
 
 class IndexChoice:

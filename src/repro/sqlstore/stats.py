@@ -9,11 +9,13 @@ estimates is guesswork, so this module maintains, per table:
 * per column: distinct-value count (NDV), null fraction, min/max, and an
   equi-depth histogram over the non-null values.
 
-Statistics are maintained incrementally: every INSERT adds to an exact
-per-column value counter, every DELETE/UPDATE subtracts (the table calls
-:meth:`TableStatistics.rebuild` after positional rewrites, which re-derives
-the same counter from the stored rows — the hypothesis suite pins
-incremental == rebuilt).  NDV, min/max, and the histogram are *derived*
+Statistics are maintained incrementally, once per statement and only
+once it can no longer fail: an INSERT's rows add to an exact per-column
+value counter after every row passed its checks, a DELETE's or UPDATE's
+old rows subtract (and an UPDATE's new rows add) once the new row list is
+complete.  :meth:`TableStatistics.rebuild` re-derives the same counter
+from the stored rows — the hypothesis suite pins incremental == rebuilt,
+failing statements included.  NDV, min/max, and the histogram are *derived*
 lazily from the counter and cached against a mutation version, so reads
 are cheap and writes stay O(changed rows).
 
@@ -32,6 +34,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.lang import ast_nodes as ast
 from repro.sqlstore import values as V
+from repro.sqlstore.values import group_keys
 
 # -- fallback constants (documented in docs/internals.md) ----------------------
 
@@ -51,22 +54,25 @@ HISTOGRAM_BUCKETS = 32
 #: Page-touch cost of a buffer-resident page relative to a cold page.
 BUFFERED_PAGE_COST = 0.25
 
+_NULL_KEY = group_keys((None,))[0]
+
 
 class ColumnStats:
-    """Exact value statistics for one column, maintained incrementally.
+    """Exact value statistics for one column, maintained by its table's
+    :class:`TableStatistics`.
 
-    The backbone is a counter ``group_key -> [representative value, count]``
-    (the same NULL-safe keying GROUP BY uses), plus a null counter.  NDV,
-    min/max, and the equi-depth histogram are derived views over the
-    counter, cached until the next mutation.
+    The backbone is a counter ``key -> [representative value, count]``
+    keyed by :func:`values.group_keys` (GROUP BY's bucketing, as the
+    indexes key it); NULLs count under their own key, whose representative
+    is None.  NDV, min/max, and the equi-depth histogram are derived views
+    over the counter, cached until the next mutation.
     """
 
-    __slots__ = ("name", "null_count", "counter", "version",
+    __slots__ = ("name", "counter", "version",
                  "_derived_version", "_min", "_max", "_histogram")
 
     def __init__(self, name: str):
         self.name = name
-        self.null_count = 0
         self.counter: Dict[Any, List[Any]] = {}
         self.version = 0
         self._derived_version = -1
@@ -74,51 +80,16 @@ class ColumnStats:
         self._max = None
         self._histogram: List[Tuple[Any, Any, int, int]] = []
 
-    # -- incremental maintenance ----------------------------------------------
-
-    def note_insert(self, value: Any) -> None:
-        self.version += 1
-        if value is None:
-            self.null_count += 1
-            return
-        entry = self.counter.get(V.group_key(value))
-        if entry is None:
-            self.counter[V.group_key(value)] = [value, 1]
-        else:
-            entry[1] += 1
-
-    def note_delete(self, value: Any) -> None:
-        self.version += 1
-        if value is None:
-            self.null_count = max(0, self.null_count - 1)
-            return
-        key = V.group_key(value)
-        entry = self.counter.get(key)
-        if entry is None:
-            return
-        entry[1] -= 1
-        if entry[1] <= 0:
-            del self.counter[key]
-
-    def rebuild(self, column_values) -> None:
-        self.version += 1
-        self.null_count = 0
-        self.counter = {}
-        for value in column_values:
-            if value is None:
-                self.null_count += 1
-                continue
-            entry = self.counter.get(V.group_key(value))
-            if entry is None:
-                self.counter[V.group_key(value)] = [value, 1]
-            else:
-                entry[1] += 1
-
     # -- derived statistics ----------------------------------------------------
 
     @property
+    def null_count(self) -> int:
+        entry = self.counter.get(_NULL_KEY)
+        return 0 if entry is None else entry[1]
+
+    @property
     def ndv(self) -> int:
-        return len(self.counter)
+        return len(self.counter) - (_NULL_KEY in self.counter)
 
     def null_fraction(self, row_count: int) -> float:
         if row_count <= 0:
@@ -128,7 +99,8 @@ class ColumnStats:
     def _refresh_derived(self) -> None:
         if self._derived_version == self.version:
             return
-        ordered = sorted(self.counter.values(),
+        ordered = sorted((entry for entry in self.counter.values()
+                          if entry[0] is not None),
                          key=lambda entry: V.sort_key(entry[0]))
         self._min = ordered[0][0] if ordered else None
         self._max = ordered[-1][0] if ordered else None
@@ -159,7 +131,7 @@ class ColumnStats:
             return 0.0
         if value is None:
             return 0.0  # SQL: column = NULL never matches
-        entry = self.counter.get(V.group_key(value))
+        entry = self.counter.get(group_keys((value,))[0])
         return (entry[1] / row_count) if entry is not None else 0.0
 
     def range_selectivity(self, op: str, bound: Any,
@@ -172,7 +144,7 @@ class ColumnStats:
         """
         if row_count <= 0 or bound is None:
             return 0.0
-        if not self.counter:  # no non-NULL value (entries leave at zero)
+        if not self.ndv:  # no non-NULL value (entries leave at zero)
             return 0.0
         histogram = self.histogram
         los = [lo for lo, _, _, _ in histogram]
@@ -300,21 +272,40 @@ class TableStatistics:
         self._by_name = {column.name.upper(): index
                          for index, column in enumerate(schema.columns)}
 
-    def note_insert(self, row) -> None:
-        self.row_count += 1
-        for stats, value in zip(self.columns, row):
-            stats.note_insert(value)
+    def note_inserts(self, columns: list, keys: list) -> None:
+        """Count a statement's inserted rows, given column by column with
+        each column's :func:`group_keys`."""
+        self.row_count += len(keys[0])
+        for stats, values, column_keys in zip(self.columns, columns, keys):
+            stats.version += 1
+            counter = stats.counter
+            for value, key in zip(values, column_keys):
+                entry = counter.get(key)
+                if entry is None:
+                    counter[key] = [value, 1]
+                else:
+                    entry[1] += 1
 
-    def note_delete(self, row) -> None:
-        self.row_count = max(0, self.row_count - 1)
-        for stats, value in zip(self.columns, row):
-            stats.note_delete(value)
+    def note_deletes(self, keys: list) -> None:
+        """Uncount a statement's deleted rows by each column's keys."""
+        self.row_count = max(0, self.row_count - len(keys[0]))
+        for stats, column_keys in zip(self.columns, keys):
+            stats.version += 1
+            counter = stats.counter
+            for key in column_keys:
+                entry = counter.get(key)
+                if entry is not None:
+                    entry[1] -= 1
+                    if entry[1] <= 0:
+                        del counter[key]
 
     def rebuild(self, rows) -> None:
-        rows = list(rows)
-        self.row_count = len(rows)
-        for position, stats in enumerate(self.columns):
-            stats.rebuild(row[position] for row in rows)
+        """Re-derive from ``rows``: empty counters, then one insert."""
+        self.row_count = 0
+        for stats in self.columns:
+            stats.counter = {}
+        columns = list(zip(*rows)) or [()] * len(self.columns)
+        self.note_inserts(columns, list(map(group_keys, columns)))
 
     def column(self, name: str) -> Optional[ColumnStats]:
         index = self._by_name.get(name.upper())

@@ -3,11 +3,12 @@
 Row bytes live behind a *row store* (:mod:`repro.sqlstore.storage`) — the
 in-memory list by default, or the paged/buffered store when the provider is
 opened with ``storage_path=...``.  The table keeps everything semantic:
-type coercion, PRIMARY KEY uniqueness, the legacy positional hash indexes,
-and the named user indexes (``CREATE INDEX``) the engine consults for
-WHERE seeks and join builds.  All index structures are in-memory and are
-rebuilt from the store on open — only rows and index *definitions* are
-persisted.
+type coercion, NOT NULL, PRIMARY KEY uniqueness, and the named user
+indexes (``CREATE INDEX``) the engine consults for WHERE seeks and join
+builds.  A write checks row by row, then maintains each index and each
+column's statistics once for the whole statement.  All index structures
+are in-memory and are rebuilt from the store on open — only rows and
+index *definitions* are persisted.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from repro.sqlstore.schema import TableSchema
 from repro.sqlstore.rowset import Rowset, RowsetColumn
 from repro.sqlstore.stats import TableStatistics
 from repro.sqlstore.storage import ListRowStore
-from repro.sqlstore.values import group_key
+from repro.sqlstore.values import group_key, group_keys
 
 
 class Table:
@@ -47,8 +48,8 @@ class Table:
         # Named user indexes (CREATE INDEX), keyed by upper-cased name,
         # insertion-ordered — the engine picks the first index on a column.
         self.indexes: Dict[str, TableIndex] = {}
-        # Optimizer statistics (repro.sqlstore.stats): maintained inline by
-        # insert/delete/update below, rebuilt wholesale by
+        # Optimizer statistics (repro.sqlstore.stats): maintained once per
+        # statement by insert/delete/update below, rebuilt wholesale by
         # rebuild_statistics (UPDATE STATISTICS, paged reopen).
         self.stats: Optional[TableStatistics] = \
             TableStatistics(schema) if with_stats else None
@@ -56,10 +57,13 @@ class Table:
         # re-derive lazily on first use instead of at open (open must never
         # touch page bytes — a torn page surfaces at first read, not open).
         self.stats_stale = False
-        self._pk_index: Optional[Dict[Any, int]] = None
-        self._secondary: Dict[int, Dict[Any, List[int]]] = {}
-        if schema.primary_key_index() is not None:
-            self._pk_index = {}
+        self._pk = schema.primary_key_index()
+        self._pk_index: Optional[Dict[Any, int]] = \
+            {} if self._pk is not None else None
+        # Each column's canonical Python class: an inserted row of exactly
+        # these classes is already coerced (and holds no NULL).
+        self._natives = [column.type.python_types[0]
+                         for column in schema.columns]
 
     @property
     def name(self) -> str:
@@ -85,98 +89,122 @@ class Table:
         Every row is checked — arity, coercion, NOT NULL, PRIMARY KEY
         against the table and against the rows before it in the batch —
         before the first one is stored, so a statement that fails leaves
-        the table as it found it.
+        the table as it found it.  Then each index and each column's
+        statistics take the whole batch in one call.
         """
-        columns = self.schema.columns
-        pk = self.schema.primary_key_index()
+        pk, natives = self._pk, self._natives
         batch: List[Tuple] = []
-        keys: Dict[Any, int] = {}
-        base = len(self.store)
+        pk_keys: Dict[Any, None] = {}
         for values in rows:
             row = tuple(values)
-            if len(row) != len(columns):
-                raise SchemaError(
-                    f"table {self.name!r} expects {len(columns)} values, "
-                    f"got {len(row)}")
-            coerced = []
-            for value, column in zip(row, columns):
-                value = column.type.coerce(value)
-                if value is None and not column.nullable:
-                    raise TypeError_(
-                        f"column {column.name!r} of table {self.name!r} "
-                        f"is NOT NULL")
-                coerced.append(value)
-            row = tuple(coerced)
+            if list(map(type, row)) != natives:
+                row = self._coerced(row)
             if pk is not None:
                 key = group_key(row[pk])
-                if key in self._pk_index or key in keys:
-                    raise SchemaError(
-                        f"duplicate primary key {row[pk]!r} in table "
-                        f"{self.name!r}")
-                keys[key] = base + len(batch)
+                if key in self._pk_index or key in pk_keys:
+                    raise self._duplicate(row[pk])
+                pk_keys[key] = None
             batch.append(row)
+        if not batch:
+            return 0
         if self.stats is not None and self.stats_stale:
             self.rebuild_statistics()    # before the append: exact baseline
+        base = len(self.store) if pk is not None or self.indexes else 0
         self.store.extend(batch)
         self.version += len(batch)
         if pk is not None:
-            self._pk_index.update(keys)
-        for position, row in enumerate(batch, base):
-            for column_index, index in self._secondary.items():
-                index.setdefault(group_key(row[column_index]),
-                                 []).append(position)
+            self._pk_index.update(zip(pk_keys, range(base,
+                                                     base + len(batch))))
+        if self.indexes or self.stats is not None:
+            # Column by column, one group_keys each: the keying every
+            # index and the statistics share.
+            columns = list(zip(*batch))
+            keys = list(map(group_keys, columns))
             for index in self.indexes.values():
-                index.note_insert(row, position)
+                index.extend(keys[index.column_index], base)
             if self.stats is not None:
-                self.stats.note_insert(row)
+                self.stats.note_inserts(columns, keys)
         return len(batch)
 
     def delete_where(self, predicate) -> int:
         """Delete rows where ``predicate(row)`` is truthy; returns the count."""
-        rows = self.rows
-        if self.stats is not None and self.stats_stale:
-            self.stats.rebuild(rows)
-            self.stats_stale = False
-        kept = []
-        removed = 0
-        for row in rows:
-            if predicate(row):
-                removed += 1
-                if self.stats is not None:
-                    self.stats.note_delete(row)
-            else:
-                kept.append(row)
+        kept: List[Tuple] = []
+        removed: List[Tuple] = []
+        for row in self._current_rows():
+            (removed if predicate(row) else kept).append(row)
         if removed:
-            self.store.replace_all(kept)
-            self.version += 1
-            self.rebuild_indexes()
-        return removed
+            self._replace(kept, removed, [])
+        return len(removed)
 
     def update_where(self, predicate, updater) -> int:
-        """Apply ``updater(row) -> row`` to rows matching ``predicate``."""
-        changed = 0
-        new_rows = []
+        """Apply ``updater(row) -> row`` to rows matching ``predicate``.
+
+        The new rows are checked as INSERT checks them — coercion and NOT
+        NULL per row, PRIMARY KEY over the complete result — all or none.
+        """
+        new_rows: List[Tuple] = []
+        old: List[Tuple] = []
+        new: List[Tuple] = []
+        for row in self._current_rows():
+            if predicate(row):
+                old.append(row)
+                row = self._coerced(updater(row))
+                new.append(row)
+            new_rows.append(row)
+        if old:
+            self._replace(new_rows, old, new)
+        return len(old)
+
+    def _coerced(self, values: Iterable[Any]) -> Tuple:
+        """One row as stored: arity, coercion and NOT NULL checked.  (INSERT
+        skips it for a row whose every cell is already of its column's
+        canonical class: such a row is its own coercion.)"""
+        row = tuple(values)
+        columns = self.schema.columns
+        if len(row) != len(columns):
+            raise SchemaError(
+                f"table {self.name!r} expects {len(columns)} values, "
+                f"got {len(row)}")
+        coerced = []
+        for value, column in zip(row, columns):
+            value = column.type.coerce(value)
+            if value is None and not column.nullable:
+                raise TypeError_(
+                    f"column {column.name!r} of table {self.name!r} "
+                    f"is NOT NULL")
+            coerced.append(value)
+        return tuple(coerced)
+
+    def _duplicate(self, value: Any) -> SchemaError:
+        return SchemaError(
+            f"duplicate primary key {value!r} in table {self.name!r}")
+
+    def _current_rows(self) -> List[Tuple]:
+        """The stored rows, with statistics made exact first (a stale
+        baseline is rebuilt before a DELETE or UPDATE subtracts from it)."""
         rows = self.rows
         if self.stats is not None and self.stats_stale:
             self.stats.rebuild(rows)
             self.stats_stale = False
-        for row in rows:
-            if predicate(row):
-                new_row = tuple(
-                    column.type.coerce(value)
-                    for value, column in zip(updater(row), self.schema.columns))
-                new_rows.append(new_row)
-                changed += 1
-                if self.stats is not None:
-                    self.stats.note_delete(row)
-                    self.stats.note_insert(new_row)
-            else:
-                new_rows.append(row)
-        if changed:
-            self.store.replace_all(new_rows)
-            self.version += 1
-            self.rebuild_indexes()
-        return changed
+        return rows
+
+    def _replace(self, rows: List[Tuple], removed: List[Tuple],
+                 added: List[Tuple]) -> None:
+        """Store a DELETE's or UPDATE's complete row list, then maintain
+        the indexes and statistics once.  PRIMARY KEY uniqueness over
+        ``rows`` is checked before anything changes."""
+        pk_index = self._pk_positions(rows)
+        self.store.replace_all(rows)
+        self.version += 1
+        self._pk_index = pk_index
+        for index in self.indexes.values():
+            index.rebuild(rows)
+        if self.stats is not None:
+            self.stats.note_deletes(list(map(group_keys, zip(*removed))))
+            if added:
+                columns = list(zip(*added))
+                self.stats.note_inserts(columns,
+                                        list(map(group_keys, columns)))
 
     def truncate(self) -> None:
         self.store.truncate()
@@ -219,18 +247,6 @@ class Table:
                 return index
         return None
 
-    # -- legacy positional indexes --------------------------------------------
-
-    def ensure_index(self, column_name: str) -> Dict[Any, List[int]]:
-        """Build (or fetch) a non-unique hash index on one column."""
-        column_index = self.schema.index_of(column_name)
-        if column_index not in self._secondary:
-            index: Dict[Any, List[int]] = {}
-            for position, row in enumerate(self.rows):
-                index.setdefault(group_key(row[column_index]), []).append(position)
-            self._secondary[column_index] = index
-        return self._secondary[column_index]
-
     def lookup_pk(self, value: Any) -> Optional[Tuple]:
         """Fetch the row with the given primary-key value, or None."""
         if self._pk_index is None:
@@ -238,25 +254,30 @@ class Table:
         position = self._pk_index.get(group_key(value))
         return None if position is None else self.store.row_at(position)
 
+    def _pk_positions(self, rows: List[Tuple]) -> Optional[Dict[Any, int]]:
+        """The PRIMARY KEY map of ``rows``; raises on a duplicate key."""
+        pk = self._pk
+        if pk is None:
+            return None
+        keys = [group_key(row[pk]) for row in rows]
+        positions = dict(zip(keys, range(len(keys))))
+        if len(positions) < len(keys):
+            seen: set = set()
+            for row, key in zip(rows, keys):
+                if key in seen:
+                    raise self._duplicate(row[pk])
+                seen.add(key)
+        return positions
+
     def rebuild_indexes(self) -> None:
         """Re-derive every index structure from the stored rows.
 
-        Called after positional shifts (DELETE/UPDATE/TRUNCATE) and when a
-        paged table is reopened from its catalog (indexes are in-memory;
-        only their definitions persist).
+        Called after TRUNCATE and when a paged table is reopened from its
+        catalog (indexes are in-memory; only their definitions persist).
         """
-        pk = self.schema.primary_key_index()
-        needs_rows = (pk is not None or self._secondary or self.indexes)
-        rows = self.rows if needs_rows else []
-        if pk is not None:
-            self._pk_index = {
-                group_key(row[pk]): position
-                for position, row in enumerate(rows)}
-        for column_index in list(self._secondary):
-            index: Dict[Any, List[int]] = {}
-            for position, row in enumerate(rows):
-                index.setdefault(group_key(row[column_index]), []).append(position)
-            self._secondary[column_index] = index
+        rows = self.rows if (self._pk_index is not None or
+                             self.indexes) else []
+        self._pk_index = self._pk_positions(rows)
         for index in self.indexes.values():
             index.rebuild(rows)
 

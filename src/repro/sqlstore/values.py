@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import datetime
 from operator import eq, gt, lt
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Optional, Sequence
 
 NULL = None
 
@@ -25,6 +25,7 @@ COMPARISONS = frozenset(_TESTS)
 #: ``literal <op> value`` is ``value <MIRRORED[op]> literal``.
 MIRRORED = {"=": "=", "<>": "<>", "<": ">", ">": "<", "<=": ">=", ">=": "<="}
 _NUMBERS = (int, float)
+_NUMBER_TYPES, _TEXT_TYPE = frozenset(_NUMBERS), frozenset((str,))
 
 
 def is_null(value: Any) -> bool:
@@ -158,16 +159,18 @@ def group_key(value: Any):
     return ("s", str(value))
 
 
-def group_keys(values: list) -> list:
+def group_keys(values: Sequence[Any]) -> Sequence[Any]:
     """One key per value, two keys equal exactly where their
     :func:`group_key`\\ s are: a number's (not a bool's) float, a string
     itself, ``group_key``'s own tuple for NULL, a bool or a date, and any
     other value's ``str``.  A column of numbers alone or of strings alone
-    costs no call per value."""
-    types = set(map(type, values))
-    if types <= {int, float}:
+    costs no call per value, and strings alone are their own keys (the
+    sequence comes back as it went in)."""
+    if _NUMBER_TYPES.issuperset(map(type, values)):
         return list(map(float, values))
-    return list(values) if types == {str} else list(map(_bare_key, values))
+    if _TEXT_TYPE.issuperset(map(type, values)):
+        return values
+    return list(map(_bare_key, values))
 
 
 def _bare_key(value: Any):

@@ -1,7 +1,7 @@
 """Optimizer-statistics invariants over random mutation histories.
 
-The cost model trusts incrementally maintained statistics (note_insert /
-note_delete inline in Table mutations) to be *exactly* what a wholesale
+The cost model trusts incrementally maintained statistics (note_inserts /
+note_deletes, once per Table mutation) to be *exactly* what a wholesale
 rebuild from the stored rows would derive — row counts, NDVs, null counts,
 min/max, and the equi-depth histograms.  Any drift would mean UPDATE
 STATISTICS changes plans, which the differential suite forbids.  The
@@ -12,6 +12,7 @@ malformed estimate can never turn into a negative or exploding plan cost.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import TypeError_
 from repro.sqlstore.schema import ColumnSchema, TableSchema
 from repro.sqlstore.stats import (
     TableStatistics,
@@ -87,6 +88,82 @@ def test_stale_statistics_recover_then_stay_incremental(first, second):
     rebuilt = TableStatistics(table.schema)
     rebuilt.rebuild(table.rows)
     assert table.statistics().snapshot() == rebuilt.snapshot()
+
+
+#: Statements as the engine issues them: multi-row INSERTs, and INSERTs,
+#: DELETEs and UPDATEs that fail part-way — at a row that does not coerce,
+#: or a predicate that raises — and must leave no trace.
+statement_strategy = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert"), st.lists(row_strategy, max_size=6)),
+        st.tuples(st.just("bad insert"), st.lists(row_strategy, max_size=4),
+                  st.integers(min_value=0, max_value=4)),
+        st.tuples(st.just("delete"),
+                  st.integers(min_value=-50, max_value=50)),
+        st.tuples(st.just("bad delete"),
+                  st.integers(min_value=0, max_value=8)),
+        st.tuples(st.just("update"),
+                  st.integers(min_value=-50, max_value=50), row_strategy),
+        st.tuples(st.just("bad update"),
+                  st.integers(min_value=0, max_value=8), row_strategy),
+    ),
+    max_size=30,
+)
+
+
+def _fails_at(count):
+    """A per-row callable that raises on its ``count``-th call."""
+    calls = [0]
+
+    def check(row):
+        calls[0] += 1
+        if calls[0] > count:
+            raise ValueError("statement fails part-way")
+        return True
+    return check
+
+
+def _run_statement(table, statement):
+    kind = statement[0]
+    if kind == "insert":
+        table.insert_many(statement[1])
+    elif kind == "bad insert":
+        rows, at = list(statement[1]), statement[2]
+        rows.insert(min(at, len(rows)), ("zz", None, None))
+        table.insert_many(rows)
+    elif kind == "delete":
+        threshold = statement[1]
+        table.delete_where(
+            lambda row: row[0] is not None and row[0] < threshold)
+    elif kind == "bad delete":
+        table.delete_where(_fails_at(statement[1]))
+    elif kind == "update":
+        threshold, replacement = statement[1], statement[2]
+        table.update_where(
+            lambda row: row[0] is not None and row[0] >= threshold,
+            lambda row: replacement)
+    else:
+        fails, replacement = _fails_at(statement[1]), statement[2]
+        table.update_where(lambda row: True,
+                           lambda row: fails(row) and replacement)
+
+
+@given(statement_strategy)
+@settings(deadline=None)
+def test_statement_histories_keep_stats_exact(statements):
+    """Multi-row and failing statements: after each one the statistics
+    equal a rebuild from the stored rows, and a failing one changed
+    neither the rows nor the statistics."""
+    table = Table(_schema(), with_stats=True)
+    for statement in statements:
+        before = (table.rows, table.stats.snapshot())
+        try:
+            _run_statement(table, statement)
+        except (ValueError, TypeError_):
+            assert (table.rows, table.stats.snapshot()) == before
+        rebuilt = TableStatistics(table.schema)
+        rebuilt.rebuild(table.rows)
+        assert table.stats.snapshot() == rebuilt.snapshot()
 
 
 @given(st.integers(min_value=0, max_value=10**6),

@@ -13,7 +13,7 @@ from repro.sqlstore.pages import decode_page, decode_row, encode_page, \
 from repro.sqlstore.rowset import Rowset, RowsetColumn
 from repro.sqlstore.storage import ListRowStore, StorageManager
 from repro.sqlstore.types import DATE, DOUBLE, LONG, TEXT
-from repro.sqlstore.values import group_key
+from repro.sqlstore.values import group_key, group_keys
 
 scalar_strategy = st.one_of(
     st.none(),
@@ -135,8 +135,7 @@ keys_strategy = st.lists(st.one_of(st.none(),
 @settings(max_examples=80, deadline=None)
 def test_long_index_point_lookup_matches_brute_force(keys, probe):
     index = TableIndex("IX", "k", 0, "LONG")
-    for position, key in enumerate(keys):
-        index.note_insert((key,), position)
+    index.extend(group_keys(keys), 0)
     expected = [i for i, key in enumerate(keys)
                 if group_key(key) == group_key(probe)]
     assert index.positions_equal(probe) == expected
@@ -149,8 +148,7 @@ def test_long_index_point_lookup_matches_brute_force(keys, probe):
 def test_long_index_range_matches_brute_force(keys, a, b):
     low, high = min(a, b), max(a, b)
     index = TableIndex("IX", "k", 0, "LONG")
-    for position, key in enumerate(keys):
-        index.note_insert((key,), position)
+    index.extend(group_keys(keys), 0)
     expected = [i for i, key in enumerate(keys)
                 if key is not None and low <= key <= high]
     assert index.positions_range(low, high) == expected
@@ -162,8 +160,7 @@ def test_long_index_range_matches_brute_force(keys, a, b):
 def test_text_index_range_matches_brute_force(keys, a, b):
     low, high = min(a, b), max(a, b)
     index = TableIndex("IX", "k", 0, "TEXT")
-    for position, key in enumerate(keys):
-        index.note_insert((key,), position)
+    index.extend(group_keys(keys), 0)
     expected = [i for i, key in enumerate(keys)
                 if key is not None and low <= key <= high]
     assert index.positions_range(low, high) == expected
@@ -174,10 +171,83 @@ def test_text_index_range_matches_brute_force(keys, a, b):
 def test_rebuild_equals_incremental_maintenance(keys):
     incremental = TableIndex("IX", "k", 0, "LONG")
     for position, key in enumerate(keys):
-        incremental.note_insert((key,), position)
+        incremental.extend(group_keys([key]), position)
     rebuilt = TableIndex("IX", "k", 0, "LONG")
     rebuilt.rebuild([(key,) for key in keys])
     assert rebuilt.hash == incremental.hash
     assert rebuilt.entries == incremental.entries
     assert rebuilt.positions_range(-30, 30) == \
         incremental.positions_range(-30, 30)
+
+
+# One NaN object: a NaN key finds its bucket by identity, as GROUP BY's.
+NAN = float("nan")
+BIG = 2 ** 53
+#: Per column type, the non-NULL cells an index may order — -0.0 beside
+#: 0.0, ints that share a float beyond 2**53, unicode text; DOUBLE cells
+#: may also be NaN, and every cell NULL.
+_ORDERED = {
+    "LONG": st.one_of(st.integers(min_value=-5, max_value=5),
+                      st.integers(min_value=BIG - 2, max_value=BIG + 3)),
+    "DOUBLE": st.one_of(st.just(-0.0), st.just(0.0),
+                        st.floats(min_value=-4, max_value=4,
+                                  allow_nan=False)),
+    "TEXT": st.text(max_size=3),
+}
+_VALUES = dict(_ORDERED, DOUBLE=st.one_of(st.just(NAN), _ORDERED["DOUBLE"]))
+
+
+def _order(value):
+    return value if isinstance(value, str) else float(value)
+
+
+@st.composite
+def _index_histories(draw):
+    """A column type, its cells, a split of them into statements, probe
+    values drawn from the cells' own pool and two range bounds (never NaN:
+    no SQL literal is)."""
+    type_name = draw(st.sampled_from(sorted(_VALUES)))
+    cells = draw(st.lists(st.one_of(st.none(), _VALUES[type_name]),
+                          max_size=40))
+    cuts = sorted(draw(st.lists(st.integers(0, len(cells)), max_size=5)))
+    probes = draw(st.lists(_VALUES[type_name], min_size=1, max_size=4))
+    bounds = draw(st.lists(_ORDERED[type_name], min_size=2, max_size=2))
+    return type_name, cells, cuts, probes, sorted(bounds, key=_order)
+
+
+@given(_index_histories())
+@settings(deadline=None)
+def test_any_batch_split_indexes_like_one_batch_and_a_rebuild(history):
+    """Statements of any size leave the index one statement (and one
+    rebuild) would, and every seek agrees with brute force."""
+    type_name, cells, cuts, probes, (low, high) = history
+    split = TableIndex("IX", "k", 0, type_name)
+    for start, stop in zip([0] + cuts, cuts + [len(cells)]):
+        split.extend(group_keys(cells[start:stop]), start)
+    whole = TableIndex("IX", "k", 0, type_name)
+    whole.extend(group_keys(cells), 0)
+    rebuilt = TableIndex("IX", "k", 0, type_name)
+    rebuilt.rebuild([(cell,) for cell in cells])
+    for index in (split, whole, rebuilt):
+        assert index.hash == rebuilt.hash
+        assert (index.entries, index.keys) == (len(cells), len(rebuilt.hash))
+        for probe in probes:
+            assert index.positions_equal(probe) == [
+                i for i, cell in enumerate(cells)
+                if group_key(cell) == group_key(probe)]
+        assert index.positions_in(probes) == [
+            i for i, cell in enumerate(cells)
+            if any(group_key(cell) == group_key(p) for p in probes)]
+        has_nan = any(cell is NAN for cell in cells)
+        assert index.range_capable() is not has_nan
+        if has_nan:
+            continue
+        assert index.positions_range(low, high) == [
+            i for i, cell in enumerate(cells) if cell is not None
+            and _order(low) <= _order(cell) <= _order(high)]
+        assert index.positions_range(low) == [
+            i for i, cell in enumerate(cells)
+            if cell is not None and _order(low) <= _order(cell)]
+        assert index.positions_range(None, high) == [
+            i for i, cell in enumerate(cells)
+            if cell is not None and _order(cell) <= _order(high)]

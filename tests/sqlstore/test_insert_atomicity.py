@@ -7,7 +7,9 @@ the paged store the orphan rows rode along with the next statement's commit.
 ``Table.insert_many`` now checks every row before it stores the first —
 on the memory store, the paged store, a durable provider and over the wire,
 for VALUES and for INSERT … SELECT, with every failure kind's error text as
-it was.
+it was.  DELETE and UPDATE build their whole new row list before they touch
+the table, its indexes or its statistics, and UPDATE checks that list as
+INSERT checks its rows: NOT NULL, and PRIMARY KEY over the result.
 """
 
 import shutil
@@ -197,3 +199,70 @@ def test_insert_is_insert_many_of_one():
     with pytest.raises(SchemaError, match="expects 2 values, got 1"):
         table.insert_many([[4, "d"], [5]])
     assert len(table) == 3
+
+
+# -- DELETE and UPDATE: all or none, statistics and keys included ---------------
+
+@pytest.fixture(params=["memory", "paged"])
+def store_kwargs(request, tmp_path):
+    return {} if request.param == "memory" else {
+        "storage_path": str(tmp_path / "store"), "buffer_pages": 2,
+        "storage_page_bytes": 64}
+
+
+def _statistics(conn, name):
+    table = conn.database.table(name)
+    return table.rows, table.statistics().snapshot()
+
+
+@pytest.mark.parametrize("statement", [
+    "DELETE FROM U WHERE k + (CASE WHEN k = 3 THEN s ELSE 0 END) > 0",
+    "UPDATE U SET k = s"], ids=["delete", "update"])
+def test_a_failed_delete_or_update_leaves_the_statistics(store_kwargs,
+                                                         statement):
+    """Both fail at row 3, after rows 1 and 2 qualified: the statistics
+    used to count those two as deleted (row_count 1) or as updated (``k``
+    spanning 3..8) while the table kept all three rows unchanged."""
+    conn = repro.connect(**store_kwargs)
+    try:
+        conn.execute("CREATE TABLE U (k LONG, s TEXT)")
+        conn.execute("INSERT INTO U VALUES (1, '7'), (2, '8'), (3, 'zz')")
+        before = _statistics(conn, "U")
+        with pytest.raises(Error):
+            conn.execute(statement)
+        rows, stats = _statistics(conn, "U")
+        assert (rows, stats) == before
+        assert stats[0]["rows"] == 3
+        assert (stats[0]["min"], stats[0]["max"]) == (1, 3)
+    finally:
+        conn.close()
+
+
+@pytest.mark.parametrize("statement, error, text", [
+    ("UPDATE T SET id = 1 WHERE id = 2", SchemaError,
+     "duplicate primary key 1 in table 'T'"),
+    ("UPDATE T SET n = NULL WHERE id = 3", TypeError_,
+     "column 'n' of table 'T' is NOT NULL"),
+], ids=["primary-key", "not-null"])
+def test_update_checks_the_result_as_insert_does(store_kwargs, statement,
+                                                 error, text):
+    conn = repro.connect(**store_kwargs)
+    try:
+        conn.execute("CREATE TABLE T (id LONG PRIMARY KEY, n LONG NOT NULL, "
+                     "s TEXT)")
+        conn.execute("INSERT INTO T VALUES (1, 10, 'a'), (2, 20, 'b'), "
+                     "(3, 30, 'c')")
+        before = _statistics(conn, "T")
+        with pytest.raises(error) as raised:
+            conn.execute(statement)
+        assert text in str(raised.value)
+        assert _statistics(conn, "T") == before
+        # Keys that collide only on the way are fine: the result is unique.
+        assert conn.execute("UPDATE T SET id = id + 1") == 3
+        table = conn.database.table("T")
+        assert sorted(table.rows) == [(2, 10, "a"), (3, 20, "b"),
+                                      (4, 30, "c")]
+        assert table.lookup_pk(4) == (4, 30, "c")
+        assert table.lookup_pk(1) is None
+    finally:
+        conn.close()

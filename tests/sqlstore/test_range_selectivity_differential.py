@@ -20,10 +20,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sqlstore import stats
-from repro.sqlstore.stats import ColumnStats
+from repro.sqlstore.schema import ColumnSchema, TableSchema
+from repro.sqlstore.stats import TableStatistics
+from repro.sqlstore.types import TEXT
 
 nan, inf = float("nan"), float("inf")
 DAY = datetime.date(2024, 2, 29)
+
+
+def _column(values):
+    """The statistics of a one-column table holding ``values``."""
+    table = TableStatistics(TableSchema("T", [ColumnSchema("c", TEXT)]))
+    table.rebuild([(value,) for value in values])
+    return table.columns[0]
 
 KINDS = {
     "int": st.integers(-60, 60),
@@ -63,8 +72,7 @@ def columns(draw):
 @given(columns())
 def test_bisected_selectivity_is_the_walks_bit_for_bit(column_draw):
     _, values, bounds = column_draw
-    column = ColumnStats("c")
-    column.rebuild(values)
+    column = _column(values)
     for bound in bounds:
         for op in OPS:
             bisected = column.range_selectivity(op, bound, len(values))
@@ -94,8 +102,7 @@ def test_which_columns_bisect(monkeypatch, kind, values, bound, bisects):
     real = stats._walked_selectivity
     monkeypatch.setattr(stats, "_walked_selectivity",
                         lambda *args: walks.append(1) or real(*args))
-    column = ColumnStats("c")
-    column.rebuild(values)
+    column = _column(values)
     assert len(column.histogram) > 8
     for op in OPS:
         bisected = column.range_selectivity(op, bound, len(values))

@@ -75,14 +75,6 @@ class TestTable:
         table.insert((1, "Male", 35.0))  # pk slot freed
         assert len(table) == 2
 
-    def test_secondary_index_tracks_inserts(self):
-        table = Table(customer_schema())
-        table.insert((1, "Male", 35.0))
-        index = table.ensure_index("Gender")
-        table.insert((2, "Male", 40.0))
-        from repro.sqlstore.values import group_key
-        assert len(index[group_key("Male")]) == 2
-
     def test_update_where(self):
         table = Table(customer_schema())
         table.insert_many([(1, "Male", 35.0), (2, "Female", 28.0)])
