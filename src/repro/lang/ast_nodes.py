@@ -319,6 +319,11 @@ class CreateViewStatement(Statement):
     select: SelectStatement = None
 
 
+#: One VALUES row: the tuple of its values when every cell is a plain
+#: literal (number, string, NULL, TRUE, FALSE), else its cell expressions.
+ValueRow = Union[Tuple[Any, ...], List[Expr]]
+
+
 @dataclass
 class InsertValuesStatement(Statement):
     """``INSERT INTO t [(cols)] VALUES (...), (...)`` or ``... SELECT ...``.
@@ -329,7 +334,7 @@ class InsertValuesStatement(Statement):
     """
     table: str
     columns: List[str] = field(default_factory=list)
-    rows: List[List[Expr]] = field(default_factory=list)
+    rows: List[ValueRow] = field(default_factory=list)
     select: Optional[SelectStatement] = None
 
 

@@ -7,6 +7,7 @@ expression, SELECT, and SHAPE machinery as plain SQL.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import List, Union
 
 from repro.lang import ast_nodes as ast
@@ -31,18 +32,14 @@ def parse_create_mining_model(parser) -> ast.CreateMiningModelStatement:
     parser.expect_keyword("MODEL")
     name = parser.expect_identifier("model name")
     parser.expect_symbol("(")
-    columns = [parse_model_column(parser)]
-    while parser.accept_symbol(","):
-        columns.append(parse_model_column(parser))
+    columns = parser.parse_list(partial(parse_model_column, parser))
     parser.expect_symbol(")")
     parser.expect_keyword("USING")
     algorithm = parser.expect_identifier("algorithm name")
     parameters = []
     if parser.accept_symbol("("):
         if not parser.peek().is_symbol(")"):
-            parameters.append(_parse_parameter(parser))
-            while parser.accept_symbol(","):
-                parameters.append(_parse_parameter(parser))
+            parameters = parser.parse_list(partial(_parse_parameter, parser))
         parser.expect_symbol(")")
     return ast.CreateMiningModelStatement(
         name=name, columns=columns, algorithm=algorithm,
@@ -80,9 +77,7 @@ def _parse_model_column_body(parser) -> ast.ModelColumnDef:
     if parser.peek().is_keyword("TABLE"):
         parser.advance()
         parser.expect_symbol("(")
-        nested = [parse_model_column(parser)]
-        while parser.accept_symbol(","):
-            nested.append(parse_model_column(parser))
+        nested = parser.parse_list(partial(parse_model_column, parser))
         parser.expect_symbol(")")
         column = ast.ModelColumnDef(name=name, nested_columns=nested)
         _parse_column_flags(parser, column, nested_table=True)
@@ -188,9 +183,9 @@ def parse_insert(parser) -> ast.Statement:
     token = parser.peek()
     if token.is_keyword("VALUES"):
         parser.advance()
-        rows = [_parse_value_row(parser)]
+        rows = [_parse_value_row(parser, 0)]
         while parser.accept_symbol(","):
-            rows.append(_parse_value_row(parser))
+            rows.append(_parse_value_row(parser, len(rows)))
         columns = _flat_binding_names(parser, bindings)
         return ast.InsertValuesStatement(table=target, columns=columns,
                                          rows=rows)
@@ -224,9 +219,7 @@ def parse_insert(parser) -> ast.Statement:
 
 def _parse_binding_list(parser):
     parser.expect_symbol("(")
-    bindings = [_parse_binding(parser)]
-    while parser.accept_symbol(","):
-        bindings.append(_parse_binding(parser))
+    bindings = parser.parse_list(partial(_parse_binding, parser))
     parser.expect_symbol(")")
     return bindings
 
@@ -256,13 +249,21 @@ def _flat_binding_names(parser, bindings) -> List[str]:
     return names
 
 
-def _parse_value_row(parser) -> List[ast.Expr]:
+def _parse_value_row(parser, number: int) -> ast.ValueRow:
+    """VALUES row ``number``: the tuple of its values when every cell is a
+    plain literal (a number, string, NULL, TRUE or FALSE), else the list of
+    its cell expressions.  A tuple row's NUMBER/STRING literals are
+    recorded as landing in cell ``(number, column)``, not in a Literal."""
+    mark = len(parser.literals)
     parser.expect_symbol("(")
-    row = [parser.parse_expression()]
-    while parser.accept_symbol(","):
-        row.append(parser.parse_expression())
+    row = parser.parse_list(parser.parse_expression)
     parser.expect_symbol(")")
-    return row
+    if any(type(cell) is not ast.Literal for cell in row):
+        return row
+    column_of = {id(cell): column for column, cell in enumerate(row)}
+    parser.literals[mark:] = [(token, (number, column_of[id(node)]))
+                              for token, node in parser.literals[mark:]]
+    return tuple(cell.value for cell in row)
 
 
 # ---------------------------------------------------------------------------

@@ -270,7 +270,8 @@ def format_statement(statement: ast.Statement) -> str:
         if statement.select is not None:
             return f"{text} {format_select(statement.select)}"
         rows = ", ".join(
-            "(" + ", ".join(format_expression(e) for e in row) + ")"
+            "(" + ", ".join(map(format_literal if type(row) is tuple
+                                else format_expression, row)) + ")"
             for row in statement.rows)
         return f"{text} VALUES {rows}"
     if isinstance(statement, ast.DeleteStatement):

@@ -140,7 +140,9 @@ class Scan:
         spelled, numbers, strings, _ = zip(*rows)
         # A literal's slot is an empty spelling; the mask tells its kind.
         key = (spelled, tuple(map(bool, strings)))
-        values = [_literal(raw)
+        # _literal, inline: this runs once per literal of every statement.
+        values = [raw[1:-1].replace(raw[0] * 2, raw[0]) if raw[0] in "'\""
+                  else int(raw) if raw.isdecimal() else float(raw)
                   for raw in filter(None, map(add, numbers, strings))]
         return key, values
 

@@ -6,8 +6,8 @@ aggregate into one row of ``$SYSTEM.DM_STATEMENT_STATS``.  The normalizer
 produces that shape deterministically:
 
 * every :class:`~repro.lang.ast_nodes.Literal` (and literal-like parameter
-  such as EXPORT/IMPORT paths or the CANCEL target id) is blanked to the
-  placeholder literal ``'?'``;
+  such as EXPORT/IMPORT paths, the CANCEL target id or a value of a VALUES
+  tuple row) is blanked to the placeholder literal ``'?'``;
 * every identifier (table, column, alias, function, model, facet) is
   case-folded to upper case;
 * the mutated tree is rendered back through the canonical formatter
@@ -53,6 +53,11 @@ def _normalize_node(node):
         rebuilt = _normalize_dataclass(node)
         rebuilt.path = PLACEHOLDER
         return rebuilt
+    if isinstance(node, ast.InsertValuesStatement):
+        # A tuple row holds values, not Literals: blank each one as well.
+        rows = [(PLACEHOLDER,) * len(row) if type(row) is tuple else row
+                for row in node.rows]
+        return _normalize_dataclass(dataclasses.replace(node, rows=rows))
     if dataclasses.is_dataclass(node):
         return _normalize_dataclass(node)
     if isinstance(node, list):

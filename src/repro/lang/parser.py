@@ -12,7 +12,7 @@ Operator precedence, loosest to tightest::
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple, Union
+from typing import Any, Callable, List, Optional, Tuple, Union
 
 from repro.errors import ParseError
 from repro.lang import ast_nodes as ast
@@ -44,9 +44,11 @@ class Parser:
             else tokens
         self.pos = 0
         self.depth = 0
-        # (token index, node) of every Literal built from a NUMBER or STRING
-        # token — what the template cache substitutes on a later hit.
-        self.literals: List[Tuple[int, ast.Literal]] = []
+        # (token index, where its value landed) of every NUMBER or STRING
+        # token made a value: a Literal node, or the (row, column) cell of
+        # a VALUES tuple row — what the template cache substitutes on a hit.
+        self.literals: List[Tuple[int, Union[ast.Literal,
+                                             Tuple[int, int]]]] = []
 
     def _enter(self) -> None:
         self.depth += 1
@@ -107,6 +109,13 @@ class Parser:
             raise self.error(f"expected {what}")
         self.advance()
         return token.value
+
+    def parse_list(self, parse_item: Callable[[], Any]) -> list:
+        """``item [, item]...``: what ``parse_item`` makes of each."""
+        items = [parse_item()]
+        while self.accept_symbol(","):
+            items.append(parse_item())
+        return items
 
     def at_end(self) -> bool:
         return self.peek().kind is TokenKind.EOF or self.peek().is_symbol(";")
@@ -237,23 +246,19 @@ class Parser:
                 statement.distinct = True
             else:
                 break
-        statement.select_list = self._parse_select_list()
+        statement.select_list = self.parse_list(self._parse_select_item)
         if self.accept_keyword("FROM"):
             statement.from_clause = self._parse_from()
         if self.accept_keyword("WHERE"):
             statement.where = self.parse_expression()
         if self.accept_keyword("GROUP"):
             self.expect_keyword("BY")
-            statement.group_by = [self.parse_expression()]
-            while self.accept_symbol(","):
-                statement.group_by.append(self.parse_expression())
+            statement.group_by = self.parse_list(self.parse_expression)
         if self.accept_keyword("HAVING"):
             statement.having = self.parse_expression()
         if self.accept_keyword("ORDER"):
             self.expect_keyword("BY")
-            statement.order_by = [self._parse_order_item()]
-            while self.accept_symbol(","):
-                statement.order_by.append(self._parse_order_item())
+            statement.order_by = self.parse_list(self._parse_order_item)
         statement.maxdop = self.parse_maxdop_option()
         return statement
 
@@ -281,12 +286,6 @@ class Parser:
             all_rows.append(self.accept_keyword("ALL"))
             branches.append(self.parse_select())
         return ast.UnionStatement(branches=branches, all_rows=all_rows)
-
-    def _parse_select_list(self) -> List[ast.SelectItem]:
-        items = [self._parse_select_item()]
-        while self.accept_symbol(","):
-            items.append(self._parse_select_item())
-        return items
 
     def _parse_select_item(self) -> ast.SelectItem:
         if self.peek().is_symbol("*"):
@@ -439,9 +438,7 @@ class Parser:
         master = self._parse_shape_source()
         shape = ast.ShapeExpr(master=master)
         if self.accept_keyword("APPEND"):
-            shape.appends.append(self._parse_shape_append())
-            while self.accept_symbol(","):
-                shape.appends.append(self._parse_shape_append())
+            shape.appends = self.parse_list(self._parse_shape_append)
         return shape
 
     def _parse_shape_source(self) -> Union[ast.SelectStatement, ast.ShapeExpr]:
@@ -476,9 +473,7 @@ class Parser:
         self.expect_keyword("TABLE")
         name = self.expect_identifier("table name")
         self.expect_symbol("(")
-        columns = [self._parse_column_def()]
-        while self.accept_symbol(","):
-            columns.append(self._parse_column_def())
+        columns = self.parse_list(self._parse_column_def)
         self.expect_symbol(")")
         return ast.CreateTableStatement(name=name, columns=columns)
 
@@ -595,9 +590,7 @@ class Parser:
                 select = self.parse_select()
                 self.expect_symbol(")")
                 return ast.InSelect(left, select=select, negated=negated)
-            items = [self.parse_expression()]
-            while self.accept_symbol(","):
-                items.append(self.parse_expression())
+            items = self.parse_list(self.parse_expression)
             self.expect_symbol(")")
             return ast.InList(left, items=items, negated=negated)
         if token.is_keyword("BETWEEN"):
@@ -694,9 +687,7 @@ class Parser:
             if not self.peek().is_symbol(")"):
                 if self.accept_keyword("DISTINCT"):
                     distinct = True
-                args.append(self._parse_func_arg())
-                while self.accept_symbol(","):
-                    args.append(self._parse_func_arg())
+                args = self.parse_list(self._parse_func_arg)
             self.expect_symbol(")")
             return ast.FuncCall(name=first, args=args, distinct=distinct)
         parts = [first]

@@ -4,20 +4,28 @@ Applications re-issue the same command text with different constants — a
 point SELECT per key, a singleton PREDICTION JOIN per case, a VALUES list
 per batch.  Such statements have the same *shape* (:meth:`Scan.shape`: the
 token stream with its NUMBER/STRING values taken out), and every statement of
-one shape parses to the same tree but for the :class:`~repro.lang.ast_nodes.
-Literal` nodes those values land in.  A :class:`TemplateCache` keeps, per
-shape, that tree and the way to rebuild it around new values:
+one shape parses to the same tree but for the places those values land in:
+a :class:`~repro.lang.ast_nodes.Literal` node, or a cell of a VALUES row
+whose every cell is a plain literal (such a row is a tuple of values, not
+of nodes).  A :class:`TemplateCache` keeps, per shape, that tree and the
+way to rebuild it around new values — the *slot vector*, the shape's
+values in source order:
 
 * a **miss** parses the tokens the scan already produced; the parser reports
-  which token each ``Literal`` it built came from;
+  where each value it read from a token landed: a ``Literal`` it built, or
+  a VALUES cell ``(row, column)``;
 * the shape gets a :class:`Template` only if *every* NUMBER/STRING token
-  became exactly one ``Literal`` found in the final tree.  Where the grammar
-  consumes a literal as anything else — ``TOP n``, ``MAXDOP n``,
-  ``DISCRETIZED(…, 3)``, algorithm parameters, ``CANCEL id``, EXPORT/IMPORT
-  paths — the shape is remembered as *unparameterizable* and parsed in full
-  every time;
-* a **hit** copies only the *spine* — the nodes on a path from the root to
-  a substituted literal — and shares every other node with the template.
+  landed exactly once in the final tree.  Where the grammar consumes a
+  literal as anything else — ``TOP n``, ``MAXDOP n``, ``DISCRETIZED(…,
+  3)``, algorithm parameters, ``CANCEL id``, EXPORT/IMPORT paths — the
+  shape is remembered as *unparameterizable* and parsed in full every
+  time;
+* a **hit** makes a VALUES statement's tuple rows from the slot vector with
+  one ``itemgetter`` over every cell and one slice per row — no node, and
+  no Python call, per value; for ``Literal`` slots (point SELECTs,
+  predicates, expression cells) it copies only the *spine* — the nodes on a
+  path from the root to a substituted literal — and shares every other node
+  with the template.
 
 A template holds syntax only, nothing from the catalog, so no DDL or data
 change can invalidate it.  What it shares is shared between statements that
@@ -36,6 +44,7 @@ import dataclasses
 import threading
 from collections import OrderedDict
 from functools import partial
+from operator import itemgetter
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.lang import ast_nodes as ast
@@ -89,16 +98,22 @@ def _clone(node):
     return new
 
 
-def _compile(node, slot_of: Dict[int, int],
+def _compile(node, slot_of: Dict[Any, int],
              found: List[int]) -> Optional[Builder]:
     """The builder of ``node``'s copy around a vector of literal values, or
-    None when no slot literal lies beneath it (the node is then shared)."""
+    None when no slot lies beneath it (the node is then shared).
+
+    ``slot_of`` maps where a value landed — ``id`` of a Literal, or a
+    VALUES cell ``(row, column)`` — to its slot."""
     if type(node) is ast.Literal:
         slot = slot_of.get(id(node))
         if slot is None:
             return None  # NULL / TRUE / FALSE: spelled by the shape itself
         found.append(slot)
         return lambda values: ast.Literal(values[slot])
+    if type(node) is ast.InsertValuesStatement and \
+            tuple in set(map(type, node.rows)):
+        return _compile_values(node, slot_of, found)
     if isinstance(node, (list, tuple)):
         parts = [(index, build) for index, item in enumerate(node)
                  if (build := _compile(item, slot_of, found)) is not None]
@@ -128,21 +143,55 @@ def _compile(node, slot_of: Dict[int, int],
     return None
 
 
-def make_template(statement: ast.Statement, tokens: List[Token],
-                  literals: List[Tuple[int, ast.Literal]]
-                  ) -> Optional[Template]:
-    """The template of a freshly parsed statement, or None when some
-    NUMBER/STRING token did not become exactly one Literal of the tree.
+def _compile_values(node: ast.InsertValuesStatement, slot_of: Dict[Any, int],
+                    found: List[int]) -> Builder:
+    """The builder of a VALUES statement with tuple rows: every tuple-row
+    cell picked by one ``itemgetter`` from the slot vector followed by the
+    template's own cells (a NULL, TRUE or FALSE is read from those), each
+    row one slice of what it picks; an expression row is built as any
+    other node."""
+    own: List[Any] = []  # the tuple rows' cells, row after row
+    cells, slices, expression_rows = [], [], []
+    for number, row in enumerate(node.rows):
+        if type(row) is tuple:
+            slices.append(slice(len(own), len(own) + len(row)))
+            own += row
+            cells += [(number, column) for column in range(len(row))]
+        else:
+            expression_rows.append(
+                (number, row, _compile(row, slot_of, found)))
+    picks = [slot_of.get(cell, position - len(own))
+             for position, cell in enumerate(cells)]
+    found += [slot for slot in picks if slot >= 0]
+    pick = itemgetter(*picks, -1)  # one index more: one cell is a tuple too
 
-    ``literals`` is the parser's record, in token order, of the
-    ``(token index, node)`` of each Literal it built from such a token.
+    def rebuild_values(values):
+        picked = pick(values + own)
+        rows = list(map(picked.__getitem__, slices))
+        for number, row, build in expression_rows:  # in row order
+            rows.insert(number, row if build is None else build(values))
+        new = _clone(node)
+        new.rows = rows
+        return new
+    return rebuild_values
+
+
+def make_template(statement: ast.Statement, tokens: List[Token],
+                  literals: List[Tuple[int, Any]]) -> Optional[Template]:
+    """The template of a freshly parsed statement, or None when some
+    NUMBER/STRING token did not land exactly once in the tree.
+
+    ``literals`` is the parser's record, in token order, of the ``(token
+    index, destination)`` of each such token: the Literal built from it,
+    or the VALUES cell ``(row, column)`` its value was put in.
     """
     value_tokens = [index for index, token in enumerate(tokens)
                     if token.kind is TokenKind.NUMBER
                     or token.kind is TokenKind.STRING]
     if [index for index, _ in literals] != value_tokens:
         return None
-    slot_of = {id(node): slot for slot, (_, node) in enumerate(literals)}
+    slot_of = {id(target) if type(target) is ast.Literal else target: slot
+               for slot, (_, target) in enumerate(literals)}
     found: List[int] = []
     build = _compile(statement, slot_of, found)
     if sorted(found) != list(range(len(literals))):

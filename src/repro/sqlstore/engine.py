@@ -300,12 +300,14 @@ class Database:
     def _execute_insert(self, statement: ast.InsertValuesStatement) -> int:
         table = self.table(statement.table)
         schema = table.schema
-        if statement.columns:
-            positions = [schema.index_of(name) for name in statement.columns]
-        else:
-            positions = list(range(len(schema)))
+        positions = [schema.index_of(name) for name in statement.columns]
+        for index, position in enumerate(positions):
+            if position in positions[:index]:
+                raise SchemaError(
+                    f"column {statement.columns[index]!r} appears twice in "
+                    f"the INSERT column list")
 
-        def widen(values: List[Any]) -> List[Any]:
+        def widen(values) -> List[Any]:
             if len(values) != len(positions):
                 raise SchemaError(
                     f"INSERT expects {len(positions)} values, got {len(values)}")
@@ -315,14 +317,18 @@ class Database:
             return row
 
         if statement.select is not None:
-            source = self.execute_select(statement.select).rows
+            rows = self.execute_select(statement.select).rows
         else:
-            context = self._constant_context()
-            source = ([_constant(e, context) for e in value_row]
-                      for value_row in statement.rows)
+            rows = statement.rows
+            if list in set(map(type, rows)):  # a row has an expression cell
+                context = self._constant_context()
+                rows = (row if type(row) is tuple else
+                        [_constant(cell, context) for cell in row]
+                        for row in rows)
         # Lazily: a row's cells are evaluated, widened and checked before the
         # next row's, so the first bad row in statement order is the error.
-        return table.insert_many(widen(list(row)) for row in source)
+        # Without a column list a row goes as it is: the table checks arity.
+        return table.insert_many(map(widen, rows) if positions else rows)
 
     def _execute_delete(self, statement: ast.DeleteStatement) -> int:
         table = self.table(statement.table)
@@ -1438,8 +1444,7 @@ def _row_key(row: tuple) -> tuple:
 
 def _constant(expr: ast.Expr, context: EvalContext) -> Any:
     """The value of an expression evaluated once, with no row to read: a
-    literal — nearly every VALUES cell — is read directly, anything else
-    compiles and runs."""
+    literal is read directly, anything else compiles and runs."""
     if type(expr) is ast.Literal:
         return expr.value
     return compile_expression(expr, context)(())

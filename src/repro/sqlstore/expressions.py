@@ -131,7 +131,10 @@ def contains_aggregate(expr: ast.Expr) -> bool:
 
 def evaluate(expr: ast.Expr, context: EvalContext) -> Any:
     """The one-shot spelling: compile ``expr`` and call it on
-    ``context.row``.  Anything evaluated more than once compiles once."""
+    ``context.row``.  Anything evaluated more than once compiles once.  A
+    cell of a VALUES tuple row is a value already and is its own result."""
+    if not isinstance(expr, ast.Expr):
+        return expr
     return compile_expression(expr, context)(context.row)
 
 
@@ -219,12 +222,14 @@ def _membership(value: Any, candidates, negated: bool) -> Optional[bool]:
 
 def _between(value: Any, low: Any, high: Any,
              negated: bool) -> Optional[bool]:
+    """``value >= low AND value <= high`` under three-valued logic: a FALSE
+    side decides even when the other is NULL."""
     c_low = V.sql_compare(value, low)
     c_high = V.sql_compare(value, high)
-    if c_low is None or c_high is None:
-        return None
-    result = c_low >= 0 and c_high <= 0
-    return (not result) if negated else result
+    if (c_low is not None and c_low < 0) or \
+            (c_high is not None and c_high > 0):
+        return negated
+    return None if c_low is None or c_high is None else not negated
 
 
 def _like(value: Any, pattern: Any, negated: bool) -> Optional[bool]:
@@ -419,12 +424,13 @@ def _compile_between(expr: ast.Between, context: EvalContext):
         above = V.comparator(">=", expr.low.value)
         below = V.comparator("<=", expr.high.value)
 
-        def between_literals(row):
+        def between_literals(row):  # _between, each side a kernel
             value = operand(row)
             low_ok, high_ok = above(value), below(value)
-            if low_ok is None or high_ok is None:
-                return None
-            return (low_ok and high_ok) is not negated
+            if low_ok is False or high_ok is False:
+                return negated
+            return None if low_ok is None or high_ok is None else \
+                not negated
         return between_literals
     low = compile_expression(expr.low, context)
     high = compile_expression(expr.high, context)

@@ -163,8 +163,8 @@ class Table:
         columns = self.schema.columns
         if len(row) != len(columns):
             raise SchemaError(
-                f"table {self.name!r} expects {len(columns)} values, "
-                f"got {len(row)}")
+                f"INSERT expects {len(columns)} values, got {len(row)} "
+                f"(table {self.name!r})")
         coerced = []
         for value, column in zip(row, columns):
             value = column.type.coerce(value)

@@ -16,11 +16,12 @@ from repro.datagen import WarehouseConfig, load_warehouse
 # test_template_differential.py, tests/sqlstore/
 # test_page_codec_differential.py, test_paged_positions.py,
 # test_ordered_input_differential.py, test_position_binding.py — each compares
-# ``src/`` with its oracle under tests/reference/ — and the batch-maintenance
+# ``src/`` with its oracle under tests/reference/ — the batch-maintenance
 # properties in tests/property/test_storage_props.py and
-# test_stats_props.py, which compare with brute force and a rebuild) runs
-# small in tier-1, which only has to notice that a path broke, and deep in
-# its CI step, which is where these modules find bugs.
+# test_stats_props.py, which compare with brute force and a rebuild, and
+# the INSERT … VALUES round trip in tests/property/test_parser_roundtrip.py)
+# runs small in tier-1, which only has to notice that a path broke, and deep
+# in its CI step, which is where these modules find bugs.
 settings.register_profile("default", max_examples=25)
 settings.register_profile("deep", max_examples=2000, deadline=None)
 

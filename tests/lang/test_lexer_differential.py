@@ -80,6 +80,21 @@ def test_pinned_texts_match_the_character_loop(text):
     assert observe(tokenize, text) == observe(reference_tokenize, text)
 
 
+@given(texts)
+def test_shape_values_are_the_literal_tokens_values(text):
+    """``shape()`` converts the literal spellings itself, inline: value for
+    value and class for class what ``tokens()`` puts in its tokens."""
+    try:
+        tokens = tokenize(text)
+    except ParseError:
+        return
+    values = [token.value for token in tokens
+              if token.kind in (TokenKind.NUMBER, TokenKind.STRING)]
+    shaped = Scan(text).shape()[1]
+    assert [(value, type(value)) for value in shaped] == \
+        [(value, type(value)) for value in values]
+
+
 def test_shape_is_the_token_stream_without_literal_values():
     """Equal keys: same tokens but for NUMBER/STRING values; trivia and the
     quote character do not count, kind and spelling do."""

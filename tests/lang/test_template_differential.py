@@ -79,6 +79,15 @@ SHAPES = [
     ("SELECT a -- note {}\nFROM t /* and {} */ WHERE b = {}", True),
     (_in_list(1), True), (_in_list(2), True), (_in_list(7), True),
     (_values(1, 3), True), (_values(2, 3), True), (_values(100, 4), True),
+    # Width-1 rows (one itemgetter index gives an item, not a 1-tuple),
+    # ragged rows, NULL / TRUE / FALSE beside slots, a column list.
+    (_values(1, 1), True), (_values(3, 1), True),
+    ("INSERT INTO t VALUES ({}), ({}, {}, {}), ({}, {})", True),
+    ("INSERT INTO t VALUES ({}, NULL, {}), (TRUE, {}, FALSE), "
+     "(NULL, NULL, {}), ({}, TRUE, NULL)", True),
+    ("INSERT INTO t (b, a) VALUES ({}, {}), ({}, {})", True),
+    ("INSERT INTO t VALUES ({}, {} + 1), ({}, {}), ((SELECT {}), -{})", True),
+    ("EXPLAIN INSERT INTO t VALUES ({}, {})", True),
     # A literal the grammar consumes as something other than a Literal.
     ("SELECT TOP {} a FROM t WHERE b = {}", False),
     ("SELECT a FROM t WHERE b = {} WITH MAXDOP {}", False),

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.lang import ast_nodes as ast
 from repro.lang.formatter import format_expression, format_statement
+from repro.lang.normalizer import normalize_statement
 from repro.lang.parser import parse_expression, parse_statement
 
 # Identifiers: printable, no control characters; brackets are escaped by the
@@ -160,3 +161,31 @@ def test_create_mining_model_round_trip(statement):
     text = format_statement(statement)
     reparsed = parse_statement(text)
     assert format_statement(reparsed) == text
+
+
+# A VALUES cell: a literal (a negative number among them), a keyword, a
+# negated number, or an expression.  A row whose every cell is a plain
+# literal parses to a tuple of values, any other row to its expressions.
+value_cells = st.one_of(
+    literals,
+    st.sampled_from([None, True, False]).map(ast.Literal),
+    st.integers(min_value=0, max_value=10**9).map(
+        lambda n: ast.UnaryOp("-", ast.Literal(n))),
+    expressions(1))
+
+
+@st.composite
+def insert_values_statements(draw):
+    rows = draw(st.lists(st.lists(value_cells, min_size=1, max_size=4),
+                         min_size=1, max_size=4))
+    columns = draw(st.lists(identifiers, max_size=3))
+    return ast.InsertValuesStatement(table=draw(identifiers),
+                                     columns=columns, rows=rows)
+
+
+@given(insert_values_statements())
+def test_insert_values_round_trip(statement):
+    parsed = parse_statement(format_statement(statement))
+    assert parse_statement(format_statement(parsed)) == parsed
+    normalized = normalize_statement(parsed)
+    assert normalize_statement(parse_statement(normalized)) == normalized

@@ -7,7 +7,7 @@ import weakref
 import pytest
 
 from repro.errors import BindError, Error, TypeError_
-from repro.lang.parser import parse_expression
+from repro.lang.parser import parse_expression, parse_statement
 from repro.sqlstore.expressions import (
     EvalContext,
     compile_expression,
@@ -85,6 +85,21 @@ class TestComparisons:
         assert eval_expr("5 BETWEEN 1 AND 10") is True
         assert eval_expr("5 NOT BETWEEN 1 AND 10") is False
         assert eval_expr("NULL BETWEEN 1 AND 10") is None
+
+    @pytest.mark.parametrize("text, expected", [
+        # BETWEEN is `x >= low AND x <= high`: a FALSE side decides.
+        ("5 BETWEEN 6 AND NULL", False),
+        ("5 NOT BETWEEN 6 AND NULL", True),
+        ("5 NOT BETWEEN NULL AND 4", True),
+        ("5 NOT BETWEEN -6 - 1 AND NULL", None),
+        ("-5 NOT BETWEEN -4 AND NULL", True),
+        ("5 NOT BETWEEN 1 AND NULL", None),
+        ("5 BETWEEN NULL AND 10", None),
+        ("NULL NOT BETWEEN 1 AND 10", None),
+    ])
+    def test_between_with_a_null_bound_is_the_conjunction(
+            self, eval_expr, text, expected):
+        assert eval_expr(text) is expected
 
     def test_in_list(self, eval_expr):
         assert eval_expr("2 IN (1, 2, 3)") is True
@@ -298,3 +313,12 @@ class TestAggregateDetection:
             parse_expression("x IN (SELECT MAX(v) FROM S)"))
         assert not contains_aggregate(
             parse_expression("(SELECT COUNT(*) FROM S)"))
+
+
+def test_evaluate_takes_a_values_tuple_row_cell_as_its_value():
+    """``benchmarks/e2e/tracing.py`` replays an INSERT by evaluating every
+    cell of every VALUES row; a tuple row's cells are values already."""
+    rows = parse_statement("INSERT INTO t VALUES (1, 'a', NULL), (-2)").rows
+    context = EvalContext({}, ())
+    assert [[evaluate(cell, context) for cell in row] for row in rows] == \
+        [[1, "a", None], [-2]]

@@ -93,6 +93,80 @@ def test_the_first_bad_row_in_statement_order_is_the_error(conn):
         conn.execute("INSERT INTO T VALUES (1,'a'),(3,NULL),(1,'dup')")
 
 
+# Four-row shapes: the error of row 2 or 3 must win over row 4's arity.
+# Row 1 is a tuple of values, or an expression row beside tuple rows.
+FIRST_BAD_ROW = [
+    ("INSERT INTO T VALUES ({}, 'a'), ('two', 'b'), (3, 'c'), (4, 'd', 'x')",
+     TypeError_, "cannot coerce 'two' to LONG"),
+    ("INSERT INTO T VALUES ({}, 'a'), (2, 'b'), (1, 'c'), (3, 'd', 'x')",
+     SchemaError, "duplicate primary key 1 in table 'T'"),
+    ("INSERT INTO T VALUES ({}, 'a'), (2, 'b'), (3, NULL), (4, 'd', 'x')",
+     TypeError_, "column 'name' of table 'T' is NOT NULL"),
+    ("INSERT INTO T VALUES ({}, 'a'), (2, 'b'), (3, 'c'), (4, 'd', 'x')",
+     SchemaError, "INSERT expects 2 values, got 3"),
+]
+
+
+@pytest.mark.parametrize("first", ["1", "0 + 1"], ids=["values", "expression"])
+@pytest.mark.parametrize("shape, error, text", FIRST_BAD_ROW,
+                         ids=["coercion", "pk-in-batch", "not-null", "arity"])
+def test_the_first_bad_row_wins_on_a_template_miss_and_hit(
+        conn, first, shape, error, text):
+    """The same shape twice: parsed on the miss, made from the template on
+    the hit; either way the rows reach the table in statement order."""
+    metrics = conn.provider.metrics
+    before = _rows(conn)
+    version = conn.database.table("T").version
+    hits = []
+    for _ in range(2):
+        counted = metrics.value("lang.template_hits")
+        with pytest.raises(error) as raised:
+            conn.execute(shape.format(first))
+        hits.append(metrics.value("lang.template_hits") - counted)
+        assert text in str(raised.value)
+        assert _rows(conn) == before
+        assert conn.database.table("T").version == version
+    assert hits == [0, 1]
+
+
+@pytest.mark.parametrize("statement, named", [
+    ("INSERT INTO T (id, id) VALUES (1, 2)", "id"),
+    ("INSERT INTO T (name, id, NAME) VALUES ('a', 1, 'b')", "NAME"),
+    ("INSERT INTO T ([id], name, ID) SELECT id, name, id FROM T", "ID"),
+], ids=["values", "case-folded", "select"])
+def test_a_column_named_twice_in_the_column_list_is_an_error(
+        conn, statement, named):
+    """It used to be accepted, the last value winning; SQL and PostgreSQL
+    reject it.  Names match as ``TableSchema.index_of`` matches them."""
+    before = _rows(conn)
+    version = conn.database.table("T").version
+    with pytest.raises(SchemaError) as raised:
+        conn.execute(statement)
+    assert f"column {named!r} appears twice" in str(raised.value)
+    assert _rows(conn) == before
+    assert conn.database.table("T").version == version
+
+
+def test_recovery_stops_at_a_journaled_column_named_twice(tmp_path):
+    """An earlier version accepted, and so journaled, such a statement;
+    replaying it now raises, and the store does not open until that
+    version checkpoints the journal into the snapshot."""
+    from repro.store.journal import JournalWriter
+
+    path = str(tmp_path / "durable")
+    conn = repro.connect(durable_path=path)
+    conn.execute("CREATE TABLE U (a LONG, b LONG)")
+    store = conn.provider.store
+    journal, seq = store.journal_path, store.last_seq
+    conn.close()
+    writer = JournalWriter(journal)
+    writer.append({"seq": seq + 1, "kind": "INSERT",
+                   "stmt": "INSERT INTO U (a, a) VALUES (1, 2)"})
+    writer.close()
+    with pytest.raises(SchemaError, match="column 'a' appears twice"):
+        repro.connect(durable_path=path)
+
+
 def test_paged_orphans_do_not_ride_the_next_commit(tmp_path):
     path = str(tmp_path / "store")
     conn = repro.connect(storage_path=path, buffer_pages=2,
