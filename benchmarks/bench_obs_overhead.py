@@ -6,7 +6,7 @@ cost matters.  Three configurations of the same SELECT workload:
 * ``recording off`` — the tracer short-circuits to a null record; the
   closest available stand-in for the pre-instrumentation provider;
 * ``default`` — statement log on, span capture off (shipping default);
-* ``TRACE ON`` — full span-tree capture.
+* ``TRACE ON`` — every region captured.
 
 Reported: statements/second per configuration.  A plain (non-benchmark)
 test asserts default dispatch stays within a generous factor of the

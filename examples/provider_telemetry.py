@@ -4,7 +4,7 @@ Runs a small mining workload (create, train, predict — plus one statement
 that fails on purpose), then inspects what the provider recorded about
 itself, all through the same statement surface:
 
-1. ``TRACE ON`` and the per-statement span trees (``TRACE LAST``);
+1. ``TRACE ON`` and the per-statement trace (``TRACE LAST``);
 2. ``$SYSTEM.DM_QUERY_LOG`` — one row per statement, the error row and
    the running query reading the log included, with what each cost, and
    joined on ``FINGERPRINT`` to its shape's ``DM_STATEMENT_STATS`` row;
@@ -52,7 +52,7 @@ def main() -> None:
     """)
     conn.execute(TRAIN)
     conn.execute(PREDICT)
-    print("\nSpan tree of the last statement (the prediction join):")
+    print("\nTrace of the last statement (the prediction join):")
     print(conn.execute("TRACE LAST"))
 
     # A statement that fails on purpose: error rows are telemetry too.

@@ -185,7 +185,8 @@ class MiningAlgorithm(abc.ABC):
         previous = self.space
         self.space = space     # services read it while they train
         try:
-            with obs_trace.span("algorithm.train", service=self.SERVICE_NAME):
+            with obs_trace.region("algorithm.train",
+                                  service=self.SERVICE_NAME):
                 obs_trace.add("observations", len(observations))
                 self._train(space, observations)
         except BaseException:
@@ -208,9 +209,9 @@ class MiningAlgorithm(abc.ABC):
     def note_pass(self, **counters: float) -> None:
         """Record one training pass on the active trace.
 
-        Iterative services call this from their fitting loop so the span
-        tree (and ``DM_QUERY_LOG`` totals) carry a ``training_passes``
-        count plus any extra per-pass counters the service supplies.  It
+        Iterative services call this from their fitting loop so the
+        statement's counters (``DM_QUERY_LOG`` totals) carry a
+        ``training_passes`` count plus any extra per-pass counters the service supplies.  It
         doubles as the cooperative-cancellation checkpoint between passes:
         a ``CANCEL`` lands here, so long iterative fits stop at the next
         iteration boundary rather than running to completion.

@@ -25,7 +25,7 @@ tables, views, and trained models.
 
 Commands end with ``;``.  Shell meta-commands: ``.help``, ``.models``,
 ``.tables``, ``.quit``.  ``--trace`` (or the ``TRACE ON`` verb) enables span
-capture and prints the span tree of every statement as it runs.
+capture and prints the trace of every statement as it runs.
 ``--metrics-port N`` serves ``/metrics`` (Prometheus text exposition),
 ``/healthz``, and ``/queries`` over HTTP for the life of the session.
 """
@@ -102,7 +102,7 @@ def run_command(connection: Connection, command: str,
 
 
 def _print_trace(connection: Connection, command: str, out) -> None:
-    """After a traced statement, render its span tree (--trace mode)."""
+    """After a traced statement, render its trace (--trace mode)."""
     from repro.reporting import render_trace
     record = connection.provider.tracer.last()
     if record is not None and record.text.strip() == command.strip():

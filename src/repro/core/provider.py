@@ -123,8 +123,7 @@ class Provider:
     construction, and every subsequent mutating statement is journaled and
     fsync'd before it is acknowledged.  ``durable_checkpoint_interval``
     sets how many journaled statements trigger an automatic checkpoint
-    (0 disables auto-checkpointing); ``durable_faults`` threads a
-    :class:`repro.store.FaultInjector` through the write paths (tests).
+    (0 disables auto-checkpointing).
 
     ``storage_path`` attaches the paged row store (:mod:`repro.sqlstore.
     storage`): base-table rows live in fixed-budget pages cached by a
@@ -134,12 +133,17 @@ class Provider:
     commit per mutation); combined with ``durable_path`` it runs ephemeral
     — journal replay stays the authority and the directory is pure spill
     space.  ``storage_page_bytes`` overrides the page budget (tests force
-    tiny pages), ``storage_faults`` threads a FaultInjector through page
-    and catalog writes.
+    tiny pages).
+
+    ``faults`` threads one :class:`repro.store.FaultInjector` (tests)
+    through the write paths of both stores: the durable store's journal,
+    snapshot, checkpoint and export stations, and the paged store's page,
+    catalog and catalog_log ones — disjoint prefixes, so a fault armed for
+    one store never fires in the other.
 
     ``telemetry_path`` attaches a rotating JSONL slow-query sink: every
     statement whose latency reaches ``slow_query_ms`` (default 0 — log
-    everything) is appended as one JSON record, including its span tree
+    everything) is appended as one JSON record, including its trace rows
     when span capture was on.  :meth:`serve_metrics` starts the HTTP
     telemetry endpoint (``/metrics``, ``/healthz``, ``/queries``,
     ``/statements``).
@@ -159,11 +163,10 @@ class Provider:
                  pool_mode: str = "auto",
                  durable_path: Optional[str] = None,
                  durable_checkpoint_interval: Optional[int] = None,
-                 durable_faults=None,
                  storage_path: Optional[str] = None,
                  buffer_pages: Optional[int] = None,
                  storage_page_bytes: Optional[int] = None,
-                 storage_faults=None,
+                 faults=None,
                  slow_query_ms: Optional[float] = None,
                  telemetry_path: Optional[str] = None,
                  statistics: bool = True,
@@ -230,7 +233,7 @@ class Provider:
                 storage_path,
                 buffer_pages=(DEFAULT_BUFFER_PAGES if buffer_pages is None
                               else buffer_pages),
-                faults=storage_faults, metrics=self.metrics,
+                faults=faults, metrics=self.metrics,
                 ephemeral=durable_path is not None,
                 page_bytes=(DEFAULT_PAGE_BYTES if storage_page_bytes is None
                             else storage_page_bytes))
@@ -246,7 +249,7 @@ class Provider:
                         else durable_checkpoint_interval)
             self.store = DurableStore(
                 durable_path, checkpoint_interval=interval,
-                faults=durable_faults, metrics=self.metrics)
+                faults=faults, metrics=self.metrics)
             self.recovery_info = self.store.recover(self)
 
     def close(self) -> None:
@@ -538,7 +541,7 @@ class Provider:
         # statement's own are its root's ACTUAL_ROWS.
         totals = record.actuals.totals() if record.actuals else {}
         record.actuals = None
-        record.root.counters.update(totals, rows_out=len(rowset.rows))
+        record.counters.update(totals, rows_out=len(rowset.rows))
         return rowset
 
     def plan_external_source(self, ref: ast.TableRef) -> Optional[PlanNode]:
@@ -843,8 +846,9 @@ def connect(**kwargs) -> Connection:
     Keyword arguments (``batch_size``, ``caseset_cache_capacity``,
     ``max_workers``, ``pool_mode``, ``durable_path``,
     ``durable_checkpoint_interval``, ``storage_path``, ``buffer_pages``,
-    ``slow_query_ms``, ``telemetry_path``, ``statistics``,
-    ``repository``) are forwarded to :class:`Provider`.
+    ``storage_page_bytes``, ``faults``, ``slow_query_ms``,
+    ``telemetry_path``, ``statistics``, ``repository``) are forwarded to
+    :class:`Provider`.
     ``repository=False`` disables the workload repository (per-fingerprint
     statement aggregates and plan history; observation-only either way).
     ``statistics=False`` disables table statistics and pins the planner to
@@ -852,8 +856,10 @@ def connect(**kwargs) -> Connection:
     baseline).  Without ``durable_path`` the provider is purely
     in-memory; with it, existing state under that directory is recovered
     (snapshot + journal replay) and every acknowledged mutation survives
-    process death.  ``storage_path``/``buffer_pages`` attach the paged row
-    store so base tables larger than the buffer pool spill to disk.
+    process death.  ``storage_path``/``buffer_pages``/``storage_page_bytes``
+    attach the paged row store so base tables larger than the buffer pool
+    spill to disk.  ``faults`` threads a fault injector through both
+    stores' write paths (tests).
     ``telemetry_path``/``slow_query_ms`` attach the rotating JSONL
     slow-query sink.
     """

@@ -15,7 +15,7 @@ Queryable as ``SELECT * FROM $SYSTEM.<rowset>``:
   reachable per-model as ``SELECT * FROM <model>.CONTENT``);
 * DM_QUERY_LOG, DM_TRACE_EVENTS, DM_PROVIDER_METRICS — the provider's own
   telemetry (one row per statement, finished or running, with what it
-  cost; span trees; metric snapshot), applying the schema-rowset idea to
+  cost; its trace rows; metric snapshot), applying the schema-rowset idea to
   the provider's runtime behaviour.  DM_QUERY_LOG's running rows give the
   ids the ``CANCEL <id>`` verb takes;
 * DM_LOCK_WAITS — where locks blocked;
@@ -271,7 +271,7 @@ def dm_query_log_rowset(provider) -> Rowset:
 
 
 def dm_trace_events_rowset(provider) -> Rowset:
-    """``$SYSTEM.DM_TRACE_EVENTS``: flattened span trees of ringed statements."""
+    """``$SYSTEM.DM_TRACE_EVENTS``: the trace rows of ringed statements."""
     columns = [
         RowsetColumn("STATEMENT_ID", LONG),
         RowsetColumn("SPAN_ID", TEXT),
@@ -282,24 +282,13 @@ def dm_trace_events_rowset(provider) -> Rowset:
         RowsetColumn("COUNTERS", TEXT),
         RowsetColumn("ATTRIBUTES", TEXT),
     ]
-    rows: List[tuple] = []
-    for record in provider.tracer.statements():
-        def visit(span, path):
-            span_id = ".".join(str(step) for step in path)
-            parent_id = ".".join(str(step) for step in path[:-1]) or None
-            rows.append((
-                record.statement_id, span_id, parent_id, len(path) - 1,
-                span.name,
-                None if span.duration_ms is None
-                else round(span.duration_ms, 3),
-                _format_pairs(span.counters),
-                _format_pairs(span.attributes),
-            ))
-            for position, child in enumerate(span.children, start=1):
-                visit(child, path + (position,))
-
-        visit(record.root, (1,))
-    return Rowset(columns, rows)
+    return Rowset(columns, [
+        (record.statement_id, span_id, parent_id, depth, name,
+         None if duration_ms is None else round(duration_ms, 3),
+         _format_pairs(counters), _format_pairs(attributes))
+        for record in provider.tracer.statements()
+        for span_id, parent_id, depth, name, _, duration_ms, counters,
+        attributes in record.trace_rows()])
 
 
 def dm_provider_metrics_rowset(provider) -> Rowset:

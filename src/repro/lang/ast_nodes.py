@@ -486,7 +486,7 @@ class TraceStatement(Statement):
     """``TRACE ON | OFF | LAST | STATUS`` — the shell-level observability verb.
 
     ON/OFF toggle span capture on the provider's tracer; LAST renders the
-    span tree of the most recent statement; STATUS reports the tracer state.
+    trace of the most recent statement; STATUS reports the tracer state.
     TRACE statements are themselves excluded from the query log.
     """
     mode: str = "STATUS"

@@ -706,7 +706,7 @@ class Parser:
 
 def parse_statement(text: str) -> ast.Statement:
     """Parse a single SQL or DMX statement from ``text``."""
-    with obs_trace.span("parse"):
+    with obs_trace.region("parse"):
         parser = Parser(text)
         statement = parser.parse_statement()
         obs_trace.add("tokens", len(parser.tokens))

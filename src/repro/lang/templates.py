@@ -59,7 +59,7 @@ TEMPLATE_CACHE_LIMIT = 256
 
 _ABSENT = object()
 
-#: ``template`` attribute of the parse span -> the counter it increments.
+#: ``template`` attribute of the parse region -> the counter it increments.
 _COUNTERS = {"hit": "lang.template_hits",
              "miss": "lang.template_misses",
              "none": "lang.template_unparameterizable"}
@@ -217,12 +217,12 @@ class TemplateCache:
         """Parse one statement; returns it with the callable that gives
         its ``(normalized text, fingerprint)``.
 
-        Runs under a ``parse`` span with the ``tokens`` counter and a
+        Runs under a ``parse`` region with the ``tokens`` counter and a
         ``template`` attribute: ``hit`` (made from a template), ``miss``
         (parsed in full, template kept) or ``none`` (parsed in full, the
         shape cannot be templated).
         """
-        with obs_trace.span("parse") as span:
+        with obs_trace.region("parse") as region:
             scan = Scan(text)
             shaped = scan.shape()  # None: scan.tokens() raises the reason
             key = None
@@ -237,7 +237,7 @@ class TemplateCache:
                     outcome = "none"
                 elif template is not _ABSENT:
                     obs_trace.add("tokens", len(scan.rows))
-                    self._count(span, "hit")
+                    self._count(region, "hit")
                     return template.instantiate(values), template.shape
             try:
                 tokens = scan.tokens()
@@ -253,7 +253,7 @@ class TemplateCache:
                     outcome = "none"
                 return statement, partial(statement_shape, statement)
             finally:
-                self._count(span, outcome)
+                self._count(region, outcome)
 
     def _remember(self, key: tuple, entry: Optional[Template]) -> None:
         with self._lock:
@@ -262,7 +262,8 @@ class TemplateCache:
             while len(self._entries) > TEMPLATE_CACHE_LIMIT:
                 self._entries.popitem(last=False)
 
-    def _count(self, span, outcome: str) -> None:
-        span.set("template", outcome)
+    def _count(self, region, outcome: str) -> None:
+        if region is not None:
+            region.attributes["template"] = outcome
         if self.metrics is not None:
             self.metrics.counter(_COUNTERS[outcome]).inc()

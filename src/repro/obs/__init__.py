@@ -1,8 +1,9 @@
 """Queryable observability: tracing, metrics, plans, and export surfaces.
 
-:mod:`repro.obs.trace` captures per-statement span trees with counters in a
-bounded ring buffer; :mod:`repro.obs.metrics` accumulates counters, gauges,
-and latency histograms.  Both surface back through the SQL command surface
+:mod:`repro.obs.trace` keeps one record per statement in a bounded ring
+buffer — its counters and, under ``TRACE ON``, the flat list of regions it
+ran: one set of rows every trace view renders; :mod:`repro.obs.metrics`
+accumulates counters, gauges, and latency histograms.  Both surface back through the SQL command surface
 as the ``$SYSTEM.DM_QUERY_LOG``, ``$SYSTEM.DM_TRACE_EVENTS``, and
 ``$SYSTEM.DM_PROVIDER_METRICS`` schema rowsets, and through the DMX shell's
 ``TRACE ON | OFF | LAST`` verb.
@@ -17,12 +18,7 @@ statement aggregates and plan history behind the
 ``DM_PLAN_CHANGES`` rowsets.
 """
 
-from repro.obs.trace import (
-    NULL_SPAN,
-    Span,
-    StatementRecord,
-    Tracer,
-)
+from repro.obs.trace import Region, StatementRecord, Tracer
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.explain import (
     PlanNode,
@@ -43,10 +39,9 @@ from repro.obs.workload import CancelToken, WorkloadRegistry
 __all__ = [
     "CancelToken",
     "WorkloadRegistry",
-    "Span",
+    "Region",
     "StatementRecord",
     "Tracer",
-    "NULL_SPAN",
     "Counter",
     "Gauge",
     "Histogram",

@@ -57,7 +57,7 @@ class PlanNode:
     size, except for a training step, which is handed what it consumes:
     the bound cases (``incremental absorb``), nothing (``fit schema``) or
     the schema-fitted space (``fit``).  Planning
-    only reads the catalog; scanning, locks, spans and usage counters
+    only reads the catalog; scanning, locks, regions and usage counters
     start at ``run``.  What runs is ``open(node, arg)``: an opener is
     handed its node rather than closing over it, so a plan tree is no
     reference cycle and everything it holds is freed with the last
@@ -116,9 +116,9 @@ class PlanNode:
         returns; a stream or relation it returns is handed on with every
         batch, as it is pulled, timed and counted (per batch, never per
         row) — so a node's time includes its children's, which run
-        inside its opener and its pulls.  Under span capture the node is
-        one span, named by its operator.  With no active statement the
-        opener just runs."""
+        inside its opener and its pulls.  Under capture the node is one
+        region, named by its operator, that reports its cell.  With no
+        active statement the opener just runs."""
         record = obs_trace.active_record()
         if record is None:
             return self.open(self, arg)
@@ -128,18 +128,18 @@ class PlanNode:
         cell = cells.get(self)
         if cell is None:
             cell = cells[self] = Actuals()
-        span = None
-        if record.capture:
-            span = cell.span = record.start_span(
-                self.operator, None if self.target is None
-                else {"target": self.target})
+        region = None
+        if record.regions is not None:
+            region = obs_trace.Region(
+                record, self.operator,
+                {} if self.target is None else {"target": self.target}, cell)
         started = perf_counter()
         try:
             result = self.open(self, arg)
         finally:
             cell.wall_ms += (perf_counter() - started) * 1000.0
-            if span is not None:
-                span.__exit__(None, None, None)
+            if region is not None:
+                region.close()
         if type(result) is int:
             cell.rows += result
         elif hasattr(result, "pipe"):
@@ -147,8 +147,6 @@ class PlanNode:
             return result.pipe(cell.counted)
         else:   # the space ``fit schema`` fitted
             cell.rows += result.case_count
-        if span is not None:
-            cell.seal()
         return result
 
     def add(self, child: "PlanNode") -> "PlanNode":
@@ -169,38 +167,25 @@ class Actuals:
     """What one plan node did in one statement: the rows it produced (the
     cases, for a node that returns a count), the batches they came in
     (None for a count), and the milliseconds spent in its opener and in
-    pulling its batches.  Under span capture it holds the node's span."""
+    pulling its batches.  Under capture the node's region reports it."""
 
-    __slots__ = ("rows", "batches", "wall_ms", "span")
+    __slots__ = ("rows", "batches", "wall_ms")
 
     def __init__(self):
         self.rows = 0
         self.batches: Optional[int] = None
         self.wall_ms = 0.0
-        self.span = None
 
     def counted(self, batches, clock=perf_counter):
         """``batches``, each pull timed and each batch counted."""
         started = clock()
-        try:
-            for batch in batches:
-                self.wall_ms += (clock() - started) * 1000.0
-                self.rows += len(batch)
-                self.batches += 1
-                yield batch
-                started = clock()
+        for batch in batches:
             self.wall_ms += (clock() - started) * 1000.0
-        finally:
-            if self.span is not None:
-                self.seal()
-
-    def seal(self) -> None:
-        """Stamp the node's span with what the node did."""
-        span = self.span
-        span.duration_ms = self.wall_ms
-        span.attributes["rows"] = self.rows
-        if self.batches is not None:
-            span.attributes["batches"] = self.batches
+            self.rows += len(batch)
+            self.batches += 1
+            yield batch
+            started = clock()
+        self.wall_ms += (clock() - started) * 1000.0
 
 
 class PlanActuals(dict):
@@ -231,7 +216,7 @@ def build_plan(provider, statement: ast.Statement) -> PlanNode:
     """Describe ``statement``'s execution plan without running it.
 
     Reads catalog and statistics only: no table is scanned, no model is
-    trained, mutated or locked, no span besides the parser's is opened, no
+    trained, mutated or locked, no region besides the parser's is opened, no
     usage metric moves.  The tree of a SELECT/UNION, a PREDICTION JOIN or
     a model INSERT carries ``run``: the provider executes it instead of
     planning the statement a second time.

@@ -14,7 +14,7 @@ eviction).  Everything is stdlib-only — no client library.
   the durable store has turned read-only after a durability failure;
 * ``GET /queries``  — the last ``limit`` (50) rows of
   ``$SYSTEM.DM_QUERY_LOG`` as JSON, live statements included: each row's
-  columns under lower-cased names, plus its counters and captured spans;
+  columns under lower-cased names, plus its counters and trace rows;
 * ``GET /statements`` — the workload repository as JSON: per-fingerprint
   aggregates (``DM_STATEMENT_STATS``) and plan-change events
   (``DM_PLAN_CHANGES``).
@@ -28,7 +28,7 @@ Started with ``connect(...).provider.serve_metrics(port)`` or
 
 :func:`export_chrome_trace` writes the tracer's statement ring as a
 Chrome-trace JSON array (the ``chrome://tracing`` / Perfetto format), one
-complete ("X") event per span, so a whole statement's span tree can be
+complete ("X") event per trace row, so a whole statement's regions can be
 inspected on a timeline.
 """
 
@@ -301,11 +301,13 @@ class TelemetryServer:
 def chrome_trace_events(provider) -> list:
     """The tracer ring as a list of Chrome-trace event dicts.
 
-    Each span becomes one complete ("X") event: ``ts``/``dur`` in
-    microseconds, ``pid`` fixed, ``tid`` the executing thread.  Span
-    counters and attributes travel in ``args``, and the root span's also
-    carry the statement's row (:func:`repro.obs.workload.statement_dict`),
-    so Perfetto shows them on selection.  Thread names are emitted as
+    Each of a statement's trace rows
+    (:meth:`~repro.obs.trace.StatementRecord.trace_rows`) becomes one
+    complete ("X") event: ``ts``/``dur`` in microseconds, ``pid`` fixed,
+    ``tid`` the executing thread.  Counters and attributes travel in
+    ``args``, and the statement's also carry its row
+    (:func:`repro.obs.workload.statement_dict`), so Perfetto shows them on
+    selection.  Thread names are emitted as
     metadata ("M") events.
     """
     events = []
@@ -324,27 +326,27 @@ def chrome_trace_events(provider) -> list:
     for record in provider.tracer.statements():
         tid = tid_for(record.thread or "main")
         # Wall-clock anchor for the statement; span offsets are the
-        # perf_counter deltas from the root span's start.
+        # perf_counter deltas from the statement's start.
         base_us = record.started_at * 1e6
-        root_started = record.root.started
-        for span, _depth in record.root.walk():
-            if span.duration_ms is None:
+        for _, _, depth, name, started, duration_ms, counters, \
+                attributes in record.trace_rows():
+            if duration_ms is None:
                 continue
-            args = statement_dict(record) if span is record.root else {}
-            if span.counters:
-                args["counters"] = dict(span.counters)
-            if span.attributes:
+            args = statement_dict(record) if depth == 0 else {}
+            if counters:
+                args["counters"] = counters
+            if attributes:
                 args["attributes"] = {key: str(value) for key, value
-                                      in span.attributes.items()}
+                                      in attributes.items()}
             events.append({
                 "name": (f"#{record.statement_id} {record.kind}"
-                         if span is record.root else span.name),
+                         if depth == 0 else name),
                 "cat": record.kind or "statement",
                 "ph": "X",
                 "pid": 1,
                 "tid": tid,
-                "ts": base_us + (span.started - root_started) * 1e6,
-                "dur": span.duration_ms * 1000.0,
+                "ts": base_us + (started - record.started) * 1e6,
+                "dur": duration_ms * 1000.0,
                 "args": args,
             })
     return events

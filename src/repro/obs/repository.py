@@ -45,6 +45,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.lang import ast_nodes as ast
 from repro.lang.normalizer import fingerprint_text
+from repro.obs.trace import NULL_RECORD
 
 FORMAT_VERSION = 1
 
@@ -403,7 +404,7 @@ class WorkloadRepository:
         description.  Never raises into the statement: a statement that
         cannot be normalized or planned simply goes unattributed.
         """
-        if not self.enabled or record.root is None:
+        if not self.enabled or record is NULL_RECORD:
             return
         try:
             normalized, fingerprint = shape()

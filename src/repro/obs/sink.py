@@ -5,8 +5,7 @@ from inside a session; this sink answers "what ran slowly, ever" from
 outside one.  Every statement whose latency reaches the threshold is
 appended to a JSONL file as a single self-contained record — statement
 text, kind, status, latency, counter totals, and (when span capture was
-on, e.g. under ``EXPLAIN ANALYZE`` or ``TRACE ON``) the full span tree —
-so a log shipper can tail the file without speaking DMX.
+on, under ``TRACE ON``) the statement's trace rows — so a log shipper can tail the file without speaking DMX.
 
 Rotation is size-based and shift-style (``path`` -> ``path.1`` ->
 ``path.2`` ...), matching :class:`logging.handlers.RotatingFileHandler`
@@ -18,7 +17,7 @@ from __future__ import annotations
 import json
 import os
 import threading
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 from repro.obs.workload import statement_dict
 
@@ -26,26 +25,21 @@ DEFAULT_MAX_BYTES = 16 * 1024 * 1024
 DEFAULT_BACKUPS = 3
 
 
-def _span_dict(span) -> Dict[str, Any]:
-    return {
-        "name": span.name,
-        "duration_ms": None if span.duration_ms is None
-        else round(span.duration_ms, 3),
-        "attributes": dict(span.attributes),
-        "counters": dict(span.counters),
-        "children": [_span_dict(child) for child in span.children],
-    }
-
-
 def statement_record_dict(record) -> Dict[str, Any]:
-    """One statement as JSON (sink, ``/queries``): its
-    statement row, its counter totals and, when its span tree was captured
-    (span capture on), the tree."""
+    """One statement as JSON (sink, ``/queries``): its statement row, its
+    counter totals and, when it captured regions (span capture on), its
+    trace rows, flat: the ``DM_TRACE_EVENTS`` rows of the statement."""
     out = statement_dict(record)
     out["counters"] = record.totals()
-    if record.root.children:
-        out["spans"] = [_span_dict(child)
-                        for child in record.root.children]
+    if record.regions:
+        out["spans"] = [
+            {"span_id": span_id, "parent_span_id": parent_id,
+             "depth": depth, "name": name,
+             "duration_ms": None if duration_ms is None
+             else round(duration_ms, 3),
+             "counters": counters, "attributes": attributes}
+            for span_id, parent_id, depth, name, _, duration_ms, counters,
+            attributes in record.trace_rows()]
     return out
 
 

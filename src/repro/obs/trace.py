@@ -6,10 +6,10 @@ provider's own runtime behaviour.  Each statement is one
 :class:`StatementRecord` with one lifetime:
 
 * **admission** (:meth:`Tracer.admit`) issues its id — one contiguous id
-  space — and creates the record: text, kind, session, its own span stack
-  under a ``statement`` root span, its ``capture`` flag (seeded from
-  ``tracer.enabled``), and the progress/CPU/lock-wait/cache/pool counters
-  the workload layer (:mod:`repro.obs.workload`) reads and writes;
+  space — and creates the record: text, kind, session, its ``counters``,
+  its list of captured ``regions`` (None unless ``tracer.enabled`` was on
+  at admission), and the progress/CPU/lock-wait/cache/pool counters the
+  workload layer (:mod:`repro.obs.workload`) reads and writes;
 * every plan node it **runs** keeps its actuals in a cell of the record's
   ``actuals`` (:meth:`repro.obs.explain.PlanNode.run`, the one place they
   are taken) — what ``EXPLAIN ANALYZE`` renders;
@@ -21,29 +21,33 @@ provider's own runtime behaviour.  Each statement is one
   sum of ``thread_time`` deltas over the activations;
 * **completion** (:meth:`Tracer.complete`, idempotent) stamps status,
   error, duration and CPU, folds the plan's row counters (``rows_out``,
-  ``rows_scanned``, ``cases_bound``) out of the cells into the root span,
+  ``rows_scanned``, ``cases_bound``) out of the cells into ``counters``,
   appends the record to the bounded ring, takes it out of the registry's
   live map and calls ``on_statement`` — once.
   ``execute()`` completes on return or raise; ``execute_stream()`` when
   the stream it returned is exhausted, raises, is closed or is dropped.
 
-``$SYSTEM.DM_QUERY_LOG`` lists the ring, in completion order, and then
-the live statements, one row each in the columns of
-:data:`repro.obs.workload.STATEMENT_COLUMNS`; ``DM_TRACE_EVENTS`` projects
-the ring's span trees.
+What a statement ran is one list of rows, :meth:`StatementRecord.trace_rows`:
+the statement itself, holding its counter totals, then each captured
+:class:`Region` in the order it opened.  A plan node's region reads its
+time, rows and batches from the node's cell, so a node is timed once.
+``$SYSTEM.DM_TRACE_EVENTS``, the Chrome trace, the slow-query sink and
+``TRACE LAST`` all render those rows; ``$SYSTEM.DM_QUERY_LOG`` lists the
+ring, in completion order, and then the live statements, one row each in
+the columns of :data:`repro.obs.workload.STATEMENT_COLUMNS`.
 
 Cost model (the contract the overhead benchmark asserts):
 
 * ``recording`` off — ``admit()`` returns a shared null record; nothing
   is allocated, registered, cancellable, counted, or stored;
-* ``recording`` on, capture off (the default) — one record with one root
-  span per statement, one cell per plan node run and a handful of
-  batched counter adds; child ``span()`` calls return a shared no-op span;
-* capture on — the full span tree is captured, one span per plan node
-  run among them.
+* ``recording`` on, capture off (the default) — one record per
+  statement, one cell per plan node run and a handful of counter adds
+  into its one dict; :func:`region` returns a shared no-op context;
+* capture on — additionally one :class:`Region` per plan node run and
+  per free region (``parse``, ``algorithm.train``).
 
 Instrumented modules never hold a tracer; they call the module-level
-:func:`span` and :func:`add`.  With no active record both are near-free
+:func:`region` and :func:`add`.  With no active record both are near-free
 no-ops, so the engine, shaping, and algorithm layers stay usable
 standalone.
 """
@@ -54,8 +58,8 @@ import itertools
 import threading
 import time
 from collections import deque
-from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from contextlib import contextmanager, nullcontext
+from typing import Any, Dict, List, Optional
 
 from repro.errors import CancelledError
 
@@ -66,89 +70,48 @@ _local = threading.local()
 
 DEFAULT_RING_SIZE = 256
 
+#: What :func:`region` returns when nothing is captured (``as`` binds None).
+NO_REGION = nullcontext()
 
-class Span:
-    """One timed region of statement execution, with counters and children."""
 
-    __slots__ = ("name", "attributes", "counters", "children", "started",
-                 "duration_ms", "_stack")
+class Region:
+    """One captured region of a statement: its name, attributes, depth
+    under the statement and start, in its record's ``regions`` in the order
+    regions opened.  A plan node's region points at the node's
+    :class:`~repro.obs.explain.Actuals` cell, whose time, rows and batches
+    it reports; a free region times itself."""
 
-    def __init__(self, name: str, attributes: Optional[Dict[str, Any]],
-                 stack: List["Span"]):
+    __slots__ = ("name", "attributes", "depth", "started", "duration_ms",
+                 "cell", "_record")
+
+    def __init__(self, record: "StatementRecord", name: str,
+                 attributes: Dict[str, Any], cell=None):
         self.name = name
-        self.attributes: Dict[str, Any] = dict(attributes) if attributes else {}
-        self.counters: Dict[str, float] = {}
-        self.children: List[Span] = []
+        self.attributes = attributes
+        self.depth = record.depth
         self.started = time.perf_counter()
         self.duration_ms: Optional[float] = None
-        self._stack = stack  # its record's open spans, innermost last
+        self.cell = cell
+        self._record = record  # while open: its close restores the depth
+        record.depth += 1
+        record.regions.append(self)
 
-    def add(self, counter: str, amount: float = 1) -> None:
-        """Increment a named counter on this span."""
-        self.counters[counter] = self.counters.get(counter, 0) + amount
-
-    def set(self, attribute: str, value: Any) -> None:
-        self.attributes[attribute] = value
-
-    def walk(self, depth: int = 0) -> Iterator[Tuple["Span", int]]:
-        """Yield (span, depth) over this subtree, pre-order."""
-        yield self, depth
-        for child in self.children:
-            yield from child.walk(depth + 1)
-
-    def totals(self) -> Dict[str, float]:
-        """Counters aggregated over this span and all descendants."""
-        aggregate: Dict[str, float] = {}
-        for span, _ in self.walk():
-            # A copy: a running statement's spans may gain counters while
-            # another thread reads its row.
-            for name, amount in span.counters.copy().items():
-                aggregate[name] = aggregate.get(name, 0) + amount
-        return aggregate
-
-    def span_count(self) -> int:
-        return sum(1 for _ in self.walk())
-
-    def __enter__(self) -> "Span":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
+    def close(self) -> None:
         self.duration_ms = (time.perf_counter() - self.started) * 1000.0
-        if self._stack[-1] is self:
-            self._stack.pop()
-        return False
+        self._record.depth = self.depth
+        self._record = None
 
-    def __repr__(self) -> str:
-        timing = "open" if self.duration_ms is None else \
-            f"{self.duration_ms:.3f} ms"
-        return (f"Span({self.name!r}, {timing}, {len(self.children)} "
-                f"children, {self.counters})")
-
-
-class _NullSpan:
-    """Shared no-op span returned when tracing is disabled."""
-
-    __slots__ = ()
-
-    def add(self, counter: str, amount: float = 1) -> None:
-        pass
-
-    def set(self, attribute: str, value: Any) -> None:
-        pass
-
-    def __enter__(self) -> "_NullSpan":
+    def __enter__(self) -> "Region":
         return self
 
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        return False
-
-
-NULL_SPAN = _NullSpan()
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.close()
 
 
 class StatementRecord:
-    """One statement — identity, outcome, span tree, repository attribution
-    and resource accounting — live from admission until completion.
+    """One statement — identity, outcome, counters, captured regions,
+    repository attribution and resource accounting — live from admission
+    until completion.
 
     Progress counters are written by the thread producing the statement
     (pool results are collected there too); snapshot readers on other
@@ -158,8 +121,8 @@ class StatementRecord:
 
     __slots__ = (
         "statement_id", "text", "kind", "thread", "session", "started_at",
-        "status", "error", "duration_ms", "root", "capture", "_stack",
-        "actuals", "fingerprint", "plan_hash", "plan_est_rows",
+        "status", "error", "duration_ms", "started", "counters",
+        "regions", "depth", "actuals", "fingerprint", "plan_hash", "plan_est_rows",
         "registry", "token", "phase",
         "rows_processed", "batches", "peak_batch_rows",
         "pool_tasks", "pool_tasks_in_flight", "pool_cpu_ms",
@@ -179,10 +142,12 @@ class StatementRecord:
         self.status = "running"  # -> ok | error | cancelled at completion
         self.error: Optional[str] = None
         self.duration_ms: Optional[float] = None
-        self._stack: List[Span] = []
-        self.root = Span("statement", None, self._stack)
-        self._stack.append(self.root)
-        self.capture = capture
+        self.started = time.perf_counter()  # the clock regions start on
+        self.counters: Dict[str, float] = {}
+        # Captured regions in the order they opened (None: no capture),
+        # and the depth the next one opens at.
+        self.regions: Optional[List[Region]] = [] if capture else None
+        self.depth = 0
         # The cells of the plan nodes this statement ran, keyed by node in
         # the order they started (repro.obs.explain.PlanActuals): None
         # until the first node runs, and again once completion folded them.
@@ -212,21 +177,44 @@ class StatementRecord:
         self.cache_hits = 0
         self.cache_misses = 0
 
-    # -- spans ----------------------------------------------------------------
-
-    def start_span(self, name: str,
-                   attributes: Optional[Dict[str, Any]] = None) -> Span:
-        """Open a child of the innermost open span, whatever ``capture``."""
-        span = Span(name, attributes, self._stack)
-        self._stack[-1].children.append(span)
-        self._stack.append(span)
-        return span
+    # -- what it ran -----------------------------------------------------------
 
     def totals(self) -> Dict[str, float]:
-        return self.root.totals()
+        # A copy: a running statement may gain counters while another
+        # thread reads its row.
+        return self.counters.copy()
 
-    def spans(self) -> List[Tuple[Span, int]]:
-        return list(self.root.walk())
+    def trace_rows(self) -> List[tuple]:
+        """What this statement ran, one row per span — the statement, then
+        each captured region in the order it opened — as ``(span_id,
+        parent_span_id, depth, name, started, duration_ms, counters,
+        attributes)``.  Dotted span ids encode nesting (``1`` is the
+        statement, ``1.2`` its second child); ``started`` is on the
+        ``perf_counter`` clock; the statement's row holds its counter
+        totals and a region's none; a plan node's region adds its
+        cell's ``rows`` and ``batches`` to its attributes."""
+        rows = [("1", None, 0, "statement", self.started, self.duration_ms,
+                 self.totals(), {})]
+        path = [1]  # the position of the latest span at each depth
+        for region in self.regions or ():
+            depth = region.depth + 1
+            del path[depth + 1:]
+            if len(path) > depth:
+                path[depth] += 1
+            else:
+                path.append(1)
+            span_id = ".".join(map(str, path))
+            duration_ms, attributes = region.duration_ms, region.attributes
+            cell = region.cell
+            if cell is not None:
+                duration_ms = cell.wall_ms
+                attributes = dict(attributes, rows=cell.rows)
+                if cell.batches is not None:
+                    attributes["batches"] = cell.batches
+            rows.append((span_id, span_id.rpartition(".")[0], depth,
+                         region.name, region.started, duration_ms, {},
+                         attributes))
+        return rows
 
     # -- progress and accounting (producing thread) ---------------------------
 
@@ -242,7 +230,7 @@ class StatementRecord:
     def elapsed_ms(self) -> float:
         if self.duration_ms is not None:
             return self.duration_ms
-        return (time.perf_counter() - self.root.started) * 1000.0
+        return (time.perf_counter() - self.started) * 1000.0
 
     def total_cpu_ms(self) -> float:
         """Producing-thread CPU plus worker CPU shipped back from the pool;
@@ -268,7 +256,6 @@ class _NullRecord:
     dispatcher's stamps, never occupies the slot, never completes."""
 
     statement_id = 0
-    root = None
     status = None
 
     def __setattr__(self, name: str, value: Any) -> None:
@@ -281,10 +268,9 @@ NULL_RECORD = _NullRecord()
 class Tracer:
     """Per-provider statement log: admission, completion, the ring.
 
-    ``recording`` gates the statement log (query log rows, root-span
-    counters, the completion callback); ``enabled`` seeds each admitted
-    record's ``capture`` flag, which additionally captures nested span
-    trees.  The ring holds the most recent ``ring_size`` completed
+    ``recording`` gates the statement log (query log rows, statement
+    counters, the completion callback); ``enabled``, read at admission,
+    additionally captures each record's regions.  The ring holds the most recent ``ring_size`` completed
     statements, in completion order.
     """
 
@@ -339,13 +325,12 @@ class Tracer:
             record.error = f"{type(exc).__name__}: {exc}"
         record._bank_cpu()
         if record.actuals is not None:
-            # The plan's row counters join the root span's; the cells, and
-            # the plan nodes they are keyed by, are not kept in the ring.
-            record.root.counters.update(record.actuals.totals())
+            # The plan's row counters join the statement's; the cells are
+            # kept only by the regions that report them, and the plan
+            # nodes they are keyed by not at all.
+            record.counters.update(record.actuals.totals())
             record.actuals = None
-        root = record.root
-        root.duration_ms = (time.perf_counter() - root.started) * 1000.0
-        record.duration_ms = root.duration_ms
+        record.duration_ms = (time.perf_counter() - record.started) * 1000.0
         # Ring first: a reader between the two steps finds the record in
         # both lists (statement readers list it once), never in neither.
         with self._lock:
@@ -369,13 +354,6 @@ class Tracer:
         finally:
             deactivate(previous)
         self.complete(record)
-
-    def start_span(self, name: str, **attributes):
-        """Open a span on this thread's active record, whatever its
-        ``capture`` flag (no-op span with no active record)."""
-        record = getattr(_local, "record", None)
-        return NULL_SPAN if record is None \
-            else record.start_span(name, attributes)
 
     # -- ring access ----------------------------------------------------------
 
@@ -424,21 +402,19 @@ def active_record() -> Optional[StatementRecord]:
     return getattr(_local, "record", None)
 
 
-def span(name: str, **attributes):
-    """Open a child span on the active record (no-op span unless it
-    captures)."""
+def region(name: str, **attributes):
+    """Open a region on the active record when it captures; otherwise the
+    shared :data:`NO_REGION`."""
     record = getattr(_local, "record", None)
-    if record is None or not record.capture:
-        return NULL_SPAN
-    return record.start_span(name, attributes)
+    if record is None or record.regions is None:
+        return NO_REGION
+    return Region(record, name, attributes)
 
 
 def add(counter: str, amount: float = 1) -> None:
-    """Add to a counter on the innermost open span of the active record.
-
-    With span capture off the innermost span is the statement root, so
-    counters still roll up into ``$SYSTEM.DM_QUERY_LOG`` row totals.
-    """
+    """Add to a counter of the active record: one dict per statement,
+    whatever is captured, read by ``DM_QUERY_LOG`` and every trace view."""
     record = getattr(_local, "record", None)
     if record is not None:
-        record._stack[-1].add(counter, amount)
+        counters = record.counters
+        counters[counter] = counters.get(counter, 0) + amount

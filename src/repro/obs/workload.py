@@ -232,7 +232,7 @@ STATEMENT_COLUMNS = [
     ("ROWS_SCANNED", LONG, _counter("rows_scanned")),
     ("ROWS_OUT", LONG, _counter("rows_out")),
     ("CASES", LONG, _counter("cases_bound")),
-    ("SPAN_COUNT", LONG, lambda record: record.root.span_count()),
+    ("SPAN_COUNT", LONG, lambda record: 1 + len(record.regions or ())),
     ("THREAD", TEXT, attrgetter("thread")),
     ("SESSION", LONG, attrgetter("session")),
     ("FINGERPRINT", TEXT, attrgetter("fingerprint")),

@@ -141,12 +141,13 @@ def render_model(model) -> str:
     return f"{header}\n{body}"
 
 
-def _describe_span(span) -> str:
-    parts = [f"{span.name}  {span.duration_ms:.2f} ms"]
-    for key, value in span.counters.items():
+def _describe_span(name: str, duration_ms: float, counters: dict,
+                   attributes: dict) -> str:
+    parts = [f"{name}  {duration_ms:.2f} ms"]
+    for key, value in counters.items():
         amount = f"{value:g}" if isinstance(value, float) else str(value)
         parts.append(f"{key}={amount}")
-    for key, value in span.attributes.items():
+    for key, value in attributes.items():
         parts.append(f"{key}={value}")
     return "  ".join(parts)
 
@@ -176,35 +177,44 @@ def _describe_plan_row(row: dict) -> str:
     return "  ".join(parts)
 
 
+def _tree_lines(nodes) -> List[str]:
+    """Indented tree of ``(id, parent_id, text)`` nodes, parents first and
+    roots' parent None: a root unindented, each child under its parent."""
+    children: dict = {}
+    for node_id, parent_id, text in nodes:
+        children.setdefault(parent_id, []).append((node_id, text))
+    lines = []
+
+    def walk(node_id, text: str, prefix: str, is_last: bool,
+             is_root: bool) -> None:
+        if is_root:
+            lines.append(text)
+        else:
+            connector = "`- " if is_last else "|- "
+            lines.append(f"{prefix}{connector}{text}")
+        child_prefix = "" if is_root else prefix + ("   " if is_last
+                                                    else "|  ")
+        kids = children.get(node_id, [])
+        for position, (child_id, child_text) in enumerate(kids):
+            walk(child_id, child_text, child_prefix,
+                 position == len(kids) - 1, False)
+
+    for root_id, root_text in children.get(None, []):
+        walk(root_id, root_text, "", True, True)
+    return lines
+
+
 def render_plan(rowset) -> str:
     """Indented operator tree for an EXPLAIN [ANALYZE] rowset (dmxsh)."""
     names = [column.name for column in rowset.columns]
     records = [dict(zip(names, row)) for row in rowset.rows]
-    children: dict = {}
-    for record in records:
-        children.setdefault(record["PARENT_ID"], []).append(record)
-
-    lines = []
-
-    def walk(record, prefix: str, is_last: bool, is_root: bool) -> None:
-        if is_root:
-            lines.append(_describe_plan_row(record))
-        else:
-            connector = "`- " if is_last else "|- "
-            lines.append(f"{prefix}{connector}{_describe_plan_row(record)}")
-        child_prefix = "" if is_root else prefix + ("   " if is_last
-                                                    else "|  ")
-        kids = children.get(record["OP_ID"], [])
-        for position, child in enumerate(kids):
-            walk(child, child_prefix, position == len(kids) - 1, False)
-
-    for position, root in enumerate(children.get(None, [])):
-        walk(root, "", True, True)
-    return "\n".join(lines)
+    return "\n".join(_tree_lines(
+        (record["OP_ID"], record["PARENT_ID"], _describe_plan_row(record))
+        for record in records))
 
 
 def render_trace(record) -> str:
-    """Indented span tree for one traced statement (``TRACE LAST``)."""
+    """Indented trace rows of one statement (``TRACE LAST``)."""
     text = " ".join(record.text.split())
     if len(text) > 60:
         text = text[:57] + "..."
@@ -213,18 +223,11 @@ def render_trace(record) -> str:
     lines = [header]
     if record.error:
         lines.append(f"error: {record.error}")
-
-    def walk(span, prefix: str, is_last: bool) -> None:
-        connector = "`- " if is_last else "|- "
-        lines.append(f"{prefix}{connector}{_describe_span(span)}")
-        child_prefix = prefix + ("   " if is_last else "|  ")
-        for position, child in enumerate(span.children):
-            walk(child, child_prefix, position == len(span.children) - 1)
-
-    root = record.root
-    lines.append(_describe_span(root))
-    for position, child in enumerate(root.children):
-        walk(child, "", position == len(root.children) - 1)
+    lines += _tree_lines(
+        (span_id, parent_id,
+         _describe_span(name, duration_ms, counters, attributes))
+        for span_id, parent_id, _, name, _, duration_ms, counters,
+        attributes in record.trace_rows())
     return "\n".join(lines)
 
 

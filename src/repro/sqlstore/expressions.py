@@ -155,7 +155,7 @@ def _as_bool(value: Any) -> Optional[bool]:
     if isinstance(value, bool):
         return value
     if isinstance(value, (int, float)):
-        return value != 0
+        return bool(value)  # a numpy float's ``!= 0`` is a numpy bool
     raise Error(f"expected a boolean, got {value!r}")
 
 

@@ -5,8 +5,8 @@ concurrently with the full statement mix — INSERT, SELECT, CREATE MINING
 MODEL, training INSERT, and NATURAL PREDICTION JOIN.  Afterwards the
 provider's metrics registry (the backing store of
 ``$SYSTEM.DM_PROVIDER_METRICS``) must account for every statement and every
-bound case exactly: counters are locked, span stacks are thread-local, so
-nothing may be lost or double-counted under interleaving.
+bound case exactly: counters are locked, the active statement is
+thread-local, so nothing may be lost or double-counted under interleaving.
 """
 
 import threading

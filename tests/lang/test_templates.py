@@ -145,10 +145,9 @@ def test_template_counters_and_parse_span(conn):
                       "SELECT TOP 2 * FROM T"):
         conn.execute(statement)
         record = conn.provider.tracer.last()
-        parse = [span for span, _ in record.spans() if span.name == "parse"]
+        parse = [row for row in record.trace_rows() if row[3] == "parse"]
         assert len(parse) == 1
-        outcomes.append((parse[0].attributes["template"],
-                         parse[0].counters["tokens"]))
+        outcomes.append((parse[0][7]["template"], record.totals()["tokens"]))
     assert outcomes == [("miss", 9), ("hit", 9), ("none", 7), ("none", 7)]
 
     with pytest.raises(repro.Error):

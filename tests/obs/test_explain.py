@@ -122,7 +122,7 @@ class TestPlainExplainPurity:
         record = loaded.provider.tracer.last()
         assert record.kind == "EXPLAIN"
         # A plan node that ran would be a span named by its operator.
-        names = {span.name for span, _ in record.spans()}
+        names = {row[3] for row in record.trace_rows()}
         assert names == {"statement", "parse"}
 
     def test_explain_delete_keeps_rows(self, loaded):

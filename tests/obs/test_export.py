@@ -20,6 +20,7 @@ from repro.obs.export import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.sink import SlowQuerySink, statement_record_dict
+from repro.obs import trace as obs_trace
 from repro.obs.trace import Tracer
 
 # -- a strict text-format (0.0.4) parser --------------------------------------
@@ -220,18 +221,23 @@ class TestSlowQuerySink:
         assert re.search(r"T\d\d:\d\d:\d\d\.\d{3}[+-]\d\d:\d\d$",
                          record["started_at"])
 
-    def test_span_tree_included_only_when_captured(self, tmp_path):
+    def test_trace_rows_included_only_when_captured(self, tmp_path):
         tracer = Tracer()
         tracer.enabled = True
         with tracer.statement("SELECT 2", kind="SELECT") as record:
-            with tracer.start_span("engine.select") as span:
-                span.add("rows_out", 2)
+            with obs_trace.region("engine.select"):
+                obs_trace.add("rows_out", 2)
         record.duration_ms = 1.0
         sink = SlowQuerySink(str(tmp_path / "slow.jsonl"))
         sink.maybe_write(record)
-        stored = sink.records()[0]
-        assert stored["spans"][0]["name"] == "engine.select"
-        assert stored["spans"][0]["counters"] == {"rows_out": 2}
+        statement, region = sink.records()[0]["spans"]
+        assert (statement["name"], statement["counters"]) == \
+            ("statement", {"rows_out": 2})
+        assert (region["name"], region["parent_span_id"],
+                region["counters"]) == ("engine.select", "1", {})
+        tracer.enabled = False
+        sink.maybe_write(_record(tracer, duration_ms=1.0))
+        assert "spans" not in sink.records()[1]
 
     def test_threshold_filters_fast_statements(self, tmp_path):
         tracer = Tracer()

@@ -124,12 +124,15 @@ class TestTraceEvents:
         def counters_of(span):
             return " ".join(c for c in by_span.get(span, []) if c)
 
-        assert "tokens=" in counters_of("parse")
+        # Counters are the statement's, on its root row.
+        assert "tokens=" in counters_of("statement")
+        assert "observations=" in counters_of("statement")
+        assert "template=" in counters_of("parse")
         # A plan node's span is named by its operator and carries its rows.
         assert "rows=5" in counters_of("table scan")
         assert "rows=5" in counters_of("bind cases")
         assert "rows=5" in counters_of("fit")
-        assert "observations=" in counters_of("algorithm.train")
+        assert "service=" in counters_of("algorithm.train")
         assert "rows=5" in counters_of("prediction join")
 
     def test_span_ids_encode_nesting(self, traced_conn):

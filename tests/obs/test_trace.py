@@ -1,11 +1,11 @@
-"""The trace layer: spans, statement records, the ring, the no-op path."""
+"""The trace layer: regions, statement records, the ring, the no-op path."""
 
 import threading
 
 import pytest
 
 from repro.obs import trace as obs_trace
-from repro.obs.trace import NULL_SPAN, Tracer
+from repro.obs.trace import NO_REGION, Tracer
 
 
 @pytest.fixture
@@ -15,57 +15,72 @@ def tracer():
     return Tracer(enabled=True)
 
 
-class TestSpanNesting:
-    def test_spans_nest_under_the_statement_root(self, tracer):
+def _shape(record):
+    """``(span_id, parent_span_id, depth, name)`` of each trace row."""
+    return [row[:4] for row in record.trace_rows()]
+
+
+class TestRegionNesting:
+    def test_regions_nest_under_the_statement(self, tracer):
         with tracer.statement("SELECT 1") as record:
-            with obs_trace.span("outer"):
-                with obs_trace.span("inner"):
+            with obs_trace.region("outer"):
+                with obs_trace.region("inner"):
                     obs_trace.add("rows", 3)
-        root = record.root
-        assert [s.name for s in root.children] == ["outer"]
-        assert [s.name for s in root.children[0].children] == ["inner"]
-        assert root.children[0].children[0].counters["rows"] == 3
+        assert _shape(record) == [("1", None, 0, "statement"),
+                                  ("1.1", "1", 1, "outer"),
+                                  ("1.1.1", "1.1", 2, "inner")]
 
-    def test_sibling_spans_stay_siblings(self, tracer):
+    def test_sibling_regions_stay_siblings(self, tracer):
         with tracer.statement("x") as record:
-            with obs_trace.span("a"):
+            with obs_trace.region("a"):
                 pass
-            with obs_trace.span("b"):
+            with obs_trace.region("b"):
+                with obs_trace.region("c"):
+                    pass
+            with obs_trace.region("d"):
                 pass
-        assert [s.name for s in record.root.children] == ["a", "b"]
+        assert _shape(record) == [("1", None, 0, "statement"),
+                                  ("1.1", "1", 1, "a"),
+                                  ("1.2", "1", 1, "b"),
+                                  ("1.2.1", "1.2", 2, "c"),
+                                  ("1.3", "1", 1, "d")]
 
-    def test_counters_roll_up_in_totals(self, tracer):
+    def test_counters_are_the_statements(self, tracer):
         with tracer.statement("x") as record:
-            with obs_trace.span("a"):
+            with obs_trace.region("a"):
                 obs_trace.add("rows", 2)
-                with obs_trace.span("b"):
+                with obs_trace.region("b"):
                     obs_trace.add("rows", 5)
                     obs_trace.add("cases", 1)
         assert record.totals() == {"rows": 7, "cases": 1}
+        counters = [row[6] for row in record.trace_rows()]
+        assert counters == [{"rows": 7, "cases": 1}, {}, {}]
 
-    def test_span_durations_are_measured(self, tracer):
+    def test_region_durations_are_measured(self, tracer):
         with tracer.statement("x") as record:
-            with obs_trace.span("a"):
+            with obs_trace.region("a"):
                 pass
-        assert record.duration_ms >= 0
-        assert record.root.children[0].duration_ms >= 0
-
-    def test_spans_walk_depth_first_with_depths(self, tracer):
-        with tracer.statement("x") as record:
-            with obs_trace.span("a"):
-                with obs_trace.span("b"):
-                    pass
-            with obs_trace.span("c"):
-                pass
-        walked = [(span.name, depth) for span, depth in record.spans()]
-        assert walked == [("statement", 0), ("a", 1), ("b", 2), ("c", 1)]
+        statement, region = record.trace_rows()
+        assert statement[5] == record.duration_ms >= 0
+        assert region[5] >= 0
+        assert statement[4] <= region[4]
 
     def test_attributes_are_kept(self, tracer):
         with tracer.statement("x") as record:
-            with obs_trace.span("bind", model="M1"):
+            with obs_trace.region("bind", model="M1"):
                 pass
-        assert record.root.children[0].attributes == {"model": "M1"}
+        assert record.trace_rows()[1][7] == {"model": "M1"}
 
+    def test_a_plan_nodes_region_reports_its_cell(self, tracer):
+        from repro.obs.explain import PlanNode
+        node = PlanNode("count", target="T", open=lambda node, arg: arg)
+        with tracer.statement("x") as record:
+            assert node.run(7) == 7
+            cell = record.actuals[node]
+        _, region = record.trace_rows()
+        assert region[3] == "count"
+        assert region[5] == cell.wall_ms
+        assert region[7] == {"target": "T", "rows": 7}
 
 class TestStatementRecords:
     def test_error_statements_capture_type_and_message(self, tracer):
@@ -123,15 +138,17 @@ class TestRingBuffer:
 
 
 class TestDisabledPaths:
-    def test_spans_are_noops_when_capture_disabled(self):
+    def test_regions_are_noops_when_capture_disabled(self):
         tracer = Tracer(enabled=False)
         with tracer.statement("x") as record:
-            with obs_trace.span("a") as span:
-                assert span is NULL_SPAN
+            assert obs_trace.region("a") is NO_REGION
+            with obs_trace.region("a") as region:
+                assert region is None
                 obs_trace.add("rows", 4)
-        # Counters still land on the statement root for the log.
+        # Counters still land on the statement for the log.
         assert record.totals() == {"rows": 4}
-        assert record.root.children == []
+        assert record.regions is None
+        assert _shape(record) == [("1", None, 0, "statement")]
 
     def test_recording_off_produces_null_records(self):
         tracer = Tracer()
@@ -143,22 +160,22 @@ class TestDisabledPaths:
 
     def test_module_helpers_are_noops_without_active_tracer(self):
         assert obs_trace.active_record() is None
-        with obs_trace.span("orphan") as span:
-            assert span is NULL_SPAN
+        with obs_trace.region("orphan") as region:
+            assert region is None
         obs_trace.add("rows", 1)  # must not raise
 
 
 class TestThreading:
-    def test_each_thread_gets_its_own_span_stack(self):
+    def test_each_thread_gets_its_own_regions(self):
         tracer = Tracer(enabled=True)
         errors = []
 
         def worker(name):
             for index in range(20):
                 with tracer.statement(f"{name} {index}") as record:
-                    with obs_trace.span(name):
+                    with obs_trace.region(name):
                         obs_trace.add("rows", 1)
-                if [s.name for s in record.root.children] != [name]:
+                if _shape(record)[1:] != [("1.1", "1", 1, name)]:
                     errors.append(record)
 
         threads = [threading.Thread(target=worker, args=(f"t{i}",))

@@ -240,7 +240,7 @@ def test_a_failed_root_write_makes_the_next_commit_rewrite_the_base(tmp_path):
     from repro.store.faults import FaultInjector
     faults = FaultInjector()
     path = str(tmp_path / "store")
-    conn = repro.connect(storage_path=path, storage_faults=faults,
+    conn = repro.connect(storage_path=path, faults=faults,
                          **GEOMETRY)
     rewrites = conn.provider.metrics.counter("buffer.catalog_rewrites")
     conn.execute("CREATE TABLE T (id INT)")

@@ -4,6 +4,7 @@ import datetime
 import gc
 import weakref
 
+import numpy as np
 import pytest
 
 from repro.errors import BindError, Error, TypeError_
@@ -119,6 +120,14 @@ class TestBooleans:
         assert eval_expr("TRUE AND NULL") is None
         assert eval_expr("TRUE OR NULL") is True
         assert eval_expr("NOT NULL") is None
+
+    def test_a_numpy_number_is_a_truth_value(self, eval_expr):
+        # A predicted continuous column is a numpy float; as a condition
+        # it is TRUE or FALSE, never a numpy bool that AND reads as NULL.
+        names, row = ["a", "b"], (np.float64(36.0), np.float64(0.0))
+        assert eval_expr("a AND 1", names, row) is True
+        assert eval_expr("b OR a", names, row) is True
+        assert eval_expr("NOT b", names, row) is True
 
 
 class TestCase:

@@ -43,7 +43,7 @@ class ParkingFaults(FaultInjector):
 def test_an_acknowledged_commit_is_not_lost_to_a_concurrent_one(tmp_path):
     path = str(tmp_path / "store")
     faults = ParkingFaults()
-    conn = repro.connect(storage_path=path, storage_faults=faults)
+    conn = repro.connect(storage_path=path, faults=faults)
     conn.execute("CREATE TABLE T (id INT, who TEXT)")
     conn.execute("INSERT INTO T VALUES (0, 'seed')")   # appends from here on
     faults.armed = True

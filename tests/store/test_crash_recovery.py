@@ -59,7 +59,7 @@ def reference_dump():
 
 def run_until_crash(path, faults, **kwargs):
     """Execute the workload until the injected crash; return acked count."""
-    conn = repro.connect(durable_path=path, durable_faults=faults, **kwargs)
+    conn = repro.connect(durable_path=path, faults=faults, **kwargs)
     acked = 0
     crashed = False
     try:
@@ -154,7 +154,7 @@ def test_double_crash_then_recover(tmp_path, reference_dump):
 
     second = FaultInjector()
     second.arm("journal.before_fsync", after=4)  # 4 appends post-recovery
-    middle = repro.connect(durable_path=path, durable_faults=second)
+    middle = repro.connect(durable_path=path, faults=second)
     durable = middle.provider.store.last_seq
     resumed = 0
     try:

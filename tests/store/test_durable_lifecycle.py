@@ -140,7 +140,7 @@ class TestDataVersionContinuity:
 class TestFailureModes:
     def test_journal_io_error_marks_store_broken(self, tmp_path):
         faults = FaultInjector()
-        conn = open_store(tmp_path, durable_faults=faults)
+        conn = open_store(tmp_path, faults=faults)
         conn.execute(SETUP[0])
         conn.execute(SETUP[1])
         faults.arm("journal.before_write", exc=OSError("disk full"))
@@ -163,7 +163,7 @@ class TestFailureModes:
         the journal before the checkpoint began: reporting it as failed
         would make a retrying client insert it twice."""
         faults = FaultInjector()
-        conn = open_store(tmp_path, durable_faults=faults,
+        conn = open_store(tmp_path, faults=faults,
                           durable_checkpoint_interval=3)
         conn.execute("CREATE TABLE T (Id LONG)")
         conn.execute("INSERT INTO T VALUES (1)")
@@ -182,7 +182,7 @@ class TestFailureModes:
 
     def test_failed_explicit_checkpoint_raises(self, tmp_path):
         faults = FaultInjector()
-        conn = populate(open_store(tmp_path, durable_faults=faults))
+        conn = populate(open_store(tmp_path, faults=faults))
         faults.arm("snapshot.before_fsync", exc=OSError("disk full"))
         with pytest.raises(Error, match="checkpoint failed"):
             conn.provider.checkpoint()
@@ -194,7 +194,7 @@ class TestFailureModes:
     def test_crash_in_auto_checkpoint_still_propagates(self, tmp_path):
         from repro.store.faults import InjectedCrash
         faults = FaultInjector()
-        conn = open_store(tmp_path, durable_faults=faults,
+        conn = open_store(tmp_path, faults=faults,
                           durable_checkpoint_interval=2)
         conn.execute("CREATE TABLE T (Id LONG)")
         faults.arm("snapshot.before_fsync")
@@ -206,7 +206,7 @@ class TestFailureModes:
 
     def test_unacknowledged_statement_not_replayed(self, tmp_path):
         faults = FaultInjector()
-        conn = open_store(tmp_path, durable_faults=faults)
+        conn = open_store(tmp_path, faults=faults)
         conn.execute(SETUP[0])
         faults.arm("journal.before_write")
         from repro.store.faults import InjectedCrash

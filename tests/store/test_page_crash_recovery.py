@@ -109,7 +109,7 @@ def station_hits(tmp_path_factory):
     offset space)."""
     faults = CountingFaults()
     conn = repro.connect(storage_path=str(tmp_path_factory.mktemp("count")),
-                         storage_faults=faults, **GEOMETRY)
+                         faults=faults, **GEOMETRY)
     rewrites = conn.provider.metrics.counter("buffer.catalog_rewrites")
     compactions = []
     for statement in WORKLOAD:
@@ -125,7 +125,7 @@ def station_hits(tmp_path_factory):
 
 
 def _run_until_crash(path, faults):
-    conn = repro.connect(storage_path=path, storage_faults=faults,
+    conn = repro.connect(storage_path=path, faults=faults,
                          **GEOMETRY)
     acked = 0
     try:
@@ -217,7 +217,7 @@ def test_ephemeral_spill_crash_recovers_from_journal(tmp_path):
     faults = FaultInjector()
     faults.arm("page.torn_write", after=3)
     conn = repro.connect(durable_path=durable, storage_path=spill,
-                         storage_faults=faults, **GEOMETRY)
+                         faults=faults, **GEOMETRY)
     acked = 0
     crashed = False
     try:
