@@ -349,8 +349,9 @@ class Provider:
         registry, active on this thread until this returns), parse it —
         through the statement-template cache, which runs the parser only
         on a shape it has not seen — and classify it, plan a query or a
-        model INSERT once — outside any model lock — and hand that tree,
-        with the shape's fingerprint, to the workload repository (skeleton,
+        model INSERT once — outside any model lock, a templated SELECT or
+        UNION from its shape's prepared plan — and hand that tree, with
+        the shape's fingerprint, to the workload repository (skeleton,
         hash, estimate).  Then ``run(statement, plan)`` — a statement made
         from a template shares nodes with others of its shape, so the tree
         is read-only from here on — and return ``(record, its result)``.
@@ -365,20 +366,20 @@ class Provider:
         try:
             obs_workload.set_phase("parse")
             try:
-                statement, shape = self.templates.parse(command)
+                statement, shape, slot = self.templates.parse(command)
             except ParseError as exc:
                 _attach_statement(exc, command)
                 raise
-            record.kind = _statement_kind(statement, self)
-            plan = None
+            record.kind = kind = _statement_kind(statement, self)
+            plan = prepared = None
             try:
-                plan = self._plan_query(statement)
+                plan, prepared = self._prepared_plan(statement, kind, slot)
             except BindError as exc:
                 _attach_statement(exc, command)
                 raise
             finally:
                 self.repository.annotate(record, self, statement,
-                                         command, shape, plan)
+                                         command, shape, plan, prepared)
             return record, run(statement, plan)
         except BaseException as exc:
             self.tracer.complete(record, exc)
@@ -396,6 +397,34 @@ class Provider:
                 self.has_model(statement.table)):
             return build_plan(self, statement)
         return None
+
+    def _prepared_plan(self, statement: ast.Statement, kind: str, slot):
+        """Plan a templated SELECT or UNION (not a PREDICTION JOIN, not
+        FLATTENED) from the prepared plan in its template's slot — ``slot``
+        is the parse's ``(template, slot values)`` — when the slot's key
+        still matches (a hit); otherwise prepare the shape and — when it
+        reads base tables only — keep it there under the key it was
+        prepared against.  Returns the tree and the prepared plan (None
+        for any other statement, planned by :meth:`_plan_query`)."""
+        if slot is None or kind not in ("SELECT", "UNION") or \
+                getattr(statement, "flattened", False):
+            return self._plan_query(statement), None
+        template, values = slot
+        database = self.database
+        key, prepared = template.plan or (None, None)
+        if prepared is not None:
+            if key == database.plan_key(prepared.tables, values):
+                self.metrics.counter("sqlstore.plan_cache.hits").inc()
+                return database.bind(prepared, statement), prepared
+            self.metrics.counter("sqlstore.plan_cache.misses").inc()
+        before = database.plan_key((), values)
+        prepared = database.prepare(statement)
+        plan = database.bind(prepared, statement)
+        if prepared.tables is not None and \
+                database.plan_key((), values) == before:  # no DDL meanwhile
+            template.plan = (database.plan_key(prepared.tables, values),
+                             prepared)
+        return plan, prepared
 
     def _execute_statement(self, statement: ast.Statement, command: str,
                            plan: Optional[PlanNode] = None) -> Any:

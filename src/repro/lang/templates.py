@@ -27,11 +27,18 @@ values in source order:
   path from the root to a substituted literal — and shares every other node
   with the template.
 
-A template holds syntax only, nothing from the catalog, so no DDL or data
-change can invalidate it.  What it shares is shared between statements that
-may be executing at the same moment: **the tree a statement executes is
-read-only** (the engine, prediction, shaping and EXPLAIN layers keep their
-per-execution state in maps of their own, never on the nodes).
+A template's tree is syntax only, nothing from the catalog, so no DDL or
+data change can invalidate it.  Beside it the template has one slot,
+:attr:`Template.plan`, that the provider fills with ``(key, prepared)``:
+the shape's prepared plan (:class:`repro.sqlstore.engine.Prepared`) and
+what it was prepared against — catalog version, the versions of the tables
+it reads, the statistics gate and the types of the slot values.  A hit
+whose key still matches plans from it; any other re-prepares and refills
+the slot, so the template LRU bounds the plans too.  What a template
+shares is shared between statements that may be executing at the same
+moment: **the tree a statement executes is read-only** (the engine,
+prediction, shaping and EXPLAIN layers keep their per-execution state in
+maps of their own, never on the nodes).
 
 The normalized text and fingerprint of a shape
 (:func:`repro.lang.normalizer.statement_shape`) do not depend on the values
@@ -71,12 +78,13 @@ Shape = Callable[[], Tuple[str, str]]
 class Template:
     """The parsed statement of one shape and how to re-make it."""
 
-    __slots__ = ("statement", "_build", "_shape")
+    __slots__ = ("statement", "_build", "_shape", "plan")
 
     def __init__(self, statement: ast.Statement, build: Optional[Builder]):
         self.statement = statement
         self._build = build  # None: the shape has no literal to substitute
         self._shape: Optional[Tuple[str, str]] = None
+        self.plan: Optional[tuple] = None  # (key, prepared), the provider's
 
     def instantiate(self, values: list) -> ast.Statement:
         """The statement of this shape whose literals are ``values``."""
@@ -213,9 +221,11 @@ class TemplateCache:
         with self._lock:
             return len(self._entries)
 
-    def parse(self, text: str) -> Tuple[ast.Statement, Shape]:
+    def parse(self, text: str) -> Tuple[ast.Statement, Shape, Optional[
+            Tuple[Template, list]]]:
         """Parse one statement; returns it with the callable that gives
-        its ``(normalized text, fingerprint)``.
+        its ``(normalized text, fingerprint)`` and, for a templated shape,
+        ``(template, slot values)`` (None otherwise).
 
         Runs under a ``parse`` region with the ``tokens`` counter and a
         ``template`` attribute: ``hit`` (made from a template), ``miss``
@@ -238,7 +248,8 @@ class TemplateCache:
                 elif template is not _ABSENT:
                     obs_trace.add("tokens", len(scan.rows))
                     self._count(region, "hit")
-                    return template.instantiate(values), template.shape
+                    return (template.instantiate(values), template.shape,
+                            (template, values))
             try:
                 tokens = scan.tokens()
                 parser = Parser(text, tokens)
@@ -249,9 +260,9 @@ class TemplateCache:
                                              parser.literals)
                     self._remember(key, template)
                     if template is not None:
-                        return statement, template.shape
+                        return statement, template.shape, (template, values)
                     outcome = "none"
-                return statement, partial(statement_shape, statement)
+                return statement, partial(statement_shape, statement), None
             finally:
                 self._count(region, outcome)
 

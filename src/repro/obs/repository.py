@@ -387,7 +387,7 @@ class WorkloadRepository:
     # -- attribution (statement thread, after parse, before execution) ---------
 
     def annotate(self, record, provider, statement, command: str,
-                 shape, plan=None) -> None:
+                 shape, plan=None, prepared=None) -> None:
         """Stamp fingerprint and plan attribution onto a statement record.
 
         Called by the dispatcher once the statement is parsed; the stamped
@@ -401,8 +401,11 @@ class WorkloadRepository:
         read straight off it — so what is recorded is the plan that runs,
         whatever catalog, data or model state chose it; a statement the
         dispatcher does not plan (DDL, table DML) is planned here for its
-        description.  Never raises into the statement: a statement that
-        cannot be normalized or planned simply goes unattributed.
+        description.  ``prepared`` is the shape's prepared plan the tree
+        was bound from, if any: it keeps the skeleton and hash of each of
+        its access variants, rendered and hashed once.  Never raises into
+        the statement: a statement that cannot be normalized or planned
+        simply goes unattributed.
         """
         if not self.enabled or record is NULL_RECORD:
             return
@@ -419,9 +422,15 @@ class WorkloadRepository:
                 if plan is None:
                     from repro.obs.explain import build_plan
                     plan = build_plan(provider, statement)
-                skeleton = plan_skeleton(plan)
+                variant = None if prepared is None else prepared.variant(plan)
+                identity = prepared.hashes.get(variant) if variant else None
+                if identity is None:
+                    skeleton = plan_skeleton(plan)
+                    identity = (skeleton, skeleton_hash(skeleton))
+                    if variant:
+                        prepared.hashes[variant] = identity
+                skeleton, plan_hash = identity
                 est_rows = plan.estimate()
-                plan_hash = skeleton_hash(skeleton)
             except Exception:
                 pass  # cannot be planned: it fails on its own, unattributed
         with self._lock:

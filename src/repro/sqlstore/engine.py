@@ -13,12 +13,16 @@ builds the operator tree — taking every strategy decision while reading only
 the catalog, statistics and index maps — and each node's ``run`` executes
 exactly what its strategy text says.  ``EXPLAIN`` renders that tree, the
 workload repository hashes it, ``execute_select_stream`` opens it.
+Planning is two steps, one path: :meth:`Database.prepare` takes what a
+statement *shape* decides (:class:`Prepared`), :meth:`Database.bind` what
+reads the statement's literals; the provider keeps a shape's prepared plan
+beside its statement template and binds every later statement of it.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import chain, compress, repeat
+from itertools import chain, compress
 from operator import eq, gt, itemgetter
 from typing import (
     Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple)
@@ -129,6 +133,37 @@ class SourceRelation:
         return cls(columns, batches=stream.batches())
 
 
+class Prepared:
+    """A SELECT or UNION shape planned against one catalog state: what
+    planning and opening its statements decide without reading one of
+    their literals.  :meth:`Database.prepare` makes it;
+    :meth:`Database.bind` plans one statement of the shape from it — a
+    fresh tree of a few nodes — and leaves to that tree only what reads a
+    value: the index choice and the seek-vs-scan gate, the estimates, the
+    WHERE and whatever else compiles against a per-statement context.  Over a base table it holds the
+    table's columns, the select list expanded over them and ``bound``: the
+    context's column map and, for an ungrouped list, its
+    :meth:`Database._select_binding`.  ``hashes`` holds the caller's
+    ``(skeleton, hash)`` per access variant (:meth:`variant`)."""
+
+    # branches: a UNION's; base: (ref, table, columns) of a base-table
+    # source, and expanded: the select list (the template-shared
+    # select_list) expanded over its columns; tables: the base tables
+    # every branch reads (None when a source is planned per statement: a
+    # view, join, subquery or one of the mining layer's) — what the caller
+    # may key the plan on.
+    branches = base = bound = select_list = expanded = tables = None
+
+    def __init__(self):
+        self.hashes: Dict[Any, tuple] = {}
+
+    def variant(self, plan) -> Optional[str]:
+        """What tells ``plan``'s skeleton from the other plans of this
+        shape: the access path of a SELECT's base table (all else is fixed
+        here); None when the source is planned per statement."""
+        return None if self.base is None else plan.children[0].strategy
+
+
 class Database:
     """In-memory SQL database: table/view catalog plus an executor."""
 
@@ -188,6 +223,14 @@ class Database:
             self._catalog_version += floor - current
 
     # -- catalog --------------------------------------------------------------
+
+    def plan_key(self, tables, values) -> tuple:
+        """What a prepared plan over ``tables`` is valid for: the catalog
+        version, the statistics gate, the types of the statement's slot
+        ``values`` and the versions of those tables."""
+        return (self._catalog_version, self.stats_enabled,
+                tuple(map(type, values)),
+                tuple([table.version for table in tables]))
 
     def create_table(self, schema: TableSchema) -> Table:
         key = schema.name.upper()
@@ -417,34 +460,72 @@ class Database:
         callers that hold the provider's hook; it is the hook this
         database was constructed with and is not consulted again.
         """
-        grouped = bool(statement.group_by) or any(
+        return self.bind(self.prepare(statement), statement)
+
+    def prepare(self, statement) -> Prepared:
+        """Prepare a SELECT or UNION shape (:class:`Prepared`); what
+        :meth:`bind` makes of it is what :meth:`plan_select` /
+        :meth:`plan_union` return."""
+        prepared = Prepared()
+        if isinstance(statement, ast.UnionStatement):
+            prepared.branches = list(map(self.prepare, statement.branches))
+            tables = [branch.tables for branch in prepared.branches]
+            prepared.tables = None if None in tables else sum(tables, [])
+            return prepared
+        prepared.grouped = bool(statement.group_by) or any(
             contains_aggregate(item.expr) for item in statement.select_list)
-        blockers = []
-        if grouped:
-            blockers.append("group/aggregate")
-        if statement.order_by:
-            blockers.append("order by")
-        if statement.distinct:
-            blockers.append("distinct")
-        blocking = bool(blockers)
-        strategy = (f"materialized ({', '.join(blockers)})" if blocking
-                    else f"streamed (batch {self.batch_size})")
-        node = obs_explain.PlanNode("select", strategy=strategy)
-        details = []
-        if statement.where is not None:
-            details.append("filtered")
+        blockers = [name for name, present in (
+            ("group/aggregate", prepared.grouped),
+            ("order by", statement.order_by),
+            ("distinct", statement.distinct)) if present]
+        prepared.blocking = bool(blockers)
+        prepared.strategy = (
+            "constant" if statement.from_clause is None
+            else f"materialized ({', '.join(blockers)})" if blockers
+            else f"streamed (batch {self.batch_size})")
+        details = ["filtered"] if statement.where is not None else []
         if statement.top is not None:
             details.append(f"top {statement.top}")
-        node.detail = ", ".join(details) or None
+        prepared.detail = ", ".join(details) or None
+        ref = statement.from_clause
+        if type(ref) is ast.NamedTable and ref.name.upper() in self.tables \
+                and (self.external_source is None
+                     or self.external_source(ref) is None):
+            table = self.tables[ref.name.upper()]
+            relation = SourceRelation([(ref.alias or ref.name, column)
+                                       for column in table.rowset_columns()])
+            prepared.base, prepared.tables, prepared.select_list = \
+                (ref, table, relation.columns), [table], statement.select_list
+            prepared.expanded = self._expand_select_list(statement,
+                                                         relation.names())
+            context = relation.context()
+            prepared.bound = (context.columns, None if prepared.grouped else
+                              self._select_binding(prepared.expanded,
+                                                   context, relation.columns))
+        return prepared
+
+    def bind(self, prepared: Prepared, statement):
+        """The plan tree of ``statement``, a statement of the shape
+        ``prepared`` was prepared from: a fresh tree of a few nodes."""
+        if prepared.branches is not None:
+            return self._bind_union(prepared, statement)
+        node = obs_explain.PlanNode("select", strategy=prepared.strategy,
+                                    detail=prepared.detail)
         source = expanded = None
         if statement.from_clause is None:
-            node.strategy = "constant"
             node.est_rows = 1
             node.cost = 0.0
         else:
-            source = node.add(self.plan_table_ref(statement.from_clause,
-                                                  statement.where))
-            expanded = self._expand_select_list(statement, source.columns)
+            source = node.add(
+                self._plan_base_table(*prepared.base, statement.where)
+                if prepared.base is not None else
+                self.plan_table_ref(statement.from_clause, statement.where))
+            # A select list with a literal of this statement's own is
+            # expanded again (its positions are the prepared ones).
+            expanded = (prepared.expanded
+                        if statement.select_list is prepared.select_list
+                        else self._expand_select_list(statement,
+                                                      source.columns))
             if expanded is not None:
                 node.columns = [(None, name) for _, name, _ in expanded]
 
@@ -455,46 +536,52 @@ class Database:
                               if source.operator == "index seek"
                               else source.est_rows)
                 node.est_rows = self._estimate_select_rows(
-                    statement, source_est, grouped)
+                    statement, source_est, prepared.grouped)
                 examined = (source.est_rows if source.est_rows is not None
                             else node.est_rows)
                 node.cost = (source.cost or 0.0) + float(examined or 0)
             node.estimator = estimate
         node.open = lambda _, batch_size: self._open_select(
-            statement, source, expanded, grouped, blocking, batch_size)
+            statement, source, expanded, prepared, batch_size)
         return node
 
     def _open_select(self, statement: ast.SelectStatement, source, expanded,
-                     grouped: bool, blocking: bool,
-                     batch_size: int) -> RowStream:
+                     prepared: Prepared, batch_size: int) -> RowStream:
         """Open a planned SELECT over its planned ``source``: the
         pipeline, or (blocking) the whole result."""
         if source is None:
             result = self._select_without_from(statement)
         else:
             relation = source.run(batch_size)
-            context = relation.context()
-            context.subquery_executor = self.execute_select
+            bound = prepared.bound  # (column map, binding) over a table
+            context = EvalContext(bound[0]) if bound else relation.context()
             if expanded is None:
                 # The source named its columns only by running.
                 expanded = self._expand_select_list(statement,
                                                     relation.names())
-            if not blocking:
-                return self._select_streaming(
-                    statement, relation, context, expanded, batch_size)
+            context.subquery_executor = self.execute_select
+            if not prepared.blocking:
+                return self._select_streaming(statement, relation, context,
+                                              expanded, batch_size,
+                                              bound and bound[1])
             result = self._execute_select_blocking(
-                statement, relation, context, expanded, grouped, batch_size)
+                statement, relation, context, expanded, prepared.grouped,
+                batch_size, bound and bound[1])
         return RowStream.from_rowset(result, batch_size)
 
     def plan_union(self, statement: ast.UnionStatement):
         """Plan a UNION chain (see :meth:`execute_union_stream`)."""
+        return self.bind(self.prepare(statement), statement)
+
+    def _bind_union(self, prepared: Prepared,
+                    statement: ast.UnionStatement):
         streaming = bool(statement.all_rows) and all(statement.all_rows)
         node = obs_explain.PlanNode(
             "union",
             strategy="streamed (all branches ALL)" if streaming
             else "materialized (dedup)")
-        for branch in statement.branches:
-            node.add(self.plan_select(branch))
+        for branch, select in zip(prepared.branches, statement.branches):
+            node.add(self.bind(branch, select))
 
         def estimate(node):
             ests = [child.est_rows for child in node.children]
@@ -583,61 +670,71 @@ class Database:
             positions.append(position)
         return positions
 
+    def _select_binding(self, expanded, context: EvalContext, columns):
+        """What binds a select list by position over a source's
+        ``(qualifier, column)`` ``columns`` — it reads no row and no
+        literal, so a prepared shape keeps it: ``(positions, project,
+        described)``.  ``positions`` are
+        :meth:`_source_positions`; when every item is a plain column,
+        ``project(rows)`` picks a batch's output rows with one C-level
+        ``itemgetter`` call per row — or hands the batch on untouched when
+        the positions are the source's own order — and ``described`` are
+        the output columns, the source columns'; both None otherwise."""
+        positions = self._source_positions(expanded, context)
+        if None in positions:
+            return positions, None, None
+        described = [self._column_meta(name, columns, position, (), None)
+                     for (_, name, _), position in zip(expanded, positions)]
+        if positions == list(range(len(columns))):
+            return positions, lambda rows: rows, described
+        if len(positions) == 1:
+            position, = positions  # itemgetter of one gives no tuple
+            return (positions, lambda rows: [(row[position],) for row in rows],
+                    described)
+        pick = itemgetter(*positions)
+        return positions, lambda rows: list(map(pick, rows)), described
+
     def _bind_select_list(self, expanded, relation: SourceRelation,
-                          context: EvalContext):
+                          context: EvalContext, binding=None):
         """Bind the select list, once: ``(project, describe)`` —
         ``project(rows)`` gives the output rows of a batch,
         ``describe(sample_rows)`` the output columns.
 
         One routine, chosen by what the list *is*.  A list of plain
-        columns (:meth:`_source_positions`) binds by position: a row is
-        projected by one C-level ``itemgetter`` call, or the batch is
-        handed on untouched when the positions are the source's own order.
-        Any other list compiles each item to a closure.  Either way an
-        item that names a source column is described by that column, and
-        only what no source column declares is inferred from
-        ``sample_rows``.
+        columns binds by position (:meth:`_select_binding`, which a
+        prepared shape holds as ``binding``); any other list compiles each
+        item to a closure.  Either way an item that names a source column
+        is described by that column, and only what no source column
+        declares is inferred from ``sample_rows``.
         """
-        positions = self._source_positions(expanded, context)
-        values = repeat(None)
-        if None in positions:
-            values = [compile_expression(expr, context)
-                      for expr, _, _ in expanded]
+        positions, project, described = binding or self._select_binding(
+            expanded, context, relation.columns)
+        if project is not None:
+            return project, lambda sample_rows: list(described)
+        values = [compile_expression(expr, context)
+                  for expr, _, _ in expanded]
 
-            def project(rows):
-                return [tuple([value(row) for value in values])
-                        for row in rows]
-        elif positions == list(range(len(relation.columns))):
-            def project(rows):
-                return rows
-        elif len(positions) == 1:
-            position, = positions  # itemgetter of one gives no tuple
-
-            def project(rows):
-                return [(row[position],) for row in rows]
-        else:
-            pick = itemgetter(*positions)
-
-            def project(rows):
-                return list(map(pick, rows))
+        def project(rows):
+            return [tuple([value(row) for value in values]) for row in rows]
 
         def describe(sample_rows):
-            return [self._column_meta(name, relation, position, sample_rows,
-                                      value)
+            return [self._column_meta(name, relation.columns, position,
+                                      sample_rows, value)
                     for (_, name, _), position, value
                     in zip(expanded, positions, values)]
         return project, describe
 
     def _select_streaming(self, statement: ast.SelectStatement,
                           relation: SourceRelation, context: EvalContext,
-                          expanded, batch_size: int) -> RowStream:
+                          expanded, batch_size: int,
+                          binding=None) -> RowStream:
         """The non-blocking pipeline: WHERE -> project -> TOP, per batch.
         WHERE and the select list (:meth:`_bind_select_list`) are bound
         before a row is read."""
         source = self._filtered_batches(statement, relation, context,
                                         batch_size)
         project, describe = self._bind_select_list(expanded, relation,
-                                                   context)
+                                                   context, binding)
         # Column typing needs sample rows; buffer the head of the stream
         # (same 20-row sample the materialised path uses) and replay it.
         head: List[List[tuple]] = []
@@ -668,7 +765,8 @@ class Database:
     def _execute_select_blocking(self, statement: ast.SelectStatement,
                                  relation: SourceRelation,
                                  context: EvalContext, expanded,
-                                 grouped: bool, batch_size: int) -> Rowset:
+                                 grouped: bool, batch_size: int,
+                                 binding=None) -> Rowset:
         """GROUP BY / ORDER BY / DISTINCT path: bind every per-row
         expression, then consume the source and materialise."""
         batches = self._filtered_batches(statement, relation, context,
@@ -678,7 +776,7 @@ class Database:
                 statement, relation, context, expanded, batches)
         else:
             project, describe = self._bind_select_list(expanded, relation,
-                                                       context)
+                                                       context, binding)
             order_keys = self._bind_order_by(statement, expanded, context)
             rows = [row for batch in batches for row in batch]
             output_columns = describe(rows)
@@ -764,15 +862,15 @@ class Database:
         return f"Expr{position + 1}"
 
     @staticmethod
-    def _column_meta(name: str, relation: SourceRelation,
-                     position: Optional[int], sample_rows: List[tuple],
+    def _column_meta(name: str, columns, position: Optional[int],
+                     sample_rows: List[tuple],
                      value: Optional[Callable]) -> RowsetColumn:
         """Output column typing: the declared type (and nested columns) of
-        the source column at ``position`` when the item names one, else
-        best effort — inferred from ``value`` (the item compiled) over the
-        head of the sample."""
+        the source column at ``position`` of the ``(qualifier, column)``
+        ``columns`` when the item names one, else best effort — inferred
+        from ``value`` (the item compiled) over the head of the sample."""
         if position is not None:
-            source = relation.columns[position][1]
+            source = columns[position][1]
             return RowsetColumn(name, source.type,
                                 nested_columns=source.nested_columns)
         for row in sample_rows[:20]:
@@ -1063,7 +1161,8 @@ class Database:
             if key in self.views:
                 return self._plan_view(ref, self.views[key])
             if key in self.tables:
-                return self._plan_base_table(ref, self.tables[key], where)
+                return self._plan_base_table(ref, self.tables[key], None,
+                                             where)
             raise BindError(f"no table, view, or model named {ref.name!r}")
         if isinstance(ref, ast.SubquerySource):
             node = self.plan_select(ref.select)
@@ -1096,13 +1195,15 @@ class Database:
         node.estimator = estimate
         return as_from_source(node, ref.alias or ref.name)
 
-    def _plan_base_table(self, ref: ast.NamedTable, table: Table,
+    def _plan_base_table(self, ref: ast.NamedTable, table: Table, columns,
                          where: Optional[ast.Expr]):
         """Index seek when the WHERE allows one and it beats the scan by
         cost, else the sequential scan.  Seek positions stream in
-        ascending order, so either path yields byte-identical rows."""
+        ascending order, so either path yields byte-identical rows.
+        ``columns`` are the table's ``(qualifier, column)`` pairs when a
+        prepared shape holds them (None: made here)."""
         qualifier = ref.alias or ref.name
-        columns = [(qualifier, c) for c in table.rowset_columns()]
+        columns = columns or [(qualifier, c) for c in table.rowset_columns()]
         store = table.store
         choice = choose_index(where, table, qualifier)
         # Wide seeks (most of the table, or cold pages a scan would read

@@ -271,3 +271,61 @@ def test_two_threads_share_one_template_and_keep_their_own_answers(conn):
     assert wrong == []
     assert conn.provider.metrics.value("lang.template_hits") == 2 * rounds
     assert len(conn.provider.templates) == 4  # DDL, INSERT, index, the shape
+
+
+def test_one_shape_keeps_its_answers_while_an_index_comes_and_goes(conn):
+    """Three threads run one point-SELECT shape with different literals
+    while a fourth creates and drops an index on the column they seek:
+    the shape's prepared plan is re-prepared under them (every DDL moves
+    its key), and every answer must be the row the table holds."""
+    import sys
+
+    keys = 60
+    conn.execute("CREATE TABLE Churn (k INT, v TEXT)")
+    conn.execute("INSERT INTO Churn VALUES " + ", ".join(
+        f"({k}, 'v{k}')" for k in range(keys)))
+    conn.execute("SELECT * FROM Churn WHERE k = 0")  # the template
+    done = threading.Event()
+    wrong, answered = [], [0, 0, 0]
+
+    def reader(offset):
+        step = 0
+        try:
+            while not done.is_set():
+                k = (7 * step + offset) % keys
+                rows = conn.execute(f"SELECT * FROM Churn WHERE k = {k}").rows
+                if rows != [(k, f"v{k}")]:
+                    wrong.append((k, rows))
+                step += 1
+            answered[offset] = step
+        except Exception as exc:  # pragma: no cover - failure path
+            wrong.append(exc)
+
+    def churner():
+        try:
+            for _ in range(150):
+                conn.execute("CREATE INDEX ix_churn ON Churn (k)")
+                conn.execute("DROP INDEX ix_churn ON Churn")
+        except Exception as exc:  # pragma: no cover - failure path
+            wrong.append(exc)
+        finally:
+            done.set()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        threads = [threading.Thread(target=reader, args=(offset,))
+                   for offset in range(3)]
+        threads.append(threading.Thread(target=churner))
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+    assert min(answered) > 0
+    metrics = conn.provider.metrics
+    assert metrics.value("sqlstore.plan_cache.hits") > 0
+    assert metrics.value("sqlstore.plan_cache.misses") > 0

@@ -8,11 +8,17 @@ fingerprint)`` must be the normalizer's, and a text that does not parse must
 fail with the same error — on the miss that makes the template, on every
 hit after it, and for shapes that cannot be templated at all.
 
-Because a template holds syntax and nothing from the catalog, no DDL, index
-or statistics change can make it stale: the last tests run same-shape
-statements around schema changes on a caching and a never-caching provider
-and compare every answer, and hold the LRU to its bound.
+Because a template's tree holds syntax and nothing from the catalog, no
+DDL, index or statistics change can make it stale.  What can go stale is
+the prepared plan a templated SELECT or UNION keeps in its template's slot:
+the last tests run same-shape statements around schema, index, statistics
+and data changes on a caching and a never-caching provider — in memory,
+with statistics off, and on the paged store with one buffer page — and
+compare every answer, every ``EXPLAIN ANALYZE`` row but its clock and
+every ``DM_PLAN_HISTORY`` hash; and they hold the LRU to its bound.
 """
+
+import os
 
 import pytest
 from hypothesis import given
@@ -135,7 +141,7 @@ def assert_same_as_fresh(cache, text):
     if isinstance(fresh, tuple):
         assert cached == fresh
         return
-    statement, shape = cached
+    statement, shape, _ = cached
     assert statement == fresh
     assert shape() == statement_shape(fresh)
 
@@ -205,8 +211,8 @@ def test_which_shapes_are_templated(text, templated):
 def test_a_template_is_never_written_by_its_instances():
     cache = TemplateCache()
     text = "SELECT a, 'x' FROM t WHERE b IN (1, 2) AND c = NULL"
-    master, _ = cache.parse(text)
-    copy, _ = cache.parse("SELECT a, 'y' FROM t WHERE b IN (3, 4) AND c = NULL")
+    master = cache.parse(text)[0]
+    copy = cache.parse("SELECT a, 'y' FROM t WHERE b IN (3, 4) AND c = NULL")[0]
     assert master == parse_statement(text)
     assert copy is not master and copy.where is not master.where
     # Off the spine everything is shared, the NULL literal included.
@@ -217,7 +223,7 @@ def test_a_template_is_never_written_by_its_instances():
     assert cache.parse("SELECT a FROM t")[0] is cache.parse("SELECT a FROM t")[0]
 
 
-# -- no invalidation: templates hold syntax only ----------------------------------
+# -- templates hold syntax only; their prepared plans are keyed ---------------------
 
 SCHEMA_CHURN = [
     "CREATE TABLE T (id INT, v TEXT)",
@@ -260,6 +266,64 @@ SCHEMA_CHURN = [
     "SELECT M.id FROM M NATURAL PREDICTION JOIN (SELECT 100 AS z) AS t",
     "SELECT M.z FROM M NATURAL PREDICTION JOIN (SELECT '2' AS id) AS t",
     "SELECT M.z FROM M NATURAL PREDICTION JOIN (SELECT '6' AS id) AS t",
+    # The prepared plan's key, component by component.  Catalog version:
+    # the same name re-created with its columns reordered and retyped.
+    "SELECT * FROM T WHERE w = 10",
+    "DROP TABLE T",
+    "CREATE TABLE T (z INT, w TEXT, id INT)",
+    "INSERT INTO T VALUES (100, '10', 1), (200, '20', 2)",
+    "SELECT * FROM T WHERE w = 10",
+    "SELECT * FROM T WHERE w = '20'",
+    "SELECT id, 'one' AS tag FROM T WHERE id = 1",
+    "SELECT id, 'two' AS tag FROM T WHERE id = 2",
+    # An index created and dropped between two seeks of one shape.
+    "CREATE TABLE S (k INT, tag TEXT)",
+    "INSERT INTO S VALUES (7, 'a'), (7, 'b'), (7, 'c')",
+    "SELECT * FROM S WHERE k = 7",
+    "CREATE INDEX ix_k ON S (k)",
+    "SELECT * FROM S WHERE k = 7",
+    "SELECT * FROM S WHERE k = 1",
+    # Table versions: rows that flip the seek-vs-scan gate (three of three
+    # rows scan; three of eight seek).
+    "INSERT INTO S VALUES (1, 'd'), (2, 'e'), (3, 'f'), (4, 'g'), (5, 'h')",
+    "SELECT * FROM S WHERE k = 7",
+    "SELECT * FROM S WHERE k = 3",
+    # The statistics gate.
+    "UPDATE STATISTICS S",
+    "SELECT * FROM S WHERE k = 7",
+    "SELECT * FROM S WHERE k < 4",
+    # One slot fed an integer, a float and a string.
+    "SELECT * FROM S WHERE k = 3",
+    "SELECT * FROM S WHERE k = 3.5",
+    "SELECT * FROM S WHERE k = 3.0",
+    "SELECT * FROM S WHERE k = '3'",
+    "SELECT tag FROM S WHERE k = 2",
+    "SELECT tag FROM S WHERE k = 2.0",
+    # A UNION shape.
+    "SELECT k FROM S WHERE k = 7 UNION ALL SELECT k FROM S WHERE k = 1",
+    "SELECT k FROM S WHERE k = 2 UNION ALL SELECT k FROM S WHERE k = 7",
+    "SELECT k FROM S WHERE k = 7 UNION SELECT k FROM S WHERE k = 3",
+    "DROP INDEX ix_k ON S",
+    "SELECT k FROM S WHERE k = 1 UNION ALL SELECT k FROM S WHERE k = 7",
+    "SELECT k FROM S WHERE k = 5 UNION SELECT k FROM S WHERE k = 7",
+    # A view shape, and the view re-created over other columns.
+    "CREATE VIEW V AS SELECT k, tag FROM S WHERE k > 2",
+    "SELECT * FROM V WHERE k = 7",
+    "SELECT * FROM V WHERE k = 4",
+    "DROP VIEW V",
+    "CREATE VIEW V AS SELECT tag, k, k + 1 AS n FROM S WHERE k < 5",
+    "SELECT * FROM V WHERE k = 4",
+    "SELECT * FROM V WHERE k = 7",
+    # The same table re-created: another order, another type, an index.
+    "DROP TABLE S",
+    "CREATE TABLE S (tag TEXT, k DOUBLE)",
+    "CREATE INDEX ix_k ON S (k)",
+    "INSERT INTO S VALUES ('x', 7), ('y', 3.5), ('z', 3)",
+    "SELECT * FROM S WHERE k = 7",
+    "SELECT * FROM S WHERE k = 3.5",
+    "SELECT tag FROM S WHERE k = 3",
+    "SELECT k FROM S WHERE k = 7 UNION ALL SELECT k FROM S WHERE k = 1",
+    "SELECT * FROM V WHERE k = 3",
 ]
 
 
@@ -273,21 +337,65 @@ def _answer(conn, statement):
     return [c.name for c in result.columns], [tuple(r) for r in result.rows]
 
 
-def test_schema_changes_need_no_invalidation(monkeypatch):
-    caching = repro.connect()
-    never = repro.connect()
+def _analyzed(conn, statement):
+    """``EXPLAIN ANALYZE statement`` but its clock column."""
+    if not statement.startswith("SELECT"):
+        return None
+    plan = _answer(conn, f"EXPLAIN ANALYZE {statement}")
+    if not isinstance(plan[0], list):
+        return plan  # the error
+    clock = plan[0].index("WALL_MS")
+    return [row[:clock] + row[clock + 1:] for row in plan[1]]
+
+
+def _plan_hashes(conn):
+    return sorted(tuple(row[:3]) for row in conn.execute(
+        "SELECT FINGERPRINT, PLAN_HASH, EXECUTIONS "
+        "FROM $SYSTEM.DM_PLAN_HISTORY").rows)
+
+
+def _churn(monkeypatch, caching_kwargs, never_kwargs):
+    """SCHEMA_CHURN on a caching provider and on one that remembers no
+    template (so keeps no plan); each statement's answer, ``EXPLAIN
+    ANALYZE`` rows and plan history must be the same on both."""
+    caching = repro.connect(**caching_kwargs)
+    never = repro.connect(**never_kwargs)
     try:
         for statement in SCHEMA_CHURN:
-            expected = _answer(caching, statement)
+            expected = (_answer(caching, statement),
+                        _analyzed(caching, statement), _plan_hashes(caching))
             with monkeypatch.context() as patch:  # a cache of nothing
                 patch.setattr(templates, "TEMPLATE_CACHE_LIMIT", 0)
-                assert _answer(never, statement) == expected, statement
+                assert (_answer(never, statement), _analyzed(never, statement),
+                        _plan_hashes(never)) == expected, statement
         assert len(never.provider.templates) == 0
-        assert caching.provider.metrics.value("lang.template_hits") >= 10
+        metrics = caching.provider.metrics
+        assert metrics.value("lang.template_hits") >= 40
+        # Served from a kept plan, and a kept plan re-prepared.
+        assert metrics.value("sqlstore.plan_cache.hits") >= 5
+        assert metrics.value("sqlstore.plan_cache.misses") >= 10
         assert never.provider.metrics.value("lang.template_hits") == 0
+        assert never.provider.metrics.value("sqlstore.plan_cache.hits") == 0
     finally:
         caching.close()
         never.close()
+
+
+def test_schema_changes_need_no_invalidation(monkeypatch):
+    """A template needs none; a kept plan is re-prepared by its key."""
+    _churn(monkeypatch, {}, {})
+
+
+@pytest.mark.parametrize("configuration", ["statistics off", "paged"])
+def test_schema_changes_never_serve_a_stale_plan(monkeypatch, tmp_path,
+                                                 configuration):
+    if configuration == "paged":
+        caching_kwargs, never_kwargs = (
+            dict(storage_path=os.path.join(str(tmp_path), side),
+                 buffer_pages=1) for side in ("caching", "never"))
+    else:
+        caching_kwargs = never_kwargs = dict(statistics=False)
+    _churn(monkeypatch, caching_kwargs, never_kwargs)
 
 
 # -- the bound --------------------------------------------------------------------
@@ -308,3 +416,19 @@ def test_cache_is_bounded_and_an_evicted_shape_parses_again():
     assert_same_as_fresh(cache, "SELECT c0 FROM t WHERE id = 6")
     assert metrics.value("lang.template_hits") == 1
     assert len(cache) == TEMPLATE_CACHE_LIMIT
+
+
+def test_a_kept_plan_serves_with_statement_recording_off():
+    """With the statement log off a record takes no stamps: the plan is
+    kept and served all the same."""
+    conn = repro.connect()
+    try:
+        conn.provider.tracer.recording = False
+        conn.execute("CREATE TABLE R (k INT)")
+        conn.execute("INSERT INTO R VALUES (1), (2)")
+        answers = [conn.execute(f"SELECT * FROM R WHERE k = {k}").rows
+                   for k in (1, 2, 3)]
+        assert answers == [[(1,)], [(2,)], []]
+        assert conn.provider.metrics.value("sqlstore.plan_cache.hits") == 2
+    finally:
+        conn.close()

@@ -9,7 +9,11 @@ benchmark's own point SELECTs and 100 of its singleton predictions
 after five warm-ups, and per case over the life cycle's TRAIN and cold
 and warm ``NATURAL PREDICTION JOIN`` of 2,000 customers, once per
 service.  The ceilings sit about 5 % above what the statements cost when
-they were set (241 and 322 for the short statements; per case 8.2 and
+they were set (192 and 322 for the short statements — the point SELECT
+cost 241 while every one planned its shape again, and cost it 253 as a
+ceiling; since a template keeps its shape's prepared plan it only binds
+what reads a literal, and from the second statement on neither plans its
+FROM source nor expands its select list; per case 8.2 and
 4.7 for the tree and naive Bayes TRAIN, 2.59 and 1.51 for their cold joins
 and 0.45 and 0.33 for the warm re-score of the cached caseset, on CPython
 3.11; 3.12 inlines comprehensions and counts fewer).  The benchmark's five
@@ -40,6 +44,7 @@ import pytest
 import repro
 from repro.core.bindings import CaseBatch
 from repro.datagen import WarehouseConfig, load_warehouse
+from repro.sqlstore.engine import Database
 
 from tests.sqlstore.test_ordered_input_differential import (
     benchmark_statements,
@@ -48,7 +53,7 @@ from tests.sqlstore.test_ordered_input_differential import (
 CUSTOMERS = 400
 WARM_UPS, MEASURED = 5, 100
 
-POINT_SELECT_CEILING = 253
+POINT_SELECT_CEILING = 202
 SINGLETON_PREDICTION_CEILING = 338
 
 LIFECYCLE_CUSTOMERS = 2000
@@ -153,6 +158,34 @@ def test_short_statements_stay_inside_their_call_budget():
         conn.close()
     assert point <= POINT_SELECT_CEILING, point
     assert singleton <= SINGLETON_PREDICTION_CEILING, singleton
+
+
+def test_point_selects_after_the_first_bind_a_prepared_plan(monkeypatch):
+    """The benchmark's point SELECTs share one shape: the first prepares
+    its plan, the 2nd-100th plan no FROM source and expand no select list
+    — they bind the prepared plan to their literal."""
+    statements = benchmark_statements()
+    conn = repro.connect()
+    try:
+        load_warehouse(conn.database,
+                       WarehouseConfig(customers=CUSTOMERS, seed=7))
+        conn.execute(statements.SERVED_SETUP[0])
+        seeks = _texts(statements.SqlStatements(
+            7, CUSTOMERS, seeks=WARM_UPS + MEASURED, ranges=0,
+            insert_rows=0).round, "seek")[:MEASURED]
+        conn.execute(seeks[0])
+        planned = []
+        for name in ("plan_table_ref", "_expand_select_list"):
+            real = getattr(Database, name)
+            monkeypatch.setattr(Database, name, lambda *args, name=name,
+                                real=real: planned.append(name) or real(*args))
+        rows = [len(conn.execute(text).rows) for text in seeks[1:]]
+        hits = conn.provider.metrics.value("sqlstore.plan_cache.hits")
+    finally:
+        conn.close()
+    assert rows == [1] * (MEASURED - 1)
+    assert planned == []
+    assert hits == MEASURED - 1
 
 
 @pytest.mark.parametrize("tag", sorted(TRAIN_CEILING))
