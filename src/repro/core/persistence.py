@@ -281,7 +281,7 @@ def restore_into(provider, text: str) -> int:
     # $SYSTEM resolves; NotTrainedError is not a resolution failure.
     for key, statement in view_statements.items():
         try:
-            database.execute_select_stream(statement)
+            database.plan_select(statement).run(database.batch_size)
         except NotTrainedError:
             pass
         except Error as exc:

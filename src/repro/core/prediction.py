@@ -644,18 +644,9 @@ def _blocked(statement: ast.SelectStatement, names: List[str],
 def execute_prediction_select(provider,
                               statement: ast.SelectStatement) -> Rowset:
     """Blocking PREDICTION JOIN: run the planned tree and drain it."""
-    return execute_prediction_stream(provider, statement).materialize()
-
-
-def execute_prediction_stream(provider, statement: ast.SelectStatement,
-                              batch_size: Optional[int] = None) -> RowStream:
-    """Streaming PREDICTION JOIN: memory stays O(batch) for pipelined
-    shapes.  WHERE, the select list, TOP (early stop) and FLATTENED all
-    pipeline; ORDER BY and DISTINCT drain the stream before the first batch
-    is handed out."""
     from repro.obs.explain import build_plan
     return build_plan(provider, statement).run(
-        batch_size or provider.database.batch_size)
+        provider.database.batch_size).materialize()
 
 
 def _source_context(source_columns: List[RowsetColumn],

@@ -29,12 +29,12 @@ values in source order:
 
 A template's tree is syntax only, nothing from the catalog, so no DDL or
 data change can invalidate it.  Beside it the template has one slot,
-:attr:`Template.plan`, that the provider fills with ``(key, prepared)``:
-the shape's prepared plan (:class:`repro.sqlstore.engine.Prepared`) and
-what it was prepared against — catalog version, the versions of the tables
-it reads, the statistics gate and the types of the slot values.  A hit
-whose key still matches plans from it; any other re-prepares and refills
-the slot, so the template LRU bounds the plans too.  What a template
+:attr:`Template.plan`, that the provider fills with ``(catalog version,
+prepared)``: the shape's prepared plan
+(:class:`repro.sqlstore.engine.Prepared`), which holds only what the
+catalog decides, and the catalog version it was prepared at.  A hit while
+that version is current binds it; any other re-prepares and refills the
+slot, so the template LRU bounds the plans too.  What a template
 shares is shared between statements that may be executing at the same
 moment: **the tree a statement executes is read-only** (the engine,
 prediction, shaping and EXPLAIN layers keep their per-execution state in
@@ -84,7 +84,7 @@ class Template:
         self.statement = statement
         self._build = build  # None: the shape has no literal to substitute
         self._shape: Optional[Tuple[str, str]] = None
-        self.plan: Optional[tuple] = None  # (key, prepared), the provider's
+        self.plan: Optional[tuple] = None  # (catalog version, prepared)
 
     def instantiate(self, values: list) -> ast.Statement:
         """The statement of this shape whose literals are ``values``."""

@@ -43,7 +43,6 @@ import time
 from collections import OrderedDict, deque
 from typing import Any, Dict, List, Optional
 
-from repro.lang import ast_nodes as ast
 from repro.lang.normalizer import fingerprint_text
 from repro.obs.trace import NULL_RECORD
 
@@ -386,8 +385,8 @@ class WorkloadRepository:
 
     # -- attribution (statement thread, after parse, before execution) ---------
 
-    def annotate(self, record, provider, statement, command: str,
-                 shape, plan=None, prepared=None) -> None:
+    def annotate(self, record, command: str, shape, plan=None,
+                 prepared=None) -> None:
         """Stamp fingerprint and plan attribution onto a statement record.
 
         Called by the dispatcher once the statement is parsed; the stamped
@@ -397,15 +396,15 @@ class WorkloadRepository:
         statement's ``(normalized text, fingerprint)``; the one the
         statement-template cache hands out computes them once per statement
         shape, not once per text.  ``plan`` is the tree the dispatcher is
-        about to execute, and the skeleton, its hash and the estimate are
+        about to execute (None for a control verb, or a statement that
+        failed to plan), and the skeleton, its hash and the estimate are
         read straight off it — so what is recorded is the plan that runs,
-        whatever catalog, data or model state chose it; a statement the
-        dispatcher does not plan (DDL, table DML) is planned here for its
-        description.  ``prepared`` is the shape's prepared plan the tree
-        was bound from, if any: it keeps the skeleton and hash of each of
-        its access variants, rendered and hashed once.  Never raises into
-        the statement: a statement that cannot be normalized or planned
-        simply goes unattributed.
+        whatever catalog, data or model state chose it.  ``prepared`` is
+        the shape's prepared plan the tree was bound from, if any: it
+        keeps the skeleton and hash of each of its access variants,
+        rendered and hashed once.  Never raises into the statement: a
+        statement that cannot be normalized or planned simply goes
+        unattributed.
         """
         if not self.enabled or record is NULL_RECORD:
             return
@@ -414,14 +413,8 @@ class WorkloadRepository:
         except Exception:
             return  # fingerprinting must never fail the statement
         plan_hash = None
-        if not isinstance(statement, (ast.ExplainStatement,
-                                      ast.TraceStatement,
-                                      ast.CancelStatement)):
-            # (Control verbs have no data-path plan.)
+        if plan is not None:  # (a control verb has none)
             try:
-                if plan is None:
-                    from repro.obs.explain import build_plan
-                    plan = build_plan(provider, statement)
                 variant = None if prepared is None else prepared.variant(plan)
                 identity = prepared.hashes.get(variant) if variant else None
                 if identity is None:
@@ -432,7 +425,7 @@ class WorkloadRepository:
                 skeleton, plan_hash = identity
                 est_rows = plan.estimate()
             except Exception:
-                pass  # cannot be planned: it fails on its own, unattributed
+                plan_hash = None  # cannot be estimated: unattributed
         with self._lock:
             self._ensure_loaded()
             entry = self._touch_entry(fingerprint, normalized, command)

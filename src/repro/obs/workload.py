@@ -323,10 +323,11 @@ def check() -> None:
         record.token.check()
 
 
-def set_phase(phase: str) -> None:
-    """Move the active statement into a new execution phase."""
+def set_phase(phase: str, leaving: Optional[str] = None) -> None:
+    """Move the active statement into a new execution phase — only out of
+    the phase ``leaving``, when one is given."""
     record = current()
-    if record is not None:
+    if record is not None and leaving in (None, record.phase):
         record.phase = phase
 
 

@@ -47,7 +47,7 @@ from repro.errors import Error, ProtocolError, ServerBusyError
 from repro.exec.pool import set_session_dop_cap
 from repro.obs import workload as obs_workload
 from repro.server import protocol
-from repro.sqlstore.rowset import Rowset, RowStream
+from repro.sqlstore.rowset import Rowset
 
 #: How long a freshly accepted connection may dawdle before its first
 #: frame; afterwards sessions may idle indefinitely.
@@ -435,8 +435,6 @@ class DmxServer:
         try:
             with self.gate.admit():
                 result = self.provider.execute(text)
-            if isinstance(result, RowStream):  # defensive: execute() never
-                result = result.materialize()  # streams today
             if isinstance(result, Rowset):
                 session.rows_sent += len(result.rows)
             reply = {"ok": True, "result": protocol.result_to_wire(result)}
