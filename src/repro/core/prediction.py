@@ -28,7 +28,7 @@ from repro.errors import BindError, PredictionError
 from repro.lang import ast_nodes as ast
 from repro.obs import workload as obs_workload
 from repro.shaping.shape import ShapedBatch, plan_shape
-from repro.sqlstore.engine import _multi_key_sort, _row_key
+from repro.sqlstore.engine import _multi_key_sort, _row_key, pushable_columns
 from repro.sqlstore.expressions import (
     EvalContext,
     compile_expression,
@@ -197,38 +197,6 @@ def split_on_condition(model_name: str, alias: Optional[str],
     return pairs
 
 
-#: Expression nodes a pushed-down source predicate may contain.  Function
-#: calls are excluded (prediction functions evaluate against the bound
-#: case, not the source row) and so are subqueries of either kind.
-_PUSHABLE_NODES = (ast.BinaryOp, ast.UnaryOp, ast.IsNull, ast.InList,
-                   ast.Between, ast.Like, ast.Literal, ast.ColumnRef)
-
-
-def _source_only_conjuncts(where: Optional[ast.Expr],
-                           alias: Optional[str]) -> List[ast.Expr]:
-    """Top-level WHERE conjuncts decidable from the join source row alone.
-
-    A conjunct qualifies when every column reference is explicitly
-    qualified by the source alias and the expression stays within a
-    whitelist of row-local node types.  Decidability is judged from the
-    AST alone, at plan time.  Dropping source rows where such a conjunct
-    is not True is exact: the full WHERE is an AND over the conjuncts, and
-    an AND with a False/NULL operand can never evaluate to True.
-    """
-    if not alias:
-        return []
-
-    def pushable(expr: ast.Expr) -> bool:
-        if isinstance(expr, ast.ColumnRef):
-            return len(expr.parts) > 1 and \
-                expr.parts[0].upper() == alias.upper()
-        if not isinstance(expr, _PUSHABLE_NODES):
-            return False
-        return all(pushable(child) for child in ast.children(expr))
-    return [conjunct for conjunct in ast.conjuncts(where)
-            if pushable(conjunct)]
-
-
 def _surviving_batches(stream: RowStream, pushed: List[ast.Expr],
                        alias: Optional[str]):
     """The opened source's row batches, minus the rows a pushed-down
@@ -388,10 +356,13 @@ def plan_prediction(provider, statement: ast.SelectStatement):
     source = plan_prediction_source(provider, join.source)
     dop, reason, fallback = prediction_parallelism(provider, statement,
                                                    source)
-    # Cost-based planning only — without statistics the original bind-all
-    # path is kept (the differential suite's baseline).
-    pushed = (_source_only_conjuncts(statement.where, alias)
-              if database.stats_enabled else [])
+    # The WHERE conjuncts the source alone decides run below binding, by
+    # the relational join's rule.  Cost-based planning only — without
+    # statistics the original bind-all path is kept (the differential
+    # suite's baseline).
+    pushed = [conjunct for conjunct in ast.conjuncts(statement.where)
+              if database.stats_enabled and alias and
+              (pushable_columns(conjunct) or ("",))[0] == alias.upper()]
     on_pairs = (None if join.natural or join.condition is None
                 else split_on_condition(model.name, alias, join.condition))
     # A FROM-less SELECT is one literal row no later statement replays:

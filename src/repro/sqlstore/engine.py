@@ -22,7 +22,8 @@ beside its statement template and binds every later statement of it.
 from __future__ import annotations
 
 from bisect import bisect_left
-from functools import partial
+from dataclasses import replace
+from functools import partial, reduce
 from itertools import chain, compress
 from operator import eq, gt, itemgetter
 from typing import (
@@ -300,11 +301,11 @@ class Database:
                          "truncate" if statement.where is None
                          else "scan + predicate delete",
                          self._execute_delete, statement,
-                         est_rows=self._table_size(statement.table))
+                         est_rows=self._where_rows(statement))
         if isinstance(statement, ast.UpdateStatement):
             return whole("update", statement.table, "scan + predicate update",
                          self._execute_update, statement,
-                         est_rows=self._table_size(statement.table))
+                         est_rows=self._where_rows(statement))
         if isinstance(statement, ast.UpdateStatisticsStatement):
             tables = (list(self.tables.values()) if statement.table is None
                       else [self.table(statement.table)])
@@ -336,9 +337,13 @@ class Database:
             f"the relational engine (is it a DMX statement issued "
             f"without a mining provider?)")
 
-    def _table_size(self, name: str) -> Optional[int]:
-        table = self.tables.get(name.upper())
-        return None if table is None else len(table)
+    def _where_rows(self, statement) -> Optional[int]:
+        """A DELETE's or UPDATE's estimate: the rows of its table its WHERE
+        holds for, as a SELECT over the same WHERE estimates them."""
+        table = self.tables.get(statement.table.upper())
+        resolver = self._stats_resolver(ast.NamedTable(statement.table))
+        return None if table is None else round(len(table) * (
+            stats_mod.estimate_selectivity(statement.where, resolver)))
 
     # -- DDL / DML ------------------------------------------------------------
 
@@ -519,10 +524,7 @@ class Database:
             "constant" if statement.from_clause is None
             else f"materialized ({', '.join(blockers)})" if blockers
             else f"streamed (batch {self.batch_size})")
-        details = ["filtered"] if statement.where is not None else []
-        if statement.top is not None:
-            details.append(f"top {statement.top}")
-        prepared.detail = ", ".join(details) or None
+        prepared.detail = _select_detail(statement)
         ref = statement.from_clause
         if type(ref) is ast.NamedTable and ref.name.upper() in self.tables \
                 and (self.external_source is None
@@ -552,10 +554,14 @@ class Database:
             node.est_rows = 1
             node.cost = 0.0
         else:
+            pushed = None
+            if type(statement.from_clause) is ast.Join and self.stats_enabled:
+                pushed, statement = self._pushdown(statement)
+                node.detail = _select_detail(statement)
             source = node.add(
                 self._plan_base_table(*prepared.base, statement.where)
                 if prepared.base is not None else
-                self.plan_table_ref(statement.from_clause, statement.where))
+                self.plan_table_ref(statement.from_clause, pushed))
             # A select list with a literal of this statement's own is
             # expanded again (its positions are the prepared ones).
             expanded = (prepared.expanded
@@ -667,18 +673,19 @@ class Database:
                 rows = unique
         return RowStream.from_rowset(Rowset(columns, rows), batch_size)
 
-    def _filtered_batches(self, statement: ast.SelectStatement,
+    def _filtered_batches(self, where: Optional[ast.Expr],
                           relation: SourceRelation, context: EvalContext,
                           batch_size: int):
-        """Scan + WHERE, batch at a time.
+        """Scan + WHERE, batch at a time: a select's, or a ``filter``'s
+        conjuncts pushed below a join.
 
         The WHERE is bound here, before the first batch is pulled.  Each
         batch boundary is also a workload checkpoint: live progress (rows
         processed) for ``DM_QUERY_LOG``, and the point where a
         ``CANCEL`` lands mid-scan.
         """
-        where = (compile_expression(statement.where, context)
-                 if statement.where is not None else None)
+        where = (compile_expression(where, context)
+                 if where is not None else None)
 
         def filtered():
             for batch in relation.batches(batch_size):
@@ -774,7 +781,7 @@ class Database:
         """The non-blocking pipeline: WHERE -> project -> TOP, per batch.
         WHERE and the select list (:meth:`_bind_select_list`) are bound
         before a row is read."""
-        source = self._filtered_batches(statement, relation, context,
+        source = self._filtered_batches(statement.where, relation, context,
                                         batch_size)
         project, describe = self._bind_select_list(expanded, relation,
                                                    context, binding)
@@ -812,7 +819,7 @@ class Database:
                                  binding=None) -> Rowset:
         """GROUP BY / ORDER BY / DISTINCT path: bind every per-row
         expression, then consume the source and materialise."""
-        batches = self._filtered_batches(statement, relation, context,
+        batches = self._filtered_batches(statement.where, relation, context,
                                          batch_size)
         if grouped:
             output_columns, output_rows = self._execute_grouped(
@@ -1185,15 +1192,16 @@ class Database:
     # -- FROM sources -----------------------------------------------------------
 
     def plan_table_ref(self, ref: ast.TableRef,
-                       where: Optional[ast.Expr] = None):
+                       pushed: Optional[Dict[str, List[ast.Expr]]] = None):
         """Plan a FROM source; its ``run(batch_size)`` opens a
         :class:`SourceRelation`.
 
-        ``where`` is the enclosing SELECT's predicate (only
-        :meth:`plan_select` passes it): a base table may answer its
-        leftmost sargable conjunct with an index seek.  The full WHERE is
-        still re-applied by the filter stage, so a seek only narrows the
-        scan.
+        A base table here is scanned: the index seek a SELECT's WHERE may
+        drive is planned over its one base table, by :meth:`bind`.
+        ``pushed`` holds, by qualifier, the WHERE conjuncts a join's
+        base-table leaves run (:meth:`_pushdown`): each in a ``filter``
+        node over its leaf's scan, and the select does not apply them
+        again.
         """
         if self.external_source is not None:
             planned = self.external_source(ref)
@@ -1204,8 +1212,10 @@ class Database:
             if key in self.views:
                 return self._plan_view(ref, self.views[key])
             if key in self.tables:
-                return self._plan_base_table(ref, self.tables[key], None,
-                                             where)
+                node = self._plan_base_table(ref, self.tables[key], None, None)
+                conjuncts = pushed and pushed.get((ref.alias or key).upper())
+                return (self._plan_filter(node, ref, conjuncts) if conjuncts
+                        else node)
             raise BindError(f"no table, view, or model named {ref.name!r}")
         if isinstance(ref, ast.SubquerySource):
             node = self.plan_select(ref.select)
@@ -1213,7 +1223,7 @@ class Database:
             node.target = ref.alias
             return as_from_source(node, ref.alias)
         if isinstance(ref, ast.Join):
-            return self._plan_join(ref)
+            return self._plan_join(ref, pushed)
         raise BindError(
             f"FROM source {type(ref).__name__} requires the mining provider")
 
@@ -1288,9 +1298,62 @@ class Database:
         node.columns = [(qualifier, c.name) for _, c in columns]
         return node
 
-    def _plan_join(self, ref: ast.Join):
-        left = self.plan_table_ref(ref.left)
-        right = self.plan_table_ref(ref.right)
+    def _pushdown(self, statement: ast.SelectStatement):
+        """Split the WHERE of a SELECT over a join: ``(pushed, select)``.
+
+        ``pushed`` holds, by upper-cased qualifier, each conjunct one
+        base-table leaf decides alone (:func:`pushable_columns`, and every
+        column it reads is the leaf's) — a leaf on an INNER or CROSS side
+        or the preserved left side of a LEFT join, down nested joins, whose
+        qualifier no other leaf shares: by name, ``T2.c`` reads the first
+        of two ``T2`` leaves.  ``select`` is the statement with the AND of
+        the other conjuncts as its WHERE."""
+        leaves = list(_join_leaves(statement.from_clause, True))
+        names = [(getattr(leaf, "alias", None) or getattr(leaf, "name", "")
+                  or getattr(leaf, "rowset", "")
+                  or getattr(leaf, "model", "")).upper()
+                 for leaf, _ in leaves]
+        has_column = {name: self.tables[leaf.name.upper()].schema.has_column
+                      for (leaf, takes), name in zip(leaves, names)
+                      if takes and names.count(name) == 1
+                      and getattr(leaf, "name", "").upper() in self.tables}
+        pushed, rest = {}, []
+        for conjunct in ast.conjuncts(statement.where):
+            qualifier, columns = pushable_columns(conjunct) or (None, ())
+            if qualifier in has_column and \
+                    all(map(has_column[qualifier], columns)):
+                pushed.setdefault(qualifier, []).append(conjunct)
+            else:
+                rest.append(conjunct)
+        return pushed, replace(statement, where=_conjoin(rest))
+
+    def _plan_filter(self, child, ref: ast.NamedTable,
+                     conjuncts: List[ast.Expr]):
+        """The WHERE conjuncts pushed to one join leaf, run over its scan:
+        the join reads only the rows they hold True for."""
+        condition = _conjoin(conjuncts)
+
+        def open_filter(node, batch_size):
+            relation = child.run(batch_size)
+            return SourceRelation(relation.columns, batches=(
+                self._filtered_batches(condition, relation,
+                                       relation.context(), batch_size)))
+
+        def estimate(node):
+            node.est_rows = round(child.est_rows * (
+                stats_mod.estimate_selectivity(condition,
+                                               self._stats_resolver(ref))))
+            node.cost = (child.cost or 0.0) + float(child.est_rows)
+        node = obs_explain.PlanNode(
+            "filter", target=child.target, strategy="WHERE pushed below join",
+            detail=f"{len(conjuncts)} conjunct(s)", open=open_filter)
+        node.add(child)
+        node.columns, node.estimator = child.columns, estimate
+        return node
+
+    def _plan_join(self, ref: ast.Join, pushed=None):
+        left = self.plan_table_ref(ref.left, pushed)
+        right = self.plan_table_ref(ref.right, pushed)
         node = obs_explain.PlanNode("join", target=ref.kind.lower())
         node.add(left)
         node.add(right)
@@ -1434,28 +1497,31 @@ class Database:
                     if V.sql_equal(l[a], r[b]) is not True:
                         return False
                 return residual_ok(l + r)
+        # A key the hash does not hold yet is filled from the build rows
+        # at its ``positions_of``; a scan-built hash holds every build key,
+        # so it has none.
+        build, positions_of, build_rows = {}, {}.get, []
         if method.build_index is not None:
             # Each index bucket holds one key's positions in insertion
             # order — the rows, in the order a scan-built bucket holds
-            # them, under the join key of its first row.  One sequential
-            # read — the right side's scan — fills them all: a paged build
-            # side loads each page once, in page order.  A row appended
-            # after that read is invisible, as to a scan.
-            build_index = method.build_index
-            build_rows = right.rows
-            limit, take = len(build_rows), build_rows.__getitem__
-            buckets = [list(map(take, positions[:bisect_left(positions,
-                                                             limit)]))
-                       for positions in build_index.hash.values()]
-            buckets = [rows for rows in buckets if rows]
-            keys = V.join_keys([rows[0][first_right] for rows in buckets])
-            build = {key: rows for key, rows in zip(keys, buckets)
-                     if key is not None}
+            # them.  One sequential read — the right side's scan — takes
+            # the rows (a paged build side loads each page once, in page
+            # order), and the bucket map is taken with them (``rebuild``
+            # replaces it): a key's bucket is filled the first time a
+            # probe asks for it.  A row appended after that read is
+            # invisible, as to a scan.
+            build_index, build_rows = method.build_index, right.rows
+            positions_of = build_index.hash.get
+            if build_index.type_name == "BOOLEAN":
+                # Keyed ("b", value) there; the probe's key is the float.
+                positions_of = {1.0: positions_of(("b", True)),
+                                0.0: positions_of(("b", False))}.get
             build_index.join_probes += 1
             if self.metrics is not None:
                 self.metrics.counter("index.join_probes").inc()
         elif not method.build_left:
             build = _hash_buckets(right.rows, first_right)
+        limit, take = len(build_rows), build_rows.__getitem__
 
         def produce_left_build():
             # Cost-chosen swap: the (estimated-smaller) left side builds
@@ -1496,7 +1562,13 @@ class Database:
                 keys = V.join_keys([l[first_left] for l in batch])
                 for l, key in zip(batch, keys):
                     matched = False
-                    for r in build.get(key, ()):
+                    rows = build.get(key)
+                    if rows is None:  # filled once: a repeat is one lookup
+                        # (a NaN, unequal to itself, has no positions)
+                        positions = key == key and positions_of(key) or ()
+                        rows = build[key] = list(map(take, positions[
+                            :bisect_left(positions, limit)]))
+                    for r in rows:
                         if check is None or check(l, r):
                             out.append(l + r)
                             matched = True
@@ -1567,17 +1639,71 @@ class _GroupContext(EvalContext):
         return lambda group: group[1][slot]
 
 
+def _join_leaves(ref: ast.TableRef, takes: bool):
+    """``(leaf, takes)`` per FROM leaf of a join tree, left to right:
+    ``takes`` while no LEFT join above pads the leaf with NULLs."""
+    if isinstance(ref, ast.Join):
+        yield from _join_leaves(ref.left, takes)
+        yield from _join_leaves(ref.right, takes and ref.kind != "LEFT")
+    else:
+        yield ref, takes
+
+
 def _hash_buckets(rows: List[tuple], column: int,
                   positions: bool = False) -> Dict[Any, list]:
     """``rows`` — or, with ``positions``, their indexes — by the join key
     of ``column`` (:func:`values.join_keys`), each bucket in row order; a
-    NULL key joins nothing and is left out."""
+    NULL or NaN key joins nothing and is left out (a NaN key would find
+    another by object identity alone)."""
     buckets: Dict[Any, list] = {}
     keys = V.join_keys([row[column] for row in rows])
     for key, item in zip(keys, range(len(rows)) if positions else rows):
-        if key is not None:
+        if key is not None and key == key:
             buckets.setdefault(key, []).append(item)
     return buckets
+
+
+#: Expression nodes a WHERE conjunct run below a join may contain: a
+#: function call is not one (a prediction function reads the bound case,
+#: not the source row), nor is a subquery of either kind.
+PUSHABLE_NODES = (ast.BinaryOp, ast.UnaryOp, ast.IsNull, ast.InList,
+                  ast.Between, ast.Like, ast.Literal)
+
+
+def pushable_columns(conjunct: ast.Expr) \
+        -> Optional[Tuple[str, List[str]]]:
+    """``(qualifier, names)``, upper-cased, of a WHERE conjunct that one
+    join source decides alone: every column reference is ``qualifier.name``
+    and every other node a :data:`PUSHABLE_NODES` one.  None for any other
+    conjunct — one that reads no column, two qualifiers or an unqualified
+    name among them.  Judged from the AST alone, at plan time.  Dropping a
+    source row the conjunct does not hold True for is exact: the WHERE is
+    an AND over its conjuncts, and an AND with a False or NULL operand is
+    never True."""
+    refs = []
+
+    def row_local(expr):
+        if type(expr) is ast.ColumnRef:
+            refs.append([part.upper() for part in expr.parts])
+            return len(expr.parts) == 2
+        return isinstance(expr, PUSHABLE_NODES) and \
+            all(map(row_local, ast.children(expr)))
+    qualifiers = {parts[0] for parts in refs} if row_local(conjunct) else ()
+    return (qualifiers.pop(), [parts[1] for parts in refs]) \
+        if len(qualifiers) == 1 else None
+
+
+def _conjoin(conjuncts: List[ast.Expr]) -> Optional[ast.Expr]:
+    """The AND of ``conjuncts``, left to right (None for none)."""
+    return reduce(partial(ast.BinaryOp, "AND"), conjuncts or [None])
+
+
+def _select_detail(statement: ast.SelectStatement) -> Optional[str]:
+    """A select node's detail: whether it filters, and its TOP."""
+    details = ["filtered"] if statement.where is not None else []
+    if statement.top is not None:
+        details.append(f"top {statement.top}")
+    return ", ".join(details) or None
 
 
 def _row_key(row: tuple) -> tuple:

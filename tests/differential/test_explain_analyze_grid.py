@@ -10,7 +10,8 @@ statement of the characterisation golden on a one-worker and a four-worker
 pool: a node that ran reports its rows and time (and its batches, unless
 it returns a count), a node that did not run reports nothing, no node
 reports more time than its parent, and a join's scan leaves report the
-rows they read.
+rows they read — the whole table, also under the ``filter`` that runs a
+leaf's pushed WHERE conjuncts and keeps no more rows than it is handed.
 
 A second sweep pins plain ``EXPLAIN`` to the planner path: with span
 capture on, explaining every grid statement must open no span besides the
@@ -93,10 +94,18 @@ def test_analyze_root_actuals_match_direct_execution(grid_conn, statement):
 def test_analyzed_grid_tree_adds_up(grid_conn, statement):
     plan = _plan_rows(grid_conn, f"EXPLAIN ANALYZE {statement}")
     assert len(_assert_tree_adds_up(plan)) == len(plan)  # every node ran
+    by_id = {row["OP_ID"]: row for row in plan}
     joins = {row["OP_ID"] for row in plan if row["OPERATOR"] == "join"}
     top = getattr(parse_statement(statement), "top", None)
     for row in plan:
-        if row["PARENT_ID"] in joins and row["OPERATOR"] == "table scan":
+        parent = by_id.get(row["PARENT_ID"])
+        if parent is not None and parent["OPERATOR"] == "filter":
+            # A filter runs the WHERE conjuncts pushed to its scan: it
+            # keeps some of the rows the scan read.
+            assert parent["ACTUAL_ROWS"] <= row["ACTUAL_ROWS"]
+            parent = by_id.get(parent["PARENT_ID"])
+        if parent is not None and parent["OP_ID"] in joins \
+                and row["OPERATOR"] == "table scan":
             assert row["ACTUAL_BATCHES"] >= 1
             if top is None:
                 assert row["ACTUAL_ROWS"] == TABLE_ROWS[row["TARGET"]]

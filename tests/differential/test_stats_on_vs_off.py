@@ -13,7 +13,9 @@ full stop.
 The sweep covers the plain grid, an indexed pair (seek gating and
 index-built joins in play), a forced-spill paged pair (page-cost-aware
 decisions in play), the wire transport, and PREDICTION JOIN with a
-pushable source predicate (the pushdown path).
+pushable source predicate (the pushdown path).  A join grid runs on every
+pair: with statistics a WHERE conjunct that one join leaf decides runs
+below the join, without them the whole WHERE runs above it.
 """
 
 import pytest
@@ -34,6 +36,82 @@ INDEX_DDL = [
     "CREATE INDEX ix_cust_city ON Customers (city)",
     "CREATE INDEX ix_cust_age ON Customers (age)",
     "CREATE INDEX ix_orders_cid ON Orders (cid)",
+]
+
+# Join keys with NULLs and NaNs, a BOOLEAN index as a build side, and a
+# table joined to itself under one qualifier.
+JOIN_SETUP = [
+    "CREATE TABLE Keys (id LONG, k DOUBLE, flag BOOLEAN, note TEXT)",
+    "INSERT INTO Keys VALUES (1, 1.0, TRUE, 'a'), (2, NULL, FALSE, 'b'), "
+    "(3, 'NaN', TRUE, NULL), (4, 2.0, NULL, 'c'), (5, 1.0, FALSE, 'd'), "
+    "(6, 'NaN', FALSE, 'e'), (7, 2.0, TRUE, 'f')",
+    "CREATE TABLE Flags (flag BOOLEAN, label TEXT)",
+    "INSERT INTO Flags VALUES (TRUE, 'yes'), (FALSE, 'no'), "
+    "(NULL, 'unknown'), (TRUE, 'again')",
+    "CREATE INDEX ix_flags_flag ON Flags (flag)",
+    "CREATE INDEX ix_keys_k ON Keys (k)",
+    "CREATE TABLE T2 (k LONG, c TEXT, a LONG)",
+    "INSERT INTO T2 VALUES (1, 'p', 1), (2, 'q', 3), (3, NULL, 3), "
+    "(NULL, 's', 7), (7, 'p', 7), (5, 'r', 4), (9, 'x', 2)",
+]
+
+JOIN_ON = "FROM Customers AS c JOIN Orders AS o ON c.cid = o.cid "
+LEFT_ON = "FROM Customers AS c LEFT JOIN Orders AS o ON c.cid = o.cid "
+
+JOIN_STATEMENTS = [
+    # INNER: a conjunct on the left only, the right only, across both
+    # sides, unqualified, and with a subquery.
+    "SELECT c.name, o.product " + JOIN_ON + "WHERE c.age > 40",
+    "SELECT c.name, o.oid " + JOIN_ON + "WHERE o.qty >= 5 AND o.price < 60",
+    "SELECT c.cid, o.oid " + JOIN_ON +
+    "WHERE c.spend > o.price AND o.product <> 'TV'",
+    "SELECT c.cid, o.oid " + JOIN_ON + "WHERE qty > 3 AND c.city = 'Austin'",
+    "SELECT c.cid, o.oid " + JOIN_ON +
+    "WHERE c.cid IN (SELECT cid FROM Customers WHERE age < 40) "
+    "AND o.price > 20 AND c.name LIKE 'c0%'",
+    "SELECT c.city, COUNT(*) AS n " + JOIN_ON +
+    "WHERE o.product IN ('TV', 'Ham') GROUP BY c.city ORDER BY c.city",
+    "SELECT TOP 5 c.name, o.price " + JOIN_ON +
+    "WHERE c.age BETWEEN 20 AND 50 ORDER BY o.price DESC, o.oid",
+    # LEFT: the preserved side takes its conjuncts; the NULL-padded side's
+    # (``o.oid IS NULL`` among them) stay above the join.
+    "SELECT c.name, o.oid " + LEFT_ON + "WHERE c.city = 'Boston'",
+    "SELECT c.cid, c.name " + LEFT_ON + "WHERE o.oid IS NULL",
+    "SELECT c.cid, o.oid " + LEFT_ON + "WHERE o.qty > 2 AND c.age < 50",
+    "SELECT c.cid, o.oid " + LEFT_ON + "WHERE NOT (c.age < 30) "
+    "AND (o.qty IS NULL OR o.qty < 4)",
+    # CROSS, spelled out and as a comma list.
+    "SELECT c.cid, s.region FROM Customers AS c CROSS JOIN Stores AS s "
+    "WHERE s.region = 'West' AND c.age > 60",
+    "SELECT c.name, s.city FROM Customers AS c, Stores AS s "
+    "WHERE c.city = s.city AND s.region IS NOT NULL AND c.spend < 100",
+    # Three-way, and a LEFT join nested under an INNER one.
+    "SELECT c.name, o.product, s.region FROM Customers AS c "
+    "JOIN Orders AS o ON c.cid = o.cid JOIN Stores AS s ON c.city = s.city "
+    "WHERE s.region <> 'East' AND o.qty BETWEEN 2 AND 6 AND c.age > 25",
+    "SELECT c.cid, o.oid, s.region FROM Customers AS c "
+    "LEFT JOIN Orders AS o ON c.cid = o.cid "
+    "JOIN Stores AS s ON c.city = s.city "
+    "WHERE o.price > 10 AND s.region IS NOT NULL AND c.cid < 40",
+    # NULL and NaN join keys, and a BOOLEAN index as the build side.
+    "SELECT a.id, b.id FROM Keys AS a JOIN Keys AS b ON a.k = b.k "
+    "WHERE b.id > 1",
+    "SELECT a.id, b.note FROM Keys AS a LEFT JOIN Keys AS b ON a.k = b.k "
+    "WHERE a.note IS NOT NULL",
+    "SELECT k.id, f.label FROM Keys AS k JOIN Flags AS f ON k.flag = f.flag "
+    "WHERE k.id <> 4",
+    "SELECT k.id, f.label FROM Keys AS k JOIN Flags AS f ON k.id = f.flag "
+    "WHERE f.label <> 'no'",
+    "SELECT k.id, f.label FROM Keys AS k LEFT JOIN Flags AS f "
+    "ON k.flag = f.flag WHERE k.k IS NULL OR k.k > 1",
+    # ``c.region`` names no Customers column: by name it falls back to the
+    # bare ``region``, a Stores column, so it stays above the join.
+    "SELECT c.cid, s.region FROM Customers AS c JOIN Stores AS s "
+    "ON c.city = s.city WHERE c.region = 'West' AND c.age > 30",
+    # One qualifier, two leaves: by name ``T2.c`` reads the left one.
+    "SELECT * FROM T2 INNER JOIN T2 ON T2.k = T2.a WHERE T2.c = 'q'",
+    "SELECT l.k, r.c FROM T2 AS l JOIN T2 AS r ON l.k = r.a "
+    "WHERE r.c = 'p' AND l.c IS NOT NULL",
 ]
 
 MODEL_DDL = [
@@ -64,10 +142,16 @@ def _pair(maker):
     return on, off
 
 
+def _load_all(conn):
+    _load(conn)
+    for statement in JOIN_SETUP:
+        conn.execute(statement)
+
+
 def _memory(**kwargs):
     conn = repro.connect(batch_size=TINY_BATCH, caseset_cache_capacity=0,
                          **kwargs)
-    _load(conn)
+    _load_all(conn)
     return conn
 
 
@@ -101,7 +185,7 @@ def paged_pair(tmp_path_factory):
                              buffer_pages=FORCED_BUFFER_PAGES,
                              storage_page_bytes=TINY_PAGE_BYTES,
                              statistics=statistics)
-        _load(conn)
+        _load_all(conn)
         for ddl in INDEX_DDL:
             conn.execute(ddl)
         return conn
@@ -126,14 +210,14 @@ def prediction_pair():
 
 # -- the grid, byte for byte ---------------------------------------------------
 
-@pytest.mark.parametrize("statement", STATEMENTS)
+@pytest.mark.parametrize("statement", STATEMENTS + JOIN_STATEMENTS)
 def test_stats_on_matches_stats_off(plain_pair, statement):
     on, off = plain_pair
     assert rowset_dump(on.execute(statement)) == \
         rowset_dump(off.execute(statement))
 
 
-@pytest.mark.parametrize("statement", STATEMENTS)
+@pytest.mark.parametrize("statement", STATEMENTS + JOIN_STATEMENTS)
 def test_indexed_stats_on_matches_stats_off(indexed_pair, statement):
     """Cost-based seek gating and build-side choice may pick different
     access paths than the heuristics — never different rows."""
@@ -142,7 +226,7 @@ def test_indexed_stats_on_matches_stats_off(indexed_pair, statement):
         rowset_dump(off.execute(statement))
 
 
-@pytest.mark.parametrize("statement", STATEMENTS)
+@pytest.mark.parametrize("statement", STATEMENTS + JOIN_STATEMENTS)
 def test_paged_stats_on_matches_stats_off(paged_pair, statement):
     """Page-cost-aware planning under forced spill: a plan that weighs
     buffer residency must still reproduce the heuristic output exactly."""
@@ -175,7 +259,7 @@ def stats_wire(plain_pair):
     assert server.thread_errors == []
 
 
-@pytest.mark.parametrize("statement", STATEMENTS[::3])
+@pytest.mark.parametrize("statement", STATEMENTS[::3] + JOIN_STATEMENTS)
 def test_wire_over_stats_matches_stats_off(plain_pair, stats_wire,
                                            statement):
     _, off = plain_pair

@@ -4,8 +4,9 @@ One statement of each statement type (the control verbs TRACE, CANCEL
 and EXPLAIN have no plan): plain ``EXPLAIN`` describes it without
 touching data or catalog, and ``EXPLAIN ANALYZE``'s root counts what
 executing it returns.  A DML statement's ``ROWS_OUT`` is the count it
-returned — embedded and over the wire — and an ``INSERT … SELECT``
-prepares its SELECT once.
+returned — embedded and over the wire — its ``EST_ROWS`` is what a
+SELECT over its WHERE estimates, and an ``INSERT … SELECT`` prepares its
+SELECT once.
 """
 
 import pytest
@@ -153,6 +154,29 @@ def test_a_dml_statements_rows_out_is_the_count_it_returned(transport):
             "SELECT ROWS_OUT FROM $SYSTEM.DM_QUERY_LOG WHERE STATEMENT = '"
             + text.replace("'", "''") + "'").rows for text, _ in DML]
         assert logged == [[(count,)] for _, count in DML]
+    finally:
+        conn.close()
+
+
+@pytest.mark.parametrize("dml, where", [
+    ("DELETE FROM P WHERE age = 3", "age = 3"),
+    ("UPDATE P SET age = 1 WHERE id < 10", "id < 10"),
+])
+def test_a_dml_statements_estimate_is_its_wheres(dml, where):
+    """Not the table's size: the rows its WHERE is estimated to hold for,
+    as the SELECT over the same WHERE estimates them (a seek there)."""
+    conn = repro.connect()
+    try:
+        conn.execute("CREATE TABLE P (id LONG PRIMARY KEY, age LONG)")
+        conn.execute("INSERT INTO P VALUES " + ", ".join(
+            f"({i}, {i % 7})" for i in range(600)))
+        conn.execute("CREATE INDEX ix_p_id ON P (id)")
+        estimates = []
+        for text in (dml, f"SELECT * FROM P WHERE {where}"):
+            plan = conn.execute(f"EXPLAIN {text}")
+            names = [column.name for column in plan.columns]
+            estimates.append(dict(zip(names, plan.rows[0]))["EST_ROWS"])
+        assert estimates[0] == estimates[1] < 100
     finally:
         conn.close()
 
