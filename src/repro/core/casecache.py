@@ -50,7 +50,7 @@ class CasesetCache:
 
     def _count(self, name: str, amount: float = 1) -> None:
         if self._metrics is not None:
-            self._metrics.counter(f"caseset_cache.{name}").inc(amount)
+            self._metrics.fold({f"caseset_cache.{name}": amount})
 
     def _gauge_entries(self) -> None:
         if self._metrics is not None:

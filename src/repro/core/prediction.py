@@ -464,7 +464,7 @@ def plan_prediction(provider, statement: ast.SelectStatement):
                     else:
                         collected = None  # too large: stop accumulating a copy
                 yield batch
-            provider.metrics.histogram("prediction.join_fanout").observe(total)
+            provider.metrics.fold({}, {"prediction.join_fanout": total})
             if collected is not None:
                 cache.put(key, (columns, collected, total), total)
             elif key is not None:
@@ -502,8 +502,7 @@ def plan_prediction(provider, statement: ast.SelectStatement):
             else:
                 # A hit replays the bound batches; the stage never runs.
                 columns, cached, total = hit
-                provider.metrics.histogram(
-                    "prediction.join_fanout").observe(total)
+                provider.metrics.fold({}, {"prediction.join_fanout": total})
                 batches = iter(cached)
             names, exprs, order = outputs(columns)
             # Bound on either path, before a row is read or a pool task

@@ -197,22 +197,13 @@ class Provider:
                                              metrics=self.metrics)
         self.repository.enabled = bool(repository)
         self.tracer.on_statement = _weak_hook(self._observe_statement)
-        # The handles _observe_statement writes through (a registry reset
-        # zeroes metrics in place, so they stay the live ones): the fixed
-        # names now, a statement kind's pair and an ``activity.*`` counter
-        # when one first comes up.
-        metrics = self.metrics
-        self._statement_metrics = (
-            metrics.counter("statements.total"),
-            metrics.histogram("statements.latency_ms"))
-        self._resource_metrics = (
-            metrics.counter("resource.cpu_ms"),
-            metrics.counter("resource.pool_cpu_ms"),
-            metrics.counter("resource.lock_wait_ms"),
-            metrics.counter("resource.rows_processed"),
-            metrics.histogram("resource.statement_cpu_ms"))
-        self._kind_metrics: Dict[str, tuple] = {}
-        self._activity_counters: Dict[str, Any] = {}
+        # Listed at 0 from the start, before completion's fold writes them.
+        for name in ("statements.total", "resource.cpu_ms",
+                     "resource.pool_cpu_ms", "resource.lock_wait_ms",
+                     "resource.rows_processed"):
+            self.metrics.counter(name)
+        self.metrics.histogram("statements.latency_ms")
+        self.metrics.histogram("resource.statement_cpu_ms")
         self.slow_sink = None
         if telemetry_path is not None:
             from repro.obs.sink import SlowQuerySink
@@ -441,9 +432,9 @@ class Provider:
         if template.plan is not None:
             kept, prepared = template.plan
             if kept == version:
-                self.metrics.counter("sqlstore.plan_cache.hits").inc()
+                self.metrics.fold({"sqlstore.plan_cache.hits": 1})
                 return database.bind(prepared, statement), prepared
-            self.metrics.counter("sqlstore.plan_cache.misses").inc()
+            self.metrics.fold({"sqlstore.plan_cache.misses": 1})
         prepared = database.prepare(statement)
         if prepared.tables is not None and \
                 database.catalog_version == version:  # no DDL meanwhile
@@ -633,42 +624,32 @@ class Provider:
     def _observe_statement(self, record) -> None:
         """The tracer's completion callback, once per statement: fold the
         record into the repository, the metrics and the sink.  The span
-        tree is walked once, for both folds, and every metric is written
-        through a handle resolved once — at construction, or the first time
-        a statement kind or an ``activity.*`` name came up."""
+        tree's totals and the statement's CPU are read once, for both
+        folds; the metrics take theirs in one :meth:`MetricsRegistry.fold`
+        — one call, the registry's lock taken once, each name created the
+        first time it comes up (an ``activity.*`` counter at 0 too)."""
         totals = record.totals()
-        self.repository.observe(record, totals)
-        metrics = self.metrics
         kind = (record.kind or "UNKNOWN").lower()
-        by_kind = self._kind_metrics.get(kind)
-        if by_kind is None:
-            by_kind = self._kind_metrics[kind] = (
-                metrics.counter(f"statements.{kind}.count"),
-                metrics.histogram(f"statements.{kind}.latency_ms"))
-        for counter, latency in (self._statement_metrics, by_kind):
-            counter.inc()
-            latency.observe(record.duration_ms)
+        latency = record.duration_ms
+        counts = {"statements.total": 1, f"statements.{kind}.count": 1}
         if record.status == "error":
-            metrics.counter("statements.errors").inc()
+            counts["statements.errors"] = 1
         elif record.status == "cancelled":
-            metrics.counter("statements.cancelled").inc()
-        activity = self._activity_counters
+            counts["statements.cancelled"] = 1
         for name, amount in totals.items():
-            counter = activity.get(name)
-            if counter is None:
-                counter = activity[name] = metrics.counter(
-                    f"activity.{name}")
-            if amount:
-                counter.inc(amount)
+            counts[f"activity.{name}"] = amount
+        observations = {"statements.latency_ms": latency,
+                        f"statements.{kind}.latency_ms": latency}
+        cpu_ms = None
         if record.registry is not None:
-            cpu, pool_cpu, lock_wait, rows, statement_cpu = \
-                self._resource_metrics
             cpu_ms = record.total_cpu_ms()
-            cpu.inc(cpu_ms)
-            pool_cpu.inc(record.pool_cpu_ms)
-            lock_wait.inc(record.lock_wait_ms)
-            rows.inc(record.rows_processed)
-            statement_cpu.observe(cpu_ms)
+            counts["resource.cpu_ms"] = cpu_ms
+            counts["resource.pool_cpu_ms"] = record.pool_cpu_ms
+            counts["resource.lock_wait_ms"] = record.lock_wait_ms
+            counts["resource.rows_processed"] = record.rows_processed
+            observations["resource.statement_cpu_ms"] = cpu_ms
+        self.repository.observe(record, totals, cpu_ms)
+        self.metrics.fold(counts, observations)
         if self.slow_sink is not None:
             self.slow_sink.maybe_write(record)
 

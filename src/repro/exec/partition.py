@@ -180,9 +180,9 @@ def plan_train(provider, statement: ast.InsertModelStatement) -> PlanNode:
         with model.lock.write():
             trained = model.train(cases, consume)
         metrics = provider.metrics
-        metrics.counter("training.cases_total").inc(len(cases))
+        metrics.fold({"training.cases_total": len(cases)},
+                     {"training.cases_per_insert": len(cases)})
         metrics.gauge(f"model.{model.name}.case_count").set(model.case_count)
-        metrics.histogram("training.cases_per_insert").observe(len(cases))
         return trained
     node.open = run
     return node
@@ -278,4 +278,4 @@ def parallel_value_batches(provider, dop: int, constant, row_batches):
         total += bound
         values += [None] * (bound - len(values))
         yield values
-    provider.metrics.histogram("prediction.join_fanout").observe(total)
+    provider.metrics.fold({}, {"prediction.join_fanout": total})

@@ -139,7 +139,7 @@ class WorkerPool:
 
     def _counter(self, name: str, amount: float = 1) -> None:
         if self.metrics is not None:
-            self.metrics.counter(name).inc(amount)
+            self.metrics.fold({name: amount})
 
     def note_parallel_statement(self, kind: str) -> None:
         """One statement chose the parallel path (a prediction join)."""
@@ -232,9 +232,9 @@ class WorkerPool:
             result = future.result()
             elapsed_ms = (time.perf_counter() -
                           future._repro_started) * 1000.0
-            self._counter("pool.tasks_completed")
             if self.metrics is not None:
-                self.metrics.histogram("pool.task_ms").observe(elapsed_ms)
+                self.metrics.fold({"pool.tasks_completed": 1},
+                                  {"pool.task_ms": elapsed_ms})
             if stmt is not None:
                 cpu_seconds, result = result
                 stmt.pool_tasks_in_flight -= 1

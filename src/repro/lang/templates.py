@@ -277,4 +277,4 @@ class TemplateCache:
         if region is not None:
             region.attributes["template"] = outcome
         if self.metrics is not None:
-            self.metrics.counter(_COUNTERS[outcome]).inc()
+            self.metrics.fold({_COUNTERS[outcome]: 1})

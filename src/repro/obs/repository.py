@@ -457,10 +457,12 @@ class WorkloadRepository:
 
     # -- retirement (tracer callback, statement thread) ------------------------
 
-    def observe(self, record, totals: Optional[Dict[str, float]] = None) \
-            -> None:
-        """Fold one finished statement record into the aggregates.
-        ``totals`` is ``record.totals()`` when the caller already has it."""
+    def observe(self, record, totals: Dict[str, float],
+                cpu_ms: Optional[float]) -> None:
+        """Fold one finished statement record into the aggregates:
+        ``totals`` is its ``record.totals()`` and ``cpu_ms`` its
+        ``record.total_cpu_ms()`` (None when the workload registry did not
+        account for it), read once by the caller for every fold."""
         if not self.enabled:
             return
         fingerprint = record.fingerprint
@@ -490,13 +492,11 @@ class WorkloadRepository:
                 entry.max_ms = (duration if entry.max_ms is None
                                 else max(entry.max_ms, duration))
                 entry.sketch.observe(duration)
-            if totals is None:
-                totals = record.totals()
             rows_out = totals.get("rows_out")
             entry.rows_returned += int(rows_out or 0)
             entry.buffer_reads += int(totals.get("buffer_reads", 0) or 0)
             if record.registry is not None:
-                entry.cpu_ms += record.total_cpu_ms()
+                entry.cpu_ms += cpu_ms
                 entry.cache_hits += record.cache_hits
                 entry.cache_misses += record.cache_misses
                 entry.pool_tasks += record.pool_tasks

@@ -47,7 +47,7 @@ from operator import attrgetter
 from typing import Any, Dict, List, Optional
 
 from repro.errors import CancelledError, Error
-from repro.obs.trace import StatementRecord, active_record
+from repro.obs.trace import StatementRecord, _local
 from repro.sqlstore.types import BOOLEAN, DOUBLE, LONG, TEXT
 
 #: ``.session`` is the network session bound to this thread — a fact about
@@ -190,9 +190,8 @@ class WorkloadRegistry:
                 entry.max_wait_ms = wait_ms
             entry.last_wait_at = time.time()
         if self.metrics is not None:
-            self.metrics.counter("lock.waits").inc()
-            self.metrics.counter(f"lock.waits.{mode}").inc()
-            self.metrics.counter("lock.wait_ms").inc(wait_ms)
+            self.metrics.fold({"lock.waits": 1, f"lock.waits.{mode}": 1,
+                               "lock.wait_ms": wait_ms})
 
 
 # ---------------------------------------------------------------------------
@@ -297,8 +296,10 @@ def session_id() -> Optional[int]:
 
 
 def current() -> Optional[StatementRecord]:
-    """This thread's active record if the registry accounts for it."""
-    record = active_record()
+    """This thread's active record if the registry accounts for it (read
+    straight off the trace module's thread slot: every checkpoint, phase
+    change and lock wait comes through here)."""
+    record = getattr(_local, "record", None)
     if record is not None and record.registry is not None:
         return record
     return None

@@ -1268,7 +1268,7 @@ class Database:
                 if self.metrics is not None:
                     name = ("index.range_seeks" if choice.access == "range"
                             else "index.seeks")
-                    self.metrics.counter(name).inc()
+                    self.metrics.fold({name: 1})
                 obs_trace.add("index_seeks", 1)
                 return SourceRelation(columns, batches=store.iter_positions(
                     choice.positions, batch_size))
@@ -1518,7 +1518,7 @@ class Database:
                                 0.0: positions_of(("b", False))}.get
             build_index.join_probes += 1
             if self.metrics is not None:
-                self.metrics.counter("index.join_probes").inc()
+                self.metrics.fold({"index.join_probes": 1})
         elif not method.build_left:
             build = _hash_buckets(right.rows, first_right)
         limit, take = len(build_rows), build_rows.__getitem__

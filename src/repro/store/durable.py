@@ -100,7 +100,7 @@ class DurableStore:
 
     def _count(self, name: str, amount: int = 1) -> None:
         if self.metrics is not None and amount:
-            self.metrics.counter(f"store.{name}").inc(amount)
+            self.metrics.fold({f"store.{name}": amount})
 
     # -- recovery ----------------------------------------------------------
 

@@ -67,21 +67,38 @@ class TestConcurrentRing:
             assert all(record.status == "ok" for record in snapshot)
 
     def test_statement_ids_are_unique_across_threads(self, loaded):
+        """Ids stay unique, and completion's one fold under the registry's
+        one lock loses no update: every statement counts exactly once."""
         loaded.provider.tracer.resize_ring(
             THREADS * STATEMENTS_PER_THREAD + 10)
+        metrics = loaded.provider.metrics
+
+        def counts():
+            return (metrics.value("statements.total"),
+                    metrics.value("statements.select.count"),
+                    metrics.histogram("statements.latency_ms").count)
+        before = counts()
         errors: list = []
         workers = [threading.Thread(target=_hammer, args=(loaded, errors))
                    for _ in range(THREADS)]
-        for worker in workers:
-            worker.start()
-        for worker in workers:
-            worker.join()
+        switching = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave completions finely
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(60.0)
+        finally:
+            sys.setswitchinterval(switching)
+        assert not any(worker.is_alive() for worker in workers)
         assert not errors
         records = [r for r in loaded.provider.tracer.statements()
                    if "FROM T" in r.text]
         assert len(records) == THREADS * STATEMENTS_PER_THREAD
         ids = [record.statement_id for record in records]
         assert len(set(ids)) == len(ids)
+        deltas = [after - start for start, after in zip(before, counts())]
+        assert deltas == [THREADS * STATEMENTS_PER_THREAD] * 3
 
     def test_log_lists_every_statement_once_while_others_complete(
             self, loaded):

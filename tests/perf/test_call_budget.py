@@ -9,14 +9,18 @@ benchmark's own point SELECTs and 100 of its singleton predictions
 after five warm-ups, and per case over the life cycle's TRAIN and cold
 and warm ``NATURAL PREDICTION JOIN`` of 2,000 customers, once per
 service.  The ceilings sit about 5 % above what the statements cost when
-they were set (192 and 322 for the short statements — the point SELECT
-cost 241 while every one planned its shape again, and cost it 253 as a
-ceiling; since a template keeps its shape's prepared plan it only binds
-what reads a literal, and from the second statement on neither plans its
-FROM source nor expands its select list; per case 8.2 and
-4.7 for the tree and naive Bayes TRAIN, 2.59 and 1.51 for their cold joins
-and 0.45 and 0.33 for the warm re-score of the cached caseset, on CPython
-3.11; 3.12 inlines comprehensions and counts fewer).  The benchmark's five
+they were set (169 and 307 for the short statements, 55 of the point
+SELECT's in ``repro/obs/``, since completion folds a statement's metrics
+in one call under the registry's one lock — 188, 323 and 74 while it
+wrote each metric through a handle of its own lock, and the path looked
+three counters up by name; the point SELECT cost 241 while every one
+planned its shape again, and 192 once a template kept its shape's
+prepared plan, so that it only binds what reads a literal and from the
+second statement on neither plans its FROM source nor expands its select
+list; per case 8.2 and 4.7 for the tree and naive Bayes TRAIN, 2.59 and
+1.51 for their cold joins and 0.45 and 0.33 for the warm re-score of the
+cached caseset, on CPython 3.11; 3.12 inlines comprehensions and counts
+fewer).  The benchmark's five
 scan shapes over 5,000 customers, under its two indexes, are held per
 scanned row — the rows of every table a shape reads — at 1.54; a scan
 that decides a comparison's semantics per row instead of per operator
@@ -36,12 +40,14 @@ Training reads columns up to the fit, so neither a refit nor an absorb
 of the life cycle's models builds a case's dicts (``CaseBatch.fill``).
 """
 
+import os
 import sys
 from contextlib import contextmanager
 
 import pytest
 
 import repro
+import repro.obs
 from repro.core.bindings import CaseBatch
 from repro.datagen import WarehouseConfig, load_warehouse
 from repro.sqlstore.engine import Database
@@ -53,8 +59,11 @@ from tests.sqlstore.test_ordered_input_differential import (
 CUSTOMERS = 400
 WARM_UPS, MEASURED = 5, 100
 
-POINT_SELECT_CEILING = 202
-SINGLETON_PREDICTION_CEILING = 338
+POINT_SELECT_CEILING = 177
+SINGLETON_PREDICTION_CEILING = 322
+#: Of the point SELECT's call events, those whose code is under repro/obs/.
+POINT_SELECT_OBS_CEILING = 58
+OBS_SOURCES = os.path.dirname(repro.obs.__file__) + os.sep
 
 LIFECYCLE_CUSTOMERS = 2000
 #: Call events per case of the first TRAIN, by service tag.
@@ -76,12 +85,15 @@ SINGLE_INSERT_CEILING = 99
 
 @contextmanager
 def _call_events():
-    """``[n]``: the call events while the block runs."""
-    counted = [0]
+    """``[n, m]``: the call events while the block runs, and the ``m`` of
+    them whose code lives under ``repro/obs/``."""
+    counted = [0, 0]
 
     def count(frame, event, arg):
         if event == "call":
             counted[0] += 1
+            if frame.f_code.co_filename.startswith(OBS_SOURCES):
+                counted[1] += 1
     previous = sys.getprofile()
     sys.setprofile(count)
     try:
@@ -117,23 +129,14 @@ def _texts(rounds, kind):
     raise AssertionError(f"the generator gave {len(texts)} {kind} texts")
 
 
-def _calls_per_statement(conn, texts) -> float:
+def _calls_per_statement(conn, texts):
+    """Call events per statement after the warm-ups: ``(all, repro/obs)``."""
     for text in texts[:WARM_UPS]:
         conn.execute(text)
-    calls = 0
-
-    def count(frame, event, arg):
-        nonlocal calls
-        if event == "call":
-            calls += 1
-    previous = sys.getprofile()
-    sys.setprofile(count)
-    try:
+    with _call_events() as calls:
         for text in texts[WARM_UPS:]:
             conn.execute(text)
-    finally:
-        sys.setprofile(previous)
-    return calls / MEASURED
+    return calls[0] / MEASURED, calls[1] / MEASURED
 
 
 def test_short_statements_stay_inside_their_call_budget():
@@ -152,11 +155,12 @@ def test_short_statements_stay_inside_their_call_budget():
         assert "WHERE [Customer ID] = " in seeks[0]
         assert "NATURAL PREDICTION JOIN (SELECT '" in predictions[0]
 
-        point = _calls_per_statement(conn, seeks)
-        singleton = _calls_per_statement(conn, predictions)
+        point, point_obs = _calls_per_statement(conn, seeks)
+        singleton, _ = _calls_per_statement(conn, predictions)
     finally:
         conn.close()
     assert point <= POINT_SELECT_CEILING, point
+    assert point_obs <= POINT_SELECT_OBS_CEILING, point_obs
     assert singleton <= SINGLETON_PREDICTION_CEILING, singleton
 
 
@@ -276,8 +280,8 @@ def test_the_inserts_stay_inside_their_call_budgets():
             7, 0, CUSTOMERS, per_round=100).round, "insert")
         assert inserts[0].startswith("INSERT INTO Sales VALUES")
         assert singles[0].startswith("INSERT INTO Sink VALUES")
-        per_row = _calls_per_statement(conn, inserts) / 100
-        single = _calls_per_statement(conn, singles)
+        per_row = _calls_per_statement(conn, inserts)[0] / 100
+        single, _ = _calls_per_statement(conn, singles)
     finally:
         conn.close()
     assert per_row <= INSERT_ROW_CEILING, per_row
