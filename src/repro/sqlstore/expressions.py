@@ -91,6 +91,11 @@ class EvalContext:
         key = self.normalize(parts)
         if key in self.columns:
             return self.columns[key]
+        # A qualifier some column carries names that source: ``a.y`` it
+        # lacks is no column, not another source's bare ``y``.
+        if len(key) == 2 and any(known[0] == key[0] for known in self.columns
+                                 if len(known) == 2):
+            return None
         # Drop leading qualifiers one at a time: t.Age -> Age.
         while len(key) > 1:
             key = key[1:]

@@ -12,6 +12,7 @@ from repro.datagen import WarehouseConfig, load_warehouse
 # test_compiled_vs_interpreted.py, test_prediction_kernel.py,
 # test_schema_from_columns.py, test_scoring_tables.py,
 # test_snapshot_fragments.py, test_training_from_counts.py,
+# test_prediction_tail.py,
 # tests/lang/test_lexer_differential.py,
 # test_template_differential.py, tests/sqlstore/
 # test_page_codec_differential.py, test_paged_positions.py,

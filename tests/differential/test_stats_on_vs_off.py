@@ -21,6 +21,7 @@ below the join, without them the whole WHERE runs above it.
 import pytest
 
 import repro
+from repro.errors import BindError
 from repro.server.protocol import rowset_dump
 
 from tests.differential.test_stream_vs_materialize import (
@@ -104,15 +105,18 @@ JOIN_STATEMENTS = [
     "WHERE f.label <> 'no'",
     "SELECT k.id, f.label FROM Keys AS k LEFT JOIN Flags AS f "
     "ON k.flag = f.flag WHERE k.k IS NULL OR k.k > 1",
-    # ``c.region`` names no Customers column: by name it falls back to the
-    # bare ``region``, a Stores column, so it stays above the join.
-    "SELECT c.cid, s.region FROM Customers AS c JOIN Stores AS s "
-    "ON c.city = s.city WHERE c.region = 'West' AND c.age > 30",
     # One qualifier, two leaves: by name ``T2.c`` reads the left one.
     "SELECT * FROM T2 INNER JOIN T2 ON T2.k = T2.a WHERE T2.c = 'q'",
     "SELECT l.k, r.c FROM T2 AS l JOIN T2 AS r ON l.k = r.a "
     "WHERE r.c = 'p' AND l.c IS NOT NULL",
 ]
+
+# ``c.region`` names no Customers column.  A qualified name never falls
+# back to another source's bare column (here Stores' ``region``), so the
+# conjunct is the same BindError pushed below the join and above it.
+UNKNOWN_QUALIFIED = (
+    "SELECT c.cid, s.region FROM Customers AS c JOIN Stores AS s "
+    "ON c.city = s.city WHERE c.region = 'West' AND c.age > 30")
 
 MODEL_DDL = [
     "CREATE MINING MODEL SpendModel (cid LONG KEY, city TEXT DISCRETE, "
@@ -265,6 +269,23 @@ def test_wire_over_stats_matches_stats_off(plain_pair, stats_wire,
     _, off = plain_pair
     assert rowset_dump(stats_wire.execute(statement)) == \
         rowset_dump(off.execute(statement))
+
+
+@pytest.mark.parametrize("pair", ["plain_pair", "indexed_pair",
+                                  "paged_pair", "stats_wire"])
+def test_a_column_its_qualifier_lacks_is_one_bind_error(request, pair):
+    if pair == "stats_wire":
+        on, off = request.getfixturevalue(pair), \
+            request.getfixturevalue("plain_pair")[1]
+    else:
+        on, off = request.getfixturevalue(pair)
+    messages = []
+    for conn in (on, off):
+        with pytest.raises(BindError) as caught:
+            conn.execute(UNKNOWN_QUALIFIED)
+        messages.append(str(caught.value))
+    assert messages[0] == messages[1]
+    assert "'c.region'" in messages[0]
 
 
 # -- PREDICTION JOIN pushdown --------------------------------------------------

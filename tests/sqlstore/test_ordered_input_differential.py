@@ -1,26 +1,26 @@
-"""Differential harness: ``Database._order_rows`` with its ordered-input
-check against the decorated sort alone.
+"""Differential harness: ``engine.order_rows`` — the ORDER BY every
+SELECT's result tail runs, relational and PREDICTION JOIN alike — with its
+ordered-input check against the decorated sort alone.
 
-``_order_rows`` returns its input untouched when the raw ORDER BY values
+``order_rows`` returns its input untouched when the raw ORDER BY values
 already stand in the requested order; the claim is that this is *exactly*
 what the stable multi-key sort over ``sort_key`` tuples would have
 returned.  The oracle here is that sort with no check in front of it (the
-body ``_order_rows`` had before the check existed); inputs are drawn as
+body the ORDER BY had before the check existed); inputs are drawn as
 generated, pre-sorted by the oracle (so the skip is really taken — ties,
 every direction mix) and pre-sorted then reversed (so the sort body runs).
 
 Fixed cases pin where the check fires: the SHAPE sources of the benchmark's
 life-cycle statements take the skip, ``scan_top`` leaves it at the first
-pair out of order, and grouped ORDER BY / ``TOP n`` go through the same
-function.  The hypothesis budget comes from the profile (25 in tier-1,
-2,000 under ``--hypothesis-profile=deep``).
+pair out of order, and grouped ORDER BY / ``TOP n`` and a PREDICTION
+JOIN's ORDER BY go through the same function.  The hypothesis budget
+comes from the profile (25 in tier-1, 2,000 under
+``--hypothesis-profile=deep``).
 """
 
 import datetime
 import importlib.util
 import pathlib
-from operator import itemgetter
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,7 +28,7 @@ from hypothesis import given, settings, strategies as st
 import repro
 from repro.datagen import WarehouseConfig, load_warehouse
 from repro.sqlstore import engine
-from repro.sqlstore.engine import Database, _multi_key_sort
+from repro.sqlstore.engine import _multi_key_sort
 from repro.sqlstore.values import sort_key
 
 STATEMENTS = pathlib.Path(__file__).resolve().parents[2] / \
@@ -42,11 +42,7 @@ def sort_alone(rows, width, directions):
 
 
 def order_rows(rows, width, directions):
-    statement = SimpleNamespace(order_by=[
-        SimpleNamespace(ascending=ascending) for ascending in directions])
-    order_keys = [(position % 2 == 0, itemgetter(position))
-                  for position in range(width)]
-    return Database._order_rows(statement, order_keys, rows, rows)
+    return engine.order_rows(rows, list(range(width)), directions)
 
 
 # -- generated key columns -------------------------------------------------------------
@@ -208,3 +204,19 @@ def test_grouped_order_by_and_top_go_through_the_check(conn, verdicts):
         [(1, 10), (1, 20), (2, 5)]
     # Groups come out in first-seen order: by g ascending already.
     assert verdicts == [True, False, False, False, True]
+
+
+def test_a_prediction_joins_order_by_goes_through_the_check(conn, verdicts):
+    conn.execute("CREATE TABLE T (Id LONG, G TEXT, L TEXT)")
+    conn.execute("INSERT INTO T VALUES (1, 'a', 'x'), (2, 'b', 'y'), "
+                 "(3, 'a', 'x'), (4, 'b', 'y')")
+    conn.execute("CREATE MINING MODEL M (Id LONG KEY, G TEXT DISCRETE, "
+                 "L TEXT DISCRETE PREDICT) USING Repro_Naive_Bayes")
+    conn.execute("INSERT INTO M SELECT Id, G, L FROM T")
+    join = ("SELECT t.Id, M.L FROM M NATURAL PREDICTION JOIN "
+            "(SELECT Id, G FROM T) AS t ORDER BY ")
+    assert conn.execute(join + "t.Id").rows == \
+        [(1, "x"), (2, "y"), (3, "x"), (4, "y")]
+    assert conn.execute(join + "L DESC, t.Id").rows == \
+        [(2, "y"), (4, "y"), (1, "x"), (3, "x")]
+    assert verdicts == [True, False]
