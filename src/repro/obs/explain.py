@@ -35,6 +35,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.errors import Error
 from repro.lang import ast_nodes as ast
 from repro.obs import trace as obs_trace
+from repro.obs import workload as obs_workload
 from repro.sqlstore.rowset import Rowset, RowsetColumn
 from repro.sqlstore.types import DOUBLE, LONG, TEXT
 
@@ -270,9 +271,12 @@ def whole(operator: str, target: Optional[str], strategy: str, run,
           statement: ast.Statement, detail: Optional[str] = None,
           est_rows: Optional[int] = 0) -> PlanNode:
     """The node of a statement one call runs whole: ``run(statement)``,
-    which returns its count."""
+    which returns its count.  The statement leaves ``parse`` as it runs."""
+    def open_whole(*_):
+        obs_workload.set_phase("scan", leaving="parse")
+        return run(statement)
     return PlanNode(operator, target, strategy, est_rows, detail,
-                    open=lambda *_: run(statement))
+                    open=open_whole)
 
 
 def copy_child_rows(node: PlanNode) -> None:

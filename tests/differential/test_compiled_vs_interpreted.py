@@ -603,7 +603,7 @@ def post_aggregate_trees(draw):
     leaves = st.one_of(
         st.sampled_from(pool), st.sampled_from(pool),
         st.builds(ast.Literal, GROUP_VALUES),
-        st.sampled_from([ast.ColumnRef(("g",)), ast.ColumnRef(("T", "c"))]),
+        st.sampled_from([ast.ColumnRef(("g",)), ast.ColumnRef(("E", "c"))]),
         st.builds(ast.SubSelect, st.sampled_from(SUBQUERIES)))
     trees = _extend(st.recursive(leaves, _extend, max_leaves=5)).filter(
         contains_aggregate)

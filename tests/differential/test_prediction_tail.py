@@ -104,3 +104,22 @@ def test_fixed_tails(joined, items, distinct, top, keys):
     assert rowset_dump(result) == rowset_dump(joined.execute(plain))
     if top is not None:
         assert len(result) <= top
+
+
+def test_hidden_keys_run_over_the_rows_distinct_keeps(joined):
+    """DISTINCT comes before a hidden ORDER BY key: only a duplicate
+    ``Gender`` row has ``b = -1``, so ``SQRT(t.b)`` never meets it — as in
+    the plain SELECT, where the key is evaluated over the kept rows."""
+    joined.execute("CREATE TABLE K (Id LONG, Gender TEXT, b DOUBLE)")
+    try:
+        joined.execute("INSERT INTO K VALUES (1, 'Male', 4.0), "
+                       "(2, 'Female', 1.0), (3, 'Male', -1.0)")
+        prediction = ("SELECT DISTINCT t.Gender FROM [AgeM] NATURAL "
+                      "PREDICTION JOIN (SELECT Id, Gender, b FROM K) AS t "
+                      "ORDER BY SQRT(t.b)")
+        plain = "SELECT DISTINCT Gender FROM K ORDER BY SQRT(b)"
+        result = joined.execute(prediction)
+        assert rowset_dump(result) == rowset_dump(joined.execute(plain))
+        assert result.rows == [("Female",), ("Male",)]
+    finally:
+        joined.execute("DROP TABLE K")

@@ -189,12 +189,11 @@ def _apply(table, op, argument):
         return 1
     if op == "insert_many":
         return table.insert_many(argument) or None
-    if op == "delete":
-        return "rewritten" if table.delete_where(PICK[argument]) else None
-    if op == "update":
-        changed = table.update_where(
-            PICK[argument],
-            lambda row: (row[0], "u", row[2], row[3]))
+    if op in ("delete", "update"):
+        positions = [i for i, r in enumerate(table.rows) if PICK[argument](r)]
+        changed = (table.delete_at(positions) if op == "delete" else
+                   table.update_at(positions,
+                                   lambda row: (row[0], "u", row[2], row[3])))
         return "rewritten" if changed else None
     table.truncate()
     return "rewritten"

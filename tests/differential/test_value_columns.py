@@ -35,6 +35,7 @@ which no statement encodes — by ``predict_values`` against per-case
 
 import multiprocessing
 import re
+from operator import itemgetter
 
 import pytest
 
@@ -233,19 +234,26 @@ def outcome(execute, text):
         return ("raised", type(exc).__name__, str(exc))
 
 
-def _oracle_compile(model, context, where, exprs):
+def _oracle_compile(model, context, where, exprs, keys=()):
     """``compile_cases`` with the per-case interpreter as its kernel (the
     real binding still raises the statement's bind errors and types an
-    empty result's source columns)."""
-    plain = compile_cases(model, context, where, exprs).plain
+    empty result's source columns).  The interpreter evaluates the hidden
+    ORDER BY ``keys`` per case too; each case's entry is then the tuple of
+    its key values, which ``kernel.keys`` read back."""
+    plain = compile_cases(model, context, where, exprs, keys).plain
 
     def kernel(cases):
         rows = cases.source
         if isinstance(rows, ShapedBatch):
             rows = rows.rows()
-        return oracle.evaluate_cases(model, context, where, exprs,
+        rows = oracle.evaluate_cases(model, context, where,
+                                     list(exprs) + list(keys),
                                      zip(rows, cases))
+        width = len(exprs)
+        return [(row[:width], row[width:]) for row in rows] if keys \
+            else rows
     kernel.plain = plain
+    kernel.keys = [itemgetter(at) for at in range(len(keys))]
     return kernel
 
 

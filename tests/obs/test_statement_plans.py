@@ -181,6 +181,43 @@ def test_a_dml_statements_estimate_is_its_wheres(dml, where):
         conn.close()
 
 
+@pytest.mark.parametrize("dml, access, read", [
+    ("DELETE FROM P WHERE id = 500", "index seek", 1),
+    ("UPDATE P SET age = 0 WHERE id BETWEEN 10 AND 14", "index seek", 5),
+    ("DELETE FROM P WHERE age = 3", "table scan", 600),
+    ("UPDATE P SET age = 1", "table scan", 600),
+])
+def test_a_dml_statement_runs_its_wheres_access_path(dml, access, read):
+    """A DELETE's or UPDATE's one child is the index seek or table scan a
+    SELECT over its WHERE gets; that child's ACTUAL_ROWS and the
+    statement's ROWS_SCANNED are the rows it read, and the statement ends
+    in the ``scan`` phase."""
+    connections = []
+    for _ in range(2):
+        conn = repro.connect()
+        conn.execute("CREATE TABLE P (id LONG PRIMARY KEY, age LONG)")
+        conn.execute("INSERT INTO P VALUES " + ", ".join(
+            f"({i}, {i % 7})" for i in range(600)))
+        conn.execute("CREATE INDEX ix_p_id ON P (id)")
+        connections.append(conn)
+    analyzed, plain = connections
+    try:
+        plan = analyzed.execute(f"EXPLAIN ANALYZE {dml}")
+        names = [column.name for column in plan.columns]
+        nodes = [dict(zip(names, row)) for row in plan.rows]
+        assert [node["OPERATOR"] for node in nodes] == \
+            [dml.split()[0].lower(), access]
+        assert nodes[1]["ACTUAL_ROWS"] == read
+        count = plain.execute(dml)
+        assert nodes[0]["ACTUAL_ROWS"] == count
+        assert plain.execute(
+            "SELECT ROWS_OUT, ROWS_SCANNED, PHASE FROM $SYSTEM.DM_QUERY_LOG "
+            f"WHERE STATEMENT = '{dml}'").rows == [(count, read, "scan")]
+    finally:
+        for conn in connections:
+            conn.close()
+
+
 def test_an_insert_select_prepares_its_select_once(monkeypatch):
     conn = _loaded()
     prepared = []

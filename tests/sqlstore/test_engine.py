@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro
 from repro.errors import BindError, CatalogError, Error, SchemaError
 from repro.sqlstore import Database
 
@@ -116,6 +117,29 @@ class TestJoins:
             database.execute(join + "a.y = 7")
         assert database.execute(join + "b.y = 7").rows == [(1,)]
         assert database.execute(join + "y = 9").rows == [(2,)]
+
+    @pytest.mark.parametrize("statistics", [True, False])
+    @pytest.mark.parametrize("store", ["memory", "paged"])
+    def test_a_qualifier_that_names_no_source_is_a_bind_error(
+            self, tmp_path, statistics, store):
+        """``b.x`` where no source is called ``b`` once read the bare
+        ``x``: a DELETE removed the rows it held 7 for, an UPDATE changed
+        them.  Each is a BindError and changes nothing."""
+        paged = {"storage_path": str(tmp_path)} if store == "paged" else {}
+        conn = repro.connect(statistics=statistics, **paged)
+        conn.execute("CREATE TABLE A (id LONG, x LONG)")
+        conn.execute("INSERT INTO A VALUES (1, 7), (2, 7), (3, 8)")
+        for statement in ("SELECT a.id FROM A AS a WHERE b.x = 7",
+                          "SELECT b.x FROM A",
+                          "DELETE FROM A WHERE b.x = 7",
+                          "UPDATE A SET x = 0 WHERE zz.x = 8",
+                          "UPDATE A SET x = zz.x"):
+            with pytest.raises(BindError, match="cannot resolve column"):
+                conn.execute(statement)
+        assert sorted(conn.execute("SELECT * FROM A").rows) == \
+            [(1, 7), (2, 7), (3, 8)]
+        assert conn.execute("DELETE FROM A WHERE A.x = 7") == 2
+        conn.close()
 
     def test_inner_join(self, db):
         rowset = db.execute(

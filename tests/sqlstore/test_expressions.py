@@ -190,8 +190,10 @@ class TestColumns:
         with pytest.raises(BindError, match="cannot resolve column 'Salary'"):
             eval_expr("Salary", ["Age"], (1.0,))
 
-    def test_wrong_qualifier_falls_back_to_bare(self, eval_expr):
-        assert eval_expr("x.Age", ["Age"], (35.0,), qualifier="c") == 35.0
+    def test_a_qualifier_no_column_carries_is_a_bind_error(self, eval_expr):
+        for qualifier in ("c", None):
+            with pytest.raises(BindError, match="cannot resolve column"):
+                eval_expr("x.Age", ["Age"], (35.0,), qualifier=qualifier)
 
 
 class TestBindTime:

@@ -17,6 +17,12 @@ def customer_schema():
     ])
 
 
+def _positions(table, predicate):
+    """The positions of the rows ``predicate`` holds for, as a DELETE's or
+    UPDATE's access path hands them to the table."""
+    return [i for i, r in enumerate(table.rows) if predicate(r)]
+
+
 class TestSchema:
     def test_case_insensitive_lookup(self):
         schema = customer_schema()
@@ -67,19 +73,19 @@ class TestTable:
         assert table.lookup_pk(7) == (7, "Female", 40.0)
         assert table.lookup_pk(8) is None
 
-    def test_delete_where_rebuilds_pk(self):
+    def test_delete_at_rebuilds_pk(self):
         table = Table(customer_schema())
         table.insert_many([(1, "Male", 35.0), (2, "Female", 28.0)])
-        removed = table.delete_where(lambda row: row[0] == 1)
+        removed = table.delete_at(_positions(table, lambda row: row[0] == 1))
         assert removed == 1
         table.insert((1, "Male", 35.0))  # pk slot freed
         assert len(table) == 2
 
-    def test_update_where(self):
+    def test_update_at(self):
         table = Table(customer_schema())
         table.insert_many([(1, "Male", 35.0), (2, "Female", 28.0)])
-        changed = table.update_where(
-            lambda row: row[1] == "Male",
+        changed = table.update_at(
+            _positions(table, lambda row: row[1] == "Male"),
             lambda row: (row[0], row[1], 99.0))
         assert changed == 1
         assert table.lookup_pk(1)[2] == 99.0
@@ -109,23 +115,23 @@ class TestTable:
             moved(lambda: table.insert((3, "Male", 1.0)))   # duplicate key
         assert (table.version, len(table)) == (3, 3)
         keep = lambda row: (row[0], row[1], row[2] + 1)
-        assert moved(lambda: table.update_where(
-            lambda row: row[0] == 1, keep)) == (1, 0)
-        assert moved(lambda: table.update_where(
-            lambda row: False, keep)) == (0, 0)
-        assert moved(lambda: table.delete_where(
-            lambda row: row[0] == 2)) == (1, -1)
-        assert moved(lambda: table.delete_where(
-            lambda row: False)) == (0, 0)
+        assert moved(lambda: table.update_at(
+            _positions(table, lambda row: row[0] == 1), keep)) == (1, 0)
+        assert moved(lambda: table.update_at(
+            _positions(table, lambda row: False), keep)) == (0, 0)
+        assert moved(lambda: table.delete_at(
+            _positions(table, lambda row: row[0] == 2))) == (1, -1)
+        assert moved(lambda: table.delete_at(
+            _positions(table, lambda row: False))) == (0, 0)
         assert moved(table.truncate) == (1, -2)
         assert moved(table.truncate) == (1, 0)    # of an empty table too
 
-    def test_to_rowset(self):
+    def test_rowset_columns_and_rows(self):
         table = Table(customer_schema())
         table.insert((1, "Male", 35.0))
-        rowset = table.to_rowset()
-        assert rowset.column_names() == ["Customer ID", "Gender", "Age"]
-        assert rowset.rows == [(1, "Male", 35.0)]
+        assert [column.name for column in table.rowset_columns()] == \
+            ["Customer ID", "Gender", "Age"]
+        assert table.rows == [(1, "Male", 35.0)]
 
 
 class TestRowset:

@@ -1,25 +1,36 @@
 """A journaled statement is planned under the lock it commits under.
 
-An ``INSERT … SELECT`` with a seekable WHERE plans an index seek: the row
-positions of its source rows.  Were it planned before it took the store's
-mutation lock, a DELETE on the source table could commit in between; the
-INSERT would then read the positions' new rows, while the journal replays
-it against the data after the DELETE and inserts the rows it names.  The
-INSERT is parked after planning (in the workload repository's annotate
+An ``INSERT … SELECT``, a DELETE or an UPDATE with a seekable WHERE plans
+an index seek: the row positions of the rows it reads.  Were it planned
+before it took the store's mutation lock, a DELETE on the table could
+commit in between; the statement would then read the positions' new rows,
+while the journal replays it against the data after the DELETE.  The
+statement is parked after planning (in the workload repository's annotate
 hook) while a DELETE of the rows before its range is started: the DELETE
-waits for the INSERT, and a copy of the store taken after both were
-acknowledged recovers to the live state.
+waits for it, and a copy of the store taken after both were acknowledged
+recovers to the live state.
 """
 
 import shutil
 import threading
 
+import pytest
+
 import repro
 
 ROWS = 300
-INSERT = "INSERT INTO D (id, v) SELECT id, v FROM S WHERE id >= 100 " \
-         "AND id < 110"
+RANGE = "WHERE id >= 100 AND id < 110"
 DELETE = "DELETE FROM S WHERE id < 50"
+KEPT = [(i, i * 10) for i in range(50, ROWS)]
+#: name -> (the parked statement, S and D once it and DELETE have run)
+PARKED = {
+    "insert": (f"INSERT INTO D (id, v) SELECT id, v FROM S {RANGE}",
+               KEPT, [(i, i * 10) for i in range(100, 110)]),
+    "delete": (f"DELETE FROM S {RANGE}",
+               [row for row in KEPT if not 100 <= row[0] < 110], []),
+    "update": (f"UPDATE S SET v = -v {RANGE}",
+               [(i, -v if 100 <= i < 110 else v) for i, v in KEPT], []),
+}
 
 
 def _state(conn):
@@ -27,8 +38,10 @@ def _state(conn):
             for table in ("S", "D")}
 
 
-def test_insert_select_and_a_concurrent_delete_recover_as_they_ran(
-        tmp_path, monkeypatch):
+@pytest.mark.parametrize("name", list(PARKED))
+def test_a_seeking_statement_and_a_concurrent_delete_recover_as_they_ran(
+        tmp_path, monkeypatch, name):
+    statement, s_rows, d_rows = PARKED[name]
     path = str(tmp_path / "store")
     conn = repro.connect(durable_path=path)
     conn.execute("CREATE TABLE S (id LONG, v LONG)")
@@ -36,7 +49,7 @@ def test_insert_select_and_a_concurrent_delete_recover_as_they_ran(
     conn.execute("INSERT INTO S VALUES " + ", ".join(
         f"({i}, {i * 10})" for i in range(ROWS)))
     conn.execute("CREATE TABLE D (id LONG, v LONG)")
-    plan = conn.execute("EXPLAIN " + INSERT)
+    plan = conn.execute("EXPLAIN " + statement)
     assert "index seek" in plan.column_values("OPERATOR")
 
     parked, release = threading.Event(), threading.Event()
@@ -45,9 +58,10 @@ def test_insert_select_and_a_concurrent_delete_recover_as_they_ran(
 
     def park(record, command, *args):
         annotate(record, command, *args)
-        if command == INSERT:
+        if command == statement:
             parked.set()
-            assert release.wait(10), "the parked INSERT was never released"
+            assert release.wait(10), "the parked statement was never " \
+                "released"
     monkeypatch.setattr(repository, "annotate", park)
     errors = []
 
@@ -57,23 +71,22 @@ def test_insert_select_and_a_concurrent_delete_recover_as_they_ran(
         except BaseException as exc:          # surfaced by the assert below
             errors.append(exc)
 
-    insert = threading.Thread(target=run, args=(INSERT,))
+    parked_run = threading.Thread(target=run, args=(statement,))
     delete = threading.Thread(target=run, args=(DELETE,))
-    insert.start()
+    parked_run.start()
     assert parked.wait(10)
     delete.start()
     delete.join(0.5)
-    assert delete.is_alive(), "the DELETE committed between the INSERT's " \
-        "planning and its run"
+    assert delete.is_alive(), "the DELETE committed between the parked " \
+        "statement's planning and its run"
     release.set()
-    insert.join(10)
+    parked_run.join(10)
     delete.join(10)
-    assert not insert.is_alive() and not delete.is_alive()
+    assert not parked_run.is_alive() and not delete.is_alive()
     assert errors == []
 
     live = _state(conn)
-    assert live["D"] == [(i, i * 10) for i in range(100, 110)]
-    assert live["S"] == [(i, i * 10) for i in range(50, ROWS)]
+    assert live == {"S": s_rows, "D": d_rows}
     copy = str(tmp_path / "copy")
     shutil.copytree(path, copy)               # the crash: no clean close
     conn.close()
