@@ -370,10 +370,6 @@ class MiningAlgorithm(abc.ABC):
             return AttributePrediction.from_categorical(attribute, marginal)
         return AttributePrediction.from_gaussian(attribute, marginal)
 
-    def output_attributes(self) -> List[Attribute]:
-        self.require_trained()
-        return self.space.outputs()
-
     def describe(self) -> Dict[str, Any]:
         """Service self-description for the MINING_SERVICES schema rowset."""
         return {

@@ -147,13 +147,6 @@ class ModelDefinition:
     def nested_tables(self) -> List[ModelColumn]:
         return [c for c in self.columns if c.is_table]
 
-    def qualifiers_for(self, target: ModelColumn) -> List[ModelColumn]:
-        """QUALIFIER columns modifying ``target`` (same level, OF target)."""
-        return [c for c in self.columns
-                if c.role is ContentRole.QUALIFIER and
-                c.qualifier_of and
-                c.qualifier_of.upper() == target.name.upper()]
-
     def output_columns(self) -> List[ModelColumn]:
         return [c for c in self.columns if c.is_output]
 

@@ -93,7 +93,7 @@ class ServerBusyError(Error):
 
     Backpressure made typed: clients receive this instead of a hang when
     the session table and the bounded accept queue are both full, or when
-    the server is draining for shutdown/checkpoint.
+    the server is draining for shutdown.
     """
 
 

@@ -225,7 +225,8 @@ class StatementRecord:
             if rows > self.peak_batch_rows:
                 self.peak_batch_rows = rows
         self.batches += 1
-        self.token.check()
+        if self.token.cancelled:
+            self.token.check()
 
     def elapsed_ms(self) -> float:
         if self.duration_ms is not None:

@@ -26,11 +26,10 @@ serves it to concurrent clients over the frame protocol of
   issued at hello time.  The cancel is scoped: a session may only cancel
   its own statements (:meth:`WorkloadRegistry.cancel` enforces ownership).
 
-* **Statement gate.**  Every wire statement runs inside an admission gate
-  that :meth:`quiesce` can pause: in-flight statements finish, new ones
-  queue briefly, and the caller (``Provider.checkpoint``) runs with the
-  wire quiet — so a checkpoint always lands on a statement boundary.
-  :meth:`close` drains the same way, then tears sessions down.
+* **Statement gate.**  Every wire statement runs inside a gate that
+  counts it in flight, so :meth:`close` can drain: it waits for running
+  statements to finish, then tears sessions down.  Writers are ordered
+  by the provider's writer lock, not here.
 """
 
 from __future__ import annotations
@@ -61,40 +60,21 @@ DEFAULT_QUEUE_LIMIT = 8
 
 
 class _StatementGate:
-    """Counts in-flight wire statements and supports pause-and-drain."""
+    """Counts in-flight wire statements, so a close can wait them out."""
 
     def __init__(self):
         self._cond = threading.Condition()
         self.in_flight = 0
-        self._paused = False
 
     @contextlib.contextmanager
     def admit(self):
         with self._cond:
-            while self._paused:
-                self._cond.wait()
             self.in_flight += 1
         try:
             yield
         finally:
             with self._cond:
                 self.in_flight -= 1
-                self._cond.notify_all()
-
-    @contextlib.contextmanager
-    def quiesce(self):
-        """Pause admission, wait the wire quiet, run the body, resume."""
-        with self._cond:
-            while self._paused:  # one quiescer at a time
-                self._cond.wait()
-            self._paused = True
-            while self.in_flight:
-                self._cond.wait()
-        try:
-            yield
-        finally:
-            with self._cond:
-                self._paused = False
                 self._cond.notify_all()
 
     def wait_idle(self, timeout: float) -> bool:
@@ -197,10 +177,6 @@ class DmxServer:
             active = sorted(self._sessions.values(),
                             key=lambda s: s.session_id)
             return active + list(self._closed_sessions)
-
-    def quiesce(self):
-        """Pause wire-statement admission and drain in-flight statements."""
-        return self.gate.quiesce()
 
     # -- accept / admission ---------------------------------------------------
 
@@ -511,8 +487,6 @@ class DmxServer:
         self._accept_thread.join(timeout=DRAIN_TIMEOUT)
 
         if self.checkpoint_on_close and self.provider.store is not None:
-            # closed is already True, so Provider.checkpoint takes the
-            # plain (un-gated) path; the wire is quiet by now.
             self.provider.checkpoint()
         if self.provider.dmx_server is self:
             self.provider.dmx_server = None

@@ -691,19 +691,14 @@ class Database:
                           relation: SourceRelation, context: EvalContext,
                           batch_size: int):
         """Scan + WHERE, batch at a time: a select's, or a ``filter``'s
-        conjuncts pushed below a join.
-
-        The WHERE is bound here, before the first batch is pulled.  Each
-        batch boundary is also a workload checkpoint: live progress (rows
-        processed) for ``DM_QUERY_LOG``, and the point where a
-        ``CANCEL`` lands mid-scan.
-        """
+        conjuncts pushed below a join.  The WHERE is bound here, before
+        the first batch is pulled (whose pull, the plan node's, is where
+        progress is counted and a ``CANCEL`` lands)."""
         where = (compile_expression(where, context)
                  if where is not None else None)
 
         def filtered():
             for batch in relation.batches(batch_size):
-                obs_workload.checkpoint(rows=len(batch))
                 if where is not None:
                     batch = [row for row in batch if where(row) is True]
                 if batch:

@@ -225,22 +225,6 @@ class RowStream:
                 yield rows[start:start + batch_size]
         return cls(rowset.columns, produce())
 
-    @classmethod
-    def from_rows(cls, columns: Sequence[RowsetColumn],
-                  rows: Iterable[Tuple],
-                  batch_size: int = DEFAULT_BATCH_SIZE) -> "RowStream":
-        """Batch up a plain row iterable."""
-        def produce():
-            batch: List[Tuple] = []
-            for row in rows:
-                batch.append(tuple(row))
-                if len(batch) >= batch_size:
-                    yield batch
-                    batch = []
-            if batch:
-                yield batch
-        return cls(columns, produce())
-
     def pipe(self, stage) -> "RowStream":
         """Pass the batches through ``stage`` (a generator over the batch
         iterator) as they are pulled — how a plan node counts what it

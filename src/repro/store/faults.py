@@ -45,10 +45,6 @@ class FaultInjector:
         with self._lock:
             self._armed[point] = [after, exc]
 
-    def disarm(self, point: str) -> None:
-        with self._lock:
-            self._armed.pop(point, None)
-
     def check(self, point: str) -> Optional[BaseException]:
         """Consume an armed fault if it is due; return the exception to raise.
 

@@ -47,7 +47,6 @@ def test_roles_and_flags():
     assert a.is_input and not a.is_output
     assert b.is_output and not b.is_input  # PREDICT_ONLY
     assert p.role is ContentRole.QUALIFIER
-    assert definition.qualifiers_for(a) == [p]
 
 
 def test_default_attribute_type_is_discrete():

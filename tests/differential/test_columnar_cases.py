@@ -34,7 +34,12 @@ from repro.lang import ast_nodes as ast
 from repro.lang.parser import parse_statement
 from repro.server.protocol import rowset_dump
 from repro.shaping import shape
-from repro.sqlstore.rowset import DEFAULT_BATCH_SIZE, RowsetColumn, RowStream
+from repro.sqlstore.rowset import (
+    DEFAULT_BATCH_SIZE,
+    Rowset,
+    RowsetColumn,
+    RowStream,
+)
 from repro.sqlstore.types import DOUBLE, LONG, TEXT
 from repro.sqlstore.values import group_key
 
@@ -83,7 +88,8 @@ class Source:
     def run(self, batch_size):
         if self.opened is not None:
             return self.opened(batch_size)
-        return RowStream.from_rows(self.columns, self.rows, batch_size)
+        return RowStream.from_rowset(Rowset(self.columns, self.rows),
+                                     batch_size)
 
 
 def append(alias, master="K", child="CID"):

@@ -51,7 +51,7 @@ class TestCancelToken:
         # active statement they must cost nothing and raise nothing.
         assert obs_workload.current() is None
         obs_workload.check()
-        obs_workload.checkpoint(rows=10)
+        obs_workload.checkpoint()
         obs_workload.set_phase("train")
         obs_workload.note_cache(hit=True)
 

@@ -321,28 +321,69 @@ def test_drain_leaves_no_server_threads():
     conn.close()
 
 
-def test_checkpoint_quiesces_the_wire_first(tmp_path):
-    """Provider.checkpoint drains in-flight wire statements before the
-    snapshot: the journal is empty afterwards and the served state is
-    recoverable."""
-    conn = repro.connect(durable_path=str(tmp_path / "store"),
-                         durable_checkpoint_interval=0)
-    _load_shared(conn)
+def test_a_checkpoint_amid_wire_inserts_covers_a_statement_boundary(
+        tmp_path):
+    """Provider.checkpoint taken while two wire clients run INSERTs: it
+    waits for the writer lock, not for the wire, so it lands between two
+    statements — the journal it leaves holds exactly the statements after
+    its snapshot (none it covered, none lost), and a copy of the store
+    recovers to the live rows."""
+    import json
+    import shutil
+
+    from repro.store.durable import SNAPSHOT_FILE
+    from repro.store.journal import read_journal
+
+    path = str(tmp_path / "store")
+    conn = repro.connect(durable_path=path, durable_checkpoint_interval=0)
+    conn.execute("CREATE TABLE WireT (client INT, n INT)")
     server = DmxServer(conn.provider, port=0)
+    done = [[], []]
+    stop, errors = threading.Event(), []
+
+    def insert(client_no):
+        try:
+            with net_connect("127.0.0.1", server.port) as client:
+                n = 0
+                while not stop.is_set() or n < 20:
+                    client.execute(
+                        f"INSERT INTO WireT VALUES ({client_no}, {n})")
+                    done[client_no].append(n)
+                    n += 1
+        except BaseException as exc:      # surfaced by the assert below
+            errors.append(exc)
+    clients = [threading.Thread(target=insert, args=(i,)) for i in (0, 1)]
     try:
-        with net_connect("127.0.0.1", server.port) as client:
-            client.execute("CREATE TABLE WireT (x INT)")
-            client.execute("INSERT INTO WireT VALUES (1), (2)")
-            conn.provider.checkpoint()
-            from repro.store.journal import read_journal
-            records, _, _ = read_journal(conn.provider.store.journal_path)
-            assert records == []
-            client.execute("INSERT INTO WireT VALUES (3)")
+        for thread in clients:
+            thread.start()
+        while min(map(len, done)) < 10 and not errors:
+            time.sleep(0.001)
+        before = list(map(len, done))
+        conn.provider.checkpoint()
+        stop.set()
+        for thread in clients:
+            thread.join(30)
+        assert errors == [] and not any(t.is_alive() for t in clients)
+        with open(tmp_path / "store" / SNAPSHOT_FILE) as handle:
+            covered = json.load(handle)["last_seq"]
+        records, torn, _ = read_journal(conn.provider.store.journal_path)
+        # CREATE TABLE, then every INSERT acknowledged before the call.
+        assert covered >= 1 + sum(before)
+        assert torn == 0
+        assert [record["seq"] for record in records] == list(
+            range(covered + 1, conn.provider.store.last_seq + 1))
+        live = sorted(conn.execute("SELECT client, n FROM WireT").rows)
+        assert live == sorted((client_no, n) for client_no in (0, 1)
+                              for n in done[client_no])
+        copy = str(tmp_path / "copy")
+        shutil.copytree(path, copy)           # the crash: no clean close
     finally:
+        stop.set()
         server.close()
         conn.close()
-    recovered = repro.connect(durable_path=str(tmp_path / "store"))
+    recovered = repro.connect(durable_path=copy)
     try:
-        assert len(recovered.execute("SELECT * FROM WireT").rows) == 3
+        assert sorted(recovered.execute(
+            "SELECT client, n FROM WireT").rows) == live
     finally:
         recovered.close()
