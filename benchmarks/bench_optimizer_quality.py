@@ -1,30 +1,20 @@
-"""Optimizer quality — cardinality q-error and the misordered-join case.
+"""Optimizer quality — cardinality q-error.
 
-Two questions the cost-based planner must answer honestly:
-
-1. **Estimation quality**: across the full differential statement grid,
-   how far off are the root-node cardinality estimates?  The standard
-   metric is the *q-error* — ``max(est/actual, actual/est)``, clamped to
-   1 when both sides agree — and the gate is relative: the median q-error
-   with statistics must be no worse than the heuristic defaults produce.
-   Statistics that estimate *worse* than guessing would be a regression
-   the differential suite cannot see (rows stay identical either way).
-2. **Misordered-join cost**: a hash join written with the tiny table on
-   the left and the big one on the right.  The heuristic always builds
-   the right side — here the expensive choice; statistics swap the build
-   to the estimated-smaller left side.  The swap is asserted from the
-   plan (deterministic); wall-clock is reported and loosely gated.
+The cost-based planner's estimates must be honest: across the full
+differential statement grid, how far off are the root-node cardinality
+estimates?  The standard metric is the *q-error* —
+``max(est/actual, actual/est)``, clamped to 1 when both sides agree — and
+the gate is relative: the median q-error with statistics must be no worse
+than the heuristic defaults produce.  Statistics that estimate *worse*
+than guessing would be a regression the differential suite cannot see
+(rows stay identical either way).
 
 Run directly under pytest (no pytest-benchmark fixture needed):
 
     PYTHONPATH=src python -m pytest benchmarks/bench_optimizer_quality.py -s
-
-Set ``REPRO_BENCH_QUICK=1`` to shrink the workloads for CI smoke runs.
 """
 
-import os
 import statistics as pystats
-import time
 
 import repro
 from repro.obs.explain import is_plan_rowset
@@ -33,15 +23,6 @@ from tests.differential.test_stream_vs_materialize import (
     STATEMENTS,
     _load,
 )
-
-QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
-BIG_ROWS = 2_000 if QUICK else 20_000
-SMALL_ROWS = 40
-REPEATS = 3 if QUICK else 5
-# Wall-clock gate for the misordered join: generous because the absolute
-# times are milliseconds and CI machines are noisy.  The deterministic
-# assertion is the plan swap itself.
-MAX_SLOWDOWN = 1.5
 
 
 def _root(conn, statement):
@@ -88,54 +69,3 @@ def test_bench_grid_q_error():
     assert medians["stats"] <= medians["default"], (
         "statistics estimate worse than guessing")
 
-
-def _join_workload(conn):
-    conn.execute("CREATE TABLE Tiny (k INT, tag TEXT)")
-    conn.execute("CREATE TABLE Huge (k INT, payload TEXT)")
-    tiny = ", ".join(f"({i}, 't{i}')" for i in range(SMALL_ROWS))
-    conn.execute(f"INSERT INTO Tiny VALUES {tiny}")
-    for start in range(0, BIG_ROWS, 1000):
-        chunk = ", ".join(
-            f"({i % 500}, 'p{i:05d}')"
-            for i in range(start, min(start + 1000, BIG_ROWS)))
-        conn.execute(f"INSERT INTO Huge VALUES {chunk}")
-
-
-MISORDERED = ("SELECT t.tag, COUNT(*) AS n FROM Tiny AS t "
-              "JOIN Huge AS h ON t.k = h.k GROUP BY t.tag")
-
-
-def test_bench_misordered_join_speedup():
-    with_stats = repro.connect()
-    without = repro.connect(statistics=False)
-    for conn in (with_stats, without):
-        _join_workload(conn)
-
-    def join_strategy(conn):
-        plan = conn.execute(f"EXPLAIN {MISORDERED}")
-        names = [c.name for c in plan.columns]
-        rows = [dict(zip(names, row)) for row in plan.rows]
-        return next(r["STRATEGY"] for r in rows if r["OPERATOR"] == "join")
-
-    assert "left side build" in join_strategy(with_stats)
-    assert "right side build" in join_strategy(without)
-
-    def best_of(conn):
-        elapsed = []
-        for _ in range(REPEATS):
-            started = time.perf_counter()
-            conn.execute(MISORDERED)
-            elapsed.append(time.perf_counter() - started)
-        return min(elapsed)
-
-    stats_s = best_of(with_stats)
-    default_s = best_of(without)
-    with_stats.close()
-    without.close()
-
-    print(f"\n[misordered join] Tiny({SMALL_ROWS}) x Huge({BIG_ROWS}): "
-          f"left-build {stats_s * 1000:.1f} ms vs "
-          f"right-build {default_s * 1000:.1f} ms "
-          f"({default_s / max(stats_s, 1e-9):.2f}x)")
-    assert stats_s <= default_s * MAX_SLOWDOWN, (
-        "cost-chosen build side slower than the misordered heuristic plan")

@@ -16,11 +16,13 @@ from __future__ import annotations
 
 import re
 import threading
+import time
 import weakref
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.errors import BindError, CatalogError, Error, ParseError
 from repro.lang import ast_nodes as ast
+from repro.lang.lexer import Scan
 from repro.lang.parser import parse_statement
 from repro.lang.templates import TemplateCache
 from repro.obs import MetricsRegistry, Tracer, WorkloadRegistry
@@ -96,6 +98,25 @@ def _statement_kind(statement: ast.Statement, provider=None) -> str:
 
 #: The kinds of the control verbs, which have no plan.
 _CONTROL_KINDS = ("TRACE", "CANCEL", "EXPLAIN", "EXPLAIN_ANALYZE")
+
+#: Seconds a statement waiting for the writer lock blocks between two
+#: checks of its cancel token.
+_WRITER_WAIT_SLICE_S = 0.05
+
+
+def _await_writer_lock(lock) -> None:
+    """Take the contended writer lock in timed slices, honouring the
+    waiting statement's CANCEL between them; the wait, cancelled or not,
+    is one ``provider:writer`` lock wait on the statement and in
+    ``$SYSTEM.DM_LOCK_WAITS``."""
+    started = time.perf_counter()
+    try:
+        while not lock.acquire(timeout=_WRITER_WAIT_SLICE_S):
+            obs_workload.check()
+    finally:
+        obs_workload.note_lock_wait(
+            "provider:writer", "write",
+            (time.perf_counter() - started) * 1000.0)
 
 
 def _weak_hook(method: Callable) -> Callable:
@@ -392,8 +413,9 @@ class Provider:
             # record would replay against data it did not run on).
             if type(statement.statement if kind == "EXPLAIN_ANALYZE"
                     else statement) in MUTATING_STATEMENTS:
+                if not self.writer_lock.acquire(blocking=False):
+                    _await_writer_lock(self.writer_lock)
                 lock = self.writer_lock
-                lock.acquire()
             plan = prepared = None
             try:
                 plan, prepared = self._prepared_plan(statement, kind, slot)
@@ -840,55 +862,24 @@ def connect(**kwargs) -> Connection:
 
 
 def split_statements(script: str) -> List[str]:
-    """Split a script on ';' outside strings, brackets, and comments."""
-    statements = []
-    current: List[str] = []
-    i = 0
-    text = script
-    while i < len(text):
-        ch = text[i]
-        if ch in "'\"":
-            quote = ch
-            current.append(ch)
-            i += 1
-            while i < len(text):
-                current.append(text[i])
-                if text[i] == quote:
-                    if i + 1 < len(text) and text[i + 1] == quote:
-                        current.append(text[i + 1])
-                        i += 2
-                        continue
-                    i += 1
-                    break
-                i += 1
-            continue
-        if ch == "[":
-            while i < len(text) and text[i] != "]":
-                current.append(text[i])
-                i += 1
-            continue
-        if ch == "-" and text[i:i + 2] == "--" or ch == "%" or \
-                text[i:i + 2] == "//":
-            while i < len(text) and text[i] != "\n":
-                current.append(text[i])
-                i += 1
-            continue
-        if text[i:i + 2] == "/*":
-            end = text.find("*/", i + 2)
-            end = len(text) if end < 0 else end + 2
-            current.append(text[i:end])
-            i = end
-            continue
-        if ch == ";":
-            statement = "".join(current).strip()
-            if statement:
-                statements.append(statement)
-            current = []
-            i += 1
-            continue
-        current.append(ch)
-        i += 1
-    statement = "".join(current).strip()
-    if statement:
-        statements.append(statement)
+    """Split a script at its ``;`` tokens, as the lexer reads strings,
+    [identifiers] and comments (:class:`lexer.Scan`).  A comment goes with
+    the statement after it, a piece holding no token is no statement, and
+    text the lexer cannot take stays in its piece, so running that piece
+    reports the lexer's error."""
+    scan = Scan(script)
+    statements: List[str] = []
+    start, pos, tokens = 0, scan.start, False
+    for spelled, number, string, trivia in scan.rows:
+        if not (spelled or number or string):
+            break  # end of text, or text no alternative took
+        if spelled == ";":
+            if tokens:
+                statements.append(script[start:pos].strip())
+            start, tokens = pos + 1, False
+        else:
+            tokens = True
+        pos += len(spelled) + len(number) + len(string) + len(trivia)
+    if tokens or pos < len(script):
+        statements.append(script[start:].strip())
     return statements

@@ -191,9 +191,9 @@ class Database:
         # (at most) this many rows; memory is O(batch_size), not O(rows).
         self.batch_size = max(1, int(batch_size))
         # Cost-based planning switch.  When off, tables carry no statistics
-        # and every execution-affecting decision (join build side, seek vs
-        # scan, parallel gating, prediction pushdown) falls back to the
-        # original heuristics — the baseline the differential suite compares
+        # and every execution-affecting decision (seek vs scan, parallel
+        # gating, prediction pushdown) falls back to the original
+        # heuristics — the baseline the differential suite compares
         # against.  Display-only estimates (EST_ROWS/COST) are always
         # computed.
         self.stats_enabled = bool(statistics)
@@ -503,7 +503,7 @@ class Database:
         hashes, and ``run(batch_size)`` executes.
 
         Every strategy decision — blocking vs. streamed, seek vs. scan,
-        join keys and build side, view expansion — is taken here, once,
+        join keys and build, view expansion — is taken here, once,
         reading only the catalog, statistics and index key->position maps:
         no table is scanned, no span opened and no usage counter moved
         until ``run``.  The second positional argument is accepted from
@@ -889,7 +889,8 @@ class Database:
     #
     # Display-only: each plan node's ``estimator`` calls into these when
     # EXPLAIN renders the tree or the workload repository captures it.  The
-    # one execution-affecting reader is :meth:`_hash_build_side`.
+    # one execution-affecting reader is the parallel gate
+    # (``exec.partition.prediction_parallelism``).
 
     def _stats_resolver(self, ref: ast.TableRef):
         """``resolver(parts) -> (ColumnStats, row_count) | None`` for
@@ -1001,18 +1002,6 @@ class Database:
         return max(0, int(round(est)))
 
     # -- cost-based decisions --------------------------------------------------
-
-    def _hash_build_side(self, left, right) -> str:
-        """``"left"`` when statistics are on and the planned left side's
-        estimate is strictly smaller (both known), else ``"right"`` — the
-        heuristic the differential suite's ``statistics=False`` baseline
-        keeps bit-for-bit."""
-        if not self.stats_enabled:
-            return "right"
-        left_est, right_est = left.estimate(), right.estimate()
-        if left_est is None or right_est is None or left_est >= right_est:
-            return "right"
-        return "left"
 
     def _seek_is_beneficial(self, table: Table, positions) -> bool:
         """Cost-gate an index seek against the sequential scan (page-aware
@@ -1207,8 +1196,8 @@ class Database:
         if left.columns is not None and right.columns is not None:
             node.columns = left.columns + right.columns
         if node.columns is not None or ref.kind == "CROSS":
-            method = self._join_method(ref, left, right,
-                                       left.columns, right.columns)
+            method = self._join_method(ref, right, left.columns,
+                                       right.columns)
             node.strategy = method.strategy
         else:
             # A mining-provider leaf names its columns only by running:
@@ -1235,12 +1224,12 @@ class Database:
             node, ref, method, batch_size)
         return node
 
-    def _join_method(self, ref: ast.Join, left, right, left_names,
+    def _join_method(self, ref: ast.Join, right, left_names,
                      right_names) -> "_JoinMethod":
         """Decide how a join runs, from the two sides' column names: which
-        ON equalities bind as hash keys (the rest stay residual), and what
-        builds the hash.  The one decision both EXPLAIN's strategy text and
-        :meth:`_open_join` read."""
+        ON equalities bind as hash keys (the rest stay residual), and
+        whether a right-side index supplies the hash.  The one decision
+        both EXPLAIN's strategy text and :meth:`_open_join` read."""
         if ref.kind == "CROSS":
             return _JoinMethod("cross product (right side materialized)")
         equalities, residual = _split_equi_condition(ref.condition)
@@ -1274,24 +1263,22 @@ class Database:
             return _JoinMethod(
                 f"hash join (right side index {index.name})", tuple(pairs),
                 tuple(bound), tuple(residual), build_index=index)
-        side = self._hash_build_side(left, right)
-        return _JoinMethod(f"hash join ({side} side build)", tuple(pairs),
-                           tuple(bound), tuple(residual),
-                           build_left=side == "left")
+        return _JoinMethod("hash join (right side build)", tuple(pairs),
+                           tuple(bound), tuple(residual))
 
     def _open_join(self, node, ref: ast.Join, method: "Optional[_JoinMethod]",
                    batch_size: int) -> SourceRelation:
-        """Streaming join: materialise the build side, stream the probe
-        side batch by batch.  Output row order is left-major whichever side
-        builds."""
+        """Streaming join: materialise the right (build) side, stream the
+        left (probe) side batch by batch, so output row order is
+        left-major."""
         left_plan, right_plan = node.children
         left = left_plan.run(batch_size)
         right = right_plan.run(batch_size)
         columns = left.columns + right.columns
         right_width = len(right.columns)
         if method is None:
-            method = self._join_method(ref, left_plan, right_plan,
-                                       left.names(), right.names())
+            method = self._join_method(ref, right_plan, left.names(),
+                                       right.names())
             node.strategy = method.strategy
 
         if ref.kind == "CROSS":
@@ -1343,20 +1330,19 @@ class Database:
                     if V.sql_equal(l[a], r[b]) is not True:
                         return False
                 return residual_ok(l + r)
-        # A key the hash does not hold yet is filled from the build rows
-        # at its ``positions_of``; a scan-built hash holds every build key,
-        # so it has none.
-        build, positions_of, build_rows = {}, {}.get, []
+        # The right side builds: a map from each key to its ascending
+        # positions in the right rows — a right-side index's own map when
+        # one serves, else one built from the rows here.  A key's bucket of
+        # rows is filled the first time a probe asks for it.
+        build_rows = right.rows
         if method.build_index is not None:
             # Each index bucket holds one key's positions in insertion
-            # order — the rows, in the order a scan-built bucket holds
-            # them.  One sequential read — the right side's scan — takes
+            # order.  One sequential read — the right side's scan — takes
             # the rows (a paged build side loads each page once, in page
             # order), and the bucket map is taken with them (``rebuild``
-            # replaces it): a key's bucket is filled the first time a
-            # probe asks for it.  A row appended after that read is
-            # invisible, as to a scan.
-            build_index, build_rows = method.build_index, right.rows
+            # replaces it).  A row appended after that read is invisible,
+            # as to a scan.
+            build_index = method.build_index
             positions_of = build_index.hash.get
             if build_index.type_name == "BOOLEAN":
                 # Keyed ("b", value) there; the probe's key is the float.
@@ -1365,42 +1351,9 @@ class Database:
             build_index.join_probes += 1
             if self.metrics is not None:
                 self.metrics.fold({"index.join_probes": 1})
-        elif not method.build_left:
-            build = _hash_buckets(right.rows, first_right)
-        limit, take = len(build_rows), build_rows.__getitem__
-
-        def produce_left_build():
-            # Cost-chosen swap: the (estimated-smaller) left side builds
-            # the hash, the right side streams as the probe.  Output stays
-            # byte-identical to the right-build plan: matches accumulate
-            # per left position in right-arrival order — exactly the order
-            # a right-build bucket would replay them — and rows are emitted
-            # left-major over the original left batch boundaries.
-            left_flat: List[tuple] = []
-            boundaries: List[int] = []
-            for batch in left.batches(batch_size):
-                boundaries.append(len(batch))
-                left_flat.extend(batch)
-            build = _hash_buckets(left_flat, first_left, positions=True)
-            matches: List[List[tuple]] = [[] for _ in left_flat]
-            for right_batch in right.batches(batch_size):
-                keys = V.join_keys([r[first_right] for r in right_batch])
-                for r, key in zip(right_batch, keys):
-                    for position in build.get(key, ()):
-                        if check is None or check(left_flat[position], r):
-                            matches[position].append(r)
-            cursor = 0
-            for size in boundaries:
-                out = []
-                for position in range(cursor, cursor + size):
-                    l = left_flat[position]
-                    for r in matches[position]:
-                        out.append(l + r)
-                    if outer and not matches[position]:
-                        out.append(l + padding)
-                cursor += size
-                if out:
-                    yield out
+        else:
+            positions_of = _hash_buckets(build_rows, first_right).get
+        build, limit, take = {}, len(build_rows), build_rows.__getitem__
 
         def produce():
             for batch in left.batches(batch_size):
@@ -1422,8 +1375,6 @@ class Database:
                         out.append(l + padding)
                 if out:
                     yield out
-        if method.build_left:
-            return SourceRelation(columns, batches=produce_left_build())
         return SourceRelation(columns, batches=produce())
 
 
@@ -1455,8 +1406,6 @@ class _JoinMethod(NamedTuple):
     residual: Tuple[ast.Expr, ...] = ()
     #: The right-side user index that supplies the buckets, if one does.
     build_index: Optional[Any] = None
-    #: The (estimated-smaller) left side builds and the right side probes.
-    build_left: bool = False
 
 
 class _GroupContext(EvalContext):
@@ -1495,17 +1444,16 @@ def _join_leaves(ref: ast.TableRef, takes: bool):
         yield ref, takes
 
 
-def _hash_buckets(rows: List[tuple], column: int,
-                  positions: bool = False) -> Dict[Any, list]:
-    """``rows`` — or, with ``positions``, their indexes — by the join key
-    of ``column`` (:func:`values.join_keys`), each bucket in row order; a
-    NULL or NaN key joins nothing and is left out (a NaN key would find
-    another by object identity alone)."""
-    buckets: Dict[Any, list] = {}
+def _hash_buckets(rows: List[tuple], column: int) -> Dict[Any, List[int]]:
+    """The positions of ``rows`` by the join key of ``column``
+    (:func:`values.join_keys`), each bucket ascending; a NULL or NaN key
+    joins nothing and is left out (a NaN key would find another by object
+    identity alone)."""
+    buckets: Dict[Any, List[int]] = {}
     keys = V.join_keys([row[column] for row in rows])
-    for key, item in zip(keys, range(len(rows)) if positions else rows):
+    for position, key in enumerate(keys):
         if key is not None and key == key:
-            buckets.setdefault(key, []).append(item)
+            buckets.setdefault(key, []).append(position)
     return buckets
 
 

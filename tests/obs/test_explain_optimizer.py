@@ -40,16 +40,21 @@ def grid_conn():
 
 @pytest.fixture(scope="module")
 def skewed_conn():
-    """Tables with a 20:1 cardinality skew so build-side choice is forced."""
-    conn = repro.connect()
+    conn = _skewed(statistics=True)
+    yield conn
+    conn.close()
+
+
+def _skewed(statistics):
+    """Tables with a 20:1 cardinality skew, the smaller one on the left."""
+    conn = repro.connect(statistics=statistics)
     conn.execute("CREATE TABLE Big (k INT, payload TEXT)")
     conn.execute("CREATE TABLE Small (k INT, tag TEXT)")
     conn.execute("INSERT INTO Big VALUES " + ", ".join(
         f"({i % 10}, 'p{i:03d}')" for i in range(200)))
     conn.execute("INSERT INTO Small VALUES " + ", ".join(
         f"({i}, 't{i}')" for i in range(10)))
-    yield conn
-    conn.close()
+    return conn
 
 
 @pytest.mark.parametrize("statement", STATEMENTS)
@@ -85,21 +90,24 @@ SKEWED_JOIN = ("EXPLAIN SELECT s.tag, b.payload FROM Small AS s "
 
 
 def test_build_side_follows_estimated_cardinality(skewed_conn):
-    """Small (10 rows) on the left of Big (200): statistics flip the
-    hash build to the estimated-smaller left side."""
+    """Small (10 rows) on the left of Big (200): statistics estimate the
+    left side smaller, yet the right side builds the hash, and the join
+    returns the rows the ``statistics=False`` baseline returns."""
     rows = _plan_rows(skewed_conn, SKEWED_JOIN)
     join = next(r for r in rows if r["OPERATOR"] == "join")
-    assert "left side build" in join["STRATEGY"]
+    assert join["STRATEGY"] == "hash join (right side build)"
+    baseline = _skewed(statistics=False)
+    try:
+        query = SKEWED_JOIN[len("EXPLAIN "):]
+        expected = baseline.execute(query).rows
+        assert len(expected) == 200
+        assert skewed_conn.execute(query).rows == expected
+    finally:
+        baseline.close()
 
 
 def test_build_side_keeps_heuristic_without_stats():
-    conn = repro.connect(statistics=False)
-    conn.execute("CREATE TABLE Big (k INT, payload TEXT)")
-    conn.execute("CREATE TABLE Small (k INT, tag TEXT)")
-    conn.execute("INSERT INTO Big VALUES " + ", ".join(
-        f"({i % 10}, 'p{i:03d}')" for i in range(200)))
-    conn.execute("INSERT INTO Small VALUES " + ", ".join(
-        f"({i}, 't{i}')" for i in range(10)))
+    conn = _skewed(statistics=False)
     rows = _plan_rows(conn, SKEWED_JOIN)
     join = next(r for r in rows if r["OPERATOR"] == "join")
     assert "right side" in join["STRATEGY"]

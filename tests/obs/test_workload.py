@@ -230,6 +230,43 @@ class TestLockWaits:
         assert metrics["lock.waits"] >= 1
         assert metrics["lock.waits.read"] >= 1
 
+    def test_a_statement_parked_on_the_writer_lock_is_cancellable(
+            self, trained):
+        """A DELETE waiting for the provider's writer lock honours CANCEL
+        while the lock is still held, and its wait is profiled."""
+        errors = []
+
+        def parked_delete():
+            try:
+                trained.execute("DELETE FROM T WHERE Id = 1")
+            except CancelledError as exc:
+                errors.append(exc)
+
+        thread = threading.Thread(target=parked_delete)
+        with trained.provider.writer_lock:
+            thread.start()
+            deadline = time.monotonic() + 5.0
+            parked = []
+            while not parked and time.monotonic() < deadline:
+                parked = [record for record in
+                          trained.provider.workload.active()
+                          if record.kind == "DELETE"]
+                time.sleep(0.01)
+            assert parked, "the DELETE never reached the writer lock"
+            time.sleep(0.1)
+            trained.cancel(parked[0].statement_id)
+            thread.join(0.5)
+            assert not thread.is_alive(), "CANCEL waited for the lock"
+        thread.join(5.0)
+        assert len(errors) == 1
+        waits = trained.execute(
+            "SELECT LOCK, MODE, WAITS FROM $SYSTEM.DM_LOCK_WAITS").rows
+        assert ("provider:writer", "write", 1) in waits
+        assert trained.execute(
+            "SELECT STATUS, LOCK_WAITS FROM $SYSTEM.DM_QUERY_LOG "
+            "WHERE KIND = 'DELETE'").rows == [("cancelled", 1)]
+        assert trained.execute("SELECT COUNT(*) FROM T").rows == [(200,)]
+
     def test_uncontended_statements_report_no_waits(self, trained):
         assert trained.execute(
             "SELECT * FROM $SYSTEM.DM_LOCK_WAITS").rows == []

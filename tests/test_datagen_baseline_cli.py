@@ -11,6 +11,7 @@ from benchmarks.external_pipeline import (
     run_in_provider_pipeline,
 )
 from repro.cli import main as cli_main, run_command, run_meta
+from repro.client import connect as net_connect
 from repro.core.provider import split_statements
 from repro.datagen import (
     PAPER_CUSTOMER,
@@ -18,6 +19,7 @@ from repro.datagen import (
     generate_warehouse,
     load_warehouse,
 )
+from repro.server import DmxServer
 
 
 class TestWarehouseGenerator:
@@ -101,6 +103,21 @@ class TestExternalBaseline:
         assert agree == len(in_db_map)
 
 
+# Scripts a scan for ';' outside quotes splits unlike the lexer reads
+# them, each with the statements the lexer sees.  Every one that has
+# statements ends in a SELECT whose one row is (1,).
+LEXED_SCRIPTS = [
+    ("CREATE TABLE [a]];b] (x LONG); INSERT INTO [a]];b] VALUES (1); "
+     "SELECT x FROM [a]];b]",
+     ["CREATE TABLE [a]];b] (x LONG)", "INSERT INTO [a]];b] VALUES (1)",
+      "SELECT x FROM [a]];b]"]),
+    ("SELECT 1 AS a; -- done", ["SELECT 1 AS a"]),
+    ("SELECT 1 AS a; % note", ["SELECT 1 AS a"]),
+    ("SELECT 1 AS a; /* done; */", ["SELECT 1 AS a"]),
+    ("-- nothing; here\n/* nor; here */ % nor here", []),
+]
+
+
 class TestStatementSplitter:
     def test_splits_on_semicolons(self):
         parts = split_statements("SELECT 1; SELECT 2;")
@@ -119,6 +136,31 @@ class TestStatementSplitter:
     def test_block_comments(self):
         parts = split_statements("SELECT 1 /* a;b */; SELECT 2")
         assert len(parts) == 2
+
+    @pytest.mark.parametrize("script, statements", LEXED_SCRIPTS)
+    def test_splits_as_the_lexer_reads(self, script, statements):
+        assert split_statements(script) == statements
+
+    def test_text_the_lexer_cannot_take_stays_in_its_piece(self):
+        assert split_statements("SELECT 1; SELECT 'a; SELECT 2") == [
+            "SELECT 1", "SELECT 'a; SELECT 2"]
+
+    @pytest.mark.parametrize("script, statements", LEXED_SCRIPTS)
+    def test_embedded_and_wire_scripts_run_what_it_splits(self, script,
+                                                          statements):
+        embedded, served = repro.connect(), repro.connect()
+        server = DmxServer(served.provider, port=0)
+        try:
+            with net_connect("127.0.0.1", server.port) as client:
+                for run in (embedded.execute_script, client.execute_script):
+                    results = run(script)
+                    assert len(results) == len(statements)
+                    if results:
+                        assert results[-1].rows == [(1,)]
+        finally:
+            server.close()
+            served.close()
+            embedded.close()
 
 
 class TestCli:
