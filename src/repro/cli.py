@@ -37,7 +37,8 @@ import sys
 from typing import Optional
 
 from repro.core.provider import Connection, connect, split_statements
-from repro.errors import Error
+from repro.errors import Error, ParseError
+from repro.lang.lexer import tokenize
 from repro.sqlstore.rowset import Rowset
 
 BANNER = """\
@@ -203,6 +204,19 @@ def load_demo(connection: Connection, customers: int) -> None:
         f"{customers} customers.\n")
 
 
+def _ends_statement(buffer: str) -> bool:
+    """True when the lexer reads ``;`` as the last token of ``buffer``.  An
+    unterminated string, [identifier or /* comment waits for the lines
+    that close it; after a stray character a line ending in ``;`` ends
+    the buffer, so running it reports the lexer's error."""
+    try:
+        tokens = tokenize(buffer)
+    except ParseError as exc:
+        return "unterminated" not in str(exc) and \
+            buffer.rstrip().endswith(";")
+    return len(tokens) > 1 and tokens[-2].is_symbol(";")
+
+
 def repl(connection: Connection, show_trace: bool = False) -> None:
     """Interactive loop: buffer lines until ';', run meta-commands."""
     sys.stdout.write(BANNER)
@@ -219,7 +233,7 @@ def repl(connection: Connection, show_trace: bool = False) -> None:
                 return
             continue
         buffer += line + "\n"
-        if ";" in line:
+        if _ends_statement(buffer):
             for command in split_statements(buffer):
                 try:
                     run_command(connection, command, show_trace=show_trace)

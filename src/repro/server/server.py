@@ -416,7 +416,12 @@ class DmxServer:
             reply = {"ok": True, "result": protocol.result_to_wire(result)}
         except Error as exc:
             reply = {"error": protocol.error_to_wire(exc)}
-        self._send(session, reply)
+        try:
+            self._send(session, reply)
+        except ProtocolError as exc:
+            # A reply over MAX_FRAME_BYTES is refused before its first byte
+            # is written: the stream is in sync, so the error is the reply.
+            self._send(session, {"error": protocol.error_to_wire(exc)})
 
     def _handle_execute_stream(self, session: Session, frame: dict) -> None:
         """execute_stream: a columns frame, then batch frames, then end.

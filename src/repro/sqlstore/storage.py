@@ -2,7 +2,7 @@
 
 Two interchangeable row stores implement the same small contract
 (``append`` / ``extend`` / ``replace_all`` / ``iter_batches`` /
-``iter_positions`` / ``row_at`` / ``snapshot``):
+``iter_positions`` / ``snapshot``):
 
 * :class:`ListRowStore` — the original in-memory list.  The default, and
   the behavioural reference: DELETE/UPDATE swap in a fresh list so scans
@@ -76,9 +76,6 @@ class ListRowStore:
 
     def snapshot(self) -> List[Tuple]:
         return self.rows
-
-    def row_at(self, position: int) -> Tuple:
-        return self.rows[position]
 
     def fetch_rows(self, positions: List[int]) -> List[Tuple]:
         rows = self.rows
@@ -334,14 +331,6 @@ class PagedRowStore:
         for batch in self.iter_batches(4096):
             rows.extend(batch)
         return rows
-
-    def row_at(self, position: int) -> Tuple:
-        with self._lock:
-            if not 0 <= position < self._rows:
-                raise IndexError(position)
-            index = bisect_right(self.starts, position) - 1
-            page = self._page(self.handles[index])
-            return page.rows[position - self.starts[index]]
 
     def fetch_rows(self, positions: List[int]) -> List[Tuple]:
         out: List[Tuple] = []

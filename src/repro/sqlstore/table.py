@@ -5,10 +5,10 @@ in-memory list by default, or the paged/buffered store when the provider is
 opened with ``storage_path=...``.  The table keeps everything semantic:
 type coercion, NOT NULL, PRIMARY KEY uniqueness, and the named user
 indexes (``CREATE INDEX``) the engine consults for WHERE seeks and join
-builds.  A write checks row by row, then maintains each index and each
-column's statistics once for the whole statement.  All index structures
-are in-memory and are rebuilt from the store on open — only rows and
-index *definitions* are persisted.
+builds.  A write checks row by row, then maintains the PRIMARY KEY set,
+each index and each column's statistics once for the whole statement, by
+what it changed.  All index structures are in-memory and are rebuilt from
+the store on open — only rows and index *definitions* are persisted.
 """
 
 from __future__ import annotations
@@ -21,16 +21,16 @@ from repro.sqlstore.schema import TableSchema
 from repro.sqlstore.rowset import RowsetColumn
 from repro.sqlstore.stats import TableStatistics
 from repro.sqlstore.storage import ListRowStore
-from repro.sqlstore.values import group_key, group_keys
+from repro.sqlstore.values import bare_key, group_keys
 
 
 class Table:
     """A stored base table: schema + row store + indexes.
 
     Rows are tuples aligned with the schema.  A declared PRIMARY KEY column
-    is enforced unique through a hash map; named secondary indexes (hash +
-    sorted) are created with CREATE INDEX and accelerate WHERE seeks and
-    equi-join builds.
+    is enforced unique through the set of its stored keys; named secondary
+    indexes (hash + sorted) are created with CREATE INDEX and accelerate
+    WHERE seeks and equi-join builds.
     """
 
     def __init__(self, schema: TableSchema, store=None,
@@ -58,8 +58,8 @@ class Table:
         # touch page bytes — a torn page surfaces at first read, not open).
         self.stats_stale = False
         self._pk = schema.primary_key_index()
-        self._pk_index: Optional[Dict[Any, int]] = \
-            {} if self._pk is not None else None
+        # The group_keys key of each stored row's PRIMARY KEY cell.
+        self._pk_keys: set = set()
         # Each column's canonical Python class: an inserted row of exactly
         # these classes is already coerced (and holds no NULL).
         self._natives = [column.type.python_types[0]
@@ -94,27 +94,25 @@ class Table:
         """
         pk, natives = self._pk, self._natives
         batch: List[Tuple] = []
-        pk_keys: Dict[Any, None] = {}
+        pk_keys: set = set()
         for values in rows:
             row = tuple(values)
             if list(map(type, row)) != natives:
                 row = self._coerced(row)
             if pk is not None:
-                key = group_key(row[pk])
-                if key in self._pk_index or key in pk_keys:
+                key = bare_key(row[pk])
+                if key in self._pk_keys or key in pk_keys:
                     raise self._duplicate(row[pk])
-                pk_keys[key] = None
+                pk_keys.add(key)
             batch.append(row)
         if not batch:
             return 0
         if self.stats is not None and self.stats_stale:
             self.rebuild_statistics()    # before the append: exact baseline
-        base = len(self.store) if pk is not None or self.indexes else 0
+        base = len(self.store) if self.indexes else 0
         self.store.extend(batch)
         self.version += len(batch)
-        if pk is not None:
-            self._pk_index.update(zip(pk_keys, range(base,
-                                                     base + len(batch))))
+        self._pk_keys |= pk_keys
         if self.indexes or self.stats is not None:
             # Column by column, one group_keys each: the keying every
             # index and the statistics share.
@@ -190,20 +188,41 @@ class Table:
     def _replace(self, rows: List[Tuple], removed: List[Tuple],
                  added: List[Tuple]) -> None:
         """Store a DELETE's or UPDATE's complete row list, then maintain
-        the indexes and statistics once.  PRIMARY KEY uniqueness over
-        ``rows`` is checked before anything changes."""
-        pk_index = self._pk_positions(rows)
+        the PRIMARY KEY set and the statistics by the rows it ``removed``
+        and ``added`` (an UPDATE's new rows, in its old rows' places).  A
+        DELETE moves rows, so it rebuilds every index; an UPDATE rebuilds
+        only an index whose column's keys it changed.  PRIMARY KEY
+        uniqueness over ``rows`` is checked before anything changes."""
+        old = list(map(group_keys, zip(*removed)))
+        columns = list(zip(*added))
+        new = list(map(group_keys, columns))
+        pk = self._pk
+        if pk is not None:
+            keys = self._unique_keys(columns[pk], new[pk], set(old[pk])) \
+                if added else set()
         self.store.replace_all(rows)
         self.version += 1
-        self._pk_index = pk_index
+        if pk is not None:
+            self._pk_keys.difference_update(old[pk])
+            self._pk_keys |= keys
         for index in self.indexes.values():
-            index.rebuild(rows)
+            if not added or old[index.column_index] != new[index.column_index]:
+                index.rebuild(rows)
         if self.stats is not None:
-            self.stats.note_deletes(list(map(group_keys, zip(*removed))))
+            self.stats.note_deletes(old)
             if added:
-                columns = list(zip(*added))
-                self.stats.note_inserts(columns,
-                                        list(map(group_keys, columns)))
+                self.stats.note_inserts(columns, new)
+
+    def _unique_keys(self, values, keys, gone) -> set:
+        """``keys`` (those of the PRIMARY KEY cells ``values``) as a set;
+        raises on the first that repeats an earlier one, or a stored key
+        outside ``gone``."""
+        stored, seen = self._pk_keys, set()
+        for value, key in zip(values, keys):
+            if key in seen or key in stored and key not in gone:
+                raise self._duplicate(value)
+            seen.add(key)
+        return seen
 
     def truncate(self) -> int:
         """Delete every row; returns the count."""
@@ -249,37 +268,19 @@ class Table:
                 return index
         return None
 
-    def lookup_pk(self, value: Any) -> Optional[Tuple]:
-        """Fetch the row with the given primary-key value, or None."""
-        if self._pk_index is None:
-            raise SchemaError(f"table {self.name!r} has no primary key")
-        position = self._pk_index.get(group_key(value))
-        return None if position is None else self.store.row_at(position)
-
-    def _pk_positions(self, rows: List[Tuple]) -> Optional[Dict[Any, int]]:
-        """The PRIMARY KEY map of ``rows``; raises on a duplicate key."""
-        pk = self._pk
-        if pk is None:
-            return None
-        keys = [group_key(row[pk]) for row in rows]
-        positions = dict(zip(keys, range(len(keys))))
-        if len(positions) < len(keys):
-            seen: set = set()
-            for row, key in zip(rows, keys):
-                if key in seen:
-                    raise self._duplicate(row[pk])
-                seen.add(key)
-        return positions
-
     def rebuild_indexes(self) -> None:
         """Re-derive every index structure from the stored rows.
 
         Called after TRUNCATE and when a paged table is reopened from its
         catalog (indexes are in-memory; only their definitions persist).
         """
-        rows = self.rows if (self._pk_index is not None or
-                             self.indexes) else []
-        self._pk_index = self._pk_positions(rows)
+        pk = self._pk
+        rows = self.rows if pk is not None or self.indexes else []
+        if pk is not None:
+            values = [row[pk] for row in rows]
+            # Every stored key is gone: only a repeat among the rows raises.
+            self._pk_keys = self._unique_keys(values, group_keys(values),
+                                              self._pk_keys)
         for index in self.indexes.values():
             index.rebuild(rows)
 

@@ -170,10 +170,11 @@ def group_keys(values: Sequence[Any]) -> Sequence[Any]:
         return list(map(float, values))
     if _TEXT_TYPE.issuperset(map(type, values)):
         return values
-    return list(map(_bare_key, values))
+    return list(map(bare_key, values))
 
 
-def _bare_key(value: Any):
+def bare_key(value: Any):
+    """One value's key, as :func:`group_keys` keys it."""
     key = group_key(value)
     return key[1] if key[0] in ("n", "s") else key
 

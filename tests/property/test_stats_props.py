@@ -7,7 +7,11 @@ min/max, and the equi-depth histograms.  Any drift would mean UPDATE
 STATISTICS changes plans, which the differential suite forbids.  The
 estimator helpers are additionally pinned to their documented ranges so a
 malformed estimate can never turn into a negative or exploding plan cost.
+The PRIMARY KEY set and the indexes, maintained by what each mutation
+changed, are held to a rebuild the same way.
 """
+
+from contextlib import suppress
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +19,7 @@ from hypothesis import strategies as st
 
 import repro
 from repro.errors import Error, TypeError_
+from repro.sqlstore.indexes import TableIndex
 from repro.sqlstore.schema import ColumnSchema, TableSchema
 from repro.sqlstore.stats import (
     TableStatistics,
@@ -23,10 +28,11 @@ from repro.sqlstore.stats import (
 )
 from repro.sqlstore.table import Table
 from repro.sqlstore.types import DOUBLE, LONG, TEXT
+from repro.sqlstore.values import group_keys
 
 
-def _schema():
-    return TableSchema("P", [ColumnSchema("id", LONG),
+def _schema(keyed=False):
+    return TableSchema("P", [ColumnSchema("id", LONG, primary_key=keyed),
                              ColumnSchema("name", TEXT),
                              ColumnSchema("score", DOUBLE)])
 
@@ -58,20 +64,25 @@ def _positions(table, predicate):
 
 
 def _apply(table, operations):
+    """Run each operation; one that raises (a duplicate or NULL key) is
+    skipped, as a failed statement is."""
     for operation in operations:
-        if operation[0] == "insert":
-            table.insert(operation[1])
-        elif operation[0] == "delete":
-            threshold = operation[1]
-            table.delete_at(_positions(
-                table, lambda row: row[0] is not None and row[0] < threshold))
-        elif operation[0] == "update":
-            threshold, replacement = operation[1], operation[2]
-            table.update_at(_positions(
-                table, lambda row: row[0] is not None and row[0] >= threshold),
-                lambda row: replacement)
-        else:
-            table.truncate()
+        with suppress(Error):
+            if operation[0] == "insert":
+                table.insert(operation[1])
+            elif operation[0] == "delete":
+                threshold = operation[1]
+                table.delete_at(_positions(
+                    table,
+                    lambda row: row[0] is not None and row[0] < threshold))
+            elif operation[0] == "update":
+                threshold, replacement = operation[1], operation[2]
+                table.update_at(_positions(
+                    table,
+                    lambda row: row[0] is not None and row[0] >= threshold),
+                    lambda row: replacement)
+            else:
+                table.truncate()
 
 
 @given(operation_strategy)
@@ -82,6 +93,31 @@ def test_incremental_stats_match_wholesale_rebuild(operations):
     rebuilt = TableStatistics(table.schema)
     rebuilt.rebuild(table.rows)
     assert table.stats.snapshot() == rebuilt.snapshot()
+
+
+@given(operation_strategy)
+@settings(deadline=None)
+def test_keyed_indexed_histories_match_a_rebuild(operations):
+    """With ``id`` the PRIMARY KEY and an index on every column: after any
+    history — failed duplicate-key and NULL-key statements included — the
+    key set, every index and the statistics equal a rebuild from the
+    stored rows."""
+    table = Table(_schema(keyed=True), with_stats=True)
+    for column in ("id", "name", "score"):
+        table.create_index(f"ix_{column}", column)
+    _apply(table, operations)
+    rows = table.rows
+    keys = group_keys([row[0] for row in rows])
+    assert table._pk_keys == set(keys) and len(keys) == len(set(keys))
+    for index in table.indexes.values():
+        rebuilt = TableIndex(index.name, index.column_name,
+                             index.column_index, index.type_name)
+        rebuilt.rebuild(rows)
+        assert (index.hash, index._ordered) == \
+            (rebuilt.hash, rebuilt._ordered)
+    stats = TableStatistics(table.schema)
+    stats.rebuild(rows)
+    assert table.stats.snapshot() == stats.snapshot()
 
 
 @given(operation_strategy, operation_strategy)

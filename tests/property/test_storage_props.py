@@ -119,8 +119,8 @@ def test_paged_store_matches_list_store(operations, batch_size,
             positions = list(range(0, len(oracle), 2))
             assert store.fetch_rows(positions) == \
                 oracle.fetch_rows(positions)
-            assert store.row_at(len(oracle) - 1) == \
-                oracle.row_at(len(oracle) - 1)
+            assert store.fetch_rows([len(oracle) - 1]) == \
+                oracle.fetch_rows([len(oracle) - 1])
         assert len(manager.pool) <= buffer_pages
 
 

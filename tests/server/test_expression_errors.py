@@ -9,6 +9,8 @@ errors are raised when an operator opens — before the first row, even on an
 empty table or behind a short-circuit — embedded and over the wire alike;
 so are those of a PREDICTION JOIN's WHERE and select list (unknown model
 columns, attributes and functions), bound when the join opens its source.
+A reply over the frame cap is refused before its first byte is written, so
+it too arrives as an error frame and the session keeps answering.
 """
 
 import re
@@ -17,8 +19,8 @@ import pytest
 
 import repro
 from repro.client import connect as net_connect
-from repro.errors import BindError, PredictionError, TypeError_
-from repro.server import DmxServer
+from repro.errors import BindError, PredictionError, ProtocolError, TypeError_
+from repro.server import DmxServer, protocol
 
 TYPE_FAILURES = [
     ("SELECT -b FROM T", r"unary '-' cannot be applied to \(TEXT\)"),
@@ -143,6 +145,19 @@ def test_prediction_bind_failure_does_not_depend_on_the_data(
             client.execute_stream(statement)
         assert client.execute(f"SELECT t.a {_CASES}").rows == \
             [(1,), (2,), (3,)]
+    assert server.thread_errors == []
+
+
+def test_an_oversize_reply_is_a_statement_error(served, monkeypatch):
+    conn, server = served
+    conn.execute("INSERT INTO Empty VALUES " + ", ".join(
+        f"({i})" for i in range(1000)))
+    monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 2_000)
+    with net_connect("127.0.0.1", server.port) as client:
+        with pytest.raises(ProtocolError, match="2000-byte limit"):
+            client.execute("SELECT a FROM Empty")
+        assert client.execute("SELECT COUNT(*) AS n FROM Empty").rows == \
+            [(1000,)]
     assert server.thread_errors == []
 
 

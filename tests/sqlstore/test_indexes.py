@@ -5,7 +5,7 @@ import math
 import pytest
 
 import repro
-from repro.errors import Error
+from repro.errors import Error, SchemaError
 from repro.lang.parser import parse_statement
 from repro.obs.explain import is_plan_rowset
 from repro.sqlstore.indexes import choose_index
@@ -345,6 +345,51 @@ def test_a_planned_seek_scans_once_no_index_serves(seek_table):
     seek_table.execute("DELETE FROM S WHERE id = 250")
     rows = plan.run(database.batch_size).materialize().rows
     assert rows == [(100, 1000), (101, 1010), (102, 1020), (103, 1030)]
+
+
+def test_an_update_keeps_the_indexes_whose_keys_it_left_alone(seek_table):
+    """An UPDATE moves no row: an index whose column's keys it left as
+    they were stays as it is, and one whose keys it changed is rebuilt.
+    An UPDATE onto a taken key changes nothing."""
+    table = seek_table.database.table("S")
+    index = table.indexes["IX"]
+    buckets = index.hash
+    assert seek_table.execute("UPDATE S SET v = v + 1 WHERE id = 7") == 1
+    assert index.hash is buckets
+
+    seek_table.execute("UPDATE S SET id = 1000 WHERE id = 7")
+    assert index.positions_equal(1000) == [7]
+    assert index.positions_equal(7) == []
+    assert seek_table.execute(
+        "SELECT id, v FROM S WHERE id = 1000").rows == [(1000, 71)]
+    assert seek_table.execute("SELECT id, v FROM S WHERE id = 7").rows == []
+
+    def state():
+        return (table.rows, set(table._pk_keys),
+                {key: list(bucket) for key, bucket in index.hash.items()},
+                list(index._ordered))
+
+    before = state()
+    with pytest.raises(SchemaError, match="duplicate primary key 8"):
+        seek_table.execute("UPDATE S SET id = 8 WHERE id = 1000")
+    assert state() == before
+
+
+@pytest.mark.xfail(strict=True, reason="a kept plan holds the dropped "
+                   "Table object and reads its rows (ROADMAP item 18)")
+def test_a_kept_plan_reads_a_table_created_again():
+    conn = repro.connect(statistics=False)
+    conn.execute("CREATE TABLE S (id LONG PRIMARY KEY, v LONG)")
+    conn.execute("INSERT INTO S VALUES " + ", ".join(
+        f"({i}, {i * 10})" for i in range(300)))
+    plan = conn.database.plan(parse_statement(RANGE))
+    conn.execute("DROP TABLE S")
+    conn.execute("CREATE TABLE S (id LONG PRIMARY KEY, v LONG)")
+    conn.execute("INSERT INTO S VALUES " + ", ".join(
+        f"({i}, {-i})" for i in range(300)))
+    rows = plan.run(conn.database.batch_size).materialize().rows
+    assert rows == conn.execute(RANGE).rows == [
+        (100, -100), (101, -101), (102, -102), (103, -103)]
 
 
 @pytest.mark.parametrize("mutation", [

@@ -81,7 +81,8 @@ def test_a_failed_insert_changes_nothing(conn, statement, error, text):
     # The table still takes rows, the failed statement's keys included.
     conn.execute("INSERT INTO T VALUES (2, 'b'), (3, 'c')")
     assert _rows(conn) == sorted(before + [(2, "b"), (3, "c")])
-    assert conn.database.table("T").lookup_pk(3) == (3, "c")
+    with pytest.raises(SchemaError, match="duplicate primary key 3"):
+        conn.execute("INSERT INTO T VALUES (3, 'again')")
 
 
 def test_the_first_bad_row_in_statement_order_is_the_error(conn):
@@ -336,7 +337,8 @@ def test_update_checks_the_result_as_insert_does(store_kwargs, statement,
         table = conn.database.table("T")
         assert sorted(table.rows) == [(2, 10, "a"), (3, 20, "b"),
                                       (4, 30, "c")]
-        assert table.lookup_pk(4) == (4, 30, "c")
-        assert table.lookup_pk(1) is None
+        with pytest.raises(SchemaError, match="duplicate primary key 4"):
+            conn.execute("INSERT INTO T VALUES (4, 40, 'd')")
+        conn.execute("INSERT INTO T VALUES (1, 40, 'd')")    # 1 is free
     finally:
         conn.close()

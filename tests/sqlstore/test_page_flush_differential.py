@@ -163,8 +163,9 @@ def test_every_flush_writes_the_re_encoding_of_its_rows(ops, buffer_pages,
                     paged.check_committed_files()
                 elif op[0] == "read" and len(table.store):
                     position = int(op[1] * (len(table.store) - 1))
-                    assert shape(table.store.row_at(position)) == shape(
-                        twin.database.table("T").store.row_at(position))
+                    twin_table = twin.database.table("T")
+                    assert shape(table.store.fetch_rows([position])[0]) == \
+                        shape(twin_table.store.fetch_rows([position])[0])
                 elif op[0] == "reopen":
                     paged.reopen()
                     reopened = paged.conn.database.table("T")

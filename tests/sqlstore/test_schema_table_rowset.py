@@ -67,12 +67,6 @@ class TestTable:
         with pytest.raises(TypeError_):
             table.insert((None, "Male", 35.0))
 
-    def test_lookup_pk(self):
-        table = Table(customer_schema())
-        table.insert((7, "Female", 40.0))
-        assert table.lookup_pk(7) == (7, "Female", 40.0)
-        assert table.lookup_pk(8) is None
-
     def test_delete_at_rebuilds_pk(self):
         table = Table(customer_schema())
         table.insert_many([(1, "Male", 35.0), (2, "Female", 28.0)])
@@ -88,7 +82,7 @@ class TestTable:
             _positions(table, lambda row: row[1] == "Male"),
             lambda row: (row[0], row[1], 99.0))
         assert changed == 1
-        assert table.lookup_pk(1)[2] == 99.0
+        assert table.rows == [(1, "Male", 99.0), (2, "Female", 28.0)]
 
     def test_truncate(self):
         table = Table(customer_schema())

@@ -67,18 +67,13 @@ def test_pool_stays_within_budget_under_load(tmp_path):
     assert manager.pool.evictions > 0
 
 
-def test_row_at_and_fetch_rows_cross_page_boundaries(tmp_path):
+def test_fetch_rows_crosses_page_boundaries(tmp_path):
     manager = _manager(tmp_path)
     table = _database(manager).create_table(_schema())
     _fill(table, 35)
-    store = table.store
     expected = _rows(35)
-    assert store.row_at(0) == expected[0]
-    assert store.row_at(34) == expected[34]
     picks = [0, 7, 8, 20, 34]
-    assert store.fetch_rows(picks) == [expected[p] for p in picks]
-    with pytest.raises(IndexError):
-        store.row_at(35)
+    assert table.store.fetch_rows(picks) == [expected[p] for p in picks]
 
 
 def test_iter_positions_batches_exactly(tmp_path):

@@ -228,6 +228,33 @@ class TestRepl:
         assert "Repro_Decision_Trees" in output
         assert "error:" in output
 
+    def test_repl_waits_for_the_real_terminator(self, monkeypatch, capsys):
+        """A ``;`` inside a string ends no statement: each statement runs
+        once, whole, when a line ends it."""
+        import repro
+        from repro import cli
+        lines = iter([
+            "SELECT 'a;b' AS s",
+            ", 1 AS c;",
+            "SELECT 'x;",          # an unterminated string keeps buffering
+            "y' AS t; SELECT 2 AS u; -- done",
+            "SELECT ? AS v;",      # a stray character: its error shows
+            ".quit",
+        ])
+        monkeypatch.setattr("builtins.input", lambda prompt: next(lines))
+        ran = []
+        run = cli.run_command
+        monkeypatch.setattr(cli, "run_command", lambda connection, command,
+                            **kwargs: ran.append(command) or run(
+                                connection, command, **kwargs))
+        cli.repl(repro.connect())
+        assert ran == ["SELECT 'a;b' AS s\n, 1 AS c", "SELECT 'x;\ny' AS t",
+                       "SELECT 2 AS u", "SELECT ? AS v;"]
+        output = capsys.readouterr().out
+        assert "a;b" in output and "x;" in output
+        assert output.count("error:") == 1
+        assert "unexpected character '?'" in output
+
     def test_repl_exits_on_eof(self, monkeypatch, capsys):
         import repro
         from repro.cli import repl
