@@ -42,7 +42,7 @@ from repro.sqlstore.engine import (
 from repro.sqlstore.expressions import (
     EvalContext,
     compile_expression,
-    compile_filter,
+    compile_selection,
 )
 from repro.sqlstore.rowset import Rowset, RowsetColumn, RowStream
 from repro.core.bindings import CaseBatch, case_binder as _case_binder, \
@@ -214,15 +214,8 @@ def _surviving_batches(stream: RowStream, pushed: List[ast.Expr],
     binding work for doomed rows is saved."""
     if not pushed:
         return stream.batches()
-    context = _source_context(stream.columns, alias)
-    survives = compile_filter(pushed, context)
-
-    def surviving():
-        for batch in stream.batches():
-            batch = [row for row in batch if survives(row)]
-            if batch:
-                yield batch
-    return surviving()
+    return filter(None, map(compile_selection(
+        pushed, _source_context(stream.columns, alias)), stream.batches()))
 
 
 def case_binder(model, columns: List[RowsetColumn], alias: Optional[str],

@@ -12,6 +12,7 @@ dialects; statement nodes split into plain-SQL statements (executed by
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial, reduce
 from typing import Any, List, Optional, Tuple, Union
 
 
@@ -159,6 +160,8 @@ def children(expr: Expr) -> List[Expr]:
 def conjuncts(expr: Optional[Expr]) -> List[Expr]:
     """The operands of a top-level AND tree, left to right: ``[expr]`` when
     it is not an AND, ``[]`` for an absent predicate."""
+    if type(expr) is not BinaryOp or expr.op != "AND":
+        return [] if expr is None else [expr]
     found: List[Expr] = []
     pending = [expr]
     while pending:
@@ -168,6 +171,11 @@ def conjuncts(expr: Optional[Expr]) -> List[Expr]:
         elif node is not None:
             found.append(node)
     return found
+
+
+def conjoin(conjuncts: List[Expr]) -> Optional[Expr]:
+    """The AND of ``conjuncts``, left to right (None for none)."""
+    return reduce(partial(BinaryOp, "AND"), conjuncts or [None])
 
 
 # ---------------------------------------------------------------------------

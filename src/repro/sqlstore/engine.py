@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import replace
-from functools import partial, reduce
+from functools import partial
 from itertools import chain, compress
 from operator import eq, gt, is_not, itemgetter
 from typing import (
@@ -42,6 +42,7 @@ from repro.sqlstore.expressions import (
     EvalContext,
     compile_expression,
     compile_filter,
+    compile_selection,
     contains_aggregate,
     is_aggregate_call,
 )
@@ -463,10 +464,8 @@ class Database:
             (table.schema.index_of(name), compile_expression(expr, context))
             for name, expr in getattr(statement, "assignments", ())]
         # No WHERE is the empty conjunction: every row passes.
-        holds = compile_filter(
-            [] if statement.where is None else [statement.where], context)
-        positions = list(compress(relation.positions,
-                                  map(holds, relation.rows)))
+        select = compile_selection(ast.conjuncts(statement.where), context)
+        positions = list(select(relation.rows, relation.positions))
         if isinstance(statement, ast.DeleteStatement):
             return table.delete_at(positions)
 
@@ -614,8 +613,8 @@ class Database:
             # The source named its columns only by running.
             expanded = self._expand_select_list(statement, relation.names())
         context.subquery_executor = self.execute_select
-        batches = self._filtered_batches(statement.where, relation, context,
-                                         batch_size)
+        batches = self._filtered_batches(ast.conjuncts(statement.where),
+                                         relation, context, batch_size)
         names = list(map(itemgetter(1), expanded))
         project, declared = (bound and bound[1]) or self._select_binding(
             expanded, context, relation.columns)
@@ -687,23 +686,16 @@ class Database:
                                 distinct_positions(rows, len(columns))))
         return RowStream.from_rowset(Rowset(columns, rows), batch_size)
 
-    def _filtered_batches(self, where: Optional[ast.Expr],
+    def _filtered_batches(self, conjuncts: List[ast.Expr],
                           relation: SourceRelation, context: EvalContext,
                           batch_size: int):
-        """Scan + WHERE, batch at a time: a select's, or a ``filter``'s
-        conjuncts pushed below a join.  The WHERE is bound here, before
-        the first batch is pulled (whose pull, the plan node's, is where
-        progress is counted and a ``CANCEL`` lands)."""
-        where = (compile_expression(where, context)
-                 if where is not None else None)
-
-        def filtered():
-            for batch in relation.batches(batch_size):
-                if where is not None:
-                    batch = [row for row in batch if where(row) is True]
-                if batch:
-                    yield batch
-        return filtered()
+        """Scan + WHERE, batch at a time: a select's ``conjuncts``, or a
+        ``filter``'s pushed below a join, bound here by
+        :func:`compile_selection` before the first batch is pulled (whose
+        pull, the plan node's, is where progress is counted and a
+        ``CANCEL`` lands).  A batch the WHERE empties is not passed on."""
+        return filter(None, map(compile_selection(conjuncts, context),
+                                relation.batches(batch_size)))
 
     @staticmethod
     def _source_positions(expanded, context: EvalContext) \
@@ -1160,18 +1152,18 @@ class Database:
                 pushed.setdefault(qualifier, []).append(conjunct)
             else:
                 rest.append(conjunct)
-        return pushed, replace(statement, where=_conjoin(rest))
+        return pushed, replace(statement, where=ast.conjoin(rest))
 
     def _plan_filter(self, child, ref: ast.NamedTable,
                      conjuncts: List[ast.Expr]):
         """The WHERE conjuncts pushed to one join leaf, run over its scan:
         the join reads only the rows they hold True for."""
-        condition = _conjoin(conjuncts)
+        condition = ast.conjoin(conjuncts)
 
         def open_filter(node, batch_size):
             relation = child.run(batch_size)
             return SourceRelation(relation.columns, batches=(
-                self._filtered_batches(condition, relation,
+                self._filtered_batches(conjuncts, relation,
                                        relation.context(), batch_size)))
 
         def estimate(node):
@@ -1483,11 +1475,6 @@ def pushable_qualifier(conjunct: ast.Expr) -> Optional[str]:
             all(map(row_local, ast.children(expr)))
     return qualifiers.pop() \
         if row_local(conjunct) and len(qualifiers) == 1 else None
-
-
-def _conjoin(conjuncts: List[ast.Expr]) -> Optional[ast.Expr]:
-    """The AND of ``conjuncts``, left to right (None for none)."""
-    return reduce(partial(ast.BinaryOp, "AND"), conjuncts or [None])
 
 
 def _select_detail(statement: ast.SelectStatement) -> Optional[str]:

@@ -6,7 +6,10 @@ One evaluator, one semantics (SQL three-valued logic from
 ``row -> value`` closure — column references are bound to ordinals,
 functions to their handlers and LIKE literals to compiled regexes, so
 binding errors surface before the first row is read.  :func:`evaluate` is
-its one-shot spelling: compile, then call on ``context.row``.
+its one-shot spelling: compile, then call on ``context.row``.  A WHERE
+compiles through :func:`compile_selection`, which filters a batch at a
+time: a column-against-literals conjunct as a kernel over the batch's
+column, any other WHERE as that closure per row.
 
 A context decides what a column reference and a function call *mean*
 through two compile-time hooks, :meth:`EvalContext.bind_column` and
@@ -21,6 +24,7 @@ from __future__ import annotations
 import functools
 import operator
 import re
+from itertools import compress, repeat
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import BindError, Error, TypeError_
@@ -253,11 +257,12 @@ def _subquery_column(rowset):
 @functools.lru_cache(maxsize=256)
 def like_regex(pattern: str) -> "re.Pattern":
     """The compiled regex for a SQL LIKE pattern: ``%`` is any run, ``_``
-    any single character, everything else literal; case-insensitive."""
+    any single character (a newline too), everything else literal;
+    case-insensitive."""
     return re.compile(
         "".join(".*" if ch == "%" else "." if ch == "_" else re.escape(ch)
                 for ch in pattern),
-        flags=re.IGNORECASE)
+        flags=re.IGNORECASE | re.DOTALL)
 
 
 def like_match(value: str, pattern: str) -> bool:
@@ -302,6 +307,145 @@ def compile_filter(conjuncts: List[ast.Expr],
     return passes
 
 
+def compile_selection(conjuncts: List[ast.Expr], context: EvalContext) \
+        -> Callable[..., list]:
+    """Compile a WHERE's top-level AND ``conjuncts`` into ``select(rows,
+    tags=None)``: the rows the WHERE holds True for, in order — or, given
+    ``tags`` (one per row: a DELETE's positions), theirs.
+
+    When every conjunct is a column against literals (:func:`_literal_test`)
+    each is a kernel over the batch's column (a BETWEEN two: ``>=`` and
+    ``<=``), narrowing the survivors of the one before: the values are
+    tested in C when all are of the literal's class
+    (``values.native_classes``), else by the kernel's value test, once per
+    value.  Such a conjunct never raises, so the order it runs in decides
+    nothing.  A WHERE with any other conjunct is the one row closure of
+    their AND, as :func:`compile_expression` makes it: which rows it
+    evaluates, and so which statements raise, is what it was.
+    """
+    kernels = []
+    for conjunct in conjuncts:
+        form = _literal_test(conjunct)
+        if form is None or type(form[0]) is not ast.ColumnRef:
+            holds = compile_expression(ast.conjoin(conjuncts), context)
+            kernels = [(holds, _ready(_IS_TRUE), (), None, None, False, False)]
+            break
+        read = context.bind_column(form[0])
+        for kernel in form[2]:
+            kernels.append((read, *kernel))
+
+    def select(rows: list, tags=None) -> list:
+        if len(rows) == 1:  # a seek's one row: no column to build
+            for read, make_test, classes, test, key, floats, negated \
+                    in kernels:
+                value = read(rows[0])
+                if type(value) not in classes:
+                    if make_test()(value) is not True:
+                        return []
+                elif bool(test(key, float(value) if floats else value)) \
+                        is negated:
+                    return []
+            return rows if tags is None else list(tags)
+        for read, make_test, classes, test, key, floats, negated in kernels:
+            values = list(map(read, rows))
+            if classes and classes.issuperset(map(type, values)):
+                mask = map(test, repeat(key),
+                           map(float, values) if floats else values)
+                if negated:
+                    mask = map(operator.not_, mask)
+            else:
+                mask = map(make_test(), values)
+            if tags is not None:
+                mask = list(mask)
+                tags = list(compress(tags, mask))
+            rows = list(compress(rows, mask))
+        return rows if tags is None else tags
+    return select
+
+
+_IS_TRUE = functools.partial(operator.is_, True)
+
+
+def _ready(test: Callable) -> Callable[[], Callable]:
+    """The maker of a value test that is made already."""
+    return lambda: test
+
+
+def _literal_test(expr: ast.Expr):
+    """A predicate of one operand against literals — a comparison with a
+    literal on either side, ``[NOT] BETWEEN`` literals, ``[NOT] LIKE`` a
+    literal, ``[NOT] IN`` a list of literals, ``IS [NOT] NULL`` — as
+    ``(operand, make_test, kernels)``.  ``make_test()`` returns the
+    predicate on the operand's value (True, False or None).  The predicate
+    is True exactly where every kernel ``(make_kernel_test, classes, test,
+    key, floats, negated)`` holds: its own value test, or for a value of
+    ``classes``, ``test(key, float(value) if floats else value) is not
+    negated`` with ``test`` a C function.  Tests are made only when
+    needed.  None for any other expression."""
+    kind = type(expr)
+    if kind is ast.BinaryOp and expr.op in V.COMPARISONS:
+        if type(expr.right) is ast.Literal:
+            operand, op, literal = expr.left, expr.op, expr.right.value
+        elif type(expr.left) is ast.Literal:
+            operand, op = expr.right, V.MIRRORED[expr.op]
+            literal = expr.left.value
+        else:
+            return None
+        test = functools.partial(V.comparator, op, literal)
+        return operand, test, [(test, *V.native_comparison(op, literal))]
+    if kind is ast.IsNull:
+        test = _ready(functools.partial(
+            operator.is_not if expr.negated else operator.is_, None))
+        return expr.operand, test, [(test, (), None, None, False, False)]
+    if kind is ast.Between and type(expr.low) is ast.Literal and \
+            type(expr.high) is ast.Literal:
+        low, high, negated = expr.low.value, expr.high.value, expr.negated
+        test = _ready(lambda value: _between(value, low, high, negated))
+        if negated:  # the value test, per value
+            return expr.operand, test, [(test, (), None, None, False, False)]
+        # BETWEEN holds where x >= low and x <= high both hold.
+        return expr.operand, test, [
+            (functools.partial(V.comparator, op, literal),
+             *V.native_comparison(op, literal))
+            for op, literal in ((">=", low), ("<=", high))]
+    if kind is ast.InList and expr.items and \
+            all(type(item) is ast.Literal for item in expr.items):
+        items, negated = [item.value for item in expr.items], expr.negated
+        test = _ready(lambda value: _membership(value, items, negated))
+        classes = set(map(V.native_classes, items))
+        classes = classes.pop() if len(classes) == 1 else ()
+        floats = classes is V.NUMBER_TYPES
+        keys = frozenset(map(float, items) if floats else items)
+        return expr.operand, test, [
+            (test, classes, operator.contains, keys, floats, negated)]
+    if kind is ast.Like and type(expr.pattern) is ast.Literal and \
+            expr.pattern.value is not None:
+        # The regex is fixed when the operator opens.
+        regex, negated = like_regex(str(expr.pattern.value)), expr.negated
+        test = _ready(lambda value: None if value is None else
+                      (regex.fullmatch(str(value)) is not None) != negated)
+        return expr.operand, test, [
+            (test, V.TEXT_TYPES, re.Pattern.fullmatch, regex, False, negated)]
+    return None
+
+
+def _compile_literal_test(expr: ast.Expr, context: EvalContext):
+    """The row closure of a :func:`_literal_test` predicate, or None."""
+    form = _literal_test(expr)
+    if form is None:
+        return None
+    operand, test = compile_expression(form[0], context), form[1]()
+    return lambda row: test(operand(row))
+
+
+def _literal_first(compile_other):
+    """A compiler that compiles a :func:`_literal_test` predicate — a
+    comparison with a literal side, say, its kernel fixed now — as one,
+    and any other expression by ``compile_other``."""
+    return lambda expr, context: (_compile_literal_test(expr, context)
+                                  or compile_other(expr, context))
+
+
 def _compile_literal(expr: ast.Literal, context: EvalContext):
     value = expr.value
     return lambda row: value
@@ -335,17 +479,8 @@ def _compile_binary(expr: ast.BinaryOp, context: EvalContext):
     left = compile_expression(expr.left, context)
     right = compile_expression(expr.right, context)
     if op in V.COMPARISONS:
-        # A literal side fixes the comparison's kernel now (mirrored when
-        # the literal is on the left); otherwise both sides are values.
-        if type(expr.right) is ast.Literal:
-            compare, operand = V.comparator(op, expr.right.value), left
-        elif type(expr.left) is ast.Literal:
-            compare = V.comparator(V.MIRRORED[op], expr.left.value)
-            operand = right
-        else:
-            compare = V.sql_comparison(op)
-            return lambda row: compare(left(row), right(row))
-        return lambda row: compare(operand(row))
+        compare = V.sql_comparison(op)
+        return lambda row: compare(left(row), right(row))
     if op in _ARITHMETIC:
         return lambda row: _arithmetic(op, left(row), right(row))
     raise Error(f"unknown binary operator {op!r}")
@@ -379,29 +514,9 @@ def _compile_unary(expr: ast.UnaryOp, context: EvalContext):
     return lambda row: _negate(operand(row))
 
 
-def _compile_is_null(expr: ast.IsNull, context: EvalContext):
-    operand = compile_expression(expr.operand, context)
-    if expr.negated:
-        return lambda row: operand(row) is not None
-    return lambda row: operand(row) is None
-
-
 def _compile_in_list(expr: ast.InList, context: EvalContext):
     operand = compile_expression(expr.operand, context)
     negated = expr.negated
-    if expr.items and all(type(item) is ast.Literal for item in expr.items):
-        tests = [V.comparator("=", item.value) for item in expr.items]
-
-        def in_literals(row):  # _membership, each equality a kernel
-            value = operand(row)
-            saw_null = False
-            for test in tests:
-                result = test(value)
-                if result is True:
-                    return not negated
-                saw_null = saw_null or result is None
-            return None if saw_null else negated
-        return in_literals
     items = [compile_expression(item, context) for item in expr.items]
     return lambda row: _membership(
         operand(row), (item(row) for item in items), negated)
@@ -410,18 +525,6 @@ def _compile_in_list(expr: ast.InList, context: EvalContext):
 def _compile_between(expr: ast.Between, context: EvalContext):
     operand = compile_expression(expr.operand, context)
     negated = expr.negated
-    if type(expr.low) is ast.Literal and type(expr.high) is ast.Literal:
-        above = V.comparator(">=", expr.low.value)
-        below = V.comparator("<=", expr.high.value)
-
-        def between_literals(row):  # _between, each side a kernel
-            value = operand(row)
-            low_ok, high_ok = above(value), below(value)
-            if low_ok is False or high_ok is False:
-                return negated
-            return None if low_ok is None or high_ok is None else \
-                not negated
-        return between_literals
     low = compile_expression(expr.low, context)
     high = compile_expression(expr.high, context)
     return lambda row: _between(operand(row), low(row), high(row), negated)
@@ -430,18 +533,7 @@ def _compile_between(expr: ast.Between, context: EvalContext):
 def _compile_like(expr: ast.Like, context: EvalContext):
     operand = compile_expression(expr.operand, context)
     negated = expr.negated
-    pattern = expr.pattern
-    if isinstance(pattern, ast.Literal) and pattern.value is not None:
-        # The usual case: the regex is fixed when the operator opens.
-        fullmatch = like_regex(str(pattern.value)).fullmatch
-
-        def like_literal(row):
-            value = operand(row)
-            if value is None:
-                return None
-            return (fullmatch(str(value)) is not None) != negated
-        return like_literal
-    pattern = compile_expression(pattern, context)
+    pattern = compile_expression(expr.pattern, context)
     return lambda row: _like(operand(row), pattern(row), negated)
 
 
@@ -480,12 +572,12 @@ _COMPILERS = {
     ast.ColumnRef: lambda expr, context: context.bind_column(expr),
     ast.Star: _compile_star,
     ast.FuncCall: lambda expr, context: context.bind_function(expr),
-    ast.BinaryOp: _compile_binary,
+    ast.BinaryOp: _literal_first(_compile_binary),
     ast.UnaryOp: _compile_unary,
-    ast.IsNull: _compile_is_null,
-    ast.InList: _compile_in_list,
-    ast.Between: _compile_between,
-    ast.Like: _compile_like,
+    ast.IsNull: _compile_literal_test,
+    ast.InList: _literal_first(_compile_in_list),
+    ast.Between: _literal_first(_compile_between),
+    ast.Like: _literal_first(_compile_like),
     ast.Case: _compile_case,
     ast.SubSelect: _compile_subselect,
     ast.InSelect: _compile_in_select,

@@ -24,8 +24,8 @@ _TESTS = {"=": (eq, False), "<>": (eq, True), "<": (lt, False),
 COMPARISONS = frozenset(_TESTS)
 #: ``literal <op> value`` is ``value <MIRRORED[op]> literal``.
 MIRRORED = {"=": "=", "<>": "<>", "<": ">", ">": "<", "<=": ">=", ">=": "<="}
-_NUMBERS = (int, float)
-_NUMBER_TYPES, _TEXT_TYPE = frozenset(_NUMBERS), frozenset((str,))
+NUMBER_TYPES, TEXT_TYPES = frozenset((int, float)), frozenset((str,))
+_NO_TYPES = frozenset()
 
 
 def is_null(value: Any) -> bool:
@@ -81,24 +81,33 @@ def _unequal(left: Any, right: Any) -> Optional[bool]:
     return None if result is None else not result
 
 
+def native_classes(literal: Any) -> frozenset:
+    """The classes of value ``literal`` meets natively: a ``str``'s own;
+    ``int`` and ``float`` (never ``bool``) for a non-bool number whose float
+    — :func:`sql_equal`'s key — is finite; none for any other literal."""
+    kind = type(literal)
+    if kind is str:
+        return TEXT_TYPES
+    if kind in NUMBER_TYPES and abs(literal) < 1e308:
+        return NUMBER_TYPES
+    return _NO_TYPES
+
+
 def comparator(op: str, literal: Any) -> Callable[[Any], Optional[bool]]:
     """``value -> value <op> literal``, the literal's class decided once.
 
-    A non-bool ``int``/``float`` or a ``str`` literal meets a value of its
-    own class with one ``type()`` test and one native comparison (numbers
-    equal by their floats, as :func:`sql_equal` has them).  Every other
-    value — NULL, a bool, a date, another class — and every other literal
-    go to :func:`sql_comparison`, the one source of the semantics.
+    A value of the literal's :func:`native_classes` costs one ``type()``
+    test and one native comparison (numbers equal by their floats, as
+    :func:`sql_equal` has them).  Every other value — NULL, a bool, a date,
+    another class — and every other literal go to :func:`sql_comparison`,
+    the one source of the semantics.
     """
     generic = sql_comparison(op)
-    kind = type(literal)
-    # A number must have a float (sql_equal's key) that is not infinite.
-    classes = ((str,) if kind is str else
-               _NUMBERS if kind in _NUMBERS and abs(literal) < 1e308 else ())
+    classes = native_classes(literal)
     test, negated = _TESTS[op]
     if not classes:
         return lambda value: generic(value, literal)
-    if test is eq and classes is _NUMBERS:
+    if test is eq and classes is NUMBER_TYPES:
         key = float(literal)
 
         def equal(value):
@@ -112,6 +121,24 @@ def comparator(op: str, literal: Any) -> Callable[[Any], Optional[bool]]:
             return test(value, literal) is not negated
         return generic(value, literal)
     return compare
+
+
+def native_comparison(op: str, literal: Any) \
+        -> "tuple[frozenset, Callable[[Any, Any], bool], Any, bool, bool]":
+    """``(classes, test, key, floats, negated)``: for a value of
+    ``classes`` (:func:`native_classes` of ``literal``), ``value <op>
+    literal`` is ``test(key, float(value) if floats else value) is not
+    negated`` — what :func:`comparator` decides, ``test`` an ``operator``
+    function (numbers equal by their floats; ``>=`` is ``not <``)."""
+    test, negated = _TESTS[op]
+    classes = native_classes(literal)
+    if test is eq and classes is NUMBER_TYPES:
+        return classes, eq, float(literal), True, negated
+    return classes, _REFLECTED[test], literal, False, negated
+
+
+#: ``value <test> literal`` is ``literal <_REFLECTED[test]> value``.
+_REFLECTED = {eq: eq, lt: gt, gt: lt}
 
 
 def _normalize_pair(left: Any, right: Any) -> tuple:
@@ -166,9 +193,9 @@ def group_keys(values: Sequence[Any]) -> Sequence[Any]:
     other value's ``str``.  A column of numbers alone or of strings alone
     costs no call per value, and strings alone are their own keys (the
     sequence comes back as it went in)."""
-    if _NUMBER_TYPES.issuperset(map(type, values)):
+    if NUMBER_TYPES.issuperset(map(type, values)):
         return list(map(float, values))
-    if _TEXT_TYPE.issuperset(map(type, values)):
+    if TEXT_TYPES.issuperset(map(type, values)):
         return values
     return list(map(bare_key, values))
 

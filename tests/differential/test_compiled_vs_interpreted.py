@@ -22,7 +22,12 @@ same error class with the same message — for
       (``reference_substitute``) and interprets it, aggregating with the
       per-row accumulators.  A fixed grid of grouped statements,
       hypothesis-drawn post-aggregate trees and generated COUNT(*) / SUM
-      buckets.
+      buckets, and
+(iv)  a WHERE selected a batch at a time (``compile_selection``: one
+      kernel per column-against-literals conjunct, in C over a column of
+      the literal's class) vs the WHERE interpreted row by row: the same
+      rows, or the same error, over random batches whose columns are all
+      numbers, all strings, all dates or mixed.
 
 The one sanctioned difference is *when* names bind: the compiler raises
 ``BindError`` once, up front; the interpreter raises it on every row that
@@ -34,6 +39,7 @@ The example budgets of (ii) and (iii) come from the hypothesis profile
 """
 
 import datetime
+import functools
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -46,6 +52,7 @@ from repro.sqlstore.engine import Database, _multi_key_sort
 from repro.sqlstore.expressions import (
     EvalContext,
     compile_expression,
+    compile_selection,
     contains_aggregate,
     is_aggregate_call,
 )
@@ -333,6 +340,151 @@ def test_literal_kernels_over_the_edges(text):
     rows = [(value, None, None, None) for value in values]
     assert_paths_agree(parse_expression(text),
                        EvalContext.from_names(COLUMNS, "t"), rows)
+
+
+# -- (iv) a WHERE a batch at a time -------------------------------------------------
+
+# Numbers past 2**53 and at the float's edge, NaN, the infinities; strings
+# with newlines and the two non-ASCII letters that fold to ASCII ones
+# under IGNORECASE (long s, Kelvin sign).
+NUMBER_EDGES = st.one_of(st.integers(-2, 2), st.sampled_from(
+    [0.0, -0.0, 2.5, nan, inf, -inf, 1e308, 1.7976931348623157e308, -1e308,
+     2 ** 53 + 1, float(2 ** 53), 2 ** 53, -2 ** 60]))
+TEXT_EDGES = st.sampled_from(["", "a", "b", "B", "Bx", "B\nx", "a\nb", "x\n",
+                              "s", "S", "\u017f", "k", "K", "\u212a", "1",
+                              "2.5", "%", "_"])
+DATES = st.sampled_from([datetime.date(2001, 4, 2),
+                         datetime.date(1999, 12, 31)])
+MIXED_EDGES = st.one_of(st.none(), st.booleans(), NUMBER_EDGES, TEXT_EDGES,
+                        DATES)
+# A column is all of one class (a kernel's native batch) or mixed.
+COLUMN_CLASSES = [NUMBER_EDGES, TEXT_EDGES, DATES, MIXED_EDGES,
+                  st.one_of(st.none(), NUMBER_EDGES)]
+PATTERNS = st.sampled_from(["b%", "%x", "_", "B_x", "b%X", "s", "k%", "%\n%",
+                            "a_b", "%", "", "\u017f", "\u212a", "1%", "%.%"])
+
+
+@st.composite
+def selection_batches(draw):
+    size = draw(st.integers(0, 12))
+    columns = [draw(st.lists(draw(st.sampled_from(COLUMN_CLASSES)),
+                             min_size=size, max_size=size))
+               for _ in COLUMNS]
+    return list(zip(*columns))
+
+
+def _selection_conjuncts():
+    columns, flags = _column_refs(), st.booleans()
+    literals = st.builds(ast.Literal, MIXED_EDGES)
+    return st.one_of(
+        st.builds(ast.BinaryOp, st.sampled_from(COMPARISONS), columns,
+                  literals),
+        st.builds(ast.BinaryOp, st.sampled_from(COMPARISONS), literals,
+                  columns),
+        st.builds(ast.Between, columns, literals, literals, flags),
+        st.builds(ast.InList, columns,
+                  st.lists(literals, min_size=1, max_size=4), flags),
+        st.builds(ast.Like, columns, st.builds(ast.Literal, PATTERNS), flags),
+        st.builds(ast.IsNull, columns, flags),
+    )
+
+
+# Conjuncts no kernel takes: some raise on a number, a bool or a date.
+OTHER_CONJUNCTS = st.sampled_from([parse_expression(text) for text in (
+    "t.a + 'x' > 0", "SQRT(t.b) > 1", "t.c = t.d", "NOT t.a IS NULL",
+    "t.d", "1 = 1")])
+
+
+def assert_selection_agrees(conjuncts, rows):
+    """``compile_selection(conjuncts)`` over ``rows`` selects the rows —
+    and, given tags, the positions — the AND of ``conjuncts`` interpreted
+    row by row holds True for, or raises what the interpreter raises; so
+    does each row read as a batch of its own, as a point seek reads it."""
+    context = EvalContext.from_names(COLUMNS, "t")
+    where = functools.reduce(functools.partial(ast.BinaryOp, "AND"),
+                             conjuncts)
+
+    def interpreted(batch, tags):
+        return outcome(lambda: [
+            tag for tag, row in zip(tags, batch)
+            if reference_evaluate(where, reference_context(context, row))
+            is True])
+    select = compile_selection(conjuncts, context)
+    tags = range(7, 7 + len(rows))
+    expected = interpreted(rows, tags)
+    assert outcome(lambda: select(rows, tags)) == expected
+    if expected[0] == "value":
+        assert select(rows) == [rows[tag - 7] for tag in expected[2]]
+    for tag, row in zip(tags, rows):
+        assert outcome(lambda: select([row], [tag])) == \
+            interpreted([row], [tag])
+
+
+@settings(deadline=None)
+@given(conjuncts=st.lists(st.one_of(_selection_conjuncts(),
+                                    _selection_conjuncts(), OTHER_CONJUNCTS),
+                          min_size=1, max_size=4),
+       rows=selection_batches())
+def test_batch_selection_agrees_with_the_row_closure(conjuncts, rows):
+    assert_selection_agrees(conjuncts, rows)
+
+
+@pytest.mark.parametrize("op", COMPARISONS)
+@pytest.mark.parametrize("literal", [1, 1.0, 2 ** 53, float(2 ** 53), "b",
+                                     None, True, datetime.date(2001, 4, 2)])
+def test_every_comparison_kernel_over_the_edges(op, literal):
+    """Each operator with the literal on either side, over a column of the
+    literal's class (the kernel in C) and a mixed one (per value).  NaN
+    passes ``>=`` and ``<=``: they are ``not <`` and ``not >``."""
+    for column in ([nan, inf, -inf, 1e308, 0, 1, 1.0, 2 ** 53 + 1, -0.0],
+                   ["", "a", "b", "B", "b\n", "\u212a"],
+                   [None, nan, True, 1, "1", "b", datetime.date(2001, 4, 2),
+                    2 ** 53 + 1]):
+        rows = [(value, None, None, None) for value in column]
+        for conjunct in (ast.BinaryOp(op, ast.ColumnRef(("a",)),
+                                      ast.Literal(literal)),
+                         ast.BinaryOp(op, ast.Literal(literal),
+                                      ast.ColumnRef(("a",)))):
+            assert_selection_agrees([conjunct], rows)
+
+
+@pytest.mark.parametrize("text", [
+    "t.a >= 1 AND 1 <= t.a", "t.a NOT BETWEEN 0 AND 2", "t.a BETWEEN 1 AND 2",
+    "t.a NOT BETWEEN 'a' AND 'b'", "t.a BETWEEN 'a' AND 'b'",
+    "t.a BETWEEN 0 AND 'z'", "t.a BETWEEN 9007199254740993 AND 1e308",
+    "t.a NOT LIKE 'b%'", "t.a LIKE 'B_X'", "t.a LIKE 's'", "t.a LIKE 'k%'",
+    "t.a NOT IN (1, NULL)", "t.a NOT IN ('b', NULL)", "t.a IN (1, 2.5)",
+    "t.a NOT IN (0, 1)", "t.a IN ('b', 'B\nx')", "t.a IN (1, 'b')",
+    "t.a IN (9007199254740993, 2.5)", "t.a NOT IN (9007199254740992.0)",
+    "t.a IS NULL AND t.a IS NOT NULL", "t.a IS NOT NULL AND t.a <> 1",
+    # a conjunct that raises beside kernel ones: the row closure decides
+    "t.a = 1 AND t.a + 'x' > 0", "t.a + 'x' > 0 AND t.a = 99",
+    "t.a IS NULL AND SQRT(t.a) > 1", "t.a <> 'b' AND SQRT(t.a) > 1",
+])
+def test_selection_forms_over_the_edges(text):
+    """NOT BETWEEN, NOT LIKE, NOT IN with a NULL item, LIKE across a newline
+    and under case folding, and a kernel conjunct beside one that raises."""
+    columns = [[nan, inf, -inf, 1e308, 0, 1, 1.0, 2, 2.5, -1.5, 2 ** 53,
+                2 ** 53 + 1, float(2 ** 53)],
+               ["", "a", "b", "B\nx", "Bx", "S", "\u017f", "K", "\u212a"],
+               [None, 1, "b", True, datetime.date(2001, 4, 2), 2.5, "B\nx"]]
+    conjuncts = ast.conjuncts(parse_expression(text))
+    for column in columns:
+        assert_selection_agrees(
+            conjuncts, [(value, None, None, None) for value in column])
+
+
+@pytest.mark.parametrize("text", ["t.b + 'x' > 0 AND t.a = 99",
+                                  "t.a = 99 AND t.b + 'x' > 0"])
+def test_a_raising_conjunct_raises_where_a_kernel_rejects(text):
+    """A kernel alone would reject the row (``t.a = 99`` is NULL for it),
+    but NULL does not stop an AND: the row closure meets the raising
+    conjunct on it, so the statement raises — before or after the
+    kernel conjunct."""
+    select = compile_selection(ast.conjuncts(parse_expression(text)),
+                               EvalContext.from_names(COLUMNS, "t"))
+    with pytest.raises(Error, match="operator"):
+        select([(None, 1, None, None)])
 
 
 # -- (iii) per-group expressions ----------------------------------------------------

@@ -21,7 +21,7 @@ below the join, without them the whole WHERE runs above it.
 import pytest
 
 import repro
-from repro.errors import BindError
+from repro.errors import BindError, Error
 from repro.server.protocol import rowset_dump
 
 from tests.differential.test_stream_vs_materialize import (
@@ -297,3 +297,19 @@ def test_prediction_pushdown_matches_unpushed(prediction_pair, statement):
     on, off = prediction_pair
     assert rowset_dump(on.execute(statement)) == \
         rowset_dump(off.execute(statement))
+
+
+def test_a_pushed_conjunct_raises_where_the_unpushed_where_does(
+        prediction_pair):
+    """A NULL conjunct does not stop an AND: below binding as above it,
+    the conjunct after it is evaluated on that row, and here it raises.
+    (Pushed conjuncts once stopped at the first one not True.)"""
+    statement = ("SELECT t.cid FROM SpendModel NATURAL PREDICTION JOIN "
+                 "(SELECT cid, city, spend FROM Customers) AS t "
+                 "WHERE t.city = 'Nowhere' AND t.spend + 'x' > 0")
+    messages = []
+    for conn in prediction_pair:
+        with pytest.raises(Error) as raised:
+            conn.execute(statement)
+        messages.append(str(raised.value))
+    assert messages[0] == messages[1]

@@ -22,9 +22,11 @@ list; per case 8.2 and 4.7 for the tree and naive Bayes TRAIN, 2.59 and
 cached caseset, on CPython 3.11; 3.12 inlines comprehensions and counts
 fewer).  The benchmark's five
 scan shapes over 5,000 customers, under its two indexes, are held per
-scanned row — the rows of every table a shape reads — at 1.54; a scan
-that decides a comparison's semantics per row instead of per operator
-costs about 5.  The benchmark's 100-row ``INSERT INTO Sales VALUES`` is
+scanned row — the rows of every table a shape reads — at 0.031 (0.0294
+when set, since every conjunct of their WHERE clauses is a column against
+literals that ``compile_selection`` tests a batch column at a time in C;
+1.159 while each row ran the WHERE's nested closures, and about 5 while
+a comparison's semantics were decided per row instead of per operator).  The benchmark's 100-row ``INSERT INTO Sales VALUES`` is
 held per inserted row at 1.0 (0.95 when set, since a template hit picks a
 VALUES row's values straight from the lexer's literals into a tuple; 23.0
 while every value became a ``Literal`` node first, 39.0 while every index
@@ -75,7 +77,7 @@ WARM_JOIN_CEILING = {"dt": 0.47, "nb": 0.35}
 
 SCAN_CUSTOMERS = 5000
 #: Call events per scanned row over the five scan shapes.
-SCAN_CEILING = 1.62
+SCAN_CEILING = 0.031
 
 #: Call events per inserted row of the benchmark's 100-row ``INSERT INTO
 #: Sales VALUES``, and per single-row ``INSERT INTO Sink VALUES``.

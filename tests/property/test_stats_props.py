@@ -51,6 +51,10 @@ operation_strategy = st.lists(
                   st.integers(min_value=-50, max_value=50)),
         st.tuples(st.just("update"),
                   st.integers(min_value=-50, max_value=50), row_strategy),
+        # One stored row's id set to another stored row's: on a keyed
+        # table, an UPDATE onto a taken key.
+        st.tuples(st.just("rekey"), st.integers(min_value=0),
+                  st.integers(min_value=0)),
         st.tuples(st.just("truncate")),
     ),
     max_size=40,
@@ -81,6 +85,14 @@ def _apply(table, operations):
                     table,
                     lambda row: row[0] is not None and row[0] >= threshold),
                     lambda row: replacement)
+            elif operation[0] == "rekey":
+                rows = table.rows
+                if len(rows) > 1:
+                    moved = operation[1] % len(rows)
+                    taken = rows[(moved + 1 + operation[2] % (len(rows) - 1))
+                                 % len(rows)][0]
+                    table.update_at([moved],
+                                    lambda row: (taken,) + tuple(row[1:]))
             else:
                 table.truncate()
 
@@ -101,11 +113,13 @@ def test_keyed_indexed_histories_match_a_rebuild(operations):
     """With ``id`` the PRIMARY KEY and an index on every column: after any
     history — failed duplicate-key and NULL-key statements included — the
     key set, every index and the statistics equal a rebuild from the
-    stored rows."""
+    stored rows.  The history starts on three stored keys, so a ``rekey``
+    finds a taken key to move onto."""
     table = Table(_schema(keyed=True), with_stats=True)
     for column in ("id", "name", "score"):
         table.create_index(f"ix_{column}", column)
-    _apply(table, operations)
+    _apply(table, [("insert", (key, None, None)) for key in (-40, 0, 40)]
+           + operations)
     rows = table.rows
     keys = group_keys([row[0] for row in rows])
     assert table._pk_keys == set(keys) and len(keys) == len(set(keys))

@@ -2,6 +2,7 @@
 
 import datetime
 import gc
+import sqlite3
 import weakref
 
 import numpy as np
@@ -163,12 +164,22 @@ class TestLike:
             is False
         assert eval_expr("v NOT LIKE p", names, ("(a+b) [c]^$_|", pattern)) \
             is True
-        # '%' and '_' keep their reach: neither crosses a line break.
-        assert eval_expr("v LIKE 'a%'", ["v"], ("a\nb",)) is False
-        assert eval_expr("v LIKE 'a_b'", ["v"], ("a\nb",)) is False
+        # '%' and '_' match a line break as any other character.
+        assert eval_expr("v LIKE 'a%'", ["v"], ("a\nb",)) is True
+        assert eval_expr("v LIKE 'a_b'", ["v"], ("a\nb",)) is True
         # A literal pattern (bound at compile time) and a column pattern
         # (translated per distinct text) agree.
         assert eval_expr("v LIKE '(a+b)%'", ["v"], ("(A+B).",)) is True
+
+    @pytest.mark.parametrize("value, pattern", [
+        ("B\nx", "B%"), ("a\nb", "a_b"), ("\n", "_"), ("\n\n", "%"),
+        ("x\n", "%x"), ("B\nx", "b_X"), ("a\nb\nc", "a%c"), ("ab", "a\n%"),
+    ])
+    def test_newlines_match_as_sqlite_matches_them(self, value, pattern):
+        """``%`` and ``_`` match a newline, as SQLite's LIKE does."""
+        with sqlite3.connect(":memory:") as conn:
+            (expected,), = conn.execute("SELECT ? LIKE ?", (value, pattern))
+        assert like_match(value, pattern) is bool(expected)
 
     def test_one_translation_per_pattern(self):
         like_regex.cache_clear()
