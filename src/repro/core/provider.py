@@ -382,8 +382,8 @@ class Provider:
         on a shape it has not seen — and classify it, plan it once (a
         control verb has no plan; a mutating statement is planned under
         the writer lock) — outside any model lock, a templated
-        SELECT or UNION from its shape's prepared plan — and hand that
-        tree, with the shape's fingerprint, to the workload repository
+        SELECT or UNION from its shape's kept plan — and hand that plan,
+        with the shape's fingerprint, to the workload repository
         (skeleton, hash, estimate).  Then ``run(statement, plan)`` — a
         statement made from a template shares nodes with others of its
         shape, so the tree is read-only from here on — and return
@@ -404,27 +404,29 @@ class Provider:
             except ParseError as exc:
                 _attach_statement(exc, command)
                 raise
-            record.kind = kind = _statement_kind(statement, self)
+            # (A template hit is made a statement only if it is planned as
+            # one; its kind is its template's.)
+            shaped = statement or slot[0].statement
+            record.kind = kind = _statement_kind(shaped, self)
             # A mutating statement (or EXPLAIN ANALYZE of one) holds the
             # writer lock from here to its commit: its plan reads the data
             # — the table an INSERT … SELECT reads, an index seek's row
             # positions — so no other mutation may commit before it runs,
             # or it would change rows it did not read (and its journal
             # record would replay against data it did not run on).
-            if type(statement.statement if kind == "EXPLAIN_ANALYZE"
-                    else statement) in MUTATING_STATEMENTS:
+            if type(shaped.statement if kind == "EXPLAIN_ANALYZE"
+                    else shaped) in MUTATING_STATEMENTS:
                 if not self.writer_lock.acquire(blocking=False):
                     _await_writer_lock(self.writer_lock)
                 lock = self.writer_lock
-            plan = prepared = None
+            plan = None
             try:
-                plan, prepared = self._prepared_plan(statement, kind, slot)
+                statement, plan = self._prepared_plan(statement, kind, slot)
             except BindError as exc:
                 _attach_statement(exc, command)
                 raise
             finally:
-                self.repository.annotate(record, command, shape, plan,
-                                         prepared)
+                self.repository.annotate(record, shape, plan)
             return record, run(statement, plan)
         except BaseException as exc:
             self.tracer.complete(record, exc)
@@ -434,35 +436,53 @@ class Provider:
                 lock.release()
             obs_trace.deactivate(previous)
 
-    def _prepared_plan(self, statement: ast.Statement, kind: str, slot):
-        """The plan of ``statement`` (none for a control verb).  A
-        templated SELECT or UNION (not a PREDICTION JOIN, not FLATTENED)
-        binds the prepared plan in its template's slot — ``slot`` is the
-        parse's ``(template, slot values)`` — when the catalog has not
-        changed since it was prepared (a hit); otherwise it prepares the
-        shape and — when it reads base tables only — keeps the plan there
-        with the catalog version it was prepared against.  Returns the
-        tree and the prepared plan (None for any other statement, planned
-        by :func:`build_plan`)."""
-        if kind in _CONTROL_KINDS:
-            return None, None
-        if slot is None or kind not in ("SELECT", "UNION") or \
-                getattr(statement, "flattened", False):
-            return build_plan(self, statement), None
-        template = slot[0]
-        database = self.database
-        version = database.catalog_version
-        if template.plan is not None:
-            kept, prepared = template.plan
-            if kept == version:
-                self.metrics.fold({"sqlstore.plan_cache.hits": 1})
-                return database.bind(prepared, statement), prepared
-            self.metrics.fold({"sqlstore.plan_cache.misses": 1})
-        prepared = database.prepare(statement)
-        if prepared.tables is not None and \
-                database.catalog_version == version:  # no DDL meanwhile
-            template.plan = (version, prepared)
-        return database.bind(prepared, statement), prepared
+    def _prepared_plan(self, statement: Optional[ast.Statement], kind: str,
+                       slot):
+        """``(statement, plan)``: the statement — made from its template
+        when the parse hit one (``statement`` None; ``slot`` is the parse's
+        ``(template, slot values)``) — and its plan (none for a control
+        verb).  A templated SELECT or UNION (not a PREDICTION JOIN, not
+        FLATTENED) reads its template's kept plan of the shape when the
+        catalog has not changed since it was prepared (a hit); otherwise
+        (a miss) it prepares the shape and, when every source is a base
+        table, keeps the plan there with the catalog version it was
+        prepared against.  Every statement of a kept shape runs the tree
+        its access path shares (:meth:`Database.bind_values`): one whose
+        every literal one of its WHERE's kernels reads is bound by its
+        values alone and runs as the template's own statement, never made;
+        any other is made, and its tree reads it.  Any other statement is
+        planned by :func:`build_plan`."""
+        if slot is not None and kind in ("SELECT", "UNION") and \
+                not getattr(slot[0].statement, "flattened", False):
+            template, values = slot
+            database = self.database
+            version = database.catalog_version
+            kept, prepared, by_values = template.plan or (None, None, False)
+            if kept != version:
+                if prepared is not None:
+                    obs_trace.count(self.metrics, "sqlstore.plan_cache.misses")
+                prepared = database.prepare(template.statement)
+                reads = prepared.reads()
+                by_values = reads is not None and \
+                    reads.issuperset(template.slots)
+                if database.catalog_version == version:  # no DDL meanwhile
+                    template.plan = (version, None if reads is None
+                                     else prepared, by_values)
+                if reads is None:  # planned statement by statement
+                    if statement is not None:  # the template's own
+                        return statement, database.bind(prepared)
+                    prepared = None
+            elif prepared is not None:
+                obs_trace.count(self.metrics, "sqlstore.plan_cache.hits")
+            if prepared is not None:
+                statement = template.statement if by_values \
+                    else template.instantiate(values)
+                return statement, database.bind_values(
+                    prepared, template.value_of(values), statement)
+        if statement is None:
+            statement = slot[0].instantiate(slot[1])
+        return statement, (None if kind in _CONTROL_KINDS
+                           else build_plan(self, statement))
 
     def _execute_statement(self, statement: ast.Statement, command: str,
                            plan: Optional[PlanNode] = None) -> Any:
@@ -532,9 +552,10 @@ class Provider:
         plan = build_plan(self, inner)
         plan.estimate()
         # With no active record (recording off, or a direct execute_ast()
-        # call) a scratch record nobody completes takes the actuals.
-        record = obs_trace.active_record() or \
-            obs_trace.StatementRecord(0, "EXPLAIN")
+        # call) a scratch record nobody completes takes the actuals, and
+        # the metrics counted on it are folded here.
+        active = obs_trace.active_record()
+        record = active or obs_trace.StatementRecord(0, "EXPLAIN")
         if statement.analyze:
             from repro.lang.formatter import format_statement
             previous = obs_trace.activate(record)
@@ -542,6 +563,8 @@ class Provider:
                 self._execute_statement(inner, format_statement(inner), plan)
             finally:
                 obs_trace.deactivate(previous)
+                if active is None:
+                    self.metrics.fold(record.folds)
         rowset = explain_rowset(plan, record if statement.analyze else None)
         # ROWS_OUT is the rows this statement returns; the analyzed
         # statement's own are its root's ACTUAL_ROWS.
@@ -661,6 +684,7 @@ class Provider:
             counts["resource.lock_wait_ms"] = record.lock_wait_ms
             counts["resource.rows_processed"] = record.rows_processed
             observations["resource.statement_cpu_ms"] = cpu_ms
+        counts.update(record.folds)
         self.repository.observe(record, totals, cpu_ms)
         self.metrics.fold(counts, observations)
         if self.slow_sink is not None:

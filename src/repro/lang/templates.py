@@ -20,21 +20,26 @@ values in source order:
   3)``, algorithm parameters, ``CANCEL id``, EXPORT/IMPORT paths — the
   shape is remembered as *unparameterizable* and parsed in full every
   time;
-* a **hit** makes a VALUES statement's tuple rows from the slot vector with
-  one ``itemgetter`` over every cell and one slice per row — no node, and
-  no Python call, per value; for ``Literal`` slots (point SELECTs,
-  predicates, expression cells) it copies only the *spine* — the nodes on a
-  path from the root to a substituted literal — and shares every other node
-  with the template.
+* a **hit** returns the template and the slot vector.  Made into a
+  statement (:meth:`Template.instantiate`), a VALUES statement's tuple rows
+  are made from the slot vector with one ``itemgetter`` over every cell
+  and one slice per row — no node, and no Python call, per value; for
+  ``Literal`` slots (point SELECTs, predicates, expression cells) only the
+  *spine* is copied — the nodes on a path from the root to a substituted
+  literal — and every other node is shared with the template.
 
 A template's tree is syntax only, nothing from the catalog, so no DDL or
 data change can invalidate it.  Beside it the template has one slot,
 :attr:`Template.plan`, that the provider fills with ``(catalog version,
-prepared)``: the shape's prepared plan
+prepared, by values)``: the shape's prepared plan
 (:class:`repro.sqlstore.engine.Prepared`), which holds only what the
-catalog decides, and the catalog version it was prepared at.  A hit while
-that version is current binds it; any other re-prepares and refills the
-slot, so the template LRU bounds the plans too.  What a template
+catalog decides, the catalog version it was prepared at, and whether a
+statement is bound by its values alone (every literal of the shape is read
+by a WHERE kernel).  A hit while that version is current binds the plan to
+the statement's values — read through :meth:`Template.value_of`, the
+statement made only when it is not bound by its values alone; any other
+re-prepares and refills the slot, so the template LRU bounds the plans
+too.  What a template
 shares is shared between statements that may be executing at the same
 moment: **the tree a statement executes is read-only** (the engine,
 prediction, shaping and EXPLAIN layers keep their per-execution state in
@@ -78,19 +83,31 @@ Shape = Callable[[], Tuple[str, str]]
 class Template:
     """The parsed statement of one shape and how to re-make it."""
 
-    __slots__ = ("statement", "_build", "_shape", "plan")
+    __slots__ = ("statement", "slots", "_build", "_shape", "plan")
 
-    def __init__(self, statement: ast.Statement, build: Optional[Builder]):
+    def __init__(self, statement: ast.Statement, build: Optional[Builder],
+                 slots: Dict[Any, int]):
         self.statement = statement
+        self.slots = slots  # id of a Literal (or a VALUES cell) -> its slot
         self._build = build  # None: the shape has no literal to substitute
         self._shape: Optional[Tuple[str, str]] = None
-        self.plan: Optional[tuple] = None  # (catalog version, prepared)
+        # (catalog version, prepared, by values): None as the prepared plan
+        # plans the shape's statements one by one at that version.
+        self.plan: Optional[tuple] = None
 
     def instantiate(self, values: list) -> ast.Statement:
         """The statement of this shape whose literals are ``values``."""
         if self._build is None:
             return self.statement
         return self._build(values)
+
+    def value_of(self, values: list) -> Callable[[ast.Literal], Any]:
+        """``value_of(node)``: for a Literal of the template's statement,
+        the value the statement of this shape whose literals are
+        ``values`` holds there — the reader a kept plan binds by."""
+        slot_of = self.slots.get
+        return lambda node: node.value if (
+            slot := slot_of(id(node))) is None else values[slot]
 
     def shape(self) -> Tuple[str, str]:
         """``(normalized text, fingerprint)``, computed once."""
@@ -204,7 +221,7 @@ def make_template(statement: ast.Statement, tokens: List[Token],
     build = _compile(statement, slot_of, found)
     if sorted(found) != list(range(len(literals))):
         return None  # a literal the parser built was dropped or repeated
-    return Template(statement, build)
+    return Template(statement, build, slot_of)
 
 
 class TemplateCache:
@@ -221,11 +238,14 @@ class TemplateCache:
         with self._lock:
             return len(self._entries)
 
-    def parse(self, text: str) -> Tuple[ast.Statement, Shape, Optional[
-            Tuple[Template, list]]]:
+    def parse(self, text: str) -> Tuple[
+            Optional[ast.Statement], Shape, Optional[Tuple[Template, list]]]:
         """Parse one statement; returns it with the callable that gives
         its ``(normalized text, fingerprint)`` and, for a templated shape,
-        ``(template, slot values)`` (None otherwise).
+        ``(template, slot values)`` (None otherwise).  A hit returns None
+        for the statement: the caller makes it,
+        ``template.instantiate(values)``, only if it needs it — a kept
+        plan binds the values alone.
 
         Runs under a ``parse`` region with the ``tokens`` counter and a
         ``template`` attribute: ``hit`` (made from a template), ``miss``
@@ -248,8 +268,7 @@ class TemplateCache:
                 elif template is not _ABSENT:
                     obs_trace.add("tokens", len(scan.rows))
                     self._count(region, "hit")
-                    return (template.instantiate(values), template.shape,
-                            (template, values))
+                    return None, template.shape, (template, values)
             try:
                 tokens = scan.tokens()
                 parser = Parser(text, tokens)
@@ -276,5 +295,4 @@ class TemplateCache:
     def _count(self, region, outcome: str) -> None:
         if region is not None:
             region.attributes["template"] = outcome
-        if self.metrics is not None:
-            self.metrics.fold({_COUNTERS[outcome]: 1})
+        obs_trace.count(self.metrics, _COUNTERS[outcome])

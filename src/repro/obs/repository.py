@@ -151,6 +151,12 @@ def skeleton_hash(skeleton: str) -> str:
     return fingerprint_text(skeleton)
 
 
+def _identity(plan) -> tuple:
+    """``(skeleton, hash, estimated rows)`` of a plan tree, estimated."""
+    skeleton = plan_skeleton(plan)
+    return skeleton, skeleton_hash(skeleton), plan.estimate()
+
+
 # ---------------------------------------------------------------------------
 # Entries
 # ---------------------------------------------------------------------------
@@ -385,26 +391,28 @@ class WorkloadRepository:
 
     # -- attribution (statement thread, after parse, before execution) ---------
 
-    def annotate(self, record, command: str, shape, plan=None,
-                 prepared=None) -> None:
+    def annotate(self, record, shape, plan=None) -> None:
         """Stamp fingerprint and plan attribution onto a statement record.
 
-        Called by the dispatcher once the statement is parsed; the stamped
-        ``record.fingerprint`` / ``record.plan_hash`` / ``record.
-        plan_est_rows`` are folded into the aggregates at retirement by
-        :meth:`observe`.  ``shape`` is the callable that gives the
+        Called by the dispatcher once the statement is planned; the
+        stamps — ``record.fingerprint`` / ``plan_hash`` / ``plan_est_rows``
+        and the normalized text and skeleton the aggregates would be created
+        with — join the aggregates at retirement, under :meth:`observe`'s
+        one lock (``record.text`` is the exemplar a new fingerprint's entry
+        is created with).  ``shape`` is the callable that gives the
         statement's ``(normalized text, fingerprint)``; the one the
         statement-template cache hands out computes them once per statement
-        shape, not once per text.  ``plan`` is the tree the dispatcher is
+        shape, not once per text.  ``plan`` is the plan the dispatcher is
         about to execute (None for a control verb, or a statement that
         failed to plan), and the skeleton, its hash and the estimate are
-        read straight off it — so what is recorded is the plan that runs,
-        whatever catalog, data or model state chose it.  ``prepared`` is
-        the shape's prepared plan the tree was bound from, if any: it
-        keeps the skeleton and hash of each of its access variants,
-        rendered and hashed once.  Never raises into the statement: a
-        statement that cannot be normalized or planned simply goes
-        unattributed.
+        read straight off its tree — so what is recorded is the plan that
+        runs, whatever catalog, data or model state chose it.  A kept
+        plan's statement (a :class:`~repro.sqlstore.engine.Bound`) runs the
+        tree of its access variant, rendered, hashed and estimated once per
+        variant, under this repository's lock: its estimate is the first
+        statement's to choose that variant.  Never raises into the
+        statement: a statement that cannot be normalized or planned simply
+        goes unattributed.
         """
         if not self.enabled or record is NULL_RECORD:
             return
@@ -412,39 +420,27 @@ class WorkloadRepository:
             normalized, fingerprint = shape()
         except Exception:
             return  # fingerprinting must never fail the statement
-        plan_hash = None
-        if plan is not None:  # (a control verb has none)
-            try:
-                variant = None if prepared is None else prepared.variant(plan)
-                identity = prepared.hashes.get(variant) if variant else None
-                if identity is None:
-                    skeleton = plan_skeleton(plan)
-                    identity = (skeleton, skeleton_hash(skeleton))
-                    if variant:
-                        prepared.hashes[variant] = identity
-                skeleton, plan_hash = identity
-                est_rows = plan.estimate()
-            except Exception:
-                plan_hash = None  # cannot be estimated: unattributed
-        with self._lock:
-            self._ensure_loaded()
-            entry = self._touch_entry(fingerprint, normalized, command)
-            if record.kind:
-                entry.kind = record.kind
-            if plan_hash is not None:
-                # Counts happen at retirement; here the plan only joins
-                # the fingerprint's history.
-                if plan_hash in entry.plans:
-                    entry.plans.move_to_end(plan_hash)
-                else:
-                    entry.plans[plan_hash] = PlanEntry(plan_hash, skeleton)
-                    self._evict_plans(entry)
-                self._dirty = True
         record.fingerprint = fingerprint
-        if plan_hash is not None:
-            record.plan_hash = plan_hash
-            record.plan_est_rows = (None if est_rows is None
-                                    else float(est_rows))
+        record.attribution = (normalized, None)
+        if plan is None:  # (a control verb has none)
+            return
+        try:
+            variant = getattr(plan, "variant", None)
+            if variant is None:
+                identity = _identity(plan)
+            else:
+                identity = variant.identity
+                if identity is None:
+                    # The tree is shared: one statement estimates it, and
+                    # any other reads what it took.
+                    with self._lock:
+                        identity = variant.identity = \
+                            variant.identity or _identity(variant.plan)
+        except Exception:
+            return  # cannot be estimated: unattributed
+        skeleton, record.plan_hash, est_rows = identity
+        record.plan_est_rows = None if est_rows is None else float(est_rows)
+        record.attribution = (normalized, skeleton)
 
     def _evict_plans(self, entry: FingerprintEntry) -> None:
         while len(entry.plans) > self.plan_history:
@@ -473,10 +469,8 @@ class WorkloadRepository:
                 self._last_trigger = " ".join(record.text.split())
             if fingerprint is None:
                 return
-            entry = self._entries.get(fingerprint)
-            if entry is None:
-                return
-            self._entries.move_to_end(fingerprint)
+            normalized, skeleton = record.attribution
+            entry = self._touch_entry(fingerprint, normalized, record.text)
             entry.kind = kind
             entry.calls += 1
             entry.last_at = time.time()
@@ -500,14 +494,19 @@ class WorkloadRepository:
                 entry.cache_hits += record.cache_hits
                 entry.cache_misses += record.cache_misses
                 entry.pool_tasks += record.pool_tasks
-            self._observe_plan(entry, record, duration, rows_out)
+            self._observe_plan(entry, record, skeleton, duration, rows_out)
             self._dirty = True
 
-    def _observe_plan(self, entry: FingerprintEntry, record,
+    def _observe_plan(self, entry: FingerprintEntry, record, skeleton: str,
                       duration: Optional[float], rows_out) -> None:
         plan_hash = record.plan_hash
         if plan_hash is None:
             return
+        if plan_hash in entry.plans:
+            entry.plans.move_to_end(plan_hash)
+        else:  # the plan joins the fingerprint's history
+            entry.plans[plan_hash] = PlanEntry(plan_hash, skeleton)
+            self._evict_plans(entry)
         plan = entry.plans.get(plan_hash)
         if plan is None:
             return

@@ -123,11 +123,12 @@ class StatementRecord:
         "statement_id", "text", "kind", "thread", "session", "started_at",
         "status", "error", "duration_ms", "started", "counters",
         "regions", "depth", "actuals", "fingerprint", "plan_hash", "plan_est_rows",
+        "attribution",
         "registry", "token", "phase",
         "rows_processed", "batches", "peak_batch_rows",
         "pool_tasks", "pool_tasks_in_flight", "pool_cpu_ms",
         "cpu_ms", "_cpu_mark", "lock_wait_ms", "lock_waits",
-        "cache_hits", "cache_misses",
+        "cache_hits", "cache_misses", "folds",
     )
 
     def __init__(self, statement_id: int, text: str, kind: str = "UNKNOWN",
@@ -144,6 +145,9 @@ class StatementRecord:
         self.duration_ms: Optional[float] = None
         self.started = time.perf_counter()  # the clock regions start on
         self.counters: Dict[str, float] = {}
+        # Provider metrics counted on the statement's path (:func:`count`),
+        # folded with the rest at completion.
+        self.folds: Dict[str, float] = {}
         # Captured regions in the order they opened (None: no capture),
         # and the depth the next one opens at.
         self.regions: Optional[List[Region]] = [] if capture else None
@@ -158,6 +162,7 @@ class StatementRecord:
         self.fingerprint: Optional[str] = None
         self.plan_hash: Optional[str] = None
         self.plan_est_rows: Optional[float] = None
+        self.attribution = None  # (normalized text, skeleton): repository's
         # Set by WorkloadRegistry.admit; both stay None for a statement
         # admitted with the workload layer off, which then carries no
         # resource accounting and cannot be cancelled.
@@ -410,6 +415,19 @@ def region(name: str, **attributes):
     if record is None or record.regions is None:
         return NO_REGION
     return Region(record, name, attributes)
+
+
+def count(metrics, name: str) -> None:
+    """Count one ``name`` in the provider ``metrics`` (none: nothing) for
+    the active statement: it rides the record into the statement's one
+    completion fold, or, with no record active (statement recording off),
+    is folded now."""
+    if metrics is not None:
+        record = getattr(_local, "record", None)
+        if record is None:
+            metrics.fold({name: 1})
+        else:
+            record.folds[name] = record.folds.get(name, 0) + 1
 
 
 def add(counter: str, amount: float = 1) -> None:

@@ -13,10 +13,15 @@ builds the operator tree — taking every strategy decision while reading only
 the catalog, statistics and index maps — and each node's ``run`` executes
 exactly what its strategy text says.  ``EXPLAIN`` renders that tree, the
 workload repository hashes it, ``execute_select`` opens it.
-Planning is two steps, one path: :meth:`Database.prepare` takes what a
-statement *shape* decides (:class:`Prepared`), :meth:`Database.bind` what
-reads the statement's literals; the provider keeps a shape's prepared plan
-beside its statement template and binds every later statement of it.
+Planning is two steps: :meth:`Database.prepare` takes what a statement
+*shape* decides (:class:`Prepared`), and binding what reads the
+statement's literals.  A base-table SELECT's tree reads them, whatever
+binds it, from the statement's :class:`Bound` — its seek and its WHERE
+— handed to its openers: :meth:`Database.bind` plans a statement on its
+own, its tree handed its own Bound; the provider keeps a shape's prepared
+plan beside its statement template and binds each later statement to the
+tree its access path shares with every other statement of the shape
+(:meth:`Database.bind_values`, :class:`Variant`).
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import replace
 from functools import partial
-from itertools import chain, compress
+from itertools import chain, compress, repeat
 from operator import eq, gt, is_not, itemgetter
 from typing import (
     Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple)
@@ -41,14 +46,14 @@ from repro.sqlstore import values as V
 from repro.sqlstore.expressions import (
     EvalContext,
     compile_expression,
-    compile_filter,
     compile_selection,
     contains_aggregate,
+    kernel_selection,
     is_aggregate_call,
 )
 from repro.sqlstore.functions import make_aggregate
 from repro.sqlstore import stats as stats_mod
-from repro.sqlstore.indexes import choose_index
+from repro.sqlstore.indexes import LITERAL_VALUE, index_choice, seek_forms
 from repro.sqlstore.rowset import (
     DEFAULT_BATCH_SIZE,
     Rowset,
@@ -143,32 +148,80 @@ class SourceRelation:
 class Prepared:
     """A SELECT or UNION shape planned against one catalog state: what
     planning and opening its statements decide without reading one of
-    their literals.  :meth:`Database.prepare` makes it;
-    :meth:`Database.bind` plans one statement of the shape from it — a
-    fresh tree of a few nodes — and leaves to that tree only what reads a
-    value: the index choice and the seek-vs-scan gate, the estimates, the
-    WHERE and whatever else compiles against a per-statement context.  Over a base table it holds the
-    table's columns, the select list expanded over them and ``bound``: the
-    context's column map and the list's :meth:`Database._select_binding`.  ``hashes`` holds the caller's
-    ``(skeleton, hash)`` per access variant (:meth:`variant`)."""
+    their literals.  :meth:`Database.prepare` makes it; binding a
+    statement of the shape takes what reads a value — the index choice and
+    the seek-vs-scan gate, the estimates, the WHERE and whatever else
+    compiles against a per-statement context.  Over a base table it
+    holds the table's columns, the select list expanded over them,
+    ``binding`` — the context's column map and the list's
+    :meth:`Database._select_binding` — the seeks its WHERE could drive
+    (``forms``: :func:`seek_forms`) and that WHERE compiled once
+    (``where``: the ``bind`` of :func:`kernel_selection`; None when a
+    conjunct is no kernel).  ``variants`` holds, kept, the
+    :class:`Variant` of each access path its statements have been bound
+    to (:meth:`Database.bind_values`).  What is prepared is derived
+    from the catalog alone, so the catalog version is all a kept plan is
+    valid for."""
 
     # branches: a UNION's; base: (ref, table, columns) of a base-table
-    # source, and expanded: the select list (the template-shared
-    # select_list) expanded over its columns; tables: the base tables
-    # every branch reads (None when a source is planned per statement: a
-    # view, join, subquery or one of the mining layer's) — whether the
-    # caller may keep the plan.  What is prepared is derived from the
-    # catalog alone, so the catalog version is all a kept plan is valid for.
-    branches = base = bound = select_list = expanded = tables = None
+    # source, and expanded: the select list expanded over its columns.
+    branches = base = binding = expanded = forms = where = None
 
-    def __init__(self):
-        self.hashes: Dict[Any, tuple] = {}
+    def __init__(self, statement):
+        self.statement = statement
+        self.variants: Dict[Any, Variant] = {}
 
-    def variant(self, plan) -> Optional[str]:
-        """What tells ``plan``'s skeleton from the other plans of this
-        shape: the access path of a SELECT's base table (all else is fixed
-        here); None when the source is planned per statement."""
-        return None if self.base is None else plan.children[0].strategy
+    def reads(self) -> Optional[set]:
+        """The ids of the literal nodes its WHERE kernels read (a UNION:
+        its branches' together), or None when a source is not a base
+        table: such a shape's plan is not kept."""
+        if self.branches is not None:
+            reads = [branch.reads() for branch in self.branches]
+            return None if None in reads else set().union(*reads)
+        if self.base is None:
+            return None
+        reads = set()
+        if self.where is not None:
+            self.where(lambda node: reads.add(id(node)) or node.value)
+        return reads
+
+
+class Variant:
+    """One access path of a kept shape — a seek by one index, or the scan,
+    per base table — and its plan tree, shared by every statement of the
+    shape that chooses it.  ``identity`` is what the workload repository
+    renders of it once: ``(skeleton, hash, estimated rows)``, the estimate
+    the first statement's."""
+
+    __slots__ = ("plan", "identity")
+
+    def __init__(self, plan):
+        self.plan, self.identity = plan, None
+
+
+class Bound:
+    """One statement, as the openers of a base-table access or SELECT
+    tree read it (handed to them with the batch size): the seek ``choice``
+    (None: the scan) its ``where`` gave for the literal values
+    ``value_of``, as of the table's ``version``; and for a SELECT its
+    ``prepared`` shape, the ``statement`` and its WHERE bound to those
+    values (``select``; None: compiled as the tree opens).  Bound to a
+    kept shape it also holds the :class:`Variant` it runs (a UNION: and
+    its ``branches``'s bounds)."""
+
+    __slots__ = ("prepared", "statement", "variant", "choice", "version",
+                 "where", "value_of", "select", "branches")
+
+    def run(self, batch_size: int):
+        return self.variant.plan.run((self, batch_size))
+
+
+def _bound_to(node, bound: Bound):
+    """``node``, whose opener reads a :class:`Bound`, as the tree of one
+    statement: its opener handed ``bound`` with the batch size."""
+    opener = node.open
+    node.open = lambda node, batch_size: opener(node, (bound, batch_size))
+    return node
 
 
 class Database:
@@ -350,7 +403,7 @@ class Database:
             self._where_rows(statement),
             open=partial(self._execute_dml, statement, table))
         node.add(self._plan_base_table(ast.NamedTable(statement.table), table,
-                                       None, statement.where))
+                                       statement.where))
         return node
 
     def _where_rows(self, statement) -> Optional[int]:
@@ -509,17 +562,15 @@ class Database:
         callers that hold the provider's hook; it is the hook this
         database was constructed with and is not consulted again.
         """
-        return self.bind(self.prepare(statement), statement)
+        return self.bind(self.prepare(statement))
 
     def prepare(self, statement) -> Prepared:
         """Prepare a SELECT or UNION shape (:class:`Prepared`); what
         :meth:`bind` makes of it is what :meth:`plan_select` /
         :meth:`plan_union` return."""
-        prepared = Prepared()
+        prepared = Prepared(statement)
         if isinstance(statement, ast.UnionStatement):
             prepared.branches = list(map(self.prepare, statement.branches))
-            tables = [branch.tables for branch in prepared.branches]
-            prepared.tables = None if None in tables else sum(tables, [])
             return prepared
         prepared.grouped = bool(statement.group_by) or any(
             contains_aggregate(item.expr) for item in statement.select_list)
@@ -532,7 +583,6 @@ class Database:
             "constant" if statement.from_clause is None
             else f"materialized ({', '.join(blockers)})" if blockers
             else f"streamed (batch {self.batch_size})")
-        prepared.detail = _select_detail(statement)
         ref = statement.from_clause
         if type(ref) is ast.NamedTable and ref.name.upper() in self.tables \
                 and (self.external_source is None
@@ -540,83 +590,179 @@ class Database:
             table = self.tables[ref.name.upper()]
             relation = SourceRelation([(ref.alias or ref.name, column)
                                        for column in table.rowset_columns()])
-            prepared.base, prepared.tables, prepared.select_list = \
-                (ref, table, relation.columns), [table], statement.select_list
+            prepared.base = (ref, table, relation.columns)
             prepared.expanded = self._expand_select_list(statement,
                                                          relation.names())
             context = relation.context()
-            prepared.bound = (context.columns, self._select_binding(
+            prepared.binding = (context.columns, self._select_binding(
                 prepared.expanded, context, relation.columns))
+            prepared.forms = seek_forms(statement.where, table,
+                                        ref.alias or ref.name)
+            try:
+                prepared.where = kernel_selection(
+                    ast.conjuncts(statement.where), context)
+            except BindError:
+                pass  # each statement raises it as its tree opens
         return prepared
 
-    def bind(self, prepared: Prepared, statement):
-        """The plan tree of ``statement``, a statement of the shape
-        ``prepared`` was prepared from: a fresh tree of a few nodes."""
+    def bind(self, prepared: Prepared):
+        """The plan tree of the statement ``prepared`` was prepared from,
+        its own: a fresh tree of a few nodes."""
+        statement = prepared.statement
         if prepared.branches is not None:
-            return self._bind_union(prepared, statement)
-        node = obs_explain.PlanNode("select", strategy=prepared.strategy,
-                                    detail=prepared.detail)
+            return self._union_node(statement,
+                                    list(map(self.bind, prepared.branches)))
+        if prepared.base is not None:
+            bound = self._bound(prepared, statement, LITERAL_VALUE)
+            return _bound_to(self._base_select(prepared, bound), bound)
         source = expanded = None
-        if statement.from_clause is None:
-            node.est_rows = 1
-            node.cost = 0.0
-        else:
+        if statement.from_clause is not None:
             pushed = None
             if type(statement.from_clause) is ast.Join and self.stats_enabled:
                 pushed, statement = self._pushdown(statement)
-                node.detail = _select_detail(statement)
-            source = node.add(
-                self._plan_base_table(*prepared.base, statement.where)
-                if prepared.base is not None else
-                self.plan_table_ref(statement.from_clause, pushed))
-            # A select list with a literal of this statement's own is
-            # expanded again (its positions are the prepared ones).
-            expanded = (prepared.expanded
-                        if statement.select_list is prepared.select_list
-                        else self._expand_select_list(statement,
-                                                      source.columns))
-            if expanded is not None:
-                node.columns = [(None, name) for _, name, _ in expanded]
-
-            def estimate(node):
-                # A seek narrows the scan, not the estimate: selectivity
-                # applies to the whole table either way.
-                source_est = (len(self.table(source.target))
-                              if source.operator == "index seek"
-                              else source.est_rows)
-                node.est_rows = self._estimate_select_rows(
-                    statement, source_est, prepared.grouped)
-                examined = (source.est_rows if source.est_rows is not None
-                            else node.est_rows)
-                node.cost = (source.cost or 0.0) + float(examined or 0)
-            node.estimator = estimate
+            source = self.plan_table_ref(statement.from_clause, pushed)
+            expanded = self._expand_select_list(statement, source.columns)
+        node = self._select_node(prepared, statement, source, expanded)
         node.open = lambda _, batch_size: self._open_select(
             statement, source, expanded, prepared, batch_size)
         return node
 
+    def bind_values(self, prepared: Prepared, value_of,
+                    statement=None) -> Bound:
+        """``statement`` (by default the prepared one), a statement of a
+        kept shape whose literals are, at the prepared statement's literal
+        nodes, ``value_of(node)``, bound to the tree its access path shares
+        with every other statement of the shape that chooses it (its
+        :class:`Variant`, planned the first time one does): its seek, as of
+        the table's version now, and its WHERE, bound to those values when
+        every conjunct is a kernel, else compiled as the tree opens."""
+        statement = statement or prepared.statement
+        if prepared.branches is not None:
+            bound = Bound()
+            bound.branches = [
+                self.bind_values(branch, value_of, select) for branch, select
+                in zip(prepared.branches, statement.branches)]
+            key = tuple(branch.variant for branch in bound.branches)
+        else:
+            bound = self._bound(prepared, statement, value_of)
+            key = bound.choice and (bound.choice.index.name,
+                                    bound.choice.access)
+        bound.variant = prepared.variants.get(key) or \
+            prepared.variants.setdefault(key, self._variant(prepared, bound))
+        return bound
+
+    def _variant(self, prepared: Prepared, bound: Bound) -> Variant:
+        """The shared tree of the access path ``bound`` chose: planned as
+        :meth:`bind` plans one statement, its openers read each statement's
+        own :class:`Bound`."""
+        if prepared.branches is None:
+            return Variant(self._base_select(prepared, bound))
+        statement = prepared.statement
+        plan = self._union_node(statement, [
+            branch.variant.plan for branch in bound.branches])
+        plan.open = lambda _, arg: self._open_union(statement, [
+            branch.run(arg[1]) for branch in arg[0].branches], arg[1])
+        return Variant(plan)
+
+    def _seek(self, table: Table, forms, where, value_of) -> Bound:
+        """The seek the first of ``where``'s seek ``forms`` its values let
+        seek gives, when it beats the scan by cost (wide seeks — most of
+        the table, or cold pages a scan would read anyway — do not)."""
+        bound = Bound()
+        choice = index_choice(forms, value_of)
+        if choice is not None and \
+                not self._seek_is_beneficial(table, choice.positions):
+            choice = None
+        bound.choice, bound.version = choice, table.version
+        bound.where, bound.value_of = where, value_of
+        return bound
+
+    def _bound(self, prepared: Prepared, statement, value_of) -> Bound:
+        """A base-table SELECT of ``prepared``'s shape bound to its
+        values: its seek and its WHERE (when a kernel WHERE was
+        prepared)."""
+        bound = self._seek(prepared.base[1], prepared.forms,
+                           prepared.statement.where, value_of)
+        bound.prepared, bound.statement = prepared, statement
+        bound.select = prepared.where and prepared.where(value_of)
+        return bound
+
+    def _base_select(self, prepared: Prepared, bound: Bound):
+        """The tree of a base-table SELECT of the prepared shape over the
+        access path ``bound`` chose; its openers read the :class:`Bound`
+        of the statement they run."""
+        # (The openers hold nothing that holds a kept plan's variant: it
+        # is freed by reference counting.)
+        ref, table, columns = prepared.base
+        source = self._access_node(ref, table, columns, bound.choice)
+        plan = self._select_node(prepared, prepared.statement, source,
+                                 prepared.expanded)
+        plan.open = lambda _, arg: self._open_select(
+            arg[0].statement, source, None, arg[0].prepared, arg[1], arg[0])
+        return plan
+
+    def _select_node(self, prepared: Prepared, statement, source, expanded):
+        """A SELECT's node over its planned ``source`` (None: no FROM), with
+        its estimator; the caller gives it its opener."""
+        node = obs_explain.PlanNode("select", strategy=prepared.strategy,
+                                    detail=_select_detail(statement))
+        if source is None:
+            node.est_rows = 1
+            node.cost = 0.0
+            return node
+        node.add(source)
+        if expanded is not None:
+            node.columns = [(None, name) for _, name, _ in expanded]
+        grouped = prepared.grouped
+
+        def estimate(node):
+            # A seek narrows the scan, not the estimate: selectivity
+            # applies to the whole table either way.
+            source_est = (len(self.table(source.target))
+                          if source.operator == "index seek"
+                          else source.est_rows)
+            node.est_rows = self._estimate_select_rows(
+                statement, source_est, grouped)
+            examined = (source.est_rows if source.est_rows is not None
+                        else node.est_rows)
+            node.cost = (source.cost or 0.0) + float(examined or 0)
+        node.estimator = estimate
+        return node
+
     def _open_select(self, statement: ast.SelectStatement, source, expanded,
-                     prepared: Prepared, batch_size: int) -> RowStream:
+                     prepared: Prepared, batch_size: int,
+                     bound: Optional[Bound] = None) -> RowStream:
         """Open a planned SELECT over its planned ``source``: the value
         rows its select list makes, per batch or (blocking) whole, handed
         to the one result tail (:func:`typed_stream`,
         :func:`blocked_result`).  WHERE, the select list and the ORDER BY
-        keys are bound before a row is read."""
+        keys are bound before a row is read.  A base-table SELECT's
+        ``source`` reads the statement's :class:`Bound`, and so does its
+        WHERE when a kernel WHERE was prepared; its select list is the
+        prepared one's unless it holds a literal of the statement's own
+        (then it is expanded again: its positions are the prepared
+        ones)."""
         # A statement's first select to open starts its scan (a PREDICTION
         # JOIN or TRAIN opens its source in a phase of its own).
         obs_workload.set_phase("scan", leaving="parse")
         if source is None:
             return self._select_without_from(statement)
-        relation = source.run(batch_size)
-        bound = prepared.bound  # (column map, binding) over a table
-        context = EvalContext(bound[0]) if bound else relation.context()
-        if expanded is None:
+        relation = source.run(batch_size if bound is None
+                              else (bound, batch_size))
+        binding = prepared.binding  # (column map, binding) over a table
+        context = EvalContext(binding[0]) if binding else relation.context()
+        if bound is not None and statement.select_list is \
+                prepared.statement.select_list:
+            expanded = prepared.expanded
+        elif expanded is None:
             # The source named its columns only by running.
             expanded = self._expand_select_list(statement, relation.names())
         context.subquery_executor = self.execute_select
-        batches = self._filtered_batches(ast.conjuncts(statement.where),
-                                         relation, context, batch_size)
+        batches = self._filtered_batches(
+            bound and bound.select or compile_selection(
+                ast.conjuncts(statement.where), context), relation, batch_size)
         names = list(map(itemgetter(1), expanded))
-        project, declared = (bound and bound[1]) or self._select_binding(
+        project, declared = (binding and binding[1]) or self._select_binding(
             expanded, context, relation.columns)
         if prepared.grouped:
             order, keys, rows, groups = self._execute_grouped(
@@ -639,17 +785,16 @@ class Database:
         output columns.  Any plain (deduplicating) UNION makes the whole
         chain blocking, because each dedup applies to everything
         accumulated so far (left-associative SQL semantics)."""
-        return self.bind(self.prepare(statement), statement)
+        return self.bind(self.prepare(statement))
 
-    def _bind_union(self, prepared: Prepared,
-                    statement: ast.UnionStatement):
-        streaming = bool(statement.all_rows) and all(statement.all_rows)
+    def _union_node(self, statement: ast.UnionStatement, branches):
+        """A UNION's node over its planned ``branches``, with its estimator
+        and the opener that runs each branch as it is planned."""
         node = obs_explain.PlanNode(
-            "union",
-            strategy="streamed (all branches ALL)" if streaming
-            else "materialized (dedup)")
-        for branch, select in zip(prepared.branches, statement.branches):
-            node.add(self.bind(branch, select))
+            "union", strategy="streamed (all branches ALL)"
+            if _streams(statement) else "materialized (dedup)")
+        for branch in branches:
+            node.add(branch)
 
         def estimate(node):
             ests = [child.est_rows for child in node.children]
@@ -661,19 +806,20 @@ class Database:
                 node.est_rows = sum(ests)
         node.estimator = estimate
         node.open = lambda node, batch_size: self._open_union(
-            statement, node.children, streaming, batch_size)
+            statement, [branch.run(batch_size) for branch in node.children],
+            batch_size)
         return node
 
-    def _open_union(self, statement: ast.UnionStatement, branches,
-                    streaming: bool, batch_size: int) -> RowStream:
-        streams = [branch.run(batch_size) for branch in branches]
+    def _open_union(self, statement: ast.UnionStatement, streams,
+                    batch_size: int) -> RowStream:
+        """Chain the opened branch ``streams``."""
         columns = streams[0].columns
         for position, stream in enumerate(streams[1:], start=2):
             if len(stream.columns) != len(columns):
                 raise SchemaError(
                     f"UNION branch {position} has {len(stream.columns)} "
                     f"columns, expected {len(columns)}")
-        if streaming:
+        if _streams(statement):
             return RowStream(columns, (batch for stream in streams
                                        for batch in stream.batches()))
         # Left-associative: each plain UNION dedups everything so far,
@@ -686,16 +832,15 @@ class Database:
                                 distinct_positions(rows, len(columns))))
         return RowStream.from_rowset(Rowset(columns, rows), batch_size)
 
-    def _filtered_batches(self, conjuncts: List[ast.Expr],
-                          relation: SourceRelation, context: EvalContext,
+    @staticmethod
+    def _filtered_batches(select, relation: SourceRelation,
                           batch_size: int):
-        """Scan + WHERE, batch at a time: a select's ``conjuncts``, or a
-        ``filter``'s pushed below a join, bound here by
-        :func:`compile_selection` before the first batch is pulled (whose
-        pull, the plan node's, is where progress is counted and a
+        """Scan + WHERE, batch at a time: a select's WHERE, or a
+        ``filter``'s conjuncts pushed below a join, as the ``select`` of
+        :func:`compile_selection`, bound before the first batch is pulled
+        (whose pull, the plan node's, is where progress is counted and a
         ``CANCEL`` lands).  A batch the WHERE empties is not passed on."""
-        return filter(None, map(compile_selection(conjuncts, context),
-                                relation.batches(batch_size)))
+        return filter(None, map(select, relation.batches(batch_size)))
 
     @staticmethod
     def _source_positions(expanded, context: EvalContext) \
@@ -1027,7 +1172,7 @@ class Database:
             if key in self.views:
                 return self._plan_view(ref, self.views[key])
             if key in self.tables:
-                node = self._plan_base_table(ref, self.tables[key], None, None)
+                node = self._plan_base_table(ref, self.tables[key], None)
                 conjuncts = pushed and pushed.get((ref.alias or key).upper())
                 return (self._plan_filter(node, ref, conjuncts) if conjuncts
                         else node)
@@ -1063,46 +1208,26 @@ class Database:
         node.estimator = estimate
         return as_from_source(node, ref.alias or ref.name)
 
-    def _plan_base_table(self, ref: ast.NamedTable, table: Table, columns,
+    def _plan_base_table(self, ref: ast.NamedTable, table: Table,
                          where: Optional[ast.Expr]):
         """Index seek when the WHERE allows one and it beats the scan by
-        cost, else the sequential scan.  Seek positions stream in
-        ascending order, so either path yields byte-identical rows.
-        ``columns`` are the table's ``(qualifier, column)`` pairs when a
-        prepared shape holds them (None: made here)."""
+        cost (:meth:`_seek`), else the sequential scan.  Seek positions
+        stream in ascending order, so either path yields byte-identical
+        rows."""
         qualifier = ref.alias or ref.name
-        columns = columns or [(qualifier, c) for c in table.rowset_columns()]
+        columns = [(qualifier, c) for c in table.rowset_columns()]
+        bound = self._seek(table, seek_forms(where, table, qualifier), where,
+                           LITERAL_VALUE)
+        return _bound_to(self._access_node(ref, table, columns, bound.choice),
+                         bound)
+
+    def _access_node(self, ref: ast.NamedTable, table: Table, columns,
+                     choice):
+        """The node of a base table read by the seek ``choice`` (None: the
+        scan), with its estimator; its opener reads the :class:`Bound` of
+        the statement (:meth:`_open_access`)."""
         store = table.store
-
-        def scan(_, batch_size):
-            return SourceRelation(columns, positions=range(len(store)),
-                                  batches=table.iter_batches(batch_size))
-
-        choice = choose_index(where, table, qualifier)
-        # Wide seeks (most of the table, or cold pages a scan would read
-        # anyway) cost more than the sequential scan.
-        if choice is not None and \
-                self._seek_is_beneficial(table, choice.positions):
-            version = table.version
-
-            def seek(_, batch_size):
-                # The positions are the table's as planned: a mutation
-                # since derives them again — every position once no index
-                # serves.  The WHERE above filters the rows either way.
-                current = choice if table.version == version \
-                    else choose_index(where, table, qualifier)
-                if current is None:
-                    return scan(None, batch_size)
-                current.note_use()
-                if self.metrics is not None:
-                    name = ("index.range_seeks" if current.access == "range"
-                            else "index.seeks")
-                    self.metrics.fold({name: 1})
-                obs_trace.add("index_seeks", 1)
-                return SourceRelation(columns, batches=store.iter_positions(
-                    current.positions, batch_size),
-                    positions=current.positions)
-
+        if choice is not None:
             def estimate(node):
                 node.cost = float(store.seek_cost(choice.positions))
                 # On a paged store: how many of the pages the seek will
@@ -1113,18 +1238,38 @@ class Database:
             node = obs_explain.PlanNode(
                 "index seek", target=ref.name,
                 strategy=f"index {choice.index.name} ({choice.access})",
-                detail=choice.detail, est_rows=len(choice.positions),
-                open=seek)
+                detail=choice.detail, est_rows=len(choice.positions))
         else:
             def estimate(node):
                 node.cost = float(store.scan_cost())
             node = obs_explain.PlanNode(
                 "table scan", target=ref.name,
                 strategy=f"sequential (batch {self.batch_size})",
-                est_rows=len(table), open=scan)
+                est_rows=len(table))
         node.estimator = estimate
-        node.columns = [(qualifier, c.name) for _, c in columns]
+        node.columns = [(qualifier, c.name) for qualifier, c in columns]
+        node.open = lambda _, arg: self._open_access(ref, table, columns, *arg)
         return node
+
+    def _open_access(self, ref: ast.NamedTable, table: Table, columns,
+                     bound: Bound, batch_size: int) -> SourceRelation:
+        """Read a base table by the statement's seek (none: scan it).  The
+        positions are the table's as planned, at ``bound.version``: a
+        mutation since derives them again — every position once no index
+        serves.  The WHERE above filters the rows either way."""
+        choice = bound.choice
+        if choice is not None and table.version != bound.version:
+            choice = index_choice(seek_forms(
+                bound.where, table, ref.alias or ref.name), bound.value_of)
+        if choice is None:
+            return SourceRelation(columns, positions=range(len(table.store)),
+                                  batches=table.iter_batches(batch_size))
+        choice.note_use()
+        obs_trace.count(self.metrics, "index.range_seeks"
+                        if choice.access == "range" else "index.seeks")
+        obs_trace.add("index_seeks", 1)
+        return SourceRelation(columns, batches=table.store.iter_positions(
+            choice.positions, batch_size), positions=choice.positions)
 
     def _pushdown(self, statement: ast.SelectStatement):
         """Split the WHERE of a SELECT over a join: ``(pushed, select)``.
@@ -1163,8 +1308,8 @@ class Database:
         def open_filter(node, batch_size):
             relation = child.run(batch_size)
             return SourceRelation(relation.columns, batches=(
-                self._filtered_batches(conjuncts, relation,
-                                       relation.context(), batch_size)))
+                self._filtered_batches(compile_selection(
+                    conjuncts, relation.context()), relation, batch_size)))
 
         def estimate(node):
             node.est_rows = round(child.est_rows * (
@@ -1273,59 +1418,51 @@ class Database:
                                        right.names())
             node.strategy = method.strategy
 
-        if ref.kind == "CROSS":
-            right_rows = right.rows  # build side
-
-            def produce_cross():
-                for batch in left.batches(batch_size):
-                    out = [l + r for l in batch for r in right_rows]
-                    if out:
-                        yield out
-            return SourceRelation(columns, batches=produce_cross())
-
-        pairs = method.pairs
+        pairs, rest = method.pairs[:1], method.pairs[1:]
         outer = ref.kind == "LEFT"
         padding = tuple([None] * right_width)
-        # Bound against the joined row before the build side is read.
-        joined_context = EvalContext.from_columns(
-            left.names() + right.names())
-        residual_ok = compile_filter(method.residual, joined_context)
+        # Bound against the joined row before the build side is read: a
+        # probe row's candidate pairs are selected as one batch — by the
+        # whole ON in a nested loop (none in a CROSS join), else by the
+        # residual (the other equi pairs, held by position, checked first).
+        conditions = method.residual if pairs else ast.conjuncts(ref.condition)
+        select = compile_selection(list(conditions), EvalContext.from_columns(
+            left.names() + right.names())) if conditions else None
         if not pairs:
-            # Without a bound equi pair the whole ON is the loop condition.
-            condition = compile_expression(ref.condition, joined_context)
             right_rows = right.rows
+            candidates = lambda batch: repeat(right_rows, len(batch))
+        else:
+            candidates = self._hash_build(method, right, pairs[0])
 
-            def produce_loop():
-                for batch in left.batches(batch_size):
-                    out = []
-                    for l in batch:
-                        matched = False
-                        for r in right_rows:
-                            candidate = l + r
-                            if condition(candidate) is True:
-                                out.append(candidate)
-                                matched = True
-                        if outer and not matched:
-                            out.append(l + padding)
-                    if out:
-                        yield out
-            return SourceRelation(columns, batches=produce_loop())
+        def produce():
+            for batch in left.batches(batch_size):
+                out = []
+                for l, rows in zip(batch, candidates(batch)):
+                    if rest:
+                        rows = [r for r in rows if all(
+                            V.sql_equal(l[a], r[b]) for a, b in rest)]
+                    if select is None:
+                        for r in rows:
+                            out.append(l + r)
+                    else:
+                        rows = select([l + r for r in rows])
+                        out += rows
+                    if outer and not rows:
+                        out.append(l + padding)
+                if out:
+                    yield out
+        return SourceRelation(columns, batches=produce())
 
-        # Hash join on the first equi pair, keyed by values.join_keys on
-        # every path; a candidate is checked — the other pairs, then the
-        # residual — only when there is something to check.
-        (first_left, first_right), rest = pairs[0], pairs[1:]
-        check = None
-        if rest or method.residual:
-            def check(l, r):
-                for a, b in rest:
-                    if V.sql_equal(l[a], r[b]) is not True:
-                        return False
-                return residual_ok(l + r)
-        # The right side builds: a map from each key to its ascending
-        # positions in the right rows — a right-side index's own map when
-        # one serves, else one built from the rows here.  A key's bucket of
-        # rows is filled the first time a probe asks for it.
+    def _hash_build(self, method: "_JoinMethod", right: SourceRelation,
+                    pair: Tuple[int, int]):
+        """``candidates(batch)``: per probe row, the build side's rows whose
+        key is its key on the first equi ``pair``, keyed by
+        values.join_keys on every path.  The right side builds: a map from
+        each key to its ascending positions in the right rows — a
+        right-side index's own map when one serves, else one built from the
+        rows here.  A key's bucket of rows is filled the first time a probe
+        asks for it."""
+        first_left, first_right = pair
         build_rows = right.rows
         if method.build_index is not None:
             # Each index bucket holds one key's positions in insertion
@@ -1341,33 +1478,23 @@ class Database:
                 positions_of = {1.0: positions_of(("b", True)),
                                 0.0: positions_of(("b", False))}.get
             build_index.join_probes += 1
-            if self.metrics is not None:
-                self.metrics.fold({"index.join_probes": 1})
+            obs_trace.count(self.metrics, "index.join_probes")
         else:
             positions_of = _hash_buckets(build_rows, first_right).get
         build, limit, take = {}, len(build_rows), build_rows.__getitem__
 
-        def produce():
-            for batch in left.batches(batch_size):
-                out = []
-                keys = V.join_keys([l[first_left] for l in batch])
-                for l, key in zip(batch, keys):
-                    matched = False
-                    rows = build.get(key)
-                    if rows is None:  # filled once: a repeat is one lookup
-                        # (a NaN, unequal to itself, has no positions)
-                        positions = key == key and positions_of(key) or ()
-                        rows = build[key] = list(map(take, positions[
-                            :bisect_left(positions, limit)]))
-                    for r in rows:
-                        if check is None or check(l, r):
-                            out.append(l + r)
-                            matched = True
-                    if outer and not matched:
-                        out.append(l + padding)
-                if out:
-                    yield out
-        return SourceRelation(columns, batches=produce())
+        def candidates(batch):
+            found = []
+            for key in V.join_keys([l[first_left] for l in batch]):
+                rows = build.get(key)
+                if rows is None:  # filled once: a repeat is one lookup
+                    # (a NaN, unequal to itself, has no positions)
+                    positions = key == key and positions_of(key) or ()
+                    rows = build[key] = list(map(take, positions[
+                        :bisect_left(positions, limit)]))
+                found.append(rows)
+            return found
+        return candidates
 
 
 # ---------------------------------------------------------------------------
@@ -1394,7 +1521,8 @@ class _JoinMethod(NamedTuple):
     pairs: Tuple[Tuple[int, int], ...] = ()
     #: The ON equalities behind ``pairs`` (for key-NDV estimates).
     equalities: Tuple[Tuple[ast.ColumnRef, ast.ColumnRef], ...] = ()
-    #: Conjuncts checked per candidate, unbound equalities included.
+    #: Conjuncts a probe row's candidates are selected by, unbound
+    #: equalities included.
     residual: Tuple[ast.Expr, ...] = ()
     #: The right-side user index that supplies the buckets, if one does.
     build_index: Optional[Any] = None
@@ -1475,6 +1603,11 @@ def pushable_qualifier(conjunct: ast.Expr) -> Optional[str]:
             all(map(row_local, ast.children(expr)))
     return qualifiers.pop() \
         if row_local(conjunct) and len(qualifiers) == 1 else None
+
+
+def _streams(statement: ast.UnionStatement) -> bool:
+    """Whether a UNION chain streams: every link is UNION ALL."""
+    return bool(statement.all_rows) and all(statement.all_rows)
 
 
 def _select_detail(statement: ast.SelectStatement) -> Optional[str]:

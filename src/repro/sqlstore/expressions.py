@@ -31,6 +31,7 @@ from repro.errors import BindError, Error, TypeError_
 from repro.lang import ast_nodes as ast
 from repro.sqlstore import values as V
 from repro.sqlstore.functions import SCALAR_FUNCTIONS
+from repro.sqlstore.indexes import LITERAL_VALUE
 from repro.sqlstore.types import infer_type
 
 
@@ -292,23 +293,8 @@ def compile_expression(expr: ast.Expr,
     return compiler(expr, context)
 
 
-def compile_filter(conjuncts: List[ast.Expr],
-                   context: EvalContext) -> Callable[[tuple], bool]:
-    """Compile ``conjuncts`` into one ``row -> bool``: whether every one of
-    them is True for the row (False and NULL both reject it)."""
-    compiled = [compile_expression(conjunct, context)
-                for conjunct in conjuncts]
-
-    def passes(row):
-        for holds in compiled:
-            if holds(row) is not True:
-                return False
-        return True
-    return passes
-
-
-def compile_selection(conjuncts: List[ast.Expr], context: EvalContext) \
-        -> Callable[..., list]:
+def compile_selection(conjuncts: List[ast.Expr],
+                      context: EvalContext) -> Callable[..., list]:
     """Compile a WHERE's top-level AND ``conjuncts`` into ``select(rows,
     tags=None)``: the rows the WHERE holds True for, in order — or, given
     ``tags`` (one per row: a DELETE's positions), theirs.
@@ -323,17 +309,33 @@ def compile_selection(conjuncts: List[ast.Expr], context: EvalContext) \
     their AND, as :func:`compile_expression` makes it: which rows it
     evaluates, and so which statements raise, is what it was.
     """
-    kernels = []
-    for conjunct in conjuncts:
-        form = _literal_test(conjunct)
-        if form is None or type(form[0]) is not ast.ColumnRef:
-            holds = compile_expression(ast.conjoin(conjuncts), context)
-            kernels = [(holds, _ready(_IS_TRUE), (), None, None, False, False)]
-            break
-        read = context.bind_column(form[0])
-        for kernel in form[2]:
-            kernels.append((read, *kernel))
+    bind = kernel_selection(conjuncts, context)
+    if bind is not None:
+        return bind(LITERAL_VALUE)
+    holds = compile_expression(ast.conjoin(conjuncts), context)
+    return _selection([(holds, _ready(_IS_TRUE), (), None, None, False, False)])
 
+
+def kernel_selection(conjuncts: List[ast.Expr], context: EvalContext) \
+        -> Optional[Callable[[Callable], Callable[..., list]]]:
+    """The WHERE of a statement *shape* when every conjunct is a kernel:
+    ``bind(value_of)``, :func:`compile_selection`'s ``select`` for the
+    statement of the shape whose literal nodes hold ``value_of(node)`` —
+    the columns bound once, the kernels made from those values.  None
+    when some conjunct is not a kernel (its closure holds its literals)."""
+    forms = list(map(_literal_test, conjuncts))
+    if any(form is None or type(form[0]) is not ast.ColumnRef
+           for form in forms):
+        return None
+    reads = [(context.bind_column(form[0]), conjunct)
+             for form, conjunct in zip(forms, conjuncts)]
+    return lambda value_of: _selection([
+        (read, *kernel) for read, conjunct in reads
+        for kernel in _literal_test(conjunct, value_of)[2]])
+
+
+def _selection(kernels) -> Callable[..., list]:
+    """:func:`compile_selection`'s ``select`` over its kernels."""
     def select(rows: list, tags=None) -> list:
         if len(rows) == 1:  # a seek's one row: no column to build
             for read, make_test, classes, test, key, floats, negated \
@@ -371,7 +373,7 @@ def _ready(test: Callable) -> Callable[[], Callable]:
     return lambda: test
 
 
-def _literal_test(expr: ast.Expr):
+def _literal_test(expr: ast.Expr, value_of=LITERAL_VALUE):
     """A predicate of one operand against literals — a comparison with a
     literal on either side, ``[NOT] BETWEEN`` literals, ``[NOT] LIKE`` a
     literal, ``[NOT] IN`` a list of literals, ``IS [NOT] NULL`` — as
@@ -381,14 +383,15 @@ def _literal_test(expr: ast.Expr):
     key, floats, negated)`` holds: its own value test, or for a value of
     ``classes``, ``test(key, float(value) if floats else value) is not
     negated`` with ``test`` a C function.  Tests are made only when
-    needed.  None for any other expression."""
+    needed.  None for any other expression.  The literals' values are
+    ``value_of(node)``: the nodes' own, or a kept plan's statement's."""
     kind = type(expr)
     if kind is ast.BinaryOp and expr.op in V.COMPARISONS:
         if type(expr.right) is ast.Literal:
-            operand, op, literal = expr.left, expr.op, expr.right.value
+            operand, op, literal = expr.left, expr.op, value_of(expr.right)
         elif type(expr.left) is ast.Literal:
             operand, op = expr.right, V.MIRRORED[expr.op]
-            literal = expr.left.value
+            literal = value_of(expr.left)
         else:
             return None
         test = functools.partial(V.comparator, op, literal)
@@ -399,7 +402,8 @@ def _literal_test(expr: ast.Expr):
         return expr.operand, test, [(test, (), None, None, False, False)]
     if kind is ast.Between and type(expr.low) is ast.Literal and \
             type(expr.high) is ast.Literal:
-        low, high, negated = expr.low.value, expr.high.value, expr.negated
+        low, high = value_of(expr.low), value_of(expr.high)
+        negated = expr.negated
         test = _ready(lambda value: _between(value, low, high, negated))
         if negated:  # the value test, per value
             return expr.operand, test, [(test, (), None, None, False, False)]
@@ -410,7 +414,7 @@ def _literal_test(expr: ast.Expr):
             for op, literal in ((">=", low), ("<=", high))]
     if kind is ast.InList and expr.items and \
             all(type(item) is ast.Literal for item in expr.items):
-        items, negated = [item.value for item in expr.items], expr.negated
+        items, negated = list(map(value_of, expr.items)), expr.negated
         test = _ready(lambda value: _membership(value, items, negated))
         classes = set(map(V.native_classes, items))
         classes = classes.pop() if len(classes) == 1 else ()
@@ -421,7 +425,8 @@ def _literal_test(expr: ast.Expr):
     if kind is ast.Like and type(expr.pattern) is ast.Literal and \
             expr.pattern.value is not None:
         # The regex is fixed when the operator opens.
-        regex, negated = like_regex(str(expr.pattern.value)), expr.negated
+        regex = like_regex(str(value_of(expr.pattern)))
+        negated = expr.negated
         test = _ready(lambda value: None if value is None else
                       (regex.fullmatch(str(value)) is not None) != negated)
         return expr.operand, test, [

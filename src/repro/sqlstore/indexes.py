@@ -33,12 +33,13 @@ suites see byte-identical output with and without the index.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
+from functools import partial
 from itertools import chain
-from operator import itemgetter
-from typing import Any, Dict, List, Optional
+from operator import attrgetter, itemgetter
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.lang import ast_nodes as ast
-from repro.sqlstore.values import group_keys
+from repro.sqlstore.values import NUMBER_TYPES, group_keys, native_classes
 
 # Column classes eligible for the sorted (range) structure.  DATE is
 # excluded: a WHERE literal can never be a date object, so range seeks on
@@ -54,8 +55,8 @@ def _literal_matches(type_name: str, value: Any) -> bool:
         return False
     if type_name == "TEXT":
         return isinstance(value, str)
-    if type_name in ("LONG", "DOUBLE"):
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    if type_name in ("LONG", "DOUBLE"):  # an int past the float range too
+        return native_classes(value) is NUMBER_TYPES
     if type_name == "BOOLEAN":
         return isinstance(value, bool)
     return False
@@ -208,13 +209,6 @@ def _column_of(expr: ast.Expr, table, qualifier: str) -> Optional[int]:
     return table.schema.index_of(name)
 
 
-def _literal_value(expr: ast.Expr):
-    """The literal's value, or a no-match sentinel for non-literals."""
-    if isinstance(expr, ast.Literal):
-        return True, expr.value
-    return False, None
-
-
 def choose_index(where: Optional[ast.Expr], table,
                  qualifier: str) -> Optional[IndexChoice]:
     """Pick an index seek for the leftmost sargable AND-conjunct, if any.
@@ -225,10 +219,30 @@ def choose_index(where: Optional[ast.Expr], table,
     the module docstring.  Returns ``None`` when nothing qualifies (the
     caller falls back to a sequential scan).
     """
+    return index_choice(seek_forms(where, table, qualifier), LITERAL_VALUE)
+
+
+#: ``value_of`` of a statement read as written: each literal node's value.
+LITERAL_VALUE = attrgetter("value")
+
+
+def seek_forms(where: Optional[ast.Expr], table,
+               qualifier: str) -> List[Callable]:
+    """What a WHERE's shape decides of its seeks: per AND-conjunct an index
+    of ``table`` could serve, leftmost first, ``form(value_of)`` — the
+    :class:`IndexChoice` the conjunct's literal nodes give when
+    ``value_of(node)`` are their values, or None where a value's class does
+    not match the column's (or a range meets a NaN in the index)."""
     if where is None or not getattr(table, "indexes", None):
-        return None
-    for conjunct in ast.conjuncts(where):
-        choice = _try_conjunct(conjunct, table, qualifier)
+        return []
+    return [form for form in (_form(conjunct, table, qualifier)
+                              for conjunct in ast.conjuncts(where)) if form]
+
+
+def index_choice(forms: List[Callable], value_of) -> Optional[IndexChoice]:
+    """The first of :func:`seek_forms` that the values let seek, if any."""
+    for form in forms:
+        choice = form(value_of)
         if choice is not None:
             return choice
     return None
@@ -241,69 +255,44 @@ def _index_for(table, column_index: int) -> Optional[TableIndex]:
     return None
 
 
-def _try_conjunct(expr: ast.Expr, table,
-                  qualifier: str) -> Optional[IndexChoice]:
-    if isinstance(expr, ast.BinaryOp) and expr.op in ("=", "<", "<=",
-                                                      ">", ">="):
-        column = _column_of(expr.left, table, qualifier)
-        literal_side = expr.right
-        op = expr.op
+_MIRRORED = {"=": "=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
+
+def _form(expr: ast.Expr, table, qualifier: str) -> Optional[Callable]:
+    kind = type(expr)
+    if kind is ast.BinaryOp and expr.op in _MIRRORED:
+        column, literals, op = (_column_of(expr.left, table, qualifier),
+                                [expr.right], expr.op)
         if column is None:
-            column = _column_of(expr.right, table, qualifier)
-            literal_side = expr.left
             # Mirror the operator when the literal is on the left.
-            op = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}.get(op, op)
-        if column is None:
-            return None
-        ok, value = _literal_value(literal_side)
-        if not ok:
-            return None
-        index = _index_for(table, column)
-        if index is None or not _literal_matches(index.type_name, value):
-            return None
-        if op == "=":
-            return IndexChoice(
-                index, "point",
-                f"point lookup on {index.column_name}",
-                index.positions_equal(value))
-        if index.type_name == "BOOLEAN" or not index.range_capable():
-            return None
-        low = value if op in (">", ">=") else None
-        high = value if op in ("<", "<=") else None
-        return IndexChoice(
-            index, "range", f"range on {index.column_name}",
-            index.positions_range(low, high))
-    if isinstance(expr, ast.InList) and not expr.negated:
+            column, literals, op = (_column_of(expr.right, table, qualifier),
+                                    [expr.left], _MIRRORED[op])
+    elif kind in (ast.InList, ast.Between) and not expr.negated:
         column = _column_of(expr.operand, table, qualifier)
-        if column is None:
-            return None
-        index = _index_for(table, column)
-        if index is None:
-            return None
-        values = []
-        for item in expr.items:
-            ok, value = _literal_value(item)
-            if not ok or not _literal_matches(index.type_name, value):
-                return None
-            values.append(value)
-        return IndexChoice(
-            index, "in", f"in-list lookup on {index.column_name}",
-            index.positions_in(values))
-    if isinstance(expr, ast.Between) and not expr.negated:
-        column = _column_of(expr.operand, table, qualifier)
-        if column is None:
-            return None
-        index = _index_for(table, column)
-        if index is None or index.type_name == "BOOLEAN" or \
-                not index.range_capable():
-            return None
-        ok_low, low = _literal_value(expr.low)
-        ok_high, high = _literal_value(expr.high)
-        if not (ok_low and ok_high) or \
-                not _literal_matches(index.type_name, low) or \
-                not _literal_matches(index.type_name, high):
-            return None
-        return IndexChoice(
-            index, "range", f"range on {index.column_name}",
-            index.positions_range(low, high))
-    return None
+        literals, op = ((expr.items, "in") if kind is ast.InList
+                        else ([expr.low, expr.high], "between"))
+    else:
+        return None
+    index = None if column is None else _index_for(table, column)
+    if index is None or any(type(node) is not ast.Literal
+                            for node in literals):
+        return None
+    access = {"=": "point", "in": "in"}.get(op, "range")
+    if access == "range" and index.type_name == "BOOLEAN":
+        return None
+    detail = {"point": "point lookup", "in": "in-list lookup"}.get(
+        access, "range") + f" on {index.column_name}"
+    positions = {"=": index.positions_equal,
+                 "in": lambda *values: index.positions_in(values),
+                 "<": partial(index.positions_range, None),
+                 "<=": partial(index.positions_range, None)}.get(
+        op, index.positions_range)
+    matches = partial(_literal_matches, index.type_name)
+
+    def form(value_of):
+        values = list(map(value_of, literals))
+        if all(map(matches, values)) and \
+                (access != "range" or index.range_capable()):
+            return IndexChoice(index, access, detail, positions(*values))
+        return None
+    return form

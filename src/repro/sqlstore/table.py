@@ -95,33 +95,39 @@ class Table:
         pk, natives = self._pk, self._natives
         batch: List[Tuple] = []
         pk_keys: set = set()
-        for values in rows:
-            row = tuple(values)
-            if list(map(type, row)) != natives:
-                row = self._coerced(row)
-            if pk is not None:
-                key = bare_key(row[pk])
-                if key in self._pk_keys or key in pk_keys:
-                    raise self._duplicate(row[pk])
-                pk_keys.add(key)
-            batch.append(row)
+        try:
+            for values in rows:
+                row = tuple(values)
+                if list(map(type, row)) != natives:
+                    row = self._coerced(row)
+                batch.append(row)
+                if pk is not None:
+                    key = bare_key(row[pk])
+                    if key in self._pk_keys or key in pk_keys:
+                        raise self._duplicate(row[pk])
+                    pk_keys.add(key)
+            # Column by column, one group_keys each: the keying every index
+            # and the statistics share, made before anything is stored.
+            columns = list(zip(*batch))
+            keys = list(map(group_keys, columns))
+        except OverflowError:
+            # An int a row took natively past the DOUBLE range (a row of
+            # its columns' own classes skips coercion): coercion refuses it.
+            for row in batch:
+                self._coerced(row)
+            raise
         if not batch:
             return 0
         if self.stats is not None and self.stats_stale:
             self.rebuild_statistics()    # before the append: exact baseline
-        base = len(self.store) if self.indexes else 0
+        base = len(self.store)
         self.store.extend(batch)
         self.version += len(batch)
         self._pk_keys |= pk_keys
-        if self.indexes or self.stats is not None:
-            # Column by column, one group_keys each: the keying every
-            # index and the statistics share.
-            columns = list(zip(*batch))
-            keys = list(map(group_keys, columns))
-            for index in self.indexes.values():
-                index.extend(keys[index.column_index], base)
-            if self.stats is not None:
-                self.stats.note_inserts(columns, keys)
+        for index in self.indexes.values():
+            index.extend(keys[index.column_index], base)
+        if self.stats is not None:
+            self.stats.note_inserts(columns, keys)
         return len(batch)
 
     def delete_at(self, positions: List[int]) -> int:

@@ -51,12 +51,12 @@ class SqlType:
             if isinstance(value, bool):
                 return int(value)
             if isinstance(value, int):
-                return value
+                return within_double(value)
             if isinstance(value, float) and value.is_integer():
                 return int(value)
             if isinstance(value, str):
                 try:
-                    return int(value)
+                    return within_double(int(value))
                 except ValueError as exc:
                     raise TypeError_(f"cannot coerce {value!r} to LONG") from exc
             raise TypeError_(f"cannot coerce {value!r} to LONG")
@@ -64,7 +64,7 @@ class SqlType:
             if isinstance(value, bool):
                 return float(value)
             if isinstance(value, (int, float)):
-                return float(value)
+                return float(within_double(value))
             if isinstance(value, str):
                 try:
                     return float(value)
@@ -107,6 +107,18 @@ class SqlType:
         except TypeError_:
             return False
         return True
+
+
+def within_double(value):
+    """``value``, a number a DOUBLE holds: an integer past the DOUBLE range
+    is refused (a typed error, as NOT NULL refuses a NULL), since every
+    comparison, key and statistic of a LONG column takes its float."""
+    try:
+        float(value)
+    except OverflowError:
+        raise TypeError_(f"cannot store an integer of {value.bit_length()} "
+                         f"bits: it is past the DOUBLE range") from None
+    return value
 
 
 LONG = SqlType("LONG", (int,), aliases=("INT", "INTEGER", "BIGINT"))

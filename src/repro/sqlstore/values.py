@@ -41,7 +41,10 @@ def sql_equal(left: Any, right: Any) -> Optional[bool]:
         # Avoid bool == 1 surprises across declared types.
         left, right = _normalize_pair(left, right)
     if isinstance(left, (int, float)) and isinstance(right, (int, float)):
-        return float(left) == float(right)
+        try:
+            return float(left) == float(right)
+        except OverflowError:  # an int past the float range: exactly, as
+            return left == right  # sql_compare orders it
     return left == right
 
 

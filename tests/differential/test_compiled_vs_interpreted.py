@@ -27,7 +27,9 @@ same error class with the same message — for
       kernel per column-against-literals conjunct, in C over a column of
       the literal's class) vs the WHERE interpreted row by row: the same
       rows, or the same error, over random batches whose columns are all
-      numbers, all strings, all dates or mixed.
+      numbers, all strings, all dates or mixed — and a hash join's
+      residual, each probe row's candidate pairs selected as one batch, vs
+      its ON interpreted pair by pair.
 
 The one sanctioned difference is *when* names bind: the compiler raises
 ``BindError`` once, up front; the interpreter raises it on every row that
@@ -48,7 +50,8 @@ from repro.errors import BindError, Error
 from repro.lang import ast_nodes as ast
 from repro.lang.parser import parse_expression, parse_statement
 from repro.sqlstore import values as V
-from repro.sqlstore.engine import Database, _multi_key_sort
+from repro.obs.explain import PlanNode
+from repro.sqlstore.engine import Database, SourceRelation, _multi_key_sort
 from repro.sqlstore.expressions import (
     EvalContext,
     compile_expression,
@@ -56,6 +59,8 @@ from repro.sqlstore.expressions import (
     contains_aggregate,
     is_aggregate_call,
 )
+from repro.sqlstore.rowset import RowsetColumn
+from repro.sqlstore.types import TEXT
 
 from tests.differential.test_stream_vs_materialize import STATEMENTS, _load
 from tests.reference.reference_aggregates import make_aggregate
@@ -427,6 +432,68 @@ def assert_selection_agrees(conjuncts, rows):
        rows=selection_batches())
 def test_batch_selection_agrees_with_the_row_closure(conjuncts, rows):
     assert_selection_agrees(conjuncts, rows)
+
+
+def assert_join_residual_agrees(kind, residual, left, right):
+    """``L AS t {kind} JOIN R AS t ON t.k = t.j AND residual`` — a hash
+    join on ``k = j`` whose residual selects each probe row's candidate
+    pairs as one batch — vs the ON interpreted pair by pair over the pairs
+    whose keys are equal (a LEFT JOIN pads a probe row none of them
+    holds), probe row by probe row: the same rows, or the same error."""
+    sides = {"L": (("k", "a", "b"), left), "R": (("j", "c", "d"), right)}
+
+    def source(ref):
+        if type(ref) is not ast.NamedTable:
+            return None  # the join itself: the engine's
+        names, rows = sides[ref.name]
+        return PlanNode("rows", target=ref.name, open=lambda *_:
+                        SourceRelation([(ref.alias, RowsetColumn(name, TEXT))
+                                        for name in names], rows))
+    key = ast.BinaryOp("=", ast.ColumnRef(("t", "k")),
+                       ast.ColumnRef(("t", "j")))
+    join = ast.Join(kind, ast.NamedTable("L", "t"), ast.NamedTable("R", "t"),
+                    ast.conjoin([key] + residual))
+    context = EvalContext.from_columns(
+        [("t", name) for name in ("k", "a", "b", "j", "c", "d")])
+    condition = ast.conjoin(residual)
+
+    def interpreted():
+        out = []
+        for l in left:
+            joined = [l + r for r in right
+                      if l[0] is not None and l[0] == r[0]]
+            held = [row for row in joined if reference_evaluate(
+                condition, reference_context(context, row)) is True]
+            out += held or ([l + (None,) * 3] if kind == "LEFT" else [])
+        return out
+    engine = Database(external_source=source)
+    joined = outcome(lambda: engine.plan_table_ref(join).run(4).rows)
+    assert joined == outcome(interpreted)
+    return joined
+
+
+KEYS = st.one_of(st.none(), st.integers(0, 3))
+
+
+@settings(deadline=None)
+@given(kind=st.sampled_from(["INNER", "LEFT"]),
+       residual=st.lists(st.one_of(_selection_conjuncts(), OTHER_CONJUNCTS),
+                         min_size=1, max_size=3),
+       left=st.lists(st.tuples(KEYS, MIXED_EDGES, MIXED_EDGES), max_size=6),
+       right=st.lists(st.tuples(KEYS, MIXED_EDGES, MIXED_EDGES), max_size=6))
+def test_a_hash_joins_residual_agrees_with_the_on_per_pair(kind, residual,
+                                                          left, right):
+    assert_join_residual_agrees(kind, residual, left, right)
+
+
+def test_a_hash_joins_residual_is_the_and_of_its_conjuncts():
+    """A NULL conjunct does not stop an AND: the residual meets the raising
+    conjunct beside it, as the nested loop and a WHERE do."""
+    for text in ("t.a = 1 AND t.c + 'x' > 0", "t.c + 'x' > 0 AND t.a = 1"):
+        joined = assert_join_residual_agrees(
+            "INNER", ast.conjuncts(parse_expression(text)),
+            [(1, None, None), (2, 5, None)], [(1, 3, None), (2, 4, None)])
+        assert joined[:2] == ("raised", "TypeError_"), joined
 
 
 @pytest.mark.parametrize("op", COMPARISONS)

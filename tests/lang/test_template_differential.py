@@ -15,7 +15,10 @@ the last tests run same-shape statements around schema, index, statistics
 and data changes on a caching and a never-caching provider — in memory,
 with statistics off, and on the paged store with one buffer page — and
 compare every answer, every ``EXPLAIN ANALYZE`` row but its clock and
-every ``DM_PLAN_HISTORY`` hash; and they hold the LRU to its bound.
+every ``DM_PLAN_HISTORY`` hash — and do the same over same-shape
+statements whose literal values move the seek, the value classes and the
+lists and patterns a kept plan binds them into; and they hold the LRU to
+its bound.
 """
 
 import os
@@ -134,10 +137,17 @@ def outcome(parse, text):
         return type(exc), str(exc)
 
 
+def parsed(cache, text):
+    """``cache.parse(text)``, the statement made from its template on a
+    hit (the parse hands the template and the slot values out instead)."""
+    statement, shape, slot = cache.parse(text)
+    return statement or slot[0].instantiate(slot[1]), shape, slot
+
+
 def assert_same_as_fresh(cache, text):
     """``cache.parse(text)`` is indistinguishable from a fresh parse."""
     fresh = outcome(parse_statement, text)
-    cached = outcome(cache.parse, text)
+    cached = outcome(lambda text: parsed(cache, text), text)
     if isinstance(fresh, tuple):
         assert cached == fresh
         return
@@ -211,8 +221,9 @@ def test_which_shapes_are_templated(text, templated):
 def test_a_template_is_never_written_by_its_instances():
     cache = TemplateCache()
     text = "SELECT a, 'x' FROM t WHERE b IN (1, 2) AND c = NULL"
-    master = cache.parse(text)[0]
-    copy = cache.parse("SELECT a, 'y' FROM t WHERE b IN (3, 4) AND c = NULL")[0]
+    master = parsed(cache, text)[0]
+    copy = parsed(cache,
+                  "SELECT a, 'y' FROM t WHERE b IN (3, 4) AND c = NULL")[0]
     assert master == parse_statement(text)
     assert copy is not master and copy.where is not master.where
     # Off the spine everything is shared, the NULL literal included.
@@ -220,7 +231,8 @@ def test_a_template_is_never_written_by_its_instances():
     assert copy.select_list[0] is master.select_list[0]
     assert copy.where.right.right is master.where.right.right
     # A shape without literals is its template.
-    assert cache.parse("SELECT a FROM t")[0] is cache.parse("SELECT a FROM t")[0]
+    assert parsed(cache, "SELECT a FROM t")[0] is \
+        parsed(cache, "SELECT a FROM t")[0]
 
 
 # -- templates hold syntax only; their prepared plans are keyed ---------------------
@@ -354,48 +366,187 @@ def _plan_hashes(conn):
         "FROM $SYSTEM.DM_PLAN_HISTORY").rows)
 
 
-def _churn(monkeypatch, caching_kwargs, never_kwargs):
-    """SCHEMA_CHURN on a caching provider and on one that remembers no
-    template (so keeps no plan); each statement's answer, ``EXPLAIN
-    ANALYZE`` rows and plan history must be the same on both."""
+# A kept plan binds each statement's literals to the shape's one tree per
+# access path: same-shape statements whose values flip a seek to a scan and
+# back (a BETWEEN over a few keys, then over most of the table), change a
+# slot's class (an int, a float, 2**53 + 1, a string against a LONG
+# column, an int past the DOUBLE range) and fill an IN list and a LIKE
+# pattern (a TOP n is consumed by the grammar: its shape is parsed whole),
+# around INSERT, UPDATE, DELETE and CREATE / DROP INDEX.
+SLOT_BINDING = [
+    "CREATE TABLE K (k LONG, v TEXT, d DOUBLE)",
+    "INSERT INTO K VALUES " + ", ".join(
+        f"({i}, '{'abc'[i % 3]}{i}', {i / 2})" for i in range(1, 41)),
+    "CREATE INDEX ix_kk ON K (k)",
+    "SELECT * FROM K WHERE k BETWEEN 3 AND 5",
+    "SELECT * FROM K WHERE k BETWEEN 1 AND 39",
+    "SELECT * FROM K WHERE k BETWEEN 7 AND 8",
+    "SELECT v FROM K WHERE k BETWEEN 2 AND 40 AND d > 3",
+    "SELECT v FROM K WHERE k = 3",
+    "SELECT v FROM K WHERE k = 3.0",
+    "SELECT v FROM K WHERE k = 3.5",
+    "SELECT v FROM K WHERE k = 9007199254740993",
+    "SELECT v FROM K WHERE k = '3'",
+    "SELECT v FROM K WHERE k = 1" + "0" * 400,
+    "SELECT v FROM K WHERE k < 1" + "0" * 400,
+    "SELECT v FROM K WHERE k > 38",
+    "SELECT v FROM K WHERE k > '38'",
+    "SELECT TOP 2 v FROM K WHERE k > 1",
+    "SELECT TOP 5 v FROM K WHERE k > 1",
+    "SELECT v FROM K WHERE k IN (1, 2, 3)",
+    "SELECT v FROM K WHERE k IN (4, 5.0, '6')",
+    "SELECT v FROM K WHERE k IN (7, 1" + "0" * 400 + ")",
+    "SELECT v FROM K WHERE v LIKE 'a%'",
+    "SELECT v FROM K WHERE v LIKE '%b_'",
+    "SELECT v FROM K WHERE v LIKE 3",
+    "INSERT INTO K VALUES (9007199254740993, 'big', 1.5)",
+    "SELECT v FROM K WHERE k = 9007199254740993",
+    "SELECT v FROM K WHERE k = 9007199254740992",
+    "UPDATE K SET k = 100 WHERE k = 4",
+    "SELECT v FROM K WHERE k BETWEEN 3 AND 5",
+    "SELECT v FROM K WHERE k = 100",
+    "DELETE FROM K WHERE k = 5",
+    "SELECT v FROM K WHERE k BETWEEN 3 AND 5",
+    "SELECT v FROM K WHERE k BETWEEN 1 AND 39",
+    "DROP INDEX ix_kk ON K",
+    "SELECT v FROM K WHERE k BETWEEN 3 AND 5",
+    "SELECT v FROM K WHERE k = 100",
+    "CREATE INDEX ix_kv ON K (v)",
+    "SELECT v FROM K WHERE k = 6 AND v = 'a6'",
+    "SELECT v FROM K WHERE k = 6 AND v = 7",
+    "CREATE INDEX ix_kk ON K (k)",
+    "SELECT v FROM K WHERE k = 6 AND v = 'a6'",
+    "SELECT v FROM K WHERE k = 'x' AND v = 'a6'",
+    "SELECT k FROM K WHERE k = 1 UNION ALL SELECT k FROM K WHERE v = 'b2'",
+    "SELECT k FROM K WHERE k = 2 UNION ALL SELECT k FROM K WHERE v = 'c3'",
+    "SELECT k FROM K WHERE k BETWEEN 1 AND 39 UNION "
+    "SELECT k FROM K WHERE v LIKE 'c%'",
+    # A literal outside a WHERE kernel: in the select list, in HAVING, in
+    # a function or arithmetic conjunct.  The kept plan binds each
+    # statement made from the template, a seek beside it by its values.
+    "SELECT v, 1 AS one FROM K WHERE k = 3",
+    "SELECT v, 'two' AS one FROM K WHERE k = 8",
+    "SELECT v, 3 AS one FROM K WHERE k BETWEEN 1 AND 39",
+    "SELECT v, 4 AS one FROM K WHERE k BETWEEN 2 AND 3",
+    "SELECT d, COUNT(*) AS n FROM K WHERE k < 20 GROUP BY d "
+    "HAVING COUNT(*) > 0",
+    "SELECT d, COUNT(*) AS n FROM K WHERE k < 9 GROUP BY d "
+    "HAVING COUNT(*) > 1",
+    "SELECT v FROM K WHERE UPPER(v) = 'A3' AND k = 3",
+    "SELECT v FROM K WHERE UPPER(v) = 'C8' AND k = 8",
+    "SELECT v FROM K WHERE UPPER(v) = 'B7' AND k BETWEEN 1 AND 39",
+    "SELECT v FROM K WHERE k + 1 > 38",
+    "SELECT v FROM K WHERE k + 2 > 3.5",
+    "SELECT v FROM K WHERE k + 'x' > 3",
+    "INSERT INTO K VALUES (7, 'c7', 0)",
+    "SELECT v, 5 AS one FROM K WHERE k = 7",
+    "SELECT v FROM K WHERE UPPER(v) = 'C7' AND k = 7",
+    "SELECT d FROM K WHERE k = 7",
+    "SELECT d FROM K WHERE k = 7.0",
+    "SELECT d FROM K WHERE nosuch = 7",
+    "SELECT d FROM K WHERE nosuch = 8",
+]
+
+
+def _churn(monkeypatch, caching_kwargs, never_kwargs, statements):
+    """``statements`` on a caching provider and on one that makes no
+    template (so keeps no plan: each statement is parsed and planned on
+    its own); each statement's answer, ``EXPLAIN ANALYZE`` rows and plan
+    history must be the same on both.  Returns the caching side's
+    ``(template hits, plan-cache hits, plan-cache misses)``."""
     caching = repro.connect(**caching_kwargs)
     never = repro.connect(**never_kwargs)
     try:
-        for statement in SCHEMA_CHURN:
+        for statement in statements:
             expected = (_answer(caching, statement),
                         _analyzed(caching, statement), _plan_hashes(caching))
             with monkeypatch.context() as patch:  # a cache of nothing
                 patch.setattr(templates, "TEMPLATE_CACHE_LIMIT", 0)
+                patch.setattr(templates, "make_template", lambda *_: None)
                 assert (_answer(never, statement), _analyzed(never, statement),
                         _plan_hashes(never)) == expected, statement
         assert len(never.provider.templates) == 0
-        metrics = caching.provider.metrics
-        assert metrics.value("lang.template_hits") >= 40
-        # Served from a kept plan, and a kept plan re-prepared.
-        assert metrics.value("sqlstore.plan_cache.hits") >= 5
-        assert metrics.value("sqlstore.plan_cache.misses") >= 10
         assert never.provider.metrics.value("lang.template_hits") == 0
         assert never.provider.metrics.value("sqlstore.plan_cache.hits") == 0
+        return tuple(caching.provider.metrics.value(name) for name in (
+            "lang.template_hits", "sqlstore.plan_cache.hits",
+            "sqlstore.plan_cache.misses"))
     finally:
         caching.close()
         never.close()
 
 
-def test_schema_changes_need_no_invalidation(monkeypatch):
+def _configured(configuration, tmp_path):
+    """``(caching, never)`` connect() arguments of a configuration."""
+    if configuration == "paged":
+        return tuple(dict(storage_path=os.path.join(str(tmp_path), side),
+                          buffer_pages=1) for side in ("caching", "never"))
+    kwargs = dict(statistics=False) if configuration == "statistics off" \
+        else {}
+    return kwargs, kwargs
+
+
+def _schema_churn(monkeypatch, configuration, tmp_path):
+    hits, plan_hits, plan_misses = _churn(
+        monkeypatch, *_configured(configuration, tmp_path), SCHEMA_CHURN)
+    assert hits >= 40
+    # Served from a kept plan, and a kept plan re-prepared.
+    assert plan_hits >= 5
+    assert plan_misses >= 10
+
+
+def test_schema_changes_need_no_invalidation(monkeypatch, tmp_path):
     """A template needs none; a kept plan is re-prepared by its key."""
-    _churn(monkeypatch, {}, {})
+    _schema_churn(monkeypatch, "memory", tmp_path)
 
 
 @pytest.mark.parametrize("configuration", ["statistics off", "paged"])
 def test_schema_changes_never_serve_a_stale_plan(monkeypatch, tmp_path,
                                                  configuration):
-    if configuration == "paged":
-        caching_kwargs, never_kwargs = (
-            dict(storage_path=os.path.join(str(tmp_path), side),
-                 buffer_pages=1) for side in ("caching", "never"))
-    else:
-        caching_kwargs = never_kwargs = dict(statistics=False)
-    _churn(monkeypatch, caching_kwargs, never_kwargs)
+    _schema_churn(monkeypatch, configuration, tmp_path)
+
+
+@pytest.mark.parametrize("configuration",
+                         ["memory", "statistics off", "paged"])
+def test_a_kept_plan_binds_each_statements_own_values(monkeypatch, tmp_path,
+                                                      configuration):
+    """SLOT_BINDING: every statement of a kept shape runs on its own
+    values, never on another's of its shape."""
+    hits, plan_hits, _ = _churn(monkeypatch,
+                                *_configured(configuration, tmp_path),
+                                SLOT_BINDING)
+    assert hits >= 30
+    assert plan_hits >= 10
+
+
+@pytest.mark.parametrize("shape", [
+    "SELECT v, {} AS one FROM K WHERE k = 3",
+    "SELECT d, COUNT(*) AS n FROM K GROUP BY d HAVING COUNT(*) > {}",
+    "SELECT v FROM K WHERE UPPER(v) = 'A{}' AND k > 1",
+    "SELECT v FROM K WHERE k + {} > 3",
+])
+def test_a_shape_with_a_literal_outside_its_where_kernels_keeps_its_plan(
+        monkeypatch, shape):
+    """A literal no WHERE kernel reads makes each statement of the shape
+    its own, made from the template, but its shape is prepared once: every
+    statement after the first is bound from the kept plan."""
+    from repro.sqlstore.engine import Database
+    conn = repro.connect()
+    try:
+        conn.execute("CREATE TABLE K (k LONG, v TEXT, d DOUBLE)")
+        conn.execute("INSERT INTO K VALUES (1, 'a1', 0.5), (3, 'a3', 1.5)")
+        conn.execute("CREATE INDEX ix_kk ON K (k)")
+        prepared = []
+        real = Database.prepare
+        monkeypatch.setattr(Database, "prepare", lambda *args, **kwargs: (
+            prepared.append(args) or real(*args, **kwargs)))
+        answers = [conn.execute(shape.format(value)).rows
+                   for value in (1, 3, 1)]
+        assert answers[0] == answers[2]
+        assert len(prepared) == 1
+        assert conn.provider.metrics.value("sqlstore.plan_cache.hits") == 2
+    finally:
+        conn.close()
 
 
 # -- the bound --------------------------------------------------------------------

@@ -82,8 +82,13 @@ def assert_tree_untouched(conn, text):
         conn.execute(f"EXPLAIN ANALYZE {text}")
     templates = conn.provider.templates
     for command in (text, f"EXPLAIN {text}", f"EXPLAIN ANALYZE {text}"):
-        assert anatomy(templates.parse(command)[0]) == \
-            anatomy(parse_statement(command))
+        # The statement made from the template, and the template's own:
+        # a kept plan runs that one.
+        statement, _, slot = templates.parse(command)
+        trees = [statement] if slot is None else \
+            [slot[0].instantiate(slot[1]), slot[0].statement]
+        for tree in trees:
+            assert anatomy(tree) == anatomy(parse_statement(command))
     assert conn.provider.metrics.value("lang.template_hits") > 0 or \
         conn.provider.metrics.value("lang.template_unparameterizable") > 0
 
@@ -155,11 +160,13 @@ def test_template_counters_and_parse_span(conn):
     metrics = dict(conn.execute(
         "SELECT METRIC, VALUE FROM $SYSTEM.DM_PROVIDER_METRICS "
         "WHERE METRIC LIKE 'lang.%'").rows)
-    # Parsed in full: CREATE TABLE, the first SELECT, the failed one and
-    # this query itself (TRACE ON never reaches the cache).
+    # Parsed in full: CREATE TABLE, the first SELECT and the failed one
+    # (TRACE ON never reaches the cache).  This query's own parse rides its
+    # record into its completion fold, so it is counted once it is done.
     assert metrics == {"lang.template_hits": 1,
-                       "lang.template_misses": 4,
+                       "lang.template_misses": 3,
                        "lang.template_unparameterizable": 2}
+    assert conn.provider.metrics.value("lang.template_misses") == 4
 
     exposition = render_prometheus(conn.provider.metrics)
     for name in ("lang_template_hits", "lang_template_misses",

@@ -17,10 +17,10 @@ The mining case of the golden gets the same treatment: pushdown text vs
 statement and fallback counters, and — under EXPLAIN ANALYZE on a
 four-worker pool — actuals on every node that ran and on none that did not.
 
-The second half pins "decide once": a first-seen indexed SELECT consults
-``choose_index`` a single time, and a first-seen PREDICTION JOIN plans its
-sub-select a single time, however many observers (workload repository,
-EXPLAIN ANALYZE) look at the plan.
+The second half pins "decide once": a first-seen indexed SELECT makes its
+index choice (``index_choice``) a single time, and a first-seen PREDICTION
+JOIN plans its sub-select a single time, however many observers (workload
+repository, EXPLAIN ANALYZE) look at the plan.
 """
 
 import re
@@ -353,13 +353,12 @@ def test_second_insert_into_an_incremental_service_names_what_runs(pool):
 
 @pytest.fixture
 def counted_choose_index(monkeypatch):
+    """The engine's index choices (``index_choice``), whether a statement
+    is planned on its own or bound to a kept plan by its values."""
     calls = []
-    real = engine_module.choose_index
-
-    def counting(where, table, qualifier):
-        calls.append(qualifier)
-        return real(where, table, qualifier)
-    monkeypatch.setattr(engine_module, "choose_index", counting)
+    real = engine_module.index_choice
+    monkeypatch.setattr(engine_module, "index_choice", lambda *args: (
+        calls.append(args) or real(*args)))
     return calls
 
 

@@ -12,6 +12,7 @@ Prometheus ``repro_statement_*`` exposition.
 import json
 import os
 import threading
+import time
 
 import pytest
 
@@ -437,6 +438,49 @@ def test_concurrent_identical_statements_aggregate_once():
         assert row is not None
         assert row["calls"] == threads * per_thread
         assert row["rows_returned"] == threads * per_thread * 30
+    finally:
+        conn.close()
+
+
+def test_statements_sharing_a_new_variant_all_carry_its_estimate(
+        monkeypatch):
+    """Two statements that first run a kept plan's new access variant at
+    once — the tree is shared, and the first to annotate it estimates it
+    while the other waits — both record its estimate: every execution of
+    the variant is a q-error sample."""
+    from repro.sqlstore.engine import Database
+    conn = repro.connect()
+    try:
+        _load_t(conn, rows=200)
+        conn.execute("CREATE INDEX ix_t_id ON T (id)")
+        shape = "SELECT val FROM T WHERE id BETWEEN {} AND {}"
+        conn.execute(shape.format(1, 200))  # the kept plan, its scan variant
+        real, slowed = Database._estimate_select_rows, []
+
+        def slow(self, *args):
+            if not slowed:  # the first estimate of the seek variant
+                slowed.append(time.sleep(0.2))
+            return real(self, *args)
+        monkeypatch.setattr(Database, "_estimate_select_rows", slow)
+        barrier, errors = threading.Barrier(2), []
+
+        def run(key):
+            try:
+                barrier.wait()
+                conn.execute(shape.format(key, key))
+            except Exception as exc:  # pragma: no cover - diagnostic only
+                errors.append(exc)
+        workers = [threading.Thread(target=run, args=(key,))
+                   for key in (5, 6)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join()
+        assert errors == [] and slowed
+        seeks = [row for row in conn.execute(
+            "SELECT EXECUTIONS, Q_SAMPLES, SKELETON "
+            "FROM $SYSTEM.DM_PLAN_HISTORY").rows if "index seek" in row[2]]
+        assert [row[:2] for row in seeks] == [(2, 2)]
     finally:
         conn.close()
 

@@ -8,19 +8,21 @@ benchmark's own point SELECTs and 100 of its singleton predictions
 (``benchmarks/e2e/statements.py``), embedded, at ``connect()`` defaults,
 after five warm-ups, and per case over the life cycle's TRAIN and cold
 and warm ``NATURAL PREDICTION JOIN`` of 2,000 customers, once per
-service.  The ceilings sit about 5 % above what the statements cost when
-they were set (169 and 307 for the short statements, 55 of the point
-SELECT's in ``repro/obs/``, since completion folds a statement's metrics
-in one call under the registry's one lock — 188, 323 and 74 while it
-wrote each metric through a handle of its own lock, and the path looked
-three counters up by name; the point SELECT cost 241 while every one
-planned its shape again, and 192 once a template kept its shape's
-prepared plan, so that it only binds what reads a literal and from the
-second statement on neither plans its FROM source nor expands its select
-list; per case 8.2 and 4.7 for the tree and naive Bayes TRAIN, 2.59 and
-1.51 for their cold joins and 0.45 and 0.33 for the warm re-score of the
-cached caseset, on CPython 3.11; 3.12 inlines comprehensions and counts
-fewer).  The benchmark's five
+service.  The ceilings sit about 5 % above what the statements cost when they
+were set (114 and 307 for the short statements, 46 of the point SELECT's in
+``repro/obs/``, since a kept plan binds its literals: the point SELECT runs the
+shared tree of its shape's seek, its WHERE compiled and its estimate taken once
+per shape, and its template, plan-cache and seek counts ride its record into
+completion's one fold — 154 and 52 while every statement planned its access
+path, compiled its WHERE, estimated its rows and folded four times; 188, 323
+and 74 while completion wrote each metric through a handle of its own lock, and
+the path looked three counters up by name; the point SELECT cost 241 while
+every one planned its shape again, and 192 once a template kept its shape's
+prepared plan, so that from the second statement on it neither plans its FROM
+source nor expands its select list; per case 8.2 and 4.7 for the tree and naive
+Bayes TRAIN, 2.59 and 1.51 for their cold joins and 0.45 and 0.33 for the warm
+re-score of the cached caseset, on CPython 3.11; 3.12 inlines comprehensions
+and counts fewer).  The benchmark's five
 scan shapes over 5,000 customers, under its two indexes, are held per
 scanned row — the rows of every table a shape reads — at 0.031 (0.0294
 when set, since every conjunct of their WHERE clauses is a column against
@@ -61,10 +63,10 @@ from tests.sqlstore.test_ordered_input_differential import (
 CUSTOMERS = 400
 WARM_UPS, MEASURED = 5, 100
 
-POINT_SELECT_CEILING = 177
+POINT_SELECT_CEILING = 118
 SINGLETON_PREDICTION_CEILING = 322
 #: Of the point SELECT's call events, those whose code is under repro/obs/.
-POINT_SELECT_OBS_CEILING = 58
+POINT_SELECT_OBS_CEILING = 48
 OBS_SOURCES = os.path.dirname(repro.obs.__file__) + os.sep
 
 LIFECYCLE_CUSTOMERS = 2000
@@ -192,6 +194,44 @@ def test_point_selects_after_the_first_bind_a_prepared_plan(monkeypatch):
     assert rows == [1] * (MEASURED - 1)
     assert planned == []
     assert hits == MEASURED - 1
+
+
+def test_a_kept_plan_hit_plans_compiles_estimates_and_folds_nothing():
+    """From the second on, the benchmark's point SELECTs are kept-plan
+    hits: per statement no call into ``sqlstore/stats.py``, no
+    ``choose_index`` or ``seek_forms`` and no ``compile_selection`` or
+    ``kernel_selection`` — the shape's seeks, WHERE and estimate are
+    decided once — and one ``MetricsRegistry.fold``, at completion."""
+    statements = benchmark_statements()
+    conn = repro.connect()
+    try:
+        load_warehouse(conn.database,
+                       WarehouseConfig(customers=CUSTOMERS, seed=7))
+        conn.execute(statements.SERVED_SETUP[0])
+        seeks = _texts(statements.SqlStatements(
+            7, CUSTOMERS, seeks=WARM_UPS + MEASURED, ranges=0,
+            insert_rows=0).round, "seek")[:MEASURED]
+        conn.execute(seeks[0])
+        called = {}
+
+        def count(frame, event, arg):
+            if event == "call":
+                code = frame.f_code
+                name = ("stats.py" if code.co_filename.endswith(
+                    os.path.join("sqlstore", "stats.py")) else code.co_name)
+                called[name] = called.get(name, 0) + 1
+        sys.setprofile(count)
+        try:
+            rows = [len(conn.execute(text).rows) for text in seeks[1:]]
+        finally:
+            sys.setprofile(None)
+    finally:
+        conn.close()
+    assert rows == [1] * (MEASURED - 1)
+    for name in ("stats.py", "choose_index", "seek_forms",
+                 "compile_selection", "kernel_selection"):
+        assert called.get(name, 0) == 0, (name, called.get(name))
+    assert called["fold"] == MEASURED - 1
 
 
 @pytest.mark.parametrize("tag", sorted(TRAIN_CEILING))

@@ -4,6 +4,7 @@ import pytest
 
 import repro
 from repro.errors import BindError, CatalogError, Error, SchemaError
+from repro.lang.parser import parse_statement
 from repro.sqlstore import Database
 
 
@@ -291,6 +292,16 @@ class TestGrouping:
         db.execute("CREATE TABLE Nothing (CustID LONG, Quantity DOUBLE)")
         with pytest.raises(BindError, match=message):
             db.execute(statement.format(t=table))
+
+    def test_a_where_binds_at_open(self, db):
+        """A WHERE that names no column plans — EXPLAIN renders its tree —
+        and is the BindError when that tree opens, as every clause is."""
+        plan = db.plan(parse_statement(
+            "SELECT CustID FROM Sales WHERE Nope = 1"))
+        assert [node.operator for node, _ in plan.walk()] == \
+            ["select", "table scan"]
+        with pytest.raises(BindError, match="cannot resolve column 'Nope'"):
+            plan.run(db.batch_size)
 
     def test_non_aggregated_column_reads_the_groups_first_row(self, db):
         rowset = db.execute(

@@ -342,3 +342,46 @@ def test_update_checks_the_result_as_insert_does(store_kwargs, statement,
         conn.execute("INSERT INTO T VALUES (1, 40, 'd')")    # 1 is free
     finally:
         conn.close()
+
+
+# -- an integer past the DOUBLE range -----------------------------------------
+
+BIG = "1" + "0" * 400  # 10**400: no float holds it
+
+
+def test_an_int_past_the_double_range_is_refused_and_stores_nothing(conn):
+    """A LONG or DOUBLE cell is a number a DOUBLE holds (every comparison,
+    key and statistic of the column takes its float): an integer past that
+    range is a typed error, as NOT NULL refuses a NULL.  The batch was
+    stored before it was keyed, so the failed INSERT left its rows behind
+    and every later seek and GROUP BY of the column raised OverflowError."""
+    conn.execute("CREATE TABLE W (a LONG, b DOUBLE)")
+    conn.execute("INSERT INTO W VALUES (1, 2.0)")
+    for statement in (f"INSERT INTO W VALUES (5, 1.0), ({BIG}, 1.0)",
+                      f"INSERT INTO W VALUES (5, {BIG})",
+                      f"INSERT INTO W VALUES ('{BIG}', 1.0)",
+                      f"INSERT INTO W SELECT a * {BIG}, b FROM W",
+                      f"UPDATE W SET a = {BIG}",
+                      f"INSERT INTO T VALUES (5, 'five'), ({BIG}, 'big')"):
+        with pytest.raises(TypeError_, match="past the DOUBLE range"):
+            conn.execute(statement)
+    assert conn.execute("SELECT * FROM W").rows == [(1, 2.0)]
+    assert conn.execute("SELECT a FROM W WHERE a = 5").rows == []
+    assert conn.execute("SELECT a, COUNT(*) FROM W GROUP BY a").rows == \
+        [(1, 1)]
+    assert _rows(conn) == [(10, "ten"), (11, "eleven")]
+
+
+@pytest.mark.parametrize("indexed", [False, True], ids=["scan", "index"])
+def test_equality_with_an_int_past_the_double_range_answers(conn, indexed):
+    """``=``, ``<>`` and ``IN`` against such a literal compare exactly, as
+    ``<`` and ``>`` always have; they used to raise a raw OverflowError."""
+    if indexed:
+        conn.execute("CREATE INDEX ix_t_id ON T (id)")
+    answers = {f"id = {BIG}": [], f"id <> {BIG}": [10, 11],
+               f"id IN (11, {BIG})": [11], f"id NOT IN (11, {BIG})": [10],
+               f"id < {BIG}": [10, 11], f"id > {BIG}": [],
+               f"{BIG} = id": [], f"id + 0 = {BIG}": []}
+    for where, ids in answers.items():
+        rows = conn.execute(f"SELECT id FROM T WHERE {where}").rows
+        assert sorted(row[0] for row in rows) == ids, where

@@ -68,9 +68,9 @@ def test_a_seeking_statement_and_a_concurrent_delete_recover_as_they_ran(
     repository = conn.provider.repository
     annotate = repository.annotate
 
-    def park(record, command, *args):
-        annotate(record, command, *args)
-        if command == statement:
+    def park(record, *args):
+        annotate(record, *args)
+        if record.text == statement:
             parked.set()
             assert release.wait(10), "the parked statement was never " \
                 "released"
