@@ -32,7 +32,9 @@ from repro.lang import ast_nodes as ast
 from repro.obs import workload as obs_workload
 from repro.shaping.shape import ShapedBatch, plan_shape
 from repro.sqlstore.engine import (
+    Bound,
     blocked_result,
+    bound_to,
     item_name,
     limited,
     order_keys,
@@ -44,6 +46,7 @@ from repro.sqlstore.expressions import (
     compile_expression,
     compile_selection,
 )
+from repro.sqlstore.indexes import LITERAL_VALUE
 from repro.sqlstore.rowset import Rowset, RowsetColumn, RowStream
 from repro.core.bindings import CaseBatch, case_binder as _case_binder, \
     pair_binder
@@ -333,9 +336,67 @@ class _ReadLease:
     __del__ = release
 
 
+class PreparedPrediction:
+    """A PREDICTION JOIN shape planned against one catalog state and one
+    model object (:func:`prepare_prediction`): ``plan``, its tree, whose
+    nodes are opened with ``(bound, batch size)`` — the
+    :class:`~repro.sqlstore.engine.Bound` of the statement they run — and
+    ``identity``, what the workload repository renders of the tree once.
+    A templated shape keeps it when :func:`keeps_plan` says so, while the
+    catalog version it was prepared at and :meth:`current` hold."""
+
+    __slots__ = ("model", "key", "ceiling", "plan", "identity")
+
+    def __init__(self, provider, join: ast.PredictionJoin, maxdop):
+        self.model, self.key = provider.model(join.model), join.model.upper()
+        self.ceiling = provider.pool.effective_dop(maxdop)
+        self.plan = self.identity = None
+
+    def current(self, provider) -> bool:
+        """Whether a templated statement (one with no MAXDOP) of the shape
+        is planned so: its model is this object, its session's dop ceiling
+        this one."""
+        return provider.models.get(self.key) is self.model and \
+            provider.pool.effective_dop() == self.ceiling
+
+
+def keeps_plan(statement: ast.SelectStatement, slots) -> bool:
+    """Whether a templated PREDICTION JOIN keeps its prepared plan: every
+    literal its template substitutes (``slots``, keyed by the literal
+    nodes' ids) is an item of its FROM-less SELECT source — the one row a
+    statement's values make — and it reads no subquery (kept, a subquery's
+    rows would be read once) and is not FLATTENED."""
+    from repro.exec.partition import _contains_subquery
+    source = statement.from_clause.source
+    return isinstance(source, ast.SubquerySource) and \
+        source.select.from_clause is None and not statement.flattened and \
+        slots.keys() <= {id(item.expr) for item in source.select.select_list} \
+        and not _contains_subquery([statement.where] + [
+            item.expr for item in statement.select_list + statement.order_by])
+
+
+def bind_prediction(value_of=LITERAL_VALUE,
+                    kept: Optional[PreparedPrediction] = None) -> Bound:
+    """A statement of a prepared shape, whose literals are, at the
+    prepared statement's literal nodes, ``value_of(node)`` — what the
+    tree's openers read.  Of a ``kept`` shape, its ``run`` opens that
+    shape's tree with it."""
+    bound = Bound()
+    bound.value_of, bound.variant = value_of, kept
+    return bound
+
+
 def plan_prediction(provider, statement: ast.SelectStatement):
     """Plan a PREDICTION JOIN: the tree EXPLAIN prints, the workload
-    repository hashes and ``run(batch_size)`` executes.
+    repository hashes and ``run(batch_size)`` executes — the statement's
+    prepared tree, bound to it."""
+    return bound_to(prepare_prediction(provider, statement).plan,
+                    bind_prediction())
+
+
+def prepare_prediction(provider, statement: ast.SelectStatement) \
+        -> PreparedPrediction:
+    """Prepare a PREDICTION JOIN shape: its plan tree.
 
     Decided here, once, from the catalog, the pool configuration and the
     statement alone: the planned source, serial vs parallel (and the
@@ -343,17 +404,21 @@ def plan_prediction(provider, statement: ast.SelectStatement):
     source-only conjuncts pushed below binding, the join mode, the
     caseset-cache key — none for a constant (FROM-less) source, which is
     bound afresh and neither probes nor fills the cache — and blocking vs
-    streamed.  Nothing is scanned, locked or counted until ``run``: the
-    model's read lease, the cache lookup, the fallback metric and
-    ``NotTrainedError`` all belong to the run.  ``run`` takes the bound
-    caseset from the cache or runs its stage — ``bind cases`` (serial) or
-    ``parallel predict`` — over the source, and returns a
-    :class:`RowStream` whose lease is released on exhaustion, error or
-    abandonment; ORDER BY / DISTINCT drain that same stream before sorting
-    (blocking is draining, not a second evaluator).  Expressions are bound
-    in ``run`` too, once the source's columns are known and before a row
-    is read.  FLATTENED is the ``flatten`` node
-    :func:`repro.obs.explain.build_plan` puts above this tree.
+    streamed.  A FROM-less SELECT source is the row its items make in the
+    statement the tree is opened with; any other source is planned with
+    the statement, which only it runs.  Nothing is scanned, locked
+    or counted until ``run``: the model's read lease, the cache lookup,
+    the fallback metric and ``NotTrainedError`` all belong to the run.
+    ``run`` takes the bound caseset from the cache or runs its stage —
+    ``bind cases`` (serial) or ``parallel predict`` — over the source, and
+    returns a :class:`RowStream` whose lease is released on exhaustion,
+    error or abandonment; ORDER BY / DISTINCT drain that same stream
+    before sorting (blocking is draining, not a second evaluator).  The
+    source's binder and the select list's kernel are bound in ``run`` too,
+    once the source's columns are known and before a row is read, and
+    kept while the model's trained state lasts.  FLATTENED is the
+    ``flatten`` node :func:`repro.obs.explain.build_plan` puts above this
+    tree.
     """
     from repro.exec.partition import (
         parallel_value_batches,
@@ -363,11 +428,21 @@ def plan_prediction(provider, statement: ast.SelectStatement):
     from repro.obs.explain import PlanNode
 
     join: ast.PredictionJoin = statement.from_clause
-    model = provider.model(join.model)
-    database = provider.database
-    cache = provider.caseset_cache
+    prepared = PreparedPrediction(provider, join, statement.maxdop)
+    model = prepared.model
+    database, pool = provider.database, provider.pool
+    cache, metrics = provider.caseset_cache, provider.metrics
     alias = _source_alias(join.source)
+    # A FROM-less SELECT is one row no later statement replays: binding it
+    # costs less than keying it, so it never meets the cache.  Its items
+    # are the bound statement's.
+    constant = isinstance(join.source, ast.SubquerySource) and \
+        join.source.select.from_clause is None
     source = plan_prediction_source(provider, join.source)
+    opener = source.open
+    source.open = (lambda _, arg: database._select_without_from(
+        join.source.select, arg[0].value_of)) if constant else (
+        lambda node, arg: opener(node, arg[1]))
     dop, reason, fallback = prediction_parallelism(provider, statement,
                                                    source)
     # The WHERE conjuncts the source alone decides run below binding, by
@@ -379,10 +454,6 @@ def plan_prediction(provider, statement: ast.SelectStatement):
               pushable_qualifier(conjunct) == alias.upper()]
     on_pairs = (None if join.natural or join.condition is None
                 else split_on_condition(model.name, alias, join.condition))
-    # A FROM-less SELECT is one literal row no later statement replays:
-    # binding it costs less than keying it, so it never meets the cache.
-    constant = isinstance(join.source, ast.SubquerySource) and \
-        join.source.select.from_clause is None
     key = (prediction_key(model, join, pushed, database.data_version)
            if dop == 1 and cache.enabled and not constant else None)
 
@@ -399,7 +470,7 @@ def plan_prediction(provider, statement: ast.SelectStatement):
     if pushed:
         details.append(
             f"pushed {len(pushed)} source predicate(s) below binding")
-    node = PlanNode(
+    node = prepared.plan = PlanNode(
         "prediction join", target=model.name,
         strategy=f"{flow}; {'parallel' if dop > 1 else 'serial'} ({reason})",
         detail=", ".join(details))
@@ -438,24 +509,38 @@ def plan_prediction(provider, statement: ast.SelectStatement):
                           else "miss expected")
     node.estimator = estimate
 
-    def outputs(columns):
-        """Output names, the select list's expressions, the hidden ORDER BY
-        keys (those that are no output column) and ``order``, each key's
-        value position (:func:`order_keys`)."""
-        expanded = _expand_select_list(statement, model, columns, alias)
-        order, hidden = order_keys(statement, expanded)
-        return ([name for _, name, _ in expanded],
-                [expr for expr, _, _ in expanded], hidden, order)
+    binders, kernels = [], [None]
 
-    def bind_cases(_, batch_size: int) -> RowStream:
+    def bound(columns):
+        """Under the read lease, over the source's ``columns`` (whose names
+        are the prepared source's): ``(trained state, output names, the
+        select list's expressions, the hidden ORDER BY keys, each key's
+        value position (:func:`order_keys`), kernel)`` — bound once per
+        trained state (``MiningModel.derived``)."""
+        state, entry = model.derived("trained state", object), kernels[0]
+        if entry is None or entry[0] is not state:
+            expanded = _expand_select_list(statement, model, columns, alias)
+            order, hidden = order_keys(statement, expanded)
+            exprs = [expr for expr, _, _ in expanded]
+            context = _source_context(columns, alias)
+            context.subquery_executor = database.execute_select
+            entry = kernels[0] = (
+                state, [name for _, name, _ in expanded], exprs, hidden,
+                order, compile_cases(model, context, statement.where, exprs,
+                                     hidden))
+        return entry
+
+    def bind_cases(_, arg) -> RowStream:
         """The serial stage: a :class:`CaseBatch` per source batch, its
         source rows attached.  Keyed, it keeps the batches (the one cached
         form) up to ``max_rows`` cases and caches them on completion, so
         huge sources keep the O(batch) footprint and are simply never
         cached."""
-        stream = source.run(batch_size)
+        stream = source.run(arg)
         columns = list(stream.columns)
-        bind = case_binder(model, columns, alias, on_pairs)
+        if not binders:  # the source's names decide it: bound once
+            binders.append(case_binder(model, columns, alias, on_pairs))
+        bind = binders[0]
 
         def produce():
             collected = [] if key is not None else None
@@ -468,53 +553,50 @@ def plan_prediction(provider, statement: ast.SelectStatement):
                     else:
                         collected = None  # too large: stop accumulating a copy
                 yield batch
-            provider.metrics.fold({}, {"prediction.join_fanout": total})
+            metrics.fold({}, {"prediction.join_fanout": total})
             if collected is not None:
                 cache.put(key, (columns, collected, total), total)
             elif key is not None:
                 cache.put(key, None, cache.max_rows + 1)  # count the skip
         return RowStream(columns, produce())
 
-    def parallel_predict(_, batch_size: int) -> RowStream:
+    def parallel_predict(_, arg) -> RowStream:
         """The parallel stage: a list per source batch, which a pool worker
         bound, scored and evaluated, with an entry per case — its output
         values, or None where WHERE rejected it."""
-        stream = source.run(batch_size)
+        stream = source.run(arg)
         columns = list(stream.columns)
         return RowStream(columns, parallel_value_batches(
-            provider, dop,
+            pool, metrics, dop,
             (prediction_replica(model), columns, alias, on_pairs,
-             outputs(columns)[1], statement.where),  # no hidden keys: serial
+             bound(columns)[2], statement.where),  # no hidden keys: serial
             _surviving_batches(stream, pushed, alias)))
 
     stage.open = parallel_predict if dop > 1 else bind_cases
 
-    def run(_, batch_size: int) -> RowStream:
+    def run(_, arg) -> RowStream:
+        batch_size = arg[1]
         obs_workload.set_phase("predict")
         lease = _ReadLease(model.lock)
         try:
             if fallback is not None:
-                provider.pool.note_serial_fallback(fallback)
+                pool.note_serial_fallback(fallback)
             model.require_trained()
             hit = None
             if key is not None:
                 hit = cache.get(key)
                 obs_workload.note_cache(hit=hit is not None)
             if hit is None:
-                stream = stage.run(batch_size)
+                stream = stage.run(arg)
                 columns, batches = stream.columns, stream.batches()
             else:
                 # A hit replays the bound batches; the stage never runs.
                 columns, cached, total = hit
-                provider.metrics.fold({}, {"prediction.join_fanout": total})
+                metrics.fold({}, {"prediction.join_fanout": total})
                 batches = iter(cached)
-            names, exprs, hidden, order = outputs(columns)
             # Bound on either path, before a row is read or a pool task
             # runs (pool workers bind their chunks again).
-            context = _source_context(columns, alias)
-            context.subquery_executor = database.execute_select
-            kernel = compile_cases(model, context, statement.where, exprs,
-                                   hidden)
+            _, names, _, hidden, order, kernel = bound(columns)
             if dop > 1:
                 values = ([entry for entry in batch if entry is not None]
                           for batch in batches)
@@ -542,7 +624,7 @@ def plan_prediction(provider, statement: ast.SelectStatement):
             lease.release()
             raise
     node.open = run
-    return node
+    return prepared
 
 
 def _held(lease: _ReadLease, batches):

@@ -39,6 +39,8 @@ from repro.algorithms.registry import resolve_algorithm
 from repro.core.casecache import CasesetCache
 from repro.core.columns import compile_model_definition
 from repro.core.model import MiningModel
+from repro.core.prediction import bind_prediction, keeps_plan, \
+    prepare_prediction
 from repro.core.schema_rowsets import model_content_rowset, system_rowset
 
 
@@ -381,8 +383,9 @@ class Provider:
         through the statement-template cache, which runs the parser only
         on a shape it has not seen — and classify it, plan it once (a
         control verb has no plan; a mutating statement is planned under
-        the writer lock) — outside any model lock, a templated
-        SELECT or UNION from its shape's kept plan — and hand that plan,
+        the writer lock) — outside any model lock, a templated SELECT,
+        UNION or singleton PREDICTION JOIN from its shape's kept plan — and
+        hand that plan,
         with the shape's fingerprint, to the workload repository
         (skeleton, hash, estimate).  Then ``run(statement, plan)`` — a
         statement made from a template shares nodes with others of its
@@ -441,17 +444,22 @@ class Provider:
         """``(statement, plan)``: the statement — made from its template
         when the parse hit one (``statement`` None; ``slot`` is the parse's
         ``(template, slot values)``) — and its plan (none for a control
-        verb).  A templated SELECT or UNION (not a PREDICTION JOIN, not
-        FLATTENED) reads its template's kept plan of the shape when the
-        catalog has not changed since it was prepared (a hit); otherwise
-        (a miss) it prepares the shape and, when every source is a base
-        table, keeps the plan there with the catalog version it was
-        prepared against.  Every statement of a kept shape runs the tree
-        its access path shares (:meth:`Database.bind_values`): one whose
-        every literal one of its WHERE's kernels reads is bound by its
-        values alone and runs as the template's own statement, never made;
-        any other is made, and its tree reads it.  Any other statement is
-        planned by :func:`build_plan`."""
+        verb).  A templated SELECT or UNION (not FLATTENED) reads its
+        template's kept plan of the shape when the catalog has not changed
+        since it was prepared (a hit); otherwise (a miss) it prepares the
+        shape and, when every source is a base table, keeps the plan there
+        with the catalog version it was prepared against — any other shape
+        binds that prepared plan to its statement, made.  Every statement
+        of a kept shape runs the tree its access path shares
+        (:meth:`Database.bind_values`): one whose every literal one of its
+        WHERE's kernels reads is bound by its values alone and runs as the
+        template's own statement, never made; any other is made, and its
+        tree reads it.  A templated PREDICTION JOIN whose every literal is
+        an item of its FROM-less SELECT source (:func:`keeps_plan`) is kept
+        the same way, also while its model is the object it was prepared
+        for: each statement opens the kept tree with its own values, never
+        made (:func:`bind_prediction`).  Any other statement is planned by
+        :func:`build_plan`."""
         if slot is not None and kind in ("SELECT", "UNION") and \
                 not getattr(slot[0].statement, "flattened", False):
             template, values = slot
@@ -469,9 +477,9 @@ class Provider:
                     template.plan = (version, None if reads is None
                                      else prepared, by_values)
                 if reads is None:  # planned statement by statement
-                    if statement is not None:  # the template's own
-                        return statement, database.bind(prepared)
-                    prepared = None
+                    statement = statement or template.instantiate(values)
+                    return statement, database.bind(
+                        prepared, template.value_of(values), statement)
             elif prepared is not None:
                 obs_trace.count(self.metrics, "sqlstore.plan_cache.hits")
             if prepared is not None:
@@ -479,6 +487,23 @@ class Provider:
                     else template.instantiate(values)
                 return statement, database.bind_values(
                     prepared, template.value_of(values), statement)
+        elif slot is not None and kind == "PREDICT":
+            template, values = slot
+            version = self.database.catalog_version
+            kept, prepared, _ = template.plan or (None, None, True)
+            if kept == version and prepared.current(self):
+                obs_trace.count(self.metrics, "sqlstore.plan_cache.hits")
+            elif keeps_plan(template.statement, template.slots):
+                if prepared is not None:
+                    obs_trace.count(self.metrics, "sqlstore.plan_cache.misses")
+                prepared = prepare_prediction(self, template.statement)
+                if self.database.catalog_version == version:
+                    template.plan = (version, prepared, True)
+            else:
+                prepared = None
+            if prepared is not None:
+                return template.statement, bind_prediction(
+                    template.value_of(values), prepared)
         if statement is None:
             statement = slot[0].instantiate(slot[1])
         return statement, (None if kind in _CONTROL_KINDS

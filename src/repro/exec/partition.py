@@ -255,7 +255,7 @@ def _predict_chunk(constant, rows):
         case_binder(model, columns, alias, on_pairs)(rows))
 
 
-def parallel_value_batches(provider, dop: int, constant, row_batches):
+def parallel_value_batches(pool, metrics, dop: int, constant, row_batches):
     """Fan a planned PREDICTION JOIN out over the pool: one list per batch
     of ``row_batches`` with an entry per case bound — the output value
     tuples in exact source order, then a None for each case WHERE
@@ -266,7 +266,6 @@ def parallel_value_batches(provider, dop: int, constant, row_batches):
     thread and notes ``pool.serial_fallbacks.pickle``.  Nothing is noted
     or sent before the first batch is asked for.
     """
-    pool = provider.pool
     if pool.mode == "process" and not _picklable(constant):
         pool.note_serial_fallback("pickle")
         dop = 1
@@ -278,4 +277,4 @@ def parallel_value_batches(provider, dop: int, constant, row_batches):
         total += bound
         values += [None] * (bound - len(values))
         yield values
-    provider.metrics.fold({}, {"prediction.join_fanout": total})
+    metrics.fold({}, {"prediction.join_fanout": total})

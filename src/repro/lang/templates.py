@@ -32,10 +32,12 @@ A template's tree is syntax only, nothing from the catalog, so no DDL or
 data change can invalidate it.  Beside it the template has one slot,
 :attr:`Template.plan`, that the provider fills with ``(catalog version,
 prepared, by values)``: the shape's prepared plan
-(:class:`repro.sqlstore.engine.Prepared`), which holds only what the
-catalog decides, the catalog version it was prepared at, and whether a
-statement is bound by its values alone (every literal of the shape is read
-by a WHERE kernel).  A hit while that version is current binds the plan to
+(:class:`repro.sqlstore.engine.Prepared`, or for a singleton PREDICTION
+JOIN :class:`repro.core.prediction.PreparedPrediction`), which holds only
+what the catalog and the model decide, the catalog version it was prepared
+at, and whether a statement is bound by its values alone (every literal of
+the shape is read by a WHERE kernel, or is an item of the singleton's
+source row).  A hit while that version is current binds the plan to
 the statement's values — read through :meth:`Template.value_of`, the
 statement made only when it is not bound by its values alone; any other
 re-prepares and refills the slot, so the template LRU bounds the plans

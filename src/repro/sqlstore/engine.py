@@ -216,7 +216,7 @@ class Bound:
         return self.variant.plan.run((self, batch_size))
 
 
-def _bound_to(node, bound: Bound):
+def bound_to(node, bound: Bound):
     """``node``, whose opener reads a :class:`Bound`, as the tree of one
     statement: its opener handed ``bound`` with the batch size."""
     opener = node.open
@@ -605,16 +605,21 @@ class Database:
                 pass  # each statement raises it as its tree opens
         return prepared
 
-    def bind(self, prepared: Prepared):
-        """The plan tree of the statement ``prepared`` was prepared from,
-        its own: a fresh tree of a few nodes."""
-        statement = prepared.statement
+    def bind(self, prepared: Prepared, value_of=LITERAL_VALUE,
+             statement=None):
+        """The plan tree of ``statement``, its own: a fresh tree of a few
+        nodes.  By default the statement is the one ``prepared`` was
+        prepared from; another of its shape holds ``value_of(node)`` at
+        the prepared one's literal nodes."""
+        statement = statement or prepared.statement
         if prepared.branches is not None:
-            return self._union_node(statement,
-                                    list(map(self.bind, prepared.branches)))
+            return self._union_node(statement, [
+                self.bind(branch, value_of, select) for branch, select
+                in zip(prepared.branches, statement.branches)])
         if prepared.base is not None:
-            bound = self._bound(prepared, statement, LITERAL_VALUE)
-            return _bound_to(self._base_select(prepared, bound), bound)
+            bound = self._bound(prepared, statement, value_of)
+            return bound_to(self._base_select(prepared, bound, statement),
+                            bound)
         source = expanded = None
         if statement.from_clause is not None:
             pushed = None
@@ -687,16 +692,18 @@ class Database:
         bound.select = prepared.where and prepared.where(value_of)
         return bound
 
-    def _base_select(self, prepared: Prepared, bound: Bound):
+    def _base_select(self, prepared: Prepared, bound: Bound,
+                     statement=None):
         """The tree of a base-table SELECT of the prepared shape over the
-        access path ``bound`` chose; its openers read the :class:`Bound`
+        access path ``bound`` chose, estimated by ``statement`` (by
+        default the prepared one); its openers read the :class:`Bound`
         of the statement they run."""
         # (The openers hold nothing that holds a kept plan's variant: it
         # is freed by reference counting.)
         ref, table, columns = prepared.base
         source = self._access_node(ref, table, columns, bound.choice)
-        plan = self._select_node(prepared, prepared.statement, source,
-                                 prepared.expanded)
+        plan = self._select_node(prepared, statement or prepared.statement,
+                                 source, prepared.expanded)
         plan.open = lambda _, arg: self._open_select(
             arg[0].statement, source, None, arg[0].prepared, arg[1], arg[0])
         return plan
@@ -909,10 +916,12 @@ class Database:
         context.subquery_executor = self.execute_select
         return context
 
-    def _select_without_from(self, statement: ast.SelectStatement) \
-            -> RowStream:
+    def _select_without_from(self, statement: ast.SelectStatement,
+                             value_of=LITERAL_VALUE) -> RowStream:
         """A FROM-less SELECT: one row of constants, through the tail's TOP
-        and typing (DISTINCT and ORDER BY leave one row as it is)."""
+        and typing (DISTINCT and ORDER BY leave one row as it is).  An
+        item that is a literal node holds ``value_of(node)``: its own
+        value, or that of a statement of its shape."""
         context = self._constant_context()
         names: List[str] = []
         values: List[Any] = []
@@ -920,7 +929,7 @@ class Database:
             if isinstance(item.expr, ast.Star):
                 raise BindError("SELECT * requires a FROM clause")
             names.append(item.alias or f"Expr{position + 1}")
-            values.append(_constant(item.expr, context))
+            values.append(_constant(item.expr, context, value_of))
         return typed_stream(names, [None] * len(names),
                             limited([[tuple(values)]], statement.top))
 
@@ -1218,8 +1227,8 @@ class Database:
         columns = [(qualifier, c) for c in table.rowset_columns()]
         bound = self._seek(table, seek_forms(where, table, qualifier), where,
                            LITERAL_VALUE)
-        return _bound_to(self._access_node(ref, table, columns, bound.choice),
-                         bound)
+        return bound_to(self._access_node(ref, table, columns, bound.choice),
+                        bound)
 
     def _access_node(self, ref: ast.NamedTable, table: Table, columns,
                      choice):
@@ -1781,11 +1790,12 @@ def blocked_result(statement: ast.SelectStatement, names: List[str],
         for start in range(0, len(rows), batch_size)))
 
 
-def _constant(expr: ast.Expr, context: EvalContext) -> Any:
+def _constant(expr: ast.Expr, context: EvalContext,
+              value_of=LITERAL_VALUE) -> Any:
     """The value of an expression evaluated once, with no row to read: a
-    literal is read directly, anything else compiles and runs."""
+    literal is read (``value_of``), anything else compiles and runs."""
     if type(expr) is ast.Literal:
-        return expr.value
+        return value_of(expr)
     return compile_expression(expr, context)(())
 
 

@@ -13,6 +13,7 @@ from functools import reduce
 from typing import Any, Callable, Dict, Optional
 
 from repro.errors import BindError
+from repro.sqlstore.types import within_double
 
 
 def _null_safe(func: Callable) -> Callable:
@@ -88,7 +89,10 @@ def _avg(values: list) -> Optional[float]:
     present = _present(values)
     if not present:
         return None
-    return reduce(operator.add, map(float, present), 0.0) / len(present)
+    try:
+        return reduce(operator.add, map(float, present), 0.0) / len(present)
+    except OverflowError:  # a DOUBLE holds no int past its range
+        return sum(map(within_double, present)) / len(present)
 
 
 def _variance(values: list, stdev: bool = False) -> Optional[float]:

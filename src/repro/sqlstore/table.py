@@ -95,27 +95,22 @@ class Table:
         pk, natives = self._pk, self._natives
         batch: List[Tuple] = []
         pk_keys: set = set()
-        try:
-            for values in rows:
-                row = tuple(values)
-                if list(map(type, row)) != natives:
-                    row = self._coerced(row)
-                batch.append(row)
-                if pk is not None:
-                    key = bare_key(row[pk])
-                    if key in self._pk_keys or key in pk_keys:
-                        raise self._duplicate(row[pk])
-                    pk_keys.add(key)
-            # Column by column, one group_keys each: the keying every index
-            # and the statistics share, made before anything is stored.
-            columns = list(zip(*batch))
-            keys = list(map(group_keys, columns))
-        except OverflowError:
-            # An int a row took natively past the DOUBLE range (a row of
-            # its columns' own classes skips coercion): coercion refuses it.
-            for row in batch:
-                self._coerced(row)
-            raise
+        for values in rows:
+            row = tuple(values)
+            if list(map(type, row)) != natives:
+                row = self._coerced(row)
+            batch.append(row)
+            if pk is not None:
+                key = bare_key(row[pk])
+                if key in self._pk_keys or key in pk_keys:
+                    raise self._duplicate(row[pk])
+                pk_keys.add(key)
+        # Column by column, one group_keys each: the keying every index and
+        # the statistics share, made before anything is stored — and what
+        # refuses an int a row took natively (a row of its columns' own
+        # classes skips coercion) past the DOUBLE range.
+        columns = list(zip(*batch))
+        keys = list(map(group_keys, columns))
         if not batch:
             return 0
         if self.stats is not None and self.stats_stale:

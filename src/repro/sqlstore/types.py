@@ -116,8 +116,8 @@ def within_double(value):
     try:
         float(value)
     except OverflowError:
-        raise TypeError_(f"cannot store an integer of {value.bit_length()} "
-                         f"bits: it is past the DOUBLE range") from None
+        raise TypeError_(f"an integer of {value.bit_length()} bits is past "
+                         f"the DOUBLE range") from None
     return value
 
 

@@ -14,6 +14,8 @@ import datetime
 from operator import eq, gt, lt
 from typing import Any, Callable, Optional, Sequence
 
+from repro.sqlstore.types import within_double
+
 NULL = None
 
 #: ``a <op> b`` is ``test(a, b) is not negated`` for two values of one
@@ -115,7 +117,10 @@ def comparator(op: str, literal: Any) -> Callable[[Any], Optional[bool]]:
 
         def equal(value):
             if type(value) in classes:
-                return (float(value) == key) is not negated
+                try:
+                    return (float(value) == key) is not negated
+                except OverflowError:  # an int past the float range
+                    pass
             return generic(value, literal)
         return equal
 
@@ -170,7 +175,10 @@ def sort_key(value: Any):
     if isinstance(value, bool):
         return (1, 1, int(value))
     if isinstance(value, (int, float)):
-        return (1, 1, float(value))
+        try:
+            return (1, 1, float(value))
+        except OverflowError:  # an int past the float range: itself,
+            return (1, 1, value)  # which orders exactly among floats
     if isinstance(value, datetime.date):
         return (1, 2, value.toordinal())
     return (1, 3, str(value))
@@ -183,7 +191,10 @@ def group_key(value: Any):
     if isinstance(value, bool):
         return ("b", value)
     if isinstance(value, (int, float)):
-        return ("n", float(value))
+        try:
+            return ("n", float(value))
+        except OverflowError:  # an int no key holds: refused
+            return ("n", within_double(value))
     if isinstance(value, datetime.date):
         return ("d", value.toordinal())
     return ("s", str(value))
@@ -197,7 +208,10 @@ def group_keys(values: Sequence[Any]) -> Sequence[Any]:
     costs no call per value, and strings alone are their own keys (the
     sequence comes back as it went in)."""
     if NUMBER_TYPES.issuperset(map(type, values)):
-        return list(map(float, values))
+        try:
+            return list(map(float, values))
+        except OverflowError:  # an int no key holds: refused
+            return list(map(within_double, values))
     if TEXT_TYPES.issuperset(map(type, values)):
         return values
     return list(map(bare_key, values))

@@ -9,12 +9,17 @@ benchmark's own point SELECTs and 100 of its singleton predictions
 after five warm-ups, and per case over the life cycle's TRAIN and cold
 and warm ``NATURAL PREDICTION JOIN`` of 2,000 customers, once per
 service.  The ceilings sit about 5 % above what the statements cost when they
-were set (114 and 307 for the short statements, 46 of the point SELECT's in
+were set (114 and 196 for the short statements, 46 of the point SELECT's in
 ``repro/obs/``, since a kept plan binds its literals: the point SELECT runs the
 shared tree of its shape's seek, its WHERE compiled and its estimate taken once
 per shape, and its template, plan-cache and seek counts ride its record into
 completion's one fold — 154 and 52 while every statement planned its access
-path, compiled its WHERE, estimated its rows and folded four times; 188, 323
+path, compiled its WHERE, estimated its rows and folded four times; the
+singleton prediction runs its shape's kept tree, its row read from the slot
+values and its binder, select list and estimate bound once per shape and model
+— 305 while every one was made from its template, planned its join and its
+FROM-less source, bound its source's rows, compiled its select list and
+rendered its plan; 188, 323
 and 74 while completion wrote each metric through a handle of its own lock, and
 the path looked three counters up by name; the point SELECT cost 241 while
 every one planned its shape again, and 192 once a template kept its shape's
@@ -64,7 +69,7 @@ CUSTOMERS = 400
 WARM_UPS, MEASURED = 5, 100
 
 POINT_SELECT_CEILING = 118
-SINGLETON_PREDICTION_CEILING = 322
+SINGLETON_PREDICTION_CEILING = 206
 #: Of the point SELECT's call events, those whose code is under repro/obs/.
 POINT_SELECT_OBS_CEILING = 48
 OBS_SOURCES = os.path.dirname(repro.obs.__file__) + os.sep
@@ -232,6 +237,43 @@ def test_a_kept_plan_hit_plans_compiles_estimates_and_folds_nothing():
                  "compile_selection", "kernel_selection"):
         assert called.get(name, 0) == 0, (name, called.get(name))
     assert called["fold"] == MEASURED - 1
+
+
+def test_singletons_after_the_first_bind_a_prepared_plan():
+    """The benchmark's singleton predictions share one shape: the first
+    prepares its plan, and the 2nd-100th neither plan their prediction
+    join nor its FROM-less source, bind their source's rows, compile
+    their select list or render their plan — they bind their row to the
+    kept plan — and each is one plan-cache hit."""
+    statements = benchmark_statements()
+    conn = repro.connect()
+    try:
+        load_warehouse(conn.database,
+                       WarehouseConfig(customers=CUSTOMERS, seed=7))
+        for statement in statements.SERVED_SETUP:
+            conn.execute(statement)
+        predictions = _texts(statements.ServedStatements(
+            7, 0, CUSTOMERS, per_round=100).round, "predict")[:MEASURED]
+        first = conn.execute(predictions[0]).rows
+        called = {}
+        watched = ("plan_prediction", "prepare_prediction", "plan_select",
+                   "case_binder", "compile_cases", "plan_skeleton")
+
+        def count(frame, event, arg):
+            if event == "call" and frame.f_code.co_name in watched:
+                called[frame.f_code.co_name] = \
+                    called.get(frame.f_code.co_name, 0) + 1
+        sys.setprofile(count)
+        try:
+            rows = [conn.execute(text).rows for text in predictions[1:]]
+        finally:
+            sys.setprofile(None)
+        hits = conn.provider.metrics.value("sqlstore.plan_cache.hits")
+    finally:
+        conn.close()
+    assert [len(answer) for answer in [first] + rows] == [1] * MEASURED
+    assert called == {}
+    assert hits == MEASURED - 1
 
 
 @pytest.mark.parametrize("tag", sorted(TRAIN_CEILING))

@@ -176,6 +176,46 @@ def test_cancel_is_scoped_to_the_owning_session(served):
         unregister_algorithm(SlowIterative)
 
 
+def test_sessions_sharing_a_kept_singleton_each_get_their_own_answer(
+        served):
+    """Two sessions issue one singleton PREDICTION JOIN shape at once, each
+    with its own literal: the shape's kept plan binds every statement's
+    own row, so each session reads back its own case and prediction."""
+    conn, server = served
+    conn.execute("CREATE MINING MODEL Buyer (pid LONG KEY, sex TEXT "
+                 "DISCRETE, buys TEXT DISCRETE PREDICT) "
+                 "USING Repro_Naive_Bayes")
+    conn.execute("CREATE TABLE Sexes (pid INT, sex TEXT, buys TEXT)")
+    conn.execute("INSERT INTO Sexes VALUES " + ", ".join(
+        f"({i}, '{'m' if i % 2 else 'f'}', '{'yes' if i % 2 else 'no'}')"
+        for i in range(1, 41)))
+    conn.execute("INSERT INTO Buyer (pid, sex, buys) "
+                 "SELECT pid, sex, buys FROM Sexes")
+    hits = conn.provider.metrics.value("sqlstore.plan_cache.hits")
+    failures, rounds = [], 150
+
+    def ask(sex, expected):
+        try:
+            with net_connect("127.0.0.1", server.port) as client:
+                for _ in range(rounds):
+                    rows = client.execute(
+                        f"SELECT t.sex, Buyer.buys FROM Buyer NATURAL "
+                        f"PREDICTION JOIN (SELECT '{sex}' AS sex) AS t").rows
+                    assert rows == [(sex, expected)], rows
+        except BaseException as exc:  # noqa: BLE001 - asserted below
+            failures.append(exc)
+
+    threads = [threading.Thread(target=ask, args=args)
+               for args in (("m", "yes"), ("f", "no"))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert not failures, failures
+    assert conn.provider.metrics.value("sqlstore.plan_cache.hits") >= \
+        hits + 2 * rounds - 2
+
+
 def _session_row(conn, session_id):
     sessions = conn.execute("SELECT * FROM $SYSTEM.DM_SESSIONS")
     (row,) = [row for row in sessions.rows

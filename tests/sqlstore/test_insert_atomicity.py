@@ -385,3 +385,50 @@ def test_equality_with_an_int_past_the_double_range_answers(conn, indexed):
     for where, ids in answers.items():
         rows = conn.execute(f"SELECT id FROM T WHERE {where}").rows
         assert sorted(row[0] for row in rows) == ids, where
+
+
+# An int *computed* past the DOUBLE range: ``a * 10**400`` over W.  Where
+# its float decides nothing it answers; where it would be keyed or averaged
+# as a DOUBLE it is the TypeError_ an INSERT of it raises.  Each used to
+# raise a raw OverflowError past every ``except Error``.
+HUGE = f"a * {BIG}"
+
+
+@pytest.fixture
+def huge(conn):
+    conn.execute("CREATE TABLE W (a LONG, b DOUBLE)")
+    conn.execute("INSERT INTO W VALUES (2, 3.0), (1, 2.0)")
+    return conn
+
+
+def test_order_by_a_computed_int_past_the_double_range_answers(huge):
+    assert huge.execute(f"SELECT {HUGE} AS x FROM W ORDER BY x").rows == \
+        [(10 ** 400,), (2 * 10 ** 400,)]
+    assert huge.execute(f"SELECT a FROM W ORDER BY {HUGE} DESC").rows == \
+        [(2,), (1,)]
+
+
+def test_group_by_a_computed_int_past_the_double_range_is_a_type_error(huge):
+    with pytest.raises(TypeError_, match="past the DOUBLE range"):
+        huge.execute(f"SELECT COUNT(*) FROM W GROUP BY {HUGE}")
+
+
+def test_distinct_of_a_computed_int_past_the_double_range_is_a_type_error(
+        huge):
+    with pytest.raises(TypeError_, match="past the DOUBLE range"):
+        huge.execute(f"SELECT DISTINCT {HUGE} AS x FROM W")
+
+
+def test_avg_of_a_computed_int_past_the_double_range_is_a_type_error(huge):
+    with pytest.raises(TypeError_, match="past the DOUBLE range"):
+        huge.execute(f"SELECT AVG({HUGE}) FROM W")
+    assert huge.execute(f"SELECT MAX({HUGE}) FROM W").rows == \
+        [(2 * 10 ** 400,)]
+
+
+def test_equality_with_a_computed_int_past_the_double_range_answers(huge):
+    assert huge.execute(f"SELECT a FROM W WHERE {HUGE} = 5").rows == []
+    assert huge.execute(f"SELECT a FROM W WHERE {HUGE} = {BIG}").rows == \
+        [(1,)]
+    assert huge.execute(f"SELECT a FROM W WHERE {HUGE} <> 5").rows == \
+        [(2,), (1,)]
