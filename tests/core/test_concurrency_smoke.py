@@ -329,3 +329,63 @@ def test_one_shape_keeps_its_answers_while_an_index_comes_and_goes(conn):
     metrics = conn.provider.metrics
     assert metrics.value("sqlstore.plan_cache.hits") > 0
     assert metrics.value("sqlstore.plan_cache.misses") > 0
+
+
+def test_one_singleton_shape_keeps_its_answers_while_its_model_trains(conn):
+    """Three threads run one singleton PREDICTION JOIN shape, each with
+    its own literal, while a fourth trains the model again and again: the
+    shape's kept plan binds each statement's own row, and its compiled
+    select list is compiled again, under the read lease, after every
+    TRAIN replaced the trained state it read."""
+    import sys
+
+    conn.execute("CREATE TABLE Sexes (pid INT, sex TEXT, buys TEXT)")
+    conn.execute("INSERT INTO Sexes VALUES " + ", ".join(
+        f"({i}, '{'m' if i % 2 else 'f'}', '{'yes' if i % 2 else 'no'}')"
+        for i in range(1, 41)))
+    conn.execute("CREATE MINING MODEL Buyer (pid LONG KEY, sex TEXT "
+                 "DISCRETE, buys TEXT DISCRETE PREDICT) "
+                 "USING Repro_Naive_Bayes")
+    train = "INSERT INTO Buyer (pid, sex, buys) SELECT pid, sex, buys " \
+        "FROM Sexes"
+    conn.execute(train)
+    singleton = ("SELECT t.sex, Buyer.buys FROM Buyer NATURAL PREDICTION "
+                 "JOIN (SELECT '{}' AS sex) AS t")
+    done = threading.Event()
+    wrong, answered = [], [0, 0, 0]
+
+    def reader(index, sex, expected):
+        try:
+            while not done.is_set():
+                rows = conn.execute(singleton.format(sex)).rows
+                if rows != [(sex, expected)]:
+                    wrong.append((sex, rows))
+                answered[index] += 1
+        except Exception as exc:  # pragma: no cover - failure path
+            wrong.append(exc)
+
+    def trainer():
+        try:
+            for _ in range(30):
+                conn.execute(train)
+        except Exception as exc:  # pragma: no cover - failure path
+            wrong.append(exc)
+        finally:
+            done.set()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        threads = [threading.Thread(target=reader, args=args) for args in
+                   ((0, "m", "yes"), (1, "f", "no"), (2, "m", "yes"))]
+        threads.append(threading.Thread(target=trainer))
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+    assert min(answered) > 0
+    assert conn.provider.metrics.value("sqlstore.plan_cache.hits") > 0
