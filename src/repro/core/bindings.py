@@ -373,34 +373,36 @@ def _binder(plan):
             width <= rows.width else rows
         nested = []
         for index, table_key, slots in tables:
-            children, counts = _nested_rows(rows, index)
+            children, counts, positions = _nested_rows(rows, index)
             nested.append((table_key, list(accumulate(counts, initial=0)),
-                           _bound(slots, children)))
+                           _bound(slots, children, positions)))
         return CaseBatch(len(rows), _bound(scalars, flat), nested, rows)
     return bind
 
 
 def _slot(source_index: int, column: ModelColumn) -> tuple:
-    """A source ordinal's reader, the key its values are stored under, the
+    """A source ordinal, the key its values are stored under, the
     qualifier kind (None: a value) and the coercion — None (store as is)
     or the types ``coerce`` returns unchanged, and ``coerce``."""
     if column.role is ContentRole.QUALIFIER:
-        return (itemgetter(source_index), column.qualifier_of.upper(),
+        return (source_index, column.qualifier_of.upper(),
                 column.qualifier, None)
     data_type = column.data_type
-    return (itemgetter(source_index), column.name.upper(), None,
+    return (source_index, column.name.upper(), None,
             None if data_type is None else
             ({_NATIVE.get(data_type), type(None)}, data_type.coerce))
 
 
-def _bound(slots, rows) -> list:
-    """The slots' columns over ``rows``.  A column holding only its type's
+def _bound(slots, rows, positions=None) -> list:
+    """The slots' columns over ``rows``, whose ordinal ``i`` stands at
+    ``positions[i]`` (None: at ``i``).  A column holding only its type's
     own values and NULLs is kept as read; otherwise each other value is
     coerced once per distinct ``(type, value)`` — a float once per cell,
     as ``str`` tells ``-0.0`` from ``0.0``."""
     columns = []
-    for read, key, kind, coercion in slots:
-        values = list(map(read, rows))
+    for index, key, kind, coercion in slots:
+        values = list(map(itemgetter(
+            index if positions is None else positions[index]), rows))
         if coercion is not None and \
                 not coercion[0].issuperset(map(type, values)):
             native, coerce = coercion
@@ -415,14 +417,15 @@ def _bound(slots, rows) -> list:
 
 
 def _nested_rows(rows, index: int):
-    """``(rows, counts)`` of the nested column ``index`` of a batch: the
-    nested rows of every case concatenated in case order, and how many
-    each case has (none where the cell holds no rowset)."""
+    """``(rows, counts, positions)`` of the nested column ``index`` of a
+    batch: the nested rows of every case concatenated in case order, how
+    many each case has (none where the cell holds no rowset), and where
+    the nested columns stand in those rows (None: the rows are them)."""
     if isinstance(rows, ShapedBatch) and index >= rows.width:
         return rows.children(index)
     cells = [cell.rows if isinstance(cell, Rowset) else ()
              for cell in map(itemgetter(index), rows)]
-    return list(chain.from_iterable(cells)), list(map(len, cells))
+    return list(chain.from_iterable(cells)), list(map(len, cells)), None
 
 
 # ---------------------------------------------------------------------------

@@ -345,6 +345,7 @@ class Provider:
         if key in self.models:
             del self.models[key]
             self.caseset_cache.discard_model(key)
+            self.database.catalog_version += 1  # what kept plans read moved
         elif not statement.if_exists:
             raise CatalogError(f"no mining model named {statement.name!r}")
         return 0
@@ -517,6 +518,7 @@ class Provider:
         crash replay re-runs the mutation rather than the EXPLAIN wrapper.
         A mutation runs under the writer lock :meth:`_admitted` took."""
         mutating = type(statement) in MUTATING_STATEMENTS
+        version = self.database.catalog_version
         try:
             if mutating and self.store is not None:
                 # Refuse up front if a previous durability failure left
@@ -534,6 +536,8 @@ class Provider:
             raise
         if not mutating:
             return result
+        if self.database.catalog_version != version:
+            self.templates.drop_plans()
         # Ack ordering: a mutation is acknowledged (returned to the caller)
         # only once it is committed — its journal record fsync'd, or else
         # the paged store's shadow-page commit made (flush dirty pages,
@@ -759,11 +763,12 @@ class Provider:
                 _attach_statement(exc, command)
                 raise
         record, stream = self._admitted(command, open_stream)
-        batches = self._produce(record, stream.batches())
+        batches, positions = stream.scan()
+        batches = self._produce(record, batches)
         # A generator that never started runs no ``finally``: a stream
         # dropped before its first batch completes through this instead.
         weakref.finalize(batches, self.tracer.complete, record)
-        return RowStream(stream.columns, batches)
+        return RowStream(stream.columns, batches, positions)
 
     def _produce(self, record, batches):
         """``batches`` as the life of the statement ``record``: the record

@@ -94,7 +94,8 @@ class Template:
         self._build = build  # None: the shape has no literal to substitute
         self._shape: Optional[Tuple[str, str]] = None
         # (catalog version, prepared, by values): None as the prepared plan
-        # plans the shape's statements one by one at that version.
+        # plans the shape's statements one by one at that version; (None,
+        # False, _) a kept plan dropped when the catalog moved on.
         self.plan: Optional[tuple] = None
 
     def instantiate(self, values: list) -> ast.Statement:
@@ -286,6 +287,16 @@ class TemplateCache:
                 return statement, partial(statement_shape, statement), None
             finally:
                 self._count(region, outcome)
+
+    def drop_plans(self) -> None:
+        """Drop every template's kept plan: the catalog moved on, and a
+        plan kept against the old one would keep what it read alive.  The
+        slot keeps ``False`` in its place, so the shape's next statement
+        still counts the re-prepare as a plan-cache miss."""
+        with self._lock:
+            for template in filter(None, self._entries.values()):
+                if template.plan is not None and template.plan[1]:
+                    template.plan = (None, False, template.plan[2])
 
     def _remember(self, key: tuple, entry: Optional[Template]) -> None:
         with self._lock:

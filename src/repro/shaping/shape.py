@@ -18,13 +18,13 @@ built only for a consumer that asks for row tuples.
 
 from __future__ import annotations
 
-from itertools import chain, compress, count, starmap
-from operator import itemgetter, ne
+from itertools import chain, compress, count, product, starmap
+from operator import itemgetter, ne, sub
 from typing import List, Optional, Tuple, Union
 
 from repro.errors import BindError
 from repro.lang import ast_nodes as ast
-from repro.sqlstore.rowset import Rowset, RowsetColumn, RowStream
+from repro.sqlstore.rowset import Rowset, RowsetColumn, RowStream, cut
 from repro.sqlstore.values import group_keys
 
 
@@ -47,13 +47,16 @@ def plan_shape(shape: ast.ShapeExpr, database):
     The master streams; every APPEND child materializes up front, grouped
     by RELATE key.  Master and children are themselves planned
     SELECTs (or nested SHAPEs), so nothing below is decided again at run.
+    A child SELECT ordered by its RELATE column alone, under no TOP, is
+    planned without the sort (``Database.prepare``'s ``relate``).
     """
     from repro.obs.explain import PlanNode
 
-    def plan_source(source: Union[ast.SelectStatement, ast.ShapeExpr]):
+    def plan_source(source: Union[ast.SelectStatement, ast.ShapeExpr],
+                    relate: Optional[str] = None):
         if isinstance(source, ast.ShapeExpr):
             return plan_shape(source, database)
-        return database.plan_select(source)
+        return database.bind(database.prepare(source, relate))
 
     node = PlanNode("shape",
                     strategy=f"master streamed, {len(shape.appends)} "
@@ -61,7 +64,7 @@ def plan_shape(shape: ast.ShapeExpr, database):
     master = node.add(plan_source(shape.master))
     master.target = master.target or "master"
     for append in shape.appends:
-        child = node.add(plan_source(append.child))
+        child = node.add(plan_source(append.child, append.relate_child))
         child.operator = f"append [{append.alias}]"
         child.strategy = (f"{child.strategy}; bucketed on "
                           f"{append.relate_child}")
@@ -78,18 +81,22 @@ def plan_shape(shape: ast.ShapeExpr, database):
 
 
 class ShapedArm:
-    """One APPEND arm, grouped once per statement: its child rows with
-    every RELATE-key group contiguous (first-seen group order, row order
-    within a group), each group's ``(start, end)`` by :func:`group_key`,
-    and the arm's empty cell, whose columns every nested cell shares."""
+    """One APPEND arm, grouped once per statement: the rows its child's
+    scan produced with every RELATE-key group contiguous (first-seen group
+    order, row order within a group), each group's ``(start, end)`` by
+    :func:`group_key`, the ``positions`` of the child's columns in those
+    rows (the identity when the rows are the columns), and the arm's empty
+    cell, whose columns every nested cell shares."""
 
-    __slots__ = ("schema", "rows", "spans")
+    __slots__ = ("schema", "rows", "positions", "spans")
 
-    def __init__(self, columns: List[RowsetColumn], rows: List[tuple],
-                 relate_index: int):
-        self.schema = Rowset(columns)
-        self.rows, self.spans = _grouped(
-            rows, group_keys(list(map(itemgetter(relate_index), rows))))
+    def __init__(self, child: RowStream, relate_index: int):
+        self.schema = Rowset(child.columns)
+        batches, positions = child.scan()
+        self.positions = positions or list(range(len(child.columns)))
+        rows = list(chain.from_iterable(batches))
+        self.rows, self.spans = _grouped(rows, group_keys(list(map(
+            itemgetter(self.positions[relate_index]), rows))))
 
     def spans_of(self, values: list) -> List[Tuple[int, int]]:
         """The span of the children of each RELATE-master value; (0, 0)
@@ -141,7 +148,8 @@ class ShapedBatch:
 
     @staticmethod
     def _cells(arm: ShapedArm, spans) -> list:
-        lists = {span: arm.rows[span[0]:span[1]] for span in set(spans)}
+        rows = cut(arm.positions)
+        lists = {span: rows(arm.rows[span[0]:span[1]]) for span in set(spans)}
         return [Rowset.over(arm.schema, lists[span]) for span in spans]
 
     def rows(self) -> List[tuple]:
@@ -160,12 +168,19 @@ class ShapedBatch:
         return list, (self.rows(),)
 
     def children(self, index: int):
-        """``(rows, counts)`` of nested column ``index``: the child rows of
-        every case, concatenated in case order, and how many each has."""
+        """``(rows, counts, positions)`` of nested column ``index``: the
+        child rows of every case concatenated in case order — one slice of
+        the arm's rows when the non-empty spans stand end to end — how many
+        each case has, and where the nested columns stand in those rows."""
         arm, spans = self.arms[index - self.width]
+        bounds = list(chain.from_iterable(spans))
+        counts = list(map(sub, bounds[1::2], bounds[::2]))
+        bounds = list(chain.from_iterable(compress(spans, counts))) or [0, 0]
+        if bounds[2::2] == bounds[1:-1:2]:
+            return arm.rows[bounds[0]:bounds[-1]], counts, arm.positions
         return (list(map(arm.rows.__getitem__,
                          chain.from_iterable(starmap(range, spans)))),
-                [end - start for start, end in spans])
+                counts, arm.positions)
 
 
 def _open_shape(shape: ast.ShapeExpr, sources, batch_size: int) -> RowStream:
@@ -189,9 +204,7 @@ def _open_shape(shape: ast.ShapeExpr, sources, batch_size: int) -> RowStream:
                                       "RELATE child")
         master_index = _require_column(columns, append.relate_master,
                                        "RELATE master")
-        arm = ShapedArm(child.columns,
-                        list(chain.from_iterable(child.batches())),
-                        child_index)
+        arm = ShapedArm(child, child_index)
         arms.append((master_index, arm))
         columns.append(
             RowsetColumn(append.alias, nested_columns=arm.schema.columns))
@@ -232,19 +245,15 @@ def _flatten_plan(columns: List[RowsetColumn]):
 
 def _flatten_row(row: tuple, plans) -> List[tuple]:
     """Cross-product expansion of one row's nested tables."""
-    partials: List[List[object]] = [[]]
+    parts = []
     for is_table, index, width in plans:
+        cell = row[index]
         if not is_table:
-            partials = [p + [row[index]] for p in partials]
-            continue
-        nested = row[index]
-        nested_rows = list(nested.rows) if isinstance(nested, Rowset) else []
-        if not nested_rows:
-            partials = [p + [None] * width for p in partials]
+            parts.append([(cell,)])
         else:
-            partials = [p + list(nested_row)
-                        for p in partials for nested_row in nested_rows]
-    return [tuple(p) for p in partials]
+            rows = cell.rows if isinstance(cell, Rowset) else ()
+            parts.append(list(map(tuple, rows)) or [(None,) * width])
+    return [tuple(chain.from_iterable(combo)) for combo in product(*parts)]
 
 
 def flatten_rowset(rowset: Rowset) -> Rowset:

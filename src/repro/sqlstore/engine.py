@@ -59,6 +59,7 @@ from repro.sqlstore.rowset import (
     Rowset,
     RowsetColumn,
     RowStream,
+    cut,
 )
 from repro.sqlstore.schema import ColumnSchema, TableSchema
 from repro.sqlstore.table import Table
@@ -564,25 +565,19 @@ class Database:
         """
         return self.bind(self.prepare(statement))
 
-    def prepare(self, statement) -> Prepared:
+    def prepare(self, statement, relate: Optional[str] = None) -> Prepared:
         """Prepare a SELECT or UNION shape (:class:`Prepared`); what
         :meth:`bind` makes of it is what :meth:`plan_select` /
-        :meth:`plan_union` return."""
+        :meth:`plan_union` return.  ``relate`` names a SHAPE APPEND
+        child's RELATE column: an ORDER BY under no TOP whose every key
+        resolves to it (:func:`order_keys`) is dropped, since grouping by
+        RELATE key keeps each key's rows in the order they come."""
         prepared = Prepared(statement)
         if isinstance(statement, ast.UnionStatement):
             prepared.branches = list(map(self.prepare, statement.branches))
             return prepared
         prepared.grouped = bool(statement.group_by) or any(
             contains_aggregate(item.expr) for item in statement.select_list)
-        blockers = [name for name, present in (
-            ("group/aggregate", prepared.grouped),
-            ("order by", statement.order_by),
-            ("distinct", statement.distinct)) if present]
-        prepared.blocking = bool(blockers)
-        prepared.strategy = (
-            "constant" if statement.from_clause is None
-            else f"materialized ({', '.join(blockers)})" if blockers
-            else f"streamed (batch {self.batch_size})")
         ref = statement.from_clause
         if type(ref) is ast.NamedTable and ref.name.upper() in self.tables \
                 and (self.external_source is None
@@ -603,6 +598,21 @@ class Database:
                     ast.conjuncts(statement.where), context)
             except BindError:
                 pass  # each statement raises it as its tree opens
+        if relate is not None:  # a SHAPE APPEND child
+            expanded = prepared.expanded or \
+                self._expand_select_list(statement, None)
+            if _orders_by(statement, relate, prepared.grouped, expanded):
+                statement = replace(statement, order_by=[])
+                prepared.statement = statement
+        blockers = [name for name, present in (
+            ("group/aggregate", prepared.grouped),
+            ("order by", statement.order_by),
+            ("distinct", statement.distinct)) if present]
+        prepared.blocking = bool(blockers)
+        prepared.strategy = (
+            "constant" if statement.from_clause is None
+            else f"materialized ({', '.join(blockers)})" if blockers
+            else f"streamed (batch {self.batch_size})")
         return prepared
 
     def bind(self, prepared: Prepared, value_of=LITERAL_VALUE,
@@ -769,21 +779,29 @@ class Database:
             bound and bound.select or compile_selection(
                 ast.conjuncts(statement.where), context), relation, batch_size)
         names = list(map(itemgetter(1), expanded))
-        project, declared = (binding and binding[1]) or self._select_binding(
-            expanded, context, relation.columns)
+        positions, declared = (binding and binding[1]) or \
+            self._select_binding(expanded, context, relation.columns)
         if prepared.grouped:
             order, keys, rows, groups = self._execute_grouped(
                 statement, relation, context, expanded, batches)
             return blocked_result(statement, names, declared, rows, order,
                                   batch_size, groups, keys)
-        project = project or self._compiled_projection(expanded, context)
+        # Every item a plain column: the source rows, cut to the select
+        # list by the stream's consumer (or here, when blocking).
+        plain = None not in declared
+        project = None if plain else \
+            self._compiled_projection(expanded, context)
         if not prepared.blocking:
-            return typed_stream(names, declared, map(project, limited(
-                batches, statement.top)))
+            batches = limited(batches, statement.top)
+            if plain:
+                return RowStream(declared, batches, positions)
+            return typed_stream(names, declared, map(project, batches))
         order, hidden = order_keys(statement, expanded)
         keys = [compile_expression(expr, context) for expr in hidden]
         sources = [row for batch in batches for row in batch]
-        return blocked_result(statement, names, declared, project(sources),
+        rows = project(sources) if project else \
+            cut(positions)(sources) if positions else sources
+        return blocked_result(statement, names, declared, rows,
                               order, batch_size, sources, keys)
 
     def plan_union(self, statement: ast.UnionStatement):
@@ -876,29 +894,22 @@ class Database:
     def _select_binding(self, expanded, context: EvalContext, columns):
         """What binds a select list by position over a source's
         ``(qualifier, column)`` ``columns`` — it reads no row and no
-        literal, so a prepared shape keeps it: ``(project, declared)``.
+        literal, so a prepared shape keeps it: ``(positions, declared)``.
         ``declared`` holds, per item that :meth:`_source_positions` gives
         a position, the output column — the source column's type and
         nested columns under the item's name — and None for an item typed
         by its values (:func:`typed_stream`).  When every item is a plain
-        column, ``project(rows)`` picks a batch's output rows with one
-        C-level ``itemgetter`` call per row — or hands the batch on
-        untouched when the positions are the source's own order; None
-        otherwise."""
+        column, ``positions`` are where the items stand in a source row —
+        None when that is the row's own order: the rows are the output as
+        they stand."""
         positions = self._source_positions(expanded, context)
         declared = [None if position is None else RowsetColumn(
             name, columns[position][1].type,
             columns[position][1].nested_columns)
             for (_, name, _), position in zip(expanded, positions)]
-        if None in positions:
-            return None, declared
         if positions == list(range(len(columns))):
-            return lambda rows: rows, declared
-        if len(positions) == 1:
-            position, = positions  # itemgetter of one gives no tuple
-            return lambda rows: [(row[position],) for row in rows], declared
-        pick = itemgetter(*positions)
-        return lambda rows: list(map(pick, rows)), declared
+            positions = None
+        return positions, declared
 
     @staticmethod
     def _compiled_projection(items, context: EvalContext):
@@ -972,20 +983,12 @@ class Database:
         ORDER BY) against a :class:`_GroupContext`.
         """
         aggregate_nodes: List[ast.FuncCall] = []
-
-        def collect(expr):
-            if is_aggregate_call(expr):
-                aggregate_nodes.append(expr)
-                return
-            for child in ast.children(expr):
-                collect(child)
-
         for expr, _, _ in expanded:
-            collect(expr)
+            _collect_aggregates(expr, aggregate_nodes)
         if statement.having is not None:
-            collect(statement.having)
+            _collect_aggregates(statement.having, aggregate_nodes)
         for item in statement.order_by:
-            collect(item.expr)
+            _collect_aggregates(item.expr, aggregate_nodes)
 
         group_keys = [compile_expression(g, context)
                       for g in statement.group_by]
@@ -1614,6 +1617,16 @@ def pushable_qualifier(conjunct: ast.Expr) -> Optional[str]:
         if row_local(conjunct) and len(qualifiers) == 1 else None
 
 
+def _collect_aggregates(expr: ast.Expr, found: List[ast.FuncCall]) -> None:
+    """Append each aggregate call of ``expr`` to ``found``, in tree order,
+    looking into none of them."""
+    if is_aggregate_call(expr):
+        found.append(expr)
+        return
+    for child in ast.children(expr):
+        _collect_aggregates(child, found)
+
+
 def _streams(statement: ast.UnionStatement) -> bool:
     """Whether a UNION chain streams: every link is UNION ALL."""
     return bool(statement.all_rows) and all(statement.all_rows)
@@ -1667,6 +1680,20 @@ def order_keys(statement: ast.SelectStatement, expanded,
             order.append(len(names) + len(hidden))
             hidden.append(expr)
     return order, hidden
+
+
+def _orders_by(statement: ast.SelectStatement, column: str, grouped: bool,
+               expanded) -> bool:
+    """Whether a SELECT under no TOP has an ORDER BY, every key of which
+    resolves, as :func:`order_keys` resolves it, to the first output column
+    named ``column`` of the ``expanded`` select list (None: a ``*`` the
+    source has yet to expand — no)."""
+    if statement.top is not None or not statement.order_by or not expanded:
+        return False
+    names = [name.upper() for _, name, _ in expanded]
+    order = order_keys(statement, expanded, bare_only=not grouped)[0]
+    return column.upper() in names and \
+        set(order) == {names.index(column.upper())}
 
 
 def typed_stream(names: List[str], declared: List[Optional[RowsetColumn]],

@@ -32,7 +32,7 @@ from repro.lang import ast_nodes as ast
 from repro.sqlstore import values as V
 from repro.sqlstore.functions import SCALAR_FUNCTIONS
 from repro.sqlstore.indexes import LITERAL_VALUE
-from repro.sqlstore.types import infer_type
+from repro.sqlstore.types import as_floats, infer_type
 
 
 class EvalContext:
@@ -337,30 +337,36 @@ def kernel_selection(conjuncts: List[ast.Expr], context: EvalContext) \
 def _selection(kernels) -> Callable[..., list]:
     """:func:`compile_selection`'s ``select`` over its kernels."""
     def select(rows: list, tags=None) -> list:
-        if len(rows) == 1:  # a seek's one row: no column to build
+        try:
+            if len(rows) == 1:  # a seek's one row: no column to build
+                for read, make_test, classes, test, key, floats, negated \
+                        in kernels:
+                    value = read(rows[0])
+                    if type(value) not in classes:
+                        if make_test()(value) is not True:
+                            return []
+                    elif bool(test(key, float(value) if floats else value))\
+                            is negated:
+                        return []
+                return rows if tags is None else list(tags)
             for read, make_test, classes, test, key, floats, negated \
                     in kernels:
-                value = read(rows[0])
-                if type(value) not in classes:
-                    if make_test()(value) is not True:
-                        return []
-                elif bool(test(key, float(value) if floats else value)) \
-                        is negated:
-                    return []
-            return rows if tags is None else list(tags)
-        for read, make_test, classes, test, key, floats, negated in kernels:
-            values = list(map(read, rows))
-            if classes and classes.issuperset(map(type, values)):
-                mask = map(test, repeat(key),
-                           map(float, values) if floats else values)
-                if negated:
-                    mask = map(operator.not_, mask)
-            else:
-                mask = map(make_test(), values)
-            if tags is not None:
-                mask = list(mask)
-                tags = list(compress(tags, mask))
-            rows = list(compress(rows, mask))
+                values = list(map(read, rows))
+                if classes and classes.issuperset(map(type, values)):
+                    mask = map(test, repeat(key),
+                               map(float, values) if floats else values)
+                    if negated:
+                        mask = map(operator.not_, mask)
+                else:
+                    mask = map(make_test(), values)
+                if tags is not None:
+                    mask = list(mask)
+                    tags = list(compress(tags, mask))
+                rows = list(compress(rows, mask))
+        except OverflowError:  # an int a DOUBLE does not hold: refused
+            as_floats([value for read, *_ in kernels
+                       for value in map(read, rows) if type(value) is int])
+            raise
         return rows if tags is None else tags
     return select
 

@@ -13,7 +13,7 @@ from functools import reduce
 from typing import Any, Callable, Dict, Optional
 
 from repro.errors import BindError
-from repro.sqlstore.types import within_double
+from repro.sqlstore.types import as_floats
 
 
 def _null_safe(func: Callable) -> Callable:
@@ -89,20 +89,17 @@ def _avg(values: list) -> Optional[float]:
     present = _present(values)
     if not present:
         return None
-    try:
-        return reduce(operator.add, map(float, present), 0.0) / len(present)
-    except OverflowError:  # a DOUBLE holds no int past its range
-        return sum(map(within_double, present)) / len(present)
+    return reduce(operator.add, as_floats(present), 0.0) / len(present)
 
 
 def _variance(values: list, stdev: bool = False) -> Optional[float]:
     """Sample variance (or its root) by Welford's online algorithm."""
     count, mean, m2 = 0, 0.0, 0.0
-    for value in _present(values):
+    for value in as_floats(_present(values)):
         count += 1
-        delta = float(value) - mean
+        delta = value - mean
         mean += delta / count
-        m2 += delta * (float(value) - mean)
+        m2 += delta * (value - mean)
     if count < 2:
         return None
     variance = m2 / (count - 1)

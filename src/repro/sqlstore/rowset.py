@@ -8,6 +8,8 @@ be TABLE-typed, in which case the corresponding cell holds a nested
 
 from __future__ import annotations
 
+from itertools import chain
+from operator import itemgetter
 from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import BindError
@@ -74,12 +76,7 @@ class Rowset:
                    column_order: Optional[Sequence[str]] = None) -> "Rowset":
         """Build a rowset from dict records, inferring column types."""
         if column_order is None:
-            seen: List[str] = []
-            for record in records:
-                for key in record:
-                    if key not in seen:
-                        seen.append(key)
-            column_order = seen
+            column_order = list(dict.fromkeys(chain.from_iterable(records)))
         columns = []
         for name in column_order:
             sample = next(
@@ -126,16 +123,9 @@ class Rowset:
     def to_dicts(self) -> List[dict]:
         """Rows as dicts keyed by column name (nested rowsets recurse)."""
         names = self.column_names()
-        result = []
-        for row in self.rows:
-            record = {}
-            for name, value in zip(names, row):
-                if isinstance(value, Rowset):
-                    record[name] = value.to_dicts()
-                else:
-                    record[name] = value
-            result.append(record)
-        return result
+        return [{name: value.to_dicts() if isinstance(value, Rowset)
+                 else value for name, value in zip(names, row)}
+                for row in self.rows]
 
     def single_value(self) -> Any:
         """The value of a 1x1 rowset (scalar results)."""
@@ -188,6 +178,16 @@ class Rowset:
 DEFAULT_BATCH_SIZE = 1024
 
 
+def cut(positions: Sequence[int]):
+    """``rows -> rows``: each row cut to its values at ``positions``, in
+    that order — one C-level ``itemgetter`` call per row."""
+    if len(positions) == 1:
+        position, = positions  # itemgetter of one gives no tuple
+        return lambda rows: [(row[position],) for row in rows]
+    pick = itemgetter(*positions)
+    return lambda rows: list(map(pick, rows))
+
+
 class RowStream:
     """A streaming rowset: column metadata plus a single-use batch iterator.
 
@@ -198,15 +198,23 @@ class RowStream:
     produced lazily by the underlying generator chain.
 
     A stream may be consumed exactly once, through :meth:`batches`,
-    iteration, or :meth:`materialize`; a second consumption attempt raises
-    :class:`BindError` rather than silently yielding nothing.
+    iteration, :meth:`materialize` or :meth:`scan`; a second consumption
+    attempt raises :class:`BindError` rather than silently yielding
+    nothing.
+
+    ``positions``, when given, says where each column stands in the rows
+    the batches hold: a plain-column select list's source rows, not yet
+    cut to it.  :meth:`batches` cuts each batch as it is pulled;
+    :meth:`scan` hands the rows on as read.
     """
 
-    __slots__ = ("columns", "_batches", "_consumed", "_by_name")
+    __slots__ = ("columns", "positions", "_batches", "_consumed", "_by_name")
 
     def __init__(self, columns: Sequence[RowsetColumn],
-                 batches: Iterable[List[Tuple]]):
+                 batches: Iterable[List[Tuple]],
+                 positions: Optional[List[int]] = None):
         self.columns: List[RowsetColumn] = list(columns)
+        self.positions = positions
         self._batches = iter(batches)
         self._consumed = False
         self._by_name = {}
@@ -241,7 +249,15 @@ class RowStream:
                 "row stream already consumed (streams are single-use; "
                 "materialize() first if you need to read twice)")
         self._consumed = True
-        return self._batches
+        return self._batches if self.positions is None \
+            else map(cut(self.positions), self._batches)
+
+    def scan(self) -> Tuple[Iterator[List[Tuple]], Optional[List[int]]]:
+        """``(batches, positions)``: the batches as read, and where each
+        column stands in their rows (None: the rows are the columns);
+        consumes the stream."""
+        positions, self.positions = self.positions, None
+        return self.batches(), positions
 
     def __iter__(self) -> Iterator[Tuple]:
         for batch in self.batches():

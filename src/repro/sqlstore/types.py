@@ -121,6 +121,15 @@ def within_double(value):
     return value
 
 
+def as_floats(values: list) -> list:
+    """The floats of the numbers ``values``: an integer past the DOUBLE
+    range is refused, as :func:`within_double` refuses it."""
+    try:
+        return list(map(float, values))
+    except OverflowError:
+        return list(map(within_double, values))
+
+
 LONG = SqlType("LONG", (int,), aliases=("INT", "INTEGER", "BIGINT"))
 DOUBLE = SqlType("DOUBLE", (float,), aliases=("FLOAT", "REAL", "NUMERIC"))
 TEXT = SqlType("TEXT", (str,), aliases=("VARCHAR", "CHAR", "STRING", "NVARCHAR"))

@@ -14,7 +14,7 @@ import datetime
 from operator import eq, gt, lt
 from typing import Any, Callable, Optional, Sequence
 
-from repro.sqlstore.types import within_double
+from repro.sqlstore.types import as_floats, within_double
 
 NULL = None
 
@@ -208,10 +208,7 @@ def group_keys(values: Sequence[Any]) -> Sequence[Any]:
     costs no call per value, and strings alone are their own keys (the
     sequence comes back as it went in)."""
     if NUMBER_TYPES.issuperset(map(type, values)):
-        try:
-            return list(map(float, values))
-        except OverflowError:  # an int no key holds: refused
-            return list(map(within_double, values))
+        return as_floats(values)  # an int no key holds: refused
     if TEXT_TYPES.issuperset(map(type, values)):
         return values
     return list(map(bare_key, values))
@@ -229,8 +226,12 @@ def join_keys(values: list) -> list:
     non-NULL keys are equal exactly where :func:`sql_equal` holds, but for
     a bool against the text of its own name, which no key can share with
     its number too."""
-    return [float(value) if type(value) in _KEYED_AS_FLOAT else value
-            for value in values]
+    try:
+        return [float(value) if type(value) in _KEYED_AS_FLOAT else value
+                for value in values]
+    except OverflowError:  # an int no key holds: refused
+        as_floats([value for value in values if type(value) is int])
+        raise
 
 
 _KEYED_AS_FLOAT = (bool, int, float)

@@ -71,6 +71,40 @@ class TestConnection:
         finally:
             gc.enable()
 
+    def test_a_grouped_select_leaves_no_reference_cycle(self, conn):
+        conn.execute("CREATE TABLE T (a LONG, b TEXT)")
+        conn.execute("INSERT INTO T VALUES (1, 'x'), (2, 'y'), (3, 'x')")
+        grouped = ("SELECT b, COUNT(*), SUM(a) FROM T GROUP BY b "
+                   "HAVING MAX(a) > 0 ORDER BY SUM(a)")
+        conn.execute(grouped)
+        gc.collect()
+        gc.disable()
+        try:
+            assert conn.execute(grouped).rows == [("y", 1, 2), ("x", 2, 4)]
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("drop", ["DROP TABLE T", "DROP MINING MODEL M"])
+    def test_a_kept_plan_frees_what_a_drop_removed(self, conn, drop):
+        """A DDL moves the catalog version, and every kept plan goes with
+        it: a kept point SELECT held its ``Table``, a kept singleton
+        prediction its model and the model's caseset."""
+        conn.execute("CREATE TABLE T (a LONG, b TEXT)")
+        conn.execute("INSERT INTO T VALUES (1, 'x'), (2, 'y')")
+        conn.execute("CREATE MINING MODEL M (a LONG KEY, b TEXT DISCRETE "
+                     "PREDICT) USING Repro_Naive_Bayes")
+        conn.execute("INSERT INTO M (a, b) SELECT a, b FROM T")
+        for key in (1, 2, 1):       # a miss, then hits of the kept plans
+            conn.execute(f"SELECT * FROM T WHERE a = {key}")
+            conn.execute(f"SELECT M.b FROM M NATURAL PREDICTION JOIN "
+                         f"(SELECT {key} AS a) AS t")
+        dropped = weakref.ref(conn.database.table("T") if "TABLE" in drop
+                              else conn.provider.model("M"))
+        conn.execute(drop)
+        gc.collect()
+        assert dropped() is None
+
     def test_execute_script_returns_each_result(self, conn):
         results = conn.execute_script("""
             CREATE TABLE T (a LONG);

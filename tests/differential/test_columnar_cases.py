@@ -26,6 +26,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro
 from repro.algorithms.attributes import AttributeSpace, CaseMatrix
 from repro.core.bindings import case_binder, pair_binder
 from repro.core.columns import compile_model_definition
@@ -249,3 +250,150 @@ def test_a_failed_coercion_fails_both_paths(mode):
         [bind(batch) for batch in new.batches()]
     with pytest.raises(TypeError_):
         [mapper(row) for row in old]
+
+
+# -- SHAPE sources planned by the engine --------------------------------------
+#
+# ``plan_shape`` plans an APPEND child ordered by its RELATE column alone,
+# under no TOP, without its sort, and its arm reads the rows the child's
+# scan produced through the child's column positions; the reference opens
+# the same SELECTs planned as written (every ORDER BY sorts) and buckets
+# their output rows.  Over a memory store and a one-page paged pool.
+
+SQL_DEFINITION = compile_model_definition(parse_statement("""
+    CREATE MINING MODEL s (
+        K LONG KEY, G TEXT DISCRETE,
+        B TABLE(P TEXT KEY, Q DOUBLE CONTINUOUS)
+    ) USING Repro_Decision_Trees
+"""))
+SQL_BINDINGS = {
+    "natural": None,
+    "positional": [ast.BindingColumn("K"), ast.BindingColumn("G"),
+                   ast.BindingTable("B", [ast.BindingColumn("P"),
+                                          ast.BindingColumn("Q")])],
+}
+SQL_SETUP = ("CREATE TABLE Mst (G TEXT, K LONG)",
+             "CREATE TABLE Chi (P TEXT, Q DOUBLE, CID LONG, CF DOUBLE, "
+             "CT TEXT)")
+
+#: ``(child SELECT, whether it keeps its sort)``; ``{key}`` is the child
+#: column related to the master's ``K``: a LONG, a DOUBLE or a TEXT one.
+CHILDREN = [
+    ("SELECT {key} AS CID, P, Q FROM Chi ORDER BY CID", False),
+    ("SELECT {key} AS CID, P, Q FROM Chi ORDER BY CID DESC", False),
+    ("SELECT Q, {key} AS CID, P FROM Chi ORDER BY CID, CID DESC", False),
+    ("SELECT {key} AS CID, P, Q FROM Chi ORDER BY CID, P", True),
+    ("SELECT {key} AS CID, P, Q FROM Chi ORDER BY Q", True),
+    ("SELECT {key} AS CID, P, Q FROM Chi ORDER BY Chi.CID", True),
+    ("SELECT TOP 5 {key} AS CID, P, Q FROM Chi ORDER BY CID", True),
+    ("SELECT TOP 5 {key} AS CID, P, Q FROM Chi", False),
+    ("SELECT DISTINCT {key} AS CID, P, Q FROM Chi ORDER BY CID", False),
+    ("SELECT {key} AS CID, P, SUM(Q) AS Q FROM Chi GROUP BY {key}, P "
+     "ORDER BY Chi.CID", False),
+    ("SELECT {key} AS CID, P, Q FROM Chi", False),
+    ("SELECT {key} AS CID, P, Q FROM Chi WHERE Q > 0 ORDER BY CID", False),
+    ("SELECT {key} AS CID, P, Q * 2 AS Q FROM Chi ORDER BY CID DESC", False),
+    ("SELECT * FROM Chi ORDER BY CID", False),
+]
+
+
+@pytest.fixture(scope="module")
+def sql_stores(tmp_path_factory):
+    conns = {"memory": repro.connect(),
+             "paged": repro.connect(
+                 storage_path=str(tmp_path_factory.mktemp("shape_arms")),
+                 buffer_pages=1, storage_page_bytes=256)}
+    for conn in conns.values():
+        for statement in SQL_SETUP:
+            conn.execute(statement)
+    yield conns
+    for conn in conns.values():
+        conn.close()
+
+
+def literal(value):
+    return "NULL" if value is None else repr(value)
+
+
+def fill(conn, table, rows):
+    conn.execute(f"DELETE FROM {table}")
+    if rows:
+        conn.execute(f"INSERT INTO {table} VALUES " + ", ".join(
+            "(" + ", ".join(map(literal, row)) + ")" for row in rows))
+
+
+sql_masters = st.lists(st.tuples(st.sampled_from(["m", "f", None]),
+                                 st.sampled_from([None, 0, 1, 2, 3])),
+                       max_size=10)
+sql_children = st.lists(st.tuples(
+    st.sampled_from(["tv", "beer", None]),
+    st.sampled_from([None, 1.5, -2.0, 0.0]),
+    st.sampled_from([None, 0, 1, 2, 3]),
+    st.sampled_from([None, 1.0, 2.0, -0.0, 0.0]),
+    st.sampled_from([None, "1", "2", "a"])), max_size=20)
+
+
+@settings(deadline=None)
+@given(master=sql_masters, child=sql_children,
+       ordered=st.booleans(), grouped_scan=st.booleans(),
+       variant=st.sampled_from(range(len(CHILDREN))),
+       key=st.sampled_from(["CID", "CF", "CT"]),
+       store=st.sampled_from(["memory", "paged"]),
+       mode=st.sampled_from(sorted(SQL_BINDINGS)),
+       batch_size=st.sampled_from([1, 3, DEFAULT_BATCH_SIZE]))
+def test_planned_shape_arms_equal_the_sorted_reference(
+        sql_stores, master, child, ordered, grouped_scan, variant, key,
+        store, mode, batch_size):
+    conn = sql_stores[store]
+    database = conn.database
+    if grouped_scan:    # the child's scan already groups its CID keys
+        child = sorted(child, key=lambda row: group_key(row[2]))
+    fill(conn, "Mst", master)
+    fill(conn, "Chi", child)
+    text, keeps_sort = CHILDREN[variant]
+    if text.startswith("SELECT *"):
+        key = "CID"
+    child_select = text.format(key=key)
+    statement = parse_statement(
+        f"SELECT * FROM (SHAPE {{SELECT K, G FROM Mst"
+        f"{' ORDER BY K' if ordered else ''}}} APPEND ({{{child_select}}} "
+        f"RELATE K TO CID) AS B) AS s")
+    shaped_source = statement.from_clause.shape
+
+    plan = shape.plan_shape(shaped_source, database)
+    assert ("order by" in plan.children[1].strategy) == keeps_sort
+    new = lambda size: plan.run(size)
+    old = lambda size: reference._open_shape(shaped_source, [
+        database.plan_select(shaped_source.master),
+        database.plan_select(shaped_source.appends[0].child)], size)
+
+    assert rowset_dump(new(batch_size).materialize()) == \
+        rowset_dump(old(batch_size).materialize())
+    stream, expected_stream = new(batch_size), old(batch_size)
+    bind = case_binder(SQL_DEFINITION, stream, SQL_BINDINGS[mode])
+    mapper = reference.case_mapper(SQL_DEFINITION, expected_stream,
+                                   SQL_BINDINGS[mode])
+    bound = outcome(lambda: [case_dump(case) for batch in stream.batches()
+                             for case in bind(batch)])
+    assert bound == outcome(lambda: [case_dump(mapper(row))
+                                     for row in expected_stream])
+
+
+def test_a_batch_of_contiguous_spans_hands_its_children_as_one_slice():
+    """Master keys in the child's group order read one slice of the arm's
+    rows (a key no child has reads nothing); a repeated master key reads
+    its span again."""
+    arm = SimpleNamespace(appends=[append("C", "K", "CID")])
+    child = [(1, "a"), (1, "b"), (2, "c"), (3, "d")]
+    for master, expected in (
+            ([(1,), (5,), (2,), (3,)], list(range(4))),
+            ([(1,), (2,), (1,)], [0, 1, 2, 0, 1])):
+        stream = shape._open_shape(arm, [
+            Source([RowsetColumn("K", LONG)], master),
+            Source([RowsetColumn("CID", LONG), RowsetColumn("V", TEXT)],
+                   child)], DEFAULT_BATCH_SIZE)
+        batch, = stream.batches()
+        rows, counts, positions = batch.children(1)
+        assert rows == [child[at] for at in expected]
+        assert counts == [len(row[1].rows) for row in batch]
+        assert positions == [0, 1]

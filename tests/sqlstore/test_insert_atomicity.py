@@ -432,3 +432,27 @@ def test_equality_with_a_computed_int_past_the_double_range_answers(huge):
         [(1,)]
     assert huge.execute(f"SELECT a FROM W WHERE {HUGE} <> 5").rows == \
         [(2,), (1,)]
+
+
+@pytest.mark.parametrize("where", ["x = 5", "x IN (5, 6)"])
+def test_a_kernel_where_over_a_computed_huge_int_is_a_type_error(huge, where):
+    """A sub-select's column against literals is tested a batch column at
+    a time, in C, on the values' floats."""
+    with pytest.raises(TypeError_, match="past the DOUBLE range"):
+        huge.execute(f"SELECT x FROM (SELECT {HUGE} AS x FROM W) AS s "
+                     f"WHERE {where}")
+
+
+@pytest.mark.parametrize("aggregate", ["STDEV", "VAR"])
+def test_the_variance_of_a_computed_int_past_the_double_range_is_a_type_error(
+        huge, aggregate):
+    with pytest.raises(TypeError_, match="past the DOUBLE range"):
+        huge.execute(f"SELECT {aggregate}({HUGE}) FROM W")
+    assert huge.execute(f"SELECT {aggregate}(a) FROM W").rows[0][0] > 0
+
+
+def test_a_hash_join_on_a_computed_int_past_the_double_range_is_a_type_error(
+        huge):
+    with pytest.raises(TypeError_, match="past the DOUBLE range"):
+        huge.execute(f"SELECT s.x FROM (SELECT {HUGE} AS x FROM W) AS s "
+                     f"JOIN W ON s.x = W.a")
