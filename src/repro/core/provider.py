@@ -345,7 +345,7 @@ class Provider:
         if key in self.models:
             del self.models[key]
             self.caseset_cache.discard_model(key)
-            self.database.catalog_version += 1  # what kept plans read moved
+            self.templates.drop_plans()  # a kept singleton holds the model
         elif not statement.if_exists:
             raise CatalogError(f"no mining model named {statement.name!r}")
         return 0
@@ -763,12 +763,11 @@ class Provider:
                 _attach_statement(exc, command)
                 raise
         record, stream = self._admitted(command, open_stream)
-        batches, positions = stream.scan()
-        batches = self._produce(record, batches)
+        batches = self._produce(record, stream.batches())
         # A generator that never started runs no ``finally``: a stream
         # dropped before its first batch completes through this instead.
         weakref.finalize(batches, self.tracer.complete, record)
-        return RowStream(stream.columns, batches, positions)
+        return RowStream(stream.columns, batches)
 
     def _produce(self, record, batches):
         """``batches`` as the life of the statement ``record``: the record

@@ -18,7 +18,7 @@ built only for a consumer that asks for row tuples.
 
 from __future__ import annotations
 
-from itertools import chain, compress, count, product, starmap
+from itertools import chain, compress, count, starmap
 from operator import itemgetter, ne, sub
 from typing import List, Optional, Tuple, Union
 
@@ -85,18 +85,19 @@ class ShapedArm:
     scan produced with every RELATE-key group contiguous (first-seen group
     order, row order within a group), each group's ``(start, end)`` by
     :func:`group_key`, the ``positions`` of the child's columns in those
-    rows (the identity when the rows are the columns), and the arm's empty
+    rows (None when the rows are the columns), and the arm's empty
     cell, whose columns every nested cell shares."""
 
     __slots__ = ("schema", "rows", "positions", "spans")
 
     def __init__(self, child: RowStream, relate_index: int):
         self.schema = Rowset(child.columns)
-        batches, positions = child.scan()
-        self.positions = positions or list(range(len(child.columns)))
+        batches, self.positions = child.scan()
+        if self.positions is not None:
+            relate_index = self.positions[relate_index]
         rows = list(chain.from_iterable(batches))
         self.rows, self.spans = _grouped(rows, group_keys(list(map(
-            itemgetter(self.positions[relate_index]), rows))))
+            itemgetter(relate_index), rows))))
 
     def spans_of(self, values: list) -> List[Tuple[int, int]]:
         """The span of the children of each RELATE-master value; (0, 0)
@@ -148,8 +149,9 @@ class ShapedBatch:
 
     @staticmethod
     def _cells(arm: ShapedArm, spans) -> list:
-        rows = cut(arm.positions)
-        lists = {span: rows(arm.rows[span[0]:span[1]]) for span in set(spans)}
+        lists = {span: arm.rows[span[0]:span[1]] for span in set(spans)}
+        if arm.positions is not None:  # the cells' own tuples, cut once
+            lists = dict(zip(lists, map(cut(arm.positions), lists.values())))
         return [Rowset.over(arm.schema, lists[span]) for span in spans]
 
     def rows(self) -> List[tuple]:
@@ -245,15 +247,19 @@ def _flatten_plan(columns: List[RowsetColumn]):
 
 def _flatten_row(row: tuple, plans) -> List[tuple]:
     """Cross-product expansion of one row's nested tables."""
-    parts = []
+    partials: List[List[object]] = [[]]
     for is_table, index, width in plans:
-        cell = row[index]
         if not is_table:
-            parts.append([(cell,)])
+            partials = [p + [row[index]] for p in partials]
+            continue
+        nested = row[index]
+        nested_rows = list(nested.rows) if isinstance(nested, Rowset) else []
+        if not nested_rows:
+            partials = [p + [None] * width for p in partials]
         else:
-            rows = cell.rows if isinstance(cell, Rowset) else ()
-            parts.append(list(map(tuple, rows)) or [(None,) * width])
-    return [tuple(chain.from_iterable(combo)) for combo in product(*parts)]
+            partials = [p + list(nested_row)
+                        for p in partials for nested_row in nested_rows]
+    return [tuple(p) for p in partials]
 
 
 def flatten_rowset(rowset: Rowset) -> Rowset:

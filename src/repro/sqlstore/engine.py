@@ -166,7 +166,8 @@ class Prepared:
 
     # branches: a UNION's; base: (ref, table, columns) of a base-table
     # source, and expanded: the select list expanded over its columns.
-    branches = base = binding = expanded = forms = where = None
+    # relate: a SHAPE APPEND child's RELATE column (Database.prepare).
+    branches = base = binding = expanded = forms = where = relate = None
 
     def __init__(self, statement):
         self.statement = statement
@@ -571,7 +572,9 @@ class Database:
         :meth:`plan_union` return.  ``relate`` names a SHAPE APPEND
         child's RELATE column: an ORDER BY under no TOP whose every key
         resolves to it (:func:`order_keys`) is dropped, since grouping by
-        RELATE key keeps each key's rows in the order they come."""
+        RELATE key keeps each key's rows in the order they come; such a
+        child of plain columns streams its source rows uncut, with their
+        positions (:meth:`RowStream.scan`)."""
         prepared = Prepared(statement)
         if isinstance(statement, ast.UnionStatement):
             prepared.branches = list(map(self.prepare, statement.branches))
@@ -599,6 +602,7 @@ class Database:
             except BindError:
                 pass  # each statement raises it as its tree opens
         if relate is not None:  # a SHAPE APPEND child
+            prepared.relate = relate
             expanded = prepared.expanded or \
                 self._expand_select_list(statement, None)
             if _orders_by(statement, relate, prepared.grouped, expanded):
@@ -786,22 +790,22 @@ class Database:
                 statement, relation, context, expanded, batches)
             return blocked_result(statement, names, declared, rows, order,
                                   batch_size, groups, keys)
-        # Every item a plain column: the source rows, cut to the select
-        # list by the stream's consumer (or here, when blocking).
         plain = None not in declared
-        project = None if plain else \
+        if plain and prepared.relate is not None and not prepared.blocking:
+            # A SHAPE arm reads its child's source rows by position.
+            return RowStream(declared, limited(batches, statement.top),
+                             positions)
+        project = (cut(positions) if positions else None) if plain else \
             self._compiled_projection(expanded, context)
         if not prepared.blocking:
             batches = limited(batches, statement.top)
-            if plain:
-                return RowStream(declared, batches, positions)
-            return typed_stream(names, declared, map(project, batches))
+            return typed_stream(names, declared, batches if project is None
+                                else map(project, batches))
         order, hidden = order_keys(statement, expanded)
         keys = [compile_expression(expr, context) for expr in hidden]
         sources = [row for batch in batches for row in batch]
-        rows = project(sources) if project else \
-            cut(positions)(sources) if positions else sources
-        return blocked_result(statement, names, declared, rows,
+        return blocked_result(statement, names, declared,
+                              project(sources) if project else sources,
                               order, batch_size, sources, keys)
 
     def plan_union(self, statement: ast.UnionStatement):

@@ -8,7 +8,6 @@ be TABLE-typed, in which case the corresponding cell holds a nested
 
 from __future__ import annotations
 
-from itertools import chain
 from operator import itemgetter
 from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -76,7 +75,12 @@ class Rowset:
                    column_order: Optional[Sequence[str]] = None) -> "Rowset":
         """Build a rowset from dict records, inferring column types."""
         if column_order is None:
-            column_order = list(dict.fromkeys(chain.from_iterable(records)))
+            seen: List[str] = []
+            for record in records:
+                for key in record:
+                    if key not in seen:
+                        seen.append(key)
+            column_order = seen
         columns = []
         for name in column_order:
             sample = next(
@@ -123,9 +127,16 @@ class Rowset:
     def to_dicts(self) -> List[dict]:
         """Rows as dicts keyed by column name (nested rowsets recurse)."""
         names = self.column_names()
-        return [{name: value.to_dicts() if isinstance(value, Rowset)
-                 else value for name, value in zip(names, row)}
-                for row in self.rows]
+        result = []
+        for row in self.rows:
+            record = {}
+            for name, value in zip(names, row):
+                if isinstance(value, Rowset):
+                    record[name] = value.to_dicts()
+                else:
+                    record[name] = value
+            result.append(record)
+        return result
 
     def single_value(self) -> Any:
         """The value of a 1x1 rowset (scalar results)."""
@@ -203,9 +214,9 @@ class RowStream:
     nothing.
 
     ``positions``, when given, says where each column stands in the rows
-    the batches hold: a plain-column select list's source rows, not yet
-    cut to it.  :meth:`batches` cuts each batch as it is pulled;
-    :meth:`scan` hands the rows on as read.
+    the batches hold: a SHAPE APPEND child's source rows, not yet cut to
+    its plain-column select list.  :meth:`batches` cuts each batch as it
+    is pulled; :meth:`scan` hands the rows on as read.
     """
 
     __slots__ = ("columns", "positions", "_batches", "_consumed", "_by_name")

@@ -87,9 +87,9 @@ class TestConnection:
 
     @pytest.mark.parametrize("drop", ["DROP TABLE T", "DROP MINING MODEL M"])
     def test_a_kept_plan_frees_what_a_drop_removed(self, conn, drop):
-        """A DDL moves the catalog version, and every kept plan goes with
-        it: a kept point SELECT held its ``Table``, a kept singleton
-        prediction its model and the model's caseset."""
+        """A DDL that moves the catalog version, or a DROP MINING MODEL,
+        drops every kept plan: a kept point SELECT held its ``Table``, a
+        kept singleton prediction its model and the model's caseset."""
         conn.execute("CREATE TABLE T (a LONG, b TEXT)")
         conn.execute("INSERT INTO T VALUES (1, 'x'), (2, 'y')")
         conn.execute("CREATE MINING MODEL M (a LONG KEY, b TEXT DISCRETE "

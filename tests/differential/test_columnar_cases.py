@@ -21,6 +21,7 @@ view's dicts (key order, types and ``-0.0`` included), and the
 tier-1, 2,000 under ``--hypothesis-profile=deep``).
 """
 
+from itertools import chain
 from types import SimpleNamespace
 
 import pytest
@@ -396,4 +397,24 @@ def test_a_batch_of_contiguous_spans_hands_its_children_as_one_slice():
         rows, counts, positions = batch.children(1)
         assert rows == [child[at] for at in expected]
         assert counts == [len(row[1].rows) for row in batch]
-        assert positions == [0, 1]
+        assert positions is None            # the rows are the columns
+        assert batch[0][1].rows[0] is child[0]  # cells hold them, uncut
+
+
+def test_only_a_shape_child_streams_its_source_rows_uncut():
+    """A plain-column SELECT cuts its rows as it produces them; prepared
+    as a SHAPE APPEND child it hands its source rows on with their
+    positions, for the arm to read."""
+    conn = repro.connect()
+    conn.execute("CREATE TABLE T (a LONG, b TEXT, c DOUBLE)")
+    conn.execute("INSERT INTO T VALUES (1, 'x', 0.5), (2, 'y', 1.5)")
+    database = conn.database
+    select = parse_statement("SELECT c, a FROM T")
+    stream = database.plan_select(select).run(DEFAULT_BATCH_SIZE)
+    assert stream.positions is None
+    assert stream.materialize().rows == [(0.5, 1), (1.5, 2)]
+    child = database.bind(database.prepare(select, "a"))
+    batches, positions = child.run(DEFAULT_BATCH_SIZE).scan()
+    assert positions == [2, 0]
+    assert list(chain.from_iterable(batches)) == [(1, "x", 0.5),
+                                                  (2, "y", 1.5)]
