@@ -32,7 +32,7 @@ import csv
 import os
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.bindings import MappedCase
+from repro.core.bindings import CaseBatch, MappedCase
 from repro.core.columns import ModelDefinition
 from repro.core.model import MiningModel
 from repro.sqlstore.engine import Database
@@ -115,8 +115,9 @@ class ExternalMiningPipeline:
     # -- step 3: external training ----------------------------------------------------
 
     @staticmethod
-    def parse_prepared_file(path: str) -> List[MappedCase]:
-        """Read prepared cases back from disk (the external tool's loader)."""
+    def parse_prepared_file(path: str) -> CaseBatch:
+        """Read prepared cases back from disk (the external tool's loader),
+        packed into one batch."""
         cases = []
         with open(path) as handle:
             for line in handle:
@@ -136,12 +137,12 @@ class ExternalMiningPipeline:
                                      "QUANTITY": float(quantity or 1.0)})
                 case.tables["PRODUCT PURCHASES"] = rows
                 cases.append(case)
-        return cases
+        return CaseBatch.of(cases)
 
     def train_external_model(self, definition: ModelDefinition,
                              prepared_path: str) -> MiningModel:
         model = MiningModel(definition)
-        model.train(self.parse_prepared_file(prepared_path))
+        model.train([self.parse_prepared_file(prepared_path)])
         return model
 
     # -- step 4: score + re-import ------------------------------------------------------

@@ -2,7 +2,8 @@
 
 The paper's pluggability story rests on giving any algorithm the same view of
 a case.  ``AttributeSpace`` compiles a model's column tree into a flat list of
-:class:`Attribute` and encodes each :class:`MappedCase` into an
+:class:`Attribute` and encodes a caseset — its :class:`CaseBatch` columns
+— into a :class:`CaseMatrix`, or one :class:`MappedCase` into an
 :class:`Observation` (a value vector plus weights):
 
 * scalar ATTRIBUTE/RELATION columns become categorical or continuous
@@ -28,12 +29,7 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.errors import TrainError
-from repro.core.bindings import (
-    CaseBatch,
-    MappedCase,
-    case_batches,
-    column_runs,
-)
+from repro.core.bindings import CaseBatch, MappedCase
 from repro.core.columns import (
     AttributeType,
     ContentRole,
@@ -205,8 +201,8 @@ class CaseMatrix:
     ``confidences``  ``{attribute index: column}`` for the attributes some
                      case carries a PROBABILITY for (1.0 where it does not).
 
-    :meth:`AttributeSpace.encode_many` fills one straight from the mapped
-    cases; :meth:`of` derives one from observations that came from
+    :meth:`AttributeSpace.encode_many` fills one straight from the
+    batches' columns; :meth:`of` derives one from observations that came from
     elsewhere.  Owned by nobody's trained state: marginals, training and
     scoring read it during one statement and keep only what they computed.
     """
@@ -252,12 +248,6 @@ class CaseMatrix:
              for index in dict.fromkeys(chain.from_iterable(
                  matrix.confidences for matrix in matrices))})
 
-    def take(self, rows: List[int]) -> "CaseMatrix":
-        """The matrix of the cases at ``rows`` (a confidence column stays,
-        if all 1.0, where none of them carries a PROBABILITY)."""
-        return CaseMatrix(self.values[rows], self.weights[rows], {
-            index: column[rows] for index, column in self.confidences.items()})
-
     def effective_weights(self, index: int) -> np.ndarray:
         """Per case, ``Observation.effective_weight(index)``."""
         confidence = self.confidences.get(index)
@@ -274,29 +264,31 @@ class CaseMatrix:
 
 
 class EncodedCases(Sequence):
-    """What :meth:`AttributeSpace.encode_many` returns: the batch's
-    :class:`CaseMatrix`, built straight from the mapped cases, and — as a
-    read-only sequence — their :class:`Observation`s, which exist only
+    """What :meth:`AttributeSpace.encode_many` returns: the caseset's
+    :class:`CaseMatrix`, built straight from its batches' columns, and —
+    as a read-only sequence — their :class:`Observation`s, which exist only
     once something asks for them: iterating (or slicing) derives the whole
-    list through the per-case :meth:`AttributeSpace.encode` and keeps it,
-    ``cases[i]`` before that encodes case ``i`` alone.  Marginals, naive
-    Bayes and the decision tree read ``matrix`` and never ask."""
+    list through the per-case :meth:`AttributeSpace.encode` of each filled
+    case and keeps it, ``cases[i]`` before that encodes case ``i`` alone.
+    Marginals, naive Bayes and the decision tree read ``matrix`` and never
+    ask."""
 
-    __slots__ = ("matrix", "_space", "_cases", "_observations")
+    __slots__ = ("matrix", "_space", "_batches", "_observations")
 
-    def __init__(self, space: "AttributeSpace", cases: List[MappedCase],
+    def __init__(self, space: "AttributeSpace", batches: List[CaseBatch],
                  matrix: CaseMatrix):
         self.matrix = matrix
         self._space = space
-        self._cases = cases
+        self._batches = batches
         self._observations: Optional[List[Observation]] = None
 
     def __len__(self) -> int:
-        return len(self._cases)
+        return len(self.matrix.weights)
 
     def _derived(self) -> List[Observation]:
         if self._observations is None:
-            self._observations = list(map(self._space.encode, self._cases))
+            self._observations = list(map(
+                self._space.encode, chain.from_iterable(self._batches)))
         return self._observations
 
     def __iter__(self):
@@ -304,8 +296,17 @@ class EncodedCases(Sequence):
 
     def __getitem__(self, index):
         if self._observations is None and isinstance(index, int):
-            return self._space.encode(self._cases[index])
+            for batch in self._batches:
+                if 0 <= index < len(batch):
+                    return self._space.encode(batch[index])
+                index -= len(batch)
         return self._derived()[index]
+
+
+def _batches(cases) -> List[CaseBatch]:
+    """A caseset's batches: a list of :class:`CaseBatch` as it is, one
+    batch as a caseset of one."""
+    return [cases] if isinstance(cases, CaseBatch) else cases
 
 
 class AttributeSpace:
@@ -334,30 +335,30 @@ class AttributeSpace:
 
     # -- fitting --------------------------------------------------------------
 
-    def fit(self, cases: List[MappedCase]) -> None:
-        """Build the attribute dictionary and marginals from training cases."""
+    def fit(self, cases: List[CaseBatch]) -> None:
+        """Build the attribute dictionary and marginals from a caseset."""
         self.fit_schema(cases)
         self.marginals_from_observations(self.encode_many(cases))
 
-    def fit_schema(self, cases: Sequence[MappedCase]) -> None:
+    def fit_schema(self, cases: List[CaseBatch]) -> None:
         """The dictionary pass only: attributes, relations, discretizers.
 
         After this the space can :meth:`encode` cases, but marginals are
         unfitted — :meth:`marginals_from_observations` fits them from the
         encoded caseset.
 
-        The pass reads columns, never a case's dicts: per run of the
-        caseset (:func:`~repro.core.bindings.column_runs`) one
-        :func:`_tally` per counted column, the discretizers' value lists
-        and the ``RELATED TO`` maps off the nested columns, and the case
-        weights from :meth:`CaseBatch.weights` — what one
+        The pass reads columns, never a case's dicts: per batch of the
+        caseset one :func:`_tally` per counted column, the discretizers'
+        value lists and the ``RELATED TO`` maps off the nested columns, and
+        the case weights from :meth:`CaseBatch.weights` — what one
         ``CategoricalDistribution.add`` per case and value left.
         """
-        if not cases:
+        batches = _batches(cases)
+        self.case_count = sum(map(len, batches))
+        if not self.case_count:
             raise TrainError(
                 f"model {self.definition.name!r}: the training caseset is "
                 f"empty")
-        self.case_count = len(cases)
         # A second fit starts over rather than on top of the first.
         self.attributes, self._by_name, self._slots = [], {}, None
         self.relations, self.total_weight = {}, 0.0
@@ -369,7 +370,7 @@ class AttributeSpace:
         item_counts = {table.name.upper(): CategoricalDistribution()
                        for table in self.definition.nested_tables()}
 
-        for batch in column_runs(cases):
+        for batch in batches:
             weights = np.array(batch.weights(), dtype=np.float64)
             self.total_weight = sequential_sum(weights, self.total_weight)
             absent = [None] * len(batch)
@@ -394,7 +395,7 @@ class AttributeSpace:
 
     def _fit_items(self, batch: CaseBatch, weights: np.ndarray,
                    item_counts: Dict[str, CategoricalDistribution]) -> None:
-        """The nested half of :meth:`fit_schema` over one run: item counts
+        """The nested half of :meth:`fit_schema` over one batch: item counts
         (each nested row weighted by its case) and the ``RELATED TO`` maps,
         whose items keep their first place and take their last value, and
         which start in the order their first writes came case by case."""
@@ -607,20 +608,19 @@ class AttributeSpace:
                 if a.is_existence and a.table is not None and
                 a.table.name.upper() == table_name.upper()]
 
-    def covers(self, cases: Sequence[MappedCase]) -> bool:
+    def covers(self, cases: List[CaseBatch]) -> bool:
         """True if every case encodes without losing information.
 
         Used by the incremental-maintenance path: a case with an unseen
         category, an unseen nested item, or a value outside a discretizer's
         fitted range requires a full refit of the attribute space.  Checked
-        column by column (:func:`~repro.core.bindings.column_runs`), once
-        per distinct value or item.
+        column by column, once per distinct value or item.
         """
         known = [(table.name.upper(), table.key_column().name.upper(),
                   {_norm(a.key_value)
                    for a in self.existence_attributes(table.name)})
                  for table in self.definition.nested_tables()]
-        for batch in column_runs(cases):
+        for batch in _batches(cases):
             columns = {key: values for key, kind, values in batch.columns
                        if kind is None}
             for column in self.definition.scalar_attributes():
@@ -781,23 +781,16 @@ class AttributeSpace:
                 return column
         return table.key_column()
 
-    def encode_many(self, cases: Sequence[MappedCase]) -> EncodedCases:
-        """Encode a batch: its :class:`CaseMatrix` now, its observations
+    def encode_many(self, cases: List[CaseBatch]) -> EncodedCases:
+        """Encode a caseset: its :class:`CaseMatrix` now, its observations
         when asked for (see :class:`EncodedCases`).  The matrix is the one
-        ``CaseMatrix.of(list(map(self.encode, cases)), width)`` gives.  A
-        :class:`CaseBatch` — and a run of views of one, as the rows they
-        cover — is encoded column by column off the slot plan
-        (:meth:`_matrix`); a run of standalone cases case by case."""
-        if not isinstance(cases, (list, tuple, CaseBatch)):
-            cases = list(cases)
-        width = len(self.attributes)
-        matrices = [
-            CaseMatrix.of(list(map(self.encode, run)), width) if batch is None
-            else self._matrix(batch) if run is None
-            else self._matrix(batch).take(run)
-            for batch, run in case_batches(cases)] or \
-            [CaseMatrix.of([], width)]
-        return EncodedCases(self, cases, matrices[0] if len(matrices) == 1
+        ``CaseMatrix.of(list(map(self.encode, cases)), width)`` gives over
+        the filled cases, encoded column by column off the slot plan, a
+        batch at a time (:meth:`_matrix`)."""
+        batches = _batches(cases)
+        matrices = list(map(self._matrix, batches)) or \
+            [CaseMatrix.of([], len(self.attributes))]
+        return EncodedCases(self, batches, matrices[0] if len(matrices) == 1
                             else CaseMatrix.concat(matrices))
 
     def _matrix(self, batch: CaseBatch) -> CaseMatrix:
@@ -808,18 +801,14 @@ class AttributeSpace:
         count, width = len(batch), len(template)
         values = np.tile(np.array(template, dtype=np.float64),  # None: NaN
                          (count, 1))
-        columns, qualifiers = {}, {}
-        for key, kind, column in batch.columns:   # a later key replaces
-            if kind is None:
-                columns[key] = column
-            else:
-                qualifiers.setdefault(key, {})[kind] = column
+        # (KEY, kind or None) -> column; a later column of a key replaces.
+        columns = {(key, kind): column for key, kind, column in batch.columns}
         weights = np.array(batch.weights(), dtype=np.float64)
         confidences: Dict[int, np.ndarray] = {}
         absent = [None] * count
 
         for index, name, encode, existence_only in scalars:
-            raws = columns.get(name, absent)
+            raws = columns.get((name, None), absent)
             if existence_only:
                 raws = [raw is not None for raw in raws]
             if self.attributes[index].is_categorical:
@@ -828,7 +817,7 @@ class AttributeSpace:
             else:  # a float is not memoised by hash: -0.0 is not 0.0
                 values[:, index] = [None if raw is None else float(raw)
                                     for raw in raws]
-            probabilities = qualifiers.get(name, {}).get("PROBABILITY")
+            probabilities = columns.get((name, "PROBABILITY"))
             if probabilities is not None and \
                     probabilities.count(None) < count:
                 confidences[index] = np.array(
@@ -836,12 +825,12 @@ class AttributeSpace:
                      for probability in probabilities])
 
         cells: Dict[int, Optional[float]] = {}  # flat position -> value
-        nested = {table: (offsets, {key: column for key, kind, column in
-                                    table_columns if kind is None})
+        nested = {table: (offsets, {(key, kind): column for key, kind, column
+                                    in table_columns})
                   for table, offsets, table_columns in batch.nested}
         for table_key, item_name, items in tables:
             offsets, columns = nested.get(table_key, (None, {}))
-            items_of = columns.get(item_name)
+            items_of = columns.get((item_name, None))
             if items_of is None:
                 continue
             slot_of = {item: None if item is None else items.get(_norm(item))
@@ -853,18 +842,27 @@ class AttributeSpace:
                                  .__getitem__, items_of))
             values[np.repeat(case_of, list(map(len, existence))),
                    np.fromiter(chain.from_iterable(existence), np.intp)] = 1.0
+            # A later row of the same item replaces its confidence and its
+            # per-item values whole: a dict keeps the last write per cell.
+            probabilities = columns.get((item_name, "PROBABILITY"))
+            if probabilities is not None:
+                last = {(row, index): probability
+                        for row, indices, probability in zip(
+                            case_of.tolist(), existence, probabilities)
+                        for index in indices}
+                for (row, index), probability in last.items():
+                    if probability is not None:
+                        confidences.setdefault(index, np.ones(count))[row] = \
+                            float(probability)
             if not any(slot[1] for slot in slot_of.values() if slot):
                 continue
-            # A later row of the same item replaces its per-item values
-            # whole: a dict keeps the last write per position.  (A nested
-            # KEY takes no qualifier, so no confidence comes from here.)
             for position, (row, item) in enumerate(zip(case_of.tolist(),
                                                        items_of)):
                 slot = slot_of[item]
                 if slot is None:
                     continue
                 for index, name in slot[1]:
-                    column = columns.get(name)
+                    column = columns.get((name, None))
                     value = None if column is None else column[position]
                     cells[row * width + index] = None if value is None \
                         else float(value)

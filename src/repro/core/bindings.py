@@ -14,14 +14,14 @@ Three binding modes feed cases into a model, mirroring the paper's usage:
 Every mode compiles to one plan, applied to a batch of source rows column
 by column: the result is a :class:`CaseBatch` — a list per bound column,
 values keyed by *model* column names, nested tables as offsets into their
-concatenated rows — whose elements are :class:`MappedCase` views.
+concatenated rows.
 """
 
 from __future__ import annotations
 
 import datetime
-from itertools import accumulate, chain, groupby
-from operator import attrgetter, itemgetter
+from itertools import accumulate, chain
+from operator import itemgetter
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import BindError, SchemaError
@@ -41,41 +41,23 @@ class MappedCase:
     ``qualifiers`` maps upper-cased attribute names to ``{kind: value}``
     dicts, e.g. ``{"AGE": {"PROBABILITY": 1.0}}``.
 
-    ``MappedCase()`` is a standalone case with empty dicts to fill.
-    ``MappedCase(batch, row)`` is a view of case ``row`` of a
-    :class:`CaseBatch`: it builds its three dicts, once, when one is first
-    read (persistence, EXPORT, the singleton path); training and encoding
-    read the batch's columns instead.  A view's dicts are derived — edit a
-    standalone case — and a view pickles or copies as a standalone case.
+    A caseset is held as :class:`CaseBatch` columns.  A case's dicts are
+    built, filled, where one case is read (``CaseBatch[i]``), or by hand,
+    to be packed into a batch (:meth:`CaseBatch.of`).
     """
 
-    __slots__ = ("scalars", "tables", "qualifiers", "batch", "row")
+    __slots__ = ("scalars", "tables", "qualifiers")
 
-    def __init__(self, batch: Optional["CaseBatch"] = None, row: int = 0):
-        self.batch, self.row = batch, row
-        if batch is None:
-            self.scalars, self.tables, self.qualifiers = {}, {}, {}
-
-    def __getattr__(self, name: str):
-        # Reached only for an unset slot: a view's dicts, not yet built.
-        if name not in ("scalars", "tables", "qualifiers"):
-            raise AttributeError(name)
-        self.batch.fill(self)
-        return object.__getattribute__(self, name)
-
-    def __reduce__(self):
-        return _standalone, (self.scalars, self.tables, self.qualifiers)
+    def __init__(self):
+        self.scalars, self.tables, self.qualifiers = {}, {}, {}
 
     def weight(self) -> float:
         """Case replication factor: the SUPPORT qualifier of any attribute.
 
         The paper defines SUPPORT as "a weight (case replication factor) to
         be associated with the value"; we take the case weight to be the
-        first SUPPORT qualifier present, defaulting to 1.0.  A view's is
-        its batch's (:meth:`CaseBatch.weights`).
+        first SUPPORT qualifier present, defaulting to 1.0.
         """
-        if self.batch is not None:
-            return self.batch.weights()[self.row]
         for kinds in self.qualifiers.values():
             if "SUPPORT" in kinds and kinds["SUPPORT"] is not None:
                 return float(kinds["SUPPORT"])
@@ -85,16 +67,11 @@ class MappedCase:
         return f"MappedCase({self.scalars}, tables={list(self.tables)})"
 
 
-def _standalone(scalars, tables, qualifiers) -> MappedCase:
-    case = MappedCase()
-    case.scalars, case.tables, case.qualifiers = scalars, tables, qualifiers
-    return case
-
-
 class CaseBatch:
     """A batch of bound cases, column by column — what ``bind cases``
-    yields for TRAIN and PREDICTION JOIN, what the caseset cache keeps and
-    what :meth:`AttributeSpace.encode_many` reads.
+    yields for TRAIN and PREDICTION JOIN, and what a caseset is: a model
+    retains, the caseset cache keeps and :class:`~repro.algorithms.
+    attributes.AttributeSpace` reads a list of them (or one).
 
     ``columns``  ``(KEY, qualifier kind or None, values)`` per bound
                  scalar, in binding order: one value per case, coerced to
@@ -105,7 +82,7 @@ class CaseBatch:
                  ``offsets[i]:offsets[i + 1]``;
     ``source``   the source rows the cases were bound from, or None.
 
-    As a sequence the batch is one :class:`MappedCase` view per case.
+    As a sequence the batch is one filled :class:`MappedCase` per case.
     """
 
     __slots__ = ("columns", "nested", "source", "_count", "_weights")
@@ -118,24 +95,26 @@ class CaseBatch:
 
     @classmethod
     def of(cls, cases: Sequence[MappedCase]) -> "CaseBatch":
-        """A run of standalone cases packed into value columns — one per
-        key any of them has, None where a case lacks it — whose weights
-        are each case's own :meth:`MappedCase.weight` (a hand-built case's
-        qualifiers need not come in one order).  Qualifiers are not
-        packed: the passes over columns read none but the weights."""
+        """A run of standalone cases packed into columns — the one way a
+        case's dicts become a batch: a column per value, qualifier kind
+        and nested column any of them has, first seen first, None where a
+        case lacks it, so a run that shares one key layout reads back
+        (``batch[i]``) as it was.  The weights are each case's own
+        :meth:`MappedCase.weight` (a hand-built case's qualifiers need not
+        come in one order)."""
         nested = []
         for table in dict.fromkeys(chain.from_iterable(
                 case.tables for case in cases)):
             rows = [case.tables.get(table, ()) for case in cases]
             nested.append((table, list(accumulate(map(len, rows), initial=0)),
                            _packed(list(chain.from_iterable(rows)))))
-        return cls(len(cases), _packed([case.scalars for case in cases]),
-                   nested, weights=[case.weight() for case in cases])
+        return cls(len(cases), _packed([
+            {**case.scalars, "__QUALIFIERS__": case.qualifiers}
+            for case in cases]), nested,
+            weights=[case.weight() for case in cases])
 
     def take(self, rows: List[int]) -> "CaseBatch":
         """The batch of the cases at ``rows``, in that order."""
-        if rows == list(range(self._count)):
-            return self
         nested = []
         for table, offsets, columns in self.nested:
             spans = [range(offsets[row], offsets[row + 1]) for row in rows]
@@ -173,15 +152,12 @@ class CaseBatch:
         return self._count
 
     def __iter__(self):
-        return map(MappedCase, [self] * self._count, range(self._count))
+        return map(self.__getitem__, range(self._count))
 
     def __getitem__(self, row: int) -> MappedCase:
-        return MappedCase(self, range(self._count)[row])
-
-    def fill(self, case: MappedCase) -> None:
-        """Build view ``case``'s dicts, as binding its row alone would."""
-        row = case.row
-        case.scalars, case.tables, case.qualifiers = {}, {}, {}
+        """Case ``row``'s dicts, as binding its row alone would build them."""
+        row = range(self._count)[row]
+        case = MappedCase()
         for key, kind, values in self.columns:
             if kind is None:
                 case.scalars[key] = values[row]
@@ -198,43 +174,35 @@ class CaseBatch:
                         nested.setdefault("__QUALIFIERS__", {}).setdefault(
                             key, {})[kind] = values[position]
                 rows.append(nested)
-
-
-def case_batches(cases: Sequence[MappedCase]) -> list:
-    """``cases`` as consecutive runs, in order: ``(batch, rows)`` for a run
-    of views of one :class:`CaseBatch` (``rows`` None: the whole batch),
-    ``(None, cases)`` for a run of standalone cases."""
-    return [(cases, None)] if isinstance(cases, CaseBatch) else [
-        (batch, list(run) if batch is None else [case.row for case in run])
-        for batch, run in groupby(cases, attrgetter("batch"))]
-
-
-def column_runs(cases: Sequence[MappedCase]) -> List[CaseBatch]:
-    """``cases`` as consecutive batches, in order: a run of views as the
-    rows of their batch it covers, a run of standalone cases packed
-    (:meth:`CaseBatch.of`) — what a pass over columns reads."""
-    return [CaseBatch.of(run) if batch is None
-            else batch if run is None else batch.take(run)
-            for batch, run in case_batches(cases)]
+        return case
 
 
 def _packed(records: List[dict]) -> list:
-    """The ``(KEY, None, values)`` columns of value dicts: one per key any
-    of them has (a nested row's qualifiers aside), first seen first, None
-    where a dict lacks it."""
-    keys = dict.fromkeys(chain.from_iterable(records))
-    keys.pop("__QUALIFIERS__", None)
-    return [(key, None, [record.get(key) for record in records])
-            for key in keys]
+    """The columns of value dicts: ``(KEY, None, values)`` per key any of
+    them has and, where their ``__QUALIFIERS__`` key stands, ``(KEY, kind,
+    values)`` per qualifier kind under it — first seen first, None where a
+    dict lacks it."""
+    columns = []
+    for key in dict.fromkeys(chain.from_iterable(records)):
+        if key != "__QUALIFIERS__":
+            columns.append(
+                (key, None, [record.get(key) for record in records]))
+            continue
+        qualified = [record.get(key) or {} for record in records]
+        for name in dict.fromkeys(chain.from_iterable(qualified)):
+            kinds = [qualifiers.get(name) or {} for qualifiers in qualified]
+            columns += [(name, kind, [of.get(kind) for of in kinds])
+                        for kind in dict.fromkeys(chain.from_iterable(kinds))]
+    return columns
 
 
 Binding = Union[ast.BindingColumn, ast.BindingSkip, ast.BindingTable]
 
 
 def map_rowset(definition: ModelDefinition, rowset: Rowset,
-               bindings: Optional[Sequence[Binding]] = None) -> List[MappedCase]:
-    """Map a source rowset to cases, positionally if bindings are given."""
-    return list(case_binder(definition, rowset, bindings)(rowset.rows))
+               bindings: Optional[Sequence[Binding]] = None) -> CaseBatch:
+    """Bind a source rowset's cases, positionally if bindings are given."""
+    return case_binder(definition, rowset, bindings)(rowset.rows)
 
 
 def case_binder(definition: ModelDefinition, source,

@@ -4,7 +4,8 @@ Shaping and binding dominate the cost of the populate/predict pipeline:
 a PREDICTION JOIN over the same SHAPE as the previous one re-executes the
 master and child queries, regroups the child rows, and re-binds every case.
 This cache keys the *bound* result — a PREDICTION JOIN's case batches with
-their source batches, a TRAIN's cases — in one form each, on the
+their source batches, a TRAIN's case batches without them — in one form
+each, on the
 statement's source AST, the binding mode, the model-definition fingerprint,
 and the database's :attr:`data_version`, so a hit is guaranteed fresh: any
 INSERT/UPDATE/DELETE/DDL bumps the version and naturally retires stale

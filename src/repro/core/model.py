@@ -18,7 +18,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, \
     Set
 
 from repro.errors import NotTrainedError, TrainError
-from repro.core.bindings import MappedCase
+from repro.core.bindings import CaseBatch
 from repro.core.columns import ModelDefinition
 from repro.core.content import ContentNode
 from repro.algorithms.attributes import Attribute, AttributeSpace
@@ -35,7 +35,7 @@ class MiningModel:
         self.algorithm: MiningAlgorithm = create_algorithm(
             definition.algorithm, definition.parameters)
         self.space: Optional[AttributeSpace] = None
-        self.training_cases: List[MappedCase] = []
+        self.training_cases: List[CaseBatch] = []
         self.insert_count = 0       # number of INSERT INTO statements consumed
         # What :meth:`derived` has built from the trained state and the
         # caseset: the content graph, the snapshot entry.  Not pickled.
@@ -66,7 +66,7 @@ class MiningModel:
 
     @property
     def case_count(self) -> int:
-        return len(self.training_cases)
+        return sum(map(len, self.training_cases))
 
     # -- life cycle -----------------------------------------------------------
 
@@ -77,7 +77,7 @@ class MiningModel:
         return (self.is_trained and self.space is not None and
                 self.algorithm.SUPPORTS_INCREMENTAL)
 
-    def train(self, cases: List[MappedCase], consume=None) -> int:
+    def train(self, cases: List[CaseBatch], consume=None) -> int:
         """Consume a caseset (INSERT INTO semantics); returns cases consumed.
 
         Cases accumulate across INSERT statements.  Services that declare
@@ -91,7 +91,8 @@ class MiningModel:
         appended — :meth:`consume` by default, the training plan's steps
         when a plan runs (:func:`repro.exec.partition.plan_train`).
         """
-        if not cases:
+        count = sum(map(len, cases))
+        if not count:
             raise TrainError(
                 f"INSERT INTO {self.name!r}: the source produced no cases")
         before = len(self.training_cases)
@@ -110,14 +111,14 @@ class MiningModel:
             # Absorbed, refit or rolled back:
             # whatever was derived before or during this call is stale.
             self._invalidate_derived()
-        return len(cases)
+        return count
 
-    def consume(self, cases: List[MappedCase]) -> None:
+    def consume(self, cases: List[CaseBatch]) -> None:
         """Absorb the appended ``cases`` if they fit, else refit serially."""
         if not self.absorb(cases):
             self.refit(self.fit_schema())
 
-    def absorb(self, cases: List[MappedCase]) -> int:
+    def absorb(self, cases: List[CaseBatch]) -> int:
         """Fold ``cases`` into the trained model incrementally; the number
         absorbed, 0 when the service or the fitted space does not allow
         it (nothing changed then)."""
@@ -125,8 +126,8 @@ class MiningModel:
             return 0
         observations = self.space.encode_many(cases)
         self.algorithm.partial_train(observations)
-        self.space.absorb(observations, len(cases))
-        return len(cases)
+        self.space.absorb(observations, len(observations))
+        return len(observations)
 
     def fit_schema(self) -> AttributeSpace:
         """A fresh space with the dictionary pass over the whole caseset
@@ -142,9 +143,9 @@ class MiningModel:
         space.marginals_from_observations(observations)
         self.algorithm.train(space, observations)
         self.space = space
-        return len(self.training_cases)
+        return len(observations)
 
-    def adopt_cases(self, cases: List[MappedCase]) -> None:
+    def adopt_cases(self, cases: List[CaseBatch]) -> None:
         """Install a restored caseset without retraining (snapshot restore).
 
         The trained state travels separately (PMML); adopting the cases a
@@ -171,7 +172,7 @@ class MiningModel:
 
     # -- prediction -----------------------------------------------------------
 
-    def predict_cases(self, cases: Sequence[MappedCase],
+    def predict_cases(self, cases: CaseBatch,
                       reads: Optional[Set[int]] = None) \
             -> Iterable[CasePrediction]:
         """Encode and score a batch of bound cases, in order — the
@@ -190,7 +191,7 @@ class MiningModel:
         return self.algorithm.predict_many(self.space.encode_many(cases),
                                            reads=reads)
 
-    def predict_values(self, cases: Sequence[MappedCase],
+    def predict_values(self, cases: CaseBatch,
                        attributes: Sequence[Attribute]) -> List[list]:
         """Encode a batch of bound cases and return, per attribute, the
         column of their predicted values (the service's

@@ -36,8 +36,10 @@ journal-replay continuity.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict
+from itertools import chain, groupby
+from typing import Any, Dict, List, Optional
 
+from repro.core.bindings import CaseBatch, MappedCase
 from repro.errors import Error, NotTrainedError
 from repro.lang.formatter import format_statement
 from repro.lang.parser import parse_statement
@@ -85,7 +87,6 @@ _text = json.JSONEncoder(default=_tag).encode
 
 
 def _decode_case(entry: Dict[str, Any]):
-    from repro.core.bindings import MappedCase
     case = MappedCase()
     case.scalars = {name: _decode_value(value)
                     for name, value in entry.get("scalars", {}).items()}
@@ -95,6 +96,27 @@ def _decode_case(entry: Dict[str, Any]):
     case.qualifiers = {name: dict(kinds)
                        for name, kinds in entry.get("qualifiers", {}).items()}
     return case
+
+
+def _layout(value) -> Optional[list]:
+    """A dict's keys, each with its value's layout (None: not a dict)."""
+    if isinstance(value, dict):
+        return [(key, _layout(item)) for key, item in value.items()]
+
+
+def _packed_runs(cases) -> List[CaseBatch]:
+    """Restored cases as a caseset: each run of consecutive cases that
+    share one key layout packed (:meth:`CaseBatch.of`), so no case is
+    padded out to another's keys and each reads back as it was written.
+    A case without rows in a table takes the layout its rows had last."""
+    rows: Dict[str, Optional[list]] = {}
+
+    def layout(case) -> tuple:
+        rows.update((table, _layout(nested[0]))
+                    for table, nested in case.tables.items() if nested)
+        return (_layout(case.scalars), _layout(case.qualifiers),
+                [(table, rows.get(table)) for table in case.tables])
+    return [CaseBatch.of(list(run)) for _, run in groupby(cases, layout)]
 
 
 def _rows_text(table, encoded) -> str:
@@ -166,14 +188,14 @@ def _model_text(model, cases_encoded) -> str:
                       "ddl": definition_to_ddl(model.definition)})
 
     def entry() -> str:
-        cases = model.training_cases
-        cases_encoded.inc(len(cases))
+        cases_encoded.inc(model.case_count)
         return _text({
             "trained": True,
             "pmml": to_pmml(model),
             "insert_count": model.insert_count,
             "cases": [{"scalars": case.scalars, "tables": case.tables,
-                       "qualifiers": case.qualifiers} for case in cases],
+                       "qualifiers": case.qualifiers}
+                      for case in chain.from_iterable(model.training_cases)],
         })
     # PMML, insert count and caseset change only when the model is
     # retrained, reset or handed a caseset: derived state.
@@ -271,7 +293,7 @@ def restore_into(provider, text: str) -> int:
                 model.insert_count = entry["insert_count"]
             if entry.get("cases"):
                 model.adopt_cases(
-                    [_decode_case(case) for case in entry["cases"]])
+                    _packed_runs(map(_decode_case, entry["cases"])))
         else:
             definition = compile_model_definition(
                 parse_statement(entry["ddl"]))

@@ -283,7 +283,7 @@ def compile_cases(model, source_context: EvalContext,
                     if passes((row, None, None)) is True]
             if len(kept) < len(rows):
                 rows = list(map(rows.__getitem__, kept))
-                cases = list(map(cases.__getitem__, kept))
+                cases = cases.take(kept)
         predictions, columns = repeat(None), []
         if whole:
             predictions = model.predict_cases(cases, reads)

@@ -18,6 +18,7 @@ import re
 import threading
 import time
 import weakref
+from itertools import chain
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.errors import BindError, CatalogError, Error, ParseError
@@ -795,7 +796,7 @@ class Provider:
         """``<model>.CASES``: drill through to the accumulated caseset."""
         model.require_trained()
         records = []
-        for case in model.training_cases:
+        for case in chain.from_iterable(model.training_cases):
             record = {name: value for name, value in case.scalars.items()}
             for table_name, rows in case.tables.items():
                 record[table_name] = ", ".join(

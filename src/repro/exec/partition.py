@@ -164,24 +164,24 @@ def plan_train(provider, statement: ast.InsertModelStatement) -> PlanNode:
             cases = cache.get(key)
             obs_workload.note_cache(hit=cases is not None)
         if cases is None:
-            # Only the bound cases accumulate — which the model retains
+            # Only the bound batches accumulate — which the model retains
             # anyway as its training caseset; the source streams.
             cases = []
             for batch in bind.run(batch_size).batches():
                 # The model keeps its cases, not the rows they came from.
                 batch.source = None
-                cases.extend(batch)
+                cases.append(batch)
                 # Cancellation checkpoint per bound batch (row counts are
                 # the scan loop's, underneath).
                 obs_workload.checkpoint()
             if key is not None:
-                cache.put(key, cases, len(cases))
+                cache.put(key, cases, sum(map(len, cases)))
         obs_workload.set_phase("train")
         with model.lock.write():
             trained = model.train(cases, consume)
         metrics = provider.metrics
-        metrics.fold({"training.cases_total": len(cases)},
-                     {"training.cases_per_insert": len(cases)})
+        metrics.fold({"training.cases_total": trained},
+                     {"training.cases_per_insert": trained})
         metrics.gauge(f"model.{model.name}.case_count").set(model.case_count)
         return trained
     node.open = run

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import CapabilityError, TrainError
 from repro.lang.parser import parse_statement
-from repro.core.bindings import MappedCase
+from repro.core.bindings import CaseBatch, MappedCase
 from repro.core.columns import compile_model_definition
 from repro.algorithms.attributes import AttributeSpace
 from repro.algorithms.association import AssociationRulesAlgorithm
@@ -43,11 +43,11 @@ def build(min_support=0.2, min_probability=0.5, baskets=None):
     cases = [basket_case(i, items)
              for i, items in enumerate(baskets or BASKETS)]
     space = AttributeSpace(definition)
-    space.fit(cases)
+    space.fit(CaseBatch.of(cases))
     algorithm = AssociationRulesAlgorithm({
         "MINIMUM_SUPPORT": min_support,
         "MINIMUM_PROBABILITY": min_probability})
-    algorithm.train(space, space.encode_many(cases))
+    algorithm.train(space, space.encode_many(CaseBatch.of(cases)))
     return space, algorithm, cases
 
 
@@ -88,10 +88,10 @@ class TestItemsets:
         definition = compile_model_definition(parse_statement(DDL))
         cases = [basket_case(i, items) for i, items in enumerate(BASKETS)]
         space = AttributeSpace(definition)
-        space.fit(cases)
+        space.fit(CaseBatch.of(cases))
         algorithm = AssociationRulesAlgorithm({
             "MINIMUM_SUPPORT": 0.1, "MAXIMUM_ITEMSET_SIZE": 2})
-        algorithm.train(space, space.encode_many(cases))
+        algorithm.train(space, space.encode_many(CaseBatch.of(cases)))
         assert max(len(s) for s in algorithm.itemsets) <= 2
 
 
@@ -148,10 +148,10 @@ class TestCapabilities:
         case.scalars["K"] = 1
         case.scalars["A"] = "x"
         space = AttributeSpace(definition)
-        space.fit([case])
+        space.fit(CaseBatch.of([case]))
         algorithm = AssociationRulesAlgorithm()
         with pytest.raises(TrainError):
-            algorithm.train(space, space.encode_many([case]))
+            algorithm.train(space, space.encode_many(CaseBatch.of([case])))
 
     def test_refuses_continuous_targets(self):
         ddl = ("CREATE MINING MODEL m (k LONG KEY, y DOUBLE CONTINUOUS "
@@ -161,10 +161,10 @@ class TestCapabilities:
         case = basket_case(1, ["x"])
         case.scalars["Y"] = 1.0
         space = AttributeSpace(definition)
-        space.fit([case])
+        space.fit(CaseBatch.of([case]))
         algorithm = AssociationRulesAlgorithm()
         with pytest.raises(CapabilityError):
-            algorithm.train(space, space.encode_many([case]))
+            algorithm.train(space, space.encode_many(CaseBatch.of([case])))
 
 
 class TestContent:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import TrainError
 from repro.lang.parser import parse_statement
-from repro.core.bindings import MappedCase
+from repro.core.bindings import CaseBatch, MappedCase
 from repro.core.columns import compile_model_definition
 from repro.algorithms.attributes import AttributeSpace
 
@@ -51,7 +51,7 @@ def basket_space():
         make_case({"Id": 3, "Gender": "Male", "Age": None},
                   {"Purchases": []}),
     ]
-    space.fit(cases)
+    space.fit(CaseBatch.of(cases))
     return space, cases
 
 
@@ -73,14 +73,15 @@ class TestFitting:
                 space.case_count, dict(space.relations),
                 [vars(m) for m in space.marginals])
         space.encode(cases[0])          # builds the slot plan
-        space.fit(cases)
+        space.fit(CaseBatch.of(cases))
         assert ([a.name for a in space.attributes], space.total_weight,
                 space.case_count, dict(space.relations),
                 [vars(m) for m in space.marginals]) == once
         assert space.total_weight == 3.0
         assert [a.index for a in space.attributes] == \
             list(range(len(space.attributes)))
-        space.fit_schema(cases[:2])     # and another caseset replaces it
+        # and another caseset replaces it
+        space.fit_schema(CaseBatch.of(cases[:2]))
         assert space.total_weight == 2.0 and space.case_count == 2
 
     def test_flags(self, basket_space):
@@ -171,7 +172,7 @@ class TestQualifiers:
         space = AttributeSpace(definition(ddl))
         cases = [make_case({"a": "x"}, qualifiers={"a": {"PROBABILITY": 0.5}}),
                  make_case({"a": "y"})]
-        space.fit(cases)
+        space.fit(CaseBatch.of(cases))
         observation = space.encode(cases[0])
         a = space.by_name("a")
         assert observation.confidence(a.index) == 0.5
@@ -185,7 +186,7 @@ class TestQualifiers:
         space = AttributeSpace(definition(ddl))
         cases = [make_case({"a": "x"}, qualifiers={"a": {"SUPPORT": 4.0}}),
                  make_case({"a": "y"})]
-        space.fit(cases)
+        space.fit(CaseBatch.of(cases))
         assert space.total_weight == 5.0
 
     def test_nested_probability_confidence(self):
@@ -194,7 +195,7 @@ class TestQualifiers:
                "__QUALIFIERS__": {"PRODUCT": {"PROBABILITY": 0.5}}}
         case = make_case({"Id": 1, "Gender": "Male", "Age": 30.0})
         case.tables["PURCHASES"] = [row]
-        space.fit([case])
+        space.fit(CaseBatch.of([case]))
         observation = space.encode(case)
         van = space.by_name("Purchases(Van)")
         assert observation.values[van.index] == 1.0
@@ -207,7 +208,7 @@ class TestMaximumStates:
                "USING Repro_Decision_Trees(MAXIMUM_STATES = 3)")
         space = AttributeSpace(definition(ddl))
         cases = [make_case({"a": f"v{i % 10}"}) for i in range(100)]
-        space.fit(cases)
+        space.fit(CaseBatch.of(cases))
         assert space.by_name("a").cardinality == 3
 
     def test_model_existence_only(self):
@@ -216,7 +217,7 @@ class TestMaximumStates:
                "USING Repro_Decision_Trees")
         space = AttributeSpace(definition(ddl))
         cases = [make_case({"a": 1.0}), make_case({"a": None})]
-        space.fit(cases)
+        space.fit(CaseBatch.of(cases))
         a = space.by_name("a")
         assert a.is_categorical
         assert space.encode(cases[0]).values[a.index] == \

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import NotTrainedError, SchemaError
 from repro.lang.parser import parse_statement
-from repro.core.bindings import MappedCase
+from repro.core.bindings import CaseBatch, MappedCase
 from repro.core.columns import compile_model_definition
 from repro.algorithms.attributes import Attribute, AttributeSpace
 from repro.algorithms.base import (
@@ -26,7 +26,7 @@ def fitted_space():
         case.scalars.update({"K": i, "A": a, "V": v})
         cases.append(case)
     space = AttributeSpace(definition)
-    space.fit(cases)
+    space.fit(CaseBatch.of(cases))
     return space, cases
 
 
@@ -39,7 +39,7 @@ class TestLifecycleGuards:
     def test_reset_clears_trained(self):
         space, cases = fitted_space()
         algorithm = NaiveBayesAlgorithm()
-        algorithm.train(space, space.encode_many(cases))
+        algorithm.train(space, space.encode_many(CaseBatch.of(cases)))
         assert algorithm.trained
         algorithm.reset()
         assert not algorithm.trained
@@ -61,7 +61,7 @@ class TestMarginalPrediction:
     def test_categorical_marginal(self):
         space, cases = fitted_space()
         algorithm = NaiveBayesAlgorithm()
-        algorithm.train(space, space.encode_many(cases))
+        algorithm.train(space, space.encode_many(CaseBatch.of(cases)))
         a = space.by_name("a")
         prediction = algorithm.marginal_prediction(a)
         assert prediction.value == "x"
@@ -70,7 +70,7 @@ class TestMarginalPrediction:
     def test_continuous_marginal(self):
         space, cases = fitted_space()
         algorithm = NaiveBayesAlgorithm()
-        algorithm.train(space, space.encode_many(cases))
+        algorithm.train(space, space.encode_many(CaseBatch.of(cases)))
         v = space.by_name("v")
         prediction = algorithm.marginal_prediction(v)
         assert prediction.value == pytest.approx(2.0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.lang.parser import parse_statement
-from repro.core.bindings import MappedCase
+from repro.core.bindings import CaseBatch, MappedCase
 from repro.core.columns import compile_model_definition
 from repro.algorithms.attributes import AttributeSpace, CaseMatrix
 from repro.algorithms.clustering_em import EMClusteringAlgorithm
@@ -42,9 +42,9 @@ def build(algorithm_cls, params):
     definition = compile_model_definition(parse_statement(DDL))
     cases = two_blob_cases()
     space = AttributeSpace(definition)
-    space.fit(cases)
+    space.fit(CaseBatch.of(cases))
     algorithm = algorithm_cls(params)
-    algorithm.train(space, space.encode_many(cases))
+    algorithm.train(space, space.encode_many(CaseBatch.of(cases)))
     return space, algorithm, cases
 
 
@@ -117,9 +117,9 @@ class TestEmSpecifics:
         definition = compile_model_definition(parse_statement(DDL))
         cases = two_blob_cases(4)
         space = AttributeSpace(definition)
-        space.fit(cases)
+        space.fit(CaseBatch.of(cases))
         algorithm = EMClusteringAlgorithm({"CLUSTER_COUNT": 50})
-        algorithm.train(space, space.encode_many(cases))
+        algorithm.train(space, space.encode_many(CaseBatch.of(cases)))
         assert algorithm.cluster_count == 4
 
 
@@ -142,7 +142,7 @@ class TestMatrices:
     @staticmethod
     def values_of(space, cases):
         cases = cases[:6] + [case(k=900, X=1.5), case(k=901, Color="red")]
-        observations = space.encode_many(cases)
+        observations = space.encode_many(CaseBatch.of(cases))
         matrix = CaseMatrix.of(observations, len(space.attributes))
         return observations, matrix.values
 

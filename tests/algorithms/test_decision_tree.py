@@ -3,7 +3,7 @@
 import pytest
 
 from repro.lang.parser import parse_statement
-from repro.core.bindings import MappedCase
+from repro.core.bindings import CaseBatch, MappedCase
 from repro.core.columns import compile_model_definition
 from repro.core.content import NODE_MODEL, NODE_TREE
 from repro.algorithms.attributes import AttributeSpace
@@ -17,9 +17,9 @@ from tests.reference.reference_trainers import reference_model_train
 def build(ddl, cases, params=None):
     definition = compile_model_definition(parse_statement(ddl))
     space = AttributeSpace(definition)
-    space.fit(cases)
+    space.fit(CaseBatch.of(cases))
     algorithm = DecisionTreeAlgorithm(params or {"MINIMUM_SUPPORT": 2.0})
-    algorithm.train(space, space.encode_many(cases))
+    algorithm.train(space, space.encode_many(CaseBatch.of(cases)))
     return space, algorithm
 
 
@@ -124,8 +124,8 @@ class TestClassification:
         cases = [case(Id=1, G="m", T="yes"), case(Id=2), case(Id=3)]
         cases[0].qualifiers["G"] = {"SUPPORT": 0.0}
         model, reference = MiningModel(definition), MiningModel(definition)
-        model.train(cases)
-        reference_model_train(reference, cases)
+        model.train([CaseBatch.of(cases)])
+        reference_model_train(reference, [CaseBatch.of(cases)])
         support = model.algorithm.state()["trees"][0][1]["support"]
         assert type(support) is float and support == 0.0
         assert to_pmml(model) == to_pmml(reference)
@@ -177,9 +177,9 @@ class TestWeights:
         cases[1].qualifiers["LABEL"] = {"SUPPORT": 9.0}
         definition = compile_model_definition(parse_statement(CLASS_DDL))
         space = AttributeSpace(definition)
-        space.fit(cases)
+        space.fit(CaseBatch.of(cases))
         algorithm = DecisionTreeAlgorithm({"MINIMUM_SUPPORT": 100.0})
-        algorithm.train(space, space.encode_many(cases))
+        algorithm.train(space, space.encode_many(CaseBatch.of(cases)))
         label = space.by_name("Label")
         prediction = algorithm.predict(
             space.encode(case(Color="red"))).get(label)

@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import CapabilityError
 from repro.lang.parser import parse_statement
-from repro.core.bindings import MappedCase
+from repro.core.bindings import CaseBatch, MappedCase
 from repro.core.columns import compile_model_definition
 from repro.algorithms.attributes import AttributeSpace
 from repro.algorithms.logistic_regression import LogisticRegressionAlgorithm
@@ -36,9 +36,9 @@ def separable_cases(n=200, seed=3):
 def build(cases, params=None):
     definition = compile_model_definition(parse_statement(DDL))
     space = AttributeSpace(definition)
-    space.fit(cases)
+    space.fit(CaseBatch.of(cases))
     algorithm = LogisticRegressionAlgorithm(params)
-    algorithm.train(space, space.encode_many(cases))
+    algorithm.train(space, space.encode_many(CaseBatch.of(cases)))
     return space, algorithm
 
 
@@ -90,9 +90,9 @@ class TestWeighting:
         cases[1].qualifiers["L"] = {"SUPPORT": 9.0}
         definition = compile_model_definition(parse_statement(DDL))
         space = AttributeSpace(definition)
-        space.fit(cases)
+        space.fit(CaseBatch.of(cases))
         algorithm = LogisticRegressionAlgorithm()
-        algorithm.train(space, space.encode_many(cases))
+        algorithm.train(space, space.encode_many(CaseBatch.of(cases)))
         label = space.by_name("L")
         prediction = algorithm.predict(
             space.encode(case(G="a", X=1.0))).get(label)
@@ -107,10 +107,10 @@ class TestCapabilities:
         definition = compile_model_definition(parse_statement(ddl))
         cases = [case(k=1, G="a", Y=1.0), case(k=2, G="b", Y=2.0)]
         space = AttributeSpace(definition)
-        space.fit(cases)
+        space.fit(CaseBatch.of(cases))
         with pytest.raises(CapabilityError):
             LogisticRegressionAlgorithm().train(
-                space, space.encode_many(cases))
+                space, space.encode_many(CaseBatch.of(cases)))
 
     def test_capability_flags(self):
         assert LogisticRegressionAlgorithm.PREDICTS_DISCRETE

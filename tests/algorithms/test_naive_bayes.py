@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import CapabilityError
 from repro.lang.parser import parse_statement
-from repro.core.bindings import MappedCase
+from repro.core.bindings import CaseBatch, MappedCase
 from repro.core.columns import compile_model_definition
 from repro.algorithms.attributes import AttributeSpace
 from repro.algorithms.naive_bayes import NaiveBayesAlgorithm
@@ -26,9 +26,9 @@ USING Repro_Naive_Bayes
 def build(cases, params=None):
     definition = compile_model_definition(parse_statement(DDL))
     space = AttributeSpace(definition)
-    space.fit(cases)
+    space.fit(CaseBatch.of(cases))
     algorithm = NaiveBayesAlgorithm(params)
-    algorithm.train(space, space.encode_many(cases))
+    algorithm.train(space, space.encode_many(CaseBatch.of(cases)))
     return space, algorithm
 
 
@@ -100,10 +100,10 @@ class TestCapability:
         definition = compile_model_definition(parse_statement(ddl))
         space = AttributeSpace(definition)
         cases = [case(k=1, a="x", y=1.0), case(k=2, a="z", y=2.0)]
-        space.fit(cases)
+        space.fit(CaseBatch.of(cases))
         algorithm = NaiveBayesAlgorithm()
         with pytest.raises(CapabilityError):
-            algorithm.train(space, space.encode_many(cases))
+            algorithm.train(space, space.encode_many(CaseBatch.of(cases)))
 
     def test_capability_flags(self):
         assert NaiveBayesAlgorithm.PREDICTS_DISCRETE

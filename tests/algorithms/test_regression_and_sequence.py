@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import CapabilityError, TrainError
 from repro.lang.parser import parse_statement
-from repro.core.bindings import MappedCase
+from repro.core.bindings import CaseBatch, MappedCase
 from repro.core.columns import compile_model_definition
 from repro.algorithms.attributes import AttributeSpace
 from repro.algorithms.linear_regression import LinearRegressionAlgorithm
@@ -40,9 +40,9 @@ def linear_cases(n=100):
 def build_regression(cases):
     definition = compile_model_definition(parse_statement(REGRESSION_DDL))
     space = AttributeSpace(definition)
-    space.fit(cases)
+    space.fit(CaseBatch.of(cases))
     algorithm = LinearRegressionAlgorithm()
-    algorithm.train(space, space.encode_many(cases))
+    algorithm.train(space, space.encode_many(CaseBatch.of(cases)))
     return space, algorithm
 
 
@@ -76,10 +76,10 @@ class TestLinearRegression:
         definition = compile_model_definition(parse_statement(ddl))
         cases = [case(k=1, a="p", x=1.0), case(k=2, a="q", x=2.0)]
         space = AttributeSpace(definition)
-        space.fit(cases)
+        space.fit(CaseBatch.of(cases))
         with pytest.raises(CapabilityError):
-            LinearRegressionAlgorithm().train(space,
-                                              space.encode_many(cases))
+            LinearRegressionAlgorithm().train(
+                space, space.encode_many(CaseBatch.of(cases)))
 
     def test_content_lists_coefficients(self):
         space, algorithm = build_regression(linear_cases())
@@ -120,9 +120,9 @@ def sequence_cases():
 def build_sequence(cases):
     definition = compile_model_definition(parse_statement(SEQUENCE_DDL))
     space = AttributeSpace(definition)
-    space.fit(cases)
+    space.fit(CaseBatch.of(cases))
     algorithm = SequenceClusteringAlgorithm({"CLUSTER_COUNT": 2})
-    algorithm.train(space, space.encode_many(cases))
+    algorithm.train(space, space.encode_many(CaseBatch.of(cases)))
     return space, algorithm
 
 
@@ -134,7 +134,7 @@ class TestSequenceClustering:
         mapped = sequence_case(1, ["A", "B", "C"])
         # shuffle row order; SEQUENCE_TIME must restore it
         mapped.tables["CLICKS"] = list(reversed(mapped.tables["CLICKS"]))
-        space.fit([mapped])
+        space.fit(CaseBatch.of([mapped]))
         observation = space.encode(mapped)
         assert observation.sequences["CLICKS"] == ["A", "B", "C"]
 
@@ -172,10 +172,10 @@ class TestSequenceClustering:
         definition = compile_model_definition(parse_statement(ddl))
         cases = [case(k=1, a="x")]
         space = AttributeSpace(definition)
-        space.fit(cases)
+        space.fit(CaseBatch.of(cases))
         with pytest.raises(TrainError):
             SequenceClusteringAlgorithm().train(
-                space, space.encode_many(cases))
+                space, space.encode_many(CaseBatch.of(cases)))
 
     def test_content_has_chains(self):
         _, algorithm = build_sequence(sequence_cases())

@@ -265,7 +265,7 @@ class TestDerivedStateLifetime:
     def test_never_served_across_reset_or_adopt_cases(self, trained):
         model = trained.model("M")
         first = self.dump_agrees(trained)
-        model.adopt_cases(model.training_cases[:5])
+        model.adopt_cases([model.training_cases[0].take([0, 1, 2, 3, 4])])
         adopted = self.dump_agrees(trained)
         assert adopted != first
         model.reset()

@@ -258,3 +258,68 @@ class TestRowFragments:
             dump_provider(populated.provider)
         assert restored.provider.metrics.value(
             "store.snapshot_rows_encoded") == 40
+
+
+class TestRetainedCaseset:
+    """A model's retained cases are packed into batches on load
+    (``CaseBatch.of``), a run of one key layout at a time: the restored
+    caseset dumps to the same bytes, and a later INSERT refits over it as
+    over the caseset that was never saved."""
+
+    DDL = ("CREATE MINING MODEL Q (Id LONG KEY, H TEXT DISCRETE, "
+           "HP DOUBLE PROBABILITY OF H, X DOUBLE CONTINUOUS, "
+           "W DOUBLE SUPPORT OF H, T TEXT DISCRETE PREDICT, "
+           "B TABLE(P TEXT KEY, Q DOUBLE CONTINUOUS, "
+           "QP DOUBLE PROBABILITY OF Q)) "
+           "USING Repro_Decision_Trees(MINIMUM_SUPPORT = 1)")
+    # Two binding lists: the nested rows' qualifier between two values,
+    # then no qualifier and no nested table at all.
+    SHAPED = ("INSERT INTO Q (Id, H, HP, X, W, T, B(SKIP, P, QP, Q)) "
+              "SHAPE {SELECT Id, H, HP, X, W, T FROM C WHERE Id <= 30 "
+              "ORDER BY Id} APPEND ({SELECT CId, Prod, QP, Q FROM S "
+              "ORDER BY CId} RELATE Id TO CId) AS B")
+    FLAT = "INSERT INTO Q (Id, H, X) SELECT Id, H, X FROM C WHERE Id > 30"
+    LATER = ("INSERT INTO Q (Id, H, HP, X, W, T) "
+             "SELECT Id, H, HP, X, W, T FROM C WHERE Id > 40")
+    SCORE = ("SELECT t.Id, Q.T, PredictProbability(Q.T) FROM Q "
+             "NATURAL PREDICTION JOIN (SELECT Id, H, X FROM C) AS t")
+
+    @pytest.fixture
+    def trained(self, conn):
+        conn.execute("CREATE TABLE C (Id LONG, H TEXT, HP DOUBLE, "
+                     "X DOUBLE, W DOUBLE, T TEXT)")
+        conn.execute("CREATE TABLE S (CId LONG, Prod TEXT, QP DOUBLE, "
+                     "Q DOUBLE)")
+        conn.execute("INSERT INTO C VALUES " + ", ".join(
+            f"({i}, '{'abc'[i % 3]}', {(i % 4 + 1) / 4}, {i * 1.5}, "
+            f"{'NULL' if i % 5 == 0 else i % 3 + 1}, "
+            f"'{'yes' if i % 2 else 'no'}')" for i in range(1, 51)))
+        conn.execute("INSERT INTO S VALUES " + ", ".join(
+            f"({i % 25 + 1}, '{('tv', 'beer', 'wine')[i % 3]}', "
+            f"{'NULL' if i % 4 == 0 else 0.5}, {i / 2})" for i in range(60)))
+        conn.execute(self.DDL)
+        conn.execute(self.SHAPED)
+        conn.execute(self.FLAT)
+        return conn
+
+    def test_dump_load_dump_is_byte_identical(self, trained):
+        text = dump_provider(trained.provider)
+        restored = load_provider(text)
+        model = restored.model("Q")
+        assert model.case_count == 50
+        assert len(model.training_cases) == 2   # one batch per layout
+        assert dump_provider(restored) == text
+        assert '"__QUALIFIERS__": {"Q": {"PROBABILITY": 0.5}}, "Q"' in text
+
+    def test_a_later_insert_refits_as_without_the_restore(self, trained):
+        from repro.pmml.writer import to_pmml
+        restored = repro.Connection(load_provider(
+            dump_provider(trained.provider)))
+        for conn in (trained, restored):
+            conn.execute(self.LATER)
+        assert to_pmml(restored.provider.model("Q")) == \
+            to_pmml(trained.provider.model("Q"))
+        assert restored.execute(self.SCORE).rows == \
+            trained.execute(self.SCORE).rows
+        assert dump_provider(restored.provider) == \
+            dump_provider(trained.provider)

@@ -16,8 +16,8 @@ sources:
 * batch sizes 1, 7 and the default.
 
 Three things are equal: the ``rowset_dump`` of the shaped source, every
-view's dicts (key order, types and ``-0.0`` included), and the
-``CaseMatrix``.  The budget comes from the hypothesis profile (25 in
+case's dicts read off a batch (key order, types and ``-0.0`` included),
+and the ``CaseMatrix``.  The budget comes from the hypothesis profile (25 in
 tier-1, 2,000 under ``--hypothesis-profile=deep``).
 """
 
@@ -29,7 +29,7 @@ from hypothesis import given, settings, strategies as st
 
 import repro
 from repro.algorithms.attributes import AttributeSpace, CaseMatrix
-from repro.core.bindings import case_binder, pair_binder
+from repro.core.bindings import CaseBatch, case_binder, pair_binder
 from repro.core.columns import compile_model_definition
 from repro.errors import TypeError_
 from repro.lang import ast_nodes as ast
@@ -185,7 +185,7 @@ def test_columnar_cases_equal_the_per_row_path(master, child, clicks, ordered,
     assert rowset_dump(new(batch_size).materialize()) == \
         rowset_dump(old(batch_size).materialize())
 
-    # Every case, bound column-wise then viewed, vs bound row by row.
+    # Every case, bound column-wise then read, vs bound row by row.
     stream, expected_stream = new(batch_size), old(batch_size)
     bind, mapper = binders(mode, stream)
     bound = outcome(lambda: [bind(batch) for batch in stream.batches()])
@@ -195,21 +195,20 @@ def test_columnar_cases_equal_the_per_row_path(master, child, clicks, ordered,
         assert bound == expected
         return
     batches, expected = bound[1], expected[1]
-    views = [case for batch in batches for case in batch]
-    assert [case_dump(case) for case in views] == \
+    cases = [case for batch in batches for case in batch]
+    assert [case_dump(case) for case in cases] == \
         [case_dump(case) for case in expected]
 
     # The matrix, from the batches' columns vs case by case.
     if not expected:
         return
     space = AttributeSpace(DEFINITION)
-    space.fit_schema(expected)
+    space.fit_schema(CaseBatch.of(expected))
     width = len(space.attributes)
     reference_matrix = CaseMatrix.of([space.encode(case) for case in expected],
                                      width)
-    fresh = [case for batch in bind_all(mode, new, batch_size)
-             for case in batch]
-    assert_same_matrix(space.encode_many(fresh).matrix, reference_matrix)
+    assert_same_matrix(space.encode_many(bind_all(mode, new, batch_size))
+                       .matrix, reference_matrix)
     start = 0
     for batch in batches:
         part = expected[start:start + len(batch)]
@@ -219,7 +218,7 @@ def test_columnar_cases_equal_the_per_row_path(master, child, clicks, ordered,
 
 
 def bind_all(mode, opened, batch_size):
-    """Batches bound afresh: views nobody has read a dict of yet."""
+    """Batches bound afresh: no case of them read yet."""
     stream = opened(batch_size)
     bind, _ = binders(mode, stream)
     return [bind(batch) for batch in stream.batches()]

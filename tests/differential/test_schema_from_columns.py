@@ -1,15 +1,15 @@
 """Differential harness: the dictionary pass and the absorb gate over
 columns vs the per-case loops they replaced.
 
-``AttributeSpace.fit_schema`` and ``covers`` read a caseset as
-``CaseBatch`` columns (``core.bindings.column_runs``); they must equal
-``reference_fit_schema`` / ``reference_covers`` of
-``tests/reference/reference_trainers.py``, which read each case's dicts,
-over generated casesets that mix, across several INSERTs, whole batches of
-views, partial runs of a batch (views of some of its rows) and standalone
-cases — copies of views and hand-built cases whose ``1`` / ``1.0`` /
-``True`` / ``-0.0`` values no coercion touched and whose two ``SUPPORT``
-qualifiers come in either order.  The model has ``RELATED TO`` columns
+``AttributeSpace.fit_schema`` and ``covers`` read a caseset as its
+``CaseBatch`` columns; they must equal ``reference_fit_schema`` /
+``reference_covers`` of ``tests/reference/reference_trainers.py``, which
+read each case's dicts, over generated casesets that mix, across several
+INSERTs, whole bound batches, some cases of each (``CaseBatch.take``) and
+standalone cases packed by ``CaseBatch.of`` — cases read off a batch and
+hand-built cases whose ``1`` / ``1.0`` / ``True`` / ``-0.0`` values no
+coercion touched and whose two ``SUPPORT`` qualifiers come in either
+order.  The model has ``RELATED TO`` columns
 in two nested tables (one bound from the source, the other filled only
 by hand-built cases), a ``MODEL_EXISTENCE_ONLY`` column, a
 ``DISCRETIZED`` column by ``EQUAL_COUNT`` or ``CLUSTERS``, ``SUPPORT``
@@ -20,19 +20,18 @@ Equal are: every attribute (name, kind, flags, item, categories by type
 and ``repr``, discretizer edges, minimum and maximum), ``relations`` with
 their key order, ``total_weight`` bit for bit, ``case_count``, a failed
 fit's error, and the ``covers`` verdict of each INSERT against the space
-fitted before it.  The reference reads standalone copies, so its case
+fitted before it.  The reference reads standalone cases, so its case
 weights come from ``MappedCase.weight``'s per-case loop.  The budget comes
 from the hypothesis profile (25 in tier-1, 2,000 under
 ``--hypothesis-profile=deep``).
 """
 
-import copy
 from types import SimpleNamespace
 
 from hypothesis import given, settings, strategies as st
 
 from repro.algorithms.attributes import AttributeSpace
-from repro.core.bindings import MappedCase, case_binder
+from repro.core.bindings import CaseBatch, MappedCase, case_binder
 from repro.core.columns import compile_model_definition
 from repro.errors import TrainError
 from repro.lang import ast_nodes as ast
@@ -130,30 +129,34 @@ def inserts(draw):
         master=draw(masters), child=child,
         mode=draw(st.sampled_from(sorted(BINDINGS))),
         batch_size=draw(st.sampled_from([1, 3, DEFAULT_BATCH_SIZE])),
-        form=draw(st.sampled_from(["views", "partial", "standalone"])),
+        form=draw(st.sampled_from(["batches", "partial", "standalone"])),
         start=draw(st.integers(0, 4)), step=draw(st.sampled_from([1, 2])),
         reorder=draw(st.booleans()),
         extra=draw(st.lists(hand_built(), max_size=3)))
 
 
 def bound_cases(definition, insert):
-    """The INSERT's cases, in the form it draws: every view of its batches,
-    some views of them, or standalone copies plus hand-built cases."""
+    """The INSERT's batches, in the form it draws — its bound batches, some
+    cases of each, or its cases read off them plus hand-built cases packed
+    into one — and the standalone cases they hold, which the reference
+    reads."""
     arm = SimpleNamespace(appends=[append("B")])
     stream = shape._open_shape(arm, [Source(MASTER, insert.master),
                                      Source(CHILD, insert.child)],
                                insert.batch_size)
     bind = case_binder(definition, stream, BINDINGS[insert.mode])
-    views = [case for batch in map(bind, stream.batches()) for case in batch]
-    if insert.form == "views":
-        return views
+    batches = list(map(bind, stream.batches()))
     if insert.form == "partial":
-        return views[insert.start::insert.step]
-    standalone = [copy.copy(case) for case in views]
+        batches = [batch.take(list(range(len(batch)))[
+            insert.start::insert.step]) for batch in batches]
+    cases = [case for batch in batches for case in batch]
+    if insert.form != "standalone":
+        return batches, cases
     if insert.reorder:
-        for case in standalone:
+        for case in cases:
             case.qualifiers = dict(reversed(case.qualifiers.items()))
-    return standalone + insert.extra
+    cases += insert.extra
+    return [CaseBatch.of(cases)], cases
 
 
 def canonical(value):
@@ -195,26 +198,25 @@ def test_schema_and_gate_from_columns_equal_the_per_case_loops(
         method, limits, statements):
     definition = compile_model_definition(parse_statement(
         DDL.format(method=method, limits=limits)))
-    caseset, space = [], None
+    caseset, standalone, space = [], [], None
     for insert in statements:
-        cases = bound_cases(definition, insert)
+        batches, cases = bound_cases(definition, insert)
         if space is not None:
-            assert space.covers(cases) == all(
-                reference_covers(space, case)
-                for case in map(copy.copy, cases))
-        caseset += cases
-        # The reference reads standalone copies: per-case weights.
+            assert space.covers(batches) == all(
+                reference_covers(space, case) for case in cases)
+        caseset += batches
+        standalone += cases
+        # The reference reads standalone cases: per-case weights.
         space, dump = fitted(definition, AttributeSpace.fit_schema, caseset)
-        _, expected = fitted(definition, reference_fit_schema,
-                             list(map(copy.copy, caseset)))
+        _, expected = fitted(definition, reference_fit_schema, standalone)
         assert dump == expected
     if space is not None:
         assert space.covers(caseset) == all(
-            reference_covers(space, case) for case in caseset)
+            reference_covers(space, case) for case in standalone)
 
 
 def test_a_batch_is_its_own_caseset():
-    """A ``CaseBatch`` passed whole is one run, as its views would be."""
+    """A ``CaseBatch`` passed alone is a caseset of that one batch."""
     definition = compile_model_definition(parse_statement(
         DDL.format(method="EQUAL_COUNT", limits="")))
     master = [("k1", "m", 2, "hi", 0.5, 1.5, -0.0),
@@ -229,8 +231,7 @@ def test_a_batch_is_its_own_caseset():
     bind = case_binder(definition, stream, None)
     [batch] = [bind(rows) for rows in stream.batches()]
     _, dump = fitted(definition, AttributeSpace.fit_schema, batch)
-    _, expected = fitted(definition, reference_fit_schema,
-                         list(map(copy.copy, batch)))
+    _, expected = fitted(definition, reference_fit_schema, list(batch))
     assert dump == expected
     # "TV" keeps its first place and takes its last value (case k3's).
     assert dump[1] == [(("B", "QS"), [(("str", "'TV'"), ("float", "3.0")),

@@ -45,7 +45,7 @@ from repro.algorithms.attributes import (
     Observation,
 )
 from repro.algorithms.registry import create_algorithm
-from repro.core.bindings import MappedCase
+from repro.core.bindings import CaseBatch, MappedCase
 from repro.core.columns import compile_model_definition
 from repro.errors import Error
 from repro.exec.partition import prediction_replica
@@ -99,7 +99,7 @@ def harnesses():
 @pytest.mark.parametrize("service", sorted(SCENARIOS))
 def test_predict_many_equals_predict(harnesses, service):
     model = harnesses[service].model
-    cases = [case for _, case in harnesses[service].pairs["positional"]]
+    cases = harnesses[service].batches["positional"]
     observations = model.space.encode_many(cases)
     one_by_one = [prediction_dump(model.algorithm.predict(observation))
                   for observation in observations]
@@ -214,7 +214,7 @@ def assert_same_matrix(built, expected):
 def test_slot_encode_equals_reference_encode(training, probes):
     first, rest = training
     space = AttributeSpace(definition_of(ENCODER_DDL))
-    space.fit([first] + rest)
+    space.fit(CaseBatch.of([first] + rest))
     cases = [first] + rest + probes
     expected = [observation_dump(reference_encode(space, case))
                 for case in cases]
@@ -222,7 +222,7 @@ def test_slot_encode_equals_reference_encode(training, probes):
             for case in cases] == expected
     width = len(space.attributes)
     for size in (0, 1, 2, len(cases)):
-        batch = space.encode_many(cases[:size])
+        batch = space.encode_many(CaseBatch.of(cases[:size]))
         assert_same_matrix(batch.matrix, CaseMatrix.of(
             [space.encode(case) for case in cases[:size]], width))
         assert CaseMatrix.of(batch, width) is batch.matrix
@@ -242,6 +242,7 @@ def test_slot_encode_equals_reference_encode(training, probes):
 def train(service, cases):
     definition = definition_of(SCORER_DDL[service], service)
     space = AttributeSpace(definition)
+    cases = CaseBatch.of(cases)
     space.fit_schema(cases)
     observations = space.encode_many(cases)
     space.marginals_from_observations(observations)
@@ -264,7 +265,8 @@ def test_table_scoring_equals_reference_formula(service, training, probes,
     except Error:
         assume(False)   # e.g. a target with no training value
     cases = [first] + rest + probes
-    observations = list(observations) + list(space.encode_many(probes))
+    observations = list(observations) + list(space.encode_many(
+        CaseBatch.of(probes)))
     # Hand-made observations: codes no fitted category maps to.
     for position, value in stray:
         values = list(observations[0].values)
@@ -282,7 +284,7 @@ def test_table_scoring_equals_reference_formula(service, training, probes,
     assert [prediction_dump(p) for p in
             algorithm.predict_many(observations)] == expected
     # An encoded batch: its own matrix; a fallback encodes its case alone.
-    batch = space.encode_many(cases)
+    batch = space.encode_many(CaseBatch.of(cases))
     assert [prediction_dump(p) for p in
             algorithm.predict_many(batch)] == expected[:len(cases)]
     assert batch._observations is None
@@ -312,11 +314,11 @@ def test_a_mixed_batch_takes_the_array_path_and_every_fallback(service):
             root = algorithm.tree_for(target)
             assert root.split_attribute.index == g
             assert all(child.is_leaf for child in root.children)
-    batch = list(space.encode_many([
+    batch = list(space.encode_many(CaseBatch.of([
         _fixed_case(20, "m"), _fixed_case(21, "M"),      # one leaf
         _fixed_case(22, None),                            # G missing
         _fixed_case(23, "f", x=7.25),                     # X known
-        _fixed_case(24, "m", hp=0.5)]))                   # PROBABILITY
+        _fixed_case(24, "m", hp=0.5)])))                  # PROBABILITY
     for code in (99, 2.5):                                # no such category
         values = list(batch[0].values)
         values[g] = code
@@ -427,7 +429,7 @@ def test_state_load_drops_the_tables_of_a_used_algorithm(service):
 @pytest.mark.parametrize("service", sorted(SCENARIOS))
 def test_a_scored_model_pickles_without_its_tables(harnesses, service):
     model = harnesses[service].model
-    cases = [case for _, case in harnesses[service].pairs["positional"]]
+    cases = harnesses[service].batches["positional"]
     expected = [prediction_dump(p) for p in model.predict_cases(cases)]
     clone = pickle.loads(pickle.dumps(prediction_replica(model)))
     assert clone.algorithm._tables is None

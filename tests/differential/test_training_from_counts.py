@@ -26,7 +26,7 @@ from hypothesis import assume, given, settings, strategies as st
 import repro
 from repro.algorithms.attributes import AttributeSpace
 from repro.algorithms.registry import create_algorithm
-from repro.core.bindings import MappedCase
+from repro.core.bindings import CaseBatch, MappedCase
 from repro.core.model import MiningModel
 from repro.core.schema_rowsets import model_content_rowset
 from repro.errors import Error
@@ -160,6 +160,7 @@ def model_dump(model):
 def assert_counts_equal_reference(definition, inserts):
     shipped, reference = MiningModel(definition), MiningModel(definition)
     for cases in inserts:
+        cases = [CaseBatch.of(cases)]
         try:
             reference_model_train(reference, cases)
         except Error:
@@ -202,10 +203,11 @@ def test_partial_train_equals_retrain_over_the_union(first, second):
     definition = definition_of(ddl("Repro_Naive_Bayes", D=1, B=1))
     space = AttributeSpace(definition)
     try:
-        space.fit_schema(first)
+        space.fit_schema(CaseBatch.of(first))
     except Error:
         assume(False)
-    head, tail = space.encode_many(first), space.encode_many(second)
+    head = space.encode_many(CaseBatch.of(first))
+    tail = space.encode_many(CaseBatch.of(second))
 
     absorbed = create_algorithm(definition.algorithm, definition.parameters)
     absorbed.train(space, head)
@@ -264,6 +266,7 @@ def test_node_supports_are_sequential_sums_of_fractional_weights():
             T="no" if number % 2 or number % 3 == 0 else "yes")
         case.qualifiers["G"] = {"SUPPORT": 0.1}
         cases.append(case)
+    cases = [CaseBatch.of(cases)]
     model = MiningModel(definition)
     model.train(cases)
 

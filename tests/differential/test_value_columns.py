@@ -35,6 +35,7 @@ which no statement encodes — by ``predict_values`` against per-case
 
 import multiprocessing
 import re
+from itertools import chain, islice
 from operator import itemgetter
 
 import pytest
@@ -354,7 +355,8 @@ def test_codes_no_category_has_score_like_predict(name):
     try:
         model = conn.provider.model("M")
         algorithm, space = model.algorithm, model.space
-        observations = list(space.encode_many(model.training_cases[:20]))
+        observations = list(map(space.encode, islice(
+            chain.from_iterable(model.training_cases), 20)))
         for position, observation in enumerate(list(observations)):
             for attribute in space.inputs():
                 if attribute.is_categorical:

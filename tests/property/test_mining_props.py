@@ -87,7 +87,7 @@ baskets_strategy = st.lists(
 @settings(max_examples=50, deadline=None)
 def test_apriori_downward_closure_and_exact_supports(baskets, threshold):
     from repro.lang.parser import parse_statement
-    from repro.core.bindings import MappedCase
+    from repro.core.bindings import CaseBatch, MappedCase
     from repro.core.columns import compile_model_definition
     from repro.algorithms.attributes import AttributeSpace
     from repro.algorithms.association import AssociationRulesAlgorithm
@@ -103,10 +103,10 @@ def test_apriori_downward_closure_and_exact_supports(baskets, threshold):
         case.tables["B"] = [{"I": item} for item in sorted(basket)]
         cases.append(case)
     space = AttributeSpace(definition)
-    space.fit(cases)
+    space.fit(CaseBatch.of(cases))
     algorithm = AssociationRulesAlgorithm({
         "MINIMUM_SUPPORT": threshold, "MINIMUM_PROBABILITY": 0.1})
-    algorithm.train(space, space.encode_many(cases))
+    algorithm.train(space, space.encode_many(CaseBatch.of(cases)))
 
     by_index = {a.index: str(a.key_value) for a in algorithm.items}
     minimum = threshold * len(baskets)
@@ -137,7 +137,7 @@ def test_apriori_downward_closure_and_exact_supports(baskets, threshold):
 @settings(max_examples=30, deadline=None)
 def test_tree_histograms_are_distributions(rows):
     from repro.lang.parser import parse_statement
-    from repro.core.bindings import MappedCase
+    from repro.core.bindings import CaseBatch, MappedCase
     from repro.core.columns import compile_model_definition
     from repro.algorithms.attributes import AttributeSpace
     from repro.algorithms.decision_tree import DecisionTreeAlgorithm
@@ -153,9 +153,9 @@ def test_tree_histograms_are_distributions(rows):
         case.scalars.update({"ID": position, "A": a, "V": v, "L": label})
         cases.append(case)
     space = AttributeSpace(definition)
-    space.fit(cases)
+    space.fit(CaseBatch.of(cases))
     algorithm = DecisionTreeAlgorithm({"MINIMUM_SUPPORT": 2.0})
-    algorithm.train(space, space.encode_many(cases))
+    algorithm.train(space, space.encode_many(CaseBatch.of(cases)))
     label_attribute = space.by_name("L")
     for probe in cases[:10]:
         prediction = algorithm.predict(space.encode(probe)) \

@@ -7,6 +7,7 @@ must be string-equal to this on every provider state.
 """
 
 import json
+from itertools import chain
 from typing import Any, Dict, List
 
 from repro.core.persistence import FORMAT_VERSION
@@ -56,8 +57,8 @@ def reference_dump_provider(provider, last_seq: int = 0) -> str:
                 "trained": True,
                 "pmml": to_pmml(model),
                 "insert_count": model.insert_count,
-                "cases": [_encode_case(case)
-                          for case in model.training_cases],
+                "cases": [_encode_case(case) for case
+                          in chain.from_iterable(model.training_cases)],
             })
         else:
             models.append({"trained": False,

@@ -20,6 +20,7 @@ dictionary pass and absorb gate as they were before both read
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.algorithms.attributes import (
@@ -462,6 +463,7 @@ def reference_model_train(model: MiningModel, cases) -> None:
     algorithm = model.algorithm
     # The gate is the per-case one above since ``covers`` became a batch
     # check over columns.
+    cases = list(chain.from_iterable(cases))
     if model.can_absorb and all(reference_covers(model.space, c)
                                 for c in cases):
         observations = [model.space.encode(case) for case in cases]
@@ -470,7 +472,8 @@ def reference_model_train(model: MiningModel, cases) -> None:
         return
     space = AttributeSpace(model.definition)
     space.fit_schema(model.training_cases)
-    observations = [space.encode(case) for case in model.training_cases]
+    observations = [space.encode(case) for case
+                    in chain.from_iterable(model.training_cases)]
     space.marginals = reference_partial_marginals(space, observations)
     algorithm.space = space
     algorithm.drop_tables()
